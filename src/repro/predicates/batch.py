@@ -255,6 +255,12 @@ def _term_arrays(term: Term, store):
     if store.is_text(term.column):
         return ("str", store.text_values(term.column))
     lo, hi = store.endpoints(term.column)
+    if term.scale == 0.0:
+        # 0 · x is 0 under every realization of x, unbounded ones
+        # included (the Bound.__mul__ convention the row path follows);
+        # elementwise, 0 · ∞ would be nan and fail every comparison.
+        offset = float(term.offset)
+        return ("num", offset, offset)
     if term.scale != 1.0 or term.offset != 0.0:
         if term.scale >= 0:
             lo, hi = term.scale * lo + term.offset, term.scale * hi + term.offset
@@ -490,8 +496,8 @@ def _comparison_windows(comparison: Comparison, store, stats):
 
     Returns ``None`` when the leaf is not index-eligible —
     column-vs-column or literal-vs-literal comparisons, text operands,
-    and ``scale == 0`` terms (whose dense semantics fold infinite
-    endpoints through ``0 · ∞ = nan``) all defer to the dense evaluator.
+    and ``scale == 0`` terms (constants, which no endpoint window
+    describes) all defer to the dense evaluator.
     """
     cmp = comparison.normalized()
     left, right = cmp.left, cmp.right

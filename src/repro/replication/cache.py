@@ -9,24 +9,38 @@ performs query-initiated refreshes through the replication protocol.
 
 Time handling: bound functions widen continuously, so the cache
 re-evaluates every tracked bound at the current clock reading before a
-query runs (:meth:`DataCache.sync_bounds`).
+query runs (:meth:`DataCache.sync_bounds`).  Bound functions are closed
+form — ``V ± W·f(T_c − T_r)`` (§3.2, Appendix A) — so the cache keeps
+each cached column's ``(V, W, T_r, shape)`` as parallel arrays
+(:class:`_BoundColumn`) and the sync is one array evaluation plus one
+bulk :meth:`~repro.storage.columnar.ColumnStore.write_bounds` per
+column.  The ``ColumnStore`` is the truth for bounded cells; rows catch
+up lazily when read.
 
-All cache mutations go through ``Table.update_value`` / ``Row.set`` and
-therefore write through to each table's columnar mirror
-(:class:`~repro.storage.columnar.ColumnStore`), keeping the executor's
-vectorized fast paths and O(1) exactness counters in sync with the
-replication protocol.
+Single-cell mutations (refresh messages, cardinality changes) go through
+``Table.update_value`` / ``Row.set`` and write through to the same
+store, keeping the executor's vectorized fast paths and O(1) exactness
+counters in sync with the replication protocol.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+import time
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from repro.bounds.functions import BoundFunction
+import numpy as np
+
+from repro.bounds.functions import (
+    BoundFunction,
+    ConstantShape,
+    LinearShape,
+    SqrtShape,
+)
 from repro.errors import (
+    BoundError,
     ReplicationProtocolError,
     SourceUnavailableError,
     TrappError,
@@ -58,12 +72,152 @@ __all__ = [
 BatchCostFunc = Callable[[str, int], float]
 
 
+#: Array-kernel code of each built-in shape, looked up by the shape's
+#: exact type; every other :class:`~repro.bounds.functions.BoundShape`
+#: (subclasses included — they may override ``__call__``) is evaluated
+#: per cell through the bound function itself.
+_SHAPE_CODES = {SqrtShape: 0, LinearShape: 1, ConstantShape: 2}
+_CUSTOM_SHAPE = 3
+
+#: Sync-duration edges (seconds): a column sweep is tens of microseconds,
+#: below the registry's default latency buckets.
+_SYNC_TIME_BUCKETS = (
+    0.00001, 0.000025, 0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025,
+    0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 1.0,
+)
+
+
+class _BoundColumn:
+    """One cached column's bound-function parameters as parallel arrays.
+
+    Slot ``i`` holds one subscription's Appendix-A encoding
+    ``(V(T_r), W, T_r)`` and its shape's kernel code, so evaluating the
+    whole column at query time is a few array operations.  Slots are
+    dense (swap-remove on drop) and private to the cache; the mapping to
+    the cached table's ``ColumnStore`` slots is memoized until either
+    side's layout moves.
+    """
+
+    __slots__ = (
+        "table", "column", "n", "tids", "value", "width", "refreshed_at",
+        "shape", "layout_version", "_memo",
+    )
+
+    def __init__(self, table: str, column: str) -> None:
+        self.table = table
+        self.column = column
+        self.n = 0
+        capacity = 16
+        self.tids = np.empty(capacity, dtype=np.int64)
+        self.value = np.empty(capacity, dtype=np.float64)
+        self.width = np.empty(capacity, dtype=np.float64)
+        self.refreshed_at = np.empty(capacity, dtype=np.float64)
+        self.shape = np.empty(capacity, dtype=np.int8)
+        self.layout_version = 0
+        #: ``(key, held, slots)`` of the last :meth:`store_slots` answer.
+        self._memo: tuple | None = None
+
+    def add(self, tid: int, function: BoundFunction) -> int:
+        """Append one subscription; returns its slot."""
+        slot = self.n
+        if slot == len(self.tids):
+            for name in ("tids", "value", "width", "refreshed_at", "shape"):
+                old = getattr(self, name)
+                setattr(self, name, np.concatenate((old, np.empty_like(old))))
+        self.tids[slot] = tid
+        self.n = slot + 1
+        self.layout_version += 1
+        self.install(slot, function)
+        return slot
+
+    def install(self, slot: int, function: BoundFunction) -> None:
+        """Overwrite one slot's parameters (a refresh arrived)."""
+        self.value[slot] = function.value_at_refresh
+        self.width[slot] = function.width_parameter
+        self.refreshed_at[slot] = function.refreshed_at
+        self.shape[slot] = _SHAPE_CODES.get(type(function.shape), _CUSTOM_SHAPE)
+
+    def drop(self, slot: int) -> int | None:
+        """Swap-remove one slot; returns the tid moved into it, if any."""
+        last = self.n - 1
+        moved = None
+        if slot != last:
+            for array in (
+                self.tids, self.value, self.width, self.refreshed_at, self.shape
+            ):
+                array[slot] = array[last]
+            moved = int(self.tids[slot])
+        self.n = last
+        self.layout_version += 1
+        return moved
+
+    def parameters(self, held: np.ndarray | None = None):
+        """``(tids, V, W, T_r, shape codes)`` of all slots, or of ``held``."""
+        arrays = (
+            self.tids[: self.n],
+            self.value[: self.n],
+            self.width[: self.n],
+            self.refreshed_at[: self.n],
+            self.shape[: self.n],
+        )
+        if held is None:
+            return arrays
+        return tuple(array[held] for array in arrays)
+
+    def store_slots(self, store) -> tuple[np.ndarray | None, np.ndarray]:
+        """``(held, slots)``: where each subscription's cell lives in ``store``.
+
+        ``held`` indexes the subscriptions whose tuple the store still
+        holds (``None`` when all are) and ``slots`` gives their store
+        slots, aligned with ``parameters(held)``.
+        """
+        key = (store, store.layout_version, self.layout_version)
+        if self._memo is None or self._memo[0] != key:
+            slots = store.slots_of(self.tids[: self.n].tolist())
+            present = slots >= 0
+            if present.all():
+                self._memo = (key, None, slots)
+            else:
+                self._memo = (key, np.flatnonzero(present), slots[present])
+        return self._memo[1:]
+
+
+def _half_widths(
+    width: np.ndarray, codes: np.ndarray, elapsed: np.ndarray
+) -> tuple[np.ndarray, list[int]]:
+    """``W · f(elapsed)`` per cell, and where the custom-shape cells are.
+
+    The built-in shapes are mirrored operation for operation, so the
+    products are bit-identical to :meth:`BoundFunction.half_width_at`;
+    custom-shape cells hold a placeholder the caller overwrites.  As
+    silent as float arithmetic: the product may overflow to ∞ (a valid
+    half-width) or be ``0 · ∞`` (NaN, for the caller to reject).
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        # max(0.0, elapsed) exactly as Python evaluates it (signed zeros, NaN).
+        ramp = np.where(elapsed > 0.0, elapsed, 0.0)
+        root = np.sqrt(ramp)
+        if not codes.any():
+            return width * root, []
+        step = (elapsed > 0.0).astype(np.float64)
+        factors = np.select(
+            [codes == 0, codes == 1, codes == 2], [root, ramp, step], 0.0
+        )
+        return width * factors, np.flatnonzero(codes == _CUSTOM_SHAPE).tolist()
+
+
 @dataclass(slots=True)
 class _Subscription:
-    """Where one cached object comes from and its current bound function."""
+    """Where one cached object comes from and its current bound function.
+
+    ``params``/``slot`` locate the write-through copy of the bound
+    function's parameters in the column's :class:`_BoundColumn`.
+    """
 
     source: DataSource
     bound_function: BoundFunction
+    params: _BoundColumn | None = None
+    slot: int = -1
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,6 +305,9 @@ class DataCache:
         #: ``_subscriptions`` — routers and registries ask per-table
         #: questions on hot paths and must not scan every table's keys.
         self._keys_by_table: dict[str, set[ObjectKey]] = {}
+        #: Bound-function parameters per (table, bounded column), written
+        #: through wherever a bound function is installed or dropped.
+        self._bound_columns: dict[tuple[str, str], _BoundColumn] = {}
         self._sources: dict[str, DataSource] = {}
         #: Cached tables whose tuples are partitioned across shard
         #: sources; cardinality messages for these must keep the shard
@@ -169,6 +326,9 @@ class DataCache:
         # replication hot path untelemetered (the simulation default).
         self._t_fanout_pushes = None
         self._t_fanout_lag = None
+        self._t_sync_seconds = None
+        self._t_sync_rewritten = None
+        self._t_sync_unchanged = None
         #: Fault oracle set by :meth:`FaultInjector.attach`; ``None`` (the
         #: default) keeps every refresh path exactly pre-fault.
         self.fault_injector = None
@@ -191,6 +351,23 @@ class DataCache:
             "Delivery lag of fan-out pushes (receive time minus sent_at)",
             ("cache",),
         ).labels(**child_labels)
+        self._t_sync_seconds = registry.histogram(
+            "trapp_bound_sync_seconds",
+            "Wall-clock duration of each sync_bounds call",
+            ("cache",),
+            buckets=_SYNC_TIME_BUCKETS,
+        ).labels(**child_labels)
+        sync_cells = registry.counter(
+            "trapp_bound_sync_cells_total",
+            "Cached cells re-evaluated by sync_bounds, by outcome",
+            ("cache", "outcome"),
+        )
+        self._t_sync_rewritten = sync_cells.labels(
+            outcome="rewritten", **child_labels
+        )
+        self._t_sync_unchanged = sync_cells.labels(
+            outcome="unchanged", **child_labels
+        )
 
     # ------------------------------------------------------------------
     # Subscription
@@ -283,6 +460,7 @@ class DataCache:
         self._sources.clear()
         self._subscriptions.clear()
         self._keys_by_table.clear()
+        self._bound_columns.clear()
         self._sharded_tables.clear()
         self.catalog = Catalog()
 
@@ -361,12 +539,24 @@ class DataCache:
         return BatchedRefreshReceipt(per_source=receipts)
 
     def _add_subscription(self, key: ObjectKey, subscription: _Subscription) -> None:
+        params = self._bound_columns.get((key.table, key.column))
+        if params is None:
+            params = _BoundColumn(key.table, key.column)
+            self._bound_columns[key.table, key.column] = params
+        subscription.params = params
+        subscription.slot = params.add(key.tid, subscription.bound_function)
         self._subscriptions[key] = subscription
         self._keys_by_table.setdefault(key.table, set()).add(key)
 
     def _drop_subscription(self, key: ObjectKey) -> None:
-        if self._subscriptions.pop(key, None) is not None:
-            self._keys_by_table[key.table].discard(key)
+        subscription = self._subscriptions.pop(key, None)
+        if subscription is None:
+            return
+        self._keys_by_table[key.table].discard(key)
+        moved_tid = subscription.params.drop(subscription.slot)
+        if moved_tid is not None:
+            moved = ObjectKey(key.table, moved_tid, key.column)
+            self._subscriptions[moved].slot = subscription.slot
 
     def subscribed_sources(self) -> "list[DataSource]":
         """Every physical source (shard) this cache subscribes to."""
@@ -389,10 +579,18 @@ class DataCache:
         lockstep must report bit-identical widths.
         """
         now = self.clock() if now is None else now
-        return math.fsum(
-            2.0 * self._subscriptions[key].bound_function.half_width_at(now)
-            for key in self._keys_by_table.get(table_name, ())
-        )
+        widths: list[float] = []
+        for (name, _), params in self._bound_columns.items():
+            if name != table_name or not params.n:
+                continue
+            tids, _, width, refreshed_at, codes = params.parameters()
+            half, custom = _half_widths(width, codes, now - refreshed_at)
+            for at in custom:
+                key = ObjectKey(table_name, int(tids[at]), params.column)
+                function = self._subscriptions[key].bound_function
+                half[at] = function.half_width_at(now)
+            widths.extend((2.0 * half).tolist())
+        return math.fsum(widths)
 
     def source_ids_of_table(self, table_name: str) -> frozenset[str]:
         """Source (shard) ids serving one cached table's subscriptions.
@@ -449,7 +647,9 @@ class DataCache:
         """Re-evaluate every cached bound at the current time.
 
         Bound functions widen as time passes; queries must see the bound at
-        query time, not at last-message time.
+        query time, not at last-message time.  Each cached column is one
+        array evaluation and one bulk ``ColumnStore.write_bounds``; the
+        rows are not touched and catch up when next read.
 
         Unchanged bounds are skipped: rewriting a cell with the value it
         already holds would churn every index and bump the columnar
@@ -459,13 +659,56 @@ class DataCache:
         reuse orderings across queries while the clock stands still.
         """
         now = self.clock()
-        for key, subscription in self._subscriptions.items():
-            table = self.catalog.table(key.table)
-            if key.tid not in table:
+        started = time.perf_counter()
+        cells = rewritten = 0
+        for params in self._bound_columns.values():
+            if not params.n:
                 continue
-            evaluated = subscription.bound_function.at(now)
-            if table.row(key.tid)[key.column] != evaluated:
-                table.update_value(key.tid, key.column, evaluated)
+            table = self.catalog.table(params.table)
+            # Subscriptions whose tuple the table no longer holds are
+            # skipped, unevaluated.
+            held, slots = params.store_slots(table.columns)
+            lo, hi = self._evaluate_column(params, held, now)
+            changed = table.columns.write_bounds(params.column, slots, lo, hi)
+            cells += len(slots)
+            rewritten += len(changed)
+            if len(changed) and len(table.indexes):
+                # Row-era sorted indexes key on the rows, which have just
+                # gone stale; re-key the changed ones.
+                for tid in changed.tolist():
+                    table.indexes.on_update(table.row(tid))
+        if self._t_sync_seconds is not None:
+            self._t_sync_seconds.observe(time.perf_counter() - started)
+            self._t_sync_rewritten.inc(rewritten)
+            self._t_sync_unchanged.inc(cells - rewritten)
+
+    def _evaluate_column(
+        self, params: _BoundColumn, held: np.ndarray | None, now: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``[L(now), H(now)]`` of one column's held subscriptions.
+
+        Bit-identical to :meth:`BoundFunction.at` cell by cell, and
+        raising what it raises.
+        """
+        tids, value, width, refreshed_at, codes = params.parameters(held)
+        early = now < refreshed_at - 1e-12
+        if early.any():
+            at = int(np.flatnonzero(early)[0])
+            raise BoundError(
+                f"bound evaluated at {now} before its refresh time "
+                f"{float(refreshed_at[at])}"
+            )
+        half, custom = _half_widths(width, codes, now - refreshed_at)
+        # V ± half may overflow to ∞ (valid) or be ∞ − ∞ (NaN, rejected below).
+        with np.errstate(invalid="ignore", over="ignore"):
+            lo, hi = value - half, value + half
+        for at in custom:
+            key = ObjectKey(params.table, int(tids[at]), params.column)
+            bound = self._subscriptions[key].bound_function.at(now)
+            lo[at], hi[at] = bound.lo, bound.hi
+        if np.isnan(lo).any() or np.isnan(hi).any():
+            raise BoundError("bound endpoints must not be NaN")
+        return lo, hi
 
     # ------------------------------------------------------------------
     # RefreshProvider protocol (query-initiated refreshes)
@@ -636,6 +879,7 @@ class DataCache:
                 # Late message for an object deleted meanwhile; drop it.
                 continue
             subscription.bound_function = payload.bound_function
+            subscription.params.install(subscription.slot, payload.bound_function)
             table = self.catalog.table(key.table)
             if key.tid in table:
                 table.update_value(key.tid, key.column, payload.bound_function.at(now))

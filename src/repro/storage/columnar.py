@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 import numpy as np
 
@@ -140,6 +140,8 @@ class ColumnStore:
         "_n",
         "_non_exact",
         "version",
+        "layout_version",
+        "bulk_stamp",
         "_memo_version",
         "_memo_order",
         "_memo_tids",
@@ -161,6 +163,14 @@ class ColumnStore:
         self._n = 0
         self._non_exact: dict[str, int] = {name: 0 for name in self._bounded}
         self.version = 0
+        #: Bumped only when tuples enter or leave (append/remove), i.e.
+        #: when the tid → slot assignment may have moved; bulk writers
+        #: memoize their :meth:`slots_of` lookups against it.
+        self.layout_version = 0
+        #: Bumped by every :meth:`write_bounds` that changed a cell.
+        #: Store-attached rows compare it with the stamp they last
+        #: loaded at and re-read their bounds when it has moved.
+        self.bulk_stamp = 0
         self._memo_version = -1
         self._memo_order: np.ndarray | None = None
         self._memo_tids: np.ndarray | None = None
@@ -200,6 +210,7 @@ class ColumnStore:
         self._slot_of[tid] = slot
         self._n += 1
         self.version += 1
+        self.layout_version += 1
         for order in self._sorted_orders.values():
             order.stale = True
 
@@ -250,8 +261,80 @@ class ColumnStore:
             self._text[name][last] = None  # release the reference
         self._n -= 1
         self.version += 1
+        self.layout_version += 1
         for order in self._sorted_orders.values():
             order.stale = True
+
+    def slots_of(self, tids: Iterable[int]) -> np.ndarray:
+        """The array slot of each tuple id; ``-1`` for ids not held.
+
+        Valid until :attr:`layout_version` moves.
+        """
+        slot_of = self._slot_of
+        return np.fromiter((slot_of.get(tid, -1) for tid in tids), dtype=np.int64)
+
+    def write_bounds(
+        self, column: str, slots: np.ndarray, lo: np.ndarray, hi: np.ndarray
+    ) -> np.ndarray:
+        """Overwrite many cells of one bounded column in a single pass.
+
+        ``slots`` (from :meth:`slots_of`, distinct) name the cells;
+        ``lo``/``hi`` are their new endpoints, already validated by the
+        caller.  Only cells whose endpoints actually differ are written.
+        When none does the store is left untouched — same ``version``,
+        same cached orderings — which is what lets a standing clock reuse
+        planner epochs across queries.  Otherwise the exactness counter
+        moves by the net change, ``version`` and :attr:`bulk_stamp` are
+        bumped once, and the column's cached orderings get the changed
+        tuples marked dirty (or are marked stale outright once a
+        splice-repair would no longer beat a fresh argsort).
+
+        Returns the tuple ids whose cell changed.
+        """
+        if column not in self._bounded:
+            self.schema[column]  # raise UnknownColumnError on bad names
+            raise TrappError(f"column {column!r} is not bounded; no bulk write")
+        live_lo, live_hi = self._lo[column], self._hi[column]
+        old_lo, old_hi = live_lo[slots], live_hi[slots]
+        changed = (old_lo != lo) | (old_hi != hi)
+        n_changed = int(np.count_nonzero(changed))
+        if not n_changed:
+            return self._tids[:0]
+        if n_changed < len(slots):
+            slots, lo, hi = slots[changed], lo[changed], hi[changed]
+            old_lo, old_hi = old_lo[changed], old_hi[changed]
+        self._non_exact[column] += int(np.count_nonzero(lo < hi)) - int(
+            np.count_nonzero(old_lo < old_hi)
+        )
+        live_lo[slots] = lo
+        live_hi[slots] = hi
+        tids = self._tids[slots]
+        repairable = max(_REPAIR_FLOOR, self._n // 8)
+        for kind in _ORDER_KINDS:
+            order = self._sorted_orders.get((column, kind))
+            if order is None or order.stale:
+                continue
+            if len(order.dirty) + n_changed > repairable:
+                order.stale = True
+            else:
+                order.dirty.update(tids.tolist())
+        self.version += 1
+        self.bulk_stamp += 1
+        return tids
+
+    def load_bounds(self, tid: int, values: dict[str, Any]) -> None:
+        """Bring a row's bounded cells up to date with the arrays.
+
+        The read side of :meth:`write_bounds`: a cell whose endpoints
+        already match keeps its object (and its type — plain numbers
+        stay plain); the others are replaced by fresh :class:`Bound` objects.
+        """
+        slot = self._slot_of[tid]
+        for name in self._bounded:
+            lo = float(self._lo[name][slot])
+            hi = float(self._hi[name][slot])
+            if _endpoints(values[name]) != (lo, hi):
+                values[name] = Bound(lo, hi)
 
     def _grow(self) -> None:
         cap = max(_INITIAL_CAPACITY, 2 * len(self._tids))

@@ -171,6 +171,9 @@ class IndexSet:
     def __contains__(self, name: object) -> bool:
         return name in self._indexes
 
+    def __len__(self) -> int:
+        return len(self._indexes)
+
     def names(self) -> list[str]:
         return sorted(self._indexes)
 

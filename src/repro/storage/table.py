@@ -155,7 +155,7 @@ class Table:
         row = Row(tid, values)
         if self.columns is not None:
             self.columns.append(tid, values)
-            row._sink = self.columns
+            row._attach(self.columns)
         self._rows[tid] = row
         self.indexes.on_insert(row)
         return row
@@ -167,7 +167,7 @@ class Table:
         if tid not in self._rows:
             raise TrappError(f"table {self.name!r} has no tuple #{tid}")
         row = self._rows.pop(tid)
-        row._sink = None  # later writes to the orphaned row stay local
+        row._detach()  # later writes to the orphaned row stay local
         if self.columns is not None:
             self.columns.remove(tid)
         self.indexes.on_delete(tid)

@@ -206,10 +206,9 @@ class TestScaledTermClassification:
         assert report.used_index, text
 
     def test_scale_zero_falls_back_to_dense(self):
-        """``0 * x`` folds infinite endpoints through ``0 · ∞ = nan`` in
-        the dense evaluator; the windows cannot reproduce that, so the
-        leaf is index-ineligible — but the masks still match the row
-        path exactly."""
+        """``0 * x`` is a constant, which no endpoint window describes,
+        so the leaf is index-ineligible — but the masks still match the
+        row path exactly."""
         table = make_table()
         predicate = parse_predicate("0 * x + 3 < 5")
         report = classify_report(table.columns, predicate)
@@ -222,25 +221,35 @@ class TestScaledTermClassification:
         assert tids(built.maybe) == tids(reference.maybe)
 
     def test_scale_zero_on_unbounded_tuple(self):
-        """The nan semantics that make scale == 0 ineligible, observed:
-        ``0 · ∞ = nan`` turns every dense comparison on an unrefreshed
-        (infinite-bound) tuple False, something no contiguous window can
-        express — so the index must refuse the leaf rather than silently
-        diverge from the dense evaluator it is pinned to."""
+        """``0 · x`` is 0 under every realization of ``x``, an unbounded
+        one included — ``Bound.__mul__``'s convention on the row path.
+        The dense route used to compute ``0 · ∞ = nan`` elementwise and
+        put a tuple that certainly satisfies ``0 * x < 1`` in T−."""
         table = Table("t", Schema.of(x="bounded"))
         table.insert({"x": Bound(float("-inf"), float("inf"))})
         table.insert({"x": Bound(1.0, 2.0)})
-        predicate = parse_predicate("0 * x < 1")
-        report = classify_report(table.columns, predicate)
-        assert not report.used_index
-        dense_c, dense_p = classify_masks(
-            table.columns, predicate, use_index=False
-        )
-        assert np.array_equal(report.certain, dense_c)
-        assert np.array_equal(report.possible, dense_p)
-        # The infinite tuple is nan-excluded, the finite one is T+.
-        assert report.certain.tolist() == [False, True]
-        assert report.possible.tolist() == [False, True]
+        for text, satisfied in [
+            ("0 * x < 1", True),
+            ("0 * x + 2 < 1", False),
+            ("0 * x = 0", True),
+        ]:
+            predicate = parse_predicate(text)
+            report = classify_report(table.columns, predicate)
+            assert not report.used_index
+            dense_c, dense_p = classify_masks(
+                table.columns, predicate, use_index=False
+            )
+            assert np.array_equal(report.certain, dense_c), text
+            assert np.array_equal(report.possible, dense_p), text
+            assert report.certain.tolist() == [satisfied, satisfied], text
+            assert report.possible.tolist() == [satisfied, satisfied], text
+            reference = classify_trilean(table.rows(), predicate)
+            built = classification_from_masks(
+                table.rows(), report.certain, report.possible
+            )
+            assert tids(built.plus) == tids(reference.plus), text
+            assert tids(built.maybe) == tids(reference.maybe), text
+            assert tids(built.minus) == tids(reference.minus), text
 
 
 class TestClassifyReport:

@@ -566,3 +566,183 @@ class TestHarvestPositionsRoute:
             assert cv.cost_total == float(cv.costs.sum())
             rounded = np.rint(cv.costs)
             assert bool(np.all(np.abs(cv.costs - rounded) <= 1e-9)) is integral
+
+
+class TestWriteBounds:
+    """The bulk primitive: one pass, one version bump, rows left behind."""
+
+    def _wide_table(self, n=100):
+        table = Table("t", Schema.of(x="bounded", y="bounded"))
+        for k in range(n):
+            table.insert({"x": Bound(float(k), float(k + 1 + k % 7)), "y": 0.0})
+        return table
+
+    def _write(self, table, tids, lo, hi):
+        store = table.columns
+        slots = store.slots_of(tids)
+        return store.write_bounds(
+            "x", slots, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        )
+
+    def test_counters_move_by_the_net_change(self):
+        table = make_table()  # x: tid 1 wide, tids 2 and 3 exact
+        store = table.columns
+        assert store.non_exact_count("x") == 1
+        changed = self._write(table, [1, 2, 3], [4.0, 5.0, 1.0], [4.0, 6.0, 3.0])
+        assert sorted(changed.tolist()) == [1, 2, 3]
+        assert store.non_exact_count("x") == 2
+        assert not store.column_exact("x")
+        self._write(table, [2, 3], [5.0, 2.0], [5.0, 2.0])
+        assert store.column_exact("x")
+        assert store.non_exact_count("y") == 1  # other columns untouched
+
+    def test_one_version_bump_and_only_changed_cells_reported(self):
+        table = make_table()
+        store = table.columns
+        version, stamp = store.version, store.bulk_stamp
+        changed = self._write(table, [1, 2, 3], [0.0, 5.0, 1.0], [10.0, 5.0, 3.0])
+        assert changed.tolist() == [3]  # tids 1 and 2 already held these
+        assert store.version == version + 1
+        assert store.bulk_stamp == stamp + 1
+
+    def test_no_op_leaves_the_store_untouched(self):
+        table = make_table()
+        store = table.columns
+        orders = [store.width_order("x"), store.endpoint_order("x", "lo")]
+        version, stamp = store.version, store.bulk_stamp
+        changed = self._write(table, [1, 2, 3], [0.0, 5.0, 2.0], [10.0, 5.0, 2.0])
+        assert len(changed) == 0
+        assert (store.version, store.bulk_stamp) == (version, stamp)
+        assert store.width_order("x") is orders[0]
+        assert store.endpoint_order("x", "lo") is orders[1]
+        assert len(self._write(table, [], [], [])) == 0
+        assert store.version == version
+
+    def test_few_changes_mark_dirty_many_mark_stale(self):
+        table = self._wide_table(100)  # repair threshold: max(32, 100 // 8)
+        store = table.columns
+        kinds = [("x", "width"), ("x", "lo"), ("x", "hi")]
+        for order in (store.width_order("x"), store.endpoint_order("x", "lo"),
+                      store.endpoint_order("x", "hi")):
+            assert not order.dirty and not order.stale
+        few = list(range(1, 33))
+        self._write(table, few, [-1.0] * 32, [float(t) for t in few])
+        for key in kinds:
+            order = store._sorted_orders[key]
+            assert order.dirty == set(few) and not order.stale
+        # One more changed tuple crosses the threshold: no point keeping
+        # a dirty set nobody will splice.
+        self._write(table, [40], [-2.0], [50.0])
+        for key in kinds:
+            assert store._sorted_orders[key].stale
+        for kind in ("width", "lo", "hi"):
+            rebuilt = store._sorted_order("x", kind)
+            fresh = store._build_sorted_order("x", kind)
+            assert rebuilt.tids.tolist() == fresh.tids.tolist()
+            assert rebuilt.keys.tolist() == fresh.keys.tolist()
+
+    def test_dirty_orders_repair_to_a_fresh_build(self):
+        table = self._wide_table(100)
+        store = table.columns
+        before = [store.width_order("x"), store.endpoint_order("x", "hi")]
+        self._write(table, [3, 50, 77], [0.0, 0.0, 76.0], [0.5, 0.0, 76.0])
+        for kind, old in zip(("width", "hi"), before):
+            repaired = store._sorted_order("x", kind)
+            assert repaired is not old
+            fresh = store._build_sorted_order("x", kind)
+            assert repaired.tids.tolist() == fresh.tids.tolist()
+            assert repaired.keys.tolist() == fresh.keys.tolist()
+        # y was not written: its ordering is re-stamped, not rebuilt.
+        y_order = store.width_order("y")
+        self._write(table, [3], [1.0], [2.0])
+        assert store.width_order("y") is y_order
+
+    def test_slots_stay_aligned_after_a_swap_remove(self):
+        table = self._wide_table(6)
+        store = table.columns
+        layout = store.layout_version
+        table.delete(2)  # tid 6 is swapped into tid 2's slot
+        assert store.layout_version == layout + 1
+        slots = store.slots_of([6, 2, 1])
+        assert slots.tolist() == [1, -1, 0]
+        self._write(table, [6, 1], [60.0, 10.0], [61.0, 12.0])
+        assert table.row(6)["x"] == Bound(60.0, 61.0)
+        assert table.row(1)["x"] == Bound(10.0, 12.0)
+        assert table.row(3)["x"] == Bound(2.0, 5.0)
+        lo, hi = store.endpoints("x")  # tid order: 1, 3, 4, 5, 6
+        assert lo.tolist() == [10.0, 2.0, 3.0, 4.0, 60.0]
+        assert hi.tolist() == [12.0, 5.0, 7.0, 9.0, 61.0]
+
+    def test_only_bounded_columns(self):
+        table = make_table()
+        slots = table.columns.slots_of([1])
+        one = np.array([1.0])
+        with pytest.raises(TrappError):
+            table.columns.write_bounds("cost", slots, one, one)
+        with pytest.raises(UnknownColumnError):
+            table.columns.write_bounds("missing", slots, one, one)
+
+
+class TestRowsAreLazyViews:
+    """A bulk write bypasses the rows; they catch up when read."""
+
+    def _bulk(self, table, tid, lo, hi):
+        store = table.columns
+        store.write_bounds(
+            "x", store.slots_of([tid]), np.array([lo]), np.array([hi])
+        )
+
+    def test_every_read_accessor_sees_the_bulk_write(self):
+        for read in (
+            lambda row: row["x"],
+            lambda row: row.get("x"),
+            lambda row: row.bound("x"),
+            lambda row: dict(row.items())["x"],
+            lambda row: row.as_dict()["x"],
+            lambda row: row.copy()["x"],
+        ):
+            table = make_table()
+            row = table.row(1)
+            self._bulk(table, 1, 3.0, 4.0)
+            assert read(row) == Bound(3.0, 4.0)
+        table = make_table()
+        self._bulk(table, 1, 3.0, 4.0)
+        assert not table.row(1).is_exact("x")
+        assert "x=[3, 4]" in repr(table.row(1))
+        assert table.row(1) == table.copy().row(1)
+        assert table.column_bounds("x")[1] == Bound(3.0, 4.0)
+
+    def test_unchanged_cells_keep_their_object_and_type(self):
+        table = make_table()
+        row2, row3 = table.row(2), table.row(3)
+        held, plain = row2["x"], row3["x"]
+        assert isinstance(plain, float)
+        self._bulk(table, 1, 3.0, 4.0)  # moves the stamp for every row
+        assert row2["x"] is held
+        assert row3["x"] is plain and row3.number("x") == 2.0
+        self._bulk(table, 3, 2.0, 2.5)
+        assert row3["x"] == Bound(2.0, 2.5)
+
+    def test_single_cell_writes_after_a_bulk_write_win(self):
+        table = make_table()
+        self._bulk(table, 1, 3.0, 4.0)
+        table.update_value(1, "x", Bound(7.0, 8.0))  # row still stale here
+        assert table.row(1)["x"] == Bound(7.0, 8.0)
+        assert table.columns.endpoints("x")[0][0] == 7.0
+
+    def test_deleted_row_keeps_the_values_it_left_with(self):
+        table = make_table()
+        row = table.row(1)
+        self._bulk(table, 1, 3.0, 4.0)
+        table.delete(1)
+        assert row["x"] == Bound(3.0, 4.0)
+        table.insert({"x": 9.0, "y": 1.0, "cost": 2.0, "tag": "z"}, tid=1)
+        self._bulk(table, 1, 0.0, 1.0)
+        assert row["x"] == Bound(3.0, 4.0)  # detached: follows nothing
+
+    def test_rows_inserted_after_a_bulk_write_start_current(self):
+        table = make_table()
+        self._bulk(table, 1, 3.0, 4.0)
+        row = table.insert({"x": 9.0, "y": 1.0, "cost": 2.0, "tag": "z"})
+        assert row._stamp == table.columns.bulk_stamp
+        assert row["x"] == 9.0
