@@ -17,9 +17,10 @@ The five standard aggregates additionally implement *columnar* fast paths
 (``bound_without_predicate_columnar`` over a table's lo/hi arrays, and
 ``bound_with_classification_columnar`` over a
 :class:`~repro.predicates.batch.ColumnarClassification`).  These are
-optional: the executor probes for them with ``hasattr`` and falls back to
-the row loops, so extension aggregates (e.g. MEDIAN) need not provide
-them.
+optional for the single-table executor, which probes for them with
+``hasattr`` and falls back to the row loops; the §7 join heuristic
+(:mod:`repro.joins.refresh`) has no rows to fall back to and requires
+``bound_with_classification_columnar`` (MEDIAN provides it).
 """
 
 from __future__ import annotations

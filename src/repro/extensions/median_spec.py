@@ -106,6 +106,17 @@ class MedianAggregate:
         )
         return Bound(lo, hi)
 
+    def bound_with_classification_columnar(self, cc, column: str | None) -> Bound:
+        """The same prefix argument over T+/T? endpoint arrays."""
+        if column is None:
+            raise TrappError("MEDIAN requires an aggregation column")
+        if cc.n_plus == 0 and cc.n_maybe == 0:
+            return Bound.unbounded()
+        return Bound(
+            _extreme_median(cc.plus_lo.tolist(), cc.maybe_lo.tolist(), minimize=True),
+            _extreme_median(cc.plus_hi.tolist(), cc.maybe_hi.tolist(), minimize=False),
+        )
+
 
 class MedianChooseRefresh:
     """Refresh selection for MEDIAN queries."""

@@ -13,6 +13,12 @@ TOP-n generalizes MAX: the answer of interest is the n-th largest value
 CHOOSE_REFRESH follows the MAX pattern (Appendix C): refresh every tuple
 whose bound overlaps the contested region around the n-th-place cutoff
 wider than the precision budget.
+
+Everything here is one array kernel over ``(tids, lo, hi)``: two sorts
+and a binary search per tuple decide membership.  :func:`top_n_steps`
+feeds it a table's ``ColumnStore`` columns; the row-taking functions
+feed it one pass over their rows.  The per-tuple definition it must
+agree with lives in ``tests/oracle/row_topn.py``.
 """
 
 from __future__ import annotations
@@ -20,13 +26,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from repro.core.answer import BoundedAnswer
 from repro.core.bound import Bound
 from repro.core.constraints import width_within
 from repro.core.executor import ExecutionSteps, PlannedRefresh
 from repro.core.refresh.base import CostFunc, RefreshPlan, uniform_cost
-from repro.errors import ConstraintUnsatisfiableError, TrappError
+from repro.errors import ConstraintUnsatisfiableError, PredicateTypeError, TrappError
 from repro.predicates.ast import Predicate, TruePredicate
+from repro.predicates.batch import classify_masks
 from repro.storage.row import Row
 from repro.storage.table import Table
 
@@ -38,9 +47,8 @@ __all__ = [
     "top_n_steps",
 ]
 
-
-def _nth_largest(values: Sequence[float], n: int) -> float:
-    return sorted(values, reverse=True)[n - 1]
+#: ``(tids, lo, hi)``: a column's tuple ids and endpoints, aligned.
+Endpoints = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,44 +63,58 @@ class TopNResult:
     possible_members: frozenset[int]
 
 
-def bounded_top_n(rows: Sequence[Row], column: str, n: int) -> TopNResult:
-    """Compute the bounded TOP-n over a column of bounded values."""
+def _row_endpoints(rows: Sequence[Row], column: str) -> Endpoints:
+    bounds = [row.bound(column) for row in rows]
+    count = len(rows)
+    return (
+        np.fromiter((row.tid for row in rows), dtype=np.int64, count=count),
+        np.fromiter((b.lo for b in bounds), dtype=np.float64, count=count),
+        np.fromiter((b.hi for b in bounds), dtype=np.float64, count=count),
+    )
+
+
+def _require_rank(count: int, n: int) -> None:
     if n < 1:
         raise TrappError(f"n must be at least 1, got {n}")
-    if len(rows) < n:
-        raise TrappError(f"TOP-{n} over only {len(rows)} tuples is undefined")
+    if count < n:
+        raise TrappError(f"TOP-{n} over only {count} tuples is undefined")
 
-    lows = [row.bound(column).lo for row in rows]
-    highs = [row.bound(column).hi for row in rows]
-    nth_value = Bound(_nth_largest(lows, n), _nth_largest(highs, n))
 
-    # A tuple is certainly in the top n iff its LOWER endpoint beats the
-    # (n+1)-th largest UPPER endpoint (i.e. at most n-1 other tuples can
-    # possibly exceed it).  It is possibly in the top n iff its UPPER
-    # endpoint reaches the n-th largest LOWER endpoint.
-    certain: set[int] = set()
-    possible: set[int] = set()
-    if len(rows) == n:
-        certain = {row.tid for row in rows}
-        possible = set(certain)
-        return TopNResult(nth_value, frozenset(certain), frozenset(possible))
+def _top_n(endpoints: Endpoints, n: int) -> TopNResult:
+    tids, lo, hi = endpoints
+    count = len(tids)
+    _require_rank(count, n)
+    sorted_lo, sorted_hi = np.sort(lo), np.sort(hi)
+    nth_value = Bound(float(sorted_lo[count - n]), float(sorted_hi[count - n]))
+    if count == n:
+        members = frozenset(tids.tolist())
+        return TopNResult(nth_value, members, members)
 
-    for row in rows:
-        b = row.bound(column)
-        others_hi = sorted(
-            (r.bound(column).hi for r in rows if r.tid != row.tid), reverse=True
-        )
-        # Count of others that can possibly beat this tuple.
-        can_beat = sum(1 for h in others_hi if h > b.lo)
-        if can_beat < n:
-            certain.add(row.tid)
-        others_lo = sorted(
-            (r.bound(column).lo for r in rows if r.tid != row.tid), reverse=True
-        )
-        must_beat = sum(1 for l in others_lo if l >= b.hi)
-        if must_beat < n:
-            possible.add(row.tid)
-    return TopNResult(nth_value, frozenset(certain), frozenset(possible))
+    # A tuple is certainly in the top n iff fewer than n *other* tuples
+    # can possibly exceed it (upper endpoint above its lower endpoint);
+    # possibly in the top n iff fewer than n others certainly reach it
+    # (lower endpoint at or above its upper endpoint).  Each count is the
+    # tail of a sorted endpoint array, less the tuple itself.
+    can_beat = count - np.searchsorted(sorted_hi, lo, side="right") - (hi > lo)
+    must_beat = count - np.searchsorted(sorted_lo, hi, side="left") - (lo >= hi)
+    return TopNResult(
+        nth_value,
+        frozenset(tids[can_beat < n].tolist()),
+        frozenset(tids[must_beat < n].tolist()),
+    )
+
+
+def _refresh_mask(endpoints: Endpoints, n: int, max_width: float) -> np.ndarray:
+    _, lo, hi = endpoints
+    _require_rank(len(lo), n)
+    at = len(lo) - n
+    cutoff = float(np.partition(lo, at)[at])  # the n-th largest lower endpoint
+    return (hi > cutoff + max_width) & (hi > lo)
+
+
+def bounded_top_n(rows: Sequence[Row], column: str, n: int) -> TopNResult:
+    """Compute the bounded TOP-n over a column of bounded values."""
+    return _top_n(_row_endpoints(rows, column), n)
 
 
 def choose_refresh_top_n(
@@ -110,17 +132,8 @@ def choose_refresh_top_n(
     must be refreshed (along with tuples straddling the cutoff from below
     whose lower endpoint is within the contested region).
     """
-    if len(rows) < n:
-        raise TrappError(f"TOP-{n} over only {len(rows)} tuples is undefined")
-    lows = [row.bound(column).lo for row in rows]
-    cutoff = _nth_largest(lows, n)
-    chosen = [
-        row
-        for row in rows
-        if row.bound(column).hi > cutoff + max_width
-        and row.bound(column).width > 0
-    ]
-    return RefreshPlan.of(chosen, cost)
+    chosen = _refresh_mask(_row_endpoints(rows, column), n, max_width)
+    return RefreshPlan.of((rows[at] for at in np.flatnonzero(chosen)), cost)
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,20 +165,31 @@ def top_n_steps(
     plans until it fits.  Returns a :class:`TopNAnswer` via
     ``StopIteration.value``.
     """
-    from repro.predicates.eval import evaluate_exact
-
     predicate = predicate if predicate is not None else TruePredicate()
-    if isinstance(predicate, TruePredicate):
-        rows = table.rows()
-    else:
-        rows = [row for row in table.rows() if evaluate_exact(predicate, row)]
+    store = table.columns
 
-    result = bounded_top_n(rows, column, n)
+    def current() -> Endpoints:
+        """The member tuples' endpoints as the store holds them now."""
+        tids = store.sorted_tids()
+        lo, hi = store.endpoints(column)
+        if isinstance(predicate, TruePredicate):
+            return tids, lo, hi
+        certain, possible = classify_masks(store, predicate)
+        if not np.array_equal(certain, possible):
+            raise PredicateTypeError(
+                f"TOP-{n} filters on exact values only; the predicate "
+                "reads a bound that is not exact"
+            )
+        return tids[certain], lo[certain], hi[certain]
+
+    endpoints = current()
+    result = _top_n(endpoints, n)
     initial = result.nth_value
     refreshed: set[int] = set()
     total_cost = 0.0
     while not width_within(result.nth_value.width, max_width):
-        plan = choose_refresh_top_n(rows, column, n, max_width, cost)
+        chosen = endpoints[0][_refresh_mask(endpoints, n, max_width)]
+        plan = RefreshPlan.of((table.row(tid) for tid in chosen.tolist()), cost)
         if not plan.tids or plan.tids <= refreshed:
             raise ConstraintUnsatisfiableError(
                 f"TOP-{n} answer {result.nth_value} cannot be narrowed "
@@ -176,7 +200,8 @@ def top_n_steps(
             effective = plan
         refreshed.update(effective.tids)
         total_cost += effective.total_cost
-        result = bounded_top_n(rows, column, n)
+        endpoints = current()
+        result = _top_n(endpoints, n)
     return TopNAnswer(
         bound=result.nth_value,
         refreshed=frozenset(refreshed),

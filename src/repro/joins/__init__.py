@@ -1,12 +1,12 @@
 """Aggregation queries with joins (paper §7): classification + heuristics."""
 
-from repro.joins.classify import JoinedTuple, classify_joined, join_rows
+from repro.joins.classify import JoinedColumns, join_pairs, pair_index
 from repro.joins.refresh import JoinRefreshHeuristic, execute_join_query
 
 __all__ = [
-    "JoinedTuple",
-    "join_rows",
-    "classify_joined",
+    "JoinedColumns",
+    "pair_index",
+    "join_pairs",
     "JoinRefreshHeuristic",
     "execute_join_query",
 ]

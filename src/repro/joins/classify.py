@@ -1,4 +1,4 @@
-"""Joined-tuple construction and classification (paper §7).
+"""Candidate joined tuples as arrays, and their classification (paper §7).
 
 "Computing the bounded answer to an aggregation query with a join
 expression is no different from doing so with a selection predicate": the
@@ -6,24 +6,29 @@ join condition is just a predicate over columns of several tables, and the
 Appendix D Possible/Certain machinery classifies each *joined* tuple into
 T+/T?/T− exactly as before.
 
-:func:`join_rows` materializes the candidate joined tuples.  Each joined
-row stores every column under its table-qualified name (``table.column``)
-plus an unqualified alias when no collision exists, so predicates written
-either way evaluate correctly.  Joined tuples that are *certainly* not in
-the join (``Possible`` fails) are dropped eagerly; the remainder carry
-their classification.
+No joined tuple is ever materialized.  :func:`pair_index` names the
+candidates by position — one integer array per table, tuple-id order —
+and :class:`JoinedColumns` presents them to the dense batch evaluator
+(:mod:`repro.predicates.batch`) as if they were one table: a column
+reference resolves to its owning table's endpoint arrays gathered
+through the index.  :func:`join_pairs` sweeps the join condition over
+that view once and keeps the pairs that are possibly in the join.
 
-A dominance filter keeps the candidate set small: for equality joins over
-exact key columns a hash join is used instead of the nested loop.
+For equality joins over exact key columns the candidates are the
+matching pairs only (a sort plus two binary searches per left tuple);
+any other condition starts from the full cross product.
+
+The row-at-a-time join this replaces lives in ``tests/oracle/row_join.py``.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+import math
 from typing import Sequence
 
-from repro.core.bound import Trilean
+import numpy as np
+
+from repro.errors import UnknownColumnError
 from repro.predicates.ast import (
     And,
     ColumnRef,
@@ -31,47 +36,72 @@ from repro.predicates.ast import (
     Predicate,
     TruePredicate,
 )
-from repro.predicates.classify import Classification
-from repro.predicates.eval import evaluate_trilean
-from repro.storage.row import Row
+from repro.predicates.batch import classify_masks
 from repro.storage.table import Table
 
-__all__ = ["JoinedTuple", "join_rows", "classify_joined"]
+__all__ = ["JoinedColumns", "pair_index", "join_pairs"]
+
+#: ``(table position, column name)``: what :meth:`JoinedColumns.column_key`
+#: hands the batch evaluator, which passes it back to the accessors.
+ColumnKey = tuple[int, str]
 
 
-@dataclass(frozen=True, slots=True)
-class JoinedTuple:
-    """One candidate joined tuple plus its provenance.
+class JoinedColumns:
+    """The columns of a set of joined tuples, gathered on demand.
 
-    ``row`` is the merged virtual row; ``base`` maps each table name to the
-    contributing base tuple id (needed by the refresh heuristic, which must
-    refresh *base* tuples, not joined ones).
+    ``index[k]`` holds, per joined tuple, the tuple-order position of its
+    base tuple in ``tables[k]``.  The accessors mirror the three
+    :class:`~repro.storage.columnar.ColumnStore` reads the dense
+    predicate evaluator makes.
+
+    A reference qualified by one of the joined tables reads that table;
+    any other reference reads the table that owns the column, the last
+    one when several do (what the merged row's unqualified alias held).
     """
 
-    row: Row
-    base: dict[str, int]
-    verdict: Trilean
+    __slots__ = ("tables", "index")
 
+    def __init__(
+        self, tables: Sequence[Table], index: Sequence[np.ndarray]
+    ) -> None:
+        self.tables = tuple(tables)
+        self.index = tuple(index)
 
-def _merge_rows(tables: Sequence[Table], rows: Sequence[Row], joined_tid: int) -> Row:
-    values: dict[str, object] = {}
-    collisions: set[str] = set()
-    for table, row in zip(tables, rows):
-        for column in table.schema.column_names:
-            values[f"{table.name}.{column}"] = row[column]
-            if column in values and column not in collisions:
-                # Second unqualified sighting: drop the alias.
-                if any(
-                    column in t.schema.column_names
-                    for t in tables
-                    if t.name != table.name
-                ):
-                    collisions.add(column)
-    for table, row in zip(tables, rows):
-        for column in table.schema.column_names:
-            if column not in collisions:
-                values[column] = row[column]
-    return Row(joined_tid, values)
+    def __len__(self) -> int:
+        return len(self.index[0])
+
+    def take(self, mask: np.ndarray) -> "JoinedColumns":
+        """The joined tuples selected by a boolean mask, order kept."""
+        return JoinedColumns(self.tables, [at[mask] for at in self.index])
+
+    def base_tids(self, k: int) -> np.ndarray:
+        """Each joined tuple's base tuple id in ``tables[k]``."""
+        return self.tables[k].columns.sorted_tids()[self.index[k]]
+
+    def column_key(self, column: str, table: str | None = None) -> ColumnKey:
+        owner = None
+        for k, candidate in enumerate(self.tables):
+            if column in candidate.schema:
+                owner = k
+                if candidate.name == table:
+                    break
+        if owner is None:
+            raise UnknownColumnError(column)
+        return owner, column
+
+    def is_text(self, key: ColumnKey) -> bool:
+        k, column = key
+        return self.tables[k].columns.is_text(column)
+
+    def text_values(self, key: ColumnKey) -> np.ndarray:
+        k, column = key
+        return self.tables[k].columns.text_values(column)[self.index[k]]
+
+    def endpoints(self, key: ColumnKey) -> tuple[np.ndarray, np.ndarray]:
+        k, column = key
+        lo, hi = self.tables[k].columns.endpoints(column)
+        at = self.index[k]
+        return lo[at], hi[at]
 
 
 def _equality_key_columns(
@@ -116,59 +146,75 @@ def _equality_key_columns(
     return find(predicate)
 
 
-def join_rows(
-    tables: Sequence[Table], predicate: Predicate | None = None
-) -> list[JoinedTuple]:
-    """Materialize candidate joined tuples with their classification.
+def _key_values(table: Table, column: str) -> np.ndarray:
+    store = table.columns
+    if store.is_text(column):
+        return store.text_values(column)
+    return store.endpoints(column)[0]
 
-    Uses a hash join when an exact-column equality is available (the common
-    foreign-key case), else the general nested loop.  Tuples whose verdict
-    is FALSE (certainly not joined) are dropped.
+
+def _matching_pairs(
+    left_keys: np.ndarray, right_keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positions ``(i, j)`` with ``left_keys[i] == right_keys[j]``.
+
+    Ordered by ``i``, then ``j``: the stable sort keeps equal right keys
+    in position order, so each left tuple's matches come out ascending.
     """
-    predicate = predicate if predicate is not None else TruePredicate()
-    out: list[JoinedTuple] = []
-    joined_tid = 1
+    order = np.argsort(right_keys, kind="stable")
+    sorted_keys = right_keys[order]
+    first = np.searchsorted(sorted_keys, left_keys, side="left")
+    counts = np.searchsorted(sorted_keys, left_keys, side="right") - first
+    left = np.repeat(np.arange(len(left_keys)), counts)
+    # The m-th match of a left tuple sits at ``first + m`` in sorted order.
+    nth_match = np.arange(len(left)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return left, order[np.repeat(first, counts) + nth_match]
 
+
+def _cross_product(sizes: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """Every combination of positions, the last table varying fastest."""
+    index = []
+    inner = math.prod(sizes)
+    outer = 1
+    for n in sizes:
+        inner = inner // n if n else 0
+        index.append(np.tile(np.repeat(np.arange(n), inner), outer))
+        outer *= n
+    return tuple(index)
+
+
+def pair_index(
+    tables: Sequence[Table], predicate: Predicate
+) -> tuple[np.ndarray, ...]:
+    """Tuple-order positions of every candidate joined tuple, per table.
+
+    Left table in tuple-id order, each left tuple's partners in tuple-id
+    order.  With an exact-column equality in the condition (the common
+    foreign-key case) only key-matching pairs are candidates.
+    """
     key_pair = _equality_key_columns(predicate, tables)
     if key_pair is not None:
-        left_col, right_col = key_pair
         t1, t2 = tables
-        buckets: dict[object, list[Row]] = {}
-        for row in t2.rows():
-            buckets.setdefault(row[right_col], []).append(row)
-        combos = (
-            (r1, r2)
-            for r1 in t1.rows()
-            for r2 in buckets.get(r1[left_col], ())
-        )
-    else:
-        combos = itertools.product(*(t.rows() for t in tables))
-
-    for rows in combos:
-        rows = tuple(rows)
-        merged = _merge_rows(tables, rows, joined_tid)
-        verdict = evaluate_trilean(predicate, merged)
-        if verdict is Trilean.FALSE:
-            continue
-        out.append(
-            JoinedTuple(
-                row=merged,
-                base={t.name: r.tid for t, r in zip(tables, rows)},
-                verdict=verdict,
-            )
-        )
-        joined_tid += 1
-    return out
+        left_keys = _key_values(t1, key_pair[0])
+        right_keys = _key_values(t2, key_pair[1])
+        # A text key never equals a numeric one; leave that comparison to
+        # the evaluator, which reports it.
+        if left_keys.dtype == right_keys.dtype:
+            return _matching_pairs(left_keys, right_keys)
+    return _cross_product([len(t) for t in tables])
 
 
-def classify_joined(joined: Sequence[JoinedTuple]) -> Classification:
-    """Convert joined tuples' verdicts into a standard Classification."""
-    result = Classification()
-    for jt in joined:
-        if jt.verdict is Trilean.TRUE:
-            result.plus.append(jt.row)
-        elif jt.verdict is Trilean.MAYBE:
-            result.maybe.append(jt.row)
-        else:
-            result.minus.append(jt.row)
-    return result
+def join_pairs(
+    tables: Sequence[Table], predicate: Predicate | None = None
+) -> tuple[JoinedColumns, np.ndarray]:
+    """The joined tuples possibly in the join, and which are only possibly.
+
+    One dense sweep of the join condition over the candidates; pairs that
+    are certainly not joined (T−) are dropped.  Returns the survivors and
+    a boolean mask over them: True for T?, False for T+.
+    """
+    predicate = predicate if predicate is not None else TruePredicate()
+    candidates = JoinedColumns(tables, pair_index(tables, predicate))
+    # Endpoint-index windows describe one table's tuples, not pairs.
+    certain, possible = classify_masks(candidates, predicate, use_index=False)
+    return candidates.take(possible), np.logical_not(certain[possible])

@@ -8,7 +8,7 @@ algorithm is given — the authors report investigating heuristics — so this
 module implements the natural *iterative greedy* heuristic the paper's
 §8.2 discussion motivates:
 
-1. materialize and classify the joined tuples, compute the bounded answer;
+1. index and classify the joined tuples, compute the bounded answer;
 2. while the answer is too wide, score every refreshable base tuple by an
    estimate of how much uncertainty it feeds into the answer, divided by
    its refresh cost; refresh the best scorer;
@@ -26,16 +26,24 @@ and surfaced through the executor's ``PlannedRefresh`` generator protocol
 merge a join query's demand on table T with every single-table query's
 plans for T — per source, per cache group — exactly as it coalesces §4
 queries.  :meth:`JoinRefreshHeuristic.execute` is the serial driver.
+
+A round is array work over the tables' ``ColumnStore`` endpoint columns:
+:func:`repro.joins.classify.join_pairs` names the surviving joined tuples
+by position, the aggregate bounds the gathered endpoints, and per-table
+``bincount``s total each base tuple's benefit.  Nothing is kept from one
+round to the next.  The row-at-a-time heuristic this replaces lives in
+``tests/oracle/row_join.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from repro.core.aggregates import get_aggregate
 from repro.core.answer import BoundedAnswer
-from repro.core.bound import Bound, Trilean
+from repro.core.bound import Bound
 from repro.core.constraints import width_within
 from repro.core.executor import (
     ExecutionSteps,
@@ -43,22 +51,19 @@ from repro.core.executor import (
     RefreshProvider,
     drive_steps,
 )
-from repro.core.refresh.base import RefreshPlan
+from repro.core.refresh.base import (
+    CostFunc,
+    RefreshPlan,
+    resolve_columnar_costs,
+    uniform_cost,
+)
 from repro.errors import ConstraintUnsatisfiableError
-from repro.joins.classify import JoinedTuple, classify_joined, join_rows
+from repro.joins.classify import ColumnKey, JoinedColumns, join_pairs
 from repro.predicates.ast import Predicate
-from repro.storage.row import Row
+from repro.predicates.batch import ColumnarClassification
 from repro.storage.table import Table
 
 __all__ = ["JoinRefreshHeuristic", "execute_join_query"]
-
-CostFunc = Callable[[Row], float]
-
-
-@dataclass(frozen=True, slots=True)
-class _BaseTupleKey:
-    table: str
-    tid: int
 
 
 class JoinRefreshHeuristic:
@@ -72,9 +77,8 @@ class JoinRefreshHeuristic:
         max_iterations: int = 10_000,
     ) -> None:
         self.tables = list(tables)
-        self.by_name = {t.name: t for t in self.tables}
         self.refresher = refresher
-        self.cost = cost if cost is not None else (lambda row: 1.0)
+        self.cost = cost if cost is not None else uniform_cost
         self.max_iterations = max_iterations
 
     # ------------------------------------------------------------------
@@ -109,26 +113,36 @@ class JoinRefreshHeuristic:
         :class:`BoundedAnswer` via ``StopIteration.value``.
         """
         spec = get_aggregate(aggregate)
-        agg_key = self._aggregation_key(column)
+        agg_column = column[1] if column is not None else None
 
-        refreshed: set[_BaseTupleKey] = set()
+        #: Tuple ids already requested, per table position.
+        refreshed: list[set[int]] = [set() for _ in self.tables]
         total_cost = 0.0
         initial: Bound | None = None
 
         for _ in range(self.max_iterations):
-            joined = join_rows(self.tables, predicate)
-            classification = classify_joined(joined)
-            bound = spec.bound_with_classification(classification, agg_key)
+            joined, maybe = join_pairs(self.tables, predicate)
+            key = (
+                joined.column_key(agg_column, column[0])
+                if column is not None
+                else None
+            )
+            bound = spec.bound_with_classification_columnar(
+                ColumnarClassification.from_masks(
+                    joined, np.logical_not(maybe), np.ones(len(maybe), bool), key
+                ),
+                agg_column,
+            )
             if initial is None:
                 initial = bound
             if width_within(bound.width, max_width):
                 return BoundedAnswer(
                     bound=bound,
-                    refreshed=frozenset(k.tid for k in refreshed),
+                    refreshed=frozenset().union(*refreshed),
                     refresh_cost=total_cost,
                     initial_bound=initial,
                 )
-            best = self._best_candidate(joined, agg_key, refreshed)
+            best = self._best_candidate(joined, maybe, key, refreshed)
             if best is None:
                 # Nothing left to refresh yet constraint unmet: the answer
                 # is inherently this wide (e.g. R = 0 over an empty join).
@@ -136,82 +150,95 @@ class JoinRefreshHeuristic:
                     f"join answer {bound} cannot be narrowed below "
                     f"{bound.width:g} (requested {max_width:g})"
                 )
-            table = self.by_name[best.table]
-            plan = RefreshPlan(frozenset((best.tid,)), self._cost_of(best))
-            effective = yield PlannedRefresh(table, plan, max_width, aggregate)
+            k, tid, cost = best
+            plan = RefreshPlan(frozenset((tid,)), cost)
+            effective = yield PlannedRefresh(
+                self.tables[k], plan, max_width, aggregate
+            )
             if effective is None:
                 effective = plan
             total_cost += effective.total_cost
-            refreshed.add(best)
-            refreshed.update(
-                _BaseTupleKey(best.table, tid) for tid in effective.tids
-            )
+            refreshed[k].add(tid)
+            refreshed[k].update(effective.tids)
         raise ConstraintUnsatisfiableError(
             f"join refresh heuristic exceeded {self.max_iterations} iterations"
         )
 
     # ------------------------------------------------------------------
-    def _aggregation_key(self, column: tuple[str, str] | None) -> str | None:
-        if column is None:
-            return None
-        table_name, col = column
-        # Joined rows always carry the qualified key.
-        return f"{table_name}.{col}"
-
     def _best_candidate(
         self,
-        joined: Sequence[JoinedTuple],
-        agg_key: str | None,
-        refreshed: set[_BaseTupleKey],
-    ) -> _BaseTupleKey | None:
+        joined: JoinedColumns,
+        maybe: np.ndarray,
+        key: ColumnKey | None,
+        refreshed: Sequence[set[int]],
+    ) -> tuple[int, int, float] | None:
         """Highest benefit/cost base tuple not yet refreshed.
 
-        One candidate per round keeps the refresh sequence identical to
-        the pre-generator heuristic (benefit estimates overcount
-        interacting widths, so bulk selection overshoots); the per-table
+        Returns ``(table position, tuple id, refresh cost)``.  One
+        candidate per round keeps the refresh sequence identical to the
+        pre-generator heuristic (benefit estimates overcount interacting
+        widths, so bulk selection overshoots); the per-table
         decomposition happens at the yield, not in the selection.
+
+        A base tuple's benefit is the sum, over the surviving joined
+        tuples it feeds, of the aggregation-column width (a T? bound
+        extended to zero) plus one for T? membership.  ``bincount``
+        adds in joined-tuple order.
         """
-        benefit: dict[_BaseTupleKey, float] = {}
-        for jt in joined:
-            uncertainty = 1.0 if jt.verdict is Trilean.MAYBE else 0.0
-            if agg_key is not None:
-                bound = jt.row.bound(agg_key)
-                width = (
-                    bound.extend_to_zero().width
-                    if jt.verdict is Trilean.MAYBE
-                    else bound.width
+        score = maybe.astype(np.float64)
+        if key is not None:
+            lo, hi = joined.endpoints(key)
+            lo = np.where(maybe, np.minimum(lo, 0.0), lo)
+            hi = np.where(maybe, np.maximum(hi, 0.0), hi)
+            with np.errstate(invalid="ignore"):  # [inf, inf] has width 0
+                width = hi - lo
+            width[lo == hi] = 0.0
+            score = width + score
+        scored = score > 0
+        score = score[scored]
+
+        # Highest ratio wins, then the smallest tuple id; the same id at
+        # the same ratio in two tables goes to the base tuple the scored
+        # joined tuples mention first, the left table within one of them.
+        best_rank: tuple[float, int, int, int] | None = None
+        best = None
+        for k, table in enumerate(self.tables):
+            store = table.columns
+            feeds = joined.index[k][scored]
+            benefit = np.bincount(feeds, weights=score, minlength=len(store))
+            tids = store.sorted_tids()
+            wide = np.zeros(len(store), dtype=bool)
+            for bounded in table.schema.bounded_columns:
+                if not store.column_exact(bounded.name):
+                    column_lo, column_hi = store.endpoints(bounded.name)
+                    wide |= column_lo != column_hi
+            eligible = wide & (benefit > 0)
+            if refreshed[k]:
+                eligible &= ~np.isin(tids, list(refreshed[k]))
+            at = np.flatnonzero(eligible)
+            if not len(at):
+                continue
+            costs = resolve_columnar_costs(store, self.cost)
+            if costs is None:
+                costs = np.fromiter(
+                    (self.cost(table.row(tid)) for tid in tids[at].tolist()),
+                    dtype=np.float64,
+                    count=len(at),
                 )
             else:
-                width = 0.0
-            score = width + uncertainty
-            if score <= 0:
-                continue
-            for table_name, tid in jt.base.items():
-                key = _BaseTupleKey(table_name, tid)
-                if key in refreshed:
-                    continue
-                if self._is_fully_exact(key):
-                    continue
-                benefit[key] = benefit.get(key, 0.0) + score
-        if not benefit:
-            return None
-        return max(
-            benefit,
-            key=lambda k: (
-                benefit[k] / max(self._cost_of(k), 1e-12),
-                -k.tid,
-            ),
-        )
-
-    def _is_fully_exact(self, key: _BaseTupleKey) -> bool:
-        table = self.by_name[key.table]
-        row = table.row(key.tid)
-        return all(
-            row.is_exact(column.name) for column in table.schema.bounded_columns
-        )
-
-    def _cost_of(self, key: _BaseTupleKey) -> float:
-        return self.cost(self.by_name[key.table].row(key.tid))
+                costs = costs[at]
+            with np.errstate(over="ignore"):
+                ratio = benefit[at] / np.maximum(costs, 1e-12)
+            # Positions ascend with tuple id: the first maximum is the
+            # smallest tid among equal ratios.
+            j = int(np.argmax(ratio))
+            tid = int(tids[at[j]])
+            first_mention = int(np.argmax(feeds == at[j]))
+            rank = (float(ratio[j]), -tid, -first_mention, -k)
+            if best_rank is None or rank > best_rank:
+                best_rank = rank
+                best = (k, tid, float(costs[j]))
+        return best
 
 
 def execute_join_query(

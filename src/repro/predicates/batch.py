@@ -250,11 +250,13 @@ def _term_arrays(term: Term, store):
             return ("str", term.value)
         v = float(term.value)
         return ("num", v, v)
-    # ColumnRef: single-table rows never carry table-qualified keys, so the
-    # unqualified name is authoritative (mirrors eval.resolve_column).
-    if store.is_text(term.column):
-        return ("str", store.text_values(term.column))
-    lo, hi = store.endpoints(term.column)
+    # ColumnRef: a ColumnStore holds one table, so the unqualified name is
+    # authoritative there (mirrors eval.resolve_column); a view over
+    # several tables (repro.joins.classify) resolves by the qualifier.
+    column = store.column_key(term.column, term.table)
+    if store.is_text(column):
+        return ("str", store.text_values(column))
+    lo, hi = store.endpoints(column)
     if term.scale == 0.0:
         # 0 · x is 0 under every realization of x, unbounded ones
         # included (the Bound.__mul__ convention the row path follows);

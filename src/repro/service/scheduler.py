@@ -906,6 +906,9 @@ class RefreshScheduler:
                 request.can_rebatch
                 and model is not None
                 and 0 < len(pending.tids) <= self.rebatch_limit
+                # One source leaves nothing to steer toward; only a sharded
+                # table is worth the per-row routing sweep.
+                and len(pending.cache.sources_of_table(request.table)) > 1
                 and len(sources_of(pending, {row.tid for row in request.rows})) > 1
             ):
                 table = pending.request.table

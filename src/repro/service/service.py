@@ -267,6 +267,22 @@ class QueryService:
                 0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0,
             ),
         )
+        #: Per statement class (``aggregate``, ``join``, ``groupby``,
+        #: ``topn``), one observation per query: how long it took from
+        #: parse to answer — result-cache hits and single-flight joins
+        #: included — and, when it executed, how many refresh plans its
+        #: step generator yielded (a join yields one per greedy round).
+        self._h_query_seconds = registry.histogram(
+            "trapp_query_seconds",
+            "Wall-clock query latency inside the service, parse to answer",
+            ("class",),
+        )
+        self._h_plan_rounds = registry.histogram(
+            "trapp_plan_rounds",
+            "Refresh plans one executed statement yielded",
+            ("class",),
+            buckets=(0, 1, 2, 3, 5, 8, 13, 21, 34, 55),
+        )
         self._c_degraded = registry.counter(
             "trapp_degraded_answers_total",
             "Queries finished in degraded mode: bounds wider than requested "
@@ -409,11 +425,33 @@ class QueryService:
         max_inflight: int | None,
         trace,
     ) -> ServiceResult:
+        started = time.perf_counter()
         statement = parse_statement(sql)
         is_group = self.system.is_group(cache_id)
         cache, group = self._resolve_cache(cache_id, client_id, statement.tables)
         plan = compile_statement(statement, cache.catalog)
         self._admit(client_id, plan, precision_floor, max_inflight)
+        try:
+            return await self._serve(
+                cache, group, is_group, plan, client_id, cost, epsilon, trace
+            )
+        finally:
+            self._h_query_seconds.labels(
+                **{"class": plan.statement_class}
+            ).observe(time.perf_counter() - started)
+
+    async def _serve(
+        self,
+        cache: DataCache,
+        group,
+        is_group: bool,
+        plan: AnyQueryPlan,
+        client_id: str,
+        cost: CostFunc | CostModel | None,
+        epsilon: float | None,
+        trace,
+    ) -> ServiceResult:
+        """An admitted query: result tiers, single-flight, then execution."""
         trace.step("admit", width=plan.constraint.width)
         trace.step(
             "route",
@@ -805,9 +843,11 @@ class QueryService:
                     # cache's plans (an amortized model prices them).
                     rebatch_metadata=self.scheduler.wants_metadata_for(cache),
                 )
+                rounds = 0
                 try:
                     request = next(steps)
                     while True:
+                        rounds += 1
                         if trace is not None:
                             trace.step(
                                 "plan",
@@ -845,6 +885,9 @@ class QueryService:
                             ) from None
                 except StopIteration as stop:
                     answer = stop.value
+                self._h_plan_rounds.labels(
+                    **{"class": plan.statement_class}
+                ).observe(rounds)
                 if suspended_across_sync:
                     answer = self._revalidate(answer, plan, client_id)
                 return answer

@@ -17,6 +17,7 @@ result caching, and the step protocol treat every statement class alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.core.constraints import AbsolutePrecision
 from repro.errors import SqlSyntaxError, UnknownColumnError
@@ -38,6 +39,9 @@ __all__ = [
 @dataclass(frozen=True, slots=True)
 class QueryPlan:
     """A resolved single-table aggregation query, ready for the executor."""
+
+    #: Label of the serving histograms (``class``).
+    statement_class: ClassVar[str] = "aggregate"
 
     table: Table
     aggregate: str
@@ -61,6 +65,9 @@ class QueryPlan:
 @dataclass(frozen=True, slots=True)
 class JoinQueryPlan:
     """A resolved multi-table aggregation query (§7)."""
+
+    #: Label of the serving histograms (``class``).
+    statement_class: ClassVar[str] = "join"
 
     tables: tuple[Table, ...]
     aggregate: str
@@ -86,6 +93,9 @@ class JoinQueryPlan:
 class GroupByQueryPlan:
     """A resolved ``GROUP BY`` query over exact grouping columns (§8.1)."""
 
+    #: Label of the serving histograms (``class``).
+    statement_class: ClassVar[str] = "groupby"
+
     table: Table
     group_by: tuple[str, ...]
     aggregate: str
@@ -109,6 +119,9 @@ class GroupByQueryPlan:
 @dataclass(frozen=True, slots=True)
 class TopNQueryPlan:
     """A resolved ``TOPN(n, column)`` query (§8.1)."""
+
+    #: Label of the serving histograms (``class``).
+    statement_class: ClassVar[str] = "topn"
 
     table: Table
     n: int

@@ -415,6 +415,11 @@ class ColumnStore:
     def is_text(self, column: str) -> bool:
         return column in self._text
 
+    def column_key(self, column: str, table: str | None = None) -> str:
+        """What the read accessors know a column reference by: one table
+        lives here, so a qualifier adds nothing."""
+        return column
+
     # ------------------------------------------------------------------
     # Incremental sorted-order caches: width (planner) + endpoints (index)
     # ------------------------------------------------------------------

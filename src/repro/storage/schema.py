@@ -79,7 +79,7 @@ class Column:
 class Schema:
     """An ordered, name-indexed collection of :class:`Column` objects."""
 
-    __slots__ = ("_columns", "_by_name", "name")
+    __slots__ = ("_columns", "_by_name", "_column_names", "_bounded_columns", "name")
 
     def __init__(self, columns: Iterable[Column], name: str = "") -> None:
         self._columns: tuple[Column, ...] = tuple(columns)
@@ -90,6 +90,9 @@ class Schema:
             if col.name in self._by_name:
                 raise SchemaError(f"duplicate column name {col.name!r}")
             self._by_name[col.name] = col
+        # A schema never changes: derive the views the hot loops ask for once.
+        self._column_names = tuple(c.name for c in self._columns)
+        self._bounded_columns = tuple(c for c in self._columns if c.is_bounded)
         self.name = name
 
     # ------------------------------------------------------------------
@@ -113,11 +116,11 @@ class Schema:
 
     @property
     def column_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self._columns)
+        return self._column_names
 
     @property
     def bounded_columns(self) -> tuple[Column, ...]:
-        return tuple(c for c in self._columns if c.is_bounded)
+        return self._bounded_columns
 
     def __iter__(self) -> Iterator[Column]:
         return iter(self._columns)

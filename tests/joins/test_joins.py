@@ -1,15 +1,21 @@
-"""Tests for join classification and the iterative refresh heuristic (§7)."""
+"""Tests for join classification and the iterative refresh heuristic (§7).
+
+``TestJoinRows`` pins the row-at-a-time reference in ``tests/oracle/``;
+``TestJoinPairs`` the array form ``src/`` runs.  The two are compared on
+random instances in ``tests/property/test_join_columnar.py``.
+"""
 
 import pytest
 
 from repro.core.bound import Bound, Trilean
-from repro.errors import ConstraintUnsatisfiableError
-from repro.joins.classify import classify_joined, join_rows
+from repro.errors import ConstraintUnsatisfiableError, UnknownColumnError
+from repro.joins.classify import join_pairs, pair_index
 from repro.joins.refresh import JoinRefreshHeuristic, execute_join_query
 from repro.predicates.parser import parse_predicate
 from repro.replication.local import LocalRefresher
 from repro.storage.schema import Schema
 from repro.storage.table import Table
+from tests.oracle.row_join import classify_joined, join_rows
 
 
 @pytest.fixture
@@ -92,6 +98,81 @@ class TestJoinRows:
         )
         cls = classify_joined(joined)
         assert len(cls.plus) + len(cls.maybe) == len(joined)
+
+
+def pairs_of(joined, maybe):
+    """``{(links tid, nodes tid): is T?}`` in joined-tuple order."""
+    return dict(
+        zip(
+            zip(joined.base_tids(0).tolist(), joined.base_tids(1).tolist()),
+            maybe.tolist(),
+        )
+    )
+
+
+class TestJoinPairs:
+    def test_equality_key_yields_matching_pairs_only(self, link_node_tables):
+        links, nodes = link_node_tables
+        predicate = parse_predicate("dst = id")
+        left, right = pair_index([links, nodes], predicate)
+        # Positions in tuple-id order: each link meets the node its dst names.
+        assert left.tolist() == [0, 1, 2]
+        assert right.tolist() == [1, 2, 2]
+        joined, maybe = join_pairs([links, nodes], predicate)
+        assert pairs_of(joined, maybe) == {(1, 2): False, (2, 3): False, (3, 3): False}
+
+    def test_cross_product_without_predicate(self, link_node_tables):
+        links, nodes = link_node_tables
+        joined, maybe = join_pairs([links, nodes])
+        assert len(joined) == 9 and not maybe.any()
+        assert joined.base_tids(0).tolist() == [1, 1, 1, 2, 2, 2, 3, 3, 3]
+        assert joined.base_tids(1).tolist() == [1, 2, 3] * 3
+
+    def test_bounded_condition_yields_maybes_and_drops_impossible(
+        self, link_node_tables
+    ):
+        links, nodes = link_node_tables
+        joined, maybe = join_pairs(
+            [links, nodes], parse_predicate("dst = id AND load > 45")
+        )
+        # node 2 holds [40, 60], node 3 [20, 80]: all three survive as T?.
+        assert pairs_of(joined, maybe) == {(1, 2): True, (2, 3): True, (3, 3): True}
+        joined, _ = join_pairs(
+            [links, nodes], parse_predicate("dst = id AND load > 1000")
+        )
+        assert len(joined) == 0
+
+    def test_deleted_tuples_leave_no_holes(self, link_node_tables):
+        links, nodes = link_node_tables
+        nodes.delete(2)
+        joined, _ = join_pairs([links, nodes], parse_predicate("dst = id"))
+        assert joined.base_tids(1).tolist() == [3, 3]
+
+    def test_qualifier_picks_the_table_a_shared_name_reads(self):
+        left = Table("l", Schema.of(v="bounded"))
+        right = Table("r", Schema.of(v="bounded"))
+        left.insert({"v": Bound(0, 1)})
+        right.insert({"v": Bound(5, 6)})
+        joined, _ = join_pairs([left, right])
+        assert joined.endpoints(joined.column_key("v", "l"))[0].tolist() == [0.0]
+        assert joined.endpoints(joined.column_key("v", "r"))[0].tolist() == [5.0]
+        # Unqualified: the last table carrying the name, as the merged
+        # row's alias did.
+        assert joined.column_key("v") == joined.column_key("v", "r")
+        with pytest.raises(UnknownColumnError):
+            joined.column_key("w")
+
+    def test_text_key_joins_by_sorting_strings(self):
+        people = Table("people", Schema.of(city="text", age="bounded"))
+        cities = Table("cities", Schema.of(name="text", size="bounded"))
+        for city in ("oslo", "rome", "oslo"):
+            people.insert({"city": city, "age": Bound(20, 30)})
+        for name in ("rome", "oslo", "bern"):
+            cities.insert({"name": name, "size": Bound(1, 2)})
+        joined, _ = join_pairs([people, cities], parse_predicate("city = name"))
+        assert list(
+            zip(joined.base_tids(0).tolist(), joined.base_tids(1).tolist())
+        ) == [(1, 2), (2, 1), (3, 2)]
 
 
 class TestJoinRefreshHeuristic:

@@ -40,6 +40,9 @@ class FakeCache:
     def source_of_tuple(self, table, tid: int) -> str:
         return self.source_by_tid[tid]
 
+    def sources_of_table(self, table) -> list[str]:
+        return sorted(set(self.source_by_tid.values()))
+
     def refresh_batched(self, table, tids, batch_cost=None):
         tids = frozenset(tids)
         self.calls.append(tids)
@@ -215,6 +218,40 @@ def test_cross_query_rebatch_steers_to_contacted_source():
     assert scheduler.stats.source_requests == 1
     assert scheduler.stats.total_cost_paid == pytest.approx(51.0)
     assert sum(p.total_cost for p in plans) == pytest.approx(51.0)
+
+
+def test_single_source_table_skips_the_rebatch_routing_sweep():
+    """With one source behind a table there is nothing to steer toward:
+    the plan goes out as chosen and no row is routed on the way."""
+    schema = Schema([Column("x", ColumnKind.BOUNDED)], name="t")
+    table = Table("t", schema)
+    for _ in range(4):
+        table.insert({"x": Bound(0.0, 10.0)})
+
+    class CountingCache(FakeCache):
+        routed = 0
+
+        def source_of_tuple(self, table, tid):
+            self.routed += 1
+            return super().source_of_tuple(table, tid)
+
+    cache = CountingCache({tid: "a" for tid in range(1, 5)})
+    scheduler = RefreshScheduler(cost_model=BatchedCostModel(setup=50.0, marginal=1.0))
+    rows = table.rows()
+    flexible = PlannedRefresh(
+        table,
+        RefreshPlan(frozenset({3}), 1.0),
+        max_width=30.0,
+        aggregate="SUM",
+        rows=rows,
+        widths={row.tid: 10.0 for row in rows},
+        budget_slack=0.0,
+    )
+    plan = run(scheduler.submit(cache, flexible))
+    assert set(plan.tids) == {3}
+    # Only the planned tuple is routed (to account its source as
+    # contacted), not every row of the table.
+    assert cache.routed == 1
 
 
 def test_failure_settles_every_waiter():

@@ -136,6 +136,48 @@ def test_join_queries_served_through_the_service():
     assert repeat.answer is result.answer
 
 
+def test_latency_and_plan_rounds_observed_once_per_query_by_class():
+    """``trapp_query_seconds`` sees every admitted query (cache hits too);
+    ``trapp_plan_rounds`` sees each execution, with a join's one plan per
+    greedy round showing up as a count above the single-table one."""
+    from repro.workloads.service import mixed_service_system
+
+    system, cost_model = mixed_service_system(n_caches=1)
+    service = QueryService(system, cost_model=cost_model)
+    join_sql = (
+        "SELECT SUM(load) WITHIN 1 FROM links, nodes WHERE to_node = node"
+    )
+    statements = [
+        SUM_SQL, SUM_SQL, join_sql,
+        "SELECT TOPN(2, traffic) WITHIN 1 FROM links",
+        "SELECT SUM(traffic) WITHIN 50 FROM links GROUP BY from_node",
+    ]
+    results = [run(service.query("edge", sql)) for sql in statements]
+    assert [r.cached for r in results] == [False, True, False, False, False]
+    with pytest.raises(AdmissionError):
+        run(service.query("edge", SUM_SQL, precision_floor=100.0))
+
+    registry = service.telemetry.registry
+    seconds = registry.histogram("trapp_query_seconds", labelnames=("class",))
+    rounds = registry.histogram("trapp_plan_rounds", labelnames=("class",))
+
+    def observed(family, cls):
+        return family.labels(**{"class": cls})
+
+    # Latency: one observation per admitted query, rejected ones excluded.
+    assert observed(seconds, "aggregate").count == 2
+    assert observed(seconds, "join").count == 1
+    assert observed(seconds, "topn").count == 1
+    assert observed(seconds, "groupby").count == 1
+    assert observed(seconds, "join").total > 0
+    # Rounds: one observation per execution; the cache hit executed nothing.
+    assert observed(rounds, "aggregate").count == 1
+    assert observed(rounds, "aggregate").total == 1
+    assert observed(rounds, "join").count == 1
+    join_answer = results[2].answer
+    assert observed(rounds, "join").total == len(join_answer.refreshed) > 1
+
+
 def test_singleflight_shares_one_execution():
     service = make_service(network_delay=0.005)
 

@@ -54,6 +54,11 @@ class TestSchema:
         assert s.column_names == ("a", "b")
         assert [c.name for c in s.bounded_columns] == ["a"]
 
+    def test_derived_views_are_computed_once(self):
+        s = Schema.of(id="exact", price="bounded", name="text")
+        assert s.column_names is s.column_names
+        assert s.bounded_columns is s.bounded_columns
+
     def test_of_factory(self):
         s = Schema.of(id="exact", price="bounded", name="text")
         assert s["id"].kind is ColumnKind.EXACT
