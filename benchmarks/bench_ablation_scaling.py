@@ -64,7 +64,6 @@ def test_scaling_series():
 
 def test_indexed_min_matches_scan():
     table = _make_table(2000)
-    table.create_endpoint_indexes("x")
     cost = lambda row: row.number("cost")
     scan_plan = CHOOSE_MIN.without_predicate(table.rows(), "x", 10.0, cost)
     index_plan = CHOOSE_MIN.without_predicate_indexed(table, "x", 10.0, cost)
@@ -77,7 +76,6 @@ def test_min_choose_refresh_timing(benchmark, route):
     table = _make_table(6400)
     cost = lambda row: row.number("cost")
     if route == "indexed":
-        table.create_endpoint_indexes("x")
         run = lambda: CHOOSE_MIN.without_predicate_indexed(table, "x", 10.0, cost)
     else:
         rows = table.rows()

@@ -4,7 +4,7 @@ PR 1 vectorized the executor's answer sweeps; this benchmark measures the
 other half of every refresh-bearing query — §5.2 plan *selection* — after
 rebuilding it around columnar candidate harvesting, the sparse
 array-backed knapsack core, and the store's epoch-cached sorted-width
-orderings.  Four measurements:
+orderings.  Three measurements:
 
 1. **planner/uniform @ N** — the acceptance ratio.  The pre-PR planner
    built one ``KnapsackItem`` per tuple and sorted them per call; the
@@ -22,10 +22,10 @@ orderings.  Four measurements:
    pre-PR scheme is infeasible here (its dense DP would allocate ~1e10
    cells), so the new path's absolute time is recorded with the old one
    marked infeasible.
-4. **service end-to-end** — the same concurrent ``QueryService`` workload
-   (netmon SUM queries, adaptive tick) served by two identical systems
-   differing only in ``TrappSystem(vector_planner=...)``; reported as a
-   throughput ratio.
+
+(A fourth, a service-level A/B of the two planners, went with the option
+that selected the object planner; its dated result is in
+``docs/PERFORMANCE.md``.)
 
 Results merge into ``BENCH_refresh_planner.json``: full-size runs write
 the ``full`` section, ``--smoke`` runs (CI) write the ``smoke`` section
@@ -33,9 +33,8 @@ and additionally fail if the smoke planner time regressed more than 3×
 over the committed baseline.
 
 Environment knobs: ``BENCH_PLANNER_N`` (50000), ``BENCH_PLANNER_EXACT_N``
-(800), ``BENCH_PLANNER_REPEATS`` (5), ``BENCH_PLANNER_LINKS`` (3000),
-``BENCH_PLANNER_MIN_SPEEDUP`` (10), ``BENCH_PLANNER_MIN_SERVICE_GAIN``
-(1.05), ``BENCH_PLANNER_SMOKE`` (0).  ``python
+(800), ``BENCH_PLANNER_REPEATS`` (5), ``BENCH_PLANNER_MIN_SPEEDUP`` (10),
+``BENCH_PLANNER_SMOKE`` (0).  ``python
 benchmarks/bench_refresh_planner.py --smoke`` sets the CI smoke profile.
 """
 
@@ -66,14 +65,10 @@ SMOKE = os.environ.get("BENCH_PLANNER_SMOKE", "0") == "1"
 N = int(os.environ.get("BENCH_PLANNER_N", "4000" if SMOKE else "50000"))
 N_EXACT = int(os.environ.get("BENCH_PLANNER_EXACT_N", "120" if SMOKE else "800"))
 REPEATS = int(os.environ.get("BENCH_PLANNER_REPEATS", "3" if SMOKE else "5"))
-N_LINKS = int(os.environ.get("BENCH_PLANNER_LINKS", "400" if SMOKE else "3000"))
 #: The ISSUE 3 acceptance floor at full size; smoke runs shrink the table
 #: (where the vectorization edge is smallest) and add runner jitter.
 MIN_SPEEDUP = float(
     os.environ.get("BENCH_PLANNER_MIN_SPEEDUP", "3.0" if SMOKE else "10.0")
-)
-MIN_SERVICE_GAIN = float(
-    os.environ.get("BENCH_PLANNER_MIN_SERVICE_GAIN", "0.7" if SMOKE else "1.05")
 )
 MIN_MEMORY_RATIO = float(
     os.environ.get("BENCH_PLANNER_MIN_MEMORY_RATIO", "5.0" if SMOKE else "10.0")
@@ -155,12 +150,12 @@ def test_uniform_planner_speedup(stocks_cache):
         lambda: (
             store.set(rows[0].tid, "price", rows[0].bound("price")),
             store._sorted_orders.clear(),
-            chooser.without_predicate_columnar(store, "price", budget, uniform_cost),
+            chooser.without_predicate_columnar(cache, "price", budget, uniform_cost),
         )[-1]
     )
     warm_seconds, vectorized = _best_of(
         lambda: chooser.without_predicate_columnar(
-            store, "price", budget, uniform_cost
+            cache, "price", budget, uniform_cost
         )
     )
     vector_plan, vector_cv = vectorized
@@ -310,80 +305,6 @@ def test_ibarra_kim_at_scale(stocks_cache):
 
 
 # ----------------------------------------------------------------------
-def _build_service_system(vector_planner: bool) -> TrappSystem:
-    rng = random.Random(SEED)
-    system = TrappSystem(vector_planner=vector_planner)
-    source = system.add_source("net")
-    source.add_table(
-        build_master_table(
-            generate_topology(max(2, N_LINKS // 3), N_LINKS, rng), rng
-        )
-    )
-    cache = system.add_cache("monitor")
-    cache.subscribe_table(source, "links")
-    system.clock.advance(100.0)
-    cache.sync_bounds()
-    return system
-
-
-def _service_queries(system: TrappSystem) -> list[str]:
-    table = system.cache("monitor").table("links")
-    total = sum(row.bound("traffic").width for row in table.rows())
-    rng = random.Random(3)
-    return [
-        f"SELECT SUM(traffic) WITHIN {total * rng.uniform(0.2, 0.7):.4f} FROM links"
-        for _ in range(24)
-    ]
-
-
-async def _run_service(vector_planner: bool) -> float:
-    system = _build_service_system(vector_planner)
-    service = QueryService(system, max_inflight=64, adaptive_tick=True)
-    queries = _service_queries(system)
-    rounds = 2 if SMOKE else 3
-    start = time.perf_counter()
-    for _ in range(rounds):
-        system.clock.advance(5.0)
-        system.cache("monitor").sync_bounds()
-        await asyncio.gather(
-            *(
-                service.query("monitor", sql, client_id=f"c{i % 8}")
-                for i, sql in enumerate(queries)
-            )
-        )
-    return rounds * len(queries) / (time.perf_counter() - start)
-
-
-def test_service_end_to_end_gain():
-    """Measurement 4: identical service workload, planner swapped."""
-    object_qps = asyncio.run(_run_service(vector_planner=False))
-    vector_qps = asyncio.run(_run_service(vector_planner=True))
-    gain = vector_qps / object_qps
-
-    banner(f"QueryService end to end — {N_LINKS} links, 24 concurrent SUMs")
-    print_table(
-        ["planner", "queries/second"],
-        [("object (pre-PR)", object_qps), ("vector", vector_qps)],
-    )
-    print(f"throughput gain {gain:.2f}x")
-
-    _merge_results(
-        {
-            "service": {
-                "links": N_LINKS,
-                "object_qps": object_qps,
-                "vector_qps": vector_qps,
-                "throughput_gain": gain,
-            }
-        }
-    )
-    assert gain >= MIN_SERVICE_GAIN, (
-        f"vector planner must not cost service throughput "
-        f"(floor {MIN_SERVICE_GAIN:g}x), got {gain:.2f}x"
-    )
-
-
-# ----------------------------------------------------------------------
 def _load_results() -> dict:
     if RESULTS_PATH.exists():
         try:
@@ -432,12 +353,12 @@ TELEMETRY_PREFIXES = (
 
 
 def _telemetry_section() -> dict:
-    """One compact vector-planner service run (fixed sizes, independent
-    of the env knobs) — merged as the ``telemetry`` key only."""
+    """One compact service run (fixed sizes, independent of the env
+    knobs) — merged as the ``telemetry`` key only."""
 
     async def go() -> dict:
         rng = random.Random(SEED)
-        system = TrappSystem(vector_planner=True)
+        system = TrappSystem()
         source = system.add_source("net")
         source.add_table(
             build_master_table(generate_topology(40, 120, rng), rng)

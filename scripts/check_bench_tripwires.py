@@ -14,12 +14,11 @@ the benches:
 2. concurrent_service — smoke serial mixed cost/answer
 3. refresh_planner  — smoke vector planner warm time (timing: loose)
 4. sharded_sources  — smoke cost/answer at max shard fan-in
-5. columnar_executor — end-to-end columnar speedup (timing: loose)
-6. fault_tolerance  — smoke availability under the seeded chaos sweep
+5. fault_tolerance  — smoke availability under the seeded chaos sweep
    (may not fall below the committed baseline)
-7. elastic_group    — smoke all-in cost/answer under the autoscaled
+6. elastic_group    — smoke all-in cost/answer under the autoscaled
    traffic ramp, plus zero re-stick failures after membership changes
-8. interval_index   — smoke classify+harvest speedup of the endpoint
+7. interval_index   — smoke classify+harvest speedup of the endpoint
    indexes over the dense sweep (timing: loose) and the deterministic
    materialized-window fraction
 
@@ -131,7 +130,6 @@ BENCH_CHECKS: list[tuple[str, str, float]] = [
     ("concurrent_service", "smoke_baseline.serial_cost_per_answer", 0.5),
     ("refresh_planner", "smoke_baseline.vector_warm_seconds", 2.0),
     ("sharded_sources", "smoke_baseline.cost_per_answer_max_fanin", 0.5),
-    ("columnar_executor", "end_to_end_speedup", 0.75),
     # Availability is a fraction in [0, 1]; the seeded chaos schedule is
     # deterministic, so any drift below golden means the failure-handling
     # stack started erroring queries it used to answer.

@@ -22,10 +22,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-try:  # Columnar fast paths need numpy; the executor skips them without.
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy-less hosts
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.core.aggregates.base import register
 from repro.core.aggregates.counting import COUNT
@@ -133,7 +130,7 @@ class AvgAggregate:
             raise TrappError("AVG requires an aggregation column")
         return tight_avg_bound(classification, column)
 
-    # -- columnar fast paths -------------------------------------------
+    # -- over the column arrays (what the executor calls) ---------------
     def bound_without_predicate_columnar(self, store, column: str | None) -> Bound:
         if column is None:
             raise TrappError("AVG requires an aggregation column")

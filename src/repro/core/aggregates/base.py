@@ -13,14 +13,14 @@ Evaluators are pure functions of the rows' current interval values; exact
 (already-refreshed) values participate as zero-width intervals, so a single
 code path covers cached, partially refreshed, and fully refreshed tables.
 
-The five standard aggregates additionally implement *columnar* fast paths
-(``bound_without_predicate_columnar`` over a table's lo/hi arrays, and
-``bound_with_classification_columnar`` over a
-:class:`~repro.predicates.batch.ColumnarClassification`).  These are
-optional for the single-table executor, which probes for them with
-``hasattr`` and falls back to the row loops; the §7 join heuristic
-(:mod:`repro.joins.refresh`) has no rows to fall back to and requires
-``bound_with_classification_columnar`` (MEDIAN provides it).
+The ``*_columnar`` twins compute the same bounds from a table's
+:class:`~repro.storage.columnar.ColumnStore` arrays
+(``bound_without_predicate_columnar``) or from a
+:class:`~repro.predicates.batch.ColumnarClassification`
+(``bound_with_classification_columnar``).  They are what the query
+executor and the §7 join heuristic call, so every registered aggregate —
+MEDIAN included — provides both; the row-taking pair serves callers that
+hold :class:`Row` lists (GROUP BY, the iterative and relative drivers).
 """
 
 from __future__ import annotations
@@ -53,6 +53,14 @@ class AggregateSpec(Protocol):
         self, classification: Classification, column: str | None
     ) -> Bound:
         """Bounded answer given a T+/T?/T− partition."""
+        ...
+
+    def bound_without_predicate_columnar(self, store, column: str | None) -> Bound:
+        """:meth:`bound_without_predicate` over a column store's arrays."""
+        ...
+
+    def bound_with_classification_columnar(self, cc, column: str | None) -> Bound:
+        """:meth:`bound_with_classification` over T+/T? endpoint arrays."""
         ...
 
 

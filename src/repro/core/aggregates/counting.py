@@ -40,7 +40,7 @@ class CountAggregate:
         maybe = len(classification.maybe)
         return Bound(plus, plus + maybe)
 
-    # -- columnar fast paths -------------------------------------------
+    # -- over the column arrays (what the executor calls) ---------------
     def bound_without_predicate_columnar(self, store, column: str | None) -> Bound:
         return Bound.exact(len(store))
 

@@ -67,7 +67,7 @@ class MinAggregate:
         # because each T+ row contributes to both minima.
         return Bound(lo, hi)
 
-    # -- columnar fast paths -------------------------------------------
+    # -- over the column arrays (what the executor calls) ---------------
     def bound_without_predicate_columnar(self, store, column: str | None) -> Bound:
         column = _require_column(self.name, column)
         lo, hi = store.endpoints(column)
@@ -111,7 +111,7 @@ class MaxAggregate:
         )
         return Bound(lo, hi)
 
-    # -- columnar fast paths -------------------------------------------
+    # -- over the column arrays (what the executor calls) ---------------
     def bound_without_predicate_columnar(self, store, column: str | None) -> Bound:
         column = _require_column(self.name, column)
         lo, hi = store.endpoints(column)

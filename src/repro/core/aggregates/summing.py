@@ -21,15 +21,12 @@ from __future__ import annotations
 
 from typing import Sequence
 
-try:  # Columnar fast paths need numpy; the executor skips them without.
-    import numpy as np
-    from repro.predicates.batch import ColumnarClassification
-except ImportError:  # pragma: no cover - numpy-less hosts
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.core.aggregates.base import register
 from repro.core.bound import Bound
 from repro.errors import TrappError
+from repro.predicates.batch import ColumnarClassification
 from repro.predicates.classify import Classification
 from repro.storage.row import Row
 
@@ -72,7 +69,7 @@ class SumAggregate:
             hi += b.hi
         return Bound(lo, hi)
 
-    # -- columnar fast paths -------------------------------------------
+    # -- over the column arrays (what the executor calls) ---------------
     def bound_without_predicate_columnar(self, store, column: str | None) -> Bound:
         if column is None:
             raise TrappError("SUM requires an aggregation column")

@@ -41,7 +41,8 @@ class BoundedAnswer:
     unreachable_sources: tuple[str, ...] = ()
     #: Fraction of (tuple, predicate-leaf) decisions step 1 had to
     #: materialize from endpoint-index windows, ``None`` when the dense
-    #: classifier ran (index-ineligible predicate, or the row path).
+    #: classifier ran (index-ineligible predicate) or none did (no
+    #: predicate).
     #: ``0.0`` means every tuple was decided wholesale by binary search.
     index_window_fraction: float | None = None
 

@@ -20,41 +20,40 @@ refinement — shrinking T? bounds when the predicate restricts the
 aggregation column itself — is applied for the answer computation when
 ``refine_bounds`` is enabled.
 
-Two performance properties hold on the hot path:
+There is one pipeline, and it reads only the table's columnar store
+(:class:`~repro.storage.columnar.ColumnStore`):
 
-* **Columnar fast paths.**  When the table carries a columnar mirror
-  (:class:`~repro.storage.columnar.ColumnStore`) and the aggregate
-  provides array evaluators, step 1 and step 3 run as NumPy sweeps over
-  the lo/hi endpoint arrays — classification via
-  :func:`repro.predicates.batch.classify_masks`, refinement via
-  :func:`repro.predicates.batch.restrict_endpoints` — and the "is this
-  column exact?" check reads an O(1) dirty counter instead of scanning
-  rows.  Step 2 is vector-native too: CHOOSE_REFRESH candidates are
-  harvested straight from the column arrays
-  (:func:`repro.storage.columnar.harvest_candidates`, backed by the
-  store's epoch-cached sorted-width orderings) and solved without
-  per-tuple Python objects whenever the cost function is vectorizable
-  (:func:`repro.core.refresh.base.vector_cost_of`); rows materialize
-  only for §8.2 rebatch metadata when a scheduler hook asks for it.
-  ``QueryExecutor(columnar=False)`` forces the row-at-a-time pipeline
-  and ``vector_planner=False`` just the object-based planner.
+* **Bound** (steps 1 and 3).  Without a predicate the aggregate's
+  ``bound_without_predicate_columnar`` sweeps the lo/hi endpoint arrays
+  (§5).  With one — over bounded columns or not —
+  :func:`repro.predicates.batch.classify_report` partitions the tuples
+  into T+/T?/T− (§6; T? is simply empty when the predicate reads exact
+  columns only), :func:`~repro.predicates.batch.restrict_endpoints`
+  applies the Appendix D refinement, and
+  ``bound_with_classification_columnar`` aggregates the T+/T? endpoint
+  arrays.  That is the only route choice, and it is read from the
+  predicate.
+* **Plan** (step 2).  The chooser's ``*_columnar`` entry point harvests
+  CHOOSE_REFRESH candidates straight from the column arrays and prices
+  them through :func:`repro.core.refresh.base.candidate_costs`; rows are
+  touched only to evaluate an untagged cost callable on the candidates,
+  or when a scheduler hook asks for §8.2 rebatch metadata.
 
-* **Classification once per query.**  :func:`classify` runs at most once
-  per :meth:`QueryExecutor.execute` call (and never on the columnar
-  path).  The initial bound, CHOOSE_REFRESH, and the final bound share
-  one partition; after a refresh only the refreshed T? tuples are
-  re-examined (a refresh can move tuples out of T?, never out of
-  T+/T−, since a collapsed value is one of its bound's realizations).
+Classification runs once before the refresh and once after it, never in
+between: the initial bound and CHOOSE_REFRESH share one partition.
+
+The row-at-a-time pipeline this replaced lives on as the test oracle
+``tests/oracle/row_executor.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Generator, Iterable, Mapping, Protocol, Sequence
 
 from repro.core.aggregates import get_aggregate
 from repro.core.answer import BoundedAnswer
-from repro.core.bound import Bound, Trilean
+from repro.core.bound import Bound
 from repro.core.constraints import (
     WIDTH_TOLERANCE,
     AbsolutePrecision,
@@ -68,21 +67,9 @@ from repro.errors import (
     UnknownColumnError,
 )
 from repro.predicates.ast import Predicate, TruePredicate, columns_of
-from repro.predicates.classify import Classification, classify, restrict_bound
-from repro.predicates.eval import evaluate_exact, evaluate_trilean
+from repro.predicates.batch import ColumnarClassification, classify_report
 from repro.storage.row import Row
 from repro.storage.table import Table
-
-try:  # Vectorized fast paths; the executor runs row-at-a-time without.
-    from repro.predicates.batch import (
-        ColumnarClassification,
-        classification_from_masks,
-        classify_masks,
-        classify_report,
-    )
-except ImportError:  # pragma: no cover - numpy-less hosts
-    classify_masks = None  # type: ignore[assignment]
-    classify_report = None  # type: ignore[assignment]
 
 __all__ = [
     "WIDTH_TOLERANCE",
@@ -110,9 +97,8 @@ class RefreshProvider(Protocol):
         an exact value (zero-width bound or plain number), and that value
         must lie inside the previously cached bound — TRAPP's core
         invariant (a bound always contains the master value).  The
-        executor's incremental post-refresh reclassification relies on
-        it: a collapse inside the old bound can move tuples out of T?,
-        never out of T+/T−.
+        step-3 guarantee relies on it: a collapse inside the old bound
+        can move tuples out of T?, never out of T+/T−.
         """
         ...
 
@@ -131,14 +117,6 @@ class NullRefreshProvider:
                 f"query requires refreshing tuples {sorted(tids)} but no "
                 "refresh provider is connected"
             )
-
-
-@dataclass(slots=True)
-class _PreparedPredicate:
-    """A predicate analyzed against a table's schema."""
-
-    predicate: Predicate
-    touches_bounded: bool
 
 
 @dataclass(slots=True)
@@ -204,6 +182,15 @@ def drive_steps(steps: ExecutionSteps, refresher: RefreshProvider) -> BoundedAns
         return stop.value
 
 
+def _masks(report):
+    """``(certain, possible)`` for consumers of a classification — both
+    ``None`` when the report carries sorted positions, so the lazy dense
+    masks are never widened."""
+    if report.positions is not None:
+        return None, None
+    return report.certain, report.possible
+
+
 class QueryExecutor:
     """Executes bounded aggregation queries against one cached table."""
 
@@ -213,29 +200,17 @@ class QueryExecutor:
         epsilon: float | None = None,
         force_exact: bool = False,
         refine_bounds: bool = True,
-        columnar: bool = True,
         refresh_hook: RefreshHook | None = None,
-        vector_planner: bool = True,
     ) -> None:
         self.refresher = refresher if refresher is not None else NullRefreshProvider()
         self.epsilon = epsilon
         self.force_exact = force_exact
         self.refine_bounds = refine_bounds
-        #: Use the table's columnar mirror when available.  ``False``
-        #: forces the row-at-a-time reference pipeline (the two are
-        #: equivalence-tested property-style).
-        self.columnar = columnar
         #: When set, planned refreshes are handed to this hook instead of
         #: ``refresher.refresh`` — the entry point for schedulers that
         #: batch refreshes across queries.  ``None`` keeps the classic
         #: apply-immediately behavior.
         self.refresh_hook = refresh_hook
-        #: Run CHOOSE_REFRESH over candidate vectors harvested from the
-        #: columnar mirror (no per-tuple KnapsackItem/Row objects) when
-        #: the chooser and cost function support it.  ``False`` forces
-        #: the object-based planner — the pre-vectorization reference
-        #: path, kept for equivalence tests and benchmarks.
-        self.vector_planner = vector_planner
 
     # ------------------------------------------------------------------
     def execute(
@@ -250,8 +225,8 @@ class QueryExecutor:
         """Run the three-step pipeline and return a guaranteed answer."""
         steps = self.execute_steps(
             table, aggregate, column, constraint, predicate, cost,
-            # Building per-tuple rebatch metadata costs a row sweep; only
-            # a hook (an external scheduler) ever reads it.
+            # Rebatch metadata resolves candidate rows by id; only a hook
+            # (an external scheduler) ever reads it.
             rebatch_metadata=self.refresh_hook is not None,
         )
         try:
@@ -284,31 +259,68 @@ class QueryExecutor:
         if isinstance(constraint, (int, float)):
             constraint = AbsolutePrecision(float(constraint))
         predicate = predicate if predicate is not None else TruePredicate()
-        prepared = self._prepare(table, predicate)
+        for name in columns_of(predicate):
+            table.schema.column(name)  # raises on unknown columns
         spec = get_aggregate(aggregate)
         if spec.needs_column and column is None:
             raise UnknownColumnError("<missing>", table.name)
+        refine = self.refine_bounds and column is not None
 
-        if not prepared.touches_bounded:
-            return (
-                yield from self._execute_unclassified(
-                    table, spec, column, constraint, prepared, cost,
-                    rebatch_metadata,
-                )
+        # Step 1: bound from the cache.
+        initial, report = self._bound(table, spec, column, predicate, refine)
+        window_fraction = None if report is None else report.window_fraction
+        max_width = constraint.resolve(initial)
+        if width_within(initial.width, max_width):
+            return BoundedAnswer(
+                bound=initial,
+                initial_bound=initial,
+                index_window_fraction=window_fraction,
             )
-        if self._columnar_classified_ok(table, spec):
-            return (
-                yield from self._execute_columnar_classified(
-                    table, spec, column, constraint, prepared, cost,
-                    rebatch_metadata,
-                )
-            )
-        return (
-            yield from self._execute_row_classified(
-                table, spec, column, constraint, prepared, cost,
-                rebatch_metadata,
-            )
+
+        # Step 2: CHOOSE_REFRESH over the same partition, then suspend.
+        chooser = get_choose_refresh(
+            spec.name, epsilon=self.epsilon, force_exact=self.force_exact
         )
+        if report is None:
+            plan, candidates = chooser.without_predicate_columnar(
+                table, column, max_width, cost
+            )
+        else:
+            plan, candidates = chooser.with_classification_columnar(
+                table, *_masks(report), column, max_width, cost,
+                predicate=predicate if refine else None,
+                positions=report.positions,
+            )
+        plan = yield self._planned(
+            table, spec, plan, max_width, initial, candidates, column,
+            rebatch_metadata,
+        )
+
+        # Step 3: bound again over the partially refreshed cache.
+        final, _ = self._bound(table, spec, column, predicate, refine)
+        return self._finish(final, max_width, plan, initial, window_fraction)
+
+    @staticmethod
+    def _bound(table: Table, spec, column, predicate: Predicate, refine: bool):
+        """The bounded answer from the column arrays, with its partition.
+
+        Returns ``(bound, report)``; ``report`` is the
+        :class:`~repro.predicates.batch.ClassifyReport` the bound was
+        assembled from, ``None`` without a predicate — §5 versus §6, the
+        pipeline's only route choice.  The classifier's index-backed
+        route and its dense sweep are bit-identical; with the report's
+        sorted T+/T? positions in hand, assembly gathers O(k) arrays and
+        the dense masks are never widened.
+        """
+        store = table.columns
+        if isinstance(predicate, TruePredicate):
+            return spec.bound_without_predicate_columnar(store, column), None
+        report = classify_report(store, predicate)
+        cc = ColumnarClassification.from_masks(
+            store, *_masks(report), column, predicate, refine,
+            positions=report.positions,
+        )
+        return spec.bound_with_classification_columnar(cc, column), report
 
     def _apply_refresh(self, request: PlannedRefresh) -> RefreshPlan:
         """Default driver for a planned refresh: hook, else apply now."""
@@ -319,265 +331,7 @@ class QueryExecutor:
         return request.plan
 
     # ------------------------------------------------------------------
-    # Regime selection helpers
-    # ------------------------------------------------------------------
-    def _columnar_store(self, table: Table):
-        return table.columns if self.columnar else None
-
-    def _columnar_classified_ok(self, table: Table, spec) -> bool:
-        return (
-            classify_masks is not None
-            and self._columnar_store(table) is not None
-            and hasattr(spec, "bound_with_classification_columnar")
-        )
-
-    # ------------------------------------------------------------------
-    # §5 regime: no bounded-column predicate
-    # ------------------------------------------------------------------
-    def _execute_unclassified(
-        self,
-        table: Table,
-        spec,
-        column: str | None,
-        constraint: PrecisionConstraint,
-        prepared: _PreparedPredicate,
-        cost: CostFunc,
-        rebatch_metadata: bool,
-    ) -> BoundedAnswer:
-        store = self._columnar_store(table)
-        use_columnar = (
-            store is not None
-            and isinstance(prepared.predicate, TruePredicate)
-            and hasattr(spec, "bound_without_predicate_columnar")
-        )
-        rows: list[Row] | None = None
-        if use_columnar:
-            initial = spec.bound_without_predicate_columnar(store, column)
-        else:
-            rows = self._rows_no_predicate(table, prepared)
-            initial = spec.bound_without_predicate(rows, column)
-
-        max_width = constraint.resolve(initial)
-        if width_within(initial.width, max_width):
-            return BoundedAnswer(bound=initial, initial_bound=initial)
-
-        chooser = self._chooser(spec)
-        plan = None
-        if (
-            use_columnar
-            and self.vector_planner
-            and hasattr(chooser, "without_predicate_columnar")
-        ):
-            vectorized = chooser.without_predicate_columnar(
-                store, column, max_width, cost
-            )
-            if vectorized is not None:
-                plan, candidates = vectorized
-                planned = self._planned_vector(
-                    table, spec, plan, max_width, initial, candidates,
-                    column, rebatch_metadata,
-                )
-        if plan is None:
-            if rows is None:
-                rows = self._rows_no_predicate(table, prepared)
-            kwargs = {}
-            if spec.name == "SUM" and column is not None and isinstance(
-                prepared.predicate, TruePredicate
-            ):
-                # The §5.2 uniform-cost greedy walks the table's width
-                # endpoint index instead of sorting, when one exists
-                # (the row path's counterpart of the columnar planner
-                # cache; index keys ascend because every mutation goes
-                # through Table.update_value).
-                index = table.indexes.get(f"{column}__width")
-                if index is not None:
-                    kwargs["width_order"] = index.ascending()
-            plan = chooser.without_predicate(rows, column, max_width, cost, **kwargs)
-            planned = self._planned_unclassified(
-                table, spec, plan, max_width, initial, rows, column,
-                rebatch_metadata,
-            )
-        plan = yield planned
-
-        # Membership is fixed (the predicate saw only exact columns), so
-        # the filtered row set — and the columnar whole-table sweep —
-        # remain valid; only the refreshed values changed in place.
-        if use_columnar:
-            final = spec.bound_without_predicate_columnar(store, column)
-        else:
-            final = spec.bound_without_predicate(rows, column)
-        return self._finish(final, max_width, plan, initial)
-
-    # ------------------------------------------------------------------
-    # §6 regime, columnar: masks + array aggregation, rows only on refresh
-    # ------------------------------------------------------------------
-    def _execute_columnar_classified(
-        self,
-        table: Table,
-        spec,
-        column: str | None,
-        constraint: PrecisionConstraint,
-        prepared: _PreparedPredicate,
-        cost: CostFunc,
-        rebatch_metadata: bool,
-    ) -> BoundedAnswer:
-        store = table.columns
-        refine = self.refine_bounds and column is not None
-        # The index-backed route (endpoint windows) and the dense sweep
-        # are bit-identical; the report additionally carries the sorted
-        # T+/T? positions so harvest and answer assembly stay O(k), plus
-        # the window fraction the service telemeters.
-        report = classify_report(store, prepared.predicate)
-        window_fraction = report.window_fraction
-        positions = report.positions
-        # With index positions in hand, assembly gathers O(k) arrays and
-        # the dense masks are never widened; ``report.certain`` below is
-        # a lazy property, touched only on mask-needing fallbacks.
-        cc = ColumnarClassification.from_masks(
-            store,
-            None if positions is not None else report.certain,
-            None if positions is not None else report.possible,
-            column, prepared.predicate, refine, positions=positions,
-        )
-        initial = spec.bound_with_classification_columnar(cc, column)
-
-        max_width = constraint.resolve(initial)
-        if width_within(initial.width, max_width):
-            return BoundedAnswer(
-                bound=initial,
-                initial_bound=initial,
-                index_window_fraction=window_fraction,
-            )
-
-        chooser = self._chooser(spec)
-        plan = None
-        if self.vector_planner and hasattr(chooser, "with_classification_columnar"):
-            lazy = positions is not None and getattr(chooser, "uses_positions", False)
-            vectorized = chooser.with_classification_columnar(
-                store,
-                None if lazy else report.certain,
-                None if lazy else report.possible,
-                column, max_width, cost,
-                predicate=prepared.predicate if refine else None,
-                positions=positions,
-            )
-            if vectorized is not None:
-                plan, candidates = vectorized
-                planned = self._planned_vector(
-                    table, spec, plan, max_width, initial, candidates,
-                    column, rebatch_metadata,
-                )
-        if plan is None:
-            classification = classification_from_masks(
-                table.rows(), report.certain, report.possible
-            )
-            refined = self._refined_classification(classification, prepared, column)
-            plan = chooser.with_classification(refined, column, max_width, cost)
-            planned = self._planned_classified(
-                table, spec, plan, max_width, initial, refined, column,
-                rebatch_metadata,
-            )
-        plan = yield planned
-
-        report = classify_report(store, prepared.predicate)
-        positions = report.positions
-        cc = ColumnarClassification.from_masks(
-            store,
-            None if positions is not None else report.certain,
-            None if positions is not None else report.possible,
-            column, prepared.predicate, refine, positions=positions,
-        )
-        final = spec.bound_with_classification_columnar(cc, column)
-        answer = self._finish(final, max_width, plan, initial)
-        if window_fraction is not None:
-            answer = replace(answer, index_window_fraction=window_fraction)
-        return answer
-
-    # ------------------------------------------------------------------
-    # §6 regime, row-at-a-time reference path: classify exactly once
-    # ------------------------------------------------------------------
-    def _execute_row_classified(
-        self,
-        table: Table,
-        spec,
-        column: str | None,
-        constraint: PrecisionConstraint,
-        prepared: _PreparedPredicate,
-        cost: CostFunc,
-        rebatch_metadata: bool,
-    ) -> BoundedAnswer:
-        classification = classify(table.rows(), prepared.predicate)
-        refined = self._refined_classification(classification, prepared, column)
-        initial = spec.bound_with_classification(refined, column)
-
-        max_width = constraint.resolve(initial)
-        if width_within(initial.width, max_width):
-            return BoundedAnswer(bound=initial, initial_bound=initial)
-
-        plan = self._chooser(spec).with_classification(
-            refined, column, max_width, cost
-        )
-        plan = yield self._planned_classified(
-            table, spec, plan, max_width, initial, refined, column,
-            rebatch_metadata,
-        )
-
-        updated = self._reclassify_refreshed(classification, plan.tids, prepared)
-        refined = self._refined_classification(updated, prepared, column)
-        final = spec.bound_with_classification(refined, column)
-        return self._finish(final, max_width, plan, initial)
-
-    # ------------------------------------------------------------------
-    # Shared plumbing
-    # ------------------------------------------------------------------
-    def _chooser(self, spec):
-        return get_choose_refresh(
-            spec.name, epsilon=self.epsilon, force_exact=self.force_exact
-        )
-
-    def _planned_unclassified(
-        self,
-        table: Table,
-        spec,
-        plan: RefreshPlan,
-        max_width: float,
-        initial: Bound,
-        rows: Sequence[Row],
-        column: str | None,
-        rebatch_metadata: bool,
-    ) -> PlannedRefresh:
-        if not rebatch_metadata or spec.name != "SUM" or column is None:
-            return PlannedRefresh(table, plan, max_width, spec.name)
-        widths = {row.tid: row.bound(column).width for row in rows}
-        return self._with_slack(table, spec, plan, max_width, initial, rows, widths)
-
-    def _planned_classified(
-        self,
-        table: Table,
-        spec,
-        plan: RefreshPlan,
-        max_width: float,
-        initial: Bound,
-        refined: Classification,
-        column: str | None,
-        rebatch_metadata: bool,
-    ) -> PlannedRefresh:
-        if not rebatch_metadata or spec.name != "SUM" or column is None:
-            return PlannedRefresh(table, plan, max_width, spec.name)
-        # §6.2 weights: refreshing a T+ tuple removes its full width;
-        # refreshing a T? tuple removes its bound extended to zero (the
-        # tuple may turn out to fail the predicate and contribute nothing).
-        rows = list(refined.plus) + list(refined.maybe)
-        widths = {row.tid: row.bound(column).width for row in refined.plus}
-        widths.update(
-            {
-                row.tid: row.bound(column).extend_to_zero().width
-                for row in refined.maybe
-            }
-        )
-        return self._with_slack(table, spec, plan, max_width, initial, rows, widths)
-
-    def _planned_vector(
+    def _planned(
         self,
         table: Table,
         spec,
@@ -588,12 +342,12 @@ class QueryExecutor:
         column: str | None,
         rebatch_metadata: bool,
     ) -> PlannedRefresh:
-        """Rebatch metadata from harvested candidate vectors.
+        """The planned refresh, with §8.2 rebatch metadata when asked.
 
-        The vector planner never materializes rows; when a scheduler hook
-        needs §8.2 metadata the candidate vectors already hold every
-        (tid, width) pair, so rows are resolved by id — one dict lookup
-        each — instead of re-running classification and refinement.
+        Planning never materializes rows; when a scheduler hook needs
+        the metadata, the harvested candidate vectors already hold every
+        (tid, width) pair — a T? width being its §6.2 weight, the bound
+        extended to zero — and rows are resolved by id.
         """
         if (
             not rebatch_metadata
@@ -602,164 +356,58 @@ class QueryExecutor:
             or candidates is None
         ):
             return PlannedRefresh(table, plan, max_width, spec.name)
-        widths = {
-            int(tid): float(width)
-            for tid, width in zip(candidates.tids, candidates.widths)
-        }
-        rows = [table.row(tid) for tid in widths]
-        return self._with_slack(table, spec, plan, max_width, initial, rows, widths)
-
-    @staticmethod
-    def _with_slack(
-        table: Table,
-        spec,
-        plan: RefreshPlan,
-        max_width: float,
-        initial: Bound,
-        rows: Sequence[Row],
-        widths: dict[int, float],
-    ) -> PlannedRefresh:
+        widths = dict(zip(candidates.tids.tolist(), candidates.widths.tolist()))
         # SUM's final width is the initial width minus the widths removed
         # by the refreshed tuples, so the plan's slack over the constraint
         # is exactly the width a rebatcher may give back.
         removed = sum(widths.get(tid, 0.0) for tid in plan.tids)
         required = initial.width - max_width
-        slack = max(0.0, removed - required)
         return PlannedRefresh(
             table,
             plan,
             max_width,
             spec.name,
-            rows=rows,
+            rows=[table.row(tid) for tid in widths],
             widths=widths,
-            budget_slack=slack,
+            budget_slack=max(0.0, removed - required),
         )
 
     @staticmethod
     def _finish(
-        final: Bound, max_width: float, plan: RefreshPlan, initial: Bound
+        final: Bound,
+        max_width: float,
+        plan: RefreshPlan,
+        initial: Bound,
+        window_fraction: float | None = None,
     ) -> BoundedAnswer:
-        if not width_within(final.width, max_width):
-            if plan.unreached:
-                # Bounded degradation (the paper's availability story):
-                # some planned tuples' sources were unreachable, so the
-                # constraint could not be met — but the recomputed bound
-                # still contains the true value.  Serve it, marked
-                # degraded, unless the constraint demands exactness that
-                # only the dead sources hold.
-                if max_width <= 0.0:
-                    raise SourceUnavailableError(
-                        f"constraint WITHIN {max_width:g} requires exact values "
-                        f"held only by unreachable sources "
-                        f"{', '.join(plan.failed_sources) or '<unknown>'}",
-                        sources=plan.failed_sources,
-                    )
-                return BoundedAnswer(
-                    bound=final,
-                    refreshed=plan.tids,
-                    refresh_cost=plan.total_cost,
-                    initial_bound=initial,
-                    degraded=True,
-                    unreachable_sources=plan.failed_sources,
+        degraded = not width_within(final.width, max_width)
+        if degraded:
+            if not plan.unreached:
+                raise ConstraintUnsatisfiableError(
+                    f"post-refresh answer {final} (width {final.width:g}) violates "
+                    f"constraint {max_width:g}; this indicates an optimizer bug"
                 )
-            raise ConstraintUnsatisfiableError(
-                f"post-refresh answer {final} (width {final.width:g}) violates "
-                f"constraint {max_width:g}; this indicates an optimizer bug"
-            )
+            # Bounded degradation (the paper's availability story): some
+            # planned tuples' sources were unreachable, so the constraint
+            # could not be met — but the recomputed bound still contains
+            # the true value.  Serve it, marked degraded, unless the
+            # constraint demands exactness that only the dead sources hold.
+            if max_width <= 0.0:
+                raise SourceUnavailableError(
+                    f"constraint WITHIN {max_width:g} requires exact values "
+                    f"held only by unreachable sources "
+                    f"{', '.join(plan.failed_sources) or '<unknown>'}",
+                    sources=plan.failed_sources,
+                )
         return BoundedAnswer(
             bound=final,
             refreshed=plan.tids,
             refresh_cost=plan.total_cost,
             initial_bound=initial,
+            degraded=degraded,
             unreachable_sources=plan.failed_sources,
+            index_window_fraction=window_fraction,
         )
-
-    def _prepare(self, table: Table, predicate: Predicate) -> _PreparedPredicate:
-        touched = columns_of(predicate)
-        for name in touched:
-            table.schema.column(name)  # raises on unknown columns
-        touches_bounded = any(
-            table.schema[name].is_bounded and not self._column_exact(table, name)
-            for name in touched
-        )
-        return _PreparedPredicate(predicate, touches_bounded)
-
-    @staticmethod
-    def _column_exact(table: Table, column: str) -> bool:
-        """True when every current value in the column is exactly known.
-
-        O(1) when the table has a columnar mirror (dirty counters
-        maintained on writes); a row scan otherwise.
-        """
-        return table.column_exact(column)
-
-    # ------------------------------------------------------------------
-    def _rows_no_predicate(
-        self, table: Table, prepared: _PreparedPredicate
-    ) -> list[Row]:
-        """The §5 regime: filter rows two-valued over exact columns."""
-        if isinstance(prepared.predicate, TruePredicate):
-            return table.rows()
-        return [
-            row for row in table.rows() if evaluate_exact(prepared.predicate, row)
-        ]
-
-    def _refined_classification(
-        self,
-        classification: Classification,
-        prepared: _PreparedPredicate,
-        column: str | None,
-    ) -> Classification:
-        """Apply the Appendix D bound-shrinking refinement to T? tuples."""
-        if not self.refine_bounds or column is None:
-            return classification
-        refined_maybe: list[Row] = []
-        for row in classification.maybe:
-            original = row.bound(column)
-            shrunk = restrict_bound(original, prepared.predicate, column)
-            if shrunk != original:
-                clone = row.copy()
-                clone.set(column, shrunk)
-                refined_maybe.append(clone)
-            else:
-                refined_maybe.append(row)
-        return Classification(
-            plus=classification.plus,
-            maybe=refined_maybe,
-            minus=classification.minus,
-        )
-
-    def _reclassify_refreshed(
-        self,
-        classification: Classification,
-        refreshed: Iterable[int],
-        prepared: _PreparedPredicate,
-    ) -> Classification:
-        """Update a partition after the named tuples were refreshed.
-
-        A refresh collapses bounds onto values inside them, so T+ and T−
-        memberships survive; only refreshed T? tuples can become decided.
-        Re-examining just those keeps :func:`classify` at one invocation
-        per query.
-        """
-        refreshed = set(refreshed)
-        if not refreshed:
-            return classification
-        plus = list(classification.plus)
-        maybe: list[Row] = []
-        minus = list(classification.minus)
-        for row in classification.maybe:
-            if row.tid not in refreshed:
-                maybe.append(row)
-                continue
-            verdict = evaluate_trilean(prepared.predicate, row)
-            if verdict is Trilean.TRUE:
-                plus.append(row)
-            elif verdict is Trilean.FALSE:
-                minus.append(row)
-            else:  # provider left a bound wide; stay sound, keep it in T?
-                maybe.append(row)
-        return Classification(plus=plus, maybe=maybe, minus=minus)
 
 
 def execute_query(
@@ -773,9 +421,7 @@ def execute_query(
     epsilon: float | None = None,
     force_exact: bool = False,
     refine_bounds: bool = True,
-    columnar: bool = True,
     refresh_hook: RefreshHook | None = None,
-    vector_planner: bool = True,
 ) -> BoundedAnswer:
     """One-shot convenience wrapper around :class:`QueryExecutor`.
 
@@ -788,8 +434,6 @@ def execute_query(
         epsilon=epsilon,
         force_exact=force_exact,
         refine_bounds=refine_bounds,
-        columnar=columnar,
         refresh_hook=refresh_hook,
-        vector_planner=vector_planner,
     )
     return executor.execute(table, aggregate, column, constraint, predicate, cost)

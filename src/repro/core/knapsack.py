@@ -33,7 +33,7 @@ kept profit ≥ (1 − ε) · OPT while capping the feasible scaled-profit range
 — and hence the DP frontier — at ``O(n / ε)`` states.  With
 ``early_exit`` the DP also stops as soon as the best feasible profit
 reaches ``(1 − ε)`` of the fractional (profit-prefix) upper bound, which
-preserves the guarantee; the vector planner path enables it, the object
+preserves the guarantee; :func:`solve_vector` enables it, the object
 API defaults to the full DP for reproducibility.
 
 All solvers accept real-valued weights; only profits are discretized.
@@ -49,7 +49,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.errors import OptimizerError
 
@@ -599,38 +599,19 @@ def _greedy_uniform_positions(
 # Greedy variants
 # ----------------------------------------------------------------------
 def solve_greedy_uniform(
-    items: Sequence[KnapsackItem],
-    capacity: float,
-    sorted_widths: Iterable[tuple[float, int]] | Iterator[tuple[float, int]] | None = None,
+    items: Sequence[KnapsackItem], capacity: float
 ) -> KnapsackSolution:
     """Ascending-weight greedy; optimal when all profits are equal (§5.2).
 
     Placing the lightest items first maximizes the *number* of items kept,
-    which maximizes total profit under uniform profits.  ``O(n log n)``
-    standalone; pass ``sorted_widths`` — ``(weight, item_id)`` pairs in
-    ascending weight order, e.g. the ``<column>__width`` index's
-    :meth:`~repro.storage.index.SortedIndex.ascending` from
-    :meth:`repro.storage.table.Table.create_endpoint_indexes` — to skip
-    the per-call sort and stop scanning at the first key past the
-    remaining budget.  Ids absent from ``items`` are ignored, so one
-    whole-table index serves any candidate subset.
+    which maximizes total profit under uniform profits.  ``O(n log n)``;
+    the executor's planner walks the column store's cached width order
+    instead (:meth:`repro.storage.columnar.ColumnStore.width_order`).
     """
     _validate(items, capacity)
     contenders, always_in, _ = _split_free_items(items, capacity)
     chosen = set(always_in)
     remaining = capacity
-    if sorted_widths is not None:
-        weight_of = {item.item_id: item.weight for item in contenders}
-        for key, tid in sorted_widths:
-            weight = weight_of.get(tid)
-            if weight is None:
-                continue
-            if weight <= remaining:
-                chosen.add(tid)
-                remaining -= weight
-            elif key > remaining:
-                break  # ascending keys: nothing later fits either
-        return KnapsackSolution.of(items, chosen)
     for item in sorted(contenders, key=lambda i: (i.weight, i.item_id)):
         if item.weight <= remaining:
             chosen.add(item.item_id)

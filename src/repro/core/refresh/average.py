@@ -31,6 +31,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
 from repro.core.aggregates.counting import COUNT
 from repro.core.aggregates.summing import SUM
 from repro.core.bound import Bound
@@ -43,7 +45,13 @@ from repro.core.knapsack import (
 from repro.core.refresh.base import CostFunc, RefreshPlan, uniform_cost
 from repro.core.refresh.summing import DEFAULT_EPSILON, SumChooseRefresh
 from repro.errors import TrappError
+from repro.predicates.batch import restrict_endpoints
 from repro.predicates.classify import Classification
+from repro.storage.columnar import (
+    CandidateVectors,
+    candidate_order,
+    candidate_positions,
+)
 from repro.storage.row import Row
 
 __all__ = ["AvgChooseRefresh", "CHOOSE_AVG"]
@@ -53,8 +61,6 @@ class AvgChooseRefresh:
     """Knapsack-based refresh selection for bounded AVG queries."""
 
     name = "AVG"
-    #: Positions-only capable (see SumChooseRefresh.uses_positions).
-    uses_positions = True
 
     def __init__(self, epsilon: float = DEFAULT_EPSILON, force_exact: bool = False):
         self.epsilon = epsilon
@@ -79,24 +85,24 @@ class AvgChooseRefresh:
 
     def without_predicate_columnar(
         self,
-        store,
+        table,
         column: str | None,
         max_width: float,
         cost: CostFunc = uniform_cost,
     ):
-        """Vector counterpart of the §5.4 reduction to SUM."""
+        """The §5.4 reduction to SUM over the column arrays."""
         if column is None:
             raise TrappError("AVG CHOOSE_REFRESH requires an aggregation column")
-        count = len(store)
+        count = len(table.columns)
         if count == 0:
             return RefreshPlan.empty(), None
         return self._sum.without_predicate_columnar(
-            store, column, max_width * count, cost
+            table, column, max_width * count, cost
         )
 
     def with_classification_columnar(
         self,
-        store,
+        table,
         certain,
         possible,
         column: str | None,
@@ -105,65 +111,43 @@ class AvgChooseRefresh:
         predicate=None,
         positions=None,
     ):
-        """Vector counterpart of the Appendix F knapsack.
+        """The Appendix F knapsack over the column arrays.
 
-        Harvests SUM's §6.2 candidate vectors straight from the columnar
-        mirror, then augments every T? weight with the slope penalty and
-        solves at capacity ``L'_C · R`` through the shared vector solver —
-        the same derivation as :meth:`with_classification`, with no
-        per-tuple objects.  ``predicate`` applies the Appendix D
-        refinement to T? bounds, mirroring the executor's row path.
-        Returns ``None`` (row-path fallback) when the cost function
-        cannot be vectorized or the instance is degenerate
-        (``L'_C = 0``).
+        Harvests SUM's §6.2 candidate vectors, then augments every T?
+        weight with the slope penalty and solves at capacity ``L'_C · R``
+        through the shared vector solver — the same derivation as
+        :meth:`with_classification`, with no per-tuple objects.
+        ``predicate`` applies the Appendix D refinement to T? bounds.
         """
         if column is None:
             raise TrappError("AVG CHOOSE_REFRESH requires an aggregation column")
         if math.isinf(max_width):
             return RefreshPlan.empty(), None
-        try:
-            import numpy as np
-
-            from repro.storage.columnar import CandidateVectors, candidate_order
-        except ImportError:  # pragma: no cover - numpy-less hosts
-            return None
+        certain_at, maybe_at = candidate_positions(certain, possible, positions)
         cv = self._sum._harvest(
-            store, column, cost, certain=certain, possible=possible,
-            predicate=predicate, positions=positions,
+            table, column, cost, (certain_at, maybe_at), predicate
         )
-        if cv is None:
-            return None
         if len(cv) == 0:
             return RefreshPlan.empty(), None
-        if positions is not None:
-            certain_at, maybe_at = positions
-            n_plus = int(len(certain_at))
-        else:
-            certain_at = maybe_at = None
-            n_plus = int(np.count_nonzero(certain))
+        n_plus = len(certain_at)
+        if n_plus == 0:
+            # Degenerate Appendix F case (``L'_C = 0``, so every
+            # candidate is a T? tuple): refresh them all, which decides
+            # the predicate and makes COUNT exact.
+            return (
+                RefreshPlan(frozenset(cv.tids.tolist()), float(cv.costs.sum())),
+                None,
+            )
         l_count = float(n_plus)
-        if l_count <= 0:
-            # Degenerate Appendix F case (no guaranteed-nonempty answer
-            # set): the row path's refresh-all-T? fallback handles it.
-            return None
-        lo, hi = store.endpoints(column)
-        if certain_at is not None:
-            # Index route: gather the O(k) candidate positions instead of
-            # sweeping dense masks over the whole table.
-            certain = certain_at
-            maybe_lo, maybe_hi = lo[maybe_at], hi[maybe_at]
-        else:
-            maybe_mask = np.logical_and(possible, np.logical_not(certain))
-            maybe_lo, maybe_hi = lo[maybe_mask], hi[maybe_mask]
+        lo, hi = table.columns.endpoints(column)
+        maybe_lo, maybe_hi = lo[maybe_at], hi[maybe_at]
         if predicate is not None and len(maybe_lo):
-            from repro.predicates.batch import restrict_endpoints
-
             maybe_lo, maybe_hi = restrict_endpoints(
                 maybe_lo, maybe_hi, predicate, column
             )
         sum0 = Bound(
-            float(lo[certain].sum() + np.minimum(maybe_lo, 0.0).sum()),
-            float(hi[certain].sum() + np.maximum(maybe_hi, 0.0).sum()),
+            float(lo[certain_at].sum() + np.minimum(maybe_lo, 0.0).sum()),
+            float(hi[certain_at].sum() + np.maximum(maybe_hi, 0.0).sum()),
         )
         capacity = l_count * max_width
         slope = self._slope(sum0, l_count, max_width)

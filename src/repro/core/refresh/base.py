@@ -16,10 +16,17 @@ distance-weighted) that plug in unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence
+
+import numpy as np
 
 from repro.predicates.classify import Classification
+from repro.storage.columnar import cost_vector
 from repro.storage.row import Row
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.storage.columnar import CandidateVectors
+    from repro.storage.table import Table
 
 __all__ = [
     "CostFunc",
@@ -28,7 +35,8 @@ __all__ = [
     "cost_from_column",
     "cost_from_sources",
     "vector_cost_of",
-    "resolve_columnar_costs",
+    "candidate_costs",
+    "plan_at",
     "ChooseRefresh",
 ]
 
@@ -40,8 +48,8 @@ def uniform_cost(row: Row) -> float:
     return 1.0
 
 
-#: Vector-planner tag: the columnar CHOOSE_REFRESH paths can evaluate this
-#: cost function over a whole candidate set without touching Row objects.
+#: Cost tag: CHOOSE_REFRESH can evaluate this cost function over a whole
+#: candidate set without touching Row objects (see :func:`candidate_costs`).
 uniform_cost.vector_cost = ("uniform", 1.0)  # type: ignore[attr-defined]
 
 
@@ -62,11 +70,10 @@ def cost_from_sources(
     """Per-source refresh costs, keyed by a source-id column.
 
     The "likely in practice" §3 model — every tuple costs whatever its
-    source charges — as a tagged cost function: the row path reads the
-    source id from ``column`` and maps it through ``costs_by_source``;
-    the vector planner evaluates the same mapping over the whole column
-    at once (``vector_cost`` kind ``"source"``), so per-source amortized
-    models plan columnar instead of falling back to the object path.
+    source charges — as a tagged cost function: called on a row it reads
+    the source id from ``column`` and maps it through
+    ``costs_by_source``; the planner evaluates the same mapping over the
+    whole column at once (``vector_cost`` kind ``"source"``).
     """
     table = dict(costs_by_source)
 
@@ -83,11 +90,12 @@ def vector_cost_of(cost: CostFunc) -> tuple[str, object] | None:
     Returns ``("uniform", value)`` for constant costs, ``("column",
     name)`` for costs stored in a table column, ``("source", (column,
     costs_by_source, default))`` for per-source costs keyed by a
-    source-id column, or ``None`` for opaque callables — the signal to
-    fall back to the row-at-a-time planner.  Cost functions opt in by
-    carrying a ``vector_cost`` attribute (:func:`uniform_cost`,
-    :func:`cost_from_column`, :func:`cost_from_sources`, and the
-    :mod:`repro.replication.costs` models set it).
+    source-id column, or ``None`` for opaque callables, which
+    :func:`candidate_costs` evaluates once per plan into a cost array.
+    Cost functions opt in by carrying a ``vector_cost`` attribute
+    (:func:`uniform_cost`, :func:`cost_from_column`,
+    :func:`cost_from_sources`, and the :mod:`repro.replication.costs`
+    models set it).
     """
     tag = getattr(cost, "vector_cost", None)
     if tag is None:
@@ -103,23 +111,32 @@ def vector_cost_of(cost: CostFunc) -> tuple[str, object] | None:
     return None
 
 
-def resolve_columnar_costs(store, cost: CostFunc):
-    """Tid-ordered NumPy cost vector for a tagged cost function, or ``None``.
+def candidate_costs(table: "Table", cost: CostFunc, at=None) -> np.ndarray:
+    """The refresh cost of each candidate tuple, as one array.
 
-    The one fallback contract every columnar chooser shares: ``None`` —
-    fall back to the row path — when the cost callable is untagged, the
-    store is missing, the host has no NumPy, or the tagged cost column
-    cannot be read exactly (see
-    :func:`repro.storage.columnar.cost_vector`).
+    ``at`` holds the candidates' tuple-order positions (``None``: every
+    tuple); the result is aligned with it.  A ``vector_cost`` tag is
+    honoured when it can be — a constant, an exact numeric column, a
+    source-id column — and is only ever an optimisation: an untagged
+    callable, or a tag :func:`~repro.storage.columnar.cost_vector`
+    cannot read (say a cost column holding a wide bound), means ``cost``
+    is called on the row of each candidate, once, and on no other tuple
+    — CHOOSE_REFRESH never prices a tuple it could not refresh, and a
+    callable may raise on one.
     """
+    store = table.columns
     kind = vector_cost_of(cost)
-    if kind is None or store is None:
-        return None
-    try:
-        from repro.storage.columnar import cost_vector
-    except ImportError:  # pragma: no cover - numpy-less hosts
-        return None
-    return cost_vector(store, kind)
+    if kind is not None and kind[0] == "uniform":
+        return np.full(len(store) if at is None else len(at), kind[1])
+    costs = cost_vector(store, kind)
+    if costs is not None:
+        return costs if at is None else costs[at]
+    tids = store.sorted_tids() if at is None else store.sorted_tids()[at]
+    return np.fromiter(
+        (cost(table.row(tid)) for tid in tids.tolist()),
+        dtype=np.float64,
+        count=len(tids),
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,8 +178,27 @@ class RefreshPlan:
         return len(self.tids)
 
 
+def plan_at(table: "Table", cost: CostFunc, at: np.ndarray) -> RefreshPlan:
+    """The plan refreshing the tuples at tuple-order positions ``at``."""
+    tids = table.columns.sorted_tids()[at]
+    return RefreshPlan(
+        frozenset(tids.tolist()), float(candidate_costs(table, cost, at).sum())
+    )
+
+
 class ChooseRefresh(Protocol):
-    """Interface implemented by each aggregate's optimizer pair."""
+    """Interface implemented by each aggregate's optimizer.
+
+    The row-taking pair serves callers that hold :class:`Row` lists
+    (GROUP BY, the iterative and relative-precision drivers); the
+    ``*_columnar`` pair is what :class:`~repro.core.executor.QueryExecutor`
+    calls.  The latter read the table's
+    :class:`~repro.storage.columnar.ColumnStore` arrays, price
+    candidates through :func:`candidate_costs`, and always return a
+    ``(plan, candidates)`` pair — ``candidates`` being the harvested
+    :class:`~repro.storage.columnar.CandidateVectors` when the
+    aggregate's answer width is linear in them (SUM), else ``None``.
+    """
 
     name: str
 
@@ -184,4 +220,35 @@ class ChooseRefresh(Protocol):
         cost: CostFunc,
     ) -> RefreshPlan:
         """Paper §6 variants: rows partitioned by a bounded predicate."""
+        ...
+
+    def without_predicate_columnar(
+        self,
+        table: "Table",
+        column: str | None,
+        max_width: float,
+        cost: CostFunc,
+    ) -> "tuple[RefreshPlan, CandidateVectors | None]":
+        """§5 over the whole table's column arrays."""
+        ...
+
+    def with_classification_columnar(
+        self,
+        table: "Table",
+        certain,
+        possible,
+        column: str | None,
+        max_width: float,
+        cost: CostFunc,
+        predicate=None,
+        positions=None,
+    ) -> "tuple[RefreshPlan, CandidateVectors | None]":
+        """§6 from the classifier's output.
+
+        Either the dense ``certain``/``possible`` masks or the sorted
+        ``positions`` pair (see
+        :func:`~repro.storage.columnar.candidate_positions`);
+        ``predicate``, when given, applies the Appendix D refinement to
+        T? bounds.
+        """
         ...

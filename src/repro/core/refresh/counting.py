@@ -15,13 +15,16 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
 from repro.core.refresh.base import (
     CostFunc,
     RefreshPlan,
-    resolve_columnar_costs,
+    candidate_costs,
     uniform_cost,
 )
 from repro.predicates.classify import Classification
+from repro.storage.columnar import candidate_positions
 from repro.storage.row import Row
 
 __all__ = ["CountChooseRefresh", "CHOOSE_COUNT"]
@@ -31,8 +34,6 @@ class CountChooseRefresh:
     """Optimal refresh selection for bounded COUNT queries."""
 
     name = "COUNT"
-    #: Positions-only capable (see SumChooseRefresh.uses_positions).
-    uses_positions = True
 
     def without_predicate(
         self,
@@ -64,17 +65,17 @@ class CountChooseRefresh:
     # ------------------------------------------------------------------
     def without_predicate_columnar(
         self,
-        store,
+        table,
         column: str | None,
         max_width: float,
         cost: CostFunc = uniform_cost,
     ):
-        """Vector counterpart: COUNT without a predicate is always exact."""
+        """COUNT without a predicate is always exact."""
         return RefreshPlan.empty(), None
 
     def with_classification_columnar(
         self,
-        store,
+        table,
         certain,
         possible,
         column: str | None,
@@ -84,32 +85,20 @@ class CountChooseRefresh:
         positions=None,
     ):
         """Pick the cheapest T? tuples straight off the column arrays."""
-        costs = resolve_columnar_costs(store, cost)
-        if costs is None:
-            return None
-        import numpy as np
-
-        if positions is not None:
-            # Index route: the classifier already hands over sorted T?
-            # positions — O(k) gathers, no dense mask sweep.
-            maybe = positions[1]
-            uncertain = int(len(maybe))
-        else:
-            maybe = np.logical_and(possible, np.logical_not(certain))
-            uncertain = int(np.count_nonzero(maybe))
+        _, maybe_at = candidate_positions(certain, possible, positions)
+        uncertain = len(maybe_at)
         if math.isinf(max_width):
             needed = 0
         else:
             needed = max(0, math.ceil(uncertain - max_width - 1e-9))
         if needed == 0:
             return RefreshPlan.empty(), None
-        tids = store.sorted_tids()[maybe]
-        maybe_costs = costs[maybe]
+        tids = table.columns.sorted_tids()[maybe_at]
+        maybe_costs = candidate_costs(table, cost, maybe_at)
         pick = np.lexsort((tids, maybe_costs))[:needed]
         return (
             RefreshPlan(
-                frozenset(int(t) for t in tids[pick]),
-                float(maybe_costs[pick].sum()),
+                frozenset(tids[pick].tolist()), float(maybe_costs[pick].sum())
             ),
             None,
         )

@@ -13,9 +13,9 @@ guaranteed upper bound ``min_{T+}(H_k) - R`` and candidates range over
 ``T+ ∪ T?`` (refreshing a T? tuple that drops into T− never hurts the
 bound).  MAX is the mirror image.
 
-Both run in ``O(n)`` with a plain scan, or sublinear given lower/upper
-endpoint indexes (the table's ``create_endpoint_indexes``); the
-index-accelerated path is exposed via ``without_predicate_indexed``.
+Both run in ``O(n)`` with a plain scan, or sublinear over the column
+store's sorted endpoint orders (``ColumnStore.endpoint_order``, the
+paper's §5.1 endpoint indexes), exposed via ``without_predicate_indexed``.
 """
 
 from __future__ import annotations
@@ -23,14 +23,13 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from repro.core.refresh.base import (
-    CostFunc,
-    RefreshPlan,
-    resolve_columnar_costs,
-    uniform_cost,
-)
+import numpy as np
+
+from repro.core.refresh.base import CostFunc, RefreshPlan, plan_at, uniform_cost
 from repro.errors import TrappError
+from repro.predicates.batch import restrict_endpoints
 from repro.predicates.classify import Classification
+from repro.storage.columnar import candidate_positions
 from repro.storage.row import Row
 from repro.storage.table import Table
 
@@ -43,25 +42,7 @@ def _require_column(name: str, column: str | None) -> str:
     return column
 
 
-def _columnar_inputs(store, cost: CostFunc, column: str):
-    """``(np, costs, lo, hi)`` for a vector plan, or ``None`` to fall back."""
-    costs = resolve_columnar_costs(store, cost)
-    if costs is None:
-        return None
-    import numpy as np  # resolve_columnar_costs proved it importable
-
-    lo, hi = store.endpoints(column)
-    return np, costs, lo, hi
-
-
-def _threshold_plan(np, store, costs, chosen_mask) -> tuple[RefreshPlan, None]:
-    tids = store.sorted_tids()[chosen_mask]
-    return (
-        RefreshPlan(
-            frozenset(int(t) for t in tids), float(costs[chosen_mask].sum())
-        ),
-        None,
-    )
+_NONE_CHOSEN = np.empty(0, dtype=np.int64)
 
 
 class MinChooseRefresh:
@@ -105,28 +86,24 @@ class MinChooseRefresh:
     # ------------------------------------------------------------------
     def without_predicate_columnar(
         self,
-        store,
+        table: Table,
         column: str | None,
         max_width: float,
         cost: CostFunc = uniform_cost,
     ):
         """Appendix B's forced set as one array sweep (no row objects)."""
         column = _require_column(self.name, column)
-        inputs = _columnar_inputs(store, cost, column)
-        if inputs is None:
-            return None
-        np, costs, lo, hi = inputs
-        min_hi = float(hi.min()) if len(hi) else math.inf
-        threshold = min_hi - max_width
+        lo, hi = table.columns.endpoints(column)
+        threshold = (float(hi.min()) if len(hi) else math.inf) - max_width
         if math.isnan(threshold):  # inf budget against an empty/unbounded table
-            chosen = np.zeros(len(lo), dtype=bool)
+            chosen = _NONE_CHOSEN
         else:
-            chosen = lo < threshold
-        return _threshold_plan(np, store, costs, chosen)
+            chosen = np.flatnonzero(lo < threshold)
+        return plan_at(table, cost, chosen), None
 
     def with_classification_columnar(
         self,
-        store,
+        table: Table,
         certain,
         possible,
         column: str | None,
@@ -137,26 +114,22 @@ class MinChooseRefresh:
     ):
         """§6.1 threshold over T+ ∪ T?, Appendix-D-refined T? bounds."""
         column = _require_column(self.name, column)
-        inputs = _columnar_inputs(store, cost, column)
-        if inputs is None:
-            return None
-        np, costs, lo, hi = inputs
-        min_hi_plus = (
-            float(hi[certain].min()) if np.any(certain) else math.inf
-        )
+        plus_at, maybe_at = candidate_positions(certain, possible, positions)
+        lo, hi = table.columns.endpoints(column)
+        min_hi_plus = float(hi[plus_at].min()) if len(plus_at) else math.inf
         threshold = min_hi_plus - max_width
-        maybe = np.logical_and(possible, np.logical_not(certain))
-        maybe_lo = lo[maybe]
+        maybe_lo = lo[maybe_at]
         if predicate is not None and len(maybe_lo):
-            from repro.predicates.batch import restrict_endpoints
-
-            maybe_lo, _ = restrict_endpoints(maybe_lo, hi[maybe], predicate, column)
+            maybe_lo, _ = restrict_endpoints(
+                maybe_lo, hi[maybe_at], predicate, column
+            )
         if math.isnan(threshold):
-            chosen = np.zeros(len(lo), dtype=bool)
+            chosen = _NONE_CHOSEN
         else:
-            chosen = np.logical_and(certain, lo < threshold)
-            chosen[np.flatnonzero(maybe)[maybe_lo < threshold]] = True
-        return _threshold_plan(np, store, costs, chosen)
+            chosen = np.concatenate(
+                [plus_at[lo[plus_at] < threshold], maybe_at[maybe_lo < threshold]]
+            )
+        return plan_at(table, cost, chosen), None
 
     def without_predicate_indexed(
         self,
@@ -167,20 +140,20 @@ class MinChooseRefresh:
     ) -> RefreshPlan:
         """Index-accelerated variant: ``O(log n + |TR|)``.
 
-        Uses the ``column__hi`` index to find ``min_k(H_k)`` and the
-        ``column__lo`` index to range-scan tuples below the threshold,
-        matching the sublinear bound claimed in §5.1.
+        ``min_k(H_k)`` is the first key of the column's ascending
+        upper-endpoint order, and the forced set is the run of the
+        lower-endpoint order below the threshold — one ``searchsorted`` —
+        matching the sublinear bound claimed in §5.1.  The plan is the
+        one :meth:`without_predicate_columnar` sweeps the column for.
         """
-        hi_index = table.indexes.get(f"{column}__hi")
-        lo_index = table.indexes.get(f"{column}__lo")
-        if hi_index is None or lo_index is None:
-            raise TrappError(
-                f"table {table.name!r} lacks endpoint indexes on {column!r}; "
-                "call create_endpoint_indexes first"
-            )
-        threshold = hi_index.min_key() - max_width
-        chosen = [table.row(tid) for tid in lo_index.tids_below(threshold)]
-        return RefreshPlan.of(chosen, cost)
+        store = table.columns
+        upper = store.endpoint_order(column, "hi").keys
+        threshold = (float(upper[0]) if len(upper) else math.inf) - max_width
+        if math.isnan(threshold):
+            return RefreshPlan.empty()
+        lower = store.endpoint_order(column, "lo")
+        cut = np.searchsorted(lower.keys, threshold, side="left")
+        return plan_at(table, cost, np.sort(lower.positions[:cut]))
 
 
 class MaxChooseRefresh:
@@ -224,28 +197,24 @@ class MaxChooseRefresh:
     # ------------------------------------------------------------------
     def without_predicate_columnar(
         self,
-        store,
+        table: Table,
         column: str | None,
         max_width: float,
         cost: CostFunc = uniform_cost,
     ):
         """Appendix C's forced set as one array sweep (MIN's mirror)."""
         column = _require_column(self.name, column)
-        inputs = _columnar_inputs(store, cost, column)
-        if inputs is None:
-            return None
-        np, costs, lo, hi = inputs
-        max_lo = float(lo.max()) if len(lo) else -math.inf
-        threshold = max_lo + max_width
+        lo, hi = table.columns.endpoints(column)
+        threshold = (float(lo.max()) if len(lo) else -math.inf) + max_width
         if math.isnan(threshold):
-            chosen = np.zeros(len(lo), dtype=bool)
+            chosen = _NONE_CHOSEN
         else:
-            chosen = hi > threshold
-        return _threshold_plan(np, store, costs, chosen)
+            chosen = np.flatnonzero(hi > threshold)
+        return plan_at(table, cost, chosen), None
 
     def with_classification_columnar(
         self,
-        store,
+        table: Table,
         certain,
         possible,
         column: str | None,
@@ -255,26 +224,22 @@ class MaxChooseRefresh:
         positions=None,
     ):
         column = _require_column(self.name, column)
-        inputs = _columnar_inputs(store, cost, column)
-        if inputs is None:
-            return None
-        np, costs, lo, hi = inputs
-        max_lo_plus = (
-            float(lo[certain].max()) if np.any(certain) else -math.inf
-        )
+        plus_at, maybe_at = candidate_positions(certain, possible, positions)
+        lo, hi = table.columns.endpoints(column)
+        max_lo_plus = float(lo[plus_at].max()) if len(plus_at) else -math.inf
         threshold = max_lo_plus + max_width
-        maybe = np.logical_and(possible, np.logical_not(certain))
-        maybe_hi = hi[maybe]
+        maybe_hi = hi[maybe_at]
         if predicate is not None and len(maybe_hi):
-            from repro.predicates.batch import restrict_endpoints
-
-            _, maybe_hi = restrict_endpoints(lo[maybe], maybe_hi, predicate, column)
+            _, maybe_hi = restrict_endpoints(
+                lo[maybe_at], maybe_hi, predicate, column
+            )
         if math.isnan(threshold):
-            chosen = np.zeros(len(lo), dtype=bool)
+            chosen = _NONE_CHOSEN
         else:
-            chosen = np.logical_and(certain, hi > threshold)
-            chosen[np.flatnonzero(maybe)[maybe_hi > threshold]] = True
-        return _threshold_plan(np, store, costs, chosen)
+            chosen = np.concatenate(
+                [plus_at[hi[plus_at] > threshold], maybe_at[maybe_hi > threshold]]
+            )
+        return plan_at(table, cost, chosen), None
 
     def without_predicate_indexed(
         self,
@@ -284,16 +249,14 @@ class MaxChooseRefresh:
         cost: CostFunc = uniform_cost,
     ) -> RefreshPlan:
         """Index-accelerated variant mirroring MIN's."""
-        hi_index = table.indexes.get(f"{column}__hi")
-        lo_index = table.indexes.get(f"{column}__lo")
-        if hi_index is None or lo_index is None:
-            raise TrappError(
-                f"table {table.name!r} lacks endpoint indexes on {column!r}; "
-                "call create_endpoint_indexes first"
-            )
-        threshold = lo_index.max_key() + max_width
-        chosen = [table.row(tid) for tid in hi_index.tids_above(threshold)]
-        return RefreshPlan.of(chosen, cost)
+        store = table.columns
+        lower = store.endpoint_order(column, "lo").keys
+        threshold = (float(lower[-1]) if len(lower) else -math.inf) + max_width
+        if math.isnan(threshold):
+            return RefreshPlan.empty()
+        upper = store.endpoint_order(column, "hi")
+        cut = np.searchsorted(upper.keys, threshold, side="right")
+        return plan_at(table, cost, np.sort(upper.positions[cut:]))
 
 
 CHOOSE_MIN = MinChooseRefresh()

@@ -16,29 +16,33 @@ instance is small; otherwise the Ibarra–Kim ε-approximation is used (the
 paper's choice, ε tunable).  The uniform-cost special case short-circuits
 to the ascending-width greedy, which is optimal there (§5.2).
 
-Two planner pipelines implement that selection:
+Two entry-point pairs implement that selection:
 
-* the **row path** (:meth:`SumChooseRefresh.without_predicate` /
-  :meth:`~SumChooseRefresh.with_classification`) builds one
-  :class:`KnapsackItem` per row — the reference implementation, also the
-  fallback for opaque cost callables.  Its uniform branch accepts a
-  pre-sorted width ordering (``width_order``, e.g. the table's
-  ``<column>__width`` endpoint index) to skip the per-call sort.
-* the **vector path** (:meth:`~SumChooseRefresh.without_predicate_columnar`
-  / :meth:`~SumChooseRefresh.with_classification_columnar`) harvests
-  candidate vectors straight from the table's
-  :class:`~repro.storage.columnar.ColumnStore` — no per-tuple objects —
-  answers the uniform-cost case with one sort-free ascending walk of
-  the store's cached width ordering (the row greedy's own arithmetic,
-  so plans are bit-identical), and hands everything else to
-  :func:`repro.core.knapsack.solve_vector`.  Plans are equal-cost with
-  the row path (exact/uniform branches) or carry the same (1 − ε)
-  certificate (approximation branch, early exit enabled).
+* :meth:`~SumChooseRefresh.without_predicate_columnar` /
+  :meth:`~SumChooseRefresh.with_classification_columnar` are what the
+  query executor calls.  They harvest candidate vectors straight from
+  the table's :class:`~repro.storage.columnar.ColumnStore` — no
+  per-tuple objects; costs come from
+  :func:`~repro.core.refresh.base.candidate_costs`, which evaluates an
+  opaque callable once per plan into a cost array — answer the
+  uniform-cost case with one sort-free ascending walk of the store's
+  cached width ordering, and hand everything else to
+  :func:`repro.core.knapsack.solve_vector`.
+* :meth:`SumChooseRefresh.without_predicate` /
+  :meth:`~SumChooseRefresh.with_classification` take :class:`Row` lists
+  (GROUP BY's per-group subsets) and build one :class:`KnapsackItem`
+  per row.  The uniform walk uses the same arithmetic in both, so those
+  plans are bit-identical; exact-DP plans are equal-cost; in the
+  ε-approximation branch both carry the (1 − ε) certificate, from
+  ``solve_vector`` and ``solve_ibarra_kim`` respectively, and need not
+  pick the same set.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
+
+import numpy as np
 
 from repro.core.knapsack import (
     KnapsackItem,
@@ -47,13 +51,24 @@ from repro.core.knapsack import (
     solve_ibarra_kim,
     solve_vector,
 )
-from repro.core.refresh.base import CostFunc, RefreshPlan, uniform_cost, vector_cost_of
+from repro.core.refresh.base import (
+    CostFunc,
+    RefreshPlan,
+    candidate_costs,
+    uniform_cost,
+    vector_cost_of,
+)
 from repro.errors import TrappError
 from repro.predicates.classify import Classification
+from repro.storage.columnar import (
+    CandidateVectors,
+    candidate_positions,
+    harvest_candidates,
+)
 from repro.storage.row import Row
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.storage.columnar import CandidateVectors, ColumnStore
+    from repro.storage.table import Table
 
 __all__ = ["SumChooseRefresh", "CHOOSE_SUM"]
 
@@ -69,10 +84,6 @@ class SumChooseRefresh:
     """Knapsack-based refresh selection for bounded SUM queries."""
 
     name = "SUM"
-    #: The columnar entry point can work from the index route's sorted
-    #: T+/T? positions alone — the executor then never widens them to
-    #: dense masks (ISSUE 10's O(log n + k) contract).
-    uses_positions = True
 
     def __init__(
         self,
@@ -96,7 +107,6 @@ class SumChooseRefresh:
         column: str | None,
         max_width: float,
         cost: CostFunc = uniform_cost,
-        width_order=None,
     ) -> RefreshPlan:
         if column is None:
             raise TrappError("SUM CHOOSE_REFRESH requires an aggregation column")
@@ -104,7 +114,7 @@ class SumChooseRefresh:
             (row, KnapsackItem(row.tid, row.bound(column).width, cost(row)))
             for row in rows
         ]
-        return self._solve(items, max_width, cost, width_order=width_order)
+        return self._solve(items, max_width, cost)
 
     def with_classification(
         self,
@@ -127,32 +137,28 @@ class SumChooseRefresh:
         return self._solve(items, max_width, cost)
 
     # ------------------------------------------------------------------
-    # Vector path: plan straight off the columnar mirror
+    # Planning straight off the column arrays
     # ------------------------------------------------------------------
     def without_predicate_columnar(
         self,
-        store: "ColumnStore",
+        table: "Table",
         column: str | None,
         max_width: float,
         cost: CostFunc = uniform_cost,
-    ) -> "tuple[RefreshPlan, CandidateVectors] | None":
+    ) -> tuple[RefreshPlan, CandidateVectors]:
         """§5 planning over the whole table, no row objects.
 
-        Returns ``(plan, candidates)``, or ``None`` when the cost
-        function cannot be vectorized (caller falls back to the row
-        path).  The candidate vectors are returned so the executor can
-        assemble §8.2 rebatch metadata without another sweep.
+        The candidate vectors are returned with the plan so the executor
+        can assemble §8.2 rebatch metadata without another sweep.
         """
         if column is None:
             raise TrappError("SUM CHOOSE_REFRESH requires an aggregation column")
-        cv = self._harvest(store, column, cost)
-        if cv is None:
-            return None
+        cv = self._harvest(table, column, cost)
         return self._solve_columnar(cv, max_width), cv
 
     def with_classification_columnar(
         self,
-        store: "ColumnStore",
+        table: "Table",
         certain,
         possible,
         column: str | None,
@@ -160,70 +166,53 @@ class SumChooseRefresh:
         cost: CostFunc = uniform_cost,
         predicate=None,
         positions=None,
-    ) -> "tuple[RefreshPlan, CandidateVectors] | None":
-        """§6.2 planning from classification masks, no row objects.
+    ) -> tuple[RefreshPlan, CandidateVectors]:
+        """§6.2 planning from the classifier's output, no row objects.
 
         ``predicate`` (when given) applies the Appendix D refinement to
-        T? bounds before extending them to zero, mirroring the
-        executor's row-path `_refined_classification`.  ``positions``
-        (when given) carries the sorted T+/T? tuple positions straight
-        from the endpoint-index classifier, so harvesting gathers O(k)
+        T? bounds before extending them to zero.  ``positions`` (when
+        given) carries the sorted T+/T? tuple positions straight from
+        the endpoint-index classifier, so harvesting gathers O(k)
         candidates without re-scanning the dense masks.
         """
         if column is None:
             raise TrappError("SUM CHOOSE_REFRESH requires an aggregation column")
         cv = self._harvest(
-            store, column, cost, certain=certain, possible=possible,
-            predicate=predicate, positions=positions,
+            table, column, cost,
+            candidate_positions(certain, possible, positions), predicate,
         )
-        if cv is None:
-            return None
         return self._solve_columnar(cv, max_width), cv
 
     def _harvest(
-        self, store, column, cost, certain=None, possible=None, predicate=None,
-        positions=None,
-    ):
+        self, table: "Table", column, cost, positions=None, predicate=None
+    ) -> CandidateVectors:
+        """Candidate vectors over ``positions`` (``None``: every tuple)."""
         kind = vector_cost_of(cost)
-        if kind is None or store is None:
-            return None
-        try:
-            from repro.storage.columnar import cost_vector, harvest_candidates
-        except ImportError:  # pragma: no cover - numpy-less hosts
-            return None
-        if kind[0] == "column":
+        if kind is not None and kind[0] == "uniform":
+            # The one cost shape the harvest prices itself: its stats are
+            # arithmetic on the constant, with no vector to sweep.
             return harvest_candidates(
-                store, column, certain=certain, possible=possible,
-                predicate=predicate, cost_column=kind[1], positions=positions,
+                table.columns, column, positions=positions,
+                predicate=predicate, cost_value=kind[1],
             )
-        if kind[0] == "source":
-            # Per-source amortized models: resolve the source column →
-            # cost mapping to one tuple-id-ordered vector up front.
-            costs = cost_vector(store, kind)
-            if costs is None:
-                return None
-            return harvest_candidates(
-                store, column, certain=certain, possible=possible,
-                predicate=predicate, cost_array=costs, positions=positions,
-            )
+        at = None if positions is None else np.concatenate(positions)
         return harvest_candidates(
-            store, column, certain=certain, possible=possible,
-            predicate=predicate, cost_value=kind[1], positions=positions,
+            table.columns, column, positions=positions, predicate=predicate,
+            cost_array=candidate_costs(table, cost, at),
         )
 
-    def _solve_columnar(self, cv: "CandidateVectors", capacity: float) -> RefreshPlan:
+    def _solve_columnar(self, cv: CandidateVectors, capacity: float) -> RefreshPlan:
         """Solver selection over candidate vectors (mirrors ``_solve``)."""
         if len(cv) == 0:
             return RefreshPlan.empty()
         if not self.force_approx and cv.cost_min == cv.cost_max:
             # Uniform costs: the kept set is the longest sorted-width
             # prefix fitting the budget (§5.2 greedy).  The cut uses the
-            # row path's own arithmetic — ``w <= remaining; remaining -=
-            # w`` over the same (width, tid) ordering — so the two
-            # planners return bit-identical plans on any data, not just
-            # when prefix sums and sequential subtraction round alike.
-            import numpy as np
-
+            # row-taking greedy's own arithmetic — ``w <= remaining;
+            # remaining -= w`` over the same (width, tid) ordering — so
+            # both entry points return bit-identical plans on any data,
+            # not just when prefix sums and sequential subtraction round
+            # alike.
             remaining = capacity
             cut = 0
             for width in np.asarray(cv.widths)[cv.order].tolist():
@@ -262,7 +251,6 @@ class SumChooseRefresh:
         items: list[tuple[Row, KnapsackItem]],
         capacity: float,
         cost: CostFunc,
-        width_order=None,
     ) -> RefreshPlan:
         knapsack_items = [item for _, item in items]
         costs = {item.item_id: item.profit for item in knapsack_items}
@@ -270,9 +258,7 @@ class SumChooseRefresh:
         if self.force_approx:
             solution = solve_ibarra_kim(knapsack_items, capacity, self.epsilon)
         elif self._is_uniform(costs):
-            solution = solve_greedy_uniform(
-                knapsack_items, capacity, sorted_widths=width_order
-            )
+            solution = solve_greedy_uniform(knapsack_items, capacity)
         elif self.force_exact or self._exact_feasible(costs):
             solution = solve_exact_dp(knapsack_items, capacity)
         else:

@@ -27,21 +27,16 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.answer import BoundedAnswer
 from repro.core.constraints import width_within
 from repro.core.bound import Bound
-from repro.core.executor import ExecutionSteps, PlannedRefresh
 from repro.core.refresh.base import CostFunc, RefreshPlan, uniform_cost
-from repro.errors import ConstraintUnsatisfiableError, TrappError
-from repro.predicates.ast import Predicate, TruePredicate
+from repro.errors import TrappError
 from repro.storage.row import Row
-from repro.storage.table import Table
 
 __all__ = [
     "bounded_median",
     "choose_refresh_median",
     "median_of",
-    "median_steps",
 ]
 
 
@@ -111,52 +106,3 @@ def choose_refresh_median(
         and row.bound(column).overlaps(window)
     ]
     return RefreshPlan.of(chosen, cost)
-
-
-def median_steps(
-    table: Table,
-    column: str,
-    max_width: float,
-    predicate: Predicate | None = None,
-    cost: CostFunc = uniform_cost,
-) -> ExecutionSteps:
-    """MEDIAN as a resumable generator speaking ``PlannedRefresh``.
-
-    The module-level counterpart of the registered MEDIAN aggregate's
-    executor path (SQL statements compile through that); useful when
-    driving the extension functions directly, with the same protocol a
-    refresh scheduler expects.  The predicate must read exact columns
-    only.  Returns a :class:`~repro.core.answer.BoundedAnswer` via
-    ``StopIteration.value``.
-    """
-    from repro.predicates.eval import evaluate_exact
-
-    predicate = predicate if predicate is not None else TruePredicate()
-    if isinstance(predicate, TruePredicate):
-        rows = table.rows()
-    else:
-        rows = [row for row in table.rows() if evaluate_exact(predicate, row)]
-
-    bound = bounded_median(rows, column)
-    initial = bound
-    refreshed: set[int] = set()
-    total_cost = 0.0
-    while not width_within(bound.width, max_width):
-        plan = choose_refresh_median(rows, column, max_width, cost)
-        if not plan.tids or plan.tids <= refreshed:
-            raise ConstraintUnsatisfiableError(
-                f"median answer {bound} cannot be narrowed below "
-                f"{bound.width:g} (requested {max_width:g})"
-            )
-        effective = yield PlannedRefresh(table, plan, max_width, "MEDIAN")
-        if effective is None:
-            effective = plan
-        refreshed.update(effective.tids)
-        total_cost += effective.total_cost
-        bound = bounded_median(rows, column)
-    return BoundedAnswer(
-        bound=bound,
-        refreshed=frozenset(refreshed),
-        refresh_cost=total_cost,
-        initial_bound=initial,
-    )

@@ -24,20 +24,29 @@ Evaluation:
 Refresh selection combines the membership rule (refresh every T? tuple the
 budget cannot tolerate) with the no-predicate window rule from
 :func:`repro.extensions.median.choose_refresh_median`.
+
+Like the five standard aggregates, both halves exist twice: over
+:class:`Row` lists, and (``*_columnar``, what the executor calls) over the
+table's column arrays.  A median is a selection, not a sum, so the two
+agree bit for bit.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from repro.core.constraints import width_within
 from repro.core.aggregates.base import register
 from repro.core.bound import Bound
 from repro.core.refresh import register_choose_refresh
-from repro.core.refresh.base import CostFunc, RefreshPlan, uniform_cost
+from repro.core.refresh.base import CostFunc, RefreshPlan, plan_at, uniform_cost
 from repro.errors import TrappError
 from repro.extensions.median import bounded_median, choose_refresh_median, median_of
+from repro.predicates.batch import ColumnarClassification
 from repro.predicates.classify import Classification
+from repro.storage.columnar import candidate_positions
 from repro.storage.row import Row
 
 __all__ = ["MedianAggregate", "MedianChooseRefresh", "MEDIAN", "CHOOSE_MEDIAN"]
@@ -106,6 +115,14 @@ class MedianAggregate:
         )
         return Bound(lo, hi)
 
+    def bound_without_predicate_columnar(self, store, column: str | None) -> Bound:
+        if column is None:
+            raise TrappError("MEDIAN requires an aggregation column")
+        lo, hi = store.endpoints(column)
+        if not len(lo):
+            return Bound.unbounded()
+        return Bound(median_of(lo.tolist()), median_of(hi.tolist()))
+
     def bound_with_classification_columnar(self, cc, column: str | None) -> Bound:
         """The same prefix argument over T+/T? endpoint arrays."""
         if column is None:
@@ -162,6 +179,61 @@ class MedianChooseRefresh:
             if bound.width > max_width and bound.overlaps(window):
                 chosen[row.tid] = row
         return RefreshPlan.of(chosen.values(), cost)
+
+    # ------------------------------------------------------------------
+    def without_predicate_columnar(
+        self,
+        table,
+        column: str | None,
+        max_width: float,
+        cost: CostFunc = uniform_cost,
+    ):
+        """:func:`choose_refresh_median`'s window rule as one mask."""
+        if column is None:
+            raise TrappError("MEDIAN CHOOSE_REFRESH requires an aggregation column")
+        if max_width < 0:
+            raise TrappError(
+                f"precision budget must be non-negative, got {max_width}"
+            )
+        window = MEDIAN.bound_without_predicate_columnar(table.columns, column)
+        if width_within(window.width, max_width):
+            return RefreshPlan.empty(), None
+        lo, hi = table.columns.endpoints(column)
+        chosen = np.flatnonzero(_wide_in_window(lo, hi, window, max_width))
+        return plan_at(table, cost, chosen), None
+
+    def with_classification_columnar(
+        self,
+        table,
+        certain,
+        possible,
+        column: str | None,
+        max_width: float,
+        cost: CostFunc = uniform_cost,
+        predicate=None,
+        positions=None,
+    ):
+        """Membership + window rule: all of T?, and the wide T+ tuples
+        overlapping the (Appendix-D-refined) extreme-median window."""
+        if column is None:
+            raise TrappError("MEDIAN CHOOSE_REFRESH requires an aggregation column")
+        plus_at, maybe_at = candidate_positions(certain, possible, positions)
+        cc = ColumnarClassification.from_masks(
+            table.columns, None, None, column,
+            predicate, predicate is not None, (plus_at, maybe_at),
+        )
+        window = MEDIAN.bound_with_classification_columnar(cc, column)
+        if width_within(window.width, max_width):
+            return RefreshPlan.empty(), None
+        wide = _wide_in_window(cc.plus_lo, cc.plus_hi, window, max_width)
+        return plan_at(table, cost, np.concatenate([maybe_at, plus_at[wide]])), None
+
+
+def _wide_in_window(lo, hi, window: Bound, max_width: float):
+    """Mask of bounds wider than the budget that overlap ``window``."""
+    with np.errstate(invalid="ignore"):  # [inf, inf] has width 0, not nan
+        wide = hi - lo > max_width
+    return wide & (lo <= window.hi) & (window.lo <= hi)
 
 
 MEDIAN = register(MedianAggregate())

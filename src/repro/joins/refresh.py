@@ -54,7 +54,7 @@ from repro.core.executor import (
 from repro.core.refresh.base import (
     CostFunc,
     RefreshPlan,
-    resolve_columnar_costs,
+    candidate_costs,
     uniform_cost,
 )
 from repro.errors import ConstraintUnsatisfiableError
@@ -218,15 +218,7 @@ class JoinRefreshHeuristic:
             at = np.flatnonzero(eligible)
             if not len(at):
                 continue
-            costs = resolve_columnar_costs(store, self.cost)
-            if costs is None:
-                costs = np.fromiter(
-                    (self.cost(table.row(tid)) for tid in tids[at].tolist()),
-                    dtype=np.float64,
-                    count=len(at),
-                )
-            else:
-                costs = costs[at]
+            costs = candidate_costs(table, self.cost, at)
             with np.errstate(over="ignore"):
                 ratio = benefit[at] / np.maximum(costs, 1e-12)
             # Positions ascend with tuple id: the first maximum is the

@@ -27,26 +27,16 @@ from repro.predicates.eval import evaluate_exact, evaluate_trilean
 from repro.predicates.parser import parse_predicate
 from repro.predicates.transforms import certain, endpoint_sql, possible
 
-try:
-    from repro.predicates.batch import (
-        ColumnarClassification,
-        classification_from_masks,
-        classify_columnar,
-        classify_masks,
-        restrict_endpoints,
-    )
+from repro.predicates.batch import (
+    ColumnarClassification,
+    classify_masks,
+    restrict_endpoints,
+)
 
-    __all_batch__ = [
-        "ColumnarClassification",
-        "classification_from_masks",
-        "classify_columnar",
-        "classify_masks",
-        "restrict_endpoints",
-    ]
-except ImportError:  # pragma: no cover - numpy-less hosts
-    __all_batch__ = []
-
-__all__ = __all_batch__ + [
+__all__ = [
+    "ColumnarClassification",
+    "classify_masks",
+    "restrict_endpoints",
     "And",
     "ColumnRef",
     "Comparison",

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -66,16 +65,13 @@ from repro.predicates.ast import (
     Term,
     TruePredicate,
 )
-from repro.predicates.classify import Classification
-from repro.storage.row import Row
+from repro.storage.columnar import candidate_positions
 
 __all__ = [
     "ColumnarClassification",
     "ClassifyReport",
     "classify_masks",
     "classify_report",
-    "classification_from_masks",
-    "classify_columnar",
     "restrict_endpoints",
 ]
 
@@ -628,34 +624,6 @@ def _window_eval(predicate: Predicate, store, stats):
 
 
 # ----------------------------------------------------------------------
-# Materializing row-level classifications from masks
-# ----------------------------------------------------------------------
-def classification_from_masks(
-    rows: Sequence[Row], certain: np.ndarray, possible: np.ndarray
-) -> Classification:
-    """Build a row-level :class:`Classification` from aligned masks.
-
-    ``rows`` must be in the same (tuple-id) order the masks were computed
-    in — i.e. ``Table.rows()``.
-    """
-    result = Classification()
-    for row, is_certain, is_possible in zip(rows, certain, possible):
-        if is_certain:
-            result.plus.append(row)
-        elif is_possible:
-            result.maybe.append(row)
-        else:
-            result.minus.append(row)
-    return result
-
-
-def classify_columnar(table, predicate: Predicate) -> Classification:
-    """Drop-in columnar replacement for :func:`classify` on one table."""
-    certain, possible = classify_masks(table.columns, predicate)
-    return classification_from_masks(table.rows(), certain, possible)
-
-
-# ----------------------------------------------------------------------
 # Vectorized Appendix D refinement
 # ----------------------------------------------------------------------
 def restrict_endpoints(
@@ -696,7 +664,7 @@ def restrict_endpoints(
 
 
 # ----------------------------------------------------------------------
-# Columnar classification summary consumed by the aggregate fast paths
+# Columnar classification summary consumed by the aggregates
 # ----------------------------------------------------------------------
 @dataclass(slots=True)
 class ColumnarClassification:
@@ -730,18 +698,13 @@ class ColumnarClassification:
         """Slice the aggregation column by the T+/T? masks.
 
         With ``refine`` set (and a predicate), T? endpoints are narrowed
-        via :func:`restrict_endpoints` before aggregation, mirroring the
-        executor's row-path refinement.  When the index-backed classifier
+        via :func:`restrict_endpoints` before aggregation (Appendix D).
+        When the index-backed classifier
         supplied sorted ``(certain_positions, maybe_positions)``, the
         gathers run over those O(k) arrays instead of n-row boolean
         masks; both routes produce identical arrays.
         """
-        if positions is not None:
-            plus_at, maybe_at = positions
-        else:
-            maybe_mask = np.logical_and(possible, np.logical_not(certain))
-            plus_at = np.flatnonzero(certain)
-            maybe_at = np.flatnonzero(maybe_mask)
+        plus_at, maybe_at = candidate_positions(certain, possible, positions)
         n_plus = len(plus_at)
         n_maybe = len(maybe_at)
         n_minus = len(store) - n_plus - n_maybe

@@ -23,7 +23,8 @@ be shrunk to the predicate-consistent sub-interval before aggregation.
 Array-at-a-time counterparts of both :func:`classify` and
 :func:`restrict_bound` live in :mod:`repro.predicates.batch`; they sweep a
 table's columnar mirror instead of looping over rows and are what the
-executor's fast paths use.
+executor uses; the functions here serve callers that hold row lists
+(GROUP BY, the iterative driver) and the test oracles.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ up lazily when read.
 
 Single-cell mutations (refresh messages, cardinality changes) go through
 ``Table.update_value`` / ``Row.set`` and write through to the same
-store, keeping the executor's vectorized fast paths and O(1) exactness
+store, keeping the arrays the executor reads and the O(1) exactness
 counters in sync with the replication protocol.
 """
 
@@ -652,9 +652,8 @@ class DataCache:
         rows are not touched and catch up when next read.
 
         Unchanged bounds are skipped: rewriting a cell with the value it
-        already holds would churn every index and bump the columnar
-        store's version, invalidating the planner's epoch-cached
-        sorted-width orderings — under the service's repeated
+        already holds would bump the columnar store's version,
+        invalidating the planner's epoch-cached sorted orderings — under the service's repeated
         sync-per-query discipline that skip is what lets CHOOSE_REFRESH
         reuse orderings across queries while the clock stands still.
         """
@@ -672,11 +671,6 @@ class DataCache:
             changed = table.columns.write_bounds(params.column, slots, lo, hi)
             cells += len(slots)
             rewritten += len(changed)
-            if len(changed) and len(table.indexes):
-                # Row-era sorted indexes key on the rows, which have just
-                # gone stale; re-key the changed ones.
-                for tid in changed.tolist():
-                    table.indexes.on_update(table.row(tid))
         if self._t_sync_seconds is not None:
             self._t_sync_seconds.observe(time.perf_counter() - started)
             self._t_sync_rewritten.inc(rewritten)

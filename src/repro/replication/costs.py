@@ -89,15 +89,15 @@ class PerSourceCostModel(CostModel):
     the cost function with a ``vector_cost`` source kind, letting
     CHOOSE_REFRESH evaluate the whole column→cost mapping in one
     vectorized pass (:func:`repro.storage.columnar.cost_vector`) rather
-    than falling back to the row-at-a-time object planner.
+    than calling :meth:`cost_of` on every candidate row.
     """
 
     costs_by_source: Mapping[str, float] = field(default_factory=dict)
     source_of: Callable[[Row], str] | None = None
     default_cost: float = 1.0
     #: Name of the (exact) column holding each tuple's source id; enables
-    #: the columnar planner path.  ``source_of`` wins for the row path
-    #: when both are given.
+    #: the ``vector_cost`` tag.  ``source_of`` wins (and the function
+    #: stays untagged) when both are given.
     source_column: str | None = "source"
 
     def cost_of(self, row: Row) -> float:
@@ -110,9 +110,9 @@ class PerSourceCostModel(CostModel):
     def as_func(self) -> CostFunc:
         func = self.cost_of
         wrapper = lambda row: func(row)  # noqa: E731 - taggable wrapper
-        # Only tag when the row path reads the same column the vector
-        # path would: a custom ``source_of`` callable is opaque and must
-        # keep the planner on the row path for equivalence.
+        # Only tag when ``cost_of`` reads the very column the tag names:
+        # a custom ``source_of`` callable is opaque, and a tag must agree
+        # with the function per tuple.
         if self.source_of is None and self.source_column is not None:
             wrapper.vector_cost = (
                 "source",

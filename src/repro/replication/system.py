@@ -44,14 +44,9 @@ class TrappSystem:
         self,
         clock: Clock | None = None,
         epsilon: float | None = None,
-        vector_planner: bool = True,
     ):
         self.clock = clock if clock is not None else Clock()
         self.epsilon = epsilon
-        #: Forwarded to every executor: plan CHOOSE_REFRESH over columnar
-        #: candidate vectors (``False`` = object-based reference planner,
-        #: kept for A/B benchmarks).
-        self.vector_planner = vector_planner
         self._sources: dict[str, DataSource] = {}
         self._caches: dict[str, DataCache] = {}
         #: Set by :meth:`repro.telemetry.Telemetry.observe_system`; caches
@@ -67,7 +62,7 @@ class TrappSystem:
         # Executors are stateless across execute() calls, so one per
         # (cache, epsilon) is reused for every query — the query service
         # calls this path at high rate and must not pay a constructor
-        # (and regime re-probing) per query.
+        # per query.
         self._executors: dict[tuple[str, float | None], QueryExecutor] = {}
 
     # ------------------------------------------------------------------
@@ -421,9 +416,7 @@ class TrappSystem:
         executor = self._executors.get(key)
         if executor is None:
             executor = QueryExecutor(
-                refresher=self.cache(cache_id),
-                epsilon=effective,
-                vector_planner=self.vector_planner,
+                refresher=self.cache(cache_id), epsilon=effective
             )
             self._executors[key] = executor
         return executor

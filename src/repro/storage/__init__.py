@@ -1,31 +1,23 @@
-"""In-memory relational storage substrate: schemas, rows, tables, indexes.
+"""In-memory relational storage substrate: schemas, rows, tables.
 
-Tables additionally maintain a columnar mirror
-(:mod:`repro.storage.columnar`) — parallel lo/hi arrays per numeric
-column plus exactness counters — that backs the executor's vectorized
-fast paths.
+Every table maintains a columnar mirror (:mod:`repro.storage.columnar`)
+— parallel lo/hi arrays per numeric column, exactness counters and
+sorted endpoint/width orders — which is what the query executor reads.
 """
 
 from repro.storage.catalog import Catalog
-from repro.storage.index import IndexSet, SortedIndex
+from repro.storage.columnar import ColumnStore
 from repro.storage.row import Row
 from repro.storage.schema import Column, ColumnKind, Schema
 from repro.storage.table import ShardMap, Table
-
-try:
-    from repro.storage.columnar import ColumnStore
-except ImportError:  # pragma: no cover - numpy-less hosts
-    ColumnStore = None  # type: ignore[assignment]
 
 __all__ = [
     "Catalog",
     "ColumnStore",
     "Column",
     "ColumnKind",
-    "IndexSet",
     "Row",
     "Schema",
     "ShardMap",
-    "SortedIndex",
     "Table",
 ]

@@ -67,6 +67,7 @@ __all__ = [
     "ColumnStore",
     "CandidateVectors",
     "candidate_order",
+    "candidate_positions",
     "harvest_candidates",
     "cost_vector",
 ]
@@ -110,11 +111,6 @@ class _SortedOrder:
     def widths(self) -> np.ndarray:
         """Alias for ``keys`` on width orderings (the historical name)."""
         return self.keys
-
-
-#: Backwards-compatible alias: the planner cache predates the shared
-#: sorted-order machinery.
-_WidthOrder = _SortedOrder
 
 
 class ColumnStore:
@@ -624,6 +620,26 @@ def candidate_order(widths: np.ndarray, tids: np.ndarray) -> np.ndarray:
     return order
 
 
+def candidate_positions(
+    certain: np.ndarray | None,
+    possible: np.ndarray | None,
+    positions: "tuple[np.ndarray, np.ndarray] | None" = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted tuple-order positions of ``(T+, T?)``.
+
+    The index-backed classifier hands them over ready-made
+    (``positions``, from :func:`repro.predicates.batch.classify_report`);
+    the dense route has only the ``certain``/``possible`` masks, which
+    are scanned here.  Everything downstream of classification — answer
+    assembly, harvesting, every CHOOSE_REFRESH — works from this pair.
+    """
+    if positions is not None:
+        return positions
+    assert certain is not None and possible is not None
+    maybe = np.logical_and(possible, np.logical_not(certain))
+    return np.flatnonzero(certain), np.flatnonzero(maybe)
+
+
 def harvest_candidates(
     store: ColumnStore,
     column: str,
@@ -652,40 +668,25 @@ def harvest_candidates(
     emit identical vectors.
 
     Costs are ``cost_value`` everywhere, read from ``cost_column``
-    (which must be a numeric, currently-exact column — the row-path
-    contract of :func:`repro.core.refresh.base.cost_from_column`), or
-    taken verbatim from ``cost_array`` — a tuple-id-ordered vector a
-    caller already resolved, e.g. :func:`cost_vector` evaluating a
-    per-source cost map over a shard/source column.  ``None`` is
-    returned when the cost-column contract fails so callers can fall
-    back to the row-at-a-time path.
+    (which must be a numeric, currently-exact column — the contract of
+    :func:`repro.core.refresh.base.cost_from_column`; ``None`` is
+    returned when it fails), or taken verbatim from ``cost_array`` — one
+    cost per candidate, aligned with the emitted vectors (tuple-id order
+    over the whole table, ``[T+ …, T? …]`` otherwise), as
+    :func:`repro.core.refresh.base.candidate_costs` resolves them.
     """
-    if store.is_text(column):
-        return None
-    costs_from: np.ndarray | None = cost_array
-    if cost_column is not None and costs_from is None:
+    if cost_array is None and cost_column is not None:
         if store.is_text(cost_column) or not store.column_exact(cost_column):
             return None
-        costs_from = store.endpoints(cost_column)[0]
 
     if certain is None and possible is None and positions is None:
         order_cache = store.width_order(column)
         tids = store.sorted_tids()
         widths = order_cache.keys_by_tid
         order = order_cache.positions
-        costs = (
-            costs_from
-            if costs_from is not None
-            else np.full(len(tids), float(cost_value))
-        )
+        at = None
     else:
-        if positions is not None:
-            certain_at, maybe_at = positions
-        else:
-            assert certain is not None and possible is not None
-            maybe_mask = np.logical_and(possible, np.logical_not(certain))
-            certain_at = np.flatnonzero(certain)
-            maybe_at = np.flatnonzero(maybe_mask)
+        certain_at, maybe_at = candidate_positions(certain, possible, positions)
         # One fused gather per source array over the [T+ …, T? …]
         # position vector (gather-then-concatenate and
         # concatenate-then-gather are elementwise identical); the T?
@@ -704,16 +705,21 @@ def harvest_candidates(
         tids = store.sorted_tids()[at]
         widths = hi_at - lo_at
         widths[k_plus:] = np.maximum(maybe_hi, 0.0) - np.minimum(maybe_lo, 0.0)
-        if costs_from is not None:
-            costs = costs_from[at]
-        else:
-            costs = np.full(len(tids), float(cost_value))
         order = candidate_order(widths, tids)
+    uniform = cost_array is None and cost_column is None
+    if cost_array is not None:
+        costs = cost_array
+    elif cost_column is not None:
+        costs = store.endpoints(cost_column)[0]
+        if at is not None:
+            costs = costs[at]
+    else:
+        costs = np.full(len(tids), float(cost_value))
 
     if not len(costs):
         cost_min = cost_max = cost_total = 0.0
         costs_integral = True
-    elif costs_from is None:
+    elif uniform:
         # Uniform costs: the stats are arithmetic on the constant — no
         # reason to sweep the vector we just broadcast.
         cost_min = cost_max = float(cost_value)
@@ -750,9 +756,9 @@ def cost_vector(store: ColumnStore, kind: tuple[str, object] | None) -> np.ndarr
     default))`` — the per-source amortized models — maps a source-id
     column through a cost table in one vectorized pass.  ``None``
     (opaque callable, a bounded cost column that is not currently exact,
-    or a source column of the wrong kind — the row path would raise on
-    reading it anyway) means the caller must fall back to row-at-a-time
-    costing.
+    a missing source column, or one of the wrong kind) means the tag
+    cannot be honoured and the caller evaluates the cost function row by
+    row (:func:`repro.core.refresh.base.candidate_costs`).
     """
     if kind is None:
         return None
@@ -761,8 +767,8 @@ def cost_vector(store: ColumnStore, kind: tuple[str, object] | None) -> np.ndarr
     if kind[0] == "source":
         column, costs, default = kind[1]
         if column not in store.schema:
-            # The row path prices tables without the source column at
-            # the default (``row.get``); fall back rather than raise.
+            # Called on a row, the cost function prices such tables at
+            # the default (``row.get``); decline rather than raise.
             return None
         if store.is_text(column):
             values = store.text_values(column)
@@ -777,7 +783,7 @@ def cost_vector(store: ColumnStore, kind: tuple[str, object] | None) -> np.ndarr
         # tables keep the planner's per-query work off the Python heap.
         try:
             uniques, inverse = np.unique(values, return_inverse=True)
-        except TypeError:  # unorderable mixed values: row path handles them
+        except TypeError:  # unorderable mixed values: priced row by row
             return None
         mapped = np.fromiter(
             (costs.get(value, default) for value in uniques.tolist()),

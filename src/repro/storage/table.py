@@ -1,7 +1,6 @@
 """In-memory tables for the TRAPP storage substrate.
 
-A :class:`Table` owns a schema, a set of rows keyed by tuple id, and an
-:class:`~repro.storage.index.IndexSet` of sorted secondary indexes.  Both
+A :class:`Table` owns a schema and a set of rows keyed by tuple id.  Both
 the *master* relation at a data source and the *cached* relation at a data
 cache are instances of this class; they differ only in whether bounded
 columns hold plain numbers (master) or :class:`~repro.core.bound.Bound`
@@ -11,25 +10,21 @@ Alongside the row dictionary, every table maintains a columnar mirror
 (:class:`~repro.storage.columnar.ColumnStore`, exposed as ``.columns``)
 holding parallel lo/hi arrays per numeric column plus per-column
 exactness counters.  All mutations — including direct :meth:`Row.set`
-calls on rows the table handed out — write through to it, and the query
-executor reads it for its vectorized fast paths.  When NumPy is missing,
-``.columns`` is ``None`` and everything falls back to the row loops.
+calls on rows the table handed out — write through to it.  The query
+executor reads nothing else: bounds, classification and CHOOSE_REFRESH
+all run over its arrays, and the paper's endpoint indexes (§5.1, §8.3)
+are its sorted ``endpoint_order``/``width_order`` views.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from repro.core.bound import Bound
-from repro.errors import DuplicateKeyError, SchemaError, TrappError
-from repro.storage.index import IndexSet, SortedIndex
+from repro.errors import DuplicateKeyError, TrappError
+from repro.storage.columnar import ColumnStore
 from repro.storage.row import Row
 from repro.storage.schema import Schema
-
-try:  # The columnar mirror needs NumPy; tables degrade gracefully without.
-    from repro.storage.columnar import ColumnStore
-except ImportError:  # pragma: no cover - exercised only on numpy-less hosts
-    ColumnStore = None  # type: ignore[assignment]
 
 __all__ = ["ShardMap", "Table"]
 
@@ -105,9 +100,8 @@ class Table:
         self.schema = schema
         self._rows: dict[int, Row] = {}
         self._next_tid = 1
-        self.indexes = IndexSet()
-        #: Columnar mirror of the rows (None when NumPy is unavailable).
-        self.columns = ColumnStore(schema) if ColumnStore is not None else None
+        #: Columnar mirror of the rows; what the query executor reads.
+        self.columns = ColumnStore(schema)
         #: tid → owning-shard routing for horizontally partitioned tables;
         #: empty for the classic one-source layout.
         self.shard_map = ShardMap()
@@ -153,11 +147,9 @@ class Table:
             raise DuplicateKeyError(f"table {self.name!r} already has tuple #{tid}")
         self._next_tid = max(self._next_tid, tid + 1)
         row = Row(tid, values)
-        if self.columns is not None:
-            self.columns.append(tid, values)
-            row._attach(self.columns)
+        self.columns.append(tid, values)
+        row._attach(self.columns)
         self._rows[tid] = row
-        self.indexes.on_insert(row)
         return row
 
     def insert_many(self, rows: Iterable[Mapping[str, Any]]) -> list[Row]:
@@ -168,52 +160,17 @@ class Table:
             raise TrappError(f"table {self.name!r} has no tuple #{tid}")
         row = self._rows.pop(tid)
         row._detach()  # later writes to the orphaned row stay local
-        if self.columns is not None:
-            self.columns.remove(tid)
-        self.indexes.on_delete(tid)
+        self.columns.remove(tid)
         self.shard_map.forget(tid)
 
     def update_value(self, tid: int, column: str, value: Any) -> None:
-        """Overwrite one cell, keeping every index synchronized."""
+        """Overwrite one cell after validating it against the schema."""
         self.schema[column].validate(value)
-        row = self.row(tid)
-        row.set(column, value)
-        self.indexes.on_update(row)
+        self.row(tid).set(column, value)
 
     def clear(self) -> None:
         for tid in list(self._rows):
             self.delete(tid)
-
-    # ------------------------------------------------------------------
-    # Index management
-    # ------------------------------------------------------------------
-    def create_index(self, name: str, key_func: Callable[[Row], float]) -> SortedIndex:
-        """Create (or replace) a named sorted index over all current rows."""
-        return self.indexes.create(name, key_func, self._rows.values())
-
-    def create_endpoint_indexes(self, column: str) -> None:
-        """Create the lower/upper/width index trio the paper's sublinear
-        CHOOSE_REFRESH variants assume (§5.1, §5.2, §8.3)."""
-        if not self.schema[column].is_bounded:
-            raise SchemaError(f"column {column!r} is not bounded; no endpoint indexes")
-        self.create_index(f"{column}__lo", lambda r, c=column: r.bound(c).lo)
-        self.create_index(f"{column}__hi", lambda r, c=column: r.bound(c).hi)
-        self.create_index(f"{column}__width", lambda r, c=column: r.bound(c).width)
-
-    def width_index(self, column: str) -> SortedIndex:
-        """The ``<column>__width`` endpoint index, for the planner's
-        uniform-cost walk (``solve_greedy_uniform(sorted_widths=...)``).
-
-        Raises :class:`TrappError` when :meth:`create_endpoint_indexes`
-        has not been called for the column.
-        """
-        index = self.indexes.get(f"{column}__width")
-        if index is None:
-            raise TrappError(
-                f"table {self.name!r} has no width index on {column!r}; "
-                "call create_endpoint_indexes first"
-            )
-        return index
 
     # ------------------------------------------------------------------
     # Convenience views
@@ -226,20 +183,16 @@ class Table:
     def column_exact(self, column: str) -> bool:
         """True when every current value of ``column`` is exactly known.
 
-        O(1) via the columnar store's dirty counters; falls back to a row
-        scan only when the store is unavailable.
+        O(1) via the columnar store's dirty counters.
         """
-        if self.columns is not None:
-            return self.columns.column_exact(column)
-        return all(row.is_exact(column) for row in self._rows.values())
+        return self.columns.column_exact(column)
 
     def column_bounds(self, column: str) -> dict[int, Bound]:
         """Map tuple id to the column's value as a bound."""
         return {tid: row.bound(column) for tid, row in self._rows.items()}
 
     def copy(self, name: str | None = None) -> "Table":
-        """A deep copy (rows and shard routing copied; indexes are *not*
-        carried over)."""
+        """A deep copy (rows and shard routing copied)."""
         clone = Table(name or self.name, self.schema)
         for tid in sorted(self._rows):
             clone.insert(self._rows[tid].as_dict(), tid=tid)

@@ -12,14 +12,11 @@ re-derives them from the deployment just before rendering.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.telemetry.registry import DEFAULT_WIDTH_BUCKETS, MetricsRegistry
 
 __all__ = ["register_system_collectors"]
-
-try:  # Bound-width snapshots ride the columnar mirror when NumPy exists.
-    import numpy as np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    np = None  # type: ignore[assignment]
 
 
 def register_system_collectors(registry: MetricsRegistry, system) -> None:
@@ -56,8 +53,6 @@ def _collect_bound_widths(registry: MetricsRegistry, system) -> None:
                 len(table)
             )
             store = table.columns
-            if store is None or np is None:
-                continue
             for column in table.schema:
                 if not column.is_bounded:
                     continue

@@ -1,35 +1,44 @@
-"""The executor classifies at most once per query (ISSUE 1 tentpole).
+"""Row-level classification happens at most once per query.
 
 The seed executor recomputed the T+/T?/T− partition three times per query
-(initial bound, CHOOSE_REFRESH, final bound).  Now one partition is
-threaded through the whole pipeline: the row path calls
-:func:`repro.predicates.classify.classify` exactly once and updates the
-refreshed T? tuples in place; the columnar path never calls it at all.
+(initial bound, CHOOSE_REFRESH, final bound).  The executor now works on
+the column arrays and never calls the row-level
+:func:`repro.predicates.classify.classify` at all; the row-at-a-time
+oracle (``tests/oracle/row_executor.py``) calls it exactly once and
+updates the refreshed T? tuples in place.
 """
 
+import importlib
 import math
 
 import pytest
 
-import repro.core.executor as executor_module
+import tests.oracle.row_executor as oracle_module
 from repro.core.bound import Bound
 from repro.core.executor import QueryExecutor
 from repro.predicates.parser import parse_predicate
 from repro.replication.local import LocalRefresher
 from repro.storage.schema import Schema
 from repro.storage.table import Table
+from tests.oracle.row_executor import RowQueryExecutor
+
+# ``repro.predicates.classify`` the attribute is the function (the package
+# re-exports it); the module is only reachable by name.
+classify_module = importlib.import_module("repro.predicates.classify")
 
 
 @pytest.fixture
 def classify_counter(monkeypatch):
     calls = {"n": 0}
-    original = executor_module.classify
+    original = classify_module.classify
 
     def counting(rows, predicate):
         calls["n"] += 1
         return original(rows, predicate)
 
-    monkeypatch.setattr(executor_module, "classify", counting)
+    # Where the function lives, and where the oracle bound it by name.
+    monkeypatch.setattr(classify_module, "classify", counting)
+    monkeypatch.setattr(oracle_module, "classify", counting)
     return calls
 
 
@@ -64,14 +73,12 @@ class TestColumnarPath:
 class TestRowPath:
     def test_single_classify_without_refresh(self, classify_counter):
         cached, _ = make_tables()
-        QueryExecutor(columnar=False).execute(
-            cached, "SUM", "x", math.inf, PREDICATE
-        )
+        RowQueryExecutor().execute(cached, "SUM", "x", math.inf, PREDICATE)
         assert classify_counter["n"] == 1
 
     def test_single_classify_with_refresh(self, classify_counter):
         cached, master = make_tables()
-        executor = QueryExecutor(refresher=LocalRefresher(master), columnar=False)
+        executor = RowQueryExecutor(refresher=LocalRefresher(master))
         answer = executor.execute(cached, "SUM", "x", 3.0, PREDICATE)
         assert answer.refreshed
         assert classify_counter["n"] == 1
@@ -81,7 +88,7 @@ class TestRowPath:
         """The post-refresh incremental partition yields the same answer a
         fresh classification would."""
         cached, master = make_tables()
-        executor = QueryExecutor(refresher=LocalRefresher(master), columnar=False)
+        executor = RowQueryExecutor(refresher=LocalRefresher(master))
         answer = executor.execute(cached, "COUNT", None, 0.0, PREDICATE)
         # After refreshing, COUNT under the predicate must be exact: every
         # T? tuple was resolved to T+ or T-.
@@ -95,6 +102,7 @@ class TestNoPredicateNeverClassifies:
     @pytest.mark.parametrize("columnar", [True, False])
     def test_plain_aggregate(self, classify_counter, columnar):
         cached, master = make_tables()
-        executor = QueryExecutor(refresher=LocalRefresher(master), columnar=columnar)
+        executor_type = QueryExecutor if columnar else RowQueryExecutor
+        executor = executor_type(refresher=LocalRefresher(master))
         executor.execute(cached, "SUM", "x", 5.0)
         assert classify_counter["n"] == 0

@@ -172,37 +172,3 @@ class TestLocalRefresher:
         assert refresher.refresh_count == 2
         assert refresher.total_cost == 4.0
         assert cached.row(1).bound("x").is_exact
-
-
-def test_row_path_sum_planner_walks_width_index(monkeypatch):
-    """With endpoint indexes present, the row-path uniform SUM planner
-    must select from the ``<column>__width`` index instead of sorting."""
-    from repro.core.bound import Bound
-    from repro.core.executor import QueryExecutor
-    from repro.replication.local import LocalRefresher
-    from repro.storage.index import SortedIndex
-    from repro.storage.schema import Schema
-    from repro.storage.table import Table
-
-    schema = Schema.of(x="bounded")
-    cache, master = Table("t", schema), Table("t", schema)
-    for i in range(6):
-        cache.insert({"x": Bound(0.0, float(i))})
-        master.insert({"x": float(i) / 2})
-    cache.create_endpoint_indexes("x")
-
-    walks = {"n": 0}
-    original = SortedIndex.ascending
-
-    def counting(self):
-        if self.name == "x__width":
-            walks["n"] += 1
-        return original(self)
-
-    monkeypatch.setattr(SortedIndex, "ascending", counting)
-    executor = QueryExecutor(
-        refresher=LocalRefresher(master), columnar=False, vector_planner=False
-    )
-    answer = executor.execute(cache, "SUM", "x", 4.0)
-    assert answer.refreshed, "the query must have planned a refresh"
-    assert walks["n"] == 1

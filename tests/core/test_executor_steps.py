@@ -9,6 +9,7 @@ from repro.core.refresh.base import RefreshPlan
 from repro.predicates.parser import parse_predicate
 from repro.replication.costs import ColumnCostModel
 from repro.replication.local import LocalRefresher
+from tests.oracle.row_executor import RowQueryExecutor
 
 
 def drive(steps, apply):
@@ -80,13 +81,12 @@ def test_driver_controls_the_refresh(cached_links, master_links):
 
 def test_superset_refresh_keeps_guarantee(cached_links, master_links):
     """Refreshing more than planned (a coalesced batch) stays sound,
-    including for the row path's incremental reclassification."""
+    including for the row oracle's incremental reclassification."""
     predicate = parse_predicate("traffic > 100")
     all_tids = {row.tid for row in cached_links.rows()}
-    for columnar in (True, False):
+    for executor in (QueryExecutor(), RowQueryExecutor()):
         table = cached_links.copy()
         refresher = LocalRefresher(master_links)
-        executor = QueryExecutor(columnar=columnar)
 
         def apply(request: PlannedRefresh) -> RefreshPlan:
             refresher.refresh(request.table, all_tids)  # the whole table

@@ -228,40 +228,6 @@ class TestExactDPMemory:
             assert dp.total_weight <= capacity + 1e-9
 
 
-class TestGreedyWidthIndex:
-    def test_sorted_widths_matches_plain_greedy(self):
-        rng = random.Random(17)
-        for _ in range(20):
-            n = rng.randint(0, 15)
-            items = items_of(*[(i, rng.uniform(0, 5), 1) for i in range(n)])
-            capacity = rng.uniform(0, 12)
-            pairs = sorted((i.weight, i.item_id) for i in items)
-            via_index = solve_greedy_uniform(items, capacity, sorted_widths=pairs)
-            plain = solve_greedy_uniform(items, capacity)
-            assert via_index.chosen == plain.chosen
-
-    def test_index_entries_for_foreign_ids_are_skipped(self):
-        items = items_of((1, 1, 1), (2, 2, 1))
-        # The width index covers the whole table; the candidate set may
-        # be any subset of it.
-        pairs = [(0.5, 7), (1.0, 1), (2.0, 2), (3.0, 9)]
-        solution = solve_greedy_uniform(items, 3.0, sorted_widths=pairs)
-        assert solution.chosen == {1, 2}
-
-    def test_walk_stops_at_first_unaffordable_key(self):
-        items = items_of(*[(i, float(i), 1) for i in range(1, 8)])
-        seen = []
-
-        def walk():
-            for weight, tid in ((float(i), i) for i in range(1, 8)):
-                seen.append(tid)
-                yield weight, tid
-
-        solution = solve_greedy_uniform(items, 3.0, sorted_widths=walk())
-        assert solution.chosen == {1, 2}
-        assert seen[-1] <= 4, "ascending walk must stop once keys exceed budget"
-
-
 class TestVectorSolver:
     def test_matches_brute_force_randomized(self):
         rng = random.Random(47)

@@ -6,8 +6,6 @@ import pytest
 from repro.core.bound import Bound
 from repro.errors import PredicateTypeError
 from repro.predicates.batch import (
-    classification_from_masks,
-    classify_columnar,
     classify_masks,
     classify_report,
     restrict_endpoints,
@@ -16,6 +14,7 @@ from repro.predicates.classify import classify, classify_trilean, restrict_bound
 from repro.predicates.parser import parse_predicate
 from repro.storage.schema import Schema
 from repro.storage.table import Table
+from tests.oracle.row_executor import classification_from_masks, classify_columnar
 
 PREDICATES = [
     "x > 4",

@@ -76,7 +76,7 @@ def schedules(draw):
     return draw(st.lists(op, min_size=4, max_size=14))
 
 
-def _build(master: Table, shapes, age: float, row_indexes: bool) -> TrappSystem:
+def _build(master: Table, shapes, age: float) -> TrappSystem:
     system = TrappSystem()
     source = system.add_source("s", shards=N_SHARDS)
     for shard, shape in zip(source.shards, shapes):
@@ -84,9 +84,7 @@ def _build(master: Table, shapes, age: float, row_indexes: bool) -> TrappSystem:
     source.add_table(master.copy())
     system.add_group("g")
     for index in range(2):
-        cache = system.add_cache(f"g/{index}", shards={"t": "s"}, group="g")
-        if row_indexes:
-            cache.table("t").create_endpoint_indexes("x")
+        system.add_cache(f"g/{index}", shards={"t": "s"}, group="g")
     system.clock.advance(age)
     for cache in system.group("g"):
         cache.sync_bounds()
@@ -135,10 +133,6 @@ def _assert_twins_agree(bulk: TrappSystem, oracle: TrappSystem, context: str):
                 bound = row_a.bound(column)
                 assert bound.lo == a.columns._lo[column][slot], where
                 assert bound.hi == a.columns._hi[column][slot], where
-        for name in a.indexes.names():
-            assert list(a.indexes.get(name).ascending()) == list(
-                b.indexes.get(name).ascending()
-            ), (where, name)
         assert ours.current_table_width("t") == table_width_per_key(
             ours, "t", now
         ), where
@@ -164,14 +158,11 @@ def _assert_standing_clock_is_free(system: TrappSystem, context: str):
     shapes=st.tuples(st.sampled_from(SHAPES), st.sampled_from(SHAPES)),
     schedule=schedules(),
     age=st.sampled_from((0.0, 3.0, 48.0)),
-    row_indexes=st.booleans(),
 )
-def test_bulk_sync_matches_per_cell_reference(
-    master, shapes, schedule, age, row_indexes
-):
-    bulk = _build(master, shapes, age, row_indexes)
+def test_bulk_sync_matches_per_cell_reference(master, shapes, schedule, age):
+    bulk = _build(master, shapes, age)
     with per_cell_sync():
-        oracle = _build(master, shapes, age, row_indexes)
+        oracle = _build(master, shapes, age)
     _assert_twins_agree(bulk, oracle, "start")
     admitted = 0
     evicted = False

@@ -1,15 +1,18 @@
-"""Property: the columnar executor path is equivalent to the row path.
+"""Property: the executor is equivalent to the row-at-a-time oracle.
 
 Hypothesis generates tables (bounded, exact, and text columns, mixed
-exact/wide bounds), predicates over them, and aggregates; the executor
-must produce the same :class:`BoundedAnswer` whether it sweeps the
-columnar arrays or loops over rows.  MIN/MAX/COUNT answers are compared
-exactly (same extrema over the same sets); SUM/AVG tolerate the
-array-summation reordering at one part in 10^9.
+exact/wide bounds), predicates over them — over bounded columns, over
+exact and text columns only, or none — aggregates and cost functions;
+:class:`~repro.core.executor.QueryExecutor`, which reads only the column
+arrays, must produce the same :class:`BoundedAnswer` as
+``tests/oracle/row_executor.py``, which loops over rows.
+MIN/MAX/COUNT/MEDIAN answers are compared exactly (same selections over
+the same sets); SUM/AVG tolerate the array-summation reordering at one
+part in 10^9.
 
 Classification itself (the T+/T?/T− partition and the Appendix D
-refinement) must agree *exactly* between the two paths, so those are
-asserted tuple-for-tuple.
+refinement) must agree *exactly* between the two, so those are asserted
+tuple-for-tuple.
 """
 
 from __future__ import annotations
@@ -21,15 +24,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.extensions.median_spec  # noqa: F401 - registers MEDIAN
+from repro.core.answer import BoundedAnswer
 from repro.core.bound import Bound
 from repro.core.executor import QueryExecutor
-from repro.errors import ConstraintUnsatisfiableError
+from repro.core.refresh.base import cost_from_column, uniform_cost
+from repro.errors import ConstraintUnsatisfiableError, OptimizerError
 from repro.predicates.ast import And, ColumnRef, Comparison, Literal, Not, Or
-from repro.predicates.batch import classify_columnar, restrict_endpoints
+from repro.predicates.batch import restrict_endpoints
 from repro.predicates.classify import classify, restrict_bound
+from repro.predicates.parser import parse_predicate
 from repro.replication.local import LocalRefresher
 from repro.storage.schema import Schema
 from repro.storage.table import Table
+from tests.oracle.row_executor import RowQueryExecutor, classify_columnar
 
 SCHEMA = Schema.of(x="bounded", y="bounded", cost="exact", tag="text")
 
@@ -75,8 +83,8 @@ def tables(draw, min_rows=0, max_rows=12):
 
 
 @st.composite
-def comparisons(draw):
-    column = draw(st.sampled_from(["x", "y", "cost", "tag"]))
+def comparisons(draw, columns=("x", "y", "cost", "tag")):
+    column = draw(st.sampled_from(columns))
     if column == "tag":
         return Comparison(
             ColumnRef("tag"), draw(st.sampled_from(["=", "!="])), Literal(draw(tags))
@@ -89,22 +97,44 @@ def comparisons(draw):
 
 
 @st.composite
-def predicates(draw, depth=2):
+def predicates(draw, depth=2, columns=("x", "y", "cost", "tag")):
     if depth == 0 or draw(st.integers(min_value=0, max_value=2)) == 0:
-        return draw(comparisons())
+        return draw(comparisons(columns))
     combinator = draw(st.sampled_from(["and", "or", "not"]))
     if combinator == "not":
-        return Not(draw(predicates(depth=depth - 1)))
-    left = draw(predicates(depth=depth - 1))
-    right = draw(predicates(depth=depth - 1))
+        return Not(draw(predicates(depth - 1, columns)))
+    left = draw(predicates(depth - 1, columns))
+    right = draw(predicates(depth - 1, columns))
     return And(left, right) if combinator == "and" else Or(left, right)
 
 
-AGGREGATES = ["MIN", "MAX", "SUM", "COUNT", "AVG"]
+#: No predicate, any predicate, or one over exact and text columns only
+#: (the §6 route with an empty T?).
+query_predicates = st.one_of(
+    st.none(), predicates(), predicates(columns=("cost", "tag"))
+)
+
+AGGREGATES = ["MIN", "MAX", "SUM", "COUNT", "AVG", "MEDIAN"]
+
+
+def _by_tid(row):
+    """An untagged cost callable (integral, so SUM/AVG plan by exact DP)."""
+    return float(row.tid % 3 + 1)
+
+
+COSTS = {
+    "uniform": uniform_cost,
+    # Arbitrary floats: SUM and AVG plan in the ε-approximation branch.
+    "column": cost_from_column("cost"),
+    "opaque": _by_tid,
+    # A tag that cannot be honoured while y holds wide bounds: the
+    # callable runs on the candidates and raises on the first wide one.
+    "wide_tag": cost_from_column("y"),
+}
 
 
 def assert_bounds_close(a: Bound, b: Bound, aggregate: str, context: str):
-    if aggregate in ("MIN", "MAX", "COUNT"):
+    if aggregate in ("MIN", "MAX", "COUNT", "MEDIAN"):
         assert a == b, f"{context}: {a} != {b}"
     else:
         assert a.lo == pytest.approx(b.lo, rel=1e-9, abs=1e-9), context
@@ -146,54 +176,96 @@ class TestClassificationEquivalence:
 class TestExecutorEquivalence:
     @given(
         data=tables(),
-        predicate=st.one_of(st.none(), predicates()),
+        predicate=query_predicates,
         aggregate=st.sampled_from(AGGREGATES),
         refine=st.booleans(),
     )
     @settings(max_examples=150, deadline=None)
     def test_cached_answers_match(self, data, predicate, aggregate, refine):
-        """No-refresh regime: identical initial answers from both paths."""
+        """No-refresh regime: identical initial answers from both."""
         cached, _ = data
         column = None if aggregate == "COUNT" else "x"
-        row_exec = QueryExecutor(columnar=False, refine_bounds=refine)
-        col_exec = QueryExecutor(columnar=True, refine_bounds=refine)
-        a = col_exec.execute(cached, aggregate, column, math.inf, predicate)
-        b = row_exec.execute(cached, aggregate, column, math.inf, predicate)
+        a = QueryExecutor(refine_bounds=refine).execute(
+            cached, aggregate, column, math.inf, predicate
+        )
+        b = RowQueryExecutor(refine_bounds=refine).execute(
+            cached, aggregate, column, math.inf, predicate
+        )
         assert_bounds_close(a.bound, b.bound, aggregate, f"{aggregate}, {predicate}")
         assert a.refreshed == b.refreshed == frozenset()
 
     @given(
         data=tables(min_rows=1),
-        predicate=st.one_of(st.none(), predicates()),
+        predicate=query_predicates,
         aggregate=st.sampled_from(AGGREGATES),
         budget=st.floats(min_value=0.0, max_value=30.0, allow_nan=False),
+        cost_name=st.sampled_from(sorted(COSTS)),
     )
-    @settings(max_examples=100, deadline=None)
-    def test_full_pipeline_matches(self, data, predicate, aggregate, budget):
+    @settings(max_examples=200, deadline=None)
+    def test_full_pipeline_matches(
+        self, data, predicate, aggregate, budget, cost_name
+    ):
         """Refresh regime: same refresh plans and guaranteed final answers."""
         cached, master = data
         column = None if aggregate == "COUNT" else "x"
-        cached_row = cached.copy()
+        cost = COSTS[cost_name]
 
-        def run(columnar, table):
-            executor = QueryExecutor(
-                refresher=LocalRefresher(master), columnar=columnar
-            )
+        def run(executor_type, table):
+            executor = executor_type(refresher=LocalRefresher(master))
             try:
-                return executor.execute(table, aggregate, column, budget, predicate)
+                return executor.execute(
+                    table, aggregate, column, budget, predicate, cost
+                )
             except ConstraintUnsatisfiableError:
                 # e.g. an unbounded AVG whose predicate no tuple can ever
-                # satisfy; both paths must agree that it is unsatisfiable.
+                # satisfy; both must agree that it is unsatisfiable.
                 return None
+            except (TypeError, OptimizerError) as error:
+                # The cost callable read a wide bound, or a negative y.
+                assert cost_name == "wide_tag", error
+                return type(error)
 
-        a = run(True, cached)
-        b = run(False, cached_row)
-        assert (a is None) == (b is None)
-        if a is None:
+        a = run(QueryExecutor, cached.copy())
+        b = run(RowQueryExecutor, cached.copy())
+        if not isinstance(a, BoundedAnswer) or not isinstance(b, BoundedAnswer):
+            # The same verdict — except that a y column holding both a
+            # wide bound and a negative number has two faults, and the
+            # oracle reports whichever row comes first.
+            assert a is b or {a, b} == {TypeError, OptimizerError}
             return
-        assert a.refreshed == b.refreshed
-        assert a.refresh_cost == b.refresh_cost
         assert_bounds_close(
             a.initial_bound, b.initial_bound, aggregate, f"initial {aggregate}"
         )
+        assert a.bound.width <= budget * (1 + 1e-6)
+        assert b.bound.width <= budget * (1 + 1e-6)
+        if aggregate in ("SUM", "AVG") and cost_name != "uniform":
+            # Knapsack plans: equal-cost when both solve exactly
+            # (integral costs), certificate-equal in the ε branch
+            # (tests/property/test_planner_equivalence.py).
+            if cost_name == "opaque":
+                assert a.refresh_cost == b.refresh_cost
+            return
+        # Forced or greedy plans: the very same tuples.
+        assert a.refreshed == b.refreshed
+        assert a.refresh_cost == pytest.approx(b.refresh_cost, rel=1e-12)
         assert_bounds_close(a.bound, b.bound, aggregate, f"final {aggregate}")
+
+    def test_avg_with_no_certain_tuple_refreshes_all_of_t_maybe(self):
+        """Appendix F's degenerate ``L'_C = 0`` instance: no tuple is sure
+        to satisfy the predicate, so both refresh every T? tuple."""
+        cached, master = Table("t", SCHEMA), Table("t", SCHEMA)
+        for lo, hi, value in [(0, 10, 7), (3, 8, 4), (-5, 2, 1), (20, 30, 25)]:
+            row = {"y": 0.0, "cost": float(hi), "tag": "a"}
+            cached.insert({"x": Bound(lo, hi), **row})
+            master.insert({"x": float(value), **row})
+        predicate = parse_predicate("x > 5 AND x < 9")
+        cost = cost_from_column("cost")
+        a = QueryExecutor(refresher=LocalRefresher(master)).execute(
+            cached.copy(), "AVG", "x", 0.5, predicate, cost
+        )
+        b = RowQueryExecutor(refresher=LocalRefresher(master)).execute(
+            cached.copy(), "AVG", "x", 0.5, predicate, cost
+        )
+        assert a.refreshed == b.refreshed == frozenset({1, 2})
+        assert a.refresh_cost == b.refresh_cost == 18.0
+        assert a.bound == b.bound == Bound.exact(7.0)

@@ -8,7 +8,10 @@ mid-stream, ``classify_report`` must return exactly the masks the dense
 evaluator produces — not merely equivalent classifications, the same
 bits.  When the index route engages, its sorted candidate positions must
 match the masks, and harvesting from those positions must emit the same
-candidate vectors as harvesting from the masks.
+candidate vectors as harvesting from the masks.  The same sorted orders
+answer §5.1's sublinear MIN/MAX CHOOSE_REFRESH
+(``without_predicate_indexed``), which must pick the plan the dense
+column sweep picks.
 
 The mutation interleavings matter: they exercise every branch of the
 ``_sorted_order`` lifecycle (epoch reuse, re-stamp, splice repair, full
@@ -23,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bound import Bound
+from repro.core.refresh.minmax import CHOOSE_MAX, CHOOSE_MIN
 from repro.predicates.ast import And, ColumnRef, Comparison, Literal, Not, Or
 from repro.predicates.batch import classify_masks, classify_report
 from repro.storage.columnar import harvest_candidates
@@ -138,18 +142,29 @@ def assert_routes_identical(table, predicate):
         ), field
 
 
+def assert_indexed_plans_match_dense(table, budget):
+    for chooser in (CHOOSE_MIN, CHOOSE_MAX):
+        dense, _ = chooser.without_predicate_columnar(table, "x", budget)
+        assert chooser.without_predicate_indexed(table, "x", budget) == dense
+
+
 class TestIndexRouteBitIdentity:
     @given(table=tables(), predicate=predicates())
     @settings(max_examples=150, deadline=None)
     def test_static_tables(self, table, predicate):
         assert_routes_identical(table, predicate)
 
-    @given(table=tables(min_rows=1), predicate=predicates(), steps=mutations)
+    @given(
+        table=tables(min_rows=1), predicate=predicates(), steps=mutations,
+        budget=widths,
+    )
     @settings(max_examples=100, deadline=None)
-    def test_interleaved_mutations(self, table, predicate, steps):
+    def test_interleaved_mutations(self, table, predicate, steps, budget):
         # Classify first so the endpoint orders exist and every later
         # mutation dirties a *live* index instead of forcing a cold build.
         assert_routes_identical(table, predicate)
+        assert_indexed_plans_match_dense(table, budget)
         for op, slot, payload in steps:
             apply_mutation(table, op, slot, payload)
             assert_routes_identical(table, predicate)
+            assert_indexed_plans_match_dense(table, budget)

@@ -1,17 +1,19 @@
-"""Property: the vector planner chooses plans as good as the object planner.
+"""Property: planning over column arrays is as good as planning over rows.
 
-ISSUE 3 acceptance.  The vector path (columnar candidate harvesting +
-``solve_vector``) must agree with the row path (per-row ``KnapsackItem``
-construction + object solvers) everywhere the executor can route a query:
+The ``*_columnar`` chooser entry points the executor calls (candidate
+harvesting + ``solve_vector``) must agree with the row-taking ones
+(per-row ``KnapsackItem`` construction + object solvers), which the
+oracle ``tests/oracle/row_executor.py`` plans with:
 
 * **exact branches** (uniform costs, integral costs under ``force_exact``)
   — equal-cost plans, including the zero-width, over-capacity, and
   uniform-cost edge cases the solvers special-case;
-* **approximation branch** (non-integral costs) — both plans carry the
-  same (1 − ε) kept-profit certificate against the brute-force oracle;
-* **end to end** — running the same query with ``vector_planner`` on and
-  off refreshes equal-cost tuple sets and both answers satisfy the
-  constraint.
+* **approximation branch** (non-integral costs) — every plan carries the
+  (1 − ε) kept-profit certificate against the brute-force oracle, whether
+  the costs came from a tag or from an opaque callable evaluated into a
+  cost array (plan identity is not promised there);
+* **end to end** — the executor and the oracle refresh equal-cost tuple
+  sets and both answers satisfy the constraint.
 
 Coordinates live on a dyadic grid (multiples of 1/64) so every width sum
 compares exactly in binary floating point — the two pipelines accumulate
@@ -22,6 +24,7 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
+import repro.extensions.median_spec  # noqa: F401 - registers MEDIAN
 from repro.core.bound import Bound
 from repro.core.executor import QueryExecutor
 from repro.core.knapsack import KnapsackItem, solve_brute_force
@@ -32,6 +35,7 @@ from repro.predicates.ast import ColumnRef, Comparison, Literal
 from repro.replication.local import LocalRefresher
 from repro.storage.schema import Schema
 from repro.storage.table import Table
+from tests.oracle.row_executor import RowQueryExecutor
 
 grid = st.integers(min_value=-320, max_value=320).map(lambda k: k / 64.0)
 # Include exact zeros and occasional huge widths so the free/oversize item
@@ -85,11 +89,9 @@ def test_uniform_cost_plans_equal(tables, budget):
     cache, master = tables
     chooser = SumChooseRefresh()
     row_plan = chooser.without_predicate(cache.rows(), "x", budget, uniform_cost)
-    vectorized = chooser.without_predicate_columnar(
-        cache.columns, "x", budget, uniform_cost
+    vector_plan, _ = chooser.without_predicate_columnar(
+        cache, "x", budget, uniform_cost
     )
-    assert vectorized is not None, "uniform cost must vectorize"
-    vector_plan, _ = vectorized
     assert vector_plan.total_cost == row_plan.total_cost
     # Uniform greedy is optimal (§5.2): both must match the oracle too.
     oracle = _refresh_cost_oracle(cache, budget, {r.tid: 1.0 for r in cache.rows()})
@@ -104,9 +106,7 @@ def test_exact_column_cost_plans_equal(tables, budget):
     chooser = SumChooseRefresh(force_exact=True)
     cost = cost_from_column("c")
     row_plan = chooser.without_predicate(cache.rows(), "x", budget, cost)
-    vectorized = chooser.without_predicate_columnar(cache.columns, "x", budget, cost)
-    assert vectorized is not None, "exact column costs must vectorize"
-    vector_plan, _ = vectorized
+    vector_plan, _ = chooser.without_predicate_columnar(cache, "x", budget, cost)
     assert vector_plan.total_cost == row_plan.total_cost
     oracle = _refresh_cost_oracle(
         cache, budget, {r.tid: r.number("c") for r in cache.rows()}
@@ -118,12 +118,15 @@ def test_exact_column_cost_plans_equal(tables, budget):
 @settings(max_examples=50, deadline=None)
 @given(planner_tables(), budgets)
 def test_approx_plans_share_certificate(tables, budget):
-    """Ibarra–Kim branch: both planners keep ≥ (1 − ε) of the optimum."""
+    """ε branch: every planner input keeps ≥ (1 − ε) of the optimum."""
     epsilon = 0.1
     cache, master = tables
     rows = cache.rows()
-    # Fractional costs force the approximation path in both pipelines.
+    # Fractional costs force the approximation path everywhere.
     costs = {r.tid: r.number("c") + 0.5 for r in rows}
+
+    def opaque(row):
+        return costs[row.tid]
 
     def cost(row):
         return costs[row.tid]
@@ -137,16 +140,15 @@ def test_approx_plans_share_certificate(tables, budget):
 
     chooser = SumChooseRefresh(epsilon=epsilon)
     row_plan = chooser.without_predicate(cache2.rows(), "x", budget, cost)
-    vectorized = chooser.without_predicate_columnar(cache2.columns, "x", budget, cost)
-    assert vectorized is not None
-    vector_plan, _ = vectorized
+    vector_plan, _ = chooser.without_predicate_columnar(cache2, "x", budget, cost)
+    opaque_plan, _ = chooser.without_predicate_columnar(cache2, "x", budget, opaque)
 
     items = [
         KnapsackItem(r.tid, r.bound("x").width, costs[r.tid]) for r in cache2.rows()
     ]
     optimum = solve_brute_force(items, budget)
     total = sum(costs.values())
-    for plan in (row_plan, vector_plan):
+    for plan in (row_plan, vector_plan, opaque_plan):
         kept = total - plan.total_cost
         assert kept >= (1 - epsilon) * optimum.total_profit - 1e-6
         # Feasibility: the kept (unrefreshed) widths fit the budget.
@@ -156,21 +158,48 @@ def test_approx_plans_share_certificate(tables, budget):
         assert kept_width <= budget + 1e-9
 
 
-@settings(max_examples=40, deadline=None)
+def _by_parity(row):
+    """An untagged cost callable (integral: exact DP under force_exact)."""
+    return 1.0 + row.tid % 2
+
+
+def _run_both(cache, master, *query):
+    """``(executor answer, oracle answer)``; ``None`` for unsatisfiable."""
+    answers = []
+    for executor_type in (QueryExecutor, RowQueryExecutor):
+        executor = executor_type(
+            refresher=LocalRefresher(master.copy()), force_exact=True
+        )
+        try:
+            answers.append(executor.execute(cache.copy(), *query))
+        except ConstraintUnsatisfiableError:
+            # Legitimately unsatisfiable (e.g. an empty AVG answer set
+            # against a zero budget yields [-inf, inf]); both must reach
+            # the same verdict.
+            answers.append(None)
+    return answers
+
+
+@settings(max_examples=80, deadline=None)
 @given(
     planner_tables(),
     budgets,
-    st.sampled_from(["SUM", "MIN", "MAX", "AVG", "COUNT"]),
-    st.booleans(),
-    st.one_of(st.none(), st.integers(min_value=-192, max_value=192)),
+    st.sampled_from(["SUM", "MIN", "MAX", "AVG", "COUNT", "MEDIAN"]),
+    st.sampled_from(["uniform", "column", "opaque"]),
+    st.one_of(
+        st.none(),
+        st.tuples(st.just("x"), st.integers(min_value=-192, max_value=192)),
+        # A predicate over the exact column only: §6 with an empty T?.
+        st.tuples(st.just("c"), st.integers(min_value=0, max_value=640)),
+    ),
 )
-def test_executor_end_to_end_equivalence(tables, budget, aggregate, column_cost, threshold):
-    """vector_planner on/off: equal-cost refreshes, both answers feasible."""
+def test_executor_end_to_end_equivalence(tables, budget, aggregate, cost_kind, where):
+    """Executor vs oracle: equal-cost refreshes, both answers feasible."""
     cache, master = tables
     predicate = (
         None
-        if threshold is None
-        else Comparison(ColumnRef("x"), ">", Literal(threshold / 64.0))
+        if where is None
+        else Comparison(ColumnRef(where[0]), ">", Literal(where[1] / 64.0))
     )
     column = None if aggregate == "COUNT" else "x"
     if aggregate == "COUNT":
@@ -179,26 +208,15 @@ def test_executor_end_to_end_equivalence(tables, budget, aggregate, column_cost,
         constraint = budget / max(1, len(cache))
     else:
         constraint = budget
-    cost = cost_from_column("c") if column_cost else uniform_cost
+    cost = {
+        "uniform": uniform_cost,
+        "column": cost_from_column("c"),
+        "opaque": _by_parity,
+    }[cost_kind]
 
-    answers = {}
-    for vector_planner in (True, False):
-        c, m = cache.copy(), master.copy()
-        executor = QueryExecutor(
-            refresher=LocalRefresher(m),
-            force_exact=True,
-            vector_planner=vector_planner,
-        )
-        try:
-            answers[vector_planner] = executor.execute(
-                c, aggregate, column, constraint, predicate, cost
-            )
-        except ConstraintUnsatisfiableError:
-            # Legitimately unsatisfiable (e.g. an empty AVG answer set
-            # against a zero budget yields [-inf, inf]); both planners
-            # must reach the same verdict.
-            answers[vector_planner] = None
-    fast, reference = answers[True], answers[False]
+    fast, reference = _run_both(
+        cache, master, aggregate, column, constraint, predicate, cost
+    )
     if fast is None or reference is None:
         assert fast is None and reference is None
         return
@@ -216,32 +234,18 @@ def test_executor_end_to_end_equivalence(tables, budget, aggregate, column_cost,
     st.integers(min_value=-192, max_value=192),
 )
 def test_avg_predicate_vector_plan_identical(tables, budget, threshold):
-    """Appendix F AVG knapsack: vector branch ≡ row branch, tuple-for-tuple.
+    """Appendix F AVG knapsack: array form ≡ row form, tuple-for-tuple.
 
     With a predicate over the aggregation column, AVG plans through the
-    slope-augmented knapsack; the vectorized harvest must refresh the
-    *identical tuple set* the per-row path refreshes (uniform cost, exact
+    slope-augmented knapsack; the harvested vectors must refresh the
+    *identical tuple set* the per-row items refresh (uniform cost, exact
     DP), so final bounds match bit-for-bit.
     """
     cache, master = tables
     predicate = Comparison(ColumnRef("x"), ">", Literal(threshold / 64.0))
     constraint = budget / max(1, len(cache))
 
-    answers = {}
-    for vector_planner in (True, False):
-        c, m = cache.copy(), master.copy()
-        executor = QueryExecutor(
-            refresher=LocalRefresher(m),
-            force_exact=True,
-            vector_planner=vector_planner,
-        )
-        try:
-            answers[vector_planner] = executor.execute(
-                c, "AVG", "x", constraint, predicate
-            )
-        except ConstraintUnsatisfiableError:
-            answers[vector_planner] = None
-    fast, reference = answers[True], answers[False]
+    fast, reference = _run_both(cache, master, "AVG", "x", constraint, predicate)
     if fast is None or reference is None:
         assert fast is None and reference is None
         return
@@ -252,8 +256,8 @@ def test_avg_predicate_vector_plan_identical(tables, budget, threshold):
 
 
 def test_uniform_plans_identical_on_decimal_data():
-    """Ordinary one-decimal widths (not the dyadic grid): the vector
-    uniform path reuses the row greedy's arithmetic, so plans must be
+    """Ordinary one-decimal widths (not the dyadic grid): the array
+    uniform walk reuses the row greedy's arithmetic, so plans must be
     bit-identical, not merely equal-cost."""
     import random
 
@@ -267,7 +271,7 @@ def test_uniform_plans_identical_on_decimal_data():
         budget = round(rng.uniform(0, n * 0.6), 1) * 0.9999999999999999
         row_plan = chooser.without_predicate(table.rows(), "x", budget, uniform_cost)
         vector_plan, _ = chooser.without_predicate_columnar(
-            table.columns, "x", budget, uniform_cost
+            table, "x", budget, uniform_cost
         )
         assert vector_plan.tids == row_plan.tids
 
@@ -287,4 +291,4 @@ def test_force_exact_rejects_fractional_costs_on_both_paths():
     with pytest.raises(OptimizerError):
         chooser.without_predicate(table.rows(), "x", 1.0, cost)
     with pytest.raises(OptimizerError):
-        chooser.without_predicate_columnar(table.columns, "x", 1.0, cost)
+        chooser.without_predicate_columnar(table, "x", 1.0, cost)

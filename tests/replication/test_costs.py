@@ -101,8 +101,9 @@ class TestPerSourceVectorTag:
 
     def test_missing_source_column_falls_back_to_row_path(self):
         """A tagged per-source cost over a table with no source column
-        must fall back (the row path prices it at default_cost), never
-        raise mid-plan."""
+        cannot be read off the arrays: the planner calls it on each
+        candidate's row (which prices it at default_cost), never raising
+        mid-plan."""
         from repro.core.refresh.summing import SumChooseRefresh
         from repro.storage.columnar import cost_vector
 
@@ -112,11 +113,8 @@ class TestPerSourceVectorTag:
         func = PerSourceCostModel(costs_by_source={"s1": 9.0}).as_func()
         assert cost_vector(table.columns, vector_cost_of(func)) is None
         chooser = SumChooseRefresh()
-        assert (
-            chooser.without_predicate_columnar(table.columns, "x", 3.0, func)
-            is None
-        )
-        plan = chooser.without_predicate(table.rows(), "x", 3.0, func)
+        plan, _ = chooser.without_predicate_columnar(table, "x", 3.0, func)
+        assert plan == chooser.without_predicate(table.rows(), "x", 3.0, func)
         assert plan.total_cost == pytest.approx(1.0)  # default_cost
 
     def test_cost_vector_numeric_source_column(self):
@@ -144,11 +142,9 @@ class TestPerSourceVectorTag:
         func = cost_from_sources("origin", {"a": 1.0, "b": 6.0})
         chooser = SumChooseRefresh(force_exact=True)
         budget = sum(rng_widths) * 0.4
-        vectorized = chooser.without_predicate_columnar(
-            table.columns, "x", budget, func
+        vector_plan, _ = chooser.without_predicate_columnar(
+            table, "x", budget, func
         )
-        assert vectorized is not None
-        vector_plan, _ = vectorized
         row_plan = chooser.without_predicate(table.rows(), "x", budget, func)
         assert vector_plan.total_cost == pytest.approx(row_plan.total_cost)
 

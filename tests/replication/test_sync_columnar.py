@@ -243,19 +243,6 @@ class TestBulkSync:
         assert_store_consistent(table)
         assert not table.column_exact("latency")
 
-    def test_row_era_indexes_follow_the_sync(self, clock, cache):
-        table = cache.table("links")
-        table.create_endpoint_indexes("traffic")
-        clock.advance(9.0)
-        cache.sync_bounds()
-        widths = dict(
-            (tid, key) for key, tid in table.width_index("traffic").ascending()
-        )
-        assert widths == {
-            tid: table.row(tid).bound("traffic").width for tid in table.tids()
-        }
-        assert any(widths.values())
-
     def test_kernel_is_chosen_by_exact_shape_type(self, clock, cache):
         @dataclass(frozen=True, slots=True)
         class HalfSqrt(SqrtShape):

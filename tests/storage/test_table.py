@@ -59,17 +59,11 @@ class TestTable:
             table.update_value(1, "x", "bad")
 
     def test_update_value_keeps_indexes_synced(self, table):
-        table.create_endpoint_indexes("x")
+        before = table.columns.endpoint_order("x", "hi")
+        assert before.keys[-1] == 10.0
         table.update_value(1, "x", Bound(100, 200))
-        hi_index = table.indexes.get("x__hi")
-        assert hi_index.max_key() == 200.0
-
-    def test_endpoint_indexes_require_bounded_column(self, table):
-        with pytest.raises(SchemaError):
-            table.create_endpoint_indexes("id")
-        table.create_endpoint_indexes("x")
-        assert table.indexes.get("x__lo") is not None
-        assert table.indexes.get("x__width") is not None
+        after = table.columns.endpoint_order("x", "hi")
+        assert (after.keys[-1], after.tids[-1]) == (200.0, 1)
 
     def test_column_bounds_view(self, table):
         bounds = table.column_bounds("x")
