@@ -106,10 +106,13 @@ class BoundFunction:
                 f"width parameter must be non-negative, got {self.width_parameter}"
             )
 
-    def at(self, now: float) -> Bound:
-        """Evaluate ``[L(now), H(now)]``.
+    def endpoints_at(self, now: float) -> tuple[float, float]:
+        """``(L(now), H(now))`` as plain floats — the one formula.
 
         Evaluation before the refresh time is a protocol violation.
+        What :meth:`at` would reject (a negative half-width, a NaN
+        endpoint) is rejected here, so the write path's trigger check
+        and the cache's custom-shape sweep can skip the :class:`Bound`.
         """
         if now < self.refreshed_at - 1e-12:
             raise BoundError(
@@ -117,7 +120,18 @@ class BoundFunction:
                 f"{self.refreshed_at}"
             )
         half_width = self.width_parameter * self.shape(now - self.refreshed_at)
-        return Bound.around(self.value_at_refresh, half_width)
+        if half_width < 0:
+            raise BoundError(f"half_width must be non-negative, got {half_width}")
+        lo = float(self.value_at_refresh - half_width)
+        hi = float(self.value_at_refresh + half_width)
+        # One comparison covers both endpoints: a NaN makes it false.
+        if not lo <= hi:
+            raise BoundError("bound endpoints must not be NaN")
+        return lo, hi
+
+    def at(self, now: float) -> Bound:
+        """Evaluate ``[L(now), H(now)]`` as a :class:`Bound`."""
+        return Bound(*self.endpoints_at(now))
 
     def half_width_at(self, now: float) -> float:
         """``W · f(now − T_r)`` without building a Bound."""
@@ -125,7 +139,8 @@ class BoundFunction:
 
     def contains(self, value: float, now: float) -> bool:
         """True iff ``value`` lies inside the bound at time ``now``."""
-        return self.at(now).contains(value)
+        lo, hi = self.endpoints_at(now)
+        return lo <= value <= hi
 
     def encode(self) -> tuple[float, float, float]:
         """The wire encoding ``(V(T_r), W, T_r)`` (Appendix A)."""

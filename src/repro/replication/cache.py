@@ -514,7 +514,7 @@ class DataCache:
         ):
             subscription = donor._subscriptions[key]
             source = subscription.source
-            policy = copy.deepcopy(source.monitor.policy(donor.cache_id, key))
+            policy = copy.deepcopy(source.monitor.entry(donor.cache_id, key).policy)
             source.adopt_subscription(
                 self.cache_id, key, subscription.bound_function, policy
             )
@@ -698,8 +698,7 @@ class DataCache:
             lo, hi = value - half, value + half
         for at in custom:
             key = ObjectKey(params.table, int(tids[at]), params.column)
-            bound = self._subscriptions[key].bound_function.at(now)
-            lo[at], hi[at] = bound.lo, bound.hi
+            lo[at], hi[at] = self._subscriptions[key].bound_function.endpoints_at(now)
         if np.isnan(lo).any() or np.isnan(hi).any():
             raise BoundError("bound endpoints must not be NaN")
         return lo, hi

@@ -13,14 +13,16 @@ The TRAPP refresh protocol has three message kinds:
   different shard (elastic rebalancing), so future refresh requests for
   it must be routed there.
 
-Messages are plain frozen dataclasses; the simulation layer handles
-delivery timing.
+Messages are plain frozen dataclasses (:class:`ObjectKey`, the dict key of
+the write path, is a named tuple); the simulation layer handles delivery
+timing.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.bounds.functions import BoundFunction
 
@@ -50,9 +52,12 @@ class RefreshReason(enum.Enum):
     FANOUT = "fanout"
 
 
-@dataclass(frozen=True, slots=True)
-class ObjectKey:
-    """Identifies one replicated data object: (table, tuple id, column)."""
+class ObjectKey(NamedTuple):
+    """Identifies one replicated data object: (table, tuple id, column).
+
+    A tuple subclass, so the subscription, monitor and scheduler dicts
+    keyed by it hash and compare in C.
+    """
 
     table: str
     tid: int

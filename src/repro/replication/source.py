@@ -13,12 +13,13 @@ function whose width comes from the object's width policy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 from repro.bounds.functions import BoundFunction, BoundShape, SqrtShape
 from repro.bounds.width import AdaptiveWidthController, WidthPolicy
-from repro.errors import ReplicationProtocolError
+from repro.errors import ReplicationProtocolError, SchemaError
 from repro.replication.messages import (
     CardinalityChange,
     ObjectKey,
@@ -47,46 +48,78 @@ class _TrackedBound:
 class RefreshMonitor:
     """Per-source bookkeeping of every remotely cached bound (§3).
 
-    Keys are ``(cache_id, ObjectKey)``.  The monitor is deliberately
-    simple; the paper notes that a source serving many caches would want a
-    scalable trigger system, which is out of scope.
+    The paper asks a source serving many caches for a scalable trigger
+    system; this is one.  Per tracked object the monitor keeps every
+    cache's :class:`_TrackedBound` in one cache-id-ordered dict, and
+    beside it a *safe window* ``(lo, hi, checked_at)``: the intersection
+    ``[max_c L_c(t), min_c H_c(t)]`` of all those bounds at the time
+    ``t`` of the last full check that found no violation.  A
+    :class:`~repro.bounds.functions.BoundShape` is monotonically
+    non-decreasing, so each bound only widens until a refresh replaces
+    it: a later master value inside the window is inside every cache's
+    bound, and :meth:`violations` answers with one dict probe and three
+    float comparisons however many caches track the object.
+
+    Three things keep that sound.  The shapes are monotone by contract.
+    Every writer of an object's trackers — :meth:`track`,
+    :meth:`update`, :meth:`forget_cache`, :meth:`forget_object`,
+    :meth:`extract_object`, :meth:`adopt_object`, and nothing else —
+    drops the object's window, so a window never outlives the bounds it
+    was computed from.  And the window is trusted only for
+    ``checked_at <= now``: a clock that steps backwards takes the full
+    check, which raises if ``now`` precedes a refresh time.
+
+    A refresh installs a zero-width bound, so the first check after it
+    is a full one and each later full check ratchets the window
+    outward: the window pays when an object sees several updates per
+    refresh and is neutral when it sees about one.
     """
 
     def __init__(self) -> None:
-        self._tracked: dict[tuple[str, ObjectKey], _TrackedBound] = {}
-        # Per-object cache index, maintained alongside _tracked: master
-        # updates and fan-out pushes touch one object across many caches,
-        # and scanning every tracked entry per object is O(caches ×
-        # objects) — the index makes both O(caches tracking the object).
-        self._by_key: dict[ObjectKey, set[str]] = {}
+        # Trackers per object, each inner dict in ascending cache-id
+        # order: the order value-initiated refreshes are sent in.
+        self._objects: dict[ObjectKey, dict[str, _TrackedBound]] = {}
+        self._windows: dict[ObjectKey, tuple[float, float, float]] = {}
+        self._tracked_count = 0
         # Running per-table totals of bound violations detected, one
         # count per (violating cache, update); the telemetry layer
         # surfaces these through the ``metrics`` wire op.
         self._violation_counts: dict[str, int] = {}
+        #: Checks the window answered / checks that evaluated the bounds;
+        #: plain tallies, pulled at collection time.
+        self.window_answers = 0
+        self.full_checks = 0
 
     def track(
         self, cache_id: str, key: ObjectKey, bound_function: BoundFunction,
         policy: WidthPolicy,
     ) -> None:
-        self._tracked[(cache_id, key)] = _TrackedBound(bound_function, policy)
-        self._by_key.setdefault(key, set()).add(cache_id)
+        self._install(cache_id, key, _TrackedBound(bound_function, policy))
 
-    def update(self, cache_id: str, key: ObjectKey, bound_function: BoundFunction) -> None:
-        entry = self._entry(cache_id, key)
+    def update(
+        self, key: ObjectKey, entry: _TrackedBound, bound_function: BoundFunction
+    ) -> None:
+        """Replace the bound function of one of ``key``'s trackers.
+
+        ``entry`` is what :meth:`entry`, :meth:`trackers` or
+        :meth:`violations` handed out for ``key``: the caller read the
+        policy from it already, so it is not looked up again.
+        """
         entry.bound_function = bound_function
+        self._windows.pop(key, None)
 
     def forget_cache(self, cache_id: str) -> None:
-        for tracked_key in [k for k in self._tracked if k[0] == cache_id]:
-            del self._tracked[tracked_key]
-            caches = self._by_key.get(tracked_key[1])
-            if caches is not None:
-                caches.discard(cache_id)
-                if not caches:
-                    del self._by_key[tracked_key[1]]
+        held = [key for key, trackers in self._objects.items() if cache_id in trackers]
+        for key in held:
+            trackers = self._objects[key]
+            del trackers[cache_id]
+            if not trackers:
+                del self._objects[key]
+            self._windows.pop(key, None)
+        self._tracked_count -= len(held)
 
     def forget_object(self, key: ObjectKey) -> None:
-        for cache_id in self._by_key.pop(key, set()):
-            del self._tracked[(cache_id, key)]
+        self.extract_object(key)
 
     def extract_object(self, key: ObjectKey) -> dict[str, _TrackedBound]:
         """Pop every cache's tracker for one object and return them.
@@ -96,9 +129,9 @@ class RefreshMonitor:
         monitor via :meth:`adopt_object`, so the containment contract and
         policy lockstep survive the move unchanged.
         """
-        entries: dict[str, _TrackedBound] = {}
-        for cache_id in self._by_key.pop(key, set()):
-            entries[cache_id] = self._tracked.pop((cache_id, key))
+        entries = self._objects.pop(key, {})
+        self._windows.pop(key, None)
+        self._tracked_count -= len(entries)
         return entries
 
     def adopt_object(
@@ -106,25 +139,71 @@ class RefreshMonitor:
     ) -> None:
         """Install trackers extracted from another monitor (migration)."""
         for cache_id, entry in entries.items():
-            self._tracked[(cache_id, key)] = entry
-            self._by_key.setdefault(key, set()).add(cache_id)
+            self._install(cache_id, key, entry)
 
-    def policy(self, cache_id: str, key: ObjectKey) -> WidthPolicy:
-        return self._entry(cache_id, key).policy
+    def _install(self, cache_id: str, key: ObjectKey, entry: _TrackedBound) -> None:
+        self._windows.pop(key, None)
+        trackers = self._objects.get(key)
+        if trackers is None:
+            self._objects[key] = {cache_id: entry}
+        elif cache_id in trackers:
+            trackers[cache_id] = entry
+            return
+        else:
+            in_order = next(reversed(trackers)) < cache_id
+            trackers[cache_id] = entry
+            if not in_order:
+                self._objects[key] = dict(sorted(trackers.items()))
+        self._tracked_count += 1
+
+    def entry(self, cache_id: str, key: ObjectKey) -> _TrackedBound:
+        """One cache's tracker for one object."""
+        try:
+            return self._objects[key][cache_id]
+        except KeyError:
+            raise ReplicationProtocolError(
+                f"cache {cache_id!r} is not registered for object {key}"
+            ) from None
+
+    def trackers(self, key: ObjectKey) -> Mapping[str, _TrackedBound]:
+        """Every cache's tracker for one object, in cache-id order.
+
+        Read-only for callers: bound functions change through :meth:`update`.
+        """
+        return self._objects.get(key) or {}
 
     def violations(
         self, key: ObjectKey, value: float, now: float
     ) -> list[tuple[str, _TrackedBound]]:
-        """Caches whose bound for ``key`` no longer contains ``value``."""
+        """Caches whose bound for ``key`` no longer contains ``value``,
+        in cache-id order."""
+        window = self._windows.get(key)
+        if window is not None:
+            lo, hi, checked_at = window
+            if checked_at <= now and lo <= value <= hi:
+                self.window_answers += 1
+                return []
+        trackers = self._objects.get(key)
+        if trackers is None:
+            return []
+        self.full_checks += 1
         out: list[tuple[str, _TrackedBound]] = []
-        for cache_id in sorted(self._by_key.get(key, ())):
-            entry = self._tracked[(cache_id, key)]
-            if not entry.bound_function.contains(value, now):
+        lo, hi = -math.inf, math.inf
+        for cache_id, entry in trackers.items():
+            bound_lo, bound_hi = entry.bound_function.endpoints_at(now)
+            if not bound_lo <= value <= bound_hi:
                 out.append((cache_id, entry))
+            else:
+                if bound_lo > lo:
+                    lo = bound_lo
+                if bound_hi < hi:
+                    hi = bound_hi
         if out:
             self._violation_counts[key.table] = (
                 self._violation_counts.get(key.table, 0) + len(out)
             )
+        else:
+            self._windows[key] = (lo, hi, now)
         return out
 
     def violation_counts(self) -> dict[str, int]:
@@ -132,26 +211,18 @@ class RefreshMonitor:
         return dict(self._violation_counts)
 
     def caches_tracking(self, key: ObjectKey) -> list[str]:
-        return sorted(self._by_key.get(key, ()))
+        return list(self._objects.get(key, ()))
 
     def entries_for_cache(self, cache_id: str) -> list[tuple[ObjectKey, "_TrackedBound"]]:
         """Every (key, tracked bound) pair held on behalf of one cache."""
         return [
-            (key, entry)
-            for (cid, key), entry in self._tracked.items()
-            if cid == cache_id
+            (key, trackers[cache_id])
+            for key, trackers in self._objects.items()
+            if cache_id in trackers
         ]
 
     def tracked_count(self) -> int:
-        return len(self._tracked)
-
-    def _entry(self, cache_id: str, key: ObjectKey) -> _TrackedBound:
-        try:
-            return self._tracked[(cache_id, key)]
-        except KeyError:
-            raise ReplicationProtocolError(
-                f"cache {cache_id!r} is not registered for object {key}"
-            ) from None
+        return self._tracked_count
 
 
 class DataSource:
@@ -285,15 +356,9 @@ class DataSource:
         now = self.clock()
         for key in request.keys:
             value = self._master_value(key)
-            policy = self.monitor.policy(request.cache_id, key)
-            policy.on_query_initiated()
-            bound_function = BoundFunction(
-                value_at_refresh=value,
-                width_parameter=policy.next_width(),
-                refreshed_at=now,
-                shape=self.shape,
-            )
-            self.monitor.update(request.cache_id, key, bound_function)
+            entry = self.monitor.entry(request.cache_id, key)
+            entry.policy.on_query_initiated()
+            bound_function = self._renew(key, entry, value, now)
             payloads.append(RefreshPayload(key, value, bound_function))
             self.query_initiated_refreshes += 1
         piggybacked = self._piggyback_payloads(request, now)
@@ -342,7 +407,7 @@ class DataSource:
         for keys, query_feedback in ((request.keys, True), (piggyback_keys, False)):
             for key in keys:
                 value = self._master_value(key)
-                for cache_id in self.monitor.caches_tracking(key):
+                for cache_id, entry in self.monitor.trackers(key).items():
                     if cache_id == request.cache_id:
                         continue
                     if membership is not True and cache_id not in membership:
@@ -351,16 +416,9 @@ class DataSource:
                         self.source_id, cache_id
                     ):
                         continue
-                    policy = self.monitor.policy(cache_id, key)
                     if query_feedback:
-                        policy.on_query_initiated()
-                    bound_function = BoundFunction(
-                        value_at_refresh=value,
-                        width_parameter=policy.next_width(),
-                        refreshed_at=now,
-                        shape=self.shape,
-                    )
-                    self.monitor.update(cache_id, key, bound_function)
+                        entry.policy.on_query_initiated()
+                    bound_function = self._renew(key, entry, value, now)
                     per_cache.setdefault(cache_id, []).append(
                         RefreshPayload(key, value, bound_function)
                     )
@@ -396,14 +454,8 @@ class DataSource:
         extras = []
         for key in self.piggyback.select(requested, tracked):
             value = self._master_value(key)
-            entry_policy = self.monitor.policy(request.cache_id, key)
-            bound_function = BoundFunction(
-                value_at_refresh=value,
-                width_parameter=entry_policy.next_width(),
-                refreshed_at=now,
-                shape=self.shape,
-            )
-            self.monitor.update(request.cache_id, key, bound_function)
+            entry = self.monitor.entry(request.cache_id, key)
+            bound_function = self._renew(key, entry, value, now)
             extras.append(RefreshPayload(key, value, bound_function))
             self.piggybacked_refreshes += 1
         return extras
@@ -413,24 +465,30 @@ class DataSource:
     # ------------------------------------------------------------------
     def apply_update(self, key: ObjectKey, new_value: float) -> list[Refresh]:
         """Update a master value, emitting value-initiated refreshes as
-        required by the TRAPP contract."""
-        table = self.table(key.table)
-        table.update_value(key.tid, key.column, float(new_value))
+        required by the TRAPP contract.
+
+        ``new_value`` is coerced to a float once, up front; a value that
+        is not a finite number raises :class:`SchemaError` before the
+        master cell or the monitor is touched.
+        """
+        try:
+            value = float(new_value)
+        except (TypeError, ValueError):
+            raise SchemaError(
+                f"master value of {key} must be a number, got {new_value!r}"
+            ) from None
+        if not math.isfinite(value):
+            raise SchemaError(f"master value of {key} must be finite, got {value}")
+        self.table(key.table).update_value(key.tid, key.column, value)
         now = self.clock()
         refreshes: list[Refresh] = []
-        for cache_id, entry in self.monitor.violations(key, new_value, now):
+        for cache_id, entry in self.monitor.violations(key, value, now):
             entry.policy.on_value_initiated()
-            bound_function = BoundFunction(
-                value_at_refresh=new_value,
-                width_parameter=entry.policy.next_width(),
-                refreshed_at=now,
-                shape=self.shape,
-            )
-            self.monitor.update(cache_id, key, bound_function)
+            bound_function = self._renew(key, entry, value, now)
             refresh = Refresh(
                 source_id=self.source_id,
                 reason=RefreshReason.VALUE_INITIATED,
-                payloads=(RefreshPayload(key, new_value, bound_function),),
+                payloads=(RefreshPayload(key, value, bound_function),),
                 sent_at=now,
             )
             self.value_initiated_refreshes += 1
@@ -473,6 +531,20 @@ class DataSource:
         return change
 
     # ------------------------------------------------------------------
+    def _renew(
+        self, key: ObjectKey, entry: _TrackedBound, value: float, now: float
+    ) -> BoundFunction:
+        """Mint the zero-width bound a refresh carries, at the policy's
+        next width, and have the monitor track it for ``entry``'s cache."""
+        bound_function = BoundFunction(
+            value_at_refresh=value,
+            width_parameter=entry.policy.next_width(),
+            refreshed_at=now,
+            shape=self.shape,
+        )
+        self.monitor.update(key, entry, bound_function)
+        return bound_function
+
     def _master_value(self, key: ObjectKey) -> float:
         table = self.table(key.table)
         return table.row(key.tid).number(key.column)

@@ -78,10 +78,6 @@ _INITIAL_CAPACITY = 16
 #: sorted ordering in place stops beating a fresh stable argsort.
 _REPAIR_FLOOR = 32
 
-#: Key kinds a :class:`_SortedOrder` can be built over: the bound width
-#: (planner cache) or a raw endpoint (classifier windows).
-_ORDER_KINDS = ("width", "lo", "hi")
-
 
 @dataclass(slots=True)
 class _SortedOrder:
@@ -143,6 +139,7 @@ class ColumnStore:
         "_memo_tids",
         "_memo_arrays",
         "_sorted_orders",
+        "_column_orders",
     )
 
     def __init__(self, schema: Schema) -> None:
@@ -174,6 +171,9 @@ class ColumnStore:
         #: Cached (key, tid) orderings, keyed by (column, kind) where kind
         #: is "width" (planner cache) or "lo"/"hi" (endpoint indexes).
         self._sorted_orders: dict[tuple[str, str], _SortedOrder] = {}
+        #: The same live orderings per column, so a cell write finds the
+        #: ones to mark dirty (none, on a master) in one lookup.
+        self._column_orders: dict[str, tuple[_SortedOrder, ...]] = {}
 
     # ------------------------------------------------------------------
     # Size / membership
@@ -226,10 +226,8 @@ class ColumnStore:
                 self._non_exact[column] += int(now_wide) - int(was_wide)
             self._lo[column][slot] = lo
             self._hi[column][slot] = hi
-            for kind in _ORDER_KINDS:
-                order = self._sorted_orders.get((column, kind))
-                if order is not None:
-                    order.dirty.add(tid)
+            for order in self._column_orders.get(column, ()):
+                order.dirty.add(tid)
         else:
             raise UnknownColumnError(column)
         self.version += 1
@@ -306,9 +304,8 @@ class ColumnStore:
         live_hi[slots] = hi
         tids = self._tids[slots]
         repairable = max(_REPAIR_FLOOR, self._n // 8)
-        for kind in _ORDER_KINDS:
-            order = self._sorted_orders.get((column, kind))
-            if order is None or order.stale:
+        for order in self._column_orders.get(column, ()):
+            if order.stale:
                 continue
             if len(order.dirty) + n_changed > repairable:
                 order.stale = True
@@ -471,6 +468,9 @@ class ColumnStore:
         else:
             rebuilt = self._build_sorted_order(column, kind)
         self._sorted_orders[cache_key] = rebuilt
+        self._column_orders[column] = tuple(
+            live for (name, _), live in self._sorted_orders.items() if name == column
+        )
         return rebuilt
 
     def _keys_by_tid(self, column: str, kind: str) -> np.ndarray:

@@ -100,6 +100,12 @@ def _collect_source_counters(registry: MetricsRegistry, system) -> None:
         "Bound violations detected by each source's refresh monitor",
         ("source", "table"),
     )
+    checks = registry.gauge(
+        "trapp_monitor_checks",
+        "Trigger checks of tracked objects, by whether the per-object safe "
+        "window answered or the cached bounds were evaluated",
+        ("source", "outcome"),
+    )
     seen: set[int] = set()
     for source in system._sources.values():
         monitor = getattr(source, "monitor", None)
@@ -119,3 +125,5 @@ def _collect_source_counters(registry: MetricsRegistry, system) -> None:
         )
         for table_name, count in sorted(monitor.violation_counts().items()):
             violations.labels(source=sid, table=table_name).set(count)
+        checks.labels(source=sid, outcome="window").set(monitor.window_answers)
+        checks.labels(source=sid, outcome="evaluated").set(monitor.full_checks)

@@ -7,9 +7,10 @@ result interval.
 
 from hypothesis import given, strategies as st
 
+from repro.bounds.functions import SHAPES, BoundFunction
 from repro.core.bound import Bound, Trilean
 
-from tests.property.strategies import bounds, finite
+from tests.property.strategies import bounds, finite, widths
 
 
 def value_in(draw_fraction: float, bound: Bound) -> float:
@@ -110,3 +111,18 @@ def test_scale_containment(a, k):
 @given(bounds(), finite)
 def test_clamp_lands_inside(a, v):
     assert a.contains(a.clamp(v))
+
+
+@given(finite, widths, finite, widths, st.sampled_from(sorted(SHAPES)), finite)
+def test_endpoints_at_is_the_bound_at(value, width, refreshed_at, elapsed, shape, probe):
+    function = BoundFunction(value, width, refreshed_at, SHAPES[shape])
+    now = refreshed_at + elapsed
+    evaluated = function.at(now)
+    # What ``at`` computed before it was defined on ``endpoints_at``.
+    assert evaluated == Bound.around(value, width * SHAPES[shape](now - refreshed_at))
+    # Bit for bit: == on floats would let -0.0 pass for 0.0.
+    assert [e.hex() for e in function.endpoints_at(now)] == [
+        evaluated.lo.hex(),
+        evaluated.hi.hex(),
+    ]
+    assert function.contains(probe, now) == evaluated.contains(probe)

@@ -33,6 +33,20 @@ class TestObjectKey:
         keys = {ObjectKey("t", 1, "x"), ObjectKey("t", 1, "x"), ObjectKey("t", 2, "x")}
         assert len(keys) == 2
 
+    def test_is_a_tuple_of_its_three_fields(self):
+        """Hashing and equality run in C: the key is a tuple subclass."""
+        key = ObjectKey(table="links", tid=1, column="latency")
+        assert isinstance(key, tuple)
+        assert key == ObjectKey("links", 1, "latency")
+        table, tid, column = key
+        assert (table, tid, column) == (key.table, key.tid, key.column)
+        assert type(key).__hash__ is tuple.__hash__
+        assert type(key).__eq__ is tuple.__eq__
+        assert repr(key) == "ObjectKey(table='links', tid=1, column='latency')"
+        assert str(key) == "links#1.latency"
+        with pytest.raises(AttributeError):
+            key.tid = 2
+
 
 class TestMessages:
     def test_refresh_request_carries_keys(self):

@@ -1,16 +1,22 @@
 """Integration tests for the source/cache replication protocol (§3)."""
 
+import builtins
+
 import pytest
 
+from repro.bounds.functions import BoundFunction
 from repro.bounds.width import FixedWidthPolicy
 from repro.core.bound import Bound
-from repro.errors import ReplicationProtocolError
+from repro.errors import ReplicationProtocolError, SchemaError
 from repro.replication.messages import ObjectKey, RefreshReason
+from repro.replication.sharding import ShardedSource
 from repro.replication.source import DataSource
 from repro.replication.cache import DataCache
+from repro.replication.system import TrappSystem
 from repro.simulation.clock import Clock
 from repro.storage.schema import Schema
 from repro.storage.table import Table
+from repro.telemetry import MetricsRegistry, register_system_collectors
 from repro.workloads.netmon import paper_master_table
 
 
@@ -177,3 +183,161 @@ class TestMultiCacheFanout:
         for c in (c1, c2):
             c.sync_bounds()
             assert c.table("links").row(3).bound("bandwidth").contains(500.0)
+
+
+def _replicas(clock, source, count):
+    caches = []
+    for index in range(count):
+        replica = DataCache(f"r{index}", clock=clock.now)
+        replica.subscribe_table(source, "links")
+        caches.append(replica)
+    return caches
+
+
+def _boom(*args, **kwargs):
+    raise AssertionError("not on the no-violation path")
+
+
+class TestTriggerCheck:
+    """The source's per-update check: the per-object safe window."""
+
+    KEY = ObjectKey("links", 1, "latency")
+
+    def test_in_window_updates_touch_no_tracker(self, clock, source, monkeypatch):
+        """K = 4 caches, 1 000 updates inside every bound: no ``Bound``,
+        no ``BoundFunction.at``, no ``sorted`` — one window probe each."""
+        caches = _replicas(clock, source, 4)
+        clock.advance(100.0)
+        master = source.table("links").row(1).number("latency")
+        assert source.apply_update(self.KEY, master) == []  # the full check
+        for replica in caches:
+            replica.sync_bounds()
+        reach = min(
+            replica.table("links").row(1).bound("latency").hi - master
+            for replica in caches
+        )
+        assert reach > 0
+        monitor = source.monitor
+        answered, evaluated = monitor.window_answers, monitor.full_checks
+        with monkeypatch.context() as patched:
+            patched.setattr(Bound, "__init__", _boom)
+            patched.setattr(BoundFunction, "at", _boom)
+            patched.setattr(builtins, "sorted", _boom)
+            for step in range(1000):
+                value = master + reach * ((step % 21) - 10) / 10.0
+                assert source.apply_update(self.KEY, value) == []
+        assert monitor.window_answers == answered + 1000
+        assert monitor.full_checks == evaluated
+        assert source.table("links").row(1).number("latency") == value
+        for replica in caches:
+            replica.sync_bounds()
+            assert replica.table("links").row(1).bound("latency").contains(value)
+
+    def test_a_refresh_drops_the_window_and_the_next_check_rebuilds_it(
+        self, clock, source
+    ):
+        first, second = _replicas(clock, source, 2)
+        monitor = source.monitor
+        clock.advance(100.0)
+        master = source.table("links").row(1).number("latency")
+        source.apply_update(self.KEY, master)
+        source.apply_update(self.KEY, master)
+        assert (monitor.window_answers, monitor.full_checks) == (1, 1)
+
+        first.refresh(first.table("links"), [1])  # query-initiated, one replica
+        # ``first`` now holds [master, master]: the old window would hide
+        # an escape from it, so the next update is checked in full ...
+        assert source.apply_update(self.KEY, master) == []
+        assert (monitor.window_answers, monitor.full_checks) == (1, 2)
+        # ... and leaves the zero-width window that check found.
+        assert source.apply_update(self.KEY, master) == []
+        assert (monitor.window_answers, monitor.full_checks) == (2, 2)
+        [refresh] = source.apply_update(self.KEY, master + 1e-3)
+        assert refresh.reason is RefreshReason.VALUE_INITIATED
+        assert (monitor.window_answers, monitor.full_checks) == (2, 3)
+        assert first.refreshes_received > second.refreshes_received
+
+        # Each later full check ratchets the window outward.
+        clock.advance(50.0)
+        assert source.apply_update(self.KEY, master + 2e-3) == []
+        assert source.apply_update(self.KEY, master) == []
+        assert (monitor.window_answers, monitor.full_checks) == (3, 4)
+
+    def test_violators_come_in_cache_id_order_whatever_the_subscription_order(
+        self, clock, source
+    ):
+        for cache_id in ("m/2", "m/10", "m/1"):
+            DataCache(cache_id, clock=clock.now).subscribe_table(source, "links")
+        assert source.monitor.caches_tracking(self.KEY) == ["m/1", "m/10", "m/2"]
+        refreshes = source.apply_update(self.KEY, 77.0)  # zero-width bounds
+        assert len(refreshes) == 3
+        assert [cache_id for cache_id, _ in source.monitor.trackers(self.KEY).items()] == [
+            "m/1", "m/10", "m/2"
+        ]
+
+    def test_monitor_checks_are_pulled_into_a_gauge(self):
+        system = TrappSystem()
+        source = system.add_source("s1")
+        source.add_table(paper_master_table())
+        system.add_cache("c1").subscribe_table(source, "links")
+        registry = MetricsRegistry()
+        register_system_collectors(registry, system)
+        system.clock.advance(100.0)
+        master = source.table("links").row(1).number("latency")
+        for _ in range(3):
+            source.apply_update(self.KEY, master)
+        [family] = [
+            entry
+            for entry in registry.snapshot()["families"]
+            if entry["name"] == "trapp_monitor_checks"
+        ]
+        assert {
+            (sample["labels"]["source"], sample["labels"]["outcome"]): sample["value"]
+            for sample in family["samples"]
+        } == {("s1", "window"): 2, ("s1", "evaluated"): 1}
+
+
+class TestRejectedUpdates:
+    """A value that is not a finite number changes nothing."""
+
+    KEY = ObjectKey("links", 1, "latency")
+
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), float("-inf"), "abc", None, [1.0]]
+    )
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_nothing_is_mutated(self, clock, bad, sharded):
+        if sharded:
+            source = ShardedSource.create("s", 2, clock=clock.now)
+            source.add_table(paper_master_table())
+        else:
+            source = DataSource("s", clock=clock.now)
+            source.add_table(paper_master_table())
+        cache = DataCache("c1", clock=clock.now)
+        cache.subscribe_table(source, "links")
+        clock.advance(9.0)
+        cache.sync_bounds()
+        shard = source.shard_for("links", 1) if sharded else source
+        entry = shard.monitor.entry("c1", self.KEY)
+        function, tracked = entry.bound_function, shard.monitor.tracked_count()
+        master = shard.table("links").row(1).number("latency")
+        cached = cache.table("links").row(1).bound("latency")
+
+        with pytest.raises(SchemaError):
+            source.apply_update(self.KEY, bad)
+
+        assert shard.table("links").row(1).number("latency") == master
+        assert shard.monitor.entry("c1", self.KEY) is entry
+        assert entry.bound_function is function
+        assert shard.monitor.tracked_count() == tracked
+        assert shard.value_initiated_refreshes == 0
+        cache.sync_bounds()  # used to raise forever after a NaN update
+        assert cache.table("links").row(1).bound("latency") == cached
+        assert source.apply_update(self.KEY, master + 0.01) == []
+
+    def test_a_numeric_string_is_coerced_once(self, clock, source, cache):
+        clock.advance(9.0)
+        [refresh] = source.apply_update(self.KEY, "500")
+        assert refresh.payloads[0].value == 500.0
+        assert refresh.payloads[0].bound_function.value_at_refresh == 500.0
+        assert source.table("links").row(1)["latency"] == 500.0

@@ -422,6 +422,25 @@ class TestEndpointOrder:
         table.update_value(1, "y", Bound(0, 9))
         assert table.columns.endpoint_order("x", "hi") is first
 
+    def test_a_cell_write_marks_the_live_orders_of_its_column_only(self):
+        table = make_table()
+        store = table.columns
+        width, lo, hi = (
+            store.width_order("x"),
+            store.endpoint_order("x", "lo"),
+            store.endpoint_order("x", "hi"),
+        )
+        other = store.width_order("y")
+        table.update_value(1, "x", Bound(6.0, 8.0))
+        assert width.dirty == lo.dirty == hi.dirty == {1}
+        assert not other.dirty
+        repaired = store.endpoint_order("x", "lo")  # installs a new object
+        assert repaired is not lo and not repaired.dirty
+        table.update_value(2, "x", Bound(1.0, 2.0))
+        assert repaired.dirty == {2}
+        assert width.dirty == hi.dirty == {1, 2}
+        assert not other.dirty
+
 
 class TestRepeatedTieRepairs:
     """ISSUE 10 satellite: repairs into a growing key tie stay
