@@ -17,10 +17,15 @@ bulk :meth:`~repro.storage.columnar.ColumnStore.write_bounds` per
 column.  The ``ColumnStore`` is the truth for bounded cells; rows catch
 up lazily when read.
 
-Single-cell mutations (refresh messages, cardinality changes) go through
-``Table.update_value`` / ``Row.set`` and write through to the same
-store, keeping the arrays the executor reads and the O(1) exactness
-counters in sync with the replication protocol.
+Refresh delivery writes the same arrays: an arriving bound function is
+installed in its :class:`_BoundColumn` slot and its cell lands in the
+store by position — one :meth:`~repro.storage.columnar.ColumnStore.write_cell`
+per payload for a small message (a value-initiated push), one
+``write_bounds`` per column for a large one (a query-initiated batch or
+its fan-out), see :data:`_COLUMN_ROUTE_PAYLOADS`.  Subscription set-up
+and cardinality changes write their cells the same two ways, so the
+arrays the executor reads and the O(1) exactness counters stay in sync
+with the replication protocol without a ``Bound`` or a ``Row`` per cell.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import copy
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Collection, Iterable
 
 import numpy as np
 
@@ -39,6 +44,7 @@ from repro.bounds.functions import (
     LinearShape,
     SqrtShape,
 )
+from repro.core.bound import Bound
 from repro.errors import (
     BoundError,
     ReplicationProtocolError,
@@ -50,6 +56,7 @@ from repro.replication.messages import (
     MasterMigration,
     ObjectKey,
     Refresh,
+    RefreshPayload,
     RefreshReason,
     RefreshRequest,
 )
@@ -78,6 +85,30 @@ BatchCostFunc = Callable[[str, int], float]
 #: per cell through the bound function itself.
 _SHAPE_CODES = {SqrtShape: 0, LinearShape: 1, ConstantShape: 2}
 _CUSTOM_SHAPE = 3
+
+#: Payloads from which a refresh message is applied a column at a time
+#: (grouped by :class:`_BoundColumn`, one ``write_bounds`` each) rather
+#: than a cell at a time (one ``write_cell`` per payload) — the delivery
+#: path's counterpart of ``storage.columnar._REPAIR_FLOOR``.  The column
+#: route makes a fixed number of NumPy calls per cached column whatever
+#: the message's size (about 30 µs a column), the cell route costs about
+#: 2 µs a payload.  ``DataCache._apply_refresh`` alone, hot, on the
+#: benchmark's ``cold_scan`` deployment (360-row ``links``, 3 bounded
+#: columns, live width/lo/hi orders; p50 of 600 messages, cell loop vs
+#: column route): 4 tuples 36 vs 100 µs, 12 tuples 82 vs 119, 16 tuples
+#: 89 vs 132, 20 tuples 130 vs 154, 24 tuples 153 vs 163, 28 tuples 174
+#: vs 167, 32 tuples 188 vs 171, 36 tuples 227 vs 179, 100 tuples 611 vs
+#: 372, 300 tuples 1 840 vs 785 — they cross at about 27 cells a column.
+#: A message is one table's tuples times its bounded columns, so the
+#: constant counts payloads; narrower tables cross a little earlier and
+#: lose nothing worse than the cell loop they had.
+_COLUMN_ROUTE_PAYLOADS = 80
+
+#: The bounded cells of a freshly inserted cached row until their bound
+#: functions are evaluated.  A ``Bound`` because a row keeps the object
+#: (and type) of a cell whose endpoints a store write did not change, and
+#: cached cells read back as bounds; immutable, so one serves every row.
+_PLACEHOLDER = Bound(0.0, 0.0)
 
 #: Sync-duration edges (seconds): a column sweep is tens of microseconds,
 #: below the registry's default latency buckets.
@@ -136,6 +167,17 @@ class _BoundColumn:
         self.width[slot] = function.width_parameter
         self.refreshed_at[slot] = function.refreshed_at
         self.shape[slot] = _SHAPE_CODES.get(type(function.shape), _CUSTOM_SHAPE)
+
+    def install_many(
+        self, slots: np.ndarray, functions: Collection[BoundFunction]
+    ) -> None:
+        """Overwrite many distinct slots' parameters, one store per array."""
+        self.value[slots] = [f.value_at_refresh for f in functions]
+        self.width[slots] = [f.width_parameter for f in functions]
+        self.refreshed_at[slots] = [f.refreshed_at for f in functions]
+        self.shape[slots] = [
+            _SHAPE_CODES.get(type(f.shape), _CUSTOM_SHAPE) for f in functions
+        ]
 
     def drop(self, slot: int) -> int | None:
         """Swap-remove one slot; returns the tid moved into it, if any."""
@@ -322,10 +364,15 @@ class DataCache:
         self.refreshes_received = 0
         self.refresh_requests_sent = 0
         self.fanout_refreshes_received = 0
+        #: Refresh messages applied a cell / a column at a time; plain
+        #: tallies, pulled at collection time.
+        self.cell_route_messages = 0
+        self.column_route_messages = 0
         # Event instruments, bound by attach_telemetry(); None keeps the
         # replication hot path untelemetered (the simulation default).
         self._t_fanout_pushes = None
         self._t_fanout_lag = None
+        self._t_apply_seconds = None
         self._t_sync_seconds = None
         self._t_sync_rewritten = None
         self._t_sync_unchanged = None
@@ -350,6 +397,12 @@ class DataCache:
             "trapp_fanout_delivery_lag_seconds",
             "Delivery lag of fan-out pushes (receive time minus sent_at)",
             ("cache",),
+        ).labels(**child_labels)
+        self._t_apply_seconds = registry.histogram(
+            "trapp_refresh_apply_seconds",
+            "Wall-clock duration of applying one column-route refresh message",
+            ("cache",),
+            buckets=_SYNC_TIME_BUCKETS,
         ).labels(**child_labels)
         self._t_sync_seconds = registry.histogram(
             "trapp_bound_sync_seconds",
@@ -619,25 +672,32 @@ class DataCache:
         """Replicate one source's rows (a whole table, or one shard)."""
         self._sources.setdefault(source.source_id, source)
         source.connect_cache(self.cache_id, self._on_message)
-        for row in master.rows():
+        bounded = master.schema.bounded_columns
+        rows = master.rows()
+        for row in rows:
             values = {}
             for column in master.schema:
                 if column.is_bounded:
-                    values[column.name] = 0.0  # placeholder, set below
+                    values[column.name] = _PLACEHOLDER  # written below
                 else:
                     values[column.name] = row[column.name]
             cached.insert(values, tid=row.tid)
             if record_shard:
                 cached.shard_map.assign(row.tid, source.source_id)
-            for column in master.schema.bounded_columns:
+            for column in bounded:
                 key = ObjectKey(cached.name, row.tid, column.name)
                 policy = policy_factory() if policy_factory is not None else None
                 payload = source.register(self.cache_id, key, policy=policy)
                 self._add_subscription(
                     key, _Subscription(source, payload.bound_function)
                 )
-                cached.update_value(
-                    row.tid, column.name, payload.bound_function.at(self.clock())
+        if rows:
+            now = self.clock()
+            for column in bounded:
+                # Subscriptions are appended: this partition's are the last.
+                params = self._bound_columns[cached.name, column.name]
+                self._write_slots(
+                    params, np.arange(params.n - len(rows), params.n), now
                 )
 
     # ------------------------------------------------------------------
@@ -702,6 +762,18 @@ class DataCache:
         if np.isnan(lo).any() or np.isnan(hi).any():
             raise BoundError("bound endpoints must not be NaN")
         return lo, hi
+
+    def _write_slots(self, params: _BoundColumn, slots: np.ndarray, now: float) -> None:
+        """Evaluate ``params``' (distinct) ``slots`` at ``now`` and land
+        them in the cached table's store with one bulk write; tuples the
+        table no longer holds are dropped."""
+        store = self.catalog.table(params.table).columns
+        lo, hi = self._evaluate_column(params, slots, now)
+        at = store.slots_of(params.tids[slots].tolist())
+        present = at >= 0
+        if not present.all():
+            at, lo, hi = at[present], lo[present], hi[present]
+        store.write_bounds(params.column, at, lo, hi)
 
     # ------------------------------------------------------------------
     # RefreshProvider protocol (query-initiated refreshes)
@@ -859,43 +931,88 @@ class DataCache:
             raise ReplicationProtocolError(f"unexpected message {message!r}")
 
     def _apply_refresh(self, refresh: Refresh) -> None:
+        """Install a message's bound functions and collapse its cells.
+
+        A message below :data:`_COLUMN_ROUTE_PAYLOADS` (every
+        value-initiated push) is applied a cell at a time: subscription
+        probe, parameter install, ``endpoints_at``, one ``write_cell``.
+        A larger one goes a column at a time.  Either way a payload for
+        an object no longer subscribed is dropped, a key named twice
+        keeps its last payload, and no ``Bound`` or ``Row`` is touched.
+        """
         now = self.clock()
+        payloads = refresh.payloads
         if refresh.reason is RefreshReason.FANOUT:
-            self.fanout_refreshes_received += len(refresh.payloads)
+            self.fanout_refreshes_received += len(payloads)
             if self._t_fanout_pushes is not None:
-                self._t_fanout_pushes.inc(len(refresh.payloads))
+                self._t_fanout_pushes.inc(len(payloads))
                 self._t_fanout_lag.observe(max(0.0, now - refresh.sent_at))
-        for payload in refresh.payloads:
-            key = payload.key
-            subscription = self._subscriptions.get(key)
+        if len(payloads) >= _COLUMN_ROUTE_PAYLOADS:
+            self._apply_refresh_columns(payloads, now)
+            return
+        self.cell_route_messages += 1
+        subscriptions = self._subscriptions
+        for key, _, function in payloads:
+            subscription = subscriptions.get(key)
             if subscription is None:
                 # Late message for an object deleted meanwhile; drop it.
                 continue
-            subscription.bound_function = payload.bound_function
-            subscription.params.install(subscription.slot, payload.bound_function)
-            table = self.catalog.table(key.table)
-            if key.tid in table:
-                table.update_value(key.tid, key.column, payload.bound_function.at(now))
+            subscription.bound_function = function
+            subscription.params.install(subscription.slot, function)
+            # Not a zero-width shortcut: a custom shape need not satisfy
+            # f(0) = 0, and the message may have been sent before ``now``.
+            lo, hi = function.endpoints_at(now)
+            self.catalog.table(key.table).columns.write_cell(
+                key.tid, key.column, lo, hi
+            )
             self.refreshes_received += 1
+
+    def _apply_refresh_columns(
+        self, payloads: tuple[RefreshPayload, ...], now: float
+    ) -> None:
+        """The column route: one parameter install, one evaluation and one
+        ``write_bounds`` per cached column the message touches."""
+        started = time.perf_counter()
+        subscriptions = self._subscriptions
+        # Per column, slot → bound function; a key named twice keeps its
+        # last payload (``write_bounds`` needs distinct slots).
+        groups: dict[_BoundColumn, dict[int, BoundFunction]] = {}
+        for key, _, function in payloads:
+            subscription = subscriptions.get(key)
+            if subscription is None:
+                continue
+            subscription.bound_function = function
+            group = groups.get(subscription.params)
+            if group is None:
+                group = groups[subscription.params] = {}
+            group[subscription.slot] = function
+            self.refreshes_received += 1
+        for params, group in groups.items():
+            slots = np.fromiter(group, dtype=np.int64, count=len(group))
+            params.install_many(slots, group.values())
+            self._write_slots(params, slots, now)
+        self.column_route_messages += 1
+        if self._t_apply_seconds is not None:
+            self._t_apply_seconds.observe(time.perf_counter() - started)
 
     def _apply_cardinality_change(self, change: CardinalityChange) -> None:
         table = self.catalog.table(change.table)
         source = self._sources[change.source_id]
         if change.is_insert:
             assert change.values is not None
+            bounded = table.schema.bounded_columns
             values = dict(change.values)
+            for column in bounded:
+                values[column.name] = _PLACEHOLDER  # written below
             table.insert(values, tid=change.tid)
             if change.table in self._sharded_tables:
                 table.shard_map.assign(change.tid, change.source_id)
-            for column in table.schema.bounded_columns:
+            for column in bounded:
                 key = ObjectKey(change.table, change.tid, column.name)
-                payload = source.register(self.cache_id, key)
-                self._add_subscription(
-                    key, _Subscription(source, payload.bound_function)
-                )
-                table.update_value(
-                    change.tid, column.name, payload.bound_function.at(self.clock())
-                )
+                function = source.register(self.cache_id, key).bound_function
+                self._add_subscription(key, _Subscription(source, function))
+                lo, hi = function.endpoints_at(self.clock())
+                table.columns.write_cell(change.tid, column.name, lo, hi)
         else:
             if change.tid in table:
                 table.delete(change.tid)

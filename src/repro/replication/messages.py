@@ -13,9 +13,11 @@ The TRAPP refresh protocol has three message kinds:
   different shard (elastic rebalancing), so future refresh requests for
   it must be routed there.
 
-Messages are plain frozen dataclasses (:class:`ObjectKey`, the dict key of
-the write path, is a named tuple); the simulation layer handles delivery
-timing.
+Messages are plain frozen dataclasses, except the three every master
+update may build — :class:`ObjectKey` (the dict key of the write path),
+:class:`RefreshPayload` and :class:`Refresh` — which are named tuples, so
+they are built, hashed and compared in C; the simulation layer handles
+delivery timing.
 """
 
 from __future__ import annotations
@@ -75,8 +77,7 @@ class RefreshRequest:
     keys: tuple[ObjectKey, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class RefreshPayload:
+class RefreshPayload(NamedTuple):
     """One object's refresh content: exact value plus its new bound function."""
 
     key: ObjectKey
@@ -84,8 +85,7 @@ class RefreshPayload:
     bound_function: BoundFunction
 
 
-@dataclass(frozen=True, slots=True)
-class Refresh:
+class Refresh(NamedTuple):
     """Source → cache: new exact values and bound functions."""
 
     source_id: str

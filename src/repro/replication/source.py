@@ -352,36 +352,36 @@ class DataSource:
     # ------------------------------------------------------------------
     def handle_refresh_request(self, request: RefreshRequest) -> Refresh:
         """Answer a cache's query-initiated refresh request synchronously."""
-        payloads = []
+        requested = []
         now = self.clock()
         for key in request.keys:
             value = self._master_value(key)
             entry = self.monitor.entry(request.cache_id, key)
             entry.policy.on_query_initiated()
             bound_function = self._renew(key, entry, value, now)
-            payloads.append(RefreshPayload(key, value, bound_function))
+            requested.append(RefreshPayload(key, value, bound_function))
             self.query_initiated_refreshes += 1
         piggybacked = self._piggyback_payloads(request, now)
-        payloads.extend(piggybacked)
         if self.refresh_fanout:
-            self._fanout_refresh(
-                request, tuple(payload.key for payload in piggybacked), now
-            )
+            self._fanout_refresh(request.cache_id, requested, piggybacked, now)
         return Refresh(
             source_id=self.source_id,
             reason=RefreshReason.QUERY_INITIATED,
-            payloads=tuple(payloads),
+            payloads=tuple(requested + piggybacked),
             sent_at=now,
         )
 
     def _fanout_refresh(
         self,
-        request: RefreshRequest,
-        piggyback_keys: "tuple[ObjectKey, ...]",
+        requester: str,
+        requested: list[RefreshPayload],
+        piggybacked: list[RefreshPayload],
         now: float,
     ) -> None:
         """Push the refreshed objects' fresh values to sibling caches.
 
+        ``requested`` and ``piggybacked`` are the payloads just minted
+        for ``requester``; their master values are reused, not re-read.
         Each sibling's entry advances through the *same* policy sequence
         as the requester's — ``on_query_initiated`` + ``next_width`` for
         requested keys, ``next_width`` alone for piggybacked ones — so
@@ -404,11 +404,10 @@ class DataSource:
         membership = self.refresh_fanout
         injector = self.fault_injector
         per_cache: dict[str, list[RefreshPayload]] = {}
-        for keys, query_feedback in ((request.keys, True), (piggyback_keys, False)):
-            for key in keys:
-                value = self._master_value(key)
+        for payloads, query_feedback in ((requested, True), (piggybacked, False)):
+            for key, value, _ in payloads:
                 for cache_id, entry in self.monitor.trackers(key).items():
-                    if cache_id == request.cache_id:
+                    if cache_id == requester:
                         continue
                     if membership is not True and cache_id not in membership:
                         continue
@@ -546,8 +545,12 @@ class DataSource:
         return bound_function
 
     def _master_value(self, key: ObjectKey) -> float:
-        table = self.table(key.table)
-        return table.row(key.tid).number(key.column)
+        lo, hi = self.table(key.table).columns.cell(key.tid, key.column)
+        if lo != hi:
+            raise TypeError(
+                f"master object {key} holds the non-exact bound [{lo}, {hi}]"
+            )
+        return lo
 
     def _send(self, cache_id: str, message: object) -> None:
         deliver = self._deliver.get(cache_id)

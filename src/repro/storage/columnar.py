@@ -86,9 +86,9 @@ class _SortedOrder:
     The *key* is the bound width (``width_order``) or a raw endpoint
     (``endpoint_order``); all three kinds share one lifecycle: ``epoch``
     is the store version the arrays were valid at, ``dirty`` collects
-    tuple ids rewritten since then (write-through from
-    :meth:`ColumnStore.set`), and ``stale`` flags structural changes
-    (append/remove) that force a full rebuild.
+    tuple ids rewritten since then (by :meth:`ColumnStore.set`,
+    ``write_cell`` and ``write_bounds``), and ``stale`` flags structural
+    changes (append/remove) that force a full rebuild.
 
     ``keys_by_tid`` is the same key vector in tuple-id order (a read-only
     view) — what a full-table harvest wants, kept here so callers stop
@@ -112,11 +112,11 @@ class _SortedOrder:
 class ColumnStore:
     """Struct-of-arrays mirror of one table's rows.
 
-    Mutations (:meth:`append`, :meth:`set`, :meth:`remove`) keep the
-    arrays, the per-column exactness counters, and a ``version`` stamp in
-    sync; read accessors (:meth:`endpoints`, :meth:`text_values`,
-    :meth:`sorted_tids`) return tuple-id-ordered snapshots memoized
-    against that stamp.
+    Mutations (:meth:`append`, :meth:`set`, :meth:`write_cell`,
+    :meth:`write_bounds`, :meth:`remove`) keep the arrays, the per-column
+    exactness counters, and a ``version`` stamp in sync; read accessors
+    (:meth:`endpoints`, :meth:`text_values`, :meth:`sorted_tids`) return
+    tuple-id-ordered snapshots memoized against that stamp.
     """
 
     __slots__ = (
@@ -160,7 +160,8 @@ class ColumnStore:
         #: when the tid → slot assignment may have moved; bulk writers
         #: memoize their :meth:`slots_of` lookups against it.
         self.layout_version = 0
-        #: Bumped by every :meth:`write_bounds` that changed a cell.
+        #: Bumped by every :meth:`write_bounds` that changed a cell and by
+        #: every :meth:`write_cell`: the writes that bypass the rows.
         #: Store-attached rows compare it with the stamp they last
         #: loaded at and re-read their bounds when it has moved.
         self.bulk_stamp = 0
@@ -219,11 +220,16 @@ class ColumnStore:
         if column in self._text:
             self._text[column][slot] = value
         elif column in self._lo:
-            lo, hi = _endpoints(value)
-            if column in self._bounded:
-                was_wide = self._lo[column][slot] < self._hi[column][slot]
-                now_wide = lo < hi
-                self._non_exact[column] += int(now_wide) - int(was_wide)
+            if type(value) is float:  # a master write: no Bound to unpack
+                lo = hi = value
+            else:
+                lo, hi = _endpoints(value)
+            wide = lo < hi
+            # With every cell exact and an exact one arriving the counter
+            # cannot move, so the old cell is not read.
+            if column in self._bounded and (wide or self._non_exact[column]):
+                was_wide = bool(self._lo[column][slot] < self._hi[column][slot])
+                self._non_exact[column] += int(wide) - int(was_wide)
             self._lo[column][slot] = lo
             self._hi[column][slot] = hi
             for order in self._column_orders.get(column, ()):
@@ -231,6 +237,35 @@ class ColumnStore:
         else:
             raise UnknownColumnError(column)
         self.version += 1
+
+    def write_cell(self, tid: int, column: str, lo: float, hi: float) -> bool:
+        """Overwrite one bounded cell by its endpoints; ``False`` when the
+        store does not hold ``tid`` (nothing is touched).
+
+        The single-cell twin of :meth:`write_bounds`, for a writer that
+        already has validated endpoints (a refresh arriving at a cache):
+        the arrays, the exactness counter and the column's cached
+        orderings are updated as :meth:`set` would, and
+        :attr:`bulk_stamp` moves so the row re-reads the cell lazily.
+        """
+        slot = self._slot_of.get(tid)
+        if slot is None:
+            return False
+        if column not in self._bounded:
+            self.schema[column]  # raise UnknownColumnError on bad names
+            raise TrappError(f"column {column!r} is not bounded; no cell write")
+        live_lo, live_hi = self._lo[column], self._hi[column]
+        wide = lo < hi
+        if wide or self._non_exact[column]:  # else the counter cannot move
+            was_wide = bool(live_lo[slot] < live_hi[slot])
+            self._non_exact[column] += int(wide) - int(was_wide)
+        live_lo[slot] = lo
+        live_hi[slot] = hi
+        for order in self._column_orders.get(column, ()):
+            order.dirty.add(tid)
+        self.version += 1
+        self.bulk_stamp += 1
+        return True
 
     def remove(self, tid: int) -> None:
         """Drop one tuple, swapping the last slot into its place."""
@@ -258,6 +293,18 @@ class ColumnStore:
         self.layout_version += 1
         for order in self._sorted_orders.values():
             order.stale = True
+
+    def cell(self, tid: int, column: str) -> tuple[float, float]:
+        """``(lo, hi)`` of one numeric cell as plain floats."""
+        try:
+            slot = self._slot_of[tid]
+        except KeyError:
+            raise TrappError(f"column store holds no tuple #{tid}") from None
+        try:
+            return self._lo[column].item(slot), self._hi[column].item(slot)
+        except KeyError:
+            self.schema[column]  # raise UnknownColumnError on bad names
+            raise TrappError(f"column {column!r} is not numeric") from None
 
     def slots_of(self, tids: Iterable[int]) -> np.ndarray:
         """The array slot of each tuple id; ``-1`` for ids not held.

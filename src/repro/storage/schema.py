@@ -52,28 +52,29 @@ class Column:
         return self.kind is not ColumnKind.TEXT
 
     def validate(self, value: object) -> None:
-        """Raise :class:`SchemaError` if ``value`` cannot live in this column."""
+        """Raise :class:`SchemaError` if ``value`` cannot live in this column.
+
+        A numeric column takes any plain number but NaN (±inf is legal:
+        a :class:`Bound` allows infinite endpoints).
+        """
         if self.kind is ColumnKind.TEXT:
             if not isinstance(value, str):
                 raise SchemaError(
                     f"column {self.name!r} is TEXT but got {type(value).__name__}"
                 )
             return
-        if self.kind is ColumnKind.EXACT:
+        if type(value) is not float:  # a plain float (a master write) skips these
+            # BOUNDED columns accept either a Bound (cache side) or a plain
+            # number (master side / freshly refreshed exact value).
+            if self.kind is ColumnKind.BOUNDED and isinstance(value, Bound):
+                return
             if isinstance(value, bool) or not isinstance(value, (int, float)):
+                kind = "EXACT numeric" if self.kind is ColumnKind.EXACT else "BOUNDED"
                 raise SchemaError(
-                    f"column {self.name!r} is EXACT numeric but got "
-                    f"{type(value).__name__}"
+                    f"column {self.name!r} is {kind} but got {type(value).__name__}"
                 )
-            return
-        # BOUNDED columns accept either a Bound (cache side) or a plain
-        # number (master side / freshly refreshed exact value).
-        if isinstance(value, Bound):
-            return
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SchemaError(
-                f"column {self.name!r} is BOUNDED but got {type(value).__name__}"
-            )
+        if value != value:
+            raise SchemaError(f"column {self.name!r} cannot hold NaN")
 
 
 class Schema:

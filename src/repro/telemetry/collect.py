@@ -87,6 +87,12 @@ def _collect_cache_counters(registry: MetricsRegistry, system) -> None:
         family.labels(cache=cid, kind="fanout_refreshes_received").set(
             cache.fanout_refreshes_received
         )
+        # Refresh messages by how they were applied; two plain integers
+        # on the cache, so the one-payload path increments no instrument.
+        family.labels(cache=cid, kind="cell_route").set(cache.cell_route_messages)
+        family.labels(cache=cid, kind="column_route").set(
+            cache.column_route_messages
+        )
 
 
 def _collect_source_counters(registry: MetricsRegistry, system) -> None:

@@ -67,6 +67,33 @@ class TestMessages:
         assert refresh.payloads[0].value == 5.0
         assert refresh.sent_at == 3.0
 
+    def test_refresh_and_payload_are_tuples_of_their_fields(self):
+        """Built once per push on the write path: constructed in C."""
+        bf = BoundFunction(5.0, 1.0, 0.0)
+        key = ObjectKey("t", 1, "x")
+        payload = RefreshPayload(key=key, value=5.0, bound_function=bf)
+        assert isinstance(payload, tuple)
+        assert RefreshPayload._fields == ("key", "value", "bound_function")
+        assert payload == RefreshPayload(key, 5.0, bf) == (key, 5.0, bf)
+        unpacked_key, value, function = payload
+        assert (unpacked_key, value, function) == (key, 5.0, bf)
+        refresh = Refresh(
+            source_id="s", reason=RefreshReason.QUERY_INITIATED, payloads=(payload,)
+        )
+        assert isinstance(refresh, tuple)
+        assert Refresh._fields == ("source_id", "reason", "payloads", "sent_at")
+        assert refresh.sent_at == 0.0  # the default survives
+        assert refresh == Refresh("s", RefreshReason.QUERY_INITIATED, (payload,), 0.0)
+        assert refresh._replace(sent_at=2.0).sent_at == 2.0
+        for message in (payload, refresh):
+            with pytest.raises(AttributeError):
+                message.value = 1.0
+        with pytest.raises(TypeError):
+            RefreshPayload(key, 5.0)  # no default but ``sent_at``
+        # The cache dispatches on the class, never on tuple-ness.
+        assert not isinstance(RefreshRequest("c", (key,)), tuple)
+        assert not isinstance(CardinalityChange("s", "t", 1), tuple)
+
     def test_cardinality_change_flags(self):
         insert = CardinalityChange("s", "t", 7, values={"x": 1.0})
         delete = CardinalityChange("s", "t", 7, values=None)

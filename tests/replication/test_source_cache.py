@@ -1,23 +1,36 @@
 """Integration tests for the source/cache replication protocol (§3)."""
 
 import builtins
+import random
 
+import numpy as np
 import pytest
 
 from repro.bounds.functions import BoundFunction
 from repro.bounds.width import FixedWidthPolicy
 from repro.core.bound import Bound
-from repro.errors import ReplicationProtocolError, SchemaError
+from repro.errors import (
+    ReplicationProtocolError,
+    SchemaError,
+    TrappError,
+    UnknownColumnError,
+)
 from repro.replication.messages import ObjectKey, RefreshReason
 from repro.replication.sharding import ShardedSource
 from repro.replication.source import DataSource
 from repro.replication.cache import DataCache
 from repro.replication.system import TrappSystem
 from repro.simulation.clock import Clock
-from repro.storage.schema import Schema
+from repro.storage.columnar import ColumnStore
+from repro.storage.row import Row
+from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
 from repro.telemetry import MetricsRegistry, register_system_collectors
-from repro.workloads.netmon import paper_master_table
+from repro.workloads.netmon import (
+    build_master_table,
+    generate_topology,
+    paper_master_table,
+)
 
 
 @pytest.fixture
@@ -341,3 +354,228 @@ class TestRejectedUpdates:
         assert refresh.payloads[0].value == 500.0
         assert refresh.payloads[0].bound_function.value_at_refresh == 500.0
         assert source.table("links").row(1)["latency"] == 500.0
+
+    @pytest.mark.parametrize("column", ["latency", "cost"])
+    def test_a_nan_row_is_rejected_before_it_is_inserted_or_broadcast(
+        self, clock, source, cache, column
+    ):
+        """``insert_row`` used to put the NaN into the master, the store
+        and every subscribing cache; each later sync then raised."""
+        master = source.table("links")
+        values = master.row(1).as_dict() | {column: float("nan")}
+        before = (
+            master.tids(), master.columns.version, master.columns.layout_version,
+            source.monitor.tracked_count(), cache.table("links").tids(),
+            cache.table("links").columns.version, len(cache._subscriptions),
+        )
+        with pytest.raises(SchemaError, match="NaN"):
+            source.insert_row("links", values)
+        assert before == (
+            master.tids(), master.columns.version, master.columns.layout_version,
+            source.monitor.tracked_count(), cache.table("links").tids(),
+            cache.table("links").columns.version, len(cache._subscriptions),
+        )
+        clock.advance(9.0)
+        cache.sync_bounds()
+        change = source.insert_row("links", master.row(1).as_dict())
+        assert change.tid in cache.table("links")  # the tid was not burnt
+
+
+class TestDeliveryWritesArrays:
+    """Refreshes land as array writes: no ``Bound``, no ``BoundFunction.at``,
+    no ``Row.set`` on a cached row, no ``Table.update_value`` on a cached
+    table and no ``Column.validate`` beyond the master's own."""
+
+    N_LINKS = 320
+
+    @pytest.fixture
+    def deployment(self, clock):
+        rng = random.Random(5)
+        source = DataSource("net", clock=clock.now)
+        source.add_table(
+            build_master_table(generate_topology(100, self.N_LINKS, rng), rng)
+        )
+        source.refresh_fanout = True
+        return source, _replicas(clock, source, 2)
+
+    @pytest.fixture
+    def guarded(self, monkeypatch, deployment):
+        """Patch the per-cell pipeline out from under the two caches."""
+        _, caches = deployment
+        cached_stores = {id(replica.table("links").columns) for replica in caches}
+        row_set = Row.set
+        validated = []
+
+        def set_master_rows_only(row, column, value):
+            assert id(row._sink) not in cached_stores, "Row.set on a cached row"
+            row_set(row, column, value)
+
+        column_validate = Column.validate
+
+        def counting_validate(column, value):
+            validated.append(column.name)
+            column_validate(column, value)
+
+        monkeypatch.setattr(Bound, "__init__", _boom)
+        monkeypatch.setattr(BoundFunction, "at", _boom)
+        monkeypatch.setattr(Row, "set", set_master_rows_only)
+        monkeypatch.setattr(Column, "validate", counting_validate)
+        for replica in caches:
+            monkeypatch.setattr(replica.table("links"), "update_value", _boom)
+        return validated
+
+    @staticmethod
+    def _assert_cells_equal_master(source, caches, tids, columns):
+        master = source.table("links").columns
+        for replica in caches:
+            store = replica.table("links").columns
+            for tid in tids:
+                for column in columns:
+                    value = master.cell(tid, column)
+                    assert value[0] == value[1]
+                    assert store.cell(tid, column) == value, (replica.cache_id, tid)
+
+    def test_a_thousand_violating_updates_against_two_replicas(
+        self, clock, deployment, guarded
+    ):
+        source, caches = deployment
+        clock.advance(25.0)  # the clock then stands: fresh bounds are points
+        tids = source.table("links").tids()
+        for step in range(1000):
+            key = ObjectKey("links", tids[step % 40], "traffic")
+            refreshes = source.apply_update(key, 1e4 + step * 0.5)
+            assert [r.reason for r in refreshes] == [RefreshReason.VALUE_INITIATED] * 2
+        assert guarded == ["traffic"] * 1000  # the master's validation, only
+        self._assert_cells_equal_master(source, caches, tids[:40], ["traffic"])
+        for replica in caches:
+            assert replica.refreshes_received == 1000
+            assert (replica.cell_route_messages, replica.column_route_messages) == (
+                1000, 0,
+            )
+            assert replica.table("links").columns.non_exact_count("traffic") == 0
+
+    def test_a_three_hundred_tuple_batch_and_its_fanout(
+        self, clock, deployment, guarded
+    ):
+        source, caches = deployment
+        clock.advance(25.0)
+        for replica in caches:
+            replica.sync_bounds()
+            assert replica.table("links").columns.non_exact_count("latency") == (
+                self.N_LINKS
+            )
+        requester, sibling = caches
+        tids = source.table("links").tids()[10:310]
+        receipt = requester.refresh_batched(requester.table("links"), tids)
+        assert receipt.tids == frozenset(tids) and not receipt.failures
+        assert guarded == []
+        bounded = ["latency", "bandwidth", "traffic"]
+        self._assert_cells_equal_master(source, caches, tids, bounded)
+        for replica in caches:
+            assert replica.refreshes_received == 900
+            assert (replica.cell_route_messages, replica.column_route_messages) == (
+                0, 1,
+            )
+            store = replica.table("links").columns
+            assert store.non_exact_count("latency") == self.N_LINKS - 300
+        assert sibling.fanout_refreshes_received == 900
+
+    def test_a_large_message_makes_as_many_numpy_calls_as_a_small_one(
+        self, clock, deployment, monkeypatch
+    ):
+        """Above the route constant the array work does not grow with the
+        message: counted on the two NumPy entry points the route calls by
+        name and on the store's bulk write."""
+        source, (requester, _) = deployment
+        source.refresh_fanout = False
+        table = requester.table("links")
+        tids = table.tids()
+        calls = []
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np, "fromiter", counted("fromiter", np.fromiter))
+        monkeypatch.setattr(np, "flatnonzero", counted("flatnonzero", np.flatnonzero))
+        monkeypatch.setattr(
+            ColumnStore, "write_bounds",
+            counted("write_bounds", ColumnStore.write_bounds),
+        )
+        monkeypatch.setattr(
+            ColumnStore, "write_cell", counted("write_cell", ColumnStore.write_cell)
+        )
+        counts = []
+        for batch in (tids[:40], tids[40:340]):
+            clock.advance(25.0)
+            requester.sync_bounds()
+            calls.clear()
+            requester.refresh_batched(table, batch)
+            counts.append(sorted(calls))
+        assert counts[0] == counts[1]
+        assert counts[0].count("write_bounds") == 3 and "write_cell" not in counts[0]
+
+    def test_routes_are_tallied_and_only_the_column_route_is_timed(self):
+        system = TrappSystem()
+        source = system.add_source("s1")
+        rng = random.Random(5)
+        source.add_table(build_master_table(generate_topology(30, 60, rng), rng))
+        cache = system.add_cache("c1")
+        cache.subscribe_table(source, "links")
+        registry = MetricsRegistry()
+        register_system_collectors(registry, system)
+        cache.attach_telemetry(registry)
+        system.clock.advance(25.0)
+        for step in range(5):  # five one-payload pushes
+            assert source.apply_update(ObjectKey("links", 1, "traffic"), 1e4 + step)
+        table = cache.table("links")
+        cache.refresh_batched(table, table.tids()[:2])  # 6 payloads
+        cache.refresh_batched(table, table.tids()[:40])  # 120 payloads
+        [family] = [
+            entry
+            for entry in registry.snapshot()["families"]
+            if entry["name"] == "trapp_cache_messages"
+        ]
+        kinds = {
+            sample["labels"]["kind"]: sample["value"] for sample in family["samples"]
+        }
+        assert (kinds["cell_route"], kinds["column_route"]) == (6, 1)
+        assert kinds["refreshes_received"] == 5 + 6 + 120
+        assert cache._t_apply_seconds.count == 1  # never on the cell route
+
+
+class TestMasterValueReads:
+    """A query-initiated refresh reads each master value once, from the
+    master's ``ColumnStore``, whatever the fan-out."""
+
+    def test_one_read_per_requested_key(self, clock, source, monkeypatch):
+        source.refresh_fanout = True
+        requester, *_ = _replicas(clock, source, 3)
+        clock.advance(9.0)
+        reads = []
+        master_value = DataSource._master_value
+
+        def counting(self, key):
+            reads.append(key)
+            return master_value(self, key)
+
+        monkeypatch.setattr(DataSource, "_master_value", counting)
+        monkeypatch.setattr(Table, "row", _boom)  # not through the rows
+        requester.refresh_batched(requester.table("links"), [1, 2, 3, 4])
+        assert len(reads) == len(set(reads)) == 4 * 3
+        assert source.fanout_refreshes == 2 * 12
+
+    def test_unserved_and_non_exact_objects_raise_as_before(self, source):
+        with pytest.raises(ReplicationProtocolError):
+            source._master_value(ObjectKey("ghosts", 1, "latency"))
+        with pytest.raises(TrappError):
+            source._master_value(ObjectKey("links", 99, "latency"))
+        with pytest.raises(UnknownColumnError):
+            source._master_value(ObjectKey("links", 1, "ghost"))
+        source.table("links").update_value(1, "latency", Bound(1.0, 2.0))
+        with pytest.raises(TypeError, match="non-exact"):
+            source._master_value(ObjectKey("links", 1, "latency"))
+        source.table("links").update_value(1, "latency", Bound(4.0, 4.0))
+        assert source._master_value(ObjectKey("links", 1, "latency")) == 4.0

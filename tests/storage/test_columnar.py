@@ -702,6 +702,105 @@ class TestWriteBounds:
             table.columns.write_bounds("missing", slots, one, one)
 
 
+class TestWriteCell:
+    """The single-cell twin of ``write_bounds``: endpoints in, no objects."""
+
+    def test_an_absent_tuple_is_false_and_nothing_moves(self):
+        table = make_table()
+        table.delete(2)  # once held, and never held
+        store = table.columns
+        orders = [store.width_order("x"), store.endpoint_order("x", "hi")]
+        before = (
+            store.version, store.bulk_stamp, store.non_exact_count("x"),
+            [array.tolist() for array in store.endpoints("x")],
+        )
+        assert store.write_cell(2, "x", 1.0, 2.0) is False
+        assert store.write_cell(99, "x", 1.0, 2.0) is False
+        assert before == (
+            store.version, store.bulk_stamp, store.non_exact_count("x"),
+            [array.tolist() for array in store.endpoints("x")],
+        )
+        assert not any(order.dirty or order.stale for order in orders)
+        assert store.width_order("x") is orders[0]
+
+    def test_only_bounded_columns(self):
+        store = make_table().columns
+        with pytest.raises(TrappError):
+            store.write_cell(1, "cost", 1.0, 1.0)  # EXACT
+        with pytest.raises(TrappError):
+            store.write_cell(1, "tag", 1.0, 1.0)  # TEXT
+        with pytest.raises(UnknownColumnError):
+            store.write_cell(1, "missing", 1.0, 1.0)
+        assert store.endpoints("cost")[0].tolist() == [2.0, 4.0, 6.0]
+
+    def test_the_counter_moves_both_ways(self):
+        table = make_table()  # x: tid 1 wide, tids 2 and 3 exact
+        store = table.columns
+        assert store.write_cell(1, "x", 4.0, 4.0) is True
+        assert store.column_exact("x")
+        # Every cell exact: an exact one arriving cannot move the counter,
+        # a wide one must.
+        store.write_cell(2, "x", 6.0, 6.0)
+        assert store.non_exact_count("x") == 0
+        store.write_cell(2, "x", 6.0, 6.5)
+        store.write_cell(3, "x", 0.0, 9.0)
+        assert store.non_exact_count("x") == 2
+        store.write_cell(3, "x", 1.0, 8.0)  # wide over wide
+        assert store.non_exact_count("x") == 2
+        store.write_cell(2, "x", 6.0, 6.0)
+        assert store.non_exact_count("x") == 1
+        assert store.non_exact_count("y") == 1  # other columns untouched
+        lo, hi = store.endpoints("x")
+        assert (lo.tolist(), hi.tolist()) == ([4.0, 6.0, 1.0], [4.0, 6.0, 8.0])
+
+    def test_every_write_moves_both_stamps_and_marks_the_live_orders(self):
+        table = make_table()
+        store = table.columns
+        order_x, order_y = store.width_order("x"), store.endpoint_order("y", "lo")
+        version, stamp = store.version, store.bulk_stamp
+        store.write_cell(3, "x", 2.0, 2.0)  # the cell it already holds
+        assert (store.version, store.bulk_stamp) == (version + 1, stamp + 1)
+        assert order_x.dirty == {3} and not order_y.dirty
+        store.write_cell(1, "x", 7.0, 7.25)
+        for kind in ("width", "lo", "hi"):
+            repaired = store._sorted_order("x", kind)
+            fresh = store._build_sorted_order("x", kind)
+            assert repaired.tids.tolist() == fresh.tids.tolist()
+            assert repaired.keys.tolist() == fresh.keys.tolist()
+        assert store.endpoint_order("y", "lo") is order_y
+
+    def test_rows_catch_up_lazily(self, monkeypatch):
+        table = make_table()
+        row1, row2, row3 = table.row(1), table.row(2), table.row(3)
+        held, plain = row2["x"], row3["x"]
+        with monkeypatch.context() as patched:
+            patched.setattr(Bound, "__init__", _no_bound)
+            table.columns.write_cell(1, "x", 3.0, 4.0)
+            table.columns.write_cell(3, "x", 2.0, 2.0)
+        assert row1["x"] == Bound(3.0, 4.0) and not row1.is_exact("x")
+        assert row2["x"] is held  # unchanged cells keep object and type
+        assert row3["x"] is plain
+        table.update_value(1, "x", Bound(7.0, 8.0))  # a row write after it wins
+        assert table.row(1)["x"] == Bound(7.0, 8.0)
+        assert table.columns.cell(1, "x") == (7.0, 8.0)
+
+    def test_cell_reads_one_numeric_cell(self):
+        store = make_table().columns
+        assert store.cell(1, "x") == (0.0, 10.0)
+        assert store.cell(3, "cost") == (6.0, 6.0)
+        assert all(type(v) is float for v in store.cell(1, "x"))
+        with pytest.raises(TrappError):
+            store.cell(99, "x")
+        with pytest.raises(TrappError):
+            store.cell(1, "tag")
+        with pytest.raises(UnknownColumnError):
+            store.cell(1, "missing")
+
+
+def _no_bound(*args, **kwargs):
+    raise AssertionError("a cell write builds no Bound")
+
+
 class TestRowsAreLazyViews:
     """A bulk write bypasses the rows; they catch up when read."""
 

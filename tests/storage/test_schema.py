@@ -44,6 +44,20 @@ class TestColumn:
         with pytest.raises(SchemaError):
             col.validate("text")
 
+    @pytest.mark.parametrize("kind", [ColumnKind.EXACT, ColumnKind.BOUNDED])
+    def test_numeric_columns_reject_nan_and_keep_infinities(self, kind):
+        import numpy as np
+
+        col = Column("n", kind)
+        for nan in (float("nan"), -float("nan"), np.float64("nan")):
+            with pytest.raises(SchemaError, match="NaN"):
+                col.validate(nan)
+        for legal in (float("inf"), float("-inf"), 0.0, -0.0, np.float64(2.5), 7):
+            col.validate(legal)  # a Bound allows infinite endpoints too
+        with pytest.raises(SchemaError):
+            col.validate(True)
+        Column("t", ColumnKind.TEXT).validate("nan")
+
 
 class TestSchema:
     def test_construction_and_lookup(self):

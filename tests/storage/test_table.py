@@ -58,6 +58,29 @@ class TestTable:
         with pytest.raises(SchemaError):
             table.update_value(1, "x", "bad")
 
+    @pytest.mark.parametrize("column", ["id", "x"])
+    def test_nan_is_rejected_before_anything_is_touched(self, table, column):
+        """NaN endpoints poison every later bound sync and the
+        ``searchsorted`` windows of the endpoint orders."""
+        store = table.columns
+        order = store.endpoint_order(column, "lo")
+        before = (
+            table.tids(), store.version, store.layout_version,
+            [array.tolist() for array in store.endpoints(column)],
+            table.row(1).as_dict(),
+        )
+        with pytest.raises(SchemaError, match="NaN"):
+            table.insert({"id": 3, "x": 1.0} | {column: float("nan")})
+        with pytest.raises(SchemaError, match="NaN"):
+            table.update_value(1, column, float("nan"))
+        assert before == (
+            table.tids(), store.version, store.layout_version,
+            [array.tolist() for array in store.endpoints(column)],
+            table.row(1).as_dict(),
+        )
+        assert store.column_exact("id") and not order.dirty and not order.stale
+        assert table.insert({"id": 3, "x": float("inf")}).tid == 3  # not burnt
+
     def test_update_value_keeps_indexes_synced(self, table):
         before = table.columns.endpoint_order("x", "hi")
         assert before.keys[-1] == 10.0
