@@ -14,7 +14,7 @@ from repro.bench.harness import run_sweep
 from repro.bench.tables import banner, print_table
 from repro.core.bound import Bound
 from repro.core.refresh import CHOOSE_MIN, CHOOSE_COUNT, SumChooseRefresh
-from repro.predicates.classify import classify
+from repro.predicates.batch import classify_report
 from repro.predicates.parser import parse_predicate
 from repro.storage.schema import Schema
 from repro.storage.table import Table
@@ -38,20 +38,19 @@ def test_scaling_series():
     rows_out = []
     for n in SIZES:
         table = _make_table(n)
-        rows = table.rows()
         import time
 
         t0 = time.perf_counter()
-        CHOOSE_MIN.without_predicate(rows, "x", 10.0, cost)
+        CHOOSE_MIN.without_predicate(table, "x", 10.0, cost)
         t_min = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        SumChooseRefresh(epsilon=0.1).without_predicate(rows, "x", 200.0, cost)
+        SumChooseRefresh(epsilon=0.1).without_predicate(table, "x", 200.0, cost)
         t_sum = time.perf_counter() - t0
 
-        cls = classify(rows, parse_predicate("x > 500"))
+        pair = classify_report(table.columns, parse_predicate("x > 500")).positions
         t0 = time.perf_counter()
-        CHOOSE_COUNT.with_classification(cls, None, 5.0, cost)
+        CHOOSE_COUNT.with_classification(table, pair, None, 5.0, cost)
         t_count = time.perf_counter() - t0
 
         rows_out.append(
@@ -65,7 +64,7 @@ def test_scaling_series():
 def test_indexed_min_matches_scan():
     table = _make_table(2000)
     cost = lambda row: row.number("cost")
-    scan_plan = CHOOSE_MIN.without_predicate(table.rows(), "x", 10.0, cost)
+    scan_plan, _ = CHOOSE_MIN.without_predicate(table, "x", 10.0, cost)
     index_plan = CHOOSE_MIN.without_predicate_indexed(table, "x", 10.0, cost)
     assert scan_plan.tids == index_plan.tids
     assert scan_plan.total_cost == pytest.approx(index_plan.total_cost)
@@ -78,8 +77,7 @@ def test_min_choose_refresh_timing(benchmark, route):
     if route == "indexed":
         run = lambda: CHOOSE_MIN.without_predicate_indexed(table, "x", 10.0, cost)
     else:
-        rows = table.rows()
-        run = lambda: CHOOSE_MIN.without_predicate(rows, "x", 10.0, cost)
+        run = lambda: CHOOSE_MIN.without_predicate(table, "x", 10.0, cost)[0]
     plan = benchmark(run)
     assert plan is not None
 
@@ -87,11 +85,10 @@ def test_min_choose_refresh_timing(benchmark, route):
 @pytest.mark.parametrize("n", [400, 1600])
 def test_sum_choose_refresh_timing(benchmark, n):
     table = _make_table(n)
-    rows = table.rows()
     cost = lambda row: row.number("cost")
     chooser = SumChooseRefresh(epsilon=0.1)
-    plan = benchmark.pedantic(
-        lambda: chooser.without_predicate(rows, "x", 200.0, cost),
+    plan, _ = benchmark.pedantic(
+        lambda: chooser.without_predicate(table, "x", 200.0, cost),
         rounds=3,
         iterations=1,
     )

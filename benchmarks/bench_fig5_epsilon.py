@@ -27,7 +27,7 @@ EPSILONS = [0.1, 0.08, 0.06, 0.04, 0.02, 0.01]
 
 def _plan_cost(stock_cache, stock_cost, epsilon):
     chooser = SumChooseRefresh(epsilon=epsilon, force_approx=True)
-    plan = chooser.without_predicate(stock_cache.rows(), "price", R, stock_cost)
+    plan, _ = chooser.without_predicate(stock_cache, "price", R, stock_cost)
     return {"refresh_cost": plan.total_cost, "tuples": float(len(plan.tids))}
 
 
@@ -62,8 +62,8 @@ def test_fig5_shapes(stock_cache, stock_cost):
     )
 
     # Shape 2: the refresh cost improves only marginally below 0.1.
-    exact = SumChooseRefresh(force_exact=True).without_predicate(
-        stock_cache.rows(), "price", R, stock_cost
+    exact, _ = SumChooseRefresh(force_exact=True).without_predicate(
+        stock_cache, "price", R, stock_cost
     )
     assert costs[0] <= exact.total_cost * 1.15, (
         "epsilon=0.1 should already be within ~15% of optimal "
@@ -74,7 +74,7 @@ def test_fig5_shapes(stock_cache, stock_cost):
     # Every plan guarantees the constraint.
     for eps in EPSILONS:
         chooser = SumChooseRefresh(epsilon=eps, force_approx=True)
-        plan = chooser.without_predicate(stock_cache.rows(), "price", R, stock_cost)
+        plan, _ = chooser.without_predicate(stock_cache, "price", R, stock_cost)
         kept_width = sum(
             row.bound("price").width
             for row in stock_cache.rows()
@@ -86,10 +86,9 @@ def test_fig5_shapes(stock_cache, stock_cost):
 @pytest.mark.parametrize("epsilon", [0.1, 0.02])
 def test_fig5_choose_refresh_timing(benchmark, stock_cache, stock_cost, epsilon):
     """pytest-benchmark timing of the two interesting epsilon points."""
-    rows = stock_cache.rows()
     chooser = SumChooseRefresh(epsilon=epsilon, force_approx=True)
-    plan = benchmark.pedantic(
-        lambda: chooser.without_predicate(rows, "price", R, stock_cost),
+    plan, _ = benchmark.pedantic(
+        lambda: chooser.without_predicate(stock_cache, "price", R, stock_cost),
         rounds=3,
         iterations=1,
     )

@@ -27,7 +27,7 @@ R_VALUES = [0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120, 130, 140]
 def _cost_at(stock_days, stock_cost, budget):
     table = stock_cache_table(stock_days)
     chooser = SumChooseRefresh(epsilon=EPSILON)
-    plan = chooser.without_predicate(table.rows(), "price", budget, stock_cost)
+    plan, _ = chooser.without_predicate(table, "price", budget, stock_cost)
     return {"refresh_cost": plan.total_cost, "tuples": float(len(plan.tids))}
 
 

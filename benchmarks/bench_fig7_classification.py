@@ -2,17 +2,19 @@
 
 Prints the classification table for the paper's three predicates (before
 and after refresh) in Figure 7's layout, asserts it matches the paper cell
-by cell, and benchmarks both classification routes (symbolic endpoint
-transforms vs direct three-valued evaluation) at a larger scale to show
-they scale identically.
+by cell, and benchmarks the classifier that serves
+(:func:`repro.predicates.batch.classify_report`) at a larger scale on both
+of its routes — endpoint-index windows and the dense sweep — which must
+produce the same partition.
 """
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.bench.tables import banner, print_table
-from repro.predicates.classify import classify, classify_trilean
+from repro.predicates.batch import classify_report
 from repro.predicates.parser import parse_predicate
 from repro.workloads.netmon import (
     build_master_table,
@@ -44,16 +46,23 @@ PAPER_TABLE = {
 }
 
 
+def _labels(table, predicate):
+    """``T+`` / ``T?`` / ``T-`` per tuple, in tuple-id order."""
+    plus, maybe = classify_report(table.columns, predicate).positions
+    labels = np.full(len(table), "T-")
+    labels[plus] = "T+"
+    labels[maybe] = "T?"
+    return labels.tolist()
+
+
 def test_fig7_table_matches_paper():
     cached = paper_example_table()
     master = paper_master_table()
     rows = []
     for text in PREDICATES:
         predicate = parse_predicate(text)
-        before = classify(cached.rows(), predicate)
-        after = classify(master.rows(), predicate)
-        before_labels = [before.label_of(t) for t in range(1, 7)]
-        after_labels = [after.label_of(t) for t in range(1, 7)]
+        before_labels = _labels(cached, predicate)
+        after_labels = _labels(master, predicate)
         expected_before, expected_after = PAPER_TABLE[text]
         assert before_labels == expected_before, text
         assert after_labels == expected_after, text
@@ -80,18 +89,20 @@ def large_table():
 
 def test_classification_routes_agree_at_scale(large_table):
     predicate = parse_predicate(PREDICATES[0])
-    a = classify(large_table.rows(), predicate)
-    b = classify_trilean(large_table.rows(), predicate)
-    assert a.counts() == b.counts()
-    assert [r.tid for r in a.maybe] == [r.tid for r in b.maybe]
+    a = classify_report(large_table.columns, predicate)
+    b = classify_report(large_table.columns, predicate, use_index=False)
+    assert a.used_index and not b.used_index
+    for ours, theirs in zip(a.positions, b.positions):
+        assert np.array_equal(ours, theirs)
 
 
-@pytest.mark.parametrize("route", ["endpoint", "trilean"])
+@pytest.mark.parametrize("route", ["index", "dense"])
 def test_fig7_classification_timing(benchmark, large_table, route):
     predicate = parse_predicate(PREDICATES[0])
-    rows = large_table.rows()
-    if route == "endpoint":
-        result = benchmark(lambda: classify(rows, predicate))
-    else:
-        result = benchmark(lambda: classify_trilean(rows, predicate))
-    assert sum(result.counts()) == len(rows)
+    store = large_table.columns
+    plus, maybe = benchmark(
+        lambda: classify_report(
+            store, predicate, use_index=route == "index"
+        ).positions
+    )
+    assert 0 < len(plus) + len(maybe) < len(store)

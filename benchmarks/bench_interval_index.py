@@ -16,11 +16,12 @@ table size** sweep:
    dense route is the **pre-index pipeline** those queries ran before
    this PR: ``use_index=False`` classification (the same dense
    evaluator PR 3 measured — its numbers double as the no-regression
-   check on that path), mask-driven assembly, and a verbatim copy of
-   the pre-PR mask-driven harvest (:func:`_legacy_harvest`, the same
-   ablation idiom as ``bench_refresh_planner._legacy_dense_dp``);
-   the copy cannot drift because every cell asserts it emits vectors
-   bit-identical to the shipped route.  Acceptance floor: ≥ 5× at
+   check on that path) and verbatim copies of the pre-PR mask-driven
+   assembly and harvest (:func:`_legacy_assemble`,
+   :func:`_legacy_harvest`, the same ablation idiom as
+   ``bench_refresh_planner._legacy_dense_dp``); the copies cannot drift
+   because every cell asserts they emit vectors bit-identical to the
+   shipped route.  Acceptance floor: ≥ 5× at
    10⁵ rows / 1% straddle (full profile).
 2. **compound predicate** — one And-of-comparisons config at headline
    size exercising the sorted-tid window set algebra.
@@ -138,6 +139,15 @@ def _build_table(n: int, selectivity: float) -> tuple[Table, float]:
     return table, n * (1.0 - 2.0 * selectivity)
 
 
+def _legacy_assemble(store, column, certain, possible):
+    """The pre-PR mask-driven answer assembly (dense baseline): four
+    boolean-mask gathers over the full table, where the shipped
+    :meth:`ColumnarClassification.from_positions` gathers O(k)."""
+    maybe = np.logical_and(possible, np.logical_not(certain))
+    lo, hi = store.endpoints(column)
+    return lo[certain], hi[certain], lo[maybe], hi[maybe]
+
+
 def _legacy_harvest(store, column, certain, possible, cost_value=1.0):
     """The pre-PR mask-driven harvest, copied verbatim (dense baseline).
 
@@ -183,22 +193,22 @@ def _classify_and_harvest(store, predicate, use_index: bool):
     """The measured unit: one query's classification work.
 
     Step-1 classification, step-3 answer assembly
-    (:meth:`ColumnarClassification.from_masks`), and step-2 §6.2
+    (:meth:`ColumnarClassification.from_positions`), and step-2 §6.2
     harvest.  The index route hands both consumers the sorted T+/T?
     positions and never widens the window sets to dense masks (the
     report widens lazily) — the O(log n + k) pipeline the executor
     runs.  The dense route is the pre-index pipeline: mask
-    classification, mask assembly, and :func:`_legacy_harvest`.
+    classification, :func:`_legacy_assemble`, and
+    :func:`_legacy_harvest`.
     """
     if use_index:
         report = classify_report(store, predicate)
         positions = report.positions
-        assert positions is not None, "index route produced no positions"
-        ColumnarClassification.from_masks(store, None, None, "x", positions=positions)
+        ColumnarClassification.from_positions(store, positions, "x")
         cv = harvest_candidates(store, "x", positions=positions, cost_value=1.0)
         return report, cv
     certain, possible = classify_masks(store, predicate, use_index=False)
-    ColumnarClassification.from_masks(store, certain, possible, "x")
+    _legacy_assemble(store, "x", certain, possible)
     cv = _legacy_harvest(store, "x", certain, possible)
     return (certain, possible), cv
 
@@ -222,12 +232,24 @@ def _measure_cell(n: int, selectivity: float) -> dict:
         assert np.array_equal(
             getattr(cv_index, field), getattr(cv_dense, field)
         ), f"harvest {field} diverge between index route and legacy baseline"
+    dense_pair = (
+        np.flatnonzero(certain_d),
+        np.flatnonzero(possible_d & ~certain_d),
+    )
     cv_shipped = harvest_candidates(
-        store, "x", certain=certain_d, possible=possible_d, cost_value=1.0
+        store, "x", positions=dense_pair, cost_value=1.0
     )
     assert np.array_equal(cv_shipped.order, cv_dense.order), (
-        "legacy harvest copy drifted from the shipped mask route"
+        "legacy harvest copy drifted from the shipped route"
     )
+    shipped = ColumnarClassification.from_positions(store, dense_pair, "x")
+    for ours, theirs in zip(
+        _legacy_assemble(store, "x", certain_d, possible_d),
+        (shipped.plus_lo, shipped.plus_hi, shipped.maybe_lo, shipped.maybe_hi),
+    ):
+        assert np.array_equal(ours, theirs), (
+            "legacy assembly copy drifted from the shipped route"
+        )
 
     index_seconds, _ = _best_of(
         lambda: _classify_and_harvest(store, predicate, use_index=True)

@@ -1,4 +1,4 @@
-"""CHOOSE_REFRESH planner: vector pipeline vs the object pipeline (ISSUE 3).
+"""CHOOSE_REFRESH planner: the vector pipeline's cost (ISSUE 3).
 
 PR 1 vectorized the executor's answer sweeps; this benchmark measures the
 other half of every refresh-bearing query — §5.2 plan *selection* — after
@@ -6,12 +6,15 @@ rebuilding it around columnar candidate harvesting, the sparse
 array-backed knapsack core, and the store's epoch-cached sorted-width
 orderings.  Three measurements:
 
-1. **planner/uniform @ N** — the acceptance ratio.  The pre-PR planner
-   built one ``KnapsackItem`` per tuple and sorted them per call; the
-   vector planner walks the store's cached width ordering sort-free
-   with no per-tuple objects.  Cold (first query after a write) and warm
-   (repeated queries, the service's steady state) are reported
-   separately; the ≥10× floor applies to the warm path at full size.
+1. **planner/uniform @ N** — the vector planner walks the store's cached
+   width ordering sort-free with no per-tuple objects.  Cold (first
+   query after a write) and warm (repeated queries, the service's steady
+   state) are reported separately.  (Until PR 19 a third leg timed the
+   planner this replaced — one ``KnapsackItem`` per tuple, sorted per
+   call — and asserted a ≥10× warm ratio; it left with the row-taking
+   method family, which is now a test oracle that ``benchmarks/`` may
+   not import.  Its dated result, 35× warm / 16× cold at n = 50 000, is
+   in ``docs/PERFORMANCE.md``.)
 2. **planner/exact-DP @ N_EXACT** — the ``solve_exact_dp`` memory fix.
    A faithful copy of the pre-PR dense DP (the ``n × (P+1)`` boolean
    ``take`` matrix) runs against the sparse-frontier DP on the same
@@ -33,8 +36,7 @@ and additionally fail if the smoke planner time regressed more than 3×
 over the committed baseline.
 
 Environment knobs: ``BENCH_PLANNER_N`` (50000), ``BENCH_PLANNER_EXACT_N``
-(800), ``BENCH_PLANNER_REPEATS`` (5), ``BENCH_PLANNER_MIN_SPEEDUP`` (10),
-``BENCH_PLANNER_SMOKE`` (0).  ``python
+(800), ``BENCH_PLANNER_REPEATS`` (5), ``BENCH_PLANNER_SMOKE`` (0).  ``python
 benchmarks/bench_refresh_planner.py --smoke`` sets the CI smoke profile.
 """
 
@@ -65,11 +67,6 @@ SMOKE = os.environ.get("BENCH_PLANNER_SMOKE", "0") == "1"
 N = int(os.environ.get("BENCH_PLANNER_N", "4000" if SMOKE else "50000"))
 N_EXACT = int(os.environ.get("BENCH_PLANNER_EXACT_N", "120" if SMOKE else "800"))
 REPEATS = int(os.environ.get("BENCH_PLANNER_REPEATS", "3" if SMOKE else "5"))
-#: The ISSUE 3 acceptance floor at full size; smoke runs shrink the table
-#: (where the vectorization edge is smallest) and add runner jitter.
-MIN_SPEEDUP = float(
-    os.environ.get("BENCH_PLANNER_MIN_SPEEDUP", "3.0" if SMOKE else "10.0")
-)
 MIN_MEMORY_RATIO = float(
     os.environ.get("BENCH_PLANNER_MIN_MEMORY_RATIO", "5.0" if SMOKE else "10.0")
 )
@@ -134,7 +131,7 @@ def stocks_cache():
 
 
 def test_uniform_planner_speedup(stocks_cache):
-    """Measurement 1: the warm vector planner vs the object planner."""
+    """Measurement 1: the vector planner, cold and warm."""
     cache = stocks_cache
     store = cache.columns
     rows = cache.rows()
@@ -142,45 +139,39 @@ def test_uniform_planner_speedup(stocks_cache):
     budget = total_width * 0.5
     chooser = SumChooseRefresh()
 
-    legacy_seconds, legacy_plan = _best_of(
-        lambda: chooser.without_predicate(rows, "price", budget, uniform_cost)
-    )
     # Cold: a write invalidates the ordering; the next query rebuilds it.
     cold_seconds, _ = _best_of(
         lambda: (
             store.set(rows[0].tid, "price", rows[0].bound("price")),
             store._sorted_orders.clear(),
-            chooser.without_predicate_columnar(cache, "price", budget, uniform_cost),
+            chooser.without_predicate(cache, "price", budget, uniform_cost),
         )[-1]
     )
     warm_seconds, vectorized = _best_of(
-        lambda: chooser.without_predicate_columnar(
-            cache, "price", budget, uniform_cost
-        )
+        lambda: chooser.without_predicate(cache, "price", budget, uniform_cost)
     )
     vector_plan, vector_cv = vectorized
 
-    # The vector uniform path reuses the row greedy's arithmetic over the
-    # same ordering: plans must agree exactly.
-    assert vector_plan.total_cost == legacy_plan.total_cost
-    # ISSUE 10 satellite: the warm no-mask harvest must reuse the width
-    # vector already cached on the sorted-width ordering instead of
+    # The uniform walk keeps the longest ascending-width prefix that fits.
+    kept_width = total_width - sum(
+        row.bound("price").width for row in rows if row.tid in vector_plan.tids
+    )
+    assert kept_width <= budget * (1 + 1e-9)
+    # ISSUE 10 satellite: the warm whole-table harvest must reuse the
+    # width vector already cached on the sorted-width ordering instead of
     # recomputing ``hi - lo`` per query.
     import numpy as np
 
     assert np.shares_memory(
         vector_cv.widths, store.width_order("price").keys_by_tid
-    ), "no-mask harvest recomputed widths instead of reusing the cache"
+    ), "whole-table harvest recomputed widths instead of reusing the cache"
 
-    speedup_warm = legacy_seconds / warm_seconds
-    speedup_cold = legacy_seconds / cold_seconds
     banner(f"CHOOSE_REFRESH uniform planner — {N} tuples")
     print_table(
-        ["path", "seconds", "speedup"],
+        ["path", "seconds"],
         [
-            ("object planner (pre-PR)", legacy_seconds, 1.0),
-            ("vector planner, cold", cold_seconds, speedup_cold),
-            ("vector planner, warm", warm_seconds, speedup_warm),
+            ("vector planner, cold", cold_seconds),
+            ("vector planner, warm", warm_seconds),
         ],
     )
 
@@ -188,20 +179,13 @@ def test_uniform_planner_speedup(stocks_cache):
         {
             "uniform": {
                 "n": N,
-                "legacy_seconds": legacy_seconds,
                 "vector_cold_seconds": cold_seconds,
                 "vector_warm_seconds": warm_seconds,
-                "speedup_cold": speedup_cold,
-                "speedup_warm": speedup_warm,
                 "plan_size": len(vector_plan.tids),
             }
         }
     )
     _check_smoke_regression(warm_seconds)
-    assert speedup_warm >= MIN_SPEEDUP, (
-        f"planner must be >= {MIN_SPEEDUP:g}x faster at n={N}, "
-        f"got {speedup_warm:.2f}x"
-    )
 
 
 def test_exact_dp_memory_and_time():
@@ -277,7 +261,7 @@ def test_ibarra_kim_at_scale(stocks_cache):
     cv.cost_max += 0.5
     cv.costs_integral = False
     chooser = SumChooseRefresh(epsilon=0.1)
-    seconds, plan = _best_of(lambda: chooser._solve_columnar(cv, budget))
+    seconds, plan = _best_of(lambda: chooser._solve(cv, budget))
 
     banner(f"Ibarra–Kim ε=0.1 — {N} tuples, fractional costs")
     print_table(

@@ -19,65 +19,50 @@ tests that demonstrate tight ⊆ loose.
 
 from __future__ import annotations
 
-import math
-from typing import Sequence
-
 import numpy as np
 
 from repro.core.aggregates.base import register
-from repro.core.aggregates.counting import COUNT
-from repro.core.aggregates.summing import SUM
 from repro.core.bound import Bound
 from repro.errors import TrappError
-from repro.predicates.classify import Classification
-from repro.storage.row import Row
+from repro.predicates.batch import ColumnarClassification
 
 __all__ = ["AvgAggregate", "AVG", "tight_avg_bound", "loose_avg_bound"]
 
 
-def tight_avg_bound(classification: Classification, column: str) -> Bound:
+def tight_avg_bound(cc: ColumnarClassification) -> Bound:
     """The Appendix E exact bound for AVG under a predicate.
 
     Lower endpoint: average the T+ lower endpoints, then sweep the T? lower
     endpoints in increasing order, averaging each in while it decreases the
     running average.  The upper endpoint is symmetric with decreasing upper
-    endpoints.  Empty T+ ∪ T? yields the empty-average convention
-    ``[+inf, -inf]`` clipped to an unbounded interval, matching "no tuple
-    may satisfy the predicate" (the answer set could be empty, so no finite
-    guarantee exists); we return the full line in that case.
+    endpoints.  The sums and sorts are vectorized; the greedy endpoint
+    sweeps stay scalar loops because they typically terminate after a
+    handful of T? tuples.
     """
-    plus = classification.plus
-    maybe = classification.maybe
-    if not plus and not maybe:
-        # No tuple can satisfy the predicate: the precise AVG is undefined.
-        # We adopt the convention of an exact empty marker at NaN-free
-        # extremes: the unbounded interval.
+    if cc.n_plus == 0 and cc.n_maybe == 0:
+        # No tuple can satisfy the predicate: the precise AVG is
+        # undefined, so no finite guarantee exists — the full line.
         return Bound.unbounded()
-
-    if not plus and maybe:
+    if cc.n_plus == 0:
         # The answer set may be empty (undefined AVG) or contain any mix of
         # T? tuples; every individual value is a possible average, so the
         # hull of the T? bounds is the tight answer.
-        lo = min(row.bound(column).lo for row in maybe)
-        hi = max(row.bound(column).hi for row in maybe)
-        return Bound(lo, hi)
+        return Bound(float(cc.maybe_lo.min()), float(cc.maybe_hi.max()))
 
-    # Lower endpoint sweep.
-    s_l = sum(row.bound(column).lo for row in plus)
-    k_l = len(plus)
-    for lo in sorted(row.bound(column).lo for row in maybe):
+    s_l = float(cc.plus_lo.sum())
+    k_l = cc.n_plus
+    for lo in np.sort(cc.maybe_lo):
         if lo < s_l / k_l:
-            s_l += lo
+            s_l += float(lo)
             k_l += 1
         else:
             break
 
-    # Upper endpoint sweep (mirror image).
-    s_h = sum(row.bound(column).hi for row in plus)
-    k_h = len(plus)
-    for hi in sorted((row.bound(column).hi for row in maybe), reverse=True):
+    s_h = float(cc.plus_hi.sum())
+    k_h = cc.n_plus
+    for hi in np.sort(cc.maybe_hi)[::-1]:
         if hi > s_h / k_h:
-            s_h += hi
+            s_h += float(hi)
             k_h += 1
         else:
             break
@@ -112,26 +97,7 @@ class AvgAggregate:
     name = "AVG"
     needs_column = True
 
-    def bound_without_predicate(
-        self, rows: Sequence[Row], column: str | None
-    ) -> Bound:
-        if column is None:
-            raise TrappError("AVG requires an aggregation column")
-        if not rows:
-            return Bound.unbounded()
-        total = SUM.bound_without_predicate(rows, column)
-        count = len(rows)
-        return Bound(total.lo / count, total.hi / count)
-
-    def bound_with_classification(
-        self, classification: Classification, column: str | None
-    ) -> Bound:
-        if column is None:
-            raise TrappError("AVG requires an aggregation column")
-        return tight_avg_bound(classification, column)
-
-    # -- over the column arrays (what the executor calls) ---------------
-    def bound_without_predicate_columnar(self, store, column: str | None) -> Bound:
+    def bound_without_predicate(self, store, column: str | None) -> Bound:
         if column is None:
             raise TrappError("AVG requires an aggregation column")
         n = len(store)
@@ -140,39 +106,10 @@ class AvgAggregate:
         lo, hi = store.endpoints(column)
         return Bound(float(lo.sum()) / n, float(hi.sum()) / n)
 
-    def bound_with_classification_columnar(self, cc, column: str | None) -> Bound:
-        """Appendix E tight bound over endpoint arrays.
-
-        The sums and sorts are vectorized; the greedy endpoint sweeps stay
-        scalar loops because they typically terminate after a handful of
-        T? tuples.
-        """
+    def bound_with_classification(self, cc, column: str | None) -> Bound:
         if column is None:
             raise TrappError("AVG requires an aggregation column")
-        if cc.n_plus == 0 and cc.n_maybe == 0:
-            return Bound.unbounded()
-        if cc.n_plus == 0:
-            return Bound(float(cc.maybe_lo.min()), float(cc.maybe_hi.max()))
-
-        s_l = float(cc.plus_lo.sum())
-        k_l = cc.n_plus
-        for lo in np.sort(cc.maybe_lo):
-            if lo < s_l / k_l:
-                s_l += float(lo)
-                k_l += 1
-            else:
-                break
-
-        s_h = float(cc.plus_hi.sum())
-        k_h = cc.n_plus
-        for hi in np.sort(cc.maybe_hi)[::-1]:
-            if hi > s_h / k_h:
-                s_h += float(hi)
-                k_h += 1
-            else:
-                break
-
-        return Bound(s_l / k_l, s_h / k_h)
+        return tight_avg_bound(cc)
 
 
 AVG = register(AvgAggregate())

@@ -1,36 +1,32 @@
 """Common protocol for bounded aggregate evaluators.
 
-Each of the five standard aggregates (MIN, MAX, SUM, COUNT, AVG) provides:
+Each of the five standard aggregates (MIN, MAX, SUM, COUNT, AVG) — and
+every extension aggregate registered beside them (MEDIAN) — provides:
 
 * :meth:`AggregateSpec.bound_without_predicate` — paper §5: the bounded
-  answer when every tuple of the table contributes (any selection predicate
-  involved only exact columns and has already been applied);
+  answer when every tuple of the table contributes, swept from the
+  table's :class:`~repro.storage.columnar.ColumnStore` endpoint arrays;
 * :meth:`AggregateSpec.bound_with_classification` — paper §6: the bounded
-  answer given the T+/T?/T− partition induced by a predicate over bounded
-  columns.
+  answer over a ``(T+, T?)`` partition, from the
+  :class:`~repro.predicates.batch.ColumnarClassification` gathered at
+  its position pair.
 
-Evaluators are pure functions of the rows' current interval values; exact
+Evaluators are pure functions of the current interval endpoints; exact
 (already-refreshed) values participate as zero-width intervals, so a single
 code path covers cached, partially refreshed, and fully refreshed tables.
 
-The ``*_columnar`` twins compute the same bounds from a table's
-:class:`~repro.storage.columnar.ColumnStore` arrays
-(``bound_without_predicate_columnar``) or from a
-:class:`~repro.predicates.batch.ColumnarClassification`
-(``bound_with_classification_columnar``).  They are what the query
-executor and the §7 join heuristic call, so every registered aggregate —
-MEDIAN included — provides both; the row-taking pair serves callers that
-hold :class:`Row` lists (GROUP BY, the iterative and relative drivers).
+This is the one method family: the executor, the §7 join heuristic,
+GROUP BY (each group's share of the table's pair) and the iterative and
+relative drivers all call it.  The ``Row``-taking family it replaced is
+the test oracle ``tests/oracle/row_protocol.py``.
 """
 
 from __future__ import annotations
 
-from typing import Protocol, Sequence
+from typing import Protocol
 
 from repro.core.bound import Bound
 from repro.errors import TrappError
-from repro.predicates.classify import Classification
-from repro.storage.row import Row
 
 __all__ = ["AggregateSpec", "registry", "get_aggregate"]
 
@@ -43,24 +39,12 @@ class AggregateSpec(Protocol):
     #: Whether the aggregate takes a column argument (COUNT does not).
     needs_column: bool
 
-    def bound_without_predicate(
-        self, rows: Sequence[Row], column: str | None
-    ) -> Bound:
-        """Bounded answer over all rows (no bounded-column predicate)."""
+    def bound_without_predicate(self, store, column: str | None) -> Bound:
+        """Bounded answer over every tuple of a column store (§5)."""
         ...
 
-    def bound_with_classification(
-        self, classification: Classification, column: str | None
-    ) -> Bound:
-        """Bounded answer given a T+/T?/T− partition."""
-        ...
-
-    def bound_without_predicate_columnar(self, store, column: str | None) -> Bound:
-        """:meth:`bound_without_predicate` over a column store's arrays."""
-        ...
-
-    def bound_with_classification_columnar(self, cc, column: str | None) -> Bound:
-        """:meth:`bound_with_classification` over T+/T? endpoint arrays."""
+    def bound_with_classification(self, cc, column: str | None) -> Bound:
+        """Bounded answer from a partition's T+/T? endpoint arrays (§6)."""
         ...
 
 

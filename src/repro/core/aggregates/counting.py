@@ -12,12 +12,8 @@ With a predicate, every T+ tuple certainly counts and every T? tuple might::
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.core.aggregates.base import register
 from repro.core.bound import Bound
-from repro.predicates.classify import Classification
-from repro.storage.row import Row
 
 __all__ = ["CountAggregate", "COUNT"]
 
@@ -28,23 +24,10 @@ class CountAggregate:
     name = "COUNT"
     needs_column = False
 
-    def bound_without_predicate(
-        self, rows: Sequence[Row], column: str | None
-    ) -> Bound:
-        return Bound.exact(len(rows))
-
-    def bound_with_classification(
-        self, classification: Classification, column: str | None
-    ) -> Bound:
-        plus = len(classification.plus)
-        maybe = len(classification.maybe)
-        return Bound(plus, plus + maybe)
-
-    # -- over the column arrays (what the executor calls) ---------------
-    def bound_without_predicate_columnar(self, store, column: str | None) -> Bound:
+    def bound_without_predicate(self, store, column: str | None) -> Bound:
         return Bound.exact(len(store))
 
-    def bound_with_classification_columnar(self, cc, column: str | None) -> Bound:
+    def bound_with_classification(self, cc, column: str | None) -> Bound:
         return Bound(cc.n_plus, cc.n_plus + cc.n_maybe)
 
 

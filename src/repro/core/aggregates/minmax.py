@@ -19,13 +19,10 @@ the minimum exists).
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 from repro.core.aggregates.base import register
 from repro.core.bound import Bound
 from repro.errors import TrappError
-from repro.predicates.classify import Classification
-from repro.storage.row import Row
 
 __all__ = ["MinAggregate", "MaxAggregate", "MIN", "MAX"]
 
@@ -42,41 +39,16 @@ class MinAggregate:
     name = "MIN"
     needs_column = True
 
-    def bound_without_predicate(
-        self, rows: Sequence[Row], column: str | None
-    ) -> Bound:
-        column = _require_column(self.name, column)
-        lo = min((row.bound(column).lo for row in rows), default=math.inf)
-        hi = min((row.bound(column).hi for row in rows), default=math.inf)
-        return Bound(lo, hi)
-
-    def bound_with_classification(
-        self, classification: Classification, column: str | None
-    ) -> Bound:
-        column = _require_column(self.name, column)
-        lo = min(
-            (row.bound(column).lo for row in classification.plus_or_maybe),
-            default=math.inf,
-        )
-        hi = min(
-            (row.bound(column).hi for row in classification.plus),
-            default=math.inf,
-        )
-        # An empty T+ leaves the upper endpoint unbounded (+inf) while T?
-        # tuples may still pull the lower endpoint down; lo <= hi holds
-        # because each T+ row contributes to both minima.
-        return Bound(lo, hi)
-
-    # -- over the column arrays (what the executor calls) ---------------
-    def bound_without_predicate_columnar(self, store, column: str | None) -> Bound:
+    def bound_without_predicate(self, store, column: str | None) -> Bound:
         column = _require_column(self.name, column)
         lo, hi = store.endpoints(column)
         return Bound(_min_of(lo), _min_of(hi))
 
-    def bound_with_classification_columnar(
-        self, cc, column: str | None
-    ) -> Bound:
+    def bound_with_classification(self, cc, column: str | None) -> Bound:
         _require_column(self.name, column)
+        # An empty T+ leaves the upper endpoint unbounded (+inf) while T?
+        # tuples may still pull the lower endpoint down; lo <= hi holds
+        # because each T+ tuple contributes to both minima.
         return Bound(
             min(_min_of(cc.plus_lo), _min_of(cc.maybe_lo)),
             _min_of(cc.plus_hi),
@@ -89,37 +61,12 @@ class MaxAggregate:
     name = "MAX"
     needs_column = True
 
-    def bound_without_predicate(
-        self, rows: Sequence[Row], column: str | None
-    ) -> Bound:
-        column = _require_column(self.name, column)
-        lo = max((row.bound(column).lo for row in rows), default=-math.inf)
-        hi = max((row.bound(column).hi for row in rows), default=-math.inf)
-        return Bound(lo, hi)
-
-    def bound_with_classification(
-        self, classification: Classification, column: str | None
-    ) -> Bound:
-        column = _require_column(self.name, column)
-        lo = max(
-            (row.bound(column).lo for row in classification.plus),
-            default=-math.inf,
-        )
-        hi = max(
-            (row.bound(column).hi for row in classification.plus_or_maybe),
-            default=-math.inf,
-        )
-        return Bound(lo, hi)
-
-    # -- over the column arrays (what the executor calls) ---------------
-    def bound_without_predicate_columnar(self, store, column: str | None) -> Bound:
+    def bound_without_predicate(self, store, column: str | None) -> Bound:
         column = _require_column(self.name, column)
         lo, hi = store.endpoints(column)
         return Bound(_max_of(lo), _max_of(hi))
 
-    def bound_with_classification_columnar(
-        self, cc, column: str | None
-    ) -> Bound:
+    def bound_with_classification(self, cc, column: str | None) -> Bound:
         _require_column(self.name, column)
         return Bound(
             _max_of(cc.plus_lo),

@@ -19,16 +19,12 @@ Equivalently, each T? bound is first extended to include zero
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.core.aggregates.base import register
 from repro.core.bound import Bound
 from repro.errors import TrappError
 from repro.predicates.batch import ColumnarClassification
-from repro.predicates.classify import Classification
-from repro.storage.row import Row
 
 __all__ = ["SumAggregate", "SUM"]
 
@@ -39,44 +35,13 @@ class SumAggregate:
     name = "SUM"
     needs_column = True
 
-    def bound_without_predicate(
-        self, rows: Sequence[Row], column: str | None
-    ) -> Bound:
-        if column is None:
-            raise TrappError("SUM requires an aggregation column")
-        lo = 0.0
-        hi = 0.0
-        for row in rows:
-            b = row.bound(column)
-            lo += b.lo
-            hi += b.hi
-        return Bound(lo, hi)
-
-    def bound_with_classification(
-        self, classification: Classification, column: str | None
-    ) -> Bound:
-        if column is None:
-            raise TrappError("SUM requires an aggregation column")
-        lo = 0.0
-        hi = 0.0
-        for row in classification.plus:
-            b = row.bound(column)
-            lo += b.lo
-            hi += b.hi
-        for row in classification.maybe:
-            b = row.bound(column).extend_to_zero()
-            lo += b.lo
-            hi += b.hi
-        return Bound(lo, hi)
-
-    # -- over the column arrays (what the executor calls) ---------------
-    def bound_without_predicate_columnar(self, store, column: str | None) -> Bound:
+    def bound_without_predicate(self, store, column: str | None) -> Bound:
         if column is None:
             raise TrappError("SUM requires an aggregation column")
         lo, hi = store.endpoints(column)
         return Bound(float(lo.sum()), float(hi.sum()))
 
-    def bound_with_classification_columnar(
+    def bound_with_classification(
         self, cc: ColumnarClassification, column: str | None
     ) -> Bound:
         if column is None:

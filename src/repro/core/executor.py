@@ -23,21 +23,23 @@ aggregation column itself — is applied for the answer computation when
 There is one pipeline, and it reads only the table's columnar store
 (:class:`~repro.storage.columnar.ColumnStore`):
 
-* **Bound** (steps 1 and 3).  Without a predicate the aggregate's
-  ``bound_without_predicate_columnar`` sweeps the lo/hi endpoint arrays
-  (§5).  With one — over bounded columns or not —
+* **Bound** (steps 1 and 3) — :func:`bounded_answer`.  Without a
+  predicate the aggregate's ``bound_without_predicate`` sweeps the lo/hi
+  endpoint arrays (§5).  With one — over bounded columns or not —
   :func:`repro.predicates.batch.classify_report` partitions the tuples
   into T+/T?/T− (§6; T? is simply empty when the predicate reads exact
-  columns only), :func:`~repro.predicates.batch.restrict_endpoints`
-  applies the Appendix D refinement, and
-  ``bound_with_classification_columnar`` aggregates the T+/T? endpoint
-  arrays.  That is the only route choice, and it is read from the
-  predicate.
-* **Plan** (step 2).  The chooser's ``*_columnar`` entry point harvests
-  CHOOSE_REFRESH candidates straight from the column arrays and prices
-  them through :func:`repro.core.refresh.base.candidate_costs`; rows are
-  touched only to evaluate an untagged cost callable on the candidates,
-  or when a scheduler hook asks for §8.2 rebatch metadata.
+  columns only) and hands over the partition as one ``(T+, T?)`` pair of
+  sorted tuple-order positions; :class:`~repro.predicates.batch.
+  ColumnarClassification` gathers the aggregation column there, applying
+  the Appendix D refinement, and ``bound_with_classification``
+  aggregates the arrays.  That is the only route choice, and it is read
+  from the predicate.  GROUP BY and the iterative and relative drivers
+  assemble their bounds through the same function.
+* **Plan** (step 2).  The chooser harvests CHOOSE_REFRESH candidates
+  straight from the column arrays — the whole table, or the same pair —
+  and prices them through :func:`repro.core.refresh.base.candidate_costs`;
+  rows are touched only to evaluate an untagged cost callable on the
+  candidates, or when a scheduler hook asks for §8.2 rebatch metadata.
 
 Classification runs once before the refresh and once after it, never in
 between: the initial bound and CHOOSE_REFRESH share one partition.
@@ -50,6 +52,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Generator, Iterable, Mapping, Protocol, Sequence
+
+import numpy as np
 
 from repro.core.aggregates import get_aggregate
 from repro.core.answer import BoundedAnswer
@@ -80,6 +84,8 @@ __all__ = [
     "QueryExecutor",
     "execute_query",
     "drive_steps",
+    "bounded_answer",
+    "table_positions",
 ]
 
 # WIDTH_TOLERANCE / width_within (re-exported from repro.core.constraints)
@@ -182,13 +188,49 @@ def drive_steps(steps: ExecutionSteps, refresher: RefreshProvider) -> BoundedAns
         return stop.value
 
 
-def _masks(report):
-    """``(certain, possible)`` for consumers of a classification — both
-    ``None`` when the report carries sorted positions, so the lazy dense
-    masks are never widened."""
-    if report.positions is not None:
-        return None, None
-    return report.certain, report.possible
+def bounded_answer(
+    table: Table,
+    spec,
+    column: str | None,
+    predicate: Predicate,
+    refine: bool = True,
+    within: "tuple[np.ndarray, np.ndarray] | None" = None,
+):
+    """The bounded answer from the column arrays, with its partition.
+
+    Returns ``(bound, report)``; ``report`` is the
+    :class:`~repro.predicates.batch.ClassifyReport` the bound was
+    assembled from — its ``positions`` are the ``(T+, T?)`` pair
+    CHOOSE_REFRESH plans on — and ``None`` when nothing was classified
+    here: without a predicate (§5 versus §6, the pipeline's only route
+    choice), or when the caller brought the pair.
+
+    ``within`` restricts the answer to a ``(T+, T?)`` pair the caller
+    already holds: GROUP BY classifies the table once
+    (:func:`table_positions`) and passes each group's share of that
+    pair.  Whoever holds positions holds them for one store layout only.
+    """
+    store = table.columns
+    report = None
+    if within is None:
+        if isinstance(predicate, TruePredicate):
+            return spec.bound_without_predicate(store, column), None
+        report = classify_report(store, predicate)
+        within = report.positions
+    cc = ColumnarClassification.from_positions(
+        store, within, column, predicate if refine else None
+    )
+    return spec.bound_with_classification(cc, column), report
+
+
+def table_positions(
+    table: Table, predicate: Predicate
+) -> tuple[np.ndarray, np.ndarray]:
+    """The table's ``(T+, T?)`` pair — all of it and nothing under
+    :class:`TruePredicate` — for callers that split or walk it."""
+    if isinstance(predicate, TruePredicate):
+        return np.arange(len(table.columns)), np.arange(0)
+    return classify_report(table.columns, predicate).positions
 
 
 class QueryExecutor:
@@ -267,7 +309,7 @@ class QueryExecutor:
         refine = self.refine_bounds and column is not None
 
         # Step 1: bound from the cache.
-        initial, report = self._bound(table, spec, column, predicate, refine)
+        initial, report = bounded_answer(table, spec, column, predicate, refine)
         window_fraction = None if report is None else report.window_fraction
         max_width = constraint.resolve(initial)
         if width_within(initial.width, max_width):
@@ -282,14 +324,13 @@ class QueryExecutor:
             spec.name, epsilon=self.epsilon, force_exact=self.force_exact
         )
         if report is None:
-            plan, candidates = chooser.without_predicate_columnar(
+            plan, candidates = chooser.without_predicate(
                 table, column, max_width, cost
             )
         else:
-            plan, candidates = chooser.with_classification_columnar(
-                table, *_masks(report), column, max_width, cost,
+            plan, candidates = chooser.with_classification(
+                table, report.positions, column, max_width, cost,
                 predicate=predicate if refine else None,
-                positions=report.positions,
             )
         plan = yield self._planned(
             table, spec, plan, max_width, initial, candidates, column,
@@ -297,30 +338,8 @@ class QueryExecutor:
         )
 
         # Step 3: bound again over the partially refreshed cache.
-        final, _ = self._bound(table, spec, column, predicate, refine)
+        final, _ = bounded_answer(table, spec, column, predicate, refine)
         return self._finish(final, max_width, plan, initial, window_fraction)
-
-    @staticmethod
-    def _bound(table: Table, spec, column, predicate: Predicate, refine: bool):
-        """The bounded answer from the column arrays, with its partition.
-
-        Returns ``(bound, report)``; ``report`` is the
-        :class:`~repro.predicates.batch.ClassifyReport` the bound was
-        assembled from, ``None`` without a predicate — §5 versus §6, the
-        pipeline's only route choice.  The classifier's index-backed
-        route and its dense sweep are bit-identical; with the report's
-        sorted T+/T? positions in hand, assembly gathers O(k) arrays and
-        the dense masks are never widened.
-        """
-        store = table.columns
-        if isinstance(predicate, TruePredicate):
-            return spec.bound_without_predicate_columnar(store, column), None
-        report = classify_report(store, predicate)
-        cc = ColumnarClassification.from_masks(
-            store, *_masks(report), column, predicate, refine,
-            positions=report.positions,
-        )
-        return spec.bound_with_classification_columnar(cc, column), report
 
     def _apply_refresh(self, request: PlannedRefresh) -> RefreshPlan:
         """Default driver for a planned refresh: hook, else apply now."""

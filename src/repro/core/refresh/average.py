@@ -20,8 +20,8 @@ same as the SUM optimizer's.
 
 Degenerate case: when ``L'_C = 0`` the derivation divides by zero — no
 nonempty answer set is guaranteed, and the loose AVG bound cannot be made
-finite without establishing one.  We then refresh *all* T? tuples (making
-COUNT exact) and fall back to the no-predicate reduction on what remains;
+finite without establishing one.  Every candidate is then a T? tuple, and
+we refresh *all* of them (deciding the predicate and making COUNT exact);
 this is sound, if not always minimal, and the situation cannot arise in
 the paper's examples (T+ is nonempty whenever the constraint is finite).
 """
@@ -29,15 +29,15 @@ the paper's examples (T+ is nonempty whenever the constraint is finite).
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
-from repro.core.aggregates.counting import COUNT
-from repro.core.aggregates.summing import SUM
 from repro.core.bound import Bound
-from repro.core.knapsack import (
-    KnapsackItem,
+
+# None of the three is called here; the names stay importable under this
+# module's name because benchmarks/e2e/tracing.py (frozen) wraps
+# ``repro.core.refresh.average.solve_*``.
+from repro.core.knapsack import (  # noqa: F401
     solve_exact_dp,
     solve_greedy_uniform,
     solve_ibarra_kim,
@@ -46,13 +46,7 @@ from repro.core.refresh.base import CostFunc, RefreshPlan, uniform_cost
 from repro.core.refresh.summing import DEFAULT_EPSILON, SumChooseRefresh
 from repro.errors import TrappError
 from repro.predicates.batch import restrict_endpoints
-from repro.predicates.classify import Classification
-from repro.storage.columnar import (
-    CandidateVectors,
-    candidate_order,
-    candidate_positions,
-)
-from repro.storage.row import Row
+from repro.storage.columnar import CandidateVectors, candidate_order
 
 __all__ = ["AvgChooseRefresh", "CHOOSE_AVG"]
 
@@ -67,66 +61,44 @@ class AvgChooseRefresh:
         self.force_exact = force_exact
         self._sum = SumChooseRefresh(epsilon=epsilon, force_exact=force_exact)
 
-    # ------------------------------------------------------------------
     def without_predicate(
-        self,
-        rows: Sequence[Row],
-        column: str | None,
-        max_width: float,
-        cost: CostFunc = uniform_cost,
-    ) -> RefreshPlan:
-        if column is None:
-            raise TrappError("AVG CHOOSE_REFRESH requires an aggregation column")
-        count = len(rows)
-        if count == 0:
-            return RefreshPlan.empty()
-        # AVG width = SUM width / COUNT, so budget SUM at R * COUNT (§5.4).
-        return self._sum.without_predicate(rows, column, max_width * count, cost)
-
-    def without_predicate_columnar(
         self,
         table,
         column: str | None,
         max_width: float,
         cost: CostFunc = uniform_cost,
     ):
-        """The §5.4 reduction to SUM over the column arrays."""
+        """The §5.4 reduction to SUM over the whole table."""
         if column is None:
             raise TrappError("AVG CHOOSE_REFRESH requires an aggregation column")
         count = len(table.columns)
         if count == 0:
             return RefreshPlan.empty(), None
-        return self._sum.without_predicate_columnar(
-            table, column, max_width * count, cost
-        )
+        # AVG width = SUM width / COUNT, so budget SUM at R * COUNT (§5.4).
+        return self._sum.without_predicate(table, column, max_width * count, cost)
 
-    def with_classification_columnar(
+    def with_classification(
         self,
         table,
-        certain,
-        possible,
+        positions,
         column: str | None,
         max_width: float,
         cost: CostFunc = uniform_cost,
         predicate=None,
-        positions=None,
     ):
-        """The Appendix F knapsack over the column arrays.
+        """The Appendix F knapsack over a ``(T+, T?)`` position pair.
 
         Harvests SUM's §6.2 candidate vectors, then augments every T?
         weight with the slope penalty and solves at capacity ``L'_C · R``
-        through the shared vector solver — the same derivation as
-        :meth:`with_classification`, with no per-tuple objects.
-        ``predicate`` applies the Appendix D refinement to T? bounds.
+        through the shared vector solver.  ``predicate`` applies the
+        Appendix D refinement to T? bounds.
         """
         if column is None:
             raise TrappError("AVG CHOOSE_REFRESH requires an aggregation column")
         if math.isinf(max_width):
             return RefreshPlan.empty(), None
-        certain_at, maybe_at = candidate_positions(certain, possible, positions)
-        cv = self._sum._harvest(
-            table, column, cost, (certain_at, maybe_at), predicate
-        )
+        certain_at, maybe_at = positions
+        cv = self._sum._harvest(table, column, cost, positions, predicate)
         if len(cv) == 0:
             return RefreshPlan.empty(), None
         n_plus = len(certain_at)
@@ -167,48 +139,7 @@ class AvgChooseRefresh:
                 cost_total=cv.cost_total,
                 costs_integral=cv.costs_integral,
             )
-        return self._sum._solve_columnar(cv, capacity), None
-
-    # ------------------------------------------------------------------
-    def with_classification(
-        self,
-        classification: Classification,
-        column: str | None,
-        max_width: float,
-        cost: CostFunc = uniform_cost,
-    ) -> RefreshPlan:
-        if column is None:
-            raise TrappError("AVG CHOOSE_REFRESH requires an aggregation column")
-        if math.isinf(max_width):
-            return RefreshPlan.empty()
-        plus = classification.plus
-        maybe = classification.maybe
-        if not plus and not maybe:
-            return RefreshPlan.empty()
-
-        sum0 = SUM.bound_with_classification(classification, column)
-        count0 = COUNT.bound_with_classification(classification, column)
-        l_count = count0.lo
-
-        if l_count <= 0:
-            return self._degenerate_plan(classification, column, max_width, cost)
-
-        capacity = l_count * max_width
-        slope = self._slope(sum0, l_count, max_width)
-
-        items: list[tuple[Row, KnapsackItem]] = []
-        for row in plus:
-            weight = row.bound(column).width
-            items.append((row, KnapsackItem(row.tid, weight, cost(row))))
-        for row in maybe:
-            weight = row.bound(column).extend_to_zero().width + slope
-            items.append((row, KnapsackItem(row.tid, weight, cost(row))))
-
-        knapsack_items = [item for _, item in items]
-        solution = self._solve(knapsack_items, capacity)
-        kept = solution.chosen
-        chosen_rows = [row for row, item in items if item.item_id not in kept]
-        return RefreshPlan.of(chosen_rows, cost)
+        return self._sum._solve(cv, capacity), None
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -221,40 +152,6 @@ class AvgChooseRefresh:
         """
         numerator = max(sum0.hi, -sum0.lo, sum0.hi - sum0.lo)
         return max(0.0, numerator / l_count - max_width)
-
-    def _solve(self, items: list[KnapsackItem], capacity: float):
-        profits = {item.profit for item in items}
-        if len(profits) <= 1:
-            return solve_greedy_uniform(items, capacity)
-        integral = all(abs(p - round(p)) <= 1e-9 for p in profits)
-        total = sum(round(item.profit) for item in items) if integral else math.inf
-        if self.force_exact or (integral and total <= 100_000):
-            return solve_exact_dp(items, capacity)
-        return solve_ibarra_kim(items, capacity, self.epsilon)
-
-    def _degenerate_plan(
-        self,
-        classification: Classification,
-        column: str,
-        max_width: float,
-        cost: CostFunc,
-    ) -> RefreshPlan:
-        """Fallback when no tuple is guaranteed to satisfy the predicate.
-
-        Refresh every T? tuple (deciding the predicate and making COUNT
-        exact); additionally budget the surviving T+ tuples' SUM at
-        ``R * |T+|`` so the final AVG width is covered even if every T?
-        tuple drops out.
-        """
-        maybe_plan = RefreshPlan.of(classification.maybe, cost)
-        if not classification.plus:
-            return maybe_plan
-        plus_plan = self._sum.without_predicate(
-            classification.plus, column, max_width * len(classification.plus), cost
-        )
-        combined = set(maybe_plan.tids) | set(plus_plan.tids)
-        total = maybe_plan.total_cost + plus_plan.total_cost
-        return RefreshPlan(frozenset(combined), total)
 
 
 CHOOSE_AVG = AvgChooseRefresh()

@@ -1,26 +1,29 @@
 """Shared machinery for CHOOSE_REFRESH optimizers.
 
-A CHOOSE_REFRESH algorithm receives the cached rows (already partitioned
-into T+/T?/T− when a bounded-column predicate is present), the aggregation
-column, the precision constraint ``R``, and a per-tuple refresh cost
-function.  It returns a :class:`RefreshPlan`: the set of tuple ids to
-refresh, chosen so the recomputed bounded answer is guaranteed to satisfy
-``H_A - L_A <= R`` for *any* precise values of the refreshed tuples within
-their current bounds.
+A CHOOSE_REFRESH algorithm receives the cached table (whole, §5; or as
+the ``(T+, T?)`` position pair a bounded-column predicate partitions it
+into, §6 — T− is never looked at), the aggregation column, the precision
+constraint ``R``, and a per-tuple refresh cost function.  It returns a
+:class:`RefreshPlan`: the set of tuple ids to refresh, chosen so the
+recomputed bounded answer is guaranteed to satisfy ``H_A - L_A <= R`` for
+*any* precise values of the refreshed tuples within their current bounds.
 
 Cost functions default to the uniform model; the replication layer's
 :mod:`repro.replication.costs` provides richer models (per-source,
-distance-weighted) that plug in unchanged.
+distance-weighted) that plug in unchanged.  Whatever the model, every
+chooser prices its candidates through :func:`candidate_costs`, which is
+where a cost that is not a finite non-negative number is rejected.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Protocol
 
 import numpy as np
 
-from repro.predicates.classify import Classification
+from repro.errors import OptimizerError
 from repro.storage.columnar import cost_vector
 from repro.storage.row import Row
 
@@ -102,7 +105,13 @@ def vector_cost_of(cost: CostFunc) -> tuple[str, object] | None:
         return None
     kind, arg = tag
     if kind == "uniform":
-        return ("uniform", float(arg))
+        value = float(arg)
+        if not 0.0 <= value < math.inf:
+            raise OptimizerError(
+                f"uniform refresh cost {value!r} is not a finite "
+                "non-negative number"
+            )
+        return ("uniform", value)
     if kind == "column":
         return ("column", str(arg))
     if kind == "source":
@@ -122,7 +131,9 @@ def candidate_costs(table: "Table", cost: CostFunc, at=None) -> np.ndarray:
     cannot read (say a cost column holding a wide bound), means ``cost``
     is called on the row of each candidate, once, and on no other tuple
     — CHOOSE_REFRESH never prices a tuple it could not refresh, and a
-    callable may raise on one.
+    callable may raise on one.  A cost that is negative, NaN or infinite
+    raises :class:`~repro.errors.OptimizerError` naming the first such
+    candidate.
     """
     store = table.columns
     kind = vector_cost_of(cost)
@@ -130,13 +141,25 @@ def candidate_costs(table: "Table", cost: CostFunc, at=None) -> np.ndarray:
         return np.full(len(store) if at is None else len(at), kind[1])
     costs = cost_vector(store, kind)
     if costs is not None:
-        return costs if at is None else costs[at]
-    tids = store.sorted_tids() if at is None else store.sorted_tids()[at]
-    return np.fromiter(
-        (cost(table.row(tid)) for tid in tids.tolist()),
-        dtype=np.float64,
-        count=len(tids),
-    )
+        if at is not None:
+            costs = costs[at]
+    else:
+        tids = store.sorted_tids() if at is None else store.sorted_tids()[at]
+        costs = np.fromiter(
+            (cost(table.row(tid)) for tid in tids.tolist()),
+            dtype=np.float64,
+            count=len(tids),
+        )
+    # A plan's total and the knapsack's profits are sums of these.  NaN
+    # propagates through ``min`` and fails the first comparison.
+    if len(costs) and not (costs.min() >= 0.0 and costs.max() < math.inf):
+        k = int(np.flatnonzero(~((costs >= 0.0) & (costs < math.inf)))[0])
+        tid = int(store.sorted_tids()[k if at is None else at[k]])
+        raise OptimizerError(
+            f"refresh cost {float(costs[k])!r} of tuple #{tid} is not a "
+            "finite non-negative number"
+        )
+    return costs
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,14 +186,6 @@ class RefreshPlan:
         return bool(self.unreached)
 
     @staticmethod
-    def of(rows: Iterable[Row], cost: CostFunc) -> "RefreshPlan":
-        rows = list(rows)
-        return RefreshPlan(
-            frozenset(row.tid for row in rows),
-            sum(cost(row) for row in rows),
-        )
-
-    @staticmethod
     def empty() -> "RefreshPlan":
         return RefreshPlan(frozenset(), 0.0)
 
@@ -189,12 +204,9 @@ def plan_at(table: "Table", cost: CostFunc, at: np.ndarray) -> RefreshPlan:
 class ChooseRefresh(Protocol):
     """Interface implemented by each aggregate's optimizer.
 
-    The row-taking pair serves callers that hold :class:`Row` lists
-    (GROUP BY, the iterative and relative-precision drivers); the
-    ``*_columnar`` pair is what :class:`~repro.core.executor.QueryExecutor`
-    calls.  The latter read the table's
+    Both methods read the table's
     :class:`~repro.storage.columnar.ColumnStore` arrays, price
-    candidates through :func:`candidate_costs`, and always return a
+    candidates through :func:`candidate_costs`, and return a
     ``(plan, candidates)`` pair — ``candidates`` being the harvested
     :class:`~repro.storage.columnar.CandidateVectors` when the
     aggregate's answer width is linear in them (SUM), else ``None``.
@@ -204,51 +216,28 @@ class ChooseRefresh(Protocol):
 
     def without_predicate(
         self,
-        rows: Sequence[Row],
+        table: "Table",
         column: str | None,
         max_width: float,
         cost: CostFunc,
-    ) -> RefreshPlan:
-        """Paper §5 variants: every row contributes to the aggregate."""
+    ) -> "tuple[RefreshPlan, CandidateVectors | None]":
+        """Paper §5 variants: every tuple of the table contributes."""
         ...
 
     def with_classification(
         self,
-        classification: Classification,
-        column: str | None,
-        max_width: float,
-        cost: CostFunc,
-    ) -> RefreshPlan:
-        """Paper §6 variants: rows partitioned by a bounded predicate."""
-        ...
-
-    def without_predicate_columnar(
-        self,
         table: "Table",
-        column: str | None,
-        max_width: float,
-        cost: CostFunc,
-    ) -> "tuple[RefreshPlan, CandidateVectors | None]":
-        """§5 over the whole table's column arrays."""
-        ...
-
-    def with_classification_columnar(
-        self,
-        table: "Table",
-        certain,
-        possible,
+        positions: "tuple[np.ndarray, np.ndarray]",
         column: str | None,
         max_width: float,
         cost: CostFunc,
         predicate=None,
-        positions=None,
     ) -> "tuple[RefreshPlan, CandidateVectors | None]":
-        """§6 from the classifier's output.
+        """Paper §6 variants: candidates are a ``(T+, T?)`` position pair.
 
-        Either the dense ``certain``/``possible`` masks or the sorted
-        ``positions`` pair (see
-        :func:`~repro.storage.columnar.candidate_positions`);
-        ``predicate``, when given, applies the Appendix D refinement to
-        T? bounds.
+        The pair is the classifier's
+        (:attr:`~repro.predicates.batch.ClassifyReport.positions`) or a
+        subset of it (one GROUP BY group); ``predicate``, when given,
+        applies the Appendix D refinement to T? bounds.
         """
         ...

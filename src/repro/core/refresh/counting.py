@@ -13,7 +13,6 @@ sublinearly with a cost index.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -23,9 +22,6 @@ from repro.core.refresh.base import (
     candidate_costs,
     uniform_cost,
 )
-from repro.predicates.classify import Classification
-from repro.storage.columnar import candidate_positions
-from repro.storage.row import Row
 
 __all__ = ["CountChooseRefresh", "CHOOSE_COUNT"]
 
@@ -37,55 +33,25 @@ class CountChooseRefresh:
 
     def without_predicate(
         self,
-        rows: Sequence[Row],
-        column: str | None,
-        max_width: float,
-        cost: CostFunc = uniform_cost,
-    ) -> RefreshPlan:
-        # Cardinality is exact at the cache; nothing to refresh.
-        return RefreshPlan.empty()
-
-    def with_classification(
-        self,
-        classification: Classification,
-        column: str | None,
-        max_width: float,
-        cost: CostFunc = uniform_cost,
-    ) -> RefreshPlan:
-        uncertain = len(classification.maybe)
-        if math.isinf(max_width):
-            needed = 0
-        else:
-            needed = max(0, math.ceil(uncertain - max_width - 1e-9))
-        if needed == 0:
-            return RefreshPlan.empty()
-        cheapest = sorted(classification.maybe, key=lambda row: (cost(row), row.tid))
-        return RefreshPlan.of(cheapest[:needed], cost)
-
-    # ------------------------------------------------------------------
-    def without_predicate_columnar(
-        self,
         table,
         column: str | None,
         max_width: float,
         cost: CostFunc = uniform_cost,
     ):
-        """COUNT without a predicate is always exact."""
+        """Cardinality is exact at the cache; nothing to refresh."""
         return RefreshPlan.empty(), None
 
-    def with_classification_columnar(
+    def with_classification(
         self,
         table,
-        certain,
-        possible,
+        positions,
         column: str | None,
         max_width: float,
         cost: CostFunc = uniform_cost,
         predicate=None,
-        positions=None,
     ):
         """Pick the cheapest T? tuples straight off the column arrays."""
-        _, maybe_at = candidate_positions(certain, possible, positions)
+        _, maybe_at = positions
         uncertain = len(maybe_at)
         if math.isinf(max_width):
             needed = 0

@@ -21,16 +21,12 @@ paper's §5.1 endpoint indexes), exposed via ``without_predicate_indexed``.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
 from repro.core.refresh.base import CostFunc, RefreshPlan, plan_at, uniform_cost
 from repro.errors import TrappError
 from repro.predicates.batch import restrict_endpoints
-from repro.predicates.classify import Classification
-from repro.storage.columnar import candidate_positions
-from repro.storage.row import Row
 from repro.storage.table import Table
 
 __all__ = ["MinChooseRefresh", "MaxChooseRefresh", "CHOOSE_MIN", "CHOOSE_MAX"]
@@ -52,46 +48,12 @@ class MinChooseRefresh:
 
     def without_predicate(
         self,
-        rows: Sequence[Row],
-        column: str | None,
-        max_width: float,
-        cost: CostFunc = uniform_cost,
-    ) -> RefreshPlan:
-        column = _require_column(self.name, column)
-        min_hi = min((row.bound(column).hi for row in rows), default=math.inf)
-        threshold = min_hi - max_width
-        chosen = [row for row in rows if row.bound(column).lo < threshold]
-        return RefreshPlan.of(chosen, cost)
-
-    def with_classification(
-        self,
-        classification: Classification,
-        column: str | None,
-        max_width: float,
-        cost: CostFunc = uniform_cost,
-    ) -> RefreshPlan:
-        column = _require_column(self.name, column)
-        min_hi_plus = min(
-            (row.bound(column).hi for row in classification.plus),
-            default=math.inf,
-        )
-        threshold = min_hi_plus - max_width
-        chosen = [
-            row
-            for row in classification.plus_or_maybe
-            if row.bound(column).lo < threshold
-        ]
-        return RefreshPlan.of(chosen, cost)
-
-    # ------------------------------------------------------------------
-    def without_predicate_columnar(
-        self,
         table: Table,
         column: str | None,
         max_width: float,
         cost: CostFunc = uniform_cost,
     ):
-        """Appendix B's forced set as one array sweep (no row objects)."""
+        """Appendix B's forced set as one array sweep."""
         column = _require_column(self.name, column)
         lo, hi = table.columns.endpoints(column)
         threshold = (float(hi.min()) if len(hi) else math.inf) - max_width
@@ -101,20 +63,18 @@ class MinChooseRefresh:
             chosen = np.flatnonzero(lo < threshold)
         return plan_at(table, cost, chosen), None
 
-    def with_classification_columnar(
+    def with_classification(
         self,
         table: Table,
-        certain,
-        possible,
+        positions,
         column: str | None,
         max_width: float,
         cost: CostFunc = uniform_cost,
         predicate=None,
-        positions=None,
     ):
         """§6.1 threshold over T+ ∪ T?, Appendix-D-refined T? bounds."""
         column = _require_column(self.name, column)
-        plus_at, maybe_at = candidate_positions(certain, possible, positions)
+        plus_at, maybe_at = positions
         lo, hi = table.columns.endpoints(column)
         min_hi_plus = float(hi[plus_at].min()) if len(plus_at) else math.inf
         threshold = min_hi_plus - max_width
@@ -144,7 +104,7 @@ class MinChooseRefresh:
         upper-endpoint order, and the forced set is the run of the
         lower-endpoint order below the threshold — one ``searchsorted`` —
         matching the sublinear bound claimed in §5.1.  The plan is the
-        one :meth:`without_predicate_columnar` sweeps the column for.
+        one :meth:`without_predicate` sweeps the column for.
         """
         store = table.columns
         upper = store.endpoint_order(column, "hi").keys
@@ -163,40 +123,6 @@ class MaxChooseRefresh:
 
     def without_predicate(
         self,
-        rows: Sequence[Row],
-        column: str | None,
-        max_width: float,
-        cost: CostFunc = uniform_cost,
-    ) -> RefreshPlan:
-        column = _require_column(self.name, column)
-        max_lo = max((row.bound(column).lo for row in rows), default=-math.inf)
-        threshold = max_lo + max_width
-        chosen = [row for row in rows if row.bound(column).hi > threshold]
-        return RefreshPlan.of(chosen, cost)
-
-    def with_classification(
-        self,
-        classification: Classification,
-        column: str | None,
-        max_width: float,
-        cost: CostFunc = uniform_cost,
-    ) -> RefreshPlan:
-        column = _require_column(self.name, column)
-        max_lo_plus = max(
-            (row.bound(column).lo for row in classification.plus),
-            default=-math.inf,
-        )
-        threshold = max_lo_plus + max_width
-        chosen = [
-            row
-            for row in classification.plus_or_maybe
-            if row.bound(column).hi > threshold
-        ]
-        return RefreshPlan.of(chosen, cost)
-
-    # ------------------------------------------------------------------
-    def without_predicate_columnar(
-        self,
         table: Table,
         column: str | None,
         max_width: float,
@@ -212,19 +138,17 @@ class MaxChooseRefresh:
             chosen = np.flatnonzero(hi > threshold)
         return plan_at(table, cost, chosen), None
 
-    def with_classification_columnar(
+    def with_classification(
         self,
         table: Table,
-        certain,
-        possible,
+        positions,
         column: str | None,
         max_width: float,
         cost: CostFunc = uniform_cost,
         predicate=None,
-        positions=None,
     ):
         column = _require_column(self.name, column)
-        plus_at, maybe_at = candidate_positions(certain, possible, positions)
+        plus_at, maybe_at = positions
         lo, hi = table.columns.endpoints(column)
         max_lo_plus = float(lo[plus_at].max()) if len(plus_at) else -math.inf
         threshold = max_lo_plus + max_width

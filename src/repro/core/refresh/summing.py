@@ -16,36 +16,33 @@ instance is small; otherwise the Ibarra–Kim ε-approximation is used (the
 paper's choice, ε tunable).  The uniform-cost special case short-circuits
 to the ascending-width greedy, which is optimal there (§5.2).
 
-Two entry-point pairs implement that selection:
-
-* :meth:`~SumChooseRefresh.without_predicate_columnar` /
-  :meth:`~SumChooseRefresh.with_classification_columnar` are what the
-  query executor calls.  They harvest candidate vectors straight from
-  the table's :class:`~repro.storage.columnar.ColumnStore` — no
-  per-tuple objects; costs come from
-  :func:`~repro.core.refresh.base.candidate_costs`, which evaluates an
-  opaque callable once per plan into a cost array — answer the
-  uniform-cost case with one sort-free ascending walk of the store's
-  cached width ordering, and hand everything else to
-  :func:`repro.core.knapsack.solve_vector`.
-* :meth:`SumChooseRefresh.without_predicate` /
-  :meth:`~SumChooseRefresh.with_classification` take :class:`Row` lists
-  (GROUP BY's per-group subsets) and build one :class:`KnapsackItem`
-  per row.  The uniform walk uses the same arithmetic in both, so those
-  plans are bit-identical; exact-DP plans are equal-cost; in the
-  ε-approximation branch both carry the (1 − ε) certificate, from
-  ``solve_vector`` and ``solve_ibarra_kim`` respectively, and need not
-  pick the same set.
+Both entry points harvest candidate vectors straight from the table's
+:class:`~repro.storage.columnar.ColumnStore` — no per-tuple objects;
+costs come from :func:`~repro.core.refresh.base.candidate_costs`, which
+evaluates an opaque callable once per plan into a cost array — answer
+the uniform-cost case with one sort-free ascending walk of the
+(width, tid) ordering, and hand everything else to
+:func:`repro.core.knapsack.solve_vector`:
+:meth:`~SumChooseRefresh.without_predicate` over the whole table (the
+store's cached width ordering),
+:meth:`~SumChooseRefresh.with_classification` over a ``(T+, T?)``
+position pair.  The one-``KnapsackItem``-per-row planner this replaced
+is the test oracle ``tests/oracle/row_protocol.py``; its uniform walk
+uses the same arithmetic, so those plans are bit-identical, exact-DP
+plans are equal-cost, and in the ε-approximation branch both carry the
+(1 − ε) certificate and need not pick the same set.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.knapsack import (
-    KnapsackItem,
+# Only ``solve_vector`` is called here.  The three object solvers stay
+# importable under this module's name because benchmarks/e2e/tracing.py
+# (frozen) wraps ``repro.core.refresh.summing.solve_*``.
+from repro.core.knapsack import (  # noqa: F401
     solve_exact_dp,
     solve_greedy_uniform,
     solve_ibarra_kim,
@@ -59,13 +56,7 @@ from repro.core.refresh.base import (
     vector_cost_of,
 )
 from repro.errors import TrappError
-from repro.predicates.classify import Classification
-from repro.storage.columnar import (
-    CandidateVectors,
-    candidate_positions,
-    harvest_candidates,
-)
-from repro.storage.row import Row
+from repro.storage.columnar import CandidateVectors, harvest_candidates
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.table import Table
@@ -100,53 +91,14 @@ class SumChooseRefresh:
         #: measure the approximation's epsilon/time tradeoff in isolation.
         self.force_approx = force_approx
 
-    # ------------------------------------------------------------------
     def without_predicate(
-        self,
-        rows: Sequence[Row],
-        column: str | None,
-        max_width: float,
-        cost: CostFunc = uniform_cost,
-    ) -> RefreshPlan:
-        if column is None:
-            raise TrappError("SUM CHOOSE_REFRESH requires an aggregation column")
-        items = [
-            (row, KnapsackItem(row.tid, row.bound(column).width, cost(row)))
-            for row in rows
-        ]
-        return self._solve(items, max_width, cost)
-
-    def with_classification(
-        self,
-        classification: Classification,
-        column: str | None,
-        max_width: float,
-        cost: CostFunc = uniform_cost,
-    ) -> RefreshPlan:
-        if column is None:
-            raise TrappError("SUM CHOOSE_REFRESH requires an aggregation column")
-        items: list[tuple[Row, KnapsackItem]] = []
-        for row in classification.plus:
-            width = row.bound(column).width
-            items.append((row, KnapsackItem(row.tid, width, cost(row))))
-        for row in classification.maybe:
-            width = row.bound(column).extend_to_zero().width
-            items.append((row, KnapsackItem(row.tid, width, cost(row))))
-        # T− tuples are ignored entirely: they contribute nothing and need
-        # no refresh.
-        return self._solve(items, max_width, cost)
-
-    # ------------------------------------------------------------------
-    # Planning straight off the column arrays
-    # ------------------------------------------------------------------
-    def without_predicate_columnar(
         self,
         table: "Table",
         column: str | None,
         max_width: float,
         cost: CostFunc = uniform_cost,
     ) -> tuple[RefreshPlan, CandidateVectors]:
-        """§5 planning over the whole table, no row objects.
+        """§5 planning over the whole table.
 
         The candidate vectors are returned with the plan so the executor
         can assemble §8.2 rebatch metadata without another sweep.
@@ -154,34 +106,27 @@ class SumChooseRefresh:
         if column is None:
             raise TrappError("SUM CHOOSE_REFRESH requires an aggregation column")
         cv = self._harvest(table, column, cost)
-        return self._solve_columnar(cv, max_width), cv
+        return self._solve(cv, max_width), cv
 
-    def with_classification_columnar(
+    def with_classification(
         self,
         table: "Table",
-        certain,
-        possible,
+        positions,
         column: str | None,
         max_width: float,
         cost: CostFunc = uniform_cost,
         predicate=None,
-        positions=None,
     ) -> tuple[RefreshPlan, CandidateVectors]:
-        """§6.2 planning from the classifier's output, no row objects.
+        """§6.2 planning over a ``(T+, T?)`` position pair.
 
-        ``predicate`` (when given) applies the Appendix D refinement to
-        T? bounds before extending them to zero.  ``positions`` (when
-        given) carries the sorted T+/T? tuple positions straight from
-        the endpoint-index classifier, so harvesting gathers O(k)
-        candidates without re-scanning the dense masks.
+        T− tuples are ignored entirely: they contribute nothing and need
+        no refresh.  ``predicate`` (when given) applies the Appendix D
+        refinement to T? bounds before extending them to zero.
         """
         if column is None:
             raise TrappError("SUM CHOOSE_REFRESH requires an aggregation column")
-        cv = self._harvest(
-            table, column, cost,
-            candidate_positions(certain, possible, positions), predicate,
-        )
-        return self._solve_columnar(cv, max_width), cv
+        cv = self._harvest(table, column, cost, positions, predicate)
+        return self._solve(cv, max_width), cv
 
     def _harvest(
         self, table: "Table", column, cost, positions=None, predicate=None
@@ -201,18 +146,17 @@ class SumChooseRefresh:
             cost_array=candidate_costs(table, cost, at),
         )
 
-    def _solve_columnar(self, cv: CandidateVectors, capacity: float) -> RefreshPlan:
-        """Solver selection over candidate vectors (mirrors ``_solve``)."""
+    def _solve(self, cv: CandidateVectors, capacity: float) -> RefreshPlan:
+        """Solver selection over candidate vectors."""
         if len(cv) == 0:
             return RefreshPlan.empty()
         if not self.force_approx and cv.cost_min == cv.cost_max:
             # Uniform costs: the kept set is the longest sorted-width
-            # prefix fitting the budget (§5.2 greedy).  The cut uses the
-            # row-taking greedy's own arithmetic — ``w <= remaining;
-            # remaining -= w`` over the same (width, tid) ordering — so
-            # both entry points return bit-identical plans on any data,
-            # not just when prefix sums and sequential subtraction round
-            # alike.
+            # prefix fitting the budget (§5.2 greedy).  The cut is
+            # sequential — ``w <= remaining; remaining -= w`` over the
+            # (width, tid) ordering, the row oracle's own arithmetic — so
+            # the two return bit-identical plans on any data, not just
+            # when prefix sums and sequential subtraction round alike.
             remaining = capacity
             cut = 0
             for width in np.asarray(cv.widths)[cv.order].tolist():
@@ -244,43 +188,6 @@ class SumChooseRefresh:
             frozenset(int(tids[k]) for k in solution.refresh),
             solution.refresh_profit,
         )
-
-    # ------------------------------------------------------------------
-    def _solve(
-        self,
-        items: list[tuple[Row, KnapsackItem]],
-        capacity: float,
-        cost: CostFunc,
-    ) -> RefreshPlan:
-        knapsack_items = [item for _, item in items]
-        costs = {item.item_id: item.profit for item in knapsack_items}
-
-        if self.force_approx:
-            solution = solve_ibarra_kim(knapsack_items, capacity, self.epsilon)
-        elif self._is_uniform(costs):
-            solution = solve_greedy_uniform(knapsack_items, capacity)
-        elif self.force_exact or self._exact_feasible(costs):
-            solution = solve_exact_dp(knapsack_items, capacity)
-        else:
-            solution = solve_ibarra_kim(knapsack_items, capacity, self.epsilon)
-
-        kept = solution.chosen
-        chosen_rows = [row for row, item in items if item.item_id not in kept]
-        return RefreshPlan.of(chosen_rows, cost)
-
-    @staticmethod
-    def _is_uniform(costs: dict[int, float]) -> bool:
-        values = set(costs.values())
-        return len(values) <= 1
-
-    @staticmethod
-    def _exact_feasible(costs: dict[int, float]) -> bool:
-        total = 0.0
-        for value in costs.values():
-            if abs(value - round(value)) > 1e-9:
-                return False
-            total += round(value)
-        return total <= _EXACT_DP_PROFIT_LIMIT
 
 
 CHOOSE_SUM = SumChooseRefresh()

@@ -18,12 +18,12 @@ from repro.extensions.paths import (
 )
 from repro.extensions.snapshot import SnapshotView, VersionedTable
 from repro.extensions.iterative import IterativeRefreshExecutor, RefreshStep
-from repro.extensions.median import bounded_median, choose_refresh_median, median_of
 from repro.extensions.median_spec import (
     CHOOSE_MEDIAN,
     MEDIAN,
     MedianAggregate,
     MedianChooseRefresh,
+    median_of,
 )
 from repro.extensions.relative import execute_relative_query
 from repro.extensions.topn import TopNResult, bounded_top_n, choose_refresh_top_n
@@ -33,8 +33,6 @@ __all__ = [
     "CHOOSE_MEDIAN",
     "MedianAggregate",
     "MedianChooseRefresh",
-    "bounded_median",
-    "choose_refresh_median",
     "median_of",
     "TopNResult",
     "bounded_top_n",

@@ -8,6 +8,13 @@ single-table machinery, and the per-group precision constraint is enforced
 with the standard CHOOSE_REFRESH algorithms, so every group's answer
 carries the same guarantee as a standalone query.
 
+"The single-table machinery" is literal: the table is classified once
+into its ``(T+, T?)`` position pair, dense group codes computed from the
+key columns' arrays split that pair by group, and each group's share goes
+through :func:`repro.core.executor.bounded_answer` and the aggregate's
+``with_classification`` chooser — what every other statement class calls,
+Appendix D refinement included.
+
 :func:`grouped_query_steps` speaks the executor's ``PlannedRefresh``
 generator protocol — one yielded plan per group that needs a refresh —
 so grouped statements suspend into the concurrent service's refresh
@@ -20,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
+import numpy as np
+
 from repro.core.aggregates import get_aggregate
 from repro.core.answer import BoundedAnswer
 from repro.core.bound import Bound
@@ -29,14 +38,14 @@ from repro.core.executor import (
     NullRefreshProvider,
     PlannedRefresh,
     RefreshProvider,
+    bounded_answer,
     drive_steps,
+    table_positions,
 )
 from repro.core.refresh import get_choose_refresh
 from repro.core.refresh.base import CostFunc, uniform_cost
 from repro.errors import ConstraintUnsatisfiableError, TrappError
 from repro.predicates.ast import Predicate, TruePredicate
-from repro.predicates.classify import classify
-from repro.storage.row import Row
 from repro.storage.table import Table
 
 __all__ = ["GroupResult", "GroupedAnswer", "grouped_query", "grouped_query_steps"]
@@ -88,63 +97,65 @@ def grouped_query_steps(
     if not group_by:
         raise TrappError("grouped_query requires at least one grouping column")
     for name in group_by:
-        spec = table.schema.column(name)
-        if spec.is_bounded:
+        if table.schema.column(name).is_bounded:
             raise TrappError(
                 f"cannot group on bounded column {name!r}; grouping keys "
                 "must be exact (paper §8.1 leaves bounded grouping open)"
             )
 
     predicate = predicate if predicate is not None else TruePredicate()
-    agg = get_aggregate(aggregate)
+    spec = get_aggregate(aggregate)
     chooser = get_choose_refresh(aggregate, epsilon=epsilon)
-    bounded_pred = _touches_bounded(table, predicate)
 
-    groups: dict[tuple[Hashable, ...], list[Row]] = {}
-    for row in table.rows():
-        key = tuple(row[name] for name in group_by)
-        groups.setdefault(key, []).append(row)
+    split = _Split(table, group_by, predicate)
+    # Key values come from one row per group, not from the float64
+    # arrays: their Python types decide the repr order below and what
+    # goes over the wire.
+    tids = table.columns.sorted_tids()[split.first].tolist()
+    keys = {
+        tuple(table.row(tid)[name] for name in group_by): ident
+        for tid, ident in zip(tids, split.code)
+    }
 
     results: list[GroupResult] = []
     refreshed: set[int] = set()
     total_cost = 0.0
-    for key in sorted(groups, key=repr):
-        rows = groups[key]
-        initial = _bound(agg, rows, column, predicate, bounded_pred)
-        if width_within(initial.width, max_width):
-            results.append(
-                GroupResult(key, BoundedAnswer(bound=initial, initial_bound=initial), len(rows))
-            )
+    for key in sorted(keys, key=repr):
+        group = split.group(keys[key])
+        if group is None:  # every tuple of it left while an earlier group waited
             continue
-        if bounded_pred:
-            classification = classify(rows, predicate)
-            plan = chooser.with_classification(classification, column, max_width, cost)
-        else:
-            filtered = _exact_filter(rows, predicate)
-            plan = chooser.without_predicate(filtered, column, max_width, cost)
-        effective = yield PlannedRefresh(table, plan, max_width, aggregate)
-        if effective is None:
-            effective = plan
-        final = _bound(agg, rows, column, predicate, bounded_pred)
-        if not width_within(final.width, max_width):
-            raise ConstraintUnsatisfiableError(
-                f"post-refresh group {key!r} answer {final} (width "
-                f"{final.width:g}) violates constraint {max_width:g}"
+        size, share = group
+        initial, _ = bounded_answer(table, spec, column, predicate, within=share)
+        answer = BoundedAnswer(bound=initial, initial_bound=initial)
+        if not width_within(initial.width, max_width):
+            plan, _ = chooser.with_classification(
+                table, share, column, max_width, cost, predicate=predicate
             )
-        refreshed.update(effective.tids)
-        total_cost += effective.total_cost
-        results.append(
-            GroupResult(
-                key,
-                BoundedAnswer(
-                    bound=final,
-                    refreshed=effective.tids,
-                    refresh_cost=effective.total_cost,
-                    initial_bound=initial,
-                ),
-                len(rows),
+            effective = yield PlannedRefresh(table, plan, max_width, aggregate)
+            if effective is None:
+                effective = plan
+            refreshed.update(effective.tids)
+            total_cost += effective.total_cost
+            # Positions do not outlive a send: the refresh moved tuples
+            # out of T?, and tuples can come and go while a plan is out.
+            split = _Split(table, group_by, predicate)
+            group = split.group(keys[key])
+            if group is None:
+                continue
+            size, share = group
+            final, _ = bounded_answer(table, spec, column, predicate, within=share)
+            if not width_within(final.width, max_width):
+                raise ConstraintUnsatisfiableError(
+                    f"post-refresh group {key!r} answer {final} (width "
+                    f"{final.width:g}) violates constraint {max_width:g}"
+                )
+            answer = BoundedAnswer(
+                bound=final,
+                refreshed=effective.tids,
+                refresh_cost=effective.total_cost,
+                initial_bound=initial,
             )
-        )
+        results.append(GroupResult(key, answer, size))
 
     widest = max(
         (r.answer.bound for r in results), key=lambda b: b.width, default=Bound(0.0, 0.0)
@@ -192,24 +203,70 @@ def grouped_query(
     return list(answer.groups)
 
 
-def _touches_bounded(table: Table, predicate: Predicate) -> bool:
-    from repro.predicates.ast import columns_of
+class _Split:
+    """The table's one ``(T+, T?)`` pair, regrouped by group.
 
-    return any(
-        name in table.schema and table.schema[name].is_bounded
-        for name in columns_of(predicate)
-    )
+    The table is classified once and dense group codes from the exact key
+    columns' arrays sort its two position arrays by group; a group's share
+    is then two slices.  Everything here is positions, good for the store
+    as it stands and no longer — built per use, never kept across a send.
+    """
+
+    def __init__(self, table: Table, group_by: Sequence[str], predicate: Predicate):
+        idents, self.first, codes = _group_index(table.columns, group_by)
+        #: Group code by the group's key as the arrays hold it.
+        self.code = dict(zip(idents, range(len(idents))))
+        self._sizes = np.bincount(codes, minlength=len(idents)).tolist()
+        self._parts = [
+            _by_group(at, codes, len(idents))
+            for at in table_positions(table, predicate)
+        ]
+
+    def group(self, ident):
+        """``(size, (T+, T?))`` of one group; ``None`` once it is empty."""
+        g = self.code.get(ident)
+        if g is None:
+            return None
+        return self._sizes[g], tuple(
+            at[cuts[g] : cuts[g + 1]] for at, cuts in self._parts
+        )
 
 
-def _exact_filter(rows: list[Row], predicate: Predicate) -> list[Row]:
-    from repro.predicates.eval import evaluate_exact
+def _group_index(store, group_by: Sequence[str]):
+    """Dense group codes from the exact key columns' arrays.
 
-    if isinstance(predicate, TruePredicate):
-        return rows
-    return [row for row in rows if evaluate_exact(predicate, row)]
+    Returns ``(idents, first, codes)``: ``codes[i]`` is the group of the
+    tuple at tuple-order position ``i``, ``first[g]`` the position of
+    group ``g``'s lowest tuple id, and ``idents[g]`` its key as the arrays
+    hold it (one ``float`` or ``str`` per column; equal to the row's own
+    key values, so an ``int`` and a ``float`` that compare equal share a
+    group as they share a ``dict`` slot).
+    """
+    columns = [
+        store.text_values(name) if store.is_text(name) else store.endpoints(name)[0]
+        for name in group_by
+    ]
+    first = codes = None
+    for values in columns:
+        _, index, inverse = np.unique(values, return_index=True, return_inverse=True)
+        if codes is None:
+            first, codes = index, inverse
+        else:
+            # Made dense again per column, so the product stays below n².
+            _, first, codes = np.unique(
+                codes * len(index) + inverse, return_index=True, return_inverse=True
+            )
+    idents = list(zip(*(values[first].tolist() for values in columns)))
+    return idents, first, codes
 
 
-def _bound(agg, rows: list[Row], column: str | None, predicate: Predicate, bounded_pred: bool):
-    if bounded_pred:
-        return agg.bound_with_classification(classify(rows, predicate), column)
-    return agg.bound_without_predicate(_exact_filter(rows, predicate), column)
+def _by_group(at: np.ndarray, codes: np.ndarray, count: int):
+    """Sorted positions ``at`` regrouped by group code: ``(regrouped,
+    cuts)`` with group ``g``'s positions, still sorted, at
+    ``regrouped[cuts[g]:cuts[g + 1]]``."""
+    if not len(at):
+        return at, [0] * (count + 1)
+    group = codes[at]
+    order = np.argsort(group, kind="stable")
+    cuts = np.searchsorted(group[order], np.arange(count + 1))
+    return at[order], cuts.tolist()

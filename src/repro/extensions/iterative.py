@@ -18,17 +18,16 @@ shrinking toward the precise answer (CONTROL-style progressive results).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator
 
 from repro.core.aggregates import get_aggregate
 from repro.core.answer import BoundedAnswer
 from repro.core.bound import Bound
 from repro.core.constraints import width_within
-from repro.core.executor import RefreshProvider
+from repro.core.executor import RefreshProvider, bounded_answer
 from repro.core.refresh.base import CostFunc, uniform_cost
 from repro.errors import ConstraintUnsatisfiableError
 from repro.predicates.ast import Predicate, TruePredicate
-from repro.predicates.classify import classify
 from repro.storage.row import Row
 from repro.storage.table import Table
 
@@ -109,13 +108,13 @@ class IterativeRefreshExecutor:
         spec = get_aggregate(aggregate)
         total_cost = 0.0
 
-        bound = self._compute(table, spec, column, predicate)
+        bound, report = self._compute(table, spec, column, predicate)
         yield RefreshStep(None, bound, total_cost)
 
         for _ in range(len(table) + 1):
             if width_within(bound.width, max_width):
                 return
-            target = self._pick(table, spec.name, column, predicate, bound, max_width)
+            target = self._pick(table, spec.name, column, report, bound, max_width)
             if target is None:
                 raise ConstraintUnsatisfiableError(
                     f"answer {bound} cannot be narrowed to width {max_width:g}; "
@@ -123,7 +122,7 @@ class IterativeRefreshExecutor:
                 )
             total_cost += self.cost(target)
             self.refresher.refresh(table, [target.tid])
-            bound = self._compute(table, spec, column, predicate)
+            bound, report = self._compute(table, spec, column, predicate)
             yield RefreshStep(target.tid, bound, total_cost)
         if not width_within(bound.width, max_width):
             raise ConstraintUnsatisfiableError(
@@ -133,37 +132,38 @@ class IterativeRefreshExecutor:
             )
 
     # ------------------------------------------------------------------
-    def _compute(
-        self, table: Table, spec, column: str | None, predicate: Predicate
-    ) -> Bound:
-        if isinstance(predicate, TruePredicate):
-            return spec.bound_without_predicate(table.rows(), column)
-        classification = classify(table.rows(), predicate)
-        return spec.bound_with_classification(classification, column)
+    @staticmethod
+    def _compute(table: Table, spec, column: str | None, predicate: Predicate):
+        """The executor's step 1: ``(bound, report)``."""
+        return bounded_answer(table, spec, column, predicate)
 
     def _pick(
         self,
         table: Table,
         aggregate: str,
         column: str | None,
-        predicate: Predicate,
+        report,
         bound: Bound,
         max_width: float,
     ) -> Row | None:
-        """The unrefreshed tuple with the best benefit/cost score."""
-        if isinstance(predicate, TruePredicate):
-            plus_rows = table.rows()
-            maybe_rows: list[Row] = []
+        """The unrefreshed tuple with the best benefit/cost score.
+
+        Candidates are the T+ then the T? tuples of the partition the
+        current bound was assembled from (``report``; every tuple, all
+        in T+, when there was no predicate to classify).
+        """
+        tids = table.columns.sorted_tids()
+        if report is None:
+            plus, maybe = tids, tids[:0]
         else:
-            classification = classify(table.rows(), predicate)
-            plus_rows = classification.plus
-            maybe_rows = classification.maybe
+            plus, maybe = (tids[at] for at in report.positions)
 
         best: Row | None = None
         best_score = 0.0
-        for row, uncertain in [(r, False) for r in plus_rows] + [
-            (r, True) for r in maybe_rows
+        for tid, uncertain in [(t, False) for t in plus.tolist()] + [
+            (t, True) for t in maybe.tolist()
         ]:
+            row = table.row(tid)
             score = self._benefit(row, aggregate, column, uncertain, bound, max_width)
             if score <= 0:
                 continue

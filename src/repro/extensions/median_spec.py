@@ -1,14 +1,21 @@
-"""MEDIAN as a first-class registered aggregate (paper §8.1 extension).
+"""Bounded MEDIAN as a first-class registered aggregate (paper §8.1).
 
-Importing this module registers ``MEDIAN`` with both the aggregate
-registry and the CHOOSE_REFRESH dispatcher, so the three-step executor and
-the SQL front-end (`SELECT MEDIAN(price) WITHIN 1 FROM stocks`) handle it
-like the five standard aggregates.
+The paper lists MEDIAN among the aggregates it wants to support next,
+citing the companion STOC 2000 work on computing the median with
+uncertainty.  Importing this module registers ``MEDIAN`` with both the
+aggregate registry and the CHOOSE_REFRESH dispatcher, so the three-step
+executor and the SQL front-end (`SELECT MEDIAN(price) WITHIN 1 FROM
+stocks`) handle it like the five standard aggregates, through the same
+two-method protocols over the table's column arrays.
 
 Evaluation:
 
-* **No predicate** — ``[median(L_i), median(H_i)]`` (see
-  :func:`repro.extensions.median.bounded_median`).
+* **No predicate** — ``[median(L_i), median(H_i)]``: the median's
+  extremes are reached when every value sits at the same end of its
+  bound.  (For any realization, ``v_i ∈ [L_i, H_i]`` implies the sorted
+  order's k-th statistic is sandwiched between the k-th statistics of
+  the two endpoint multisets.)  For even ``n`` we use the lower median,
+  matching the STOC paper's selection-index convention.
 * **With a predicate** — the contributing set ``S`` satisfies
   ``T+ ⊆ S ⊆ T+ ∪ T?``, and within any fixed ``S`` the realized median is
   monotone in each value, so the extremes are::
@@ -21,14 +28,24 @@ Evaluation:
   excluding any included low for a larger one can only raise it (mirror
   image for the maximum).
 
-Refresh selection combines the membership rule (refresh every T? tuple the
-budget cannot tolerate) with the no-predicate window rule from
-:func:`repro.extensions.median.choose_refresh_median`.
+Refresh selection is forced (cost-independent), like MIN/MAX: the
+**window rule** refreshes every tuple whose bound is *wider than the
+budget* and *overlaps the initial median window*
+``W0 = [median(L), median(H)]``; under a predicate it is combined with the
+membership rule (refresh every T? tuple).
 
-Like the five standard aggregates, both halves exist twice: over
-:class:`Row` lists, and (``*_columnar``, what the executor calls) over the
-table's column arrays.  A median is a selection, not a sum, so the two
-agree bit for bit.
+Soundness of the window rule.  Refreshing replaces ``[L_i, H_i]`` by an
+exact value inside it, so every post-refresh lower-endpoint multiset
+dominates the original (``L'_i >= L_i``) and every upper-endpoint
+multiset is dominated (``H'_i <= H_i``); hence any post-refresh window
+``[median(L'), median(H')]`` is contained in ``W0``.  A counting argument
+shows every window ``[a, b]`` is *spanned* by some tuple (``L'_i <= a``
+and ``H'_i >= b``): at most ``k-1`` tuples have ``H' < b`` and at most
+``n-k`` have ``L' > a``, leaving at least one spanning tuple, whose width
+bounds the window width.  Post-refresh, a spanning tuple is refreshed
+(width 0), or has width ``<= R``, or was disjoint from ``W0`` — and the
+last cannot span a sub-window of ``W0``.  Therefore the final width is at
+most ``R`` for every realization of the refreshed values.
 """
 
 from __future__ import annotations
@@ -43,13 +60,23 @@ from repro.core.bound import Bound
 from repro.core.refresh import register_choose_refresh
 from repro.core.refresh.base import CostFunc, RefreshPlan, plan_at, uniform_cost
 from repro.errors import TrappError
-from repro.extensions.median import bounded_median, choose_refresh_median, median_of
 from repro.predicates.batch import ColumnarClassification
-from repro.predicates.classify import Classification
-from repro.storage.columnar import candidate_positions
-from repro.storage.row import Row
 
-__all__ = ["MedianAggregate", "MedianChooseRefresh", "MEDIAN", "CHOOSE_MEDIAN"]
+__all__ = [
+    "MedianAggregate",
+    "MedianChooseRefresh",
+    "MEDIAN",
+    "CHOOSE_MEDIAN",
+    "median_of",
+]
+
+
+def median_of(values: Sequence[float]) -> float:
+    """The lower median (k = ceil(n/2)-th smallest, 1-indexed)."""
+    if not values:
+        raise TrappError("median of an empty collection is undefined")
+    ordered = sorted(values)
+    return ordered[(len(ordered) - 1) // 2]
 
 
 def _extreme_median(
@@ -87,35 +114,7 @@ class MedianAggregate:
     name = "MEDIAN"
     needs_column = True
 
-    def bound_without_predicate(
-        self, rows: Sequence[Row], column: str | None
-    ) -> Bound:
-        if column is None:
-            raise TrappError("MEDIAN requires an aggregation column")
-        return bounded_median(rows, column)
-
-    def bound_with_classification(
-        self, classification: Classification, column: str | None
-    ) -> Bound:
-        if column is None:
-            raise TrappError("MEDIAN requires an aggregation column")
-        plus = classification.plus
-        maybe = classification.maybe
-        if not plus and not maybe:
-            return Bound.unbounded()
-        lo = _extreme_median(
-            [row.bound(column).lo for row in plus],
-            [row.bound(column).lo for row in maybe],
-            minimize=True,
-        )
-        hi = _extreme_median(
-            [row.bound(column).hi for row in plus],
-            [row.bound(column).hi for row in maybe],
-            minimize=False,
-        )
-        return Bound(lo, hi)
-
-    def bound_without_predicate_columnar(self, store, column: str | None) -> Bound:
+    def bound_without_predicate(self, store, column: str | None) -> Bound:
         if column is None:
             raise TrappError("MEDIAN requires an aggregation column")
         lo, hi = store.endpoints(column)
@@ -123,8 +122,8 @@ class MedianAggregate:
             return Bound.unbounded()
         return Bound(median_of(lo.tolist()), median_of(hi.tolist()))
 
-    def bound_with_classification_columnar(self, cc, column: str | None) -> Bound:
-        """The same prefix argument over T+/T? endpoint arrays."""
+    def bound_with_classification(self, cc, column: str | None) -> Bound:
+        """The prefix argument over T+/T? endpoint arrays."""
         if column is None:
             raise TrappError("MEDIAN requires an aggregation column")
         if cc.n_plus == 0 and cc.n_maybe == 0:
@@ -142,87 +141,49 @@ class MedianChooseRefresh:
 
     def without_predicate(
         self,
-        rows: Sequence[Row],
-        column: str | None,
-        max_width: float,
-        cost: CostFunc = uniform_cost,
-    ) -> RefreshPlan:
-        if column is None:
-            raise TrappError("MEDIAN CHOOSE_REFRESH requires an aggregation column")
-        return choose_refresh_median(rows, column, max_width, cost)
-
-    def with_classification(
-        self,
-        classification: Classification,
-        column: str | None,
-        max_width: float,
-        cost: CostFunc = uniform_cost,
-    ) -> RefreshPlan:
-        """Membership + window rule.
-
-        Refresh (a) every T? tuple — deciding membership exactly — and (b)
-        every T+ ∪ T? tuple wider than the budget whose bound overlaps the
-        current extreme-median window.  After (a), the contributing set is
-        known; after (b), the spanning-lemma argument of
-        :func:`choose_refresh_median` bounds the realized window by the
-        budget for any realization.
-        """
-        if column is None:
-            raise TrappError("MEDIAN CHOOSE_REFRESH requires an aggregation column")
-        spec = MEDIAN
-        window = spec.bound_with_classification(classification, column)
-        if width_within(window.width, max_width):
-            return RefreshPlan.empty()
-        chosen: dict[int, Row] = {row.tid: row for row in classification.maybe}
-        for row in classification.plus_or_maybe:
-            bound = row.bound(column)
-            if bound.width > max_width and bound.overlaps(window):
-                chosen[row.tid] = row
-        return RefreshPlan.of(chosen.values(), cost)
-
-    # ------------------------------------------------------------------
-    def without_predicate_columnar(
-        self,
         table,
         column: str | None,
         max_width: float,
         cost: CostFunc = uniform_cost,
     ):
-        """:func:`choose_refresh_median`'s window rule as one mask."""
+        """The window rule as one mask over the whole table."""
         if column is None:
             raise TrappError("MEDIAN CHOOSE_REFRESH requires an aggregation column")
         if max_width < 0:
             raise TrappError(
                 f"precision budget must be non-negative, got {max_width}"
             )
-        window = MEDIAN.bound_without_predicate_columnar(table.columns, column)
+        window = MEDIAN.bound_without_predicate(table.columns, column)
         if width_within(window.width, max_width):
             return RefreshPlan.empty(), None
         lo, hi = table.columns.endpoints(column)
         chosen = np.flatnonzero(_wide_in_window(lo, hi, window, max_width))
         return plan_at(table, cost, chosen), None
 
-    def with_classification_columnar(
+    def with_classification(
         self,
         table,
-        certain,
-        possible,
+        positions,
         column: str | None,
         max_width: float,
         cost: CostFunc = uniform_cost,
         predicate=None,
-        positions=None,
     ):
-        """Membership + window rule: all of T?, and the wide T+ tuples
-        overlapping the (Appendix-D-refined) extreme-median window."""
+        """Membership + window rule.
+
+        Refresh (a) every T? tuple — deciding membership exactly — and
+        (b) every T+ tuple wider than the budget whose bound overlaps the
+        (Appendix-D-refined) extreme-median window.  After (a), the
+        contributing set is known; after (b), the spanning-lemma argument
+        bounds the realized window by the budget for any realization.
+        """
         if column is None:
             raise TrappError("MEDIAN CHOOSE_REFRESH requires an aggregation column")
-        plus_at, maybe_at = candidate_positions(certain, possible, positions)
-        cc = ColumnarClassification.from_masks(
-            table.columns, None, None, column,
-            predicate, predicate is not None, (plus_at, maybe_at),
+        plus_at, maybe_at = positions
+        cc = ColumnarClassification.from_positions(
+            table.columns, positions, column, predicate
         )
-        window = MEDIAN.bound_with_classification_columnar(cc, column)
+        window = MEDIAN.bound_with_classification(cc, column)
         if width_within(window.width, max_width):
             return RefreshPlan.empty(), None
         wide = _wide_in_window(cc.plus_lo, cc.plus_hi, window, max_width)

@@ -14,14 +14,15 @@ interval away from zero).
 
 from __future__ import annotations
 
+from repro.core.aggregates import get_aggregate
 from repro.core.answer import BoundedAnswer
 from repro.core.bound import Bound
 from repro.core.constraints import RelativePrecision
-from repro.core.executor import QueryExecutor, RefreshProvider
+from repro.core.executor import QueryExecutor, RefreshProvider, bounded_answer
 from repro.core.refresh.base import CostFunc, uniform_cost
 from repro.errors import ConstraintUnsatisfiableError
 from repro.extensions.iterative import IterativeRefreshExecutor
-from repro.predicates.ast import Predicate
+from repro.predicates.ast import Predicate, TruePredicate
 from repro.storage.table import Table
 
 __all__ = ["execute_relative_query"]
@@ -48,17 +49,14 @@ def execute_relative_query(
     constraint = RelativePrecision(fraction)
     executor = QueryExecutor(refresher=refresher, epsilon=epsilon)
 
-    # First pass over cached data only: width budget from the constraint.
-    from repro.core.aggregates import get_aggregate
-    from repro.predicates.ast import TruePredicate
-    from repro.predicates.classify import classify
-
-    spec = get_aggregate(aggregate)
-    pred = predicate if predicate is not None else TruePredicate()
-    if isinstance(pred, TruePredicate):
-        first_pass = spec.bound_without_predicate(table.rows(), column)
-    else:
-        first_pass = spec.bound_with_classification(classify(table.rows(), pred), column)
+    # First pass over cached data only (the executor's step 1): the width
+    # budget comes from it.
+    first_pass, _ = bounded_answer(
+        table,
+        get_aggregate(aggregate),
+        column,
+        predicate if predicate is not None else TruePredicate(),
+    )
 
     if not first_pass.contains(0.0):
         budget = constraint.resolve(first_pass)

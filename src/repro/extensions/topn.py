@@ -32,7 +32,7 @@ from repro.core.answer import BoundedAnswer
 from repro.core.bound import Bound
 from repro.core.constraints import width_within
 from repro.core.executor import ExecutionSteps, PlannedRefresh
-from repro.core.refresh.base import CostFunc, RefreshPlan, uniform_cost
+from repro.core.refresh.base import CostFunc, RefreshPlan, plan_at, uniform_cost
 from repro.errors import ConstraintUnsatisfiableError, PredicateTypeError, TrappError
 from repro.predicates.ast import Predicate, TruePredicate
 from repro.predicates.batch import classify_masks
@@ -133,7 +133,10 @@ def choose_refresh_top_n(
     whose lower endpoint is within the contested region).
     """
     chosen = _refresh_mask(_row_endpoints(rows, column), n, max_width)
-    return RefreshPlan.of((rows[at] for at in np.flatnonzero(chosen)), cost)
+    picked = [rows[at] for at in np.flatnonzero(chosen)]
+    return RefreshPlan(
+        frozenset(row.tid for row in picked), sum(cost(row) for row in picked)
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,28 +171,28 @@ def top_n_steps(
     predicate = predicate if predicate is not None else TruePredicate()
     store = table.columns
 
-    def current() -> Endpoints:
-        """The member tuples' endpoints as the store holds them now."""
+    def current() -> tuple[np.ndarray, Endpoints]:
+        """The member tuples' positions, and their endpoints as the store
+        holds them now."""
         tids = store.sorted_tids()
         lo, hi = store.endpoints(column)
         if isinstance(predicate, TruePredicate):
-            return tids, lo, hi
+            return np.arange(len(tids)), (tids, lo, hi)
         certain, possible = classify_masks(store, predicate)
         if not np.array_equal(certain, possible):
             raise PredicateTypeError(
                 f"TOP-{n} filters on exact values only; the predicate "
                 "reads a bound that is not exact"
             )
-        return tids[certain], lo[certain], hi[certain]
+        return np.flatnonzero(certain), (tids[certain], lo[certain], hi[certain])
 
-    endpoints = current()
+    members, endpoints = current()
     result = _top_n(endpoints, n)
     initial = result.nth_value
     refreshed: set[int] = set()
     total_cost = 0.0
     while not width_within(result.nth_value.width, max_width):
-        chosen = endpoints[0][_refresh_mask(endpoints, n, max_width)]
-        plan = RefreshPlan.of((table.row(tid) for tid in chosen.tolist()), cost)
+        plan = plan_at(table, cost, members[_refresh_mask(endpoints, n, max_width)])
         if not plan.tids or plan.tids <= refreshed:
             raise ConstraintUnsatisfiableError(
                 f"TOP-{n} answer {result.nth_value} cannot be narrowed "
@@ -200,7 +203,7 @@ def top_n_steps(
             effective = plan
         refreshed.update(effective.tids)
         total_cost += effective.total_cost
-        endpoints = current()
+        members, endpoints = current()
         result = _top_n(endpoints, n)
     return TopNAnswer(
         bound=result.nth_value,

@@ -127,10 +127,9 @@ class JoinRefreshHeuristic:
                 if column is not None
                 else None
             )
-            bound = spec.bound_with_classification_columnar(
-                ColumnarClassification.from_masks(
-                    joined, np.logical_not(maybe), np.ones(len(maybe), bool), key
-                ),
+            pair = np.flatnonzero(np.logical_not(maybe)), np.flatnonzero(maybe)
+            bound = spec.bound_with_classification(
+                ColumnarClassification.from_positions(joined, pair, key),
                 agg_column,
             )
             if initial is None:

@@ -1,9 +1,11 @@
 """Predicate language: AST, parsing, evaluation, Possible/Certain, T± sets.
 
-Row-at-a-time classification lives in :mod:`repro.predicates.classify`;
-:mod:`repro.predicates.batch` provides the vectorized counterparts
-(``classify_masks``, ``restrict_endpoints``) over a table's columnar
-mirror.
+:mod:`repro.predicates.batch` classifies a table's column arrays into the
+paper's T+/T?/T− (``classify_masks``, ``classify_report``) and applies
+the Appendix D refinement (``restrict_endpoints``); it is the only
+classifier.  :mod:`repro.predicates.eval` evaluates a predicate on one
+row, and :mod:`repro.predicates.transforms` is Appendix D's symbolic
+``Possible`` / ``Certain`` translation.
 """
 
 from repro.predicates.ast import (
@@ -16,12 +18,6 @@ from repro.predicates.ast import (
     Predicate,
     TruePredicate,
     columns_of,
-)
-from repro.predicates.classify import (
-    Classification,
-    classify,
-    classify_trilean,
-    restrict_bound,
 )
 from repro.predicates.eval import evaluate_exact, evaluate_trilean
 from repro.predicates.parser import parse_predicate
@@ -46,10 +42,6 @@ __all__ = [
     "Predicate",
     "TruePredicate",
     "columns_of",
-    "Classification",
-    "classify",
-    "classify_trilean",
-    "restrict_bound",
     "evaluate_exact",
     "evaluate_trilean",
     "parse_predicate",

@@ -1,23 +1,28 @@
-"""Vectorized batch entry points for classification and refinement.
+"""Vectorized classification and refinement over a table's column arrays.
 
-These are array-at-a-time counterparts of :func:`repro.predicates.classify.
-classify` and :func:`~repro.predicates.classify.restrict_bound`, operating
-on a table's columnar mirror (:class:`~repro.storage.columnar.ColumnStore`)
-instead of row objects.  Semantics follow the three-valued evaluation of
+The paper's §6 partition of a table under a predicate — T+ (certainly
+satisfies), T? (may), T− (cannot) — and its Appendix D refinement,
+computed array-at-a-time over a :class:`~repro.storage.columnar.
+ColumnStore`.  Semantics are the three-valued evaluation of
 :func:`~repro.predicates.eval.evaluate_trilean` — equivalent to the
-symbolic endpoint route (both implement the paper's Figure 8 translation,
-including its one-directional ``Possible``-of-∧ / ``Certain``-of-∨
-approximations) — so a batch classification partitions tuples exactly as
-the row-at-a-time code does.
+symbolic endpoint route of :mod:`repro.predicates.transforms` (both
+implement the paper's Figure 8 translation, including its
+one-directional ``Possible``-of-∧ / ``Certain``-of-∨ approximations).
+This is the only classifier in ``src/``; its row-at-a-time predecessor
+is the oracle ``tests/oracle/row_protocol.py``.
 
 The evaluator represents a three-valued result as a pair of boolean masks
 ``(certain, possible)``: ``certain[i]`` ⟺ tuple *i* satisfies the
 predicate under every realization of its bounds, ``possible[i]`` ⟺ under
 at least one.  ``T+ = certain``, ``T? = possible ∧ ¬certain``,
 ``T− = ¬possible``.  All masks are aligned with ``Table.rows()`` (tuple-id)
-order.
+order.  What everything downstream of classification consumes — answer
+assembly, candidate harvesting, every CHOOSE_REFRESH, GROUP BY's
+per-group split — is the same partition as one **pair of sorted
+tuple-order position arrays** ``(T+, T?)``:
+:attr:`ClassifyReport.positions`.
 
-Two routes produce those masks (ISSUE 10):
+Two routes produce the partition (ISSUE 10):
 
 * the **dense evaluator** (:func:`_eval`) sweeps every tuple of every
   referenced column — the reference semantics, and the fallback for
@@ -29,11 +34,10 @@ Two routes produce those masks (ISSUE 10):
   windows: tuples with ``hi < c`` or ``lo > c`` are decided wholesale
   and only the O(k) straddle window is materialized, as sorted
   tuple-position sets that And/Or/Not compose with exact set algebra
-  (complement flags keep ``Not`` O(k)) before widening to dense masks
-  once at the end.  :func:`classify_report` exposes the richer result —
-  masks plus the sorted T+/T? position arrays and the fraction of
-  (tuple, leaf) decisions that needed materializing — so the executor's
-  harvest and answer assembly stay O(log n + k) too.
+  (complement flags keep ``Not`` O(k)).  The position pair falls out of
+  those sets directly and the dense masks are widened only if someone
+  asks for them, so the executor's harvest and answer assembly stay
+  O(log n + k) too.
 
 The two routes are bit-identical by construction: every window boundary
 is found by binary-searching with the *same* float64 arithmetic the
@@ -65,7 +69,6 @@ from repro.predicates.ast import (
     Term,
     TruePredicate,
 )
-from repro.storage.columnar import candidate_positions
 
 __all__ = [
     "ColumnarClassification",
@@ -96,18 +99,19 @@ def classify_masks(
 
 @dataclass(slots=True)
 class ClassifyReport:
-    """One classification with its index-path by-products.
+    """One classification: the ``(T+, T?)`` position pair, and the masks.
 
-    ``certain``/``possible`` are the usual dense masks.  When the
-    index-backed route ran (``used_index``), they are widened from the
-    window sets **lazily** — consumers that work from the sorted
-    positions alone (candidate harvesting, answer assembly) stay
-    O(log n + k) and never pay the O(n) mask materialization.
-    ``certain_positions``/``maybe_positions`` are the sorted
-    tuple-order positions of T+ and T?, and ``window_fraction`` is the
-    fraction of (tuple, leaf) decisions that had to be materialized
-    from straddle windows (the rest were decided wholesale by two
-    binary searches; low fractions are where the index pays).
+    :attr:`positions` — the sorted tuple-order positions of T+ and of T?
+    — is what every consumer works from; it always answers, and is
+    derived once and kept.  When the index-backed route ran
+    (``used_index``) it comes straight from the window sets and the
+    dense ``certain``/``possible`` masks are widened **lazily**, so
+    consumers stay O(log n + k) and never pay the O(n) mask
+    materialization; on the dense route it is one ``flatnonzero`` per
+    mask.  ``window_fraction`` is the fraction of (tuple, leaf)
+    decisions that had to be materialized from straddle windows (the
+    rest were decided wholesale by two binary searches; low fractions
+    are where the index pays).
     """
 
     used_index: bool = False
@@ -133,18 +137,22 @@ class ClassifyReport:
         return self._possible
 
     @property
-    def certain_positions(self) -> np.ndarray | None:
-        if self._certain_positions is None and self.used_index:
-            if self._cset.complement:
-                self._certain_positions = np.flatnonzero(self.certain)
-            else:
+    def certain_positions(self) -> np.ndarray:
+        if self._certain_positions is None:
+            if self.used_index and not self._cset.complement:
                 self._certain_positions = self._cset.positions
+            else:
+                self._certain_positions = np.flatnonzero(self.certain)
         return self._certain_positions
 
     @property
-    def maybe_positions(self) -> np.ndarray | None:
-        if self._maybe_positions is None and self.used_index:
-            if not self._cset.complement and not self._pset.complement:
+    def maybe_positions(self) -> np.ndarray:
+        if self._maybe_positions is None:
+            if (
+                self.used_index
+                and not self._cset.complement
+                and not self._pset.complement
+            ):
                 # certain ⊆ possible (an invariant of the trilean
                 # semantics), so T? is the possible positions with the
                 # certain ones — each found by one binary search into
@@ -163,22 +171,20 @@ class ClassifyReport:
         return self._maybe_positions
 
     @property
-    def positions(self) -> "tuple[np.ndarray, np.ndarray] | None":
-        """``(certain_positions, maybe_positions)`` when both are known."""
-        if self.certain_positions is None or self.maybe_positions is None:
-            return None
+    def positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(T+, T?)`` as sorted tuple-order position arrays."""
         return self.certain_positions, self.maybe_positions
 
 
 def classify_report(
     store, predicate: Predicate, *, use_index: bool = True
 ) -> ClassifyReport:
-    """Classify with full index-path detail (masks + sorted positions).
+    """Classify one table: the ``(T+, T?)`` pair, the masks on demand.
 
     Tries the endpoint-index windows first; any leaf the indexes cannot
     express exactly (column-vs-column, text, ``scale == 0``) falls the
-    whole predicate back to the dense evaluator.  Either way the masks
-    are identical; only the by-products differ.
+    whole predicate back to the dense evaluator.  Either way the
+    partition is identical; only the cost of reading it differs.
     """
     n = len(store)
     if use_index and n:
@@ -631,8 +637,11 @@ def restrict_endpoints(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Shrink many bounds at once to their predicate-consistent parts.
 
-    Array counterpart of :func:`~repro.predicates.classify.restrict_bound`:
-    only conjunctions of simple ``column OP constant`` comparisons are
+    The Appendix D refinement: when the selection predicate constrains
+    the *aggregation column itself* (aggregating ``latency`` under
+    ``latency > 10``), a T? tuple's bound can be narrowed to the part
+    that could actually contribute — ``[max(lo, 10), hi]`` — before the
+    answer is bounded or refresh tuples are chosen.  Only conjunctions of simple ``column OP constant`` comparisons are
     exploited; any other structure leaves the endpoints unchanged (always
     sound).  Returns new arrays; the inputs are not modified.
     """
@@ -668,58 +677,51 @@ def restrict_endpoints(
 # ----------------------------------------------------------------------
 @dataclass(slots=True)
 class ColumnarClassification:
-    """The T+/T?/T− partition reduced to the aggregation column's arrays.
+    """A ``(T+, T?)`` pair reduced to the aggregation column's arrays.
 
     ``plus_lo``/``plus_hi`` hold the T+ tuples' endpoints on the
     aggregation column, ``maybe_lo``/``maybe_hi`` the T? tuples' —
     post-refinement when the executor has Appendix D refinement enabled.
     For COUNT (no aggregation column) the arrays are None and only the
-    partition sizes are meaningful.
+    partition sizes are meaningful.  T− is everything else and no
+    aggregate reads it.
     """
 
     n_plus: int
     n_maybe: int
-    n_minus: int
     plus_lo: np.ndarray | None = None
     plus_hi: np.ndarray | None = None
     maybe_lo: np.ndarray | None = None
     maybe_hi: np.ndarray | None = None
 
     @staticmethod
-    def from_masks(
+    def from_positions(
         store,
-        certain: np.ndarray,
-        possible: np.ndarray,
+        positions: "tuple[np.ndarray, np.ndarray]",
         column: str | None,
         predicate: Predicate | None = None,
-        refine: bool = False,
-        positions: "tuple[np.ndarray, np.ndarray] | None" = None,
     ) -> "ColumnarClassification":
-        """Slice the aggregation column by the T+/T? masks.
+        """Gather the aggregation column at a ``(T+, T?)`` position pair.
 
-        With ``refine`` set (and a predicate), T? endpoints are narrowed
-        via :func:`restrict_endpoints` before aggregation (Appendix D).
-        When the index-backed classifier
-        supplied sorted ``(certain_positions, maybe_positions)``, the
-        gathers run over those O(k) arrays instead of n-row boolean
-        masks; both routes produce identical arrays.
+        The pair is a whole table's (:attr:`ClassifyReport.positions`)
+        or any subset of one — GROUP BY passes each group's share.  With
+        a ``predicate``, T? endpoints are narrowed via
+        :func:`restrict_endpoints` before aggregation (Appendix D).
         """
-        plus_at, maybe_at = candidate_positions(certain, possible, positions)
+        plus_at, maybe_at = positions
         n_plus = len(plus_at)
         n_maybe = len(maybe_at)
-        n_minus = len(store) - n_plus - n_maybe
         if column is None:
-            return ColumnarClassification(n_plus, n_maybe, n_minus)
+            return ColumnarClassification(n_plus, n_maybe)
         lo, hi = store.endpoints(column)
         maybe_lo, maybe_hi = lo[maybe_at], hi[maybe_at]
-        if refine and predicate is not None:
+        if predicate is not None and n_maybe:
             maybe_lo, maybe_hi = restrict_endpoints(
                 maybe_lo, maybe_hi, predicate, column
             )
         return ColumnarClassification(
             n_plus,
             n_maybe,
-            n_minus,
             plus_lo=lo[plus_at],
             plus_hi=hi[plus_at],
             maybe_lo=maybe_lo,

@@ -46,9 +46,9 @@ Three planner-facing entry points live here as well (ISSUE 3, ISSUE 10):
   **no per-row Python objects**; its
   :meth:`~CandidateVectors.solver_vectors` handoff is flat stdlib
   ``array('q')``/``array('d')`` storage consumed by
-  :func:`repro.core.knapsack.solve_vector`.  With the classifier's
-  sorted T+/T? *positions* (index-backed path) candidates gather in
-  ``O(k)``; without them, boolean masks sweep the column as before.
+  :func:`repro.core.knapsack.solve_vector`.  Candidates are the whole
+  table (§5) or the classifier's sorted ``(T+, T?)`` *positions* (§6),
+  gathered in ``O(k)``.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ __all__ = [
     "ColumnStore",
     "CandidateVectors",
     "candidate_order",
-    "candidate_positions",
     "harvest_candidates",
     "cost_vector",
 ]
@@ -667,32 +666,10 @@ def candidate_order(widths: np.ndarray, tids: np.ndarray) -> np.ndarray:
     return order
 
 
-def candidate_positions(
-    certain: np.ndarray | None,
-    possible: np.ndarray | None,
-    positions: "tuple[np.ndarray, np.ndarray] | None" = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted tuple-order positions of ``(T+, T?)``.
-
-    The index-backed classifier hands them over ready-made
-    (``positions``, from :func:`repro.predicates.batch.classify_report`);
-    the dense route has only the ``certain``/``possible`` masks, which
-    are scanned here.  Everything downstream of classification — answer
-    assembly, harvesting, every CHOOSE_REFRESH — works from this pair.
-    """
-    if positions is not None:
-        return positions
-    assert certain is not None and possible is not None
-    maybe = np.logical_and(possible, np.logical_not(certain))
-    return np.flatnonzero(certain), np.flatnonzero(maybe)
-
-
 def harvest_candidates(
     store: ColumnStore,
     column: str,
     *,
-    certain: np.ndarray | None = None,
-    possible: np.ndarray | None = None,
     positions: "tuple[np.ndarray, np.ndarray] | None" = None,
     predicate=None,
     cost_column: str | None = None,
@@ -701,18 +678,15 @@ def harvest_candidates(
 ) -> CandidateVectors | None:
     """Emit one query's refresh candidates as parallel vectors.
 
-    Without masks the candidate set is the whole table (§5 regime); the
-    sorted-width ordering *and* the tuple-id-ordered width vector both
-    come straight from the store's incremental planner cache — nothing
-    is recomputed per query.  With ``certain``/``possible`` masks
-    (tuple-id order, from :func:`repro.predicates.batch.classify_masks`)
-    candidates are T+ ∪ T? and each T? weight is its bound — optionally
-    Appendix-D restricted by ``predicate`` — extended to zero (§6.2).
-    When the index-backed classifier also produced sorted candidate
-    ``positions`` (``(certain_positions, maybe_positions)`` from
-    :func:`repro.predicates.batch.classify_report`), the gathers run
-    over those O(k) arrays instead of sweeping n-row masks; both routes
-    emit identical vectors.
+    Without ``positions`` the candidate set is the whole table (§5
+    regime); the sorted-width ordering *and* the tuple-id-ordered width
+    vector both come straight from the store's incremental planner cache
+    — nothing is recomputed per query.  With the sorted ``(T+, T?)``
+    tuple-order positions (:attr:`repro.predicates.batch.ClassifyReport.
+    positions`, or one GROUP BY group's share of them) candidates are
+    T+ ∪ T?, gathered in O(k), and each T? weight is its bound —
+    optionally Appendix-D restricted by ``predicate`` — extended to zero
+    (§6.2).
 
     Costs are ``cost_value`` everywhere, read from ``cost_column``
     (which must be a numeric, currently-exact column — the contract of
@@ -726,14 +700,14 @@ def harvest_candidates(
         if store.is_text(cost_column) or not store.column_exact(cost_column):
             return None
 
-    if certain is None and possible is None and positions is None:
+    if positions is None:
         order_cache = store.width_order(column)
         tids = store.sorted_tids()
         widths = order_cache.keys_by_tid
         order = order_cache.positions
         at = None
     else:
-        certain_at, maybe_at = candidate_positions(certain, possible, positions)
+        certain_at, maybe_at = positions
         # One fused gather per source array over the [T+ …, T? …]
         # position vector (gather-then-concatenate and
         # concatenate-then-gather are elementwise identical); the T?

@@ -16,22 +16,26 @@ from repro.core.aggregates import (
 )
 from repro.core.bound import Bound
 from repro.errors import TrappError
-from repro.predicates.classify import Classification
-from repro.storage.row import Row
+from repro.predicates.batch import ColumnarClassification
+from tests.protocol import bound_of, partitioned
 
 
-def rows_of(*bounds):
-    return [Row(i + 1, {"x": b}) for i, b in enumerate(bounds)]
+def whole(spec, *bounds, column="x"):
+    """The §5 answer over a table holding ``bounds`` on ``x``."""
+    table, _ = partitioned(plus=bounds)
+    return bound_of(spec, table, column)
 
 
-def cls_of(plus=(), maybe=(), minus=()):
-    offset = 0
-    out = Classification()
-    for group, target in ((plus, out.plus), (maybe, out.maybe), (minus, out.minus)):
-        for b in group:
-            offset += 1
-            target.append(Row(offset, {"x": b}))
-    return out
+def split(spec, plus=(), maybe=(), minus=(), column="x"):
+    """The §6 answer over the given T+ / T? / T− bounds on ``x``."""
+    table, pair = partitioned(plus, maybe, minus)
+    return bound_of(spec, table, column, pair)
+
+
+def gathered(plus=(), maybe=(), minus=()):
+    """The T+ / T? endpoint arrays ``tight_avg_bound`` reads."""
+    table, pair = partitioned(plus, maybe, minus)
+    return ColumnarClassification.from_positions(table.columns, pair, "x")
 
 
 class TestRegistry:
@@ -51,135 +55,125 @@ class TestRegistry:
 
 class TestMinNoPredicate:
     def test_basic(self):
-        rows = rows_of(Bound(2, 4), Bound(1, 9), Bound(5, 6))
-        assert MIN.bound_without_predicate(rows, "x") == Bound(1, 4)
+        assert whole(MIN, Bound(2, 4), Bound(1, 9), Bound(5, 6)) == Bound(1, 4)
 
     def test_exact_values(self):
-        rows = rows_of(Bound.exact(3), Bound.exact(1))
-        assert MIN.bound_without_predicate(rows, "x") == Bound.exact(1)
+        assert whole(MIN, Bound.exact(3), Bound.exact(1)) == Bound.exact(1)
 
     def test_empty_table(self):
-        assert MIN.bound_without_predicate([], "x") == Bound(math.inf, math.inf)
+        assert whole(MIN) == Bound(math.inf, math.inf)
 
     def test_missing_column_raises(self):
         with pytest.raises(TrappError):
-            MIN.bound_without_predicate([], None)
+            whole(MIN, column=None)
 
 
 class TestMaxNoPredicate:
     def test_basic(self):
-        rows = rows_of(Bound(2, 4), Bound(1, 9), Bound(5, 6))
-        assert MAX.bound_without_predicate(rows, "x") == Bound(5, 9)
+        assert whole(MAX, Bound(2, 4), Bound(1, 9), Bound(5, 6)) == Bound(5, 9)
 
     def test_empty_table(self):
-        assert MAX.bound_without_predicate([], "x") == Bound(-math.inf, -math.inf)
+        assert whole(MAX) == Bound(-math.inf, -math.inf)
 
 
 class TestSumNoPredicate:
     def test_basic(self):
-        rows = rows_of(Bound(1, 2), Bound(-3, 1), Bound.exact(4))
-        assert SUM.bound_without_predicate(rows, "x") == Bound(2, 7)
+        assert whole(SUM, Bound(1, 2), Bound(-3, 1), Bound.exact(4)) == Bound(2, 7)
 
     def test_empty_is_exact_zero(self):
-        assert SUM.bound_without_predicate([], "x") == Bound.exact(0)
+        assert whole(SUM) == Bound.exact(0)
 
 
 class TestCountNoPredicate:
     def test_always_exact_cardinality(self):
-        rows = rows_of(Bound(0, 100), Bound(5, 5))
-        assert COUNT.bound_without_predicate(rows, None) == Bound.exact(2)
-        assert COUNT.bound_without_predicate([], None) == Bound.exact(0)
+        assert whole(COUNT, Bound(0, 100), Bound(5, 5), column=None) == Bound.exact(2)
+        assert whole(COUNT, column=None) == Bound.exact(0)
 
 
 class TestAvgNoPredicate:
     def test_basic(self):
-        rows = rows_of(Bound(0, 2), Bound(4, 6))
-        assert AVG.bound_without_predicate(rows, "x") == Bound(2, 4)
+        assert whole(AVG, Bound(0, 2), Bound(4, 6)) == Bound(2, 4)
 
     def test_empty_is_unbounded(self):
-        assert AVG.bound_without_predicate([], "x") == Bound.unbounded()
+        assert whole(AVG) == Bound.unbounded()
 
 
 class TestMinWithPredicate:
     def test_lower_uses_plus_and_maybe(self):
-        cls = cls_of(plus=[Bound(5, 8)], maybe=[Bound(1, 10)])
-        assert MIN.bound_with_classification(cls, "x") == Bound(1, 8)
+        assert split(MIN, plus=[Bound(5, 8)], maybe=[Bound(1, 10)]) == Bound(1, 8)
 
     def test_empty_plus_gives_infinite_upper(self):
-        cls = cls_of(maybe=[Bound(1, 3)])
-        bound = MIN.bound_with_classification(cls, "x")
+        bound = split(MIN, maybe=[Bound(1, 3)])
         assert bound.lo == 1
         assert bound.hi == math.inf
 
     def test_minus_ignored(self):
-        cls = cls_of(plus=[Bound(5, 8)], minus=[Bound(-100, -50)])
-        assert MIN.bound_with_classification(cls, "x") == Bound(5, 8)
+        assert split(MIN, plus=[Bound(5, 8)], minus=[Bound(-100, -50)]) == Bound(5, 8)
 
 
 class TestMaxWithPredicate:
     def test_symmetry(self):
-        cls = cls_of(plus=[Bound(5, 8)], maybe=[Bound(1, 10)])
-        assert MAX.bound_with_classification(cls, "x") == Bound(5, 10)
+        assert split(MAX, plus=[Bound(5, 8)], maybe=[Bound(1, 10)]) == Bound(5, 10)
 
     def test_empty_plus_gives_infinite_lower(self):
-        cls = cls_of(maybe=[Bound(1, 3)])
-        bound = MAX.bound_with_classification(cls, "x")
+        bound = split(MAX, maybe=[Bound(1, 3)])
         assert bound.lo == -math.inf
         assert bound.hi == 3
 
 
 class TestSumWithPredicate:
     def test_maybe_bounds_extended_to_zero(self):
-        cls = cls_of(plus=[Bound(1, 2)], maybe=[Bound(3, 8)])
         # maybe contributes [0, 8]: it might not satisfy the predicate.
-        assert SUM.bound_with_classification(cls, "x") == Bound(1, 10)
+        assert split(SUM, plus=[Bound(1, 2)], maybe=[Bound(3, 8)]) == Bound(1, 10)
 
     def test_negative_maybe_values(self):
-        cls = cls_of(plus=[Bound(1, 2)], maybe=[Bound(-8, -3)])
-        assert SUM.bound_with_classification(cls, "x") == Bound(-7, 2)
+        assert split(SUM, plus=[Bound(1, 2)], maybe=[Bound(-8, -3)]) == Bound(-7, 2)
 
     def test_maybe_straddling_zero(self):
-        cls = cls_of(maybe=[Bound(-4, 6)])
-        assert SUM.bound_with_classification(cls, "x") == Bound(-4, 6)
+        assert split(SUM, maybe=[Bound(-4, 6)]) == Bound(-4, 6)
 
     def test_all_minus_is_exact_zero(self):
-        cls = cls_of(minus=[Bound(1, 2), Bound(3, 4)])
-        assert SUM.bound_with_classification(cls, "x") == Bound.exact(0)
+        assert split(SUM, minus=[Bound(1, 2), Bound(3, 4)]) == Bound.exact(0)
 
 
 class TestCountWithPredicate:
     def test_formula(self):
-        cls = cls_of(plus=[Bound(1, 1)] * 2, maybe=[Bound(0, 9)] * 3, minus=[Bound(0, 1)])
-        assert COUNT.bound_with_classification(cls, None) == Bound(2, 5)
+        answer = split(
+            COUNT,
+            plus=[Bound(1, 1)] * 2,
+            maybe=[Bound(0, 9)] * 3,
+            minus=[Bound(0, 1)],
+            column=None,
+        )
+        assert answer == Bound(2, 5)
 
 
 class TestAvgWithPredicate:
     def test_tight_bound_paper_example(self):
         # Appendix E worked example: T+ lows {5, 9}, T? lows {2, 4, 8, 12}.
-        cls = cls_of(
-            plus=[Bound(5, 7), Bound(9, 11)],
-            maybe=[Bound(2, 4), Bound(4, 6), Bound(8, 11), Bound(12, 16)],
+        bound = tight_avg_bound(
+            gathered(
+                plus=[Bound(5, 7), Bound(9, 11)],
+                maybe=[Bound(2, 4), Bound(4, 6), Bound(8, 11), Bound(12, 16)],
+            )
         )
-        bound = tight_avg_bound(cls, "x")
         assert bound.lo == pytest.approx(5.0)
         assert bound.hi == pytest.approx(34 / 3)
 
     def test_no_plus_no_maybe_unbounded(self):
-        assert tight_avg_bound(cls_of(), "x") == Bound.unbounded()
+        assert tight_avg_bound(gathered()) == Bound.unbounded()
 
     def test_only_maybe_gives_hull(self):
-        cls = cls_of(maybe=[Bound(1, 3), Bound(2, 9)])
-        assert tight_avg_bound(cls, "x") == Bound(1, 9)
+        assert tight_avg_bound(gathered(maybe=[Bound(1, 3), Bound(2, 9)])) == Bound(1, 9)
 
     def test_registry_uses_tight(self):
-        cls = cls_of(plus=[Bound(5, 7)], maybe=[Bound(1, 2)])
-        assert AVG.bound_with_classification(cls, "x") == tight_avg_bound(cls, "x")
+        classes = dict(plus=[Bound(5, 7)], maybe=[Bound(1, 2)])
+        assert split(AVG, **classes) == tight_avg_bound(gathered(**classes))
 
     def test_loose_bound_contains_tight_randomized(self):
         import random
 
         rng = random.Random(5)
-        from repro.core.aggregates import COUNT as C, SUM as S
 
         for _ in range(30):
             plus = [
@@ -190,11 +184,9 @@ class TestAvgWithPredicate:
                 Bound(lo, lo + rng.uniform(0, 5))
                 for lo in (rng.uniform(-10, 10) for _ in range(rng.randint(0, 4)))
             ]
-            cls = cls_of(plus=plus, maybe=maybe)
-            tight = tight_avg_bound(cls, "x")
+            tight = tight_avg_bound(gathered(plus, maybe))
             loose = loose_avg_bound(
-                S.bound_with_classification(cls, "x"),
-                C.bound_with_classification(cls, None),
+                split(SUM, plus, maybe), split(COUNT, plus, maybe, column=None)
             )
             assert loose.lo <= tight.lo + 1e-9
             assert loose.hi >= tight.hi - 1e-9

@@ -1,18 +1,20 @@
-"""Row-level classification happens at most once per query.
+"""Classification happens at most once per bound.
 
 The seed executor recomputed the T+/T?/T− partition three times per query
-(initial bound, CHOOSE_REFRESH, final bound).  The executor now works on
-the column arrays and never calls the row-level
-:func:`repro.predicates.classify.classify` at all; the row-at-a-time
-oracle (``tests/oracle/row_executor.py``) calls it exactly once and
-updates the refreshed T? tuples in place.
+(initial bound, CHOOSE_REFRESH, final bound).  The executor now classifies
+the column arrays once before the refresh — the initial bound and
+CHOOSE_REFRESH share that partition — and once after it, and never calls
+a row-level classifier at all; the row-at-a-time oracle
+(``tests/oracle/row_executor.py``) calls its
+:func:`tests.oracle.row_protocol.classify` exactly once and updates the
+refreshed T? tuples in place.
 """
 
-import importlib
 import math
 
 import pytest
 
+import repro.core.executor as executor_module
 import tests.oracle.row_executor as oracle_module
 from repro.core.bound import Bound
 from repro.core.executor import QueryExecutor
@@ -22,23 +24,25 @@ from repro.storage.schema import Schema
 from repro.storage.table import Table
 from tests.oracle.row_executor import RowQueryExecutor
 
-# ``repro.predicates.classify`` the attribute is the function (the package
-# re-exports it); the module is only reachable by name.
-classify_module = importlib.import_module("repro.predicates.classify")
-
 
 @pytest.fixture
 def classify_counter(monkeypatch):
-    calls = {"n": 0}
-    original = classify_module.classify
+    """Counts row classifications (``n``) and array ones (``reports``)."""
+    calls = {"n": 0, "reports": 0}
+    row_classify = oracle_module.classify
+    classify_report = executor_module.classify_report
 
     def counting(rows, predicate):
         calls["n"] += 1
-        return original(rows, predicate)
+        return row_classify(rows, predicate)
 
-    # Where the function lives, and where the oracle bound it by name.
-    monkeypatch.setattr(classify_module, "classify", counting)
+    def counting_report(store, predicate):
+        calls["reports"] += 1
+        return classify_report(store, predicate)
+
+    # Where each executor bound its classifier by name.
     monkeypatch.setattr(oracle_module, "classify", counting)
+    monkeypatch.setattr(executor_module, "classify_report", counting_report)
     return calls
 
 
@@ -61,6 +65,7 @@ class TestColumnarPath:
         cached, _ = make_tables()
         QueryExecutor().execute(cached, "SUM", "x", math.inf, PREDICATE)
         assert classify_counter["n"] == 0
+        assert classify_counter["reports"] == 1
 
     def test_no_classify_calls_with_refresh(self, classify_counter):
         cached, master = make_tables()
@@ -68,6 +73,7 @@ class TestColumnarPath:
         answer = executor.execute(cached, "SUM", "x", 3.0, PREDICATE)
         assert answer.refreshed  # the query really went through step 2
         assert classify_counter["n"] == 0
+        assert classify_counter["reports"] == 2  # steps 1 + 2 share one
 
 
 class TestRowPath:
@@ -106,3 +112,4 @@ class TestNoPredicateNeverClassifies:
         executor = executor_type(refresher=LocalRefresher(master))
         executor.execute(cached, "SUM", "x", 5.0)
         assert classify_counter["n"] == 0
+        assert classify_counter["reports"] == 0

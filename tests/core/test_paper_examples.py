@@ -24,74 +24,83 @@ from repro.core.refresh import (
     SumChooseRefresh,
 )
 from repro.core.bound import Bound
-from repro.predicates.classify import classify
 from repro.predicates.parser import parse_predicate
+from tests.protocol import bound_of, classified, pair_of, plan_of, tids_at
 
 
-def path_rows(cached_links, tids=(1, 2, 5, 6)):
-    """Tuples on the example path N1→N2→N4→N5→N6 (Figure 2 rows 1,2,5,6)."""
-    return [cached_links.row(t) for t in tids]
+def path(cached_links, tids=(1, 2, 5, 6)):
+    """Tuples on the example path N1→N2→N4→N5→N6 (Figure 2 rows 1,2,5,6),
+    as a ``(T+, T?)`` pair: all certain, none in doubt."""
+    return pair_of(cached_links, tids)
+
+
+def classes(table, predicate):
+    """``(T+, T?, T−)`` as tuple-id sets, and the served ``(T+, T?)`` pair."""
+    pair = classified(table, parse_predicate(predicate))
+    plus, maybe = (tids_at(table, at) for at in pair)
+    return (plus, maybe, set(table.tids()) - plus - maybe), pair
 
 
 class TestQ1MinBandwidth:
     def test_initial_bounded_answer(self, cached_links):
-        bound = MIN.bound_without_predicate(path_rows(cached_links), "bandwidth")
+        bound = bound_of(MIN, cached_links, "bandwidth", path(cached_links))
         assert bound == Bound(40, 55)
 
     def test_choose_refresh_selects_tuple_5(self, cached_links, cost_func):
-        plan = CHOOSE_MIN.without_predicate(
-            path_rows(cached_links), "bandwidth", 10, cost_func
+        plan = plan_of(
+            CHOOSE_MIN, cached_links, "bandwidth", 10, cost_func, path(cached_links)
         )
         assert set(plan.tids) == {5}
         assert plan.total_cost == 4
 
     def test_answer_after_refresh(self, cached_links, refresher, cost_func):
-        rows = path_rows(cached_links)
-        plan = CHOOSE_MIN.without_predicate(rows, "bandwidth", 10, cost_func)
+        plan = plan_of(
+            CHOOSE_MIN, cached_links, "bandwidth", 10, cost_func, path(cached_links)
+        )
         refresher.refresh(cached_links, plan.tids)
-        bound = MIN.bound_without_predicate(path_rows(cached_links), "bandwidth")
+        bound = bound_of(MIN, cached_links, "bandwidth", path(cached_links))
         assert bound == Bound(45, 50)
 
 
 class TestQ2SumLatency:
     def test_initial_bounded_answer(self, cached_links):
-        bound = SUM.bound_without_predicate(path_rows(cached_links), "latency")
+        bound = bound_of(SUM, cached_links, "latency", path(cached_links))
         assert bound == Bound(19, 28)
 
     def test_optimal_knapsack_refreshes_1_and_6(self, cached_links, cost_func):
         chooser = SumChooseRefresh(force_exact=True)
-        plan = chooser.without_predicate(
-            path_rows(cached_links), "latency", 5, cost_func
+        plan = plan_of(
+            chooser, cached_links, "latency", 5, cost_func, path(cached_links)
         )
         assert set(plan.tids) == {1, 6}
         assert plan.total_cost == 5  # costs 3 + 2
 
     def test_answer_after_refresh(self, cached_links, refresher, cost_func):
         chooser = SumChooseRefresh(force_exact=True)
-        plan = chooser.without_predicate(
-            path_rows(cached_links), "latency", 5, cost_func
+        plan = plan_of(
+            chooser, cached_links, "latency", 5, cost_func, path(cached_links)
         )
         refresher.refresh(cached_links, plan.tids)
-        bound = SUM.bound_without_predicate(path_rows(cached_links), "latency")
+        bound = bound_of(SUM, cached_links, "latency", path(cached_links))
         assert bound == Bound(21, 26)
 
 
 class TestQ3AvgTraffic:
     def test_initial_count_is_exact_six(self, cached_links):
-        assert COUNT.bound_without_predicate(cached_links.rows(), None) == Bound.exact(6)
+        assert bound_of(COUNT, cached_links, None) == Bound.exact(6)
 
     def test_choose_refresh_selects_5_and_6(self, cached_links, cost_func):
         chooser = AvgChooseRefresh(force_exact=True)
-        plan = chooser.without_predicate(cached_links.rows(), "traffic", 10, cost_func)
+        plan = plan_of(chooser, cached_links, "traffic", 10, cost_func)
         assert set(plan.tids) == {5, 6}
 
     def test_sum_and_avg_after_refresh(self, cached_links, refresher, cost_func):
         chooser = AvgChooseRefresh(force_exact=True)
-        plan = chooser.without_predicate(cached_links.rows(), "traffic", 10, cost_func)
+        plan = plan_of(chooser, cached_links, "traffic", 10, cost_func)
         refresher.refresh(cached_links, plan.tids)
-        total = SUM.bound_without_predicate(cached_links.rows(), "traffic")
+        total = bound_of(SUM, cached_links, "traffic")
         assert total == Bound(618, 678)
-        avg = AVG.bound_without_predicate(cached_links.rows(), "traffic")
+        avg = bound_of(AVG, cached_links, "traffic")
         assert avg == Bound(103, 113)
 
 
@@ -100,29 +109,28 @@ Q4_PREDICATE = "bandwidth > 50 AND latency < 10"
 
 class TestQ4MinTrafficWithPredicate:
     def test_classification_before_refresh(self, cached_links):
-        cls = classify(cached_links.rows(), parse_predicate(Q4_PREDICATE))
-        assert {r.tid for r in cls.plus} == {1}
-        assert {r.tid for r in cls.maybe} == {2, 4, 5, 6}
-        assert {r.tid for r in cls.minus} == {3}
+        (plus, maybe, minus), _ = classes(cached_links, Q4_PREDICATE)
+        assert plus == {1}
+        assert maybe == {2, 4, 5, 6}
+        assert minus == {3}
 
     def test_initial_bounded_answer(self, cached_links):
-        cls = classify(cached_links.rows(), parse_predicate(Q4_PREDICATE))
-        assert MIN.bound_with_classification(cls, "traffic") == Bound(90, 105)
+        _, pair = classes(cached_links, Q4_PREDICATE)
+        assert bound_of(MIN, cached_links, "traffic", pair) == Bound(90, 105)
 
     def test_choose_refresh_selects_5_and_6(self, cached_links, cost_func):
-        cls = classify(cached_links.rows(), parse_predicate(Q4_PREDICATE))
-        plan = CHOOSE_MIN.with_classification(cls, "traffic", 10, cost_func)
+        _, pair = classes(cached_links, Q4_PREDICATE)
+        plan = plan_of(CHOOSE_MIN, cached_links, "traffic", 10, cost_func, pair)
         assert set(plan.tids) == {5, 6}
 
     def test_answer_after_refresh(self, cached_links, refresher, cost_func):
-        predicate = parse_predicate(Q4_PREDICATE)
-        cls = classify(cached_links.rows(), predicate)
-        plan = CHOOSE_MIN.with_classification(cls, "traffic", 10, cost_func)
+        _, pair = classes(cached_links, Q4_PREDICATE)
+        plan = plan_of(CHOOSE_MIN, cached_links, "traffic", 10, cost_func, pair)
         refresher.refresh(cached_links, plan.tids)
-        cls2 = classify(cached_links.rows(), predicate)
+        (_, _, minus), pair2 = classes(cached_links, Q4_PREDICATE)
         # Refreshed tuples 5 and 6 fail the predicate (bandwidth 50 and 45).
-        assert {r.tid for r in cls2.minus} >= {5, 6}
-        assert MIN.bound_with_classification(cls2, "traffic") == Bound(95, 105)
+        assert minus >= {5, 6}
+        assert bound_of(MIN, cached_links, "traffic", pair2) == Bound(95, 105)
 
 
 Q5_PREDICATE = "latency > 10"
@@ -130,30 +138,29 @@ Q5_PREDICATE = "latency > 10"
 
 class TestQ5CountHighLatency:
     def test_classification(self, cached_links):
-        cls = classify(cached_links.rows(), parse_predicate(Q5_PREDICATE))
-        assert {r.tid for r in cls.plus} == {3}
-        assert {r.tid for r in cls.maybe} == {4, 5}
-        assert {r.tid for r in cls.minus} == {1, 2, 6}
+        (plus, maybe, minus), _ = classes(cached_links, Q5_PREDICATE)
+        assert plus == {3}
+        assert maybe == {4, 5}
+        assert minus == {1, 2, 6}
 
     def test_initial_bounded_answer(self, cached_links):
-        cls = classify(cached_links.rows(), parse_predicate(Q5_PREDICATE))
-        assert COUNT.bound_with_classification(cls, None) == Bound(1, 3)
+        _, pair = classes(cached_links, Q5_PREDICATE)
+        assert bound_of(COUNT, cached_links, None, pair) == Bound(1, 3)
 
     def test_choose_refresh_picks_cheapest_maybe(self, cached_links, cost_func):
-        cls = classify(cached_links.rows(), parse_predicate(Q5_PREDICATE))
-        plan = CHOOSE_COUNT.with_classification(cls, None, 1, cost_func)
+        _, pair = classes(cached_links, Q5_PREDICATE)
+        plan = plan_of(CHOOSE_COUNT, cached_links, None, 1, cost_func, pair)
         # |T?| - R = 1 tuple; tuple 5 (cost 4) beats tuple 4 (cost 8).
         assert set(plan.tids) == {5}
         assert plan.total_cost == 4
 
     def test_answer_after_refresh(self, cached_links, refresher, cost_func):
-        predicate = parse_predicate(Q5_PREDICATE)
-        cls = classify(cached_links.rows(), predicate)
-        plan = CHOOSE_COUNT.with_classification(cls, None, 1, cost_func)
+        _, pair = classes(cached_links, Q5_PREDICATE)
+        plan = plan_of(CHOOSE_COUNT, cached_links, None, 1, cost_func, pair)
         refresher.refresh(cached_links, plan.tids)
-        cls2 = classify(cached_links.rows(), predicate)
+        _, pair2 = classes(cached_links, Q5_PREDICATE)
         # Tuple 5's precise latency is 11 > 10: it lands in T+.
-        assert COUNT.bound_with_classification(cls2, None) == Bound(2, 3)
+        assert bound_of(COUNT, cached_links, None, pair2) == Bound(2, 3)
 
 
 Q6_PREDICATE = "traffic > 100"
@@ -161,21 +168,21 @@ Q6_PREDICATE = "traffic > 100"
 
 class TestQ6AvgLatencyWithPredicate:
     def test_classification(self, cached_links):
-        cls = classify(cached_links.rows(), parse_predicate(Q6_PREDICATE))
-        assert {r.tid for r in cls.plus} == {2, 4}
-        assert {r.tid for r in cls.maybe} == {1, 3, 5, 6}
-        assert not cls.minus
+        (plus, maybe, minus), _ = classes(cached_links, Q6_PREDICATE)
+        assert plus == {2, 4}
+        assert maybe == {1, 3, 5, 6}
+        assert not minus
 
     def test_tight_bound(self, cached_links):
-        cls = classify(cached_links.rows(), parse_predicate(Q6_PREDICATE))
-        bound = AVG.bound_with_classification(cls, "latency")
+        _, pair = classes(cached_links, Q6_PREDICATE)
+        bound = bound_of(AVG, cached_links, "latency", pair)
         assert bound.lo == pytest.approx(5.0)
         assert bound.hi == pytest.approx(34 / 3)
 
     def test_loose_bound(self, cached_links):
-        cls = classify(cached_links.rows(), parse_predicate(Q6_PREDICATE))
-        total = SUM.bound_with_classification(cls, "latency")
-        count = COUNT.bound_with_classification(cls, None)
+        _, pair = classes(cached_links, Q6_PREDICATE)
+        total = bound_of(SUM, cached_links, "latency", pair)
+        count = bound_of(COUNT, cached_links, None, pair)
         assert total == Bound(14, 55)
         assert count == Bound(2, 6)
         loose = loose_avg_bound(total, count)
@@ -183,28 +190,27 @@ class TestQ6AvgLatencyWithPredicate:
         assert loose.hi == pytest.approx(27.5)
 
     def test_tight_is_inside_loose(self, cached_links):
-        cls = classify(cached_links.rows(), parse_predicate(Q6_PREDICATE))
-        tight = AVG.bound_with_classification(cls, "latency")
+        _, pair = classes(cached_links, Q6_PREDICATE)
+        tight = bound_of(AVG, cached_links, "latency", pair)
         loose = loose_avg_bound(
-            SUM.bound_with_classification(cls, "latency"),
-            COUNT.bound_with_classification(cls, None),
+            bound_of(SUM, cached_links, "latency", pair),
+            bound_of(COUNT, cached_links, None, pair),
         )
         assert loose.contains_bound(tight)
 
     def test_choose_refresh_keeps_2_and_4(self, cached_links, cost_func):
-        cls = classify(cached_links.rows(), parse_predicate(Q6_PREDICATE))
+        _, pair = classes(cached_links, Q6_PREDICATE)
         chooser = AvgChooseRefresh(force_exact=True)
-        plan = chooser.with_classification(cls, "latency", 2, cost_func)
+        plan = plan_of(chooser, cached_links, "latency", 2, cost_func, pair)
         assert set(plan.tids) == {1, 3, 5, 6}
 
     def test_answer_after_refresh(self, cached_links, refresher, cost_func):
-        predicate = parse_predicate(Q6_PREDICATE)
-        cls = classify(cached_links.rows(), predicate)
+        _, pair = classes(cached_links, Q6_PREDICATE)
         chooser = AvgChooseRefresh(force_exact=True)
-        plan = chooser.with_classification(cls, "latency", 2, cost_func)
+        plan = plan_of(chooser, cached_links, "latency", 2, cost_func, pair)
         refresher.refresh(cached_links, plan.tids)
-        cls2 = classify(cached_links.rows(), predicate)
-        bound = AVG.bound_with_classification(cls2, "latency")
+        _, pair2 = classes(cached_links, Q6_PREDICATE)
+        bound = bound_of(AVG, cached_links, "latency", pair2)
         assert bound == Bound(8, 9)
 
 

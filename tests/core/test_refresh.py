@@ -17,32 +17,29 @@ from repro.core.refresh import (
     SumChooseRefresh,
     get_choose_refresh,
 )
-from repro.errors import TrappError
-from repro.predicates.classify import Classification
+import repro.extensions.median_spec  # noqa: F401 - registers MEDIAN
+from repro.core.executor import execute_query
+from repro.core.refresh.base import cost_from_column
+from repro.errors import OptimizerError, TrappError
+from repro.extensions.topn import top_n_steps
+from repro.predicates.parser import parse_predicate
+from repro.replication.costs import UniformCostModel
+from repro.replication.local import LocalRefresher
 from repro.storage.row import Row
-from repro.storage.schema import Column, ColumnKind, Schema
+from repro.storage.schema import Schema
 from repro.storage.table import Table
+from tests.protocol import bound_of, pair_of, partitioned, plan_of, table_of
 
 
-def rows_of(*bounds):
-    return [Row(i + 1, {"x": b}) for i, b in enumerate(bounds)]
+def table_with(*bounds):
+    """A table holding ``bounds`` on ``x`` under tuple ids 1, 2, …"""
+    return partitioned(plus=bounds)[0]
 
 
-def cls_of(plus=(), maybe=(), minus=()):
-    tid = 0
-    out = Classification()
-    for group, target in ((plus, out.plus), (maybe, out.maybe), (minus, out.minus)):
-        for b in group:
-            tid += 1
-            target.append(Row(tid, {"x": b}))
-    return out
-
-
-def collapse(rows, tids, values):
+def collapse(table, tids, values):
     """Simulate a refresh: pin each chosen tuple at the given value."""
-    by_tid = {r.tid: r for r in rows}
     for tid in tids:
-        by_tid[tid].set("x", Bound.exact(values[tid]))
+        table.row(tid).set("x", Bound.exact(values[tid]))
 
 
 class TestDispatcher:
@@ -66,171 +63,168 @@ class TestDispatcher:
 
 class TestChooseMin:
     def test_selects_below_threshold(self):
-        rows = rows_of(Bound(0, 10), Bound(6, 8), Bound(7, 9))
+        table = table_with(Bound(0, 10), Bound(6, 8), Bound(7, 9))
         # min hi = 8; R = 3 -> threshold 5: only tuple 1 (lo=0) qualifies.
-        plan = CHOOSE_MIN.without_predicate(rows, "x", 3)
+        plan = plan_of(CHOOSE_MIN, table, "x", 3)
         assert set(plan.tids) == {1}
 
     def test_zero_width_budget_refreshes_all_contenders(self):
-        rows = rows_of(Bound(0, 10), Bound(6, 8))
-        plan = CHOOSE_MIN.without_predicate(rows, "x", 0)
+        table = table_with(Bound(0, 10), Bound(6, 8))
+        plan = plan_of(CHOOSE_MIN, table, "x", 0)
         assert set(plan.tids) == {1, 2}
 
     def test_infinite_budget_refreshes_nothing(self):
-        rows = rows_of(Bound(0, 10), Bound(6, 8))
-        plan = CHOOSE_MIN.without_predicate(rows, "x", math.inf)
+        table = table_with(Bound(0, 10), Bound(6, 8))
+        plan = plan_of(CHOOSE_MIN, table, "x", math.inf)
         assert not plan.tids
 
     def test_guarantee_worst_case(self):
         """Whatever values the refreshed tuples take, width <= R."""
         rng = random.Random(17)
         for _ in range(50):
-            rows = rows_of(
+            table = table_with(
                 *[
                     Bound(lo, lo + rng.uniform(0, 10))
                     for lo in (rng.uniform(-20, 20) for _ in range(8))
                 ]
             )
             budget = rng.uniform(0, 12)
-            plan = CHOOSE_MIN.without_predicate(rows, "x", budget)
+            plan = plan_of(CHOOSE_MIN, table, "x", budget)
             # Adversarial realization: every refreshed value at its top.
-            collapse(rows, plan.tids, {r.tid: r.bound("x").hi for r in rows})
-            assert MIN.bound_without_predicate(rows, "x").width <= budget + 1e-9
+            collapse(table, plan.tids, {r.tid: r.bound("x").hi for r in table.rows()})
+            assert bound_of(MIN, table, "x").width <= budget + 1e-9
 
     def test_necessity_each_refreshed_tuple_was_required(self):
         """Leaving out any chosen tuple can violate the constraint
         (Appendix B's 'every solution contains TR' direction)."""
-        rows = rows_of(Bound(0, 10), Bound(6, 8), Bound(-5, 9))
+        bounds = (Bound(0, 10), Bound(6, 8), Bound(-5, 9))
         budget = 3.0
-        plan = CHOOSE_MIN.without_predicate(rows, "x", budget)
+        plan = plan_of(CHOOSE_MIN, table_with(*bounds), "x", budget)
         for omitted in plan.tids:
-            fresh = rows_of(Bound(0, 10), Bound(6, 8), Bound(-5, 9))
+            fresh = table_with(*bounds)
             keep = set(plan.tids) - {omitted}
             # Refresh all kept tuples at their upper endpoints (worst case).
-            collapse(fresh, keep, {r.tid: r.bound("x").hi for r in fresh})
-            width = MIN.bound_without_predicate(fresh, "x").width
+            collapse(fresh, keep, {r.tid: r.bound("x").hi for r in fresh.rows()})
+            width = bound_of(MIN, fresh, "x").width
             assert width > budget - 1e-9
 
     def test_with_classification_threshold_from_plus(self):
-        cls = cls_of(plus=[Bound(5, 8)], maybe=[Bound(0, 10), Bound(7, 9)])
+        table, pair = partitioned(plus=[Bound(5, 8)], maybe=[Bound(0, 10), Bound(7, 9)])
         # threshold = min_{T+} hi - R = 8 - 2 = 6: tuples with lo < 6.
-        plan = CHOOSE_MIN.with_classification(cls, "x", 2)
+        plan = plan_of(CHOOSE_MIN, table, "x", 2, pair=pair)
         assert set(plan.tids) == {1, 2}
 
 
 class TestChooseMax:
     def test_mirror_of_min(self):
-        rows = rows_of(Bound(0, 10), Bound(2, 4), Bound(1, 3))
+        table = table_with(Bound(0, 10), Bound(2, 4), Bound(1, 3))
         # max lo = 2; R = 3 -> threshold 5: tuples with hi > 5.
-        plan = CHOOSE_MAX.without_predicate(rows, "x", 3)
+        plan = plan_of(CHOOSE_MAX, table, "x", 3)
         assert set(plan.tids) == {1}
 
     def test_guarantee_worst_case(self):
         rng = random.Random(23)
         for _ in range(50):
-            rows = rows_of(
+            table = table_with(
                 *[
                     Bound(lo, lo + rng.uniform(0, 10))
                     for lo in (rng.uniform(-20, 20) for _ in range(8))
                 ]
             )
             budget = rng.uniform(0, 12)
-            plan = CHOOSE_MAX.without_predicate(rows, "x", budget)
-            collapse(rows, plan.tids, {r.tid: r.bound("x").lo for r in rows})
-            assert MAX.bound_without_predicate(rows, "x").width <= budget + 1e-9
+            plan = plan_of(CHOOSE_MAX, table, "x", budget)
+            collapse(table, plan.tids, {r.tid: r.bound("x").lo for r in table.rows()})
+            assert bound_of(MAX, table, "x").width <= budget + 1e-9
 
     def test_with_classification(self):
-        cls = cls_of(plus=[Bound(5, 8)], maybe=[Bound(0, 10)])
+        table, pair = partitioned(plus=[Bound(5, 8)], maybe=[Bound(0, 10)])
         # threshold = max_{T+} lo + R = 5 + 2 = 7: hi > 7 refreshes.
-        plan = CHOOSE_MAX.with_classification(cls, "x", 2)
+        plan = plan_of(CHOOSE_MAX, table, "x", 2, pair=pair)
         assert set(plan.tids) == {1, 2}
 
 
 class TestChooseSum:
     def test_uniform_cost_greedy_keeps_narrow(self):
-        rows = rows_of(Bound(0, 1), Bound(0, 5), Bound(0, 2))
-        plan = CHOOSE_SUM.without_predicate(rows, "x", 3)
+        table = table_with(Bound(0, 1), Bound(0, 5), Bound(0, 2))
+        plan = plan_of(CHOOSE_SUM, table, "x", 3)
         # keep widths 1 + 2 = 3 <= 3; refresh the width-5 tuple.
         assert set(plan.tids) == {2}
 
     def test_cost_aware_keeps_expensive(self, cost_func=None):
-        rows = rows_of(Bound(0, 3), Bound(0, 3))
+        table = table_with(Bound(0, 3), Bound(0, 3))
         costs = {1: 100.0, 2: 1.0}
         chooser = SumChooseRefresh(force_exact=True)
-        plan = chooser.without_predicate(rows, "x", 3, lambda r: costs[r.tid])
+        plan = plan_of(chooser, table, "x", 3, lambda r: costs[r.tid])
         # Budget admits one kept tuple; keep the expensive one.
         assert set(plan.tids) == {2}
 
     def test_guarantee_worst_case(self):
         rng = random.Random(29)
         for _ in range(40):
-            rows = rows_of(
+            table = table_with(
                 *[
                     Bound(lo, lo + rng.uniform(0, 6))
                     for lo in (rng.uniform(-10, 10) for _ in range(8))
                 ]
             )
             budget = rng.uniform(0, 15)
-            costs = {r.tid: float(rng.randint(1, 10)) for r in rows}
-            plan = CHOOSE_SUM.without_predicate(
-                rows, "x", budget, lambda r: costs[r.tid]
-            )
+            costs = {tid: float(rng.randint(1, 10)) for tid in table.tids()}
+            plan = plan_of(CHOOSE_SUM, table, "x", budget, lambda r: costs[r.tid])
             # Width after refresh is realization-independent for SUM.
-            collapse(rows, plan.tids, {r.tid: r.bound("x").lo for r in rows})
-            assert SUM.bound_without_predicate(rows, "x").width <= budget + 1e-9
+            collapse(table, plan.tids, {r.tid: r.bound("x").lo for r in table.rows()})
+            assert bound_of(SUM, table, "x").width <= budget + 1e-9
 
     def test_with_classification_extends_maybe_to_zero(self):
-        cls = cls_of(plus=[Bound(4, 5)], maybe=[Bound(3, 4)])
+        table, pair = partitioned(plus=[Bound(4, 5)], maybe=[Bound(3, 4)])
         # T? weight is hi = 4 (zero-extended), T+ weight is 1.
         chooser = SumChooseRefresh(force_exact=True)
-        plan = chooser.with_classification(cls, "x", 1.5)
+        plan = plan_of(chooser, table, "x", 1.5, pair=pair)
         assert set(plan.tids) == {2}
 
     def test_minus_never_refreshed(self):
-        cls = cls_of(plus=[Bound(0, 10)], minus=[Bound(0, 100)])
-        plan = CHOOSE_SUM.with_classification(cls, "x", 0)
+        table, pair = partitioned(plus=[Bound(0, 10)], minus=[Bound(0, 100)])
+        plan = plan_of(CHOOSE_SUM, table, "x", 0, pair=pair)
         assert set(plan.tids) == {1}
 
 
 class TestChooseCount:
     def test_no_predicate_never_refreshes(self):
-        rows = rows_of(Bound(0, 100))
-        plan = CHOOSE_COUNT.without_predicate(rows, None, 0)
+        plan = plan_of(CHOOSE_COUNT, table_with(Bound(0, 100)), None, 0)
         assert not plan.tids
 
     def test_refreshes_cheapest_maybes(self):
-        cls = cls_of(maybe=[Bound(0, 9)] * 4)
+        table, pair = partitioned(maybe=[Bound(0, 9)] * 4)
         costs = {1: 5.0, 2: 1.0, 3: 3.0, 4: 2.0}
-        plan = CHOOSE_COUNT.with_classification(
-            cls, None, 1.5, lambda r: costs[r.tid]
+        plan = plan_of(
+            CHOOSE_COUNT, table, None, 1.5, lambda r: costs[r.tid], pair=pair
         )
         # ceil(4 - 1.5) = 3 cheapest: tuples 2, 4, 3.
         assert set(plan.tids) == {2, 3, 4}
         assert plan.total_cost == 6.0
 
     def test_integral_budget_edge(self):
-        cls = cls_of(maybe=[Bound(0, 9)] * 3)
-        plan = CHOOSE_COUNT.with_classification(cls, None, 3)
+        table, pair = partitioned(maybe=[Bound(0, 9)] * 3)
+        plan = plan_of(CHOOSE_COUNT, table, None, 3, pair=pair)
         assert not plan.tids
-        plan = CHOOSE_COUNT.with_classification(cls, None, 2)
+        plan = plan_of(CHOOSE_COUNT, table, None, 2, pair=pair)
         assert len(plan.tids) == 1
 
     def test_infinite_budget(self):
-        cls = cls_of(maybe=[Bound(0, 9)] * 3)
-        plan = CHOOSE_COUNT.with_classification(cls, None, math.inf)
+        table, pair = partitioned(maybe=[Bound(0, 9)] * 3)
+        plan = plan_of(CHOOSE_COUNT, table, None, math.inf, pair=pair)
         assert not plan.tids
 
 
 class TestChooseAvg:
     def test_no_predicate_scales_budget_by_count(self):
-        rows = rows_of(Bound(0, 6), Bound(0, 6), Bound(0, 6))
+        table = table_with(Bound(0, 6), Bound(0, 6), Bound(0, 6))
         chooser = AvgChooseRefresh(force_exact=True)
         # R = 2 with count 3 -> SUM budget 6: keep one tuple.
-        plan = chooser.without_predicate(rows, "x", 2)
+        plan = plan_of(chooser, table, "x", 2)
         assert len(plan.tids) == 2
 
     def test_empty_table(self):
-        plan = CHOOSE_AVG.without_predicate([], "x", 1)
+        plan = plan_of(CHOOSE_AVG, table_with(), "x", 1)
         assert not plan.tids
 
     def test_guarantee_with_predicate_randomized(self):
@@ -248,39 +242,91 @@ class TestChooseAvg:
                 Bound(lo, lo + rng.uniform(0, 4))
                 for lo in (rng.uniform(0, 10) for _ in range(n_maybe))
             ]
-            cls = cls_of(plus=plus, maybe=maybe)
+            table, pair = partitioned(plus=plus, maybe=maybe)
             budget = rng.uniform(0.5, 5)
             chooser = AvgChooseRefresh(force_exact=True)
-            plan = chooser.with_classification(cls, "x", budget)
+            plan = plan_of(chooser, table, "x", budget, pair=pair)
 
             # Adversarial realization: each refreshed T? tuple randomly
             # stays or leaves; refreshed values at a random endpoint.
             for trial in range(8):
-                plus_rows = [Bound(b.lo, b.hi) for b in plus]
-                maybe_rows = [Bound(b.lo, b.hi) for b in maybe]
-                new_cls = Classification()
-                tid = 0
-                for b in plus_rows:
-                    tid += 1
+                rows, new_plus, new_maybe = [], [], []
+                for tid, b in enumerate(plus + maybe, start=1):
                     if tid in plan.tids:
-                        value = b.lo if rng.random() < 0.5 else b.hi
-                        new_cls.plus.append(Row(tid, {"x": Bound.exact(value)}))
+                        b = Bound.exact(b.lo if rng.random() < 0.5 else b.hi)
+                        if tid <= n_plus or rng.random() < 0.5:
+                            new_plus.append(tid)
+                        # else: the refreshed T? tuple fell into T−.
                     else:
-                        new_cls.plus.append(Row(tid, {"x": b}))
-                for b in maybe_rows:
-                    tid += 1
-                    if tid in plan.tids:
-                        value = b.lo if rng.random() < 0.5 else b.hi
-                        if rng.random() < 0.5:
-                            new_cls.plus.append(Row(tid, {"x": Bound.exact(value)}))
-                        else:
-                            new_cls.minus.append(Row(tid, {"x": Bound.exact(value)}))
-                    else:
-                        new_cls.maybe.append(Row(tid, {"x": b}))
-                bound = AVG.bound_with_classification(new_cls, "x")
+                        (new_plus if tid <= n_plus else new_maybe).append(tid)
+                    rows.append(Row(tid, {"x": b}))
+                realized = table_of(rows)
+                bound = bound_of(
+                    AVG, realized, "x", pair_of(realized, new_plus, new_maybe)
+                )
                 assert bound.width <= budget + 1e-6
 
     def test_degenerate_no_plus_refreshes_all_maybes(self):
-        cls = cls_of(maybe=[Bound(0, 9), Bound(1, 2)])
-        plan = CHOOSE_AVG.with_classification(cls, "x", 1)
+        table, pair = partitioned(maybe=[Bound(0, 9), Bound(1, 2)])
+        plan = plan_of(CHOOSE_AVG, table, "x", 1, pair=pair)
         assert set(plan.tids) >= {1, 2}
+
+
+BAD_COSTS = [-1.0, math.nan, math.inf]
+
+
+class TestRefreshCostsAreValidated:
+    """A refresh cost is a finite non-negative number, for every planner.
+
+    Checked once, where candidates are priced
+    (``candidate_costs``): the forced-set choosers used to add up
+    whatever they were given and report a negative ``refresh_cost``.
+    """
+
+    AGGREGATES = ["MIN", "MAX", "SUM", "AVG", "MEDIAN", "COUNT"]
+
+    @staticmethod
+    def execute(aggregate, cost, y=(1.0, 1.0)):
+        schema = Schema.of(x="bounded", y="exact")
+        cached, master = Table("t", schema), Table("t", schema)
+        for value in y:
+            cached.insert({"x": Bound(0.0, 10.0), "y": value})
+            master.insert({"x": 5.0, "y": value})
+        # COUNT only refreshes (and prices) under a bounded predicate.
+        predicate = parse_predicate("x > 1") if aggregate == "COUNT" else None
+        column = None if aggregate == "COUNT" else "x"
+        return execute_query(
+            cached, aggregate, column, 0.0, predicate, cost,
+            refresher=LocalRefresher(master),
+        )
+
+    @pytest.mark.parametrize("bad", [-1.0, math.inf], ids=str)  # no NaN cell
+    @pytest.mark.parametrize("aggregate", AGGREGATES)
+    def test_cost_column(self, aggregate, bad):
+        with pytest.raises(OptimizerError, match=r"tuple #2"):
+            self.execute(aggregate, cost_from_column("y"), y=(1.0, bad))
+
+    @pytest.mark.parametrize("bad", BAD_COSTS, ids=str)
+    @pytest.mark.parametrize("aggregate", AGGREGATES)
+    def test_opaque_callable(self, aggregate, bad):
+        with pytest.raises(OptimizerError, match=r"tuple #1"):
+            self.execute(aggregate, lambda row: bad)
+
+    @pytest.mark.parametrize("bad", BAD_COSTS, ids=str)
+    @pytest.mark.parametrize("aggregate", AGGREGATES)
+    def test_uniform_constant(self, aggregate, bad):
+        with pytest.raises(OptimizerError, match="uniform refresh cost"):
+            self.execute(aggregate, UniformCostModel(bad).as_func())
+
+    @pytest.mark.parametrize("aggregate", AGGREGATES)
+    def test_zero_is_a_cost(self, aggregate):
+        answer = self.execute(aggregate, lambda row: 0.0)
+        assert answer.refreshed and answer.refresh_cost == 0.0
+
+    @pytest.mark.parametrize("bad", BAD_COSTS, ids=str)
+    def test_top_n(self, bad):
+        table = Table("t", Schema.of(x="bounded"))
+        table.insert({"x": Bound(0.0, 10.0)})
+        table.insert({"x": Bound(5.0, 15.0)})
+        with pytest.raises(OptimizerError, match=r"tuple #"):
+            next(top_n_steps(table, 1, "x", 0.0, cost=lambda row: bad))

@@ -110,8 +110,8 @@ class TestQueriesAtLevels:
         root, (regional, edge) = chain
         from repro.core.aggregates import SUM
 
-        regional_answer = SUM.bound_without_predicate(regional.table.rows(), "value")
-        edge_answer = SUM.bound_without_predicate(edge.table.rows(), "value")
+        regional_answer = SUM.bound_without_predicate(regional.table.columns, "value")
+        edge_answer = SUM.bound_without_predicate(edge.table.columns, "value")
         assert edge_answer.contains_bound(regional_answer)
         assert edge_answer.width > regional_answer.width
 

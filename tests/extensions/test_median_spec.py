@@ -10,29 +10,14 @@ from repro.core.aggregates import get_aggregate
 from repro.core.bound import Bound
 from repro.core.executor import QueryExecutor
 from repro.core.refresh import get_choose_refresh
-from repro.extensions.median import median_of
-from repro.extensions.median_spec import MEDIAN, _extreme_median
+from repro.extensions.median_spec import MEDIAN, _extreme_median, median_of
 from repro.predicates.ast import ColumnRef, Comparison, Literal
-from repro.predicates.classify import Classification, classify
 from repro.predicates.eval import evaluate_exact
 from repro.replication.local import LocalRefresher
 from repro.storage.row import Row
 from repro.storage.schema import Schema
 from repro.storage.table import Table
-
-
-def rows_of(*bounds):
-    return [Row(i + 1, {"x": b}) for i, b in enumerate(bounds)]
-
-
-def cls_of(plus=(), maybe=()):
-    tid = 0
-    out = Classification()
-    for group, target in ((plus, out.plus), (maybe, out.maybe)):
-        for b in group:
-            tid += 1
-            target.append(Row(tid, {"x": b}))
-    return out
+from tests.protocol import bound_of, classified, partitioned, plan_of
 
 
 class TestRegistration:
@@ -72,10 +57,11 @@ class TestExtremeMedian:
 class TestMedianWithPredicate:
     def test_containment_exhaustive(self):
         bounds = [Bound(0, 4), Bound(2, 6), Bound(3, 5), Bound(1, 9)]
-        rows = rows_of(*bounds)
+        table, _ = partitioned(plus=bounds)
         predicate = Comparison(ColumnRef("x"), ">", Literal(3.0))
-        cls = classify(rows, predicate)
-        answer = MEDIAN.bound_with_classification(cls, "x")
+        answer = bound_of(
+            MEDIAN, table, "x", classified(table, predicate), predicate
+        )
         for values in itertools.product(*[(b.lo, b.midpoint, b.hi) for b in bounds]):
             realized = [Row(i + 1, {"x": v}) for i, v in enumerate(values)]
             passing = [r.number("x") for r in realized
@@ -92,24 +78,23 @@ class TestMedianWithPredicate:
                 Bound(lo, lo + rng.uniform(0, 5))
                 for lo in (rng.uniform(0, 10) for _ in range(6))
             ]
-            rows = rows_of(*bounds)
             predicate = Comparison(ColumnRef("x"), ">", Literal(rng.uniform(0, 10)))
-            cls = classify(rows, predicate)
             budget = rng.uniform(0.5, 4)
-            plan = chooser.with_classification(cls, "x", budget)
+            table, _ = partitioned(plus=bounds)
+            plan = plan_of(
+                chooser, table, "x", budget,
+                pair=classified(table, predicate), predicate=predicate,
+            )
             for _ in range(8):
-                realized = []
-                for row in rows:
-                    b = row.bound("x")
-                    if row.tid in plan.tids:
-                        realized.append(
-                            Row(row.tid, {"x": Bound.exact(rng.uniform(b.lo, b.hi))})
-                        )
-                    else:
-                        realized.append(row)
-                new_cls = classify(realized, predicate)
-                if new_cls.plus or new_cls.maybe:
-                    answer = MEDIAN.bound_with_classification(new_cls, "x")
+                realized, _ = partitioned(
+                    plus=[
+                        Bound.exact(rng.uniform(b.lo, b.hi)) if tid in plan.tids else b
+                        for tid, b in enumerate(bounds, start=1)
+                    ]
+                )
+                pair = classified(realized, predicate)
+                if len(pair[0]) or len(pair[1]):
+                    answer = bound_of(MEDIAN, realized, "x", pair, predicate)
                     assert answer.width <= budget + 1e-6
 
 

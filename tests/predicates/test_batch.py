@@ -10,11 +10,11 @@ from repro.predicates.batch import (
     classify_report,
     restrict_endpoints,
 )
-from repro.predicates.classify import classify, classify_trilean, restrict_bound
 from repro.predicates.parser import parse_predicate
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 from tests.oracle.row_executor import classification_from_masks, classify_columnar
+from tests.oracle.row_protocol import classify, classify_trilean, restrict_bound
 
 PREDICATES = [
     "x > 4",
@@ -270,11 +270,7 @@ class TestClassifyReport:
         table = make_table()
         predicate = parse_predicate(text)
         report = classify_report(table.columns, predicate)
-        if not report.used_index:
-            assert report.positions is None
-            return
-        certain_at = report.certain_positions
-        maybe_at = report.maybe_positions
+        certain_at, maybe_at = report.positions  # whichever route ran
         assert np.array_equal(certain_at, np.flatnonzero(report.certain)), text
         assert np.array_equal(
             maybe_at,

@@ -1,47 +1,63 @@
 """Unit tests for T+/T?/T− classification and the bound-restriction
 refinement."""
 
+import numpy as np
 import pytest
 
 from repro.core.bound import Bound
-from repro.predicates.classify import (
-    Classification,
-    classify,
-    classify_trilean,
-    restrict_bound,
-)
+from repro.predicates.batch import restrict_endpoints
 from repro.predicates.parser import parse_predicate
 from repro.storage.row import Row
+from tests.oracle.row_protocol import classify, classify_trilean
+from tests.protocol import classified, labels_of, table_of, tids_at
 
 
 def rows_of(*bounds):
     return [Row(i + 1, {"x": b}) for i, b in enumerate(bounds)]
 
 
+def classes(rows, text):
+    """``(T+, T?, T−)`` tuple-id lists from the served classifier."""
+    table = table_of(rows)
+    labels = labels_of(table, classified(table, parse_predicate(text)))
+    return tuple(
+        [tid for tid, label in labels.items() if label == wanted]
+        for wanted in ("T+", "T?", "T-")
+    )
+
+
+def restrict_bound(bound, predicate, column):
+    """The served Appendix D refinement, on one bound."""
+    lo, hi = restrict_endpoints(
+        np.array([bound.lo]), np.array([bound.hi]), predicate, column
+    )
+    return Bound(float(lo[0]), float(hi[0]))
+
+
 class TestClassify:
     def test_three_way_split(self):
         rows = rows_of(Bound(6, 9), Bound(3, 7), Bound(0, 2))
-        cls = classify(rows, parse_predicate("x > 5"))
-        assert [r.tid for r in cls.plus] == [1]
-        assert [r.tid for r in cls.maybe] == [2]
-        assert [r.tid for r in cls.minus] == [3]
+        assert classes(rows, "x > 5") == ([1], [2], [3])
 
     def test_counts_and_union(self):
-        rows = rows_of(Bound(6, 9), Bound(3, 7), Bound(0, 2))
-        cls = classify(rows, parse_predicate("x > 5"))
-        assert cls.counts() == (1, 1, 1)
-        assert {r.tid for r in cls.plus_or_maybe} == {1, 2}
+        table = table_of(rows_of(Bound(6, 9), Bound(3, 7), Bound(0, 2)))
+        plus, maybe = classified(table, parse_predicate("x > 5"))
+        assert (len(plus), len(maybe), len(table) - len(plus) - len(maybe)) == (1, 1, 1)
+        assert tids_at(table, plus) | tids_at(table, maybe) == {1, 2}
 
     def test_label_of(self):
-        rows = rows_of(Bound(6, 9), Bound(3, 7), Bound(0, 2))
-        cls = classify(rows, parse_predicate("x > 5"))
-        assert cls.label_of(1) == "T+"
-        assert cls.label_of(2) == "T?"
-        assert cls.label_of(3) == "T-"
+        table = table_of(rows_of(Bound(6, 9), Bound(3, 7), Bound(0, 2)))
+        labels = labels_of(table, classified(table, parse_predicate("x > 5")))
+        assert labels[1] == "T+"
+        assert labels[2] == "T?"
+        assert labels[3] == "T-"
         with pytest.raises(KeyError):
-            cls.label_of(99)
+            labels[99]
 
     def test_agrees_with_trilean_route(self):
+        """Three classifiers, one partition: the served array classifier,
+        the symbolic Possible/Certain route and direct three-valued
+        evaluation (the last two from the row oracle)."""
         import random
 
         rng = random.Random(19)
@@ -64,14 +80,16 @@ class TestClassify:
                 p = parse_predicate(text)
                 a = classify(rows, p)
                 b = classify_trilean(rows, p)
-                assert [r.tid for r in a.plus] == [r.tid for r in b.plus], text
-                assert [r.tid for r in a.maybe] == [r.tid for r in b.maybe], text
-                assert [r.tid for r in a.minus] == [r.tid for r in b.minus], text
+                served = classes(rows, text)
+                for k, (ours, theirs) in enumerate(
+                    zip((a.plus, a.maybe, a.minus), (b.plus, b.maybe, b.minus))
+                ):
+                    assert [r.tid for r in ours] == [r.tid for r in theirs], text
+                    assert [r.tid for r in ours] == served[k], text
 
     def test_exact_values_classify_two_ways_only(self):
         rows = [Row(1, {"x": 7.0}), Row(2, {"x": 3.0})]
-        cls = classify(rows, parse_predicate("x > 5"))
-        assert cls.counts() == (1, 0, 1)
+        assert classes(rows, "x > 5") == ([1], [], [2])
 
 
 class TestRestrictBound:

@@ -7,9 +7,9 @@ values).
 
 import pytest
 
-from repro.predicates.classify import classify
 from repro.predicates.parser import parse_predicate
 from repro.workloads.netmon import paper_example_table, paper_master_table
+from tests.protocol import classified, labels_of
 
 BEFORE = {
     "bandwidth > 50 AND latency < 10": {
@@ -39,9 +39,9 @@ AFTER = {
 @pytest.mark.parametrize("predicate_text", list(BEFORE))
 def test_figure7_before_refresh(predicate_text):
     table = paper_example_table()
-    cls = classify(table.rows(), parse_predicate(predicate_text))
+    labels = labels_of(table, classified(table, parse_predicate(predicate_text)))
     for tid, expected in BEFORE[predicate_text].items():
-        assert cls.label_of(tid) == expected, (
+        assert labels[tid] == expected, (
             f"{predicate_text}: tuple {tid} should be {expected}"
         )
 
@@ -49,9 +49,9 @@ def test_figure7_before_refresh(predicate_text):
 @pytest.mark.parametrize("predicate_text", list(AFTER))
 def test_figure7_after_refresh(predicate_text):
     table = paper_master_table()
-    cls = classify(table.rows(), parse_predicate(predicate_text))
+    labels = labels_of(table, classified(table, parse_predicate(predicate_text)))
     for tid, expected in AFTER[predicate_text].items():
-        assert cls.label_of(tid) == expected, (
+        assert labels[tid] == expected, (
             f"{predicate_text}: tuple {tid} should be {expected}"
         )
 
@@ -59,5 +59,5 @@ def test_figure7_after_refresh(predicate_text):
 def test_after_refresh_has_no_maybes():
     table = paper_master_table()
     for predicate_text in AFTER:
-        cls = classify(table.rows(), parse_predicate(predicate_text))
-        assert not cls.maybe
+        _, maybe = classified(table, parse_predicate(predicate_text))
+        assert not len(maybe)

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.extensions.median_spec  # noqa: F401 - registers MEDIAN
@@ -32,12 +32,12 @@ from repro.core.refresh.base import cost_from_column, uniform_cost
 from repro.errors import ConstraintUnsatisfiableError, OptimizerError
 from repro.predicates.ast import And, ColumnRef, Comparison, Literal, Not, Or
 from repro.predicates.batch import restrict_endpoints
-from repro.predicates.classify import classify, restrict_bound
 from repro.predicates.parser import parse_predicate
 from repro.replication.local import LocalRefresher
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 from tests.oracle.row_executor import RowQueryExecutor, classify_columnar
+from tests.oracle.row_protocol import classify, restrict_bound
 
 SCHEMA = Schema.of(x="bounded", y="bounded", cost="exact", tag="text")
 
@@ -133,6 +133,14 @@ COSTS = {
 }
 
 
+def _one_row_tables(y: float):
+    """A (cached, master) pair holding one tuple with a wide ``x``."""
+    cached, master = Table("t", SCHEMA), Table("t", SCHEMA)
+    cached.insert({"x": Bound(0.0, 1.0), "y": y, "cost": 1.0, "tag": "a"})
+    master.insert({"x": 0.5, "y": y, "cost": 1.0, "tag": "a"})
+    return cached, master
+
+
 def assert_bounds_close(a: Bound, b: Bound, aggregate: str, context: str):
     if aggregate in ("MIN", "MAX", "COUNT", "MEDIAN"):
         assert a == b, f"{context}: {a} != {b}"
@@ -201,6 +209,15 @@ class TestExecutorEquivalence:
         budget=st.floats(min_value=0.0, max_value=30.0, allow_nan=False),
         cost_name=st.sampled_from(sorted(COSTS)),
     )
+    # PR 15's find: the uniform-cost walk answered refresh_cost = -1.0
+    # where the oracle raised.  Both raise OptimizerError now.
+    @example(
+        data=_one_row_tables(y=-1.0),
+        predicate=None,
+        aggregate="SUM",
+        budget=0.0,
+        cost_name="wide_tag",
+    )
     @settings(max_examples=200, deadline=None)
     def test_full_pipeline_matches(
         self, data, predicate, aggregate, budget, cost_name
@@ -227,6 +244,13 @@ class TestExecutorEquivalence:
 
         a = run(QueryExecutor, cached.copy())
         b = run(RowQueryExecutor, cached.copy())
+        if a is OptimizerError and isinstance(b, BoundedAnswer):
+            # A negative cost is rejected wherever candidates are priced;
+            # the row protocol checked it in KnapsackItem only, so its
+            # forced-set choosers (MIN, MAX, COUNT, MEDIAN) add it up.
+            assert aggregate not in ("SUM", "AVG")
+            assert any(row.bound("y").lo < 0 for row in cached.rows())
+            return
         if not isinstance(a, BoundedAnswer) or not isinstance(b, BoundedAnswer):
             # The same verdict — except that a y column holding both a
             # wide bound and a negative number has two faults, and the

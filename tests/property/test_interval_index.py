@@ -124,8 +124,6 @@ def assert_routes_identical(table, predicate):
     assert np.array_equal(report.certain, dense_c)
     assert np.array_equal(report.possible, dense_p)
     positions = report.positions
-    if positions is None:
-        return
     assert np.array_equal(
         report.certain_positions, np.flatnonzero(dense_c)
     )
@@ -134,7 +132,9 @@ def assert_routes_identical(table, predicate):
     )
     via_positions = harvest_candidates(table.columns, "x", positions=positions)
     via_masks = harvest_candidates(
-        table.columns, "x", certain=dense_c, possible=dense_p
+        table.columns,
+        "x",
+        positions=(np.flatnonzero(dense_c), np.flatnonzero(dense_p & ~dense_c)),
     )
     for field in ("tids", "widths", "costs", "order"):
         assert np.array_equal(
@@ -144,7 +144,7 @@ def assert_routes_identical(table, predicate):
 
 def assert_indexed_plans_match_dense(table, budget):
     for chooser in (CHOOSE_MIN, CHOOSE_MAX):
-        dense, _ = chooser.without_predicate_columnar(table, "x", budget)
+        dense, _ = chooser.without_predicate(table, "x", budget)
         assert chooser.without_predicate_indexed(table, "x", budget) == dense
 
 

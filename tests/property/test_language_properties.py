@@ -20,14 +20,15 @@ from repro.predicates.ast import (
     Or,
     Predicate,
 )
-from repro.predicates.classify import classify, classify_trilean
 from repro.predicates.eval import evaluate_trilean
 from repro.predicates.parser import parse_predicate
 from repro.predicates.transforms import certain, evaluate_endpoint, possible
 from repro.sql.parser import parse_statement
 from repro.storage.row import Row
+from repro.storage.schema import Schema
 
 from tests.property.strategies import bounds
+from tests.protocol import classified, table_of, tids_at
 
 columns = st.sampled_from(["a", "b", "c"])
 operators = st.sampled_from(["<", "<=", ">", ">=", "=", "!="])
@@ -120,14 +121,15 @@ def test_sql_statement_roundtrip(aggregate, within, predicate):
 @settings(max_examples=80)
 @given(predicates, st.lists(bounds(), min_size=1, max_size=6), st.data())
 def test_refresh_always_decides_membership(predicate, value_bounds, data):
-    rows_list = [Row(i + 1, {"a": b, "b": b, "c": b}) for i, b in enumerate(value_bounds)]
-    cls = classify_trilean(rows_list, predicate)
-    for row in cls.maybe:
-        b = row.bound("a")
+    table = table_of(
+        (Row(i + 1, {"a": b, "b": b, "c": b}) for i, b in enumerate(value_bounds)),
+        Schema.of(a="bounded", b="bounded", c="bounded"),
+    )
+    _, maybe = classified(table, predicate)
+    for tid in tids_at(table, maybe):
+        b = table.row(tid).bound("a")
         value = data.draw(st.floats(min_value=b.lo, max_value=b.hi))
-        collapsed = Row(
-            row.tid,
-            {"a": Bound.exact(value), "b": Bound.exact(value), "c": Bound.exact(value)},
-        )
-        verdict = evaluate_trilean(predicate, collapsed)
-        assert verdict is not Trilean.MAYBE
+        for column in "abc":
+            table.row(tid).set(column, Bound.exact(value))
+        _, still_maybe = classified(table, predicate)
+        assert tid not in tids_at(table, still_maybe)

@@ -11,10 +11,11 @@ case, and compare the cheapest feasible subset's cost with the plan's:
 """
 
 import itertools
+import math
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.aggregates import COUNT, MAX, MIN, SUM
+from repro.core.aggregates import MAX, MIN
 from repro.core.bound import Bound
 from repro.core.refresh import (
     CHOOSE_COUNT,
@@ -23,8 +24,8 @@ from repro.core.refresh import (
     SumChooseRefresh,
 )
 from repro.predicates.ast import ColumnRef, Comparison, Literal
-from repro.predicates.classify import classify
 from repro.storage.row import Row
+from tests.protocol import bound_of, classified, plan_of, table_of
 
 # All coordinates live on a dyadic grid (multiples of 1/64), so every
 # subtraction and comparison in both the optimizers and the brute-force
@@ -57,7 +58,7 @@ def _worst_case_width_min(rows, refreshed_tids):
         else r
         for r in rows
     ]
-    return MIN.bound_without_predicate(collapsed, "x").width
+    return bound_of(MIN, table_of(collapsed), "x").width
 
 
 def _worst_case_width_max(rows, refreshed_tids):
@@ -67,7 +68,7 @@ def _worst_case_width_max(rows, refreshed_tids):
         else r
         for r in rows
     ]
-    return MAX.bound_without_predicate(collapsed, "x").width
+    return bound_of(MAX, table_of(collapsed), "x").width
 
 
 def _cheapest_feasible(rows, budget, costs, worst_case_width):
@@ -85,7 +86,7 @@ def _cheapest_feasible(rows, budget, costs, worst_case_width):
 @given(small_rows, budgets, st.data())
 def test_min_plan_is_optimal(rows, budget, data):
     costs = {r.tid: data.draw(int_costs, label=f"c{r.tid}") for r in rows}
-    plan = CHOOSE_MIN.without_predicate(rows, "x", budget, lambda r: costs[r.tid])
+    plan = plan_of(CHOOSE_MIN, table_of(rows), "x", budget, lambda r: costs[r.tid])
     optimum = _cheapest_feasible(rows, budget, costs, _worst_case_width_min)
     assert optimum is not None
     assert plan.total_cost <= optimum + 1e-9
@@ -97,7 +98,7 @@ def test_min_plan_is_optimal(rows, budget, data):
 @given(small_rows, budgets, st.data())
 def test_max_plan_is_optimal(rows, budget, data):
     costs = {r.tid: data.draw(int_costs, label=f"c{r.tid}") for r in rows}
-    plan = CHOOSE_MAX.without_predicate(rows, "x", budget, lambda r: costs[r.tid])
+    plan = plan_of(CHOOSE_MAX, table_of(rows), "x", budget, lambda r: costs[r.tid])
     optimum = _cheapest_feasible(rows, budget, costs, _worst_case_width_max)
     assert optimum is not None
     assert plan.total_cost <= optimum + 1e-9
@@ -109,7 +110,7 @@ def test_max_plan_is_optimal(rows, budget, data):
 def test_sum_exact_plan_is_optimal(rows, budget, data):
     costs = {r.tid: float(data.draw(int_costs, label=f"c{r.tid}")) for r in rows}
     chooser = SumChooseRefresh(force_exact=True)
-    plan = chooser.without_predicate(rows, "x", budget, lambda r: costs[r.tid])
+    plan = plan_of(chooser, table_of(rows), "x", budget, lambda r: costs[r.tid])
 
     # SUM's post-refresh width is realization-independent: the total width
     # of unrefreshed bounds.
@@ -136,7 +137,7 @@ def test_sum_approx_plan_within_epsilon(rows, budget, data):
     chooser = SumChooseRefresh(epsilon=epsilon)
     # Force the approximation path by making one cost fractional.
     costs[rows[0].tid] += 0.5
-    plan = chooser.without_predicate(rows, "x", budget, lambda r: costs[r.tid])
+    plan = plan_of(chooser, table_of(rows), "x", budget, lambda r: costs[r.tid])
 
     total_cost = sum(costs.values())
 
@@ -162,13 +163,15 @@ def test_sum_approx_plan_within_epsilon(rows, budget, data):
 def test_count_plan_is_optimal(rows, threshold, budget, data):
     costs = {r.tid: float(data.draw(int_costs, label=f"c{r.tid}")) for r in rows}
     predicate = Comparison(ColumnRef("x"), ">", Literal(threshold))
-    cls = classify(rows, predicate)
-    plan = CHOOSE_COUNT.with_classification(cls, None, budget, lambda r: costs[r.tid])
+    table = table_of(rows)
+    pair = classified(table, predicate)
+    plan = plan_of(
+        CHOOSE_COUNT, table, None, budget, lambda r: costs[r.tid], pair
+    )
     # Any refresh of a T? tuple removes it from T?; the optimum refreshes
     # the ceil(|T?| - R) cheapest T? tuples.
-    import math
-
-    need = max(0, math.ceil(len(cls.maybe) - budget))
-    cheapest = sorted(costs[r.tid] for r in cls.maybe)[:need]
+    maybe = table.columns.sorted_tids()[pair[1]].tolist()
+    need = max(0, math.ceil(len(maybe) - budget))
+    cheapest = sorted(costs[tid] for tid in maybe)[:need]
     assert plan.total_cost <= sum(cheapest) + 1e-9
     assert len(plan.tids) == need

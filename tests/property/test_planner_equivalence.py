@@ -1,9 +1,10 @@
 """Property: planning over column arrays is as good as planning over rows.
 
-The ``*_columnar`` chooser entry points the executor calls (candidate
-harvesting + ``solve_vector``) must agree with the row-taking ones
-(per-row ``KnapsackItem`` construction + object solvers), which the
-oracle ``tests/oracle/row_executor.py`` plans with:
+The chooser entry points the executor calls (candidate harvesting +
+``solve_vector``) must agree with the row-taking ones of
+``tests/oracle/row_protocol.py`` (per-row ``KnapsackItem`` construction +
+object solvers), which the oracle ``tests/oracle/row_executor.py`` plans
+with:
 
 * **exact branches** (uniform costs, integral costs under ``force_exact``)
   — equal-cost plans, including the zero-width, over-capacity, and
@@ -36,6 +37,7 @@ from repro.replication.local import LocalRefresher
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 from tests.oracle.row_executor import RowQueryExecutor
+from tests.oracle.row_protocol import RowSumChooseRefresh
 
 grid = st.integers(min_value=-320, max_value=320).map(lambda k: k / 64.0)
 # Include exact zeros and occasional huge widths so the free/oversize item
@@ -88,8 +90,9 @@ def _refresh_cost_oracle(cache, budget, costs):
 def test_uniform_cost_plans_equal(tables, budget):
     cache, master = tables
     chooser = SumChooseRefresh()
-    row_plan = chooser.without_predicate(cache.rows(), "x", budget, uniform_cost)
-    vector_plan, _ = chooser.without_predicate_columnar(
+    row_chooser = RowSumChooseRefresh()
+    row_plan = row_chooser.without_predicate(cache.rows(), "x", budget, uniform_cost)
+    vector_plan, _ = chooser.without_predicate(
         cache, "x", budget, uniform_cost
     )
     assert vector_plan.total_cost == row_plan.total_cost
@@ -104,9 +107,10 @@ def test_uniform_cost_plans_equal(tables, budget):
 def test_exact_column_cost_plans_equal(tables, budget):
     cache, master = tables
     chooser = SumChooseRefresh(force_exact=True)
+    row_chooser = RowSumChooseRefresh(force_exact=True)
     cost = cost_from_column("c")
-    row_plan = chooser.without_predicate(cache.rows(), "x", budget, cost)
-    vector_plan, _ = chooser.without_predicate_columnar(cache, "x", budget, cost)
+    row_plan = row_chooser.without_predicate(cache.rows(), "x", budget, cost)
+    vector_plan, _ = chooser.without_predicate(cache, "x", budget, cost)
     assert vector_plan.total_cost == row_plan.total_cost
     oracle = _refresh_cost_oracle(
         cache, budget, {r.tid: r.number("c") for r in cache.rows()}
@@ -139,9 +143,10 @@ def test_approx_plans_share_certificate(tables, budget):
         )
 
     chooser = SumChooseRefresh(epsilon=epsilon)
-    row_plan = chooser.without_predicate(cache2.rows(), "x", budget, cost)
-    vector_plan, _ = chooser.without_predicate_columnar(cache2, "x", budget, cost)
-    opaque_plan, _ = chooser.without_predicate_columnar(cache2, "x", budget, opaque)
+    row_chooser = RowSumChooseRefresh(epsilon=epsilon)
+    row_plan = row_chooser.without_predicate(cache2.rows(), "x", budget, cost)
+    vector_plan, _ = chooser.without_predicate(cache2, "x", budget, cost)
+    opaque_plan, _ = chooser.without_predicate(cache2, "x", budget, opaque)
 
     items = [
         KnapsackItem(r.tid, r.bound("x").width, costs[r.tid]) for r in cache2.rows()
@@ -263,14 +268,15 @@ def test_uniform_plans_identical_on_decimal_data():
 
     rng = random.Random(1)
     chooser = SumChooseRefresh()
+    row_chooser = RowSumChooseRefresh()
     for _ in range(300):
         n = rng.randint(1, 8)
         table = Table("t", Schema.of(x="bounded"))
         for _ in range(n):
             table.insert({"x": Bound(0.0, round(rng.uniform(0, 1), 1))})
         budget = round(rng.uniform(0, n * 0.6), 1) * 0.9999999999999999
-        row_plan = chooser.without_predicate(table.rows(), "x", budget, uniform_cost)
-        vector_plan, _ = chooser.without_predicate_columnar(
+        row_plan = row_chooser.without_predicate(table.rows(), "x", budget, uniform_cost)
+        vector_plan, _ = chooser.without_predicate(
             table, "x", budget, uniform_cost
         )
         assert vector_plan.tids == row_plan.tids
@@ -287,8 +293,9 @@ def test_force_exact_rejects_fractional_costs_on_both_paths():
     table.insert({"x": Bound(0, 1), "c": 0.4})
     table.insert({"x": Bound(0, 1), "c": 0.45})
     chooser = SumChooseRefresh(force_exact=True)
+    row_chooser = RowSumChooseRefresh(force_exact=True)
     cost = cost_from_column("c")
     with pytest.raises(OptimizerError):
-        chooser.without_predicate(table.rows(), "x", 1.0, cost)
+        row_chooser.without_predicate(table.rows(), "x", 1.0, cost)
     with pytest.raises(OptimizerError):
-        chooser.without_predicate_columnar(table, "x", 1.0, cost)
+        chooser.without_predicate(table, "x", 1.0, cost)

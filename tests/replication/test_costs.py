@@ -112,9 +112,12 @@ class TestPerSourceVectorTag:
         table.insert({"x": Bound(0.0, 2.0)})
         func = PerSourceCostModel(costs_by_source={"s1": 9.0}).as_func()
         assert cost_vector(table.columns, vector_cost_of(func)) is None
-        chooser = SumChooseRefresh()
-        plan, _ = chooser.without_predicate_columnar(table, "x", 3.0, func)
-        assert plan == chooser.without_predicate(table.rows(), "x", 3.0, func)
+        from tests.oracle.row_protocol import RowSumChooseRefresh
+
+        plan, _ = SumChooseRefresh().without_predicate(table, "x", 3.0, func)
+        assert plan == RowSumChooseRefresh().without_predicate(
+            table.rows(), "x", 3.0, func
+        )
         assert plan.total_cost == pytest.approx(1.0)  # default_cost
 
     def test_cost_vector_numeric_source_column(self):
@@ -140,12 +143,15 @@ class TestPerSourceVectorTag:
                 {"x": Bound(0.0, width), "origin": "ab"[index % 2]}
             )
         func = cost_from_sources("origin", {"a": 1.0, "b": 6.0})
-        chooser = SumChooseRefresh(force_exact=True)
+        from tests.oracle.row_protocol import RowSumChooseRefresh
+
         budget = sum(rng_widths) * 0.4
-        vector_plan, _ = chooser.without_predicate_columnar(
+        vector_plan, _ = SumChooseRefresh(force_exact=True).without_predicate(
             table, "x", budget, func
         )
-        row_plan = chooser.without_predicate(table.rows(), "x", budget, func)
+        row_plan = RowSumChooseRefresh(force_exact=True).without_predicate(
+            table.rows(), "x", budget, func
+        )
         assert vector_plan.total_cost == pytest.approx(row_plan.total_cost)
 
 

@@ -179,7 +179,7 @@ class TestCardinalityChanges:
             },
         )
         source.delete_row("links", 2)
-        bound = COUNT.bound_without_predicate(cache.table("links").rows(), None)
+        bound = COUNT.bound_without_predicate(cache.table("links").columns, None)
         assert bound == Bound.exact(6)
 
 

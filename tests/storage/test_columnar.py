@@ -294,7 +294,7 @@ class TestHarvestCandidates:
         assert harvest_candidates(table.columns, "x", cost_column="tag") is None
 
     def test_classified_widths_extend_to_zero(self):
-        from repro.predicates.batch import classify_masks
+        from repro.predicates.batch import classify_report
         from repro.predicates.parser import parse_predicate
         from repro.storage.columnar import harvest_candidates
 
@@ -304,16 +304,14 @@ class TestHarvestCandidates:
         table.insert({"x": Bound(2, 8)})     # T?
         table.insert({"x": Bound(-5, -1)})   # T−
         predicate = parse_predicate("x > 3")
-        certain, possible = classify_masks(table.columns, predicate)
-        cv = harvest_candidates(
-            table.columns, "x", certain=certain, possible=possible
-        )
+        positions = classify_report(table.columns, predicate).positions
+        cv = harvest_candidates(table.columns, "x", positions=positions)
         # T+ keeps its raw width; T? extends to zero (§6.2); T− is absent.
         assert list(cv.tids) == [1, 2]
         assert list(cv.widths) == [2.0, 8.0]
 
     def test_classified_refinement_restricts_maybe(self):
-        from repro.predicates.batch import classify_masks
+        from repro.predicates.batch import classify_report
         from repro.predicates.parser import parse_predicate
         from repro.storage.columnar import harvest_candidates
 
@@ -321,10 +319,9 @@ class TestHarvestCandidates:
         table = Table("t", schema)
         table.insert({"x": Bound(2, 8)})  # T? for x > 3
         predicate = parse_predicate("x > 3")
-        certain, possible = classify_masks(table.columns, predicate)
+        positions = classify_report(table.columns, predicate).positions
         cv = harvest_candidates(
-            table.columns, "x", certain=certain, possible=possible,
-            predicate=predicate,
+            table.columns, "x", positions=positions, predicate=predicate
         )
         # Appendix D: the T? bound is first restricted to (3, 8], then
         # extended to zero → width 8.
@@ -528,7 +525,7 @@ class TestCandidateOrder:
 
 
 class TestHarvestPositionsRoute:
-    """Index-route harvest (sorted positions) vs the mask route."""
+    """Harvest from the index route's positions vs the dense route's."""
 
     def _big_table(self):
         table = Table("t", Schema.of(x="bounded", cost="exact"))
@@ -544,16 +541,13 @@ class TestHarvestPositionsRoute:
     def _routes(self, table, text, **kwargs):
         predicate = parse_predicate(text)
         report = classify_report(table.columns, predicate)
-        assert report.used_index and report.positions is not None
+        dense = classify_report(table.columns, predicate, use_index=False)
+        assert report.used_index and not dense.used_index
         via_positions = harvest_candidates(
             table.columns, "x", positions=report.positions, **kwargs
         )
         via_masks = harvest_candidates(
-            table.columns,
-            "x",
-            certain=np.asarray(report.certain),
-            possible=np.asarray(report.possible),
-            **kwargs,
+            table.columns, "x", positions=dense.positions, **kwargs
         )
         return via_positions, via_masks
 
