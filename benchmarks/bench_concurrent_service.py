@@ -183,8 +183,6 @@ def run_serial(scripts) -> dict:
             steps = executor.execute_steps(
                 plan.table, plan.aggregate, plan.column, plan.constraint,
                 plan.predicate,
-                # The pre-service serial path never built rebatch metadata.
-                rebatch_metadata=False,
             )
             try:
                 request = next(steps)
@@ -357,7 +355,7 @@ def run_serial_mixed(n_clients: int) -> dict:
             system.clock.advance(ARRIVAL_GAP)
             cache.sync_bounds()
             plan = compile_statement(parse_statement(sql), cache.catalog)
-            steps = plan_steps(plan, executor, rebatch_metadata=False)
+            steps = plan_steps(plan, executor)
             try:
                 request = next(steps)
                 while True:

@@ -14,12 +14,12 @@ from repro.bench.tables import banner, print_table
 from repro.core.bound import Bound
 from repro.core.executor import QueryExecutor
 from repro.predicates.parser import parse_predicate
-from repro.replication.costs import ColumnCostModel
+from repro.replication import ColumnCostModel
 from repro.replication.local import LocalRefresher
 from repro.storage.table import Table
 from repro.workloads.netmon import paper_example_table, paper_master_table
 
-COST = ColumnCostModel("cost").as_func()
+COST = ColumnCostModel("cost")
 
 #: (name, subset, aggregate, column, R, predicate, expected bound,
 #:  expected refresh set)

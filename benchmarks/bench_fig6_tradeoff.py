@@ -16,6 +16,7 @@ import pytest
 from repro.bench.harness import run_sweep
 from repro.bench.tables import banner, print_table
 from repro.core.executor import QueryExecutor
+from repro.core.refresh.base import candidate_costs
 from repro.core.refresh.summing import SumChooseRefresh
 from repro.replication.local import LocalRefresher
 from repro.workloads.stocks import stock_cache_table, stock_master_table
@@ -66,10 +67,9 @@ def test_fig6_tradeoff_curve(stock_days, stock_cost):
 
     costs = sweep.column("refresh_cost")
     table = stock_cache_table(stock_days)
-    total_cost = sum(stock_cost(row) for row in table.rows())
-    wide_tuples_cost = sum(
-        stock_cost(row) for row in table.rows() if row.bound("price").width > 0
-    )
+    row_costs = candidate_costs(table, stock_cost)
+    total_cost = row_costs.sum()
+    wide_tuples_cost = row_costs[table.columns.width_order("price").keys_by_tid > 0].sum()
     # R = 0: every tuple with a non-degenerate bound must refresh.
     assert costs[0] == pytest.approx(wide_tuples_cost)
     assert costs[0] <= total_cost

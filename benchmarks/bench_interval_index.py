@@ -205,7 +205,8 @@ def _classify_and_harvest(store, predicate, use_index: bool):
         report = classify_report(store, predicate)
         positions = report.positions
         ColumnarClassification.from_positions(store, positions, "x")
-        cv = harvest_candidates(store, "x", positions=positions, cost_value=1.0)
+        costs = np.ones(len(positions[0]) + len(positions[1]))
+        cv = harvest_candidates(store, "x", costs, positions=positions)
         return report, cv
     certain, possible = classify_masks(store, predicate, use_index=False)
     _legacy_assemble(store, "x", certain, possible)
@@ -237,7 +238,7 @@ def _measure_cell(n: int, selectivity: float) -> dict:
         np.flatnonzero(possible_d & ~certain_d),
     )
     cv_shipped = harvest_candidates(
-        store, "x", positions=dense_pair, cost_value=1.0
+        store, "x", np.ones(len(cv_dense.tids)), positions=dense_pair
     )
     assert np.array_equal(cv_shipped.order, cv_dense.order), (
         "legacy harvest copy drifted from the shipped route"

@@ -255,7 +255,7 @@ def test_ibarra_kim_at_scale(stocks_cache):
     # harvest the integer cost column, then shift the cost vector.
     from repro.storage.columnar import harvest_candidates
 
-    cv = harvest_candidates(store, "price", cost_column="cost")
+    cv = harvest_candidates(store, "price", store.endpoints("cost")[0])
     cv.costs = cv.costs + 0.5
     cv.cost_min += 0.5
     cv.cost_max += 0.5

@@ -16,7 +16,7 @@ and rebatches refreshes per shard, and the metric recorded is **total
 refresh cost actually paid per answered query** (scheduler receipts, so
 per-shard setups and marginals are priced exactly).  Because each
 link's ``cost`` column holds its shard's marginal, CHOOSE_REFRESH plans
-columnar (``cost_from_column`` → ``harvest_candidates``) and
+columnar (``ColumnCostModel`` → ``harvest_candidates``) and
 concentrates plans on cheap shards; the rebatcher then steers residual
 tuples toward shards the tick already pays setup for.  The cheapest
 shard's marginal falls as ``lo + (hi − lo)/2N``, so cost per answer must
@@ -45,7 +45,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench.tables import banner, print_table
-from repro.core.refresh.base import cost_from_column
+from repro.core.refresh.costs import ColumnCostModel
 from repro.service import QueryService
 from repro.telemetry import summarize_snapshot
 from repro.workloads.service import (
@@ -91,7 +91,7 @@ async def _run_fanin(n_shards: int) -> dict:
     scripts = sharded_sum_scripts(
         cache.table("links"), N_CLIENTS, QUERIES, seed=SEED
     )
-    cost = cost_from_column("cost")
+    cost = ColumnCostModel("cost")
 
     async def issue(client_id: str, sql: str):
         return await service.query("monitor", sql, client_id=client_id, cost=cost)
@@ -253,7 +253,7 @@ def _telemetry_section() -> dict:
         )
         cache = system.cache("monitor")
         scripts = sharded_sum_scripts(cache.table("links"), 6, 2, seed=SEED)
-        cost = cost_from_column("cost")
+        cost = ColumnCostModel("cost")
 
         async def issue(client_id: str, sql: str):
             return await service.query(

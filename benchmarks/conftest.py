@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.replication.costs import ColumnCostModel
+from repro.replication import ColumnCostModel
 from repro.workloads.stocks import (
     stock_cache_table,
     stock_master_table,
@@ -35,4 +35,4 @@ def stock_master(stock_days):
 
 @pytest.fixture(scope="session")
 def stock_cost():
-    return ColumnCostModel("cost").as_func()
+    return ColumnCostModel("cost")

@@ -12,7 +12,7 @@ Run:  python examples/iterative_refinement.py
 
 from repro.core.executor import QueryExecutor
 from repro.extensions.iterative import IterativeRefreshExecutor
-from repro.replication.costs import ColumnCostModel
+from repro.replication import ColumnCostModel
 from repro.replication.local import LocalRefresher
 from repro.workloads.stocks import (
     stock_cache_table,
@@ -30,7 +30,7 @@ def bar(width, scale=12.0, columns=48):
 
 def main():
     days = volatile_stock_day(n_stocks=90)
-    cost = ColumnCostModel("cost").as_func()
+    cost = ColumnCostModel("cost")
 
     print(f"AVG(price) WITHIN {BUDGET} over 90 cached tickers — online mode\n")
     table = stock_cache_table(days)

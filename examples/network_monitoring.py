@@ -11,7 +11,7 @@ Run:  python examples/network_monitoring.py
 
 import random
 
-from repro.replication.costs import ColumnCostModel
+from repro.replication import ColumnCostModel
 from repro.replication.messages import ObjectKey
 from repro.replication.system import TrappSystem
 from repro.simulation.engine import QueryDriver, SimulationEngine, UpdateDriver

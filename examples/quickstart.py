@@ -10,7 +10,7 @@ Run:  python examples/quickstart.py
 
 from repro.core.executor import QueryExecutor
 from repro.predicates.parser import parse_predicate
-from repro.replication.costs import ColumnCostModel
+from repro.replication import ColumnCostModel
 from repro.replication.local import LocalRefresher
 from repro.workloads.netmon import paper_example_table, paper_master_table
 
@@ -24,7 +24,7 @@ def run_query(title, table, refresher, aggregate, column, budget, where=None):
         column,
         budget,
         predicate=predicate,
-        cost=ColumnCostModel("cost").as_func(),
+        cost=ColumnCostModel("cost"),
     )
     target = column or "*"
     constraint = f"WITHIN {budget:g}" if budget != float("inf") else ""
@@ -92,7 +92,7 @@ def main():
         executor = QueryExecutor(refresher=refresher, force_exact=True)
         answer = executor.execute(
             table, "SUM", "traffic", budget,
-            cost=ColumnCostModel("cost").as_func(),
+            cost=ColumnCostModel("cost"),
         )
         print(f"  {budget:>6}  {answer.width:>12g}  {answer.refresh_cost:>12g}")
     print("\nLower R (more precision) costs more refreshing — Figure 1(b).")

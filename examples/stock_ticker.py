@@ -13,7 +13,7 @@ Run:  python examples/stock_ticker.py
 
 from repro.core.executor import QueryExecutor
 from repro.extensions.topn import bounded_top_n
-from repro.replication.costs import ColumnCostModel
+from repro.replication import ColumnCostModel
 from repro.replication.local import LocalRefresher
 from repro.workloads.stocks import (
     stock_cache_table,
@@ -24,7 +24,7 @@ from repro.workloads.stocks import (
 
 def main():
     days = volatile_stock_day(n_stocks=90)
-    cost = ColumnCostModel("cost").as_func()
+    cost = ColumnCostModel("cost")
     total_cost_possible = sum(d.cost for d in days)
 
     print("90 synthetic tickers, one volatile day")

@@ -38,8 +38,8 @@ There is one pipeline, and it reads only the table's columnar store
 * **Plan** (step 2).  The chooser harvests CHOOSE_REFRESH candidates
   straight from the column arrays — the whole table, or the same pair —
   and prices them through :func:`repro.core.refresh.base.candidate_costs`;
-  rows are touched only to evaluate an untagged cost callable on the
-  candidates, or when a scheduler hook asks for §8.2 rebatch metadata.
+  rows are touched only to evaluate a bare cost callable on the
+  candidates.
 
 Classification runs once before the refresh and once after it, never in
 between: the initial bound and CHOOSE_REFRESH share one partition.
@@ -51,7 +51,7 @@ The row-at-a-time pipeline this replaced lives on as the test oracle
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator, Iterable, Mapping, Protocol, Sequence
+from typing import Callable, Generator, Iterable, Protocol
 
 import numpy as np
 
@@ -72,7 +72,7 @@ from repro.errors import (
 )
 from repro.predicates.ast import Predicate, TruePredicate, columns_of
 from repro.predicates.batch import ColumnarClassification, classify_report
-from repro.storage.row import Row
+from repro.storage.columnar import CandidateVectors
 from repro.storage.table import Table
 
 __all__ = [
@@ -136,27 +136,28 @@ class PlannedRefresh:
     with the effective :class:`RefreshPlan` — the tuple ids actually
     refreshed on this query's behalf plus the cost attributed to it.
 
-    ``rows``/``widths``/``budget_slack`` are the §8.2 rebatching metadata,
+    ``candidates``/``required_width`` are the §8.2 rebatching metadata,
     present only when the aggregate's answer width is a linear function of
-    the refreshed tuples' widths (SUM): ``widths`` maps each candidate
-    tuple id to the answer width its refresh removes, and ``budget_slack``
-    is how much width the chosen plan removes beyond what the constraint
-    requires.  A scheduler may hand these straight to
-    :func:`repro.extensions.batching.rebatch_plan` to swap expensive
-    tuples for cheap same-source ones without violating the constraint.
+    the refreshed tuples' widths (SUM): ``candidates`` are the harvested
+    vectors CHOOSE_REFRESH planned on, by reference — each candidate's
+    tuple id beside the answer width its refresh removes (a T? width
+    being its §6.2 weight, the bound extended to zero) — and
+    ``required_width`` is the width the plan must remove for the
+    constraint to hold.  Whatever the chosen tuples remove beyond it is
+    the slack :func:`repro.extensions.batching.rebatch_plan` may give back
+    when it swaps expensive tuples for cheap same-source ones.
     """
 
     table: Table
     plan: RefreshPlan
     max_width: float
     aggregate: str
-    rows: Sequence[Row] | None = None
-    widths: Mapping[int, float] | None = None
-    budget_slack: float | None = None
+    candidates: CandidateVectors | None = None
+    required_width: float | None = None
 
     @property
     def can_rebatch(self) -> bool:
-        return self.rows is not None and self.widths is not None
+        return self.candidates is not None
 
 
 #: Intercepts a planned refresh.  The hook must apply the refreshes itself
@@ -266,10 +267,7 @@ class QueryExecutor:
     ) -> BoundedAnswer:
         """Run the three-step pipeline and return a guaranteed answer."""
         steps = self.execute_steps(
-            table, aggregate, column, constraint, predicate, cost,
-            # Rebatch metadata resolves candidate rows by id; only a hook
-            # (an external scheduler) ever reads it.
-            rebatch_metadata=self.refresh_hook is not None,
+            table, aggregate, column, constraint, predicate, cost
         )
         try:
             request = next(steps)
@@ -286,7 +284,6 @@ class QueryExecutor:
         constraint: PrecisionConstraint | float,
         predicate: Predicate | None = None,
         cost: CostFunc = uniform_cost,
-        rebatch_metadata: bool = True,
     ) -> ExecutionSteps:
         """The three-step pipeline as a resumable generator.
 
@@ -332,9 +329,11 @@ class QueryExecutor:
                 table, report.positions, column, max_width, cost,
                 predicate=predicate if refine else None,
             )
-        plan = yield self._planned(
-            table, spec, plan, max_width, initial, candidates, column,
-            rebatch_metadata,
+        # A chooser hands back candidates when the final width is the
+        # initial width minus the widths the refreshed tuples remove (SUM).
+        required = None if candidates is None else initial.width - max_width
+        plan = yield PlannedRefresh(
+            table, plan, max_width, spec.name, candidates, required
         )
 
         # Step 3: bound again over the partially refreshed cache.
@@ -348,48 +347,6 @@ class QueryExecutor:
             return outcome if outcome is not None else request.plan
         self.refresher.refresh(request.table, request.plan.tids)
         return request.plan
-
-    # ------------------------------------------------------------------
-    def _planned(
-        self,
-        table: Table,
-        spec,
-        plan: RefreshPlan,
-        max_width: float,
-        initial: Bound,
-        candidates,
-        column: str | None,
-        rebatch_metadata: bool,
-    ) -> PlannedRefresh:
-        """The planned refresh, with §8.2 rebatch metadata when asked.
-
-        Planning never materializes rows; when a scheduler hook needs
-        the metadata, the harvested candidate vectors already hold every
-        (tid, width) pair — a T? width being its §6.2 weight, the bound
-        extended to zero — and rows are resolved by id.
-        """
-        if (
-            not rebatch_metadata
-            or spec.name != "SUM"
-            or column is None
-            or candidates is None
-        ):
-            return PlannedRefresh(table, plan, max_width, spec.name)
-        widths = dict(zip(candidates.tids.tolist(), candidates.widths.tolist()))
-        # SUM's final width is the initial width minus the widths removed
-        # by the refreshed tuples, so the plan's slack over the constraint
-        # is exactly the width a rebatcher may give back.
-        removed = sum(widths.get(tid, 0.0) for tid in plan.tids)
-        required = initial.width - max_width
-        return PlannedRefresh(
-            table,
-            plan,
-            max_width,
-            spec.name,
-            rows=[table.row(tid) for tid in widths],
-            widths=widths,
-            budget_slack=max(0.0, removed - required),
-        )
 
     @staticmethod
     def _finish(

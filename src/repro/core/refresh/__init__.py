@@ -9,7 +9,6 @@ from repro.core.refresh.base import (
     ChooseRefresh,
     CostFunc,
     RefreshPlan,
-    cost_from_column,
     uniform_cost,
 )
 from repro.core.refresh.minmax import (
@@ -28,7 +27,6 @@ __all__ = [
     "CostFunc",
     "RefreshPlan",
     "uniform_cost",
-    "cost_from_column",
     "get_choose_refresh",
     "register_choose_refresh",
     "DEFAULT_EPSILON",

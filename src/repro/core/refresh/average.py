@@ -75,7 +75,8 @@ class AvgChooseRefresh:
         if count == 0:
             return RefreshPlan.empty(), None
         # AVG width = SUM width / COUNT, so budget SUM at R * COUNT (§5.4).
-        return self._sum.without_predicate(table, column, max_width * count, cost)
+        plan, _ = self._sum.without_predicate(table, column, max_width * count, cost)
+        return plan, None
 
     def with_classification(
         self,

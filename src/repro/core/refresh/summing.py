@@ -18,10 +18,9 @@ to the ascending-width greedy, which is optimal there (§5.2).
 
 Both entry points harvest candidate vectors straight from the table's
 :class:`~repro.storage.columnar.ColumnStore` — no per-tuple objects;
-costs come from :func:`~repro.core.refresh.base.candidate_costs`, which
-evaluates an opaque callable once per plan into a cost array — answer
-the uniform-cost case with one sort-free ascending walk of the
-(width, tid) ordering, and hand everything else to
+costs come from :func:`~repro.core.refresh.base.candidate_costs` as one
+array per plan — answer the uniform-cost case with one sort-free
+ascending walk of the (width, tid) ordering, and hand everything else to
 :func:`repro.core.knapsack.solve_vector`:
 :meth:`~SumChooseRefresh.without_predicate` over the whole table (the
 store's cached width ordering),
@@ -53,10 +52,10 @@ from repro.core.refresh.base import (
     RefreshPlan,
     candidate_costs,
     uniform_cost,
-    vector_cost_of,
 )
 from repro.errors import TrappError
-from repro.storage.columnar import CandidateVectors, harvest_candidates
+from repro.storage import columnar
+from repro.storage.columnar import CandidateVectors
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.table import Table
@@ -100,8 +99,8 @@ class SumChooseRefresh:
     ) -> tuple[RefreshPlan, CandidateVectors]:
         """§5 planning over the whole table.
 
-        The candidate vectors are returned with the plan so the executor
-        can assemble §8.2 rebatch metadata without another sweep.
+        The candidate vectors are returned with the plan: they are the
+        §8.2 rebatch metadata a scheduler reads.
         """
         if column is None:
             raise TrappError("SUM CHOOSE_REFRESH requires an aggregation column")
@@ -132,18 +131,12 @@ class SumChooseRefresh:
         self, table: "Table", column, cost, positions=None, predicate=None
     ) -> CandidateVectors:
         """Candidate vectors over ``positions`` (``None``: every tuple)."""
-        kind = vector_cost_of(cost)
-        if kind is not None and kind[0] == "uniform":
-            # The one cost shape the harvest prices itself: its stats are
-            # arithmetic on the constant, with no vector to sweep.
-            return harvest_candidates(
-                table.columns, column, positions=positions,
-                predicate=predicate, cost_value=kind[1],
-            )
         at = None if positions is None else np.concatenate(positions)
-        return harvest_candidates(
-            table.columns, column, positions=positions, predicate=predicate,
-            cost_array=candidate_costs(table, cost, at),
+        # Called through the module: benchmarks/e2e/tracing.py (frozen)
+        # rebinds ``repro.storage.columnar.harvest_candidates``.
+        return columnar.harvest_candidates(
+            table.columns, column, candidate_costs(table, cost, at),
+            positions=positions, predicate=predicate,
         )
 
     def _solve(self, cv: CandidateVectors, capacity: float) -> RefreshPlan:

@@ -26,7 +26,7 @@ from repro.extensions.median_spec import (
     median_of,
 )
 from repro.extensions.relative import execute_relative_query
-from repro.extensions.topn import TopNResult, bounded_top_n, choose_refresh_top_n
+from repro.extensions.topn import TopNResult, bounded_top_n
 
 __all__ = [
     "MEDIAN",
@@ -36,7 +36,6 @@ __all__ = [
     "median_of",
     "TopNResult",
     "bounded_top_n",
-    "choose_refresh_top_n",
     "IterativeRefreshExecutor",
     "RefreshStep",
     "BatchedCostModel",

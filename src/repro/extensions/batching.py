@@ -9,28 +9,28 @@ cheaper than the naive sum.
 
 Two pieces are provided:
 
-* :class:`BatchedCostModel` — evaluates the true cost of a refresh *set*
-  under the amortized model (and exposes a conservative per-tuple upper
-  bound usable by the unmodified optimizers);
+* :class:`BatchedCostModel` — prices a refresh *set*, given as tuples per
+  source, under the amortized model (and hands the unmodified optimizers
+  a conservative per-tuple model, :meth:`~BatchedCostModel.upper_bound_model`);
 * :func:`rebatch_plan` — a post-pass over any
   :class:`~repro.core.refresh.base.RefreshPlan` that exploits amortization:
   once a source must be contacted anyway (its setup cost is sunk), pulling
   *additional* cheap wide tuples from the same source into the batch can
   shrink the answer at marginal cost, allowing the plan to drop expensive
   tuples from other sources while still meeting the width budget.
+
+Both speak tuple ids, widths and source ids; neither sees a row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence, Set
+from dataclasses import dataclass
 
 from repro.core.refresh.base import RefreshPlan
-from repro.storage.row import Row
+from repro.core.refresh.costs import CostModel, PerSourceCostModel, UniformCostModel
 
 __all__ = ["BatchedCostModel", "rebatch_plan"]
-
-SourceOf = Callable[[Row], str]
 
 
 @dataclass(slots=True)
@@ -54,7 +54,6 @@ class BatchedCostModel:
 
     setup: float = 5.0
     marginal: float = 1.0
-    source_of: SourceOf = field(default=lambda row: str(row.get("source", "")))
     setup_by_source: Mapping[str, float] | None = None
     marginal_by_source: Mapping[str, float] | None = None
     calibrator: "object | None" = None
@@ -83,76 +82,61 @@ class BatchedCostModel:
         """Price of one batched message: the §8.2 ``setup + marginal·k``."""
         return self.setup_for(source_id) + self.marginal_for(source_id) * n_tuples
 
-    def cost_of_set(self, rows: Iterable[Row]) -> float:
-        """The true amortized cost of refreshing ``rows`` together."""
-        per_source: dict[str, int] = {}
-        for row in rows:
-            per_source[self.source_of(row)] = per_source.get(self.source_of(row), 0) + 1
+    def cost_of_counts(
+        self, counts: Mapping[str, int], sunk: Set[str] = frozenset()
+    ) -> float:
+        """The true amortized cost of refreshing ``counts[s]`` tuples from
+        each source ``s`` together.
+
+        Sources in ``sunk`` are contacted anyway — by another query of the
+        same tick, say — so their setup is not this set's to pay.
+        """
+        # Set against set, built key by key: a float sum follows its
+        # operands' iteration order, and tests/oracle/rebatch.py is matched
+        # to the last bit.
         return sum(
-            self.batch_cost(source_id, count)
-            for source_id, count in per_source.items()
+            self.batch_cost(source_id, count) for source_id, count in counts.items()
+        ) - sum(
+            self.setup_for(source_id) for source_id in {s for s in counts} & sunk
         )
 
-    def naive_upper_bound(self, row: Row) -> float:
-        """A per-tuple cost safe for the additive optimizers.
+    def upper_bound_model(self, source_column: str = "source") -> CostModel:
+        """A per-tuple cost model safe for the additive optimizers.
 
         ``setup + marginal`` over-charges every tuple as if it paid its own
         setup; the additive optimum under this bound costs at least the
         amortized optimum, so plans remain feasible (if conservative).
+        With the same parameters for every source that is one constant;
+        otherwise each source named in the maps or measured by the
+        calibrator gets its own, read through ``source_column``.
         """
-        source_id = self.source_of(row)
-        return self.setup_for(source_id) + self.marginal_for(source_id)
-
-    def as_func(self, source_column: str | None = None):
-        """The naive upper bound as a tagged planner cost function.
-
-        The additive optimizers see ``setup + marginal`` per tuple
-        (feasible, conservative — see :meth:`naive_upper_bound`).  With
-        ``source_column`` naming the column ``source_of`` reads, the
-        function carries a ``vector_cost`` source tag so CHOOSE_REFRESH
-        stays on the columnar path; without it (uniform parameters) the
-        tag degrades to a uniform constant, which is exact.
-        """
-        upper = self.naive_upper_bound
-        wrapper = lambda row: upper(row)  # noqa: E731 - taggable wrapper
-        calibrated = (
-            set(self.calibrator.estimates()) if self.calibrator is not None else set()
+        sources = set(self.setup_by_source or ()) | set(self.marginal_by_source or ())
+        if self.calibrator is not None:
+            sources |= set(self.calibrator.estimates())
+        if not sources:
+            return UniformCostModel(self.setup + self.marginal)
+        return PerSourceCostModel(
+            {s: self.setup_for(s) + self.marginal_for(s) for s in sources},
+            self.setup + self.marginal,
+            source_column,
         )
-        if (
-            self.setup_by_source is None
-            and self.marginal_by_source is None
-            and not calibrated
-        ):
-            wrapper.vector_cost = ("uniform", self.setup + self.marginal)
-        elif source_column is not None:
-            sources = (
-                set(self.setup_by_source or ())
-                | set(self.marginal_by_source or ())
-                | calibrated
-            )
-            wrapper.vector_cost = (
-                "source",
-                (
-                    source_column,
-                    {s: self.setup_for(s) + self.marginal_for(s) for s in sources},
-                    self.setup + self.marginal,
-                ),
-            )
-        return wrapper
 
 
 def rebatch_plan(
     plan: RefreshPlan,
-    all_rows: Sequence[Row],
-    widths: Mapping[int, float],
+    tids: Sequence[int],
+    widths: Sequence[float],
+    source_of: Mapping[int, str],
     budget_slack: float,
     model: BatchedCostModel,
-    extra_contacted: "set[str] | None" = None,
+    sunk: Set[str] = frozenset(),
 ) -> RefreshPlan:
     """Improve a batch plan by exploiting per-source amortization.
 
-    ``widths`` maps tuple id → the answer-width contribution its refresh
-    removes (the optimizer's knapsack weight); ``budget_slack`` is how much
+    ``tids`` are the candidate tuples and ``widths`` — aligned with them —
+    the answer-width contribution each one's refresh removes (the
+    optimizer's knapsack weight); ``source_of`` maps every candidate and
+    every planned tuple id to its source.  ``budget_slack`` is how much
     width the current plan removes *beyond* what the constraint needs
     (always ≥ 0 for a feasible plan).
 
@@ -163,21 +147,24 @@ def rebatch_plan(
     The result never violates the constraint and never costs more than the
     input plan under the amortized model.
 
-    ``extra_contacted`` names sources whose setup is already paid *outside*
-    this plan — e.g. by other queries sharing the same refresh tick in the
-    concurrent service.  Their tuples join the absorption candidates, which
-    is what lets cross-query scheduling steer a plan onto sources the batch
-    contacts anyway (``model`` should then price those setups as sunk, as
-    the scheduler's tick-aware model does).
+    ``sunk`` names sources whose setup is already paid *outside* this plan
+    — e.g. by other queries sharing the same refresh tick in the
+    concurrent service.  They charge no setup here, and their tuples join
+    the absorption candidates, which is what lets cross-query scheduling
+    steer a plan onto sources the batch contacts anyway.
     """
-    by_tid = {row.tid: row for row in all_rows}
+    width_of = dict(zip(tids, widths))
     chosen = {tid for tid in plan.tids}
 
-    def amortized_cost(tids: set[int]) -> float:
-        return model.cost_of_set(by_tid[tid] for tid in tids)
+    def amortized_cost(members: set[int]) -> float:
+        counts: dict[str, int] = {}
+        for tid in members:
+            source_id = source_of[tid]
+            counts[source_id] = counts.get(source_id, 0) + 1
+        return model.cost_of_counts(counts, sunk)
 
-    def removed_width(tids: set[int]) -> float:
-        return sum(widths.get(tid, 0.0) for tid in tids)
+    def removed_width(members: set[int]) -> float:
+        return sum(width_of.get(tid, 0.0) for tid in members)
 
     required = removed_width(chosen) - budget_slack
     best = set(chosen)
@@ -186,7 +173,7 @@ def rebatch_plan(
     # planner's sorted-width orderings applied to rebatching): filtering
     # it by membership replaces the per-probe re-sort the absorption loop
     # used to pay, and keeps every pass deterministic.
-    ascending = sorted(by_tid, key=lambda t: (widths.get(t, 0.0), t))
+    ascending = sorted(width_of, key=lambda t: (width_of[t], t))
 
     # Eviction pass: drop tuples while the width requirement holds.
     # Least width contribution first — those are the cheapest to give up
@@ -204,22 +191,18 @@ def rebatch_plan(
 
     # Absorption pass: sources already contacted can contribute extra wide
     # tuples at marginal cost, potentially unlocking cross-source evictions.
-    contacted = {model.source_of(by_tid[tid]) for tid in best}
-    if extra_contacted:
-        contacted |= set(extra_contacted)
+    contacted = {source_of[tid] for tid in best} | sunk
     extras = [
-        row
-        for row in all_rows
-        if row.tid not in best
-        and widths.get(row.tid, 0.0) > 0
-        and model.source_of(row) in contacted
+        tid
+        for tid in tids
+        if tid not in best and width_of[tid] > 0 and source_of[tid] in contacted
     ]
-    extras.sort(key=lambda r: -widths.get(r.tid, 0.0))
+    extras.sort(key=lambda t: -width_of[t])
     for extra in extras:
-        trial = best | {extra.tid}
+        trial = best | {extra}
         # Try to pay for the absorption by evicting somewhere else.
         for tid in ascending:
-            if tid == extra.tid or tid not in trial:
+            if tid == extra or tid not in trial:
                 continue
             candidate = trial - {tid}
             if removed_width(candidate) + 1e-12 >= required:

@@ -20,15 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 from repro.core.aggregates import get_aggregate
 from repro.core.answer import BoundedAnswer
 from repro.core.bound import Bound
 from repro.core.constraints import width_within
 from repro.core.executor import RefreshProvider, bounded_answer
-from repro.core.refresh.base import CostFunc, uniform_cost
+from repro.core.refresh.base import CostFunc, candidate_costs, uniform_cost
 from repro.errors import ConstraintUnsatisfiableError
 from repro.predicates.ast import Predicate, TruePredicate
-from repro.storage.row import Row
 from repro.storage.table import Table
 
 __all__ = ["IterativeRefreshExecutor", "RefreshStep"]
@@ -120,10 +121,11 @@ class IterativeRefreshExecutor:
                     f"answer {bound} cannot be narrowed to width {max_width:g}; "
                     "no refreshable tuples remain"
                 )
-            total_cost += self.cost(target)
-            self.refresher.refresh(table, [target.tid])
+            tid, cost = target
+            total_cost += cost
+            self.refresher.refresh(table, [tid])
             bound, report = self._compute(table, spec, column, predicate)
-            yield RefreshStep(target.tid, bound, total_cost)
+            yield RefreshStep(tid, bound, total_cost)
         if not width_within(bound.width, max_width):
             raise ConstraintUnsatisfiableError(
                 f"answer {bound} still wider than {max_width:g} after "
@@ -145,58 +147,62 @@ class IterativeRefreshExecutor:
         report,
         bound: Bound,
         max_width: float,
-    ) -> Row | None:
-        """The unrefreshed tuple with the best benefit/cost score.
+    ) -> tuple[int, float] | None:
+        """The unrefreshed tuple with the best benefit/cost score, and
+        its cost.
 
         Candidates are the T+ then the T? tuples of the partition the
         current bound was assembled from (``report``; every tuple, all
-        in T+, when there was no predicate to classify).
+        in T+, when there was no predicate to classify), priced together.
         """
-        tids = table.columns.sorted_tids()
+        store = table.columns
         if report is None:
-            plus, maybe = tids, tids[:0]
+            at, n_plus = np.arange(len(store)), len(store)
         else:
-            plus, maybe = (tids[at] for at in report.positions)
+            at, n_plus = np.concatenate(report.positions), len(report.positions[0])
+        if column is None:
+            lo = hi = [0.0] * len(at)  # COUNT scores membership only
+        else:
+            lo, hi = (endpoint[at].tolist() for endpoint in store.endpoints(column))
+        costs = candidate_costs(table, self.cost, at).tolist()
 
-        best: Row | None = None
+        best = None
         best_score = 0.0
-        for tid, uncertain in [(t, False) for t in plus.tolist()] + [
-            (t, True) for t in maybe.tolist()
-        ]:
-            row = table.row(tid)
-            score = self._benefit(row, aggregate, column, uncertain, bound, max_width)
+        for k, tid in enumerate(store.sorted_tids()[at].tolist()):
+            score = self._benefit(
+                lo[k], hi[k], aggregate, k >= n_plus, bound, max_width
+            )
             if score <= 0:
                 continue
-            ratio = score / max(self.cost(row), 1e-12)
+            ratio = score / max(costs[k], 1e-12)
             if best is None or ratio > best_score:
-                best = row
+                best = tid, costs[k]
                 best_score = ratio
         return best
 
     @staticmethod
     def _benefit(
-        row: Row,
+        lo: float,
+        hi: float,
         aggregate: str,
-        column: str | None,
         uncertain: bool,
         bound: Bound,
         max_width: float,
     ) -> float:
         if aggregate == "COUNT":
             return 1.0 if uncertain else 0.0
-        assert column is not None
-        value = row.bound(column)
         if aggregate in ("SUM", "AVG"):
-            width = value.extend_to_zero().width if uncertain else value.width
-            return width + (1.0 if uncertain else 0.0)
+            if uncertain:  # the bound extended to zero, plus its membership
+                return max(hi, 0.0) - min(lo, 0.0) + 1.0
+            return hi - lo
         if aggregate == "MIN":
             # Contribution to the contested region [lo_A, lo_A + width).
             contested_top = bound.lo + max(bound.width - max_width, 0.0)
-            overlap = max(0.0, min(value.hi, contested_top) - value.lo)
-            return overlap if value.width > 0 else 0.0
+            overlap = max(0.0, min(hi, contested_top) - lo)
+            return overlap if hi > lo else 0.0
         if aggregate == "MAX":
             contested_bottom = bound.hi - max(bound.width - max_width, 0.0)
-            overlap = max(0.0, value.hi - max(value.lo, contested_bottom))
-            return overlap if value.width > 0 else 0.0
+            overlap = max(0.0, hi - max(lo, contested_bottom))
+            return overlap if hi > lo else 0.0
         # Unknown aggregate: fall back to raw width.
-        return value.width
+        return hi - lo

@@ -31,13 +31,14 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+
+import numpy as np
 
 from repro.core.constraints import width_within
 from repro.core.bound import Bound
 from repro.core.executor import RefreshProvider
+from repro.core.refresh.base import CostFunc, candidate_costs, uniform_cost
 from repro.errors import ConstraintUnsatisfiableError, TrappError
-from repro.storage.row import Row
 from repro.storage.table import Table
 
 __all__ = ["BoundedPathAnswer", "bounded_shortest_path", "PathQueryExecutor"]
@@ -152,13 +153,13 @@ class PathQueryExecutor:
     def __init__(
         self,
         refresher: RefreshProvider,
-        cost: Callable[[Row], float] | None = None,
+        cost: CostFunc = uniform_cost,
         from_column: str = "from_node",
         to_column: str = "to_node",
         latency_column: str = "latency",
     ) -> None:
         self.refresher = refresher
-        self.cost = cost if cost is not None else (lambda row: 1.0)
+        self.cost = cost
         self.from_column = from_column
         self.to_column = to_column
         self.latency_column = latency_column
@@ -195,7 +196,8 @@ class PathQueryExecutor:
                     f"path bound {answer.bound} cannot be narrowed to "
                     f"{max_width:g}: all links are exact"
                 )
-            total_cost += self.cost(table.row(target_link))
+            at = np.searchsorted(table.columns.sorted_tids(), [target_link])
+            total_cost += float(candidate_costs(table, self.cost, at)[0])
             self.refresher.refresh(table, [target_link])
             refreshed.add(target_link)
         raise ConstraintUnsatisfiableError(

@@ -16,9 +16,9 @@ wider than the precision budget.
 
 Everything here is one array kernel over ``(tids, lo, hi)``: two sorts
 and a binary search per tuple decide membership.  :func:`top_n_steps`
-feeds it a table's ``ColumnStore`` columns; the row-taking functions
-feed it one pass over their rows.  The per-tuple definition it must
-agree with lives in ``tests/oracle/row_topn.py``.
+feeds it a table's ``ColumnStore`` columns; :func:`bounded_top_n` feeds
+it one pass over its rows.  The per-tuple definition it must agree with
+lives in ``tests/oracle/row_topn.py``.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "TopNResult",
     "TopNAnswer",
     "bounded_top_n",
-    "choose_refresh_top_n",
     "top_n_steps",
 ]
 
@@ -115,28 +114,6 @@ def _refresh_mask(endpoints: Endpoints, n: int, max_width: float) -> np.ndarray:
 def bounded_top_n(rows: Sequence[Row], column: str, n: int) -> TopNResult:
     """Compute the bounded TOP-n over a column of bounded values."""
     return _top_n(_row_endpoints(rows, column), n)
-
-
-def choose_refresh_top_n(
-    rows: Sequence[Row],
-    column: str,
-    n: int,
-    max_width: float,
-    cost: CostFunc = uniform_cost,
-) -> RefreshPlan:
-    """Refresh set narrowing the n-th value's bound to ``max_width``.
-
-    Analogue of CHOOSE_REFRESH_MAX: the guaranteed *lower* cutoff is the
-    n-th largest lower endpoint; every tuple whose upper endpoint exceeds
-    ``cutoff + max_width`` could leave the n-th value above the budget and
-    must be refreshed (along with tuples straddling the cutoff from below
-    whose lower endpoint is within the contested region).
-    """
-    chosen = _refresh_mask(_row_endpoints(rows, column), n, max_width)
-    picked = [rows[at] for at in np.flatnonzero(chosen)]
-    return RefreshPlan(
-        frozenset(row.tid for row in picked), sum(cost(row) for row in picked)
-    )
 
 
 @dataclass(frozen=True, slots=True)

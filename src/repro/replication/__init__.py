@@ -5,7 +5,7 @@ from repro.replication.cache import (
     DataCache,
     SourceRefreshReceipt,
 )
-from repro.replication.costs import (
+from repro.core.refresh.costs import (
     ColumnCostModel,
     CostModel,
     PerSourceCostModel,

@@ -10,8 +10,11 @@ network transfer), while counting cost the same way.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Iterable
 
+import numpy as np
+
+from repro.core.refresh.base import CostFunc, candidate_costs
 from repro.errors import ReplicationProtocolError
 from repro.storage.table import Table
 
@@ -21,13 +24,14 @@ __all__ = ["LocalRefresher"]
 class LocalRefresher:
     """Refreshes cached tuples from an in-process master table."""
 
-    def __init__(self, master: Table, cost: Callable | None = None) -> None:
+    def __init__(self, master: Table, cost: CostFunc | None = None) -> None:
         self.master = master
         self.refresh_count = 0
         self.total_cost = 0.0
         self._cost = cost
 
     def refresh(self, table: Table, tids: Iterable[int]) -> None:
+        tids = list(tids)
         for tid in tids:
             if tid not in self.master:
                 raise ReplicationProtocolError(
@@ -37,5 +41,8 @@ class LocalRefresher:
             for column in table.schema.bounded_columns:
                 table.update_value(tid, column.name, master_row.number(column.name))
             self.refresh_count += 1
-            if self._cost is not None:
-                self.total_cost += self._cost(table.row(tid))
+        if self._cost is not None and tids:
+            at = np.searchsorted(table.columns.sorted_tids(), tids)
+            self.total_cost = sum(
+                candidate_costs(table, self._cost, at).tolist(), self.total_cost
+            )

@@ -28,7 +28,6 @@ from repro.core.refresh.base import CostFunc, uniform_cost
 from repro.errors import TrappError
 from repro.predicates.ast import Predicate
 from repro.replication.cache import DataCache
-from repro.replication.costs import CostModel
 from repro.replication.fanout import CacheGroup
 from repro.replication.sharding import Partitioner, ShardedSource, round_robin
 from repro.replication.source import DataSource
@@ -338,7 +337,7 @@ class TrappSystem:
         self,
         cache_id: str,
         sql: str,
-        cost: CostFunc | CostModel | None = None,
+        cost: CostFunc | None = None,
         epsilon: float | None = None,
     ) -> BoundedAnswer:
         """Parse and execute a TRAPP SQL statement against one cache.
@@ -368,13 +367,7 @@ class TrappSystem:
         statement = parse_statement(sql)
         plan = compile_statement(statement, cache.catalog)
         executor = self.executor_for(cache_id, epsilon)
-        steps = plan_steps(
-            plan,
-            executor,
-            cost=self._resolve_cost(cost),
-            # No hook reads §8.2 metadata on the serial path.
-            rebatch_metadata=False,
-        )
+        steps = plan_steps(plan, executor, cost=self._resolve_cost(cost))
         return drive_steps(steps, cache)
 
     def query_ast(
@@ -385,7 +378,7 @@ class TrappSystem:
         column: str | None,
         constraint: PrecisionConstraint | float,
         predicate: Predicate | None = None,
-        cost: CostFunc | CostModel | None = None,
+        cost: CostFunc | None = None,
         epsilon: float | None = None,
     ) -> BoundedAnswer:
         """Execute a query given pre-built AST pieces (no SQL text)."""
@@ -423,9 +416,5 @@ class TrappSystem:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _resolve_cost(cost: CostFunc | CostModel | None) -> CostFunc:
-        if cost is None:
-            return uniform_cost
-        if isinstance(cost, CostModel):
-            return cost.as_func()
-        return cost
+    def _resolve_cost(cost: CostFunc | None) -> CostFunc:
+        return uniform_cost if cost is None else cost

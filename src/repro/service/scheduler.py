@@ -12,9 +12,9 @@ The scheduler buffers submissions for one *tick*, then:
    caches cluster alone per (cache, table) exactly as before;
 2. **rebatches** each plan that carries SUM metadata toward sources the
    cluster already pays setup for
-   (:func:`repro.extensions.batching.rebatch_plan` with a tick-aware cost
-   model whose sunk setups are free) — with a group cluster, a source
-   another *cache's* query contacts this tick counts as sunk too;
+   (:func:`repro.extensions.batching.rebatch_plan`, the tick's sunk
+   setups being free) — with a group cluster, a source another *cache's*
+   query contacts this tick counts as sunk too;
 3. **merges** the cluster per *source* and deduplicates tuple ids — N
    queries wanting the same hot tuples trigger one refresh even when they
    run against different replicas;
@@ -44,7 +44,7 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.core.executor import PlannedRefresh
 from repro.core.refresh.base import RefreshPlan
@@ -53,7 +53,6 @@ from repro.extensions.batching import BatchedCostModel, rebatch_plan
 from repro.faults.breaker import CircuitBreaker
 from repro.faults.retry import RetryPolicy
 from repro.replication.cache import DataCache
-from repro.storage.row import Row
 from repro.storage.table import Table
 from repro.telemetry.registry import DEFAULT_SIZE_BUCKETS, MetricsRegistry
 
@@ -153,43 +152,6 @@ class _Pending:
     future: "asyncio.Future[RefreshPlan]"
     #: The submitting query's telemetry span, or ``None`` untraced.
     trace: "object | None" = None
-
-
-class _TickCostModel(BatchedCostModel):
-    """Amortized costs as seen mid-tick: sunk setups are free.
-
-    Per-source pricing *delegates* to the wrapped model — preserving
-    per-source (per-shard) overrides, calibrated estimates, and
-    group-projected minimum pricing alike — except sources some other
-    query in the same tick already contacts charge no setup, which is
-    exactly what makes pulling tuples from those sources attractive
-    during cross-query rebatching.
-    """
-
-    def __init__(
-        self,
-        model: BatchedCostModel,
-        source_of: Callable[[Row], str],
-        contacted: set[str],
-    ) -> None:
-        super().__init__(
-            setup=model.setup, marginal=model.marginal, source_of=source_of
-        )
-        self._base = model
-        self._contacted = contacted
-
-    def setup_for(self, source_id: str) -> float:
-        return self._base.setup_for(source_id)
-
-    def marginal_for(self, source_id: str) -> float:
-        return self._base.marginal_for(source_id)
-
-    def cost_of_set(self, rows: Iterable[Row]) -> float:
-        rows = list(rows)
-        sunk = {self.source_of(row) for row in rows} & self._contacted
-        return super().cost_of_set(rows) - sum(
-            self.setup_for(source_id) for source_id in sunk
-        )
 
 
 class RefreshScheduler:
@@ -296,7 +258,7 @@ class RefreshScheduler:
         self.tick_interval = tick_interval
         #: Intent flag; rebatching additionally needs a cost model for
         #: the pending's cache — the scheduler default, or a per-cache
-        #: model registered with its group (see :meth:`wants_metadata_for`).
+        #: model registered with its group (see :meth:`_model_for`).
         self.rebatch = rebatch
         #: Plans larger than this skip the rebatch post-pass: rebatching
         #: probes O(plan²) candidate sets for a payoff bounded by a few
@@ -474,16 +436,6 @@ class RefreshScheduler:
             if model is not None:
                 return model
         return self.cost_model
-
-    def wants_metadata_for(self, cache: DataCache) -> bool:
-        """Whether queries on ``cache`` should collect §8.2 rebatch
-        metadata — i.e. whether submitting here can actually rebatch them.
-
-        True when rebatching is enabled and *some* amortized model prices
-        this cache's refreshes: the scheduler default, or a per-cache
-        model registered with the cache's group.
-        """
-        return self.rebatch and self._model_for(cache) is not None
 
     async def _dispatch_cluster(self, pendings: list[_Pending]) -> None:
         """Rebatch, merge per source, refresh via leaders, settle a cluster."""
@@ -890,7 +842,7 @@ class RefreshScheduler:
                 source_by_tid[tid] = source_id
             return source_id
 
-        def sources_of(pending: _Pending, tids: set[int]) -> set[str]:
+        def sources_of(pending: _Pending, tids) -> set[str]:
             table = pending.request.table
             return {source_of_tid(pending.cache, table, tid) for tid in tids}
 
@@ -907,25 +859,24 @@ class RefreshScheduler:
                 and model is not None
                 and 0 < len(pending.tids) <= self.rebatch_limit
                 # One source leaves nothing to steer toward; only a sharded
-                # table is worth the per-row routing sweep.
+                # table is worth the per-tuple routing sweep.
                 and len(pending.cache.sources_of_table(request.table)) > 1
-                and len(sources_of(pending, {row.tid for row in request.rows})) > 1
             ):
-                table = pending.request.table
-
-                def source_of(row: Row) -> str:
-                    return source_of_tid(pending.cache, table, row.tid)
-
-                tick_model = _TickCostModel(model, source_of, set(contacted))
-                improved = rebatch_plan(
-                    RefreshPlan(frozenset(pending.tids), 0.0),
-                    request.rows,
-                    request.widths,
-                    request.budget_slack or 0.0,
-                    tick_model,
-                    extra_contacted=contacted,
-                )
-                pending.tids = set(improved.tids)
+                tids = request.candidates.tids.tolist()
+                if len(sources_of(pending, tids)) > 1:
+                    widths = request.candidates.widths.tolist()
+                    width_of = dict(zip(tids, widths))
+                    removed = sum(width_of.get(tid, 0.0) for tid in request.plan.tids)
+                    improved = rebatch_plan(
+                        RefreshPlan(frozenset(pending.tids), 0.0),
+                        tids,
+                        widths,
+                        source_by_tid,
+                        max(0.0, removed - request.required_width),
+                        model,
+                        sunk=contacted,
+                    )
+                    pending.tids = set(improved.tids)
             contacted |= sources_of(pending, pending.tids)
 
     def _attribute(

@@ -69,7 +69,6 @@ from repro.errors import (
 from repro.extensions.batching import BatchedCostModel
 from repro.faults import FaultInjector, RetryPolicy
 from repro.replication.cache import DataCache
-from repro.replication.costs import CostModel
 from repro.replication.system import TrappSystem
 from repro.service.results import ResultCache
 from repro.service.routing import CacheRouter, StickyRouter
@@ -117,7 +116,7 @@ class ClientSession:
         self,
         cache_id: str,
         sql: str,
-        cost: CostFunc | CostModel | None = None,
+        cost: CostFunc | None = None,
         epsilon: float | None = None,
     ) -> ServiceResult:
         return await self.service.query(
@@ -386,7 +385,7 @@ class QueryService:
         cache_id: str,
         sql: str,
         client_id: str = "anon",
-        cost: CostFunc | CostModel | None = None,
+        cost: CostFunc | None = None,
         epsilon: float | None = None,
         precision_floor: float | None = None,
         max_inflight: int | None = None,
@@ -419,7 +418,7 @@ class QueryService:
         cache_id: str,
         sql: str,
         client_id: str,
-        cost: CostFunc | CostModel | None,
+        cost: CostFunc | None,
         epsilon: float | None,
         precision_floor: float | None,
         max_inflight: int | None,
@@ -447,7 +446,7 @@ class QueryService:
         is_group: bool,
         plan: AnyQueryPlan,
         client_id: str,
-        cost: CostFunc | CostModel | None,
+        cost: CostFunc | None,
         epsilon: float | None,
         trace,
     ) -> ServiceResult:
@@ -744,7 +743,7 @@ class QueryService:
         cache: DataCache,
         plan: AnyQueryPlan,
         client_id: str,
-        cost: CostFunc | CostModel | None,
+        cost: CostFunc | None,
         epsilon: float | None,
         trace=None,
     ) -> BoundedAnswer:
@@ -791,7 +790,7 @@ class QueryService:
         cache: DataCache,
         plan: AnyQueryPlan,
         client_id: str,
-        cost: CostFunc | CostModel | None,
+        cost: CostFunc | None,
         epsilon: float | None,
         trace=None,
     ) -> BoundedAnswer:
@@ -835,13 +834,7 @@ class QueryService:
                 suspended_across_sync = False
                 executor = self.system.executor_for(cache_id, epsilon)
                 steps = plan_steps(
-                    plan,
-                    executor,
-                    cost=TrappSystem._resolve_cost(cost),
-                    # The per-tuple metadata sweep is only worth paying
-                    # when the scheduler will actually rebatch this
-                    # cache's plans (an amortized model prices them).
-                    rebatch_metadata=self.scheduler.wants_metadata_for(cache),
+                    plan, executor, cost=TrappSystem._resolve_cost(cost)
                 )
                 rounds = 0
                 try:

@@ -31,7 +31,6 @@ def plan_steps(
     plan: AnyQueryPlan,
     executor: QueryExecutor,
     cost: CostFunc = uniform_cost,
-    rebatch_metadata: bool = True,
 ) -> ExecutionSteps:
     """The execution-steps generator for any compiled plan.
 
@@ -40,8 +39,6 @@ def plan_steps(
     ``refresher`` is *not* consulted — whoever drives the returned
     generator owns refresh application (serially via
     :func:`~repro.core.executor.drive_steps`, or through a scheduler).
-    ``rebatch_metadata`` is forwarded to the single-table path, where
-    §8.2 rebatching applies.
     """
     if isinstance(plan, QueryPlan):
         return executor.execute_steps(
@@ -51,7 +48,6 @@ def plan_steps(
             plan.constraint,
             plan.predicate,
             cost,
-            rebatch_metadata=rebatch_metadata,
         )
     if isinstance(plan, JoinQueryPlan):
         from repro.core.executor import NullRefreshProvider

@@ -68,7 +68,6 @@ __all__ = [
     "CandidateVectors",
     "candidate_order",
     "harvest_candidates",
-    "cost_vector",
 ]
 
 _INITIAL_CAPACITY = 16
@@ -669,13 +668,11 @@ def candidate_order(widths: np.ndarray, tids: np.ndarray) -> np.ndarray:
 def harvest_candidates(
     store: ColumnStore,
     column: str,
+    costs: np.ndarray,
     *,
     positions: "tuple[np.ndarray, np.ndarray] | None" = None,
     predicate=None,
-    cost_column: str | None = None,
-    cost_value: float = 1.0,
-    cost_array: np.ndarray | None = None,
-) -> CandidateVectors | None:
+) -> CandidateVectors:
     """Emit one query's refresh candidates as parallel vectors.
 
     Without ``positions`` the candidate set is the whole table (§5
@@ -688,24 +685,16 @@ def harvest_candidates(
     optionally Appendix-D restricted by ``predicate`` — extended to zero
     (§6.2).
 
-    Costs are ``cost_value`` everywhere, read from ``cost_column``
-    (which must be a numeric, currently-exact column — the contract of
-    :func:`repro.core.refresh.base.cost_from_column`; ``None`` is
-    returned when it fails), or taken verbatim from ``cost_array`` — one
-    cost per candidate, aligned with the emitted vectors (tuple-id order
-    over the whole table, ``[T+ …, T? …]`` otherwise), as
-    :func:`repro.core.refresh.base.candidate_costs` resolves them.
+    ``costs`` holds one refresh cost per candidate, aligned with the
+    emitted vectors (tuple-id order over the whole table, ``[T+ …, T? …]``
+    otherwise), as :func:`repro.core.refresh.base.candidate_costs` prices
+    them; the solver-selection stats are read off it.
     """
-    if cost_array is None and cost_column is not None:
-        if store.is_text(cost_column) or not store.column_exact(cost_column):
-            return None
-
     if positions is None:
         order_cache = store.width_order(column)
         tids = store.sorted_tids()
         widths = order_cache.keys_by_tid
         order = order_cache.positions
-        at = None
     else:
         certain_at, maybe_at = positions
         # One fused gather per source array over the [T+ …, T? …]
@@ -727,35 +716,24 @@ def harvest_candidates(
         widths = hi_at - lo_at
         widths[k_plus:] = np.maximum(maybe_hi, 0.0) - np.minimum(maybe_lo, 0.0)
         order = candidate_order(widths, tids)
-    uniform = cost_array is None and cost_column is None
-    if cost_array is not None:
-        costs = cost_array
-    elif cost_column is not None:
-        costs = store.endpoints(cost_column)[0]
-        if at is not None:
-            costs = costs[at]
-    else:
-        costs = np.full(len(tids), float(cost_value))
-
     if not len(costs):
         cost_min = cost_max = cost_total = 0.0
         costs_integral = True
-    elif uniform:
-        # Uniform costs: the stats are arithmetic on the constant — no
-        # reason to sweep the vector we just broadcast.
-        cost_min = cost_max = float(cost_value)
-        rounded = round(cost_min)
-        costs_integral = abs(cost_min - rounded) <= 1e-9
-        cost_total = (
-            float(rounded * len(costs)) if costs_integral
-            else float(costs.sum())
-        )
     else:
         cost_min = float(costs.min())
         cost_max = float(costs.max())
-        rounded = np.rint(costs)
-        costs_integral = bool(np.all(np.abs(costs - rounded) <= 1e-9))
-        cost_total = float(rounded.sum()) if costs_integral else float(costs.sum())
+        if cost_min == cost_max:
+            # One price for every candidate: the stats are arithmetic on
+            # it, no second sweep of the vector.
+            rounded = round(cost_min)
+            costs_integral = abs(cost_min - rounded) <= 1e-9
+            cost_total = float(rounded * len(costs))
+        else:
+            rounded = np.rint(costs)
+            costs_integral = bool(np.all(np.abs(costs - rounded) <= 1e-9))
+            cost_total = float(rounded.sum())
+        if not costs_integral:
+            cost_total = float(costs.sum())
     return CandidateVectors(
         tids=tids,
         widths=widths,
@@ -766,56 +744,6 @@ def harvest_candidates(
         cost_total=cost_total,
         costs_integral=costs_integral,
     )
-
-
-def cost_vector(store: ColumnStore, kind: tuple[str, object] | None) -> np.ndarray | None:
-    """Per-tuple refresh costs in tuple-id order for a tagged cost kind.
-
-    ``kind`` comes from :func:`repro.core.refresh.base.vector_cost_of`:
-    ``("uniform", value)`` broadcasts a constant, ``("column", name)``
-    reads an exact numeric column, and ``("source", (column, costs,
-    default))`` — the per-source amortized models — maps a source-id
-    column through a cost table in one vectorized pass.  ``None``
-    (opaque callable, a bounded cost column that is not currently exact,
-    a missing source column, or one of the wrong kind) means the tag
-    cannot be honoured and the caller evaluates the cost function row by
-    row (:func:`repro.core.refresh.base.candidate_costs`).
-    """
-    if kind is None:
-        return None
-    if kind[0] == "uniform":
-        return np.full(len(store), float(kind[1]))
-    if kind[0] == "source":
-        column, costs, default = kind[1]
-        if column not in store.schema:
-            # Called on a row, the cost function prices such tables at
-            # the default (``row.get``); decline rather than raise.
-            return None
-        if store.is_text(column):
-            values = store.text_values(column)
-        elif store.column_exact(column):
-            values = store.endpoints(column)[0]
-        else:
-            return None
-        if not len(values):
-            return np.empty(0, dtype=np.float64)
-        # Python-level dict lookups only for the *distinct* source ids
-        # (a handful of shards), then one vectorized gather — n-row
-        # tables keep the planner's per-query work off the Python heap.
-        try:
-            uniques, inverse = np.unique(values, return_inverse=True)
-        except TypeError:  # unorderable mixed values: priced row by row
-            return None
-        mapped = np.fromiter(
-            (costs.get(value, default) for value in uniques.tolist()),
-            dtype=np.float64,
-            count=len(uniques),
-        )
-        return mapped[inverse]
-    column = str(kind[1])
-    if store.is_text(column) or not store.column_exact(column):
-        return None
-    return store.endpoints(column)[0]
 
 
 def _flat_d(values: np.ndarray) -> "array":

@@ -163,10 +163,8 @@ def sharded_service_system(
     same tuples, bounds, and widths), stripes it round-robin across
     ``n_shards`` shard sources named ``<source_id>/<i>``, and overwrites
     each link's ``cost`` column with its owning shard's marginal — the
-    *per-shard cost column* that keeps CHOOSE_REFRESH on the columnar
-    path (``cost_from_column("cost")`` →
-    :func:`~repro.storage.columnar.harvest_candidates`) while pricing
-    tuples by shard.
+    *per-shard cost column* ``ColumnCostModel("cost")`` prices tuples
+    by shard from.
 
     Returns ``(system, cost_model)``: the system has one cache
     subscribed to the sharded table with bounds synced at

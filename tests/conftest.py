@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.replication.costs import ColumnCostModel
+from repro.replication import ColumnCostModel
 from repro.replication.local import LocalRefresher
 from repro.workloads.netmon import (
     paper_costs,
@@ -34,7 +34,7 @@ def link_costs():
 @pytest.fixture
 def cost_func():
     """Cost function reading the Figure 2 ``cost`` column."""
-    return ColumnCostModel("cost").as_func()
+    return ColumnCostModel("cost")
 
 
 @pytest.fixture

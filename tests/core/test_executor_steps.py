@@ -7,9 +7,10 @@ import pytest
 from repro.core.executor import PlannedRefresh, QueryExecutor
 from repro.core.refresh.base import RefreshPlan
 from repro.predicates.parser import parse_predicate
-from repro.replication.costs import ColumnCostModel
+from repro.replication import ColumnCostModel
 from repro.replication.local import LocalRefresher
 from tests.oracle.row_executor import RowQueryExecutor
+from tests.protocol import row_cost
 
 
 def drive(steps, apply):
@@ -34,24 +35,34 @@ def test_cache_answerable_query_never_yields(cached_links):
 
 
 def test_yielded_plan_carries_sum_rebatch_metadata(cached_links, master_links):
+    cost = ColumnCostModel("cost")
     executor = QueryExecutor(refresher=LocalRefresher(master_links))
-    steps = executor.execute_steps(
-        cached_links, "SUM", "traffic", 10.0,
-        cost=ColumnCostModel("cost").as_func(),
-    )
+    steps = executor.execute_steps(cached_links, "SUM", "traffic", 10.0, cost=cost)
     request = next(steps)
     assert isinstance(request, PlannedRefresh)
     assert request.aggregate == "SUM"
     assert request.max_width == 10.0
     assert request.can_rebatch
-    assert set(request.plan.tids) <= set(request.widths)
-    # Widths are the knapsack weights: each tuple's current bound width.
-    for row in request.rows:
-        assert request.widths[row.tid] == pytest.approx(
-            row.bound("traffic").width
-        )
-    assert request.budget_slack >= 0.0
+    # The harvested vectors, by reference: widths are the knapsack
+    # weights, each tuple's current bound width.
+    widths = dict(zip(request.candidates.tids.tolist(), request.candidates.widths))
+    assert set(request.plan.tids) <= set(widths)
+    for row in cached_links.rows():
+        assert widths[row.tid] == pytest.approx(row.bound("traffic").width)
+    removed = sum(widths[tid] for tid in request.plan.tids)
+    assert removed >= request.required_width
     steps.close()
+
+    # The row oracle states the same metadata.
+    oracle = next(
+        RowQueryExecutor().execute_steps(
+            cached_links, "SUM", "traffic", 10.0, cost=row_cost(cost)
+        )
+    )
+    assert dict(zip(oracle.candidates.tids.tolist(), oracle.candidates.widths)) == (
+        pytest.approx(widths)
+    )
+    assert oracle.required_width == pytest.approx(request.required_width)
 
 
 def test_min_queries_carry_no_rebatch_metadata(cached_links, master_links):

@@ -19,11 +19,10 @@ from repro.core.refresh import (
 )
 import repro.extensions.median_spec  # noqa: F401 - registers MEDIAN
 from repro.core.executor import execute_query
-from repro.core.refresh.base import cost_from_column
-from repro.errors import OptimizerError, TrappError
+from repro.errors import OptimizerError, TrappError, UnknownColumnError
 from repro.extensions.topn import top_n_steps
 from repro.predicates.parser import parse_predicate
-from repro.replication.costs import UniformCostModel
+from repro.replication import ColumnCostModel, UniformCostModel
 from repro.replication.local import LocalRefresher
 from repro.storage.row import Row
 from repro.storage.schema import Schema
@@ -304,7 +303,7 @@ class TestRefreshCostsAreValidated:
     @pytest.mark.parametrize("aggregate", AGGREGATES)
     def test_cost_column(self, aggregate, bad):
         with pytest.raises(OptimizerError, match=r"tuple #2"):
-            self.execute(aggregate, cost_from_column("y"), y=(1.0, bad))
+            self.execute(aggregate, ColumnCostModel("y"), y=(1.0, bad))
 
     @pytest.mark.parametrize("bad", BAD_COSTS, ids=str)
     @pytest.mark.parametrize("aggregate", AGGREGATES)
@@ -315,8 +314,8 @@ class TestRefreshCostsAreValidated:
     @pytest.mark.parametrize("bad", BAD_COSTS, ids=str)
     @pytest.mark.parametrize("aggregate", AGGREGATES)
     def test_uniform_constant(self, aggregate, bad):
-        with pytest.raises(OptimizerError, match="uniform refresh cost"):
-            self.execute(aggregate, UniformCostModel(bad).as_func())
+        with pytest.raises(OptimizerError, match=r"tuple #1"):
+            self.execute(aggregate, UniformCostModel(bad))
 
     @pytest.mark.parametrize("aggregate", AGGREGATES)
     def test_zero_is_a_cost(self, aggregate):
@@ -330,3 +329,51 @@ class TestRefreshCostsAreValidated:
         table.insert({"x": Bound(5.0, 15.0)})
         with pytest.raises(OptimizerError, match=r"tuple #"):
             next(top_n_steps(table, 1, "x", 0.0, cost=lambda row: bad))
+
+
+class TestCostColumnMustHoldExactNumbers:
+    """``ColumnCostModel`` over a column that is not an exact number: a
+    typed error naming table, column and tuple — it used to escape as the
+    ``ValueError`` / ``TypeError`` of whatever read the cell."""
+
+    SCHEMA = Schema.of(x="bounded", y="bounded", tag="text")
+
+    def table(self):
+        table = Table("links", self.SCHEMA)
+        table.insert({"x": Bound(0.0, 10.0), "y": 2.0, "tag": "a"})
+        table.insert({"x": Bound(0.5, 15.0), "y": Bound(1.0, 3.0), "tag": "b"})
+        return table
+
+    def run(self, statement, column):
+        cost = ColumnCostModel(column)
+        if statement == "TOPN":
+            return next(top_n_steps(self.table(), 1, "x", 0.0, cost=cost))
+        predicate = parse_predicate("x > 1") if statement == "COUNT" else None
+        return execute_query(
+            self.table(), statement, None if statement == "COUNT" else "x",
+            0.0, predicate, cost,
+        )
+
+    STATEMENTS = [*TestRefreshCostsAreValidated.AGGREGATES, "TOPN"]
+
+    @pytest.mark.parametrize("statement", STATEMENTS)
+    def test_text_column(self, statement):
+        with pytest.raises(
+            OptimizerError,
+            match=r"cost column 'tag' of table 'links' holds 'a' for tuple #1",
+        ):
+            self.run(statement, "tag")
+
+    @pytest.mark.parametrize("statement", STATEMENTS)
+    def test_wide_bound(self, statement):
+        with pytest.raises(
+            OptimizerError,
+            match=r"cost column 'y' of table 'links' holds the bound \[1, 3\] "
+            r"for tuple #2",
+        ):
+            self.run(statement, "y")
+
+    @pytest.mark.parametrize("statement", STATEMENTS)
+    def test_unknown_column(self, statement):
+        with pytest.raises(UnknownColumnError, match="'nope' in table 'links'"):
+            self.run(statement, "nope")

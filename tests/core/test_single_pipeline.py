@@ -1,16 +1,18 @@
 """There is one execution pipeline and it reads only the column store.
 
 Steps 1–3 of every single-table query — whatever the aggregate, predicate
-or cost function — run with row access forbidden; rows are touched only
-to evaluate an untagged cost callable, on the candidates and on nothing
-else.  GROUP BY runs the same way, reading one row per group for its key
-values; so do the bounds the iterative and relative drivers start from.
+or cost model — run with row access forbidden; rows are touched only to
+evaluate a bare cost callable, on the candidates and on nothing else.
+GROUP BY runs the same way, reading one row per group for its key values;
+so do the bounds the iterative and relative drivers start from, and the
+scheduler's §8.2 rebatch pass between a plan and its dispatch.
 The options that used to select other routes are gone, the row-taking
 method family is gone, and neither may creep back in.
 """
 
 from __future__ import annotations
 
+import asyncio
 import inspect
 import math
 import re
@@ -23,23 +25,27 @@ import repro.extensions.median_spec  # noqa: F401 - registers MEDIAN
 from repro.core.aggregates import registry
 from repro.core.bound import Bound
 from repro.core.executor import QueryExecutor, execute_query
-from repro.core.refresh.base import (
-    cost_from_column,
-    cost_from_sources,
-    uniform_cost,
-)
+from repro.core.refresh.base import uniform_cost
 from repro.errors import ConstraintUnsatisfiableError
+from repro.extensions.batching import BatchedCostModel
 from repro.extensions.groupby import grouped_query_steps
 from repro.extensions.iterative import IterativeRefreshExecutor
 from repro.extensions.relative import execute_relative_query
 from repro.predicates.ast import TruePredicate
 from repro.predicates.parser import parse_predicate
+from repro.replication import (
+    ColumnCostModel,
+    PerSourceCostModel,
+    TableCostModel,
+    TrappSystem,
+)
 from repro.replication.local import LocalRefresher
-from repro.replication.system import TrappSystem
+from repro.service.scheduler import RefreshScheduler
 from repro.storage.row import Row
 from repro.storage.schema import Schema
 from repro.storage.table import Table
-from tests.protocol import classified, tids_at
+from tests.protocol import classified, row_cost, tids_at
+from tests.service.conftest import FakeCache
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -53,12 +59,15 @@ PREDICATES = {
 }
 COSTS = {
     "uniform": uniform_cost,
-    "column": cost_from_column("cost"),
-    "sources": cost_from_sources("origin", {"a": 1.0, "b": 4.0}, default=2.0),
+    "column": ColumnCostModel("cost"),
+    "sources": PerSourceCostModel({"a": 1.0, "b": 4.0}, 2.0, "origin"),
+    "shards": PerSourceCostModel({0.0: 3.0}, 1.0, "shard"),
+    "tids": TableCostModel({tid: 1.0 + tid % 3 for tid in range(1, 9)}, 2.0),
 }
 #: How the statement is run: the three-step executor (""), GROUP BY on an
 #: exact numeric key or on a text key (two groups of six either way), or
 #: only as far as the bound the iterative / relative driver starts from.
+#: "rebatch" is one more: a two-source SUM plan through the scheduler.
 SHAPES = ("", "by_shard", "by_zone", "iterative", "relative")
 GROUPS = 2
 
@@ -73,7 +82,7 @@ CASES = [
     for shape in SHAPES
     # The two drivers' first bound never prices anything.
     if cost_name == "uniform" or shape not in ("iterative", "relative")
-]
+] + [pytest.param("SUM", "none", "uniform", "rebatch", id="SUM-rebatch")]
 
 
 def make_tables():
@@ -120,6 +129,9 @@ def test_every_query_runs_without_rows(aggregate, predicate_name, cost_name, sha
     if shape in ("iterative", "relative"):
         _first_bound_runs_without_rows(shape, cached, aggregate, column, predicate)
         return
+    if shape == "rebatch":
+        _rebatch_runs_without_rows()
+        return
     if shape:
         key_reads: list | None = []
         steps = grouped_query_steps(
@@ -129,8 +141,7 @@ def test_every_query_runs_without_rows(aggregate, predicate_name, cost_name, sha
     else:
         key_reads = None
         steps = QueryExecutor().execute_steps(
-            cached, aggregate, column, BUDGET, predicate, cost,
-            rebatch_metadata=False,  # the one consumer of rows, by request
+            cached, aggregate, column, BUDGET, predicate, cost
         )
     yields = 0
     try:
@@ -155,7 +166,7 @@ def test_every_query_runs_without_rows(aggregate, predicate_name, cost_name, sha
     cache_answerable = aggregate == "COUNT" and predicate_name != "bounded"
     assert bool(answer.refreshed) != cache_answerable
     assert answer.refresh_cost == sum(
-        cost(cached.row(tid)) for tid in answer.refreshed
+        row_cost(cost)(cached.row(tid)) for tid in answer.refreshed
     )
 
 
@@ -181,6 +192,28 @@ def _first_bound_runs_without_rows(shape, cached, aggregate, column, predicate):
                 assert expected.contains(0.0)
                 return
     assert bound == expected
+
+
+def _rebatch_runs_without_rows():
+    """A plan the §8.2 pass changes, from CHOOSE_REFRESH to dispatch."""
+    table = Table("t", Schema.of(x="bounded"))
+    for width in (10.0, 7.0, 6.0):
+        table.insert({"x": Bound(0.0, width)})
+    cache = FakeCache({1: "a", 2: "b", 3: "a"})
+    scheduler = RefreshScheduler(cost_model=BatchedCostModel(setup=50.0, marginal=1.0))
+    steps = QueryExecutor().execute_steps(table, "SUM", "x", 8.0)
+
+    async def plan_and_dispatch():
+        with rows_forbidden():
+            request = next(steps)
+            return request, await scheduler.submit(cache, request)
+
+    request, effective = asyncio.run(plan_and_dispatch())
+    # Keeping tuple 3 leaves 2 of the budget unused: swapping tuple 2 for
+    # it gives the slack back and saves source b's setup.
+    assert request.plan.tids == {1, 2} and effective.tids == {1, 3}
+    assert cache.calls == [frozenset({1, 3})]
+    assert effective.total_cost == 52.0
 
 
 def test_opaque_cost_is_called_once_per_candidate():
@@ -232,3 +265,12 @@ def test_executor_probes_nothing_and_src_never_imports_tests():
         and name != "core/refresh/base.py"
         and "repro.storage.row" in text
     ]
+    # One price list: ``costs_at``.  The tag, its adapters and the §8.2
+    # row metadata are gone, and rebatching knows no row.
+    gone = re.compile(
+        "vector_cost|as_func|rebatch_metadata|_TickCostModel|cost_vector"
+        "|naive_upper_bound"
+    )
+    assert not [name for name, text in sources.items() if gone.search(text)]
+    for name in ("extensions/batching.py", "service/scheduler.py"):
+        assert "repro.storage.row" not in sources[name]

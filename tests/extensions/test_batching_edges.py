@@ -9,38 +9,28 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.bound import Bound
 from repro.core.refresh.base import RefreshPlan
 from repro.extensions.batching import BatchedCostModel, rebatch_plan
-from repro.storage.schema import Column, ColumnKind, Schema
-from repro.storage.table import Table
-
-SCHEMA = Schema(
-    [Column("source", ColumnKind.TEXT), Column("x", ColumnKind.BOUNDED)],
-    name="t",
-)
 
 
-def make_rows(sources: list[str], width: float = 10.0):
-    table = Table("t", SCHEMA)
-    for source in sources:
-        table.insert({"source": source, "x": Bound(0.0, width)})
-    return table.rows()
+def candidates(sources: list[str]):
+    """Tuple ids 1, 2, … and the ``tid → source`` mapping placing them."""
+    source_of = dict(enumerate(sources, start=1))
+    return list(source_of), source_of
 
 
 # ----------------------------------------------------------------------
 def test_empty_plan_stays_empty():
-    rows = make_rows(["a", "a", "b"])
-    widths = {row.tid: 10.0 for row in rows}
+    tids, source_of = candidates(["a", "a", "b"])
     model = BatchedCostModel(setup=5.0, marginal=1.0)
-    result = rebatch_plan(RefreshPlan.empty(), rows, widths, 0.0, model)
+    result = rebatch_plan(RefreshPlan.empty(), tids, [10.0] * 3, source_of, 0.0, model)
     assert result.tids == frozenset()
     assert result.total_cost == 0.0
 
 
 def test_empty_candidate_set():
     model = BatchedCostModel(setup=5.0, marginal=1.0)
-    result = rebatch_plan(RefreshPlan.empty(), [], {}, 0.0, model)
+    result = rebatch_plan(RefreshPlan.empty(), [], [], {}, 0.0, model)
     assert result.tids == frozenset()
     assert result.total_cost == 0.0
 
@@ -48,84 +38,69 @@ def test_empty_candidate_set():
 def test_all_tuples_from_one_source_without_slack():
     """One source, no slack: nothing can be evicted or improved — the
     plan survives unchanged at the amortized single-batch price."""
-    rows = make_rows(["a"] * 4)
-    widths = {row.tid: 10.0 for row in rows}
-    tids = frozenset(row.tid for row in rows)
+    tids, source_of = candidates(["a"] * 4)
     model = BatchedCostModel(setup=7.0, marginal=2.0)
-    result = rebatch_plan(RefreshPlan(tids, 0.0), rows, widths, 0.0, model)
-    assert result.tids == tids
+    result = rebatch_plan(
+        RefreshPlan(frozenset(tids), 0.0), tids, [10.0] * 4, source_of, 0.0, model
+    )
+    assert result.tids == frozenset(tids)
     assert result.total_cost == pytest.approx(7.0 + 2.0 * 4)
 
 
 def test_one_source_with_slack_evicts_but_keeps_requirement():
     """Slack worth one tuple lets exactly one eviction through; the
     removed width never drops below the requirement."""
-    rows = make_rows(["a"] * 4)
-    widths = {row.tid: 10.0 for row in rows}
-    tids = frozenset(row.tid for row in rows)
+    tids, source_of = candidates(["a"] * 4)
     model = BatchedCostModel(setup=7.0, marginal=2.0)
-    result = rebatch_plan(RefreshPlan(tids, 0.0), rows, widths, 10.0, model)
+    result = rebatch_plan(
+        RefreshPlan(frozenset(tids), 0.0), tids, [10.0] * 4, source_of, 10.0, model
+    )
     assert len(result.tids) == 3
-    assert result.tids < tids
-    removed = sum(widths[tid] for tid in result.tids)
-    assert removed >= sum(widths.values()) - 10.0 - 1e-9
+    assert result.tids < frozenset(tids)
+    assert 10.0 * len(result.tids) >= 10.0 * 4 - 10.0 - 1e-9
     assert result.total_cost == pytest.approx(7.0 + 2.0 * 3)
 
 
 def test_setup_larger_than_entire_naive_plan_consolidates_sources():
     """A setup dwarfing every marginal makes source count the whole cost:
     with enough slack the rebatcher must abandon the minority source."""
-    rows = make_rows(["a", "a", "a", "b"])
-    widths = {row.tid: 10.0 for row in rows}
-    tids = frozenset(row.tid for row in rows)
+    tids, source_of = candidates(["a", "a", "a", "b"])
     # setup = 1000 > naive plan total (4 tuples x (setup'+marginal) under
     # any per-tuple upper bound the additive optimizers used).
     model = BatchedCostModel(setup=1000.0, marginal=1.0)
-    result = rebatch_plan(RefreshPlan(tids, 0.0), rows, widths, 10.0, model)
-    sources = {model.source_of(row) for row in rows if row.tid in result.tids}
+    result = rebatch_plan(
+        RefreshPlan(frozenset(tids), 0.0), tids, [10.0] * 4, source_of, 10.0, model
+    )
+    sources = {source_of[tid] for tid in result.tids}
     assert sources == {"a"}, "the lone source-b tuple should be evicted"
     assert result.total_cost == pytest.approx(1000.0 + 3.0)
     # And the width requirement still holds.
-    removed = sum(widths[tid] for tid in result.tids)
-    assert removed >= sum(widths.values()) - 10.0 - 1e-9
+    assert 10.0 * len(result.tids) >= 10.0 * 4 - 10.0 - 1e-9
 
 
 def test_result_never_costs_more_than_input():
-    rows = make_rows(["a", "b", "a", "b", "a"])
-    widths = {row.tid: float(index + 1) for index, row in enumerate(rows)}
-    tids = frozenset(row.tid for row in rows)
+    tids, source_of = candidates(["a", "b", "a", "b", "a"])
+    widths = [float(tid) for tid in tids]
     model = BatchedCostModel(setup=4.0, marginal=1.5)
-    before = model.cost_of_set(rows)
-    result = rebatch_plan(RefreshPlan(tids, before), rows, widths, 2.0, model)
+    before = model.cost_of_counts({"a": 3, "b": 2})
+    result = rebatch_plan(
+        RefreshPlan(frozenset(tids), before), tids, widths, source_of, 2.0, model
+    )
     assert result.total_cost <= before + 1e-9
 
 
 def test_extra_contacted_enables_cross_plan_absorption():
-    """Sources other in-flight queries already pay for join the
-    absorption candidates (the cross-query scheduler's hook)."""
-    rows = make_rows(["a", "b"])
-    widths = {row.tid: 10.0 for row in rows}
-    a_tid, b_tid = (row.tid for row in rows)
-
-    class SunkSetupModel(BatchedCostModel):
-        def cost_of_set(self, batch):
-            batch = list(batch)
-            # Source "a" is sunk (another query contacts it this tick).
-            per_source = {}
-            for row in batch:
-                key = self.source_of(row)
-                per_source[key] = per_source.get(key, 0) + 1
-            return sum(
-                (0.0 if source == "a" else self.setup) + self.marginal * count
-                for source, count in per_source.items()
-            )
-
-    model = SunkSetupModel(setup=50.0, marginal=1.0)
+    """Sources other in-flight queries already pay for charge no setup
+    and join the absorption candidates (the cross-query scheduler's
+    hook)."""
+    tids, source_of = candidates(["a", "b"])
+    a_tid, b_tid = tids
+    model = BatchedCostModel(setup=50.0, marginal=1.0)
     plan = RefreshPlan(frozenset({b_tid}), 51.0)
     # Without the hint, source a's tuple is not a candidate: no change.
-    unaware = rebatch_plan(plan, rows, widths, 0.0, model)
+    unaware = rebatch_plan(plan, tids, [10.0, 10.0], source_of, 0.0, model)
     assert unaware.tids == frozenset({b_tid})
     # With it, the plan migrates to the sunk source.
-    aware = rebatch_plan(plan, rows, widths, 0.0, model, extra_contacted={"a"})
+    aware = rebatch_plan(plan, tids, [10.0, 10.0], source_of, 0.0, model, sunk={"a"})
     assert aware.tids == frozenset({a_tid})
     assert aware.total_cost == pytest.approx(1.0)

@@ -17,62 +17,49 @@ from repro.storage.table import Table
 class TestBatchedCostModel:
     def test_amortization(self):
         model = BatchedCostModel(setup=5.0, marginal=1.0)
-        rows = [Row(i, {"source": "s1"}) for i in range(1, 4)]
         # One batch: 5 + 3 * 1 = 8, versus naive 3 * 6 = 18.
-        assert model.cost_of_set(rows) == 8.0
-        assert model.naive_upper_bound(rows[0]) == 6.0
+        assert model.cost_of_counts({"s1": 3}) == 8.0
+        assert model.upper_bound_model().cost == 6.0
 
     def test_multiple_sources(self):
         model = BatchedCostModel(setup=5.0, marginal=1.0)
-        rows = [
-            Row(1, {"source": "s1"}),
-            Row(2, {"source": "s2"}),
-            Row(3, {"source": "s1"}),
-        ]
-        assert model.cost_of_set(rows) == (5 + 2) + (5 + 1)
+        assert model.cost_of_counts({"s1": 2, "s2": 1}) == (5 + 2) + (5 + 1)
 
     def test_empty_set_is_free(self):
-        assert BatchedCostModel().cost_of_set([]) == 0.0
+        assert BatchedCostModel().cost_of_counts({}) == 0.0
 
 
 class TestRebatchPlan:
-    def _rows(self):
-        return [
-            Row(1, {"source": "s1"}),
-            Row(2, {"source": "s1"}),
-            Row(3, {"source": "s2"}),
-            Row(4, {"source": "s1"}),
-        ]
+    TIDS = [1, 2, 3, 4]
+    SOURCE_OF = {1: "s1", 2: "s1", 3: "s2", 4: "s1"}
+
+    def rebatch(self, plan, widths, model):
+        return rebatch_plan(
+            plan, self.TIDS, widths, self.SOURCE_OF, budget_slack=0.0, model=model
+        )
 
     def test_never_costs_more(self):
         model = BatchedCostModel(setup=5.0, marginal=1.0)
-        rows = self._rows()
-        widths = {1: 3.0, 2: 3.0, 3: 3.0, 4: 4.0}
         plan = RefreshPlan(frozenset({1, 3}), 0.0)
-        improved = rebatch_plan(plan, rows, widths, budget_slack=0.0, model=model)
-        assert improved.total_cost <= model.cost_of_set(
-            r for r in rows if r.tid in plan.tids
-        ) + 1e-9
+        improved = self.rebatch(plan, [3.0, 3.0, 3.0, 4.0], model)
+        assert improved.total_cost <= model.cost_of_counts({"s1": 1, "s2": 1}) + 1e-9
 
     def test_keeps_width_requirement(self):
         model = BatchedCostModel(setup=5.0, marginal=1.0)
-        rows = self._rows()
-        widths = {1: 3.0, 2: 3.0, 3: 3.0, 4: 4.0}
+        widths = [3.0, 3.0, 3.0, 4.0]
         plan = RefreshPlan(frozenset({1, 3}), 0.0)
-        required = widths[1] + widths[3]  # slack 0
-        improved = rebatch_plan(plan, rows, widths, budget_slack=0.0, model=model)
-        removed = sum(widths.get(t, 0.0) for t in improved.tids)
+        required = widths[0] + widths[2]  # slack 0
+        improved = self.rebatch(plan, widths, model)
+        removed = sum(widths[t - 1] for t in improved.tids)
         assert removed + 1e-9 >= required
 
     def test_absorbs_same_source_tuple_to_drop_foreign_one(self):
         """s2's setup can be saved by absorbing a same-width s1 tuple."""
         model = BatchedCostModel(setup=10.0, marginal=1.0)
-        rows = self._rows()
-        widths = {1: 3.0, 2: 3.0, 3: 3.0, 4: 3.0}
         plan = RefreshPlan(frozenset({1, 3}), 0.0)  # s1 + s2: cost 22
-        improved = rebatch_plan(plan, rows, widths, budget_slack=0.0, model=model)
+        improved = self.rebatch(plan, [3.0] * 4, model)
         # Optimal: {1, 2} or {1, 4} all from s1: cost 12.
-        sources = {("s1" if t != 3 else "s2") for t in improved.tids}
+        sources = {self.SOURCE_OF[t] for t in improved.tids}
         assert improved.total_cost <= 12.0 + 1e-9
         assert sources == {"s1"}
 

@@ -7,7 +7,7 @@ from repro.core.executor import QueryExecutor
 from repro.errors import ConstraintUnsatisfiableError
 from repro.extensions.iterative import IterativeRefreshExecutor
 from repro.predicates.parser import parse_predicate
-from repro.replication.costs import ColumnCostModel
+from repro.replication import ColumnCostModel
 from repro.replication.local import LocalRefresher
 from repro.workloads.netmon import paper_example_table, paper_master_table
 
@@ -62,7 +62,7 @@ class TestIterativeExecutor:
         assert answer.bound == Bound.exact(2)
 
     def test_cost_ordering_respected(self, cached_links, master_links):
-        cost = ColumnCostModel("cost").as_func()
+        cost = ColumnCostModel("cost")
         iterative = IterativeRefreshExecutor(LocalRefresher(master_links), cost=cost)
         answer = iterative.run(cached_links, "SUM", "traffic", 50.0)
         assert answer.refresh_cost > 0

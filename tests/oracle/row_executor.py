@@ -17,7 +17,9 @@ compare the columnar pipeline against it.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from repro.core.answer import BoundedAnswer
 from repro.core.bound import Bound, Trilean
@@ -27,7 +29,6 @@ from repro.core.constraints import (
     width_within,
 )
 from repro.core.executor import ExecutionSteps, PlannedRefresh, QueryExecutor
-from repro.core.refresh import CostFunc, uniform_cost
 from repro.errors import UnknownColumnError
 from repro.predicates.ast import Predicate, TruePredicate, columns_of
 from repro.predicates.batch import classify_masks
@@ -36,10 +37,12 @@ from repro.storage.row import Row
 from repro.storage.table import Table
 from tests.oracle.row_protocol import (
     Classification,
+    CostFunc,
     classify,
     get_row_aggregate,
     get_row_choose_refresh,
     restrict_bound,
+    uniform_cost,
 )
 
 __all__ = [
@@ -76,6 +79,13 @@ def classify_columnar(table: Table, predicate: Predicate) -> Classification:
 class RowQueryExecutor(QueryExecutor):
     """:class:`QueryExecutor` with the row-at-a-time ``execute_steps``."""
 
+    def execute(
+        self, table, aggregate, column, constraint, predicate=None,
+        cost: CostFunc = uniform_cost,
+    ) -> BoundedAnswer:
+        """As inherited, but the default cost is a function of one row."""
+        return super().execute(table, aggregate, column, constraint, predicate, cost)
+
     def execute_steps(
         self,
         table: Table,
@@ -84,7 +94,6 @@ class RowQueryExecutor(QueryExecutor):
         constraint: PrecisionConstraint | float,
         predicate: Predicate | None = None,
         cost: CostFunc = uniform_cost,
-        rebatch_metadata: bool = True,
     ) -> ExecutionSteps:
         if isinstance(constraint, (int, float)):
             constraint = AbsolutePrecision(float(constraint))
@@ -106,14 +115,12 @@ class RowQueryExecutor(QueryExecutor):
         if touches_bounded:
             return (
                 yield from self._execute_classified(
-                    table, spec, chooser, column, constraint, predicate, cost,
-                    rebatch_metadata,
+                    table, spec, chooser, column, constraint, predicate, cost
                 )
             )
         return (
             yield from self._execute_unclassified(
-                table, spec, chooser, column, constraint, predicate, cost,
-                rebatch_metadata,
+                table, spec, chooser, column, constraint, predicate, cost
             )
         )
 
@@ -121,8 +128,7 @@ class RowQueryExecutor(QueryExecutor):
     # §5 regime: no bounded-column predicate
     # ------------------------------------------------------------------
     def _execute_unclassified(
-        self, table, spec, chooser, column, constraint, predicate, cost,
-        rebatch_metadata,
+        self, table, spec, chooser, column, constraint, predicate, cost
     ) -> BoundedAnswer:
         if isinstance(predicate, TruePredicate):
             rows = table.rows()
@@ -136,9 +142,9 @@ class RowQueryExecutor(QueryExecutor):
 
         plan = chooser.without_predicate(rows, column, max_width, cost)
         planned = PlannedRefresh(table, plan, max_width, spec.name)
-        if rebatch_metadata and spec.name == "SUM" and column is not None:
+        if spec.name == "SUM" and column is not None:
             widths = {row.tid: row.bound(column).width for row in rows}
-            planned = _with_slack(planned, initial, rows, widths)
+            planned = _with_metadata(planned, initial, widths)
         plan = yield planned
 
         # Membership is fixed (the predicate saw only exact columns), so
@@ -151,8 +157,7 @@ class RowQueryExecutor(QueryExecutor):
     # §6 regime: classify exactly once
     # ------------------------------------------------------------------
     def _execute_classified(
-        self, table, spec, chooser, column, constraint, predicate, cost,
-        rebatch_metadata,
+        self, table, spec, chooser, column, constraint, predicate, cost
     ) -> BoundedAnswer:
         classification = classify(table.rows(), predicate)
         refined = self._refined(classification, predicate, column)
@@ -164,12 +169,11 @@ class RowQueryExecutor(QueryExecutor):
 
         plan = chooser.with_classification(refined, column, max_width, cost)
         planned = PlannedRefresh(table, plan, max_width, spec.name)
-        if rebatch_metadata and spec.name == "SUM" and column is not None:
+        if spec.name == "SUM" and column is not None:
             # §6.2 weights: refreshing a T+ tuple removes its full width;
             # refreshing a T? tuple removes its bound extended to zero (the
             # tuple may turn out to fail the predicate and contribute
             # nothing).
-            rows = list(refined.plus) + list(refined.maybe)
             widths = {row.tid: row.bound(column).width for row in refined.plus}
             widths.update(
                 {
@@ -177,7 +181,7 @@ class RowQueryExecutor(QueryExecutor):
                     for row in refined.maybe
                 }
             )
-            planned = _with_slack(planned, initial, rows, widths)
+            planned = _with_metadata(planned, initial, widths)
         plan = yield planned
 
         updated = _reclassify_refreshed(classification, plan.tids, predicate)
@@ -208,20 +212,22 @@ class RowQueryExecutor(QueryExecutor):
         )
 
 
-def _with_slack(
-    planned: PlannedRefresh,
-    initial: Bound,
-    rows: Sequence[Row],
-    widths: dict[int, float],
+class RowCandidates(NamedTuple):
+    """What a scheduler reads of the served ``CandidateVectors``."""
+
+    tids: np.ndarray
+    widths: np.ndarray
+
+
+def _with_metadata(
+    planned: PlannedRefresh, initial: Bound, widths: dict[int, float]
 ) -> PlannedRefresh:
     # SUM's final width is the initial width minus the widths removed by
-    # the refreshed tuples, so the plan's slack over the constraint is
-    # exactly the width a rebatcher may give back.
-    removed = sum(widths.get(tid, 0.0) for tid in planned.plan.tids)
-    required = initial.width - planned.max_width
-    planned.rows = rows
-    planned.widths = widths
-    planned.budget_slack = max(0.0, removed - required)
+    # the refreshed tuples: the plan must remove this much.
+    planned.candidates = RowCandidates(
+        np.array(list(widths), dtype=np.int64), np.array(list(widths.values()))
+    )
+    planned.required_width = initial.width - planned.max_width
     return planned
 
 

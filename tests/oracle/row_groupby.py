@@ -20,13 +20,14 @@ from repro.core.answer import BoundedAnswer
 from repro.core.bound import Bound
 from repro.core.constraints import width_within
 from repro.core.executor import ExecutionSteps, PlannedRefresh
-from repro.core.refresh.base import CostFunc, uniform_cost
 from repro.errors import ConstraintUnsatisfiableError, TrappError
 from repro.extensions.groupby import GroupedAnswer, GroupResult
 from repro.predicates.ast import Predicate, TruePredicate
 from repro.storage.row import Row
 from repro.storage.table import Table
 from tests.oracle.row_protocol import (
+    CostFunc,
+    uniform_cost,
     classify,
     get_row_aggregate,
     get_row_choose_refresh,

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.core.aggregates import get_aggregate
 from repro.core.bound import Bound, Trilean
@@ -39,7 +39,7 @@ from repro.core.knapsack import (
     solve_greedy_uniform,
     solve_ibarra_kim,
 )
-from repro.core.refresh.base import CostFunc, RefreshPlan, uniform_cost
+from repro.core.refresh.base import RefreshPlan
 from repro.errors import TrappError
 from repro.extensions.median_spec import _extreme_median, median_of
 from repro.predicates.ast import (
@@ -52,6 +52,14 @@ from repro.predicates.ast import (
 from repro.predicates.eval import evaluate_trilean
 from repro.predicates.transforms import certain, evaluate_endpoint, possible
 from repro.storage.row import Row
+
+CostFunc = Callable[[Row], float]
+
+
+def uniform_cost(row: Row) -> float:
+    """Every refresh costs 1."""
+    return 1.0
+
 
 DEFAULT_EPSILON = 0.1
 _EXACT_DP_PROFIT_LIMIT = 100_000

@@ -10,11 +10,11 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.bound import Bound
-from repro.core.refresh.base import CostFunc, RefreshPlan, uniform_cost
+from repro.core.refresh.base import RefreshPlan
 from repro.errors import TrappError
 from repro.extensions.topn import TopNResult
 from repro.storage.row import Row
-from tests.oracle.row_protocol import plan_of
+from tests.oracle.row_protocol import CostFunc, plan_of, uniform_cost
 
 
 def _nth_largest(values: Sequence[float], n: int) -> float:

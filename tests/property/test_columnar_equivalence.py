@@ -28,16 +28,18 @@ import repro.extensions.median_spec  # noqa: F401 - registers MEDIAN
 from repro.core.answer import BoundedAnswer
 from repro.core.bound import Bound
 from repro.core.executor import QueryExecutor
-from repro.core.refresh.base import cost_from_column, uniform_cost
+from repro.core.refresh.base import uniform_cost
 from repro.errors import ConstraintUnsatisfiableError, OptimizerError
 from repro.predicates.ast import And, ColumnRef, Comparison, Literal, Not, Or
 from repro.predicates.batch import restrict_endpoints
 from repro.predicates.parser import parse_predicate
+from repro.replication import ColumnCostModel
 from repro.replication.local import LocalRefresher
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 from tests.oracle.row_executor import RowQueryExecutor, classify_columnar
 from tests.oracle.row_protocol import classify, restrict_bound
+from tests.protocol import row_cost
 
 SCHEMA = Schema.of(x="bounded", y="bounded", cost="exact", tag="text")
 
@@ -118,18 +120,20 @@ AGGREGATES = ["MIN", "MAX", "SUM", "COUNT", "AVG", "MEDIAN"]
 
 
 def _by_tid(row):
-    """An untagged cost callable (integral, so SUM/AVG plan by exact DP)."""
+    """A bare cost callable (integral, so SUM/AVG plan by exact DP)."""
     return float(row.tid % 3 + 1)
 
 
+#: What the served executor prices with; the row oracle gets
+#: ``row_cost`` of it.
 COSTS = {
     "uniform": uniform_cost,
     # Arbitrary floats: SUM and AVG plan in the ε-approximation branch.
-    "column": cost_from_column("cost"),
+    "column": ColumnCostModel("cost"),
     "opaque": _by_tid,
-    # A tag that cannot be honoured while y holds wide bounds: the
-    # callable runs on the candidates and raises on the first wide one.
-    "wide_tag": cost_from_column("y"),
+    # A cost column that holds wide bounds: pricing a candidate whose y
+    # is wide raises (the model says so; the row lambda's read fails).
+    "wide_tag": ColumnCostModel("y"),
 }
 
 
@@ -227,7 +231,7 @@ class TestExecutorEquivalence:
         column = None if aggregate == "COUNT" else "x"
         cost = COSTS[cost_name]
 
-        def run(executor_type, table):
+        def run(executor_type, table, cost):
             executor = executor_type(refresher=LocalRefresher(master))
             try:
                 return executor.execute(
@@ -242,8 +246,8 @@ class TestExecutorEquivalence:
                 assert cost_name == "wide_tag", error
                 return type(error)
 
-        a = run(QueryExecutor, cached.copy())
-        b = run(RowQueryExecutor, cached.copy())
+        a = run(QueryExecutor, cached.copy(), cost)
+        b = run(RowQueryExecutor, cached.copy(), row_cost(cost))
         if a is OptimizerError and isinstance(b, BoundedAnswer):
             # A negative cost is rejected wherever candidates are priced;
             # the row protocol checked it in KnapsackItem only, so its
@@ -283,12 +287,12 @@ class TestExecutorEquivalence:
             cached.insert({"x": Bound(lo, hi), **row})
             master.insert({"x": float(value), **row})
         predicate = parse_predicate("x > 5 AND x < 9")
-        cost = cost_from_column("cost")
+        cost = ColumnCostModel("cost")
         a = QueryExecutor(refresher=LocalRefresher(master)).execute(
             cached.copy(), "AVG", "x", 0.5, predicate, cost
         )
         b = RowQueryExecutor(refresher=LocalRefresher(master)).execute(
-            cached.copy(), "AVG", "x", 0.5, predicate, cost
+            cached.copy(), "AVG", "x", 0.5, predicate, row_cost(cost)
         )
         assert a.refreshed == b.refreshed == frozenset({1, 2})
         assert a.refresh_cost == b.refresh_cost == 18.0

@@ -34,16 +34,18 @@ from hypothesis import strategies as st
 import repro.extensions.median_spec  # noqa: F401  (registers MEDIAN)
 from repro.core.bound import Bound
 from repro.core.executor import drive_steps
-from repro.core.refresh.base import RefreshPlan, cost_from_column, uniform_cost
+from repro.core.refresh.base import RefreshPlan, uniform_cost
 from repro.errors import ConstraintUnsatisfiableError, TrappError
 from repro.extensions.groupby import grouped_query_steps
 from repro.predicates.ast import And, ColumnRef, Comparison, Literal
+from repro.replication import ColumnCostModel
 from repro.replication.local import LocalRefresher
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 from tests.oracle.row_groupby import row_grouped_query_steps
 from tests.property.test_columnar_equivalence import assert_bounds_close
 from tests.property.test_join_columnar import cells
+from tests.protocol import row_cost
 
 SCHEMA = Schema.of(
     g="exact", h="exact", tag="text", c="exact", x="bounded", y="bounded"
@@ -57,7 +59,7 @@ GROUPINGS = [["g"], ["tag"], ["g", "tag"], ["h", "g"]]
 AGGREGATES = ["MIN", "MAX", "SUM", "COUNT", "AVG", "MEDIAN"]
 COSTS = {
     "uniform": uniform_cost,
-    "column": cost_from_column("c"),  # integral: SUM and AVG plan by exact DP
+    "column": ColumnCostModel("c"),  # integral: SUM and AVG plan by exact DP
     "opaque": lambda row: 1.0 + row.tid % 3,
 }
 
@@ -114,6 +116,16 @@ def refresh_from(master, table, tids):
             table.update_value(tid, column.name, master.row(tid).number(column.name))
 
 
+def both_sides(arguments):
+    """``(generator, arguments)`` for the row oracle, then the array GROUP
+    BY; ``arguments`` end in the cost, a function of one row to the oracle."""
+    *query, cost = arguments
+    return (
+        (row_grouped_query_steps, (*query, row_cost(cost))),
+        (grouped_query_steps, arguments),
+    )
+
+
 def lock_step(cached, master, arguments, between_rounds):
     """Drive the row oracle and the array GROUP BY side by side.
 
@@ -124,9 +136,9 @@ def lock_step(cached, master, arguments, between_rounds):
     text)``.
     """
     sides = []
-    for generator in (row_grouped_query_steps, grouped_query_steps):
+    for generator, own_arguments in both_sides(arguments):
         own = cached.copy()
-        sides.append((own, generator(own, *arguments)))
+        sides.append((own, generator(own, *own_arguments)))
 
     def advance(send):
         outcomes = []
@@ -225,11 +237,13 @@ class TestGroupedLockStep:
         """The predicate constrains the aggregated column: the array side
         refines T? bounds per group and the oracle does not."""
         outcomes = []
-        for generator in (row_grouped_query_steps, grouped_query_steps):
+        for generator, own_arguments in both_sides(arguments):
             own = cached.copy()
             try:
                 outcomes.append(
-                    drive_steps(generator(own, *arguments), LocalRefresher(master))
+                    drive_steps(
+                        generator(own, *own_arguments), LocalRefresher(master)
+                    )
                 )
             except ConstraintUnsatisfiableError as error:
                 outcomes.append(type(error))

@@ -130,10 +130,14 @@ def assert_routes_identical(table, predicate):
     assert np.array_equal(
         report.maybe_positions, np.flatnonzero(dense_p & ~dense_c)
     )
-    via_positions = harvest_candidates(table.columns, "x", positions=positions)
+    costs = np.ones(len(positions[0]) + len(positions[1]))
+    via_positions = harvest_candidates(
+        table.columns, "x", costs, positions=positions
+    )
     via_masks = harvest_candidates(
         table.columns,
         "x",
+        costs,
         positions=(np.flatnonzero(dense_c), np.flatnonzero(dense_p & ~dense_c)),
     )
     for field in ("tids", "widths", "costs", "order"):

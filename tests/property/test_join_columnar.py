@@ -26,19 +26,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bound import Bound, Trilean
-from repro.core.refresh.base import RefreshPlan, cost_from_column, uniform_cost
+from repro.core.refresh.base import RefreshPlan, uniform_cost
 import repro.extensions.median_spec  # noqa: F401  (registers MEDIAN)
 from repro.errors import ConstraintUnsatisfiableError
-from repro.extensions.topn import bounded_top_n, choose_refresh_top_n
+from repro.extensions.topn import bounded_top_n, top_n_steps
 from repro.joins.classify import join_pairs
 from repro.joins.refresh import JoinRefreshHeuristic
 from repro.predicates.ast import And, ColumnRef, Comparison, Literal, Not, Or
+from repro.replication import ColumnCostModel
 from repro.storage.row import Row
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 from tests.oracle import row_topn
 from tests.oracle.row_join import RowJoinRefreshHeuristic, join_rows
 from tests.property.test_columnar_equivalence import assert_bounds_close
+from tests.protocol import row_cost, table_of
 
 SCHEMA_A = Schema.of(k="exact", c="exact", x="bounded", v="bounded", tag="text")
 SCHEMA_B = Schema.of(
@@ -184,7 +186,7 @@ class TestJoinedPairs:
 
 COSTS = {
     "uniform": uniform_cost,
-    "column": cost_from_column("c"),
+    "column": ColumnCostModel("c"),
     "opaque": lambda row: 1.0 + row.tid % 3,
 }
 
@@ -201,9 +203,12 @@ def lock_step(
     outcomes, ``("answer", BoundedAnswer)`` or ``("unsatisfiable",)``.
     """
     sides = []
-    for heuristic in (RowJoinRefreshHeuristic, JoinRefreshHeuristic):
+    for heuristic, own_cost in (
+        (RowJoinRefreshHeuristic, row_cost(cost)),
+        (JoinRefreshHeuristic, cost),
+    ):
         own = tuple(table.copy() for table in tables)
-        steps = heuristic(own, None, cost=cost).execute_steps(
+        steps = heuristic(own, None, cost=own_cost).execute_steps(
             aggregate, column, budget, condition
         )
         sides.append((own, steps))
@@ -344,9 +349,15 @@ class TestTopN:
     def test_same_refresh_plan(self, rows, data, budget):
         n = data.draw(st.integers(min_value=1, max_value=len(rows)))
         cost = COSTS["opaque"]
-        assert choose_refresh_top_n(
-            rows, "x", n, budget, cost
-        ) == row_topn.choose_refresh_top_n(rows, "x", n, budget, cost)
+        expected = row_topn.choose_refresh_top_n(rows, "x", n, budget, cost)
+        try:
+            request = next(top_n_steps(table_of(rows), n, "x", budget, cost=cost))
+        except StopIteration as stop:  # the cached bound already fits
+            assert stop.value.bound.width <= budget
+        except ConstraintUnsatisfiableError:  # too wide, nothing to refresh
+            assert not expected.tids
+        else:
+            assert request.plan == expected
 
 
 class TestScaling:

@@ -11,8 +11,8 @@ with:
   uniform-cost edge cases the solvers special-case;
 * **approximation branch** (non-integral costs) — every plan carries the
   (1 − ε) kept-profit certificate against the brute-force oracle, whether
-  the costs came from a tag or from an opaque callable evaluated into a
-  cost array (plan identity is not promised there);
+  the costs came from a cost model or from a bare callable evaluated into
+  a cost array (plan identity is not promised there);
 * **end to end** — the executor and the oracle refresh equal-cost tuple
   sets and both answers satisfy the constraint.
 
@@ -29,15 +29,17 @@ import repro.extensions.median_spec  # noqa: F401 - registers MEDIAN
 from repro.core.bound import Bound
 from repro.core.executor import QueryExecutor
 from repro.core.knapsack import KnapsackItem, solve_brute_force
-from repro.core.refresh.base import cost_from_column, uniform_cost
+from repro.core.refresh.base import uniform_cost
 from repro.core.refresh.summing import SumChooseRefresh
 from repro.errors import ConstraintUnsatisfiableError
 from repro.predicates.ast import ColumnRef, Comparison, Literal
+from repro.replication import ColumnCostModel
 from repro.replication.local import LocalRefresher
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 from tests.oracle.row_executor import RowQueryExecutor
 from tests.oracle.row_protocol import RowSumChooseRefresh
+from tests.protocol import row_cost
 
 grid = st.integers(min_value=-320, max_value=320).map(lambda k: k / 64.0)
 # Include exact zeros and occasional huge widths so the free/oversize item
@@ -91,7 +93,7 @@ def test_uniform_cost_plans_equal(tables, budget):
     cache, master = tables
     chooser = SumChooseRefresh()
     row_chooser = RowSumChooseRefresh()
-    row_plan = row_chooser.without_predicate(cache.rows(), "x", budget, uniform_cost)
+    row_plan = row_chooser.without_predicate(cache.rows(), "x", budget)
     vector_plan, _ = chooser.without_predicate(
         cache, "x", budget, uniform_cost
     )
@@ -108,8 +110,8 @@ def test_exact_column_cost_plans_equal(tables, budget):
     cache, master = tables
     chooser = SumChooseRefresh(force_exact=True)
     row_chooser = RowSumChooseRefresh(force_exact=True)
-    cost = cost_from_column("c")
-    row_plan = row_chooser.without_predicate(cache.rows(), "x", budget, cost)
+    cost = ColumnCostModel("c")
+    row_plan = row_chooser.without_predicate(cache.rows(), "x", budget, row_cost(cost))
     vector_plan, _ = chooser.without_predicate(cache, "x", budget, cost)
     assert vector_plan.total_cost == row_plan.total_cost
     oracle = _refresh_cost_oracle(
@@ -132,10 +134,7 @@ def test_approx_plans_share_certificate(tables, budget):
     def opaque(row):
         return costs[row.tid]
 
-    def cost(row):
-        return costs[row.tid]
-
-    cost.vector_cost = ("column", "c2")
+    cost = ColumnCostModel("c2")
     cache2 = Table("t", Schema.of(x="bounded", c="exact", c2="exact"))
     for r in rows:
         cache2.insert(
@@ -144,7 +143,7 @@ def test_approx_plans_share_certificate(tables, budget):
 
     chooser = SumChooseRefresh(epsilon=epsilon)
     row_chooser = RowSumChooseRefresh(epsilon=epsilon)
-    row_plan = row_chooser.without_predicate(cache2.rows(), "x", budget, cost)
+    row_plan = row_chooser.without_predicate(cache2.rows(), "x", budget, opaque)
     vector_plan, _ = chooser.without_predicate(cache2, "x", budget, cost)
     opaque_plan, _ = chooser.without_predicate(cache2, "x", budget, opaque)
 
@@ -164,19 +163,22 @@ def test_approx_plans_share_certificate(tables, budget):
 
 
 def _by_parity(row):
-    """An untagged cost callable (integral: exact DP under force_exact)."""
+    """A bare cost callable (integral: exact DP under force_exact)."""
     return 1.0 + row.tid % 2
 
 
-def _run_both(cache, master, *query):
+def _run_both(cache, master, *query, cost=uniform_cost):
     """``(executor answer, oracle answer)``; ``None`` for unsatisfiable."""
     answers = []
-    for executor_type in (QueryExecutor, RowQueryExecutor):
+    for executor_type, cost in (
+        (QueryExecutor, cost),
+        (RowQueryExecutor, row_cost(cost)),
+    ):
         executor = executor_type(
             refresher=LocalRefresher(master.copy()), force_exact=True
         )
         try:
-            answers.append(executor.execute(cache.copy(), *query))
+            answers.append(executor.execute(cache.copy(), *query, cost))
         except ConstraintUnsatisfiableError:
             # Legitimately unsatisfiable (e.g. an empty AVG answer set
             # against a zero budget yields [-inf, inf]); both must reach
@@ -215,12 +217,12 @@ def test_executor_end_to_end_equivalence(tables, budget, aggregate, cost_kind, w
         constraint = budget
     cost = {
         "uniform": uniform_cost,
-        "column": cost_from_column("c"),
+        "column": ColumnCostModel("c"),
         "opaque": _by_parity,
     }[cost_kind]
 
     fast, reference = _run_both(
-        cache, master, aggregate, column, constraint, predicate, cost
+        cache, master, aggregate, column, constraint, predicate, cost=cost
     )
     if fast is None or reference is None:
         assert fast is None and reference is None
@@ -275,7 +277,7 @@ def test_uniform_plans_identical_on_decimal_data():
         for _ in range(n):
             table.insert({"x": Bound(0.0, round(rng.uniform(0, 1), 1))})
         budget = round(rng.uniform(0, n * 0.6), 1) * 0.9999999999999999
-        row_plan = row_chooser.without_predicate(table.rows(), "x", budget, uniform_cost)
+        row_plan = row_chooser.without_predicate(table.rows(), "x", budget)
         vector_plan, _ = chooser.without_predicate(
             table, "x", budget, uniform_cost
         )
@@ -294,8 +296,8 @@ def test_force_exact_rejects_fractional_costs_on_both_paths():
     table.insert({"x": Bound(0, 1), "c": 0.45})
     chooser = SumChooseRefresh(force_exact=True)
     row_chooser = RowSumChooseRefresh(force_exact=True)
-    cost = cost_from_column("c")
+    cost = ColumnCostModel("c")
     with pytest.raises(OptimizerError):
-        row_chooser.without_predicate(table.rows(), "x", 1.0, cost)
+        row_chooser.without_predicate(table.rows(), "x", 1.0, row_cost(cost))
     with pytest.raises(OptimizerError):
         chooser.without_predicate(table, "x", 1.0, cost)

@@ -10,12 +10,18 @@ code that serves and not the row oracle.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from repro.core.bound import Bound
 from repro.core.refresh.base import CostFunc, RefreshPlan, uniform_cost
+from repro.core.refresh.costs import (
+    ColumnCostModel,
+    PerSourceCostModel,
+    TableCostModel,
+    UniformCostModel,
+)
 from repro.predicates.ast import Predicate
 from repro.predicates.batch import ColumnarClassification, classify_report
 from repro.storage.row import Row
@@ -68,6 +74,25 @@ def labels_of(table: Table, pair: Pair) -> dict[int, str]:
     labels.update(dict.fromkeys(tids_at(table, pair[0]), "T+"))
     labels.update(dict.fromkeys(tids_at(table, pair[1]), "T?"))
     return labels
+
+
+def row_cost(cost: CostFunc) -> Callable[[Row], float]:
+    """``cost`` as a function of one row — what the row oracles under
+    ``tests/oracle/`` price with.  Each built-in model is spelled out here
+    a second time, by hand; anything else already is such a function."""
+    if isinstance(cost, UniformCostModel):
+        return lambda row: cost.cost
+    if isinstance(cost, ColumnCostModel):
+        return lambda row: float(row.number(cost.column))
+    if isinstance(cost, PerSourceCostModel):
+        return lambda row: float(
+            cost.costs_by_source.get(
+                row.get(cost.source_column, None), cost.default_cost
+            )
+        )
+    if isinstance(cost, TableCostModel):
+        return lambda row: float(cost.costs.get(row.tid, cost.default_cost))
+    return cost
 
 
 def bound_of(

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import SimulationError, TrappError
 from repro.extensions.batching import BatchedCostModel
+from repro.replication import PerSourceCostModel
 from repro.replication.calibration import CostCalibrator, NetworkProber
 from repro.simulation.clock import Clock
 from repro.simulation.events import EventQueue
@@ -104,18 +105,16 @@ def test_calibrated_estimates_replace_manual_maps():
     assert model.batch_cost("near", 10) == pytest.approx(6.0)
 
 
-def test_as_func_tags_calibrated_sources():
+def test_upper_bound_model_prices_calibrated_sources():
     calibrator = CostCalibrator(alpha=0.5)
     for k in (1, 4):
         calibrator.observe("s/0", k, 2.0 + 1.0 * k)
     model = BatchedCostModel(setup=5.0, marginal=1.0, calibrator=calibrator)
-    func = model.as_func(source_column="src")
-    kind, payload = func.vector_cost
-    assert kind == "source"
-    column, by_source, default = payload
-    assert column == "src"
-    assert by_source["s/0"] == pytest.approx(3.0)  # setup + marginal
-    assert default == 6.0
+    upper = model.upper_bound_model(source_column="src")
+    assert isinstance(upper, PerSourceCostModel)
+    assert upper.source_column == "src"
+    assert upper.costs_by_source["s/0"] == pytest.approx(3.0)  # setup + marginal
+    assert upper.default_cost == 6.0
 
 
 # ----------------------------------------------------------------------

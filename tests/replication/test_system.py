@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.bound import Bound
 from repro.errors import TrappError
-from repro.replication.costs import ColumnCostModel
+from repro.replication import ColumnCostModel
 from repro.replication.system import TrappSystem
 from repro.workloads.netmon import paper_master_table
 

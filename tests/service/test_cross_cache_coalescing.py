@@ -166,15 +166,15 @@ def test_fanout_lets_redirected_queries_resume_correctly():
 
 
 def test_rebatching_runs_on_group_models_alone():
-    """Per-cache cost models enable §8.2 rebatching (and the metadata
-    sweep that feeds it) even with no scheduler-level default model."""
+    """Per-cache cost models enable §8.2 rebatching even with no
+    scheduler-level default model."""
     models = {
         "edge/0": BatchedCostModel(setup=4.0, marginal=1.0),
         "edge/1": BatchedCostModel(setup=4.0, marginal=1.0),
     }
     system = build_system(models=models)
     service = QueryService(system)  # cost_model=None
-    assert service.scheduler.wants_metadata_for(system.cache("edge/0"))
+    assert service.scheduler._model_for(system.cache("edge/0")) is models["edge/0"]
     run(issue_pair(
         service,
         "SELECT SUM(x) WITHIN 20 FROM t",
@@ -182,12 +182,10 @@ def test_rebatching_runs_on_group_models_alone():
     ))
     stats = service.stats()["scheduler"]
     assert stats["total_cost_paid"] > 0
-    # A cache outside any group, with no default model, collects none.
+    # A cache outside any group, with no default model, has none.
     plain = build_system(n_caches=1, fanout=False)
     plain_service = QueryService(plain)
-    assert not plain_service.scheduler.wants_metadata_for(
-        plain.cache("edge/0")
-    )
+    assert plain_service.scheduler._model_for(plain.cache("edge/0")) is None
 
 
 def test_single_cache_group_behaves_classically():

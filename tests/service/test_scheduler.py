@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 
+import numpy as np
 import pytest
 
 from repro.core.bound import Bound
@@ -11,12 +12,12 @@ from repro.core.executor import PlannedRefresh
 from repro.core.refresh.base import RefreshPlan
 from repro.errors import ReplicationProtocolError
 from repro.extensions.batching import BatchedCostModel
-from repro.replication.cache import BatchedRefreshReceipt, SourceRefreshReceipt
 from repro.service.scheduler import RefreshScheduler
+from repro.storage.columnar import harvest_candidates
 from repro.storage.schema import Column, ColumnKind, Schema
 from repro.storage.table import Table
 
-from tests.service.conftest import CACHE_ID, build_netmon_system
+from tests.service.conftest import CACHE_ID, FakeCache, build_netmon_system
 
 
 def make_table(n_rows: int, name: str = "t") -> Table:
@@ -30,46 +31,21 @@ def make_table(n_rows: int, name: str = "t") -> Table:
     return table
 
 
-class FakeCache:
-    """Records batched refreshes; sources assigned per tid via a mapping."""
-
-    def __init__(self, source_by_tid: dict[int, str]):
-        self.source_by_tid = source_by_tid
-        self.calls: list[frozenset[int]] = []
-
-    def source_of_tuple(self, table, tid: int) -> str:
-        return self.source_by_tid[tid]
-
-    def sources_of_table(self, table) -> list[str]:
-        return sorted(set(self.source_by_tid.values()))
-
-    def refresh_batched(self, table, tids, batch_cost=None):
-        tids = frozenset(tids)
-        self.calls.append(tids)
-        by_source: dict[str, set[int]] = {}
-        for tid in tids:
-            by_source.setdefault(self.source_by_tid[tid], set()).add(tid)
-        receipts = []
-        for source_id, source_tids in sorted(by_source.items()):
-            cost = (
-                batch_cost(source_id, len(source_tids))
-                if batch_cost is not None
-                else float(len(source_tids))
-            )
-            receipts.append(
-                SourceRefreshReceipt(
-                    source_id=source_id,
-                    tids=frozenset(source_tids),
-                    keys=(),
-                    cost=cost,
-                )
-            )
-        return BatchedRefreshReceipt(per_source=tuple(receipts))
-
-
 def planned(table: Table, tids: set[int], **kwargs) -> PlannedRefresh:
     return PlannedRefresh(
         table, RefreshPlan(frozenset(tids), float(len(tids))), 1.0, "SUM", **kwargs
+    )
+
+
+def flexible(table: Table, tids: set[int], required_width: float) -> PlannedRefresh:
+    """A SUM plan on ``x`` with its §8.2 metadata, as the executor yields it."""
+    return PlannedRefresh(
+        table,
+        RefreshPlan(frozenset(tids), float(len(tids))),
+        max_width=30.0,
+        aggregate="SUM",
+        candidates=harvest_candidates(table.columns, "x", np.ones(len(table))),
+        required_width=required_width,
     )
 
 
@@ -186,27 +162,17 @@ def test_cross_query_rebatch_steers_to_contacted_source():
     cache = FakeCache({1: "a", 2: "a", 3: "b", 4: "b"})
     scheduler = RefreshScheduler(cost_model=BatchedCostModel(setup=50.0, marginal=1.0))
 
-    rows = table.rows()
-    widths = {row.tid: 10.0 for row in rows}
     # Query 1 (not rebatchable) pins source a.
     fixed = planned(table, {1})
     # Query 2 planned tid 3 (source b) but any single tuple satisfies it:
     # slack 0 with equal widths means tid 2 (source a, setup already sunk)
     # does the same job without a second setup.
-    flexible = PlannedRefresh(
-        table,
-        RefreshPlan(frozenset({3}), 1.0),
-        max_width=30.0,
-        aggregate="SUM",
-        rows=rows,
-        widths=widths,
-        budget_slack=0.0,
-    )
+    steerable = flexible(table, {3}, required_width=10.0)
 
     async def go():
         return await asyncio.gather(
             scheduler.submit(cache, fixed),
-            scheduler.submit(cache, flexible),
+            scheduler.submit(cache, steerable),
         )
 
     plans = run(go())
@@ -237,17 +203,7 @@ def test_single_source_table_skips_the_rebatch_routing_sweep():
 
     cache = CountingCache({tid: "a" for tid in range(1, 5)})
     scheduler = RefreshScheduler(cost_model=BatchedCostModel(setup=50.0, marginal=1.0))
-    rows = table.rows()
-    flexible = PlannedRefresh(
-        table,
-        RefreshPlan(frozenset({3}), 1.0),
-        max_width=30.0,
-        aggregate="SUM",
-        rows=rows,
-        widths={row.tid: 10.0 for row in rows},
-        budget_slack=0.0,
-    )
-    plan = run(scheduler.submit(cache, flexible))
+    plan = run(scheduler.submit(cache, flexible(table, {3}, required_width=10.0)))
     assert set(plan.tids) == {3}
     # Only the planned tuple is routed (to account its source as
     # contacted), not every row of the table.
@@ -435,23 +391,13 @@ class TestPerShardPricing:
                 setup_by_source={"near": 50.0, "far": 50.0},
             )
         )
-        rows = table.rows()
-        widths = {row.tid: 10.0 for row in rows}
         fixed = planned(table, {1})  # pins shard "near"
-        flexible = PlannedRefresh(
-            table,
-            RefreshPlan(frozenset({3}), 1.0),
-            max_width=30.0,
-            aggregate="SUM",
-            rows=rows,
-            widths=widths,
-            budget_slack=0.0,
-        )
+        steerable = flexible(table, {3}, required_width=10.0)
 
         async def go():
             return await asyncio.gather(
                 scheduler.submit(cache, fixed),
-                scheduler.submit(cache, flexible),
+                scheduler.submit(cache, steerable),
             )
 
         plans = run(go())

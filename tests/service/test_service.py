@@ -268,7 +268,7 @@ def test_cancelled_singleflight_leader_does_not_strand_followers():
 
 
 def test_custom_cost_model_queries_do_not_share_answers():
-    from repro.replication.costs import UniformCostModel
+    from repro.replication import UniformCostModel
 
     service = make_service()
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.bound import Bound
+from repro.core.refresh.base import candidate_costs, uniform_cost
+from repro.core.refresh.costs import ColumnCostModel, UniformCostModel
 from repro.errors import TrappError, UnknownColumnError
 from repro.predicates.batch import classify_report
 from repro.predicates.parser import parse_predicate
@@ -267,7 +269,7 @@ class TestHarvestCandidates:
         from repro.storage.columnar import harvest_candidates
 
         table = make_table()
-        cv = harvest_candidates(table.columns, "x", cost_value=2.0)
+        cv = harvest_candidates(table.columns, "x", np.full(3, 2.0))
         assert list(cv.tids) == [1, 2, 3]
         assert list(cv.widths) == [10.0, 0.0, 0.0]
         assert list(cv.costs) == [2.0, 2.0, 2.0]
@@ -280,18 +282,11 @@ class TestHarvestCandidates:
         from repro.storage.columnar import harvest_candidates
 
         table = make_table()
-        cv = harvest_candidates(table.columns, "x", cost_column="cost")
+        costs = table.columns.endpoints("cost")[0]
+        cv = harvest_candidates(table.columns, "x", costs)
         assert list(cv.costs) == [2.0, 4.0, 6.0]
-        assert cv.cost_total == 12.0
-
-    def test_non_exact_cost_column_falls_back(self):
-        from repro.storage.columnar import harvest_candidates
-
-        table = make_table()
-        # y currently holds a wide bound on tid 2 — the row path would
-        # raise reading it as a number, so the harvest must decline.
-        assert harvest_candidates(table.columns, "x", cost_column="y") is None
-        assert harvest_candidates(table.columns, "x", cost_column="tag") is None
+        assert (cv.cost_min, cv.cost_max, cv.cost_total) == (2.0, 6.0, 12.0)
+        assert cv.costs_integral
 
     def test_classified_widths_extend_to_zero(self):
         from repro.predicates.batch import classify_report
@@ -305,7 +300,7 @@ class TestHarvestCandidates:
         table.insert({"x": Bound(-5, -1)})   # T−
         predicate = parse_predicate("x > 3")
         positions = classify_report(table.columns, predicate).positions
-        cv = harvest_candidates(table.columns, "x", positions=positions)
+        cv = harvest_candidates(table.columns, "x", np.ones(2), positions=positions)
         # T+ keeps its raw width; T? extends to zero (§6.2); T− is absent.
         assert list(cv.tids) == [1, 2]
         assert list(cv.widths) == [2.0, 8.0]
@@ -321,7 +316,7 @@ class TestHarvestCandidates:
         predicate = parse_predicate("x > 3")
         positions = classify_report(table.columns, predicate).positions
         cv = harvest_candidates(
-            table.columns, "x", positions=positions, predicate=predicate
+            table.columns, "x", np.ones(1), positions=positions, predicate=predicate
         )
         # Appendix D: the T? bound is first restricted to (3, 8], then
         # extended to zero → width 8.
@@ -333,7 +328,7 @@ class TestHarvestCandidates:
         from repro.storage.columnar import harvest_candidates
 
         table = make_table()
-        cv = harvest_candidates(table.columns, "x")
+        cv = harvest_candidates(table.columns, "x", np.ones(3))
         weights, costs, order = cv.solver_vectors()
         assert isinstance(weights, array) and weights.typecode == "d"
         assert isinstance(costs, array) and costs.typecode == "d"
@@ -538,18 +533,19 @@ class TestHarvestPositionsRoute:
             )
         return table
 
-    def _routes(self, table, text, **kwargs):
+    def _routes(self, table, text, cost=uniform_cost, **kwargs):
         predicate = parse_predicate(text)
         report = classify_report(table.columns, predicate)
         dense = classify_report(table.columns, predicate, use_index=False)
         assert report.used_index and not dense.used_index
-        via_positions = harvest_candidates(
-            table.columns, "x", positions=report.positions, **kwargs
+        return tuple(
+            harvest_candidates(
+                table.columns, "x",
+                candidate_costs(table, cost, np.concatenate(positions)),
+                positions=positions, **kwargs,
+            )
+            for positions in (report.positions, dense.positions)
         )
-        via_masks = harvest_candidates(
-            table.columns, "x", positions=dense.positions, **kwargs
-        )
-        return via_positions, via_masks
 
     @pytest.mark.parametrize("text", ["x > 50", "x <= 20", "x > 30 AND x < 70"])
     def test_identical_to_mask_route(self, text):
@@ -565,7 +561,7 @@ class TestHarvestPositionsRoute:
         table = self._big_table()
         predicate = parse_predicate("x > 50")
         a, b = self._routes(
-            table, "x > 50", cost_column="cost", predicate=predicate
+            table, "x > 50", ColumnCostModel("cost"), predicate=predicate
         )
         for field in ("tids", "widths", "costs", "order"):
             assert np.array_equal(getattr(a, field), getattr(b, field)), field
@@ -573,7 +569,7 @@ class TestHarvestPositionsRoute:
     def test_uniform_cost_stats_match_a_sweep(self):
         table = self._big_table()
         for value, integral in ((2.0, True), (0.75, False)):
-            cv, _ = self._routes(table, "x > 50", cost_value=value)
+            cv, _ = self._routes(table, "x > 50", UniformCostModel(value))
             assert cv.cost_min == cv.cost_max == value
             assert cv.costs_integral is integral
             assert cv.cost_total == float(cv.costs.sum())

@@ -7,7 +7,7 @@ import pytest
 from repro.core.bound import Bound
 from repro.extensions.continuous import ContinuousQuery
 from repro.extensions.groupby import grouped_query
-from repro.replication.costs import ColumnCostModel
+from repro.replication import ColumnCostModel
 from repro.replication.messages import ObjectKey
 from repro.replication.system import TrappSystem
 from repro.simulation.engine import QueryDriver, SimulationEngine, UpdateDriver
