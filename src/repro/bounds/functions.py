@@ -13,7 +13,7 @@ confidence — so the recommended shape is ``f(T) = √T``, giving
     ``[ V(T_r) − W·√(T − T_r) ,  V(T_r) + W·√(T − T_r) ]``
 
 with a per-object width parameter ``W`` chosen at run time.  Constant and
-linear shapes are provided for comparison (used by the ablation bench).
+linear shapes are provided for comparison (compared in ``tests/golden/test_paper_claims.py``).
 
 A bound function is encoded by just ``(V(T_r), W, T_r)`` — the two numbers
 the paper notes a source must transmit per refresh, plus the refresh time

@@ -11,7 +11,7 @@ multiplicatively on every value-initiated refresh (the bound proved too
 narrow) and shrink it on every query-initiated refresh (the bound proved
 too wide for consumers).  :class:`AdaptiveWidthController` implements that
 strategy with configurable gains and clamps; :class:`FixedWidthPolicy`
-is the static baseline the ablation bench compares against.
+is the static baseline the width-policy ablation compares against.
 """
 
 from __future__ import annotations

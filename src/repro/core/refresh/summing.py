@@ -86,8 +86,8 @@ class SumChooseRefresh:
         self.epsilon = epsilon
         self.force_exact = force_exact
         #: Always run the Ibarra-Kim scheme, even when the instance admits
-        #: the exact DP or uniform greedy.  Used by the Figure 5 bench to
-        #: measure the approximation's epsilon/time tradeoff in isolation.
+        #: the exact DP or uniform greedy.  Used by the Figure 5 golden
+        #: test to measure the approximation's ε/work tradeoff in isolation.
         self.force_approx = force_approx
 
     def without_predicate(

@@ -103,7 +103,7 @@ class FaultInjector:
     the ``add_*`` methods or injected one-shot with :meth:`fail_next`
     (the next ``count`` contacts to a source fail — the deterministic way
     to exercise retry-then-succeed paths).  ``events`` counts what was
-    actually injected, for tests and the chaos bench report.
+    actually injected, for tests and reports.
     """
 
     def __init__(self, clock: Callable[[], float] | object) -> None:

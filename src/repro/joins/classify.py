@@ -61,6 +61,9 @@ class JoinedColumns:
 
     __slots__ = ("tables", "index")
 
+    #: Endpoint-index windows describe one table's tuples, not pairs.
+    has_endpoint_orders = False
+
     def __init__(
         self, tables: Sequence[Table], index: Sequence[np.ndarray]
     ) -> None:
@@ -215,6 +218,5 @@ def join_pairs(
     """
     predicate = predicate if predicate is not None else TruePredicate()
     candidates = JoinedColumns(tables, pair_index(tables, predicate))
-    # Endpoint-index windows describe one table's tuples, not pairs.
-    certain, possible = classify_masks(candidates, predicate, use_index=False)
+    certain, possible = classify_masks(candidates, predicate)
     return candidates.take(possible), np.logical_not(certain[possible])

@@ -24,7 +24,7 @@ tuple-order position arrays** ``(T+, T?)``:
 
 Two routes produce the partition (ISSUE 10):
 
-* the **dense evaluator** (:func:`_eval`) sweeps every tuple of every
+* the **dense evaluator** (:func:`classify_dense`) sweeps every tuple of every
   referenced column — the reference semantics, and the fallback for
   anything the indexes cannot express (column-vs-column comparisons,
   text columns, degenerate ``scale == 0`` terms);
@@ -73,6 +73,7 @@ from repro.predicates.ast import (
 __all__ = [
     "ColumnarClassification",
     "ClassifyReport",
+    "classify_dense",
     "classify_masks",
     "classify_report",
     "restrict_endpoints",
@@ -82,19 +83,25 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Three-valued predicate evaluation over column arrays
 # ----------------------------------------------------------------------
-def classify_masks(
-    store, predicate: Predicate, *, use_index: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
+def classify_masks(store, predicate: Predicate) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate ``predicate`` over every tuple of a column store at once.
 
     Returns ``(certain, possible)`` boolean arrays in tuple-id order.
-    Routed through the endpoint-index windows when every leaf is
-    index-eligible (bit-identical to the dense sweep); ``use_index=False``
-    forces the dense evaluator — the ablation knob benchmarks and
-    equivalence tests use.
+    Routed through the endpoint-index windows when the store has
+    endpoint orders and every leaf is index-eligible (bit-identical to
+    :func:`classify_dense`, the reference the equivalence tests call).
     """
-    report = classify_report(store, predicate, use_index=use_index)
+    report = classify_report(store, predicate)
     return report.certain, report.possible
+
+
+def classify_dense(store, predicate: Predicate) -> tuple[np.ndarray, np.ndarray]:
+    """The dense sweep of every referenced column: the reference
+    semantics, and the route where windows cannot answer.  Returns
+    ``(certain, possible)`` masks in tuple-id order."""
+    n = len(store)
+    certain, possible = _eval(predicate, store)
+    return _as_mask(certain, n), _as_mask(possible, n)
 
 
 @dataclass(slots=True)
@@ -176,18 +183,17 @@ class ClassifyReport:
         return self.certain_positions, self.maybe_positions
 
 
-def classify_report(
-    store, predicate: Predicate, *, use_index: bool = True
-) -> ClassifyReport:
+def classify_report(store, predicate: Predicate) -> ClassifyReport:
     """Classify one table: the ``(T+, T?)`` pair, the masks on demand.
 
-    Tries the endpoint-index windows first; any leaf the indexes cannot
-    express exactly (column-vs-column, text, ``scale == 0``) falls the
-    whole predicate back to the dense evaluator.  Either way the
-    partition is identical; only the cost of reading it differs.
+    Tries the endpoint-index windows first (``store.has_endpoint_orders``
+    permitting); any leaf the indexes cannot express exactly
+    (column-vs-column, text, ``scale == 0``) falls the whole predicate
+    back to the dense evaluator.  Either way the partition is identical;
+    only the cost of reading it differs.
     """
     n = len(store)
-    if use_index and n:
+    if store.has_endpoint_orders and n:
         stats = _WindowStats()
         pair = _window_eval(predicate, store, stats)
         if pair is not None:
@@ -211,10 +217,8 @@ def classify_report(
                     store, predicate, pset.positions
                 )
             return report
-    certain, possible = _eval(predicate, store)
-    return ClassifyReport(
-        _n=n, _certain=_as_mask(certain, n), _possible=_as_mask(possible, n)
-    )
+    certain, possible = classify_dense(store, predicate)
+    return ClassifyReport(_n=n, _certain=certain, _possible=possible)
 
 
 def _as_mask(value, n: int) -> np.ndarray:

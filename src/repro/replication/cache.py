@@ -268,7 +268,7 @@ class SourceRefreshReceipt:
 
     ``latency`` is the injected per-contact delay in effect (0 outside a
     latency-spike window) — recorded rather than slept, so chaos runs
-    replay deterministically while benches still see the spike.
+    replay deterministically while reports still see the spike.
     """
 
     source_id: str

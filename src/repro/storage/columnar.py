@@ -140,6 +140,8 @@ class ColumnStore:
         "_column_orders",
     )
 
+    has_endpoint_orders = True  #: classification may use index windows
+
     def __init__(self, schema: Schema) -> None:
         self.schema = schema
         self._numeric = tuple(c.name for c in schema if c.kind is not ColumnKind.TEXT)

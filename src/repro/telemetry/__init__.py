@@ -33,7 +33,6 @@ from repro.telemetry.registry import (
     DEFAULT_WIDTH_BUCKETS,
     MetricsRegistry,
 )
-from repro.telemetry.summary import summarize_snapshot
 from repro.telemetry.tracing import STEP_ORDER, QueryTrace, Tracer
 
 __all__ = [
@@ -44,7 +43,6 @@ __all__ = [
     "STEP_ORDER",
     "render_text",
     "register_system_collectors",
-    "summarize_snapshot",
     "DEFAULT_TIME_BUCKETS",
     "DEFAULT_SIZE_BUCKETS",
     "DEFAULT_WIDTH_BUCKETS",

@@ -268,9 +268,7 @@ class MetricsRegistry:
 
     ``enabled=False`` swaps every instrument for a shared no-op, so a
     latency-sensitive deployment can run unmetered without touching the
-    instrumented call sites (the overhead tripwire in
-    ``scripts/check_bench_tripwires.py`` keeps the *enabled* path honest
-    too).
+    instrumented call sites.
     """
 
     def __init__(self, enabled: bool = True) -> None:

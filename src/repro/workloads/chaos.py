@@ -7,7 +7,7 @@ a :class:`ChaosScenario` describes target fault rates, and
 time is sliced into fixed windows and each (component, window) pair
 independently draws "faulted?" at the scenario's rate from one seeded
 stream.  Same scenario + same component ids ⇒ bit-identical schedule,
-which is what lets the chaos bench compare availability across outage
+which is what lets the chaos golden test compare availability across outage
 rates and lets a failing run be replayed exactly.
 """
 
@@ -35,7 +35,7 @@ class ChaosScenario:
     with a 20 s window means each source is down for ~20 % of the run's
     windows, independently.  ``crash_rate``/``drop_rate`` default to zero
     so the plain scenario exercises only the source-outage path; the
-    bench and tests opt into the others explicitly.
+    tests opt into the others explicitly.
     """
 
     seed: int = 17

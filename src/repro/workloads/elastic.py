@@ -23,8 +23,8 @@ Control policy (deliberately classic — watermarks plus cooldown):
   drains settle.
 
 Every action is recorded as a :class:`ScaleEvent` (time, direction,
-cache, pressure, transfer cost) — the trajectory the elastic-group
-benchmark plots and tripwires.
+cache, pressure, transfer cost) — the trajectory
+``tests/golden/test_service_claims.py`` pins.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ __all__ = ["GroupAutoscaler", "ScaleEvent"]
 
 @dataclass(frozen=True, slots=True)
 class ScaleEvent:
-    """One autoscaler action, for trajectories and benchmarks."""
+    """One autoscaler action, for trajectories and tests."""
 
     at: float
     action: str  # "admit" | "detach"

@@ -4,10 +4,10 @@ Two entry points:
 
 * :func:`paper_example_table` — the exact six-link sample table of the
   paper's Figure 2 (cached bounds, precise master values, refresh costs),
-  used by the golden tests for queries Q1–Q6 and by the Figure 2/7 benches;
+  used by the tests of queries Q1–Q6 and of Figure 7;
 * :func:`generate_topology` / :func:`build_master_table` — a synthetic
   wide-area network with per-link latency/bandwidth/traffic values driven
-  by random walks, used by the simulation example and ablation benches.
+  by random walks, used by the simulation example and the service workloads.
 """
 
 from __future__ import annotations

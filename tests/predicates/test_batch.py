@@ -6,6 +6,7 @@ import pytest
 from repro.core.bound import Bound
 from repro.errors import PredicateTypeError
 from repro.predicates.batch import (
+    classify_dense,
     classify_masks,
     classify_report,
     restrict_endpoints,
@@ -197,9 +198,7 @@ class TestScaledTermClassification:
         table = make_table()
         predicate = parse_predicate(text)
         report = classify_report(table.columns, predicate)
-        dense_c, dense_p = classify_masks(
-            table.columns, predicate, use_index=False
-        )
+        dense_c, dense_p = classify_dense(table.columns, predicate)
         assert np.array_equal(report.certain, dense_c), text
         assert np.array_equal(report.possible, dense_p), text
         assert report.used_index, text
@@ -235,9 +234,7 @@ class TestScaledTermClassification:
             predicate = parse_predicate(text)
             report = classify_report(table.columns, predicate)
             assert not report.used_index
-            dense_c, dense_p = classify_masks(
-                table.columns, predicate, use_index=False
-            )
+            dense_c, dense_p = classify_dense(table.columns, predicate)
             assert np.array_equal(report.certain, dense_c), text
             assert np.array_equal(report.possible, dense_p), text
             assert report.certain.tolist() == [satisfied, satisfied], text
@@ -259,9 +256,7 @@ class TestClassifyReport:
         table = make_table()
         predicate = parse_predicate(text)
         report = classify_report(table.columns, predicate)
-        dense_c, dense_p = classify_masks(
-            table.columns, predicate, use_index=False
-        )
+        dense_c, dense_p = classify_dense(table.columns, predicate)
         assert np.array_equal(report.certain, dense_c), text
         assert np.array_equal(report.possible, dense_p), text
 

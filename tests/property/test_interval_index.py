@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from repro.core.bound import Bound
 from repro.core.refresh.minmax import CHOOSE_MAX, CHOOSE_MIN
 from repro.predicates.ast import And, ColumnRef, Comparison, Literal, Not, Or
-from repro.predicates.batch import classify_masks, classify_report
+from repro.predicates.batch import classify_dense, classify_report
 from repro.storage.columnar import harvest_candidates
 from repro.storage.schema import Schema
 from repro.storage.table import Table
@@ -120,7 +120,7 @@ def apply_mutation(table, op, slot, payload):
 
 def assert_routes_identical(table, predicate):
     report = classify_report(table.columns, predicate)
-    dense_c, dense_p = classify_masks(table.columns, predicate, use_index=False)
+    dense_c, dense_p = classify_dense(table.columns, predicate)
     assert np.array_equal(report.certain, dense_c)
     assert np.array_equal(report.possible, dense_p)
     positions = report.positions

@@ -7,7 +7,7 @@ from repro.core.bound import Bound
 from repro.core.refresh.base import candidate_costs, uniform_cost
 from repro.core.refresh.costs import ColumnCostModel, UniformCostModel
 from repro.errors import TrappError, UnknownColumnError
-from repro.predicates.batch import classify_report
+from repro.predicates.batch import classify_dense, classify_report
 from repro.predicates.parser import parse_predicate
 from repro.storage.columnar import (
     ColumnStore,
@@ -288,6 +288,15 @@ class TestHarvestCandidates:
         assert (cv.cost_min, cv.cost_max, cv.cost_total) == (2.0, 6.0, 12.0)
         assert cv.costs_integral
 
+    def test_whole_table_harvest_reuses_the_cached_width_vector(self):
+        """No ``hi - lo`` per query: the widths handed to the planner are
+        the width ordering's own vector."""
+        from repro.storage.columnar import harvest_candidates
+
+        store = make_table().columns
+        cv = harvest_candidates(store, "x", np.ones(len(store)))
+        assert np.shares_memory(cv.widths, store.width_order("x").keys_by_tid)
+
     def test_classified_widths_extend_to_zero(self):
         from repro.predicates.batch import classify_report
         from repro.predicates.parser import parse_predicate
@@ -536,15 +545,16 @@ class TestHarvestPositionsRoute:
     def _routes(self, table, text, cost=uniform_cost, **kwargs):
         predicate = parse_predicate(text)
         report = classify_report(table.columns, predicate)
-        dense = classify_report(table.columns, predicate, use_index=False)
-        assert report.used_index and not dense.used_index
+        certain, possible = classify_dense(table.columns, predicate)
+        dense = (np.flatnonzero(certain), np.flatnonzero(possible & ~certain))
+        assert report.used_index
         return tuple(
             harvest_candidates(
                 table.columns, "x",
                 candidate_costs(table, cost, np.concatenate(positions)),
                 positions=positions, **kwargs,
             )
-            for positions in (report.positions, dense.positions)
+            for positions in (report.positions, dense)
         )
 
     @pytest.mark.parametrize("text", ["x > 50", "x <= 20", "x > 30 AND x < 70"])

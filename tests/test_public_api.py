@@ -19,7 +19,6 @@ PACKAGES = [
     "repro.workloads",
     "repro.joins",
     "repro.extensions",
-    "repro.bench",
 ]
 
 
