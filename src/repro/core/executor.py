@@ -7,7 +7,14 @@ Executing ``SELECT AGG(T.a) WITHIN R FROM T WHERE P`` proceeds as:
 2. run the aggregate's CHOOSE_REFRESH algorithm to pick a cheapest set of
    tuples and ask their sources to refresh them;
 3. recompute the bounded answer over the now partially refreshed cache —
-   guaranteed by construction to satisfy the constraint.
+   guaranteed by construction to satisfy the constraint while the master
+   and the clock stand still.
+
+They do not always: a value-initiated refresh (§3) or a bound sync can
+widen a tuple between steps 2 and 3.  So steps 2–3 are one loop: a
+recheck that misses R with every planned tuple reached *plans again*
+(:attr:`PlannedRefresh.replan`, at most :data:`MAX_PLAN_ROUNDS` plans);
+one with tuples unreached is answered degraded.
 
 The executor is agnostic to where refreshed values come from: callers
 provide a :class:`RefreshProvider` (the replication layer's cache, or a
@@ -42,7 +49,8 @@ There is one pipeline, and it reads only the table's columnar store
   candidates.
 
 Classification runs once before the refresh and once after it, never in
-between: the initial bound and CHOOSE_REFRESH share one partition.
+between: the initial bound and CHOOSE_REFRESH share one partition, and a
+re-plan reuses the recheck's.
 
 The row-at-a-time pipeline this replaced lives on as the test oracle
 ``tests/oracle/row_executor.py``.
@@ -85,8 +93,14 @@ __all__ = [
     "execute_query",
     "drive_steps",
     "bounded_answer",
+    "finish_answer",
     "table_positions",
+    "MAX_PLAN_ROUNDS",
 ]
+
+#: Refresh plans one statement (one GROUP BY group) may yield: every round
+#: after the first answers a write or sync that landed under the last plan.
+MAX_PLAN_ROUNDS = 16
 
 # WIDTH_TOLERANCE / width_within (re-exported from repro.core.constraints)
 # govern both the step-1 early exit and the step-3 guarantee check, so the
@@ -146,6 +160,10 @@ class PlannedRefresh:
     constraint to hold.  Whatever the chosen tuples remove beyond it is
     the slack :func:`repro.extensions.batching.rebatch_plan` may give back
     when it swaps expensive tuples for cheap same-source ones.
+
+    ``replan`` marks a plan made because the previous round's recheck
+    missed the constraint with every planned tuple reached — something
+    moved the cached bounds between that yield and its ``send``.
     """
 
     table: Table
@@ -154,6 +172,7 @@ class PlannedRefresh:
     aggregate: str
     candidates: CandidateVectors | None = None
     required_width: float | None = None
+    replan: bool = False
 
     @property
     def can_rebatch(self) -> bool:
@@ -234,6 +253,51 @@ def table_positions(
     return classify_report(table.columns, predicate).positions
 
 
+def finish_answer(
+    final: Bound,
+    max_width: float,
+    plan: RefreshPlan,
+    initial: Bound,
+    rounds: int = 1,
+    answer_type: type[BoundedAnswer] = BoundedAnswer,
+    **fields,
+) -> BoundedAnswer:
+    """The last recheck's verdict, shared by every step generator.
+
+    ``plan`` sums the ``rounds`` effective plans (failures: the last
+    round's).  A ``final`` bound missing ``max_width`` is *degraded* when
+    tuples went unreached — unless R demands exactness only the dead
+    sources hold — and an optimizer bug when none did.
+    """
+    degraded = not width_within(final.width, max_width)
+    if degraded:
+        if not plan.unreached:
+            raise ConstraintUnsatisfiableError(
+                f"answer {final} (width {final.width:g}) still violates "
+                f"constraint {max_width:g} after {rounds} refresh round(s) "
+                "with every planned tuple refreshed; this indicates an "
+                "optimizer bug"
+            )
+        # Bounded degradation (the paper's availability story): the
+        # recomputed bound still contains the true value.
+        if max_width <= 0.0:
+            raise SourceUnavailableError(
+                f"constraint WITHIN {max_width:g} requires exact values "
+                f"held only by unreachable sources "
+                f"{', '.join(plan.failed_sources) or '<unknown>'}",
+                sources=plan.failed_sources,
+            )
+    return answer_type(
+        bound=final,
+        refreshed=plan.tids,
+        refresh_cost=plan.total_cost,
+        initial_bound=initial,
+        degraded=degraded,
+        unreachable_sources=plan.failed_sources,
+        **fields,
+    )
+
+
 class QueryExecutor:
     """Executes bounded aggregation queries against one cached table."""
 
@@ -293,7 +357,8 @@ class QueryExecutor:
         :meth:`execute` call, or a cross-query scheduler) applies the
         refresh however it likes and sends back the effective
         :class:`RefreshPlan`; the generator then runs step 3 and returns
-        the guaranteed :class:`BoundedAnswer` via ``StopIteration.value``.
+        the guaranteed :class:`BoundedAnswer` via ``StopIteration.value``
+        (or yields a ``replan`` if something widened bounds under the plan).
         """
         if isinstance(constraint, (int, float)):
             constraint = AbsolutePrecision(float(constraint))
@@ -316,29 +381,42 @@ class QueryExecutor:
                 index_window_fraction=window_fraction,
             )
 
-        # Step 2: CHOOSE_REFRESH over the same partition, then suspend.
+        # Steps 2 and 3, once unless the recheck misses R with every
+        # planned tuple reached: CHOOSE_REFRESH over the partition the
+        # bound came from, suspend, bound again.
         chooser = get_choose_refresh(
             spec.name, epsilon=self.epsilon, force_exact=self.force_exact
         )
-        if report is None:
-            plan, candidates = chooser.without_predicate(
-                table, column, max_width, cost
+        bound, spent, rounds = initial, RefreshPlan.empty(), 0
+        while not width_within(bound.width, max_width) and rounds < MAX_PLAN_ROUNDS:
+            if report is None:
+                plan, candidates = chooser.without_predicate(
+                    table, column, max_width, cost
+                )
+            else:
+                plan, candidates = chooser.with_classification(
+                    table, report.positions, column, max_width, cost,
+                    predicate=predicate if refine else None,
+                )
+            if rounds and not plan.tids:
+                break
+            # A chooser hands back candidates when the final width is the
+            # current width minus the widths the refreshed tuples remove
+            # (SUM).
+            required = None if candidates is None else bound.width - max_width
+            effective = yield PlannedRefresh(
+                table, plan, max_width, spec.name, candidates, required,
+                replan=rounds > 0,
             )
-        else:
-            plan, candidates = chooser.with_classification(
-                table, report.positions, column, max_width, cost,
-                predicate=predicate if refine else None,
-            )
-        # A chooser hands back candidates when the final width is the
-        # initial width minus the widths the refreshed tuples remove (SUM).
-        required = None if candidates is None else initial.width - max_width
-        plan = yield PlannedRefresh(
-            table, plan, max_width, spec.name, candidates, required
+            rounds += 1
+            spent = spent.then(effective)
+            bound, report = bounded_answer(table, spec, column, predicate, refine)
+            if spent.unreached:
+                break
+        return finish_answer(
+            bound, max_width, spent, initial, rounds,
+            index_window_fraction=window_fraction,
         )
-
-        # Step 3: bound again over the partially refreshed cache.
-        final, _ = bounded_answer(table, spec, column, predicate, refine)
-        return self._finish(final, max_width, plan, initial, window_fraction)
 
     def _apply_refresh(self, request: PlannedRefresh) -> RefreshPlan:
         """Default driver for a planned refresh: hook, else apply now."""
@@ -347,43 +425,6 @@ class QueryExecutor:
             return outcome if outcome is not None else request.plan
         self.refresher.refresh(request.table, request.plan.tids)
         return request.plan
-
-    @staticmethod
-    def _finish(
-        final: Bound,
-        max_width: float,
-        plan: RefreshPlan,
-        initial: Bound,
-        window_fraction: float | None = None,
-    ) -> BoundedAnswer:
-        degraded = not width_within(final.width, max_width)
-        if degraded:
-            if not plan.unreached:
-                raise ConstraintUnsatisfiableError(
-                    f"post-refresh answer {final} (width {final.width:g}) violates "
-                    f"constraint {max_width:g}; this indicates an optimizer bug"
-                )
-            # Bounded degradation (the paper's availability story): some
-            # planned tuples' sources were unreachable, so the constraint
-            # could not be met — but the recomputed bound still contains
-            # the true value.  Serve it, marked degraded, unless the
-            # constraint demands exactness that only the dead sources hold.
-            if max_width <= 0.0:
-                raise SourceUnavailableError(
-                    f"constraint WITHIN {max_width:g} requires exact values "
-                    f"held only by unreachable sources "
-                    f"{', '.join(plan.failed_sources) or '<unknown>'}",
-                    sources=plan.failed_sources,
-                )
-        return BoundedAnswer(
-            bound=final,
-            refreshed=plan.tids,
-            refresh_cost=plan.total_cost,
-            initial_bound=initial,
-            degraded=degraded,
-            unreachable_sources=plan.failed_sources,
-            index_window_fraction=window_fraction,
-        )
 
 
 def execute_query(

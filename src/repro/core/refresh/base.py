@@ -110,6 +110,16 @@ class RefreshPlan:
     def empty() -> "RefreshPlan":
         return RefreshPlan(frozenset(), 0.0)
 
+    def then(self, later: "RefreshPlan") -> "RefreshPlan":
+        """The spend of this round and ``later`` together: tuples and cost
+        add up, failures are ``later``'s (the round that ended a query)."""
+        return RefreshPlan(
+            self.tids | later.tids,
+            self.total_cost + later.total_cost,
+            later.unreached,
+            later.failed_sources,
+        )
+
     def __len__(self) -> int:
         return len(self.tids)
 

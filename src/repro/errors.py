@@ -114,20 +114,6 @@ class ServiceOverloadError(AdmissionError):
     """A client exceeded its in-flight query allowance."""
 
 
-class StaleRefreshError(ServiceError):
-    """A suspended query's planned refresh was invalidated mid-flight.
-
-    The service's bound-staleness cap (``max_sync_deferrals``) forced a
-    ``sync_bounds`` while this query sat suspended at a refresh tick, the
-    widened bounds survived its refresh, and re-validation found the final
-    answer no longer meets the precision constraint.  The query was
-    aborted rather than answered too wide; it is safe to retry (the
-    service itself retries once before surfacing this error).
-    """
-
-    retryable = True
-
-
 class FaultError(TrappError):
     """A component was unreachable (injected or real infrastructure fault).
 

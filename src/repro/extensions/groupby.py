@@ -34,17 +34,19 @@ from repro.core.answer import BoundedAnswer
 from repro.core.bound import Bound
 from repro.core.constraints import width_within
 from repro.core.executor import (
+    MAX_PLAN_ROUNDS,
     ExecutionSteps,
     NullRefreshProvider,
     PlannedRefresh,
     RefreshProvider,
     bounded_answer,
     drive_steps,
+    finish_answer,
     table_positions,
 )
 from repro.core.refresh import get_choose_refresh
-from repro.core.refresh.base import CostFunc, uniform_cost
-from repro.errors import ConstraintUnsatisfiableError, TrappError
+from repro.core.refresh.base import CostFunc, RefreshPlan, uniform_cost
+from repro.errors import TrappError
 from repro.predicates.ast import Predicate, TruePredicate
 from repro.storage.table import Table
 
@@ -66,10 +68,10 @@ class GroupedAnswer(BoundedAnswer):
 
     ``bound`` is the *widest* group's bound (exact zero when the table is
     empty), so ``meets(R)`` holds iff every group meets the per-group
-    constraint — the service's revalidation and result-cache width checks
-    then apply unchanged to grouped statements.  ``refreshed`` and
-    ``refresh_cost`` aggregate over all groups; the per-group breakdown
-    lives in ``groups``.
+    constraint — the service's result-cache width checks then apply
+    unchanged to grouped statements.  ``refreshed``, ``refresh_cost``,
+    ``degraded`` and ``unreachable_sources`` aggregate over all groups;
+    the per-group breakdown lives in ``groups``.
     """
 
     groups: tuple[GroupResult, ...] = ()
@@ -91,7 +93,9 @@ def grouped_query_steps(
     cached bound is too wide the chosen refresh plan is yielded as a
     :class:`~repro.core.executor.PlannedRefresh` (groups partition the
     table, so plans never interact) and the driver sends back the
-    effective plan.  Returns a :class:`GroupedAnswer` via
+    effective plan.  A group whose recheck misses R with every planned
+    tuple reached plans again, as the executor does; one with tuples
+    unreached is answered degraded.  Returns a :class:`GroupedAnswer` via
     ``StopIteration.value``.
     """
     if not group_by:
@@ -126,36 +130,35 @@ def grouped_query_steps(
             continue
         size, share = group
         initial, _ = bounded_answer(table, spec, column, predicate, within=share)
-        answer = BoundedAnswer(bound=initial, initial_bound=initial)
-        if not width_within(initial.width, max_width):
+        # The executor's loop, per group: plan, suspend, bound again, and
+        # plan again while the recheck misses R with every tuple reached.
+        bound, spent, rounds = initial, RefreshPlan.empty(), 0
+        while not width_within(bound.width, max_width) and rounds < MAX_PLAN_ROUNDS:
             plan, _ = chooser.with_classification(
                 table, share, column, max_width, cost, predicate=predicate
             )
-            effective = yield PlannedRefresh(table, plan, max_width, aggregate)
-            if effective is None:
-                effective = plan
-            refreshed.update(effective.tids)
-            total_cost += effective.total_cost
+            if rounds and not plan.tids:
+                break
+            effective = yield PlannedRefresh(
+                table, plan, max_width, aggregate, replan=rounds > 0
+            )
+            rounds += 1
+            spent = spent.then(plan if effective is None else effective)
             # Positions do not outlive a send: the refresh moved tuples
             # out of T?, and tuples can come and go while a plan is out.
             split = _Split(table, group_by, predicate)
             group = split.group(keys[key])
             if group is None:
-                continue
+                break
             size, share = group
-            final, _ = bounded_answer(table, spec, column, predicate, within=share)
-            if not width_within(final.width, max_width):
-                raise ConstraintUnsatisfiableError(
-                    f"post-refresh group {key!r} answer {final} (width "
-                    f"{final.width:g}) violates constraint {max_width:g}"
-                )
-            answer = BoundedAnswer(
-                bound=final,
-                refreshed=effective.tids,
-                refresh_cost=effective.total_cost,
-                initial_bound=initial,
-            )
-        results.append(GroupResult(key, answer, size))
+            bound, _ = bounded_answer(table, spec, column, predicate, within=share)
+            if spent.unreached:
+                break
+        refreshed.update(spent.tids)
+        total_cost += spent.total_cost
+        if group is not None:
+            answer = finish_answer(bound, max_width, spent, initial, rounds)
+            results.append(GroupResult(key, answer, size))
 
     widest = max(
         (r.answer.bound for r in results), key=lambda b: b.width, default=Bound(0.0, 0.0)
@@ -174,6 +177,10 @@ def grouped_query_steps(
         refreshed=frozenset(refreshed),
         refresh_cost=total_cost,
         initial_bound=widest_initial,
+        degraded=any(r.answer.degraded for r in results),
+        unreachable_sources=tuple(
+            sorted(set().union(*(r.answer.unreachable_sources for r in results)))
+        ),
         groups=tuple(results),
     )
 

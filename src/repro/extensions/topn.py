@@ -31,9 +31,14 @@ import numpy as np
 from repro.core.answer import BoundedAnswer
 from repro.core.bound import Bound
 from repro.core.constraints import width_within
-from repro.core.executor import ExecutionSteps, PlannedRefresh
+from repro.core.executor import (
+    MAX_PLAN_ROUNDS,
+    ExecutionSteps,
+    PlannedRefresh,
+    finish_answer,
+)
 from repro.core.refresh.base import CostFunc, RefreshPlan, plan_at, uniform_cost
-from repro.errors import ConstraintUnsatisfiableError, PredicateTypeError, TrappError
+from repro.errors import PredicateTypeError, TrappError
 from repro.predicates.ast import Predicate, TruePredicate
 from repro.predicates.batch import classify_masks
 from repro.storage.row import Row
@@ -121,8 +126,8 @@ class TopNAnswer(BoundedAnswer):
     """A TOP-n query's answer in :class:`BoundedAnswer` clothing.
 
     ``bound`` is the bounded n-th largest value, so the service's width
-    checks (admission revalidation, result-cache validity) apply to TOP-n
-    exactly as to scalar aggregates; the membership sets ride along.
+    checks (result-cache validity) apply to TOP-n exactly as to scalar
+    aggregates; the membership sets ride along.
     """
 
     certain_members: frozenset[int] = frozenset()
@@ -141,8 +146,9 @@ def top_n_steps(
 
     The predicate must read exact columns only (two-valued membership —
     the compiler enforces this for SQL statements); the n-th value's
-    bound is then narrowed to ``max_width`` by yielding CHOOSE_REFRESH
-    plans until it fits.  Returns a :class:`TopNAnswer` via
+    bound is then narrowed to ``max_width`` by a CHOOSE_REFRESH plan —
+    one round while the master stands still, re-plans under the
+    executor's rules when it does not.  Returns a :class:`TopNAnswer` via
     ``StopIteration.value``.
     """
     predicate = predicate if predicate is not None else TruePredicate()
@@ -166,27 +172,25 @@ def top_n_steps(
     members, endpoints = current()
     result = _top_n(endpoints, n)
     initial = result.nth_value
-    refreshed: set[int] = set()
-    total_cost = 0.0
-    while not width_within(result.nth_value.width, max_width):
+    spent, rounds = RefreshPlan.empty(), 0
+    while (
+        not width_within(result.nth_value.width, max_width)
+        and rounds < MAX_PLAN_ROUNDS
+    ):
         plan = plan_at(table, cost, members[_refresh_mask(endpoints, n, max_width)])
-        if not plan.tids or plan.tids <= refreshed:
-            raise ConstraintUnsatisfiableError(
-                f"TOP-{n} answer {result.nth_value} cannot be narrowed "
-                f"below {result.nth_value.width:g} (requested {max_width:g})"
-            )
-        effective = yield PlannedRefresh(table, plan, max_width, "TOPN")
-        if effective is None:
-            effective = plan
-        refreshed.update(effective.tids)
-        total_cost += effective.total_cost
+        if not plan.tids:
+            break
+        effective = yield PlannedRefresh(
+            table, plan, max_width, "TOPN", replan=rounds > 0
+        )
+        rounds += 1
+        spent = spent.then(plan if effective is None else effective)
         members, endpoints = current()
         result = _top_n(endpoints, n)
-    return TopNAnswer(
-        bound=result.nth_value,
-        refreshed=frozenset(refreshed),
-        refresh_cost=total_cost,
-        initial_bound=initial,
+        if spent.unreached:
+            break
+    return finish_answer(
+        result.nth_value, max_width, spent, initial, rounds, TopNAnswer,
         certain_members=result.certain_members,
         possible_members=result.possible_members,
     )

@@ -38,16 +38,11 @@ Concurrency safety rests on two properties: query planning (step 1 +
 CHOOSE_REFRESH) runs synchronously between await points, so no other
 query can mutate the cache mid-plan; and coalesced refreshes only ever
 collapse *more* bounds than a query planned for, which never widens its
-answer.  ``sync_bounds`` is likewise skipped while any query sits
-suspended at its refresh point on that cache — it planned against the
-current materialization, and widening bounds under it could void its
-step-3 guarantee.  Under sustained refresh-heavy overlap that deferral
-used to be unbounded; ``max_sync_deferrals`` now caps it: on the Nth
-consecutive deferral the service syncs anyway, and every query that was
-suspended across the forced sync is *re-validated* when it completes —
-an answer still meeting its constraint passes through, one widened past
-it is aborted and retried once, then surfaced as the retryable
-:class:`~repro.errors.StaleRefreshError`.
+answer.  What *can* widen bounds under a suspended query — another
+query's ``sync_bounds`` (every execution syncs its cache first) or a
+value-initiated refresh — is answered by the step generators themselves:
+a recheck that misses its constraint plans again over the current bounds
+(counted as ``trapp_service_events_total{event="replan"}``).
 """
 
 from __future__ import annotations
@@ -59,13 +54,7 @@ from dataclasses import dataclass
 from repro.core.answer import BoundedAnswer
 from repro.core.constraints import AbsolutePrecision
 from repro.core.refresh.base import CostFunc
-from repro.errors import (
-    AdmissionError,
-    ConstraintUnsatisfiableError,
-    ServiceError,
-    ServiceOverloadError,
-    StaleRefreshError,
-)
+from repro.errors import AdmissionError, ServiceError, ServiceOverloadError
 from repro.extensions.batching import BatchedCostModel
 from repro.faults import FaultInjector, RetryPolicy
 from repro.replication.cache import DataCache
@@ -150,7 +139,6 @@ class QueryService:
         tick_max: float = 0.05,
         router: CacheRouter | None = None,
         cross_cache: bool = True,
-        max_sync_deferrals: int | None = None,
         telemetry: Telemetry | None = None,
         telemetry_enabled: bool = True,
         retry_policy: "RetryPolicy | None" = None,
@@ -163,11 +151,6 @@ class QueryService:
         self.precision_floor = precision_floor
         #: Replica selection for group queries; sticky-by-client default.
         self.router = router if router is not None else StickyRouter()
-        #: Bound-staleness cap: after this many consecutive deferred
-        #: ``sync_bounds`` on one cache, sync anyway and re-validate the
-        #: queries suspended across it.  ``None`` = defer indefinitely
-        #: (the pre-cap behavior).
-        self.max_sync_deferrals = max_sync_deferrals
         #: One registry + tracer per deployment (PR 7): the service's own
         #: counters, the scheduler's, the result cache's, and the live
         #: system collectors all land here, and the ``metrics``/``trace``
@@ -212,14 +195,6 @@ class QueryService:
         self._semaphore = asyncio.Semaphore(max_inflight)
         self._inflight_by_client: dict[str, int] = {}
         self._inflight_by_cache: dict[str, int] = {}
-        #: Queries currently suspended at a refresh tick, per cache — the
-        #: only state in which re-syncing bounds under them is unsafe.
-        self._suspended_by_cache: dict[str, int] = {}
-        #: Consecutive sync_bounds deferrals per cache (staleness cap).
-        self._sync_deferrals: dict[str, int] = {}
-        #: Bumped on every cap-forced sync; queries re-validate when the
-        #: generation moved while they were in flight.
-        self._sync_generation: dict[str, int] = {}
         #: Single-flight: identical queries already executing, by cache key.
         self._inflight_results: dict = {}
         #: Replicas mid-detach: kept out of routing while their in-flight
@@ -235,15 +210,12 @@ class QueryService:
         self._c_rejected = queries.labels(outcome="rejected")
         events = registry.counter(
             "trapp_service_events_total",
-            "Serving-pipeline events: single-flight joins, staleness-cap "
-            "syncs and retries",
+            "Serving-pipeline events: single-flight joins and re-plans after "
+            "a recheck missed its constraint",
             ("event",),
         )
         self._c_singleflight = events.labels(event="singleflight_join")
-        self._c_forced_sync = events.labels(event="forced_sync")
-        self._c_revalidation = events.labels(event="revalidation")
-        self._c_stale_retry = events.labels(event="stale_retry")
-        self._c_stale_abort = events.labels(event="stale_abort")
+        self._c_replan = events.labels(event="replan")
         #: Per-cache routing balance: every admitted query lands here
         #: under the replica that served it, router-picked or pinned.
         self._c_routed = registry.counter(
@@ -304,22 +276,6 @@ class QueryService:
     @property
     def singleflight_joins(self) -> int:
         return int(self._c_singleflight.value)
-
-    @property
-    def forced_syncs(self) -> int:
-        return int(self._c_forced_sync.value)
-
-    @property
-    def revalidations(self) -> int:
-        return int(self._c_revalidation.value)
-
-    @property
-    def stale_retries(self) -> int:
-        return int(self._c_stale_retry.value)
-
-    @property
-    def stale_aborts(self) -> int:
-        return int(self._c_stale_abort.value)
 
     @property
     def degraded_answers(self) -> int:
@@ -465,7 +421,7 @@ class QueryService:
         # so such queries neither read nor feed the shared answers.
         shareable = cost is None
         if not shareable:
-            answer = await self._execute_revalidated(
+            answer = await self._execute(
                 cache, plan, client_id, cost, epsilon, trace
             )
             self._c_served.inc()
@@ -571,7 +527,7 @@ class QueryService:
         )
         self._inflight_results[primary_key] = future
         try:
-            answer = await self._execute_revalidated(
+            answer = await self._execute(
                 cache, plan, client_id, cost, epsilon, trace
             )
         except BaseException as exc:
@@ -738,53 +694,6 @@ class QueryService:
         self.results.invalidate_table(table_name, scopes)
 
     # ------------------------------------------------------------------
-    async def _execute_revalidated(
-        self,
-        cache: DataCache,
-        plan: AnyQueryPlan,
-        client_id: str,
-        cost: CostFunc | None,
-        epsilon: float | None,
-        trace=None,
-    ) -> BoundedAnswer:
-        """Execute with the staleness-cap protocol: re-validate, retry once.
-
-        :class:`~repro.errors.StaleRefreshError` from the first attempt
-        means a cap-forced sync widened bounds under the suspended query
-        past its constraint; the query re-plans from current bounds once
-        (its refresh spend was not wasted — the refreshed tuples stay
-        collapsed), then the error surfaces to the client as retryable.
-
-        A *degraded* answer — from either attempt — is terminal: its
-        sources are unreachable, so retrying cannot tighten it.  In
-        particular a stale retry that runs into an open circuit degrades
-        here instead of looping through the staleness protocol again.
-        """
-        try:
-            answer = await self._execute(
-                cache, plan, client_id, cost, epsilon, trace
-            )
-        except StaleRefreshError:
-            self._c_stale_retry.inc()
-            answer = await self._execute(
-                cache, plan, client_id, cost, epsilon, trace
-            )
-        fraction = getattr(answer, "index_window_fraction", None)
-        if fraction is not None:
-            self._h_window_fraction.observe(fraction)
-            if trace is not None:
-                trace.step("classify", window_fraction=fraction)
-        if answer.degraded:
-            self._degraded_count += 1
-            self._c_degraded.inc()
-            if trace is not None:
-                trace.step(
-                    "degraded",
-                    sources=list(answer.unreachable_sources),
-                    width=answer.width,
-                )
-        return answer
-
     async def _execute(
         self,
         cache: DataCache,
@@ -792,8 +701,13 @@ class QueryService:
         client_id: str,
         cost: CostFunc | None,
         epsilon: float | None,
-        trace=None,
+        trace,
     ) -> BoundedAnswer:
+        """Run one statement's step generator through the scheduler.
+
+        Bounds are synced on every execution, whoever is suspended on the
+        cache: a plan they widen under fails its recheck and plans again.
+        """
         cache_id = cache.cache_id
         self._inflight_by_client[client_id] = (
             self._inflight_by_client.get(client_id, 0) + 1
@@ -807,31 +721,7 @@ class QueryService:
                 self._h_admission_wait.observe(
                     time.perf_counter() - wait_started
                 )
-                # Re-evaluating bound functions could widen a bound a
-                # suspended query already planned against, so hold off
-                # while any query on this cache awaits a refresh tick —
-                # up to the staleness cap, past which we sync anyway and
-                # re-validate the suspended queries afterwards.  Planning
-                # and recomputation run synchronously between awaits and
-                # are never exposed.
-                if self._suspended_by_cache.get(cache_id, 0) == 0:
-                    cache.sync_bounds()
-                    self._sync_deferrals.pop(cache_id, None)
-                else:
-                    deferred = self._sync_deferrals.get(cache_id, 0) + 1
-                    self._sync_deferrals[cache_id] = deferred
-                    if (
-                        self.max_sync_deferrals is not None
-                        and deferred >= self.max_sync_deferrals
-                    ):
-                        cache.sync_bounds()
-                        self._sync_deferrals[cache_id] = 0
-                        self._sync_generation[cache_id] = (
-                            self._sync_generation.get(cache_id, 0) + 1
-                        )
-                        self._c_forced_sync.inc()
-                generation = self._sync_generation.get(cache_id, 0)
-                suspended_across_sync = False
+                cache.sync_bounds()
                 executor = self.system.executor_for(cache_id, epsilon)
                 steps = plan_steps(
                     plan, executor, cost=TrappSystem._resolve_cost(cost)
@@ -841,49 +731,22 @@ class QueryService:
                     request = next(steps)
                     while True:
                         rounds += 1
-                        if trace is not None:
-                            trace.step(
-                                "plan",
-                                table=request.table.name,
-                                tuples=len(request.plan.tids),
-                            )
-                        self._suspended_by_cache[cache_id] = (
-                            self._suspended_by_cache.get(cache_id, 0) + 1
+                        if request.replan:
+                            self._c_replan.inc()
+                        trace.step(
+                            "plan",
+                            table=request.table.name,
+                            tuples=len(request.plan.tids),
                         )
-                        try:
-                            effective = await self.scheduler.submit(
-                                cache, request, trace=trace
-                            )
-                        finally:
-                            self._suspended_by_cache[cache_id] -= 1
-                            if self._suspended_by_cache[cache_id] <= 0:
-                                del self._suspended_by_cache[cache_id]
-                        if self._sync_generation.get(cache_id, 0) != generation:
-                            suspended_across_sync = True
-                        try:
-                            request = steps.send(effective)
-                        except ConstraintUnsatisfiableError:
-                            if not suspended_across_sync:
-                                raise
-                            # Not an optimizer bug: a cap-forced sync
-                            # widened unrefreshed tuples under this plan
-                            # after it was chosen.  Abort retryably.
-                            self._c_stale_abort.inc()
-                            raise StaleRefreshError(
-                                f"query for client {client_id!r} was "
-                                "suspended across a forced bound sync "
-                                f"(staleness cap {self.max_sync_deferrals}) "
-                                "and its refreshed answer no longer meets "
-                                f"WITHIN {plan.constraint.width:g}; retry"
-                            ) from None
+                        effective = await self.scheduler.submit(
+                            cache, request, trace=trace
+                        )
+                        request = steps.send(effective)
                 except StopIteration as stop:
                     answer = stop.value
                 self._h_plan_rounds.labels(
                     **{"class": plan.statement_class}
                 ).observe(rounds)
-                if suspended_across_sync:
-                    answer = self._revalidate(answer, plan, client_id)
-                return answer
         finally:
             self._inflight_by_client[client_id] -= 1
             # Drop zeroed entries: a long-running server sees unboundedly
@@ -894,32 +757,19 @@ class QueryService:
             self._inflight_by_cache[cache_id] -= 1
             if self._inflight_by_cache[cache_id] <= 0:
                 del self._inflight_by_cache[cache_id]
-
-    def _revalidate(
-        self, answer: BoundedAnswer, plan: AnyQueryPlan, client_id: str
-    ) -> BoundedAnswer:
-        """The staleness-cap epilogue for a query suspended across a sync.
-
-        The forced ``sync_bounds`` widened unrefreshed tuples under the
-        suspended plan; its step-3 answer already reflects the widened
-        bounds, so meeting the constraint proves the plan survived.
-        """
+        fraction = answer.index_window_fraction
+        if fraction is not None:
+            self._h_window_fraction.observe(fraction)
+            trace.step("classify", window_fraction=fraction)
         if answer.degraded:
-            # Degraded answers are already past their constraint for
-            # fault reasons; aborting them as stale would loop a retry
-            # into the same dead sources.  They pass through as-is.
-            return answer
-        max_width = plan.constraint.width
-        if answer.meets(max_width):
-            self._c_revalidation.inc()
-            return answer
-        self._c_stale_abort.inc()
-        raise StaleRefreshError(
-            f"query for client {client_id!r} was suspended across a forced "
-            f"bound sync (staleness cap {self.max_sync_deferrals}) and its "
-            f"answer width {answer.width:g} no longer meets WITHIN "
-            f"{max_width:g}; retry"
-        )
+            self._degraded_count += 1
+            self._c_degraded.inc()
+            trace.step(
+                "degraded",
+                sources=list(answer.unreachable_sources),
+                width=answer.width,
+            )
+        return answer
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
@@ -928,10 +778,6 @@ class QueryService:
             "queries_served": self.queries_served,
             "queries_rejected": self.queries_rejected,
             "singleflight_joins": self.singleflight_joins,
-            "forced_syncs": self.forced_syncs,
-            "revalidations": self.revalidations,
-            "stale_retries": self.stale_retries,
-            "stale_aborts": self.stale_aborts,
             "degraded_answers": self.degraded_answers,
             "result_cache": self.results.stats(),
             "scheduler": self.scheduler.stats.as_dict(),

@@ -7,7 +7,8 @@ GROUP BY runs the same way, reading one row per group for its key values;
 so do the bounds the iterative and relative drivers start from, and the
 scheduler's §8.2 rebatch pass between a plan and its dispatch.
 The options that used to select other routes are gone, the row-taking
-method family is gone, and neither may creep back in.
+method family is gone, the service's sync deferral is gone, and none of
+them may creep back in.
 """
 
 from __future__ import annotations
@@ -274,3 +275,10 @@ def test_executor_probes_nothing_and_src_never_imports_tests():
     assert not [name for name, text in sources.items() if gone.search(text)]
     for name in ("extensions/batching.py", "service/scheduler.py"):
         assert "repro.storage.row" not in sources[name]
+    # One answer to a bound that widened under a plan: plan again.  Sync
+    # deferral, its cap, its generation counter and revalidation are gone.
+    deferral = re.compile(
+        "max_sync_deferrals|StaleRefreshError|_suspended_by_cache"
+        "|_sync_generation|_revalidate"
+    )
+    assert not [name for name, text in sources.items() if deferral.search(text)]

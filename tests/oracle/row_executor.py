@@ -28,7 +28,12 @@ from repro.core.constraints import (
     PrecisionConstraint,
     width_within,
 )
-from repro.core.executor import ExecutionSteps, PlannedRefresh, QueryExecutor
+from repro.core.executor import (
+    ExecutionSteps,
+    PlannedRefresh,
+    QueryExecutor,
+    finish_answer,
+)
 from repro.errors import UnknownColumnError
 from repro.predicates.ast import Predicate, TruePredicate, columns_of
 from repro.predicates.batch import classify_masks
@@ -151,7 +156,7 @@ class RowQueryExecutor(QueryExecutor):
         # the filtered row set remains valid; only the refreshed values
         # changed in place.
         final = spec.bound_without_predicate(rows, column)
-        return self._finish(final, max_width, plan, initial)
+        return finish_answer(final, max_width, plan, initial)
 
     # ------------------------------------------------------------------
     # §6 regime: classify exactly once
@@ -187,7 +192,7 @@ class RowQueryExecutor(QueryExecutor):
         updated = _reclassify_refreshed(classification, plan.tids, predicate)
         refined = self._refined(updated, predicate, column)
         final = spec.bound_with_classification(refined, column)
-        return self._finish(final, max_width, plan, initial)
+        return finish_answer(final, max_width, plan, initial)
 
     def _refined(
         self, classification: Classification, predicate: Predicate, column

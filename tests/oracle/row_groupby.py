@@ -9,7 +9,10 @@ The row lists are built once and kept, so a tuple inserted mid-query is
 not seen and a deleted one still is.  The array version
 (``repro.extensions.groupby``) must reproduce key order, key types,
 sizes, per-group plans and bounds; ``tests/property/test_groupby_columnar.py``
-drives the two in lock step.
+drives the two in lock step.  Each group plans once: in lock step nothing
+widens a bound between a yield and its ``send``, so the array version
+never plans again there, and a round with tuples unreached ends both in
+the same verdict (``repro.core.executor.finish_answer``).
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from typing import Hashable, Sequence
 from repro.core.answer import BoundedAnswer
 from repro.core.bound import Bound
 from repro.core.constraints import width_within
-from repro.core.executor import ExecutionSteps, PlannedRefresh
-from repro.errors import ConstraintUnsatisfiableError, TrappError
+from repro.core.executor import ExecutionSteps, PlannedRefresh, finish_answer
+from repro.errors import TrappError
 from repro.extensions.groupby import GroupedAnswer, GroupResult
 from repro.predicates.ast import Predicate, TruePredicate
 from repro.storage.row import Row
@@ -96,25 +99,10 @@ def row_grouped_query_steps(
         if effective is None:
             effective = plan
         final = _bound(agg, rows, column, predicate, bounded_pred)
-        if not width_within(final.width, max_width):
-            raise ConstraintUnsatisfiableError(
-                f"post-refresh group {key!r} answer {final} (width "
-                f"{final.width:g}) violates constraint {max_width:g}"
-            )
+        answer = finish_answer(final, max_width, effective, initial)
         refreshed.update(effective.tids)
         total_cost += effective.total_cost
-        results.append(
-            GroupResult(
-                key,
-                BoundedAnswer(
-                    bound=final,
-                    refreshed=effective.tids,
-                    refresh_cost=effective.total_cost,
-                    initial_bound=initial,
-                ),
-                len(rows),
-            )
-        )
+        results.append(GroupResult(key, answer, len(rows)))
 
     widest = max(
         (r.answer.bound for r in results), key=lambda b: b.width, default=Bound(0.0, 0.0)
@@ -133,6 +121,10 @@ def row_grouped_query_steps(
         refreshed=frozenset(refreshed),
         refresh_cost=total_cost,
         initial_bound=widest_initial,
+        degraded=any(r.answer.degraded for r in results),
+        unreachable_sources=tuple(
+            sorted(set().union(*(r.answer.unreachable_sources for r in results)))
+        ),
         groups=tuple(results),
     )
 

@@ -9,7 +9,8 @@ Hypothesis generates tables whose numeric key mixes ``int`` and ``float``
 values that compare equal, one- and two-column keys, text keys,
 predicates of every regime and all three cost shapes, and plays the
 scheduler between a yield and its ``send`` — other queries' refreshes
-landing too, one refresh in eight not landing at all.  Both sides must
+landing too, one refresh in eight not landing at all (its tuples come
+back ``unreached``, and the group is answered degraded).  Both sides must
 report the same keys (values *and* Python types) in the same order with
 the same sizes, plan the same tuples at the same cost for every group,
 fail with the same error, and return the same bounds.
@@ -162,11 +163,13 @@ def lock_step(cached, master, arguments, between_rounds):
             return reference, candidate
         assert candidate == reference
         lands, others = between_rounds(reference[1])
+        landed = frozenset(reference[1] if lands else ()) | frozenset(others)
         for own, _ in sides:
-            refresh_from(master, own, [*(reference[1] if lands else ()), *others])
-        effective = frozenset(reference[1]) | frozenset(others)
+            refresh_from(master, own, landed)
         reference, candidate = advance(
-            RefreshPlan(effective, float(len(effective)))
+            RefreshPlan(
+                landed, float(len(landed)), frozenset(reference[1]) - landed
+            )
         )
     pytest.fail("more yields than tuples")
 

@@ -4,7 +4,7 @@ The :class:`QueryService` side of the ISSUE 9 membership protocol:
 ``detach_replica`` must drain a replica's in-flight queries through the
 ledger before tearing it down and must never detach the last member,
 sticky clients of a departed replica must land on survivors on their
-next query (no :class:`StaleRefreshError` storm, no errors at all), and
+next query (no errors at all, however many queries were in flight), and
 an admitted joiner must become routable immediately — including to the
 least-loaded balancer, which starts offloading onto it as load builds.
 """

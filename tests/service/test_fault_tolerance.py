@@ -7,9 +7,7 @@ import asyncio
 
 import pytest
 
-from repro.core.answer import BoundedAnswer
-from repro.core.bound import Bound
-from repro.errors import SourceUnavailableError, StaleRefreshError
+from repro.errors import SourceUnavailableError
 from repro.extensions.batching import BatchedCostModel
 from repro.faults import CacheCrash, FaultInjector, OutageWindow, RetryPolicy
 from repro.service import QueryService
@@ -293,50 +291,81 @@ def test_all_replicas_crashed_degrades_not_hangs():
 
 
 # ----------------------------------------------------------------------
-# Satellite 3: stale-refresh retry under failure degrades, never loops
+# A degraded round is terminal, even when a sync widened it
 # ----------------------------------------------------------------------
+def outage_with_widening_sync(system, service, then=None):
+    """Suspend a SUM query at its refresh against a dead source, then
+    advance the clock and run another query, whose execution syncs the
+    cache's bounds wider under the suspended one.  Returns the suspended
+    query's result, and ``then``'s when given (run after it)."""
+
+    async def go():
+        slow = asyncio.create_task(service.query(CACHE_ID, SUM_SQL, client_id="slow"))
+        await asyncio.sleep(0.01)
+        system.clock.advance(60.0)
+        await service.query(
+            CACHE_ID,
+            "SELECT SUM(traffic) WITHIN 100000 FROM links",
+            client_id="fast",
+            cost=lambda row: 1.0,  # unshareable: forces execution
+        )
+        first = await slow
+        return first, (await then() if then is not None else None)
+
+    return run(go())
+
+
 def test_stale_retry_hitting_failure_degrades_instead_of_looping():
-    service = make_service()
-    degraded_answer = BoundedAnswer(
-        bound=Bound(0.0, 100.0),
-        refreshed=frozenset(),
-        refresh_cost=0.0,
-        initial_bound=Bound(0.0, 100.0),
-        degraded=True,
-        unreachable_sources=("net",),
+    """The recheck misses R twice over — tuples unreached *and* bounds
+    widened by another query's sync — and answers degraded at once: a
+    round with unreached tuples never plans again."""
+    system = build_netmon_system()
+    truth = master_sum(system)
+    service = make_service(
+        system,
+        fault_injector=outage_forever(system),
+        retry_policy=FAST_RETRY,
+        network_delay=0.05,
     )
-    calls = []
 
-    async def fake_execute(cache, plan, client_id, cost, epsilon, trace=None):
-        calls.append(client_id)
-        if len(calls) == 1:
-            raise StaleRefreshError("forced sync widened the plan; retry")
-        return degraded_answer
-
-    service._execute = fake_execute  # type: ignore[method-assign]
-    result = run(service.query(CACHE_ID, SUM_SQL, client_id="c1"))
-    # Exactly one stale retry, terminating in the degraded answer — the
-    # degraded path must not re-enter the staleness protocol.
-    assert calls == ["c1", "c1"]
-    assert result.answer is degraded_answer
-    stats = service.stats()
-    assert stats["stale_retries"] == 1
-    assert stats["degraded_answers"] == 1
+    answer = outage_with_widening_sync(system, service)[0].answer
+    assert answer.degraded
+    assert answer.unreachable_sources == ("net",)
+    assert answer.bound.lo <= truth <= answer.bound.hi
+    registry = service.telemetry.registry
+    rounds = registry.histogram("trapp_plan_rounds", labelnames=("class",))
+    assert rounds.labels(**{"class": "aggregate"}).total == 1
+    assert registry.value_of("trapp_service_events_total", event="replan") == 0
+    assert service.stats()["degraded_answers"] == 1
 
 
 def test_revalidate_passes_degraded_answers_through():
-    """A degraded answer suspended across a forced sync is terminal."""
-    service = make_service()
-    degraded_answer = BoundedAnswer(
-        bound=Bound(0.0, 100.0), degraded=True, unreachable_sources=("net",)
+    """A degraded answer suspended across a widening sync is terminal: it
+    reaches the client as recomputed over the widened bounds — wider
+    than its own initial bound, and still containing the truth — and
+    lands in the degraded tier, from which a repeat is served."""
+    system = build_netmon_system()
+    truth = master_sum(system)
+    service = make_service(
+        system,
+        fault_injector=outage_forever(system),
+        retry_policy=FAST_RETRY,
+        network_delay=0.05,
+        result_ttl=100.0,
     )
 
-    class _Plan:
-        class constraint:
-            width = 5.0
-
-    assert service._revalidate(degraded_answer, _Plan, "c1") is degraded_answer
-    assert service.stats()["stale_aborts"] == 0
+    first, repeat = outage_with_widening_sync(
+        system,
+        service,
+        then=lambda: service.query(CACHE_ID, SUM_SQL, client_id="again"),
+    )
+    answer = first.answer
+    assert answer.degraded and not first.cached
+    assert not answer.refreshed
+    assert answer.width > answer.initial_bound.width  # the sync widened it
+    assert answer.bound.lo <= truth <= answer.bound.hi
+    assert repeat.cached and repeat.answer is answer
+    assert service.stats()["degraded_answers"] == 1
 
 
 # ----------------------------------------------------------------------

@@ -133,6 +133,5 @@ def test_midpipeline_disconnect_counts_and_unwinds_session_accounting():
             # The cancelled query unwound every in-flight ledger.
             assert service._inflight_by_client == {}
             assert service._inflight_by_cache == {}
-            assert service._suspended_by_cache == {}
 
     run(go())

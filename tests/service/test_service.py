@@ -297,7 +297,6 @@ def test_inflight_bookkeeping_is_bounded():
 
     run(go())
     assert service._inflight_by_client == {}
-    assert service._suspended_by_cache == {}
 
 
 def test_stats_shape():
@@ -309,10 +308,6 @@ def test_stats_shape():
         "queries_served",
         "queries_rejected",
         "singleflight_joins",
-        "forced_syncs",
-        "revalidations",
-        "stale_retries",
-        "stale_aborts",
         "degraded_answers",
         "faults",
         "result_cache",
