@@ -24,6 +24,8 @@ Both speak tuple ids, widths and source ids; neither sees a row.
 
 from __future__ import annotations
 
+import heapq
+import math
 from collections.abc import Mapping, Sequence, Set
 from dataclasses import dataclass
 
@@ -31,6 +33,11 @@ from repro.core.refresh.base import RefreshPlan
 from repro.core.refresh.costs import CostModel, PerSourceCostModel, UniformCostModel
 
 __all__ = ["BatchedCostModel", "rebatch_plan"]
+
+#: A removed width or a price difference this close to zero is rounding,
+#: not a margin: prices like 15/7 + 33/7 against 48/7 differ only in the
+#: last bit as floats, and no real plan saves less than this.
+_TOLERANCE = 1e-12
 
 
 @dataclass(slots=True)
@@ -91,13 +98,10 @@ class BatchedCostModel:
         Sources in ``sunk`` are contacted anyway — by another query of the
         same tick, say — so their setup is not this set's to pay.
         """
-        # Set against set, built key by key: a float sum follows its
-        # operands' iteration order, and tests/oracle/rebatch.py is matched
-        # to the last bit.
-        return sum(
-            self.batch_cost(source_id, count) for source_id, count in counts.items()
-        ) - sum(
-            self.setup_for(source_id) for source_id in {s for s in counts} & sunk
+        return math.fsum(
+            self.marginal_for(source_id) * count
+            + (0.0 if source_id in sunk else self.setup_for(source_id))
+            for source_id, count in counts.items()
         )
 
     def upper_bound_model(self, source_column: str = "source") -> CostModel:
@@ -140,76 +144,113 @@ def rebatch_plan(
     width the current plan removes *beyond* what the constraint needs
     (always ≥ 0 for a feasible plan).
 
-    Strategy: greedily try to *evict* the most expensive tuples whose
-    removal keeps the removed-width total above requirement, then — for
-    each source already paying setup — *absorb* extra unplanned tuples at
-    pure marginal cost whenever doing so lets a further eviction succeed.
-    The result never violates the constraint and never costs more than the
-    input plan under the amortized model.
+    Strategy: greedily *evict* planned tuples, least width first, while
+    the removed-width total stays above requirement, then — for each
+    source already paying setup — *absorb* extra unplanned tuples, widest
+    first, at pure marginal cost whenever one eviction elsewhere pays for
+    it.  The result never violates the constraint and never costs more
+    than the input plan under the amortized model.
 
     ``sunk`` names sources whose setup is already paid *outside* this plan
     — e.g. by other queries sharing the same refresh tick in the
     concurrent service.  They charge no setup here, and their tuples join
     the absorption candidates, which is what lets cross-query scheduling
     steer a plan onto sources the batch contacts anyway.
+
+    One pass: a running removed-width sum and per-source counts price
+    every move by its delta — a tuple costs its source's marginal, plus
+    the setup when it opens (or, evicted, closes) a source not in
+    ``sunk``.  Feasibility is monotone in width and the delta is the same
+    for every member of a source, so each absorption only looks at the
+    narrowest planned member of each source.  Prices are read once per
+    source and the plan is priced once, by
+    :meth:`BatchedCostModel.cost_of_counts`.
     """
     width_of = dict(zip(tids, widths))
-    chosen = {tid for tid in plan.tids}
+    best = set(plan.tids)
+    counts: dict[str, int] = {}
+    for tid in best:
+        counts[source_of[tid]] = counts.get(source_of[tid], 0) + 1
+    sources = set(counts).union(map(source_of.__getitem__, width_of))
+    marginal = {s: model.marginal_for(s) for s in sources}
+    setup = {s: 0.0 if s in sunk else model.setup_for(s) for s in sources}
 
-    def amortized_cost(members: set[int]) -> float:
-        counts: dict[str, int] = {}
-        for tid in members:
-            source_id = source_of[tid]
-            counts[source_id] = counts.get(source_id, 0) + 1
-        return model.cost_of_counts(counts, sunk)
+    def saving(source_id: str, count: int) -> float:
+        """What dropping one of ``count`` tuples of a source saves."""
+        return marginal[source_id] + (setup[source_id] if count == 1 else 0.0)
 
-    def removed_width(members: set[int]) -> float:
-        return sum(width_of.get(tid, 0.0) for tid in members)
+    def move(tid: int, step: int) -> None:
+        """Add (``step`` 1) or drop (−1) one planned tuple."""
+        source_id = source_of[tid]
+        counts[source_id] = counts.get(source_id, 0) + step
+        if not counts[source_id]:
+            del counts[source_id]
+        if step > 0:
+            best.add(tid)
+        else:
+            best.remove(tid)
 
-    required = removed_width(chosen) - budget_slack
-    best = set(chosen)
-    best_cost = amortized_cost(best)
-    # One ascending-width ordering serves every greedy pass below (the
-    # planner's sorted-width orderings applied to rebatching): filtering
-    # it by membership replaces the per-probe re-sort the absorption loop
-    # used to pay, and keeps every pass deterministic.
-    ascending = sorted(width_of, key=lambda t: (width_of[t], t))
+    removed = sum(width_of.get(tid, 0.0) for tid in best)
+    required = removed - budget_slack
 
-    # Eviction pass: drop tuples while the width requirement holds.
-    # Least width contribution first — those are the cheapest to give up
-    # feasibility-wise, letting the most evictions (each saving at least a
-    # marginal, sometimes a whole setup) go through.
-    for tid in ascending:
-        if tid not in chosen:
-            continue
-        trial = best - {tid}
-        if removed_width(trial) + 1e-12 >= required:
-            cost = amortized_cost(trial)
-            if cost <= best_cost:
-                best = trial
-                best_cost = cost
+    # Eviction pass: least width contribution first — those are the
+    # cheapest to give up feasibility-wise, letting the most evictions
+    # (each saving at least a marginal, sometimes a whole setup) through.
+    # Once one breaks the requirement every wider one does too.
+    for tid in sorted(best & width_of.keys(), key=lambda t: (width_of[t], t)):
+        source_id = source_of[tid]
+        if removed - width_of[tid] + _TOLERANCE < required:
+            break
+        if saving(source_id, counts[source_id]) >= 0:
+            move(tid, -1)
+            removed -= width_of[tid]
 
     # Absorption pass: sources already contacted can contribute extra wide
     # tuples at marginal cost, potentially unlocking cross-source evictions.
-    contacted = {source_of[tid] for tid in best} | sunk
-    extras = [
-        tid
-        for tid in tids
-        if tid not in best and width_of[tid] > 0 and source_of[tid] in contacted
-    ]
-    extras.sort(key=lambda t: -width_of[t])
+    contacted = set(counts) | sunk
+    extras = sorted(
+        (
+            tid
+            for tid in tids
+            if tid not in best and width_of[tid] > 0 and source_of[tid] in contacted
+        ),
+        key=lambda t: -width_of[t],
+    )
+    # Each source's evictable members, narrowest first.
+    members: dict[str, list[tuple[float, int]]] = {}
+    for tid in best & width_of.keys():
+        members.setdefault(source_of[tid], []).append((width_of[tid], tid))
+    for heap in members.values():
+        heapq.heapify(heap)
     for extra in extras:
-        trial = best | {extra}
-        # Try to pay for the absorption by evicting somewhere else.
-        for tid in ascending:
-            if tid == extra or tid not in trial:
+        extra_source = source_of[extra]
+        gained = removed + width_of[extra]
+        price = marginal[extra_source] + (
+            0.0 if extra_source in counts else setup[extra_source]
+        )
+        # The narrowest member, over all sources, whose eviction keeps the
+        # requirement and saves more than the absorption costs.
+        pick: tuple[float, int] | None = None
+        fits = False
+        for source_id, heap in members.items():
+            if not heap or gained - heap[0][0] + _TOLERANCE < required:
                 continue
-            candidate = trial - {tid}
-            if removed_width(candidate) + 1e-12 >= required:
-                cost = amortized_cost(candidate)
-                if cost < best_cost:
-                    best = candidate
-                    best_cost = cost
-                    break
+            fits = True
+            count = counts[source_id] + (source_id == extra_source)
+            cheaper = saving(source_id, count) - price > _TOLERANCE
+            if cheaper and (pick is None or heap[0] < pick):
+                pick = heap[0]
+        if not fits:
+            # Extras come widest first: no eviction fits beside a
+            # narrower one either.
+            break
+        if pick is None:
+            continue
+        width, evicted = pick
+        heapq.heappop(members[source_of[evicted]])
+        heapq.heappush(members.setdefault(extra_source, []), (width_of[extra], extra))
+        move(extra, 1)
+        move(evicted, -1)
+        removed = gained - width
 
-    return RefreshPlan(frozenset(best), best_cost)
+    return RefreshPlan(frozenset(best), model.cost_of_counts(counts, sunk))

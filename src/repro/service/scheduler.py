@@ -182,7 +182,6 @@ class RefreshScheduler:
         cost_model: BatchedCostModel | None = None,
         tick_interval: float = 0.0,
         rebatch: bool = True,
-        rebatch_limit: int = 64,
         network_delay: float = 0.0,
         adaptive_tick: bool = False,
         tick_min: float = 0.0,
@@ -260,11 +259,6 @@ class RefreshScheduler:
         #: the pending's cache — the scheduler default, or a per-cache
         #: model registered with its group (see :meth:`_model_for`).
         self.rebatch = rebatch
-        #: Plans larger than this skip the rebatch post-pass: rebatching
-        #: probes O(plan²) candidate sets for a payoff bounded by a few
-        #: setup costs, a bad trade once plans dwarf the setup/marginal
-        #: ratio.
-        self.rebatch_limit = rebatch_limit
         self.network_delay = network_delay
         #: Group-commit style window sizing: a tick that coalesced plans
         #: doubles the window (batching pays — wait for more company, up
@@ -293,6 +287,12 @@ class RefreshScheduler:
         #: single falsy check.
         self._breakers: dict[str, CircuitBreaker] = {}
         self.stats = SchedulerStats(self.registry)
+        events = self.registry.counter(
+            "trapp_scheduler_events_total", labelnames=("event",)
+        )
+        #: §8.2 passes run, and plans a pass altered.
+        self._c_rebatch = events.labels(event="rebatch")
+        self._c_rebatch_changed = events.labels(event="rebatch_changed")
         self._pending: list[_Pending] = []
         self._flush_task: asyncio.Task | None = None
         #: Replicas leader selection must skip — the service adds a
@@ -828,11 +828,10 @@ class RefreshScheduler:
         group-projected minimum for fan-out clusters, whose batches are
         dispatched through the cheapest member per source).
         """
-        # rebatch_plan probes O(plan²) candidate sets, each probe reading
-        # every member's source — memoize the subscription lookup once per
-        # tick so probes are dict reads.  Tuple→source routing is a
-        # property of the logical table, identical on every replica, so
-        # one memo serves the whole cluster.
+        # Memoize the subscription lookup once per tick: every pass reads
+        # each candidate's source.  Tuple→source routing is a property of
+        # the logical table, identical on every replica, so one memo
+        # serves the whole cluster.
         source_by_tid: dict[int, str] = {}
 
         def source_of_tid(cache: DataCache, table: Table, tid: int) -> str:
@@ -857,7 +856,7 @@ class RefreshScheduler:
             if (
                 request.can_rebatch
                 and model is not None
-                and 0 < len(pending.tids) <= self.rebatch_limit
+                and pending.tids
                 # One source leaves nothing to steer toward; only a sharded
                 # table is worth the per-tuple routing sweep.
                 and len(pending.cache.sources_of_table(request.table)) > 1
@@ -876,7 +875,10 @@ class RefreshScheduler:
                         model,
                         sunk=contacted,
                     )
-                    pending.tids = set(improved.tids)
+                    self._c_rebatch.inc()
+                    if improved.tids != pending.tids:
+                        self._c_rebatch_changed.inc()
+                        pending.tids = set(improved.tids)
             contacted |= sources_of(pending, pending.tids)
 
     def _attribute(

@@ -282,3 +282,5 @@ def test_executor_probes_nothing_and_src_never_imports_tests():
         "|_sync_generation|_revalidate"
     )
     assert not [name for name, text in sources.items() if deferral.search(text)]
+    # §8.2 rebatching is one pass at any plan size: no size fence.
+    assert not [name for name, text in sources.items() if "rebatch_limit" in text]

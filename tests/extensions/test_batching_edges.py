@@ -1,11 +1,14 @@
-"""rebatch_plan edge cases (ISSUE 2 satellite).
+"""rebatch_plan edge cases.
 
 Covers the degenerate inputs the cross-query scheduler can hand the
 rebatcher: an empty plan, a plan whose tuples all come from one source,
-and a setup cost dwarfing the whole naive plan.
+and a setup cost dwarfing the whole naive plan; and the size it must
+handle in one pass.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
@@ -104,3 +107,35 @@ def test_extra_contacted_enables_cross_plan_absorption():
     aware = rebatch_plan(plan, tids, [10.0, 10.0], source_of, 0.0, model, sunk={"a"})
     assert aware.tids == frozenset({a_tid})
     assert aware.total_cost == pytest.approx(1.0)
+
+
+def test_one_pass_prices_the_plan_once():
+    """A 45-tuple plan over 300 candidates on 4 sources, every source
+    contacted: each of the 255 unplanned tuples is an absorption
+    candidate.  The pass prices moves by their deltas and the plan once;
+    re-pricing every trial set, as the probe loop did, calls
+    ``cost_of_counts`` thousands of times on this instance."""
+
+    class CountingModel(BatchedCostModel):
+        calls = 0
+
+        def cost_of_counts(self, counts, sunk=frozenset()):
+            CountingModel.calls += 1
+            return BatchedCostModel.cost_of_counts(self, counts, sunk)
+
+    rng = random.Random(26)
+    tids, source_of = candidates([f"s{k % 4}" for k in range(300)])
+    widths = [rng.choice([0.5, 1.0, 2.0, 2.5, 4.0]) for _ in tids]
+    planned = frozenset(rng.sample(tids, 45))
+    assert {source_of[tid] for tid in planned} == {"s0", "s1", "s2", "s3"}
+    model = CountingModel(setup=5.0, marginal=1.0, setup_by_source={"s3": 40.0})
+    width_of = dict(zip(tids, widths))
+    removed = sum(width_of[tid] for tid in planned)
+
+    result = rebatch_plan(RefreshPlan(planned, 0.0), tids, widths, source_of, 3.0, model)
+    assert CountingModel.calls == 1
+    assert sum(width_of[tid] for tid in result.tids) >= removed - 3.0 - 1e-9
+    counts: dict[str, int] = {}
+    for tid in planned:
+        counts[source_of[tid]] = counts.get(source_of[tid], 0) + 1
+    assert result.total_cost <= BatchedCostModel.cost_of_counts(model, counts)

@@ -3,13 +3,20 @@ carry, with the row methods of its cost model and the scheduler's
 tick-aware subclass.
 
 Every candidate is a :class:`Row`, a tuple's source is
-``model.source_of(row)``, a trial set is priced by ``cost_of_set(rows)``,
-and "these sources' setups are sunk" is said twice — ``extra_contacted``
-to :func:`rebatch_plan`, and a :class:`TickCostModel` around the model.
-Function bodies are as they were in ``src/``;
-``tests/property/test_rebatch_lockstep.py`` holds the served
-:func:`repro.extensions.batching.rebatch_plan` to the same tuple ids and
-the same total cost, to the last bit.
+``model.source_of(row)``, every trial set is re-summed, and re-priced
+whole by ``cost_of_set(rows)`` — O(extras × candidates × plan) — and
+"these sources' setups are sunk" is said twice: ``extra_contacted`` to
+:func:`rebatch_plan`, and a :class:`TickCostModel` around the model.
+
+Function bodies are as they were in ``src/``, except that they run in
+whatever arithmetic they are handed.  Given :class:`~fractions.Fraction`
+widths, slack and prices (an :class:`ExactCostModel`) every comparison is
+exact.  That is the reference: run in floats, this pass accepts
+"improvements" that exist only in the last bit — ``5/7 − 2/7 < 3/7`` —
+and its rounding luck can chain such a tie into a real saving the exact
+algorithm never finds.  ``tests/property/test_rebatch_lockstep.py`` holds
+the served one-pass :func:`repro.extensions.batching.rebatch_plan`, fed
+the float images, to the same tuple ids as this pass run exactly.
 
 Nothing in ``src/`` may import this module.
 """
@@ -17,6 +24,7 @@ Nothing in ``src/`` may import this module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.core.refresh.base import RefreshPlan
@@ -24,6 +32,10 @@ from repro.extensions.batching import BatchedCostModel
 from repro.storage.row import Row
 
 SourceOf = Callable[[Row], str]
+
+#: The served pass's feasibility tolerance, as a number that adds exactly
+#: to a :class:`Fraction` (and as itself to a float).
+_TOLERANCE = Fraction(1e-12)
 
 
 @dataclass(slots=True)
@@ -51,6 +63,18 @@ class RowBatchedCostModel(BatchedCostModel):
         """
         source_id = self.source_of(row)
         return self.setup_for(source_id) + self.marginal_for(source_id)
+
+
+@dataclass(slots=True)
+class ExactCostModel(RowBatchedCostModel):
+    """Prices as given: :class:`BatchedCostModel` casts map values with
+    ``float()``, which would turn :class:`Fraction` prices into floats."""
+
+    def setup_for(self, source_id: str):
+        return (self.setup_by_source or {}).get(source_id, self.setup)
+
+    def marginal_for(self, source_id: str):
+        return (self.marginal_by_source or {}).get(source_id, self.marginal)
 
 
 class TickCostModel(RowBatchedCostModel):
@@ -126,7 +150,7 @@ def rebatch_plan(
         return model.cost_of_set(by_tid[tid] for tid in tids)
 
     def removed_width(tids: set[int]) -> float:
-        return sum(widths.get(tid, 0.0) for tid in tids)
+        return sum(widths.get(tid, 0) for tid in tids)
 
     required = removed_width(chosen) - budget_slack
     best = set(chosen)
@@ -135,7 +159,7 @@ def rebatch_plan(
     # planner's sorted-width orderings applied to rebatching): filtering
     # it by membership replaces the per-probe re-sort the absorption loop
     # used to pay, and keeps every pass deterministic.
-    ascending = sorted(by_tid, key=lambda t: (widths.get(t, 0.0), t))
+    ascending = sorted(by_tid, key=lambda t: (widths.get(t, 0), t))
 
     # Eviction pass: drop tuples while the width requirement holds.
     # Least width contribution first — those are the cheapest to give up
@@ -145,7 +169,7 @@ def rebatch_plan(
         if tid not in chosen:
             continue
         trial = best - {tid}
-        if removed_width(trial) + 1e-12 >= required:
+        if removed_width(trial) + _TOLERANCE >= required:
             cost = amortized_cost(trial)
             if cost <= best_cost:
                 best = trial
@@ -160,10 +184,10 @@ def rebatch_plan(
         row
         for row in all_rows
         if row.tid not in best
-        and widths.get(row.tid, 0.0) > 0
+        and widths.get(row.tid, 0) > 0
         and model.source_of(row) in contacted
     ]
-    extras.sort(key=lambda r: -widths.get(r.tid, 0.0))
+    extras.sort(key=lambda r: -widths.get(r.tid, 0))
     for extra in extras:
         trial = best | {extra.tid}
         # Try to pay for the absorption by evicting somewhere else.
@@ -171,7 +195,7 @@ def rebatch_plan(
             if tid == extra.tid or tid not in trial:
                 continue
             candidate = trial - {tid}
-            if removed_width(candidate) + 1e-12 >= required:
+            if removed_width(candidate) + _TOLERANCE >= required:
                 cost = amortized_cost(candidate)
                 if cost < best_cost:
                     best = candidate

@@ -1,18 +1,27 @@
-"""§8.2 rebatching on tuple ids ≡ the row-taking pass it replaced.
+"""§8.2 rebatching in one pass ≡ the row-taking probe loop, run exactly.
 
 :func:`repro.extensions.batching.rebatch_plan` takes candidate tuple ids,
-widths and a ``tid → source`` mapping, and is told once (``sunk``) which
-sources' setups are already paid.  ``tests/oracle/rebatch.py`` keeps the
-version that took rows, read each tuple's source through a callable, and
+widths and a ``tid → source`` mapping, is told once (``sunk``) which
+sources' setups are already paid, and prices every move by its delta
+from running sums.  ``tests/oracle/rebatch.py`` keeps the version that
+took rows, re-summed and re-priced every trial set whole, and
 needed the sunk set twice — ``extra_contacted`` plus a tick-aware model.
-Same algorithm, same pass order, same tie rules, same float association:
-the two must return the **same tuple ids at the same total cost**, equal
-and not approximately, whatever the prices.
+
+The reference is that oracle in exact rational arithmetic: it is fed
+:class:`~fractions.Fraction` widths, slack and prices, the served pass
+their float images.  The two must return the **same tuple ids**, and the
+served total cost must be the model's price of those ids.  The oracle
+run in floats is no reference: it accepts ties that exist only in the
+last bit, and can chain one into a real saving (the second example).
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+import math
+from collections import Counter
+from fractions import Fraction
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.refresh.base import RefreshPlan
@@ -20,12 +29,15 @@ from repro.extensions.batching import BatchedCostModel, rebatch_plan
 from repro.storage.row import Row
 from tests.oracle import rebatch as oracle
 
-# Sevenths and thirds: sums of three or more depend on their order.
-prices = st.integers(min_value=0, max_value=60).map(lambda k: k / 7.0) | st.integers(
-    min_value=1, max_value=30
-).map(lambda k: k / 3.0)
+# Sevenths and thirds: their float images round, so sums that are equal
+# exactly often differ in the last bit.
+prices = st.integers(min_value=0, max_value=60).map(lambda k: Fraction(k, 7)) | (
+    st.integers(min_value=1, max_value=30).map(lambda k: Fraction(k, 3))
+)
 # Few distinct widths, so that ascending-width orders have ties to break.
-widths = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.5, 2.5, 4.0, 10.0 / 3.0])
+widths = st.sampled_from(
+    [Fraction(w) for w in ("0", "1/2", "1", "1", "5/2", "5/2", "4", "10/3")]
+)
 
 
 @st.composite
@@ -49,13 +61,43 @@ def instances(draw):
     slack = draw(
         st.just(sum(width_of[tid] for tid in spare))
         | st.floats(0.0, 1.0).map(
-            lambda share: share * sum(width_of[tid] for tid in planned)
+            lambda share: Fraction(share) * sum(width_of[tid] for tid in planned)
         )
     )
     sunk = draw(st.sets(st.sampled_from(sources)))
     return model, list(tids), width_of, source_of, planned, slack, sunk
 
 
+def instance(setup, marginal, setup_by_source, sources, widths, planned, sunk):
+    """A hand-written instance: tuple ids 1, 2, … with no slack."""
+    tids = list(range(1, len(sources) + 1))
+    model = dict(
+        setup=Fraction(setup),
+        marginal=Fraction(marginal),
+        setup_by_source={s: Fraction(p) for s, p in setup_by_source.items()},
+        marginal_by_source=None,
+    )
+    width_of = {tid: Fraction(w) for tid, w in zip(tids, widths)}
+    return (
+        model, tids, width_of, dict(zip(tids, sources)), frozenset(planned),
+        Fraction(0), set(sunk),
+    )
+
+
+def as_float(value):
+    if isinstance(value, dict):
+        return {key: float(price) for key, price in value.items()}
+    return None if value is None else float(value)
+
+
+# Swapping tuple 3 for tuple 2 of the sunk source is a tie: 3/7 either
+# way.  In floats (2/7 + 3/7) − 2/7 < 3/7, and the probe loop swapped.
+@example(instance("0", "3/7", {"s0": "2/7"}, ["s0", "s0", "s1"], [0, "1/2", "1/2"], {3}, {"s0"}))
+# The first swap of {3, 4} (15/7) toward the sunk source is a tie.  The
+# float probe loop took it on rounding luck, and the second swap then
+# dropped s1's setup: {1, 2} at 2.0.  Exactly, no single swap saves and
+# {3, 4} stays.
+@example(instance("2", "1", {"s1": "1/7"}, ["s0", "s0", "s1", "s1"], ["1/2"] * 4, {3, 4}, {"s0"}))
 @given(instances())
 @settings(max_examples=200, deadline=None)
 def test_same_tids_and_total_cost_as_the_row_pass(instance):
@@ -63,21 +105,22 @@ def test_same_tids_and_total_cost_as_the_row_pass(instance):
     plan = RefreshPlan(planned, 0.0)
 
     rows = [Row(tid, {}) for tid in tids]
-    tick_model = oracle.TickCostModel(
-        oracle.RowBatchedCostModel(**model), lambda row: source_of[row.tid], sunk
+    exact = oracle.TickCostModel(
+        oracle.ExactCostModel(**model), lambda row: source_of[row.tid], sunk
     )
-    expected = oracle.rebatch_plan(
-        plan, rows, width_of, slack, tick_model, extra_contacted=sunk
-    )
+    expected = oracle.rebatch_plan(plan, rows, width_of, slack, exact, extra_contacted=sunk)
 
+    served = BatchedCostModel(**{key: as_float(value) for key, value in model.items()})
     got = rebatch_plan(
         plan,
         tids,
-        [width_of[tid] for tid in tids],
+        [float(width_of[tid]) for tid in tids],
         source_of,
-        slack,
-        BatchedCostModel(**model),
+        float(slack),
+        served,
         sunk=sunk,
     )
     assert got.tids == expected.tids
-    assert got.total_cost == expected.total_cost
+    counts = Counter(source_of[tid] for tid in got.tids)
+    assert got.total_cost == served.cost_of_counts(counts, sunk)
+    assert math.isclose(got.total_cost, expected.total_cost, rel_tol=1e-12, abs_tol=1e-12)

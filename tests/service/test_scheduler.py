@@ -186,6 +186,30 @@ def test_cross_query_rebatch_steers_to_contacted_source():
     assert sum(p.total_cost for p in plans) == pytest.approx(51.0)
 
 
+def test_large_plan_rebatches_and_drops_a_source():
+    """Plan size does not fence the §8.2 pass: a 70-tuple SUM plan whose
+    one source-b tuple is worth no more than its slack gives it back and
+    saves b's setup.  The pass and its change are counted."""
+    schema = Schema([Column("x", ColumnKind.BOUNDED)], name="t")
+    table = Table("t", schema)
+    for _ in range(69):
+        table.insert({"x": Bound(0.0, 10.0)})
+    table.insert({"x": Bound(0.0, 5.0)})
+    cache = FakeCache({tid: "a" if tid < 70 else "b" for tid in range(1, 71)})
+    scheduler = RefreshScheduler(cost_model=BatchedCostModel(setup=50.0, marginal=1.0))
+    plan = run(
+        scheduler.submit(cache, flexible(table, set(range(1, 71)), required_width=690.0))
+    )
+    assert set(plan.tids) == set(range(1, 70))
+    assert scheduler.stats.source_requests == 1
+    assert scheduler.stats.total_cost_paid == pytest.approx(50.0 + 69.0)
+    events = {
+        event: scheduler.registry.value_of("trapp_scheduler_events_total", event=event)
+        for event in ("rebatch", "rebatch_changed")
+    }
+    assert events == {"rebatch": 1, "rebatch_changed": 1}
+
+
 def test_single_source_table_skips_the_rebatch_routing_sweep():
     """With one source behind a table there is nothing to steer toward:
     the plan goes out as chosen and no row is routed on the way."""
