@@ -2,16 +2,18 @@
 
 Paper §8.2 suggests an iterative CHOOSE_REFRESH with "online" behaviour:
 present the user a bounded answer immediately and shrink it with every
-refresh until the precision constraint is met.  This example renders that
-refinement as a terminal progress display for an AVG query over the
-volatile stock day, then compares total refreshes against the batch
-optimizer for the same constraint.
+refresh until the precision constraint is met.  This example drives
+``iterative_steps`` — one tuple per round of the executor's refresh
+loop — by hand, renders the bound between rounds as a terminal progress
+display for an AVG query over the volatile stock day, then compares total
+refreshes against the batch optimizer for the same constraint.
 
 Run:  python examples/iterative_refinement.py
 """
 
-from repro.core.executor import QueryExecutor
-from repro.extensions.iterative import IterativeRefreshExecutor
+from repro.core.aggregates import get_aggregate
+from repro.core.executor import QueryExecutor, bounded_answer, iterative_steps
+from repro.predicates.ast import TruePredicate
 from repro.replication import ColumnCostModel
 from repro.replication.local import LocalRefresher
 from repro.workloads.stocks import (
@@ -34,22 +36,37 @@ def main():
 
     print(f"AVG(price) WITHIN {BUDGET} over 90 cached tickers — online mode\n")
     table = stock_cache_table(days)
-    iterative = IterativeRefreshExecutor(
-        LocalRefresher(stock_master_table(days)), cost=cost
-    )
-    steps = list(iterative.steps(table, "AVG", "price", BUDGET))
-    initial_width = steps[0].bound.width
-    for i, step in enumerate(steps):
-        if i % max(1, len(steps) // 18) and i != len(steps) - 1:
+    refresher = LocalRefresher(stock_master_table(days))
+    avg = get_aggregate("AVG")
+
+    # Between rounds the cache is the driver's to read: the bound as it
+    # stands is what an online UI shows.
+    rows = [("cached only", bounded_answer(table, avg, "price", TruePredicate())[0], 0.0)]
+    steps = iterative_steps(table, "AVG", "price", BUDGET, cost=cost)
+    spent = 0.0
+    try:
+        request = next(steps)
+        while True:
+            refresher.refresh(table, request.plan.tids)
+            spent += request.plan.total_cost
+            bound, _ = bounded_answer(table, avg, "price", TruePredicate())
+            rows.append((f"refresh #{len(rows):<3}", bound, spent))
+            request = steps.send(request.plan)
+    except StopIteration as stop:
+        online = stop.value
+
+    initial_width = rows[0][1].width
+    for i, (who, bound, cumulative) in enumerate(rows):
+        if i % max(1, len(rows) // 18) and i != len(rows) - 1:
             continue  # sample the display for long refinements
-        who = f"refresh #{i:<3}" if step.refreshed_tid is not None else "cached only"
         print(
-            f"  {who}  [{bar(step.bound.width, scale=initial_width)}] "
-            f"width {step.bound.width:6.3f}  cost {step.cumulative_cost:5.0f}"
+            f"  {who}  [{bar(bound.width, scale=initial_width)}] "
+            f"width {bound.width:6.3f}  cost {cumulative:5.0f}"
         )
-    online_refreshes = len(steps) - 1
-    online_cost = steps[-1].cumulative_cost
-    print(f"\n  online: {online_refreshes} refreshes, cost {online_cost:g}")
+    print(
+        f"\n  online: {len(online.refreshed)} refreshes, "
+        f"cost {online.refresh_cost:g}"
+    )
 
     # The batch optimizer must guarantee the constraint for ANY realization,
     # so it typically refreshes more than the online run needed.

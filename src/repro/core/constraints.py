@@ -6,7 +6,8 @@ non-negative constant ``R`` with the requirement ``H_A - L_A <= R``
 (``WITHIN R`` in the query syntax).  Section 8.1 sketches *relative*
 constraints (``2 * |A| * P`` for a fraction ``P``), which we implement via
 the conservative reduction the paper describes: derive an absolute ``R``
-from the first-pass bounded answer computed over cached data alone.
+from a bounded answer — in the executor's refresh loop, from every bound
+it computes (:func:`repro.core.executor.refresh_steps`).
 """
 
 from __future__ import annotations
@@ -61,11 +62,16 @@ class PrecisionConstraint:
     def resolve(self, first_pass: Bound) -> float:
         """Return the absolute maximum answer width ``R``.
 
-        ``first_pass`` is the bounded answer computed from cached data only;
-        absolute constraints ignore it, relative constraints use it to derive
-        a conservative absolute budget.
+        ``first_pass`` is a bounded answer — the refresh loop passes each
+        bound it computes; absolute constraints ignore it, relative
+        constraints use it to derive a conservative absolute budget.
         """
         raise NotImplementedError
+
+    def provisional(self, bound: Bound) -> bool:
+        """Whether a narrower bound may loosen ``resolve(bound)``: the
+        refresh loop then takes one tuple at a time, not a batch plan."""
+        return False
 
     def satisfied_by(self, answer: Bound, first_pass: Bound | None = None) -> bool:
         """True iff ``answer`` meets this constraint.
@@ -105,8 +111,12 @@ class RelativePrecision(PrecisionConstraint):
 
     Denotes the absolute constraint ``2 * |A| * P`` where ``A`` is the true
     answer.  Since ``A`` is unknown in advance, we resolve conservatively
-    using the smallest possible ``|A|`` consistent with the first-pass
-    bounded answer, guaranteeing ``R <= 2 * |A| * P`` for the actual ``A``.
+    using the smallest possible ``|A|`` consistent with a bounded answer,
+    guaranteeing ``R <= 2 * |A| * P`` for the actual ``A``.  The refresh
+    loop re-resolves ``R`` every round, and a bound shrinking inside the
+    last only loosens it.  While the bound straddles zero only ``R = 0``
+    is safe — provisionally: the loop refreshes one tuple at a time until
+    the bound clears zero (or is exact).
     """
 
     fraction: float
@@ -125,6 +135,9 @@ class RelativePrecision(PrecisionConstraint):
         if math.isinf(min_abs):
             return math.inf
         return 2.0 * min_abs * self.fraction
+
+    def provisional(self, bound: Bound) -> bool:
+        return bound.contains(0.0)
 
     def __str__(self) -> str:
         return f"WITHIN {self.fraction:.2%} (relative)"

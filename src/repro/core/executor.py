@@ -1,4 +1,4 @@
-"""The three-step TRAPP/AG query executor (paper §4).
+"""The three-step TRAPP/AG query executor (paper §4) and its refresh loop.
 
 Executing ``SELECT AGG(T.a) WITHIN R FROM T WHERE P`` proceeds as:
 
@@ -11,10 +11,12 @@ Executing ``SELECT AGG(T.a) WITHIN R FROM T WHERE P`` proceeds as:
    and the clock stand still.
 
 They do not always: a value-initiated refresh (§3) or a bound sync can
-widen a tuple between steps 2 and 3.  So steps 2–3 are one loop: a
-recheck that misses R with every planned tuple reached *plans again*
-(:attr:`PlannedRefresh.replan`, at most :data:`MAX_PLAN_ROUNDS` plans);
-one with tuples unreached is answered degraded.
+widen a tuple between steps 2 and 3.  So steps 2–3 are one loop,
+:func:`refresh_steps`, which every statement class runs (a table, a
+GROUP BY group, TOP-N, a §7 join round): a recheck that misses R plans
+again, one with tuples unreached is answered degraded.  It resolves R
+from every bound, so §8.1's relative constraints are its ordinary case;
+§8.2's one-tuple rounds are its other chooser (:func:`iterative_steps`).
 
 The executor is agnostic to where refreshed values come from: callers
 provide a :class:`RefreshProvider` (the replication layer's cache, or a
@@ -40,17 +42,16 @@ There is one pipeline, and it reads only the table's columnar store
   ColumnarClassification` gathers the aggregation column there, applying
   the Appendix D refinement, and ``bound_with_classification``
   aggregates the arrays.  That is the only route choice, and it is read
-  from the predicate.  GROUP BY and the iterative and relative drivers
-  assemble their bounds through the same function.
+  from the predicate.  GROUP BY assembles each group's bound through the
+  same function.
 * **Plan** (step 2).  The chooser harvests CHOOSE_REFRESH candidates
   straight from the column arrays — the whole table, or the same pair —
   and prices them through :func:`repro.core.refresh.base.candidate_costs`;
   rows are touched only to evaluate a bare cost callable on the
   candidates.
 
-Classification runs once before the refresh and once after it, never in
-between: the initial bound and CHOOSE_REFRESH share one partition, and a
-re-plan reuses the recheck's.
+Classification runs once per bound, never in between: a bound and the
+plan made from it share one partition.
 
 The row-at-a-time pipeline this replaced lives on as the test oracle
 ``tests/oracle/row_executor.py``.
@@ -73,6 +74,7 @@ from repro.core.constraints import (
     width_within,
 )
 from repro.core.refresh import CostFunc, RefreshPlan, get_choose_refresh, uniform_cost
+from repro.core.refresh.base import candidate_costs
 from repro.errors import (
     ConstraintUnsatisfiableError,
     SourceUnavailableError,
@@ -88,9 +90,10 @@ __all__ = [
     "RefreshProvider",
     "NullRefreshProvider",
     "PlannedRefresh",
-    "RefreshHook",
     "QueryExecutor",
     "execute_query",
+    "iterative_steps",
+    "refresh_steps",
     "drive_steps",
     "bounded_answer",
     "finish_answer",
@@ -98,8 +101,9 @@ __all__ = [
     "MAX_PLAN_ROUNDS",
 ]
 
-#: Refresh plans one statement (one GROUP BY group) may yield: every round
-#: after the first answers a write or sync that landed under the last plan.
+#: Batch plans one statement (one GROUP BY group) may yield: every plan
+#: after the first answers a write or sync that landed under the last.
+#: One-tuple rounds are not counted; the table bounds them.
 MAX_PLAN_ROUNDS = 16
 
 # WIDTH_TOLERANCE / width_within (re-exported from repro.core.constraints)
@@ -143,12 +147,12 @@ class NullRefreshProvider:
 class PlannedRefresh:
     """A refresh the optimizer chose, surfaced before it is applied.
 
-    This is what :meth:`QueryExecutor.execute_steps` yields (and what a
-    ``refresh_hook`` receives): everything an external scheduler needs to
-    merge the refresh with other in-flight queries' plans.  Whoever handles
-    it must refresh *at least* the tuples of an equivalent plan and answer
-    with the effective :class:`RefreshPlan` — the tuple ids actually
-    refreshed on this query's behalf plus the cost attributed to it.
+    This is what every step generator yields: everything an external
+    scheduler needs to merge the refresh with other in-flight queries'
+    plans.  Whoever handles it must refresh *at least* the tuples of an
+    equivalent plan and answer with the effective :class:`RefreshPlan` —
+    the tuple ids actually refreshed on this query's behalf plus the cost
+    attributed to it.
 
     ``candidates``/``required_width`` are the §8.2 rebatching metadata,
     present only when the aggregate's answer width is a linear function of
@@ -179,12 +183,7 @@ class PlannedRefresh:
         return self.candidates is not None
 
 
-#: Intercepts a planned refresh.  The hook must apply the refreshes itself
-#: (e.g. through a batching scheduler) and return the effective plan; a
-#: ``None`` return means "applied exactly as requested".
-RefreshHook = Callable[[PlannedRefresh], "RefreshPlan | None"]
-
-#: Type of the generator returned by :meth:`QueryExecutor.execute_steps`.
+#: Type of the generator every statement class returns.
 ExecutionSteps = Generator[PlannedRefresh, RefreshPlan, BoundedAnswer]
 
 
@@ -192,11 +191,9 @@ def drive_steps(steps: ExecutionSteps, refresher: RefreshProvider) -> BoundedAns
     """Serially drive an execution-steps generator to its answer.
 
     The reference driver for every generator speaking the
-    :class:`PlannedRefresh` protocol (the executor's, the §7 join
-    heuristic's, the §8.1 extension generators'): each planned refresh is
-    applied immediately through ``refresher`` and echoed back as the
-    effective plan — exactly what a hookless :meth:`QueryExecutor.execute`
-    does, so serial answers are the fixed point concurrent drivers are
+    :class:`PlannedRefresh` protocol: each planned refresh is applied
+    immediately through ``refresher`` and echoed back as the effective
+    plan, so serial answers are the fixed point concurrent drivers are
     tested against.
     """
     try:
@@ -267,7 +264,7 @@ def finish_answer(
     ``plan`` sums the ``rounds`` effective plans (failures: the last
     round's).  A ``final`` bound missing ``max_width`` is *degraded* when
     tuples went unreached — unless R demands exactness only the dead
-    sources hold — and an optimizer bug when none did.
+    sources hold — and an error when none did.
     """
     degraded = not width_within(final.width, max_width)
     if degraded:
@@ -275,8 +272,7 @@ def finish_answer(
             raise ConstraintUnsatisfiableError(
                 f"answer {final} (width {final.width:g}) still violates "
                 f"constraint {max_width:g} after {rounds} refresh round(s) "
-                "with every planned tuple refreshed; this indicates an "
-                "optimizer bug"
+                "with every planned tuple refreshed"
             )
         # Bounded degradation (the paper's availability story): the
         # recomputed bound still contains the true value.
@@ -298,6 +294,191 @@ def finish_answer(
     )
 
 
+def refresh_steps(
+    bound: Callable[[], Bound | None],
+    constraint: PrecisionConstraint | float,
+    plan: Callable[[Bound, float], PlannedRefresh] | None = None,
+    pick: Callable[[Bound, float, dict], PlannedRefresh | None] | None = None,
+    answer_type: type[BoundedAnswer] = BoundedAnswer,
+    fields: Callable[[], dict] = dict,
+) -> ExecutionSteps:
+    """The refresh loop every statement runs: plan, suspend, bound again.
+
+    ``bound()`` is the statement's bounded answer as the cache stands
+    (``None`` once there is nothing left to bound, a GROUP BY group whose
+    tuples all left: the loop returns ``None``).  Each bound resolves
+    ``constraint`` afresh; within it, the loop stops.  Otherwise it
+    yields a :class:`PlannedRefresh` and bounds again on ``send``:
+
+    * a *batch* round yields ``plan(bound, R)``, CHOOSE_REFRESH for R.
+      A recheck misses only if something moved under the plan, and the
+      next batch plan is a ``replan``; an empty re-plan, or a miss after
+      :data:`MAX_PLAN_ROUNDS` batch plans, ends the loop;
+    * a *one-tuple* round (§8.2) yields ``pick(bound, R, requested)``:
+      the best tuple not in ``requested`` (the statement's tuple ids so
+      far, per table), or ``None`` to end the loop.  Never a ``replan``;
+      the table bounds them.  Taken without a ``plan`` (the §7 join,
+      :func:`iterative_steps`) and while ``constraint.provisional``.
+
+    A round with tuples unreached ends the loop too.  The answer is
+    :func:`finish_answer`'s verdict on the last bound, an ``answer_type``
+    carrying ``fields()``.
+    """
+    if isinstance(constraint, (int, float)):
+        constraint = AbsolutePrecision(float(constraint))
+    initial = current = bound()
+    spent, rounds, plans, missed = RefreshPlan.empty(), 0, 0, False
+    requested: dict[Table, set[int]] = {}
+    while current is not None:
+        max_width = constraint.resolve(current)
+        request = None
+        if width_within(current.width, max_width) or spent.unreached:
+            pass  # answered, or degraded
+        elif plan is None or (pick is not None and constraint.provisional(current)):
+            request, missed = pick(current, max_width, requested), False
+        elif plans < MAX_PLAN_ROUNDS:
+            request = plan(current, max_width)
+            request.replan, missed = missed, True
+            plans += 1
+            if rounds and not request.plan.tids:
+                request = None  # an empty re-plan
+        if request is None:
+            return finish_answer(
+                current, max_width, spent, initial, rounds, answer_type, **fields()
+            )
+        effective = yield request
+        rounds += 1
+        spent = spent.then(effective)
+        requested.setdefault(request.table, set()).update(
+            request.plan.tids, effective.tids
+        )
+        current = bound()
+    return None
+
+
+class _TableStatement:
+    """``AGG(column) FROM table WHERE predicate`` for :func:`refresh_steps`.
+
+    Its bound is steps 1 and 3; its batch plan is step 2's CHOOSE_REFRESH
+    and its one-tuple pick §8.2's greedy choice, both over the partition
+    the last bound came from.
+    """
+
+    def __init__(
+        self, table: Table, aggregate: str, column: str | None,
+        predicate: Predicate | None, cost: CostFunc, refine: bool = True,
+        epsilon: float | None = None, force_exact: bool = False,
+    ) -> None:
+        self.predicate = predicate if predicate is not None else TruePredicate()
+        for name in columns_of(self.predicate):
+            table.schema.column(name)  # raises on unknown columns
+        self.spec = get_aggregate(aggregate)
+        if self.spec.needs_column and column is None:
+            raise UnknownColumnError("<missing>", table.name)
+        self.chooser = get_choose_refresh(
+            self.spec.name, epsilon=epsilon, force_exact=force_exact
+        )
+        self.table, self.column, self.cost = table, column, cost
+        self.refine = refine and column is not None
+        self.report = self.answer_fields = None
+
+    def bound(self) -> Bound:
+        bound, self.report = bounded_answer(
+            self.table, self.spec, self.column, self.predicate, self.refine
+        )
+        if self.answer_fields is None:  # step 1's partition is the one reported
+            fraction = None if self.report is None else self.report.window_fraction
+            self.answer_fields = {"index_window_fraction": fraction}
+        return bound
+
+    def plan(self, bound: Bound, max_width: float) -> PlannedRefresh:
+        if self.report is None:
+            plan, candidates = self.chooser.without_predicate(
+                self.table, self.column, max_width, self.cost
+            )
+        else:
+            plan, candidates = self.chooser.with_classification(
+                self.table, self.report.positions, self.column, max_width,
+                self.cost, predicate=self.predicate if self.refine else None,
+            )
+        # A chooser hands back candidates when the final width is the
+        # current width minus the widths the refreshed tuples remove (SUM).
+        required = None if candidates is None else bound.width - max_width
+        return PlannedRefresh(
+            self.table, plan, max_width, self.spec.name, candidates, required
+        )
+
+    def pick(
+        self, bound: Bound, max_width: float, requested: dict[Table, set[int]]
+    ) -> PlannedRefresh | None:
+        """The unrequested tuple with the best benefit/cost score.
+
+        Candidates are the T+ then the T? tuples of the last bound's
+        partition (every tuple, all in T+, when there was no predicate to
+        classify), priced together.
+        """
+        store = self.table.columns
+        if self.report is None:  # no predicate: every tuple is in T+
+            positions = np.arange(len(store)), np.arange(0)
+        else:
+            positions = self.report.positions
+        at, n_plus = np.concatenate(positions), len(positions[0])
+        if self.column is None:
+            lo = hi = [0.0] * len(at)  # COUNT scores membership only
+        else:
+            lo, hi = (end[at].tolist() for end in store.endpoints(self.column))
+        costs = candidate_costs(self.table, self.cost, at).tolist()
+        tids = store.sorted_tids()[at].tolist()
+        asked = requested.get(self.table, ())
+
+        best = None
+        best_score = 0.0
+        for k, tid in enumerate(tids):
+            score = _benefit(
+                lo[k], hi[k], self.spec.name, k >= n_plus, bound, max_width
+            )
+            if score <= 0 or tid in asked:
+                continue
+            ratio = score / max(costs[k], 1e-12)
+            if best is None or ratio > best_score:
+                best = k
+                best_score = ratio
+        if best is None:
+            return None
+        plan = RefreshPlan(frozenset((tids[best],)), costs[best])
+        return PlannedRefresh(self.table, plan, max_width, self.spec.name)
+
+
+def _benefit(
+    lo: float,
+    hi: float,
+    aggregate: str,
+    uncertain: bool,
+    bound: Bound,
+    max_width: float,
+) -> float:
+    """A tuple's uncertainty contribution: for MIN/MAX the overlap with
+    the contested region, for SUM/AVG the (zero-extended) bound width,
+    for COUNT T? membership."""
+    if aggregate == "COUNT":
+        return 1.0 if uncertain else 0.0
+    if aggregate in ("SUM", "AVG"):
+        if uncertain:  # the bound extended to zero, plus its membership
+            return max(hi, 0.0) - min(lo, 0.0) + 1.0
+        return hi - lo
+    if aggregate == "MIN":
+        # Contribution to the contested region [lo_A, lo_A + width).
+        contested_top = bound.lo + max(bound.width - max_width, 0.0)
+        overlap = max(0.0, min(hi, contested_top) - lo)
+        return overlap if hi > lo else 0.0
+    if aggregate == "MAX":
+        contested_bottom = bound.hi - max(bound.width - max_width, 0.0)
+        overlap = max(0.0, hi - max(lo, contested_bottom))
+        return overlap if hi > lo else 0.0
+    # Unknown aggregate: fall back to raw width.
+    return hi - lo
+
+
 class QueryExecutor:
     """Executes bounded aggregation queries against one cached table."""
 
@@ -307,17 +488,11 @@ class QueryExecutor:
         epsilon: float | None = None,
         force_exact: bool = False,
         refine_bounds: bool = True,
-        refresh_hook: RefreshHook | None = None,
     ) -> None:
         self.refresher = refresher if refresher is not None else NullRefreshProvider()
         self.epsilon = epsilon
         self.force_exact = force_exact
         self.refine_bounds = refine_bounds
-        #: When set, planned refreshes are handed to this hook instead of
-        #: ``refresher.refresh`` — the entry point for schedulers that
-        #: batch refreshes across queries.  ``None`` keeps the classic
-        #: apply-immediately behavior.
-        self.refresh_hook = refresh_hook
 
     # ------------------------------------------------------------------
     def execute(
@@ -330,15 +505,10 @@ class QueryExecutor:
         cost: CostFunc = uniform_cost,
     ) -> BoundedAnswer:
         """Run the three-step pipeline and return a guaranteed answer."""
-        steps = self.execute_steps(
-            table, aggregate, column, constraint, predicate, cost
+        return drive_steps(
+            self.execute_steps(table, aggregate, column, constraint, predicate, cost),
+            self.refresher,
         )
-        try:
-            request = next(steps)
-            while True:
-                request = steps.send(self._apply_refresh(request))
-        except StopIteration as stop:
-            return stop.value
 
     def execute_steps(
         self,
@@ -359,72 +529,43 @@ class QueryExecutor:
         :class:`RefreshPlan`; the generator then runs step 3 and returns
         the guaranteed :class:`BoundedAnswer` via ``StopIteration.value``
         (or yields a ``replan`` if something widened bounds under the plan).
+        A relative constraint whose bound straddles zero takes one-tuple
+        rounds until it does not (§8.1).
         """
-        if isinstance(constraint, (int, float)):
-            constraint = AbsolutePrecision(float(constraint))
-        predicate = predicate if predicate is not None else TruePredicate()
-        for name in columns_of(predicate):
-            table.schema.column(name)  # raises on unknown columns
-        spec = get_aggregate(aggregate)
-        if spec.needs_column and column is None:
-            raise UnknownColumnError("<missing>", table.name)
-        refine = self.refine_bounds and column is not None
-
-        # Step 1: bound from the cache.
-        initial, report = bounded_answer(table, spec, column, predicate, refine)
-        window_fraction = None if report is None else report.window_fraction
-        max_width = constraint.resolve(initial)
-        if width_within(initial.width, max_width):
-            return BoundedAnswer(
-                bound=initial,
-                initial_bound=initial,
-                index_window_fraction=window_fraction,
-            )
-
-        # Steps 2 and 3, once unless the recheck misses R with every
-        # planned tuple reached: CHOOSE_REFRESH over the partition the
-        # bound came from, suspend, bound again.
-        chooser = get_choose_refresh(
-            spec.name, epsilon=self.epsilon, force_exact=self.force_exact
+        statement = _TableStatement(
+            table, aggregate, column, predicate, cost,
+            self.refine_bounds, self.epsilon, self.force_exact,
         )
-        bound, spent, rounds = initial, RefreshPlan.empty(), 0
-        while not width_within(bound.width, max_width) and rounds < MAX_PLAN_ROUNDS:
-            if report is None:
-                plan, candidates = chooser.without_predicate(
-                    table, column, max_width, cost
-                )
-            else:
-                plan, candidates = chooser.with_classification(
-                    table, report.positions, column, max_width, cost,
-                    predicate=predicate if refine else None,
-                )
-            if rounds and not plan.tids:
-                break
-            # A chooser hands back candidates when the final width is the
-            # current width minus the widths the refreshed tuples remove
-            # (SUM).
-            required = None if candidates is None else bound.width - max_width
-            effective = yield PlannedRefresh(
-                table, plan, max_width, spec.name, candidates, required,
-                replan=rounds > 0,
+        return (
+            yield from refresh_steps(
+                statement.bound, constraint, statement.plan, statement.pick,
+                fields=lambda: statement.answer_fields,
             )
-            rounds += 1
-            spent = spent.then(effective)
-            bound, report = bounded_answer(table, spec, column, predicate, refine)
-            if spent.unreached:
-                break
-        return finish_answer(
-            bound, max_width, spent, initial, rounds,
-            index_window_fraction=window_fraction,
         )
 
-    def _apply_refresh(self, request: PlannedRefresh) -> RefreshPlan:
-        """Default driver for a planned refresh: hook, else apply now."""
-        if self.refresh_hook is not None:
-            outcome = self.refresh_hook(request)
-            return outcome if outcome is not None else request.plan
-        self.refresher.refresh(request.table, request.plan.tids)
-        return request.plan
+
+def iterative_steps(
+    table: Table,
+    aggregate: str,
+    column: str | None,
+    constraint: PrecisionConstraint | float,
+    predicate: Predicate | None = None,
+    cost: CostFunc = uniform_cost,
+) -> ExecutionSteps:
+    """§8.2's iterative CHOOSE_REFRESH: one tuple per round.
+
+    Each round refreshes the tuple with the widest uncertainty per unit
+    cost, stopping as soon as the actual values meet the constraint —
+    often before a batch plan would, at one round trip per tuple.  The
+    driver sees the answer shrink between sends (online aggregation).
+    """
+    statement = _TableStatement(table, aggregate, column, predicate, cost)
+    return (
+        yield from refresh_steps(
+            statement.bound, constraint, pick=statement.pick,
+            fields=lambda: statement.answer_fields,
+        )
+    )
 
 
 def execute_query(
@@ -438,7 +579,6 @@ def execute_query(
     epsilon: float | None = None,
     force_exact: bool = False,
     refine_bounds: bool = True,
-    refresh_hook: RefreshHook | None = None,
 ) -> BoundedAnswer:
     """One-shot convenience wrapper around :class:`QueryExecutor`.
 
@@ -451,6 +591,5 @@ def execute_query(
         epsilon=epsilon,
         force_exact=force_exact,
         refine_bounds=refine_bounds,
-        refresh_hook=refresh_hook,
     )
     return executor.execute(table, aggregate, column, constraint, predicate, cost)

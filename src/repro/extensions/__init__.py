@@ -1,5 +1,5 @@
-"""Paper §8 extensions: MEDIAN, TOP-n, iterative refresh, batching,
-GROUP BY, relative precision."""
+"""Paper §8 extensions: MEDIAN, TOP-n, batching, GROUP BY and more.
+(Relative constraints and iterative refresh run in ``core.executor``.)"""
 
 from repro.extensions.batching import BatchedCostModel, rebatch_plan
 from repro.extensions.cardinality import ChurnBuffer, PendingChurn, churn_adjusted
@@ -17,7 +17,6 @@ from repro.extensions.paths import (
     bounded_shortest_path,
 )
 from repro.extensions.snapshot import SnapshotView, VersionedTable
-from repro.extensions.iterative import IterativeRefreshExecutor, RefreshStep
 from repro.extensions.median_spec import (
     CHOOSE_MEDIAN,
     MEDIAN,
@@ -25,7 +24,6 @@ from repro.extensions.median_spec import (
     MedianChooseRefresh,
     median_of,
 )
-from repro.extensions.relative import execute_relative_query
 from repro.extensions.topn import TopNResult, bounded_top_n
 
 __all__ = [
@@ -36,13 +34,10 @@ __all__ = [
     "median_of",
     "TopNResult",
     "bounded_top_n",
-    "IterativeRefreshExecutor",
-    "RefreshStep",
     "BatchedCostModel",
     "rebatch_plan",
     "GroupResult",
     "grouped_query",
-    "execute_relative_query",
     "ChurnBuffer",
     "PendingChurn",
     "churn_adjusted",

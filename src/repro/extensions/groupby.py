@@ -32,20 +32,18 @@ import numpy as np
 from repro.core.aggregates import get_aggregate
 from repro.core.answer import BoundedAnswer
 from repro.core.bound import Bound
-from repro.core.constraints import width_within
 from repro.core.executor import (
-    MAX_PLAN_ROUNDS,
     ExecutionSteps,
     NullRefreshProvider,
     PlannedRefresh,
     RefreshProvider,
     bounded_answer,
     drive_steps,
-    finish_answer,
+    refresh_steps,
     table_positions,
 )
 from repro.core.refresh import get_choose_refresh
-from repro.core.refresh.base import CostFunc, RefreshPlan, uniform_cost
+from repro.core.refresh.base import CostFunc, uniform_cost
 from repro.errors import TrappError
 from repro.predicates.ast import Predicate, TruePredicate
 from repro.storage.table import Table
@@ -93,10 +91,11 @@ def grouped_query_steps(
     cached bound is too wide the chosen refresh plan is yielded as a
     :class:`~repro.core.executor.PlannedRefresh` (groups partition the
     table, so plans never interact) and the driver sends back the
-    effective plan.  A group whose recheck misses R with every planned
-    tuple reached plans again, as the executor does; one with tuples
-    unreached is answered degraded.  Returns a :class:`GroupedAnswer` via
-    ``StopIteration.value``.
+    effective plan.  Each group runs the executor's loop
+    (:func:`~repro.core.executor.refresh_steps`) over its share: a
+    recheck that misses R with every planned tuple reached plans again,
+    one with tuples unreached is answered degraded.  Returns a
+    :class:`GroupedAnswer` via ``StopIteration.value``.
     """
     if not group_by:
         raise TrappError("grouped_query requires at least one grouping column")
@@ -108,57 +107,21 @@ def grouped_query_steps(
             )
 
     predicate = predicate if predicate is not None else TruePredicate()
-    spec = get_aggregate(aggregate)
-    chooser = get_choose_refresh(aggregate, epsilon=epsilon)
-
-    split = _Split(table, group_by, predicate)
+    groups = _Groups(table, group_by, aggregate, column, predicate, cost, epsilon)
     # Key values come from one row per group, not from the float64
     # arrays: their Python types decide the repr order below and what
     # goes over the wire.
-    tids = table.columns.sorted_tids()[split.first].tolist()
+    tids = table.columns.sorted_tids()[groups.first].tolist()
     keys = {
         tuple(table.row(tid)[name] for name in group_by): ident
-        for tid, ident in zip(tids, split.code)
+        for tid, ident in zip(tids, groups.code)
     }
 
     results: list[GroupResult] = []
-    refreshed: set[int] = set()
-    total_cost = 0.0
     for key in sorted(keys, key=repr):
-        group = split.group(keys[key])
-        if group is None:  # every tuple of it left while an earlier group waited
-            continue
-        size, share = group
-        initial, _ = bounded_answer(table, spec, column, predicate, within=share)
-        # The executor's loop, per group: plan, suspend, bound again, and
-        # plan again while the recheck misses R with every tuple reached.
-        bound, spent, rounds = initial, RefreshPlan.empty(), 0
-        while not width_within(bound.width, max_width) and rounds < MAX_PLAN_ROUNDS:
-            plan, _ = chooser.with_classification(
-                table, share, column, max_width, cost, predicate=predicate
-            )
-            if rounds and not plan.tids:
-                break
-            effective = yield PlannedRefresh(
-                table, plan, max_width, aggregate, replan=rounds > 0
-            )
-            rounds += 1
-            spent = spent.then(plan if effective is None else effective)
-            # Positions do not outlive a send: the refresh moved tuples
-            # out of T?, and tuples can come and go while a plan is out.
-            split = _Split(table, group_by, predicate)
-            group = split.group(keys[key])
-            if group is None:
-                break
-            size, share = group
-            bound, _ = bounded_answer(table, spec, column, predicate, within=share)
-            if spent.unreached:
-                break
-        refreshed.update(spent.tids)
-        total_cost += spent.total_cost
-        if group is not None:
-            answer = finish_answer(bound, max_width, spent, initial, rounds)
-            results.append(GroupResult(key, answer, size))
+        answer = yield from groups.steps(keys[key], max_width)
+        if answer is not None:  # None: every tuple of it left meanwhile
+            results.append(GroupResult(key, answer, groups.size))
 
     widest = max(
         (r.answer.bound for r in results), key=lambda b: b.width, default=Bound(0.0, 0.0)
@@ -174,8 +137,8 @@ def grouped_query_steps(
     )
     return GroupedAnswer(
         bound=widest,
-        refreshed=frozenset(refreshed),
-        refresh_cost=total_cost,
+        refreshed=frozenset().union(*(r.answer.refreshed for r in results)),
+        refresh_cost=sum((r.answer.refresh_cost for r in results), 0.0),
         initial_bound=widest_initial,
         degraded=any(r.answer.degraded for r in results),
         unreachable_sources=tuple(
@@ -210,33 +173,62 @@ def grouped_query(
     return list(answer.groups)
 
 
-class _Split:
-    """The table's one ``(T+, T?)`` pair, regrouped by group.
+class _Groups:
+    """The statement's groups, one :func:`refresh_steps` loop each.
 
     The table is classified once and dense group codes from the exact key
-    columns' arrays sort its two position arrays by group; a group's share
-    is then two slices.  Everything here is positions, good for the store
-    as it stands and no longer — built per use, never kept across a send.
+    columns' arrays sort its ``(T+, T?)`` pair by group; a group's share
+    is then two slices, and its bound and plan read nothing else.
+    Positions do not outlive a send — the refresh moved tuples out of T?,
+    and tuples can come and go while a plan is out — so every bound after
+    a send splits the table again; a group's first bound reuses the last
+    split.
     """
 
-    def __init__(self, table: Table, group_by: Sequence[str], predicate: Predicate):
-        idents, self.first, codes = _group_index(table.columns, group_by)
+    def __init__(
+        self, table, group_by, aggregate, column, predicate, cost, epsilon
+    ) -> None:
+        self.table, self.group_by, self.predicate = table, group_by, predicate
+        self.aggregate, self.column, self.cost = aggregate, column, cost
+        self.spec = get_aggregate(aggregate)
+        self.chooser = get_choose_refresh(aggregate, epsilon=epsilon)
+        self.split()
+        self.size = self.share = self.ident = self.fresh = None
+
+    def split(self) -> None:
+        idents, self.first, codes = _group_index(self.table.columns, self.group_by)
         #: Group code by the group's key as the arrays hold it.
         self.code = dict(zip(idents, range(len(idents))))
-        self._sizes = np.bincount(codes, minlength=len(idents)).tolist()
-        self._parts = [
+        self.sizes = np.bincount(codes, minlength=len(idents)).tolist()
+        self.parts = [
             _by_group(at, codes, len(idents))
-            for at in table_positions(table, predicate)
+            for at in table_positions(self.table, self.predicate)
         ]
 
-    def group(self, ident):
-        """``(size, (T+, T?))`` of one group; ``None`` once it is empty."""
-        g = self.code.get(ident)
-        if g is None:
+    def steps(self, ident, max_width: float) -> ExecutionSteps:
+        self.ident, self.fresh = ident, True
+        return refresh_steps(self.bound, max_width, self.plan)
+
+    def bound(self) -> Bound | None:
+        if not self.fresh:
+            self.split()
+        self.fresh = False
+        g = self.code.get(self.ident)
+        if g is None:  # every tuple of the group left
             return None
-        return self._sizes[g], tuple(
-            at[cuts[g] : cuts[g + 1]] for at, cuts in self._parts
+        self.size = self.sizes[g]
+        self.share = tuple(at[cuts[g] : cuts[g + 1]] for at, cuts in self.parts)
+        bound, _ = bounded_answer(
+            self.table, self.spec, self.column, self.predicate, within=self.share
         )
+        return bound
+
+    def plan(self, bound: Bound, max_width: float) -> PlannedRefresh:
+        plan, _ = self.chooser.with_classification(
+            self.table, self.share, self.column, max_width, self.cost,
+            predicate=self.predicate,
+        )
+        return PlannedRefresh(self.table, plan, max_width, self.aggregate)
 
 
 def _group_index(store, group_by: Sequence[str]):

@@ -20,10 +20,11 @@ so ``[d_L, d_H]`` is a guaranteed bounded answer, and the path achieving
 bound.  The §8.1 constraint form is satisfied once ``d_H - d_L <= R``:
 the returned route's latency is within ``R`` of the precise optimum.
 
-CHOOSE_REFRESH follows the iterative pattern: while the bound is too wide,
-refresh the widest-bound link on the current *optimistic* path (the place
-where optimism and pessimism can disagree), recompute, repeat.  Tests
-verify the guarantee against exhaustively realized networks.
+CHOOSE_REFRESH follows the iterative pattern — one-tuple rounds of the
+executor's refresh loop: while the bound is too wide, refresh the
+widest-bound link on the current *optimistic* path (the place where
+optimism and pessimism can disagree), recompute, repeat.  Tests verify
+the guarantee against exhaustively realized networks.
 """
 
 from __future__ import annotations
@@ -34,31 +35,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.constraints import width_within
+from repro.core.answer import BoundedAnswer
 from repro.core.bound import Bound
-from repro.core.executor import RefreshProvider
-from repro.core.refresh.base import CostFunc, candidate_costs, uniform_cost
-from repro.errors import ConstraintUnsatisfiableError, TrappError
+from repro.core.executor import (
+    PlannedRefresh,
+    RefreshProvider,
+    drive_steps,
+    refresh_steps,
+)
+from repro.core.refresh.base import CostFunc, RefreshPlan, candidate_costs, uniform_cost
+from repro.errors import TrappError
 from repro.storage.table import Table
 
 __all__ = ["BoundedPathAnswer", "bounded_shortest_path", "PathQueryExecutor"]
 
 
 @dataclass(frozen=True, slots=True)
-class BoundedPathAnswer:
-    """A guaranteed interval on the optimal path latency plus a witness."""
+class BoundedPathAnswer(BoundedAnswer):
+    """A guaranteed interval on the optimal path latency plus a witness.
 
-    #: Interval containing the precise shortest-path latency.
-    bound: Bound
-    #: A concrete route (node sequence) whose true latency lies in `bound`.
-    route: tuple[int, ...]
-    #: Link tuple ids refreshed while answering.
-    refreshed: frozenset[int] = frozenset()
-    refresh_cost: float = 0.0
+    ``bound`` contains the precise shortest-path latency; ``route`` is a
+    concrete node sequence whose true latency lies in ``bound``, and
+    ``refreshed`` names the link tuples refreshed while answering.
+    """
 
-    @property
-    def width(self) -> float:
-        return self.bound.width
+    route: tuple[int, ...] = ()
 
 
 def _dijkstra(
@@ -169,59 +170,54 @@ class PathQueryExecutor:
     ) -> BoundedPathAnswer:
         """Answer the lowest-latency-path query within ``max_width``.
 
-        Refresh policy: the widest unrefreshed link on the current
-        *optimistic* shortest path — the optimistic route is where a too
-        rosy lower bound can hide, so collapsing its uncertainty either
-        certifies it or reroutes optimism elsewhere.  Falls back to the
-        pessimistic route's links when the optimistic path is exact, and
-        terminates because every iteration refreshes a distinct link.
+        Refresh policy: one link per round of the executor's refresh loop
+        (:func:`~repro.core.executor.refresh_steps`) — the widest link not
+        yet requested on the current *optimistic* shortest path; the
+        optimistic route is where a too rosy lower bound can hide, so
+        collapsing its uncertainty either certifies it or reroutes
+        optimism elsewhere.  Falls back to the pessimistic route's links
+        when the optimistic path is exact.
         """
-        refreshed: set[int] = set()
-        total_cost = 0.0
-        for _ in range(len(table) + 1):
+        answer = None
+
+        def bound() -> Bound:
+            nonlocal answer
             answer = bounded_shortest_path(
                 table, source, target,
                 self.from_column, self.to_column, self.latency_column,
             )
-            if width_within(answer.width, max_width):
-                return BoundedPathAnswer(
-                    bound=answer.bound,
-                    route=answer.route,
-                    refreshed=frozenset(refreshed),
-                    refresh_cost=total_cost,
-                )
-            target_link = self._pick_link(table, source, target)
-            if target_link is None:
-                raise ConstraintUnsatisfiableError(
-                    f"path bound {answer.bound} cannot be narrowed to "
-                    f"{max_width:g}: all links are exact"
-                )
-            at = np.searchsorted(table.columns.sorted_tids(), [target_link])
-            total_cost += float(candidate_costs(table, self.cost, at)[0])
-            self.refresher.refresh(table, [target_link])
-            refreshed.add(target_link)
-        raise ConstraintUnsatisfiableError(
-            "path refresh loop failed to converge; refresher is not "
-            "collapsing link bounds"
-        )
+            return answer.bound
 
-    def _pick_link(self, table: Table, source: int, target: int) -> int | None:
-        _, _, lo_links = _dijkstra(
-            _adjacency(table, self.from_column, self.to_column,
-                       self.latency_column, "lo"),
-            source,
-            target,
+        def pick(bound, max_width, requested) -> PlannedRefresh | None:
+            tid = self._pick_link(table, source, target, requested.get(table, ()))
+            if tid is None:
+                return None
+            at = np.searchsorted(table.columns.sorted_tids(), [tid])
+            cost = float(candidate_costs(table, self.cost, at)[0])
+            return PlannedRefresh(
+                table, RefreshPlan(frozenset((tid,)), cost), max_width, "PATH"
+            )
+
+        steps = refresh_steps(
+            bound, max_width, pick=pick, answer_type=BoundedPathAnswer,
+            fields=lambda: {"route": answer.route},
         )
-        _, _, hi_links = _dijkstra(
-            _adjacency(table, self.from_column, self.to_column,
-                       self.latency_column, "hi"),
-            source,
-            target,
-        )
-        for links in (lo_links, hi_links):
+        return drive_steps(steps, self.refresher)
+
+    def _pick_link(
+        self, table: Table, source: int, target: int, requested
+    ) -> int | None:
+        for endpoint in ("lo", "hi"):
+            _, _, links = _dijkstra(
+                _adjacency(table, self.from_column, self.to_column,
+                           self.latency_column, endpoint),
+                source,
+                target,
+            )
             candidates = [
                 tid for tid in links
-                if table.row(tid).bound(self.latency_column).width > 0
+                if tid not in requested
+                and table.row(tid).bound(self.latency_column).width > 0
             ]
             if candidates:
                 return max(

@@ -30,14 +30,8 @@ import numpy as np
 
 from repro.core.answer import BoundedAnswer
 from repro.core.bound import Bound
-from repro.core.constraints import width_within
-from repro.core.executor import (
-    MAX_PLAN_ROUNDS,
-    ExecutionSteps,
-    PlannedRefresh,
-    finish_answer,
-)
-from repro.core.refresh.base import CostFunc, RefreshPlan, plan_at, uniform_cost
+from repro.core.executor import ExecutionSteps, PlannedRefresh, refresh_steps
+from repro.core.refresh.base import CostFunc, plan_at, uniform_cost
 from repro.errors import PredicateTypeError, TrappError
 from repro.predicates.ast import Predicate, TruePredicate
 from repro.predicates.batch import classify_masks
@@ -146,51 +140,46 @@ def top_n_steps(
 
     The predicate must read exact columns only (two-valued membership —
     the compiler enforces this for SQL statements); the n-th value's
-    bound is then narrowed to ``max_width`` by a CHOOSE_REFRESH plan —
-    one round while the master stands still, re-plans under the
-    executor's rules when it does not.  Returns a :class:`TopNAnswer` via
-    ``StopIteration.value``.
+    bound is then narrowed to ``max_width`` by a CHOOSE_REFRESH plan in
+    the executor's loop (:func:`~repro.core.executor.refresh_steps`) —
+    one round while the master stands still, re-plans when it does not.
+    Returns a :class:`TopNAnswer` via ``StopIteration.value``.
     """
     predicate = predicate if predicate is not None else TruePredicate()
     store = table.columns
 
-    def current() -> tuple[np.ndarray, Endpoints]:
-        """The member tuples' positions, and their endpoints as the store
+    members = endpoints = result = None
+
+    def bound() -> Bound:
+        """The n-th value over the member tuples' endpoints as the store
         holds them now."""
+        nonlocal members, endpoints, result
         tids = store.sorted_tids()
         lo, hi = store.endpoints(column)
         if isinstance(predicate, TruePredicate):
-            return np.arange(len(tids)), (tids, lo, hi)
-        certain, possible = classify_masks(store, predicate)
-        if not np.array_equal(certain, possible):
-            raise PredicateTypeError(
-                f"TOP-{n} filters on exact values only; the predicate "
-                "reads a bound that is not exact"
-            )
-        return np.flatnonzero(certain), (tids[certain], lo[certain], hi[certain])
-
-    members, endpoints = current()
-    result = _top_n(endpoints, n)
-    initial = result.nth_value
-    spent, rounds = RefreshPlan.empty(), 0
-    while (
-        not width_within(result.nth_value.width, max_width)
-        and rounds < MAX_PLAN_ROUNDS
-    ):
-        plan = plan_at(table, cost, members[_refresh_mask(endpoints, n, max_width)])
-        if not plan.tids:
-            break
-        effective = yield PlannedRefresh(
-            table, plan, max_width, "TOPN", replan=rounds > 0
-        )
-        rounds += 1
-        spent = spent.then(plan if effective is None else effective)
-        members, endpoints = current()
+            members, endpoints = np.arange(len(tids)), (tids, lo, hi)
+        else:
+            certain, possible = classify_masks(store, predicate)
+            if not np.array_equal(certain, possible):
+                raise PredicateTypeError(
+                    f"TOP-{n} filters on exact values only; the predicate "
+                    "reads a bound that is not exact"
+                )
+            members = np.flatnonzero(certain)
+            endpoints = tids[certain], lo[certain], hi[certain]
         result = _top_n(endpoints, n)
-        if spent.unreached:
-            break
-    return finish_answer(
-        result.nth_value, max_width, spent, initial, rounds, TopNAnswer,
-        certain_members=result.certain_members,
-        possible_members=result.possible_members,
+        return result.nth_value
+
+    def plan(bound: Bound, max_width: float) -> PlannedRefresh:
+        at = members[_refresh_mask(endpoints, n, max_width)]
+        return PlannedRefresh(table, plan_at(table, cost, at), max_width, "TOPN")
+
+    return (
+        yield from refresh_steps(
+            bound, max_width, plan, answer_type=TopNAnswer,
+            fields=lambda: {
+                "certain_members": result.certain_members,
+                "possible_members": result.possible_members,
+            },
+        )
     )

@@ -17,8 +17,9 @@ module implements the natural *iterative greedy* heuristic the paper's
 The benefit estimate charges a base tuple with (a) the aggregation-column
 bound width it contributes through every surviving joined tuple and (b)
 the classification uncertainty (T? membership) of those joined tuples.
-The loop terminates because every round strictly shrinks the pool of wide
-base tuples.
+Each round is a one-tuple round of the executor's refresh loop, which
+offers a base tuple at most once — so the loop ends within the tables'
+size.
 
 Each round's selection is *decomposed into one per-table refresh plan*
 and surfaced through the executor's ``PlannedRefresh`` generator protocol
@@ -30,9 +31,9 @@ queries.  :meth:`JoinRefreshHeuristic.execute` is the serial driver.
 A round is array work over the tables' ``ColumnStore`` endpoint columns:
 :func:`repro.joins.classify.join_pairs` names the surviving joined tuples
 by position, the aggregate bounds the gathered endpoints, and per-table
-``bincount``s total each base tuple's benefit.  Nothing is kept from one
-round to the next.  The row-at-a-time heuristic this replaces lives in
-``tests/oracle/row_join.py``.
+``bincount``s total each base tuple's benefit.  Nothing but the tuples
+already requested is kept from one round to the next.  The row-at-a-time
+heuristic this replaces lives in ``tests/oracle/row_join.py``.
 """
 
 from __future__ import annotations
@@ -44,12 +45,13 @@ import numpy as np
 from repro.core.aggregates import get_aggregate
 from repro.core.answer import BoundedAnswer
 from repro.core.bound import Bound
-from repro.core.constraints import width_within
 from repro.core.executor import (
     ExecutionSteps,
+    NullRefreshProvider,
     PlannedRefresh,
     RefreshProvider,
     drive_steps,
+    refresh_steps,
 )
 from repro.core.refresh.base import (
     CostFunc,
@@ -57,7 +59,6 @@ from repro.core.refresh.base import (
     candidate_costs,
     uniform_cost,
 )
-from repro.errors import ConstraintUnsatisfiableError
 from repro.joins.classify import ColumnKey, JoinedColumns, join_pairs
 from repro.predicates.ast import Predicate
 from repro.predicates.batch import ColumnarClassification
@@ -72,14 +73,12 @@ class JoinRefreshHeuristic:
     def __init__(
         self,
         tables: Sequence[Table],
-        refresher: RefreshProvider,
+        refresher: RefreshProvider | None,
         cost: CostFunc | None = None,
-        max_iterations: int = 10_000,
     ) -> None:
         self.tables = list(tables)
         self.refresher = refresher
         self.cost = cost if cost is not None else uniform_cost
-        self.max_iterations = max_iterations
 
     # ------------------------------------------------------------------
     def execute(
@@ -102,66 +101,47 @@ class JoinRefreshHeuristic:
     ) -> ExecutionSteps:
         """The §7 heuristic as a resumable generator.
 
-        Each greedy round yields its selection as a
-        :class:`~repro.core.executor.PlannedRefresh` against one base
-        table — the per-table decomposition a cross-query scheduler
-        needs to merge join demand with single-table plans.  The driver
-        applies each plan (possibly coalesced with other queries') and
-        sends back the effective :class:`RefreshPlan`; the round then
-        re-joins and re-classifies, so refreshes landed by concurrent
-        queries are picked up before the next selection.  Returns the
-        :class:`BoundedAnswer` via ``StopIteration.value``.
+        Each greedy round is a one-tuple round of the executor's loop
+        (:func:`~repro.core.executor.refresh_steps`): its selection is
+        yielded as a :class:`~repro.core.executor.PlannedRefresh` against
+        one base table — the per-table decomposition a cross-query
+        scheduler needs to merge join demand with single-table plans.
+        The driver applies each plan (possibly coalesced with other
+        queries') and sends back the effective :class:`RefreshPlan`; the
+        round then re-joins and re-classifies, so refreshes landed by
+        concurrent queries are picked up before the next selection.  A
+        base tuple is offered once; a round with it unreached is answered
+        degraded.  Returns the :class:`BoundedAnswer` via
+        ``StopIteration.value``.
         """
         spec = get_aggregate(aggregate)
         agg_column = column[1] if column is not None else None
+        round_ = None
 
-        #: Tuple ids already requested, per table position.
-        refreshed: list[set[int]] = [set() for _ in self.tables]
-        total_cost = 0.0
-        initial: Bound | None = None
-
-        for _ in range(self.max_iterations):
+        def bound() -> Bound:
+            nonlocal round_
             joined, maybe = join_pairs(self.tables, predicate)
             key = (
                 joined.column_key(agg_column, column[0])
                 if column is not None
                 else None
             )
+            round_ = joined, maybe, key
             pair = np.flatnonzero(np.logical_not(maybe)), np.flatnonzero(maybe)
-            bound = spec.bound_with_classification(
+            return spec.bound_with_classification(
                 ColumnarClassification.from_positions(joined, pair, key),
                 agg_column,
             )
-            if initial is None:
-                initial = bound
-            if width_within(bound.width, max_width):
-                return BoundedAnswer(
-                    bound=bound,
-                    refreshed=frozenset().union(*refreshed),
-                    refresh_cost=total_cost,
-                    initial_bound=initial,
-                )
-            best = self._best_candidate(joined, maybe, key, refreshed)
+
+        def pick(bound, max_width, requested) -> PlannedRefresh | None:
+            best = self._best_candidate(*round_, requested)
             if best is None:
-                # Nothing left to refresh yet constraint unmet: the answer
-                # is inherently this wide (e.g. R = 0 over an empty join).
-                raise ConstraintUnsatisfiableError(
-                    f"join answer {bound} cannot be narrowed below "
-                    f"{bound.width:g} (requested {max_width:g})"
-                )
+                return None
             k, tid, cost = best
             plan = RefreshPlan(frozenset((tid,)), cost)
-            effective = yield PlannedRefresh(
-                self.tables[k], plan, max_width, aggregate
-            )
-            if effective is None:
-                effective = plan
-            total_cost += effective.total_cost
-            refreshed[k].add(tid)
-            refreshed[k].update(effective.tids)
-        raise ConstraintUnsatisfiableError(
-            f"join refresh heuristic exceeded {self.max_iterations} iterations"
-        )
+            return PlannedRefresh(self.tables[k], plan, max_width, aggregate)
+
+        return (yield from refresh_steps(bound, max_width, pick=pick))
 
     # ------------------------------------------------------------------
     def _best_candidate(
@@ -169,9 +149,9 @@ class JoinRefreshHeuristic:
         joined: JoinedColumns,
         maybe: np.ndarray,
         key: ColumnKey | None,
-        refreshed: Sequence[set[int]],
+        requested: dict[Table, set[int]],
     ) -> tuple[int, int, float] | None:
-        """Highest benefit/cost base tuple not yet refreshed.
+        """Highest benefit/cost base tuple not yet requested.
 
         Returns ``(table position, tuple id, refresh cost)``.  One
         candidate per round keeps the refresh sequence identical to the
@@ -212,8 +192,8 @@ class JoinRefreshHeuristic:
                     column_lo, column_hi = store.endpoints(bounded.name)
                     wide |= column_lo != column_hi
             eligible = wide & (benefit > 0)
-            if refreshed[k]:
-                eligible &= ~np.isin(tids, list(refreshed[k]))
+            if requested.get(table):
+                eligible &= ~np.isin(tids, list(requested[table]))
             at = np.flatnonzero(eligible)
             if not len(at):
                 continue
@@ -242,8 +222,6 @@ def execute_join_query(
     cost: CostFunc | None = None,
 ) -> BoundedAnswer:
     """One-shot convenience wrapper around :class:`JoinRefreshHeuristic`."""
-    from repro.core.executor import NullRefreshProvider
-
     heuristic = JoinRefreshHeuristic(
         tables,
         refresher if refresher is not None else NullRefreshProvider(),

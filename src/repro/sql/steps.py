@@ -50,12 +50,9 @@ def plan_steps(
             cost,
         )
     if isinstance(plan, JoinQueryPlan):
-        from repro.core.executor import NullRefreshProvider
         from repro.joins.refresh import JoinRefreshHeuristic
 
-        heuristic = JoinRefreshHeuristic(
-            plan.tables, NullRefreshProvider(), cost=cost
-        )
+        heuristic = JoinRefreshHeuristic(plan.tables, None, cost=cost)
         return heuristic.execute_steps(
             plan.aggregate, plan.column, plan.constraint.width, plan.predicate
         )

@@ -144,6 +144,24 @@ class TestRelativeConstraintThroughExecutor:
         assert answer.width <= 1.2 + 1e-9
         assert answer.bound.contains(9.5)
 
+    def test_a_straddling_bound_takes_one_tuple_rounds(self):
+        """[-10, 230] straddles zero, so R = 0 is only provisional: the
+        widest tuple alone moves the answer to [120, 140], whose own
+        R = 24 it already meets.  Resolving R once, from the first bound,
+        refreshed all eleven tuples."""
+        schema = Schema.of(x="bounded")
+        cached, master = Table("t", schema), Table("t", schema)
+        cached.insert({"x": Bound(-100, 120)})
+        master.insert({"x": 30.0})
+        for _ in range(10):
+            cached.insert({"x": Bound(9, 11)})
+            master.insert({"x": 10.0})
+        executor = QueryExecutor(refresher=LocalRefresher(master))
+        answer = executor.execute(cached, "SUM", "x", RelativePrecision(0.1))
+        assert answer.refreshed == {1}
+        assert answer.bound == Bound(120, 140) and answer.bound.contains(130)
+        assert RelativePrecision(0.1).satisfied_by(answer.bound)
+
 
 class TestConstraintAlreadyMet:
     def test_exact_cache_answers_immediately(self):

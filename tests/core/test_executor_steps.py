@@ -1,4 +1,4 @@
-"""The executor's resumable generator API and the refresh hook."""
+"""The executor's resumable generator API."""
 
 from __future__ import annotations
 
@@ -109,36 +109,6 @@ def test_superset_refresh_keeps_guarantee(cached_links, master_links):
         assert answer.refreshed == frozenset(all_tids)
         # With everything collapsed the answer is exact.
         assert answer.is_exact
-
-
-def test_refresh_hook_intercepts_execute(cached_links, master_links):
-    refresher = LocalRefresher(master_links)
-    seen: list[PlannedRefresh] = []
-
-    def hook(request: PlannedRefresh) -> RefreshPlan:
-        seen.append(request)
-        refresher.refresh(request.table, request.plan.tids)
-        return RefreshPlan(request.plan.tids, 7.0)
-
-    executor = QueryExecutor(refresh_hook=hook)
-    answer = executor.execute(cached_links, "SUM", "traffic", 10.0)
-    assert len(seen) == 1
-    assert answer.refresh_cost == 7.0
-    assert answer.refreshed == seen[0].plan.tids
-
-
-def test_refresh_hook_none_return_means_as_requested(cached_links, master_links):
-    refresher = LocalRefresher(master_links)
-
-    def hook(request: PlannedRefresh):
-        refresher.refresh(request.table, request.plan.tids)
-        return None
-
-    executor = QueryExecutor(refresh_hook=hook)
-    answer = executor.execute(cached_links, "SUM", "traffic", 10.0)
-    assert answer.meets(10.0)
-    assert answer.refreshed
-    assert answer.refresh_cost == pytest.approx(float(len(answer.refreshed)))
 
 
 def test_execute_and_steps_agree(cached_links, master_links):

@@ -1,13 +1,15 @@
 """Plan again only when something moved: the edges of the replan rule.
 
 A recheck that misses R with every planned tuple reached plans again
-(``repro.core.executor``, and per group in GROUP BY, and in TOP-N);
-``tests/property/test_replan_contract.py`` shows that closes the
+(``repro.core.executor.refresh_steps``, the loop every statement class
+runs); ``tests/property/test_replan_contract.py`` shows that closes the
 plan→recheck race.  The same rule would hide a planner whose plans fall
 short, so:
 
 * with nothing between a yield and its ``send`` — a serial driver — no
   statement ever yields a re-plan: one plan per statement (per group);
+* one-tuple rounds (the §7 join, §8.2's iterative strategy) are never
+  re-plans, and never offer a tuple twice;
 * a round with tuples unreached is answered degraded, never re-planned;
 * a recheck that keeps missing stops at :data:`MAX_PLAN_ROUNDS`, loudly.
 """
@@ -18,14 +20,17 @@ import pytest
 
 import repro.extensions.median_spec  # noqa: F401  (registers MEDIAN)
 from repro.core.aggregates import registry
-from repro.core.executor import MAX_PLAN_ROUNDS, QueryExecutor
+from repro.core.executor import MAX_PLAN_ROUNDS, QueryExecutor, iterative_steps
 from repro.core.refresh.base import RefreshPlan, uniform_cost
 from repro.errors import ConstraintUnsatisfiableError
 from repro.extensions.groupby import grouped_query_steps
 from repro.extensions.topn import top_n_steps
+from repro.joins.refresh import JoinRefreshHeuristic
 from repro.predicates.parser import parse_predicate
 from repro.replication import ColumnCostModel
 from repro.replication.local import LocalRefresher
+from repro.storage.schema import Schema
+from repro.storage.table import Table
 from repro.workloads.netmon import paper_example_table, paper_master_table
 
 PREDICATES = [None, "latency > 8", "bandwidth < 60 AND latency > 3", "cost >= 4"]
@@ -100,6 +105,34 @@ def test_a_serial_top_n_plans_once(column):
             assert answer.meets(budget)
 
 
+def join_steps(links, aggregate="SUM", column="traffic", budget=5.0):
+    """``links ⋈ nodes`` on ``to_node = node``; the node loads are exact,
+    so every round refreshes a link."""
+    nodes = Table("nodes", Schema.of(node="exact", load="bounded"))
+    for node in range(1, 7):
+        nodes.insert({"node": node, "load": 10.0 * node})
+    column = None if column is None else ("links", column)
+    return JoinRefreshHeuristic([links, nodes], None).execute_steps(
+        aggregate, column, budget, parse_predicate("to_node = node")
+    )
+
+
+@pytest.mark.parametrize("aggregate", sorted(registry))
+@pytest.mark.parametrize("shape", ["iterative", "join"])
+def test_one_tuple_rounds_are_never_replans(shape, aggregate):
+    column = "traffic" if registry[aggregate].needs_column else None
+    for budget in BUDGETS:
+        if shape == "iterative":
+            steps = iterative_steps(paper_example_table(), aggregate, column, budget)
+        else:
+            steps = join_steps(paper_example_table(), aggregate, column, budget)
+        answer, requests = serial(steps)
+        assert not [r for r in requests if r.replan]
+        tids = [tid for r in requests for tid in r.plan.tids]
+        assert len(tids) == len(set(tids)) == len(requests)
+        assert answer.meets(budget) and not answer.degraded
+
+
 STATEMENTS = {
     "query": lambda table: QueryExecutor().execute_steps(table, "SUM", "traffic", 5.0),
     "group_by": lambda table: grouped_query_steps(
@@ -109,12 +142,12 @@ STATEMENTS = {
 }
 
 
-@pytest.mark.parametrize("shape", sorted(STATEMENTS))
+@pytest.mark.parametrize("shape", sorted(STATEMENTS) + ["join"])
 def test_a_round_with_tuples_unreached_is_answered_degraded(shape):
     """Nothing is refreshed and the source is named unreachable: the
     first group (or the statement) is answered degraded at once."""
     table = paper_example_table()
-    steps = STATEMENTS[shape](table)
+    steps = join_steps(table) if shape == "join" else STATEMENTS[shape](table)
     request = next(steps)
     failed = RefreshPlan(frozenset(), 0.0, request.plan.tids, ("net",))
     try:
@@ -131,7 +164,8 @@ def test_a_round_with_tuples_unreached_is_answered_degraded(shape):
 @pytest.mark.parametrize("shape", sorted(STATEMENTS))
 def test_a_recheck_that_keeps_missing_stops_at_the_cap(shape):
     """Every round 'lands' and nothing collapses — the master moving on
-    every round looks the same to the generator."""
+    every round looks the same to the generator.  (A join round is no
+    re-plan: it never offers a tuple twice.)"""
     steps = STATEMENTS[shape](paper_example_table())
     request = next(steps)
     rounds = 1

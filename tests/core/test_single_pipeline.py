@@ -4,18 +4,17 @@ Steps 1–3 of every single-table query — whatever the aggregate, predicate
 or cost model — run with row access forbidden; rows are touched only to
 evaluate a bare cost callable, on the candidates and on nothing else.
 GROUP BY runs the same way, reading one row per group for its key values;
-so do the bounds the iterative and relative drivers start from, and the
+so do §8.2's iterative rounds, a §8.1 relative constraint, and the
 scheduler's §8.2 rebatch pass between a plan and its dispatch.
 The options that used to select other routes are gone, the row-taking
-method family is gone, the service's sync deferral is gone, and none of
-them may creep back in.
+method family is gone, the service's sync deferral is gone, the refresh
+loop is written once, and none of them may creep back in.
 """
 
 from __future__ import annotations
 
 import asyncio
 import inspect
-import math
 import re
 from contextlib import contextmanager
 from pathlib import Path
@@ -25,14 +24,11 @@ import pytest
 import repro.extensions.median_spec  # noqa: F401 - registers MEDIAN
 from repro.core.aggregates import registry
 from repro.core.bound import Bound
-from repro.core.executor import QueryExecutor, execute_query
+from repro.core.constraints import RelativePrecision
+from repro.core.executor import QueryExecutor, execute_query, iterative_steps
 from repro.core.refresh.base import uniform_cost
-from repro.errors import ConstraintUnsatisfiableError
 from repro.extensions.batching import BatchedCostModel
 from repro.extensions.groupby import grouped_query_steps
-from repro.extensions.iterative import IterativeRefreshExecutor
-from repro.extensions.relative import execute_relative_query
-from repro.predicates.ast import TruePredicate
 from repro.predicates.parser import parse_predicate
 from repro.replication import (
     ColumnCostModel,
@@ -66,11 +62,12 @@ COSTS = {
     "tids": TableCostModel({tid: 1.0 + tid % 3 for tid in range(1, 9)}, 2.0),
 }
 #: How the statement is run: the three-step executor (""), GROUP BY on an
-#: exact numeric key or on a text key (two groups of six either way), or
-#: only as far as the bound the iterative / relative driver starts from.
+#: exact numeric key or on a text key (two groups of six either way),
+#: §8.2's one-tuple rounds, or the executor under a relative constraint.
 #: "rebatch" is one more: a two-source SUM plan through the scheduler.
 SHAPES = ("", "by_shard", "by_zone", "iterative", "relative")
 GROUPS = 2
+RELATIVE = RelativePrecision(0.05)
 
 CASES = [
     pytest.param(
@@ -81,8 +78,6 @@ CASES = [
     for predicate_name in sorted(PREDICATES)
     for aggregate in sorted(registry)
     for shape in SHAPES
-    # The two drivers' first bound never prices anything.
-    if cost_name == "uniform" or shape not in ("iterative", "relative")
 ] + [pytest.param("SUM", "none", "uniform", "rebatch", id="SUM-rebatch")]
 
 
@@ -127,22 +122,22 @@ def test_every_query_runs_without_rows(aggregate, predicate_name, cost_name, sha
     cached, master = make_tables()
     column = "x" if registry[aggregate].needs_column else None
     predicate, cost = PREDICATES[predicate_name], COSTS[cost_name]
-    if shape in ("iterative", "relative"):
-        _first_bound_runs_without_rows(shape, cached, aggregate, column, predicate)
-        return
     if shape == "rebatch":
         _rebatch_runs_without_rows()
         return
-    if shape:
-        key_reads: list | None = []
+    key_reads: list | None = None
+    if shape.startswith("by_"):
+        key_reads = []
         steps = grouped_query_steps(
             cached, [shape.removeprefix("by_")], aggregate, column, BUDGET,
             predicate, cost,
         )
+    elif shape == "iterative":
+        steps = iterative_steps(cached, aggregate, column, BUDGET, predicate, cost)
     else:
-        key_reads = None
+        constraint = RELATIVE if shape == "relative" else BUDGET
         steps = QueryExecutor().execute_steps(
-            cached, aggregate, column, BUDGET, predicate, cost
+            cached, aggregate, column, constraint, predicate, cost
         )
     yields = 0
     try:
@@ -156,43 +151,24 @@ def test_every_query_runs_without_rows(aggregate, predicate_name, cost_name, sha
                 request = steps.send(request.plan)
     except StopIteration as stop:
         answer = stop.value
-    if shape:
+    if key_reads is not None:
         assert len(answer.groups) == GROUPS and yields <= GROUPS
         # One row per group, read once, however many refreshes followed.
         assert len(key_reads) == GROUPS
-    else:
+    elif shape == "iterative":
+        assert yields == len(answer.refreshed)
+    elif not shape:
         assert yields <= 1, "execute_steps yielded twice"
-    assert answer.bound.width <= BUDGET
-    # COUNT is exact from the cache unless the predicate reads bounds.
-    cache_answerable = aggregate == "COUNT" and predicate_name != "bounded"
-    assert bool(answer.refreshed) != cache_answerable
+    if shape == "relative":
+        assert RELATIVE.satisfied_by(answer.bound)
+    else:
+        assert answer.bound.width <= BUDGET
+        # COUNT is exact from the cache unless the predicate reads bounds.
+        cache_answerable = aggregate == "COUNT" and predicate_name != "bounded"
+        assert bool(answer.refreshed) != cache_answerable
     assert answer.refresh_cost == sum(
         row_cost(cost)(cached.row(tid)) for tid in answer.refreshed
     )
-
-
-def _first_bound_runs_without_rows(shape, cached, aggregate, column, predicate):
-    """The bound both drivers start from is the executor's step 1."""
-    expected = QueryExecutor().execute(
-        cached, aggregate, column, math.inf, predicate
-    ).bound
-    with rows_forbidden():
-        if shape == "iterative":
-            bound, _ = IterativeRefreshExecutor._compute(
-                cached, registry[aggregate], column, predicate or TruePredicate()
-            )
-        else:
-            try:
-                # Loose enough to be met from the cache, when the answer
-                # keeps clear of zero; no refresher to go on with when not.
-                bound = execute_relative_query(
-                    cached, aggregate, column, 1e9, predicate
-                ).initial_bound
-            except ConstraintUnsatisfiableError as error:
-                assert "requires a refresh provider" in str(error)
-                assert expected.contains(0.0)
-                return
-    assert bound == expected
 
 
 def _rebatch_runs_without_rows():
@@ -284,3 +260,14 @@ def test_executor_probes_nothing_and_src_never_imports_tests():
     assert not [name for name, text in sources.items() if deferral.search(text)]
     # §8.2 rebatching is one pass at any plan size: no size fence.
     assert not [name for name, text in sources.items() if "rebatch_limit" in text]
+    # One refresh loop: the §8.1 relative and §8.2 iterative drivers, the
+    # refresh hook and the join's iteration cap are gone, and only the
+    # loop itself knows the re-plan cap.
+    drivers = re.compile(
+        "IterativeRefreshExecutor|RefreshStep|execute_relative_query"
+        "|RefreshHook|refresh_hook|max_iterations"
+    )
+    assert not [name for name, text in sources.items() if drivers.search(text)]
+    assert [
+        name for name, text in sources.items() if "MAX_PLAN_ROUNDS" in text
+    ] == ["core/executor.py"]

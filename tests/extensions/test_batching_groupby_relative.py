@@ -3,11 +3,12 @@
 import pytest
 
 from repro.core.bound import Bound
+from repro.core.constraints import RelativePrecision
+from repro.core.executor import QueryExecutor
 from repro.core.refresh.base import RefreshPlan
 from repro.errors import ConstraintUnsatisfiableError, TrappError
 from repro.extensions.batching import BatchedCostModel, rebatch_plan
 from repro.extensions.groupby import grouped_query
-from repro.extensions.relative import execute_relative_query
 from repro.replication.local import LocalRefresher
 from repro.storage.row import Row
 from repro.storage.schema import Schema
@@ -151,20 +152,22 @@ def relative_tables():
 
 
 class TestRelativePrecision:
+    """§8.1 relative constraints: ``RelativePrecision`` through the
+    executor, R re-resolved from every bound."""
+
+    @staticmethod
+    def run(cached, master, fraction):
+        executor = QueryExecutor(refresher=LocalRefresher(master))
+        return executor.execute(cached, "SUM", "x", RelativePrecision(fraction))
+
     def test_relative_constraint_met(self, relative_tables):
-        cached, master = relative_tables
-        answer = execute_relative_query(
-            cached, "SUM", "x", 0.05, refresher=LocalRefresher(master)
-        )
+        answer = self.run(*relative_tables, 0.05)
         # Final width must be within 2 * |A| * P for the true A = 350.
         assert answer.width <= 2 * 350 * 0.05 + 1e-6
         assert answer.bound.contains(350)
 
     def test_already_tight_needs_no_refresh(self, relative_tables):
-        cached, master = relative_tables
-        answer = execute_relative_query(
-            cached, "SUM", "x", 0.5, refresher=LocalRefresher(master)
-        )
+        answer = self.run(*relative_tables, 0.5)
         assert not answer.refreshed
 
     def test_zero_straddling_iterates(self):
@@ -175,9 +178,7 @@ class TestRelativePrecision:
         master.insert({"x": 30.0})
         cached.insert({"x": Bound(-50, 50)})
         master.insert({"x": -20.0})
-        answer = execute_relative_query(
-            cached, "SUM", "x", 0.1, refresher=LocalRefresher(master)
-        )
+        answer = self.run(cached, master, 0.1)
         assert answer.bound.contains(10)
         assert answer.width <= 2 * 10 * 0.1 + 1e-6
 
@@ -186,4 +187,4 @@ class TestRelativePrecision:
         cached = Table("t", schema)
         cached.insert({"x": Bound(-1, 1)})
         with pytest.raises(ConstraintUnsatisfiableError):
-            execute_relative_query(cached, "SUM", "x", 0.1)
+            QueryExecutor().execute(cached, "SUM", "x", RelativePrecision(0.1))

@@ -19,7 +19,7 @@ from repro.bounds.functions import SHAPES, BoundFunction
 from repro.bounds.width import AdaptiveWidthController, FixedWidthPolicy
 from repro.core import knapsack
 from repro.core.bound import Bound
-from repro.core.executor import QueryExecutor
+from repro.core.executor import QueryExecutor, drive_steps, iterative_steps
 from repro.core.knapsack import (
     KnapsackItem,
     solve_exact_dp,
@@ -31,7 +31,6 @@ from repro.core.refresh import CHOOSE_MIN
 from repro.core.refresh.base import candidate_costs
 from repro.core.refresh.summing import SumChooseRefresh
 from repro.extensions.hierarchy import build_chain
-from repro.extensions.iterative import IterativeRefreshExecutor
 from repro.extensions.prerefresh import PiggybackPolicy
 from repro.joins.refresh import execute_join_query
 from repro.predicates.parser import parse_predicate
@@ -239,9 +238,13 @@ def test_batch_vs_iterative(golden, stock_days, stock_cost):
             stock_cache_table(stock_days), aggregate, "price", budget,
             cost=stock_cost,
         )
-        online = IterativeRefreshExecutor(
-            LocalRefresher(stock_master_table(stock_days)), cost=stock_cost
-        ).run(stock_cache_table(stock_days), aggregate, "price", budget)
+        online = drive_steps(
+            iterative_steps(
+                stock_cache_table(stock_days), aggregate, "price", budget,
+                cost=stock_cost,
+            ),
+            LocalRefresher(stock_master_table(stock_days)),
+        )
         assert batch.width <= budget
         assert online.width <= budget
         # The iterative run exploits actual values: it never needs more

@@ -6,7 +6,10 @@ bound's width meets the precision constraint R unless the answer is
 flagged ``degraded``.  Truth is the ``math.fsum`` of master values —
 correctly rounded — and containment is :meth:`Bound.contains`, with no
 tolerance; the width is judged by :meth:`BoundedAnswer.meets`, the test
-the executor certifies its own answers with.
+the executor certifies its own answers with.  Under a §8.1 relative
+constraint ``P`` the budget is ``2 · min|a| · P`` over the answer
+interval — zero when it holds zero — which bounds ``2 · |A| · P`` for
+every ``A`` the answer admits.
 
 A :class:`Statement` is read by its structure, never by its SQL: the
 evaluation below shares nothing with the program's parser, classifier or
@@ -42,6 +45,10 @@ class Statement:
     top_n: int | None = None
     #: ``SUM(load) FROM links, nodes WHERE to_node = node``.
     join: bool = False
+    #: ``within`` is a relative precision ``P`` (§8.1), not a width.  No
+    #: SQL spells it: :attr:`sql` states the statement with ``WITHIN P``
+    #: and the driver swaps in ``RelativePrecision(P)``.
+    relative: bool = False
 
     @property
     def sql(self) -> str:
@@ -130,9 +137,19 @@ def contract_violations(
         exact = [truth[key] for truth in truths if key in truth]
         if not any(got.bound.contains(value) for value in exact):
             problems.append(f"group {key!r}: exact {exact!r} outside {got.bound}")
-        if not got.degraded and not got.meets(statement.within):
+        budget = _budget(statement, got)
+        if not got.degraded and not got.meets(budget):
             problems.append(
                 f"group {key!r}: width {got.width!r} exceeds WITHIN "
-                f"{statement.within!r} without degraded"
+                f"{budget!r} without degraded"
             )
     return problems
+
+
+def _budget(statement: Statement, answer: BoundedAnswer) -> float:
+    if not statement.relative:
+        return statement.within
+    lo, hi = answer.bound.lo, answer.bound.hi
+    if lo <= 0.0 <= hi:
+        return 0.0
+    return 2.0 * min(abs(lo), abs(hi)) * statement.within

@@ -11,7 +11,9 @@ any of: a master update inside, above or below the cell's cached bound
 after the others.  Every answer must contain the ``math.fsum`` of the
 master values and meet R (``tests/oracle/contract.py``): a recheck that
 misses R plans again.  Master values sit on a quarter grid, so a sum of
-exact values is exact in float64 and containment needs no slack.
+exact values is exact in float64 and containment needs no slack.  The
+relative shapes (§8.1) run the executor under ``RelativePrecision(P)``,
+R re-resolved from every bound.
 
 Interference stops after the third yield, so every statement finishes in
 a few rounds; the round cap is ``tests/core/test_replan.py``'s subject.
@@ -26,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.extensions.median_spec  # noqa: F401  (registers MEDIAN)
+from repro.core.constraints import RelativePrecision
 from repro.replication.messages import ObjectKey
 from repro.replication.system import TrappSystem
 from repro.sql.compiler import compile_statement
@@ -61,6 +64,10 @@ STATEMENTS = [
     Statement("MAX", "traffic", 0.5, group_by="from_node"),
     Statement("TOPN", "traffic", 0.5, top_n=3),
     Statement("SUM", "load", 100.0, join=True),
+    Statement("SUM", "traffic", 0.02, relative=True),
+    Statement("SUM", "traffic", 0.1, LATENCY_OVER_5, relative=True),
+    Statement("AVG", "traffic", 0.05, relative=True),
+    Statement("AVG", "traffic", 0.01, LATENCY_OVER_5, relative=True),
 ]
 
 #: ``("update", planned?, pick, where, step)`` or ``("tick",)``.
@@ -132,7 +139,14 @@ def drive(system: TrappSystem, statement: Statement, data):
     cache = system.cache(CACHE_ID)
     cache.sync_bounds()
     plan = compile_statement(parse_statement(statement.sql), cache.catalog)
-    steps = plan_steps(plan, system.executor_for(CACHE_ID))
+    executor = system.executor_for(CACHE_ID)
+    if statement.relative:
+        steps = executor.execute_steps(
+            plan.table, plan.aggregate, plan.column,
+            RelativePrecision(statement.within), plan.predicate,
+        )
+    else:
+        steps = plan_steps(plan, executor)
     source = system.source("net")
     masters = {name: source.table(name) for name in ("links", "nodes")}
     truths = [exact_answers(statement, masters)]
@@ -167,4 +181,4 @@ def drive(system: TrappSystem, statement: Statement, data):
 @settings(max_examples=150, deadline=None)
 def test_every_answer_contains_the_truth_and_meets_r(statement, seed, data):
     answer, truths = drive(build_system(seed), statement, data)
-    assert not contract_violations(statement, answer, truths), statement.sql
+    assert not contract_violations(statement, answer, truths), statement
