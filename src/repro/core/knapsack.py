@@ -16,7 +16,7 @@ Two APIs are provided over one solver core:
 * the **vector API** (:func:`solve_vector`) over parallel weight/profit
   sequences (stdlib ``array('d')``/``array('q')`` or any indexables) —
   the planner's hot path, consuming candidate vectors harvested straight
-  from a table's columnar mirror with no per-tuple Python objects.
+  from a table's column store with no per-tuple Python objects.
 
 The exact dynamic program is a *sparse* minimum-weight-per-profit DP: the
 state set is the Pareto frontier of (profit, weight) pairs held in flat

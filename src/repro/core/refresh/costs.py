@@ -79,7 +79,7 @@ class ColumnCostModel:
         if self.column not in store.schema:
             raise UnknownColumnError(self.column, table.name)
         if store.is_text(self.column):
-            values = store.text_values(self.column)
+            values = store.objects(self.column)
             if at is not None:
                 values = values[at]
             if len(values):
@@ -125,7 +125,7 @@ class PerSourceCostModel:
         if column not in store.schema:
             return np.full(len(store) if at is None else len(at), default)
         if store.is_text(column):
-            values = store.text_values(column)
+            values = store.objects(column)
         elif store.column_exact(column):
             values = store.endpoints(column)[0]
         else:

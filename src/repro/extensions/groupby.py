@@ -108,14 +108,12 @@ def grouped_query_steps(
 
     predicate = predicate if predicate is not None else TruePredicate()
     groups = _Groups(table, group_by, aggregate, column, predicate, cost, epsilon)
-    # Key values come from one row per group, not from the float64
-    # arrays: their Python types decide the repr order below and what
-    # goes over the wire.
-    tids = table.columns.sorted_tids()[groups.first].tolist()
-    keys = {
-        tuple(table.row(tid)[name] for name in group_by): ident
-        for tid, ident in zip(tids, groups.code)
-    }
+    # Key values come from the object arrays, not from the float64 ones:
+    # their Python types decide the repr order below and what goes over
+    # the wire.
+    store = table.columns
+    values = [store.objects(name)[groups.first].tolist() for name in group_by]
+    keys = dict(zip(zip(*values), groups.code))
 
     results: list[GroupResult] = []
     for key in sorted(keys, key=repr):
@@ -242,7 +240,7 @@ def _group_index(store, group_by: Sequence[str]):
     group as they share a ``dict`` slot).
     """
     columns = [
-        store.text_values(name) if store.is_text(name) else store.endpoints(name)[0]
+        store.objects(name) if store.is_text(name) else store.endpoints(name)[0]
         for name in group_by
     ]
     first = codes = None

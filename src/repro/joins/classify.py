@@ -96,9 +96,9 @@ class JoinedColumns:
         k, column = key
         return self.tables[k].columns.is_text(column)
 
-    def text_values(self, key: ColumnKey) -> np.ndarray:
+    def objects(self, key: ColumnKey) -> np.ndarray:
         k, column = key
-        return self.tables[k].columns.text_values(column)[self.index[k]]
+        return self.tables[k].columns.objects(column)[self.index[k]]
 
     def endpoints(self, key: ColumnKey) -> tuple[np.ndarray, np.ndarray]:
         k, column = key
@@ -152,7 +152,7 @@ def _equality_key_columns(
 def _key_values(table: Table, column: str) -> np.ndarray:
     store = table.columns
     if store.is_text(column):
-        return store.text_values(column)
+        return store.objects(column)
     return store.endpoints(column)[0]
 
 

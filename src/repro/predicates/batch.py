@@ -261,7 +261,7 @@ def _term_arrays(term: Term, store):
     # several tables (repro.joins.classify) resolves by the qualifier.
     column = store.column_key(term.column, term.table)
     if store.is_text(column):
-        return ("str", store.text_values(column))
+        return ("str", store.objects(column))
     lo, hi = store.endpoints(column)
     if term.scale == 0.0:
         # 0 · x is 0 under every realization of x, unbounded ones

@@ -14,8 +14,8 @@ form — ``V ± W·f(T_c − T_r)`` (§3.2, Appendix A) — so the cache keeps
 each cached column's ``(V, W, T_r, shape)`` as parallel arrays
 (:class:`_BoundColumn`) and the sync is one array evaluation plus one
 bulk :meth:`~repro.storage.columnar.ColumnStore.write_bounds` per
-column.  The ``ColumnStore`` is the truth for bounded cells; rows catch
-up lazily when read.
+column.  The ``ColumnStore`` is the cached table's only copy of its
+cells.
 
 Refresh delivery writes the same arrays: an arriving bound function is
 installed in its :class:`_BoundColumn` slot and its cell lands in the
@@ -24,8 +24,8 @@ per payload for a small message (a value-initiated push), one
 ``write_bounds`` per column for a large one (a query-initiated batch or
 its fan-out), see :data:`_COLUMN_ROUTE_PAYLOADS`.  Subscription set-up
 and cardinality changes write their cells the same two ways, so the
-arrays the executor reads and the O(1) exactness counters stay in sync
-with the replication protocol without a ``Bound`` or a ``Row`` per cell.
+arrays the executor reads and the O(1) exactness counters follow the
+replication protocol without a ``Bound`` or a ``Row`` per cell.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from repro.bounds.functions import (
     LinearShape,
     SqrtShape,
 )
-from repro.core.bound import Bound
 from repro.errors import (
     BoundError,
     ReplicationProtocolError,
@@ -103,12 +102,6 @@ _CUSTOM_SHAPE = 3
 #: constant counts payloads; narrower tables cross a little earlier and
 #: lose nothing worse than the cell loop they had.
 _COLUMN_ROUTE_PAYLOADS = 80
-
-#: The bounded cells of a freshly inserted cached row until their bound
-#: functions are evaluated.  A ``Bound`` because a row keeps the object
-#: (and type) of a cell whose endpoints a store write did not change, and
-#: cached cells read back as bounds; immutable, so one serves every row.
-_PLACEHOLDER = Bound(0.0, 0.0)
 
 #: Sync-duration edges (seconds): a column sweep is tens of microseconds,
 #: below the registry's default latency buckets.
@@ -544,14 +537,7 @@ class DataCache:
                 "admission requires a fresh cache"
             )
         for donor_table in donor.catalog:
-            cached = self.catalog.create_table(
-                donor_table.name, donor_table.schema
-            )
-            for row in donor_table.rows():
-                cached.insert(row.as_dict(), tid=row.tid)
-                shard_id = donor_table.shard_map.get(row.tid)
-                if shard_id is not None:
-                    cached.shard_map.assign(row.tid, shard_id)
+            self.catalog.register(donor_table.copy())
         self._sharded_tables |= donor._sharded_tables
         # Connect to every donor source before adopting any subscription,
         # so value-initiated refreshes reach this cache from the first
@@ -675,13 +661,7 @@ class DataCache:
         bounded = master.schema.bounded_columns
         rows = master.rows()
         for row in rows:
-            values = {}
-            for column in master.schema:
-                if column.is_bounded:
-                    values[column.name] = _PLACEHOLDER  # written below
-                else:
-                    values[column.name] = row[column.name]
-            cached.insert(values, tid=row.tid)
+            cached.insert(row.as_dict(), tid=row.tid)  # bounds written below
             if record_shard:
                 cached.shard_map.assign(row.tid, source.source_id)
             for column in bounded:
@@ -708,8 +688,7 @@ class DataCache:
 
         Bound functions widen as time passes; queries must see the bound at
         query time, not at last-message time.  Each cached column is one
-        array evaluation and one bulk ``ColumnStore.write_bounds``; the
-        rows are not touched and catch up when next read.
+        array evaluation and one bulk ``ColumnStore.write_bounds``.
 
         Unchanged bounds are skipped: rewriting a cell with the value it
         already holds would bump the columnar store's version,
@@ -913,9 +892,8 @@ class DataCache:
         """
         if table.is_sharded:
             return table.shard_map.shards()
-        for row in table:
-            return [self.source_of_tuple(table, row.tid)]
-        return []
+        tids = table.columns.sorted_tids()
+        return [self.source_of_tuple(table, int(tids[0]))] if len(tids) else []
 
     # ------------------------------------------------------------------
     # Incoming messages (value-initiated refreshes, cardinality changes)
@@ -1001,10 +979,7 @@ class DataCache:
         if change.is_insert:
             assert change.values is not None
             bounded = table.schema.bounded_columns
-            values = dict(change.values)
-            for column in bounded:
-                values[column.name] = _PLACEHOLDER  # written below
-            table.insert(values, tid=change.tid)
+            table.insert(change.values, tid=change.tid)  # bounds written below
             if change.table in self._sharded_tables:
                 table.shard_map.assign(change.tid, change.source_id)
             for column in bounded:

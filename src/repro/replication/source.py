@@ -472,9 +472,9 @@ class DataSource:
         """
         try:
             value = float(new_value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise SchemaError(
-                f"master value of {key} must be a number, got {new_value!r}"
+                f"master value of {key} must be a float64 number, got {new_value!r}"
             ) from None
         if not math.isfinite(value):
             raise SchemaError(f"master value of {key} must be finite, got {value}")

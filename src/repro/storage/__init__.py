@@ -1,8 +1,10 @@
 """In-memory relational storage substrate: schemas, rows, tables.
 
-Every table maintains a columnar mirror (:mod:`repro.storage.columnar`)
-— parallel lo/hi arrays per numeric column, exactness counters and
-sorted endpoint/width orders — which is what the query executor reads.
+A table's cells live once, in its column store
+(:mod:`repro.storage.columnar`) — parallel lo/hi arrays per numeric
+column, object arrays for EXACT and TEXT columns, exactness counters and
+sorted endpoint/width orders — which is what the query executor reads;
+rows are read-only records built from it.
 """
 
 from repro.storage.catalog import Catalog

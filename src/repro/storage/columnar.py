@@ -1,27 +1,28 @@
-"""Columnar backing store for :class:`~repro.storage.table.Table`.
+"""The column store: the only copy of a table's cells.
 
 The TRAPP executor's hot loops — "is every value of this column exact?",
 "sum every tuple's ``[L_i, H_i]``", "partition all tuples into T+/T?/T−"
-— are per-row Python loops when driven through :class:`Row` objects.  A
-:class:`ColumnStore` keeps the same data a second time in struct-of-arrays
-form so those loops become NumPy array sweeps:
+— are NumPy array sweeps over a :class:`ColumnStore`, a struct-of-arrays
+layout that is the table's only storage:
 
 * every numeric column (``EXACT`` and ``BOUNDED``) is a pair of parallel
   ``lo``/``hi`` float64 arrays (an exact value has ``lo == hi``);
-* every ``TEXT`` column is an object array;
+* every ``EXACT`` and ``TEXT`` column is also an object array holding the
+  Python object that was written, so it reads back unchanged (an ``int``
+  key stays an ``int`` in GROUP BY results and on the wire);
 * each bounded column carries a *dirty counter* — the number of tuples
   whose bound is currently non-degenerate — maintained on every write, so
   the executor's "column entirely exact?" check is O(1) instead of a scan.
 
-The row-oriented API is preserved: :class:`Row` objects handed out by a
-table remain the mutation interface, and every :meth:`Row.set` writes
-through to the column arrays (see ``Row._sink``), so call sites — the
-replication cache's ``sync_bounds``, refreshers, tests poking rows
-directly — stay correct without changes.
+Every write — a table's ``insert``/``update_value``/``delete``, the
+replication cache's ``sync_bounds`` and refresh delivery — lands here and
+nowhere else.  :class:`~repro.storage.row.Row` objects are read-only
+records built from the arrays on demand (:meth:`ColumnStore.values`,
+:meth:`ColumnStore.column_values`).
 
 Deletions swap the last slot into the hole to keep the arrays dense;
 query-side accessors therefore re-sort by tuple id (memoized per store
-version) so columnar results align with ``Table.rows()`` order.
+layout) so columnar results align with ``Table.rows()`` order.
 
 Three planner-facing entry points live here as well (ISSUE 3, ISSUE 10):
 
@@ -108,13 +109,13 @@ class _SortedOrder:
 
 
 class ColumnStore:
-    """Struct-of-arrays mirror of one table's rows.
+    """Struct-of-arrays storage of one table's tuples.
 
     Mutations (:meth:`append`, :meth:`set`, :meth:`write_cell`,
     :meth:`write_bounds`, :meth:`remove`) keep the arrays, the per-column
     exactness counters, and a ``version`` stamp in sync; read accessors
-    (:meth:`endpoints`, :meth:`text_values`, :meth:`sorted_tids`) return
-    tuple-id-ordered snapshots memoized against that stamp.
+    (:meth:`endpoints`, :meth:`objects`, :meth:`sorted_tids`) return
+    tuple-id-ordered snapshots memoized against the store's stamps.
     """
 
     __slots__ = (
@@ -124,14 +125,14 @@ class ColumnStore:
         "_bounded",
         "_lo",
         "_hi",
-        "_text",
+        "_objects",
         "_tids",
         "_slot_of",
         "_n",
         "_non_exact",
         "version",
         "layout_version",
-        "bulk_stamp",
+        "_memo_layout",
         "_memo_version",
         "_memo_order",
         "_memo_tids",
@@ -150,7 +151,10 @@ class ColumnStore:
         cap = _INITIAL_CAPACITY
         self._lo = {name: np.empty(cap, dtype=np.float64) for name in self._numeric}
         self._hi = {name: np.empty(cap, dtype=np.float64) for name in self._numeric}
-        self._text = {name: np.empty(cap, dtype=object) for name in self._text_cols}
+        #: The written objects of every EXACT and TEXT column.
+        self._objects = {
+            c.name: np.empty(cap, dtype=object) for c in schema if not c.is_bounded
+        }
         self._tids = np.empty(cap, dtype=np.int64)
         self._slot_of: dict[int, int] = {}
         self._n = 0
@@ -160,11 +164,7 @@ class ColumnStore:
         #: when the tid → slot assignment may have moved; bulk writers
         #: memoize their :meth:`slots_of` lookups against it.
         self.layout_version = 0
-        #: Bumped by every :meth:`write_bounds` that changed a cell and by
-        #: every :meth:`write_cell`: the writes that bypass the rows.
-        #: Store-attached rows compare it with the stamp they last
-        #: loaded at and re-read their bounds when it has moved.
-        self.bulk_stamp = 0
+        self._memo_layout = -1
         self._memo_version = -1
         self._memo_order: np.ndarray | None = None
         self._memo_tids: np.ndarray | None = None
@@ -201,8 +201,8 @@ class ColumnStore:
             self._hi[name][slot] = hi
             if name in self._bounded and lo < hi:
                 self._non_exact[name] += 1
-        for name in self._text_cols:
-            self._text[name][slot] = values[name]
+        for name, objects in self._objects.items():
+            objects[slot] = values[name]
         self._tids[slot] = tid
         self._slot_of[tid] = slot
         self._n += 1
@@ -212,14 +212,16 @@ class ColumnStore:
             order.stale = True
 
     def set(self, tid: int, column: str, value: Any) -> None:
-        """Overwrite one cell (the :meth:`Row.set` write-through path)."""
+        """Overwrite one cell with a value the caller has validated (the
+        ``Table.update_value`` path)."""
         try:
             slot = self._slot_of[tid]
         except KeyError:
             raise TrappError(f"column store holds no tuple #{tid}") from None
-        if column in self._text:
-            self._text[column][slot] = value
-        elif column in self._lo:
+        objects = self._objects.get(column)
+        if objects is not None:
+            objects[slot] = value
+        if column in self._lo:
             if type(value) is float:  # a master write: no Bound to unpack
                 lo = hi = value
             else:
@@ -234,7 +236,7 @@ class ColumnStore:
             self._hi[column][slot] = hi
             for order in self._column_orders.get(column, ()):
                 order.dirty.add(tid)
-        else:
+        elif objects is None:
             raise UnknownColumnError(column)
         self.version += 1
 
@@ -245,8 +247,7 @@ class ColumnStore:
         The single-cell twin of :meth:`write_bounds`, for a writer that
         already has validated endpoints (a refresh arriving at a cache):
         the arrays, the exactness counter and the column's cached
-        orderings are updated as :meth:`set` would, and
-        :attr:`bulk_stamp` moves so the row re-reads the cell lazily.
+        orderings are updated as :meth:`set` would.
         """
         slot = self._slot_of.get(tid)
         if slot is None:
@@ -264,7 +265,6 @@ class ColumnStore:
         for order in self._column_orders.get(column, ()):
             order.dirty.add(tid)
         self.version += 1
-        self.bulk_stamp += 1
         return True
 
     def remove(self, tid: int) -> None:
@@ -281,13 +281,13 @@ class ColumnStore:
             for name in self._numeric:
                 self._lo[name][slot] = self._lo[name][last]
                 self._hi[name][slot] = self._hi[name][last]
-            for name in self._text_cols:
-                self._text[name][slot] = self._text[name][last]
+            for objects in self._objects.values():
+                objects[slot] = objects[last]
             moved_tid = int(self._tids[last])
             self._tids[slot] = moved_tid
             self._slot_of[moved_tid] = slot
-        for name in self._text_cols:
-            self._text[name][last] = None  # release the reference
+        for objects in self._objects.values():
+            objects[last] = None  # release the reference
         self._n -= 1
         self.version += 1
         self.layout_version += 1
@@ -325,10 +325,10 @@ class ColumnStore:
         When none does the store is left untouched — same ``version``,
         same cached orderings — which is what lets a standing clock reuse
         planner epochs across queries.  Otherwise the exactness counter
-        moves by the net change, ``version`` and :attr:`bulk_stamp` are
-        bumped once, and the column's cached orderings get the changed
-        tuples marked dirty (or are marked stale outright once a
-        splice-repair would no longer beat a fresh argsort).
+        moves by the net change, ``version`` is bumped once, and the
+        column's cached orderings get the changed tuples marked dirty (or
+        are marked stale outright once a splice-repair would no longer
+        beat a fresh argsort).
 
         Returns the tuple ids whose cell changed.
         """
@@ -359,30 +359,15 @@ class ColumnStore:
             else:
                 order.dirty.update(tids.tolist())
         self.version += 1
-        self.bulk_stamp += 1
         return tids
-
-    def load_bounds(self, tid: int, values: dict[str, Any]) -> None:
-        """Bring a row's bounded cells up to date with the arrays.
-
-        The read side of :meth:`write_bounds`: a cell whose endpoints
-        already match keeps its object (and its type — plain numbers
-        stay plain); the others are replaced by fresh :class:`Bound` objects.
-        """
-        slot = self._slot_of[tid]
-        for name in self._bounded:
-            lo = float(self._lo[name][slot])
-            hi = float(self._hi[name][slot])
-            if _endpoints(values[name]) != (lo, hi):
-                values[name] = Bound(lo, hi)
 
     def _grow(self) -> None:
         cap = max(_INITIAL_CAPACITY, 2 * len(self._tids))
         for name in self._numeric:
             self._lo[name] = _resized(self._lo[name], cap)
             self._hi[name] = _resized(self._hi[name], cap)
-        for name in self._text_cols:
-            self._text[name] = _resized(self._text[name], cap)
+        for name, objects in self._objects.items():
+            self._objects[name] = _resized(objects, cap)
         self._tids = _resized(self._tids, cap)
 
     # ------------------------------------------------------------------
@@ -409,9 +394,8 @@ class ColumnStore:
     # Query-side snapshots (tuple-id order, memoized per version)
     # ------------------------------------------------------------------
     def _order(self) -> np.ndarray:
-        if self._memo_version != self.version:
-            self._memo_version = self.version
-            self._memo_arrays = {}
+        if self._memo_layout != self.layout_version:
+            self._memo_layout = self.layout_version
             self._memo_tids = None
             self._memo_order = np.argsort(self._tids[: self._n], kind="stable")
         assert self._memo_order is not None
@@ -431,8 +415,11 @@ class ColumnStore:
 
         The arrays are snapshots: later mutations do not alter them.
         """
+        if self._memo_version != self.version:
+            self._memo_version = self.version
+            self._memo_arrays = {}
         cached = self._memo_arrays.get(column)
-        if cached is not None and self._memo_version == self.version:
+        if cached is not None:
             return cached
         try:
             lo = self._lo[column]
@@ -444,16 +431,44 @@ class ColumnStore:
         self._memo_arrays[column] = snapshot
         return snapshot
 
-    def text_values(self, column: str) -> np.ndarray:
-        """Object array of a TEXT column's values, in tuple-id order."""
+    def objects(self, column: str) -> np.ndarray:
+        """Object array of an EXACT or TEXT column's values as written, in
+        tuple-id order."""
         try:
-            values = self._text[column]
+            values = self._objects[column]
         except KeyError:
-            raise UnknownColumnError(column) from None
+            self.schema[column]  # raise UnknownColumnError on bad names
+            raise TrappError(f"column {column!r} is bounded; no objects") from None
         return values[: self._n][self._order()]
 
     def is_text(self, column: str) -> bool:
-        return column in self._text
+        return column in self._text_cols
+
+    def values(self, tid: int) -> dict[str, Any]:
+        """One tuple's cells as Python values, in schema order.
+
+        EXACT and TEXT cells are the objects written; a BOUNDED cell is a
+        ``float`` when its bound is exact and a :class:`Bound` otherwise.
+        """
+        try:
+            slot = self._slot_of[tid]
+        except KeyError:
+            raise TrappError(f"column store holds no tuple #{tid}") from None
+        lo, hi, objects = self._lo, self._hi, self._objects
+        return {
+            name: objects[name][slot]
+            if name in objects
+            else _cell(lo[name].item(slot), hi[name].item(slot))
+            for name in self.schema.column_names
+        }
+
+    def column_values(self, column: str) -> list[Any]:
+        """Every cell of one column as :meth:`values` reads it, in
+        tuple-id order."""
+        if column in self._objects:
+            return self.objects(column).tolist()
+        lo, hi = self.endpoints(column)
+        return [_cell(l, h) for l, h in zip(lo.tolist(), hi.tolist())]
 
     def column_key(self, column: str, table: str | None = None) -> str:
         """What the read accessors know a column reference by: one table
@@ -758,6 +773,11 @@ def _flat_q(values: np.ndarray) -> "array":
     out = array("q")
     out.frombytes(np.ascontiguousarray(values, dtype=np.int64).tobytes())
     return out
+
+
+def _cell(lo: float, hi: float) -> Any:
+    """A bounded cell as rows read it: exact ones are plain floats."""
+    return lo if lo == hi else Bound(lo, hi)
 
 
 def _endpoints(value: Any) -> tuple[float, float]:

@@ -1,15 +1,18 @@
 """Rows (tuples) of the TRAPP storage substrate.
 
-A :class:`Row` carries an immutable tuple id plus a mapping from column
-name to value.  For a row attached to a table, the table's
-:class:`~repro.storage.columnar.ColumnStore` is the truth for bounded
-cells: bulk bound writes (``ColumnStore.write_bounds``) touch only the
-arrays, and the row re-reads its bounds from them the next time it is
-read.  On the *cache* side, bounded columns hold
-:class:`~repro.core.bound.Bound` objects; on the *source* side (and after a
-refresh collapses a cached bound), they hold plain numbers.  The helper
-:meth:`Row.bound` normalizes either representation to a ``Bound`` so that
-aggregate evaluators can treat exact values as zero-width intervals.
+A :class:`Row` is an immutable record: a tuple id plus a mapping from
+column name to value.  Tables do not hold rows — a table's
+:class:`~repro.storage.columnar.ColumnStore` is the only copy of every
+cell, and :meth:`Table.row <repro.storage.table.Table.row>` /
+:meth:`~repro.storage.table.Table.rows` build rows from it when called.
+Writes go through the table (``insert``, ``update_value``, ``delete``).
+
+In a row built from a table, an EXACT or TEXT cell is the object that was
+inserted, and a BOUNDED cell is a plain ``float`` when its bound is exact
+and a :class:`~repro.core.bound.Bound` otherwise — on a master and on a
+cache alike.  The helper :meth:`Row.bound` normalizes either
+representation to a ``Bound`` so that evaluators can treat exact values
+as zero-width intervals.
 """
 
 from __future__ import annotations
@@ -23,59 +26,23 @@ __all__ = ["Row"]
 
 
 class Row:
-    """A single tuple: an id plus column values.
+    """A single tuple: an id plus column values, read-only."""
 
-    Rows are mutable only through :meth:`set` (used by the cache when a
-    refresh arrives); queries treat them as read-only.
-    """
-
-    __slots__ = ("tid", "_values", "_sink", "_stamp")
+    __slots__ = ("tid", "_values")
 
     def __init__(self, tid: int, values: Mapping[str, Any]) -> None:
         self.tid = tid
         self._values: dict[str, Any] = dict(values)
-        # Optional write-through target (the owning table's ColumnStore).
-        # Table.insert attaches it so direct row.set calls keep the
-        # columnar mirror and its exactness counters in sync; detached
-        # copies (clones, join outputs) leave it None.
-        self._sink = None
-        # The sink's ``bulk_stamp`` this row's bounded cells were last
-        # loaded at; a moved stamp means a bulk write bypassed the row.
-        self._stamp = 0
-
-    def _attach(self, sink) -> None:
-        """Make ``sink`` (the owning table's store) the write-through
-        target and the truth for this row's bounded cells."""
-        self._sink = sink
-        self._stamp = sink.bulk_stamp
-
-    def _detach(self) -> None:
-        """Leave the table: keep the current values, stop following."""
-        self._current()
-        self._sink = None
-
-    def _current(self) -> dict[str, Any]:
-        """The values, after catching up with any bulk bound write."""
-        sink = self._sink
-        if sink is not None and sink.bulk_stamp != self._stamp:
-            sink.load_bounds(self.tid, self._values)
-            self._stamp = sink.bulk_stamp
-        return self._values
 
     # ------------------------------------------------------------------
     def __getitem__(self, column: str) -> Any:
-        # The staleness test of _current(), inlined: this is the accessor
-        # every row-at-a-time loop sits on.
-        sink = self._sink
-        if sink is not None and sink.bulk_stamp != self._stamp:
-            self._current()
         try:
             return self._values[column]
         except KeyError:
             raise UnknownColumnError(column) from None
 
     def get(self, column: str, default: Any = None) -> Any:
-        return self._current().get(column, default)
+        return self._values.get(column, default)
 
     def __contains__(self, column: object) -> bool:
         return column in self._values
@@ -87,11 +54,11 @@ class Row:
         return self._values.keys()
 
     def items(self):
-        return self._current().items()
+        return self._values.items()
 
     def as_dict(self) -> dict[str, Any]:
         """A shallow copy of the row's values."""
-        return dict(self._current())
+        return dict(self._values)
 
     # ------------------------------------------------------------------
     def bound(self, column: str) -> Bound:
@@ -128,27 +95,11 @@ class Row:
         return not isinstance(value, Bound) or value.is_exact
 
     # ------------------------------------------------------------------
-    def set(self, column: str, value: Any) -> None:
-        """Overwrite one column value (cache refresh path).
-
-        Writes through to the owning table's columnar store, when any.
-        """
-        if column not in self._values:
-            raise UnknownColumnError(column)
-        self._values[column] = value
-        if self._sink is not None:
-            self._sink.set(self.tid, column, value)
-
-    def copy(self) -> "Row":
-        """An independent copy sharing no mutable state."""
-        return Row(self.tid, self._current())
-
-    # ------------------------------------------------------------------
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Row):
             return NotImplemented
-        return self.tid == other.tid and self._current() == other._current()
+        return self.tid == other.tid and self._values == other._values
 
     def __repr__(self) -> str:
-        vals = ", ".join(f"{k}={v}" for k, v in self._current().items())
+        vals = ", ".join(f"{k}={v}" for k, v in self._values.items())
         return f"Row(#{self.tid}: {vals})"

@@ -54,8 +54,8 @@ class Column:
     def validate(self, value: object) -> None:
         """Raise :class:`SchemaError` if ``value`` cannot live in this column.
 
-        A numeric column takes any plain number but NaN (±inf is legal:
-        a :class:`Bound` allows infinite endpoints).
+        A numeric column takes any plain number float64 can hold but NaN
+        (±inf is legal: a :class:`Bound` allows infinite endpoints).
         """
         if self.kind is ColumnKind.TEXT:
             if not isinstance(value, str):
@@ -73,6 +73,12 @@ class Column:
                 raise SchemaError(
                     f"column {self.name!r} is {kind} but got {type(value).__name__}"
                 )
+            try:
+                float(value)
+            except OverflowError:
+                raise SchemaError(
+                    f"column {self.name!r} cannot hold an int too large for float64"
+                ) from None
         if value != value:
             raise SchemaError(f"column {self.name!r} cannot hold NaN")
 

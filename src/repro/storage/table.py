@@ -1,19 +1,20 @@
 """In-memory tables for the TRAPP storage substrate.
 
-A :class:`Table` owns a schema and a set of rows keyed by tuple id.  Both
-the *master* relation at a data source and the *cached* relation at a data
-cache are instances of this class; they differ only in whether bounded
-columns hold plain numbers (master) or :class:`~repro.core.bound.Bound`
-intervals (cache).
+A :class:`Table` is a schema, a name and a
+:class:`~repro.storage.columnar.ColumnStore` (exposed as ``.columns``)
+that holds every cell once: parallel lo/hi arrays per numeric column,
+object arrays for EXACT and TEXT columns, and per-column exactness
+counters.  Both the *master* relation at a data source and the *cached*
+relation at a data cache are instances of this class; they differ only in
+whether bounded cells are exact (master) or intervals (cache).
 
-Alongside the row dictionary, every table maintains a columnar mirror
-(:class:`~repro.storage.columnar.ColumnStore`, exposed as ``.columns``)
-holding parallel lo/hi arrays per numeric column plus per-column
-exactness counters.  All mutations — including direct :meth:`Row.set`
-calls on rows the table handed out — write through to it.  The query
-executor reads nothing else: bounds, classification and CHOOSE_REFRESH
-all run over its arrays, and the paper's endpoint indexes (§5.1, §8.3)
-are its sorted ``endpoint_order``/``width_order`` views.
+Every write (:meth:`Table.insert`, :meth:`Table.update_value`,
+:meth:`Table.delete`) goes to the store and nothing else;
+:meth:`Table.row` and :meth:`Table.rows` build read-only
+:class:`~repro.storage.row.Row` records from it when called.  The query
+executor reads the arrays only: bounds, classification and CHOOSE_REFRESH
+all run over them, and the paper's endpoint indexes (§5.1, §8.3) are the
+store's sorted ``endpoint_order``/``width_order`` views.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class ShardMap:
     """tid → shard-id routing for a horizontally partitioned table.
 
     A logical table whose tuples live on several physical sources keeps
-    one of these alongside the row store: every tuple id maps to the id
+    one of these alongside its column store: every tuple id maps to the id
     of the shard (a :class:`~repro.replication.source.DataSource` in the
     replication layer) that owns its master values.  An empty map means
     the table is unsharded — the 1:1 table↔source layout every PR before
@@ -93,14 +94,13 @@ class ShardMap:
 
 
 class Table:
-    """An ordered collection of rows conforming to a schema."""
+    """Tuples conforming to a schema, stored in one :class:`ColumnStore`."""
 
     def __init__(self, name: str, schema: Schema) -> None:
         self.name = name
         self.schema = schema
-        self._rows: dict[int, Row] = {}
         self._next_tid = 1
-        #: Columnar mirror of the rows; what the query executor reads.
+        #: The only copy of every cell; what the query executor reads.
         self.columns = ColumnStore(schema)
         #: tid → owning-shard routing for horizontally partitioned tables;
         #: empty for the classic one-source layout.
@@ -110,32 +110,37 @@ class Table:
     # Row access
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self.columns)
 
     def __iter__(self) -> Iterator[Row]:
-        return iter(self._rows.values())
+        return iter(self.rows())
 
     def __contains__(self, tid: object) -> bool:
-        return tid in self._rows
+        return tid in self.columns
 
     def row(self, tid: int) -> Row:
-        try:
-            return self._rows[tid]
-        except KeyError:
-            raise TrappError(f"table {self.name!r} has no tuple #{tid}") from None
+        """A read-only record of one tuple, built from the store."""
+        if tid not in self.columns:
+            raise TrappError(f"table {self.name!r} has no tuple #{tid}")
+        return Row(tid, self.columns.values(tid))
 
     def rows(self) -> list[Row]:
-        """All rows in insertion (tid) order."""
-        return [self._rows[tid] for tid in sorted(self._rows)]
+        """Read-only records of all tuples, in tid order."""
+        names = self.schema.column_names
+        cells = [self.columns.column_values(name) for name in names]
+        return [
+            Row(tid, dict(zip(names, values)))
+            for tid, *values in zip(self.tids(), *cells)
+        ]
 
     def tids(self) -> list[int]:
-        return sorted(self._rows)
+        return self.columns.sorted_tids().tolist()
 
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
     def insert(self, values: Mapping[str, Any], tid: int | None = None) -> Row:
-        """Insert a row, validating against the schema.
+        """Insert a tuple, validating against the schema; returns its row.
 
         Explicit ``tid`` lets callers mirror a master table's tuple ids in a
         cache (the replication layer relies on shared ids).
@@ -143,33 +148,30 @@ class Table:
         self.schema.validate_values(values)
         if tid is None:
             tid = self._next_tid
-        if tid in self._rows:
+        if tid in self.columns:
             raise DuplicateKeyError(f"table {self.name!r} already has tuple #{tid}")
         self._next_tid = max(self._next_tid, tid + 1)
-        row = Row(tid, values)
         self.columns.append(tid, values)
-        row._attach(self.columns)
-        self._rows[tid] = row
-        return row
+        return Row(tid, self.columns.values(tid))
 
     def insert_many(self, rows: Iterable[Mapping[str, Any]]) -> list[Row]:
         return [self.insert(values) for values in rows]
 
     def delete(self, tid: int) -> None:
-        if tid not in self._rows:
+        if tid not in self.columns:
             raise TrappError(f"table {self.name!r} has no tuple #{tid}")
-        row = self._rows.pop(tid)
-        row._detach()  # later writes to the orphaned row stay local
         self.columns.remove(tid)
         self.shard_map.forget(tid)
 
     def update_value(self, tid: int, column: str, value: Any) -> None:
         """Overwrite one cell after validating it against the schema."""
         self.schema[column].validate(value)
-        self.row(tid).set(column, value)
+        if tid not in self.columns:
+            raise TrappError(f"table {self.name!r} has no tuple #{tid}")
+        self.columns.set(tid, column, value)
 
     def clear(self) -> None:
-        for tid in list(self._rows):
+        for tid in self.tids():
             self.delete(tid)
 
     # ------------------------------------------------------------------
@@ -189,16 +191,16 @@ class Table:
 
     def column_bounds(self, column: str) -> dict[int, Bound]:
         """Map tuple id to the column's value as a bound."""
-        return {tid: row.bound(column) for tid, row in self._rows.items()}
+        return {row.tid: row.bound(column) for row in self.rows()}
 
     def copy(self, name: str | None = None) -> "Table":
-        """A deep copy (rows and shard routing copied)."""
+        """A deep copy (cells and shard routing copied)."""
         clone = Table(name or self.name, self.schema)
-        for tid in sorted(self._rows):
-            clone.insert(self._rows[tid].as_dict(), tid=tid)
-            shard_id = self.shard_map.get(tid)
+        for row in self.rows():
+            clone.insert(row.as_dict(), tid=row.tid)
+            shard_id = self.shard_map.get(row.tid)
             if shard_id is not None:
-                clone.shard_map.assign(tid, shard_id)
+                clone.shard_map.assign(row.tid, shard_id)
         return clone
 
     def __repr__(self) -> str:

@@ -38,7 +38,7 @@ def table_with(*bounds):
 def collapse(table, tids, values):
     """Simulate a refresh: pin each chosen tuple at the given value."""
     for tid in tids:
-        table.row(tid).set("x", Bound.exact(values[tid]))
+        table.update_value(tid, "x", Bound.exact(values[tid]))
 
 
 class TestDispatcher:

@@ -3,9 +3,10 @@
 Steps 1–3 of every single-table query — whatever the aggregate, predicate
 or cost model — run with row access forbidden; rows are touched only to
 evaluate a bare cost callable, on the candidates and on nothing else.
-GROUP BY runs the same way, reading one row per group for its key values;
-so do §8.2's iterative rounds, a §8.1 relative constraint, and the
-scheduler's §8.2 rebatch pass between a plan and its dispatch.
+GROUP BY runs the same way, its key values read from the store's object
+arrays; so do §8.2's iterative rounds, a §8.1 relative constraint, and the
+scheduler's §8.2 rebatch pass between a plan and its dispatch.  The store
+is the only copy of every cell: rows are read-only records built from it.
 The options that used to select other routes are gone, the row-taking
 method family is gone, the service's sync deferral is gone, the refresh
 loop is written once, and none of them may creep back in.
@@ -103,7 +104,7 @@ def _forbidden(*args, **kwargs):
 @contextmanager
 def rows_forbidden(row_reads: list | None = None):
     """No ``Table.rows``, no ``Row.bound``; ``Table.row`` only to be
-    recorded in ``row_reads`` (GROUP BY reads its key values there)."""
+    recorded in ``row_reads``."""
     table_row = Table.row
 
     def recorded(table, tid):
@@ -153,8 +154,8 @@ def test_every_query_runs_without_rows(aggregate, predicate_name, cost_name, sha
         answer = stop.value
     if key_reads is not None:
         assert len(answer.groups) == GROUPS and yields <= GROUPS
-        # One row per group, read once, however many refreshes followed.
-        assert len(key_reads) == GROUPS
+        # The keys come from the store's object arrays: no row is read.
+        assert len(key_reads) == 0
     elif shape == "iterative":
         assert yields == len(answer.refreshed)
     elif not shape:
@@ -271,3 +272,15 @@ def test_executor_probes_nothing_and_src_never_imports_tests():
     assert [
         name for name, text in sources.items() if "MAX_PLAN_ROUNDS" in text
     ] == ["core/executor.py"]
+    # One copy of every cell: the column store.  A table holds no rows,
+    # a row is never written, and the row↔store sync machinery is gone.
+    sync = re.compile(
+        r"bulk_stamp|load_bounds|_sink|_stamp\b|_attach|_detach|_PLACEHOLDER|_rows\b"
+    )
+    assert not [
+        name
+        for name, text in sources.items()
+        if name.startswith("storage/") or name == "replication/cache.py"
+        if sync.search(text)
+    ]
+    assert not re.search(r"def (set|copy)\b", sources["storage/row.py"])

@@ -1,7 +1,7 @@
 """The per-cell refresh application ``DataCache._apply_refresh`` used to be.
 
 One ``BoundFunction.at`` — a ``Bound`` — and one ``Table.update_value``
-(``Column.validate`` → ``Row.set`` → ``ColumnStore.set``) per payload:
+(``Column.validate`` → ``ColumnStore.set``) per payload:
 the reference both delivery routes (a ``write_cell`` per payload, a
 ``write_bounds`` per column) must match bit for bit.
 """

@@ -21,7 +21,7 @@ def sync_bounds_per_cell(cache: DataCache) -> None:
         if key.tid not in table:
             continue
         evaluated = subscription.bound_function.at(now)
-        if table.row(key.tid)[key.column] != evaluated:
+        if table.row(key.tid).bound(key.column) != evaluated:
             table.update_value(key.tid, key.column, evaluated)
 
 

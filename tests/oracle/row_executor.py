@@ -154,7 +154,8 @@ class RowQueryExecutor(QueryExecutor):
 
         # Membership is fixed (the predicate saw only exact columns), so
         # the filtered row set remains valid; only the refreshed values
-        # changed in place.
+        # changed, and rows are records: read them again.
+        rows = [table.row(row.tid) for row in rows]
         final = spec.bound_without_predicate(rows, column)
         return finish_answer(final, max_width, plan, initial)
 
@@ -189,7 +190,7 @@ class RowQueryExecutor(QueryExecutor):
             planned = _with_metadata(planned, initial, widths)
         plan = yield planned
 
-        updated = _reclassify_refreshed(classification, plan.tids, predicate)
+        updated = _reclassify_refreshed(table, classification, plan.tids, predicate)
         refined = self._refined(updated, predicate, column)
         final = spec.bound_with_classification(refined, column)
         return finish_answer(final, max_width, plan, initial)
@@ -205,9 +206,7 @@ class RowQueryExecutor(QueryExecutor):
             original = row.bound(column)
             shrunk = restrict_bound(original, predicate, column)
             if shrunk != original:
-                clone = row.copy()
-                clone.set(column, shrunk)
-                refined_maybe.append(clone)
+                refined_maybe.append(Row(row.tid, {**row.as_dict(), column: shrunk}))
             else:
                 refined_maybe.append(row)
         return Classification(
@@ -237,22 +236,28 @@ def _with_metadata(
 
 
 def _reclassify_refreshed(
-    classification: Classification, refreshed: Iterable[int], predicate: Predicate
+    table: Table,
+    classification: Classification,
+    refreshed: Iterable[int],
+    predicate: Predicate,
 ) -> Classification:
     """Update a partition after the named tuples were refreshed.
 
     A refresh collapses bounds onto values inside them, so T+ and T−
     memberships survive; only refreshed T? tuples can become decided.
     Re-examining just those keeps :func:`classify` at one invocation per
-    query.
+    query.  Rows are records, so every member is read again from
+    ``table``.
     """
     refreshed = set(refreshed)
     if not refreshed:
         return classification
-    plus = list(classification.plus)
+    current = {row.tid: row for row in table.rows()}
+    plus = [current.get(row.tid, row) for row in classification.plus]
     maybe: list[Row] = []
-    minus = list(classification.minus)
+    minus = [current.get(row.tid, row) for row in classification.minus]
     for row in classification.maybe:
+        row = current.get(row.tid, row)
         if row.tid not in refreshed:
             maybe.append(row)
             continue

@@ -6,7 +6,8 @@ exact-column predicates filter its rows two-valued, bounded-column
 predicates classify them — without the Appendix D refinement, which the
 row GROUP BY never applied — and the row choosers plan over the lists.
 The row lists are built once and kept, so a tuple inserted mid-query is
-not seen and a deleted one still is.  The array version
+not seen and a deleted one still is; rows are records, so a group's
+members are read again before its bound is taken.  The array version
 (``repro.extensions.groupby``) must reproduce key order, key types,
 sizes, per-group plans and bounds; ``tests/property/test_groupby_columnar.py``
 drives the two in lock step.  Each group plans once: in lock step nothing
@@ -82,7 +83,7 @@ def row_grouped_query_steps(
     refreshed: set[int] = set()
     total_cost = 0.0
     for key in sorted(groups, key=repr):
-        rows = groups[key]
+        rows = _reread(table, groups[key])
         initial = _bound(agg, rows, column, predicate, bounded_pred)
         if width_within(initial.width, max_width):
             results.append(
@@ -98,6 +99,7 @@ def row_grouped_query_steps(
         effective = yield PlannedRefresh(table, plan, max_width, aggregate)
         if effective is None:
             effective = plan
+        rows = _reread(table, rows)
         final = _bound(agg, rows, column, predicate, bounded_pred)
         answer = finish_answer(final, max_width, effective, initial)
         refreshed.update(effective.tids)
@@ -127,6 +129,11 @@ def row_grouped_query_steps(
         ),
         groups=tuple(results),
     )
+
+
+def _reread(table: Table, rows: list[Row]) -> list[Row]:
+    """The members as the table holds them now; a deleted one as last read."""
+    return [table.row(row.tid) if row.tid in table else row for row in rows]
 
 
 def _touches_bounded(table: Table, predicate: Predicate) -> bool:

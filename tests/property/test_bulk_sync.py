@@ -2,7 +2,7 @@
 
 ``DataCache.sync_bounds`` evaluates each cached column's bound functions
 as one array sweep and lands them with one ``ColumnStore.write_bounds``;
-rows catch up lazily.  The loop it replaced lives on in
+rows are records built from the arrays.  The loop it replaced lives on in
 ``tests/oracle/percell_sync.py``.  Two twin deployments replay the same
 schedule — clock advances, escaping master updates, query-initiated
 refreshes, inserts, deletes, master migrations, snapshot admissions,

@@ -115,7 +115,7 @@ def apply_mutation(table, op, slot, payload):
         if np.isfinite(exact):
             table.update_value(tid, "x", float(exact))
     else:  # widen — a master write propagated as a new bound
-        table.row(tid).set("x", payload)
+        table.update_value(tid, "x", payload)
 
 
 def assert_routes_identical(table, predicate):

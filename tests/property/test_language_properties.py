@@ -130,6 +130,6 @@ def test_refresh_always_decides_membership(predicate, value_bounds, data):
         b = table.row(tid).bound("a")
         value = data.draw(st.floats(min_value=b.lo, max_value=b.hi))
         for column in "abc":
-            table.row(tid).set(column, Bound.exact(value))
+            table.update_value(tid, column, Bound.exact(value))
         _, still_maybe = classified(table, predicate)
         assert tid not in tids_at(table, still_maybe)

@@ -3,7 +3,7 @@
 ``DataCache._apply_refresh`` lands a message in the arrays — one
 ``ColumnStore.write_cell`` per payload below the route constant, one
 ``write_bounds`` per column from it upward — without a ``Bound``, a
-``Row.set`` or a schema check.  The loop it replaced lives on in
+``Row`` or a schema check.  The loop it replaced lives on in
 ``tests/oracle/percell_refresh.py``.  Two twin deployments (K replicas
 in one fan-out group, two shards with different bound shapes) replay the
 same schedule, one delivering through the arrays, the other cell by

@@ -37,7 +37,7 @@ def _refresh_at(table, tids, data):
     for tid in sorted(tids):
         b = table.row(tid).bound("x")
         v = data.draw(st.floats(min_value=b.lo, max_value=b.hi), label=f"r{tid}")
-        table.row(tid).set("x", Bound.exact(v))
+        table.update_value(tid, "x", Bound.exact(v))
 
 
 @given(bounded_rows(min_size=1, max_size=10), budgets, st.data())

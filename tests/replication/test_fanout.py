@@ -344,10 +344,10 @@ def test_refresh_fans_out_to_siblings():
     assert source.fanout_refreshes == 2 * 2  # 2 keys x 2 siblings
     for cache in (sibling, system.cache("edge/2")):
         assert cache.fanout_refreshes_received == 2
-        assert cache.table("t").row(1)["x"].is_exact
-        assert cache.table("t").row(2)["x"].is_exact
+        assert cache.table("t").row(1).is_exact("x")
+        assert cache.table("t").row(2).is_exact("x")
         # Unrequested tuples stay untouched.
-        assert not cache.table("t").row(3)["x"].is_exact
+        assert not cache.table("t").row(3).is_exact("x")
     # One physical request paid for the whole group.
     assert requester.refresh_requests_sent == 1
     assert sibling.refresh_requests_sent == 0

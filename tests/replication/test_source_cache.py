@@ -22,7 +22,6 @@ from repro.replication.cache import DataCache
 from repro.replication.system import TrappSystem
 from repro.simulation.clock import Clock
 from repro.storage.columnar import ColumnStore
-from repro.storage.row import Row
 from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
 from repro.telemetry import MetricsRegistry, register_system_collectors
@@ -316,7 +315,11 @@ class TestRejectedUpdates:
     KEY = ObjectKey("links", 1, "latency")
 
     @pytest.mark.parametrize(
-        "bad", [float("nan"), float("inf"), float("-inf"), "abc", None, [1.0]]
+        "bad",
+        [
+            float("nan"), float("inf"), float("-inf"), "abc", None, [1.0],
+            pytest.param(10**400, id="huge_int"),
+        ],
     )
     @pytest.mark.parametrize("sharded", [False, True])
     def test_nothing_is_mutated(self, clock, bad, sharded):
@@ -383,8 +386,8 @@ class TestRejectedUpdates:
 
 class TestDeliveryWritesArrays:
     """Refreshes land as array writes: no ``Bound``, no ``BoundFunction.at``,
-    no ``Row.set`` on a cached row, no ``Table.update_value`` on a cached
-    table and no ``Column.validate`` beyond the master's own."""
+    no ``ColumnStore.set`` on a cached store, no ``Table.update_value`` on a
+    cached table and no ``Column.validate`` beyond the master's own."""
 
     N_LINKS = 320
 
@@ -403,12 +406,12 @@ class TestDeliveryWritesArrays:
         """Patch the per-cell pipeline out from under the two caches."""
         _, caches = deployment
         cached_stores = {id(replica.table("links").columns) for replica in caches}
-        row_set = Row.set
+        store_set = ColumnStore.set
         validated = []
 
-        def set_master_rows_only(row, column, value):
-            assert id(row._sink) not in cached_stores, "Row.set on a cached row"
-            row_set(row, column, value)
+        def set_master_cells_only(store, tid, column, value):
+            assert id(store) not in cached_stores, "ColumnStore.set on a cached store"
+            store_set(store, tid, column, value)
 
         column_validate = Column.validate
 
@@ -418,7 +421,7 @@ class TestDeliveryWritesArrays:
 
         monkeypatch.setattr(Bound, "__init__", _boom)
         monkeypatch.setattr(BoundFunction, "at", _boom)
-        monkeypatch.setattr(Row, "set", set_master_rows_only)
+        monkeypatch.setattr(ColumnStore, "set", set_master_cells_only)
         monkeypatch.setattr(Column, "validate", counting_validate)
         for replica in caches:
             monkeypatch.setattr(replica.table("links"), "update_value", _boom)

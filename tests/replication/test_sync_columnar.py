@@ -1,15 +1,12 @@
-"""The replication cache keeps the column store and the rows agreeing
-(§3 + ISSUE 1, ISSUE 12).
+"""The replication cache keeps the column store consistent with itself (§3).
 
-The refresh message handlers mutate cached rows through
-``Table.update_value`` → ``Row.set``, which writes through to the table's
-:class:`~repro.storage.columnar.ColumnStore`; ``DataCache.sync_bounds``
-goes the other way — one array evaluation and one
-``ColumnStore.write_bounds`` per column, with the rows catching up when
-read.  These tests pin the invariant both directions share: after any
-cache activity, the arrays and the exactness counters agree with a fresh
-row scan.
-"""
+The refresh message handlers and ``DataCache.sync_bounds`` write the
+cached table's :class:`~repro.storage.columnar.ColumnStore` — one array
+evaluation and one ``ColumnStore.write_bounds`` per column, or one
+``write_cell`` per payload — and rows are read-only records built from
+it.  These tests pin the invariant every writer shares: after any cache
+activity, the arrays and the exactness counters agree with a fresh row
+scan."""
 
 from dataclasses import dataclass
 
@@ -56,7 +53,7 @@ def assert_store_consistent(table):
     assert store.sorted_tids().tolist() == [row.tid for row in rows]
     for column in table.schema:
         if column.kind.value == "text":
-            assert store.text_values(column.name).tolist() == [
+            assert store.objects(column.name).tolist() == [
                 row[column.name] for row in rows
             ]
             continue
@@ -168,7 +165,6 @@ class TestBulkSync:
 
     def test_sync_never_calls_update_value(self, clock, cache, monkeypatch):
         table = cache.table("links")
-        rows = {tid: table.row(tid) for tid in table.tids()}
         clock.advance(5.0)
 
         def forbidden(*_args, **_kwargs):
@@ -176,10 +172,7 @@ class TestBulkSync:
 
         monkeypatch.setattr(type(table), "update_value", forbidden)
         cache.sync_bounds()
-        # The rows were bypassed (stale stamps) and catch up on read.
-        assert all(r._stamp != table.columns.bulk_stamp for r in rows.values())
         assert_store_consistent(table)
-        assert all(r._stamp == table.columns.bulk_stamp for r in rows.values())
 
     def test_every_cell_equals_its_bound_function_now(self, clock, cache):
         table = cache.table("links")
@@ -188,7 +181,7 @@ class TestBulkSync:
             cache.sync_bounds()
             for key in cache._subscriptions:
                 expected = cache.bound_function_of(key).at(clock.now())
-                assert table.row(key.tid)[key.column] == expected
+                assert table.row(key.tid).bound(key.column) == expected
 
     def test_evaluation_before_refresh_time_raises(self, source):
         now = [10.0]

@@ -315,3 +315,34 @@ def test_stats_shape():
     }
     assert stats["degraded_answers"] == 0
     assert stats["faults"]["breakers"] == {}
+
+
+def test_cells_and_group_keys_read_back_with_absolute_types():
+    """An ``int`` EXACT key stays ``int`` and a TEXT key ``str`` through
+    GROUP BY; a bounded cell reads as ``float`` when exact and ``Bound``
+    when wide, on a master and on a cache alike."""
+    from repro.core.bound import Bound
+    from repro.workloads.stocks import stock_master_table, volatile_stock_day
+
+    system = build_netmon_system()
+    source, cache = system.source("net"), system.cache(CACHE_ID)
+    source.add_table(stock_master_table(volatile_stock_day(5)))
+    cache.subscribe_table(source, "stocks")
+    service = make_service(system)
+    for sql, kind in (
+        ("SELECT SUM(traffic) WITHIN 50 FROM links GROUP BY from_node", int),
+        ("SELECT SUM(price) WITHIN 5 FROM stocks GROUP BY ticker", str),
+    ):
+        groups = run(service.query(CACHE_ID, sql)).answer.groups
+        assert groups and all(type(value) is kind for g in groups for value in g.key)
+
+    master, cached = source.table("links"), cache.table("links")
+    assert all(type(row["traffic"]) is float for row in master.rows())
+    assert type(master.row(1)["from_node"]) is int
+    kinds = set()
+    for tid in cached.tids():
+        lo, hi = cached.columns.cell(tid, "traffic")
+        cell, expected = cached.row(tid)["traffic"], lo if lo == hi else Bound(lo, hi)
+        assert type(cell) is type(expected) and cell == expected
+        kinds.add(type(cell))
+    assert kinds == {float, Bound}

@@ -1,4 +1,4 @@
-"""ColumnStore: arrays, dirty counters, and Table/Row write-through."""
+"""ColumnStore: arrays, dirty counters, and the rows built from them."""
 
 import numpy as np
 import pytest
@@ -49,7 +49,7 @@ class TestStoreBasics:
 
     def test_text_values(self):
         store = make_table().columns
-        assert store.text_values("tag").tolist() == ["a", "b", "a"]
+        assert store.objects("tag").tolist() == ["a", "b", "a"]
         assert store.is_text("tag") and not store.is_text("x")
 
     def test_unknown_column_raises(self):
@@ -111,30 +111,6 @@ class TestWriteThrough:
         lo, hi = table.columns.endpoints("x")
         assert lo[0] == 1.0 and hi[0] == 2.0
 
-    def test_direct_row_set_writes_through(self):
-        table = make_table()
-        table.row(2).set("y", 9.0)
-        lo, hi = table.columns.endpoints("y")
-        assert lo[1] == 9.0 and hi[1] == 9.0
-        # tuple 2 held y's only wide bound; collapsing it makes y exact
-        assert table.columns.column_exact("y") is True
-
-    def test_detached_copy_does_not_write_through(self):
-        table = make_table()
-        clone = table.row(1).copy()
-        clone.set("x", 99.0)
-        lo, _ = table.columns.endpoints("x")
-        assert lo[0] == 0.0  # table storage untouched
-
-    def test_deleted_row_detached(self):
-        table = make_table()
-        row = table.row(3)
-        table.delete(3)
-        row.set("x", 123.0)  # must not corrupt the store
-        assert len(table.columns) == 2
-        lo, _ = table.columns.endpoints("x")
-        assert lo.tolist() == [0.0, 5.0]
-
 
 class TestDeletionAndOrder:
     def test_swap_delete_keeps_tid_order(self):
@@ -144,7 +120,7 @@ class TestDeletionAndOrder:
         assert store.sorted_tids().tolist() == [1, 3]
         lo, hi = store.endpoints("x")
         assert lo.tolist() == [0.0, 2.0]
-        assert store.text_values("tag").tolist() == ["a", "a"]
+        assert store.objects("tag").tolist() == ["a", "a"]
 
     def test_reinsert_after_delete(self):
         table = make_table()
@@ -208,7 +184,7 @@ class TestWidthOrder:
     def test_write_through_repair(self):
         table = make_table()
         table.columns.width_order("x")
-        table.row(1).set("x", Bound(0, 1))  # direct Row.set, no Table call
+        table.update_value(1, "x", Bound(0, 1))
         order = table.columns.width_order("x")
         ref_tids, ref_widths = self._reference(table.columns, "x")
         assert np.array_equal(order.tids, ref_tids)
@@ -230,7 +206,7 @@ class TestWidthOrder:
         store.width_order("x")
         # Repairing tid 3 into a width-3 tie with tids 1 and 4 must slot
         # it between them — exactly where a fresh stable argsort puts it.
-        table.row(3).set("x", Bound(0.0, 3.0))
+        table.update_value(3, "x", Bound(0.0, 3.0))
         repaired = store.width_order("x")
         assert list(repaired.tids) == [2, 1, 3, 4]
         fresh = store._build_width_order("x")
@@ -381,7 +357,7 @@ class TestEndpointOrder:
         table = make_table()
         store = table.columns
         store.endpoint_order("x", side)
-        table.row(1).set("x", Bound(6.0, 8.0))  # direct Row.set write-through
+        table.update_value(1, "x", Bound(6.0, 8.0))
         order = store.endpoint_order("x", side)
         ref_tids, ref_keys = self._reference(store, "x", side)
         assert np.array_equal(order.tids, ref_tids)
@@ -471,7 +447,7 @@ class TestRepeatedTieRepairs:
         self._growing_tie(
             lambda: store.width_order("x"),
             lambda: store._build_width_order("x"),
-            lambda tid: table.row(tid).set("x", Bound(0.0, 3.0)),
+            lambda tid: table.update_value(tid, "x", Bound(0.0, 3.0)),
             3.0,
         )
 
@@ -486,7 +462,7 @@ class TestRepeatedTieRepairs:
         self._growing_tie(
             lambda: store.endpoint_order("x", side),
             lambda: store._build_sorted_order("x", side),
-            lambda tid: table.row(tid).set("x", target),
+            lambda tid: table.update_value(tid, "x", target),
             3.0 if side == "lo" else 3.5,
         )
 
@@ -588,7 +564,7 @@ class TestHarvestPositionsRoute:
 
 
 class TestWriteBounds:
-    """The bulk primitive: one pass, one version bump, rows left behind."""
+    """The bulk primitive: one pass, one version bump."""
 
     def _wide_table(self, n=100):
         table = Table("t", Schema.of(x="bounded", y="bounded"))
@@ -618,20 +594,19 @@ class TestWriteBounds:
     def test_one_version_bump_and_only_changed_cells_reported(self):
         table = make_table()
         store = table.columns
-        version, stamp = store.version, store.bulk_stamp
+        version = store.version
         changed = self._write(table, [1, 2, 3], [0.0, 5.0, 1.0], [10.0, 5.0, 3.0])
         assert changed.tolist() == [3]  # tids 1 and 2 already held these
         assert store.version == version + 1
-        assert store.bulk_stamp == stamp + 1
 
     def test_no_op_leaves_the_store_untouched(self):
         table = make_table()
         store = table.columns
         orders = [store.width_order("x"), store.endpoint_order("x", "lo")]
-        version, stamp = store.version, store.bulk_stamp
+        version = store.version
         changed = self._write(table, [1, 2, 3], [0.0, 5.0, 2.0], [10.0, 5.0, 2.0])
         assert len(changed) == 0
-        assert (store.version, store.bulk_stamp) == (version, stamp)
+        assert store.version == version
         assert store.width_order("x") is orders[0]
         assert store.endpoint_order("x", "lo") is orders[1]
         assert len(self._write(table, [], [], [])) == 0
@@ -711,13 +686,13 @@ class TestWriteCell:
         store = table.columns
         orders = [store.width_order("x"), store.endpoint_order("x", "hi")]
         before = (
-            store.version, store.bulk_stamp, store.non_exact_count("x"),
+            store.version, store.non_exact_count("x"),
             [array.tolist() for array in store.endpoints("x")],
         )
         assert store.write_cell(2, "x", 1.0, 2.0) is False
         assert store.write_cell(99, "x", 1.0, 2.0) is False
         assert before == (
-            store.version, store.bulk_stamp, store.non_exact_count("x"),
+            store.version, store.non_exact_count("x"),
             [array.tolist() for array in store.endpoints("x")],
         )
         assert not any(order.dirty or order.stale for order in orders)
@@ -753,13 +728,13 @@ class TestWriteCell:
         lo, hi = store.endpoints("x")
         assert (lo.tolist(), hi.tolist()) == ([4.0, 6.0, 1.0], [4.0, 6.0, 8.0])
 
-    def test_every_write_moves_both_stamps_and_marks_the_live_orders(self):
+    def test_every_write_bumps_the_version_and_marks_live_orders(self):
         table = make_table()
         store = table.columns
         order_x, order_y = store.width_order("x"), store.endpoint_order("y", "lo")
-        version, stamp = store.version, store.bulk_stamp
+        version = store.version
         store.write_cell(3, "x", 2.0, 2.0)  # the cell it already holds
-        assert (store.version, store.bulk_stamp) == (version + 1, stamp + 1)
+        assert store.version == version + 1
         assert order_x.dirty == {3} and not order_y.dirty
         store.write_cell(1, "x", 7.0, 7.25)
         for kind in ("width", "lo", "hi"):
@@ -771,16 +746,15 @@ class TestWriteCell:
 
     def test_rows_catch_up_lazily(self, monkeypatch):
         table = make_table()
-        row1, row2, row3 = table.row(1), table.row(2), table.row(3)
-        held, plain = row2["x"], row3["x"]
         with monkeypatch.context() as patched:
             patched.setattr(Bound, "__init__", _no_bound)
             table.columns.write_cell(1, "x", 3.0, 4.0)
             table.columns.write_cell(3, "x", 2.0, 2.0)
+        # Rows are built from the store when asked, so they see the writes.
+        row1, row3 = table.row(1), table.row(3)
         assert row1["x"] == Bound(3.0, 4.0) and not row1.is_exact("x")
-        assert row2["x"] is held  # unchanged cells keep object and type
-        assert row3["x"] is plain
-        table.update_value(1, "x", Bound(7.0, 8.0))  # a row write after it wins
+        assert type(row3["x"]) is float and row3["x"] == 2.0
+        table.update_value(1, "x", Bound(7.0, 8.0))  # a table write after it wins
         assert table.row(1)["x"] == Bound(7.0, 8.0)
         assert table.columns.cell(1, "x") == (7.0, 8.0)
 
@@ -802,7 +776,8 @@ def _no_bound(*args, **kwargs):
 
 
 class TestRowsAreLazyViews:
-    """A bulk write bypasses the rows; they catch up when read."""
+    """Rows are read-only records built from the store when asked: one
+    built after a bulk write sees it, one built before keeps its values."""
 
     def _bulk(self, table, tid, lo, hi):
         store = table.columns
@@ -817,12 +792,11 @@ class TestRowsAreLazyViews:
             lambda row: row.bound("x"),
             lambda row: dict(row.items())["x"],
             lambda row: row.as_dict()["x"],
-            lambda row: row.copy()["x"],
         ):
             table = make_table()
-            row = table.row(1)
             self._bulk(table, 1, 3.0, 4.0)
-            assert read(row) == Bound(3.0, 4.0)
+            assert read(table.row(1)) == Bound(3.0, 4.0)
+            assert read(table.rows()[0]) == Bound(3.0, 4.0)
         table = make_table()
         self._bulk(table, 1, 3.0, 4.0)
         assert not table.row(1).is_exact("x")
@@ -832,14 +806,15 @@ class TestRowsAreLazyViews:
 
     def test_unchanged_cells_keep_their_object_and_type(self):
         table = make_table()
-        row2, row3 = table.row(2), table.row(3)
-        held, plain = row2["x"], row3["x"]
-        assert isinstance(plain, float)
-        self._bulk(table, 1, 3.0, 4.0)  # moves the stamp for every row
-        assert row2["x"] is held
-        assert row3["x"] is plain and row3.number("x") == 2.0
+        row3 = table.row(3)
+        self._bulk(table, 1, 3.0, 4.0)
+        # Exact bounded cells read back as floats, EXACT and TEXT cells as
+        # the objects written; a record built earlier does not move.
+        assert type(table.row(2)["x"]) is float and table.row(2)["x"] == 5.0
+        assert table.row(3)["x"] == row3["x"] == 2.0 and row3.number("x") == 2.0
+        assert table.row(3)["tag"] is row3["tag"]
         self._bulk(table, 3, 2.0, 2.5)
-        assert row3["x"] == Bound(2.0, 2.5)
+        assert table.row(3)["x"] == Bound(2.0, 2.5) and row3["x"] == 2.0
 
     def test_single_cell_writes_after_a_bulk_write_win(self):
         table = make_table()
@@ -850,17 +825,16 @@ class TestRowsAreLazyViews:
 
     def test_deleted_row_keeps_the_values_it_left_with(self):
         table = make_table()
-        row = table.row(1)
         self._bulk(table, 1, 3.0, 4.0)
+        row = table.row(1)
         table.delete(1)
         assert row["x"] == Bound(3.0, 4.0)
         table.insert({"x": 9.0, "y": 1.0, "cost": 2.0, "tag": "z"}, tid=1)
         self._bulk(table, 1, 0.0, 1.0)
-        assert row["x"] == Bound(3.0, 4.0)  # detached: follows nothing
+        assert row["x"] == Bound(3.0, 4.0)  # a record: follows nothing
 
     def test_rows_inserted_after_a_bulk_write_start_current(self):
         table = make_table()
         self._bulk(table, 1, 3.0, 4.0)
         row = table.insert({"x": 9.0, "y": 1.0, "cost": 2.0, "tag": "z"})
-        assert row._stamp == table.columns.bulk_stamp
-        assert row["x"] == 9.0
+        assert row["x"] == 9.0 and table.row(row.tid) == row

@@ -39,20 +39,6 @@ class TestRow:
         assert not r.is_exact("b")
         assert r.is_exact("c")
 
-    def test_set_known_column_only(self):
-        r = Row(1, {"a": 2.0})
-        r.set("a", 3.0)
-        assert r["a"] == 3.0
-        with pytest.raises(UnknownColumnError):
-            r.set("zzz", 1.0)
-
-    def test_copy_is_independent(self):
-        r = Row(1, {"a": 2.0})
-        clone = r.copy()
-        clone.set("a", 9.0)
-        assert r["a"] == 2.0
-        assert clone.tid == r.tid
-
     def test_equality(self):
         assert Row(1, {"a": 2.0}) == Row(1, {"a": 2.0})
         assert Row(1, {"a": 2.0}) != Row(2, {"a": 2.0})

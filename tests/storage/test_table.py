@@ -58,28 +58,45 @@ class TestTable:
         with pytest.raises(SchemaError):
             table.update_value(1, "x", "bad")
 
-    @pytest.mark.parametrize("column", ["id", "x"])
-    def test_nan_is_rejected_before_anything_is_touched(self, table, column):
+    @pytest.mark.parametrize(
+        "column, bad",
+        [
+            pytest.param("id", float("nan"), id="id"),
+            pytest.param("x", float("nan"), id="x"),
+            pytest.param("id", 10**400, id="id-huge_int"),
+            pytest.param("x", 10**400, id="x-huge_int"),
+        ],
+    )
+    def test_nan_is_rejected_before_anything_is_touched(self, table, column, bad):
         """NaN endpoints poison every later bound sync and the
-        ``searchsorted`` windows of the endpoint orders."""
+        ``searchsorted`` windows of the endpoint orders; an ``int`` too
+        large for float64 must not get halfway into the store either."""
+        message = "NaN" if bad != bad else "float64"
         store = table.columns
         order = store.endpoint_order(column, "lo")
         before = (
             table.tids(), store.version, store.layout_version,
+            store.non_exact_count("x"),
             [array.tolist() for array in store.endpoints(column)],
             table.row(1).as_dict(),
         )
-        with pytest.raises(SchemaError, match="NaN"):
-            table.insert({"id": 3, "x": 1.0} | {column: float("nan")})
-        with pytest.raises(SchemaError, match="NaN"):
-            table.update_value(1, column, float("nan"))
+        with pytest.raises(SchemaError, match=message):
+            table.insert({"id": 3, "x": 1.0} | {column: bad})
+        with pytest.raises(SchemaError, match=message):
+            table.update_value(1, column, bad)
         assert before == (
             table.tids(), store.version, store.layout_version,
+            store.non_exact_count("x"),
             [array.tolist() for array in store.endpoints(column)],
             table.row(1).as_dict(),
         )
         assert store.column_exact("id") and not order.dirty and not order.stale
         assert table.insert({"id": 3, "x": float("inf")}).tid == 3  # not burnt
+        # A wide cell ahead of the bad one must not be counted either.
+        wide = Table("w", Schema.of(a="bounded", b="bounded"))
+        with pytest.raises(SchemaError, match=message):
+            wide.insert({"a": Bound(0, 5), "b": bad})
+        assert len(wide) == 0 and wide.column_exact("a")
 
     def test_update_value_keeps_indexes_synced(self, table):
         before = table.columns.endpoint_order("x", "hi")
