@@ -12,10 +12,10 @@ Run:  python examples/bounded_shortest_path.py
 import random
 
 from repro.core.bound import Bound
-from repro.extensions.paths import PathQueryExecutor, bounded_shortest_path
 from repro.replication.local import LocalRefresher
 from repro.storage.schema import Schema
 from repro.storage.table import Table
+from section8.paths import PathQueryExecutor, bounded_shortest_path
 
 N_NODES = 12
 SEED = 13

@@ -81,7 +81,9 @@ class VersionedTable:
         self._version += 1
         row = self.live.insert(values, tid=tid)
         self._membership.setdefault(row.tid, []).append((self._version, True))
-        for column, value in values.items():
+        # Record each cell as the live table reads it back, so a snapshot
+        # taken now reads exactly like ``live.row``.
+        for column, value in row.items():
             history = self._history.setdefault((row.tid, column), _CellHistory())
             history.record(self._version, value)
         return row
@@ -95,7 +97,7 @@ class VersionedTable:
         self._version += 1
         self.live.update_value(tid, column, value)
         history = self._history.setdefault((tid, column), _CellHistory())
-        history.record(self._version, value)
+        history.record(self._version, self.live.row(tid)[column])
 
     # ------------------------------------------------------------------
     def snapshot(self) -> "SnapshotView":

@@ -20,8 +20,8 @@ Quick start::
     answer = system.query("monitor", "SELECT SUM(latency) WITHIN 5 FROM links")
     print(answer.bound)   # an interval at most 5 wide containing the truth
 
-See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
-reproduced tables and figures.
+See docs/ARCHITECTURE.md for the module map and docs/REPRODUCTION.md for
+the reproduced tables and figures.
 """
 
 from repro.core import (
@@ -31,22 +31,20 @@ from repro.core import (
     PrecisionConstraint,
     QueryExecutor,
     RelativePrecision,
-    Trilean,
     execute_query,
 )
 from repro.replication import DataCache, DataSource, TrappSystem
 from repro.sql import parse_statement
 
-# Importing the extensions package registers the §8 extension aggregates
-# (currently MEDIAN) with the aggregate and CHOOSE_REFRESH registries, so
-# SQL like "SELECT MEDIAN(price) WITHIN 1 FROM stocks" works out of the box.
+# Importing the extensions package registers MEDIAN with the aggregate and
+# CHOOSE_REFRESH registries, so SQL like
+# "SELECT MEDIAN(price) WITHIN 1 FROM stocks" works out of the box.
 import repro.extensions  # noqa: E402,F401  (registration side effect)
 
 __version__ = "1.0.0"
 
 __all__ = [
     "Bound",
-    "Trilean",
     "BoundedAnswer",
     "PrecisionConstraint",
     "AbsolutePrecision",

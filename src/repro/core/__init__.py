@@ -1,7 +1,7 @@
 """TRAPP/AG core: bounds, constraints, aggregates, optimizers, executor."""
 
 from repro.core.answer import BoundedAnswer
-from repro.core.bound import Bound, Trilean, exact, hull, intersect_all
+from repro.core.bound import Bound, exact, hull, intersect_all
 from repro.core.constraints import (
     EXACT,
     UNCONSTRAINED,
@@ -18,7 +18,6 @@ from repro.core.executor import (
 
 __all__ = [
     "Bound",
-    "Trilean",
     "exact",
     "hull",
     "intersect_all",

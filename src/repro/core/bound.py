@@ -5,18 +5,11 @@ A TRAPP cache stores, for each replicated data object ``O_i``, a *bound*
 ``V_i``.  This module provides :class:`Bound`, an immutable closed interval
 over the extended reals, together with the interval arithmetic needed by
 the bounded aggregate evaluators (sum, negation, scaling, division by a
-positive count, hull/intersection, and three-valued comparisons).
-
-The three-valued comparisons return :class:`Trilean` values: a comparison
-between two intervals is ``TRUE`` when it holds for *every* pair of
-realizations, ``FALSE`` when it holds for *none*, and ``MAYBE`` otherwise.
-These are exactly the ``Certain``/``Possible`` transforms of the paper's
-Appendix D, lifted to the value level.
+positive count, hull/intersection).
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
@@ -25,51 +18,7 @@ from repro.errors import BoundError
 
 Number = Union[int, float]
 
-__all__ = ["Bound", "Trilean", "exact", "hull", "intersect_all"]
-
-
-class Trilean(enum.Enum):
-    """Three-valued logic result for comparisons over intervals."""
-
-    FALSE = 0
-    MAYBE = 1
-    TRUE = 2
-
-    def __invert__(self) -> "Trilean":
-        if self is Trilean.TRUE:
-            return Trilean.FALSE
-        if self is Trilean.FALSE:
-            return Trilean.TRUE
-        return Trilean.MAYBE
-
-    def __and__(self, other: "Trilean") -> "Trilean":
-        if Trilean.FALSE in (self, other):
-            return Trilean.FALSE
-        if Trilean.MAYBE in (self, other):
-            return Trilean.MAYBE
-        return Trilean.TRUE
-
-    def __or__(self, other: "Trilean") -> "Trilean":
-        if Trilean.TRUE in (self, other):
-            return Trilean.TRUE
-        if Trilean.MAYBE in (self, other):
-            return Trilean.MAYBE
-        return Trilean.FALSE
-
-    @property
-    def is_certain(self) -> bool:
-        """True iff the comparison holds for every realization."""
-        return self is Trilean.TRUE
-
-    @property
-    def is_possible(self) -> bool:
-        """True iff the comparison holds for at least one realization."""
-        return self is not Trilean.FALSE
-
-    @staticmethod
-    def of(value: bool) -> "Trilean":
-        """Lift an ordinary boolean into the three-valued domain."""
-        return Trilean.TRUE if value else Trilean.FALSE
+__all__ = ["Bound", "exact", "hull", "intersect_all"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -233,51 +182,6 @@ class Bound:
     def hull(self, other: "Bound") -> "Bound":
         """The smallest interval containing both operands."""
         return Bound(min(self.lo, other.lo), max(self.hi, other.hi))
-
-    # ------------------------------------------------------------------
-    # Three-valued comparisons (Appendix D translation rules)
-    # ------------------------------------------------------------------
-    def cmp_lt(self, other: "Bound | Number") -> Trilean:
-        """Three-valued ``self < other``.
-
-        Certain when ``hi < other.lo``; impossible when ``lo >= other.hi``.
-        """
-        other = _as_bound(other)
-        if self.hi < other.lo:
-            return Trilean.TRUE
-        if self.lo >= other.hi:
-            return Trilean.FALSE
-        return Trilean.MAYBE
-
-    def cmp_le(self, other: "Bound | Number") -> Trilean:
-        other = _as_bound(other)
-        if self.hi <= other.lo:
-            return Trilean.TRUE
-        if self.lo > other.hi:
-            return Trilean.FALSE
-        return Trilean.MAYBE
-
-    def cmp_gt(self, other: "Bound | Number") -> Trilean:
-        return _as_bound(other).cmp_lt(self)
-
-    def cmp_ge(self, other: "Bound | Number") -> Trilean:
-        return _as_bound(other).cmp_le(self)
-
-    def cmp_eq(self, other: "Bound | Number") -> Trilean:
-        """Three-valued equality.
-
-        Certain only when both intervals are the same single point; false
-        when the intervals are disjoint; maybe otherwise.
-        """
-        other = _as_bound(other)
-        if self.is_exact and other.is_exact and self.lo == other.lo:
-            return Trilean.TRUE
-        if not self.overlaps(other):
-            return Trilean.FALSE
-        return Trilean.MAYBE
-
-    def cmp_ne(self, other: "Bound | Number") -> Trilean:
-        return ~self.cmp_eq(other)
 
     # ------------------------------------------------------------------
     # Dunder conveniences

@@ -74,15 +74,6 @@ class ReplicationProtocolError(TrappError):
     the source does not own, or a cache registering twice)."""
 
 
-class StaleBoundError(ReplicationProtocolError):
-    """A master value escaped its cached bound without a refresh.
-
-    The TRAPP contract obligates sources to send a value-initiated refresh
-    the moment a master value exceeds any cached bound; this error is the
-    simulator's assertion that the contract held.
-    """
-
-
 class SqlSyntaxError(TrappError):
     """The TRAPP SQL dialect parser rejected the input text."""
 
@@ -137,15 +128,6 @@ class SourceUnavailableError(FaultError):
     def __init__(self, message: str, sources: tuple[str, ...] = ()) -> None:
         super().__init__(message)
         self.sources = sources
-
-
-class CircuitOpenError(SourceUnavailableError):
-    """A source contact was skipped because its circuit breaker is open.
-
-    Semantically a :class:`SourceUnavailableError` — the source is being
-    treated as down — but distinguishable for callers that want to know
-    no network attempt was actually made.
-    """
 
 
 class CacheUnavailableError(FaultError):

@@ -1,8 +1,13 @@
-"""Paper §8 extensions: MEDIAN, TOP-n, batching, GROUP BY and more.
-(Relative constraints and iterative refresh run in ``core.executor``.)"""
+"""Paper §8 extensions that serve queries or back golden claims.
+
+MEDIAN, TOP-n, GROUP BY and §8.2 rebatching are query routes; the §8.1
+cache hierarchy and §8.3 piggybacking back golden claim rows.  Relative
+constraints and iterative refresh run in ``core.executor``.  The §8
+sketches no route reaches (continuous queries, delayed churn, snapshot
+reads, shortest paths) are examples in ``examples/section8/``.
+"""
 
 from repro.extensions.batching import BatchedCostModel, rebatch_plan
-from repro.extensions.cardinality import ChurnBuffer, PendingChurn, churn_adjusted
 from repro.extensions.groupby import GroupResult, grouped_query
 from repro.extensions.hierarchy import HierarchicalCache, LevelRoot, build_chain
 from repro.extensions.prerefresh import (
@@ -10,13 +15,6 @@ from repro.extensions.prerefresh import (
     edge_risk,
     pre_refresh_candidates,
 )
-from repro.extensions.continuous import ContinuousQuery
-from repro.extensions.paths import (
-    BoundedPathAnswer,
-    PathQueryExecutor,
-    bounded_shortest_path,
-)
-from repro.extensions.snapshot import SnapshotView, VersionedTable
 from repro.extensions.median_spec import (
     CHOOSE_MEDIAN,
     MEDIAN,
@@ -38,19 +36,10 @@ __all__ = [
     "rebatch_plan",
     "GroupResult",
     "grouped_query",
-    "ChurnBuffer",
-    "PendingChurn",
-    "churn_adjusted",
     "HierarchicalCache",
     "LevelRoot",
     "build_chain",
     "PiggybackPolicy",
     "edge_risk",
     "pre_refresh_candidates",
-    "SnapshotView",
-    "VersionedTable",
-    "ContinuousQuery",
-    "BoundedPathAnswer",
-    "PathQueryExecutor",
-    "bounded_shortest_path",
 ]

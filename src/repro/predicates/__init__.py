@@ -1,11 +1,12 @@
-"""Predicate language: AST, parsing, evaluation, Possible/Certain, T± sets.
+"""Predicate language: AST, parsing and the T+/T?/T− classification.
 
 :mod:`repro.predicates.batch` classifies a table's column arrays into the
 paper's T+/T?/T− (``classify_masks``, ``classify_report``) and applies
 the Appendix D refinement (``restrict_endpoints``); it is the only
-classifier.  :mod:`repro.predicates.eval` evaluates a predicate on one
-row, and :mod:`repro.predicates.transforms` is Appendix D's symbolic
-``Possible`` / ``Certain`` translation.
+classifier.  The one-row semantics it is checked against — three-valued
+evaluation and the symbolic ``Possible`` / ``Certain`` translation — are
+the test oracles ``tests/oracle/row_eval.py`` and
+``tests/oracle/transforms.py``.
 """
 
 from repro.predicates.ast import (
@@ -19,9 +20,7 @@ from repro.predicates.ast import (
     TruePredicate,
     columns_of,
 )
-from repro.predicates.eval import evaluate_exact, evaluate_trilean
 from repro.predicates.parser import parse_predicate
-from repro.predicates.transforms import certain, endpoint_sql, possible
 
 from repro.predicates.batch import (
     ColumnarClassification,
@@ -42,10 +41,5 @@ __all__ = [
     "Predicate",
     "TruePredicate",
     "columns_of",
-    "evaluate_exact",
-    "evaluate_trilean",
     "parse_predicate",
-    "possible",
-    "certain",
-    "endpoint_sql",
 ]

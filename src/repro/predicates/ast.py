@@ -2,9 +2,8 @@
 
 Predicates in TRAPP/AG queries are arbitrary boolean combinations of binary
 comparisons between columns and constants (paper Appendix D).  This module
-defines the expression tree; evaluation lives in
-:mod:`repro.predicates.eval` and the Possible/Certain transforms in
-:mod:`repro.predicates.transforms`.
+defines the expression tree; :mod:`repro.predicates.batch` classifies a
+table under it a column at a time.
 
 Comparison operands are *terms*: either a column reference or a literal
 constant.  Terms may additionally carry a linear transform
@@ -18,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Union
 
-from repro.core.bound import Bound
 from repro.errors import PredicateError
 
 __all__ = [
@@ -47,13 +45,6 @@ class ColumnRef:
     table: str | None = None
     scale: float = 1.0
     offset: float = 0.0
-
-    def as_bound(self, value: Bound) -> Bound:
-        """Apply the linear transform to an interval value."""
-        return value.scale(self.scale).shift(self.offset)
-
-    def as_number(self, value: float) -> float:
-        return self.scale * value + self.offset
 
     @property
     def qualified_name(self) -> str:

@@ -3,13 +3,13 @@
 The paper's §6 partition of a table under a predicate — T+ (certainly
 satisfies), T? (may), T− (cannot) — and its Appendix D refinement,
 computed array-at-a-time over a :class:`~repro.storage.columnar.
-ColumnStore`.  Semantics are the three-valued evaluation of
-:func:`~repro.predicates.eval.evaluate_trilean` — equivalent to the
-symbolic endpoint route of :mod:`repro.predicates.transforms` (both
-implement the paper's Figure 8 translation, including its
-one-directional ``Possible``-of-∧ / ``Certain``-of-∨ approximations).
-This is the only classifier in ``src/``; its row-at-a-time predecessor
-is the oracle ``tests/oracle/row_protocol.py``.
+ColumnStore`.  Semantics are the paper's Figure 8 translation,
+including its one-directional ``Possible``-of-∧ / ``Certain``-of-∨
+approximations.  This is the only classifier in ``src/``; the one-row
+semantics it must match are the oracles ``tests/oracle/row_eval.py``
+(three-valued evaluation) and ``tests/oracle/transforms.py`` (the
+symbolic ``Possible`` / ``Certain`` endpoint predicates), and its
+row-at-a-time predecessor is ``tests/oracle/row_protocol.py``.
 
 The evaluator represents a three-valued result as a pair of boolean masks
 ``(certain, possible)``: ``certain[i]`` ⟺ tuple *i* satisfies the
@@ -257,8 +257,9 @@ def _term_arrays(term: Term, store):
         v = float(term.value)
         return ("num", v, v)
     # ColumnRef: a ColumnStore holds one table, so the unqualified name is
-    # authoritative there (mirrors eval.resolve_column); a view over
-    # several tables (repro.joins.classify) resolves by the qualifier.
+    # authoritative there (mirrors the oracle row_eval.resolve_column); a
+    # view over several tables (repro.joins.classify) resolves by the
+    # qualifier.
     column = store.column_key(term.column, term.table)
     if store.is_text(column):
         return ("str", store.objects(column))

@@ -188,9 +188,6 @@ class ShardedSource:
     def n_shards(self) -> int:
         return len(self.shards)
 
-    def shard_ids(self) -> list[str]:
-        return [shard.source_id for shard in self.shards]
-
     def __iter__(self) -> Iterator[DataSource]:
         return iter(self.shards)
 

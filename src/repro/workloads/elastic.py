@@ -113,13 +113,6 @@ class GroupAutoscaler:
             deltas[cache_id] = total - self._last_totals.get(cache_id, 0.0)
         return deltas
 
-    def observed_pressure(self) -> float:
-        """Current per-replica admission pressure (window delta / members)."""
-        deltas = self._window_deltas()
-        if not deltas:
-            return 0.0
-        return sum(deltas.values()) / len(deltas)
-
     # ------------------------------------------------------------------
     async def step(self) -> "ScaleEvent | None":
         """One control-loop decision; returns the action taken, if any.

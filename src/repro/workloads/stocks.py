@@ -11,7 +11,8 @@ an equivalent day: each ticker follows an intraday geometric random walk
 (``GeometricWalk``), from which the low/high/close are read off.  The
 experiments depend only on the joint distribution of bound widths and
 costs — not on which real companies moved — so the reproduced Figures 5
-and 6 retain the paper's shapes (see DESIGN.md §3).
+and 6 retain the paper's shapes (see the ``fig5.*`` and ``fig6.*``
+sections of docs/REPRODUCTION.md).
 """
 
 from __future__ import annotations

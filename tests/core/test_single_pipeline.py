@@ -9,7 +9,8 @@ scheduler's §8.2 rebatch pass between a plan and its dispatch.  The store
 is the only copy of every cell: rows are read-only records built from it.
 The options that used to select other routes are gone, the row-taking
 method family is gone, the service's sync deferral is gone, the refresh
-loop is written once, and none of them may creep back in.
+loop is written once, the one-row predicate semantics and the unserved §8
+sketches live outside ``src/``, and none of them may creep back in.
 """
 
 from __future__ import annotations
@@ -231,8 +232,10 @@ def test_executor_probes_nothing_and_src_never_imports_tests():
         str(path.relative_to(SRC / "repro")): path.read_text()
         for path in SRC.rglob("*.py")
     }
-    imports_tests = re.compile(r"^\s*(from|import)\s+tests\b", re.MULTILINE)
-    assert not [name for name, text in sources.items() if imports_tests.search(text)]
+    imports_outside = re.compile(
+        r"^\s*(from|import)\s+(tests|examples)\b", re.MULTILINE
+    )
+    assert not [name for name, text in sources.items() if imports_outside.search(text)]
     # One method family: no suffixed twin anywhere, and no aggregate or
     # chooser that could take a Row (``CostFunc`` is declared in base.py).
     assert not [name for name, text in sources.items() if "_columnar" in text]
@@ -284,3 +287,19 @@ def test_executor_probes_nothing_and_src_never_imports_tests():
         if sync.search(text)
     ]
     assert not re.search(r"def (set|copy)\b", sources["storage/row.py"])
+    # ``src/`` is the code that answers queries.  The one-row predicate
+    # semantics are oracles in tests/oracle/, and the §8 sketches no route
+    # serves are in examples/section8/; neither comes back as a name.
+    moved = re.compile(
+        r"Trilean|cmp_(lt|le|gt|ge|eq|ne)\b|evaluate_trilean|evaluate_exact"
+        "|VersionedTable|ContinuousQuery|ChurnBuffer|PathQueryExecutor"
+    )
+    assert not [name for name, text in sources.items() if moved.search(text)]
+    for package, modules in {
+        "extensions": {
+            "batching", "groupby", "hierarchy", "median_spec", "prerefresh", "topn",
+        },
+        "predicates": {"ast", "batch", "parser"},
+    }.items():
+        files = {path.name for path in (SRC / "repro" / package).glob("*.py")}
+        assert files == {f"{module}.py" for module in modules | {"__init__"}}

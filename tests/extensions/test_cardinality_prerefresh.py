@@ -5,9 +5,9 @@ import random
 
 import pytest
 
+from examples.section8.cardinality import ChurnBuffer, PendingChurn, churn_adjusted
 from repro.core.bound import Bound
 from repro.errors import TrappError
-from repro.extensions.cardinality import ChurnBuffer, PendingChurn, churn_adjusted
 from repro.extensions.prerefresh import (
     PiggybackPolicy,
     edge_risk,

@@ -12,11 +12,11 @@ from repro.core.executor import QueryExecutor
 from repro.core.refresh import get_choose_refresh
 from repro.extensions.median_spec import MEDIAN, _extreme_median, median_of
 from repro.predicates.ast import ColumnRef, Comparison, Literal
-from repro.predicates.eval import evaluate_exact
 from repro.replication.local import LocalRefresher
 from repro.storage.row import Row
 from repro.storage.schema import Schema
 from repro.storage.table import Table
+from tests.oracle.row_eval import evaluate_exact
 from tests.protocol import bound_of, classified, partitioned, plan_of
 
 

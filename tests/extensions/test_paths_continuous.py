@@ -5,13 +5,13 @@ import random
 
 import pytest
 
-from repro.core.bound import Bound
-from repro.errors import ConstraintUnsatisfiableError, TrappError
-from repro.extensions.continuous import ContinuousQuery
-from repro.extensions.paths import (
+from examples.section8.continuous import ContinuousQuery
+from examples.section8.paths import (
     PathQueryExecutor,
     bounded_shortest_path,
 )
+from repro.core.bound import Bound
+from repro.errors import ConstraintUnsatisfiableError, TrappError
 from repro.replication.local import LocalRefresher
 from repro.storage.schema import Schema
 from repro.storage.table import Table

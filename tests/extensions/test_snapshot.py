@@ -2,10 +2,10 @@
 
 import pytest
 
+from examples.section8.snapshot import VersionedTable
 from repro.core.aggregates import SUM
 from repro.core.bound import Bound
 from repro.errors import TrappError
-from repro.extensions.snapshot import VersionedTable
 from repro.storage.schema import Schema
 from tests.protocol import bound_of, table_of
 
@@ -55,6 +55,26 @@ class TestVersioning:
         snap.close()
         with pytest.raises(TrappError):
             snap.close()
+
+
+    def test_snapshot_taken_now_reads_like_the_live_table(self):
+        """A fresh snapshot follows the live table's view rule: an exact
+        bound reads back as a float, a wide one as a Bound, an int as the
+        int written."""
+        t = VersionedTable("t", Schema.of(x="bounded", k="exact"))
+        t.insert({"x": Bound(3, 3), "k": 7}, tid=1)
+        t.insert({"x": Bound(1, 4), "k": 8}, tid=2)
+        t.insert({"x": 5, "k": 9}, tid=3)
+        t.update_value(2, "x", Bound(6, 6))
+        t.update_value(3, "x", Bound(0, 2))
+        t.update_value(1, "k", 11)
+        with t.snapshot() as snap:
+            for tid in t.live.tids():
+                assert snap.row(tid) == t.live.row(tid)
+                for column in ("x", "k"):
+                    assert type(snap.row(tid)[column]) is type(
+                        t.live.row(tid)[column]
+                    )
 
 
 class TestQueryConsistency:

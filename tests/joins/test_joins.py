@@ -7,7 +7,7 @@ random instances in ``tests/property/test_join_columnar.py``.
 
 import pytest
 
-from repro.core.bound import Bound, Trilean
+from repro.core.bound import Bound
 from repro.errors import ConstraintUnsatisfiableError, UnknownColumnError
 from repro.joins.classify import join_pairs, pair_index
 from repro.joins.refresh import JoinRefreshHeuristic, execute_join_query
@@ -15,6 +15,7 @@ from repro.predicates.parser import parse_predicate
 from repro.replication.local import LocalRefresher
 from repro.storage.schema import Schema
 from repro.storage.table import Table
+from tests.oracle.row_eval import Trilean
 from tests.oracle.row_join import classify_joined, join_rows
 
 

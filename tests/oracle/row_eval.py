@@ -1,4 +1,4 @@
-"""Predicate evaluation over exact and bounded rows.
+"""One-row predicate semantics: the reference the array classifier matches.
 
 Two evaluators are provided:
 
@@ -12,18 +12,23 @@ Two evaluators are provided:
   transforms (Appendix D): ``Certain(P)`` ⟺ result is TRUE, and
   ``Possible(P)`` ⟺ result is not FALSE.
 
+The comparisons under them are the free functions ``cmp_lt`` … ``cmp_ne``
+over two intervals, returning :class:`Trilean`.
+
 Note the same conservative approximations as the paper: conjunction of
 ``Possible`` and disjunction of ``Certain`` are one-directional, so a
 ``MAYBE`` may occasionally be reported for a tuple that is really decided
 (correlated subexpressions); this affects only optimality, never
-correctness.
+correctness.  ``repro.predicates.batch`` computes the same three sets a
+column at a time.
 """
 
 from __future__ import annotations
 
+import enum
 from typing import Callable
 
-from repro.core.bound import Bound, Trilean
+from repro.core.bound import Bound, Number
 from repro.errors import PredicateError, PredicateTypeError
 from repro.predicates.ast import (
     And,
@@ -38,7 +43,121 @@ from repro.predicates.ast import (
 )
 from repro.storage.row import Row
 
-__all__ = ["evaluate_exact", "evaluate_trilean"]
+__all__ = [
+    "Trilean",
+    "cmp_lt",
+    "cmp_le",
+    "cmp_gt",
+    "cmp_ge",
+    "cmp_eq",
+    "cmp_ne",
+    "evaluate_exact",
+    "evaluate_trilean",
+]
+
+
+class Trilean(enum.Enum):
+    """Three-valued logic result for comparisons over intervals."""
+
+    FALSE = 0
+    MAYBE = 1
+    TRUE = 2
+
+    def __invert__(self) -> "Trilean":
+        if self is Trilean.TRUE:
+            return Trilean.FALSE
+        if self is Trilean.FALSE:
+            return Trilean.TRUE
+        return Trilean.MAYBE
+
+    def __and__(self, other: "Trilean") -> "Trilean":
+        if Trilean.FALSE in (self, other):
+            return Trilean.FALSE
+        if Trilean.MAYBE in (self, other):
+            return Trilean.MAYBE
+        return Trilean.TRUE
+
+    def __or__(self, other: "Trilean") -> "Trilean":
+        if Trilean.TRUE in (self, other):
+            return Trilean.TRUE
+        if Trilean.MAYBE in (self, other):
+            return Trilean.MAYBE
+        return Trilean.FALSE
+
+    @property
+    def is_certain(self) -> bool:
+        """True iff the comparison holds for every realization."""
+        return self is Trilean.TRUE
+
+    @property
+    def is_possible(self) -> bool:
+        """True iff the comparison holds for at least one realization."""
+        return self is not Trilean.FALSE
+
+    @staticmethod
+    def of(value: bool) -> "Trilean":
+        """Lift an ordinary boolean into the three-valued domain."""
+        return Trilean.TRUE if value else Trilean.FALSE
+
+
+# ----------------------------------------------------------------------
+# Three-valued comparisons (Appendix D translation rules)
+# ----------------------------------------------------------------------
+def _as_bound(value: "Bound | Number") -> Bound:
+    return value if isinstance(value, Bound) else Bound.exact(value)
+
+
+def cmp_lt(a: "Bound | Number", b: "Bound | Number") -> Trilean:
+    """Three-valued ``a < b``.
+
+    Certain when ``a.hi < b.lo``; impossible when ``a.lo >= b.hi``.
+    """
+    a, b = _as_bound(a), _as_bound(b)
+    if a.hi < b.lo:
+        return Trilean.TRUE
+    if a.lo >= b.hi:
+        return Trilean.FALSE
+    return Trilean.MAYBE
+
+
+def cmp_le(a: "Bound | Number", b: "Bound | Number") -> Trilean:
+    a, b = _as_bound(a), _as_bound(b)
+    if a.hi <= b.lo:
+        return Trilean.TRUE
+    if a.lo > b.hi:
+        return Trilean.FALSE
+    return Trilean.MAYBE
+
+
+def cmp_gt(a: "Bound | Number", b: "Bound | Number") -> Trilean:
+    return cmp_lt(b, a)
+
+
+def cmp_ge(a: "Bound | Number", b: "Bound | Number") -> Trilean:
+    return cmp_le(b, a)
+
+
+def cmp_eq(a: "Bound | Number", b: "Bound | Number") -> Trilean:
+    """Three-valued equality.
+
+    Certain only when both intervals are the same single point; false
+    when the intervals are disjoint; maybe otherwise.
+    """
+    a, b = _as_bound(a), _as_bound(b)
+    if a.is_exact and b.is_exact and a.lo == b.lo:
+        return Trilean.TRUE
+    if not a.overlaps(b):
+        return Trilean.FALSE
+    return Trilean.MAYBE
+
+
+def cmp_ne(a: "Bound | Number", b: "Bound | Number") -> Trilean:
+    return ~cmp_eq(a, b)
+
+
+def term_bound(term: ColumnRef, value: Bound) -> Bound:
+    """Apply a column term's linear transform to an interval value."""
+    return value.scale(term.scale).shift(term.offset)
 
 
 def resolve_column(row: Row, term: ColumnRef):
@@ -67,8 +186,8 @@ def _term_value_exact(term: Term, row: Row) -> float | str:
                 f"column {term.column!r} holds non-exact bound {value}; "
                 "exact evaluation is impossible"
             )
-        return term.as_number(value.lo)
-    return term.as_number(float(value))
+        return term.scale * value.lo + term.offset
+    return term.scale * float(value) + term.offset
 
 
 def _term_value_bound(term: Term, row: Row) -> Bound | str:
@@ -80,8 +199,8 @@ def _term_value_bound(term: Term, row: Row) -> Bound | str:
     if isinstance(value, str):
         return value
     if isinstance(value, Bound):
-        return term.as_bound(value)
-    return term.as_bound(Bound.exact(float(value)))
+        return term_bound(term, value)
+    return term_bound(term, Bound.exact(float(value)))
 
 
 _EXACT_OPS: dict[str, Callable[[float, float], bool]] = {
@@ -125,6 +244,16 @@ def evaluate_exact(predicate: Predicate, row: Row) -> bool:
     raise PredicateError(f"unknown predicate node {predicate!r}")
 
 
+_TRILEAN_OPS: dict[str, Callable[[Bound, Bound], Trilean]] = {
+    "<": cmp_lt,
+    "<=": cmp_le,
+    ">": cmp_gt,
+    ">=": cmp_ge,
+    "=": cmp_eq,
+    "!=": cmp_ne,
+}
+
+
 def _compare_trilean(left: Bound | str, op: str, right: Bound | str) -> Trilean:
     if isinstance(left, str) or isinstance(right, str):
         if not (isinstance(left, str) and isinstance(right, str)):
@@ -134,18 +263,9 @@ def _compare_trilean(left: Bound | str, op: str, right: Bound | str) -> Trilean:
         if op == "!=":
             return Trilean.of(left != right)
         raise PredicateTypeError(f"operator {op!r} is not defined for strings")
-    if op == "<":
-        return left.cmp_lt(right)
-    if op == "<=":
-        return left.cmp_le(right)
-    if op == ">":
-        return left.cmp_gt(right)
-    if op == ">=":
-        return left.cmp_ge(right)
-    if op == "=":
-        return left.cmp_eq(right)
-    if op == "!=":
-        return left.cmp_ne(right)
+    compare = _TRILEAN_OPS.get(op)
+    if compare is not None:
+        return compare(left, right)
     raise PredicateError(f"unknown comparison operator {op!r}")
 
 

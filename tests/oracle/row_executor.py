@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from repro.core.answer import BoundedAnswer
-from repro.core.bound import Bound, Trilean
+from repro.core.bound import Bound
 from repro.core.constraints import (
     AbsolutePrecision,
     PrecisionConstraint,
@@ -37,9 +37,9 @@ from repro.core.executor import (
 from repro.errors import UnknownColumnError
 from repro.predicates.ast import Predicate, TruePredicate, columns_of
 from repro.predicates.batch import classify_masks
-from repro.predicates.eval import evaluate_exact, evaluate_trilean
 from repro.storage.row import Row
 from repro.storage.table import Table
+from tests.oracle.row_eval import Trilean, evaluate_exact, evaluate_trilean
 from tests.oracle.row_protocol import (
     Classification,
     CostFunc,

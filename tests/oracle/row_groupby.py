@@ -146,7 +146,7 @@ def _touches_bounded(table: Table, predicate: Predicate) -> bool:
 
 
 def _exact_filter(rows: list[Row], predicate: Predicate) -> list[Row]:
-    from repro.predicates.eval import evaluate_exact
+    from tests.oracle.row_eval import evaluate_exact
 
     if isinstance(predicate, TruePredicate):
         return rows

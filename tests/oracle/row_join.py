@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.core.answer import BoundedAnswer
-from repro.core.bound import Bound, Trilean
+from repro.core.bound import Bound
 from repro.core.constraints import width_within
 from repro.core.executor import (
     ExecutionSteps,
@@ -33,9 +33,9 @@ from repro.core.refresh.base import RefreshPlan
 from repro.errors import ConstraintUnsatisfiableError
 from repro.joins.classify import _equality_key_columns
 from repro.predicates.ast import Predicate, TruePredicate
-from repro.predicates.eval import evaluate_trilean
 from repro.storage.row import Row
 from repro.storage.table import Table
+from tests.oracle.row_eval import Trilean, evaluate_trilean
 from tests.oracle.row_protocol import Classification, get_row_aggregate
 
 CostFunc = Callable[[Row], float]

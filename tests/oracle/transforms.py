@@ -52,6 +52,7 @@ from repro.predicates.ast import (
     TruePredicate,
 )
 from repro.storage.row import Row
+from tests.oracle.row_eval import resolve_column, term_bound
 
 __all__ = [
     "EndpointRef",
@@ -83,13 +84,11 @@ class EndpointRef:
     def value(self, row: Row) -> float | str:
         if isinstance(self.term, Literal):
             return self.term.value
-        from repro.predicates.eval import resolve_column
-
         raw = resolve_column(row, self.term)
         if isinstance(raw, str):
             return raw
         bound = raw if isinstance(raw, Bound) else Bound.exact(float(raw))
-        mapped = self.term.as_bound(bound)
+        mapped = term_bound(self.term, bound)
         return mapped.lo if self.side == "lo" else mapped.hi
 
     def __str__(self) -> str:

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.core.bound import Bound, Trilean
+from repro.core.bound import Bound
 from repro.errors import PredicateTypeError
-from repro.predicates.eval import evaluate_exact, evaluate_trilean
 from repro.predicates.parser import parse_predicate
 from repro.storage.row import Row
+from tests.oracle.row_eval import Trilean, evaluate_exact, evaluate_trilean
 
 
 def row(**values):

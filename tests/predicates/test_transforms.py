@@ -6,15 +6,15 @@ import pytest
 
 from repro.core.bound import Bound
 from repro.predicates.ast import ColumnRef, Comparison, Literal
-from repro.predicates.eval import evaluate_exact
 from repro.predicates.parser import parse_predicate
-from repro.predicates.transforms import (
+from repro.storage.row import Row
+from tests.oracle.row_eval import evaluate_exact
+from tests.oracle.transforms import (
     certain,
     endpoint_sql,
     evaluate_endpoint,
     possible,
 )
-from repro.storage.row import Row
 
 
 def row(**values):

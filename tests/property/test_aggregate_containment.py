@@ -2,8 +2,8 @@
 
 For any rows with bounded values and ANY realization (an exact value inside
 each bound), the aggregate of the realization lies inside the bounded
-answer — with and without a selection predicate.  This is DESIGN.md
-invariant 1, the paper's core guarantee.
+answer — with and without a selection predicate.  This is the paper's
+core guarantee.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 from repro.core.aggregates import AVG, COUNT, MAX, MIN, SUM
 from repro.extensions.median_spec import MEDIAN, median_of
 from repro.predicates.ast import ColumnRef, Comparison, Literal
-from repro.predicates.eval import evaluate_exact
 from repro.storage.row import Row
 
+from tests.oracle.row_eval import evaluate_exact
 from tests.property.strategies import bounded_rows
 from tests.protocol import bound_of, classified, table_of, tids_at
 

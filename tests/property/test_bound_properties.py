@@ -8,8 +8,17 @@ result interval.
 from hypothesis import given, strategies as st
 
 from repro.bounds.functions import SHAPES, BoundFunction
-from repro.core.bound import Bound, Trilean
+from repro.core.bound import Bound
 
+from tests.oracle.row_eval import (
+    Trilean,
+    cmp_eq,
+    cmp_ge,
+    cmp_gt,
+    cmp_le,
+    cmp_lt,
+    cmp_ne,
+)
 from tests.property.strategies import bounds, finite, widths
 
 
@@ -78,7 +87,7 @@ def test_extend_to_zero_contains_zero_and_original(a):
 @given(bounds(), bounds(), fractions, fractions)
 def test_trilean_lt_soundness(a, b, fa, fb):
     va, vb = value_in(fa, a), value_in(fb, b)
-    verdict = a.cmp_lt(b)
+    verdict = cmp_lt(a, b)
     if verdict is Trilean.TRUE:
         assert va < vb
     elif verdict is Trilean.FALSE:
@@ -88,7 +97,7 @@ def test_trilean_lt_soundness(a, b, fa, fb):
 @given(bounds(), bounds(), fractions, fractions)
 def test_trilean_le_soundness(a, b, fa, fb):
     va, vb = value_in(fa, a), value_in(fb, b)
-    verdict = a.cmp_le(b)
+    verdict = cmp_le(a, b)
     if verdict is Trilean.TRUE:
         assert va <= vb
     elif verdict is Trilean.FALSE:
@@ -97,9 +106,9 @@ def test_trilean_le_soundness(a, b, fa, fb):
 
 @given(bounds(), bounds())
 def test_trilean_negation_duality(a, b):
-    assert a.cmp_ge(b) is ~a.cmp_lt(b)
-    assert a.cmp_gt(b) is ~a.cmp_le(b)
-    assert a.cmp_ne(b) is ~a.cmp_eq(b)
+    assert cmp_ge(a, b) is ~cmp_lt(a, b)
+    assert cmp_gt(a, b) is ~cmp_le(a, b)
+    assert cmp_ne(a, b) is ~cmp_eq(a, b)
 
 
 @given(bounds(), st.floats(min_value=-10, max_value=10, allow_nan=False))

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bound import Bound, Trilean
+from repro.core.bound import Bound
 from repro.core.refresh.base import RefreshPlan, uniform_cost
 import repro.extensions.median_spec  # noqa: F401  (registers MEDIAN)
 from repro.errors import ConstraintUnsatisfiableError
@@ -38,6 +38,7 @@ from repro.storage.row import Row
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 from tests.oracle import row_topn
+from tests.oracle.row_eval import Trilean
 from tests.oracle.row_join import RowJoinRefreshHeuristic, join_rows
 from tests.property.test_columnar_equivalence import assert_bounds_close
 from tests.protocol import row_cost, table_of

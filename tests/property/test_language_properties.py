@@ -10,7 +10,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.bound import Bound, Trilean
+from repro.core.bound import Bound
 from repro.predicates.ast import (
     And,
     ColumnRef,
@@ -20,13 +20,13 @@ from repro.predicates.ast import (
     Or,
     Predicate,
 )
-from repro.predicates.eval import evaluate_trilean
 from repro.predicates.parser import parse_predicate
-from repro.predicates.transforms import certain, evaluate_endpoint, possible
 from repro.sql.parser import parse_statement
 from repro.storage.row import Row
 from repro.storage.schema import Schema
 
+from tests.oracle.row_eval import Trilean, evaluate_trilean
+from tests.oracle.transforms import certain, evaluate_endpoint, possible
 from tests.property.strategies import bounds
 from tests.protocol import classified, table_of, tids_at
 

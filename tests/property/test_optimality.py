@@ -1,6 +1,6 @@
 """Property: CHOOSE_REFRESH plans are optimal (or provably near-optimal).
 
-DESIGN.md invariant 3.  For small instances we enumerate every subset of
+The paper's optimality claim for CHOOSE_REFRESH.  For small instances we enumerate every subset of
 tuples, keep those whose refresh guarantees the constraint in the worst
 case, and compare the cheapest feasible subset's cost with the plan's:
 

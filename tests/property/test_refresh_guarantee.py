@@ -1,6 +1,6 @@
 """Property: CHOOSE_REFRESH plans guarantee the precision constraint.
 
-DESIGN.md invariant 2: after refreshing the chosen set, the recomputed
+The paper's precision guarantee: after refreshing the chosen set, the recomputed
 bounded answer has width <= R for EVERY possible realization of the
 refreshed values within their prior bounds (and, for predicate queries,
 every consistent T? membership outcome).

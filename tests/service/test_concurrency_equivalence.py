@@ -16,12 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.extensions.batching import BatchedCostModel
-from repro.predicates.eval import evaluate_exact
 from repro.service import QueryService
 from repro.sql.parser import parse_statement
 from repro.storage.table import Table
 from repro.workloads.service import closed_loop_scripts, run_closed_loop
 
+from tests.oracle.row_eval import evaluate_exact
 from tests.service.conftest import CACHE_ID, build_netmon_system
 
 N_LINKS = 18

@@ -1,4 +1,5 @@
-"""The docs, the CI workflow and the verify skill name only files that exist.
+"""The docs, the CI workflow, the verify skill and the Python sources name
+only files that exist.
 
 Three classes of reference are verified across ``README.md``,
 ``docs/*.md``, ``.claude/skills/verify/SKILL.md`` and
@@ -14,6 +15,11 @@ Three classes of reference are verified across ``README.md``,
   basename of some file in the repo — so a deleted ``bench_*.py`` or
   results file cannot linger in prose that reads as current.
 * **Commands** — the script argument of every ``python <path>.py``.
+
+The ``.py`` files under ``src/``, ``tests/``, ``examples/`` and
+``scripts/`` are held to the same rule for every Markdown file name they
+mention: a docstring that points a reader at a document must point at
+one that exists.
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ REPO = Path(__file__).resolve().parents[1]
 MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 CODE_SPAN = re.compile(r"`([^`\n]+)`")
 PYTHON_SCRIPT = re.compile(r"\bpython3?\s+([\w./-]+\.py)\b")
+MD_NAME = re.compile(r"[\w./-]+\.md\b")
+PYTHON_ROOTS = ("src", "tests", "examples", "scripts")
 PATH_SUFFIXES = (".py", ".md", ".json", ".yml", ".toml", ".txt")
 BARE_SUFFIXES = (".py", ".json", ".yml", ".toml")
 SKIP_SCHEMES = ("http://", "https://", "mailto:")
@@ -68,16 +76,19 @@ def _exists(path: str) -> bool:
     )
 
 
+def _names_a_file(name: str, basenames: set[str]) -> bool:
+    """With a ``/`` a path from a checked root, without one a basename."""
+    return _exists(name) if "/" in name else name in basenames
+
+
 def missing_files(doc: Path, basenames: set[str]) -> list[str]:
     text = doc.read_text()
     errors = []
     for span in CODE_SPAN.findall(text):
         if any(ch in span for ch in " *(){}<>$…"):
             continue
-        if "/" in span:
-            found = not span.endswith((*PATH_SUFFIXES, "/")) or _exists(span)
-        else:
-            found = not span.endswith(BARE_SUFFIXES) or span in basenames
+        suffixes = (*PATH_SUFFIXES, "/") if "/" in span else BARE_SUFFIXES
+        found = not span.endswith(suffixes) or _names_a_file(span, basenames)
         if not found:
             errors.append(f"{doc.relative_to(REPO)}: missing file -> {span}")
     for script in PYTHON_SCRIPT.findall(text):
@@ -86,11 +97,38 @@ def missing_files(doc: Path, basenames: set[str]) -> list[str]:
     return errors
 
 
+def python_files() -> list[Path]:
+    return sorted(
+        path
+        for root in PYTHON_ROOTS
+        for path in (REPO / root).rglob("*.py")
+        if not SKIP_DIRS.intersection(path.parts)
+    )
+
+
+def missing_documents(source: Path, basenames: set[str]) -> list[str]:
+    return [
+        f"{source.relative_to(REPO)}: missing document -> {name}"
+        for name in MD_NAME.findall(source.read_text())
+        if not _names_a_file(name, basenames)
+    ]
+
+
 def test_no_broken_doc_references():
     basenames = repo_basenames()
     broken = [
         error
         for doc in checked_files()
         for error in (*broken_links(doc), *missing_files(doc, basenames))
+    ]
+    assert not broken, "\n".join(broken)
+
+
+def test_python_files_name_only_existing_documents():
+    basenames = repo_basenames()
+    broken = [
+        error
+        for source in python_files()
+        for error in missing_documents(source, basenames)
     ]
     assert not broken, "\n".join(broken)

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
+from examples.section8.continuous import ContinuousQuery
 from repro.core.bound import Bound
-from repro.extensions.continuous import ContinuousQuery
 from repro.extensions.groupby import grouped_query
 from repro.replication import ColumnCostModel
 from repro.replication.messages import ObjectKey
