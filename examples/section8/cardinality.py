@@ -107,7 +107,7 @@ def churn_adjusted(
     """
     if churn.total == 0:
         return cached_bound
-    if not value_domain.is_finite:
+    if not (math.isfinite(value_domain.lo) and math.isfinite(value_domain.hi)):
         raise TrappError(
             "delayed churn needs a finite value domain for the aggregation column"
         )

@@ -56,13 +56,6 @@ class Bound:
         """The bound ``[-inf, +inf]`` (nothing known about the value)."""
         return Bound(-math.inf, math.inf)
 
-    @staticmethod
-    def around(center: Number, half_width: Number) -> "Bound":
-        """The symmetric bound ``[center - half_width, center + half_width]``."""
-        if half_width < 0:
-            raise BoundError(f"half_width must be non-negative, got {half_width}")
-        return Bound(center - half_width, center + half_width)
-
     # ------------------------------------------------------------------
     # Basic properties
     # ------------------------------------------------------------------
@@ -88,26 +81,13 @@ class Bound:
         """True iff the bound pins down a single value."""
         return self.lo == self.hi
 
-    @property
-    def is_finite(self) -> bool:
-        """True iff both endpoints are finite."""
-        return math.isfinite(self.lo) and math.isfinite(self.hi)
-
     def contains(self, value: Number) -> bool:
         """True iff ``value`` is a possible realization of this bound."""
         return self.lo <= value <= self.hi
 
-    def contains_bound(self, other: "Bound") -> bool:
-        """True iff every realization of ``other`` lies inside ``self``."""
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def overlaps(self, other: "Bound") -> bool:
         """True iff the two intervals share at least one point."""
         return self.lo <= other.hi and other.lo <= self.hi
-
-    def clamp(self, value: Number) -> float:
-        """Project ``value`` onto the interval."""
-        return min(max(float(value), self.lo), self.hi)
 
     # ------------------------------------------------------------------
     # Interval arithmetic
@@ -151,10 +131,6 @@ class Bound:
         """Multiply both endpoints by a scalar, keeping orientation."""
         return self * Bound.exact(factor)
 
-    def shift(self, offset: Number) -> "Bound":
-        """Translate the interval by a scalar."""
-        return Bound(self.lo + offset, self.hi + offset)
-
     def widen(self, amount: Number) -> "Bound":
         """Symmetrically expand the interval by ``amount`` on each side."""
         if amount < 0:
@@ -169,15 +145,6 @@ class Bound:
         effective bound must be stretched to include zero (paper §6.2).
         """
         return Bound(min(self.lo, 0.0), max(self.hi, 0.0))
-
-    def intersect(self, other: "Bound") -> "Bound":
-        """The intersection of two overlapping intervals.
-
-        Raises :class:`BoundError` when the intervals are disjoint.
-        """
-        if not self.overlaps(other):
-            raise BoundError(f"intervals {self} and {other} are disjoint")
-        return Bound(max(self.lo, other.lo), min(self.hi, other.hi))
 
     def hull(self, other: "Bound") -> "Bound":
         """The smallest interval containing both operands."""
@@ -240,5 +207,7 @@ def intersect_all(bounds: Iterable[Bound]) -> Bound:
     except StopIteration:
         raise BoundError("intersection of an empty collection is undefined") from None
     for b in it:
-        acc = acc.intersect(b)
+        if not acc.overlaps(b):
+            raise BoundError(f"intervals {acc} and {b} are disjoint")
+        acc = Bound(max(acc.lo, b.lo), min(acc.hi, b.hi))
     return acc

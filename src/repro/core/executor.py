@@ -13,8 +13,10 @@ Executing ``SELECT AGG(T.a) WITHIN R FROM T WHERE P`` proceeds as:
 They do not always: a value-initiated refresh (§3) or a bound sync can
 widen a tuple between steps 2 and 3.  So steps 2–3 are one loop,
 :func:`refresh_steps`, which every statement class runs (a table, a
-GROUP BY group, TOP-N, a §7 join round): a recheck that misses R plans
-again, one with tuples unreached is answered degraded.  It resolves R
+GROUP BY group, TOP-N, a §7 join): a recheck that misses R plans again,
+one with tuples unreached is answered degraded.  GROUP BY runs one loop
+per group, in lock step (:func:`lockstep_steps`), so each round is one
+request for all of them.  It resolves R
 from every bound, so §8.1's relative constraints are its ordinary case;
 §8.2's one-tuple rounds are its other chooser (:func:`iterative_steps`).
 
@@ -60,7 +62,7 @@ The row-at-a-time pipeline this replaced lives on as the test oracle
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator, Iterable, Protocol
+from typing import Callable, Generator, Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -94,6 +96,7 @@ __all__ = [
     "execute_query",
     "iterative_steps",
     "refresh_steps",
+    "lockstep_steps",
     "drive_steps",
     "bounded_answer",
     "finish_answer",
@@ -354,6 +357,68 @@ def refresh_steps(
         )
         current = bound()
     return None
+
+
+def lockstep_steps(
+    loops: Sequence[ExecutionSteps],
+    owner: Callable[[Iterable[int]], list[int | None]],
+) -> Generator[PlannedRefresh, RefreshPlan, tuple[list, RefreshPlan]]:
+    """Several :func:`refresh_steps` loops over one table, one request a
+    round.
+
+    Every loop still running plans; their plans must be disjoint (GROUP BY
+    groups partition the table).  The round yields one
+    :class:`PlannedRefresh`, the union of those plans, and splits the
+    effective plan sent back by ``owner``, which names the loop that owns
+    each tuple id (``None``: no loop): tuple ids and unreached ones go to
+    their owner, if it is in the round, and the cost goes out in
+    proportion to each loop's planned cost.  Returns each loop's answer,
+    in order, and the sum of the effective plans the driver sent.
+    """
+    answers: list = [None] * len(loops)
+    requests: dict[int, PlannedRefresh] = {}
+
+    def advance(i: int, effective: RefreshPlan | None) -> None:
+        try:
+            requests[i] = loops[i].send(effective)
+        except StopIteration as stop:
+            answers[i] = stop.value
+            requests.pop(i, None)
+
+    for i in range(len(loops)):
+        advance(i, None)
+    spent = RefreshPlan.empty()
+    while requests:
+        round_ = dict(requests)
+        planned = sum(request.plan.total_cost for request in round_.values())
+        first = next(iter(round_.values()))
+        effective = yield PlannedRefresh(
+            first.table,
+            RefreshPlan(
+                frozenset().union(*(r.plan.tids for r in round_.values())), planned
+            ),
+            first.max_width,
+            first.aggregate,
+            replan=any(request.replan for request in round_.values()),
+        )
+        spent = spent.then(effective)
+        parts = {i: (set(), set()) for i in round_}
+        for n, ids in enumerate((sorted(effective.tids), sorted(effective.unreached))):
+            for tid, i in zip(ids, owner(ids)):
+                if i in parts:
+                    parts[i][n].add(tid)
+        for i, request in round_.items():
+            tids, unreached = parts[i]
+            share = (
+                request.plan.total_cost * (effective.total_cost / planned)
+                if planned
+                else effective.total_cost / len(round_)
+            )
+            failed = effective.failed_sources if unreached else ()
+            advance(
+                i, RefreshPlan(frozenset(tids), share, frozenset(unreached), failed)
+            )
+    return answers, spent
 
 
 class _TableStatement:

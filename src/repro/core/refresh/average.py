@@ -46,7 +46,6 @@ from repro.core.refresh.base import CostFunc, RefreshPlan, uniform_cost
 from repro.core.refresh.summing import DEFAULT_EPSILON, SumChooseRefresh
 from repro.errors import TrappError
 from repro.predicates.batch import restrict_endpoints
-from repro.storage.columnar import CandidateVectors, candidate_order
 
 __all__ = ["AvgChooseRefresh", "CHOOSE_AVG"]
 
@@ -130,16 +129,7 @@ class AvgChooseRefresh:
             # the uniform-cost walk sees the augmented weights.
             widths = cv.widths.copy()
             widths[n_plus:] += slope
-            cv = CandidateVectors(
-                tids=cv.tids,
-                widths=widths,
-                costs=cv.costs,
-                order=candidate_order(widths, cv.tids),
-                cost_min=cv.cost_min,
-                cost_max=cv.cost_max,
-                cost_total=cv.cost_total,
-                costs_integral=cv.costs_integral,
-            )
+            cv = cv.reweighted(widths)
         return self._sum._solve(cv, capacity), None
 
     # ------------------------------------------------------------------

@@ -127,6 +127,26 @@ class SumChooseRefresh:
         cv = self._harvest(table, column, cost, positions, predicate)
         return self._solve(cv, max_width), cv
 
+    def over_multiset(
+        self,
+        table: "Table",
+        at: np.ndarray,
+        multiplicity: np.ndarray,
+        column: str,
+        max_width: float,
+        cost: CostFunc = uniform_cost,
+    ) -> tuple[RefreshPlan, CandidateVectors]:
+        """§5 planning over tuples that enter the sum several times.
+
+        The tuple at position ``at[i]`` is summed ``multiplicity[i]``
+        times — a §7 join counts a base tuple once per joined tuple it
+        feeds — so refreshing it removes that multiple of its width, its
+        knapsack weight.
+        """
+        cv = self._harvest(table, column, cost, (at, at[:0]))
+        cv = cv.reweighted(cv.widths * multiplicity)
+        return self._solve(cv, max_width), cv
+
     def _harvest(
         self, table: "Table", column, cost, positions=None, predicate=None
     ) -> CandidateVectors:

@@ -16,16 +16,19 @@ through :func:`repro.core.executor.bounded_answer` and the aggregate's
 Appendix D refinement included.
 
 :func:`grouped_query_steps` speaks the executor's ``PlannedRefresh``
-generator protocol — one yielded plan per group that needs a refresh —
-so grouped statements suspend into the concurrent service's refresh
-scheduler like any single-table query; :func:`grouped_query` is the
-serial driver around it.
+generator protocol with one yielded plan per round, not per group: every
+group's refresh loop runs in lock step
+(:func:`repro.core.executor.lockstep_steps`), and a round asks for the
+union of the plans of the groups still too wide — one source request
+where there were as many as groups.  Grouped statements suspend into the
+concurrent service's refresh scheduler like any single-table query;
+:func:`grouped_query` is the serial driver around it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -39,6 +42,7 @@ from repro.core.executor import (
     RefreshProvider,
     bounded_answer,
     drive_steps,
+    lockstep_steps,
     refresh_steps,
     table_positions,
 )
@@ -67,9 +71,10 @@ class GroupedAnswer(BoundedAnswer):
     ``bound`` is the *widest* group's bound (exact zero when the table is
     empty), so ``meets(R)`` holds iff every group meets the per-group
     constraint — the service's result-cache width checks then apply
-    unchanged to grouped statements.  ``refreshed``, ``refresh_cost``,
-    ``degraded`` and ``unreachable_sources`` aggregate over all groups;
-    the per-group breakdown lives in ``groups``.
+    unchanged to grouped statements.  ``refreshed`` and ``refresh_cost``
+    are what the driver reported for the statement's rounds; ``degraded``
+    and ``unreachable_sources`` aggregate over all groups; the per-group
+    breakdown lives in ``groups``.
     """
 
     groups: tuple[GroupResult, ...] = ()
@@ -87,14 +92,16 @@ def grouped_query_steps(
 ) -> ExecutionSteps:
     """``SELECT key, AGG(column) WITHIN R ... GROUP BY key`` as a generator.
 
-    Groups are planned in deterministic key order; whenever a group's
-    cached bound is too wide the chosen refresh plan is yielded as a
+    Every group runs the executor's loop
+    (:func:`~repro.core.executor.refresh_steps`) over its share, and the
+    loops run in lock step: each round, the groups whose bound is too
+    wide plan in key order and their plans go out as one
     :class:`~repro.core.executor.PlannedRefresh` (groups partition the
-    table, so plans never interact) and the driver sends back the
-    effective plan.  Each group runs the executor's loop
-    (:func:`~repro.core.executor.refresh_steps`) over its share: a
-    recheck that misses R with every planned tuple reached plans again,
-    one with tuples unreached is answered degraded.  Returns a
+    table, so no tuple is planned twice).  The driver sends back the
+    effective plan; its tuples go to the groups that own them and its
+    cost in proportion to each group's planned cost.  A recheck that
+    misses R with every planned tuple reached plans again; a group with
+    tuples unreached is answered degraded, alone.  Returns a
     :class:`GroupedAnswer` via ``StopIteration.value``.
     """
     if not group_by:
@@ -113,13 +120,19 @@ def grouped_query_steps(
     # the wire.
     store = table.columns
     values = [store.objects(name)[groups.first].tolist() for name in group_by]
-    keys = dict(zip(zip(*values), groups.code))
-
-    results: list[GroupResult] = []
-    for key in sorted(keys, key=repr):
-        answer = yield from groups.steps(keys[key], max_width)
-        if answer is not None:  # None: every tuple of it left meanwhile
-            results.append(GroupResult(key, answer, groups.size))
+    keys = dict(zip(zip(*values), groups.idents))
+    order = sorted(keys, key=repr)
+    members = [_Group(groups, keys[key]) for key in order]
+    loop_of = {keys[key]: i for i, key in enumerate(order)}
+    answers, spent = yield from lockstep_steps(
+        [refresh_steps(m.bound, max_width, m.plan) for m in members],
+        lambda tids: groups.owners(tids, loop_of),
+    )
+    results = [
+        GroupResult(key, answer, member.size)
+        for key, member, answer in zip(order, members, answers)
+        if answer is not None  # None: every tuple of it left meanwhile
+    ]
 
     widest = max(
         (r.answer.bound for r in results), key=lambda b: b.width, default=Bound(0.0, 0.0)
@@ -135,8 +148,8 @@ def grouped_query_steps(
     )
     return GroupedAnswer(
         bound=widest,
-        refreshed=frozenset().union(*(r.answer.refreshed for r in results)),
-        refresh_cost=sum((r.answer.refresh_cost for r in results), 0.0),
+        refreshed=spent.tids,
+        refresh_cost=spent.total_cost,
         initial_bound=widest_initial,
         degraded=any(r.answer.degraded for r in results),
         unreachable_sources=tuple(
@@ -172,15 +185,16 @@ def grouped_query(
 
 
 class _Groups:
-    """The statement's groups, one :func:`refresh_steps` loop each.
+    """The statement, and the table split by group, shared by every
+    group's loop.
 
-    The table is classified once and dense group codes from the exact key
+    The table is classified and dense group codes from the exact key
     columns' arrays sort its ``(T+, T?)`` pair by group; a group's share
-    is then two slices, and its bound and plan read nothing else.
-    Positions do not outlive a send — the refresh moved tuples out of T?,
-    and tuples can come and go while a plan is out — so every bound after
-    a send splits the table again; a group's first bound reuses the last
-    split.
+    is then two slices.  Positions do not outlive a change to the store —
+    a refresh moves tuples out of T?, and tuples can come and go while a
+    plan is out — so the first share taken after the store moved splits
+    the table again, and the rest of that round reuse the split: once per
+    round, not once per group.
     """
 
     def __init__(
@@ -190,43 +204,73 @@ class _Groups:
         self.aggregate, self.column, self.cost = aggregate, column, cost
         self.spec = get_aggregate(aggregate)
         self.chooser = get_choose_refresh(aggregate, epsilon=epsilon)
+        self.version = None
         self.split()
-        self.size = self.share = self.ident = self.fresh = None
 
     def split(self) -> None:
-        idents, self.first, codes = _group_index(self.table.columns, self.group_by)
+        store = self.table.columns
+        if self.version == store.version:
+            return
+        self.version = store.version
+        self.idents, self.first, self.codes = _group_index(store, self.group_by)
         #: Group code by the group's key as the arrays hold it.
-        self.code = dict(zip(idents, range(len(idents))))
-        self.sizes = np.bincount(codes, minlength=len(idents)).tolist()
+        self.code = dict(zip(self.idents, range(len(self.idents))))
+        self.tids = store.sorted_tids()
+        self.sizes = np.bincount(self.codes, minlength=len(self.idents)).tolist()
         self.parts = [
-            _by_group(at, codes, len(idents))
+            _by_group(at, self.codes, len(self.idents))
             for at in table_positions(self.table, self.predicate)
         ]
 
-    def steps(self, ident, max_width: float) -> ExecutionSteps:
-        self.ident, self.fresh = ident, True
-        return refresh_steps(self.bound, max_width, self.plan)
+    def share(self, ident):
+        """``(size, (T+, T?) share)`` of a group, ``None`` once every
+        tuple of it left."""
+        self.split()
+        g = self.code.get(ident)
+        if g is None:
+            return None
+        return self.sizes[g], tuple(at[cuts[g] : cuts[g + 1]] for at, cuts in self.parts)
+
+    def owners(self, tids: Iterable[int], loop_of: dict) -> list[int | None]:
+        """The loop owning each tuple id, by the split the round planned
+        on: ``loop_of[ident]`` of its group, ``None`` for a tuple that
+        split did not hold."""
+        tids = np.asarray(list(tids), dtype=np.int64)
+        if not len(self.tids):
+            return [None] * len(tids)
+        at = np.minimum(np.searchsorted(self.tids, tids), len(self.tids) - 1)
+        held = (self.tids[at] == tids).tolist()
+        return [
+            loop_of.get(self.idents[code]) if found else None
+            for code, found in zip(self.codes[at].tolist(), held)
+        ]
+
+
+class _Group:
+    """One group for :func:`refresh_steps`: its bound and its batch plan
+    read only its share of the last split."""
+
+    def __init__(self, groups: _Groups, ident) -> None:
+        self.groups, self.ident = groups, ident
+        self.size = self.share = None
 
     def bound(self) -> Bound | None:
-        if not self.fresh:
-            self.split()
-        self.fresh = False
-        g = self.code.get(self.ident)
-        if g is None:  # every tuple of the group left
+        found = self.groups.share(self.ident)
+        if found is None:
             return None
-        self.size = self.sizes[g]
-        self.share = tuple(at[cuts[g] : cuts[g + 1]] for at, cuts in self.parts)
+        self.size, self.share = found
+        g = self.groups
         bound, _ = bounded_answer(
-            self.table, self.spec, self.column, self.predicate, within=self.share
+            g.table, g.spec, g.column, g.predicate, within=self.share
         )
         return bound
 
     def plan(self, bound: Bound, max_width: float) -> PlannedRefresh:
-        plan, _ = self.chooser.with_classification(
-            self.table, self.share, self.column, max_width, self.cost,
-            predicate=self.predicate,
+        g = self.groups
+        plan, _ = g.chooser.with_classification(
+            g.table, self.share, g.column, max_width, g.cost, predicate=g.predicate
         )
-        return PlannedRefresh(self.table, plan, max_width, self.aggregate)
+        return PlannedRefresh(g.table, plan, max_width, g.aggregate)
 
 
 def _group_index(store, group_by: Sequence[str]):

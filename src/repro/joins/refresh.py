@@ -1,28 +1,39 @@
-"""Heuristic refresh selection for join queries (paper §7).
+"""Refresh selection for join queries (paper §7).
 
 The paper observes that choosing refresh tuples under joins is
 "significantly more difficult": each joined tuple aggregates several base
 tuples (any subset of which could be refreshed), and one base tuple can
-feed many joined tuples, so refresh benefits interact.  No optimal
-algorithm is given — the authors report investigating heuristics — so this
-module implements the natural *iterative greedy* heuristic the paper's
-§8.2 discussion motivates:
+feed many joined tuples, so refresh benefits interact.  It gives no
+optimal algorithm and reports investigating heuristics.  This module
+takes one of two routes, read from the statement:
 
-1. index and classify the joined tuples, compute the bounded answer;
-2. while the answer is too wide, score every refreshable base tuple by an
-   estimate of how much uncertainty it feeds into the answer, divided by
-   its refresh cost; refresh the best scorer;
-3. recompute (refreshed base values reclassify joined tuples) and repeat.
+* **Batch** — the join condition reads no bounded column of any joined
+  table (no condition at all counts) and the aggregate is SUM, AVG, MIN
+  or MAX.  Then no joined tuple is in T?, and the answer depends on the
+  base tuples of the table that owns the aggregated column only, each
+  counted once per joined tuple it feeds (its *fan-out*).  The answer's
+  width is ``Σₙ fanout(n)·w(n)``, so the problem *is* §5's: SUM is the
+  knapsack with weights fan-out × width, AVG the same knapsack at
+  capacity ``R·|joined|`` (COUNT is exact), and MIN / MAX the
+  single-table forced set over the base tuples that feed any joined
+  tuple (MIN over a multiset is MIN over its support).  One plan per
+  round, priced and solved by the single-table choosers; a recheck that
+  misses plans again under the executor's re-plan rule.  COUNT is exact
+  and never plans.
+* **Greedy** — every other join (a condition over a bounded column, or
+  MEDIAN): the iterative one-tuple heuristic the paper's §8.2 discussion
+  motivates.  While the answer is too wide, score every refreshable base
+  tuple by an estimate of the uncertainty it feeds into the answer,
+  divided by its refresh cost; refresh the best scorer; re-join and
+  repeat.  The estimate charges a base tuple with (a) the
+  aggregation-column bound width it contributes through every surviving
+  joined tuple and (b) the T? membership of those joined tuples.  Each
+  round is a one-tuple round of the executor's refresh loop, which
+  offers a base tuple at most once — so the loop ends within the tables'
+  size.
 
-The benefit estimate charges a base tuple with (a) the aggregation-column
-bound width it contributes through every surviving joined tuple and (b)
-the classification uncertainty (T? membership) of those joined tuples.
-Each round is a one-tuple round of the executor's refresh loop, which
-offers a base tuple at most once — so the loop ends within the tables'
-size.
-
-Each round's selection is *decomposed into one per-table refresh plan*
-and surfaced through the executor's ``PlannedRefresh`` generator protocol
+Either way every plan names *one* base table and is surfaced through the
+executor's ``PlannedRefresh`` generator protocol
 (:meth:`JoinRefreshHeuristic.execute_steps`): a refresh scheduler can
 merge a join query's demand on table T with every single-table query's
 plans for T — per source, per cache group — exactly as it coalesces §4
@@ -31,9 +42,10 @@ queries.  :meth:`JoinRefreshHeuristic.execute` is the serial driver.
 A round is array work over the tables' ``ColumnStore`` endpoint columns:
 :func:`repro.joins.classify.join_pairs` names the surviving joined tuples
 by position, the aggregate bounds the gathered endpoints, and per-table
-``bincount``s total each base tuple's benefit.  Nothing but the tuples
-already requested is kept from one round to the next.  The row-at-a-time
-heuristic this replaces lives in ``tests/oracle/row_join.py``.
+``bincount``s give each base tuple's fan-out and benefit.  Nothing but
+the tuples already requested is kept from one round to the next.  The
+row-at-a-time heuristic the greedy route replaced lives in
+``tests/oracle/row_join.py``.
 """
 
 from __future__ import annotations
@@ -53,6 +65,7 @@ from repro.core.executor import (
     drive_steps,
     refresh_steps,
 )
+from repro.core.refresh import CHOOSE_SUM, get_choose_refresh
 from repro.core.refresh.base import (
     CostFunc,
     RefreshPlan,
@@ -60,15 +73,21 @@ from repro.core.refresh.base import (
     uniform_cost,
 )
 from repro.joins.classify import ColumnKey, JoinedColumns, join_pairs
-from repro.predicates.ast import Predicate
+from repro.predicates.ast import Predicate, columns_of
 from repro.predicates.batch import ColumnarClassification
 from repro.storage.table import Table
 
 __all__ = ["JoinRefreshHeuristic", "execute_join_query"]
 
+#: Aggregates a join whose condition reads only exact columns plans as
+#: one §5 batch; COUNT is exact there and never plans.
+_BATCHED = ("SUM", "AVG", "MIN", "MAX")
+
 
 class JoinRefreshHeuristic:
-    """Iterative greedy base-tuple refresh for join aggregation queries."""
+    """Base-tuple refresh for join aggregation queries: one §5 batch plan
+    per round over an exact join condition, greedy one-tuple rounds
+    otherwise."""
 
     def __init__(
         self,
@@ -99,20 +118,21 @@ class JoinRefreshHeuristic:
         max_width: float,
         predicate: Predicate | None = None,
     ) -> ExecutionSteps:
-        """The §7 heuristic as a resumable generator.
+        """The §7 refresh selection as a resumable generator.
 
-        Each greedy round is a one-tuple round of the executor's loop
-        (:func:`~repro.core.executor.refresh_steps`): its selection is
-        yielded as a :class:`~repro.core.executor.PlannedRefresh` against
-        one base table — the per-table decomposition a cross-query
-        scheduler needs to merge join demand with single-table plans.
-        The driver applies each plan (possibly coalesced with other
-        queries') and sends back the effective :class:`RefreshPlan`; the
-        round then re-joins and re-classifies, so refreshes landed by
-        concurrent queries are picked up before the next selection.  A
-        base tuple is offered once; a round with it unreached is answered
-        degraded.  Returns the :class:`BoundedAnswer` via
-        ``StopIteration.value``.
+        Runs the executor's loop (:func:`~repro.core.executor.refresh_steps`)
+        with a batch ``plan`` when the join condition reads no bounded
+        column and the aggregate is in :data:`_BATCHED`, with one-tuple
+        greedy rounds otherwise.  Each round's selection is yielded as a
+        :class:`~repro.core.executor.PlannedRefresh` against one base
+        table — the per-table decomposition a cross-query scheduler needs
+        to merge join demand with single-table plans.  The driver applies
+        each plan (possibly coalesced with other queries') and sends back
+        the effective :class:`RefreshPlan`; the round then re-joins and
+        re-classifies, so refreshes landed by concurrent queries are
+        picked up before the next selection.  A greedy round offers a base
+        tuple once; a round with tuples unreached is answered degraded.
+        Returns the :class:`BoundedAnswer` via ``StopIteration.value``.
         """
         spec = get_aggregate(aggregate)
         agg_column = column[1] if column is not None else None
@@ -141,7 +161,57 @@ class JoinRefreshHeuristic:
             plan = RefreshPlan(frozenset((tid,)), cost)
             return PlannedRefresh(self.tables[k], plan, max_width, aggregate)
 
-        return (yield from refresh_steps(bound, max_width, pick=pick))
+        def plan(bound, max_width) -> PlannedRefresh:
+            joined, _, (k, name) = round_
+            return self._batch_plan(spec.name, joined, k, name, bound, max_width)
+
+        batch = spec.name in _BATCHED and not self._reads_bounded(predicate)
+        return (
+            yield from refresh_steps(
+                bound, max_width, plan=plan if batch else None, pick=pick
+            )
+        )
+
+    def _reads_bounded(self, predicate: Predicate | None) -> bool:
+        """Whether the join condition names a column some joined table
+        bounds — only then can a joined tuple be in T?."""
+        names = columns_of(predicate) if predicate is not None else ()
+        return any(
+            name in table.schema and table.schema[name].is_bounded
+            for table in self.tables
+            for name in names
+        )
+
+    def _batch_plan(
+        self,
+        aggregate: str,
+        joined: JoinedColumns,
+        k: int,
+        column: str,
+        bound: Bound,
+        max_width: float,
+    ) -> PlannedRefresh:
+        """One §5 plan over the base tuples of ``tables[k]``, the table
+        owning the aggregated column, for a round with nothing in T?."""
+        table = self.tables[k]
+        fanout = np.bincount(joined.index[k], minlength=len(table.columns))
+        at = np.flatnonzero(fanout)
+        if aggregate in ("MIN", "MAX"):
+            chosen, _ = get_choose_refresh(aggregate).with_classification(
+                table, (at, at[:0]), column, max_width, self.cost
+            )
+            return PlannedRefresh(table, chosen, max_width, aggregate)
+        if aggregate == "AVG":  # COUNT is |joined|, exact: divide it out
+            chosen, _ = CHOOSE_SUM.over_multiset(
+                table, at, fanout[at], column, max_width * len(joined), self.cost
+            )
+            return PlannedRefresh(table, chosen, max_width, aggregate)
+        chosen, candidates = CHOOSE_SUM.over_multiset(
+            table, at, fanout[at], column, max_width, self.cost
+        )
+        return PlannedRefresh(
+            table, chosen, max_width, aggregate, candidates, bound.width - max_width
+        )
 
     # ------------------------------------------------------------------
     def _best_candidate(

@@ -242,7 +242,8 @@ class QueryService:
         #: ``topn``), one observation per query: how long it took from
         #: parse to answer — result-cache hits and single-flight joins
         #: included — and, when it executed, how many refresh plans its
-        #: step generator yielded (a join yields one per greedy round).
+        #: step generator yielded (a GROUP BY one per round for all its
+        #: groups, a join over a bounded condition one per greedy round).
         self._h_query_seconds = registry.histogram(
             "trapp_query_seconds",
             "Wall-clock query latency inside the service, parse to answer",

@@ -55,7 +55,7 @@ Three planner-facing entry points live here as well (ISSUE 3, ISSUE 10):
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Mapping
 
 import numpy as np
@@ -634,6 +634,10 @@ class CandidateVectors:
 
     def __len__(self) -> int:
         return len(self.tids)
+
+    def reweighted(self, widths: np.ndarray) -> "CandidateVectors":
+        """The same candidates under other knapsack weights."""
+        return replace(self, widths=widths, order=candidate_order(widths, self.tids))
 
     def solver_vectors(self) -> tuple["array", "array", "array"]:
         """``(weights, costs, order)`` as flat stdlib arrays.

@@ -25,6 +25,7 @@ from repro.core.refresh import (
 )
 from repro.core.bound import Bound
 from repro.predicates.parser import parse_predicate
+from tests.oracle.row_eval import contains_bound
 from tests.protocol import bound_of, classified, pair_of, plan_of, tids_at
 
 
@@ -196,7 +197,7 @@ class TestQ6AvgLatencyWithPredicate:
             bound_of(SUM, cached_links, "latency", pair),
             bound_of(COUNT, cached_links, None, pair),
         )
-        assert loose.contains_bound(tight)
+        assert contains_bound(loose, tight)
 
     def test_choose_refresh_keeps_2_and_4(self, cached_links, cost_func):
         _, pair = classes(cached_links, Q6_PREDICATE)

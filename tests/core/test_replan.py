@@ -7,9 +7,11 @@ plan→recheck race.  The same rule would hide a planner whose plans fall
 short, so:
 
 * with nothing between a yield and its ``send`` — a serial driver — no
-  statement ever yields a re-plan: one plan per statement (per group);
-* one-tuple rounds (the §7 join, §8.2's iterative strategy) are never
-  re-plans, and never offer a tuple twice;
+  statement ever yields a re-plan: one plan per statement (a GROUP BY
+  asks for all its groups at once, and a §7 join whose condition reads
+  only exact columns plans as one batch);
+* one-tuple rounds (the §7 join over a bounded condition, §8.2's
+  iterative strategy) are never re-plans, and never offer a tuple twice;
 * a round with tuples unreached is answered degraded, never re-planned;
 * a recheck that keeps missing stops at :data:`MAX_PLAN_ROUNDS`, loudly.
 """
@@ -86,7 +88,7 @@ def test_a_serial_driver_never_sees_a_replan(shape, aggregate, predicate, cost):
             steps = grouped_query_steps(
                 cached, ["from_node"], aggregate, column, budget, parsed, COSTS[cost]
             )
-            most = len({row["from_node"] for row in cached.rows()})
+            most = 1
         answer, requests = serial(steps)
         context = f"WITHIN {budget}"
         assert not [r for r in requests if r.replan], context
@@ -105,16 +107,35 @@ def test_a_serial_top_n_plans_once(column):
             assert answer.meets(budget)
 
 
-def join_steps(links, aggregate="SUM", column="traffic", budget=5.0):
-    """``links ⋈ nodes`` on ``to_node = node``; the node loads are exact,
-    so every round refreshes a link."""
+def join_steps(
+    links, aggregate="SUM", column="traffic", budget=5.0, condition="to_node = node"
+):
+    """``links ⋈ nodes`` on ``condition``; the node loads are exact, so
+    every plan refreshes links.  The default condition reads exact columns
+    only (one batch plan a round); with ``load`` in it, a bounded column,
+    the rounds are greedy and take one tuple each."""
     nodes = Table("nodes", Schema.of(node="exact", load="bounded"))
     for node in range(1, 7):
         nodes.insert({"node": node, "load": 10.0 * node})
     column = None if column is None else ("links", column)
     return JoinRefreshHeuristic([links, nodes], None).execute_steps(
-        aggregate, column, budget, parse_predicate("to_node = node")
+        aggregate, column, budget, parse_predicate(condition)
     )
+
+
+@pytest.mark.parametrize("aggregate", sorted(registry))
+def test_a_serial_exact_key_join_plans_once(aggregate):
+    column = "traffic" if registry[aggregate].needs_column else None
+    for budget in BUDGETS:
+        answer, requests = serial(
+            join_steps(paper_example_table(), aggregate, column, budget)
+        )
+        context = f"WITHIN {budget}"
+        if aggregate == "MEDIAN":  # no batch plan: greedy rounds
+            assert not [r for r in requests if r.replan], context
+        else:
+            assert len(requests) <= 1 and not [r for r in requests if r.replan], context
+        assert answer.meets(budget) and not answer.degraded, context
 
 
 @pytest.mark.parametrize("aggregate", sorted(registry))
@@ -125,7 +146,10 @@ def test_one_tuple_rounds_are_never_replans(shape, aggregate):
         if shape == "iterative":
             steps = iterative_steps(paper_example_table(), aggregate, column, budget)
         else:
-            steps = join_steps(paper_example_table(), aggregate, column, budget)
+            steps = join_steps(
+                paper_example_table(), aggregate, column, budget,
+                "to_node = node AND load > 0",
+            )
         answer, requests = serial(steps)
         assert not [r for r in requests if r.replan]
         tids = [tid for r in requests for tid in r.plan.tids]
@@ -139,15 +163,19 @@ STATEMENTS = {
         table, ["from_node"], "SUM", "traffic", 5.0
     ),
     "top_n": lambda table: top_n_steps(table, 2, "traffic", 0.5),
+    "join": join_steps,
 }
 
 
-@pytest.mark.parametrize("shape", sorted(STATEMENTS) + ["join"])
+@pytest.mark.parametrize("shape", sorted(STATEMENTS) + ["greedy_join"])
 def test_a_round_with_tuples_unreached_is_answered_degraded(shape):
-    """Nothing is refreshed and the source is named unreachable: the
-    first group (or the statement) is answered degraded at once."""
+    """Nothing is refreshed and the source is named unreachable: every
+    group (or the statement) is answered degraded at once."""
     table = paper_example_table()
-    steps = join_steps(table) if shape == "join" else STATEMENTS[shape](table)
+    if shape == "greedy_join":
+        steps = join_steps(table, condition="to_node = node AND load > 0")
+    else:
+        steps = STATEMENTS[shape](table)
     request = next(steps)
     failed = RefreshPlan(frozenset(), 0.0, request.plan.tids, ("net",))
     try:
@@ -164,8 +192,8 @@ def test_a_round_with_tuples_unreached_is_answered_degraded(shape):
 @pytest.mark.parametrize("shape", sorted(STATEMENTS))
 def test_a_recheck_that_keeps_missing_stops_at_the_cap(shape):
     """Every round 'lands' and nothing collapses — the master moving on
-    every round looks the same to the generator.  (A join round is no
-    re-plan: it never offers a tuple twice.)"""
+    every round looks the same to the generator.  (A greedy join round is
+    no re-plan: it never offers a tuple twice.)"""
     steps = STATEMENTS[shape](paper_example_table())
     request = next(steps)
     rounds = 1

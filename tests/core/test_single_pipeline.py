@@ -9,8 +9,9 @@ scheduler's §8.2 rebatch pass between a plan and its dispatch.  The store
 is the only copy of every cell: rows are read-only records built from it.
 The options that used to select other routes are gone, the row-taking
 method family is gone, the service's sync deferral is gone, the refresh
-loop is written once, the one-row predicate semantics and the unserved §8
-sketches live outside ``src/``, and none of them may creep back in.
+loop is written once, the one-row predicate semantics, the callerless
+``Bound`` helpers and the unserved §8 sketches live outside ``src/``, and
+none of them may creep back in.
 """
 
 from __future__ import annotations
@@ -295,6 +296,12 @@ def test_executor_probes_nothing_and_src_never_imports_tests():
         "|VersionedTable|ContinuousQuery|ChurnBuffer|PathQueryExecutor"
     )
     assert not [name for name, text in sources.items() if moved.search(text)]
+    # So are the interval helpers no served route calls: free functions
+    # in tests/oracle/row_eval.py, neither ``Bound`` methods nor called.
+    helpers = re.compile(
+        r"\b(def |\.)(shift|around|clamp|intersect|contains_bound|is_finite)\b"
+    )
+    assert not [name for name, text in sources.items() if helpers.search(text)]
     for package, modules in {
         "extensions": {
             "batching", "groupby", "hierarchy", "median_spec", "prerefresh", "topn",

@@ -16,6 +16,7 @@ from repro.core.bound import Bound
 from repro.errors import BoundError, ReplicationProtocolError
 from repro.replication.messages import ObjectKey
 from repro.replication.source import _TrackedBound
+from tests.oracle.row_eval import around
 
 
 def _bound_at(function: BoundFunction, now: float) -> Bound:
@@ -25,7 +26,7 @@ def _bound_at(function: BoundFunction, now: float) -> Bound:
             f"{function.refreshed_at}"
         )
     half_width = function.width_parameter * function.shape(now - function.refreshed_at)
-    return Bound.around(function.value_at_refresh, half_width)
+    return around(function.value_at_refresh, half_width)
 
 
 class PerCacheMonitor:

@@ -13,7 +13,10 @@ Two evaluators are provided:
   ``Possible(P)`` ⟺ result is not FALSE.
 
 The comparisons under them are the free functions ``cmp_lt`` … ``cmp_ne``
-over two intervals, returning :class:`Trilean`.
+over two intervals, returning :class:`Trilean`.  Beside them are the
+interval helpers no served route calls — :func:`around`, :func:`shift`,
+:func:`clamp`, :func:`intersect`, :func:`contains_bound` and
+:func:`is_finite` — which the tests and the oracles read bounds with.
 
 Note the same conservative approximations as the paper: conjunction of
 ``Possible`` and disjunction of ``Certain`` are one-directional, so a
@@ -26,10 +29,11 @@ column at a time.
 from __future__ import annotations
 
 import enum
+import math
 from typing import Callable
 
 from repro.core.bound import Bound, Number
-from repro.errors import PredicateError, PredicateTypeError
+from repro.errors import BoundError, PredicateError, PredicateTypeError
 from repro.predicates.ast import (
     And,
     ColumnRef,
@@ -53,6 +57,12 @@ __all__ = [
     "cmp_ne",
     "evaluate_exact",
     "evaluate_trilean",
+    "around",
+    "shift",
+    "clamp",
+    "intersect",
+    "contains_bound",
+    "is_finite",
 ]
 
 
@@ -155,9 +165,44 @@ def cmp_ne(a: "Bound | Number", b: "Bound | Number") -> Trilean:
     return ~cmp_eq(a, b)
 
 
+def around(center: Number, half_width: Number) -> Bound:
+    """The symmetric bound ``[center - half_width, center + half_width]``."""
+    if half_width < 0:
+        raise BoundError(f"half_width must be non-negative, got {half_width}")
+    return Bound(center - half_width, center + half_width)
+
+
+def shift(bound: Bound, offset: Number) -> Bound:
+    """Translate the interval by a scalar."""
+    return Bound(bound.lo + offset, bound.hi + offset)
+
+
+def clamp(bound: Bound, value: Number) -> float:
+    """Project ``value`` onto the interval."""
+    return min(max(float(value), bound.lo), bound.hi)
+
+
+def intersect(a: Bound, b: Bound) -> Bound:
+    """The intersection of two overlapping intervals; :class:`BoundError`
+    when they are disjoint."""
+    if not a.overlaps(b):
+        raise BoundError(f"intervals {a} and {b} are disjoint")
+    return Bound(max(a.lo, b.lo), min(a.hi, b.hi))
+
+
+def contains_bound(outer: Bound, inner: Bound) -> bool:
+    """True iff every realization of ``inner`` lies inside ``outer``."""
+    return outer.lo <= inner.lo and inner.hi <= outer.hi
+
+
+def is_finite(bound: Bound) -> bool:
+    """True iff both endpoints are finite."""
+    return math.isfinite(bound.lo) and math.isfinite(bound.hi)
+
+
 def term_bound(term: ColumnRef, value: Bound) -> Bound:
     """Apply a column term's linear transform to an interval value."""
-    return value.scale(term.scale).shift(term.offset)
+    return shift(value.scale(term.scale), term.offset)
 
 
 def resolve_column(row: Row, term: ColumnRef):

@@ -9,11 +9,17 @@ The row lists are built once and kept, so a tuple inserted mid-query is
 not seen and a deleted one still is; rows are records, so a group's
 members are read again before its bound is taken.  The array version
 (``repro.extensions.groupby``) must reproduce key order, key types,
-sizes, per-group plans and bounds; ``tests/property/test_groupby_columnar.py``
-drives the two in lock step.  Each group plans once: in lock step nothing
-widens a bound between a yield and its ``send``, so the array version
-never plans again there, and a round with tuples unreached ends both in
-the same verdict (``repro.core.executor.finish_answer``).
+sizes, merged plans and bounds; ``tests/property/test_groupby_columnar.py``
+drives the two in lock step.  The round structure is the array
+version's: every group is bounded in key order and the ones too wide
+plan, then their plans go out as one send.  The effective plan comes
+back split by group membership — tuple ids and unreached ones to the
+group that owns them, the cost in proportion to each group's planned
+cost — and the statement's ``refreshed`` / ``refresh_cost`` are what the
+driver reported.  Each group plans once: in lock step nothing widens a
+bound between a yield and its ``send``, so the array version never plans
+again there, and a group with tuples unreached ends both in the same
+verdict (``repro.core.executor.finish_answer``).
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from repro.core.answer import BoundedAnswer
 from repro.core.bound import Bound
 from repro.core.constraints import width_within
 from repro.core.executor import ExecutionSteps, PlannedRefresh, finish_answer
+from repro.core.refresh.base import RefreshPlan
 from repro.errors import TrappError
 from repro.extensions.groupby import GroupedAnswer, GroupResult
 from repro.predicates.ast import Predicate, TruePredicate
@@ -52,8 +59,8 @@ def row_grouped_query_steps(
 ) -> ExecutionSteps:
     """``SELECT key, AGG(column) WITHIN R ... GROUP BY key`` as a generator.
 
-    Groups are planned in deterministic key order; whenever a group's
-    cached bound is too wide the chosen refresh plan is yielded as a
+    Groups are planned in deterministic key order; the plans of every
+    group whose cached bound is too wide are yielded together as one
     :class:`~repro.core.executor.PlannedRefresh` (groups partition the
     table, so plans never interact) and the driver sends back the
     effective plan.  Returns a :class:`GroupedAnswer` via
@@ -78,17 +85,17 @@ def row_grouped_query_steps(
     for row in table.rows():
         key = tuple(row[name] for name in group_by)
         groups.setdefault(key, []).append(row)
+    order = sorted(groups, key=repr)
+    owner = {row.tid: key for key in order for row in groups[key]}
 
-    results: list[GroupResult] = []
-    refreshed: set[int] = set()
-    total_cost = 0.0
-    for key in sorted(groups, key=repr):
+    answers: dict[tuple[Hashable, ...], GroupResult] = {}
+    planned: dict[tuple[Hashable, ...], tuple[Bound, RefreshPlan]] = {}
+    for key in order:
         rows = _reread(table, groups[key])
         initial = _bound(agg, rows, column, predicate, bounded_pred)
         if width_within(initial.width, max_width):
-            results.append(
-                GroupResult(key, BoundedAnswer(bound=initial, initial_bound=initial), len(rows))
-            )
+            answer = BoundedAnswer(bound=initial, initial_bound=initial)
+            answers[key] = GroupResult(key, answer, len(rows))
             continue
         if bounded_pred:
             classification = classify(rows, predicate)
@@ -96,15 +103,38 @@ def row_grouped_query_steps(
         else:
             filtered = _exact_filter(rows, predicate)
             plan = chooser.without_predicate(filtered, column, max_width, cost)
-        effective = yield PlannedRefresh(table, plan, max_width, aggregate)
+        planned[key] = initial, plan
+
+    refreshed: frozenset[int] = frozenset()
+    total_cost = 0.0
+    if planned:
+        plans = [plan for _, plan in planned.values()]
+        merged = RefreshPlan(
+            frozenset().union(*(plan.tids for plan in plans)),
+            sum(plan.total_cost for plan in plans),
+        )
+        effective = yield PlannedRefresh(table, merged, max_width, aggregate)
         if effective is None:
-            effective = plan
-        rows = _reread(table, rows)
-        final = _bound(agg, rows, column, predicate, bounded_pred)
-        answer = finish_answer(final, max_width, effective, initial)
-        refreshed.update(effective.tids)
-        total_cost += effective.total_cost
-        results.append(GroupResult(key, answer, len(rows)))
+            effective = merged
+        refreshed, total_cost = effective.tids, effective.total_cost
+        planned_cost = sum(plan.total_cost for plan in plans)
+        for key, (initial, plan) in planned.items():
+            mine = frozenset(t for t in effective.tids if owner.get(t) == key)
+            lost = frozenset(t for t in effective.unreached if owner.get(t) == key)
+            share = (
+                plan.total_cost * (effective.total_cost / planned_cost)
+                if planned_cost
+                else effective.total_cost / len(plans)
+            )
+            part = RefreshPlan(
+                mine, share, lost, effective.failed_sources if lost else ()
+            )
+            rows = _reread(table, groups[key])
+            final = _bound(agg, rows, column, predicate, bounded_pred)
+            answers[key] = GroupResult(
+                key, finish_answer(final, max_width, part, initial), len(rows)
+            )
+    results = [answers[key] for key in order]
 
     widest = max(
         (r.answer.bound for r in results), key=lambda b: b.width, default=Bound(0.0, 0.0)
@@ -120,7 +150,7 @@ def row_grouped_query_steps(
     )
     return GroupedAnswer(
         bound=widest,
-        refreshed=frozenset(refreshed),
+        refreshed=refreshed,
         refresh_cost=total_cost,
         initial_bound=widest_initial,
         degraded=any(r.answer.degraded for r in results),

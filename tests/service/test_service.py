@@ -138,8 +138,9 @@ def test_join_queries_served_through_the_service():
 
 def test_latency_and_plan_rounds_observed_once_per_query_by_class():
     """``trapp_query_seconds`` sees every admitted query (cache hits too);
-    ``trapp_plan_rounds`` sees each execution, with a join's one plan per
-    greedy round showing up as a count above the single-table one."""
+    ``trapp_plan_rounds`` sees each execution.  The exact-key join plans
+    one knapsack over ``nodes`` and the GROUP BY asks for every group in
+    one round: one plan each, many tuples."""
     from repro.workloads.service import mixed_service_system
 
     system, cost_model = mixed_service_system(n_caches=1)
@@ -148,12 +149,14 @@ def test_latency_and_plan_rounds_observed_once_per_query_by_class():
         "SELECT SUM(load) WITHIN 1 FROM links, nodes WHERE to_node = node"
     )
     statements = [
+        # First and loose: refreshing a link collapses every bounded
+        # column of it, and the SUM below must still refresh.
+        "SELECT SUM(latency) WITHIN 40 FROM links GROUP BY from_node",
         SUM_SQL, SUM_SQL, join_sql,
         "SELECT TOPN(2, traffic) WITHIN 1 FROM links",
-        "SELECT SUM(traffic) WITHIN 50 FROM links GROUP BY from_node",
     ]
     results = [run(service.query("edge", sql)) for sql in statements]
-    assert [r.cached for r in results] == [False, True, False, False, False]
+    assert [r.cached for r in results] == [False, False, True, False, False]
     with pytest.raises(AdmissionError):
         run(service.query("edge", SUM_SQL, precision_floor=100.0))
 
@@ -174,8 +177,11 @@ def test_latency_and_plan_rounds_observed_once_per_query_by_class():
     assert observed(rounds, "aggregate").count == 1
     assert observed(rounds, "aggregate").total == 1
     assert observed(rounds, "join").count == 1
-    join_answer = results[2].answer
-    assert observed(rounds, "join").total == len(join_answer.refreshed) > 1
+    assert observed(rounds, "join").total == 1
+    assert len(results[3].answer.refreshed) > 1
+    assert observed(rounds, "groupby").count == 1
+    assert observed(rounds, "groupby").total == 1
+    assert sum(1 for g in results[0].answer.groups if g.answer.refreshed) > 1
 
 
 def test_singleflight_shares_one_execution():
