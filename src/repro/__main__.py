@@ -5,15 +5,15 @@ monitoring source, one cache) behind the concurrent query service and
 serves the NDJSON protocol until interrupted.  ``demo`` does the same on
 an ephemeral port, drives a handful of concurrent closed-loop clients
 through :class:`~repro.service.client.TrappClient`, prints what the
-serving layer did (coalescing, result-cache hits), and exits 0 — it
-doubles as the CI smoke test for the full client/server path.
+serving layer did (coalescing, result-cache hits, read from the
+``metrics`` op), and exits 0 — it doubles as the CI smoke test for the
+full client/server path.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
-import json
 import random
 import sys
 
@@ -46,6 +46,16 @@ def _build_demo_system(n_links: int, seed: int, age: float) -> TrappSystem:
         system.clock.advance(age)
         cache.sync_bounds()
     return system
+
+
+def _sample(snapshot: dict, name: str, **labels: str) -> int:
+    """One counter sample of a ``metrics`` snapshot (0 when absent)."""
+    for family in snapshot["families"]:
+        if family["name"] == name:
+            for sample in family["samples"]:
+                if sample["labels"] == labels:
+                    return int(sample["value"])
+    return 0
 
 
 def _build_service(system: TrappSystem, args: argparse.Namespace) -> QueryService:
@@ -105,7 +115,7 @@ async def _demo(args: argparse.Namespace) -> int:
 
     try:
         result = await run_closed_loop(issue, scripts, on_error=report_error)
-        stats = await next(iter(clients.values())).stats()
+        metrics = await next(iter(clients.values())).metrics()
     finally:
         for client in clients.values():
             await client.close()
@@ -115,7 +125,25 @@ async def _demo(args: argparse.Namespace) -> int:
         f"{args.clients} clients x {args.queries} queries: "
         f"{result.completed} completed, {result.errors} errors"
     )
-    print(json.dumps(stats, indent=2))
+    scheduler = {
+        event: _sample(metrics, "trapp_scheduler_events_total", event=event)
+        for event in (
+            "tick", "plan_submitted", "tuple_requested", "tuple_refreshed",
+            "source_request",
+        )
+    }
+    print(
+        f"{scheduler['tick']} ticks, {scheduler['plan_submitted']} plans "
+        f"submitted; {scheduler['tuple_requested']} tuples requested vs "
+        f"{scheduler['tuple_refreshed']} refreshed in "
+        f"{scheduler['source_request']} source requests"
+    )
+    print(
+        "result-cache hits "
+        f"{_sample(metrics, 'trapp_result_cache_events_total', event='hit')}, "
+        "single-flight joins "
+        f"{_sample(metrics, 'trapp_service_events_total', event='singleflight_join')}"
+    )
     ok = result.errors == 0 and result.completed == args.clients * args.queries
     return 0 if ok else 1
 

@@ -12,7 +12,7 @@ package is the serving layer that realizes both observations:
   :class:`~repro.replication.fanout.CacheGroup`, each source's batch
   travelling through the cheapest subscribed replica — so N concurrent
   queries wanting the same hot tuples trigger one refresh instead of N;
-* :class:`QueryService` — per-client sessions, admission control,
+* :class:`QueryService` — admission control,
   cache-aware routing of group queries (:mod:`repro.service.routing`),
   and a short-TTL bounded-answer result cache (cache-scoped with a
   group-level shared tier, invalidated by dispatched refreshes) in
@@ -33,20 +33,18 @@ from repro.service.routing import (
     StickyRouter,
     WidestBoundsRouter,
 )
-from repro.service.scheduler import RefreshScheduler, SchedulerStats
+from repro.service.scheduler import RefreshScheduler
 from repro.service.server import TrappServer, serve
-from repro.service.service import ClientSession, QueryService, ServiceResult
+from repro.service.service import QueryService, ServiceResult
 
 __all__ = [
     "RefreshScheduler",
-    "SchedulerStats",
     "ResultCache",
     "CacheRouter",
     "StickyRouter",
     "LeastLoadedRouter",
     "WidestBoundsRouter",
     "QueryService",
-    "ClientSession",
     "ServiceResult",
     "TrappServer",
     "serve",

@@ -128,14 +128,9 @@ class TrappClient:
         reply = await self._request({"op": "ping"})
         return float(reply["now"])
 
-    async def stats(self) -> dict:
-        """The server's serving/coalescing counters."""
-        reply = await self._request({"op": "stats"})
-        return reply["stats"]
-
     async def metrics(self) -> dict:
         """The server's full telemetry registry snapshot (PR 7):
-        ``{"enabled": bool, "families": [{name, type, help, samples}]}``."""
+        ``{"families": [{name, type, help, samples}]}``."""
         reply = await self._request({"op": "metrics"})
         return reply["metrics"]
 

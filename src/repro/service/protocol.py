@@ -8,7 +8,6 @@ Request ops:
 
 * ``{"id", "op": "query", "cache", "sql", "client"?}`` — execute TRAPP SQL;
 * ``{"id", "op": "ping"}`` — liveness probe, echoes the server clock;
-* ``{"id", "op": "stats"}`` — serving/coalescing counters;
 * ``{"id", "op": "hello", "client"}`` — set the connection's client id;
 * ``{"id", "op": "metrics", "format"?: "text"}`` — the telemetry registry
   snapshot (or its Prometheus text exposition);

@@ -33,20 +33,8 @@ class ResultCache:
     """An LRU + TTL cache of :class:`BoundedAnswer` keyed by query identity.
 
     Hit/miss/expiry/eviction/invalidation counters live in the telemetry
-    registry (``trapp_result_cache_events_total``); the historical
-    attributes (``cache.hits`` …) and :meth:`stats` read the same
-    children, so the wire ``metrics`` op and the legacy dict cannot
-    disagree.
+    registry (``trapp_result_cache_events_total``).
     """
-
-    #: Attribute name → ``trapp_result_cache_events_total`` event label.
-    _EVENTS = {
-        "hits": "hit",
-        "misses": "miss",
-        "expirations": "expiration",
-        "evictions": "eviction",
-        "invalidations": "invalidation",
-    }
 
     def __init__(
         self,
@@ -66,8 +54,7 @@ class ResultCache:
         # dispatched refresh that updates table T evicts T's entries
         # directly instead of waiting for TTL/width expiry.
         self._by_table: dict[tuple[str, str], set[Hashable]] = {}
-        # A standalone cache (no service) gets a private enabled registry
-        # so its counters keep working.
+        # A standalone cache (no service) gets a private registry.
         if registry is None:
             registry = MetricsRegistry()
         family = registry.counter(
@@ -77,19 +64,15 @@ class ResultCache:
             ("event",),
         )
         self._events = {
-            attr: family.labels(event=label)
-            for attr, label in self._EVENTS.items()
+            event: family.labels(event=event)
+            for event in (
+                "hit", "miss", "expiration", "eviction", "invalidation"
+            )
         }
         self._g_entries = registry.gauge(
             "trapp_result_cache_entries",
             "Bounded answers currently held by the result cache",
         )
-
-    def __getattr__(self, name: str) -> int:
-        events = object.__getattribute__(self, "__dict__").get("_events")
-        if events is not None and name in events:
-            return int(events[name].value)
-        raise AttributeError(name)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -138,23 +121,23 @@ class ResultCache:
         """
         entry = self._entries.get(key)
         if entry is None:
-            self._events["misses"].inc()
+            self._events["miss"].inc()
             return None
         answer, stored_at = entry
         if self.clock() - stored_at > self.ttl:
             self._drop(key)
-            self._events["expirations"].inc()
-            self._events["misses"].inc()
+            self._events["expiration"].inc()
+            self._events["miss"].inc()
             return None
         if answer.degraded:
             if not allow_degraded:
-                self._events["misses"].inc()
+                self._events["miss"].inc()
                 return None
         elif not answer.meets(max_width):
-            self._events["misses"].inc()
+            self._events["miss"].inc()
             return None
         self._entries.move_to_end(key)
-        self._events["hits"].inc()
+        self._events["hit"].inc()
         return answer
 
     def put(self, key: Hashable, answer: BoundedAnswer) -> None:
@@ -166,7 +149,7 @@ class ResultCache:
             evicted, _ = self._entries.popitem(last=False)
             for bucket in self._buckets_of(evicted):
                 bucket.discard(evicted)
-            self._events["evictions"].inc()
+            self._events["eviction"].inc()
         self._g_entries.set(len(self._entries))
 
     # ------------------------------------------------------------------
@@ -200,38 +183,19 @@ class ResultCache:
                     self._drop(key)
                     dropped += 1
             self._by_table.pop(index_key, None)
-        self._events["invalidations"].inc(dropped)
+        self._events["invalidation"].inc(dropped)
         self._g_entries.set(len(self._entries))
         return dropped
 
-    #: Bucket for keys not shaped like :meth:`make_key` tuples — they
-    #: stay cacheable but are invisible to table-scoped invalidation.
-    _UNINDEXED = ("", "")
-
     def _buckets_of(self, key: Hashable) -> list[set[Hashable]]:
-        """Every (scope, table) bucket a full query key belongs to.
+        """Every (scope, table) bucket a :meth:`make_key` key belongs to.
 
         A join key references several tables and must be indexed under
         *each* of them — a refresh of any referenced table stales the
-        cached answer.  Only :meth:`make_key`-shaped tuples participate
-        in refresh-driven invalidation; any other hashable key (the
-        cache accepts them) lands in a shared unindexed bucket.
+        cached answer.
         """
-        if isinstance(key, tuple) and len(key) >= 2:
-            scope, tables = key[0], key[1]
-            if isinstance(tables, str):
-                tables = (tables,)
-            if (
-                isinstance(scope, str)
-                and isinstance(tables, tuple)
-                and tables
-                and all(isinstance(name, str) for name in tables)
-            ):
-                return [
-                    self._by_table.setdefault((scope, name), set())
-                    for name in tables
-                ]
-        return [self._by_table.setdefault(self._UNINDEXED, set())]
+        scope, tables = key[0], key[1]
+        return [self._by_table.setdefault((scope, name), set()) for name in tables]
 
     def _drop(self, key: Hashable) -> None:
         del self._entries[key]
@@ -246,13 +210,3 @@ class ResultCache:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "entries": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "expirations": self.expirations,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-        }

@@ -56,89 +56,39 @@ from repro.replication.cache import DataCache
 from repro.storage.table import Table
 from repro.telemetry.registry import DEFAULT_SIZE_BUCKETS, MetricsRegistry
 
-__all__ = ["RefreshScheduler", "SchedulerStats"]
+__all__ = ["RefreshScheduler"]
 
 #: ``(tightened caches, table name, refreshed tids)`` — fired after each
 #: dispatched batch so the serving layer can invalidate derived state
 #: (cached answers) that read the refreshed table.
 RefreshListener = Callable[[list[DataCache], str, frozenset[int]], None]
 
-#: Attribute name → ``trapp_scheduler_events_total`` event label.  The
-#: historical counter API (``stats.ticks`` etc.) is preserved as a thin
-#: view over these registry children.
-_STAT_EVENTS = {
-    "ticks": "tick",
-    "plans_submitted": "plan_submitted",
+#: ``trapp_scheduler_events_total`` event labels the scheduler counts.
+_EVENTS = (
+    "tick",
+    "plan_submitted",
     #: Tuple refreshes the queries asked for (pre-dedup, pre-rebatch).
-    "tuples_requested": "tuple_requested",
+    "tuple_requested",
     #: Distinct tuples actually refreshed after merging.
-    "tuples_refreshed": "tuple_refreshed",
-    "source_requests": "source_request",
+    "tuple_refreshed",
+    "source_request",
     #: Clusters (one per group × table per tick) in which plans from two
     #: or more *different* caches merged into shared source messages —
-    #: may exceed ``ticks`` when one tick carries several such tables.
-    "cross_cache_merges": "cross_cache_merge",
+    #: may exceed ``tick`` when one tick carries several such tables.
+    "cross_cache_merge",
     #: Source batches dispatched through a cheaper sibling replica than
     #: the one the requesting query ran against.
-    "leader_redirects": "leader_redirect",
+    "leader_redirect",
     #: ``on_refresh`` listener invocations that raised (the refresh
     #: itself succeeded; the invalidation hook is broken).
-    "listener_errors": "listener_error",
+    "listener_error",
     #: Adaptive-tick adjustments (0 unless ``adaptive_tick`` is on).
-    "tick_grows": "tick_grow",
-    "tick_shrinks": "tick_shrink",
-}
-
-
-class SchedulerStats:
-    """Counters describing how much coalescing actually happened.
-
-    Since PR 7 this is a *view* over the telemetry registry, not parallel
-    bookkeeping: reads and ``+=`` mutations hit the same
-    ``trapp_scheduler_events_total`` / ``trapp_refresh_cost_paid_total``
-    children the ``metrics`` wire op serves, so the two surfaces cannot
-    drift.  (With a disabled registry every counter reads 0.)
-    """
-
-    __slots__ = ("_children",)
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        events = registry.counter(
-            "trapp_scheduler_events_total",
-            "Refresh-scheduler coalescing events",
-            ("event",),
-        )
-        children = {
-            attr: events.labels(event=label)
-            for attr, label in _STAT_EVENTS.items()
-        }
-        children["total_cost_paid"] = registry.counter(
-            "trapp_refresh_cost_paid_total",
-            "Refresh cost paid at sources, from dispatch receipts",
-        )
-        object.__setattr__(self, "_children", children)
-
-    def __getattr__(self, name: str):
-        try:
-            child = self._children[name]
-        except KeyError:
-            raise AttributeError(name) from None
-        value = child.value
-        return value if name == "total_cost_paid" else int(value)
-
-    def __setattr__(self, name: str, value) -> None:
-        child = self._children.get(name)
-        if child is None:
-            raise AttributeError(
-                f"SchedulerStats has no counter {name!r}"
-            )
-        child.inc(value - child.value)
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            name: getattr(self, name)
-            for name in (*_STAT_EVENTS, "total_cost_paid")
-        }
+    "tick_grow",
+    "tick_shrink",
+    #: §8.2 passes run, and plans a pass altered.
+    "rebatch",
+    "rebatch_changed",
+)
 
 
 @dataclass(slots=True)
@@ -162,16 +112,15 @@ class RefreshScheduler:
     point (one trip around the event loop), which keeps simulated-clock
     tests deterministic.  ``cost_model`` enables §8.2 amortized accounting
     and cross-query rebatching; without one, costs are uniform (1 per
-    tuple) and plans are only deduplicated.  ``cross_cache=True`` (the
-    default) additionally merges plans across the replicas of a
-    :class:`~repro.replication.fanout.CacheGroup` — per-cache cost models
-    registered with the group override ``cost_model`` when pricing (and
-    choosing) the replica that dispatches each source's batch.  ``False``
-    keeps every cache's schedule independent (the benchmark ablation).
-    ``network_delay`` simulates one source round-trip time per tick
-    (round trips to distinct sources proceed in parallel), letting
-    benchmarks measure the wall-clock value of coalescing, not just the
-    cost-model value.
+    tuple) and plans are only deduplicated.  Plans against the replicas
+    of a :class:`~repro.replication.fanout.CacheGroup` whose fan-out is on
+    merge across caches — per-cache cost models registered with the group
+    override ``cost_model`` when pricing (and choosing) the replica that
+    dispatches each source's batch; without fan-out every cache's schedule
+    stays independent.  ``network_delay`` simulates one source round-trip
+    time per tick (round trips to distinct sources proceed in parallel),
+    letting benchmarks measure the wall-clock value of coalescing, not
+    just the cost-model value.
     """
 
     #: Smallest non-zero window the adaptive controller grows from.
@@ -181,12 +130,10 @@ class RefreshScheduler:
         self,
         cost_model: BatchedCostModel | None = None,
         tick_interval: float = 0.0,
-        rebatch: bool = True,
         network_delay: float = 0.0,
         adaptive_tick: bool = False,
         tick_min: float = 0.0,
         tick_max: float = 0.05,
-        cross_cache: bool = True,
         on_refresh: RefreshListener | None = None,
         registry: MetricsRegistry | None = None,
         retry_policy: RetryPolicy | None = None,
@@ -195,10 +142,9 @@ class RefreshScheduler:
         breaker_cooldown: float = 5.0,
     ) -> None:
         self.cost_model = cost_model
-        #: The telemetry registry backing :attr:`stats` and the tick /
-        #: batch histograms.  A standalone scheduler (tests, benchmarks
-        #: without a service) gets a private enabled registry so its
-        #: counters keep working.
+        #: The telemetry registry holding every scheduler counter and the
+        #: tick / batch histograms.  A standalone scheduler (tests without
+        #: a service) gets a private registry.
         self.registry = registry if registry is not None else MetricsRegistry()
         self._h_tick_seconds = self.registry.histogram(
             "trapp_scheduler_tick_seconds",
@@ -254,11 +200,17 @@ class RefreshScheduler:
             "Injected per-contact latency recorded on refresh receipts",
             ("source",),
         )
+        events = self.registry.counter(
+            "trapp_scheduler_events_total",
+            "Refresh-scheduler coalescing events",
+            ("event",),
+        )
+        self._c_event = {event: events.labels(event=event) for event in _EVENTS}
+        self._c_cost_paid = self.registry.counter(
+            "trapp_refresh_cost_paid_total",
+            "Refresh cost paid at sources, from dispatch receipts",
+        )
         self.tick_interval = tick_interval
-        #: Intent flag; rebatching additionally needs a cost model for
-        #: the pending's cache — the scheduler default, or a per-cache
-        #: model registered with its group (see :meth:`_model_for`).
-        self.rebatch = rebatch
         self.network_delay = network_delay
         #: Group-commit style window sizing: a tick that coalesced plans
         #: doubles the window (batching pays — wait for more company, up
@@ -268,7 +220,6 @@ class RefreshScheduler:
         self.adaptive_tick = adaptive_tick
         self.tick_min = tick_min
         self.tick_max = tick_max
-        self.cross_cache = cross_cache
         self.on_refresh = on_refresh
         #: Backoff schedule for retrying failed source batches.  Always
         #: present (the default policy retries up to 3 contacts) — with
@@ -286,13 +237,6 @@ class RefreshScheduler:
         #: — a clean run never allocates one, keeping the dispatch gate a
         #: single falsy check.
         self._breakers: dict[str, CircuitBreaker] = {}
-        self.stats = SchedulerStats(self.registry)
-        events = self.registry.counter(
-            "trapp_scheduler_events_total", labelnames=("event",)
-        )
-        #: §8.2 passes run, and plans a pass altered.
-        self._c_rebatch = events.labels(event="rebatch")
-        self._c_rebatch_changed = events.labels(event="rebatch_changed")
         self._pending: list[_Pending] = []
         self._flush_task: asyncio.Task | None = None
         #: Replicas leader selection must skip — the service adds a
@@ -336,8 +280,8 @@ class RefreshScheduler:
         self._pending.append(
             _Pending(cache, request, set(request.plan.tids), future, trace)
         )
-        self.stats.plans_submitted += 1
-        self.stats.tuples_requested += len(request.plan.tids)
+        self._c_event["plan_submitted"].inc()
+        self._c_event["tuple_requested"].inc(len(request.plan.tids))
         if self._flush_task is None:
             self._flush_task = asyncio.create_task(self._flush())
         return await future
@@ -366,16 +310,12 @@ class RefreshScheduler:
         classic per-cache behavior.
         """
         group = getattr(pending.cache, "group", None)
-        if (
-            self.cross_cache
-            and group is not None
-            and group.fanout
-        ):
+        if group is not None and group.fanout:
             return (group.group_id, pending.request.table.name)
         return (id(pending.cache), pending.request.table.name)
 
     async def _run_tick(self, batch: list[_Pending]) -> None:
-        self.stats.ticks += 1
+        self._c_event["tick"].inc()
         tick_started = time.perf_counter()
         self._h_plans_per_tick.observe(len(batch))
         try:
@@ -414,7 +354,7 @@ class RefreshScheduler:
             grown = max(self.tick_interval * 2, self.TICK_QUANTUM)
             grown = min(grown, self.tick_max)
             if grown > self.tick_interval:
-                self.stats.tick_grows += 1
+                self._c_event["tick_grow"].inc()
                 self.tick_interval = grown
         else:
             shrunk = max(self.tick_interval / 2, self.tick_min)
@@ -424,7 +364,7 @@ class RefreshScheduler:
             # the current interval must not add latency here.
             shrunk = min(shrunk, self.tick_interval)
             if shrunk < self.tick_interval:
-                self.stats.tick_shrinks += 1
+                self._c_event["tick_shrink"].inc()
                 self.tick_interval = shrunk
 
     # ------------------------------------------------------------------
@@ -442,9 +382,7 @@ class RefreshScheduler:
         table_name = pendings[0].request.table.name
         try:
             group = getattr(pendings[0].cache, "group", None)
-            grouped = (
-                self.cross_cache and group is not None and group.fanout
-            )
+            grouped = group is not None and group.fanout
             # Rebatch against the prices dispatch will actually pay: the
             # group-projected per-source minimum under leader selection,
             # or each cache's own model when scheduling stays per-cache.
@@ -453,12 +391,8 @@ class RefreshScheduler:
             pricing = (
                 group.pricing_model(self.cost_model) if grouped else None
             )
-            if self.rebatch and (
-                pricing is not None
-                or any(
-                    self._model_for(pending.cache) is not None
-                    for pending in pendings
-                )
+            if pricing is not None or any(
+                self._model_for(pending.cache) is not None for pending in pendings
             ):
                 self._rebatch_cluster(pendings, pricing)
 
@@ -469,7 +403,7 @@ class RefreshScheduler:
                 for tid in pending.tids:
                     requesters[tid] = requesters.get(tid, 0) + 1
             if grouped and len({id(p.cache) for p in pendings}) > 1:
-                self.stats.cross_cache_merges += 1
+                self._c_event["cross_cache_merge"].inc()
             for pending in pendings:
                 if pending.trace is not None:
                     pending.trace.step(
@@ -533,8 +467,8 @@ class RefreshScheduler:
                 unreached.update(batch_unreached)
                 for dispatcher, receipt, used_model in batch_receipts:
                     refreshed |= set(receipt.tids)
-                    self.stats.source_requests += receipt.requests_sent
-                    self.stats.total_cost_paid += receipt.total_cost
+                    self._c_event["source_request"].inc(receipt.requests_sent)
+                    self._c_cost_paid.inc(receipt.total_cost)
                     for source_receipt in receipt.per_source:
                         self._h_batch_size.labels(
                             source=source_receipt.source_id
@@ -554,7 +488,7 @@ class RefreshScheduler:
                     receipts.append((receipt, used_model))
                     # One redirect per *source batch* that served some
                     # other cache's query through this leader.
-                    self.stats.leader_redirects += sum(
+                    self._c_event["leader_redirect"].inc(sum(
                         1
                         for source_receipt in receipt.per_source
                         if any(
@@ -562,8 +496,8 @@ class RefreshScheduler:
                             and pending.tids & source_receipt.tids
                             for pending in pendings
                         )
-                    )
-            self.stats.tuples_refreshed += len(refreshed)
+                    ))
+            self._c_event["tuple_refreshed"].inc(len(refreshed))
 
             shares = self._attribute(receipts, pendings, requesters)
             dispatched_sources = sorted(
@@ -616,11 +550,9 @@ class RefreshScheduler:
                         )
 
             if self.on_refresh is not None and refreshed:
-                # Invalidation scope follows *fan-out*, not the scheduling
-                # mode: even with cross_cache=False, a fanout=True group's
-                # source still pushed the fresh values to every sibling,
-                # staling their cache-scoped result entries too.
-                if group is not None and group.fanout:
+                # A fan-out group's source pushed the fresh values to every
+                # sibling, staling their result entries too.
+                if grouped:
                     tightened = group.caches_of_table(table_name)
                 else:
                     tightened = [pendings[0].cache]
@@ -631,7 +563,7 @@ class RefreshScheduler:
                     # handler would discard a listener error silently —
                     # count it instead of masking a broken invalidation
                     # hook (stale answers with zero signal).
-                    self.stats.listener_errors += 1
+                    self._c_event["listener_error"].inc()
         except Exception as exc:  # settle everyone; queries surface it
             for pending in pendings:
                 if not pending.future.done():
@@ -809,13 +741,6 @@ class RefreshScheduler:
             for source_id, breaker in sorted(self._breakers.items())
         }
 
-    def fault_counts(self) -> dict[str, int]:
-        """The failure-handling event counters, as plain integers."""
-        return {
-            event: int(child.value)
-            for event, child in self._c_fault.items()
-        }
-
     def _rebatch_cluster(
         self,
         pendings: list[_Pending],
@@ -875,9 +800,9 @@ class RefreshScheduler:
                         model,
                         sunk=contacted,
                     )
-                    self._c_rebatch.inc()
+                    self._c_event["rebatch"].inc()
                     if improved.tids != pending.tids:
-                        self._c_rebatch_changed.inc()
+                        self._c_event["rebatch_changed"].inc()
                         pending.tids = set(improved.tids)
             contacted |= sources_of(pending, pending.tids)
 

@@ -7,7 +7,7 @@ connection, and queries from many connections coalesce in the shared
 scheduler), while replies are serialized per connection and matched by
 the client via the echoed ``id``.
 
-Besides ``hello``/``ping``/``stats``/``query``, the server exposes the
+Besides ``hello``/``ping``/``query``, the server exposes the
 PR 7 observability surface: ``metrics`` returns the full telemetry
 registry snapshot (``format: "text"`` selects the Prometheus exposition
 instead) and ``trace`` the most recent completed query spans.  The
@@ -167,12 +167,6 @@ async def _handle_connection(
                         "ok": True,
                         "now": service.system.clock.now(),
                     },
-                )
-            elif op == "stats":
-                await _send(
-                    writer,
-                    write_lock,
-                    {"id": request_id, "ok": True, "stats": service.stats()},
                 )
             elif op == "metrics":
                 snapshot = service.telemetry.snapshot()

@@ -11,9 +11,9 @@ Per query the flow is:
 1. **admission** — a global in-flight ceiling (backpressure: excess
    queries wait), a per-client in-flight allowance (excess queries are
    rejected with :class:`~repro.errors.ServiceOverloadError`), and a
-   per-client *precision floor* — clients may not demand answers tighter
-   than their floor (:class:`~repro.errors.AdmissionError`), which caps
-   the refresh spend any one client can trigger;
+   service-wide *precision floor* — no client may demand answers tighter
+   than it (:class:`~repro.errors.AdmissionError`), which caps the
+   refresh spend any one client can trigger;
 2. **routing** — ``query(cache_id, …)`` pins a cache; ``query(group_id,
    …)`` asks the pluggable :class:`~repro.service.routing.CacheRouter`
    (sticky-by-client by default; least-loaded and widest-bounds-aware
@@ -67,7 +67,7 @@ from repro.sql.parser import parse_statement
 from repro.sql.steps import plan_steps
 from repro.telemetry import Telemetry
 
-__all__ = ["QueryService", "ClientSession", "ServiceResult"]
+__all__ = ["QueryService", "ServiceResult"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,39 +86,6 @@ class ServiceResult:
     cache_id: str = ""
 
 
-class ClientSession:
-    """One client's view of the service, with its admission overrides."""
-
-    def __init__(
-        self,
-        service: "QueryService",
-        client_id: str,
-        precision_floor: float | None = None,
-        max_inflight: int | None = None,
-    ) -> None:
-        self.service = service
-        self.client_id = client_id
-        self.precision_floor = precision_floor
-        self.max_inflight = max_inflight
-
-    async def query(
-        self,
-        cache_id: str,
-        sql: str,
-        cost: CostFunc | None = None,
-        epsilon: float | None = None,
-    ) -> ServiceResult:
-        return await self.service.query(
-            cache_id,
-            sql,
-            client_id=self.client_id,
-            cost=cost,
-            epsilon=epsilon,
-            precision_floor=self.precision_floor,
-            max_inflight=self.max_inflight,
-        )
-
-
 class QueryService:
     """Admission + routing + result cache + coalesced refreshes over one system."""
 
@@ -129,18 +96,14 @@ class QueryService:
         max_inflight_per_client: int = 8,
         precision_floor: float = 0.0,
         result_ttl: float = 1.0,
-        result_cache_size: int = 2048,
         cost_model: BatchedCostModel | None = None,
         tick_interval: float = 0.0,
-        rebatch: bool = True,
         network_delay: float = 0.0,
         adaptive_tick: bool = False,
         tick_min: float = 0.0,
         tick_max: float = 0.05,
         router: CacheRouter | None = None,
-        cross_cache: bool = True,
         telemetry: Telemetry | None = None,
-        telemetry_enabled: bool = True,
         retry_policy: "RetryPolicy | None" = None,
         fault_injector: "FaultInjector | None" = None,
         breaker_threshold: int = 3,
@@ -155,12 +118,9 @@ class QueryService:
         #: counters, the scheduler's, the result cache's, and the live
         #: system collectors all land here, and the ``metrics``/``trace``
         #: wire ops serve it.  Spans are timestamped on the system's
-        #: simulation clock; pass ``telemetry_enabled=False`` (or a
-        #: disabled ``Telemetry``) for the unmetered no-op path.
+        #: simulation clock.
         if telemetry is None:
-            telemetry = Telemetry(
-                enabled=telemetry_enabled, clock=system.clock.now
-            )
+            telemetry = Telemetry(clock=system.clock.now)
         self.telemetry = telemetry
         telemetry.observe_system(system)
         #: Fault plane (PR 8): an attached injector drives the chaos
@@ -173,12 +133,10 @@ class QueryService:
         self.scheduler = RefreshScheduler(
             cost_model=cost_model,
             tick_interval=tick_interval,
-            rebatch=rebatch,
             network_delay=network_delay,
             adaptive_tick=adaptive_tick,
             tick_min=tick_min,
             tick_max=tick_max,
-            cross_cache=cross_cache,
             on_refresh=self._on_refresh_dispatched,
             registry=telemetry.registry,
             retry_policy=retry_policy,
@@ -189,7 +147,6 @@ class QueryService:
         self.results = ResultCache(
             ttl=result_ttl,
             clock=system.clock.now,
-            max_entries=result_cache_size,
             registry=telemetry.registry,
         )
         self._semaphore = asyncio.Semaphore(max_inflight)
@@ -259,38 +216,7 @@ class QueryService:
             "trapp_degraded_answers_total",
             "Queries finished in degraded mode: bounds wider than requested "
             "because sources stayed unreachable",
-        )
-        #: Plain-int mirror of the degraded counter: gates the degraded
-        #: result-tier probe so a fault-free deployment never pays (or
-        #: telemeters) the extra lookup.
-        self._degraded_count = 0
-
-    # Thin views over the registry counters (the historical stats API).
-    @property
-    def queries_served(self) -> int:
-        return int(self._c_served.value)
-
-    @property
-    def queries_rejected(self) -> int:
-        return int(self._c_rejected.value)
-
-    @property
-    def singleflight_joins(self) -> int:
-        return int(self._c_singleflight.value)
-
-    @property
-    def degraded_answers(self) -> int:
-        return self._degraded_count
-
-    # ------------------------------------------------------------------
-    def session(
-        self,
-        client_id: str,
-        precision_floor: float | None = None,
-        max_inflight: int | None = None,
-    ) -> ClientSession:
-        """A per-client handle carrying that client's admission settings."""
-        return ClientSession(self, client_id, precision_floor, max_inflight)
+        ).labels()
 
     # ------------------------------------------------------------------
     def _resolve_cache(
@@ -344,8 +270,6 @@ class QueryService:
         client_id: str = "anon",
         cost: CostFunc | None = None,
         epsilon: float | None = None,
-        precision_floor: float | None = None,
-        max_inflight: int | None = None,
     ) -> ServiceResult:
         """Parse, admit, route, and execute one TRAPP SQL statement.
 
@@ -360,8 +284,7 @@ class QueryService:
         trace = self.telemetry.tracer.start(client_id, sql)
         try:
             return await self._query_traced(
-                cache_id, sql, client_id, cost, epsilon,
-                precision_floor, max_inflight, trace,
+                cache_id, sql, client_id, cost, epsilon, trace
             )
         except (AdmissionError, ServiceOverloadError):
             trace.finish(status="rejected")
@@ -377,8 +300,6 @@ class QueryService:
         client_id: str,
         cost: CostFunc | None,
         epsilon: float | None,
-        precision_floor: float | None,
-        max_inflight: int | None,
         trace,
     ) -> ServiceResult:
         started = time.perf_counter()
@@ -386,7 +307,7 @@ class QueryService:
         is_group = self.system.is_group(cache_id)
         cache, group = self._resolve_cache(cache_id, client_id, statement.tables)
         plan = compile_statement(statement, cache.catalog)
-        self._admit(client_id, plan, precision_floor, max_inflight)
+        self._admit(client_id, plan)
         try:
             return await self._serve(
                 cache, group, is_group, plan, client_id, cost, epsilon, trace
@@ -472,7 +393,7 @@ class QueryService:
             # never the shared tier, where a sibling with working sources
             # would wrongly serve them.  Probed only once a degraded
             # answer exists, so fault-free runs never pay the lookup.
-            if self._degraded_count:
+            if self._c_degraded.value:
                 stale = self.results.get(
                     self._degraded_key(cache, plan, epsilon),
                     plan.constraint.width,
@@ -648,14 +569,8 @@ class QueryService:
         return receipt
 
     # ------------------------------------------------------------------
-    def _admit(
-        self,
-        client_id: str,
-        plan: AnyQueryPlan,
-        precision_floor: float | None,
-        max_inflight: int | None,
-    ) -> None:
-        floor = precision_floor if precision_floor is not None else self.precision_floor
+    def _admit(self, client_id: str, plan: AnyQueryPlan) -> None:
+        floor = self.precision_floor
         if (
             floor > 0
             and isinstance(plan.constraint, AbsolutePrecision)
@@ -666,9 +581,7 @@ class QueryService:
                 f"client {client_id!r} may not request precision tighter than "
                 f"WITHIN {floor:g} (asked for WITHIN {plan.constraint.width:g})"
             )
-        allowance = (
-            max_inflight if max_inflight is not None else self.max_inflight_per_client
-        )
+        allowance = self.max_inflight_per_client
         if self._inflight_by_client.get(client_id, 0) >= allowance:
             self._c_rejected.inc()
             raise ServiceOverloadError(
@@ -763,7 +676,6 @@ class QueryService:
             self._h_window_fraction.observe(fraction)
             trace.step("classify", window_fraction=fraction)
         if answer.degraded:
-            self._degraded_count += 1
             self._c_degraded.inc()
             trace.step(
                 "degraded",
@@ -771,19 +683,3 @@ class QueryService:
                 width=answer.width,
             )
         return answer
-
-    # ------------------------------------------------------------------
-    def stats(self) -> dict:
-        """Serving counters: queries, cache behavior, coalescing effect."""
-        return {
-            "queries_served": self.queries_served,
-            "queries_rejected": self.queries_rejected,
-            "singleflight_joins": self.singleflight_joins,
-            "degraded_answers": self.degraded_answers,
-            "result_cache": self.results.stats(),
-            "scheduler": self.scheduler.stats.as_dict(),
-            "faults": {
-                **self.scheduler.fault_counts(),
-                "breakers": self.scheduler.breaker_states(),
-            },
-        }

@@ -102,11 +102,6 @@ class _SortedOrder:
     dirty: set[int] = field(default_factory=set)
     stale: bool = False
 
-    @property
-    def widths(self) -> np.ndarray:
-        """Alias for ``keys`` on width orderings (the historical name)."""
-        return self.keys
-
 
 class ColumnStore:
     """Struct-of-arrays storage of one table's tuples.
@@ -557,10 +552,6 @@ class ColumnStore:
             positions=positions,
             keys_by_tid=_readonly(by_tid),
         )
-
-    def _build_width_order(self, column: str) -> _SortedOrder:
-        """Historical spelling of a fresh width-order build (tests use it)."""
-        return self._build_sorted_order(column, "width")
 
     def _repair_sorted_order(
         self, column: str, kind: str, order: _SortedOrder

@@ -6,9 +6,8 @@ stack measures it.  :class:`Telemetry` bundles the two instruments every
 layer shares:
 
 * :class:`~repro.telemetry.registry.MetricsRegistry` — labeled counters,
-  gauges, and fixed-bucket histograms with a no-op fast path when
-  disabled, plus pull-time collectors for live state (bound-width
-  distributions, monitor violation totals);
+  gauges, and fixed-bucket histograms, plus pull-time collectors for live
+  state (bound-width distributions, monitor violation totals);
 * :class:`~repro.telemetry.tracing.Tracer` — per-query spans through the
   step protocol (admit → route → plan → coalesce → dispatch → refresh →
   answer), timestamped by the simulation clock under simulation and
@@ -50,26 +49,20 @@ __all__ = [
 
 
 class Telemetry:
-    """One deployment's registry + tracer behind a single switch.
+    """One deployment's registry + tracer.
 
     ``clock`` feeds the tracer's timestamps (pass the deployment's
     :meth:`simulation clock <repro.simulation.clock.Clock.now>` for
     deterministic spans; defaults to ``time.perf_counter``).
-    ``enabled=False`` swaps in the no-op registry and null tracer so
-    instrumented code runs unmetered.
     """
 
     def __init__(
         self,
-        enabled: bool = True,
         clock: Callable[[], float] | None = None,
         trace_capacity: int = 256,
     ) -> None:
-        self.enabled = enabled
-        self.registry = MetricsRegistry(enabled=enabled)
-        self.tracer = Tracer(
-            clock=clock, capacity=trace_capacity, enabled=enabled
-        )
+        self.registry = MetricsRegistry()
+        self.tracer = Tracer(clock=clock, capacity=trace_capacity)
 
     def observe_system(self, system) -> None:
         """Register the live-state collectors for one

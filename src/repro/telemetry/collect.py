@@ -22,9 +22,6 @@ __all__ = ["register_system_collectors"]
 def register_system_collectors(registry: MetricsRegistry, system) -> None:
     """Wire one :class:`~repro.replication.system.TrappSystem`'s live
     state into ``registry`` (idempotent per registry/system pair)."""
-    if not registry.enabled:
-        return
-
     def collect(reg: MetricsRegistry) -> None:
         _collect_bound_widths(reg, system)
         _collect_cache_counters(reg, system)

@@ -8,16 +8,10 @@ registry renders everything into one JSON-able snapshot for the wire
 ``metrics`` op and the Prometheus-style text exposition
 (:mod:`repro.telemetry.exposition`).
 
-Two properties matter for the hot path:
-
-* **no-op fast path** — a registry built with ``enabled=False`` hands out
-  a shared null instrument whose ``inc``/``observe``/``set`` do nothing
-  and whose ``labels()`` returns itself, so instrumented code pays one
-  attribute call and no allocation when telemetry is off;
-* **pull-time collectors** — state that is expensive or racy to track per
-  event (live bound-width distributions, monitor violation counts) is
-  produced by collector callbacks run at :meth:`MetricsRegistry.snapshot`
-  time, the Prometheus custom-collector idiom.
+State that is expensive or racy to track per event (live bound-width
+distributions, monitor violation counts) is produced by *pull-time
+collectors*: callbacks run at :meth:`MetricsRegistry.snapshot` time, the
+Prometheus custom-collector idiom.
 
 Histograms use *fixed* bucket boundaries chosen at family creation; the
 ``le`` edges are cumulative upper bounds with an implicit ``+Inf``
@@ -50,47 +44,6 @@ DEFAULT_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 DEFAULT_WIDTH_BUCKETS = (
     0.0, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0,
 )
-
-
-class _NullChild:
-    """The disabled-registry instrument: every operation is a no-op."""
-
-    __slots__ = ()
-
-    def labels(self, **_labels: str) -> "_NullChild":
-        return self
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def set_snapshot(
-        self, counts: Sequence[int], total: float, count: int | None = None
-    ) -> None:
-        pass
-
-    @property
-    def value(self) -> float:
-        return 0.0
-
-    @property
-    def count(self) -> int:
-        return 0
-
-    @property
-    def total(self) -> float:
-        return 0.0
-
-
-_NULL = _NullChild()
 
 
 class _Value:
@@ -264,15 +217,9 @@ def _json_edge(le: float) -> "float | str":
 
 
 class MetricsRegistry:
-    """Every telemetry instrument of one deployment, behind one snapshot.
+    """Every telemetry instrument of one deployment, behind one snapshot."""
 
-    ``enabled=False`` swaps every instrument for a shared no-op, so a
-    latency-sensitive deployment can run unmetered without touching the
-    instrumented call sites.
-    """
-
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._families: dict[str, _Family] = {}
         self._collectors: list[Callable[["MetricsRegistry"], None]] = []
         # Families and children are created lazily from async handlers
@@ -311,8 +258,6 @@ class MetricsRegistry:
         labelnames: Iterable[str],
         buckets: tuple[float, ...] | None = None,
     ):
-        if not self.enabled:
-            return _NULL
         labelnames = tuple(labelnames)
         with self._lock:
             family = self._families.get(name)
@@ -336,11 +281,10 @@ class MetricsRegistry:
         state (live bound widths, monitor violation totals) — state that
         would be wasteful to maintain per event.
         """
-        if self.enabled:
-            self._collectors.append(collect)
+        self._collectors.append(collect)
 
     def get(self, name: str):
-        """The named family, or ``None`` (disabled registries hold none)."""
+        """The named family, or ``None``."""
         return self._families.get(name)
 
     # ------------------------------------------------------------------
@@ -361,7 +305,7 @@ class MetricsRegistry:
                     "samples": family.samples(),
                 }
             )
-        return {"enabled": self.enabled, "families": families}
+        return {"families": families}
 
     def value_of(self, name: str, **labels: str) -> float:
         """One child's current value (0 when absent) — test/report sugar."""

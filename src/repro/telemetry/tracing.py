@@ -18,9 +18,7 @@ paid for it), ``refresh`` carries the cost share attributed back, and
 Timestamps come from the tracer's ``clock`` callable — the deployment's
 :class:`~repro.simulation.clock.Clock` under simulation (deterministic
 spans) and ``time.perf_counter`` for live wall-clock serving.  Completed
-spans land in a fixed-capacity ring buffer served by the ``trace`` wire
-op; a disabled tracer hands out one shared null span so instrumented code
-stays allocation-free.
+spans land in a fixed-capacity ring buffer served by the ``trace`` wire op.
 """
 
 from __future__ import annotations
@@ -38,21 +36,6 @@ STEP_ORDER = (
     "admit", "route", "classify", "plan", "coalesce", "dispatch", "refresh",
     "degraded", "answer",
 )
-
-
-class _NullTrace:
-    """The disabled tracer's span: records nothing."""
-
-    __slots__ = ()
-
-    def step(self, name: str, **fields) -> None:
-        pass
-
-    def finish(self, status: str = "ok", **fields) -> None:
-        pass
-
-
-_NULL_TRACE = _NullTrace()
 
 
 class QueryTrace:
@@ -119,17 +102,13 @@ class Tracer:
         self,
         clock: Callable[[], float] | None = None,
         capacity: int = 256,
-        enabled: bool = True,
     ) -> None:
         self.clock = clock if clock is not None else time.perf_counter
-        self.enabled = enabled
         self._spans: deque[QueryTrace] = deque(maxlen=capacity)
         self._ids = itertools.count(1)
 
-    def start(self, client_id: str, sql: str) -> "QueryTrace | _NullTrace":
-        """Open a span for one query; returns the null span when disabled."""
-        if not self.enabled:
-            return _NULL_TRACE
+    def start(self, client_id: str, sql: str) -> QueryTrace:
+        """Open a span for one query."""
         return QueryTrace(self, next(self._ids), client_id, sql)
 
     def _commit(self, span: QueryTrace) -> None:

@@ -438,9 +438,9 @@ def regional_cache_system(
     can dispatch every shard's batch from the cheapest replica.
 
     ``fanout=False`` builds the *independent-caches* ablation: same
-    topology, same cost heterogeneity, but no source-side fan-out (and,
-    paired with ``cross_cache=False`` on the service, no cross-cache
-    coalescing) — each replica pays its own refreshes.
+    topology, same cost heterogeneity, but no source-side fan-out and
+    therefore no cross-cache coalescing — each replica pays its own
+    refreshes.
 
     Returns ``(system, default_model)``: bounds synced at
     ``clock_advance`` on every replica, and the default model carrying

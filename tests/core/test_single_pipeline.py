@@ -40,10 +40,12 @@ from repro.replication import (
     TrappSystem,
 )
 from repro.replication.local import LocalRefresher
+from repro.service import QueryService
 from repro.service.scheduler import RefreshScheduler
 from repro.storage.row import Row
 from repro.storage.schema import Schema
 from repro.storage.table import Table
+from repro.telemetry import MetricsRegistry, Telemetry, Tracer
 from tests.protocol import classified, row_cost, tids_at
 from tests.service.conftest import FakeCache
 
@@ -218,12 +220,40 @@ def test_opaque_cost_is_called_once_per_candidate():
 
 @pytest.mark.parametrize(
     "entry_point",
-    [QueryExecutor.__init__, execute_query, TrappSystem.__init__],
-    ids=["QueryExecutor", "execute_query", "TrappSystem"],
+    [
+        QueryExecutor.__init__,
+        execute_query,
+        TrappSystem.__init__,
+        QueryService.__init__,
+        QueryService.query,
+        RefreshScheduler.__init__,
+        Telemetry.__init__,
+        MetricsRegistry.__init__,
+        Tracer.__init__,
+    ],
+    ids=[
+        "QueryExecutor",
+        "execute_query",
+        "TrappSystem",
+        "QueryService",
+        "QueryService.query",
+        "RefreshScheduler",
+        "Telemetry",
+        "MetricsRegistry",
+        "Tracer",
+    ],
 )
 def test_route_options_are_gone(entry_point):
-    parameters = inspect.signature(entry_point).parameters
-    assert not {"columnar", "vector_planner"} & set(parameters)
+    parameters = set(inspect.signature(entry_point).parameters)
+    assert not {"columnar", "vector_planner"} & parameters
+    # Counters are read from the registry, always on; the service takes
+    # no option that the code works out or that nobody sets.
+    assert not {
+        "enabled", "telemetry_enabled", "cross_cache", "rebatch",
+        "result_cache_size",
+    } & parameters
+    if entry_point is QueryService.query:
+        assert not {"precision_floor", "max_inflight"} & parameters
 
 
 def test_executor_probes_nothing_and_src_never_imports_tests():
@@ -310,3 +340,11 @@ def test_executor_probes_nothing_and_src_never_imports_tests():
     }.items():
         files = {path.name for path in (SRC / "repro" / package).glob("*.py")}
         assert files == {f"{module}.py" for module in modules | {"__init__"}}
+    # One counter surface: the registry, always on.  The attribute and
+    # dict views over it, the disabled mode, the per-call admission
+    # overrides and the column store's historical spellings are gone.
+    views = re.compile(
+        r"SchedulerStats|_NullChild|_NullTrace|ClientSession|telemetry_enabled"
+        r"|fault_counts|_build_width_order|_UNINDEXED|def stats\("
+    )
+    assert not [name for name, text in sources.items() if views.search(text)]

@@ -22,6 +22,8 @@ from repro.service import QueryService
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 
+from tests.service.conftest import degraded_answers, fault_events
+
 #: No sleeping in unit tests: zero backoff, fully deterministic.
 FAST_RETRY = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)
 
@@ -96,7 +98,7 @@ def test_detach_mid_outage_preserves_availability_and_containment():
         await sweep()
 
     run(go())
-    assert service.stats()["degraded_answers"] > 0
+    assert degraded_answers(service) > 0
     # The drain left no ghost ledger entries for the departed replica.
     assert service._inflight_by_cache.get("edge/1", 0) == 0
 
@@ -122,7 +124,7 @@ def test_admit_while_breaker_open_never_contacts_the_dead_source():
         first = await service.query("edge", SQL, client_id="c1")
         assert first.answer.degraded
         assert service.scheduler.breaker_states() == {"s": "open"}
-        contacts_before = service.scheduler.fault_counts()["source_failure"]
+        contacts_before = fault_events(service.scheduler, "source_failure")
 
         # Snapshot admission is replica-to-replica: it must succeed with
         # the source dead and the breaker open, without a single contact.
@@ -130,7 +132,7 @@ def test_admit_while_breaker_open_never_contacts_the_dead_source():
         assert receipt.total_cost > 0
         assert receipt.failures == ()
         assert (
-            service.scheduler.fault_counts()["source_failure"]
+            fault_events(service.scheduler, "source_failure")
             == contacts_before
         )
         assert service.scheduler.breaker_states() == {"s": "open"}

@@ -224,8 +224,7 @@ async def _run_fanout(n_caches: int, coalesced: bool) -> dict:
         fanout=coalesced,
     )
     service = QueryService(
-        system, max_inflight=64, cost_model=model, adaptive_tick=True,
-        cross_cache=coalesced,
+        system, max_inflight=64, cost_model=model, adaptive_tick=True
     )
     group = system.group("edge")
     scripts = sharded_sum_scripts(
@@ -285,7 +284,6 @@ async def _run_outage_rate(outage_rate: float) -> dict:
     )
     service = QueryService(
         system, max_inflight=64, cost_model=model, adaptive_tick=True,
-        cross_cache=True,
         fault_injector=chaos_injector(system, scenario),
         # Deterministic backoff, no real sleeping.
         retry_policy=RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0),
@@ -357,8 +355,7 @@ async def _run_ramp() -> dict:
         fanout=True,
     )
     service = QueryService(
-        system, max_inflight=64, cost_model=model, adaptive_tick=True,
-        cross_cache=True,
+        system, max_inflight=64, cost_model=model, adaptive_tick=True
     )
     group = system.group("edge")
     table = group.cache("edge/0").table("links")

@@ -76,3 +76,35 @@ class FakeCache:
                 )
             )
         return BatchedRefreshReceipt(per_source=tuple(receipts))
+
+
+def scheduler_events(scheduler, event: str) -> int:
+    """One ``trapp_scheduler_events_total{event}`` count of a scheduler."""
+    return int(
+        scheduler.registry.value_of("trapp_scheduler_events_total", event=event)
+    )
+
+
+def cost_paid(scheduler) -> float:
+    """A scheduler's ``trapp_refresh_cost_paid_total``."""
+    return scheduler.registry.value_of("trapp_refresh_cost_paid_total")
+
+
+def fault_events(scheduler, event: str) -> int:
+    """One ``trapp_fault_events_total{event}`` count of a scheduler."""
+    return int(scheduler.registry.value_of("trapp_fault_events_total", event=event))
+
+
+def degraded_answers(service) -> int:
+    """A service's ``trapp_degraded_answers_total``."""
+    return int(service.telemetry.registry.value_of("trapp_degraded_answers_total"))
+
+
+def metric(snapshot: dict, name: str, **labels: str) -> float:
+    """One counter sample of a ``metrics`` wire snapshot (0 when absent)."""
+    for family in snapshot["families"]:
+        if family["name"] == name:
+            for sample in family["samples"]:
+                if sample["labels"] == labels:
+                    return sample["value"]
+    return 0.0

@@ -22,7 +22,7 @@ from repro.storage.table import Table
 from repro.workloads.service import closed_loop_scripts, run_closed_loop
 
 from tests.oracle.row_eval import evaluate_exact
-from tests.service.conftest import CACHE_ID, build_netmon_system
+from tests.service.conftest import CACHE_ID, build_netmon_system, scheduler_events
 
 N_LINKS = 18
 CLIENTS = 4
@@ -108,6 +108,8 @@ def test_concurrent_answers_satisfy_serial_guarantees(seed):
 
     # The deterministic clock makes the coalescing observable: every
     # refresh the concurrent run needed went through the scheduler.
-    stats = service.scheduler.stats
-    if stats.plans_submitted:
-        assert stats.tuples_refreshed <= stats.tuples_requested
+    scheduler = service.scheduler
+    if scheduler_events(scheduler, "plan_submitted"):
+        assert scheduler_events(scheduler, "tuple_refreshed") <= scheduler_events(
+            scheduler, "tuple_requested"
+        )

@@ -12,6 +12,8 @@ from repro.service import QueryService
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 
+from tests.service.conftest import cost_paid, scheduler_events
+
 
 def make_master(n: int = 8) -> Table:
     table = Table("t", Schema.of(x="bounded"))
@@ -69,27 +71,27 @@ def test_two_caches_one_tick_one_message_per_source():
         "SELECT SUM(x) WITHIN 0 FROM t",
         "SELECT SUM(x) WITHIN 0.25 FROM t",
     ))
-    stats = service.stats()["scheduler"]
-    assert stats.get("cross_cache_merges", 0) >= 1
+    scheduler = service.scheduler
+    assert scheduler_events(scheduler, "cross_cache_merge") >= 1
     # The union spans both shards; each shard got exactly one message for
     # the whole group (2 messages total, not 2 per cache).
     total_requests = sum(
         cache.refresh_requests_sent for cache in system.group("edge")
     )
-    assert stats["source_requests"] == 2
+    assert scheduler_events(scheduler, "source_request") == 2
     assert total_requests == 2
     # Both answers exact and correct.
     assert a.answer.bound.lo == b.answer.bound.lo == 360.0
     # Shares of the attributed cost reconstruct the receipt total.
     assert a.answer.refresh_cost + b.answer.refresh_cost == pytest.approx(
-        stats["total_cost_paid"]
+        cost_paid(scheduler)
     )
 
 
 def test_cross_cache_off_pays_per_cache():
     """The ablation: same demand, independent schedulers, double setups."""
     coalesced = build_system(fanout=True)
-    service_on = QueryService(coalesced, cost_model=MODEL, cross_cache=True)
+    service_on = QueryService(coalesced, cost_model=MODEL)
     run(issue_pair(
         service_on,
         "SELECT SUM(x) WITHIN 0 FROM t",
@@ -97,18 +99,19 @@ def test_cross_cache_off_pays_per_cache():
     ))
 
     independent = build_system(fanout=False)
-    service_off = QueryService(independent, cost_model=MODEL, cross_cache=False)
+    service_off = QueryService(independent, cost_model=MODEL)
     run(issue_pair(
         service_off,
         "SELECT SUM(x) WITHIN 0 FROM t",
         "SELECT SUM(x) WITHIN 0.25 FROM t",
     ))
 
-    on = service_on.stats()["scheduler"]
-    off = service_off.stats()["scheduler"]
-    assert off["cross_cache_merges"] == 0
-    assert off["source_requests"] == 2 * on["source_requests"]
-    assert off["total_cost_paid"] > on["total_cost_paid"]
+    on, off = service_on.scheduler, service_off.scheduler
+    assert scheduler_events(off, "cross_cache_merge") == 0
+    assert scheduler_events(off, "source_request") == 2 * scheduler_events(
+        on, "source_request"
+    )
+    assert cost_paid(off) > cost_paid(on)
 
 
 def test_leader_selection_routes_batches_through_cheap_replica():
@@ -130,15 +133,15 @@ def test_leader_selection_routes_batches_through_cheap_replica():
         "SELECT SUM(x) WITHIN 0 FROM t",
         "SELECT SUM(x) WITHIN 0.25 FROM t",
     ))
-    stats = service.stats()["scheduler"]
+    scheduler = service.scheduler
     # Each replica dispatched exactly the shard it is near: total cost is
     # 2 cheap setups + marginals, never a 50.
     cache_0, cache_1 = system.group("edge")
     assert cache_0.refresh_requests_sent == 1
     assert cache_1.refresh_requests_sent == 1
-    n_tuples = stats["tuples_refreshed"]
-    assert stats["total_cost_paid"] == pytest.approx(2 * 1.0 + n_tuples * 1.0)
-    assert stats["leader_redirects"] >= 1
+    n_tuples = scheduler_events(scheduler, "tuple_refreshed")
+    assert cost_paid(scheduler) == pytest.approx(2 * 1.0 + n_tuples * 1.0)
+    assert scheduler_events(scheduler, "leader_redirect") >= 1
 
 
 def test_fanout_lets_redirected_queries_resume_correctly():
@@ -180,8 +183,7 @@ def test_rebatching_runs_on_group_models_alone():
         "SELECT SUM(x) WITHIN 20 FROM t",
         "SELECT SUM(x) WITHIN 21 FROM t",
     ))
-    stats = service.stats()["scheduler"]
-    assert stats["total_cost_paid"] > 0
+    assert cost_paid(service.scheduler) > 0
     # A cache outside any group, with no default model, has none.
     plain = build_system(n_caches=1, fanout=False)
     plain_service = QueryService(plain)
@@ -198,7 +200,7 @@ def test_single_cache_group_behaves_classically():
         )
 
     result = run(go())
-    stats = service.stats()["scheduler"]
+    scheduler = service.scheduler
     assert result.answer.bound.is_exact
-    assert stats["cross_cache_merges"] == 0
-    assert stats["leader_redirects"] == 0
+    assert scheduler_events(scheduler, "cross_cache_merge") == 0
+    assert scheduler_events(scheduler, "leader_redirect") == 0

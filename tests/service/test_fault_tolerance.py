@@ -13,7 +13,12 @@ from repro.faults import CacheCrash, FaultInjector, OutageWindow, RetryPolicy
 from repro.service import QueryService
 from repro.workloads.service import regional_cache_system
 
-from tests.service.conftest import CACHE_ID, build_netmon_system
+from tests.service.conftest import (
+    CACHE_ID,
+    build_netmon_system,
+    degraded_answers,
+    fault_events,
+)
 
 SUM_SQL = "SELECT SUM(traffic) WITHIN 5 FROM links"
 
@@ -87,14 +92,13 @@ def test_transient_failure_is_retried_then_succeeds():
     result = run(service.query(CACHE_ID, SUM_SQL))
     assert result.answer.meets(5)
     assert not result.answer.degraded
-    faults = service.scheduler.fault_counts()
-    assert faults["source_failure"] == 1
-    assert faults["retry"] == 1
-    assert faults["degraded_plan"] == 0
+    assert fault_events(service.scheduler, "source_failure") == 1
+    assert fault_events(service.scheduler, "retry") == 1
+    assert fault_events(service.scheduler, "degraded_plan") == 0
     # One failure is below the breaker threshold; the retry's success
     # reset the count.
     assert service.scheduler.breaker_states() == {"net": "closed"}
-    assert service.stats()["degraded_answers"] == 0
+    assert degraded_answers(service) == 0
 
 
 # ----------------------------------------------------------------------
@@ -115,10 +119,9 @@ def test_exhausted_retries_degrade_with_containment():
     assert answer.unreachable_sources == ("net",)
     assert not answer.meets(5)  # precision was sacrificed ...
     assert answer.bound.lo <= truth <= answer.bound.hi  # ... correctness not
-    assert service.stats()["degraded_answers"] == 1
-    faults = service.scheduler.fault_counts()
-    assert faults["degraded_plan"] == 1
-    assert faults["source_failure"] >= 1
+    assert degraded_answers(service) == 1
+    assert fault_events(service.scheduler, "degraded_plan") == 1
+    assert fault_events(service.scheduler, "source_failure") >= 1
 
 
 def test_degraded_answers_are_cache_scoped_and_flagged():
@@ -182,16 +185,16 @@ def test_breaker_opens_and_skips_the_dead_source():
         assert service.scheduler.breaker_states() == {"net": "open"}
         # A different query (distinct width → distinct plan) degrades
         # immediately off the open breaker — zero further contacts.
-        contacts_before = service.scheduler.fault_counts()["source_failure"]
+        contacts_before = fault_events(service.scheduler, "source_failure")
         second = await service.query(
             CACHE_ID, "SELECT SUM(traffic) WITHIN 6 FROM links", client_id="c2"
         )
         assert second.answer.degraded
         assert (
-            service.scheduler.fault_counts()["source_failure"]
+            fault_events(service.scheduler, "source_failure")
             == contacts_before
         )
-        assert service.scheduler.fault_counts()["breaker_skip"] >= 1
+        assert fault_events(service.scheduler, "breaker_skip") >= 1
 
     run(go())
 
@@ -221,9 +224,8 @@ def test_breaker_half_open_probe_recovers_after_outage_ends():
         assert not second.answer.degraded
         assert second.answer.meets(5)
         assert service.scheduler.breaker_states() == {"net": "closed"}
-        faults = service.scheduler.fault_counts()
-        assert faults["breaker_half_open"] == 1
-        assert faults["breaker_closed"] == 1
+        assert fault_events(service.scheduler, "breaker_half_open") == 1
+        assert fault_events(service.scheduler, "breaker_closed") == 1
 
     run(go())
 
@@ -251,12 +253,11 @@ def test_crashed_leader_fails_over_to_sibling_replica():
     result = run(service.query("edge", sql, client_id="c1"))
     assert not result.answer.degraded
     assert result.answer.meets(total_width * 0.5)
-    faults = service.scheduler.fault_counts()
     # edge/0 is the cheaper leader for one of the two shards; its crash
     # forced at least one batch over to edge/1.
-    assert faults["failover_dispatch"] >= 1
-    assert faults["failover_exhausted"] == 0
-    assert faults["degraded_plan"] == 0
+    assert fault_events(service.scheduler, "failover_dispatch") >= 1
+    assert fault_events(service.scheduler, "failover_exhausted") == 0
+    assert fault_events(service.scheduler, "degraded_plan") == 0
 
 
 def test_all_replicas_crashed_degrades_not_hangs():
@@ -287,7 +288,7 @@ def test_all_replicas_crashed_degrades_not_hangs():
     result = run(service.query("edge", sql, client_id="c1"))
     assert result.answer.degraded
     assert result.answer.bound.lo <= truth <= result.answer.bound.hi
-    assert service.scheduler.fault_counts()["failover_exhausted"] >= 1
+    assert fault_events(service.scheduler, "failover_exhausted") >= 1
 
 
 # ----------------------------------------------------------------------
@@ -336,7 +337,7 @@ def test_stale_retry_hitting_failure_degrades_instead_of_looping():
     rounds = registry.histogram("trapp_plan_rounds", labelnames=("class",))
     assert rounds.labels(**{"class": "aggregate"}).total == 1
     assert registry.value_of("trapp_service_events_total", event="replan") == 0
-    assert service.stats()["degraded_answers"] == 1
+    assert degraded_answers(service) == 1
 
 
 def test_revalidate_passes_degraded_answers_through():
@@ -365,7 +366,7 @@ def test_revalidate_passes_degraded_answers_through():
     assert answer.width > answer.initial_bound.width  # the sync widened it
     assert answer.bound.lo <= truth <= answer.bound.hi
     assert repeat.cached and repeat.answer is answer
-    assert service.stats()["degraded_answers"] == 1
+    assert degraded_answers(service) == 1
 
 
 # ----------------------------------------------------------------------
@@ -399,10 +400,25 @@ def test_zero_fault_run_is_bit_identical_with_fault_machinery_on():
             ]
 
         answers = run(go())
-        return answers, service.stats()
+        samples = {
+            family["name"]: family["samples"]
+            for family in service.telemetry.snapshot()["families"]
+        }
+        counters = {
+            name: samples[name]
+            for name in (
+                "trapp_scheduler_events_total",
+                "trapp_refresh_cost_paid_total",
+                "trapp_result_cache_events_total",
+                "trapp_fault_events_total",
+            )
+        }
+        counters["result_cache_entries"] = len(service.results)
+        counters["breakers"] = service.scheduler.breaker_states()
+        return answers, counters
 
-    plain_answers, plain_stats = run_variant(armed=False)
-    armed_answers, armed_stats = run_variant(armed=True)
+    plain_answers, plain_counters = run_variant(armed=False)
+    armed_answers, armed_counters = run_variant(armed=True)
     for plain, armed in zip(plain_answers, armed_answers):
         assert armed.bound == plain.bound
         assert armed.refreshed == plain.refreshed
@@ -410,7 +426,7 @@ def test_zero_fault_run_is_bit_identical_with_fault_machinery_on():
         assert not armed.degraded
         assert armed.unreachable_sources == ()
     # The serving counters agree exactly; the fault plane never fired.
-    assert armed_stats["scheduler"] == plain_stats["scheduler"]
-    assert armed_stats["result_cache"] == plain_stats["result_cache"]
-    assert all(count == 0 for count in plain_stats["faults"].values() if isinstance(count, int))
-    assert armed_stats["faults"] == plain_stats["faults"]
+    assert armed_counters == plain_counters
+    faults = plain_counters["trapp_fault_events_total"]
+    assert all(sample["value"] == 0 for sample in faults)
+    assert plain_counters["breakers"] == {}

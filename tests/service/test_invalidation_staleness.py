@@ -6,6 +6,7 @@ import asyncio
 
 from repro.service import QueryService
 from repro.service.results import ResultCache
+from repro.telemetry import MetricsRegistry
 
 from tests.service.conftest import CACHE_ID, build_netmon_system
 
@@ -17,8 +18,14 @@ def run(coro):
 # ----------------------------------------------------------------------
 # ResultCache.invalidate_table in isolation
 # ----------------------------------------------------------------------
-def make_cache() -> ResultCache:
-    return ResultCache(ttl=100.0, clock=lambda: 0.0, max_entries=8)
+def make_cache(registry: MetricsRegistry | None = None) -> ResultCache:
+    return ResultCache(
+        ttl=100.0, clock=lambda: 0.0, max_entries=8, registry=registry
+    )
+
+
+def result_events(registry: MetricsRegistry, event: str) -> float:
+    return registry.value_of("trapp_result_cache_events_total", event=event)
 
 
 def answer():
@@ -29,7 +36,8 @@ def answer():
 
 
 def test_invalidate_table_scoped():
-    cache = make_cache()
+    registry = MetricsRegistry()
+    cache = make_cache(registry)
     k1 = ResultCache.make_key("c1", "t", "SUM", "x", None, 5.0)
     k2 = ResultCache.make_key("c2", "t", "SUM", "x", None, 5.0)
     k3 = ResultCache.make_key("c1", "other", "SUM", "x", None, 5.0)
@@ -40,7 +48,7 @@ def test_invalidate_table_scoped():
     assert cache.get(k1, 5.0) is None
     assert cache.get(k2, 5.0) is not None
     assert cache.get(k3, 5.0) is not None
-    assert cache.stats()["invalidations"] == 1
+    assert result_events(registry, "invalidation") == 1
 
 
 def test_invalidate_table_all_scopes():
@@ -53,19 +61,6 @@ def test_invalidate_table_all_scopes():
         cache.put(key, answer())
     assert cache.invalidate_table("t") == 3
     assert len(cache) == 0
-
-
-def test_non_make_key_keys_stay_cacheable_but_unindexed():
-    """The Hashable contract survives the invalidation index: arbitrary
-    keys cache fine and are simply invisible to table invalidation."""
-    cache = make_cache()
-    for key in ("plain-string", 42, ("one",), (1, 2)):
-        cache.put(key, answer())
-        assert cache.get(key, 5.0) is not None
-    assert cache.invalidate_table("plain-string") == 0
-    assert cache.invalidate_table("p") == 0  # no ("p", "l") mis-bucketing
-    for key in ("plain-string", 42, ("one",), (1, 2)):
-        assert cache.get(key, 5.0) is not None
 
 
 def test_invalidate_table_reaches_join_keys():
@@ -148,7 +143,7 @@ def test_dispatched_refresh_evicts_affected_entries():
 
     after = run(go())
     assert not after.cached  # recomputed, not served stale
-    assert service.results.stats()["invalidations"] >= 1
+    assert result_events(service.telemetry.registry, "invalidation") >= 1
 
 
 def test_group_query_scopes_one_entry_one_miss():
@@ -170,15 +165,14 @@ def test_group_query_scopes_one_entry_one_miss():
         await service.query("edge", "SELECT SUM(x) WITHIN 100 FROM t")
 
     run(go())
-    stats = service.results.stats()
-    assert stats["misses"] == 1
-    assert stats["hits"] == 1
-    assert stats["entries"] == 1  # one scope, not one per tier
+    registry = service.telemetry.registry
+    assert result_events(registry, "miss") == 1
+    assert result_events(registry, "hit") == 1
+    assert len(service.results) == 1  # one scope, not one per tier
 
 
 def test_independent_group_shares_nothing_across_replicas():
-    """The independent-caches ablation (fanout=False, cross_cache=False)
-    must not coalesce identical queries across replicas through the
+    """The independent-caches ablation (fanout=False) must not coalesce identical queries across replicas through the
     result cache or single-flight — replicas are not in lockstep."""
     from repro.replication.system import TrappSystem
     from repro.storage.schema import Schema
@@ -192,7 +186,7 @@ def test_independent_group_shares_nothing_across_replicas():
     system.add_group("edge", fanout=False)
     for index in range(2):
         system.add_cache(f"edge/{index}", shards={"t": "s"}, group="edge")
-    service = QueryService(system, cross_cache=False, result_ttl=1e9)
+    service = QueryService(system, result_ttl=1e9)
     sql = "SELECT SUM(x) WITHIN 100 FROM t"
 
     async def go():
@@ -203,12 +197,14 @@ def test_independent_group_shares_nothing_across_replicas():
     first, second = run(go())
     assert not first.cached
     assert not second.cached  # edge/1 computed its own answer
-    assert service.singleflight_joins == 0
+    assert service.telemetry.registry.value_of(
+        "trapp_service_events_total", event="singleflight_join"
+    ) == 0
 
 
 def test_fanout_group_invalidates_siblings_even_without_cross_cache():
-    """cross_cache=False disables merged scheduling, but fan-out still
-    tightened the siblings — their cache-scoped entries must be evicted."""
+    """A query pinned to one replica refreshes through the group, and
+    fan-out tightened the siblings — their entries must be evicted."""
     from repro.replication.system import TrappSystem
     from repro.storage.schema import Schema
     from repro.storage.table import Table
@@ -223,7 +219,7 @@ def test_fanout_group_invalidates_siblings_even_without_cross_cache():
     system.clock.advance(20.0)
     for cache in system.group("edge"):
         cache.sync_bounds()
-    service = QueryService(system, result_ttl=1e9, cross_cache=False)
+    service = QueryService(system, result_ttl=1e9)
 
     async def go():
         seeded = await service.query(

@@ -17,7 +17,13 @@ from repro.storage.columnar import harvest_candidates
 from repro.storage.schema import Column, ColumnKind, Schema
 from repro.storage.table import Table
 
-from tests.service.conftest import CACHE_ID, FakeCache, build_netmon_system
+from tests.service.conftest import (
+    CACHE_ID,
+    FakeCache,
+    build_netmon_system,
+    cost_paid,
+    scheduler_events,
+)
 
 
 def make_table(n_rows: int, name: str = "t") -> Table:
@@ -69,13 +75,13 @@ def test_overlapping_plans_coalesce_to_one_refresh():
     plans = run(go())
     # One deduplicated batch hit the cache.
     assert cache.calls == [frozenset({1, 2, 3, 4, 5})]
-    assert scheduler.stats.ticks == 1
-    assert scheduler.stats.tuples_requested == 9
-    assert scheduler.stats.tuples_refreshed == 5
+    assert scheduler_events(scheduler, "tick") == 1
+    assert scheduler_events(scheduler, "tuple_requested") == 9
+    assert scheduler_events(scheduler, "tuple_refreshed") == 5
     # Every query got its own tids back.
     assert [set(p.tids) for p in plans] == [{1, 2, 3}, {2, 3, 4}, {3, 4, 5}]
     # Attribution sums exactly to the amortized total: one setup + 5 marginal.
-    assert scheduler.stats.total_cost_paid == pytest.approx(10.0)
+    assert cost_paid(scheduler) == pytest.approx(10.0)
     assert sum(p.total_cost for p in plans) == pytest.approx(10.0)
     # A query sharing all its tuples pays less than it would alone (8.0).
     assert all(p.total_cost < 8.0 for p in plans)
@@ -93,7 +99,7 @@ def test_uniform_costs_without_model():
         )
 
     plans = run(go())
-    assert scheduler.stats.total_cost_paid == pytest.approx(3.0)
+    assert cost_paid(scheduler) == pytest.approx(3.0)
     assert sum(p.total_cost for p in plans) == pytest.approx(3.0)
     # The shared tuple's unit cost is split evenly.
     assert [p.total_cost for p in plans] == [pytest.approx(1.5), pytest.approx(1.5)]
@@ -103,7 +109,7 @@ def test_multi_source_attribution_splits_setup_per_source():
     table = make_table(4)
     cache = FakeCache({1: "a", 2: "a", 3: "b", 4: "b"})
     scheduler = RefreshScheduler(
-        cost_model=BatchedCostModel(setup=10.0, marginal=1.0), rebatch=False
+        cost_model=BatchedCostModel(setup=10.0, marginal=1.0)
     )
 
     async def go():
@@ -114,8 +120,8 @@ def test_multi_source_attribution_splits_setup_per_source():
 
     plans = run(go())
     # Two sources contacted once each: 2 setups + 4 marginals.
-    assert scheduler.stats.total_cost_paid == pytest.approx(24.0)
-    assert scheduler.stats.source_requests == 2
+    assert cost_paid(scheduler) == pytest.approx(24.0)
+    assert scheduler_events(scheduler, "source_request") == 2
     # No sharing: each query pays its own source's full price.
     assert [p.total_cost for p in plans] == [pytest.approx(12.0), pytest.approx(12.0)]
 
@@ -132,7 +138,7 @@ def test_separate_tables_dispatch_separately():
         )
 
     run(go())
-    assert scheduler.stats.ticks == 1
+    assert scheduler_events(scheduler, "tick") == 1
     assert len(cache.calls) == 2  # one batch per (cache, table)
 
 
@@ -147,7 +153,7 @@ def test_sequential_submissions_form_sequential_ticks():
         return first, second
 
     run(go())
-    assert scheduler.stats.ticks == 2
+    assert scheduler_events(scheduler, "tick") == 2
     assert cache.calls == [frozenset({1}), frozenset({2})]
 
 
@@ -181,8 +187,8 @@ def test_cross_query_rebatch_steers_to_contacted_source():
     # source — and lands on the very tuple the fixed query refreshes, so
     # the merged batch is one tuple from one source.
     assert set(plans[1].tids) == {1}
-    assert scheduler.stats.source_requests == 1
-    assert scheduler.stats.total_cost_paid == pytest.approx(51.0)
+    assert scheduler_events(scheduler, "source_request") == 1
+    assert cost_paid(scheduler) == pytest.approx(51.0)
     assert sum(p.total_cost for p in plans) == pytest.approx(51.0)
 
 
@@ -201,8 +207,8 @@ def test_large_plan_rebatches_and_drops_a_source():
         scheduler.submit(cache, flexible(table, set(range(1, 71)), required_width=690.0))
     )
     assert set(plan.tids) == set(range(1, 70))
-    assert scheduler.stats.source_requests == 1
-    assert scheduler.stats.total_cost_paid == pytest.approx(50.0 + 69.0)
+    assert scheduler_events(scheduler, "source_request") == 1
+    assert cost_paid(scheduler) == pytest.approx(50.0 + 69.0)
     events = {
         event: scheduler.registry.value_of("trapp_scheduler_events_total", event=event)
         for event in ("rebatch", "rebatch_changed")
@@ -297,7 +303,7 @@ class TestAdaptiveTick:
             grown.append(scheduler.tick_interval)
         assert grown == sorted(grown), "interval must grow monotonically"
         assert scheduler.tick_interval == 0.008, "growth is capped at tick_max"
-        assert scheduler.stats.tick_grows >= 3
+        assert scheduler_events(scheduler, "tick_grow") >= 3
 
     def test_shrinks_when_idle(self):
         scheduler = RefreshScheduler(
@@ -308,13 +314,13 @@ class TestAdaptiveTick:
         for _ in range(6):
             scheduler._adapt_tick(plans_in_tick=1)
         assert scheduler.tick_interval == 0.0, "lone plans decay to tick_min"
-        assert scheduler.stats.tick_shrinks >= 3
+        assert scheduler_events(scheduler, "tick_shrink") >= 3
 
     def test_disabled_by_default(self):
         scheduler = RefreshScheduler()
         scheduler._adapt_tick(plans_in_tick=10)
         assert scheduler.tick_interval == 0.0
-        assert scheduler.stats.tick_grows == 0
+        assert scheduler_events(scheduler, "tick_grow") == 0
 
     def test_queued_backlog_counts_as_load(self):
         scheduler = RefreshScheduler(adaptive_tick=True)
@@ -339,14 +345,14 @@ class TestAdaptiveTick:
         run(burst())
         widened = scheduler.tick_interval
         assert widened > 0.0
-        assert scheduler.stats.tick_grows >= 1
+        assert scheduler_events(scheduler, "tick_grow") >= 1
 
         async def lone():
             return await scheduler.submit(cache, planned(table, {5}))
 
         run(lone())
         assert scheduler.tick_interval < widened
-        assert scheduler.stats.tick_shrinks >= 1
+        assert scheduler_events(scheduler, "tick_shrink") >= 1
 
     def test_operator_interval_above_cap_is_not_shrunk_by_load(self):
         scheduler = RefreshScheduler(
@@ -354,7 +360,7 @@ class TestAdaptiveTick:
         )
         scheduler._adapt_tick(plans_in_tick=5)
         assert scheduler.tick_interval == 0.2
-        assert scheduler.stats.tick_grows == 0
+        assert scheduler_events(scheduler, "tick_grow") == 0
 
     def test_idle_tick_never_raises_the_interval(self):
         scheduler = RefreshScheduler(
@@ -362,7 +368,7 @@ class TestAdaptiveTick:
         )
         scheduler._adapt_tick(plans_in_tick=1)
         assert scheduler.tick_interval == 0.0
-        assert scheduler.stats.tick_shrinks == 0
+        assert scheduler_events(scheduler, "tick_shrink") == 0
 
 
 # ----------------------------------------------------------------------
@@ -380,7 +386,6 @@ class TestPerShardPricing:
                 setup_by_source={"near": 2.0},
                 marginal_by_source={"near": 1.0},
             ),
-            rebatch=False,
         )
 
         async def go():
@@ -391,13 +396,13 @@ class TestPerShardPricing:
 
         plans = run(go())
         # near: 2 + 1·2 = 4; far: 10 + 4·2 = 18.
-        assert scheduler.stats.total_cost_paid == pytest.approx(22.0)
+        assert cost_paid(scheduler) == pytest.approx(22.0)
         assert [p.total_cost for p in plans] == [
             pytest.approx(4.0),
             pytest.approx(18.0),
         ]
         assert sum(p.total_cost for p in plans) == pytest.approx(
-            scheduler.stats.total_cost_paid
+            cost_paid(scheduler)
         )
 
     def test_rebatch_prefers_the_cheap_sunk_shard(self):
@@ -427,7 +432,7 @@ class TestPerShardPricing:
         plans = run(go())
         # The flexible plan abandoned the far shard for the sunk one.
         assert set(plans[1].tids) <= {1, 2}
-        assert scheduler.stats.source_requests == 1
+        assert scheduler_events(scheduler, "source_request") == 1
 
     def test_sharded_table_end_to_end_per_shard_receipts(self):
         """Against a real sharded cache: one tick's merged plan fans out
@@ -440,7 +445,6 @@ class TestPerShardPricing:
             cost_model=BatchedCostModel(
                 setup=5.0, marginal=2.0, marginal_by_source=marginals
             ),
-            rebatch=False,
         )
         by_shard = {
             shard: sorted(table.shard_map.tids_of(shard))
@@ -458,9 +462,9 @@ class TestPerShardPricing:
             )
 
         plans = run(go())
-        assert scheduler.stats.source_requests == 2
+        assert scheduler_events(scheduler, "source_request") == 2
         # shard 0: 5 + 1·2 = 7; shard 2: 5 + 3·3 = 14.
-        assert scheduler.stats.total_cost_paid == pytest.approx(7.0 + 14.0)
+        assert cost_paid(scheduler) == pytest.approx(7.0 + 14.0)
         assert plans[0].total_cost == pytest.approx(7.0)
         assert plans[1].total_cost == pytest.approx(14.0)
 

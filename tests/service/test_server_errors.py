@@ -83,19 +83,24 @@ def test_malformed_json_and_unknown_op_keep_connection_alive():
             )
             writer.write(b"this is not json\n")
             writer.write(encode({"id": 2, "op": "frobnicate"}))
-            writer.write(encode({"id": 3, "op": "ping"}))
+            # The counters are the ``metrics`` op's; ``stats`` is no op.
+            writer.write(encode({"id": 3, "op": "stats"}))
+            writer.write(encode({"id": 4, "op": "ping"}))
             await writer.drain()
             first = decode(await reader.readline())
             second = decode(await reader.readline())
+            retired = decode(await reader.readline())
             third = decode(await reader.readline())
             assert first["ok"] is False and first["id"] is None
             assert second["ok"] is False and second["id"] == 2
             assert "unknown op" in second["error"]["message"]
+            assert retired["ok"] is False and retired["id"] == 3
+            assert "unknown op" in retired["error"]["message"]
             assert third["ok"] is True and "now" in third
             writer.close()
             await wait_until(lambda: active_connections(service) == 0)
         assert wire_errors(service, "undecodable") == 1
-        assert wire_errors(service, "unknown_op") == 1
+        assert wire_errors(service, "unknown_op") == 2
 
     run(go())
 

@@ -10,7 +10,7 @@ from repro.errors import AdmissionError, ServiceError, ServiceOverloadError
 from repro.extensions.batching import BatchedCostModel
 from repro.service import QueryService
 
-from tests.service.conftest import CACHE_ID, build_netmon_system
+from tests.service.conftest import CACHE_ID, build_netmon_system, scheduler_events
 
 SUM_SQL = "SELECT SUM(traffic) WITHIN 5 FROM links"
 
@@ -51,8 +51,10 @@ def test_result_cache_serves_repeats_and_expires():
         assert not third.cached
 
     run(go())
-    assert service.results.hits == 1
-    assert service.results.expirations == 1
+    registry = service.telemetry.registry
+    events = "trapp_result_cache_events_total"
+    assert registry.value_of(events, event="hit") == 1
+    assert registry.value_of(events, event="expiration") == 1
 
 
 def test_result_cache_key_includes_width():
@@ -82,13 +84,10 @@ def test_precision_floor_rejects_tight_queries():
             )
         # At or above the floor is fine.
         await service.query(CACHE_ID, SUM_SQL)
-        # A session override tightens the floor for one client only.
-        strict = service.session("strict", precision_floor=100.0)
-        with pytest.raises(AdmissionError):
-            await strict.query(CACHE_ID, SUM_SQL)
 
     run(go())
-    assert service.queries_rejected == 2
+    registry = service.telemetry.registry
+    assert registry.value_of("trapp_queries_total", outcome="rejected") == 1
 
 
 def test_per_client_inflight_limit():
@@ -144,7 +143,7 @@ def test_latency_and_plan_rounds_observed_once_per_query_by_class():
     from repro.workloads.service import mixed_service_system
 
     system, cost_model = mixed_service_system(n_caches=1)
-    service = QueryService(system, cost_model=cost_model)
+    service = QueryService(system, cost_model=cost_model, precision_floor=1.0)
     join_sql = (
         "SELECT SUM(load) WITHIN 1 FROM links, nodes WHERE to_node = node"
     )
@@ -158,7 +157,7 @@ def test_latency_and_plan_rounds_observed_once_per_query_by_class():
     results = [run(service.query("edge", sql)) for sql in statements]
     assert [r.cached for r in results] == [False, False, True, False, False]
     with pytest.raises(AdmissionError):
-        run(service.query("edge", SUM_SQL, precision_floor=100.0))
+        run(service.query("edge", "SELECT SUM(traffic) WITHIN 0.5 FROM links"))
 
     registry = service.telemetry.registry
     seconds = registry.histogram("trapp_query_seconds", labelnames=("class",))
@@ -198,11 +197,13 @@ def test_singleflight_shares_one_execution():
     joined = [r for r in results if r.cached]
     assert len(executed) == 1
     assert len(joined) == 5
-    assert service.singleflight_joins == 5
+    assert service.telemetry.registry.value_of(
+        "trapp_service_events_total", event="singleflight_join"
+    ) == 5
     # Everyone got the identical answer object.
     assert all(r.answer is executed[0].answer for r in joined)
     # Only one refresh pipeline ran.
-    assert service.scheduler.stats.plans_submitted == 1
+    assert scheduler_events(service.scheduler, "plan_submitted") == 1
 
 
 def test_concurrent_distinct_queries_coalesce_refreshes():
@@ -218,13 +219,15 @@ def test_concurrent_distinct_queries_coalesce_refreshes():
     results = run(go())
     for result, width in zip(results, (4, 6, 0.1)):
         assert result.answer.meets(width)
-    stats = service.scheduler.stats
-    assert stats.plans_submitted == 3
-    assert stats.ticks == 1
+    scheduler = service.scheduler
+    assert scheduler_events(scheduler, "plan_submitted") == 3
+    assert scheduler_events(scheduler, "tick") == 1
     # Dedup happened: fewer tuples refreshed than requested.
-    assert stats.tuples_refreshed < stats.tuples_requested
+    assert scheduler_events(scheduler, "tuple_refreshed") < scheduler_events(
+        scheduler, "tuple_requested"
+    )
     # One source, one tick: exactly one request on the wire.
-    assert stats.source_requests == 1
+    assert scheduler_events(scheduler, "source_request") == 1
 
 
 def test_cancelled_waiter_does_not_poison_the_tick():
@@ -308,19 +311,19 @@ def test_inflight_bookkeeping_is_bounded():
 def test_stats_shape():
     service = make_service()
     run(service.query(CACHE_ID, SUM_SQL))
-    stats = service.stats()
-    assert stats["queries_served"] == 1
-    assert set(stats) == {
-        "queries_served",
-        "queries_rejected",
-        "singleflight_joins",
-        "degraded_answers",
-        "faults",
-        "result_cache",
-        "scheduler",
-    }
-    assert stats["degraded_answers"] == 0
-    assert stats["faults"]["breakers"] == {}
+    registry = service.telemetry.registry
+    assert registry.value_of("trapp_queries_total", outcome="served") == 1
+    families = {f["name"] for f in service.telemetry.snapshot()["families"]}
+    assert {
+        "trapp_queries_total",
+        "trapp_service_events_total",
+        "trapp_degraded_answers_total",
+        "trapp_fault_events_total",
+        "trapp_result_cache_events_total",
+        "trapp_scheduler_events_total",
+    } <= families
+    assert registry.value_of("trapp_degraded_answers_total") == 0
+    assert service.scheduler.breaker_states() == {}
 
 
 def test_cells_and_group_keys_read_back_with_absolute_types():

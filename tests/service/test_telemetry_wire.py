@@ -47,14 +47,16 @@ def test_mixed_workload_metrics_and_traces_reconcile():
                             *(client.query("edge", sql) for client in clients)
                         )
                     )
-                stats = await clients[0].stats()
                 snapshot = await clients[0].metrics()
                 traces = await clients[0].trace()
             finally:
                 for client in clients:
                     await client.close()
 
-        assert snapshot["enabled"] is True
+        assert set(snapshot) == {"families"}
+        registry = service.telemetry.registry
+        served = registry.value_of("trapp_queries_total", outcome="served")
+        assert served == len(answers)
 
         # Refresh cost per answer: the per-answer shares on the wire sum
         # to the scheduler's receipt totals, which the registry serves.
@@ -64,7 +66,7 @@ def test_mixed_workload_metrics_and_traces_reconcile():
         ]:
             total_cost = sample["value"]
         assert total_cost == pytest.approx(
-            stats["scheduler"]["total_cost_paid"]
+            registry.value_of("trapp_refresh_cost_paid_total")
         )
         share_sum = sum(a.refresh_cost for a in answers if not a.cached)
         assert share_sum == pytest.approx(total_cost)
@@ -90,9 +92,7 @@ def test_mixed_workload_metrics_and_traces_reconcile():
 
         # Router balance: every served query landed on some replica.
         routed = family(snapshot, "trapp_routed_queries_total")
-        assert sum(s["value"] for s in routed["samples"]) == stats[
-            "queries_served"
-        ]
+        assert sum(s["value"] for s in routed["samples"]) == served
         assert all(
             s["labels"]["mode"] == "routed" for s in routed["samples"]
         )
@@ -125,19 +125,21 @@ def test_mixed_workload_metrics_and_traces_reconcile():
         assert all(t["status"] == "ok" for t in traces)
         assert {t["client"] for t in traces} == {"c0", "c1"}
 
-        # The legacy stats dict is a view over the same registry.
+        # The wire snapshot serves the service's own registry.
         events = {
             s["labels"]["event"]: s["value"]
             for s in family(snapshot, "trapp_result_cache_events_total")[
                 "samples"
             ]
         }
-        assert events["hit"] == stats["result_cache"]["hits"]
+        assert events["hit"] == registry.value_of(
+            "trapp_result_cache_events_total", event="hit"
+        )
         queries = {
             s["labels"]["outcome"]: s["value"]
             for s in family(snapshot, "trapp_queries_total")["samples"]
         }
-        assert queries["served"] == stats["queries_served"]
+        assert queries["served"] == served
 
     run(go())
 
@@ -160,29 +162,5 @@ def test_metrics_text_and_trace_filters_over_the_wire():
                 assert await client.trace(client="nobody") == []
                 [span] = await client.trace(client="solo", limit=5)
                 assert span["sql"].startswith("SELECT SUM")
-
-    run(go())
-
-
-def test_disabled_telemetry_serves_but_reports_nothing():
-    async def go():
-        system, cost_model = mixed_service_system(n_caches=2)
-        service = QueryService(
-            system, cost_model=cost_model, telemetry_enabled=False
-        )
-        async with await serve(service) as server:
-            async with await TrappClient.connect(
-                server.host, server.port
-            ) as client:
-                answer = await client.query(
-                    "edge", "SELECT SUM(traffic) WITHIN 40 FROM links"
-                )
-                assert answer.meets(40)
-                snapshot = await client.metrics()
-                assert snapshot == {"enabled": False, "families": []}
-                assert await client.trace() == []
-                # The thin-view counters read 0 on the no-op path.
-                stats = await client.stats()
-                assert stats["queries_served"] == 0
 
     run(go())

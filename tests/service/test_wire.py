@@ -12,7 +12,7 @@ from repro.extensions.batching import BatchedCostModel
 from repro.service import QueryService, TrappClient, serve
 from repro.service.protocol import decode, encode
 
-from tests.service.conftest import CACHE_ID, build_netmon_system
+from tests.service.conftest import CACHE_ID, build_netmon_system, metric
 
 SUM_SQL = "SELECT SUM(traffic) WITHIN 5 FROM links"
 
@@ -52,10 +52,12 @@ def test_three_clients_query_concurrently():
                 for answer, width in zip(answers, (5, 0.5, 0)):
                     assert answer.meets(width)
                     assert answer.hi >= answer.lo
-                stats = await clients[0].stats()
-                assert stats["queries_served"] == 3
+                snapshot = await clients[0].metrics()
+                assert metric(snapshot, "trapp_queries_total", outcome="served") == 3
                 # All three in-flight plans went through one shared tick.
-                assert stats["scheduler"]["ticks"] == 1
+                assert metric(
+                    snapshot, "trapp_scheduler_events_total", event="tick"
+                ) == 1
             finally:
                 for client in clients:
                     await client.close()

@@ -174,7 +174,7 @@ class TestWidthOrder:
         order = table.columns.width_order("x")
         ref_tids, ref_widths = self._reference(table.columns, "x")
         assert np.array_equal(order.tids, ref_tids)
-        assert np.allclose(order.widths, ref_widths)
+        assert np.allclose(order.keys, ref_widths)
 
     def test_epoch_reuse_is_identity(self):
         table = make_table()
@@ -188,7 +188,7 @@ class TestWidthOrder:
         order = table.columns.width_order("x")
         ref_tids, ref_widths = self._reference(table.columns, "x")
         assert np.array_equal(order.tids, ref_tids)
-        assert np.allclose(order.widths, ref_widths)
+        assert np.allclose(order.keys, ref_widths)
 
     def test_other_column_writes_reuse_the_cached_ordering(self):
         table = make_table()
@@ -209,9 +209,9 @@ class TestWidthOrder:
         table.update_value(3, "x", Bound(0.0, 3.0))
         repaired = store.width_order("x")
         assert list(repaired.tids) == [2, 1, 3, 4]
-        fresh = store._build_width_order("x")
+        fresh = store._build_sorted_order("x", "width")
         assert np.array_equal(repaired.tids, fresh.tids)
-        assert np.allclose(repaired.widths, fresh.widths)
+        assert np.allclose(repaired.keys, fresh.keys)
 
     def test_insert_and_delete_rebuild(self):
         table = make_table()
@@ -224,13 +224,13 @@ class TestWidthOrder:
         order = table.columns.width_order("x")
         ref_tids, ref_widths = self._reference(table.columns, "x")
         assert np.array_equal(order.tids, ref_tids)
-        assert np.allclose(order.widths, ref_widths)
+        assert np.allclose(order.keys, ref_widths)
 
     def test_positions_map_back_to_tid_order(self):
         table = make_table()
         order = table.columns.width_order("x")
         lo, hi = table.columns.endpoints("x")
-        assert np.allclose((hi - lo)[order.positions], order.widths)
+        assert np.allclose((hi - lo)[order.positions], order.keys)
 
     def test_text_column_rejected(self):
         table = make_table()
@@ -446,7 +446,7 @@ class TestRepeatedTieRepairs:
         store.width_order("x")
         self._growing_tie(
             lambda: store.width_order("x"),
-            lambda: store._build_width_order("x"),
+            lambda: store._build_sorted_order("x", "width"),
             lambda tid: table.update_value(tid, "x", Bound(0.0, 3.0)),
             3.0,
         )

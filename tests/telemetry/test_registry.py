@@ -1,4 +1,4 @@
-"""MetricsRegistry semantics: families, labels, histograms, no-op path."""
+"""MetricsRegistry semantics: families, labels, histograms, collectors."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import TrappError
 from repro.telemetry import MetricsRegistry, render_text
-from repro.telemetry.registry import DEFAULT_SIZE_BUCKETS
 
 
 def test_counter_children_are_independent_per_label_set():
@@ -73,17 +72,6 @@ def test_histogram_set_snapshot_replaces_distribution():
     assert child.total == 7.5
     with pytest.raises(TrappError):
         child.set_snapshot([1, 2], total=0.0)  # missing the +Inf slot
-
-
-def test_disabled_registry_is_a_shared_noop():
-    registry = MetricsRegistry(enabled=False)
-    counter = registry.counter("x_total", "", ("k",))
-    counter.labels(k="v").inc()
-    histogram = registry.histogram("h", "", buckets=DEFAULT_SIZE_BUCKETS)
-    histogram.observe(3)
-    assert counter is histogram  # one shared null instrument
-    snapshot = registry.snapshot()
-    assert snapshot == {"enabled": False, "families": []}
 
 
 def test_collectors_run_at_snapshot_time():
