@@ -51,36 +51,21 @@ class BatchedCostModel:
     leans on exactly this: the planner steers refreshes toward cheap
     shards, and the scheduler's receipts price each shard's message with
     that shard's own parameters.
-
-    ``calibrator`` replaces the manual maps with *measured* pricing: a
-    :class:`~repro.replication.calibration.CostCalibrator` whose EWMA
-    ``(setup, marginal)`` estimates — fitted from observed network round
-    trips — take precedence for every source with enough observations;
-    unmeasured sources fall back to the maps/defaults as priors.
     """
 
     setup: float = 5.0
     marginal: float = 1.0
     setup_by_source: Mapping[str, float] | None = None
     marginal_by_source: Mapping[str, float] | None = None
-    calibrator: "object | None" = None
 
     def setup_for(self, source_id: str) -> float:
-        """One source's per-message setup cost (measured, else configured)."""
-        if self.calibrator is not None:
-            measured = self.calibrator.setup_for(source_id)
-            if measured is not None:
-                return measured
+        """One source's per-message setup cost."""
         if self.setup_by_source is None:
             return self.setup
         return float(self.setup_by_source.get(source_id, self.setup))
 
     def marginal_for(self, source_id: str) -> float:
-        """One source's per-tuple marginal cost (measured, else configured)."""
-        if self.calibrator is not None:
-            measured = self.calibrator.marginal_for(source_id)
-            if measured is not None:
-                return measured
+        """One source's per-tuple marginal cost."""
         if self.marginal_by_source is None:
             return self.marginal
         return float(self.marginal_by_source.get(source_id, self.marginal))
@@ -111,12 +96,10 @@ class BatchedCostModel:
         setup; the additive optimum under this bound costs at least the
         amortized optimum, so plans remain feasible (if conservative).
         With the same parameters for every source that is one constant;
-        otherwise each source named in the maps or measured by the
-        calibrator gets its own, read through ``source_column``.
+        otherwise each source named in the maps gets its own, read
+        through ``source_column``.
         """
         sources = set(self.setup_by_source or ()) | set(self.marginal_by_source or ())
-        if self.calibrator is not None:
-            sources |= set(self.calibrator.estimates())
         if not sources:
             return UniformCostModel(self.setup + self.marginal)
         return PerSourceCostModel(

@@ -21,7 +21,6 @@ from repro.replication.messages import (
     RefreshReason,
     RefreshRequest,
 )
-from repro.replication.calibration import CostCalibrator
 from repro.replication.fanout import CacheGroup
 from repro.replication.local import LocalRefresher
 from repro.replication.sharding import (
@@ -38,7 +37,6 @@ __all__ = [
     "BatchedRefreshReceipt",
     "SourceRefreshReceipt",
     "CacheGroup",
-    "CostCalibrator",
     "DataCache",
     "DataSource",
     "LocalRefresher",

@@ -31,7 +31,6 @@ replication protocol without a ``Bound`` or a ``Row`` per cell.
 from __future__ import annotations
 
 import copy
-import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterable
@@ -600,36 +599,6 @@ class DataCache:
     def subscribed_sources(self) -> "list[DataSource]":
         """Every physical source (shard) this cache subscribes to."""
         return [self._sources[source_id] for source_id in sorted(self._sources)]
-
-    def current_table_width(
-        self, table_name: str, now: float | None = None
-    ) -> float:
-        """Total bound width of one table's subscriptions *right now*.
-
-        Evaluates every subscribed bound function at ``now`` (default:
-        the cache's clock) rather than reading the materialized cells,
-        which only reflect the last ``sync_bounds`` — an idle replica's
-        cells look deceptively tight while its true bounds have widened.
-        Read-only: no cell is rewritten, no planner epoch is bumped.
-
-        ``fsum`` keeps the total independent of the key set's iteration
-        order: a snapshot-admitted joiner inserts the same subscriptions
-        in a different order than its veterans, and siblings in policy
-        lockstep must report bit-identical widths.
-        """
-        now = self.clock() if now is None else now
-        widths: list[float] = []
-        for (name, _), params in self._bound_columns.items():
-            if name != table_name or not params.n:
-                continue
-            tids, _, width, refreshed_at, codes = params.parameters()
-            half, custom = _half_widths(width, codes, now - refreshed_at)
-            for at in custom:
-                key = ObjectKey(table_name, int(tids[at]), params.column)
-                function = self._subscriptions[key].bound_function
-                half[at] = function.half_width_at(now)
-            widths.extend((2.0 * half).tolist())
-        return math.fsum(widths)
 
     def source_ids_of_table(self, table_name: str) -> frozenset[str]:
         """Source (shard) ids serving one cached table's subscriptions.

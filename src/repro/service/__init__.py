@@ -13,7 +13,7 @@ package is the serving layer that realizes both observations:
   travelling through the cheapest subscribed replica — so N concurrent
   queries wanting the same hot tuples trigger one refresh instead of N;
 * :class:`QueryService` — admission control,
-  cache-aware routing of group queries (:mod:`repro.service.routing`),
+  sticky routing of group queries (:mod:`repro.service.routing`),
   and a short-TTL bounded-answer result cache (cache-scoped with a
   group-level shared tier, invalidated by dispatched refreshes) in
   front of the executor;
@@ -27,12 +27,7 @@ Every layer reports into one :class:`~repro.telemetry.Telemetry`
 
 from repro.service.client import ClientAnswer, TrappClient
 from repro.service.results import ResultCache
-from repro.service.routing import (
-    CacheRouter,
-    LeastLoadedRouter,
-    StickyRouter,
-    WidestBoundsRouter,
-)
+from repro.service.routing import StickyRouter
 from repro.service.scheduler import RefreshScheduler
 from repro.service.server import TrappServer, serve
 from repro.service.service import QueryService, ServiceResult
@@ -40,10 +35,7 @@ from repro.service.service import QueryService, ServiceResult
 __all__ = [
     "RefreshScheduler",
     "ResultCache",
-    "CacheRouter",
     "StickyRouter",
-    "LeastLoadedRouter",
-    "WidestBoundsRouter",
     "QueryService",
     "ServiceResult",
     "TrappServer",

@@ -1,78 +1,35 @@
-"""Cache-aware query routing across a replication fan-out group.
+"""Sticky query routing across a replication fan-out group.
 
 With one cache per deployment, "which cache answers this query" was not a
-question.  A :class:`~repro.replication.fanout.CacheGroup` makes it one,
-and the answer changes what the query costs: a replica already holding
-tight bounds for the queried table answers without refreshing, a loaded
-replica queues the query behind others, and a sticky mapping keeps one
-client's repeat queries on bounds its own earlier refreshes tightened.
+question.  A :class:`~repro.replication.fanout.CacheGroup` makes it one:
+a sticky mapping keeps one client's repeat queries on bounds its own
+earlier refreshes tightened.
 
-A :class:`CacheRouter` picks the replica for one query.  The service
-calls it only for *group* queries (``service.query(group_id, …)``);
+The service routes only *group* queries (``service.query(group_id, …)``);
 naming a concrete cache id still pins that cache, so deployments can mix
 routed and pinned traffic.
 
-Membership is *elastic* (detach / snapshot admit), and the routers'
+Membership is *elastic* (detach / snapshot admit), and the router's
 contract with it is the candidate list itself: the service passes only
 the replicas currently serving the table — draining replicas excluded —
 so a detached replica's clients land on survivors on their next query
 with no router-side state to reconcile, and an admitted joiner becomes
-routable the moment it enters the group registry.  Routers must
-therefore derive placement from the candidate list presented *per call*
-(hash over it, rank it), never from remembered membership.
-
-Three policies ship:
-
-* :class:`StickyRouter` — hash the client id over the replicas: one
-  client always lands on one cache (stable as long as membership is),
-  maximizing per-client bound reuse;
-* :class:`LeastLoadedRouter` — fewest in-flight queries first, the
-  classic load balancer;
-* :class:`WidestBoundsRouter` — bound-state aware: routes *away* from
-  the widest replica, picking the one whose cached bounds over the
-  queried table are currently tightest — the replica most likely to
-  answer within the precision constraint without paying for a refresh.
+routable the moment it enters the group registry.  Placement is derived
+from the candidate list presented *per call*, never from remembered
+membership.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from repro.errors import ServiceError
 from repro.replication.cache import DataCache
 
-__all__ = [
-    "CacheRouter",
-    "StickyRouter",
-    "LeastLoadedRouter",
-    "WidestBoundsRouter",
-]
+__all__ = ["StickyRouter"]
 
 
-class CacheRouter:
-    """Strategy interface: pick the replica that serves one query.
-
-    ``candidates`` are the group's replicas subscribed to the queried
-    table, in deterministic (cache-id) order and never empty; ``loads``
-    maps cache ids to currently in-flight query counts (absent = 0).
-    """
-
-    def route(
-        self,
-        candidates: Sequence[DataCache],
-        client_id: str,
-        table_name: str,
-        loads: Mapping[str, int],
-    ) -> DataCache:
-        raise NotImplementedError
-
-    def _require(self, candidates: Sequence[DataCache]) -> None:
-        if not candidates:
-            raise ServiceError("router invoked with no candidate caches")
-
-
-class StickyRouter(CacheRouter):
+class StickyRouter:
     """One client, one cache: hash the client id over the replicas.
 
     CRC-32 rather than :func:`hash` — Python string hashing is salted per
@@ -86,87 +43,6 @@ class StickyRouter(CacheRouter):
     that costless within a group).
     """
 
-    def route(
-        self,
-        candidates: Sequence[DataCache],
-        client_id: str,
-        table_name: str,
-        loads: Mapping[str, int],
-    ) -> DataCache:
-        self._require(candidates)
+    def route(self, candidates: Sequence[DataCache], client_id: str) -> DataCache:
+        """The replica for one client; ``candidates`` is never empty."""
         return candidates[zlib.crc32(client_id.encode()) % len(candidates)]
-
-
-class LeastLoadedRouter(CacheRouter):
-    """Fewest in-flight queries wins; cache-id tie-break."""
-
-    def route(
-        self,
-        candidates: Sequence[DataCache],
-        client_id: str,
-        table_name: str,
-        loads: Mapping[str, int],
-    ) -> DataCache:
-        self._require(candidates)
-        return min(
-            candidates,
-            key=lambda cache: (loads.get(cache.cache_id, 0), cache.cache_id),
-        )
-
-
-class WidestBoundsRouter(CacheRouter):
-    """Route away from wide bounds: tightest replica for the table wins.
-
-    Ranks each candidate by the total width of the queried table's
-    subscribed bound functions **evaluated at the current clock**
-    (:meth:`~repro.replication.cache.DataCache.current_table_width`) and
-    picks the minimum.  Evaluating at now matters: the materialized
-    cells only reflect each replica's last ``sync_bounds``, so an idle
-    replica's *stale* cells look deceptively tight while its true bounds
-    have kept widening — ranking on cells would systematically route to
-    the stalest replica, the inverse of the goal.  Under fan-out the
-    replicas usually tie; replicas that subscribed late or serve
-    disjoint pinned traffic drift apart, and this router sends queries
-    where the refresh bill is smallest right now.
-    """
-
-    def __init__(self) -> None:
-        #: (cache_id, table) → (state fingerprint, width): ranking a
-        #: candidate is O(table subscriptions), so repeat routes against
-        #: unchanged state (same clock, no refreshes applied since) reuse
-        #: the evaluated width instead of re-walking every bound.
-        self._memo: dict[tuple[str, str], tuple[tuple, float]] = {}
-
-    def route(
-        self,
-        candidates: Sequence[DataCache],
-        client_id: str,
-        table_name: str,
-        loads: Mapping[str, int],
-    ) -> DataCache:
-        self._require(candidates)
-        return min(
-            candidates,
-            key=lambda cache: (
-                self._width_of(cache, table_name),
-                cache.cache_id,
-            ),
-        )
-
-    def _width_of(self, cache: DataCache, table_name: str) -> float:
-        # Bound functions change only when a refresh (or a cardinality
-        # change) lands; together with the clock reading that makes a
-        # cheap fingerprint of everything current_table_width reads.
-        fingerprint = (
-            cache.clock(),
-            cache.refreshes_received,
-            cache.fanout_refreshes_received,
-            len(cache.table(table_name)),
-        )
-        memo_key = (cache.cache_id, table_name)
-        cached = self._memo.get(memo_key)
-        if cached is not None and cached[0] == fingerprint:
-            return cached[1]
-        width = cache.current_table_width(table_name)
-        self._memo[memo_key] = (fingerprint, width)
-        return width

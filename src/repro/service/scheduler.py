@@ -82,9 +82,6 @@ _EVENTS = (
     #: ``on_refresh`` listener invocations that raised (the refresh
     #: itself succeeded; the invalidation hook is broken).
     "listener_error",
-    #: Adaptive-tick adjustments (0 unless ``adaptive_tick`` is on).
-    "tick_grow",
-    "tick_shrink",
     #: §8.2 passes run, and plans a pass altered.
     "rebatch",
     "rebatch_changed",
@@ -123,17 +120,11 @@ class RefreshScheduler:
     just the cost-model value.
     """
 
-    #: Smallest non-zero window the adaptive controller grows from.
-    TICK_QUANTUM = 0.001
-
     def __init__(
         self,
         cost_model: BatchedCostModel | None = None,
         tick_interval: float = 0.0,
         network_delay: float = 0.0,
-        adaptive_tick: bool = False,
-        tick_min: float = 0.0,
-        tick_max: float = 0.05,
         on_refresh: RefreshListener | None = None,
         registry: MetricsRegistry | None = None,
         retry_policy: RetryPolicy | None = None,
@@ -212,14 +203,6 @@ class RefreshScheduler:
         )
         self.tick_interval = tick_interval
         self.network_delay = network_delay
-        #: Group-commit style window sizing: a tick that coalesced plans
-        #: doubles the window (batching pays — wait for more company, up
-        #: to ``tick_max``); a tick that fired for a lone plan halves it
-        #: (nobody to coalesce with — stop taxing latency, down to
-        #: ``tick_min``).
-        self.adaptive_tick = adaptive_tick
-        self.tick_min = tick_min
-        self.tick_max = tick_max
         self.on_refresh = on_refresh
         #: Backoff schedule for retrying failed source batches.  Always
         #: present (the default policy retries up to 3 contacts) — with
@@ -334,38 +317,6 @@ class RefreshScheduler:
                 if not pending.future.done():
                     pending.future.set_exception(exc)
         self._h_tick_seconds.observe(time.perf_counter() - tick_started)
-        self._adapt_tick(len(batch))
-
-    def _adapt_tick(self, plans_in_tick: int) -> None:
-        """Resize the coalescing window after a tick (group-commit style).
-
-        Load (≥ 2 plans met in the window, or more already queued behind
-        it) grows the window so the next tick amortizes further; an idle
-        tick — one lone plan that waited for nobody — shrinks it back
-        toward ``tick_min`` so light traffic isn't taxed with latency.
-        """
-        if not self.adaptive_tick:
-            return
-        loaded = plans_in_tick + len(self._pending) >= 2
-        if loaded:
-            # Growth is capped at tick_max, but an operator-configured
-            # interval already above the cap is left alone — load must
-            # never *shrink* the window.
-            grown = max(self.tick_interval * 2, self.TICK_QUANTUM)
-            grown = min(grown, self.tick_max)
-            if grown > self.tick_interval:
-                self._c_event["tick_grow"].inc()
-                self.tick_interval = grown
-        else:
-            shrunk = max(self.tick_interval / 2, self.tick_min)
-            if shrunk < self.TICK_QUANTUM:
-                shrunk = self.tick_min
-            # An idle tick may only lower the window — a tick_min above
-            # the current interval must not add latency here.
-            shrunk = min(shrunk, self.tick_interval)
-            if shrunk < self.tick_interval:
-                self._c_event["tick_shrink"].inc()
-                self.tick_interval = shrunk
 
     # ------------------------------------------------------------------
     def _model_for(self, cache: DataCache) -> BatchedCostModel | None:

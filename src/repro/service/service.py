@@ -15,9 +15,8 @@ Per query the flow is:
    than it (:class:`~repro.errors.AdmissionError`), which caps the
    refresh spend any one client can trigger;
 2. **routing** — ``query(cache_id, …)`` pins a cache; ``query(group_id,
-   …)`` asks the pluggable :class:`~repro.service.routing.CacheRouter`
-   (sticky-by-client by default; least-loaded and widest-bounds-aware
-   ship too) to pick a replica subscribed to the queried table;
+   …)`` hashes the client id over the group's replicas subscribed to the
+   queried table (:class:`~repro.service.routing.StickyRouter`);
 3. **result cache** — repeat queries whose cached bounded answer is young
    and still satisfies the constraint are served without touching the
    executor (:class:`~repro.service.results.ResultCache`).  Entries are
@@ -60,7 +59,7 @@ from repro.faults import FaultInjector, RetryPolicy
 from repro.replication.cache import DataCache
 from repro.replication.system import TrappSystem
 from repro.service.results import ResultCache
-from repro.service.routing import CacheRouter, StickyRouter
+from repro.service.routing import StickyRouter
 from repro.service.scheduler import RefreshScheduler
 from repro.sql.compiler import AnyQueryPlan, compile_statement
 from repro.sql.parser import parse_statement
@@ -99,10 +98,6 @@ class QueryService:
         cost_model: BatchedCostModel | None = None,
         tick_interval: float = 0.0,
         network_delay: float = 0.0,
-        adaptive_tick: bool = False,
-        tick_min: float = 0.0,
-        tick_max: float = 0.05,
-        router: CacheRouter | None = None,
         telemetry: Telemetry | None = None,
         retry_policy: "RetryPolicy | None" = None,
         fault_injector: "FaultInjector | None" = None,
@@ -112,8 +107,8 @@ class QueryService:
         self.system = system
         self.max_inflight_per_client = max_inflight_per_client
         self.precision_floor = precision_floor
-        #: Replica selection for group queries; sticky-by-client default.
-        self.router = router if router is not None else StickyRouter()
+        #: Replica selection for group queries: sticky by client.
+        self._router = StickyRouter()
         #: One registry + tracer per deployment (PR 7): the service's own
         #: counters, the scheduler's, the result cache's, and the live
         #: system collectors all land here, and the ``metrics``/``trace``
@@ -134,9 +129,6 @@ class QueryService:
             cost_model=cost_model,
             tick_interval=tick_interval,
             network_delay=network_delay,
-            adaptive_tick=adaptive_tick,
-            tick_min=tick_min,
-            tick_max=tick_max,
             on_refresh=self._on_refresh_dispatched,
             registry=telemetry.registry,
             retry_policy=retry_policy,
@@ -243,7 +235,7 @@ class QueryService:
                 # A draining replica finishes what it has but takes no new
                 # queries — its clients re-stick to survivors *now*, not
                 # at detach completion (membership-change re-sticking is
-                # what the routers' candidate-list contract provides).
+                # what the router's candidate-list contract provides).
                 undrained = [
                     c for c in candidates if c.cache_id not in self._draining
                 ]
@@ -254,11 +246,7 @@ class QueryService:
                     f"no cache in group {cache_id!r} is subscribed to "
                     f"every table in {table_names!r}"
                 )
-            route_key = "+".join(table_names)
-            cache = self.router.route(
-                candidates, client_id, route_key, self._inflight_by_cache
-            )
-            return cache, group
+            return self._router.route(candidates, client_id), group
         cache = self.system.cache(cache_id)
         return cache, cache.group
 

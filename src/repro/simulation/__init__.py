@@ -1,4 +1,4 @@
-"""Discrete-event simulation substrate: clock, events, walks, network."""
+"""Discrete-event simulation substrate: clock, events, walks."""
 
 from repro.simulation.clock import Clock
 from repro.simulation.engine import (
@@ -8,14 +8,12 @@ from repro.simulation.engine import (
     UpdateDriver,
 )
 from repro.simulation.events import Event, EventQueue
-from repro.simulation.network import LatencyNetwork
 from repro.simulation.random_walk import GaussianWalk, GeometricWalk, RandomWalk
 
 __all__ = [
     "Clock",
     "Event",
     "EventQueue",
-    "LatencyNetwork",
     "RandomWalk",
     "GaussianWalk",
     "GeometricWalk",

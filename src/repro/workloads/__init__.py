@@ -1,7 +1,6 @@
 """Workload generators: the paper's example data and synthetic equivalents."""
 
 from repro.workloads.chaos import ChaosScenario, chaos_injector, chaos_schedule
-from repro.workloads.elastic import GroupAutoscaler, ScaleEvent
 from repro.workloads.netmon import (
     LINKS_SCHEMA,
     PAPER_LINKS,
@@ -50,8 +49,6 @@ __all__ = [
     "ChaosScenario",
     "chaos_injector",
     "chaos_schedule",
-    "GroupAutoscaler",
-    "ScaleEvent",
     "ClientScript",
     "ClosedLoopResult",
     "closed_loop_scripts",

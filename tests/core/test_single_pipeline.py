@@ -10,8 +10,9 @@ is the only copy of every cell: rows are read-only records built from it.
 The options that used to select other routes are gone, the row-taking
 method family is gone, the service's sync deferral is gone, the refresh
 loop is written once, the one-row predicate semantics, the callerless
-``Bound`` helpers and the unserved §8 sketches live outside ``src/``, and
-none of them may creep back in.
+``Bound`` helpers and the unserved §8 sketches live outside ``src/``,
+one tick policy, one router and one pricing path are served, and none of
+the others may creep back in.
 """
 
 from __future__ import annotations
@@ -227,6 +228,7 @@ def test_opaque_cost_is_called_once_per_candidate():
         QueryService.__init__,
         QueryService.query,
         RefreshScheduler.__init__,
+        BatchedCostModel,
         Telemetry.__init__,
         MetricsRegistry.__init__,
         Tracer.__init__,
@@ -238,6 +240,7 @@ def test_opaque_cost_is_called_once_per_candidate():
         "QueryService",
         "QueryService.query",
         "RefreshScheduler",
+        "BatchedCostModel",
         "Telemetry",
         "MetricsRegistry",
         "Tracer",
@@ -254,6 +257,11 @@ def test_route_options_are_gone(entry_point):
     } & parameters
     if entry_point is QueryService.query:
         assert not {"precision_floor", "max_inflight"} & parameters
+    # One tick policy, one router, one pricing path: the fixed tick, the
+    # sticky hash and the configured ``setup + marginal·k``.
+    assert not {
+        "adaptive_tick", "tick_min", "tick_max", "router", "calibrator",
+    } & parameters
 
 
 def test_executor_probes_nothing_and_src_never_imports_tests():
@@ -348,3 +356,12 @@ def test_executor_probes_nothing_and_src_never_imports_tests():
         r"|fault_counts|_build_width_order|_UNINDEXED|def stats\("
     )
     assert not [name for name, text in sources.items() if views.search(text)]
+    # ``src/`` keeps only what a deployment runs: no adaptive tick, no
+    # alternative router, no measured-cost calibrator or its network, no
+    # autoscaler loop (that one lives beside its golden test).
+    unserved = re.compile(
+        r"CostCalibrator|NetworkProber|LatencyNetwork|CacheRouter"
+        r"|LeastLoadedRouter|WidestBoundsRouter|GroupAutoscaler|TICK_QUANTUM"
+        r"|tick_grow|current_table_width"
+    )
+    assert not [name for name, text in sources.items() if unserved.search(text)]

@@ -22,6 +22,7 @@ from repro.service import QueryService
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 
+from tests.oracle.percell_sync import table_width_per_key
 from tests.service.conftest import degraded_answers, fault_events
 
 #: No sleeping in unit tests: zero backoff, fully deterministic.
@@ -175,10 +176,10 @@ def test_degraded_answers_never_leak_into_snapshot_transfer():
         # its adopted bound state matches the donor's exactly — the
         # transfer moved replication state, not answers.
         assert all(key[0] != "edge/2" for key in service.results._entries)
-        assert (
-            system.cache("edge/2").current_table_width("t")
-            == system.cache("edge/0").current_table_width("t")
-        )
+        now = system.clock.now()
+        assert table_width_per_key(
+            system.cache("edge/2"), "t", now
+        ) == table_width_per_key(system.cache("edge/0"), "t", now)
         # Its first answer is computed fresh, not inherited.
         mine = await service.query("edge/2", SQL, client_id="c2")
         assert not mine.cached

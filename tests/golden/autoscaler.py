@@ -1,4 +1,5 @@
-"""Load-driven elasticity for cache groups: grow and shrink from traffic.
+"""The control loop the ``elastic.*`` golden claims drive: a cache group
+that grows and shrinks from traffic.
 
 The membership protocol (detach / snapshot admit /
 :meth:`~repro.replication.sharding.ShardedSource.migrate_master`) makes a
@@ -11,20 +12,18 @@ divided by the member count — read straight off the service's
 what the serving tier admitted (routed and pinned alike), not what
 clients merely offered.
 
-Control policy (deliberately classic — watermarks plus cooldown):
+Control policy (deliberately classic — watermarks):
 
 * pressure above ``high_watermark`` admits one snapshot-initialized
   joiner (``<group>/autoN``), up to ``max_replicas``;
 * pressure below ``low_watermark`` drains and detaches the member that
   served the fewest queries in the window (cache-id tie-break), down to
-  ``min_replicas``;
-* actions are separated by at least ``cooldown`` simulated seconds, so
-  one traffic spike cannot thrash membership faster than snapshots and
-  drains settle.
+  ``min_replicas``.
 
 Every action is recorded as a :class:`ScaleEvent` (time, direction,
 cache, pressure, transfer cost) — the trajectory
-``tests/golden/test_service_claims.py`` pins.
+``test_service_claims.py`` pins.  No deployment runs this loop, so it
+lives beside its one caller rather than in the library.
 """
 
 from __future__ import annotations
@@ -32,8 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import TrappError
-
-__all__ = ["GroupAutoscaler", "ScaleEvent"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,8 +67,6 @@ class GroupAutoscaler:
         max_replicas: int = 8,
         high_watermark: float = 8.0,
         low_watermark: float = 2.0,
-        cooldown: float = 0.0,
-        cost_model_factory=None,
     ) -> None:
         if min_replicas < 1:
             raise ValueError("min_replicas must be at least 1")
@@ -85,13 +80,8 @@ class GroupAutoscaler:
         self.max_replicas = max_replicas
         self.high_watermark = high_watermark
         self.low_watermark = low_watermark
-        self.cooldown = cooldown
-        #: ``cache_id -> BatchedCostModel`` for replicas this autoscaler
-        #: admits; ``None`` leaves them on the scheduler's default model.
-        self.cost_model_factory = cost_model_factory
         self.events: list[ScaleEvent] = []
         self._joiner_serial = 0
-        self._last_action_at: float | None = None
         #: Routed-counter totals at the previous step, per member.
         self._last_totals: dict[str, float] = {}
 
@@ -122,25 +112,18 @@ class GroupAutoscaler:
         forward so the next step measures fresh traffic only.
         """
         system = self.service.system
-        group = system.group(self.group_id)
         deltas = self._window_deltas()
         members = len(deltas)
         pressure = sum(deltas.values()) / members if members else 0.0
         now = system.clock.now()
 
         event: ScaleEvent | None = None
-        in_cooldown = (
-            self._last_action_at is not None
-            and now - self._last_action_at < self.cooldown
-        )
-        if not in_cooldown:
-            if pressure > self.high_watermark and members < self.max_replicas:
-                event = self._admit(now, pressure, members)
-            elif pressure < self.low_watermark and members > self.min_replicas:
-                event = await self._detach(now, pressure, members, deltas)
+        if pressure > self.high_watermark and members < self.max_replicas:
+            event = self._admit(now, pressure, members)
+        elif pressure < self.low_watermark and members > self.min_replicas:
+            event = await self._detach(now, pressure, members, deltas)
         if event is not None:
             self.events.append(event)
-            self._last_action_at = now
 
         self._last_totals = {
             cache_id: self._served_total(cache_id)
@@ -157,15 +140,7 @@ class GroupAutoscaler:
                 system.cache(cache_id)
             except TrappError:
                 break  # id is free
-        receipt = self.service.admit_replica(
-            self.group_id,
-            cache_id,
-            cost_model=(
-                self.cost_model_factory(cache_id)
-                if self.cost_model_factory is not None
-                else None
-            ),
-        )
+        receipt = self.service.admit_replica(self.group_id, cache_id)
         return ScaleEvent(
             at=now,
             action="admit",

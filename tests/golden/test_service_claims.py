@@ -34,7 +34,6 @@ from repro.sql.steps import plan_steps
 from repro.storage.columnar import harvest_candidates
 from repro.storage.schema import Schema
 from repro.storage.table import Table
-from repro.workloads import GroupAutoscaler
 from repro.workloads.chaos import ChaosScenario, chaos_injector
 from repro.workloads.service import (
     mixed_scripts,
@@ -44,6 +43,7 @@ from repro.workloads.service import (
     sharded_service_system,
     sharded_sum_scripts,
 )
+from tests.golden.autoscaler import GroupAutoscaler
 
 SEED = 20000521
 
@@ -180,9 +180,7 @@ FANINS = (1, 2, 4, 8)
 
 async def _run_fanin(n_shards: int) -> dict:
     system, model = sharded_service_system(n_shards, n_links=240, seed=SEED)
-    service = QueryService(
-        system, max_inflight=64, cost_model=model, adaptive_tick=True
-    )
+    service = QueryService(system, max_inflight=64, cost_model=model)
     cache = system.cache("monitor")
     scripts = sharded_sum_scripts(cache.table("links"), 6, 3, seed=SEED)
     answers, errors = await _serve(
@@ -223,9 +221,7 @@ async def _run_fanout(n_caches: int, coalesced: bool) -> dict:
         n_caches, n_shards=4, n_links=240, seed=SEED, group_id="edge",
         fanout=coalesced,
     )
-    service = QueryService(
-        system, max_inflight=64, cost_model=model, adaptive_tick=True
-    )
+    service = QueryService(system, max_inflight=64, cost_model=model)
     group = system.group("edge")
     scripts = sharded_sum_scripts(
         group.cache("edge/0").table("links"), 8, 3, seed=SEED
@@ -283,7 +279,7 @@ async def _run_outage_rate(outage_rate: float) -> dict:
         latency_rate=outage_rate / 2,
     )
     service = QueryService(
-        system, max_inflight=64, cost_model=model, adaptive_tick=True,
+        system, max_inflight=64, cost_model=model,
         fault_injector=chaos_injector(system, scenario),
         # Deterministic backoff, no real sleeping.
         retry_policy=RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0),
@@ -354,9 +350,7 @@ async def _run_ramp() -> dict:
         START_REPLICAS, n_shards=2, n_links=160, seed=SEED, group_id="edge",
         fanout=True,
     )
-    service = QueryService(
-        system, max_inflight=64, cost_model=model, adaptive_tick=True
-    )
+    service = QueryService(system, max_inflight=64, cost_model=model)
     group = system.group("edge")
     table = group.cache("edge/0").table("links")
     scaler = GroupAutoscaler(

@@ -2,7 +2,8 @@
 
 One ``BoundFunction.at`` and one ``Table.update_value`` per subscription:
 the reference the column-at-a-time sweep must match bit for bit.  Also
-the per-key reference of ``DataCache.current_table_width``.
+a table's total bound width evaluated key by key, which lockstep siblings
+must agree on bit for bit.
 """
 
 from __future__ import annotations

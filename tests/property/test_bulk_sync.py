@@ -27,7 +27,7 @@ from repro.replication.messages import ObjectKey
 from repro.replication.system import TrappSystem
 from repro.storage.schema import Schema
 from repro.storage.table import Table
-from tests.oracle.percell_sync import per_cell_sync, table_width_per_key
+from tests.oracle.percell_sync import per_cell_sync
 
 grid = st.integers(min_value=-256, max_value=256).map(lambda k: k / 32.0)
 
@@ -105,7 +105,6 @@ def _fresh_order_contents(store, column):
 def _assert_twins_agree(bulk: TrappSystem, oracle: TrappSystem, context: str):
     members = sorted(bulk.group("g").cache_ids())
     assert members == sorted(oracle.group("g").cache_ids()), context
-    now = bulk.clock.now()
     for cache_id in members:
         ours, theirs = bulk.cache(cache_id), oracle.cache(cache_id)
         a, b = ours.table("t"), theirs.table("t")
@@ -133,9 +132,6 @@ def _assert_twins_agree(bulk: TrappSystem, oracle: TrappSystem, context: str):
                 bound = row_a.bound(column)
                 assert bound.lo == a.columns._lo[column][slot], where
                 assert bound.hi == a.columns._hi[column][slot], where
-        assert ours.current_table_width("t") == table_width_per_key(
-            ours, "t", now
-        ), where
 
 
 def _assert_standing_clock_is_free(system: TrappSystem, context: str):

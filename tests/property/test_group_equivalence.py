@@ -37,6 +37,7 @@ from repro.replication.messages import ObjectKey
 from repro.replication.system import TrappSystem
 from repro.storage.schema import Schema
 from repro.storage.table import Table
+from tests.oracle.percell_sync import table_width_per_key
 
 # A dyadic grid keeps every arithmetic comparison exact in binary
 # floating point — the property certifies identical planning, not ulps.
@@ -287,9 +288,12 @@ def test_membership_schedule_preserves_equivalence(master, schedule, age):
     # The group may have churned arbitrarily, but whatever members
     # remain must still carry bit-identical bound state: their uniform
     # widths for the whole table agree with the static cache's.
-    expected = single.cache("c").current_table_width("t")
+    expected = table_width_per_key(single.cache("c"), "t", single.clock.now())
     for cache_id in sorted(group.cache_ids()):
-        assert group.cache(cache_id).current_table_width("t") == expected, (
+        width = table_width_per_key(
+            group.cache(cache_id), "t", grouped.clock.now()
+        )
+        assert width == expected, (
             f"{cache_id} drifted from the static cache after "
             f"[{_describe(schedule)}]"
         )

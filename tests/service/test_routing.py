@@ -1,4 +1,4 @@
-"""CacheRouter policies and QueryService group routing."""
+"""Sticky routing and QueryService group routing."""
 
 from __future__ import annotations
 
@@ -9,12 +9,7 @@ import pytest
 
 from repro.errors import ServiceError
 from repro.replication.system import TrappSystem
-from repro.service import (
-    LeastLoadedRouter,
-    QueryService,
-    StickyRouter,
-    WidestBoundsRouter,
-)
+from repro.service import QueryService, StickyRouter
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 
@@ -26,10 +21,10 @@ def make_master(n: int = 6) -> Table:
     return table
 
 
-def build_group_system(n_caches: int = 3, fanout: bool = True) -> TrappSystem:
+def build_group_system(n_caches: int = 3) -> TrappSystem:
     system = TrappSystem()
     system.add_source("s").add_table(make_master())
-    system.add_group("edge", fanout=fanout)
+    system.add_group("edge")
     for index in range(n_caches):
         system.add_cache(f"edge/{index}", shards={"t": "s"}, group="edge")
     return system
@@ -40,70 +35,20 @@ def run(coro):
 
 
 # ----------------------------------------------------------------------
-# Policies in isolation
+# The router in isolation
 # ----------------------------------------------------------------------
 def test_sticky_router_is_deterministic_and_client_keyed():
     system = build_group_system(3)
     candidates = system.group("edge").caches_of_table("t")
     router = StickyRouter()
-    picks = {
-        client: router.route(candidates, client, "t", {}) for client in "abcdef"
-    }
+    picks = {client: router.route(candidates, client) for client in "abcdef"}
     # Same client → same cache, every time.
     for client, cache in picks.items():
-        assert router.route(candidates, client, "t", {}) is cache
+        assert router.route(candidates, client) is cache
         expected = zlib.crc32(client.encode()) % len(candidates)
         assert cache is candidates[expected]
     # Six clients over three replicas: more than one replica in play.
     assert len({cache.cache_id for cache in picks.values()}) > 1
-
-
-def test_least_loaded_router_follows_load_view():
-    system = build_group_system(3)
-    candidates = system.group("edge").caches_of_table("t")
-    router = LeastLoadedRouter()
-    loads = {"edge/0": 3, "edge/1": 1, "edge/2": 2}
-    assert router.route(candidates, "anyone", "t", loads).cache_id == "edge/1"
-    # Ties break on cache id.
-    assert router.route(candidates, "anyone", "t", {}).cache_id == "edge/0"
-
-
-def test_widest_bounds_router_prefers_tight_replica():
-    system = build_group_system(3, fanout=False)  # independent bound state
-    system.clock.advance(25.0)
-    for cache in system.group("edge"):
-        cache.sync_bounds()
-    tight = system.cache("edge/2")
-    tight.refresh_batched(tight.table("t"), tight.table("t").tids())
-    candidates = system.group("edge").caches_of_table("t")
-    router = WidestBoundsRouter()
-    assert router.route(candidates, "anyone", "t", {}) is tight
-
-
-def test_widest_bounds_router_is_not_fooled_by_stale_cells():
-    """An idle replica's materialized cells look tight (they reflect its
-    last sync), but its true bounds kept widening — ranking must use
-    time-evaluated widths, not cells."""
-    system = build_group_system(2, fanout=False)
-    system.clock.advance(5.0)
-    fresh, idle = system.group("edge").caches_of_table("t")
-    fresh.sync_bounds()
-    idle.sync_bounds()
-    # `fresh` refreshes everything (bound functions re-anchored now);
-    # `idle` does nothing more.  Time passes: idle's cells still show the
-    # old, narrower widths, but its true bounds are now the wider ones.
-    fresh.refresh_batched(fresh.table("t"), fresh.table("t").tids())
-    system.clock.advance(100.0)
-    fresh.sync_bounds()  # fresh's cells now honestly show its widths
-    router = WidestBoundsRouter()
-    candidates = system.group("edge").caches_of_table("t")
-    assert router.route(candidates, "anyone", "t", {}) is fresh
-
-
-def test_routers_reject_empty_candidates():
-    for router in (StickyRouter(), LeastLoadedRouter(), WidestBoundsRouter()):
-        with pytest.raises(ServiceError):
-            router.route([], "c", "t", {})
 
 
 # ----------------------------------------------------------------------
@@ -175,18 +120,3 @@ def test_shared_result_tier_spans_replicas():
     assert second.cached  # same answer, different replica, zero execution
     assert second.answer.bound.lo == first.answer.bound.lo
 
-
-def test_custom_router_is_consulted():
-    class PinLast:
-        def route(self, candidates, client_id, table_name, loads):
-            return candidates[-1]
-
-    system = build_group_system(3)
-    service = QueryService(system, router=PinLast())
-
-    async def go():
-        return await service.query(
-            "edge", "SELECT COUNT(*) WITHIN 0 FROM t", client_id="x"
-        )
-
-    assert run(go()).cache_id == "edge/2"

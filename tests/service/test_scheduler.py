@@ -289,89 +289,6 @@ def test_real_cache_roundtrip_collapses_bounds():
 
 
 # ----------------------------------------------------------------------
-# Adaptive tick sizing (ROADMAP item / ISSUE 3 satellite)
-# ----------------------------------------------------------------------
-class TestAdaptiveTick:
-    def test_grows_under_load(self):
-        scheduler = RefreshScheduler(adaptive_tick=True, tick_max=0.008)
-        assert scheduler.tick_interval == 0.0
-        scheduler._adapt_tick(plans_in_tick=3)
-        assert scheduler.tick_interval == scheduler.TICK_QUANTUM
-        grown = []
-        for _ in range(6):
-            scheduler._adapt_tick(plans_in_tick=3)
-            grown.append(scheduler.tick_interval)
-        assert grown == sorted(grown), "interval must grow monotonically"
-        assert scheduler.tick_interval == 0.008, "growth is capped at tick_max"
-        assert scheduler_events(scheduler, "tick_grow") >= 3
-
-    def test_shrinks_when_idle(self):
-        scheduler = RefreshScheduler(
-            adaptive_tick=True, tick_interval=0.008, tick_min=0.0
-        )
-        scheduler._adapt_tick(plans_in_tick=1)
-        assert scheduler.tick_interval == 0.004
-        for _ in range(6):
-            scheduler._adapt_tick(plans_in_tick=1)
-        assert scheduler.tick_interval == 0.0, "lone plans decay to tick_min"
-        assert scheduler_events(scheduler, "tick_shrink") >= 3
-
-    def test_disabled_by_default(self):
-        scheduler = RefreshScheduler()
-        scheduler._adapt_tick(plans_in_tick=10)
-        assert scheduler.tick_interval == 0.0
-        assert scheduler_events(scheduler, "tick_grow") == 0
-
-    def test_queued_backlog_counts_as_load(self):
-        scheduler = RefreshScheduler(adaptive_tick=True)
-        scheduler._pending.append(None)  # one plan already waiting behind the tick
-        scheduler._adapt_tick(plans_in_tick=1)
-        assert scheduler.tick_interval == scheduler.TICK_QUANTUM
-        scheduler._pending.clear()
-
-    def test_end_to_end_both_directions(self):
-        """Bursts widen the window; a lone trailing query narrows it."""
-        table = make_table(6)
-        cache = FakeCache({tid: "s1" for tid in range(1, 7)})
-        scheduler = RefreshScheduler(adaptive_tick=True, tick_max=0.004)
-
-        async def burst():
-            return await asyncio.gather(
-                scheduler.submit(cache, planned(table, {1, 2})),
-                scheduler.submit(cache, planned(table, {2, 3})),
-                scheduler.submit(cache, planned(table, {3, 4})),
-            )
-
-        run(burst())
-        widened = scheduler.tick_interval
-        assert widened > 0.0
-        assert scheduler_events(scheduler, "tick_grow") >= 1
-
-        async def lone():
-            return await scheduler.submit(cache, planned(table, {5}))
-
-        run(lone())
-        assert scheduler.tick_interval < widened
-        assert scheduler_events(scheduler, "tick_shrink") >= 1
-
-    def test_operator_interval_above_cap_is_not_shrunk_by_load(self):
-        scheduler = RefreshScheduler(
-            adaptive_tick=True, tick_interval=0.2, tick_max=0.05
-        )
-        scheduler._adapt_tick(plans_in_tick=5)
-        assert scheduler.tick_interval == 0.2
-        assert scheduler_events(scheduler, "tick_grow") == 0
-
-    def test_idle_tick_never_raises_the_interval(self):
-        scheduler = RefreshScheduler(
-            adaptive_tick=True, tick_interval=0.0, tick_min=0.01
-        )
-        scheduler._adapt_tick(plans_in_tick=1)
-        assert scheduler.tick_interval == 0.0
-        assert scheduler_events(scheduler, "tick_shrink") == 0
-
-
-# ----------------------------------------------------------------------
 class TestPerShardPricing:
     """Per-source cost parameters: each shard's message is priced (and
     attributed) with that shard's own setup/marginal."""

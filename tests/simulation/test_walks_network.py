@@ -1,4 +1,4 @@
-"""Unit tests for random walks and the latency network."""
+"""Unit tests for random walks."""
 
 import random
 import statistics
@@ -6,9 +6,6 @@ import statistics
 import pytest
 
 from repro.errors import SimulationError
-from repro.simulation.clock import Clock
-from repro.simulation.events import EventQueue
-from repro.simulation.network import LatencyNetwork
 from repro.simulation.random_walk import GaussianWalk, GeometricWalk, RandomWalk
 
 
@@ -74,56 +71,3 @@ class TestGeometricWalk:
     def test_positive_start_required(self):
         with pytest.raises(SimulationError):
             GeometricWalk(value=0.0)
-
-
-class TestLatencyNetwork:
-    def test_delivery_with_latency(self):
-        clock = Clock()
-        queue = EventQueue(clock)
-        network = LatencyNetwork(queue, default_latency=2.0)
-        received = []
-        network.attach("b", lambda sender, msg: received.append((clock.now(), msg)))
-        network.send("a", "b", "hello")
-        assert received == []  # not yet delivered
-        queue.run_all()
-        assert received == [(2.0, "hello")]
-
-    def test_per_pair_latency(self):
-        clock = Clock()
-        queue = EventQueue(clock)
-        network = LatencyNetwork(queue, default_latency=1.0)
-        received = []
-        network.attach("b", lambda sender, msg: received.append(clock.now()))
-        network.set_latency("a", "b", 5.0)
-        network.send("a", "b", "x")
-        queue.run_all()
-        assert received == [5.0]
-        assert network.latency("a", "b") == 5.0
-        assert network.latency("z", "b") == 1.0
-
-    def test_unknown_endpoint_rejected(self):
-        network = LatencyNetwork(EventQueue(Clock()))
-        with pytest.raises(SimulationError):
-            network.send("a", "ghost", "x")
-
-    def test_counters(self):
-        clock = Clock()
-        queue = EventQueue(clock)
-        network = LatencyNetwork(queue)
-        network.attach("b", lambda s, m: None)
-        network.send("a", "b", 1)
-        network.send("a", "b", 2)
-        queue.run_all()
-        assert network.messages_sent == 2
-        assert network.received_count("b") == 2
-
-    def test_ordering_preserved_at_equal_latency(self):
-        clock = Clock()
-        queue = EventQueue(clock)
-        network = LatencyNetwork(queue, default_latency=1.0)
-        received = []
-        network.attach("b", lambda s, m: received.append(m))
-        for i in range(5):
-            network.send("a", "b", i)
-        queue.run_all()
-        assert received == [0, 1, 2, 3, 4]

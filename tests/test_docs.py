@@ -16,6 +16,9 @@ Three classes of reference are verified across ``README.md``,
   results file cannot linger in prose that reads as current.
 * **Commands** — the script argument of every ``python <path>.py``.
 
+The per-change measurement records under ``docs/perf/`` are history: the
+files they name may since have gone, so only their links are checked.
+
 The ``.py`` files under ``src/``, ``tests/``, ``examples/`` and
 ``scripts/`` are held to the same rule for every Markdown file name they
 mention: a docstring that points a reader at a document must point at
@@ -49,6 +52,10 @@ def checked_files() -> list[Path]:
         REPO / ".claude" / "skills" / "verify" / "SKILL.md",
         REPO / ".github" / "workflows" / "ci.yml",
     ]
+
+
+def archived_files() -> list[Path]:
+    return sorted((REPO / "docs" / "perf").glob("*.md"))
 
 
 def repo_basenames() -> set[str]:
@@ -121,6 +128,7 @@ def test_no_broken_doc_references():
         for doc in checked_files()
         for error in (*broken_links(doc), *missing_files(doc, basenames))
     ]
+    broken += [error for doc in archived_files() for error in broken_links(doc)]
     assert not broken, "\n".join(broken)
 
 
