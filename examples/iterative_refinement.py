@@ -71,9 +71,9 @@ def main():
     # The batch optimizer must guarantee the constraint for ANY realization,
     # so it typically refreshes more than the online run needed.
     table = stock_cache_table(days)
-    batch = QueryExecutor(
-        refresher=LocalRefresher(stock_master_table(days)), epsilon=0.1
-    ).execute(table, "AVG", "price", BUDGET, cost=cost)
+    batch = QueryExecutor(refresher=LocalRefresher(stock_master_table(days))).execute(
+        table, "AVG", "price", BUDGET, cost=cost
+    )
     print(f"  batch : {len(batch.refreshed)} refreshes, cost {batch.refresh_cost:g}")
     print(
         "\nThe batch plan pays for worst-case realizations; the online run"

@@ -16,7 +16,7 @@ from repro.workloads.netmon import paper_example_table, paper_master_table
 
 
 def run_query(title, table, refresher, aggregate, column, budget, where=None):
-    executor = QueryExecutor(refresher=refresher, force_exact=True)
+    executor = QueryExecutor(refresher=refresher)
     predicate = parse_predicate(where) if where else None
     answer = executor.execute(
         table,
@@ -89,7 +89,7 @@ def main():
     for budget in (100, 50, 25, 10, 5, 1, 0):
         table = paper_example_table()
         refresher = LocalRefresher(paper_master_table())
-        executor = QueryExecutor(refresher=refresher, force_exact=True)
+        executor = QueryExecutor(refresher=refresher)
         answer = executor.execute(
             table, "SUM", "traffic", budget,
             cost=ColumnCostModel("cost"),

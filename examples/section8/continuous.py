@@ -47,7 +47,6 @@ class ContinuousQuery:
     cost: CostFunc = uniform_cost
     #: Minimum endpoint movement before listeners are notified.
     notify_delta: float = 0.0
-    epsilon: float | None = None
 
     _listeners: list[Listener] = field(init=False, default_factory=list)
     _last_delivered: Bound | None = field(init=False, default=None)
@@ -62,7 +61,7 @@ class ContinuousQuery:
 
     def poll(self) -> BoundedAnswer:
         """Re-evaluate now; refresh if needed; notify on visible change."""
-        executor = QueryExecutor(refresher=self.refresher, epsilon=self.epsilon)
+        executor = QueryExecutor(refresher=self.refresher)
         answer = executor.execute(
             self.table,
             self.aggregate,

@@ -5,13 +5,14 @@ experiments, caches each ticker's [day-low, day-high] as its price bound,
 and answers portfolio-style aggregation queries at a range of precision
 constraints, demonstrating how much cheaper approximate answers are.
 
-Also shows the knapsack approximation knob: the same query solved exactly
-and at several epsilon values.
+Also shows the knapsack approximation knob: the same AVG plan from
+choosers built at several epsilon values.
 
 Run:  python examples/stock_ticker.py
 """
 
 from repro.core.executor import QueryExecutor
+from repro.core.refresh import AvgChooseRefresh
 from repro.extensions.topn import bounded_top_n
 from repro.replication import ColumnCostModel
 from repro.replication.local import LocalRefresher
@@ -39,7 +40,7 @@ def main():
     for budget in (500, 200, 100, 50, 20, 5, 0):
         table = stock_cache_table(days)
         refresher = LocalRefresher(stock_master_table(days))
-        executor = QueryExecutor(refresher=refresher, epsilon=0.1)
+        executor = QueryExecutor(refresher=refresher)
         answer = executor.execute(table, "SUM", "price", budget, cost=cost)
         pct = 100.0 * answer.refresh_cost / total_cost_possible
         print(
@@ -47,22 +48,20 @@ def main():
             f"{len(answer.refreshed):>9}  {answer.refresh_cost:>6g}  {pct:>8.1f}%"
         )
 
-    print("\nAVG(price) WITHIN 0.25 under different knapsack solvers:")
-    for label, kwargs in [
-        ("exact DP", {"force_exact": True}),
-        ("eps=0.01", {"epsilon": 0.01}),
-        ("eps=0.1", {"epsilon": 0.1}),
-        ("eps=0.5", {"epsilon": 0.5}),
-    ]:
-        table = stock_cache_table(days)
-        refresher = LocalRefresher(stock_master_table(days))
-        executor = QueryExecutor(refresher=refresher, **kwargs)
-        answer = executor.execute(table, "AVG", "price", 0.25, cost=cost)
-        print(
-            f"  {label:>9}: cost {answer.refresh_cost:>5g}, "
-            f"width {answer.width:.3f}, refreshed {len(answer.refreshed)}"
+    print("\nAVG(price) WITHIN 0.25 planned by choosers built at several epsilon:")
+    table = stock_cache_table(days)
+    for epsilon in (0.01, 0.1, 0.5):
+        plan, _ = AvgChooseRefresh(epsilon=epsilon).without_predicate(
+            table, "price", 0.25, cost
         )
-    print("  (looser epsilon -> faster optimizer, slightly costlier plan)")
+        print(
+            f"  eps={epsilon:<4}: plan cost {plan.total_cost:>5g}, "
+            f"tuples {len(plan.tids)}"
+        )
+    print(
+        "  (these costs are small integers, so the exact DP plans at every\n"
+        "   epsilon; epsilon matters once costs are fractional or large)"
+    )
 
     print("\nBounded TOP-5 most expensive tickers (no refreshing):")
     table = stock_cache_table(days)

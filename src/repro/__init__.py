@@ -31,7 +31,6 @@ from repro.core import (
     PrecisionConstraint,
     QueryExecutor,
     RelativePrecision,
-    execute_query,
 )
 from repro.replication import DataCache, DataSource, TrappSystem
 from repro.sql import parse_statement
@@ -50,7 +49,6 @@ __all__ = [
     "AbsolutePrecision",
     "RelativePrecision",
     "QueryExecutor",
-    "execute_query",
     "TrappSystem",
     "DataSource",
     "DataCache",

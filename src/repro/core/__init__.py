@@ -13,7 +13,6 @@ from repro.core.executor import (
     NullRefreshProvider,
     QueryExecutor,
     RefreshProvider,
-    execute_query,
 )
 
 __all__ = [
@@ -30,5 +29,4 @@ __all__ = [
     "QueryExecutor",
     "RefreshProvider",
     "NullRefreshProvider",
-    "execute_query",
 ]

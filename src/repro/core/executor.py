@@ -28,8 +28,8 @@ Predicates referencing only exact columns are evaluated two-valued up
 front (the §5 "no selection predicate" regime); predicates touching
 bounded columns go through T+/T?/T− classification (§6).  The Appendix D
 refinement — shrinking T? bounds when the predicate restricts the
-aggregation column itself — is applied for the answer computation when
-``refine_bounds`` is enabled.
+aggregation column itself — is always applied, to the answer and to the
+plan alike.
 
 There is one pipeline, and it reads only the table's columnar store
 (:class:`~repro.storage.columnar.ColumnStore`):
@@ -93,7 +93,6 @@ __all__ = [
     "NullRefreshProvider",
     "PlannedRefresh",
     "QueryExecutor",
-    "execute_query",
     "iterative_steps",
     "refresh_steps",
     "lockstep_steps",
@@ -213,7 +212,6 @@ def bounded_answer(
     spec,
     column: str | None,
     predicate: Predicate,
-    refine: bool = True,
     within: "tuple[np.ndarray, np.ndarray] | None" = None,
 ):
     """The bounded answer from the column arrays, with its partition.
@@ -237,9 +235,7 @@ def bounded_answer(
             return spec.bound_without_predicate(store, column), None
         report = classify_report(store, predicate)
         within = report.positions
-    cc = ColumnarClassification.from_positions(
-        store, within, column, predicate if refine else None
-    )
+    cc = ColumnarClassification.from_positions(store, within, column, predicate)
     return spec.bound_with_classification(cc, column), report
 
 
@@ -431,8 +427,7 @@ class _TableStatement:
 
     def __init__(
         self, table: Table, aggregate: str, column: str | None,
-        predicate: Predicate | None, cost: CostFunc, refine: bool = True,
-        epsilon: float | None = None, force_exact: bool = False,
+        predicate: Predicate | None, cost: CostFunc,
     ) -> None:
         self.predicate = predicate if predicate is not None else TruePredicate()
         for name in columns_of(self.predicate):
@@ -440,16 +435,13 @@ class _TableStatement:
         self.spec = get_aggregate(aggregate)
         if self.spec.needs_column and column is None:
             raise UnknownColumnError("<missing>", table.name)
-        self.chooser = get_choose_refresh(
-            self.spec.name, epsilon=epsilon, force_exact=force_exact
-        )
+        self.chooser = get_choose_refresh(self.spec.name)
         self.table, self.column, self.cost = table, column, cost
-        self.refine = refine and column is not None
         self.report = self.answer_fields = None
 
     def bound(self) -> Bound:
         bound, self.report = bounded_answer(
-            self.table, self.spec, self.column, self.predicate, self.refine
+            self.table, self.spec, self.column, self.predicate
         )
         if self.answer_fields is None:  # step 1's partition is the one reported
             fraction = None if self.report is None else self.report.window_fraction
@@ -464,7 +456,7 @@ class _TableStatement:
         else:
             plan, candidates = self.chooser.with_classification(
                 self.table, self.report.positions, self.column, max_width,
-                self.cost, predicate=self.predicate if self.refine else None,
+                self.cost, predicate=self.predicate,
             )
         # A chooser hands back candidates when the final width is the
         # current width minus the widths the refreshed tuples remove (SUM).
@@ -547,17 +539,8 @@ def _benefit(
 class QueryExecutor:
     """Executes bounded aggregation queries against one cached table."""
 
-    def __init__(
-        self,
-        refresher: RefreshProvider | None = None,
-        epsilon: float | None = None,
-        force_exact: bool = False,
-        refine_bounds: bool = True,
-    ) -> None:
+    def __init__(self, refresher: RefreshProvider | None = None) -> None:
         self.refresher = refresher if refresher is not None else NullRefreshProvider()
-        self.epsilon = epsilon
-        self.force_exact = force_exact
-        self.refine_bounds = refine_bounds
 
     # ------------------------------------------------------------------
     def execute(
@@ -597,10 +580,7 @@ class QueryExecutor:
         A relative constraint whose bound straddles zero takes one-tuple
         rounds until it does not (§8.1).
         """
-        statement = _TableStatement(
-            table, aggregate, column, predicate, cost,
-            self.refine_bounds, self.epsilon, self.force_exact,
-        )
+        statement = _TableStatement(table, aggregate, column, predicate, cost)
         return (
             yield from refresh_steps(
                 statement.bound, constraint, statement.plan, statement.pick,
@@ -631,30 +611,3 @@ def iterative_steps(
             fields=lambda: statement.answer_fields,
         )
     )
-
-
-def execute_query(
-    table: Table,
-    aggregate: str,
-    column: str | None,
-    constraint: PrecisionConstraint | float,
-    predicate: Predicate | None = None,
-    cost: CostFunc = uniform_cost,
-    refresher: RefreshProvider | None = None,
-    epsilon: float | None = None,
-    force_exact: bool = False,
-    refine_bounds: bool = True,
-) -> BoundedAnswer:
-    """One-shot convenience wrapper around :class:`QueryExecutor`.
-
-    Every executor option — including ``force_exact`` and
-    ``refine_bounds`` — is forwarded, so the wrapper answers exactly as a
-    hand-built executor would.
-    """
-    executor = QueryExecutor(
-        refresher=refresher,
-        epsilon=epsilon,
-        force_exact=force_exact,
-        refine_bounds=refine_bounds,
-    )
-    return executor.execute(table, aggregate, column, constraint, predicate, cost)

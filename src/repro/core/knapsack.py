@@ -69,6 +69,10 @@ __all__ = [
 #: (the paper finds 0.1 "very close to optimal" — Figure 5 discussion).
 _FALLBACK_EPSILON = 0.1
 
+#: The vector API runs the exact DP when the integral profits sum to at
+#: most this; above it, or on fractional profits, Ibarra–Kim's ε scheme.
+_EXACT_PROFIT_LIMIT = 100_000
+
 
 @dataclass(frozen=True, slots=True)
 class KnapsackItem:
@@ -435,12 +439,9 @@ def solve_vector(
     capacity: float,
     *,
     epsilon: float | None = None,
-    force_exact: bool = False,
-    force_approx: bool = False,
     order: Sequence[int] | None = None,
     integral: bool | None = None,
     profit_total: float | None = None,
-    exact_profit_limit: int = 100_000,
 ) -> VectorSolution:
     """Plan a refresh directly from parallel candidate vectors.
 
@@ -450,20 +451,18 @@ def solve_vector(
     result lists the positions *not* kept — the refresh plan — because
     that complement is what CHOOSE_REFRESH materializes.
 
-    Solver selection mirrors the SUM optimizer: uniform profits take the
-    ascending-weight greedy (walking ``order`` — positions pre-sorted by
-    (weight, position) from a planner cache — instead of sorting);
-    integral profits below ``exact_profit_limit`` (or ``force_exact``,
-    which — like :func:`solve_exact_dp` — rejects non-integral profits)
-    take the sparse exact DP; anything else takes Ibarra–Kim with the
-    profit-prefix early exit enabled.  ``integral`` and ``profit_total``
-    (any upper bound on the integral profit sum) short-circuit the
-    per-call scans when the harvester already knows them.
+    The instance alone selects the solver (§5.2): uniform profits take
+    the ascending-weight greedy (walking ``order`` — positions pre-sorted
+    by (weight, position) from a planner cache — instead of sorting);
+    integral profits summing to at most ``_EXACT_PROFIT_LIMIT`` take
+    the sparse exact DP; anything else takes Ibarra–Kim at ``epsilon``
+    with the profit-prefix early exit enabled.  ``integral`` and
+    ``profit_total`` (any upper bound on the integral profit sum)
+    short-circuit the per-call scans when the harvester already knows
+    them.
     """
     if math.isnan(capacity):
         raise OptimizerError("knapsack capacity must not be NaN")
-    if force_exact and force_approx:
-        raise OptimizerError("force_exact and force_approx are mutually exclusive")
     n = len(weights)
     kept: list[int] = []
     refresh: list[int] = []
@@ -493,10 +492,10 @@ def solve_vector(
             if p > p_max:
                 p_max = p
 
-    if contend and total_w <= capacity and not force_approx:
+    if contend and total_w <= capacity:
         kept.extend(contend)
     elif contend:
-        if not force_approx and p_min == p_max:
+        if p_min == p_max:
             kept_c, refresh_c = _greedy_uniform_positions(
                 weights, capacity, contend, order
             )
@@ -507,20 +506,9 @@ def solve_vector(
                 integral = all(
                     abs(profits[k] - round(profits[k])) <= 1e-9 for k in contend
                 )
-            if force_exact and not integral:
-                raise OptimizerError(
-                    "solve_vector(force_exact=True) requires integral profits; "
-                    "use the epsilon path for real-valued refresh costs"
-                )
-            if not integral:
-                total_p = 0
-            elif profit_total is not None:
-                total_p = profit_total
-            else:
-                total_p = sum(int(round(profits[k])) for k in contend)
-            if not force_approx and (
-                force_exact or (integral and total_p <= exact_profit_limit)
-            ):
+            if integral and profit_total is None:
+                profit_total = sum(int(round(profits[k])) for k in contend)
+            if integral and profit_total <= _EXACT_PROFIT_LIMIT:
                 dp = [k for k in contend if round(profits[k]) > 0]
                 dp_kept = _sparse_dp(
                     [weights[k] for k in dp],

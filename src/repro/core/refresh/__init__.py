@@ -1,8 +1,9 @@
 """CHOOSE_REFRESH optimizers, one per aggregate.
 
-:func:`get_choose_refresh` dispatches on the SQL aggregate name.  SUM and
-AVG accept an ``epsilon`` for their knapsack approximation (paper default
-0.1); MIN/MAX/COUNT optimizers are exactly optimal and parameter-free.
+:func:`get_choose_refresh` dispatches on the SQL aggregate name.  The
+SUM and AVG constructors take the ``epsilon`` of their knapsack
+approximation (paper default 0.1; the served choosers use it);
+MIN/MAX/COUNT optimizers are exactly optimal and parameter-free.
 """
 
 from repro.core.refresh.base import (
@@ -57,20 +58,10 @@ def register_choose_refresh(name: str, chooser: ChooseRefresh) -> ChooseRefresh:
     return chooser
 
 
-def get_choose_refresh(
-    name: str, epsilon: float | None = None, force_exact: bool = False
-) -> ChooseRefresh:
+def get_choose_refresh(name: str) -> ChooseRefresh:
     """Return the CHOOSE_REFRESH optimizer for an aggregate by SQL name."""
     key = name.upper()
     if key not in _DEFAULTS:
         known = ", ".join(sorted(_DEFAULTS))
         raise TrappError(f"unknown aggregate {name!r}; known: {known}")
-    if key == "SUM" and (epsilon is not None or force_exact):
-        return SumChooseRefresh(
-            epsilon=epsilon or DEFAULT_EPSILON, force_exact=force_exact
-        )
-    if key == "AVG" and (epsilon is not None or force_exact):
-        return AvgChooseRefresh(
-            epsilon=epsilon or DEFAULT_EPSILON, force_exact=force_exact
-        )
     return _DEFAULTS[key]

@@ -55,10 +55,9 @@ class AvgChooseRefresh:
 
     name = "AVG"
 
-    def __init__(self, epsilon: float = DEFAULT_EPSILON, force_exact: bool = False):
+    def __init__(self, epsilon: float = DEFAULT_EPSILON):
         self.epsilon = epsilon
-        self.force_exact = force_exact
-        self._sum = SumChooseRefresh(epsilon=epsilon, force_exact=force_exact)
+        self._sum = SumChooseRefresh(epsilon=epsilon)
 
     def without_predicate(
         self,

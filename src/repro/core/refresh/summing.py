@@ -11,10 +11,11 @@ tuple's weight uses its bound extended to zero (§6.2): the tuple might not
 satisfy the predicate and contribute nothing, so the answer must already
 tolerate its value being absent.
 
-Solver selection: the exact DP runs when every cost is integral and the
-instance is small; otherwise the Ibarra–Kim ε-approximation is used (the
-paper's choice, ε tunable).  The uniform-cost special case short-circuits
-to the ascending-width greedy, which is optimal there (§5.2).
+Solver selection reads the instance alone (§5.2): the uniform-cost case
+short-circuits to the ascending-width greedy, which is optimal there; the
+exact DP runs when every cost is integral and their total is small;
+otherwise the Ibarra–Kim ε-approximation is used (the paper's choice, ε
+set where the chooser is built).
 
 Both entry points harvest candidate vectors straight from the table's
 :class:`~repro.storage.columnar.ColumnStore` — no per-tuple objects;
@@ -66,29 +67,14 @@ __all__ = ["SumChooseRefresh", "CHOOSE_SUM"]
 #: optimal" while keeping the optimizer fast (Figure 5 discussion).
 DEFAULT_EPSILON = 0.1
 
-#: Instances whose total integral profit stays below this use the exact DP.
-_EXACT_DP_PROFIT_LIMIT = 100_000
-
 
 class SumChooseRefresh:
     """Knapsack-based refresh selection for bounded SUM queries."""
 
     name = "SUM"
 
-    def __init__(
-        self,
-        epsilon: float = DEFAULT_EPSILON,
-        force_exact: bool = False,
-        force_approx: bool = False,
-    ):
-        if force_exact and force_approx:
-            raise TrappError("force_exact and force_approx are mutually exclusive")
+    def __init__(self, epsilon: float = DEFAULT_EPSILON):
         self.epsilon = epsilon
-        self.force_exact = force_exact
-        #: Always run the Ibarra-Kim scheme, even when the instance admits
-        #: the exact DP or uniform greedy.  Used by the Figure 5 golden
-        #: test to measure the approximation's ε/work tradeoff in isolation.
-        self.force_approx = force_approx
 
     def without_predicate(
         self,
@@ -163,7 +149,7 @@ class SumChooseRefresh:
         """Solver selection over candidate vectors."""
         if len(cv) == 0:
             return RefreshPlan.empty()
-        if not self.force_approx and cv.cost_min == cv.cost_max:
+        if cv.cost_min == cv.cost_max:
             # Uniform costs: the kept set is the longest sorted-width
             # prefix fitting the budget (§5.2 greedy).  The cut is
             # sequential — ``w <= remaining; remaining -= w`` over the
@@ -189,12 +175,9 @@ class SumChooseRefresh:
             costs,
             capacity,
             epsilon=self.epsilon,
-            force_exact=self.force_exact,
-            force_approx=self.force_approx,
             order=order,
             integral=cv.costs_integral,
             profit_total=cv.cost_total if cv.costs_integral else None,
-            exact_profit_limit=_EXACT_DP_PROFIT_LIMIT,
         )
         tids = cv.tids
         return RefreshPlan(

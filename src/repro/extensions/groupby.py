@@ -88,7 +88,6 @@ def grouped_query_steps(
     max_width: float,
     predicate: Predicate | None = None,
     cost: CostFunc = uniform_cost,
-    epsilon: float | None = None,
 ) -> ExecutionSteps:
     """``SELECT key, AGG(column) WITHIN R ... GROUP BY key`` as a generator.
 
@@ -114,7 +113,7 @@ def grouped_query_steps(
             )
 
     predicate = predicate if predicate is not None else TruePredicate()
-    groups = _Groups(table, group_by, aggregate, column, predicate, cost, epsilon)
+    groups = _Groups(table, group_by, aggregate, column, predicate, cost)
     # Key values come from the object arrays, not from the float64 ones:
     # their Python types decide the repr order below and what goes over
     # the wire.
@@ -168,7 +167,6 @@ def grouped_query(
     predicate: Predicate | None = None,
     cost: CostFunc = uniform_cost,
     refresher: RefreshProvider | None = None,
-    epsilon: float | None = None,
 ) -> list[GroupResult]:
     """Run ``SELECT key, AGG(column) WITHIN R ... GROUP BY key``.
 
@@ -178,7 +176,7 @@ def grouped_query(
     """
     refresher = refresher if refresher is not None else NullRefreshProvider()
     steps = grouped_query_steps(
-        table, group_by, aggregate, column, max_width, predicate, cost, epsilon
+        table, group_by, aggregate, column, max_width, predicate, cost
     )
     answer = drive_steps(steps, refresher)
     return list(answer.groups)
@@ -197,13 +195,11 @@ class _Groups:
     round, not once per group.
     """
 
-    def __init__(
-        self, table, group_by, aggregate, column, predicate, cost, epsilon
-    ) -> None:
+    def __init__(self, table, group_by, aggregate, column, predicate, cost) -> None:
         self.table, self.group_by, self.predicate = table, group_by, predicate
         self.aggregate, self.column, self.cost = aggregate, column, cost
         self.spec = get_aggregate(aggregate)
-        self.chooser = get_choose_refresh(aggregate, epsilon=epsilon)
+        self.chooser = get_choose_refresh(aggregate)
         self.version = None
         self.split()
 

@@ -23,13 +23,7 @@ from repro.replication.messages import (
 )
 from repro.replication.fanout import CacheGroup
 from repro.replication.local import LocalRefresher
-from repro.replication.sharding import (
-    KeyPartitioner,
-    ShardedSource,
-    hash_by_key,
-    range_by_key,
-    round_robin,
-)
+from repro.replication.sharding import ShardedSource, round_robin
 from repro.replication.source import DataSource, RefreshMonitor
 from repro.replication.system import TrappSystem
 
@@ -40,10 +34,7 @@ __all__ = [
     "DataCache",
     "DataSource",
     "LocalRefresher",
-    "KeyPartitioner",
     "ShardedSource",
-    "hash_by_key",
-    "range_by_key",
     "round_robin",
     "RefreshMonitor",
     "TrappSystem",

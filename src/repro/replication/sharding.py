@@ -17,8 +17,8 @@ schema, a disjoint subset of the tuple ids), and everything downstream —
 subscription, the refresh protocol, the monitor — runs per shard exactly
 as it would for an unsharded source.  The wrapper only owns the routing:
 
-* :meth:`add_table` partitions a master table's rows across the shards
-  with a pluggable ``partitioner`` (default: round-robin on tuple id);
+* :meth:`add_table` partitions a master table's rows across the shards,
+  round-robin on tuple id (:func:`round_robin`);
 * :meth:`shard_for` / :meth:`shard_id_of` answer "which shard owns this
   tuple";
 * master-side mutations (:meth:`apply_update`, :meth:`insert_row`,
@@ -33,10 +33,7 @@ records the tid→shard routing in the cached table's
 
 from __future__ import annotations
 
-import bisect
-import zlib
-from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.errors import ReplicationProtocolError
 from repro.replication.messages import (
@@ -48,79 +45,12 @@ from repro.replication.messages import (
 from repro.replication.source import DataSource
 from repro.storage.table import Table
 
-__all__ = [
-    "ShardedSource",
-    "KeyPartitioner",
-    "hash_by_key",
-    "range_by_key",
-    "round_robin",
-]
-
-#: ``(tid, n_shards) -> shard index`` — decides which shard owns a tuple.
-#: A :class:`KeyPartitioner` routes on a column value instead of the tid.
-Partitioner = Callable[[int, int], int]
+__all__ = ["ShardedSource", "round_robin"]
 
 
 def round_robin(tid: int, n_shards: int) -> int:
-    """The default partitioner: stripe tuple ids across shards."""
+    """The placement: stripe tuple ids across shards."""
     return tid % n_shards
-
-
-@dataclass(frozen=True, slots=True)
-class KeyPartitioner:
-    """A partitioner routing on a *column value* rather than the tuple id.
-
-    ``key_column`` names the attribute read at partition time (table
-    loading and inserts); routing of later per-tuple operations (updates,
-    deletes, refreshes) always goes through the recorded tid → shard map,
-    so the key column may even be mutable without stranding tuples.
-    """
-
-    key_column: str
-    route_value: Callable[[Any, int], int]
-
-    def __call__(self, value: Any, n_shards: int) -> int:
-        return self.route_value(value, n_shards)
-
-
-def hash_by_key(column: str) -> KeyPartitioner:
-    """Hash-partition on a column, stable across processes and runs.
-
-    Uses CRC-32 of the value's text form rather than :func:`hash` —
-    Python string hashing is salted per process, and shard layouts must
-    be reproducible for benchmarks and for rebuilding a deployment.
-    """
-
-    def route(value: Any, n_shards: int) -> int:
-        return zlib.crc32(repr(value).encode()) % n_shards
-
-    return KeyPartitioner(column, route)
-
-
-def range_by_key(column: str, boundaries: Sequence[float]) -> KeyPartitioner:
-    """Range-partition on a column: shard ``i`` holds values in
-    ``[boundaries[i-1], boundaries[i])`` (half-open, ascending).
-
-    ``boundaries`` are the N−1 split points of an N-shard layout; values
-    below the first boundary land on shard 0, values at or above the last
-    on shard N−1.
-    """
-    cuts = tuple(float(b) for b in boundaries)
-    if list(cuts) != sorted(set(cuts)):
-        raise ReplicationProtocolError(
-            f"range partitioner boundaries must be strictly ascending, "
-            f"got {list(boundaries)!r}"
-        )
-
-    def route(value: Any, n_shards: int) -> int:
-        if len(cuts) != n_shards - 1:
-            raise ReplicationProtocolError(
-                f"range partitioner has {len(cuts)} boundaries; an "
-                f"{n_shards}-shard source needs exactly {n_shards - 1}"
-            )
-        return bisect.bisect_right(cuts, float(value))
-
-    return KeyPartitioner(column, route)
 
 
 class ShardedSource:
@@ -132,12 +62,7 @@ class ShardedSource:
     <repro.replication.system.TrappSystem.add_source>`.
     """
 
-    def __init__(
-        self,
-        source_id: str,
-        shards: Sequence[DataSource],
-        partitioner: Partitioner = round_robin,
-    ) -> None:
+    def __init__(self, source_id: str, shards: Sequence[DataSource]) -> None:
         if not shards:
             raise ReplicationProtocolError(
                 f"sharded source {source_id!r} needs at least one shard"
@@ -152,7 +77,6 @@ class ShardedSource:
             seen.add(shard.source_id)
         self.source_id = source_id
         self.shards: tuple[DataSource, ...] = tuple(shards)
-        self.partitioner = partitioner
         #: ``(table, tid) -> shard index`` — the master-side routing map.
         self._shard_of: dict[tuple[str, int], int] = {}
         self._tables: set[str] = set()
@@ -165,7 +89,6 @@ class ShardedSource:
         cls,
         source_id: str,
         n_shards: int,
-        partitioner: Partitioner = round_robin,
         clock: Callable[[], float] = lambda: 0.0,
         **source_kwargs,
     ) -> "ShardedSource":
@@ -179,7 +102,7 @@ class ShardedSource:
             DataSource(f"{source_id}/{i}", clock=clock, **source_kwargs)
             for i in range(n_shards)
         ]
-        return cls(source_id, shards, partitioner)
+        return cls(source_id, shards)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -223,7 +146,7 @@ class ShardedSource:
         """Partition a master table's rows across the shards.
 
         Each shard receives its own :class:`Table` (same name and
-        schema) holding the rows the partitioner routes to it — original
+        schema) holding the rows :func:`round_robin` routes to it — original
         tuple ids preserved, which is what keeps the cache's merged view
         and the replication protocol's :class:`ObjectKey` space
         consistent.  The input table is left untouched (it is the
@@ -237,9 +160,8 @@ class ShardedSource:
         partitions = [Table(table.name, table.schema) for _ in self.shards]
         next_tid = 1
         for row in table.rows():
-            values = row.as_dict()
-            index = self._route(row.tid, values)
-            partitions[index].insert(values, tid=row.tid)
+            index = round_robin(row.tid, len(self.shards))
+            partitions[index].insert(row.as_dict(), tid=row.tid)
             self._shard_of[(table.name, row.tid)] = index
             next_tid = max(next_tid, row.tid + 1)
         for shard, partition in zip(self.shards, partitions):
@@ -247,25 +169,6 @@ class ShardedSource:
         self._tables.add(table.name)
         self._next_tid[table.name] = next_tid
         return partitions
-
-    def _route(self, tid: int, values: Mapping[str, Any] | None = None) -> int:
-        key_column = getattr(self.partitioner, "key_column", None)
-        if key_column is not None:
-            if values is None or key_column not in values:
-                raise ReplicationProtocolError(
-                    f"partitioner for sharded source {self.source_id!r} "
-                    f"routes on column {key_column!r}, which the tuple "
-                    "being placed does not carry"
-                )
-            index = self.partitioner(values[key_column], len(self.shards))
-        else:
-            index = self.partitioner(tid, len(self.shards))
-        if not 0 <= index < len(self.shards):
-            raise ReplicationProtocolError(
-                f"partitioner routed tuple #{tid} to shard {index}, but "
-                f"sharded source {self.source_id!r} has {len(self.shards)} shards"
-            )
-        return index
 
     # ------------------------------------------------------------------
     # Master-side mutations, routed to the owning shard
@@ -287,7 +190,7 @@ class ShardedSource:
                 f"{table_name!r}"
             )
         tid = self._next_tid[table_name]
-        index = self._route(tid, values)
+        index = round_robin(tid, len(self.shards))
         change = self.shards[index].insert_row(table_name, values, tid=tid)
         self._shard_of[(table_name, tid)] = index
         self._next_tid[table_name] = tid + 1

@@ -29,7 +29,7 @@ from repro.errors import TrappError
 from repro.predicates.ast import Predicate
 from repro.replication.cache import DataCache
 from repro.replication.fanout import CacheGroup
-from repro.replication.sharding import Partitioner, ShardedSource, round_robin
+from repro.replication.sharding import ShardedSource
 from repro.replication.source import DataSource
 from repro.simulation.clock import Clock
 
@@ -39,13 +39,8 @@ __all__ = ["TrappSystem"]
 class TrappSystem:
     """A complete TRAPP deployment: clock, sources, caches, query API."""
 
-    def __init__(
-        self,
-        clock: Clock | None = None,
-        epsilon: float | None = None,
-    ):
+    def __init__(self, clock: Clock | None = None):
         self.clock = clock if clock is not None else Clock()
-        self.epsilon = epsilon
         self._sources: dict[str, DataSource] = {}
         self._caches: dict[str, DataCache] = {}
         #: Set by :meth:`repro.telemetry.Telemetry.observe_system`; caches
@@ -59,10 +54,9 @@ class TrappSystem:
         #: namespace so the query service can route ``query(group_id, …)``.
         self._groups: dict[str, CacheGroup] = {}
         # Executors are stateless across execute() calls, so one per
-        # (cache, epsilon) is reused for every query — the query service
-        # calls this path at high rate and must not pay a constructor
-        # per query.
-        self._executors: dict[tuple[str, float | None], QueryExecutor] = {}
+        # cache is reused for every query — the query service calls this
+        # path at high rate and must not pay a constructor per query.
+        self._executors: dict[str, QueryExecutor] = {}
 
     # ------------------------------------------------------------------
     # Topology
@@ -71,7 +65,6 @@ class TrappSystem:
         self,
         source_id: str,
         shards: int | None = None,
-        partitioner: Partitioner | None = None,
         **kwargs,
     ) -> "DataSource | ShardedSource":
         """Create a data source, optionally sharded.
@@ -81,32 +74,20 @@ class TrappSystem:
         registered individually, so ``system.source("s1/2")`` resolves);
         master tables added to it are horizontally partitioned, and a
         cache subscribing to it serves one logical table whose refreshes
-        fan out per shard.  ``partitioner`` selects the placement policy:
-        the default round-robin on tuple id, or a key-based policy such as
-        :func:`~repro.replication.sharding.hash_by_key` /
-        :func:`~repro.replication.sharding.range_by_key`.  ``shards=None``
-        keeps the classic single source.  ``**kwargs`` (bound shapes,
-        width policies, piggyback) are forwarded to every underlying
-        :class:`DataSource`.
+        fan out per shard; tuple ids are striped round-robin across the
+        shards.  ``shards=None`` keeps the classic single source.
+        ``**kwargs`` (bound shapes, width policies, piggyback) are
+        forwarded to every underlying :class:`DataSource`.
         """
         if source_id in self._sources:
             raise TrappError(f"source {source_id!r} already exists")
         if shards is None:
-            if partitioner is not None:
-                raise TrappError(
-                    "partitioner= requires shards=N; an unsharded source "
-                    "has nothing to partition"
-                )
             source: DataSource | ShardedSource = DataSource(
                 source_id, clock=self.clock.now, **kwargs
             )
         else:
             source = ShardedSource.create(
-                source_id,
-                shards,
-                partitioner=partitioner if partitioner is not None else round_robin,
-                clock=self.clock.now,
-                **kwargs,
+                source_id, shards, clock=self.clock.now, **kwargs
             )
             for shard in source.shards:
                 if shard.source_id in self._sources:
@@ -338,7 +319,6 @@ class TrappSystem:
         cache_id: str,
         sql: str,
         cost: CostFunc | None = None,
-        epsilon: float | None = None,
     ) -> BoundedAnswer:
         """Parse and execute a TRAPP SQL statement against one cache.
 
@@ -349,10 +329,8 @@ class TrappSystem:
         :class:`~repro.service.QueryService` drives the *same*
         generators through its refresh scheduler, so the two paths
         return identical answers for identical interleavings.
-        ``epsilon`` configures the single-table planner's (1 − ε)
-        approximation (GROUP BY included); the join heuristic is greedy
-        per base tuple and has no approximation knob, so joins ignore
-        it.  GROUP BY statements return a
+        ``cost`` prices each tuple's refresh (§3; uniform when ``None``).
+        GROUP BY statements return a
         :class:`~repro.extensions.groupby.GroupedAnswer` (per-group
         breakdown in ``.groups``); ``TOPN(n, column)`` statements a
         :class:`~repro.extensions.topn.TopNAnswer` (membership sets).
@@ -366,7 +344,7 @@ class TrappSystem:
         cache.sync_bounds()
         statement = parse_statement(sql)
         plan = compile_statement(statement, cache.catalog)
-        executor = self.executor_for(cache_id, epsilon)
+        executor = self.executor_for(cache_id)
         steps = plan_steps(plan, executor, cost=self._resolve_cost(cost))
         return drive_steps(steps, cache)
 
@@ -379,12 +357,11 @@ class TrappSystem:
         constraint: PrecisionConstraint | float,
         predicate: Predicate | None = None,
         cost: CostFunc | None = None,
-        epsilon: float | None = None,
     ) -> BoundedAnswer:
         """Execute a query given pre-built AST pieces (no SQL text)."""
         cache = self.cache(cache_id)
         cache.sync_bounds()
-        executor = self.executor_for(cache_id, epsilon)
+        executor = self.executor_for(cache_id)
         return executor.execute(
             table=cache.table(table),
             aggregate=aggregate,
@@ -395,23 +372,17 @@ class TrappSystem:
         )
 
     # ------------------------------------------------------------------
-    def executor_for(
-        self, cache_id: str, epsilon: float | None = None
-    ) -> QueryExecutor:
+    def executor_for(self, cache_id: str) -> QueryExecutor:
         """The shared, reusable executor for one cache.
 
         Executors hold no per-query state, so the same instance safely
         serves every query against a cache (including interleaved
         ``execute_steps`` generators driven by the concurrent service).
         """
-        effective = epsilon if epsilon is not None else self.epsilon
-        key = (cache_id, effective)
-        executor = self._executors.get(key)
+        executor = self._executors.get(cache_id)
         if executor is None:
-            executor = QueryExecutor(
-                refresher=self.cache(cache_id), epsilon=effective
-            )
-            self._executors[key] = executor
+            executor = QueryExecutor(refresher=self.cache(cache_id))
+            self._executors[cache_id] = executor
         return executor
 
     # ------------------------------------------------------------------

@@ -83,17 +83,13 @@ class ResultCache:
         column: "Hashable | None",
         predicate: Predicate | None,
         max_width: float,
-        epsilon: float | None = None,
         extra: Hashable = None,
     ) -> Hashable:
-        """The full identity of a shareable query.
+        """The full identity of a query.
 
         ``tables`` is the table name for single-table statements or the
         ordered tuple of referenced table names for joins; ``column``
         accordingly a column name or a join's ``(table, column)`` pair.
-        ``epsilon`` is part of the identity because it changes which
-        tuples CHOOSE_REFRESH picks (and therefore the answer's refresh
-        metadata), even though any epsilon's answer meets the width.
         ``extra`` carries statement-class identity beyond the aggregate —
         GROUP BY columns, a TOP-N rank — so differently-shaped answers
         never alias.
@@ -103,7 +99,7 @@ class ResultCache:
             tables = (tables,)
         return (
             cache_id, tuple(tables), aggregate, column, predicate_key,
-            max_width, epsilon, extra,
+            max_width, extra,
         )
 
     # ------------------------------------------------------------------

@@ -52,7 +52,6 @@ from dataclasses import dataclass
 
 from repro.core.answer import BoundedAnswer
 from repro.core.constraints import AbsolutePrecision
-from repro.core.refresh.base import CostFunc
 from repro.errors import AdmissionError, ServiceError, ServiceOverloadError
 from repro.extensions.batching import BatchedCostModel
 from repro.faults import FaultInjector, RetryPolicy
@@ -256,8 +255,6 @@ class QueryService:
         cache_id: str,
         sql: str,
         client_id: str = "anon",
-        cost: CostFunc | None = None,
-        epsilon: float | None = None,
     ) -> ServiceResult:
         """Parse, admit, route, and execute one TRAPP SQL statement.
 
@@ -271,9 +268,7 @@ class QueryService:
         """
         trace = self.telemetry.tracer.start(client_id, sql)
         try:
-            return await self._query_traced(
-                cache_id, sql, client_id, cost, epsilon, trace
-            )
+            return await self._query_traced(cache_id, sql, client_id, trace)
         except (AdmissionError, ServiceOverloadError):
             trace.finish(status="rejected")
             raise
@@ -282,13 +277,7 @@ class QueryService:
             raise
 
     async def _query_traced(
-        self,
-        cache_id: str,
-        sql: str,
-        client_id: str,
-        cost: CostFunc | None,
-        epsilon: float | None,
-        trace,
+        self, cache_id: str, sql: str, client_id: str, trace
     ) -> ServiceResult:
         started = time.perf_counter()
         statement = parse_statement(sql)
@@ -297,9 +286,7 @@ class QueryService:
         plan = compile_statement(statement, cache.catalog)
         self._admit(client_id, plan)
         try:
-            return await self._serve(
-                cache, group, is_group, plan, client_id, cost, epsilon, trace
-            )
+            return await self._serve(cache, group, is_group, plan, client_id, trace)
         finally:
             self._h_query_seconds.labels(
                 **{"class": plan.statement_class}
@@ -312,8 +299,6 @@ class QueryService:
         is_group: bool,
         plan: AnyQueryPlan,
         client_id: str,
-        cost: CostFunc | None,
-        epsilon: float | None,
         trace,
     ) -> ServiceResult:
         """An admitted query: result tiers, single-flight, then execution."""
@@ -327,22 +312,6 @@ class QueryService:
             cache=cache.cache_id, mode="routed" if is_group else "pinned"
         ).inc()
 
-        # A caller-supplied cost model has no stable identity to key on,
-        # so such queries neither read nor feed the shared answers.
-        shareable = cost is None
-        if not shareable:
-            answer = await self._execute(
-                cache, plan, client_id, cost, epsilon, trace
-            )
-            self._c_served.inc()
-            trace.finish(cached=False, width=answer.width)
-            return ServiceResult(
-                answer=answer,
-                cached=False,
-                client_id=client_id,
-                cache_id=cache.cache_id,
-            )
-
         def scoped_key(scope: str):
             return ResultCache.make_key(
                 scope,
@@ -351,7 +320,6 @@ class QueryService:
                 plan.column_key,
                 plan.predicate,
                 plan.constraint.width,
-                epsilon,
                 extra=plan.cache_extra,
             )
 
@@ -383,7 +351,7 @@ class QueryService:
             # answer exists, so fault-free runs never pay the lookup.
             if self._c_degraded.value:
                 stale = self.results.get(
-                    self._degraded_key(cache, plan, epsilon),
+                    self._degraded_key(cache, plan),
                     plan.constraint.width,
                     allow_degraded=True,
                 )
@@ -437,9 +405,7 @@ class QueryService:
         )
         self._inflight_results[primary_key] = future
         try:
-            answer = await self._execute(
-                cache, plan, client_id, cost, epsilon, trace
-            )
+            answer = await self._execute(cache, plan, client_id, trace)
         except BaseException as exc:
             if not future.done():
                 # Our own cancellation must read as "leader gone", not as
@@ -454,7 +420,7 @@ class QueryService:
         if not future.done():
             future.set_result(answer)
         if answer.degraded:
-            self.results.put(self._degraded_key(cache, plan, epsilon), answer)
+            self.results.put(self._degraded_key(cache, plan), answer)
         else:
             self.results.put(primary_key, answer)
         self._c_served.inc()
@@ -467,7 +433,7 @@ class QueryService:
         )
 
     @staticmethod
-    def _degraded_key(cache: DataCache, plan: AnyQueryPlan, epsilon):
+    def _degraded_key(cache: DataCache, plan: AnyQueryPlan):
         """The cache-scoped result key for a degraded answer.
 
         The ``"degraded"`` marker in the key extra keeps these entries
@@ -481,7 +447,6 @@ class QueryService:
             plan.column_key,
             plan.predicate,
             plan.constraint.width,
-            epsilon,
             extra=(plan.cache_extra, "degraded"),
         )
 
@@ -601,8 +566,6 @@ class QueryService:
         cache: DataCache,
         plan: AnyQueryPlan,
         client_id: str,
-        cost: CostFunc | None,
-        epsilon: float | None,
         trace,
     ) -> BoundedAnswer:
         """Run one statement's step generator through the scheduler.
@@ -624,10 +587,7 @@ class QueryService:
                     time.perf_counter() - wait_started
                 )
                 cache.sync_bounds()
-                executor = self.system.executor_for(cache_id, epsilon)
-                steps = plan_steps(
-                    plan, executor, cost=TrappSystem._resolve_cost(cost)
-                )
+                steps = plan_steps(plan, self.system.executor_for(cache_id))
                 rounds = 0
                 try:
                     request = next(steps)

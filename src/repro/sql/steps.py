@@ -34,8 +34,7 @@ def plan_steps(
 ) -> ExecutionSteps:
     """The execution-steps generator for any compiled plan.
 
-    ``executor`` supplies the single-table machinery and the planner
-    configuration shared by the extension generators (``epsilon``); its
+    ``executor`` supplies the single-table machinery; its
     ``refresher`` is *not* consulted — whoever drives the returned
     generator owns refresh application (serially via
     :func:`~repro.core.executor.drive_steps`, or through a scheduler).
@@ -67,7 +66,6 @@ def plan_steps(
             plan.constraint.width,
             plan.predicate,
             cost,
-            epsilon=executor.epsilon,
         )
     if isinstance(plan, TopNQueryPlan):
         from repro.extensions.topn import top_n_steps

@@ -15,6 +15,7 @@ from repro.predicates.parser import parse_predicate
 from repro.replication.local import LocalRefresher
 from repro.storage.schema import Schema
 from repro.storage.table import Table
+from tests.oracle.row_executor import RowQueryExecutor
 
 
 def make_tables():
@@ -112,8 +113,9 @@ class TestRefinement:
         cached = Table("t", schema)
         cached.insert({"x": Bound(0, 20)})  # T? under x > 10
         cached.insert({"x": Bound(12, 14)})  # T+
-        on = QueryExecutor(refine_bounds=True)
-        off = QueryExecutor(refine_bounds=False)
+        # The executor always refines; the oracle can leave it out.
+        on = QueryExecutor()
+        off = RowQueryExecutor(refine_bounds=False)
         predicate = parse_predicate("x > 10")
         bound_on = on.execute(cached, "MIN", "x", math.inf, predicate).bound
         bound_off = off.execute(cached, "MIN", "x", math.inf, predicate).bound
@@ -124,9 +126,7 @@ class TestRefinement:
 
     def test_refinement_never_loses_containment(self):
         cached, master = make_tables()
-        executor = QueryExecutor(
-            refresher=LocalRefresher(master), refine_bounds=True
-        )
+        executor = QueryExecutor(refresher=LocalRefresher(master))
         answer = executor.execute(
             cached, "SUM", "x", 2.0, predicate=parse_predicate("x > 1")
         )

@@ -69,7 +69,7 @@ class TestQ2SumLatency:
         assert bound == Bound(19, 28)
 
     def test_optimal_knapsack_refreshes_1_and_6(self, cached_links, cost_func):
-        chooser = SumChooseRefresh(force_exact=True)
+        chooser = SumChooseRefresh()
         plan = plan_of(
             chooser, cached_links, "latency", 5, cost_func, path(cached_links)
         )
@@ -77,7 +77,7 @@ class TestQ2SumLatency:
         assert plan.total_cost == 5  # costs 3 + 2
 
     def test_answer_after_refresh(self, cached_links, refresher, cost_func):
-        chooser = SumChooseRefresh(force_exact=True)
+        chooser = SumChooseRefresh()
         plan = plan_of(
             chooser, cached_links, "latency", 5, cost_func, path(cached_links)
         )
@@ -91,12 +91,12 @@ class TestQ3AvgTraffic:
         assert bound_of(COUNT, cached_links, None) == Bound.exact(6)
 
     def test_choose_refresh_selects_5_and_6(self, cached_links, cost_func):
-        chooser = AvgChooseRefresh(force_exact=True)
+        chooser = AvgChooseRefresh()
         plan = plan_of(chooser, cached_links, "traffic", 10, cost_func)
         assert set(plan.tids) == {5, 6}
 
     def test_sum_and_avg_after_refresh(self, cached_links, refresher, cost_func):
-        chooser = AvgChooseRefresh(force_exact=True)
+        chooser = AvgChooseRefresh()
         plan = plan_of(chooser, cached_links, "traffic", 10, cost_func)
         refresher.refresh(cached_links, plan.tids)
         total = bound_of(SUM, cached_links, "traffic")
@@ -201,13 +201,13 @@ class TestQ6AvgLatencyWithPredicate:
 
     def test_choose_refresh_keeps_2_and_4(self, cached_links, cost_func):
         _, pair = classes(cached_links, Q6_PREDICATE)
-        chooser = AvgChooseRefresh(force_exact=True)
+        chooser = AvgChooseRefresh()
         plan = plan_of(chooser, cached_links, "latency", 2, cost_func, pair)
         assert set(plan.tids) == {1, 3, 5, 6}
 
     def test_answer_after_refresh(self, cached_links, refresher, cost_func):
         _, pair = classes(cached_links, Q6_PREDICATE)
-        chooser = AvgChooseRefresh(force_exact=True)
+        chooser = AvgChooseRefresh()
         plan = plan_of(chooser, cached_links, "latency", 2, cost_func, pair)
         refresher.refresh(cached_links, plan.tids)
         _, pair2 = classes(cached_links, Q6_PREDICATE)
@@ -225,7 +225,7 @@ class TestEndToEndExecutor:
         path = Table("links", cached_links.schema)
         for tid in (1, 2, 5, 6):
             path.insert(cached_links.row(tid).as_dict(), tid=tid)
-        executor = QueryExecutor(refresher=refresher, force_exact=True)
+        executor = QueryExecutor(refresher=refresher)
         answer = executor.execute(path, "SUM", "latency", 5, cost=cost_func)
         assert answer.initial_bound == Bound(19, 28)
         assert answer.bound == Bound(21, 26)
@@ -259,7 +259,7 @@ class TestEndToEndExecutor:
         assert set(answer.refreshed) == {5}
 
     def test_q6_executor(self, cached_links, refresher, cost_func):
-        executor = QueryExecutor(refresher=refresher, force_exact=True)
+        executor = QueryExecutor(refresher=refresher)
         answer = executor.execute(
             cached_links,
             "AVG",

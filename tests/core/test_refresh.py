@@ -18,7 +18,7 @@ from repro.core.refresh import (
     get_choose_refresh,
 )
 import repro.extensions.median_spec  # noqa: F401 - registers MEDIAN
-from repro.core.executor import execute_query
+from repro.core.executor import QueryExecutor
 from repro.errors import OptimizerError, TrappError, UnknownColumnError
 from repro.extensions.topn import top_n_steps
 from repro.predicates.parser import parse_predicate
@@ -52,12 +52,15 @@ class TestDispatcher:
             get_choose_refresh("MODE")
 
     def test_epsilon_builds_fresh_optimizer(self):
-        chooser = get_choose_refresh("SUM", epsilon=0.05)
-        assert isinstance(chooser, SumChooseRefresh)
-        assert chooser.epsilon == 0.05
-        chooser = get_choose_refresh("AVG", force_exact=True)
-        assert isinstance(chooser, AvgChooseRefresh)
-        assert chooser.force_exact
+        # ε is set where a chooser is built; the dispatcher serves the
+        # paper's default.
+        chooser = SumChooseRefresh(epsilon=0.05)
+        assert chooser is not CHOOSE_SUM and chooser.epsilon == 0.05
+        chooser = AvgChooseRefresh(epsilon=0.05)
+        assert chooser is not CHOOSE_AVG and chooser._sum.epsilon == 0.05
+        assert get_choose_refresh("sum") is CHOOSE_SUM
+        assert get_choose_refresh("avg") is CHOOSE_AVG
+        assert CHOOSE_SUM.epsilon == CHOOSE_AVG.epsilon == 0.1
 
 
 class TestChooseMin:
@@ -152,7 +155,7 @@ class TestChooseSum:
     def test_cost_aware_keeps_expensive(self, cost_func=None):
         table = table_with(Bound(0, 3), Bound(0, 3))
         costs = {1: 100.0, 2: 1.0}
-        chooser = SumChooseRefresh(force_exact=True)
+        chooser = SumChooseRefresh()
         plan = plan_of(chooser, table, "x", 3, lambda r: costs[r.tid])
         # Budget admits one kept tuple; keep the expensive one.
         assert set(plan.tids) == {2}
@@ -176,7 +179,7 @@ class TestChooseSum:
     def test_with_classification_extends_maybe_to_zero(self):
         table, pair = partitioned(plus=[Bound(4, 5)], maybe=[Bound(3, 4)])
         # T? weight is hi = 4 (zero-extended), T+ weight is 1.
-        chooser = SumChooseRefresh(force_exact=True)
+        chooser = SumChooseRefresh()
         plan = plan_of(chooser, table, "x", 1.5, pair=pair)
         assert set(plan.tids) == {2}
 
@@ -217,7 +220,7 @@ class TestChooseCount:
 class TestChooseAvg:
     def test_no_predicate_scales_budget_by_count(self):
         table = table_with(Bound(0, 6), Bound(0, 6), Bound(0, 6))
-        chooser = AvgChooseRefresh(force_exact=True)
+        chooser = AvgChooseRefresh()
         # R = 2 with count 3 -> SUM budget 6: keep one tuple.
         plan = plan_of(chooser, table, "x", 2)
         assert len(plan.tids) == 2
@@ -243,7 +246,7 @@ class TestChooseAvg:
             ]
             table, pair = partitioned(plus=plus, maybe=maybe)
             budget = rng.uniform(0.5, 5)
-            chooser = AvgChooseRefresh(force_exact=True)
+            chooser = AvgChooseRefresh()
             plan = plan_of(chooser, table, "x", budget, pair=pair)
 
             # Adversarial realization: each refreshed T? tuple randomly
@@ -294,9 +297,8 @@ class TestRefreshCostsAreValidated:
         # COUNT only refreshes (and prices) under a bounded predicate.
         predicate = parse_predicate("x > 1") if aggregate == "COUNT" else None
         column = None if aggregate == "COUNT" else "x"
-        return execute_query(
-            cached, aggregate, column, 0.0, predicate, cost,
-            refresher=LocalRefresher(master),
+        return QueryExecutor(refresher=LocalRefresher(master)).execute(
+            cached, aggregate, column, 0.0, predicate, cost
         )
 
     @pytest.mark.parametrize("bad", [-1.0, math.inf], ids=str)  # no NaN cell
@@ -349,7 +351,7 @@ class TestCostColumnMustHoldExactNumbers:
         if statement == "TOPN":
             return next(top_n_steps(self.table(), 1, "x", 0.0, cost=cost))
         predicate = parse_predicate("x > 1") if statement == "COUNT" else None
-        return execute_query(
+        return QueryExecutor().execute(
             self.table(), statement, None if statement == "COUNT" else "x",
             0.0, predicate, cost,
         )

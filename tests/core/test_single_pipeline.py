@@ -11,8 +11,9 @@ The options that used to select other routes are gone, the row-taking
 method family is gone, the service's sync deferral is gone, the refresh
 loop is written once, the one-row predicate semantics, the callerless
 ``Bound`` helpers and the unserved §8 sketches live outside ``src/``,
-one tick policy, one router and one pricing path are served, and none of
-the others may creep back in.
+one tick policy, one router and one pricing path are served, the data
+alone choose the knapsack solver and the shard placement, and none of the
+others may creep back in.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ import repro.extensions.median_spec  # noqa: F401 - registers MEDIAN
 from repro.core.aggregates import registry
 from repro.core.bound import Bound
 from repro.core.constraints import RelativePrecision
-from repro.core.executor import QueryExecutor, execute_query, iterative_steps
+from repro.core.executor import QueryExecutor, iterative_steps
+from repro.core.knapsack import solve_vector
+from repro.core.refresh import AvgChooseRefresh, SumChooseRefresh, get_choose_refresh
 from repro.core.refresh.base import uniform_cost
 from repro.extensions.batching import BatchedCostModel
 from repro.extensions.groupby import grouped_query_steps
@@ -41,7 +44,9 @@ from repro.replication import (
     TrappSystem,
 )
 from repro.replication.local import LocalRefresher
+from repro.replication.sharding import ShardedSource
 from repro.service import QueryService
+from repro.service.results import ResultCache
 from repro.service.scheduler import RefreshScheduler
 from repro.storage.row import Row
 from repro.storage.schema import Schema
@@ -223,7 +228,6 @@ def test_opaque_cost_is_called_once_per_candidate():
     "entry_point",
     [
         QueryExecutor.__init__,
-        execute_query,
         TrappSystem.__init__,
         QueryService.__init__,
         QueryService.query,
@@ -232,10 +236,18 @@ def test_opaque_cost_is_called_once_per_candidate():
         Telemetry.__init__,
         MetricsRegistry.__init__,
         Tracer.__init__,
+        SumChooseRefresh.__init__,
+        AvgChooseRefresh.__init__,
+        get_choose_refresh,
+        solve_vector,
+        grouped_query_steps,
+        TrappSystem.query,
+        TrappSystem.add_source,
+        ShardedSource.create,
+        ResultCache.make_key,
     ],
     ids=[
         "QueryExecutor",
-        "execute_query",
         "TrappSystem",
         "QueryService",
         "QueryService.query",
@@ -244,6 +256,15 @@ def test_opaque_cost_is_called_once_per_candidate():
         "Telemetry",
         "MetricsRegistry",
         "Tracer",
+        "SumChooseRefresh",
+        "AvgChooseRefresh",
+        "get_choose_refresh",
+        "solve_vector",
+        "grouped_query_steps",
+        "TrappSystem.query",
+        "TrappSystem.add_source",
+        "ShardedSource.create",
+        "ResultCache.make_key",
     ],
 )
 def test_route_options_are_gone(entry_point):
@@ -262,6 +283,20 @@ def test_route_options_are_gone(entry_point):
     assert not {
         "adaptive_tick", "tick_min", "tick_max", "router", "calibrator",
     } & parameters
+    # The data choose the solver and the placement: no switch forces a
+    # knapsack route, turns Appendix D refinement off or places tuples by
+    # key.  ε is set where a SUM/AVG chooser is built, and the service
+    # plans every request at the one price the wire can name.
+    assert not {
+        "force_exact", "force_approx", "refine_bounds", "partitioner",
+        "exact_profit_limit",
+    } & parameters
+    if entry_point not in (
+        SumChooseRefresh.__init__, AvgChooseRefresh.__init__, solve_vector
+    ):
+        assert "epsilon" not in parameters
+    if entry_point is QueryService.query:
+        assert "cost" not in parameters
 
 
 def test_executor_probes_nothing_and_src_never_imports_tests():
@@ -365,3 +400,7 @@ def test_executor_probes_nothing_and_src_never_imports_tests():
         r"|tick_grow|current_table_width"
     )
     assert not [name for name, text in sources.items() if unserved.search(text)]
+    # One execution entry point, ``QueryExecutor(refresher=…).execute``,
+    # and one placement, round-robin on tuple id.
+    wrappers = re.compile(r"execute_query|KeyPartitioner|hash_by_key|range_by_key")
+    assert not [name for name, text in sources.items() if wrappers.search(text)]

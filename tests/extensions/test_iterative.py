@@ -70,9 +70,7 @@ class TestIterativeExecutor:
         """Iterative can beat the batch plan: actual values often decide the
         answer before the worst-case refresh set is exhausted."""
         predicate = parse_predicate("bandwidth > 50 AND latency < 10")
-        batch_executor = QueryExecutor(
-            refresher=LocalRefresher(paper_master_table()), force_exact=True
-        )
+        batch_executor = QueryExecutor(refresher=LocalRefresher(paper_master_table()))
         batch_answer = batch_executor.execute(
             paper_example_table(), "MIN", "traffic", 10, predicate=predicate
         )

@@ -79,18 +79,24 @@ CLAIMS = [
     Claim(
         "fig5.served.",
         "Fig. 5 / PR 3",
-        "The served planner runs the same scheme behind a profit-prefix "
-        "certificate and must still meet the constraint at every ε.",
-        "`SumChooseRefresh(epsilon=ε, force_approx=True)`: plan cost, "
-        "tuples refreshed and the DP dimension (0 = the certificate "
-        "answered, no DP ran); kept width ≤ R at every ε.",
+        "The served planner's ε route runs the same scheme behind a "
+        "profit-prefix certificate and must still meet the constraint "
+        "at every ε.",
+        "`solve_ibarra_kim(items, R, ε, early_exit=True)` over the "
+        "Figure 5 knapsack: plan cost, tuples refreshed and the DP "
+        "dimension (0 = the certificate answered, no DP ran); kept width "
+        "≤ R at every ε.  This is the route `solve_vector` takes when "
+        "refresh costs are fractional or their integral total exceeds "
+        "its exact-DP limit (100 000).  It is not taken on this "
+        "instance: its costs are small integers, so the planner runs the "
+        "exact DP (`fig5.exact.`, plan cost 335 at R = 100).",
         _PAPER + "test_fig5_served_planner",
-        note="**The served planner diverges from the paper's Fig. 5 "
-        "curve:** on this instance the certificate settles every "
-        "ε ≥ 0.02 without running the DP at all, so served optimizer "
-        "work is flat until ε = 0.01; at R = 50 the DP runs from "
-        "ε = 0.02 (`fig5.served.R50.dp_dimension`).  The O(n/ε) law is "
-        "the `fig5.paper.dp_dimension` series.",
+        note="**The ε route diverges from the paper's Fig. 5 curve:** "
+        "on this instance the certificate settles every ε ≥ 0.02 "
+        "without running the DP at all, so its work is flat until "
+        "ε = 0.01; at R = 50 the DP runs from ε = 0.02 "
+        "(`fig5.served.R50.dp_dimension`).  The O(n/ε) law is the "
+        "`fig5.paper.dp_dimension` series.",
     ),
     Claim(
         "fig6.curve.",
@@ -229,8 +235,10 @@ CLAIMS = [
         "Sharding a table over more sources lowers refresh cost per "
         "answer (mean marginal fixed, cheapest shard cheaper).",
         "Cost per answer, messages and tuples at fan-in 1, 2, 4, 8 "
-        "(240 links, 6 clients × 3 queries × 2 rounds): non-increasing, "
-        "≥ 1.3× end to end, messages < tuples.",
+        "(240 links, 6 clients × 3 queries × 2 rounds; each statement "
+        "planned at its shard's price, `ColumnCostModel(\"cost\")`, and "
+        "dispatched through the service's `RefreshScheduler`): "
+        "non-increasing, ≥ 1.3× end to end, messages < tuples.",
         _SERVICE + "test_cost_per_answer_falls_with_shard_fanin",
     ),
     Claim(

@@ -81,12 +81,6 @@ def _knapsack_items(table) -> list[KnapsackItem]:
     ]
 
 
-def _kept_width(table, plan) -> float:
-    lo, hi = table.columns.endpoints("price")
-    kept = ~np.isin(table.columns.sorted_tids(), list(plan.tids))
-    return math.fsum((hi - lo)[kept])
-
-
 # ----------------------------------------------------------------------
 # Figure 5: CHOOSE_REFRESH work and plan cost against epsilon
 # ----------------------------------------------------------------------
@@ -119,23 +113,28 @@ def test_fig5_paper_algorithm(golden, monkeypatch, stock_cache):
     assert costs[0] <= 1.15 * exact_cost
 
 
-def test_fig5_served_planner(golden, monkeypatch, stock_cache, stock_cost):
-    """What the executor runs: the same scheme behind PR 3's
-    profit-prefix certificate, which often answers without a DP."""
+def test_fig5_served_planner(golden, monkeypatch, stock_cache):
+    """The served planner's ε route: the same scheme behind PR 3's
+    profit-prefix certificate, which often answers without a DP.
+
+    ``solve_vector`` takes this route when the refresh costs are
+    fractional or their integral total exceeds its exact-DP limit.  It
+    does not take it on this instance: the costs are small integers, so
+    the planner runs the exact DP (``fig5.exact.``).  The route is run
+    here directly, over the same knapsack."""
+    items = _knapsack_items(stock_cache)
+    total_cost = sum(item.profit for item in items)
     dimensions = _spy_on_sparse_dp(monkeypatch)
 
     def sweep(budget):
         costs, tuples, dp = [], [], []
         for eps in EPSILONS:
             dimensions.clear()
-            chooser = SumChooseRefresh(epsilon=eps, force_approx=True)
-            plan, _ = chooser.without_predicate(
-                stock_cache, "price", budget, stock_cost
-            )
+            solution = solve_ibarra_kim(items, budget, eps, early_exit=True)
             # Every plan guarantees the constraint.
-            assert _kept_width(stock_cache, plan) <= budget
-            costs.append(plan.total_cost)
-            tuples.append(len(plan.tids))
+            assert solution.total_weight <= budget
+            costs.append(total_cost - solution.total_profit)
+            tuples.append(len(items) - len(solution.chosen))
             dp.append(sum(dimensions))
         return costs, tuples, dp
 
@@ -182,8 +181,7 @@ def test_fig6_queries_meet_constraint(golden, stock_days, stock_cost):
     widths, costs = [], []
     for budget in (0, 40, 100, 140):
         executor = QueryExecutor(
-            refresher=LocalRefresher(stock_master_table(stock_days)),
-            epsilon=FIG6_EPSILON,
+            refresher=LocalRefresher(stock_master_table(stock_days))
         )
         answer = executor.execute(
             stock_cache_table(stock_days), "SUM", "price", budget,
@@ -232,8 +230,7 @@ def test_batch_vs_iterative(golden, stock_days, stock_cost):
         ("MIN", 1.0), ("MAX", 2.0), ("SUM", 50.0), ("AVG", 0.5),
     ]:
         batch = QueryExecutor(
-            refresher=LocalRefresher(stock_master_table(stock_days)),
-            epsilon=0.1,
+            refresher=LocalRefresher(stock_master_table(stock_days))
         ).execute(
             stock_cache_table(stock_days), aggregate, "price", budget,
             cost=stock_cost,

@@ -60,15 +60,17 @@ def _cost_paid(service) -> float:
     return service.telemetry.registry.value_of("trapp_refresh_cost_paid_total")
 
 
-async def _serve(service, target, caches, scripts, rounds=1, advance=5.0, **query):
+async def _serve(service, target, caches, scripts, rounds=1, advance=5.0, issue=None):
     """Closed-loop passes of ``scripts`` against cache or group ``target``.
 
     Before each pass the clock advances and every replica re-evaluates
-    its bounds (zero-width bounds need no refresh).  Returns the
+    its bounds (zero-width bounds need no refresh).  ``issue(client_id,
+    sql)`` runs one statement (default: ``service.query``).  Returns the
     answers and the error count.
     """
-    async def issue(client_id: str, sql: str):
-        return await service.query(target, sql, client_id=client_id, **query)
+    if issue is None:
+        async def issue(client_id: str, sql: str):
+            return await service.query(target, sql, client_id=client_id)
 
     answers, errors = [], 0
     for _ in range(rounds):
@@ -183,9 +185,26 @@ async def _run_fanin(n_shards: int) -> dict:
     service = QueryService(system, max_inflight=64, cost_model=model)
     cache = system.cache("monitor")
     scripts = sharded_sum_scripts(cache.table("links"), 6, 3, seed=SEED)
+    executor = system.executor_for("monitor")
+    cost = ColumnCostModel("cost")
+
+    async def issue(client_id: str, sql: str):
+        """One statement planned at its per-shard price and dispatched
+        through the service's scheduler.  ``QueryService.query`` plans
+        at uniform cost; this claim is about pricing by shard, so the
+        test plans with the shard's cost column itself."""
+        plan = compile_statement(parse_statement(sql), cache.catalog)
+        cache.sync_bounds()
+        steps = plan_steps(plan, executor, cost=cost)
+        try:
+            request = next(steps)
+            while True:
+                request = steps.send(await service.scheduler.submit(cache, request))
+        except StopIteration as stop:
+            return stop.value
+
     answers, errors = await _serve(
-        service, "monitor", [cache], scripts, rounds=2,
-        cost=ColumnCostModel("cost"),
+        service, "monitor", [cache], scripts, rounds=2, issue=issue
     )
     assert errors == 0
     return {

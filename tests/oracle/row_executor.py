@@ -82,7 +82,15 @@ def classify_columnar(table: Table, predicate: Predicate) -> Classification:
 
 
 class RowQueryExecutor(QueryExecutor):
-    """:class:`QueryExecutor` with the row-at-a-time ``execute_steps``."""
+    """:class:`QueryExecutor` with the row-at-a-time ``execute_steps``.
+
+    ``refine_bounds=False`` leaves the Appendix D refinement out of the
+    answer, the unrefined bound a test compares the refined one with.
+    """
+
+    def __init__(self, refresher=None, refine_bounds: bool = True) -> None:
+        super().__init__(refresher)
+        self.refine_bounds = refine_bounds
 
     def execute(
         self, table, aggregate, column, constraint, predicate=None,
@@ -114,9 +122,7 @@ class RowQueryExecutor(QueryExecutor):
         spec = get_row_aggregate(aggregate)
         if spec.needs_column and column is None:
             raise UnknownColumnError("<missing>", table.name)
-        chooser = get_row_choose_refresh(
-            spec.name, epsilon=self.epsilon, force_exact=self.force_exact
-        )
+        chooser = get_row_choose_refresh(spec.name)
         if touches_bounded:
             return (
                 yield from self._execute_classified(

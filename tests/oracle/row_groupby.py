@@ -55,7 +55,6 @@ def row_grouped_query_steps(
     max_width: float,
     predicate: Predicate | None = None,
     cost: CostFunc = uniform_cost,
-    epsilon: float | None = None,
 ) -> ExecutionSteps:
     """``SELECT key, AGG(column) WITHIN R ... GROUP BY key`` as a generator.
 
@@ -78,7 +77,7 @@ def row_grouped_query_steps(
 
     predicate = predicate if predicate is not None else TruePredicate()
     agg = get_row_aggregate(aggregate)
-    chooser = get_row_choose_refresh(aggregate, epsilon=epsilon)
+    chooser = get_row_choose_refresh(aggregate)
     bounded_pred = _touches_bounded(table, predicate)
 
     groups: dict[tuple[Hashable, ...], list[Row]] = {}

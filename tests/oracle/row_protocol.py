@@ -535,20 +535,8 @@ class RowSumChooseRefresh:
 
     name = "SUM"
 
-    def __init__(
-        self,
-        epsilon: float = DEFAULT_EPSILON,
-        force_exact: bool = False,
-        force_approx: bool = False,
-    ):
-        if force_exact and force_approx:
-            raise TrappError("force_exact and force_approx are mutually exclusive")
+    def __init__(self, epsilon: float = DEFAULT_EPSILON):
         self.epsilon = epsilon
-        self.force_exact = force_exact
-        #: Always run the Ibarra-Kim scheme, even when the instance admits
-        #: the exact DP or uniform greedy.  Used by the Figure 5 bench to
-        #: measure the approximation's epsilon/time tradeoff in isolation.
-        self.force_approx = force_approx
 
     def without_predicate(
         self,
@@ -594,11 +582,9 @@ class RowSumChooseRefresh:
         knapsack_items = [item for _, item in items]
         costs = {item.item_id: item.profit for item in knapsack_items}
 
-        if self.force_approx:
-            solution = solve_ibarra_kim(knapsack_items, capacity, self.epsilon)
-        elif self._is_uniform(costs):
+        if self._is_uniform(costs):
             solution = solve_greedy_uniform(knapsack_items, capacity)
-        elif self.force_exact or self._exact_feasible(costs):
+        elif self._exact_feasible(costs):
             solution = solve_exact_dp(knapsack_items, capacity)
         else:
             solution = solve_ibarra_kim(knapsack_items, capacity, self.epsilon)
@@ -660,10 +646,9 @@ class RowAvgChooseRefresh:
 
     name = "AVG"
 
-    def __init__(self, epsilon: float = DEFAULT_EPSILON, force_exact: bool = False):
+    def __init__(self, epsilon: float = DEFAULT_EPSILON):
         self.epsilon = epsilon
-        self.force_exact = force_exact
-        self._sum = RowSumChooseRefresh(epsilon=epsilon, force_exact=force_exact)
+        self._sum = RowSumChooseRefresh(epsilon=epsilon)
 
     def without_predicate(
         self,
@@ -737,7 +722,7 @@ class RowAvgChooseRefresh:
             return solve_greedy_uniform(items, capacity)
         integral = all(abs(p - round(p)) <= 1e-9 for p in profits)
         total = sum(round(item.profit) for item in items) if integral else math.inf
-        if self.force_exact or (integral and total <= 100_000):
+        if integral and total <= _EXACT_DP_PROFIT_LIMIT:
             return solve_exact_dp(items, capacity)
         return solve_ibarra_kim(items, capacity, self.epsilon)
 
@@ -858,22 +843,13 @@ class RowMedianChooseRefresh:
         return plan_of(chosen.values(), cost)
 
 
-def get_row_choose_refresh(
-    name: str, epsilon: float | None = None, force_exact: bool = False
-):
+def get_row_choose_refresh(name: str):
     """The row chooser for an aggregate (``get_choose_refresh``'s rules)."""
-    key = get_aggregate(name).name
-    if key == "SUM":
-        return RowSumChooseRefresh(
-            epsilon=epsilon or DEFAULT_EPSILON, force_exact=force_exact
-        )
-    if key == "AVG":
-        return RowAvgChooseRefresh(
-            epsilon=epsilon or DEFAULT_EPSILON, force_exact=force_exact
-        )
     return {
+        "SUM": RowSumChooseRefresh,
+        "AVG": RowAvgChooseRefresh,
         "MIN": RowMinChooseRefresh,
         "MAX": RowMaxChooseRefresh,
         "COUNT": RowCountChooseRefresh,
         "MEDIAN": RowMedianChooseRefresh,
-    }[key]()
+    }[get_aggregate(name).name]()

@@ -190,19 +190,14 @@ class TestExecutorEquivalence:
         data=tables(),
         predicate=query_predicates,
         aggregate=st.sampled_from(AGGREGATES),
-        refine=st.booleans(),
     )
     @settings(max_examples=150, deadline=None)
-    def test_cached_answers_match(self, data, predicate, aggregate, refine):
+    def test_cached_answers_match(self, data, predicate, aggregate):
         """No-refresh regime: identical initial answers from both."""
         cached, _ = data
         column = None if aggregate == "COUNT" else "x"
-        a = QueryExecutor(refine_bounds=refine).execute(
-            cached, aggregate, column, math.inf, predicate
-        )
-        b = RowQueryExecutor(refine_bounds=refine).execute(
-            cached, aggregate, column, math.inf, predicate
-        )
+        a = QueryExecutor().execute(cached, aggregate, column, math.inf, predicate)
+        b = RowQueryExecutor().execute(cached, aggregate, column, math.inf, predicate)
         assert_bounds_close(a.bound, b.bound, aggregate, f"{aggregate}, {predicate}")
         assert a.refreshed == b.refreshed == frozenset()
 

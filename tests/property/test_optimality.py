@@ -5,7 +5,7 @@ tuples, keep those whose refresh guarantees the constraint in the worst
 case, and compare the cheapest feasible subset's cost with the plan's:
 
 * MIN, MAX, COUNT — the plan must match the optimum exactly;
-* SUM with ``force_exact`` — exact optimum (integer costs);
+* SUM over small integer costs (the exact DP) — exact optimum;
 * SUM via Ibarra–Kim — within ``(1 - eps)`` of the kept-profit optimum,
   which translates to the refresh-cost bound checked here.
 """
@@ -109,7 +109,7 @@ def test_max_plan_is_optimal(rows, budget, data):
 @given(small_rows, budgets, st.data())
 def test_sum_exact_plan_is_optimal(rows, budget, data):
     costs = {r.tid: float(data.draw(int_costs, label=f"c{r.tid}")) for r in rows}
-    chooser = SumChooseRefresh(force_exact=True)
+    chooser = SumChooseRefresh()
     plan = plan_of(chooser, table_of(rows), "x", budget, lambda r: costs[r.tid])
 
     # SUM's post-refresh width is realization-independent: the total width

@@ -6,7 +6,7 @@ The chooser entry points the executor calls (candidate harvesting +
 object solvers), which the oracle ``tests/oracle/row_executor.py`` plans
 with:
 
-* **exact branches** (uniform costs, integral costs under ``force_exact``)
+* **exact branches** (uniform costs; small integral costs, the exact DP)
   — equal-cost plans, including the zero-width, over-capacity, and
   uniform-cost edge cases the solvers special-case;
 * **approximation branch** (non-integral costs) — every plan carries the
@@ -108,8 +108,8 @@ def test_uniform_cost_plans_equal(tables, budget):
 @given(planner_tables(), budgets)
 def test_exact_column_cost_plans_equal(tables, budget):
     cache, master = tables
-    chooser = SumChooseRefresh(force_exact=True)
-    row_chooser = RowSumChooseRefresh(force_exact=True)
+    chooser = SumChooseRefresh()
+    row_chooser = RowSumChooseRefresh()
     cost = ColumnCostModel("c")
     row_plan = row_chooser.without_predicate(cache.rows(), "x", budget, row_cost(cost))
     vector_plan, _ = chooser.without_predicate(cache, "x", budget, cost)
@@ -163,7 +163,7 @@ def test_approx_plans_share_certificate(tables, budget):
 
 
 def _by_parity(row):
-    """A bare cost callable (integral: exact DP under force_exact)."""
+    """A bare cost callable (small and integral: the exact DP)."""
     return 1.0 + row.tid % 2
 
 
@@ -174,9 +174,7 @@ def _run_both(cache, master, *query, cost=uniform_cost):
         (QueryExecutor, cost),
         (RowQueryExecutor, row_cost(cost)),
     ):
-        executor = executor_type(
-            refresher=LocalRefresher(master.copy()), force_exact=True
-        )
+        executor = executor_type(refresher=LocalRefresher(master.copy()))
         try:
             answers.append(executor.execute(cache.copy(), *query, cost))
         except ConstraintUnsatisfiableError:
@@ -282,22 +280,3 @@ def test_uniform_plans_identical_on_decimal_data():
             table, "x", budget, uniform_cost
         )
         assert vector_plan.tids == row_plan.tids
-
-
-def test_force_exact_rejects_fractional_costs_on_both_paths():
-    """solve_vector must mirror solve_exact_dp's integral-profit contract
-    instead of silently rounding fractional costs."""
-    import pytest
-
-    from repro.errors import OptimizerError
-
-    table = Table("t", Schema.of(x="bounded", c="exact"))
-    table.insert({"x": Bound(0, 1), "c": 0.4})
-    table.insert({"x": Bound(0, 1), "c": 0.45})
-    chooser = SumChooseRefresh(force_exact=True)
-    row_chooser = RowSumChooseRefresh(force_exact=True)
-    cost = ColumnCostModel("c")
-    with pytest.raises(OptimizerError):
-        row_chooser.without_predicate(table.rows(), "x", 1.0, row_cost(cost))
-    with pytest.raises(OptimizerError):
-        chooser.without_predicate(table, "x", 1.0, cost)

@@ -130,10 +130,10 @@ class TestPerSourceVectorTag:
         model = PerSourceCostModel({"a": 1.0, "b": 6.0}, source_column="origin")
 
         budget = sum(rng_widths) * 0.4
-        vector_plan, _ = SumChooseRefresh(force_exact=True).without_predicate(
+        vector_plan, _ = SumChooseRefresh().without_predicate(
             table, "x", budget, model
         )
-        row_plan = RowSumChooseRefresh(force_exact=True).without_predicate(
+        row_plan = RowSumChooseRefresh().without_predicate(
             table.rows(), "x", budget, row_cost(model)
         )
         assert vector_plan.total_cost == pytest.approx(row_plan.total_cost)

@@ -107,7 +107,7 @@ class TestShardedSource:
         first = sharded.insert_row("links", dict(values))
         second = sharded.insert_row("links", dict(values))
         assert second.tid == first.tid + 1
-        # The new tuples landed on the shards the partitioner names, and
+        # The new tuples landed on their round-robin shards, and
         # the cache's merged table (and its shard map) followed suit.
         table = cache.table("links")
         for change in (first, second):
@@ -145,11 +145,6 @@ class TestShardedSource:
             ShardedSource("net", [twin, DataSource("dup")])
         with pytest.raises(ReplicationProtocolError):
             ShardedSource.create("net", 0)
-
-    def test_bad_partitioner_is_rejected(self):
-        sharded = ShardedSource.create("net", 2, partitioner=lambda tid, n: 7)
-        with pytest.raises(ReplicationProtocolError):
-            sharded.add_table(master_table())
 
     def test_duplicate_table_rejected(self):
         sharded = ShardedSource.create("net", 2)

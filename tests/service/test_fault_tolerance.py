@@ -304,11 +304,12 @@ def outage_with_widening_sync(system, service, then=None):
         slow = asyncio.create_task(service.query(CACHE_ID, SUM_SQL, client_id="slow"))
         await asyncio.sleep(0.01)
         system.clock.advance(60.0)
+        # A width no other query asks for: no stored answer serves it,
+        # so it executes.
         await service.query(
             CACHE_ID,
             "SELECT SUM(traffic) WITHIN 100000 FROM links",
             client_id="fast",
-            cost=lambda row: 1.0,  # unshareable: forces execution
         )
         first = await slow
         return first, (await then() if then is not None else None)

@@ -290,11 +290,12 @@ def test_sync_under_suspended_query_replans():
         # it left out grow to 25.3 each.
         system.clock.advance(60.0)
         for index in range(3):
+            # Distinct widths: no stored answer serves the next one, so
+            # each executes.
             await service.query(
                 CACHE_ID,
-                "SELECT SUM(traffic) WITHIN 100000 FROM links",
+                f"SELECT SUM(traffic) WITHIN {100000 + index} FROM links",
                 client_id=f"fast-{index}",
-                cost=lambda row: 1.0,  # unshareable: forces execution
             )
         return await slow
 

@@ -276,23 +276,6 @@ def test_cancelled_singleflight_leader_does_not_strand_followers():
     run(go())
 
 
-def test_custom_cost_model_queries_do_not_share_answers():
-    from repro.replication import UniformCostModel
-
-    service = make_service()
-
-    async def go():
-        priced = await service.query(
-            CACHE_ID, SUM_SQL, cost=UniformCostModel(3.0)
-        )
-        default = await service.query(CACHE_ID, SUM_SQL)
-        assert not priced.cached
-        assert not default.cached  # the priced answer was never cached
-        assert priced.answer.meets(5) and default.answer.meets(5)
-
-    run(go())
-
-
 def test_inflight_bookkeeping_is_bounded():
     service = make_service()
 

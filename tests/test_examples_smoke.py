@@ -46,6 +46,9 @@ def test_example_runs_clean(script: Path):
         f"stdout:\n{result.stdout[-2000:]}\nstderr:\n{result.stderr[-2000:]}"
     )
     assert result.stdout.strip(), f"{script.name} printed nothing"
+    if script.name == "stock_ticker.py":
+        # One plan per chooser built at its own epsilon.
+        assert result.stdout.count(": plan cost") == 3
 
 
 def test_cli_demo_smoke():

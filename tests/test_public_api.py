@@ -1,8 +1,12 @@
 """Release hygiene: every advertised name is importable and documented."""
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 PACKAGES = [
     "repro",
@@ -64,3 +68,14 @@ def test_quickstart_snippet_from_readme():
         "SELECT AVG(traffic) WITHIN 10 FROM links WHERE bandwidth > 50",
     )
     assert answer.width <= 10 + 1e-9
+
+
+def test_executor_snippet_from_readme():
+    """The README's executor quickstart runs verbatim: one
+    ``QueryExecutor(refresher=…)``, whose only option is the refresher."""
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    (snippet,) = [block for block in blocks if "QueryExecutor(" in block]
+    namespace: dict = {}
+    exec(snippet, namespace)
+    answer = namespace["answer"]
+    assert answer.width <= 2.0 and answer.refreshed == {1}
