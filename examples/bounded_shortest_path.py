@@ -15,7 +15,8 @@ from repro.core.bound import Bound
 from repro.replication.local import LocalRefresher
 from repro.storage.schema import Schema
 from repro.storage.table import Table
-from section8.paths import PathQueryExecutor, bounded_shortest_path
+from repro.core.executor import drive_steps
+from section8.paths import bounded_shortest_path, path_steps
 
 N_NODES = 12
 SEED = 13
@@ -57,8 +58,8 @@ def main():
     print(f"  {'R':>6}  {'answer':>18}  {'links refreshed':>15}  route")
     for budget in (20.0, 8.0, 3.0, 1.0, 0.0):
         fresh_cached, fresh_master = build_network()
-        executor = PathQueryExecutor(LocalRefresher(fresh_master))
-        answer = executor.execute(fresh_cached, 1, N_NODES, max_width=budget)
+        steps = path_steps(fresh_cached, 1, N_NODES, budget)
+        answer = drive_steps(steps, LocalRefresher(fresh_master))
         route = "->".join(map(str, answer.route))
         print(
             f"  {budget:>6g}  {str(answer.bound):>18}  "

@@ -9,7 +9,7 @@ and the example prints how far each query had to reach.
 Run:  python examples/cache_hierarchy.py
 """
 
-from repro.core.executor import QueryExecutor
+from repro.core.executor import drive_steps, table_steps
 from repro.extensions.hierarchy import build_chain
 from repro.storage.schema import Schema
 from repro.storage.table import Table
@@ -36,8 +36,7 @@ def main():
         edge_before = edge.forwarded_refreshes
         regional_before = regional.forwarded_refreshes
         root_before = root.exact_reads
-        executor = QueryExecutor(refresher=edge)
-        answer = executor.execute(edge.table, "SUM", "reading", budget)
+        answer = drive_steps(table_steps(edge.table, "SUM", "reading", budget), edge)
         print(
             f"  {budget:>6g}  {str(answer.bound):>20}  "
             f"{edge.forwarded_refreshes - edge_before:>14}  "

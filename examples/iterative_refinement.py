@@ -12,7 +12,12 @@ Run:  python examples/iterative_refinement.py
 """
 
 from repro.core.aggregates import get_aggregate
-from repro.core.executor import QueryExecutor, bounded_answer, iterative_steps
+from repro.core.executor import (
+    bounded_answer,
+    drive_steps,
+    iterative_steps,
+    table_steps,
+)
 from repro.predicates.ast import TruePredicate
 from repro.replication import ColumnCostModel
 from repro.replication.local import LocalRefresher
@@ -71,9 +76,8 @@ def main():
     # The batch optimizer must guarantee the constraint for ANY realization,
     # so it typically refreshes more than the online run needed.
     table = stock_cache_table(days)
-    batch = QueryExecutor(refresher=LocalRefresher(stock_master_table(days))).execute(
-        table, "AVG", "price", BUDGET, cost=cost
-    )
+    steps = table_steps(table, "AVG", "price", BUDGET, cost=cost)
+    batch = drive_steps(steps, LocalRefresher(stock_master_table(days)))
     print(f"  batch : {len(batch.refreshed)} refreshes, cost {batch.refresh_cost:g}")
     print(
         "\nThe batch plan pays for worst-case realizations; the online run"

@@ -8,7 +8,7 @@ the tuples refreshed, and the refresh cost.
 Run:  python examples/quickstart.py
 """
 
-from repro.core.executor import QueryExecutor
+from repro.core.executor import drive_steps, table_steps
 from repro.predicates.parser import parse_predicate
 from repro.replication import ColumnCostModel
 from repro.replication.local import LocalRefresher
@@ -16,9 +16,8 @@ from repro.workloads.netmon import paper_example_table, paper_master_table
 
 
 def run_query(title, table, refresher, aggregate, column, budget, where=None):
-    executor = QueryExecutor(refresher=refresher)
     predicate = parse_predicate(where) if where else None
-    answer = executor.execute(
+    steps = table_steps(
         table,
         aggregate,
         column,
@@ -26,6 +25,7 @@ def run_query(title, table, refresher, aggregate, column, budget, where=None):
         predicate=predicate,
         cost=ColumnCostModel("cost"),
     )
+    answer = drive_steps(steps, refresher)
     target = column or "*"
     constraint = f"WITHIN {budget:g}" if budget != float("inf") else ""
     where_text = f" WHERE {where}" if where else ""
@@ -89,11 +89,11 @@ def main():
     for budget in (100, 50, 25, 10, 5, 1, 0):
         table = paper_example_table()
         refresher = LocalRefresher(paper_master_table())
-        executor = QueryExecutor(refresher=refresher)
-        answer = executor.execute(
+        steps = table_steps(
             table, "SUM", "traffic", budget,
             cost=ColumnCostModel("cost"),
         )
+        answer = drive_steps(steps, refresher)
         print(f"  {budget:>6}  {answer.width:>12g}  {answer.refresh_cost:>12g}")
     print("\nLower R (more precision) costs more refreshing — Figure 1(b).")
 

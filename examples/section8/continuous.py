@@ -24,7 +24,7 @@ from typing import Callable
 
 from repro.core.answer import BoundedAnswer
 from repro.core.bound import Bound
-from repro.core.executor import QueryExecutor, RefreshProvider
+from repro.core.executor import RefreshProvider, drive_steps, table_steps
 from repro.core.refresh.base import CostFunc, uniform_cost
 from repro.predicates.ast import Predicate
 from repro.storage.table import Table
@@ -61,8 +61,7 @@ class ContinuousQuery:
 
     def poll(self) -> BoundedAnswer:
         """Re-evaluate now; refresh if needed; notify on visible change."""
-        executor = QueryExecutor(refresher=self.refresher)
-        answer = executor.execute(
+        steps = table_steps(
             self.table,
             self.aggregate,
             self.column,
@@ -70,6 +69,7 @@ class ContinuousQuery:
             self.predicate,
             self.cost,
         )
+        answer = drive_steps(steps, self.refresher)
         self.evaluations += 1
         self.total_refreshes += len(answer.refreshed)
         self.total_refresh_cost += answer.refresh_cost

@@ -37,17 +37,13 @@ import numpy as np
 
 from repro.core.answer import BoundedAnswer
 from repro.core.bound import Bound
-from repro.core.executor import (
-    PlannedRefresh,
-    RefreshProvider,
-    drive_steps,
-    refresh_steps,
-)
+from repro.core.constraints import PrecisionConstraint
+from repro.core.executor import ExecutionSteps, PlannedRefresh, refresh_steps
 from repro.core.refresh.base import CostFunc, RefreshPlan, candidate_costs, uniform_cost
 from repro.errors import TrappError
 from repro.storage.table import Table
 
-__all__ = ["BoundedPathAnswer", "bounded_shortest_path", "PathQueryExecutor"]
+__all__ = ["BoundedPathAnswer", "bounded_shortest_path", "path_steps"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,80 +144,75 @@ def bounded_shortest_path(
     return BoundedPathAnswer(bound=Bound(lo_dist, hi_dist), route=hi_route)
 
 
-class PathQueryExecutor:
-    """Iteratively refreshes link latencies until the path bound meets R."""
+def path_steps(
+    table: Table,
+    source: int,
+    target: int,
+    constraint: PrecisionConstraint | float,
+    cost: CostFunc = uniform_cost,
+    from_column: str = "from_node",
+    to_column: str = "to_node",
+    latency_column: str = "latency",
+) -> ExecutionSteps:
+    """The lowest-latency-path query as a resumable generator.
 
-    def __init__(
-        self,
-        refresher: RefreshProvider,
-        cost: CostFunc = uniform_cost,
-        from_column: str = "from_node",
-        to_column: str = "to_node",
-        latency_column: str = "latency",
-    ) -> None:
-        self.refresher = refresher
-        self.cost = cost
-        self.from_column = from_column
-        self.to_column = to_column
-        self.latency_column = latency_column
+    Refresh policy: one link per round of the executor's refresh loop
+    (:func:`~repro.core.executor.refresh_steps`) — the widest link not
+    yet requested on the current *optimistic* shortest path; the
+    optimistic route is where a too rosy lower bound can hide, so
+    collapsing its uncertainty either certifies it or reroutes
+    optimism elsewhere.  Falls back to the pessimistic route's links
+    when the optimistic path is exact.  Drive it with
+    :func:`~repro.core.executor.drive_steps`; it returns a
+    :class:`BoundedPathAnswer`.
+    """
+    answer = None
 
-    def execute(
-        self, table: Table, source: int, target: int, max_width: float
-    ) -> BoundedPathAnswer:
-        """Answer the lowest-latency-path query within ``max_width``.
+    def bound() -> Bound:
+        nonlocal answer
+        answer = bounded_shortest_path(
+            table, source, target, from_column, to_column, latency_column
+        )
+        return answer.bound
 
-        Refresh policy: one link per round of the executor's refresh loop
-        (:func:`~repro.core.executor.refresh_steps`) — the widest link not
-        yet requested on the current *optimistic* shortest path; the
-        optimistic route is where a too rosy lower bound can hide, so
-        collapsing its uncertainty either certifies it or reroutes
-        optimism elsewhere.  Falls back to the pessimistic route's links
-        when the optimistic path is exact.
-        """
-        answer = None
+    def pick(bound, max_width, requested) -> PlannedRefresh | None:
+        tid = _pick_link(
+            table, source, target, requested.get(table, ()),
+            from_column, to_column, latency_column,
+        )
+        if tid is None:
+            return None
+        at = np.searchsorted(table.columns.sorted_tids(), [tid])
+        tid_cost = float(candidate_costs(table, cost, at)[0])
+        return PlannedRefresh(
+            table, RefreshPlan(frozenset((tid,)), tid_cost), max_width, "PATH"
+        )
 
-        def bound() -> Bound:
-            nonlocal answer
-            answer = bounded_shortest_path(
-                table, source, target,
-                self.from_column, self.to_column, self.latency_column,
-            )
-            return answer.bound
-
-        def pick(bound, max_width, requested) -> PlannedRefresh | None:
-            tid = self._pick_link(table, source, target, requested.get(table, ()))
-            if tid is None:
-                return None
-            at = np.searchsorted(table.columns.sorted_tids(), [tid])
-            cost = float(candidate_costs(table, self.cost, at)[0])
-            return PlannedRefresh(
-                table, RefreshPlan(frozenset((tid,)), cost), max_width, "PATH"
-            )
-
-        steps = refresh_steps(
-            bound, max_width, pick=pick, answer_type=BoundedPathAnswer,
+    return (
+        yield from refresh_steps(
+            bound, constraint, pick=pick, answer_type=BoundedPathAnswer,
             fields=lambda: {"route": answer.route},
         )
-        return drive_steps(steps, self.refresher)
+    )
 
-    def _pick_link(
-        self, table: Table, source: int, target: int, requested
-    ) -> int | None:
-        for endpoint in ("lo", "hi"):
-            _, _, links = _dijkstra(
-                _adjacency(table, self.from_column, self.to_column,
-                           self.latency_column, endpoint),
-                source,
-                target,
+
+def _pick_link(
+    table: Table, source: int, target: int, requested,
+    from_column: str, to_column: str, latency_column: str,
+) -> int | None:
+    for endpoint in ("lo", "hi"):
+        _, _, links = _dijkstra(
+            _adjacency(table, from_column, to_column, latency_column, endpoint),
+            source,
+            target,
+        )
+        candidates = [
+            tid for tid in links
+            if tid not in requested and table.row(tid).bound(latency_column).width > 0
+        ]
+        if candidates:
+            return max(
+                candidates,
+                key=lambda tid: table.row(tid).bound(latency_column).width,
             )
-            candidates = [
-                tid for tid in links
-                if tid not in requested
-                and table.row(tid).bound(self.latency_column).width > 0
-            ]
-            if candidates:
-                return max(
-                    candidates,
-                    key=lambda tid: table.row(tid).bound(self.latency_column).width,
-                )
-        return None
+    return None

@@ -11,9 +11,11 @@ choosers built at several epsilon values.
 Run:  python examples/stock_ticker.py
 """
 
-from repro.core.executor import QueryExecutor
+import math
+
+from repro.core.executor import NullRefreshProvider, drive_steps, table_steps
 from repro.core.refresh import AvgChooseRefresh
-from repro.extensions.topn import bounded_top_n
+from repro.extensions.topn import top_n_steps
 from repro.replication import ColumnCostModel
 from repro.replication.local import LocalRefresher
 from repro.workloads.stocks import (
@@ -40,8 +42,8 @@ def main():
     for budget in (500, 200, 100, 50, 20, 5, 0):
         table = stock_cache_table(days)
         refresher = LocalRefresher(stock_master_table(days))
-        executor = QueryExecutor(refresher=refresher)
-        answer = executor.execute(table, "SUM", "price", budget, cost=cost)
+        steps = table_steps(table, "SUM", "price", budget, cost=cost)
+        answer = drive_steps(steps, refresher)
         pct = 100.0 * answer.refresh_cost / total_cost_possible
         print(
             f"  {budget:>8}  {str(answer.bound):>22}  "
@@ -64,26 +66,22 @@ def main():
     )
 
     print("\nBounded TOP-5 most expensive tickers (no refreshing):")
-    table = stock_cache_table(days)
-    result = bounded_top_n(table.rows(), "price", 5)
-    print(f"  5th-highest price is guaranteed in {result.nth_value}")
+    steps = top_n_steps(stock_cache_table(days), 5, "price", math.inf)
+    result = drive_steps(steps, NullRefreshProvider())
+    print(f"  5th-highest price is guaranteed in {result.bound}")
     print(f"  certain top-5 members : {sorted(result.certain_members)}")
     print(f"  possible members      : {len(result.possible_members)} tickers")
 
     print("\nCOUNT of tickers certainly above 100 (predicate over bounds):")
     from repro.predicates.parser import parse_predicate
 
-    table = stock_cache_table(days)
-    refresher = LocalRefresher(stock_master_table(days))
-    executor = QueryExecutor(refresher=refresher)
     for budget in (20, 5, 0):
         fresh = stock_cache_table(days)
-        answer = QueryExecutor(
-            refresher=LocalRefresher(stock_master_table(days))
-        ).execute(
+        steps = table_steps(
             fresh, "COUNT", None, budget,
             predicate=parse_predicate("price > 100"), cost=cost,
         )
+        answer = drive_steps(steps, LocalRefresher(stock_master_table(days)))
         print(
             f"  WITHIN {budget:>3}: {answer.bound}  "
             f"(refreshed {len(answer.refreshed)})"

@@ -29,7 +29,6 @@ from repro.core import (
     Bound,
     BoundedAnswer,
     PrecisionConstraint,
-    QueryExecutor,
     RelativePrecision,
 )
 from repro.replication import DataCache, DataSource, TrappSystem
@@ -48,7 +47,6 @@ __all__ = [
     "PrecisionConstraint",
     "AbsolutePrecision",
     "RelativePrecision",
-    "QueryExecutor",
     "TrappSystem",
     "DataSource",
     "DataCache",

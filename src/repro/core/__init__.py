@@ -11,8 +11,9 @@ from repro.core.constraints import (
 )
 from repro.core.executor import (
     NullRefreshProvider,
-    QueryExecutor,
     RefreshProvider,
+    drive_steps,
+    table_steps,
 )
 
 __all__ = [
@@ -26,7 +27,8 @@ __all__ = [
     "RelativePrecision",
     "EXACT",
     "UNCONSTRAINED",
-    "QueryExecutor",
+    "table_steps",
+    "drive_steps",
     "RefreshProvider",
     "NullRefreshProvider",
 ]

@@ -20,9 +20,12 @@ request for all of them.  It resolves R
 from every bound, so §8.1's relative constraints are its ordinary case;
 §8.2's one-tuple rounds are its other chooser (:func:`iterative_steps`).
 
-The executor is agnostic to where refreshed values come from: callers
-provide a :class:`RefreshProvider` (the replication layer's cache, or a
-test stub) that collapses cached bounds to exact values in place.
+A single-table statement is :func:`table_steps`, a generator that
+yields each refresh it plans.  It is agnostic to where refreshed values
+come from: its driver applies them — :func:`drive_steps`, the one serial
+driver, through a :class:`RefreshProvider` (the replication layer's
+cache, or a test stub) that collapses cached bounds to exact values in
+place, or the service's refresh scheduler.
 
 Predicates referencing only exact columns are evaluated two-valued up
 front (the §5 "no selection predicate" regime); predicates touching
@@ -92,7 +95,7 @@ __all__ = [
     "RefreshProvider",
     "NullRefreshProvider",
     "PlannedRefresh",
-    "QueryExecutor",
+    "table_steps",
     "iterative_steps",
     "refresh_steps",
     "lockstep_steps",
@@ -132,8 +135,9 @@ class RefreshProvider(Protocol):
 class NullRefreshProvider:
     """A provider that can never refresh (pure cached-data querying).
 
-    Useful for the "imprecise mode" extreme and for tests; the executor
-    raises :class:`ConstraintUnsatisfiableError` if a refresh is required.
+    Useful for the "imprecise mode" extreme and for tests: driven through
+    it, a statement that needs a refresh raises
+    :class:`ConstraintUnsatisfiableError`.
     """
 
     def refresh(self, table: Table, tids: Iterable[int]) -> None:
@@ -536,57 +540,35 @@ def _benefit(
     return hi - lo
 
 
-class QueryExecutor:
-    """Executes bounded aggregation queries against one cached table."""
+def table_steps(
+    table: Table,
+    aggregate: str,
+    column: str | None,
+    constraint: PrecisionConstraint | float,
+    predicate: Predicate | None = None,
+    cost: CostFunc = uniform_cost,
+) -> ExecutionSteps:
+    """The three-step pipeline for ``AGG(column) FROM table WHERE
+    predicate`` as a resumable generator.
 
-    def __init__(self, refresher: RefreshProvider | None = None) -> None:
-        self.refresher = refresher if refresher is not None else NullRefreshProvider()
-
-    # ------------------------------------------------------------------
-    def execute(
-        self,
-        table: Table,
-        aggregate: str,
-        column: str | None,
-        constraint: PrecisionConstraint | float,
-        predicate: Predicate | None = None,
-        cost: CostFunc = uniform_cost,
-    ) -> BoundedAnswer:
-        """Run the three-step pipeline and return a guaranteed answer."""
-        return drive_steps(
-            self.execute_steps(table, aggregate, column, constraint, predicate, cost),
-            self.refresher,
+    Yields a :class:`PlannedRefresh` whenever step 2 decides a refresh
+    is needed, suspending the query at exactly the point where the
+    paper's architecture contacts the sources.  The driver
+    (:func:`drive_steps`, or a cross-query scheduler) applies the
+    refresh however it likes and sends back the effective
+    :class:`RefreshPlan`; the generator then runs step 3 and returns
+    the guaranteed :class:`BoundedAnswer` via ``StopIteration.value``
+    (or yields a ``replan`` if something widened bounds under the plan).
+    A relative constraint whose bound straddles zero takes one-tuple
+    rounds until it does not (§8.1).
+    """
+    statement = _TableStatement(table, aggregate, column, predicate, cost)
+    return (
+        yield from refresh_steps(
+            statement.bound, constraint, statement.plan, statement.pick,
+            fields=lambda: statement.answer_fields,
         )
-
-    def execute_steps(
-        self,
-        table: Table,
-        aggregate: str,
-        column: str | None,
-        constraint: PrecisionConstraint | float,
-        predicate: Predicate | None = None,
-        cost: CostFunc = uniform_cost,
-    ) -> ExecutionSteps:
-        """The three-step pipeline as a resumable generator.
-
-        Yields a :class:`PlannedRefresh` whenever step 2 decides a refresh
-        is needed, suspending the query at exactly the point where the
-        paper's architecture contacts the sources.  The driver (a plain
-        :meth:`execute` call, or a cross-query scheduler) applies the
-        refresh however it likes and sends back the effective
-        :class:`RefreshPlan`; the generator then runs step 3 and returns
-        the guaranteed :class:`BoundedAnswer` via ``StopIteration.value``
-        (or yields a ``replan`` if something widened bounds under the plan).
-        A relative constraint whose bound straddles zero takes one-tuple
-        rounds until it does not (§8.1).
-        """
-        statement = _TableStatement(table, aggregate, column, predicate, cost)
-        return (
-            yield from refresh_steps(
-                statement.bound, constraint, statement.plan, statement.pick,
-                fields=lambda: statement.answer_fields,
-            )
-        )
+    )
 
 
 def iterative_steps(

@@ -8,7 +8,7 @@ reads, shortest paths) are examples in ``examples/section8/``.
 """
 
 from repro.extensions.batching import BatchedCostModel, rebatch_plan
-from repro.extensions.groupby import GroupResult, grouped_query
+from repro.extensions.groupby import GroupResult, grouped_query_steps
 from repro.extensions.hierarchy import HierarchicalCache, LevelRoot, build_chain
 from repro.extensions.prerefresh import (
     PiggybackPolicy,
@@ -22,7 +22,7 @@ from repro.extensions.median_spec import (
     MedianChooseRefresh,
     median_of,
 )
-from repro.extensions.topn import TopNResult, bounded_top_n
+from repro.extensions.topn import TopNResult, top_n_steps
 
 __all__ = [
     "MEDIAN",
@@ -31,11 +31,11 @@ __all__ = [
     "MedianChooseRefresh",
     "median_of",
     "TopNResult",
-    "bounded_top_n",
+    "top_n_steps",
     "BatchedCostModel",
     "rebatch_plan",
     "GroupResult",
-    "grouped_query",
+    "grouped_query_steps",
     "HierarchicalCache",
     "LevelRoot",
     "build_chain",

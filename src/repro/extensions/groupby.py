@@ -21,8 +21,8 @@ group's refresh loop runs in lock step
 (:func:`repro.core.executor.lockstep_steps`), and a round asks for the
 union of the plans of the groups still too wide — one source request
 where there were as many as groups.  Grouped statements suspend into the
-concurrent service's refresh scheduler like any single-table query;
-:func:`grouped_query` is the serial driver around it.
+concurrent service's refresh scheduler like any single-table query, and
+:func:`~repro.core.executor.drive_steps` drives them serially.
 """
 
 from __future__ import annotations
@@ -35,13 +35,11 @@ import numpy as np
 from repro.core.aggregates import get_aggregate
 from repro.core.answer import BoundedAnswer
 from repro.core.bound import Bound
+from repro.core.constraints import PrecisionConstraint
 from repro.core.executor import (
     ExecutionSteps,
-    NullRefreshProvider,
     PlannedRefresh,
-    RefreshProvider,
     bounded_answer,
-    drive_steps,
     lockstep_steps,
     refresh_steps,
     table_positions,
@@ -52,7 +50,7 @@ from repro.errors import TrappError
 from repro.predicates.ast import Predicate, TruePredicate
 from repro.storage.table import Table
 
-__all__ = ["GroupResult", "GroupedAnswer", "grouped_query", "grouped_query_steps"]
+__all__ = ["GroupResult", "GroupedAnswer", "grouped_query_steps"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,11 +83,14 @@ def grouped_query_steps(
     group_by: Sequence[str],
     aggregate: str,
     column: str | None,
-    max_width: float,
+    constraint: PrecisionConstraint | float,
     predicate: Predicate | None = None,
     cost: CostFunc = uniform_cost,
 ) -> ExecutionSteps:
     """``SELECT key, AGG(column) WITHIN R ... GROUP BY key`` as a generator.
+
+    Grouping columns must be exact (grouping on bounded values is the
+    open problem the paper defers); ``constraint`` holds for every group.
 
     Every group runs the executor's loop
     (:func:`~repro.core.executor.refresh_steps`) over its share, and the
@@ -104,7 +105,7 @@ def grouped_query_steps(
     :class:`GroupedAnswer` via ``StopIteration.value``.
     """
     if not group_by:
-        raise TrappError("grouped_query requires at least one grouping column")
+        raise TrappError("GROUP BY requires at least one grouping column")
     for name in group_by:
         if table.schema.column(name).is_bounded:
             raise TrappError(
@@ -124,7 +125,7 @@ def grouped_query_steps(
     members = [_Group(groups, keys[key]) for key in order]
     loop_of = {keys[key]: i for i, key in enumerate(order)}
     answers, spent = yield from lockstep_steps(
-        [refresh_steps(m.bound, max_width, m.plan) for m in members],
+        [refresh_steps(m.bound, constraint, m.plan) for m in members],
         lambda tids: groups.owners(tids, loop_of),
     )
     results = [
@@ -156,30 +157,6 @@ def grouped_query_steps(
         ),
         groups=tuple(results),
     )
-
-
-def grouped_query(
-    table: Table,
-    group_by: Sequence[str],
-    aggregate: str,
-    column: str | None,
-    max_width: float,
-    predicate: Predicate | None = None,
-    cost: CostFunc = uniform_cost,
-    refresher: RefreshProvider | None = None,
-) -> list[GroupResult]:
-    """Run ``SELECT key, AGG(column) WITHIN R ... GROUP BY key``.
-
-    Grouping columns must be exact (grouping on bounded values is the open
-    problem the paper defers).  Returns one :class:`GroupResult` per group,
-    ordered by key.
-    """
-    refresher = refresher if refresher is not None else NullRefreshProvider()
-    steps = grouped_query_steps(
-        table, group_by, aggregate, column, max_width, predicate, cost
-    )
-    answer = drive_steps(steps, refresher)
-    return list(answer.groups)
 
 
 class _Groups:

@@ -16,34 +16,27 @@ wider than the precision budget.
 
 Everything here is one array kernel over ``(tids, lo, hi)``: two sorts
 and a binary search per tuple decide membership.  :func:`top_n_steps`
-feeds it a table's ``ColumnStore`` columns; :func:`bounded_top_n` feeds
-it one pass over its rows.  The per-tuple definition it must agree with
-lives in ``tests/oracle/row_topn.py``.
+feeds it a table's ``ColumnStore`` columns.  The per-tuple definition it
+must agree with lives in ``tests/oracle/row_topn.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from repro.core.answer import BoundedAnswer
 from repro.core.bound import Bound
+from repro.core.constraints import PrecisionConstraint
 from repro.core.executor import ExecutionSteps, PlannedRefresh, refresh_steps
 from repro.core.refresh.base import CostFunc, plan_at, uniform_cost
 from repro.errors import PredicateTypeError, TrappError
 from repro.predicates.ast import Predicate, TruePredicate
 from repro.predicates.batch import classify_masks
-from repro.storage.row import Row
 from repro.storage.table import Table
 
-__all__ = [
-    "TopNResult",
-    "TopNAnswer",
-    "bounded_top_n",
-    "top_n_steps",
-]
+__all__ = ["TopNResult", "TopNAnswer", "top_n_steps"]
 
 #: ``(tids, lo, hi)``: a column's tuple ids and endpoints, aligned.
 Endpoints = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -59,16 +52,6 @@ class TopNResult:
     certain_members: frozenset[int]
     #: Tuple ids that might be in the top-n set.
     possible_members: frozenset[int]
-
-
-def _row_endpoints(rows: Sequence[Row], column: str) -> Endpoints:
-    bounds = [row.bound(column) for row in rows]
-    count = len(rows)
-    return (
-        np.fromiter((row.tid for row in rows), dtype=np.int64, count=count),
-        np.fromiter((b.lo for b in bounds), dtype=np.float64, count=count),
-        np.fromiter((b.hi for b in bounds), dtype=np.float64, count=count),
-    )
 
 
 def _require_rank(count: int, n: int) -> None:
@@ -110,11 +93,6 @@ def _refresh_mask(endpoints: Endpoints, n: int, max_width: float) -> np.ndarray:
     return (hi > cutoff + max_width) & (hi > lo)
 
 
-def bounded_top_n(rows: Sequence[Row], column: str, n: int) -> TopNResult:
-    """Compute the bounded TOP-n over a column of bounded values."""
-    return _top_n(_row_endpoints(rows, column), n)
-
-
 @dataclass(frozen=True, slots=True)
 class TopNAnswer(BoundedAnswer):
     """A TOP-n query's answer in :class:`BoundedAnswer` clothing.
@@ -132,7 +110,7 @@ def top_n_steps(
     table: Table,
     n: int,
     column: str,
-    max_width: float,
+    constraint: PrecisionConstraint | float,
     predicate: Predicate | None = None,
     cost: CostFunc = uniform_cost,
 ) -> ExecutionSteps:
@@ -140,9 +118,10 @@ def top_n_steps(
 
     The predicate must read exact columns only (two-valued membership —
     the compiler enforces this for SQL statements); the n-th value's
-    bound is then narrowed to ``max_width`` by a CHOOSE_REFRESH plan in
-    the executor's loop (:func:`~repro.core.executor.refresh_steps`) —
-    one round while the master stands still, re-plans when it does not.
+    bound is then narrowed to the width ``constraint`` allows by a
+    CHOOSE_REFRESH plan in the executor's loop
+    (:func:`~repro.core.executor.refresh_steps`) — one round while the
+    master stands still, re-plans when it does not.
     Returns a :class:`TopNAnswer` via ``StopIteration.value``.
     """
     predicate = predicate if predicate is not None else TruePredicate()
@@ -176,7 +155,7 @@ def top_n_steps(
 
     return (
         yield from refresh_steps(
-            bound, max_width, plan, answer_type=TopNAnswer,
+            bound, constraint, plan, answer_type=TopNAnswer,
             fields=lambda: {
                 "certain_members": result.certain_members,
                 "possible_members": result.possible_members,

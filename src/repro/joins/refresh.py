@@ -34,10 +34,10 @@ takes one of two routes, read from the statement:
 
 Either way every plan names *one* base table and is surfaced through the
 executor's ``PlannedRefresh`` generator protocol
-(:meth:`JoinRefreshHeuristic.execute_steps`): a refresh scheduler can
-merge a join query's demand on table T with every single-table query's
-plans for T — per source, per cache group — exactly as it coalesces §4
-queries.  :meth:`JoinRefreshHeuristic.execute` is the serial driver.
+(:func:`join_steps`): a refresh scheduler can merge a join query's
+demand on table T with every single-table query's plans for T — per
+source, per cache group — exactly as it coalesces §4 queries, and
+:func:`~repro.core.executor.drive_steps` drives it serially.
 
 A round is array work over the tables' ``ColumnStore`` endpoint columns:
 :func:`repro.joins.classify.join_pairs` names the surviving joined tuples
@@ -55,16 +55,9 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.aggregates import get_aggregate
-from repro.core.answer import BoundedAnswer
 from repro.core.bound import Bound
-from repro.core.executor import (
-    ExecutionSteps,
-    NullRefreshProvider,
-    PlannedRefresh,
-    RefreshProvider,
-    drive_steps,
-    refresh_steps,
-)
+from repro.core.constraints import PrecisionConstraint
+from repro.core.executor import ExecutionSteps, PlannedRefresh, refresh_steps
 from repro.core.refresh import CHOOSE_SUM, get_choose_refresh
 from repro.core.refresh.base import (
     CostFunc,
@@ -77,102 +70,87 @@ from repro.predicates.ast import Predicate, columns_of
 from repro.predicates.batch import ColumnarClassification
 from repro.storage.table import Table
 
-__all__ = ["JoinRefreshHeuristic", "execute_join_query"]
+__all__ = ["join_steps"]
 
 #: Aggregates a join whose condition reads only exact columns plans as
 #: one §5 batch; COUNT is exact there and never plans.
 _BATCHED = ("SUM", "AVG", "MIN", "MAX")
 
 
-class JoinRefreshHeuristic:
-    """Base-tuple refresh for join aggregation queries: one §5 batch plan
-    per round over an exact join condition, greedy one-tuple rounds
-    otherwise."""
+def join_steps(
+    tables: Sequence[Table],
+    aggregate: str,
+    column: tuple[str, str] | None,
+    constraint: PrecisionConstraint | float,
+    predicate: Predicate | None = None,
+    cost: CostFunc = uniform_cost,
+) -> ExecutionSteps:
+    """The §7 refresh selection as a resumable generator.
 
-    def __init__(
-        self,
-        tables: Sequence[Table],
-        refresher: RefreshProvider | None,
-        cost: CostFunc | None = None,
-    ) -> None:
-        self.tables = list(tables)
-        self.refresher = refresher
-        self.cost = cost if cost is not None else uniform_cost
+    Runs the executor's loop (:func:`~repro.core.executor.refresh_steps`)
+    with a batch ``plan`` when the join condition reads no bounded
+    column and the aggregate is in :data:`_BATCHED`, with one-tuple
+    greedy rounds otherwise.  Each round's selection is yielded as a
+    :class:`~repro.core.executor.PlannedRefresh` against one base
+    table — the per-table decomposition a cross-query scheduler needs
+    to merge join demand with single-table plans.  The driver applies
+    each plan (possibly coalesced with other queries') and sends back
+    the effective :class:`RefreshPlan`; the round then re-joins and
+    re-classifies, so refreshes landed by concurrent queries are
+    picked up before the next selection.  A greedy round offers a base
+    tuple once; a round with tuples unreached is answered degraded.
+    Returns the :class:`~repro.core.answer.BoundedAnswer` via
+    ``StopIteration.value``.
+    """
+    join = _Join(tables, cost)
+    spec = get_aggregate(aggregate)
+    agg_column = column[1] if column is not None else None
+    round_ = None
 
-    # ------------------------------------------------------------------
-    def execute(
-        self,
-        aggregate: str,
-        column: tuple[str, str] | None,
-        max_width: float,
-        predicate: Predicate | None = None,
-    ) -> BoundedAnswer:
-        """Run the iterative heuristic until the constraint is met."""
-        steps = self.execute_steps(aggregate, column, max_width, predicate)
-        return drive_steps(steps, self.refresher)
-
-    def execute_steps(
-        self,
-        aggregate: str,
-        column: tuple[str, str] | None,
-        max_width: float,
-        predicate: Predicate | None = None,
-    ) -> ExecutionSteps:
-        """The §7 refresh selection as a resumable generator.
-
-        Runs the executor's loop (:func:`~repro.core.executor.refresh_steps`)
-        with a batch ``plan`` when the join condition reads no bounded
-        column and the aggregate is in :data:`_BATCHED`, with one-tuple
-        greedy rounds otherwise.  Each round's selection is yielded as a
-        :class:`~repro.core.executor.PlannedRefresh` against one base
-        table — the per-table decomposition a cross-query scheduler needs
-        to merge join demand with single-table plans.  The driver applies
-        each plan (possibly coalesced with other queries') and sends back
-        the effective :class:`RefreshPlan`; the round then re-joins and
-        re-classifies, so refreshes landed by concurrent queries are
-        picked up before the next selection.  A greedy round offers a base
-        tuple once; a round with tuples unreached is answered degraded.
-        Returns the :class:`BoundedAnswer` via ``StopIteration.value``.
-        """
-        spec = get_aggregate(aggregate)
-        agg_column = column[1] if column is not None else None
-        round_ = None
-
-        def bound() -> Bound:
-            nonlocal round_
-            joined, maybe = join_pairs(self.tables, predicate)
-            key = (
-                joined.column_key(agg_column, column[0])
-                if column is not None
-                else None
-            )
-            round_ = joined, maybe, key
-            pair = np.flatnonzero(np.logical_not(maybe)), np.flatnonzero(maybe)
-            return spec.bound_with_classification(
-                ColumnarClassification.from_positions(joined, pair, key),
-                agg_column,
-            )
-
-        def pick(bound, max_width, requested) -> PlannedRefresh | None:
-            best = self._best_candidate(*round_, requested)
-            if best is None:
-                return None
-            k, tid, cost = best
-            plan = RefreshPlan(frozenset((tid,)), cost)
-            return PlannedRefresh(self.tables[k], plan, max_width, aggregate)
-
-        def plan(bound, max_width) -> PlannedRefresh:
-            joined, _, (k, name) = round_
-            return self._batch_plan(spec.name, joined, k, name, bound, max_width)
-
-        batch = spec.name in _BATCHED and not self._reads_bounded(predicate)
-        return (
-            yield from refresh_steps(
-                bound, max_width, plan=plan if batch else None, pick=pick
-            )
+    def bound() -> Bound:
+        nonlocal round_
+        joined, maybe = join_pairs(join.tables, predicate)
+        key = (
+            joined.column_key(agg_column, column[0])
+            if column is not None
+            else None
+        )
+        round_ = joined, maybe, key
+        pair = np.flatnonzero(np.logical_not(maybe)), np.flatnonzero(maybe)
+        return spec.bound_with_classification(
+            ColumnarClassification.from_positions(joined, pair, key),
+            agg_column,
         )
 
-    def _reads_bounded(self, predicate: Predicate | None) -> bool:
+    def pick(bound, max_width, requested) -> PlannedRefresh | None:
+        best = join.best_candidate(*round_, requested)
+        if best is None:
+            return None
+        k, tid, tid_cost = best
+        plan = RefreshPlan(frozenset((tid,)), tid_cost)
+        return PlannedRefresh(join.tables[k], plan, max_width, aggregate)
+
+    def plan(bound, max_width) -> PlannedRefresh:
+        joined, _, (k, name) = round_
+        return join.batch_plan(spec.name, joined, k, name, bound, max_width)
+
+    batch = spec.name in _BATCHED and not join.reads_bounded(predicate)
+    return (
+        yield from refresh_steps(
+            bound, constraint, plan=plan if batch else None, pick=pick
+        )
+    )
+
+
+class _Join:
+    """The joined tables and the price of their base tuples, behind
+    :func:`join_steps`' batch plan and greedy pick."""
+
+    def __init__(self, tables: Sequence[Table], cost: CostFunc) -> None:
+        self.tables = list(tables)
+        self.cost = cost
+
+    def reads_bounded(self, predicate: Predicate | None) -> bool:
         """Whether the join condition names a column some joined table
         bounds — only then can a joined tuple be in T?."""
         names = columns_of(predicate) if predicate is not None else ()
@@ -182,7 +160,7 @@ class JoinRefreshHeuristic:
             for name in names
         )
 
-    def _batch_plan(
+    def batch_plan(
         self,
         aggregate: str,
         joined: JoinedColumns,
@@ -214,7 +192,7 @@ class JoinRefreshHeuristic:
         )
 
     # ------------------------------------------------------------------
-    def _best_candidate(
+    def best_candidate(
         self,
         joined: JoinedColumns,
         maybe: np.ndarray,
@@ -280,21 +258,3 @@ class JoinRefreshHeuristic:
                 best_rank = rank
                 best = (k, tid, float(costs[j]))
         return best
-
-
-def execute_join_query(
-    tables: Sequence[Table],
-    aggregate: str,
-    column: tuple[str, str] | None,
-    max_width: float,
-    predicate: Predicate | None = None,
-    refresher: RefreshProvider | None = None,
-    cost: CostFunc | None = None,
-) -> BoundedAnswer:
-    """One-shot convenience wrapper around :class:`JoinRefreshHeuristic`."""
-    heuristic = JoinRefreshHeuristic(
-        tables,
-        refresher if refresher is not None else NullRefreshProvider(),
-        cost=cost,
-    )
-    return heuristic.execute(aggregate, column, max_width, predicate)

@@ -3,9 +3,9 @@
 A :class:`DataCache` holds, for each subscribed table, a cached
 :class:`~repro.storage.table.Table` whose bounded columns store intervals
 evaluated from the current bound functions.  It implements the executor's
-``RefreshProvider`` protocol, so a
-:class:`~repro.core.executor.QueryExecutor` wired to a cache transparently
-performs query-initiated refreshes through the replication protocol.
+``RefreshProvider`` protocol, so
+:func:`~repro.core.executor.drive_steps` driving a statement against a
+cache performs query-initiated refreshes through the replication protocol.
 
 Time handling: bound functions widen continuously, so the cache
 re-evaluates every tracked bound at the current clock reading before a
@@ -60,7 +60,6 @@ from repro.replication.messages import (
 )
 from repro.replication.source import DataSource
 from repro.storage.catalog import Catalog
-from repro.storage.schema import Schema
 from repro.storage.table import Table
 
 __all__ = [

@@ -19,14 +19,9 @@ This is the main entry point for library users::
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.core.answer import BoundedAnswer
-from repro.core.constraints import PrecisionConstraint
-from repro.core.executor import QueryExecutor
 from repro.core.refresh.base import CostFunc, uniform_cost
 from repro.errors import TrappError
-from repro.predicates.ast import Predicate
 from repro.replication.cache import DataCache
 from repro.replication.fanout import CacheGroup
 from repro.replication.sharding import ShardedSource
@@ -53,10 +48,6 @@ class TrappSystem:
         #: Replication fan-out tiers; group ids share the cache-id
         #: namespace so the query service can route ``query(group_id, …)``.
         self._groups: dict[str, CacheGroup] = {}
-        # Executors are stateless across execute() calls, so one per
-        # cache is reused for every query — the query service calls this
-        # path at high rate and must not pay a constructor per query.
-        self._executors: dict[str, QueryExecutor] = {}
 
     # ------------------------------------------------------------------
     # Topology
@@ -221,9 +212,8 @@ class TrappSystem:
         Group members are detached through their group
         (:meth:`CacheGroup.detach_replica` — registry, fan-out, and
         monitor teardown included); standalone caches just unwind their
-        subscriptions.  Memoized executors for the cache are evicted so
-        a later cache under the same id cannot inherit a stale refresher.
-        The emptied cache object is returned for re-admission elsewhere.
+        subscriptions.  The emptied cache object is returned for
+        re-admission elsewhere.
         """
         cache = self.cache(cache_id)
         if cache.group is not None:
@@ -231,8 +221,6 @@ class TrappSystem:
         else:
             cache.unsubscribe_all()
         del self._caches[cache_id]
-        for key in [k for k in self._executors if k[0] == cache_id]:
-            del self._executors[key]
         return cache
 
     def admit_cache(
@@ -318,7 +306,7 @@ class TrappSystem:
         self,
         cache_id: str,
         sql: str,
-        cost: CostFunc | None = None,
+        cost: CostFunc = uniform_cost,
     ) -> BoundedAnswer:
         """Parse and execute a TRAPP SQL statement against one cache.
 
@@ -329,7 +317,7 @@ class TrappSystem:
         :class:`~repro.service.QueryService` drives the *same*
         generators through its refresh scheduler, so the two paths
         return identical answers for identical interleavings.
-        ``cost`` prices each tuple's refresh (§3; uniform when ``None``).
+        ``cost`` prices each tuple's refresh (§3).
         GROUP BY statements return a
         :class:`~repro.extensions.groupby.GroupedAnswer` (per-group
         breakdown in ``.groups``); ``TOPN(n, column)`` statements a
@@ -344,48 +332,4 @@ class TrappSystem:
         cache.sync_bounds()
         statement = parse_statement(sql)
         plan = compile_statement(statement, cache.catalog)
-        executor = self.executor_for(cache_id)
-        steps = plan_steps(plan, executor, cost=self._resolve_cost(cost))
-        return drive_steps(steps, cache)
-
-    def query_ast(
-        self,
-        cache_id: str,
-        table: str,
-        aggregate: str,
-        column: str | None,
-        constraint: PrecisionConstraint | float,
-        predicate: Predicate | None = None,
-        cost: CostFunc | None = None,
-    ) -> BoundedAnswer:
-        """Execute a query given pre-built AST pieces (no SQL text)."""
-        cache = self.cache(cache_id)
-        cache.sync_bounds()
-        executor = self.executor_for(cache_id)
-        return executor.execute(
-            table=cache.table(table),
-            aggregate=aggregate,
-            column=column,
-            constraint=constraint,
-            predicate=predicate,
-            cost=self._resolve_cost(cost),
-        )
-
-    # ------------------------------------------------------------------
-    def executor_for(self, cache_id: str) -> QueryExecutor:
-        """The shared, reusable executor for one cache.
-
-        Executors hold no per-query state, so the same instance safely
-        serves every query against a cache (including interleaved
-        ``execute_steps`` generators driven by the concurrent service).
-        """
-        executor = self._executors.get(cache_id)
-        if executor is None:
-            executor = QueryExecutor(refresher=self.cache(cache_id))
-            self._executors[cache_id] = executor
-        return executor
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _resolve_cost(cost: CostFunc | None) -> CostFunc:
-        return uniform_cost if cost is None else cost
+        return drive_steps(plan_steps(plan, cost), cache)

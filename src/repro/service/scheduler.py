@@ -1,7 +1,7 @@
 """Cross-query *and* cross-cache refresh coalescing (paper §8.2 scaled out).
 
 Each in-flight query suspends at its refresh point
-(:meth:`~repro.core.executor.QueryExecutor.execute_steps` yields a
+(its step generator — :func:`~repro.sql.steps.plan_steps` — yields a
 :class:`~repro.core.executor.PlannedRefresh`) and submits the plan here.
 The scheduler buffers submissions for one *tick*, then:
 
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.executor import PlannedRefresh

@@ -27,8 +27,9 @@ Per query the flow is:
    *invalidate* affected entries immediately (the scheduler reports
    every refreshed table through ``on_refresh``) instead of waiting for
    TTL/width expiry;
-4. **execution** — the shared per-cache executor runs as a resumable
-   generator; at its refresh point the query suspends into the
+4. **execution** — the statement's step generator
+   (:func:`~repro.sql.steps.plan_steps`) runs; at its refresh point the
+   query suspends into the
    :class:`~repro.service.scheduler.RefreshScheduler`, which merges it
    with every other in-flight query's refresh — across queries and, for
    grouped replicas, across caches — before resuming step 3.
@@ -587,7 +588,7 @@ class QueryService:
                     time.perf_counter() - wait_started
                 )
                 cache.sync_bounds()
-                steps = plan_steps(plan, self.system.executor_for(cache_id))
+                steps = plan_steps(plan)
                 rounds = 0
                 try:
                     request = next(steps)

@@ -17,7 +17,7 @@ import pytest
 import repro.core.executor as executor_module
 import tests.oracle.row_executor as oracle_module
 from repro.core.bound import Bound
-from repro.core.executor import QueryExecutor
+from repro.core.executor import NullRefreshProvider, drive_steps, table_steps
 from repro.predicates.parser import parse_predicate
 from repro.replication.local import LocalRefresher
 from repro.storage.schema import Schema
@@ -63,14 +63,15 @@ PREDICATE = parse_predicate("x > 5")
 class TestColumnarPath:
     def test_no_classify_calls_without_refresh(self, classify_counter):
         cached, _ = make_tables()
-        QueryExecutor().execute(cached, "SUM", "x", math.inf, PREDICATE)
+        steps = table_steps(cached, "SUM", "x", math.inf, PREDICATE)
+        drive_steps(steps, NullRefreshProvider())
         assert classify_counter["n"] == 0
         assert classify_counter["reports"] == 1
 
     def test_no_classify_calls_with_refresh(self, classify_counter):
         cached, master = make_tables()
-        executor = QueryExecutor(refresher=LocalRefresher(master))
-        answer = executor.execute(cached, "SUM", "x", 3.0, PREDICATE)
+        steps = table_steps(cached, "SUM", "x", 3.0, PREDICATE)
+        answer = drive_steps(steps, LocalRefresher(master))
         assert answer.refreshed  # the query really went through step 2
         assert classify_counter["n"] == 0
         assert classify_counter["reports"] == 2  # steps 1 + 2 share one
@@ -108,8 +109,7 @@ class TestNoPredicateNeverClassifies:
     @pytest.mark.parametrize("columnar", [True, False])
     def test_plain_aggregate(self, classify_counter, columnar):
         cached, master = make_tables()
-        executor_type = QueryExecutor if columnar else RowQueryExecutor
-        executor = executor_type(refresher=LocalRefresher(master))
-        executor.execute(cached, "SUM", "x", 5.0)
+        steps_of = table_steps if columnar else RowQueryExecutor().execute_steps
+        drive_steps(steps_of(cached, "SUM", "x", 5.0), LocalRefresher(master))
         assert classify_counter["n"] == 0
         assert classify_counter["reports"] == 0

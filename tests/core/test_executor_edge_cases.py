@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.bound import Bound
 from repro.core.constraints import RelativePrecision
-from repro.core.executor import NullRefreshProvider, QueryExecutor
+from repro.core.executor import NullRefreshProvider, drive_steps, table_steps
 from repro.errors import (
     ConstraintUnsatisfiableError,
     UnknownColumnError,
@@ -35,15 +35,15 @@ def make_tables():
 class TestNullProvider:
     def test_cached_only_queries_work(self):
         cached, _ = make_tables()
-        executor = QueryExecutor()  # NullRefreshProvider by default
-        answer = executor.execute(cached, "SUM", "x", math.inf)
+        refresher = NullRefreshProvider()  # answers from the cache alone
+        answer = drive_steps(table_steps(cached, "SUM", "x", math.inf), refresher)
         assert answer.bound == Bound(2, 19)
 
     def test_refresh_needed_raises(self):
         cached, _ = make_tables()
-        executor = QueryExecutor()
+        refresher = NullRefreshProvider()
         with pytest.raises(ConstraintUnsatisfiableError):
-            executor.execute(cached, "SUM", "x", 1.0)
+            drive_steps(table_steps(cached, "SUM", "x", 1.0), refresher)
 
     def test_null_provider_accepts_empty(self):
         cached, _ = make_tables()
@@ -53,32 +53,34 @@ class TestNullProvider:
 class TestValidation:
     def test_unknown_aggregation_column(self):
         cached, _ = make_tables()
-        executor = QueryExecutor()
+        refresher = NullRefreshProvider()
         with pytest.raises(UnknownColumnError):
-            executor.execute(cached, "SUM", "ghost", 1.0)
+            drive_steps(table_steps(cached, "SUM", "ghost", 1.0), refresher)
 
     def test_missing_column_for_sum(self):
         cached, _ = make_tables()
-        executor = QueryExecutor()
+        refresher = NullRefreshProvider()
         with pytest.raises(UnknownColumnError):
-            executor.execute(cached, "SUM", None, 1.0)
+            drive_steps(table_steps(cached, "SUM", None, 1.0), refresher)
 
     def test_unknown_predicate_column(self):
         cached, _ = make_tables()
-        executor = QueryExecutor()
+        refresher = NullRefreshProvider()
         with pytest.raises(UnknownColumnError):
-            executor.execute(
+            steps = table_steps(
                 cached, "COUNT", None, 1.0, predicate=parse_predicate("ghost > 1")
             )
+            drive_steps(steps, refresher)
 
 
 class TestPredicateRegimeSelection:
     def test_text_predicate_uses_exact_path(self):
         cached, master = make_tables()
-        executor = QueryExecutor(refresher=LocalRefresher(master))
-        answer = executor.execute(
+        refresher = LocalRefresher(master)
+        steps = table_steps(
             cached, "COUNT", None, 0, predicate=parse_predicate("region = 'a'")
         )
+        answer = drive_steps(steps, refresher)
         # Text columns are exact: COUNT needs no refresh at all.
         assert answer.bound == Bound.exact(2)
         assert not answer.refreshed
@@ -90,18 +92,20 @@ class TestPredicateRegimeSelection:
         cached = Table("t", schema)
         cached.insert({"x": Bound.exact(5), "y": Bound(0, 100)})
         cached.insert({"x": Bound.exact(1), "y": Bound(0, 100)})
-        executor = QueryExecutor()
-        answer = executor.execute(
+        refresher = NullRefreshProvider()
+        steps = table_steps(
             cached, "COUNT", None, 0, predicate=parse_predicate("x > 3")
         )
+        answer = drive_steps(steps, refresher)
         assert answer.bound == Bound.exact(1)
 
     def test_bounded_predicate_uses_classification(self):
         cached, master = make_tables()
-        executor = QueryExecutor(refresher=LocalRefresher(master))
-        answer = executor.execute(
+        refresher = LocalRefresher(master)
+        steps = table_steps(
             cached, "COUNT", None, 0, predicate=parse_predicate("x > 4")
         )
+        answer = drive_steps(steps, refresher)
         # Master values: 4.0 (no), 5.5 (yes), 0.0 (no).
         assert answer.bound == Bound.exact(1)
         assert answer.refreshed  # uncertainty had to be resolved
@@ -114,10 +118,11 @@ class TestRefinement:
         cached.insert({"x": Bound(0, 20)})  # T? under x > 10
         cached.insert({"x": Bound(12, 14)})  # T+
         # The executor always refines; the oracle can leave it out.
-        on = QueryExecutor()
+        on_refresher = NullRefreshProvider()
         off = RowQueryExecutor(refine_bounds=False)
         predicate = parse_predicate("x > 10")
-        bound_on = on.execute(cached, "MIN", "x", math.inf, predicate).bound
+        steps = table_steps(cached, "MIN", "x", math.inf, predicate)
+        bound_on = drive_steps(steps, on_refresher).bound
         bound_off = off.execute(cached, "MIN", "x", math.inf, predicate).bound
         # Refined: the T? tuple can only contribute values > 10.
         assert bound_on.lo == 10
@@ -126,10 +131,9 @@ class TestRefinement:
 
     def test_refinement_never_loses_containment(self):
         cached, master = make_tables()
-        executor = QueryExecutor(refresher=LocalRefresher(master))
-        answer = executor.execute(
-            cached, "SUM", "x", 2.0, predicate=parse_predicate("x > 1")
-        )
+        refresher = LocalRefresher(master)
+        steps = table_steps(cached, "SUM", "x", 2.0, predicate=parse_predicate("x > 1"))
+        answer = drive_steps(steps, refresher)
         # Master truth: values > 1 are 4.0 and 5.5.
         assert answer.bound.contains(9.5)
         assert answer.width <= 2 + 1e-9
@@ -138,8 +142,9 @@ class TestRefinement:
 class TestRelativeConstraintThroughExecutor:
     def test_relative_resolved_against_first_pass(self):
         cached, master = make_tables()
-        executor = QueryExecutor(refresher=LocalRefresher(master))
-        answer = executor.execute(cached, "SUM", "x", RelativePrecision(0.3))
+        refresher = LocalRefresher(master)
+        steps = table_steps(cached, "SUM", "x", RelativePrecision(0.3))
+        answer = drive_steps(steps, refresher)
         # First pass [2, 19]: budget = 2 * 2 * 0.3 = 1.2.
         assert answer.width <= 1.2 + 1e-9
         assert answer.bound.contains(9.5)
@@ -156,8 +161,9 @@ class TestRelativeConstraintThroughExecutor:
         for _ in range(10):
             cached.insert({"x": Bound(9, 11)})
             master.insert({"x": 10.0})
-        executor = QueryExecutor(refresher=LocalRefresher(master))
-        answer = executor.execute(cached, "SUM", "x", RelativePrecision(0.1))
+        refresher = LocalRefresher(master)
+        steps = table_steps(cached, "SUM", "x", RelativePrecision(0.1))
+        answer = drive_steps(steps, refresher)
         assert answer.refreshed == {1}
         assert answer.bound == Bound(120, 140) and answer.bound.contains(130)
         assert RelativePrecision(0.1).satisfied_by(answer.bound)
@@ -168,8 +174,8 @@ class TestConstraintAlreadyMet:
         schema = Schema.of(x="bounded")
         cached = Table("t", schema)
         cached.insert({"x": Bound.exact(4)})
-        executor = QueryExecutor()
-        answer = executor.execute(cached, "AVG", "x", 0)
+        refresher = NullRefreshProvider()
+        answer = drive_steps(table_steps(cached, "AVG", "x", 0), refresher)
         assert answer.bound == Bound.exact(4)
         assert answer.initial_bound == answer.bound
 

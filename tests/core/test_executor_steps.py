@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.executor import PlannedRefresh, QueryExecutor
+from repro.core.executor import PlannedRefresh, drive_steps, table_steps
 from repro.core.refresh.base import RefreshPlan
 from repro.predicates.parser import parse_predicate
 from repro.replication import ColumnCostModel
@@ -14,7 +14,7 @@ from tests.protocol import row_cost
 
 
 def drive(steps, apply):
-    """Run an execute_steps generator with ``apply(request) -> plan``."""
+    """Run a step generator with ``apply(request) -> plan``."""
     try:
         request = next(steps)
         while True:
@@ -25,8 +25,7 @@ def drive(steps, apply):
 
 # ----------------------------------------------------------------------
 def test_cache_answerable_query_never_yields(cached_links):
-    executor = QueryExecutor()
-    steps = executor.execute_steps(cached_links, "SUM", "traffic", 1000.0)
+    steps = table_steps(cached_links, "SUM", "traffic", 1000.0)
     with pytest.raises(StopIteration) as stop:
         next(steps)
     answer = stop.value.value
@@ -36,8 +35,7 @@ def test_cache_answerable_query_never_yields(cached_links):
 
 def test_yielded_plan_carries_sum_rebatch_metadata(cached_links, master_links):
     cost = ColumnCostModel("cost")
-    executor = QueryExecutor(refresher=LocalRefresher(master_links))
-    steps = executor.execute_steps(cached_links, "SUM", "traffic", 10.0, cost=cost)
+    steps = table_steps(cached_links, "SUM", "traffic", 10.0, cost=cost)
     request = next(steps)
     assert isinstance(request, PlannedRefresh)
     assert request.aggregate == "SUM"
@@ -66,8 +64,7 @@ def test_yielded_plan_carries_sum_rebatch_metadata(cached_links, master_links):
 
 
 def test_min_queries_carry_no_rebatch_metadata(cached_links, master_links):
-    executor = QueryExecutor(refresher=LocalRefresher(master_links))
-    steps = executor.execute_steps(cached_links, "MIN", "latency", 0.5)
+    steps = table_steps(cached_links, "MIN", "latency", 0.5)
     request = next(steps)
     assert not request.can_rebatch
     steps.close()
@@ -76,13 +73,12 @@ def test_min_queries_carry_no_rebatch_metadata(cached_links, master_links):
 def test_driver_controls_the_refresh(cached_links, master_links):
     """The generator driver applies the refresh and reports its cost."""
     refresher = LocalRefresher(master_links)
-    executor = QueryExecutor()  # no refresher: the driver owns refreshes
 
     def apply(request: PlannedRefresh) -> RefreshPlan:
         refresher.refresh(request.table, request.plan.tids)
         return RefreshPlan(request.plan.tids, 123.0)
 
-    steps = executor.execute_steps(cached_links, "SUM", "traffic", 10.0)
+    steps = table_steps(cached_links, "SUM", "traffic", 10.0)
     answer = drive(steps, apply)
     assert answer.meets(10.0)
     assert answer.refresh_cost == 123.0
@@ -95,7 +91,7 @@ def test_superset_refresh_keeps_guarantee(cached_links, master_links):
     including for the row oracle's incremental reclassification."""
     predicate = parse_predicate("traffic > 100")
     all_tids = {row.tid for row in cached_links.rows()}
-    for executor in (QueryExecutor(), RowQueryExecutor()):
+    for steps_of in (table_steps, RowQueryExecutor().execute_steps):
         table = cached_links.copy()
         refresher = LocalRefresher(master_links)
 
@@ -103,7 +99,7 @@ def test_superset_refresh_keeps_guarantee(cached_links, master_links):
             refresher.refresh(request.table, all_tids)  # the whole table
             return RefreshPlan(frozenset(all_tids), 6.0)
 
-        steps = executor.execute_steps(table, "SUM", "traffic", 10.0, predicate)
+        steps = steps_of(table, "SUM", "traffic", 10.0, predicate)
         answer = drive(steps, apply)
         assert answer.meets(10.0)
         assert answer.refreshed == frozenset(all_tids)
@@ -112,11 +108,10 @@ def test_superset_refresh_keeps_guarantee(cached_links, master_links):
 
 
 def test_execute_and_steps_agree(cached_links, master_links):
-    classic = QueryExecutor(refresher=LocalRefresher(master_links)).execute(
-        cached_links.copy(), "SUM", "traffic", 10.0
-    )
+    steps = table_steps(cached_links.copy(), "SUM", "traffic", 10.0)
+    classic = drive_steps(steps, LocalRefresher(master_links))
     refresher = LocalRefresher(master_links)
-    steps = QueryExecutor().execute_steps(cached_links.copy(), "SUM", "traffic", 10.0)
+    steps = table_steps(cached_links.copy(), "SUM", "traffic", 10.0)
     stepped = drive(
         steps,
         lambda request: (

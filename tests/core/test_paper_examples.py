@@ -14,7 +14,7 @@ sample data:
 import pytest
 
 from repro.core.aggregates import AVG, COUNT, MAX, MIN, SUM, loose_avg_bound
-from repro.core.executor import QueryExecutor
+from repro.core.executor import drive_steps, table_steps
 from repro.core.refresh import (
     CHOOSE_AVG,
     CHOOSE_COUNT,
@@ -225,16 +225,15 @@ class TestEndToEndExecutor:
         path = Table("links", cached_links.schema)
         for tid in (1, 2, 5, 6):
             path.insert(cached_links.row(tid).as_dict(), tid=tid)
-        executor = QueryExecutor(refresher=refresher)
-        answer = executor.execute(path, "SUM", "latency", 5, cost=cost_func)
+        steps = table_steps(path, "SUM", "latency", 5, cost=cost_func)
+        answer = drive_steps(steps, refresher)
         assert answer.initial_bound == Bound(19, 28)
         assert answer.bound == Bound(21, 26)
         assert set(answer.refreshed) == {1, 6}
         assert answer.refresh_cost == 5
 
     def test_q4_executor(self, cached_links, refresher, cost_func):
-        executor = QueryExecutor(refresher=refresher)
-        answer = executor.execute(
+        steps = table_steps(
             cached_links,
             "MIN",
             "traffic",
@@ -242,12 +241,12 @@ class TestEndToEndExecutor:
             predicate=parse_predicate(Q4_PREDICATE),
             cost=cost_func,
         )
+        answer = drive_steps(steps, refresher)
         assert answer.bound == Bound(95, 105)
         assert set(answer.refreshed) == {5, 6}
 
     def test_q5_executor(self, cached_links, refresher, cost_func):
-        executor = QueryExecutor(refresher=refresher)
-        answer = executor.execute(
+        steps = table_steps(
             cached_links,
             "COUNT",
             None,
@@ -255,12 +254,12 @@ class TestEndToEndExecutor:
             predicate=parse_predicate(Q5_PREDICATE),
             cost=cost_func,
         )
+        answer = drive_steps(steps, refresher)
         assert answer.bound == Bound(2, 3)
         assert set(answer.refreshed) == {5}
 
     def test_q6_executor(self, cached_links, refresher, cost_func):
-        executor = QueryExecutor(refresher=refresher)
-        answer = executor.execute(
+        steps = table_steps(
             cached_links,
             "AVG",
             "latency",
@@ -268,12 +267,13 @@ class TestEndToEndExecutor:
             predicate=parse_predicate(Q6_PREDICATE),
             cost=cost_func,
         )
+        answer = drive_steps(steps, refresher)
         assert answer.bound == Bound(8, 9)
         assert set(answer.refreshed) == {1, 3, 5, 6}
 
     def test_no_refresh_when_constraint_already_met(self, cached_links, refresher):
-        executor = QueryExecutor(refresher=refresher)
-        answer = executor.execute(cached_links, "SUM", "latency", 1000)
+        steps = table_steps(cached_links, "SUM", "latency", 1000)
+        answer = drive_steps(steps, refresher)
         assert not answer.refreshed
         assert answer.refresh_cost == 0
         # SUM of latency over all six tuples: lows 2+5+12+9+8+4=40,

@@ -18,7 +18,7 @@ from repro.core.refresh import (
     get_choose_refresh,
 )
 import repro.extensions.median_spec  # noqa: F401 - registers MEDIAN
-from repro.core.executor import QueryExecutor
+from repro.core.executor import NullRefreshProvider, drive_steps, table_steps
 from repro.errors import OptimizerError, TrappError, UnknownColumnError
 from repro.extensions.topn import top_n_steps
 from repro.predicates.parser import parse_predicate
@@ -297,9 +297,8 @@ class TestRefreshCostsAreValidated:
         # COUNT only refreshes (and prices) under a bounded predicate.
         predicate = parse_predicate("x > 1") if aggregate == "COUNT" else None
         column = None if aggregate == "COUNT" else "x"
-        return QueryExecutor(refresher=LocalRefresher(master)).execute(
-            cached, aggregate, column, 0.0, predicate, cost
-        )
+        steps = table_steps(cached, aggregate, column, 0.0, predicate, cost)
+        return drive_steps(steps, LocalRefresher(master))
 
     @pytest.mark.parametrize("bad", [-1.0, math.inf], ids=str)  # no NaN cell
     @pytest.mark.parametrize("aggregate", AGGREGATES)
@@ -351,10 +350,11 @@ class TestCostColumnMustHoldExactNumbers:
         if statement == "TOPN":
             return next(top_n_steps(self.table(), 1, "x", 0.0, cost=cost))
         predicate = parse_predicate("x > 1") if statement == "COUNT" else None
-        return QueryExecutor().execute(
+        steps = table_steps(
             self.table(), statement, None if statement == "COUNT" else "x",
             0.0, predicate, cost,
         )
+        return drive_steps(steps, NullRefreshProvider())
 
     STATEMENTS = [*TestRefreshCostsAreValidated.AGGREGATES, "TOPN"]
 

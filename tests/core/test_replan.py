@@ -22,12 +22,12 @@ import pytest
 
 import repro.extensions.median_spec  # noqa: F401  (registers MEDIAN)
 from repro.core.aggregates import registry
-from repro.core.executor import MAX_PLAN_ROUNDS, QueryExecutor, iterative_steps
+from repro.core.executor import MAX_PLAN_ROUNDS, iterative_steps, table_steps
 from repro.core.refresh.base import RefreshPlan, uniform_cost
 from repro.errors import ConstraintUnsatisfiableError
 from repro.extensions.groupby import grouped_query_steps
 from repro.extensions.topn import top_n_steps
-from repro.joins.refresh import JoinRefreshHeuristic
+from repro.joins.refresh import join_steps
 from repro.predicates.parser import parse_predicate
 from repro.replication import ColumnCostModel
 from repro.replication.local import LocalRefresher
@@ -80,9 +80,7 @@ def test_a_serial_driver_never_sees_a_replan(shape, aggregate, predicate, cost):
     for budget in BUDGETS:
         cached = paper_example_table()
         if shape == "query":
-            steps = QueryExecutor().execute_steps(
-                cached, aggregate, column, budget, parsed, COSTS[cost]
-            )
+            steps = table_steps(cached, aggregate, column, budget, parsed, COSTS[cost])
             most = 1
         else:
             steps = grouped_query_steps(
@@ -107,7 +105,7 @@ def test_a_serial_top_n_plans_once(column):
             assert answer.meets(budget)
 
 
-def join_steps(
+def links_join_steps(
     links, aggregate="SUM", column="traffic", budget=5.0, condition="to_node = node"
 ):
     """``links ⋈ nodes`` on ``condition``; the node loads are exact, so
@@ -118,8 +116,8 @@ def join_steps(
     for node in range(1, 7):
         nodes.insert({"node": node, "load": 10.0 * node})
     column = None if column is None else ("links", column)
-    return JoinRefreshHeuristic([links, nodes], None).execute_steps(
-        aggregate, column, budget, parse_predicate(condition)
+    return join_steps(
+        [links, nodes], aggregate, column, budget, parse_predicate(condition)
     )
 
 
@@ -128,7 +126,7 @@ def test_a_serial_exact_key_join_plans_once(aggregate):
     column = "traffic" if registry[aggregate].needs_column else None
     for budget in BUDGETS:
         answer, requests = serial(
-            join_steps(paper_example_table(), aggregate, column, budget)
+            links_join_steps(paper_example_table(), aggregate, column, budget)
         )
         context = f"WITHIN {budget}"
         if aggregate == "MEDIAN":  # no batch plan: greedy rounds
@@ -146,7 +144,7 @@ def test_one_tuple_rounds_are_never_replans(shape, aggregate):
         if shape == "iterative":
             steps = iterative_steps(paper_example_table(), aggregate, column, budget)
         else:
-            steps = join_steps(
+            steps = links_join_steps(
                 paper_example_table(), aggregate, column, budget,
                 "to_node = node AND load > 0",
             )
@@ -158,12 +156,12 @@ def test_one_tuple_rounds_are_never_replans(shape, aggregate):
 
 
 STATEMENTS = {
-    "query": lambda table: QueryExecutor().execute_steps(table, "SUM", "traffic", 5.0),
+    "query": lambda table: table_steps(table, "SUM", "traffic", 5.0),
     "group_by": lambda table: grouped_query_steps(
         table, ["from_node"], "SUM", "traffic", 5.0
     ),
     "top_n": lambda table: top_n_steps(table, 2, "traffic", 0.5),
-    "join": join_steps,
+    "join": links_join_steps,
 }
 
 
@@ -173,7 +171,7 @@ def test_a_round_with_tuples_unreached_is_answered_degraded(shape):
     group (or the statement) is answered degraded at once."""
     table = paper_example_table()
     if shape == "greedy_join":
-        steps = join_steps(table, condition="to_node = node AND load > 0")
+        steps = links_join_steps(table, condition="to_node = node AND load > 0")
     else:
         steps = STATEMENTS[shape](table)
     request = next(steps)

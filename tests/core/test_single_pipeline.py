@@ -12,8 +12,9 @@ method family is gone, the service's sync deferral is gone, the refresh
 loop is written once, the one-row predicate semantics, the callerless
 ``Bound`` helpers and the unserved §8 sketches live outside ``src/``,
 one tick policy, one router and one pricing path are served, the data
-alone choose the knapsack solver and the shard placement, and none of the
-others may creep back in.
+alone choose the knapsack solver and the shard placement, every statement
+class is one generator that ``drive_steps`` alone drives serially, and
+none of the others may creep back in.
 """
 
 from __future__ import annotations
@@ -30,12 +31,14 @@ import repro.extensions.median_spec  # noqa: F401 - registers MEDIAN
 from repro.core.aggregates import registry
 from repro.core.bound import Bound
 from repro.core.constraints import RelativePrecision
-from repro.core.executor import QueryExecutor, iterative_steps
+from repro.core.executor import drive_steps, iterative_steps, table_steps
 from repro.core.knapsack import solve_vector
 from repro.core.refresh import AvgChooseRefresh, SumChooseRefresh, get_choose_refresh
 from repro.core.refresh.base import uniform_cost
 from repro.extensions.batching import BatchedCostModel
 from repro.extensions.groupby import grouped_query_steps
+from repro.extensions.topn import top_n_steps
+from repro.joins.refresh import join_steps
 from repro.predicates.parser import parse_predicate
 from repro.replication import (
     ColumnCostModel,
@@ -48,6 +51,7 @@ from repro.replication.sharding import ShardedSource
 from repro.service import QueryService
 from repro.service.results import ResultCache
 from repro.service.scheduler import RefreshScheduler
+from repro.sql.steps import plan_steps
 from repro.storage.row import Row
 from repro.storage.schema import Schema
 from repro.storage.table import Table
@@ -147,9 +151,7 @@ def test_every_query_runs_without_rows(aggregate, predicate_name, cost_name, sha
         steps = iterative_steps(cached, aggregate, column, BUDGET, predicate, cost)
     else:
         constraint = RELATIVE if shape == "relative" else BUDGET
-        steps = QueryExecutor().execute_steps(
-            cached, aggregate, column, constraint, predicate, cost
-        )
+        steps = table_steps(cached, aggregate, column, constraint, predicate, cost)
     yields = 0
     try:
         with rows_forbidden(key_reads):
@@ -189,7 +191,7 @@ def _rebatch_runs_without_rows():
         table.insert({"x": Bound(0.0, width)})
     cache = FakeCache({1: "a", 2: "b", 3: "a"})
     scheduler = RefreshScheduler(cost_model=BatchedCostModel(setup=50.0, marginal=1.0))
-    steps = QueryExecutor().execute_steps(table, "SUM", "x", 8.0)
+    steps = table_steps(table, "SUM", "x", 8.0)
 
     async def plan_and_dispatch():
         with rows_forbidden():
@@ -217,9 +219,8 @@ def test_opaque_cost_is_called_once_per_candidate():
         calls.append(row.tid)
         return 1.0 + row.tid % 3
 
-    answer = QueryExecutor(refresher=LocalRefresher(master)).execute(
-        cached, "SUM", "x", BUDGET, predicate, cost
-    )
+    steps = table_steps(cached, "SUM", "x", BUDGET, predicate, cost)
+    answer = drive_steps(steps, LocalRefresher(master))
     assert answer.refreshed and answer.bound.width <= BUDGET
     assert sorted(calls) == candidates
 
@@ -227,7 +228,6 @@ def test_opaque_cost_is_called_once_per_candidate():
 @pytest.mark.parametrize(
     "entry_point",
     [
-        QueryExecutor.__init__,
         TrappSystem.__init__,
         QueryService.__init__,
         QueryService.query,
@@ -241,13 +241,16 @@ def test_opaque_cost_is_called_once_per_candidate():
         get_choose_refresh,
         solve_vector,
         grouped_query_steps,
+        table_steps,
+        join_steps,
+        top_n_steps,
+        plan_steps,
         TrappSystem.query,
         TrappSystem.add_source,
         ShardedSource.create,
         ResultCache.make_key,
     ],
     ids=[
-        "QueryExecutor",
         "TrappSystem",
         "QueryService",
         "QueryService.query",
@@ -261,6 +264,10 @@ def test_opaque_cost_is_called_once_per_candidate():
         "get_choose_refresh",
         "solve_vector",
         "grouped_query_steps",
+        "table_steps",
+        "join_steps",
+        "top_n_steps",
+        "plan_steps",
         "TrappSystem.query",
         "TrappSystem.add_source",
         "ShardedSource.create",
@@ -297,6 +304,24 @@ def test_route_options_are_gone(entry_point):
         assert "epsilon" not in parameters
     if entry_point is QueryService.query:
         assert "cost" not in parameters
+    # One driver applies refreshes: no statement or dispatcher is handed
+    # a refresher or an executor object.
+    assert not {"executor", "refresher"} & parameters
+
+
+STATEMENT_STEPS = [table_steps, join_steps, grouped_query_steps, top_n_steps]
+
+
+@pytest.mark.parametrize("steps", STATEMENT_STEPS, ids=lambda f: f.__name__)
+def test_statement_generators_share_one_argument_order(steps):
+    """``(tables…, shape…, constraint, predicate=None, cost=uniform_cost)``:
+    every statement class is one generator function of that shape."""
+    assert inspect.isgeneratorfunction(steps)
+    parameters = list(inspect.signature(steps).parameters.values())
+    assert [p.name for p in parameters[-3:]] == ["constraint", "predicate", "cost"]
+    assert parameters[-2].default is None
+    assert parameters[-1].default is uniform_cost
+    assert inspect.signature(plan_steps).parameters["cost"].default is uniform_cost
 
 
 def test_executor_probes_nothing_and_src_never_imports_tests():
@@ -400,7 +425,15 @@ def test_executor_probes_nothing_and_src_never_imports_tests():
         r"|tick_grow|current_table_width"
     )
     assert not [name for name, text in sources.items() if unserved.search(text)]
-    # One execution entry point, ``QueryExecutor(refresher=…).execute``,
-    # and one placement, round-robin on tuple id.
+    # One placement, round-robin on tuple id.
     wrappers = re.compile(r"execute_query|KeyPartitioner|hash_by_key|range_by_key")
     assert not [name for name, text in sources.items() if wrappers.search(text)]
+    # One generator per statement class and one serial driver,
+    # ``drive_steps``: no executor object, no per-cache memo of one, and
+    # no serial twin of a generator.  TOP-N reads the store, not rows.
+    serial = re.compile(
+        r"QueryExecutor|executor_for|query_ast|execute_join_query"
+        r"|JoinRefreshHeuristic|bounded_top_n|def grouped_query\("
+    )
+    assert not [name for name, text in sources.items() if serial.search(text)]
+    assert "repro.storage.row" not in sources["extensions/topn.py"]

@@ -4,11 +4,11 @@ import pytest
 
 from repro.core.bound import Bound
 from repro.core.constraints import RelativePrecision
-from repro.core.executor import QueryExecutor
+from repro.core.executor import NullRefreshProvider, drive_steps, table_steps
 from repro.core.refresh.base import RefreshPlan
 from repro.errors import ConstraintUnsatisfiableError, TrappError
 from repro.extensions.batching import BatchedCostModel, rebatch_plan
-from repro.extensions.groupby import grouped_query
+from repro.extensions.groupby import grouped_query_steps
 from repro.replication.local import LocalRefresher
 from repro.storage.row import Row
 from repro.storage.schema import Schema
@@ -82,10 +82,16 @@ def grouped_tables():
     return cached, master
 
 
+def grouped(table, group_by, aggregate, column, constraint, refresher=None):
+    """The per-group results of a GROUP BY statement driven serially."""
+    steps = grouped_query_steps(table, group_by, aggregate, column, constraint)
+    return drive_steps(steps, refresher or NullRefreshProvider()).groups
+
+
 class TestGroupedQuery:
     def test_groups_partition_rows(self, grouped_tables):
         cached, master = grouped_tables
-        results = grouped_query(
+        results = grouped(
             cached, ["region"], "SUM", "load", 1000.0,
             refresher=LocalRefresher(master),
         )
@@ -94,7 +100,7 @@ class TestGroupedQuery:
 
     def test_per_group_constraint_enforced(self, grouped_tables):
         cached, master = grouped_tables
-        results = grouped_query(
+        results = grouped(
             cached, ["region"], "SUM", "load", 5.0,
             refresher=LocalRefresher(master),
         )
@@ -108,17 +114,17 @@ class TestGroupedQuery:
     def test_bounded_grouping_column_rejected(self, grouped_tables):
         cached, _ = grouped_tables
         with pytest.raises(TrappError):
-            grouped_query(cached, ["load"], "SUM", "cost", 1.0)
+            grouped(cached, ["load"], "SUM", "cost", 1.0)
 
     def test_empty_group_by_rejected(self, grouped_tables):
         cached, _ = grouped_tables
         with pytest.raises(TrappError):
-            grouped_query(cached, [], "SUM", "load", 1.0)
+            grouped(cached, [], "SUM", "load", 1.0)
 
     def test_groups_refresh_independently(self, grouped_tables):
         cached, master = grouped_tables
         refresher = LocalRefresher(master)
-        results = grouped_query(
+        results = grouped(
             cached, ["region"], "SUM", "load", 6.0, refresher=refresher
         )
         # East group widths: 10 + 5 = 15 > 6, needs refreshes; its plan
@@ -132,7 +138,7 @@ class TestGroupedQuery:
 
     def test_count_star_per_group(self, grouped_tables):
         cached, master = grouped_tables
-        results = grouped_query(
+        results = grouped(
             cached, ["region"], "COUNT", None, 0.0,
             refresher=LocalRefresher(master),
         )
@@ -157,8 +163,8 @@ class TestRelativePrecision:
 
     @staticmethod
     def run(cached, master, fraction):
-        executor = QueryExecutor(refresher=LocalRefresher(master))
-        return executor.execute(cached, "SUM", "x", RelativePrecision(fraction))
+        steps = table_steps(cached, "SUM", "x", RelativePrecision(fraction))
+        return drive_steps(steps, LocalRefresher(master))
 
     def test_relative_constraint_met(self, relative_tables):
         answer = self.run(*relative_tables, 0.05)
@@ -182,9 +188,21 @@ class TestRelativePrecision:
         assert answer.bound.contains(10)
         assert answer.width <= 2 * 10 * 0.1 + 1e-6
 
+    def test_relative_constraint_per_group(self, grouped_tables):
+        """GROUP BY takes the constraint itself: each group's R comes
+        from that group's own bound."""
+        cached, master = grouped_tables
+        relative = RelativePrecision(0.05)
+        steps = grouped_query_steps(cached, ["region"], "SUM", "load", relative)
+        groups = drive_steps(steps, LocalRefresher(master)).groups
+        for group, truth in zip(groups, (15.0 + 32.0, 40.0 + 5.0)):
+            assert relative.satisfied_by(group.answer.bound)
+            assert group.answer.bound.contains(truth)
+
     def test_zero_straddling_without_refresher_raises(self):
         schema = Schema.of(x="bounded")
         cached = Table("t", schema)
         cached.insert({"x": Bound(-1, 1)})
         with pytest.raises(ConstraintUnsatisfiableError):
-            QueryExecutor().execute(cached, "SUM", "x", RelativePrecision(0.1))
+            steps = table_steps(cached, "SUM", "x", RelativePrecision(0.1))
+            drive_steps(steps, NullRefreshProvider())

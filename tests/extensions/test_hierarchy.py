@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.bound import Bound
-from repro.core.executor import QueryExecutor
+from repro.core.executor import drive_steps, table_steps
 from repro.errors import ReplicationProtocolError
 from repro.extensions.hierarchy import HierarchicalCache, LevelRoot, build_chain
 from repro.storage.schema import Schema
@@ -101,8 +101,7 @@ class TestCascade:
 class TestQueriesAtLevels:
     def test_executor_against_edge_level(self, chain, master):
         root, (regional, edge) = chain
-        executor = QueryExecutor(refresher=edge)
-        answer = executor.execute(edge.table, "SUM", "value", 5.0)
+        answer = drive_steps(table_steps(edge.table, "SUM", "value", 5.0), edge)
         assert answer.width <= 5 + 1e-9
         truth = sum(master.row(t).number("value") for t in master.tids())
         assert answer.bound.contains(truth)
@@ -119,8 +118,7 @@ class TestQueriesAtLevels:
     def test_three_level_chain(self, master):
         root, levels = build_chain(master, slacks=[1.0, 2.0, 4.0])
         leaf = levels[-1]
-        executor = QueryExecutor(refresher=leaf)
-        answer = executor.execute(leaf.table, "MIN", "value", 0.5)
+        answer = drive_steps(table_steps(leaf.table, "MIN", "value", 0.5), leaf)
         assert answer.width <= 0.5 + 1e-9
         assert answer.bound.contains(10.0)
         # The cascade reached the root through every level.

@@ -5,10 +5,10 @@ import pytest
 from repro.core.aggregates import get_aggregate
 from repro.core.bound import Bound
 from repro.core.executor import (
-    QueryExecutor,
     bounded_answer,
     drive_steps,
     iterative_steps,
+    table_steps,
 )
 from repro.errors import ConstraintUnsatisfiableError
 from repro.predicates.ast import TruePredicate
@@ -70,9 +70,9 @@ class TestIterativeExecutor:
         """Iterative can beat the batch plan: actual values often decide the
         answer before the worst-case refresh set is exhausted."""
         predicate = parse_predicate("bandwidth > 50 AND latency < 10")
-        batch_executor = QueryExecutor(refresher=LocalRefresher(paper_master_table()))
-        batch_answer = batch_executor.execute(
-            paper_example_table(), "MIN", "traffic", 10, predicate=predicate
+        batch_answer = drive_steps(
+            table_steps(paper_example_table(), "MIN", "traffic", 10, predicate),
+            LocalRefresher(paper_master_table()),
         )
         online_answer = iterate(cached_links, "MIN", "traffic", 10, predicate)
         assert online_answer.width <= 10 + 1e-9

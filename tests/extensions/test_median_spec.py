@@ -8,7 +8,7 @@ import pytest
 import repro.extensions  # noqa: F401 - registers MEDIAN
 from repro.core.aggregates import get_aggregate
 from repro.core.bound import Bound
-from repro.core.executor import QueryExecutor
+from repro.core.executor import drive_steps, table_steps
 from repro.core.refresh import get_choose_refresh
 from repro.extensions.median_spec import MEDIAN, _extreme_median, median_of
 from repro.predicates.ast import ColumnRef, Comparison, Literal
@@ -107,8 +107,8 @@ class TestMedianThroughExecutor:
         for v in values:
             cached.insert({"x": Bound(v - 3, v + 3), "cost": 1.0})
             master.insert({"x": v, "cost": 1.0})
-        executor = QueryExecutor(refresher=LocalRefresher(master))
-        answer = executor.execute(cached, "MEDIAN", "x", 1.0)
+        steps = table_steps(cached, "MEDIAN", "x", 1.0)
+        answer = drive_steps(steps, LocalRefresher(master))
         assert answer.width <= 1 + 1e-9
         assert answer.bound.contains(15.0)
 

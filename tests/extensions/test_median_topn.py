@@ -1,15 +1,17 @@
 """Tests for the bounded MEDIAN and TOP-n extensions (§8.1)."""
 
 import itertools
+import math
 import random
 
 import pytest
 
 from repro.core.bound import Bound
+from repro.core.executor import NullRefreshProvider, drive_steps
 from repro.core.refresh.base import RefreshPlan
 from repro.errors import TrappError
 from repro.extensions.median_spec import CHOOSE_MEDIAN, MEDIAN, median_of
-from repro.extensions.topn import bounded_top_n, top_n_steps
+from repro.extensions.topn import top_n_steps
 from repro.storage.row import Row
 from tests.protocol import bound_of, plan_of, table_of
 
@@ -21,6 +23,13 @@ def rows_of(*bounds):
 def bounded_median(rows, column):
     """The served §5 MEDIAN answer over hand-written rows."""
     return bound_of(MEDIAN, table_of(rows), column)
+
+
+def bounded_top_n(rows, column, n):
+    """The served TOP-n answer over hand-written rows, from the cached
+    bounds alone: the n-th value is its ``bound``."""
+    steps = top_n_steps(table_of(rows), n, column, math.inf)
+    return drive_steps(steps, NullRefreshProvider())
 
 
 def choose_refresh_median(rows, column, max_width, cost=None):
@@ -108,7 +117,7 @@ class TestBoundedTopN:
         rows = rows_of(Bound(1, 2), Bound(5, 6), Bound(3, 9), Bound(0, 1))
         result = bounded_top_n(rows, "x", 2)
         # 2nd largest of lows (1,5,3,0) = 3; of highs (2,6,9,1) = 6.
-        assert result.nth_value == Bound(3, 6)
+        assert result.bound == Bound(3, 6)
 
     def test_containment_exhaustive(self):
         bounds = [Bound(0, 4), Bound(2, 6), Bound(3, 5), Bound(1, 9)]
@@ -117,7 +126,7 @@ class TestBoundedTopN:
             result = bounded_top_n(rows, "x", n)
             for values in itertools.product(*[(b.lo, b.hi) for b in bounds]):
                 true = sorted(values, reverse=True)[n - 1]
-                assert result.nth_value.contains(true), (n, values)
+                assert result.bound.contains(true), (n, values)
 
     def test_membership_sets(self):
         rows = rows_of(Bound(10, 11), Bound(5, 6), Bound(0, 1))
@@ -197,5 +206,5 @@ class TestChooseRefreshTopN:
                         realized.append(Row(row.tid, {"x": Bound.exact(value)}))
                     else:
                         realized.append(row)
-                answer = bounded_top_n(realized, "x", n).nth_value
+                answer = bounded_top_n(realized, "x", n).bound
                 assert answer.width <= budget + 1e-6

@@ -6,11 +6,9 @@ import random
 import pytest
 
 from examples.section8.continuous import ContinuousQuery
-from examples.section8.paths import (
-    PathQueryExecutor,
-    bounded_shortest_path,
-)
+from examples.section8.paths import bounded_shortest_path, path_steps
 from repro.core.bound import Bound
+from repro.core.executor import drive_steps
 from repro.errors import ConstraintUnsatisfiableError, TrappError
 from repro.replication.local import LocalRefresher
 from repro.storage.schema import Schema
@@ -99,8 +97,8 @@ class TestPathQueryExecutor:
         rng = random.Random(3)
         for _ in range(10):
             cached, master = self._tables(rng)
-            executor = PathQueryExecutor(LocalRefresher(master))
-            answer = executor.execute(cached, 1, 6, max_width=1.0)
+            steps = path_steps(cached, 1, 6, 1.0)
+            answer = drive_steps(steps, LocalRefresher(master))
             assert answer.width <= 1 + 1e-9
             truth = bounded_shortest_path(master, 1, 6).bound.lo
             assert answer.bound.contains(truth)
@@ -108,8 +106,8 @@ class TestPathQueryExecutor:
     def test_zero_budget_gives_exact_answer(self):
         rng = random.Random(4)
         cached, master = self._tables(rng)
-        executor = PathQueryExecutor(LocalRefresher(master))
-        answer = executor.execute(cached, 1, 6, max_width=0.0)
+        steps = path_steps(cached, 1, 6, 0.0)
+        answer = drive_steps(steps, LocalRefresher(master))
         assert answer.bound.is_exact
         truth = bounded_shortest_path(master, 1, 6).bound.lo
         assert answer.bound.lo == pytest.approx(truth)
@@ -117,8 +115,8 @@ class TestPathQueryExecutor:
     def test_loose_budget_refreshes_nothing(self):
         rng = random.Random(5)
         cached, master = self._tables(rng)
-        executor = PathQueryExecutor(LocalRefresher(master))
-        answer = executor.execute(cached, 1, 6, max_width=1000.0)
+        steps = path_steps(cached, 1, 6, 1000.0)
+        answer = drive_steps(steps, LocalRefresher(master))
         assert not answer.refreshed
         assert answer.refresh_cost == 0.0
 
@@ -129,9 +127,8 @@ class TestPathQueryExecutor:
             def refresh(self, table, tids):
                 pass
 
-        executor = PathQueryExecutor(NoOp())
         with pytest.raises(ConstraintUnsatisfiableError):
-            executor.execute(cached, 1, 2, max_width=1.0)
+            drive_steps(path_steps(cached, 1, 2, 1.0), NoOp())
 
 
 class TestContinuousQuery:

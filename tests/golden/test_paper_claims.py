@@ -19,7 +19,7 @@ from repro.bounds.functions import SHAPES, BoundFunction
 from repro.bounds.width import AdaptiveWidthController, FixedWidthPolicy
 from repro.core import knapsack
 from repro.core.bound import Bound
-from repro.core.executor import QueryExecutor, drive_steps, iterative_steps
+from repro.core.executor import drive_steps, iterative_steps, table_steps
 from repro.core.knapsack import (
     KnapsackItem,
     solve_exact_dp,
@@ -32,7 +32,7 @@ from repro.core.refresh.base import candidate_costs
 from repro.core.refresh.summing import SumChooseRefresh
 from repro.extensions.hierarchy import build_chain
 from repro.extensions.prerefresh import PiggybackPolicy
-from repro.joins.refresh import execute_join_query
+from repro.joins.refresh import join_steps
 from repro.predicates.parser import parse_predicate
 from repro.replication import ColumnCostModel
 from repro.replication.cache import DataCache
@@ -180,13 +180,11 @@ def test_fig6_queries_meet_constraint(golden, stock_days, stock_cost):
     truth = math.fsum(day.close for day in stock_days)
     widths, costs = [], []
     for budget in (0, 40, 100, 140):
-        executor = QueryExecutor(
-            refresher=LocalRefresher(stock_master_table(stock_days))
-        )
-        answer = executor.execute(
+        steps = table_steps(
             stock_cache_table(stock_days), "SUM", "price", budget,
             cost=stock_cost,
         )
+        answer = drive_steps(steps, LocalRefresher(stock_master_table(stock_days)))
         assert answer.width <= budget
         assert answer.bound.contains(truth)
         widths.append(answer.width)
@@ -229,11 +227,12 @@ def test_batch_vs_iterative(golden, stock_days, stock_cost):
         # MIN at the script's R = 2 refreshed nothing on either side.
         ("MIN", 1.0), ("MAX", 2.0), ("SUM", 50.0), ("AVG", 0.5),
     ]:
-        batch = QueryExecutor(
-            refresher=LocalRefresher(stock_master_table(stock_days))
-        ).execute(
-            stock_cache_table(stock_days), aggregate, "price", budget,
-            cost=stock_cost,
+        batch = drive_steps(
+            table_steps(
+                stock_cache_table(stock_days), aggregate, "price", budget,
+                cost=stock_cost,
+            ),
+            LocalRefresher(stock_master_table(stock_days)),
         )
         online = drive_steps(
             iterative_steps(
@@ -269,9 +268,7 @@ def test_hierarchy_cascade_depth(golden):
             master.insert({"value": rng.uniform(0, 100)})
         root, levels = build_chain(master, slacks=[1.0, 3.0])
         edge = levels[-1]
-        answer = QueryExecutor(refresher=edge).execute(
-            edge.table, "SUM", "value", budget
-        )
+        answer = drive_steps(table_steps(edge.table, "SUM", "value", budget), edge)
         assert answer.width <= budget
         # At R = 0 the served [x, x] *is* fsum of the forty values; the
         # script's left-to-right sum() was one ulp off and read as a
@@ -460,10 +457,10 @@ class _Router:
 
 def _join_query(budget: float):
     caches, masters = _join_tables()
-    answer = execute_join_query(
-        caches, "SUM", ("nodes", "load"), budget,
-        parse_predicate(JOIN_PREDICATE), refresher=_Router(masters),
+    steps = join_steps(
+        caches, "SUM", ("nodes", "load"), budget, parse_predicate(JOIN_PREDICATE)
     )
+    answer = drive_steps(steps, _Router(masters))
     return answer, masters
 
 

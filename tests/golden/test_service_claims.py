@@ -112,7 +112,6 @@ def _serial_mixed_cost_per_answer() -> float:
     batched refresh — the pre-service discipline."""
     system, model, scripts = _mixed_setup()
     cache = system.cache("edge/0")
-    executor = system.executor_for("edge/0")
     total_cost = 0.0
     for round_index in range(MIXED_ROUNDS):
         for script in scripts:
@@ -121,7 +120,7 @@ def _serial_mixed_cost_per_answer() -> float:
             plan = compile_statement(
                 parse_statement(script.sqls[round_index]), cache.catalog
             )
-            steps = plan_steps(plan, executor)
+            steps = plan_steps(plan)
             try:
                 request = next(steps)
                 while True:
@@ -185,7 +184,6 @@ async def _run_fanin(n_shards: int) -> dict:
     service = QueryService(system, max_inflight=64, cost_model=model)
     cache = system.cache("monitor")
     scripts = sharded_sum_scripts(cache.table("links"), 6, 3, seed=SEED)
-    executor = system.executor_for("monitor")
     cost = ColumnCostModel("cost")
 
     async def issue(client_id: str, sql: str):
@@ -195,7 +193,7 @@ async def _run_fanin(n_shards: int) -> dict:
         test plans with the shard's cost column itself."""
         plan = compile_statement(parse_statement(sql), cache.catalog)
         cache.sync_bounds()
-        steps = plan_steps(plan, executor, cost=cost)
+        steps = plan_steps(plan, cost)
         try:
             request = next(steps)
             while True:

@@ -8,9 +8,11 @@ random instances in ``tests/property/test_join_columnar.py``.
 import pytest
 
 from repro.core.bound import Bound
+from repro.core.constraints import RelativePrecision
 from repro.errors import ConstraintUnsatisfiableError, UnknownColumnError
 from repro.joins.classify import join_pairs, pair_index
-from repro.joins.refresh import JoinRefreshHeuristic, execute_join_query
+from repro.core.executor import NullRefreshProvider, drive_steps
+from repro.joins.refresh import join_steps
 from repro.predicates.parser import parse_predicate
 from repro.replication.local import LocalRefresher
 from repro.storage.schema import Schema
@@ -182,28 +184,28 @@ class TestJoinRefreshHeuristic:
     ):
         links, nodes = link_node_tables
         refresher = _TwoTableRefresher(master_tables)
-        answer = execute_join_query(
+        steps = join_steps(
             [links, nodes],
             "SUM",
             ("nodes", "load"),
             1000.0,
             parse_predicate("dst = id"),
-            refresher=refresher,
         )
+        answer = drive_steps(steps, refresher)
         assert not answer.refreshed
         assert answer.bound.contains(45 + 70 + 70)
 
     def test_refreshes_until_constraint_met(self, link_node_tables, master_tables):
         links, nodes = link_node_tables
         refresher = _TwoTableRefresher(master_tables)
-        answer = execute_join_query(
+        steps = join_steps(
             [links, nodes],
             "SUM",
             ("nodes", "load"),
             10.0,
             parse_predicate("dst = id"),
-            refresher=refresher,
         )
+        answer = drive_steps(steps, refresher)
         assert answer.width <= 10 + 1e-9
         # Truth: node loads for dst 2, 3, 3 = 45 + 70 + 70.
         assert answer.bound.contains(185)
@@ -213,14 +215,14 @@ class TestJoinRefreshHeuristic:
     ):
         links, nodes = link_node_tables
         refresher = _TwoTableRefresher(master_tables)
-        answer = execute_join_query(
+        steps = join_steps(
             [links, nodes],
             "MIN",
             ("links", "latency"),
             0.0,
             parse_predicate("dst = id AND load > 25"),
-            refresher=refresher,
         )
+        answer = drive_steps(steps, refresher)
         assert answer.bound.is_exact
         # All three joins survive (loads 45, 70, 70 > 25); min latency 1.5.
         assert answer.value == 1.5
@@ -228,27 +230,37 @@ class TestJoinRefreshHeuristic:
     def test_count_join_query(self, link_node_tables, master_tables):
         links, nodes = link_node_tables
         refresher = _TwoTableRefresher(master_tables)
-        answer = execute_join_query(
+        steps = join_steps(
             [links, nodes],
             "COUNT",
             None,
             0.0,
             parse_predicate("dst = id AND load > 50"),
-            refresher=refresher,
         )
+        answer = drive_steps(steps, refresher)
         # Master: loads 45, 70, 70 -> two joined tuples pass.
         assert answer.bound == Bound.exact(2)
 
+    def test_relative_constraint(self, link_node_tables, master_tables):
+        """The join takes the constraint itself, re-resolved from every
+        round's bound."""
+        links, nodes = link_node_tables
+        relative = RelativePrecision(0.02)
+        steps = join_steps(
+            [links, nodes], "SUM", ("nodes", "load"), relative,
+            parse_predicate("dst = id"),
+        )
+        answer = drive_steps(steps, _TwoTableRefresher(master_tables))
+        assert relative.satisfied_by(answer.bound)
+        assert answer.bound.contains(185) and answer.refreshed
+
     def test_unsatisfiable_without_refresher(self, link_node_tables):
         links, nodes = link_node_tables
+        steps = join_steps(
+            [links, nodes], "SUM", ("nodes", "load"), 1.0, parse_predicate("dst = id")
+        )
         with pytest.raises(ConstraintUnsatisfiableError):
-            execute_join_query(
-                [links, nodes],
-                "SUM",
-                ("nodes", "load"),
-                1.0,
-                parse_predicate("dst = id"),
-            )
+            drive_steps(steps, NullRefreshProvider())
 
     def test_cost_awareness_prefers_cheap_tuples(
         self, link_node_tables, master_tables
@@ -260,14 +272,15 @@ class TestJoinRefreshHeuristic:
         # benefit difference is small.  We only assert the constraint holds
         # and cost is finite — the heuristic makes no optimality promise.
         costs = {("nodes", 3): 100.0}
-        heuristic = JoinRefreshHeuristic(
+        steps = join_steps(
             [links, nodes],
-            refresher,
+            "SUM",
+            ("nodes", "load"),
+            30.0,
+            parse_predicate("dst = id"),
             cost=lambda row: costs.get(_row_key(row), 1.0),
         )
-        answer = heuristic.execute(
-            "SUM", ("nodes", "load"), 30.0, parse_predicate("dst = id")
-        )
+        answer = drive_steps(steps, refresher)
         assert answer.width <= 30 + 1e-9
 
 

@@ -7,9 +7,9 @@ are re-examined afterwards, the Appendix D refinement clones rows, and
 CHOOSE_REFRESH builds one ``KnapsackItem`` per row through the row
 protocol (``tests/oracle/row_protocol.py``).  It speaks the same
 ``PlannedRefresh`` generator protocol as
-:class:`~repro.core.executor.QueryExecutor` — it *is* one, with
-``execute_steps`` swapped — so every driver (``execute``, a refresh hook,
-a hand-rolled ``send`` loop) runs both.
+:func:`~repro.core.executor.table_steps`, so every driver
+(:func:`~repro.core.executor.drive_steps`, the service's scheduler, a
+hand-rolled ``send`` loop) runs both.
 
 Nothing in ``src/`` may import this module; the equivalence properties
 compare the columnar pipeline against it.
@@ -30,8 +30,9 @@ from repro.core.constraints import (
 )
 from repro.core.executor import (
     ExecutionSteps,
+    NullRefreshProvider,
     PlannedRefresh,
-    QueryExecutor,
+    drive_steps,
     finish_answer,
 )
 from repro.errors import UnknownColumnError
@@ -81,23 +82,27 @@ def classify_columnar(table: Table, predicate: Predicate) -> Classification:
     return classification_from_masks(table.rows(), certain, possible)
 
 
-class RowQueryExecutor(QueryExecutor):
-    """:class:`QueryExecutor` with the row-at-a-time ``execute_steps``.
+class RowQueryExecutor:
+    """The row-at-a-time twin of :func:`~repro.core.executor.table_steps`
+    (``execute_steps``, same arguments) with its serial driver
+    (``execute``, through ``refresher``).
 
     ``refine_bounds=False`` leaves the Appendix D refinement out of the
     answer, the unrefined bound a test compares the refined one with.
     """
 
     def __init__(self, refresher=None, refine_bounds: bool = True) -> None:
-        super().__init__(refresher)
+        self.refresher = refresher if refresher is not None else NullRefreshProvider()
         self.refine_bounds = refine_bounds
 
     def execute(
         self, table, aggregate, column, constraint, predicate=None,
         cost: CostFunc = uniform_cost,
     ) -> BoundedAnswer:
-        """As inherited, but the default cost is a function of one row."""
-        return super().execute(table, aggregate, column, constraint, predicate, cost)
+        """``execute_steps`` driven through ``refresher``; the default cost
+        is a function of one row."""
+        steps = self.execute_steps(table, aggregate, column, constraint, predicate, cost)
+        return drive_steps(steps, self.refresher)
 
     def execute_steps(
         self,

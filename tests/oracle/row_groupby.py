@@ -66,7 +66,7 @@ def row_grouped_query_steps(
     ``StopIteration.value``.
     """
     if not group_by:
-        raise TrappError("grouped_query requires at least one grouping column")
+        raise TrappError("GROUP BY requires at least one grouping column")
     for name in group_by:
         spec = table.schema.column(name)
         if spec.is_bounded:

@@ -140,6 +140,13 @@ class _BaseTupleKey:
     tid: int
 
 
+def row_join_steps(tables, aggregate, column, max_width, predicate=None, cost=None):
+    """:class:`RowJoinRefreshHeuristic`'s generator in
+    :func:`~repro.joins.refresh.join_steps`' argument order."""
+    heuristic = RowJoinRefreshHeuristic(tables, None, cost=cost)
+    return heuristic.execute_steps(aggregate, column, max_width, predicate)
+
+
 class RowJoinRefreshHeuristic:
     """The §7 greedy heuristic over :func:`join_rows`, one ``Row`` per joined tuple."""
 

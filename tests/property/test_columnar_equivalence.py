@@ -3,7 +3,7 @@
 Hypothesis generates tables (bounded, exact, and text columns, mixed
 exact/wide bounds), predicates over them — over bounded columns, over
 exact and text columns only, or none — aggregates and cost functions;
-:class:`~repro.core.executor.QueryExecutor`, which reads only the column
+:func:`~repro.core.executor.table_steps`, which reads only the column
 arrays, must produce the same :class:`BoundedAnswer` as
 ``tests/oracle/row_executor.py``, which loops over rows.
 MIN/MAX/COUNT/MEDIAN answers are compared exactly (same selections over
@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 import repro.extensions.median_spec  # noqa: F401 - registers MEDIAN
 from repro.core.answer import BoundedAnswer
 from repro.core.bound import Bound
-from repro.core.executor import QueryExecutor
+from repro.core.executor import NullRefreshProvider, drive_steps, table_steps
 from repro.core.refresh.base import uniform_cost
 from repro.errors import ConstraintUnsatisfiableError, OptimizerError
 from repro.predicates.ast import And, ColumnRef, Comparison, Literal, Not, Or
@@ -196,7 +196,8 @@ class TestExecutorEquivalence:
         """No-refresh regime: identical initial answers from both."""
         cached, _ = data
         column = None if aggregate == "COUNT" else "x"
-        a = QueryExecutor().execute(cached, aggregate, column, math.inf, predicate)
+        steps = table_steps(cached, aggregate, column, math.inf, predicate)
+        a = drive_steps(steps, NullRefreshProvider())
         b = RowQueryExecutor().execute(cached, aggregate, column, math.inf, predicate)
         assert_bounds_close(a.bound, b.bound, aggregate, f"{aggregate}, {predicate}")
         assert a.refreshed == b.refreshed == frozenset()
@@ -226,12 +227,10 @@ class TestExecutorEquivalence:
         column = None if aggregate == "COUNT" else "x"
         cost = COSTS[cost_name]
 
-        def run(executor_type, table, cost):
-            executor = executor_type(refresher=LocalRefresher(master))
+        def run(steps_of, table, cost):
+            steps = steps_of(table, aggregate, column, budget, predicate, cost)
             try:
-                return executor.execute(
-                    table, aggregate, column, budget, predicate, cost
-                )
+                return drive_steps(steps, LocalRefresher(master))
             except ConstraintUnsatisfiableError:
                 # e.g. an unbounded AVG whose predicate no tuple can ever
                 # satisfy; both must agree that it is unsatisfiable.
@@ -241,8 +240,8 @@ class TestExecutorEquivalence:
                 assert cost_name == "wide_tag", error
                 return type(error)
 
-        a = run(QueryExecutor, cached.copy(), cost)
-        b = run(RowQueryExecutor, cached.copy(), row_cost(cost))
+        a = run(table_steps, cached.copy(), cost)
+        b = run(RowQueryExecutor().execute_steps, cached.copy(), row_cost(cost))
         if a is OptimizerError and isinstance(b, BoundedAnswer):
             # A negative cost is rejected wherever candidates are priced;
             # the row protocol checked it in KnapsackItem only, so its
@@ -283,9 +282,8 @@ class TestExecutorEquivalence:
             master.insert({"x": float(value), **row})
         predicate = parse_predicate("x > 5 AND x < 9")
         cost = ColumnCostModel("cost")
-        a = QueryExecutor(refresher=LocalRefresher(master)).execute(
-            cached.copy(), "AVG", "x", 0.5, predicate, cost
-        )
+        steps = table_steps(cached.copy(), "AVG", "x", 0.5, predicate, cost)
+        a = drive_steps(steps, LocalRefresher(master))
         b = RowQueryExecutor(refresher=LocalRefresher(master)).execute(
             cached.copy(), "AVG", "x", 0.5, predicate, row_cost(cost)
         )

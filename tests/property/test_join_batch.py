@@ -36,11 +36,11 @@ from hypothesis import strategies as st
 from repro.core.bound import Bound
 from repro.core.refresh.base import uniform_cost
 from repro.errors import ConstraintUnsatisfiableError
-from repro.joins.refresh import JoinRefreshHeuristic
+from repro.joins.refresh import join_steps
 from repro.predicates.ast import And, ColumnRef, Comparison, Literal, Not, Or
 from repro.replication import ColumnCostModel
 from tests.oracle.row_eval import Trilean
-from tests.oracle.row_join import RowJoinRefreshHeuristic, join_rows
+from tests.oracle.row_join import join_rows, row_join_steps
 from tests.property.test_join_columnar import (
     KEY_EQUALITIES,
     instances,
@@ -151,12 +151,10 @@ def truth(masters, aggregate, column, condition) -> float:
     return max(values, default=-math.inf)
 
 
-def run(heuristic, data, aggregate, column, budget, condition, cost, between=None):
+def run(steps_of, data, aggregate, column, budget, condition, cost, between=None):
     tables, masters = data
     own = tuple(table.copy() for table in tables)
-    steps = heuristic(own, None, cost=cost).execute_steps(
-        aggregate, column, budget, condition
-    )
+    steps = steps_of(own, aggregate, column, budget, condition, cost)
     return (own, *serial(steps, Masters(own, masters), between))
 
 
@@ -178,7 +176,7 @@ class TestBatchRoute:
         column = None if aggregate == "COUNT" else column
         query = (aggregate, column, budget, condition)
         try:
-            own, answer, requests = run(JoinRefreshHeuristic, data, *query, COSTS[cost])
+            own, answer, requests = run(join_steps, data, *query, COSTS[cost])
         except ConstraintUnsatisfiableError:
             assert_empty_join(masters, aggregate, condition)
             return
@@ -192,7 +190,7 @@ class TestBatchRoute:
         if aggregate not in ("SUM", "AVG") or cost == "fractional":
             return
         _, greedy, _ = run(
-            RowJoinRefreshHeuristic, data, *query, row_cost(COSTS[cost])
+            row_join_steps, data, *query, row_cost(COSTS[cost])
         )
         assert answer.refresh_cost <= greedy.refresh_cost
         if cost == "uniform":
@@ -227,7 +225,7 @@ class TestBatchRoute:
         query = (aggregate, column, budget, condition)
         try:
             _, answer, requests = run(
-                JoinRefreshHeuristic, data, *query, uniform_cost, widen
+                join_steps, data, *query, uniform_cost, widen
             )
         except ConstraintUnsatisfiableError:
             assert_empty_join(masters, aggregate, condition)

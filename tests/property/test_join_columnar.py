@@ -28,12 +28,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.bound import Bound
+from repro.core.executor import NullRefreshProvider, drive_steps
 from repro.core.refresh.base import RefreshPlan, uniform_cost
 import repro.extensions.median_spec  # noqa: F401  (registers MEDIAN)
 from repro.errors import ConstraintUnsatisfiableError
-from repro.extensions.topn import bounded_top_n, top_n_steps
+from repro.extensions.topn import top_n_steps
 from repro.joins.classify import join_pairs
-from repro.joins.refresh import JoinRefreshHeuristic
+from repro.joins.refresh import join_steps
 from repro.predicates.ast import (
     And,
     ColumnRef,
@@ -49,7 +50,7 @@ from repro.storage.schema import Schema
 from repro.storage.table import Table
 from tests.oracle import row_topn
 from tests.oracle.row_eval import Trilean
-from tests.oracle.row_join import RowJoinRefreshHeuristic, join_rows
+from tests.oracle.row_join import join_rows, row_join_steps
 from tests.property.test_columnar_equivalence import assert_bounds_close
 from tests.protocol import row_cost, table_of
 
@@ -226,14 +227,12 @@ def lock_step(
     outcomes, ``("answer", BoundedAnswer)`` or ``("unsatisfiable",)``.
     """
     sides = []
-    for heuristic, own_cost in (
-        (RowJoinRefreshHeuristic, row_cost(cost)),
-        (JoinRefreshHeuristic, cost),
+    for steps_of, own_cost in (
+        (row_join_steps, row_cost(cost)),
+        (join_steps, cost),
     ):
         own = tuple(table.copy() for table in tables)
-        steps = heuristic(own, None, cost=own_cost).execute_steps(
-            aggregate, column, budget, condition
-        )
+        steps = steps_of(own, aggregate, column, budget, condition, own_cost)
         sides.append((own, steps))
 
     def advance(send):
@@ -357,14 +356,19 @@ def top_n_rows(draw):
     return rows
 
 
+def top_n_of(table, n):
+    """The served TOP-n answer from the cached bounds alone."""
+    return drive_steps(top_n_steps(table, n, "x", math.inf), NullRefreshProvider())
+
+
 class TestTopN:
     @given(rows=top_n_rows(), data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_same_value_and_membership(self, rows, data):
         n = data.draw(st.integers(min_value=1, max_value=len(rows)))
         expected = row_topn.bounded_top_n(rows, "x", n)
-        got = bounded_top_n(rows, "x", n)
-        assert got.nth_value == expected.nth_value
+        got = top_n_of(table_of(rows), n)
+        assert got.bound == expected.nth_value
         assert got.certain_members == expected.certain_members
         assert got.possible_members == expected.possible_members
 
@@ -388,12 +392,11 @@ class TestScaling:
     """The row versions take minutes at these sizes."""
 
     def test_top_n_over_two_thousand_rows(self):
-        rows = [
-            Row(tid, {"x": Bound(tid % 97, tid % 97 + tid % 7)})
-            for tid in range(1, 2001)
-        ]
+        table = Table("t", Schema.of(x="bounded"))
+        for tid in range(1, 2001):
+            table.insert({"x": Bound(tid % 97, tid % 97 + tid % 7)})
         started = time.perf_counter()
-        result = bounded_top_n(rows, "x", 25)
+        result = top_n_of(table, 25)
         assert time.perf_counter() - started < 0.25
         assert len(result.certain_members) <= 25 <= len(result.possible_members)
 
@@ -410,9 +413,7 @@ class TestScaling:
             if condition == "key"
             else Comparison(ColumnRef("traffic"), "<=", ColumnRef("load"))
         )
-        steps = JoinRefreshHeuristic([links, nodes], None).execute_steps(
-            "SUM", ("nodes", "load"), 1.0, predicate
-        )
+        steps = join_steps([links, nodes], "SUM", ("nodes", "load"), 1.0, predicate)
         started = time.perf_counter()
         request = next(steps)
         assert time.perf_counter() - started < 0.25

@@ -27,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro.extensions.median_spec  # noqa: F401 - registers MEDIAN
 from repro.core.bound import Bound
-from repro.core.executor import QueryExecutor
+from repro.core.executor import drive_steps, table_steps
 from repro.core.knapsack import KnapsackItem, solve_brute_force
 from repro.core.refresh.base import uniform_cost
 from repro.core.refresh.summing import SumChooseRefresh
@@ -170,13 +170,13 @@ def _by_parity(row):
 def _run_both(cache, master, *query, cost=uniform_cost):
     """``(executor answer, oracle answer)``; ``None`` for unsatisfiable."""
     answers = []
-    for executor_type, cost in (
-        (QueryExecutor, cost),
-        (RowQueryExecutor, row_cost(cost)),
+    for steps_of, cost in (
+        (table_steps, cost),
+        (RowQueryExecutor().execute_steps, row_cost(cost)),
     ):
-        executor = executor_type(refresher=LocalRefresher(master.copy()))
+        steps = steps_of(cache.copy(), *query, cost)
         try:
-            answers.append(executor.execute(cache.copy(), *query, cost))
+            answers.append(drive_steps(steps, LocalRefresher(master.copy())))
         except ConstraintUnsatisfiableError:
             # Legitimately unsatisfiable (e.g. an empty AVG answer set
             # against a zero budget yields [-inf, inf]); both must reach

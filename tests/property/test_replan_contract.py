@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 
 import repro.extensions.median_spec  # noqa: F401  (registers MEDIAN)
 from repro.core.constraints import RelativePrecision
+from repro.core.executor import table_steps
 from repro.replication.messages import ObjectKey
 from repro.replication.system import TrappSystem
 from repro.sql.compiler import compile_statement
@@ -139,14 +140,13 @@ def drive(system: TrappSystem, statement: Statement, data):
     cache = system.cache(CACHE_ID)
     cache.sync_bounds()
     plan = compile_statement(parse_statement(statement.sql), cache.catalog)
-    executor = system.executor_for(CACHE_ID)
     if statement.relative:
-        steps = executor.execute_steps(
+        steps = table_steps(
             plan.table, plan.aggregate, plan.column,
             RelativePrecision(statement.within), plan.predicate,
         )
     else:
-        steps = plan_steps(plan, executor)
+        steps = plan_steps(plan)
     source = system.source("net")
     masters = {name: source.table(name) for name in ("links", "nodes")}
     truths = [exact_answers(statement, masters)]

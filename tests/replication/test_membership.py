@@ -12,6 +12,7 @@ cache's bound state.
 
 from __future__ import annotations
 
+import asyncio
 import math
 
 import pytest
@@ -21,8 +22,10 @@ from repro.extensions.batching import BatchedCostModel
 from repro.replication.cache import DataCache
 from repro.replication.messages import MasterMigration, ObjectKey
 from repro.replication.system import TrappSystem
+from repro.service import QueryService
 from repro.storage.schema import Schema
 from repro.storage.table import Table
+from repro.workloads.netmon import paper_master_table
 from tests.oracle.percell_sync import table_width_per_key
 
 
@@ -116,6 +119,48 @@ def test_system_detach_cache_unregisters():
     assert system.group("edge").cache_ids() == ["edge/0"]
     with pytest.raises(Exception):
         system.cache("edge/1")
+
+
+@pytest.mark.parametrize("route", ["system", "service"])
+def test_a_cache_added_again_under_its_id_refreshes_itself(route):
+    """Detach a cache, add a new one under the same id: a ``WITHIN 0``
+    statement through ``TrappSystem.query`` or ``QueryService.query`` is
+    answered exactly, and every refresh it needs lands in the new cache —
+    nothing keeps the detached one as the id's refresher."""
+    system = TrappSystem()
+    source = system.add_source("node")
+    source.add_table(paper_master_table())
+    sql = "SELECT SUM(latency) WITHIN 0 FROM links"
+
+    async def scenario():
+        service = QueryService(system)
+
+        async def query():
+            if route == "system":
+                return system.query("monitor", sql)
+            return (await service.query("monitor", sql)).answer
+
+        old = system.add_cache("monitor")
+        old.subscribe_table(source, "links")
+        system.clock.advance(60.0)
+        await query()
+        sent = old.refresh_requests_sent
+        assert sent > 0
+        system.detach_cache("monitor")
+        new = system.add_cache("monitor")
+        new.subscribe_table(source, "links")
+        system.clock.advance(60.0)
+        answer = await query()
+        return old, sent, new, answer
+
+    old, sent, new, answer = asyncio.run(scenario())
+    master = source.table("links")
+    truth = math.fsum(master.row(tid).number("latency") for tid in master.tids())
+    assert answer.bound.is_exact and answer.bound.lo == pytest.approx(truth)
+    assert answer.refreshed and new.refresh_requests_sent > 0
+    assert old.refresh_requests_sent == sent
+    cached = new.table("links")
+    assert all(cached.row(tid).bound("latency").is_exact for tid in answer.refreshed)
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.bounds.functions import BoundFunction, LinearShape, SqrtShape
-from repro.core.executor import QueryExecutor
+from repro.core.executor import drive_steps, table_steps
 from repro.errors import BoundError
 from repro.replication.cache import DataCache
 from repro.replication.messages import (
@@ -81,8 +81,7 @@ class TestSyncBounds:
         clock.advance(5.0)
         cache.sync_bounds()
         table = cache.table("links")
-        executor = QueryExecutor(refresher=cache)
-        answer = executor.execute(table, "SUM", "latency", 0.0)
+        answer = drive_steps(table_steps(table, "SUM", "latency", 0.0), cache)
         assert answer.bound.is_exact
         assert table.column_exact("latency")
         assert_store_consistent(table)

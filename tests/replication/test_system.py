@@ -65,18 +65,23 @@ class TestQueries:
         # Master latencies: only tuple 3 (13) and tuple 5 (11) exceed 10.
         assert answer.bound == Bound.exact(2)
 
-    def test_query_ast_path(self, system):
+    def test_library_steps_path(self, system):
+        """Pre-built AST pieces, no SQL text: the statement's generator
+        driven against the cache."""
+        from repro.core.executor import drive_steps, table_steps
         from repro.predicates.parser import parse_predicate
 
         system.clock.advance(10.0)
-        answer = system.query_ast(
-            "monitor",
-            table="links",
+        cache = system.cache("monitor")
+        cache.sync_bounds()
+        steps = table_steps(
+            cache.table("links"),
             aggregate="MIN",
             column="bandwidth",
             constraint=2.0,
             predicate=parse_predicate("latency < 10"),
         )
+        answer = drive_steps(steps, cache)
         assert answer.width <= 2 + 1e-9
         # Master: tuples with latency < 10 are 1 (61), 2 (53), 4 (68), 6 (45).
         assert answer.bound.contains(45)

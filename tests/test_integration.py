@@ -6,7 +6,8 @@ import pytest
 
 from examples.section8.continuous import ContinuousQuery
 from repro.core.bound import Bound
-from repro.extensions.groupby import grouped_query
+from repro.core.executor import drive_steps
+from repro.extensions.groupby import grouped_query_steps
 from repro.replication import ColumnCostModel
 from repro.replication.messages import ObjectKey
 from repro.replication.system import TrappSystem
@@ -114,10 +115,10 @@ class TestGroupByOverReplication:
         system.clock.advance(200.0)
         cache.sync_bounds()
 
-        results = grouped_query(
-            cache.table("servers"), ["region"], "AVG", "load", 2.0,
-            refresher=cache,
+        steps = grouped_query_steps(
+            cache.table("servers"), ["region"], "AVG", "load", 2.0
         )
+        results = drive_steps(steps, cache).groups
         assert [r.key for r in results] == [("ap",), ("eu",), ("us",)]
         for result in results:
             assert result.answer.width <= 2 + 1e-9

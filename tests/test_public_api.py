@@ -71,10 +71,10 @@ def test_quickstart_snippet_from_readme():
 
 
 def test_executor_snippet_from_readme():
-    """The README's executor quickstart runs verbatim: one
-    ``QueryExecutor(refresher=…)``, whose only option is the refresher."""
+    """The README's executor quickstart runs verbatim: the statement's
+    generator, ``table_steps``, driven by ``drive_steps``."""
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
-    (snippet,) = [block for block in blocks if "QueryExecutor(" in block]
+    (snippet,) = [block for block in blocks if "drive_steps(" in block]
     namespace: dict = {}
     exec(snippet, namespace)
     answer = namespace["answer"]

@@ -146,16 +146,16 @@ class TestQueryWorkload:
                 assert spec.column == "latency"
 
     def test_specs_execute(self):
-        from repro.core.executor import QueryExecutor
+        from repro.core.executor import drive_steps, table_steps
         from repro.replication.local import LocalRefresher
         from repro.workloads.netmon import paper_master_table
 
         table = paper_example_table()
         refresher = LocalRefresher(paper_master_table())
-        executor = QueryExecutor(refresher=refresher)
         workload = QueryWorkload(table, "latency", seed=8)
         for spec in workload.take(15):
-            answer = executor.execute(
+            steps = table_steps(
                 table, spec.aggregate, spec.column, spec.max_width, spec.predicate
             )
+            answer = drive_steps(steps, refresher)
             assert answer.width <= spec.max_width + 1e-6
