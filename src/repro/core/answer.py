@@ -9,7 +9,7 @@ precision constraint was met.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.bound import Bound
 from repro.core.constraints import width_within

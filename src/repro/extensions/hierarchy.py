@@ -28,7 +28,7 @@ the cascade observable in experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Protocol
 
 from repro.core.bound import Bound

@@ -1,8 +1,6 @@
-"""Fault injection, retry/backoff, and circuit breaking (PR 8).
+"""Retry/backoff and circuit breaking (PR 8).
 
 The bounded-answer model's availability story made mechanical: a
-deterministic :class:`FaultInjector` schedules source outages, latency
-spikes, fan-out drops, and cache crashes on the simulation clock; a
 :class:`RetryPolicy` retries failed source batches with capped
 exponential backoff and deterministic jitter; a per-source
 :class:`CircuitBreaker` stops hammering dead sources and lets queries
@@ -10,21 +8,9 @@ degrade to their current (wider but correct) bounds instead.
 """
 
 from repro.faults.breaker import CircuitBreaker
-from repro.faults.injector import (
-    CacheCrash,
-    FanoutDrop,
-    FaultInjector,
-    LatencySpike,
-    OutageWindow,
-)
 from repro.faults.retry import RetryPolicy
 
 __all__ = [
-    "CacheCrash",
     "CircuitBreaker",
-    "FanoutDrop",
-    "FaultInjector",
-    "LatencySpike",
-    "OutageWindow",
     "RetryPolicy",
 ]

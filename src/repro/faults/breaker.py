@@ -8,9 +8,10 @@ breaker's clock, the next :meth:`allow` call transitions to *half-open*
 and admits exactly one probe; a success closes the circuit, a failure
 re-opens it for another cooldown.
 
-The clock is injectable — the scheduler passes the simulation clock when
-a :class:`~repro.faults.injector.FaultInjector` is attached, so cooldown
-expiry is deterministic in replayed chaos runs.
+The clock is injectable.  The scheduler passes its one ``clock``, wall
+time by default; a test replaying a simulated fault schedule sets it to
+the simulation clock, so cooldowns expire at the same simulated instants
+on every replay.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ translation exact (linear maps preserve interval endpoints).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Union
 
 from repro.errors import PredicateError

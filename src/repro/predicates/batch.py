@@ -56,7 +56,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.bound import Bound
 from repro.errors import PredicateError, PredicateTypeError
 from repro.predicates.ast import (
     And,

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.errors import SqlSyntaxError
 from repro.predicates.ast import (

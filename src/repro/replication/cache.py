@@ -255,18 +255,12 @@ class _Subscription:
 
 @dataclass(frozen=True, slots=True)
 class SourceRefreshReceipt:
-    """What one source was asked for in a batched refresh, and its price.
-
-    ``latency`` is the injected per-contact delay in effect (0 outside a
-    latency-spike window) — recorded rather than slept, so chaos runs
-    replay deterministically while reports still see the spike.
-    """
+    """What one source was asked for in a batched refresh, and its price."""
 
     source_id: str
     tids: frozenset[int]
     keys: tuple[ObjectKey, ...]
     cost: float
-    latency: float = 0.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -367,9 +361,6 @@ class DataCache:
         self._t_sync_seconds = None
         self._t_sync_rewritten = None
         self._t_sync_unchanged = None
-        #: Fault oracle set by :meth:`FaultInjector.attach`; ``None`` (the
-        #: default) keeps every refresh path exactly pre-fault.
-        self.fault_injector = None
 
     def attach_telemetry(self, registry) -> None:
         """Bind this cache's event instruments to a metrics registry.
@@ -761,17 +752,12 @@ class DataCache:
         tuples live on are not contacted and get no receipt, so a
         sharded table's receipt is exactly its per-shard §8.2 accounting.
 
-        With a :class:`~repro.faults.FaultInjector` attached, a crashed
-        cache raises :class:`~repro.errors.CacheUnavailableError` (the
-        scheduler fails the batch over to a sibling replica), and
-        per-source faults — outage windows, forced failures, real
-        protocol errors from the contact itself — become
-        :class:`RefreshFailure` entries on the receipt instead of
-        raising, so one dead shard cannot void the rest of the batch.
+        A source that refuses its contact — any
+        :class:`~repro.errors.TrappError` from
+        :meth:`~repro.replication.source.DataSource.handle_refresh_request`
+        — becomes a :class:`RefreshFailure` entry on the receipt instead
+        of raising, so one dead shard cannot void the rest of the batch.
         """
-        injector = self.fault_injector
-        if injector is not None:
-            injector.check_cache(self.cache_id)
         tids = sorted(set(tids))
         if not tids:
             return BatchedRefreshReceipt(per_source=())
@@ -794,11 +780,7 @@ class DataCache:
             request = RefreshRequest(cache_id=self.cache_id, keys=tuple(keys))
             self.refresh_requests_sent += 1
             source_tids = frozenset(tids_by_source[source_id])
-            latency = 0.0
             try:
-                if injector is not None:
-                    injector.check_source(source_id)
-                    latency = injector.latency_of(source_id)
                 response = source.handle_refresh_request(request)
             except TrappError as exc:
                 failures.append(
@@ -821,7 +803,6 @@ class DataCache:
                     tids=source_tids,
                     keys=tuple(keys),
                     cost=cost,
-                    latency=latency,
                 )
             )
         return BatchedRefreshReceipt(

@@ -23,7 +23,7 @@ delivery timing.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from repro.bounds.functions import BoundFunction

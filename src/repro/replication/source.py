@@ -14,8 +14,8 @@ function whose width comes from the object's width policy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from dataclasses import dataclass
+from typing import Callable, Mapping
 
 from repro.bounds.functions import BoundFunction, BoundShape, SqrtShape
 from repro.bounds.width import AdaptiveWidthController, WidthPolicy
@@ -262,9 +262,6 @@ class DataSource:
         # Statistics for experiments.
         self.value_initiated_refreshes = 0
         self.query_initiated_refreshes = 0
-        #: Fault oracle set by :meth:`FaultInjector.attach`; consulted
-        #: only for fan-out drops — ``None`` keeps delivery reliable.
-        self.fault_injector = None
 
     # ------------------------------------------------------------------
     # Table and cache management
@@ -393,16 +390,14 @@ class DataSource:
         :class:`~repro.replication.fanout.CacheGroup`), only its member
         caches receive pushes.
 
-        An attached fault injector can *drop* the push to a sibling.  The
-        drop is applied here — before the sibling's policy advances and
-        before :meth:`RefreshMonitor.update` — so the monitor keeps
-        tracking the bound the sibling actually holds: the containment
-        contract survives (a later master-value escape still triggers a
-        value-initiated refresh); the sibling merely misses one
-        opportunistic tightening and falls out of policy lockstep.
+        A sibling missing from :meth:`RefreshMonitor.trackers` gets no
+        push, and its policy and tracked bound stay as they were: the
+        monitor keeps tracking the bound the sibling actually holds, so a
+        later master-value escape still triggers a value-initiated
+        refresh.  A lost push therefore costs the sibling one
+        opportunistic tightening, never containment.
         """
         membership = self.refresh_fanout
-        injector = self.fault_injector
         per_cache: dict[str, list[RefreshPayload]] = {}
         for payloads, query_feedback in ((requested, True), (piggybacked, False)):
             for key, value, _ in payloads:
@@ -410,10 +405,6 @@ class DataSource:
                     if cache_id == requester:
                         continue
                     if membership is not True and cache_id not in membership:
-                        continue
-                    if injector is not None and injector.drops_fanout(
-                        self.source_id, cache_id
-                    ):
                         continue
                     if query_feedback:
                         entry.policy.on_query_initiated()

@@ -41,10 +41,6 @@ class TrappSystem:
         #: Set by :meth:`repro.telemetry.Telemetry.observe_system`; caches
         #: added afterwards pick up their instruments here.
         self.telemetry = None
-        #: Set by :meth:`repro.faults.FaultInjector.attach`; caches and
-        #: sources created afterwards (elastic admission!) join the same
-        #: fault plane instead of silently bypassing the chaos schedule.
-        self.fault_injector = None
         #: Replication fan-out tiers; group ids share the cache-id
         #: namespace so the query service can route ``query(group_id, …)``.
         self._groups: dict[str, CacheGroup] = {}
@@ -88,10 +84,6 @@ class TrappSystem:
             for shard in source.shards:
                 self._sources[shard.source_id] = shard
         self._sources[source_id] = source
-        if self.fault_injector is not None:
-            shards_of = getattr(source, "shards", None)
-            for physical in shards_of if shards_of is not None else (source,):
-                physical.fault_injector = self.fault_injector
         return source
 
     def add_cache(
@@ -178,8 +170,6 @@ class TrappSystem:
         cache = DataCache(cache_id, clock=self.clock.now)
         if self.telemetry is not None:
             cache.attach_telemetry(self.telemetry.registry)
-        if self.fault_injector is not None:
-            cache.fault_injector = self.fault_injector
         self._caches[cache_id] = cache
         try:
             if group_obj is not None:
@@ -248,8 +238,6 @@ class TrappSystem:
         cache = DataCache(cache_id, clock=self.clock.now)
         if self.telemetry is not None:
             cache.attach_telemetry(self.telemetry.registry)
-        if self.fault_injector is not None:
-            cache.fault_injector = self.fault_injector
         self._caches[cache_id] = cache
         try:
             receipt = group_obj.admit_replica(

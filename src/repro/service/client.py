@@ -94,7 +94,11 @@ class TrappClient:
         client = cls(
             reader, writer, client_id, host=host, port=port, deadline=deadline
         )
-        await client._request({"op": "hello", "client": client_id})
+        try:
+            await client._request({"op": "hello", "client": client_id})
+        except BaseException:
+            await client.close()
+            raise
         return client
 
     async def __aenter__(self) -> "TrappClient":

@@ -128,7 +128,6 @@ class RefreshScheduler:
         on_refresh: RefreshListener | None = None,
         registry: MetricsRegistry | None = None,
         retry_policy: RetryPolicy | None = None,
-        fault_injector=None,
         breaker_threshold: int = 3,
         breaker_cooldown: float = 5.0,
     ) -> None:
@@ -186,11 +185,6 @@ class RefreshScheduler:
             "Circuit-breaker state per source (0 closed, 1 open, 2 half-open)",
             ("source",),
         )
-        self._h_source_latency = self.registry.histogram(
-            "trapp_source_contact_latency_seconds",
-            "Injected per-contact latency recorded on refresh receipts",
-            ("source",),
-        )
         events = self.registry.counter(
             "trapp_scheduler_events_total",
             "Refresh-scheduler coalescing events",
@@ -210,10 +204,10 @@ class RefreshScheduler:
         self.retry_policy = (
             retry_policy if retry_policy is not None else RetryPolicy()
         )
-        #: The fault injector driving this deployment's chaos schedule,
-        #: if any.  Only used for its deterministic clock (breaker
-        #: cooldowns); the injector acts at the cache/source layer.
-        self.fault_injector = fault_injector
+        #: The clock breaker cooldowns elapse on: wall time, because a
+        #: serving deployment never advances the simulation clock.  A
+        #: test replaying a simulated fault schedule sets that clock here.
+        self.clock: Callable[[], float] = time.monotonic
         self.breaker_threshold = breaker_threshold
         self.breaker_cooldown = breaker_cooldown
         #: Per-source circuit breakers, created lazily on first *failure*
@@ -432,10 +426,6 @@ class RefreshScheduler:
                             # rather than crash the dispatch path.
                             cache=getattr(dispatcher, "cache_id", "unknown")
                         ).inc()
-                        if source_receipt.latency > 0:
-                            self._h_source_latency.labels(
-                                source=source_receipt.source_id
-                            ).observe(source_receipt.latency)
                     receipts.append((receipt, used_model))
                     # One redirect per *source batch* that served some
                     # other cache's query through this leader.
@@ -652,11 +642,6 @@ class RefreshScheduler:
     def _breaker_for(self, source_id: str) -> CircuitBreaker:
         breaker = self._breakers.get(source_id)
         if breaker is None:
-            clock = (
-                self.fault_injector.now
-                if self.fault_injector is not None
-                else None
-            )
             gauge = self._g_breaker.labels(source=source_id)
             gauge.set(0)
 
@@ -667,7 +652,7 @@ class RefreshScheduler:
                 _gauge.set(CircuitBreaker.STATE_CODES[new])
 
             breaker = CircuitBreaker(
-                clock=clock,
+                clock=self.clock,
                 failure_threshold=self.breaker_threshold,
                 cooldown=self.breaker_cooldown,
                 on_transition=on_transition,

@@ -55,7 +55,7 @@ from repro.core.answer import BoundedAnswer
 from repro.core.constraints import AbsolutePrecision
 from repro.errors import AdmissionError, ServiceError, ServiceOverloadError
 from repro.extensions.batching import BatchedCostModel
-from repro.faults import FaultInjector, RetryPolicy
+from repro.faults import RetryPolicy
 from repro.replication.cache import DataCache
 from repro.replication.system import TrappSystem
 from repro.service.results import ResultCache
@@ -100,7 +100,6 @@ class QueryService:
         network_delay: float = 0.0,
         telemetry: Telemetry | None = None,
         retry_policy: "RetryPolicy | None" = None,
-        fault_injector: "FaultInjector | None" = None,
         breaker_threshold: int = 3,
         breaker_cooldown: float = 5.0,
     ) -> None:
@@ -118,13 +117,6 @@ class QueryService:
             telemetry = Telemetry(clock=system.clock.now)
         self.telemetry = telemetry
         telemetry.observe_system(system)
-        #: Fault plane (PR 8): an attached injector drives the chaos
-        #: schedule; the retry policy and per-source breakers live in the
-        #: scheduler and are active regardless (with no faults they are
-        #: pure pass-through).
-        self.fault_injector = fault_injector
-        if fault_injector is not None:
-            fault_injector.attach(system)
         self.scheduler = RefreshScheduler(
             cost_model=cost_model,
             tick_interval=tick_interval,
@@ -132,7 +124,6 @@ class QueryService:
             on_refresh=self._on_refresh_dispatched,
             registry=telemetry.registry,
             retry_policy=retry_policy,
-            fault_injector=fault_injector,
             breaker_threshold=breaker_threshold,
             breaker_cooldown=breaker_cooldown,
         )

@@ -10,7 +10,7 @@ and for the ``network_monitoring`` example.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING
 
 from repro.core.answer import BoundedAnswer
 from repro.replication.messages import ObjectKey

@@ -12,7 +12,7 @@ results and induce the paper's T+/T?/T− partition.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from repro.core.bound import Bound

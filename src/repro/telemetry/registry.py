@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.errors import TrappError
 

@@ -1,6 +1,5 @@
 """Workload generators: the paper's example data and synthetic equivalents."""
 
-from repro.workloads.chaos import ChaosScenario, chaos_injector, chaos_schedule
 from repro.workloads.netmon import (
     LINKS_SCHEMA,
     PAPER_LINKS,
@@ -46,9 +45,6 @@ __all__ = [
     "stock_costs",
     "QuerySpec",
     "QueryWorkload",
-    "ChaosScenario",
-    "chaos_injector",
-    "chaos_schedule",
     "ClientScript",
     "ClosedLoopResult",
     "closed_loop_scripts",

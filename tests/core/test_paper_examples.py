@@ -13,13 +13,11 @@ sample data:
 
 import pytest
 
-from repro.core.aggregates import AVG, COUNT, MAX, MIN, SUM, loose_avg_bound
+from repro.core.aggregates import AVG, COUNT, MIN, SUM, loose_avg_bound
 from repro.core.executor import drive_steps, table_steps
 from repro.core.refresh import (
-    CHOOSE_AVG,
     CHOOSE_COUNT,
     CHOOSE_MIN,
-    CHOOSE_SUM,
     AvgChooseRefresh,
     SumChooseRefresh,
 )

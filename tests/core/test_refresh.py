@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.core.aggregates import AVG, COUNT, MAX, MIN, SUM
+from repro.core.aggregates import AVG, MAX, MIN, SUM
 from repro.core.bound import Bound
 from repro.core.refresh import (
     CHOOSE_AVG,

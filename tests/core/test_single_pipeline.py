@@ -307,6 +307,9 @@ def test_route_options_are_gone(entry_point):
     # One driver applies refreshes: no statement or dispatcher is handed
     # a refresher or an executor object.
     assert not {"executor", "refresher"} & parameters
+    # Faults come from the objects that fail, not from an injector
+    # handed to the service or its scheduler.
+    assert "fault_injector" not in parameters
 
 
 STATEMENT_STEPS = [table_steps, join_steps, grouped_query_steps, top_n_steps]
@@ -405,6 +408,7 @@ def test_executor_probes_nothing_and_src_never_imports_tests():
             "batching", "groupby", "hierarchy", "median_spec", "prerefresh", "topn",
         },
         "predicates": {"ast", "batch", "parser"},
+        "faults": {"breaker", "retry"},
     }.items():
         files = {path.name for path in (SRC / "repro" / package).glob("*.py")}
         assert files == {f"{module}.py" for module in modules | {"__init__"}}
@@ -437,3 +441,8 @@ def test_executor_probes_nothing_and_src_never_imports_tests():
     )
     assert not [name for name, text in sources.items() if serial.search(text)]
     assert "repro.storage.row" not in sources["extensions/topn.py"]
+    # Faults come from the objects that fail: no injector seam, no chaos
+    # schedule and no injected-latency histogram.  The fault double that
+    # acts on sources and caches lives in tests/faults/double.py.
+    seam = re.compile(r"fault_injector|FaultInjector|chaos|contact_latency")
+    assert not [name for name, text in sources.items() if seam.search(text)]

@@ -10,7 +10,6 @@ from repro.errors import ConstraintUnsatisfiableError, TrappError
 from repro.extensions.batching import BatchedCostModel, rebatch_plan
 from repro.extensions.groupby import grouped_query_steps
 from repro.replication.local import LocalRefresher
-from repro.storage.row import Row
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 

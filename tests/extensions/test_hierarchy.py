@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.bound import Bound
 from repro.core.executor import drive_steps, table_steps
 from repro.errors import ReplicationProtocolError
 from repro.extensions.hierarchy import HierarchicalCache, LevelRoot, build_chain

@@ -16,12 +16,13 @@ import pytest
 
 from repro.errors import ServiceError
 from repro.extensions.batching import BatchedCostModel
-from repro.faults import FaultInjector, OutageWindow, RetryPolicy
+from repro.faults import RetryPolicy
 from repro.replication.system import TrappSystem
 from repro.service import QueryService
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 
+from tests.faults.double import outage_forever
 from tests.oracle.percell_sync import table_width_per_key
 from tests.service.conftest import degraded_answers, fault_events
 
@@ -54,12 +55,6 @@ def make_service(system, **kwargs) -> QueryService:
     return QueryService(system, **kwargs)
 
 
-def outage_forever(system, source_id: str = "s") -> FaultInjector:
-    injector = FaultInjector(system.clock)
-    injector.add_outage(OutageWindow(source_id, 0.0, float("inf")))
-    return injector.attach(system)
-
-
 def widen(system) -> None:
     """Age the bounds so the SQL above genuinely needs a refresh."""
     system.clock.advance(10.0)
@@ -76,8 +71,8 @@ def run(coro):
 # ----------------------------------------------------------------------
 def test_detach_mid_outage_preserves_availability_and_containment():
     system = build_group_system(3)
-    injector = outage_forever(system)
-    service = make_service(system, fault_injector=injector)
+    service = make_service(system)
+    outage_forever(service, "s")
     widen(system)
     clients = [f"client-{index}" for index in range(9)]
 
@@ -109,15 +104,14 @@ def test_detach_mid_outage_preserves_availability_and_containment():
 # ----------------------------------------------------------------------
 def test_admit_while_breaker_open_never_contacts_the_dead_source():
     system = build_group_system(2)
-    injector = outage_forever(system)
     service = make_service(
         system,
-        fault_injector=injector,
         retry_policy=RetryPolicy(max_attempts=1),
         breaker_threshold=1,
         breaker_cooldown=1000.0,
         result_ttl=100.0,
     )
+    injector = outage_forever(service, "s")
     widen(system)
 
     async def go():
@@ -138,9 +132,14 @@ def test_admit_while_breaker_open_never_contacts_the_dead_source():
         )
         assert service.scheduler.breaker_states() == {"s": "open"}
 
-        # The joiner shares the fault plane (elastic attach) and serves
-        # degraded like its siblings — containment intact.
-        assert system.cache("edge/2").fault_injector is injector
+        # The outage sits on the source the joiner contacts: its own
+        # contacts are refused and counted, and it serves degraded like
+        # its siblings — containment intact.
+        joiner = system.cache("edge/2")
+        refused = injector.events["source_outage"]
+        contact = joiner.refresh_batched(joiner.table("t"), [1])
+        assert contact.failed_sources == ("s",)
+        assert injector.events["source_outage"] == refused + 1
         mine = await service.query("edge/2", SQL, client_id="c2")
         assert mine.answer.degraded
         assert mine.answer.bound.lo <= TRUTH <= mine.answer.bound.hi
@@ -154,7 +153,7 @@ def test_degraded_answers_never_leak_into_snapshot_transfer():
     served answers.  A joiner admitted from a donor that has been
     serving degraded answers starts with a clean slate."""
     system = build_group_system(2)
-    outage_forever(system)
+    outage_forever(system, "s")
     service = make_service(system, result_ttl=100.0)
     widen(system)
 
@@ -191,7 +190,7 @@ def test_detach_last_replica_refused_even_during_outage():
     """Bounded degradation beats an empty group: the availability floor
     holds under chaos too."""
     system = build_group_system(1)
-    outage_forever(system)
+    outage_forever(system, "s")
     service = make_service(system)
     with pytest.raises(ServiceError):
         run(service.detach_replica("edge", "edge/0"))

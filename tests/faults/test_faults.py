@@ -1,21 +1,29 @@
-"""Unit tests for the fault-injection primitives (repro.faults)."""
+"""Unit tests for retry, the circuit breaker and the fault double."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import CacheUnavailableError, SourceUnavailableError
-from repro.faults import (
+from repro.errors import CacheUnavailableError
+from repro.faults import CircuitBreaker, RetryPolicy
+from repro.replication.cache import DataCache
+from repro.replication.source import DataSource, ObjectKey
+from repro.replication.system import TrappSystem
+from repro.service import QueryService
+from repro.simulation.clock import Clock
+from repro.storage.schema import Schema
+from repro.storage.table import Table
+
+from tests.faults.double import (
     CacheCrash,
-    CircuitBreaker,
+    ChaosScenario,
     FanoutDrop,
     FaultInjector,
-    LatencySpike,
     OutageWindow,
-    RetryPolicy,
+    chaos_injector,
+    chaos_schedule,
 )
-from repro.simulation.clock import Clock
-from repro.workloads.chaos import ChaosScenario, chaos_schedule
+from tests.service.conftest import CACHE_ID, build_netmon_system
 
 
 # ----------------------------------------------------------------------
@@ -121,85 +129,145 @@ def test_breaker_state_codes_and_validation():
 
 
 # ----------------------------------------------------------------------
-# FaultInjector
+# The fault double, acting through the objects it is installed on
 # ----------------------------------------------------------------------
+def refresh_all(system, cache_id: str = CACHE_ID):
+    cache = system.cache(cache_id)
+    table = cache.table("links")
+    return cache.refresh_batched(table, table.columns.sorted_tids())
+
+
 def test_outage_windows_are_half_open_intervals():
-    clock = Clock()
-    injector = FaultInjector(clock).add_outage(OutageWindow("net", 10.0, 20.0))
-    assert injector.source_available("net")
-    clock.advance(10.0)  # t=10: start is inclusive
-    assert not injector.source_available("net")
-    with pytest.raises(SourceUnavailableError) as exc_info:
-        injector.check_source("net")
-    assert exc_info.value.sources == ("net",)
-    clock.advance(9.999)
-    assert not injector.source_available("net")
-    clock.advance(0.001)  # t=20: end is exclusive
-    assert injector.source_available("net")
-    injector.check_source("net")  # no raise
-    assert injector.events["source_outage"] == 1
+    system = build_netmon_system()
+    now = system.clock.now()
+    injector = FaultInjector(system.clock).add(
+        OutageWindow("net", now + 10.0, now + 20.0)
+    ).install(system)
+    assert refresh_all(system).failures == ()
+    system.clock.advance(10.0)  # start is inclusive
+    receipt = refresh_all(system)
+    assert receipt.failed_sources == ("net",)
+    assert receipt.failures[0].error == "SourceUnavailableError"
+    system.clock.advance(9.999)
+    assert refresh_all(system).failed_sources == ("net",)
+    system.clock.advance(0.001)  # end is exclusive
+    assert refresh_all(system).failures == ()
+    assert injector.events["source_outage"] == 2
 
 
 def test_fail_next_is_consumed_per_contact():
-    injector = FaultInjector(Clock()).fail_next("net", count=2)
-    assert not injector.source_available("net")
-    with pytest.raises(SourceUnavailableError):
-        injector.check_source("net")
-    with pytest.raises(SourceUnavailableError):
-        injector.check_source("net")
-    injector.check_source("net")  # budget spent: back to healthy
+    system = build_netmon_system()
+    injector = FaultInjector(system.clock).fail_next("net", count=2).install(system)
+    assert refresh_all(system).failed_sources == ("net",)
+    assert refresh_all(system).failed_sources == ("net",)
+    assert refresh_all(system).failures == ()  # budget spent: healthy
     assert injector.events["forced_failure"] == 2
 
 
-def test_latency_spikes_sum_over_covering_windows():
-    clock = Clock()
-    injector = (
-        FaultInjector(clock)
-        .add_latency_spike(LatencySpike("net", 0.0, 10.0, 0.2))
-        .add_latency_spike(LatencySpike("net", 5.0, 15.0, 0.3))
-    )
-    assert injector.latency_of("net") == pytest.approx(0.2)
-    clock.advance(6.0)
-    assert injector.latency_of("net") == pytest.approx(0.5)
-    clock.advance(20.0)
-    assert injector.latency_of("net") == 0.0
-    assert injector.latency_of("other") == 0.0
+def fanout_group(n_replicas: int) -> TrappSystem:
+    """``n_replicas`` fan-out replicas ``edge/i`` of one table on ``net``,
+    aged so every cached bound is wide."""
+    master = Table("t", Schema.of(x="bounded"))
+    for index in range(4):
+        master.insert({"x": float(index + 1)})
+    system = TrappSystem()
+    system.add_source("net").add_table(master)
+    system.add_group("edge")
+    for index in range(n_replicas):
+        system.add_cache(f"edge/{index}", shards={"t": "net"}, group="edge")
+    system.clock.advance(10.0)
+    for cache in system.group("edge"):
+        cache.sync_bounds()
+    return system
+
+
+def bound_in(system, cache_id: str, tid: int):
+    return system.cache(cache_id).table("t").row(tid).bound("x")
 
 
 def test_fanout_drop_is_pair_scoped():
-    clock = Clock()
-    injector = FaultInjector(clock).add_fanout_drop(
-        FanoutDrop("net", "edge/1", 0.0, 10.0)
-    )
-    assert injector.drops_fanout("net", "edge/1")
-    assert not injector.drops_fanout("net", "edge/0")
-    clock.advance(10.0)
-    assert not injector.drops_fanout("net", "edge/1")
+    system = fanout_group(3)
+    now = system.clock.now()
+    injector = FaultInjector(system.clock).add(
+        FanoutDrop("net", "edge/1", now, now + 10.0)
+    ).install(system)
+    tid = 1
+    wide = bound_in(system, "edge/1", tid)
+    assert wide.width > 0
+    requester = system.cache("edge/0")
+    requester.refresh_batched(requester.table("t"), [tid])
+    # edge/2 got the push; edge/1's push was dropped.
+    assert bound_in(system, "edge/2", tid).width == 0
+    assert bound_in(system, "edge/1", tid) == wide
+    assert injector.events["fanout_drop"] == 1
+    # Past the window the same pair delivers again.
+    system.clock.advance(10.0)
+    requester.refresh_batched(requester.table("t"), [tid])
+    assert bound_in(system, "edge/1", tid).width == 0
+    assert injector.events["fanout_drop"] == 1
+
+
+def test_dropped_fanout_keeps_containment_through_value_initiated_refresh():
+    """A sibling that missed a fan-out push keeps its old bound, and the
+    source keeps tracking that bound: a master value escaping it reaches
+    the sibling by a value-initiated refresh."""
+    system = fanout_group(2)
+    now = system.clock.now()
+    injector = FaultInjector(system.clock).add(
+        FanoutDrop("net", "edge/1", now, now + 1.0)
+    ).install(system)
+    tid = 2
+    old = bound_in(system, "edge/1", tid)
+    requester = system.cache("edge/0")
+    requester.refresh_batched(requester.table("t"), [tid])
+    assert bound_in(system, "edge/0", tid).width == 0
+    assert bound_in(system, "edge/1", tid) == old
+    assert injector.events["fanout_drop"] == 1
+
+    source = system.source("net")
+    pushed = source.value_initiated_refreshes
+    truth = old.hi + 1.0
+    source.apply_update(ObjectKey("t", tid, "x"), truth)
+    assert source.value_initiated_refreshes > pushed
+    assert not old.contains(truth)
+    for cache_id in ("edge/0", "edge/1"):
+        assert bound_in(system, cache_id, tid).contains(truth)
 
 
 def test_cache_crash_check():
-    clock = Clock()
-    injector = FaultInjector(clock).add_crash(CacheCrash("monitor", 5.0, 10.0))
-    injector.check_cache("monitor")
-    clock.advance(5.0)
-    assert not injector.cache_available("monitor")
+    system = build_netmon_system()
+    now = system.clock.now()
+    injector = FaultInjector(system.clock).add(
+        CacheCrash(CACHE_ID, now + 5.0, now + 10.0)
+    ).install(system)
+    assert refresh_all(system).failures == ()
+    system.clock.advance(5.0)
     with pytest.raises(CacheUnavailableError) as exc_info:
-        injector.check_cache("monitor")
-    assert exc_info.value.cache_id == "monitor"
+        refresh_all(system)
+    assert exc_info.value.cache_id == CACHE_ID
+    assert injector.events["cache_crash"] == 1
 
 
 def test_extend_rejects_non_fault_objects():
     with pytest.raises(TypeError):
-        FaultInjector(Clock()).extend(["not a fault"])
+        FaultInjector(Clock()).add("not a fault")
 
 
-def test_attach_points_components_at_the_injector():
-    from tests.service.conftest import build_netmon_system
-
+def test_install_wraps_every_contact_source_and_cache():
+    """The double replaces instance attributes only: the classes (and the
+    tracing targets named after their methods) are untouched, and on a
+    service the breakers time cooldowns on the injector's clock."""
     system = build_netmon_system(n_links=12)
-    injector = FaultInjector(system.clock).attach(system)
-    assert system.cache("monitor").fault_injector is injector
-    assert system.source("net").fault_injector is injector
+    service = QueryService(system)
+    injector = FaultInjector(system.clock).install(service)
+    source = system.source("net")
+    cache = system.cache(CACHE_ID)
+    assert "handle_refresh_request" in vars(source)
+    assert "trackers" in vars(source.monitor)
+    assert "refresh_batched" in vars(cache)
+    assert "handle_refresh_request" in vars(DataSource)
+    assert "refresh_batched" in vars(DataCache)
+    assert service.scheduler.clock == injector.now
 
 
 # ----------------------------------------------------------------------
@@ -222,13 +290,15 @@ def test_chaos_schedule_is_deterministic_and_rate_shaped():
 
 
 def test_chaos_injector_targets_shards_not_wrappers():
-    from repro.workloads.chaos import chaos_injector
     from repro.workloads.service import sharded_service_system
 
     system, _ = sharded_service_system(n_shards=3, n_links=30)
     scenario = ChaosScenario(seed=3, duration=100.0, outage_rate=1.0)
     injector = chaos_injector(system, scenario)
-    assert system.cache("monitor").fault_injector is injector
-    # Every schedule entry names a concrete shard, never the wrapper id.
-    assert injector._outages
-    assert all(sid.startswith("net/") for sid in injector._outages)
+    # Every schedule entry names a concrete shard, never the wrapper id,
+    # and only the shards the cache contacts are wrapped.
+    assert injector._windows
+    assert all(sid.startswith("net/") for _, sid in injector._windows)
+    assert "handle_refresh_request" in vars(system.source("net/0"))
+    assert "handle_refresh_request" not in vars(system.source("net"))
+    assert sorted(refresh_all(system).failed_sources) == ["net/0", "net/1", "net/2"]

@@ -257,7 +257,8 @@ CLAIMS = [
         "With sources down, queries are still answered — wider, never "
         "wrong.",
         "Availability, degraded share and mean-width inflation at "
-        "outage rates 0 and 0.2 (seeded chaos schedule): availability "
+        "outage rates 0 and 0.2 (seeded chaos schedule, `chaos_schedule` "
+        "in `tests/faults/double.py`): availability "
         "≥ 0.99, every answer contains `math.fsum` of the master values, "
         "failures and degraded answers > 0 at 0.2 and none at 0.",
         _SERVICE + "test_availability_survives_outages",

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 import random
 
-import numpy as np
-
 from repro.bounds.functions import SHAPES, BoundFunction
 from repro.bounds.width import AdaptiveWidthController, FixedWidthPolicy
 from repro.core import knapsack

@@ -34,7 +34,6 @@ from repro.sql.steps import plan_steps
 from repro.storage.columnar import harvest_candidates
 from repro.storage.schema import Schema
 from repro.storage.table import Table
-from repro.workloads.chaos import ChaosScenario, chaos_injector
 from repro.workloads.service import (
     mixed_scripts,
     mixed_service_system,
@@ -43,6 +42,7 @@ from repro.workloads.service import (
     sharded_service_system,
     sharded_sum_scripts,
 )
+from tests.faults.double import ChaosScenario, chaos_injector
 from tests.golden.autoscaler import GroupAutoscaler
 
 SEED = 20000521
@@ -297,10 +297,10 @@ async def _run_outage_rate(outage_rate: float) -> dict:
     )
     service = QueryService(
         system, max_inflight=64, cost_model=model,
-        fault_injector=chaos_injector(system, scenario),
         # Deterministic backoff, no real sleeping.
         retry_policy=RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0),
     )
+    chaos_injector(service, scenario)
     truth = math.fsum(
         value
         for shard in range(4)

@@ -42,7 +42,6 @@ from repro.core.bound import Bound
 from repro.errors import PredicateError, PredicateTypeError
 from repro.predicates.ast import (
     And,
-    ColumnRef,
     Comparison,
     Literal,
     Not,

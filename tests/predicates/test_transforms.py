@@ -2,10 +2,7 @@
 
 import itertools
 
-import pytest
-
 from repro.core.bound import Bound
-from repro.predicates.ast import ColumnRef, Comparison, Literal
 from repro.predicates.parser import parse_predicate
 from repro.storage.row import Row
 from tests.oracle.row_eval import evaluate_exact

@@ -18,7 +18,6 @@ from repro.predicates.ast import (
     Literal,
     Not,
     Or,
-    Predicate,
 )
 from repro.predicates.parser import parse_predicate
 from repro.sql.parser import parse_statement

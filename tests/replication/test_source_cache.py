@@ -22,7 +22,7 @@ from repro.replication.cache import DataCache
 from repro.replication.system import TrappSystem
 from repro.simulation.clock import Clock
 from repro.storage.columnar import ColumnStore
-from repro.storage.schema import Column, Schema
+from repro.storage.schema import Column
 from repro.storage.table import Table
 from repro.telemetry import MetricsRegistry, register_system_collectors
 from repro.workloads.netmon import (

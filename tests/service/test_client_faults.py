@@ -8,10 +8,11 @@ import pytest
 
 from repro.errors import WireTimeoutError
 from repro.extensions.batching import BatchedCostModel
-from repro.faults import FaultInjector, OutageWindow, RetryPolicy
+from repro.faults import RetryPolicy
 from repro.service import QueryService, TrappClient, serve
 from repro.service.protocol import decode, encode
 
+from tests.faults.double import FaultInjector, OutageWindow
 from tests.service.conftest import CACHE_ID, build_netmon_system
 
 SUM_SQL = "SELECT SUM(traffic) WITHIN 5 FROM links"
@@ -27,21 +28,25 @@ def run(coro):
     return asyncio.run(coro)
 
 
-async def serve_hello_only():
-    """A server that answers ``hello`` and then goes silent forever."""
+async def serve_hello_only(hello: bool = True):
+    """A server that answers ``hello`` (unless told not to) and then goes
+    silent forever."""
 
     async def handle(reader, writer):
-        while True:
-            line = await reader.readline()
-            if not line:
-                break
-            message = decode(line)
-            if message.get("op") == "hello":
-                writer.write(
-                    encode({"id": message["id"], "ok": True, "client": "x"})
-                )
-                await writer.drain()
-            # Any other op: swallow the request, never reply.
+        try:
+            while True:
+                line = await reader.readline()
+                if not line:
+                    break
+                message = decode(line)
+                if hello and message.get("op") == "hello":
+                    writer.write(
+                        encode({"id": message["id"], "ok": True, "client": "x"})
+                    )
+                    await writer.drain()
+                # Any other op: swallow the request, never reply.
+        finally:
+            writer.close()
 
     server = await asyncio.start_server(handle, "127.0.0.1", 0)
     return server, server.sockets[0].getsockname()[1]
@@ -62,6 +67,25 @@ def test_deadline_turns_a_silent_server_into_wire_timeout():
                 assert client.reconnects == 1
             finally:
                 await client.close()
+        finally:
+            server.close()
+            await server.wait_closed()
+
+    run(go())
+
+
+def test_failed_hello_leaves_no_connection_behind():
+    async def go():
+        server, port = await serve_hello_only(hello=False)
+        try:
+            with pytest.raises(WireTimeoutError):
+                await TrappClient.connect("127.0.0.1", port, deadline=0.05)
+            # No read loop is left running on a connection nobody holds.
+            assert not [
+                task
+                for task in asyncio.all_tasks()
+                if "_read_loop" in repr(task.get_coro())
+            ]
         finally:
             server.close()
             await server.wait_closed()
@@ -95,13 +119,13 @@ def test_client_survives_a_dropped_connection_with_one_reconnect():
 def test_degraded_answers_cross_the_wire_flagged():
     async def go():
         system = build_netmon_system()
-        injector = FaultInjector(system.clock)
-        injector.add_outage(OutageWindow("net", 0.0, float("inf")))
         service = make_service(
             system,
-            fault_injector=injector,
             retry_policy=RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0),
         )
+        FaultInjector(system.clock).add(
+            OutageWindow("net", 0.0, float("inf"))
+        ).install(service)
         async with await serve(service) as server:
             async with await TrappClient.connect(
                 server.host, server.port, client_id="t"

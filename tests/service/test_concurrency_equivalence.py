@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import asyncio
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -9,10 +9,16 @@ import pytest
 
 from repro.errors import SourceUnavailableError
 from repro.extensions.batching import BatchedCostModel
-from repro.faults import CacheCrash, FaultInjector, OutageWindow, RetryPolicy
+from repro.faults import RetryPolicy
 from repro.service import QueryService
 from repro.workloads.service import regional_cache_system
 
+from tests.faults.double import (
+    CacheCrash,
+    FaultInjector,
+    OutageWindow,
+    outage_forever,
+)
 from tests.service.conftest import (
     CACHE_ID,
     build_netmon_system,
@@ -43,18 +49,12 @@ def master_sum(system, column: str = "traffic") -> float:
     return total
 
 
-def outage_forever(system, source_id: str = "net") -> FaultInjector:
-    injector = FaultInjector(system.clock)
-    injector.add_outage(OutageWindow(source_id, 0.0, float("inf")))
-    return injector
-
-
 # ----------------------------------------------------------------------
 # Cache layer: failure receipts instead of raises
 # ----------------------------------------------------------------------
 def test_refresh_batched_surfaces_failure_receipts():
     system = build_netmon_system()
-    injector = outage_forever(system).attach(system)
+    injector = outage_forever(system, "net")
     cache = system.cache(CACHE_ID)
     table = cache.table("links")
     tids = {row.tid for row in table.rows()}
@@ -71,7 +71,7 @@ def test_refresh_batched_surfaces_failure_receipts():
 def test_serial_refresh_raises_without_a_scheduler():
     """The classic serial path has nobody to degrade for it — it raises."""
     system = build_netmon_system()
-    outage_forever(system).attach(system)
+    outage_forever(system, "net")
     cache = system.cache(CACHE_ID)
     table = cache.table("links")
     tid = next(iter(table.rows())).tid
@@ -84,10 +84,8 @@ def test_serial_refresh_raises_without_a_scheduler():
 # ----------------------------------------------------------------------
 def test_transient_failure_is_retried_then_succeeds():
     system = build_netmon_system()
-    injector = FaultInjector(system.clock).fail_next("net", count=1)
-    service = make_service(
-        system, fault_injector=injector, retry_policy=FAST_RETRY
-    )
+    service = make_service(system, retry_policy=FAST_RETRY)
+    FaultInjector(system.clock).fail_next("net", count=1).install(service)
 
     result = run(service.query(CACHE_ID, SUM_SQL))
     assert result.answer.meets(5)
@@ -109,9 +107,9 @@ def test_exhausted_retries_degrade_with_containment():
     truth = master_sum(system)
     service = make_service(
         system,
-        fault_injector=outage_forever(system),
         retry_policy=FAST_RETRY,
     )
+    outage_forever(service, "net")
 
     result = run(service.query(CACHE_ID, SUM_SQL))
     answer = result.answer
@@ -129,10 +127,10 @@ def test_degraded_answers_are_cache_scoped_and_flagged():
     system = build_netmon_system()
     service = make_service(
         system,
-        fault_injector=outage_forever(system),
         retry_policy=FAST_RETRY,
         result_ttl=100.0,
     )
+    outage_forever(service, "net")
 
     async def go():
         first = await service.query(CACHE_ID, SUM_SQL, client_id="c1")
@@ -159,9 +157,9 @@ def test_within_zero_from_dead_source_is_an_error():
     system = build_netmon_system()
     service = make_service(
         system,
-        fault_injector=outage_forever(system),
         retry_policy=FAST_RETRY,
     )
+    outage_forever(service, "net")
     with pytest.raises(SourceUnavailableError):
         run(service.query(CACHE_ID, "SELECT SUM(traffic) WITHIN 0 FROM links"))
 
@@ -173,11 +171,11 @@ def test_breaker_opens_and_skips_the_dead_source():
     system = build_netmon_system()
     service = make_service(
         system,
-        fault_injector=outage_forever(system),
         retry_policy=RetryPolicy(max_attempts=1),
         breaker_threshold=1,
         breaker_cooldown=1000.0,
     )
+    outage_forever(service, "net")
 
     async def go():
         first = await service.query(CACHE_ID, SUM_SQL, client_id="c1")
@@ -203,15 +201,15 @@ def test_breaker_half_open_probe_recovers_after_outage_ends():
     system = build_netmon_system()
     injector = FaultInjector(system.clock)
     now = system.clock.now()
-    injector.add_outage(OutageWindow("net", now, now + 50.0))
+    injector.add(OutageWindow("net", now, now + 50.0))
     service = make_service(
         system,
-        fault_injector=injector,
         retry_policy=RetryPolicy(max_attempts=1),
         breaker_threshold=1,
         breaker_cooldown=10.0,
         result_ttl=0.0,
     )
+    injector.install(service)
 
     async def go():
         first = await service.query(CACHE_ID, SUM_SQL, client_id="c1")
@@ -236,14 +234,9 @@ def test_breaker_half_open_probe_recovers_after_outage_ends():
 def test_crashed_leader_fails_over_to_sibling_replica():
     system, model = regional_cache_system(n_caches=2, n_shards=2, n_links=60)
     injector = FaultInjector(system.clock)
-    injector.add_crash(CacheCrash("edge/0", 0.0, float("inf")))
-    injector.attach(system)
-    service = QueryService(
-        system,
-        cost_model=model,
-        fault_injector=injector,
-        retry_policy=FAST_RETRY,
-    )
+    injector.add(CacheCrash("edge/0", 0.0, float("inf")))
+    service = QueryService(system, cost_model=model, retry_policy=FAST_RETRY)
+    injector.install(service)
     total_width = sum(
         row.bound("traffic").width
         for row in system.cache("edge/1").table("links").rows()
@@ -263,15 +256,10 @@ def test_crashed_leader_fails_over_to_sibling_replica():
 def test_all_replicas_crashed_degrades_not_hangs():
     system, model = regional_cache_system(n_caches=2, n_shards=2, n_links=60)
     injector = FaultInjector(system.clock)
-    injector.add_crash(CacheCrash("edge/0", 0.0, float("inf")))
-    injector.add_crash(CacheCrash("edge/1", 0.0, float("inf")))
-    injector.attach(system)
-    service = QueryService(
-        system,
-        cost_model=model,
-        fault_injector=injector,
-        retry_policy=FAST_RETRY,
-    )
+    injector.add(CacheCrash("edge/0", 0.0, float("inf")))
+    injector.add(CacheCrash("edge/1", 0.0, float("inf")))
+    service = QueryService(system, cost_model=model, retry_policy=FAST_RETRY)
+    injector.install(service)
     truth = sum(
         row.number("traffic")
         for row in system.source("net/0").table("links").rows()
@@ -325,10 +313,10 @@ def test_stale_retry_hitting_failure_degrades_instead_of_looping():
     truth = master_sum(system)
     service = make_service(
         system,
-        fault_injector=outage_forever(system),
         retry_policy=FAST_RETRY,
         network_delay=0.05,
     )
+    outage_forever(service, "net")
 
     answer = outage_with_widening_sync(system, service)[0].answer
     assert answer.degraded
@@ -350,11 +338,11 @@ def test_revalidate_passes_degraded_answers_through():
     truth = master_sum(system)
     service = make_service(
         system,
-        fault_injector=outage_forever(system),
         retry_policy=FAST_RETRY,
         network_delay=0.05,
         result_ttl=100.0,
     )
+    outage_forever(service, "net")
 
     first, repeat = outage_with_widening_sync(
         system,
@@ -385,14 +373,12 @@ def test_zero_fault_run_is_bit_identical_with_fault_machinery_on():
         system = build_netmon_system()
         kwargs = {}
         if armed:
-            kwargs = dict(
-                # An attached injector with an *empty* schedule plus the
-                # full retry/breaker machinery switched on.
-                fault_injector=FaultInjector(system.clock),
-                retry_policy=RetryPolicy(),
-                breaker_threshold=1,
-            )
+            # The full retry/breaker machinery switched on ...
+            kwargs = dict(retry_policy=RetryPolicy(), breaker_threshold=1)
         service = make_service(system, **kwargs)
+        if armed:
+            # ... and an installed double with an *empty* schedule.
+            FaultInjector(system.clock).install(service)
 
         async def go():
             return [

@@ -4,9 +4,6 @@ connection/session accounting stays consistent afterwards."""
 from __future__ import annotations
 
 import asyncio
-import json
-
-import pytest
 
 from repro.extensions.batching import BatchedCostModel
 from repro.service import QueryService, serve

@@ -6,7 +6,7 @@ import asyncio
 
 import pytest
 
-from repro.errors import AdmissionError, ServiceError, ServiceOverloadError
+from repro.errors import AdmissionError, ServiceOverloadError
 from repro.extensions.batching import BatchedCostModel
 from repro.service import QueryService
 

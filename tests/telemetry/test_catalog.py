@@ -1,8 +1,7 @@
 """The metric catalog in ``docs/OBSERVABILITY.md`` is the registry's.
 
 A deployment with every instrumented part — a replica group, the query
-service, a wire server and a chaos injector — registers its ``trapp_*``
-families; the catalog's tables must name exactly those.  A family added
+service and a wire server — registers its ``trapp_*`` families; the catalog's tables must name exactly those.  A family added
 without a row, or a row left behind by a family that went, fails here.
 """
 
@@ -14,7 +13,6 @@ from pathlib import Path
 
 from repro.service import QueryService
 from repro.service.server import serve
-from repro.workloads.chaos import ChaosScenario, chaos_injector
 from repro.workloads.service import mixed_service_system
 
 CATALOG = Path(__file__).resolve().parents[2] / "docs" / "OBSERVABILITY.md"
@@ -25,11 +23,7 @@ ROW = re.compile(r"^\| `(trapp_\w+)` \|", re.MULTILINE)
 def registered_families() -> set[str]:
     async def deploy() -> QueryService:
         system, cost_model = mixed_service_system()
-        service = QueryService(
-            system,
-            cost_model=cost_model,
-            fault_injector=chaos_injector(system, ChaosScenario()),
-        )
+        service = QueryService(system, cost_model=cost_model)
         server = await serve(service)
         await server.close()
         return service
