@@ -15,10 +15,10 @@ import random
 from repro.bounds.width import AdaptiveWidthController, FixedWidthPolicy
 from repro.replication.messages import ObjectKey
 from repro.replication.system import TrappSystem
-from repro.simulation.engine import QueryDriver, SimulationEngine, UpdateDriver
-from repro.simulation.random_walk import GaussianWalk
 from repro.storage.schema import Schema
 from repro.storage.table import Table
+from section8.engine import QueryDriver, SimulationEngine, UpdateDriver
+from section8.walks import GaussianWalk
 
 HORIZON = 300.0
 N_OBJECTS = 20

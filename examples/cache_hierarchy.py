@@ -10,9 +10,9 @@ Run:  python examples/cache_hierarchy.py
 """
 
 from repro.core.executor import drive_steps, table_steps
-from repro.extensions.hierarchy import build_chain
 from repro.storage.schema import Schema
 from repro.storage.table import Table
+from section8.hierarchy import build_chain
 
 
 def main():

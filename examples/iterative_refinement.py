@@ -21,7 +21,7 @@ from repro.core.executor import (
 from repro.predicates.ast import TruePredicate
 from repro.replication import ColumnCostModel
 from repro.replication.local import LocalRefresher
-from repro.workloads.stocks import (
+from section8.stocks import (
     stock_cache_table,
     stock_master_table,
     volatile_stock_day,

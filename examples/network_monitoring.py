@@ -14,8 +14,9 @@ import random
 from repro.replication import ColumnCostModel
 from repro.replication.messages import ObjectKey
 from repro.replication.system import TrappSystem
-from repro.simulation.engine import QueryDriver, SimulationEngine, UpdateDriver
-from repro.workloads.netmon import build_master_table, generate_topology, link_walks
+from repro.workloads.netmon import build_master_table, generate_topology
+from section8.engine import QueryDriver, SimulationEngine, UpdateDriver
+from section8.walks import link_walks
 
 N_NODES = 40
 N_LINKS = 80

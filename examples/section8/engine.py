@@ -16,10 +16,11 @@ from repro.core.answer import BoundedAnswer
 from repro.replication.messages import ObjectKey
 from repro.simulation.clock import Clock
 
+from .events import EventQueue
+from .walks import GaussianWalk, GeometricWalk, RandomWalk
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.replication.system import TrappSystem
-from repro.simulation.events import EventQueue
-from repro.simulation.random_walk import GaussianWalk, GeometricWalk, RandomWalk
 
 __all__ = ["UpdateDriver", "QueryDriver", "SimulationEngine", "QueryRecord"]
 

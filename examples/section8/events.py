@@ -2,7 +2,7 @@
 
 Minimal but complete: events are ``(time, sequence, callback)`` triples in
 a binary heap; ties break by insertion order so runs are deterministic.
-The engine (:mod:`repro.simulation.engine`) layers workload scheduling on
+The engine (``engine.py`` beside this module) layers workload scheduling on
 top of this queue.
 """
 

@@ -21,9 +21,10 @@ import random
 from dataclasses import dataclass
 
 from repro.core.bound import Bound
-from repro.simulation.random_walk import GeometricWalk
 from repro.storage.schema import Column, ColumnKind, Schema
 from repro.storage.table import Table
+
+from .walks import GeometricWalk
 
 __all__ = [
     "STOCKS_SCHEMA",

@@ -9,7 +9,10 @@ This module provides that walk plus two variants used by the workloads:
 * :class:`GaussianWalk` — additive Gaussian increments (the continuum
   limit of the binomial walk);
 * :class:`GeometricWalk` — multiplicative Gaussian steps, the standard
-  intraday stock-price model backing the Figure 5/6 workload.
+  intraday stock-price model backing the Figure 5/6 workload;
+
+and :func:`link_walks`, one :class:`GaussianWalk` per metric of each
+network link.
 
 All walks draw from an injected :class:`random.Random` so experiments are
 reproducible from a seed.
@@ -22,8 +25,9 @@ import random
 from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
+from repro.storage.table import Table
 
-__all__ = ["RandomWalk", "GaussianWalk", "GeometricWalk"]
+__all__ = ["RandomWalk", "GaussianWalk", "GeometricWalk", "link_walks"]
 
 
 @dataclass(slots=True)
@@ -100,3 +104,25 @@ class GeometricWalk:
         for _ in range(steps):
             self.value *= math.exp(self.rng.gauss(self.mu, self.sigma))
         return self.value
+
+
+def link_walks(
+    table: Table, rng: random.Random, volatility: float = 0.5
+) -> dict[tuple[int, str], GaussianWalk]:
+    """Per-(tuple, metric) random walks seeded at a netmon ``links``
+    table's master values.
+
+    Metrics are clamped to stay physical (latency ≥ 0.1, bandwidth ≥ 1,
+    traffic ≥ 0).
+    """
+    floors = {"latency": 0.1, "bandwidth": 1.0, "traffic": 0.0}
+    walks: dict[tuple[int, str], GaussianWalk] = {}
+    for row in table.rows():
+        for metric, floor in floors.items():
+            walks[(row.tid, metric)] = GaussianWalk(
+                value=row.number(metric),
+                volatility=volatility,
+                rng=random.Random(rng.getrandbits(64)),
+                minimum=floor,
+            )
+    return walks

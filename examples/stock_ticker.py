@@ -18,7 +18,7 @@ from repro.core.refresh import AvgChooseRefresh
 from repro.extensions.topn import top_n_steps
 from repro.replication import ColumnCostModel
 from repro.replication.local import LocalRefresher
-from repro.workloads.stocks import (
+from section8.stocks import (
     stock_cache_table,
     stock_master_table,
     volatile_stock_day,

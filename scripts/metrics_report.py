@@ -1,20 +1,11 @@
 #!/usr/bin/env python
-"""Dump a TRAPP deployment's metrics in Prometheus text exposition.
+"""Dump a running TRAPP server's metrics in Prometheus text exposition.
 
-Two modes:
-
-* **live** — ``--host H --port P`` connects a :class:`TrappClient` to a
-  running server (``python -m repro serve``) and prints the ``metrics``
-  op's text exposition, optionally followed by the most recent query
-  spans (``--traces N``).
-* **demo** (default, no ``--host``) — builds the mixed two-replica
-  deployment from :func:`repro.workloads.service.mixed_service_system`,
-  drives a short concurrent workload through a :class:`QueryService`
-  in-process, and prints the resulting exposition — a self-contained
-  tour of every metric family in ``docs/OBSERVABILITY.md``.
-
-``--json`` prints the raw snapshot document (the exact ``metrics`` op
-payload) instead of text.  Run with ``PYTHONPATH=src``.
+``--host H --port P`` connects a :class:`TrappClient` to a server started
+with ``python -m repro serve`` and prints the ``metrics`` op's text
+exposition, optionally followed by the most recent query spans
+(``--traces N``).  ``--json`` prints the raw snapshot document (the exact
+``metrics`` op payload) instead of text.  Run with ``PYTHONPATH=src``.
 """
 
 from __future__ import annotations
@@ -27,16 +18,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.service import QueryService, TrappClient  # noqa: E402
+from repro.service import TrappClient  # noqa: E402
 from repro.service.protocol import json_safe  # noqa: E402
-from repro.telemetry import render_text  # noqa: E402
-from repro.workloads.service import (  # noqa: E402
-    mixed_scripts,
-    mixed_service_system,
-)
-
-DEMO_CLIENTS = 4
-DEMO_QUERIES = 3
 
 
 async def _live_report(args) -> tuple[dict | None, str | None, list[dict]]:
@@ -49,46 +32,10 @@ async def _live_report(args) -> tuple[dict | None, str | None, list[dict]]:
     return snapshot, text, traces
 
 
-async def _demo_report(args) -> tuple[dict | None, str | None, list[dict]]:
-    system, cost_model = mixed_service_system(n_caches=2)
-    service = QueryService(system, cost_model=cost_model)
-    cache = system.cache("edge/0")
-    scripts = mixed_scripts(
-        cache.table("links"),
-        cache.table("nodes"),
-        n_clients=DEMO_CLIENTS,
-        queries_per_client=DEMO_QUERIES,
-    )
-    for round_index in range(DEMO_QUERIES):
-        system.clock.advance(20.0)
-        for replica in system.group("edge"):
-            replica.sync_bounds()
-        await asyncio.gather(
-            *(
-                service.query(
-                    "edge", script.sqls[round_index],
-                    client_id=script.client_id,
-                )
-                for script in scripts
-            )
-        )
-    snapshot = service.telemetry.snapshot()
-    traces = (
-        service.telemetry.tracer.recent(limit=args.traces)
-        if args.traces
-        else []
-    )
-    return (
-        snapshot if args.json else None,
-        None if args.json else render_text(snapshot),
-        traces,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--host", help="connect to a live server")
-    parser.add_argument("--port", type=int, default=7474)
+    parser.add_argument("--host", required=True, help="the server's host")
+    parser.add_argument("--port", type=int, required=True, help="the server's port")
     parser.add_argument(
         "--traces", type=int, default=0, metavar="N",
         help="also print the N most recent query spans (NDJSON)",
@@ -99,8 +46,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    runner = _live_report if args.host else _demo_report
-    snapshot, text, traces = asyncio.run(runner(args))
+    snapshot, text, traces = asyncio.run(_live_report(args))
 
     if args.json:
         print(json.dumps(json_safe(snapshot), indent=2))

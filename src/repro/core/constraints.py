@@ -73,15 +73,14 @@ class PrecisionConstraint:
         refresh loop then takes one tuple at a time, not a batch plan."""
         return False
 
-    def satisfied_by(self, answer: Bound, first_pass: Bound | None = None) -> bool:
+    def satisfied_by(self, answer: Bound) -> bool:
         """True iff ``answer`` meets this constraint.
 
         For relative constraints, the budget is evaluated against the final
         answer itself (the guarantee ``width <= 2 * |A| * P`` holds whenever
         ``width <= 2 * min|a| * P`` over the answer interval).
         """
-        reference = first_pass if first_pass is not None else answer
-        return width_within(answer.width, self.resolve(reference))
+        return width_within(answer.width, self.resolve(answer))
 
 
 @dataclass(frozen=True, slots=True)

@@ -49,7 +49,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.errors import OptimizerError
 
@@ -349,15 +349,12 @@ def _ik_core(
 # Exact dynamic program (profit dimension)
 # ----------------------------------------------------------------------
 def solve_exact_dp(
-    items: Sequence[KnapsackItem],
-    capacity: float,
-    profit_of: Callable[[KnapsackItem], int] | None = None,
+    items: Sequence[KnapsackItem], capacity: float
 ) -> KnapsackSolution:
     """Exact 0/1 knapsack via minimum-weight-per-profit DP.
 
-    ``profit_of`` maps each item to an *integer* profit (defaults to
-    ``round(item.profit)``, which is exact whenever profits are integral,
-    as with the paper's integer refresh costs).  Real-valued weights are
+    Profits must be integral, as with the paper's integer refresh costs;
+    each is taken as ``round(item.profit)``.  Real-valued weights are
     handled natively.  Runs over the sparse Pareto frontier —
     ``O(n · |frontier|)`` time and ``O(states)`` memory, never worse than
     the dense ``O(n · P)`` and dramatically better when few distinct
@@ -366,16 +363,15 @@ def solve_exact_dp(
     _validate(items, capacity)
     contenders, always_in, _ = _split_free_items(items, capacity)
 
-    if profit_of is None:
-        def profit_of(item: KnapsackItem) -> int:
-            scaled = round(item.profit)
-            if abs(scaled - item.profit) > 1e-9:
-                raise OptimizerError(
-                    f"solve_exact_dp requires integral profits; item "
-                    f"{item.item_id} has profit {item.profit}. "
-                    "Use solve_ibarra_kim for real-valued profits."
-                )
-            return scaled
+    def profit_of(item: KnapsackItem) -> int:
+        scaled = round(item.profit)
+        if abs(scaled - item.profit) > 1e-9:
+            raise OptimizerError(
+                f"solve_exact_dp requires integral profits; item "
+                f"{item.item_id} has profit {item.profit}. "
+                "Use solve_ibarra_kim for real-valued profits."
+            )
+        return scaled
 
     int_profits = [profit_of(item) for item in contenders]
     chosen: set[int] = set(always_in)

@@ -8,7 +8,7 @@ source it comes from".  Total cost of a set is the sum of member costs
 :mod:`repro.extensions.batching`).
 
 A cost model is anything with :meth:`CostModel.costs_at`: the price list
-of a table as one array, gathered at tuple-order positions.  The four
+of a table as one array, gathered at tuple-order positions.  The three
 models here read it off the table's
 :class:`~repro.storage.columnar.ColumnStore` and build no row.  Nothing
 calls ``costs_at`` but :func:`repro.core.refresh.base.candidate_costs`,
@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Mapping, Protocol
 
 import numpy as np
 
-from repro.errors import OptimizerError, TrappError, UnknownColumnError
+from repro.errors import OptimizerError, UnknownColumnError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.table import Table
@@ -33,7 +33,6 @@ __all__ = [
     "UniformCostModel",
     "ColumnCostModel",
     "PerSourceCostModel",
-    "TableCostModel",
     "uniform_cost",
 ]
 
@@ -147,23 +146,3 @@ class PerSourceCostModel:
             count=len(uniques),
         )
         return mapped[inverse]
-
-
-@dataclass(frozen=True, slots=True)
-class TableCostModel:
-    """Explicit per-tuple-id costs; handy for tests and benchmarks."""
-
-    costs: Mapping[int, float] = field(default_factory=dict)
-    default_cost: float | None = None
-
-    def costs_at(self, table: "Table", at: np.ndarray | None) -> np.ndarray:
-        tids = table.columns.sorted_tids()
-        if at is not None:
-            tids = tids[at]
-        out = np.empty(len(tids), dtype=np.float64)
-        for k, tid in enumerate(tids.tolist()):
-            cost = self.costs.get(tid, self.default_cost)
-            if cost is None:
-                raise TrappError(f"no refresh cost known for tuple #{tid}")
-            out[k] = cost
-        return out

@@ -9,7 +9,6 @@ from repro.core.refresh.costs import (
     ColumnCostModel,
     CostModel,
     PerSourceCostModel,
-    TableCostModel,
     UniformCostModel,
 )
 from repro.replication.messages import (
@@ -42,7 +41,6 @@ __all__ = [
     "UniformCostModel",
     "ColumnCostModel",
     "PerSourceCostModel",
-    "TableCostModel",
     "ObjectKey",
     "Refresh",
     "RefreshPayload",

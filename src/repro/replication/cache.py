@@ -411,7 +411,6 @@ class DataCache:
         self,
         source: "DataSource | object",
         table_name: str,
-        policy_factory: Callable[[], object] | None = None,
     ) -> Table:
         """Replicate an entire master table into this cache.
 
@@ -446,7 +445,7 @@ class DataCache:
         if shards is None:
             master = source.table(table_name)
             cached = self.catalog.create_table(table_name, master.schema)
-            self._subscribe_partition(source, master, cached, policy_factory)
+            self._subscribe_partition(source, master, cached)
             if self.group is not None:
                 self.group._on_subscribe(
                     self, table_name, (source,), one_to_one=True
@@ -474,7 +473,7 @@ class DataCache:
             self._sharded_tables.add(table_name)
             for shard, partition in partitions:
                 self._subscribe_partition(
-                    shard, partition, cached, policy_factory, record_shard=True
+                    shard, partition, cached, record_shard=True
                 )
             if self.group is not None:
                 self.group._on_subscribe(
@@ -611,7 +610,6 @@ class DataCache:
         source: DataSource,
         master: Table,
         cached: Table,
-        policy_factory: Callable[[], object] | None,
         record_shard: bool = False,
     ) -> None:
         """Replicate one source's rows (a whole table, or one shard)."""
@@ -625,8 +623,7 @@ class DataCache:
                 cached.shard_map.assign(row.tid, source.source_id)
             for column in bounded:
                 key = ObjectKey(cached.name, row.tid, column.name)
-                policy = policy_factory() if policy_factory is not None else None
-                payload = source.register(self.cache_id, key, policy=policy)
+                payload = source.register(self.cache_id, key)
                 self._add_subscription(
                     key, _Subscription(source, payload.bound_function)
                 )

@@ -240,8 +240,10 @@ class DataSource:
         self.clock = clock
         self.shape = shape if shape is not None else SqrtShape()
         self._policy_factory = default_policy_factory or AdaptiveWidthController
-        #: Optional §8.3 piggyback policy; when set, refresh responses may
-        #: carry extra payloads for objects near their bound edges.
+        #: Optional §8.3 piggyback policy (anything with ``select(requested,
+        #: tracked)``; the paper's edge-risk policy is in
+        #: ``examples/section8/prerefresh.py``); when set, refresh responses
+        #: may carry extra payloads for objects near their bound edges.
         self.piggyback = piggyback
         self.piggybacked_refreshes = 0
         #: Replication fan-out (multi-cache groups): when set, answering

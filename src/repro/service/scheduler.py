@@ -114,17 +114,13 @@ class RefreshScheduler:
     merge across caches — per-cache cost models registered with the group
     override ``cost_model`` when pricing (and choosing) the replica that
     dispatches each source's batch; without fan-out every cache's schedule
-    stays independent.  ``network_delay`` simulates one source round-trip
-    time per tick (round trips to distinct sources proceed in parallel),
-    letting benchmarks measure the wall-clock value of coalescing, not
-    just the cost-model value.
+    stays independent.
     """
 
     def __init__(
         self,
         cost_model: BatchedCostModel | None = None,
         tick_interval: float = 0.0,
-        network_delay: float = 0.0,
         on_refresh: RefreshListener | None = None,
         registry: MetricsRegistry | None = None,
         retry_policy: RetryPolicy | None = None,
@@ -196,7 +192,6 @@ class RefreshScheduler:
             "Refresh cost paid at sources, from dispatch receipts",
         )
         self.tick_interval = tick_interval
-        self.network_delay = network_delay
         self.on_refresh = on_refresh
         #: Backoff schedule for retrying failed source batches.  Always
         #: present (the default policy retries up to 3 contacts) — with
@@ -299,8 +294,6 @@ class RefreshScheduler:
             clusters: dict[tuple[object, str], list[_Pending]] = {}
             for pending in batch:
                 clusters.setdefault(self._cluster_key(pending), []).append(pending)
-            if self.network_delay > 0:
-                await asyncio.sleep(self.network_delay)
             for cluster in clusters.values():
                 await self._dispatch_cluster(cluster)
         except Exception as exc:

@@ -97,8 +97,6 @@ class QueryService:
         result_ttl: float = 1.0,
         cost_model: BatchedCostModel | None = None,
         tick_interval: float = 0.0,
-        network_delay: float = 0.0,
-        telemetry: Telemetry | None = None,
         retry_policy: "RetryPolicy | None" = None,
         breaker_threshold: int = 3,
         breaker_cooldown: float = 5.0,
@@ -113,14 +111,11 @@ class QueryService:
         #: system collectors all land here, and the ``metrics``/``trace``
         #: wire ops serve it.  Spans are timestamped on the system's
         #: simulation clock.
-        if telemetry is None:
-            telemetry = Telemetry(clock=system.clock.now)
-        self.telemetry = telemetry
+        self.telemetry = telemetry = Telemetry(clock=system.clock.now)
         telemetry.observe_system(system)
         self.scheduler = RefreshScheduler(
             cost_model=cost_model,
             tick_interval=tick_interval,
-            network_delay=network_delay,
             on_refresh=self._on_refresh_dispatched,
             registry=telemetry.registry,
             retry_policy=retry_policy,

@@ -1,24 +1,9 @@
-"""Discrete-event simulation substrate: clock, events, walks."""
+"""Simulated time: the :class:`Clock` every bound function reads.
+
+The event queue, random walks and workload engine that drove the paper's
+experiments over this clock are examples in ``examples/section8/``.
+"""
 
 from repro.simulation.clock import Clock
-from repro.simulation.engine import (
-    QueryDriver,
-    QueryRecord,
-    SimulationEngine,
-    UpdateDriver,
-)
-from repro.simulation.events import Event, EventQueue
-from repro.simulation.random_walk import GaussianWalk, GeometricWalk, RandomWalk
 
-__all__ = [
-    "Clock",
-    "Event",
-    "EventQueue",
-    "RandomWalk",
-    "GaussianWalk",
-    "GeometricWalk",
-    "SimulationEngine",
-    "UpdateDriver",
-    "QueryDriver",
-    "QueryRecord",
-]
+__all__ = ["Clock"]

@@ -56,13 +56,9 @@ class Telemetry:
     deterministic spans; defaults to ``time.perf_counter``).
     """
 
-    def __init__(
-        self,
-        clock: Callable[[], float] | None = None,
-        trace_capacity: int = 256,
-    ) -> None:
+    def __init__(self, clock: Callable[[], float] | None = None) -> None:
         self.registry = MetricsRegistry()
-        self.tracer = Tracer(clock=clock, capacity=trace_capacity)
+        self.tracer = Tracer(clock=clock)
 
     def observe_system(self, system) -> None:
         """Register the live-state collectors for one

@@ -4,9 +4,10 @@
 the classic ``text/plain; version=0.0.4`` format — ``# HELP`` / ``# TYPE``
 headers, one ``name{label="value"} sample`` line per child, histograms
 expanded into cumulative ``_bucket{le=...}`` series plus ``_sum`` and
-``_count``.  ``scripts/metrics_report.py`` uses this to dump a live
-server's (or a freshly-run demo workload's) metrics for eyeballs or for
-any Prometheus-compatible scraper pointed at the output.
+``_count``.  The ``metrics_text`` wire op serves it, and
+``scripts/metrics_report.py`` prints that for a live server's metrics,
+for eyeballs or for any Prometheus-compatible scraper pointed at the
+output.
 """
 
 from __future__ import annotations

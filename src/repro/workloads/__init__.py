@@ -1,4 +1,8 @@
-"""Workload generators: the paper's example data and synthetic equivalents."""
+"""Workload generators: the paper's example data and the demo's clients.
+
+The Figure 5/6 stock day and the random walks that drove the paper's
+experiments are examples in ``examples/section8/``.
+"""
 
 from repro.workloads.netmon import (
     LINKS_SCHEMA,
@@ -6,7 +10,6 @@ from repro.workloads.netmon import (
     PaperLink,
     build_master_table,
     generate_topology,
-    link_walks,
     paper_costs,
     paper_example_table,
     paper_master_table,
@@ -18,14 +21,6 @@ from repro.workloads.service import (
     closed_loop_scripts,
     run_closed_loop,
 )
-from repro.workloads.stocks import (
-    STOCKS_SCHEMA,
-    StockDay,
-    stock_cache_table,
-    stock_costs,
-    stock_master_table,
-    volatile_stock_day,
-)
 
 __all__ = [
     "LINKS_SCHEMA",
@@ -36,13 +31,6 @@ __all__ = [
     "paper_costs",
     "generate_topology",
     "build_master_table",
-    "link_walks",
-    "STOCKS_SCHEMA",
-    "StockDay",
-    "volatile_stock_day",
-    "stock_cache_table",
-    "stock_master_table",
-    "stock_costs",
     "QuerySpec",
     "QueryWorkload",
     "ClientScript",

@@ -6,8 +6,9 @@ Two entry points:
   paper's Figure 2 (cached bounds, precise master values, refresh costs),
   used by the tests of queries Q1–Q6 and of Figure 7;
 * :func:`generate_topology` / :func:`build_master_table` — a synthetic
-  wide-area network with per-link latency/bandwidth/traffic values driven
-  by random walks, used by the simulation example and the service workloads.
+  wide-area network with per-link latency/bandwidth/traffic values, used
+  by the demo, the service workloads and the simulation example (whose
+  random walks are in ``examples/section8/walks.py``).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import random
 from dataclasses import dataclass
 
 from repro.core.bound import Bound
-from repro.simulation.random_walk import GaussianWalk
 from repro.storage.schema import Column, ColumnKind, Schema
 from repro.storage.table import Table
 
@@ -29,7 +29,6 @@ __all__ = [
     "paper_costs",
     "generate_topology",
     "build_master_table",
-    "link_walks",
 ]
 
 
@@ -168,24 +167,3 @@ def build_master_table(
             }
         )
     return table
-
-
-def link_walks(
-    table: Table, rng: random.Random, volatility: float = 0.5
-) -> dict[tuple[int, str], GaussianWalk]:
-    """Per-(tuple, metric) random walks seeded at the master values.
-
-    Metrics are clamped to stay physical (latency ≥ 0.1, bandwidth ≥ 1,
-    traffic ≥ 0).
-    """
-    floors = {"latency": 0.1, "bandwidth": 1.0, "traffic": 0.0}
-    walks: dict[tuple[int, str], GaussianWalk] = {}
-    for row in table.rows():
-        for metric, floor in floors.items():
-            walks[(row.tid, metric)] = GaussianWalk(
-                value=row.number(metric),
-                volatility=volatility,
-                rng=random.Random(rng.getrandbits(64)),
-                minimum=floor,
-            )
-    return walks

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from examples.section8.walks import RandomWalk
 from repro.bounds.functions import (
     SHAPES,
     BoundFunction,
@@ -13,7 +14,6 @@ from repro.bounds.functions import (
     SqrtShape,
 )
 from repro.errors import BoundError
-from repro.simulation.random_walk import RandomWalk
 
 
 class TestShapes:

@@ -21,7 +21,11 @@ from __future__ import annotations
 
 import asyncio
 import inspect
+import json
+import os
 import re
+import subprocess
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -40,12 +44,7 @@ from repro.extensions.groupby import grouped_query_steps
 from repro.extensions.topn import top_n_steps
 from repro.joins.refresh import join_steps
 from repro.predicates.parser import parse_predicate
-from repro.replication import (
-    ColumnCostModel,
-    PerSourceCostModel,
-    TableCostModel,
-    TrappSystem,
-)
+from repro.replication import ColumnCostModel, PerSourceCostModel, TrappSystem
 from repro.replication.local import LocalRefresher
 from repro.replication.sharding import ShardedSource
 from repro.service import QueryService
@@ -56,7 +55,7 @@ from repro.storage.row import Row
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 from repro.telemetry import MetricsRegistry, Telemetry, Tracer
-from tests.protocol import classified, row_cost, tids_at
+from tests.protocol import TableCostModel, classified, row_cost, tids_at
 from tests.service.conftest import FakeCache
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -310,6 +309,9 @@ def test_route_options_are_gone(entry_point):
     # Faults come from the objects that fail, not from an injector
     # handed to the service or its scheduler.
     assert "fault_injector" not in parameters
+    # Nothing parks a tick or swaps the deployment's telemetry: each
+    # service builds its own registry and tracer.
+    assert not {"network_delay", "telemetry", "trace_capacity"} & parameters
 
 
 STATEMENT_STEPS = [table_steps, join_steps, grouped_query_steps, top_n_steps]
@@ -404,11 +406,11 @@ def test_executor_probes_nothing_and_src_never_imports_tests():
     )
     assert not [name for name, text in sources.items() if helpers.search(text)]
     for package, modules in {
-        "extensions": {
-            "batching", "groupby", "hierarchy", "median_spec", "prerefresh", "topn",
-        },
+        "extensions": {"batching", "groupby", "median_spec", "topn"},
         "predicates": {"ast", "batch", "parser"},
         "faults": {"breaker", "retry"},
+        "simulation": {"clock"},
+        "workloads": {"netmon", "queries", "service"},
     }.items():
         files = {path.name for path in (SRC / "repro" / package).glob("*.py")}
         assert files == {f"{module}.py" for module in modules | {"__init__"}}
@@ -446,3 +448,47 @@ def test_executor_probes_nothing_and_src_never_imports_tests():
     # acts on sources and caches lives in tests/faults/double.py.
     seam = re.compile(r"fault_injector|FaultInjector|chaos|contact_latency")
     assert not [name for name, text in sources.items() if seam.search(text)]
+    # The paper's experiment drivers and §8.1/§8.3 sketches are in
+    # examples/section8/, the deployments the service tests share and the
+    # per-tuple cost table in tests/, and no tick is parked by a knob: a
+    # test wraps the scheduler's ``_run_tick`` instead.
+    experiments = re.compile(
+        r"SimulationEngine|HierarchicalCache|PiggybackPolicy|TableCostModel"
+        r"|volatile_stock_day|sharded_service_system|mixed_service_system"
+        r"|regional_cache_system|network_delay"
+    )
+    assert not [name for name, text in sources.items() if experiments.search(text)]
+
+
+def test_server_start_loads_no_experiment_driver():
+    """``import repro.__main__`` (every ``serve`` and ``demo``) loads none
+    of the modules that moved out of ``src/``, and nothing from
+    ``tests`` or ``examples``, although the probe runs from the
+    repository root, where both are importable."""
+    moved = [
+        "repro.extensions.hierarchy",
+        "repro.extensions.prerefresh",
+        "repro.simulation.engine",
+        "repro.simulation.events",
+        "repro.simulation.random_walk",
+        "repro.workloads.stocks",
+    ]
+    probe = (
+        "import json, sys, repro.__main__; "
+        "print(json.dumps(sorted(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=SRC.parent,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    loaded = json.loads(result.stdout)
+    assert not set(moved) & set(loaded)
+    assert not [
+        name for name in loaded
+        if name.split(".")[0] in ("tests", "examples", "section8")
+    ]

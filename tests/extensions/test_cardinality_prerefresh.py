@@ -6,13 +6,13 @@ import random
 import pytest
 
 from examples.section8.cardinality import ChurnBuffer, PendingChurn, churn_adjusted
-from repro.core.bound import Bound
-from repro.errors import TrappError
-from repro.extensions.prerefresh import (
+from examples.section8.prerefresh import (
     PiggybackPolicy,
     edge_risk,
     pre_refresh_candidates,
 )
+from repro.core.bound import Bound
+from repro.errors import TrappError
 
 DOMAIN = Bound(0.0, 100.0)
 

@@ -2,9 +2,9 @@
 
 import pytest
 
+from examples.section8.hierarchy import HierarchicalCache, LevelRoot, build_chain
 from repro.core.executor import drive_steps, table_steps
 from repro.errors import ReplicationProtocolError
-from repro.extensions.hierarchy import HierarchicalCache, LevelRoot, build_chain
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 from tests.oracle.row_eval import contains_bound

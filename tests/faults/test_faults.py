@@ -290,7 +290,7 @@ def test_chaos_schedule_is_deterministic_and_rate_shaped():
 
 
 def test_chaos_injector_targets_shards_not_wrappers():
-    from repro.workloads.service import sharded_service_system
+    from tests.deployments import sharded_service_system
 
     system, _ = sharded_service_system(n_shards=3, n_links=30)
     scenario = ChaosScenario(seed=3, duration=100.0, outage_rate=1.0)

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from examples.section8.stocks import stock_cache_table, volatile_stock_day
 from repro.replication import ColumnCostModel
-from repro.workloads.stocks import stock_cache_table, volatile_stock_day
 from tests.golden.claims import CLAIMS, write_reproduction
 from tests.golden.harness import GoldenValues
 

@@ -13,6 +13,11 @@ from __future__ import annotations
 import math
 import random
 
+from examples.section8.engine import QueryDriver, SimulationEngine, UpdateDriver
+from examples.section8.hierarchy import build_chain
+from examples.section8.prerefresh import PiggybackPolicy
+from examples.section8.stocks import stock_cache_table, stock_master_table
+from examples.section8.walks import GaussianWalk
 from repro.bounds.functions import SHAPES, BoundFunction
 from repro.bounds.width import AdaptiveWidthController, FixedWidthPolicy
 from repro.core import knapsack
@@ -28,8 +33,6 @@ from repro.core.knapsack import (
 from repro.core.refresh import CHOOSE_MIN
 from repro.core.refresh.base import candidate_costs
 from repro.core.refresh.summing import SumChooseRefresh
-from repro.extensions.hierarchy import build_chain
-from repro.extensions.prerefresh import PiggybackPolicy
 from repro.joins.refresh import join_steps
 from repro.predicates.parser import parse_predicate
 from repro.replication import ColumnCostModel
@@ -39,11 +42,8 @@ from repro.replication.messages import ObjectKey
 from repro.replication.source import DataSource
 from repro.replication.system import TrappSystem
 from repro.simulation.clock import Clock
-from repro.simulation.engine import QueryDriver, SimulationEngine, UpdateDriver
-from repro.simulation.random_walk import GaussianWalk
 from repro.storage.schema import Schema
 from repro.storage.table import Table
-from repro.workloads.stocks import stock_cache_table, stock_master_table
 
 FIG5_R = 100.0
 EPSILONS = [0.1, 0.08, 0.06, 0.04, 0.02, 0.01]

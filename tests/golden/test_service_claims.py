@@ -34,11 +34,11 @@ from repro.sql.steps import plan_steps
 from repro.storage.columnar import harvest_candidates
 from repro.storage.schema import Schema
 from repro.storage.table import Table
-from repro.workloads.service import (
+from repro.workloads.service import run_closed_loop
+from tests.deployments import (
     mixed_scripts,
     mixed_service_system,
     regional_cache_system,
-    run_closed_loop,
     sharded_service_system,
     sharded_sum_scripts,
 )

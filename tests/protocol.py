@@ -10,7 +10,8 @@ code that serves and not the row oracle.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -19,9 +20,9 @@ from repro.core.refresh.base import CostFunc, RefreshPlan, uniform_cost
 from repro.core.refresh.costs import (
     ColumnCostModel,
     PerSourceCostModel,
-    TableCostModel,
     UniformCostModel,
 )
+from repro.errors import TrappError
 from repro.predicates.ast import Predicate
 from repro.predicates.batch import ColumnarClassification, classify_report
 from repro.storage.row import Row
@@ -74,6 +75,27 @@ def labels_of(table: Table, pair: Pair) -> dict[int, str]:
     labels.update(dict.fromkeys(tids_at(table, pair[0]), "T+"))
     labels.update(dict.fromkeys(tids_at(table, pair[1]), "T?"))
     return labels
+
+
+@dataclass(frozen=True, slots=True)
+class TableCostModel:
+    """Explicit per-tuple-id costs: a cost model no deployment builds, for
+    tests that price each tuple by hand."""
+
+    costs: Mapping[int, float] = field(default_factory=dict)
+    default_cost: float | None = None
+
+    def costs_at(self, table: Table, at: np.ndarray | None) -> np.ndarray:
+        tids = table.columns.sorted_tids()
+        if at is not None:
+            tids = tids[at]
+        out = np.empty(len(tids), dtype=np.float64)
+        for k, tid in enumerate(tids.tolist()):
+            cost = self.costs.get(tid, self.default_cost)
+            if cost is None:
+                raise TrappError(f"no refresh cost known for tuple #{tid}")
+            out[k] = cost
+        return out
 
 
 def row_cost(cost: CostFunc) -> Callable[[Row], float]:

@@ -12,13 +12,12 @@ from repro.extensions.batching import BatchedCostModel
 from repro.replication import (
     ColumnCostModel,
     PerSourceCostModel,
-    TableCostModel,
     UniformCostModel,
 )
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 from tests.oracle.row_protocol import RowSumChooseRefresh
-from tests.protocol import row_cost
+from tests.protocol import TableCostModel, row_cost
 
 
 def table(schema=None, **columns):

@@ -301,7 +301,7 @@ def test_cache_id_may_not_shadow_its_own_group():
 def test_piggybacked_refreshes_fan_out_in_lockstep():
     """§8.3 piggyback payloads reach siblings too — replicas keep
     bit-identical bound state even with piggybacking enabled."""
-    from repro.extensions.prerefresh import PiggybackPolicy
+    from examples.section8.prerefresh import PiggybackPolicy
     from repro.replication.messages import ObjectKey
 
     system = TrappSystem()

@@ -7,6 +7,7 @@ queries then exercise real refreshes through the scheduler.
 
 from __future__ import annotations
 
+import asyncio
 import random
 
 import pytest
@@ -39,6 +40,20 @@ def build_netmon_system(
 @pytest.fixture
 def netmon_system() -> TrappSystem:
     return build_netmon_system()
+
+
+def park_ticks(service, delay: float):
+    """Hold every refresh tick of ``service`` for ``delay`` seconds before
+    it dispatches, so that a test can act while queries wait inside it.
+    Wraps the scheduler instance's ``_run_tick`` only; returns ``service``."""
+    run_tick = service.scheduler._run_tick
+
+    async def parked(batch):
+        await asyncio.sleep(delay)
+        await run_tick(batch)
+
+    service.scheduler._run_tick = parked
+    return service
 
 
 class FakeCache:

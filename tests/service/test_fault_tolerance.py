@@ -11,8 +11,8 @@ from repro.errors import SourceUnavailableError
 from repro.extensions.batching import BatchedCostModel
 from repro.faults import RetryPolicy
 from repro.service import QueryService
-from repro.workloads.service import regional_cache_system
 
+from tests.deployments import regional_cache_system
 from tests.faults.double import (
     CacheCrash,
     FaultInjector,
@@ -24,6 +24,7 @@ from tests.service.conftest import (
     build_netmon_system,
     degraded_answers,
     fault_events,
+    park_ticks,
 )
 
 SUM_SQL = "SELECT SUM(traffic) WITHIN 5 FROM links"
@@ -311,11 +312,7 @@ def test_stale_retry_hitting_failure_degrades_instead_of_looping():
     round with unreached tuples never plans again."""
     system = build_netmon_system()
     truth = master_sum(system)
-    service = make_service(
-        system,
-        retry_policy=FAST_RETRY,
-        network_delay=0.05,
-    )
+    service = park_ticks(make_service(system, retry_policy=FAST_RETRY), 0.05)
     outage_forever(service, "net")
 
     answer = outage_with_widening_sync(system, service)[0].answer
@@ -336,11 +333,8 @@ def test_revalidate_passes_degraded_answers_through():
     lands in the degraded tier, from which a repeat is served."""
     system = build_netmon_system()
     truth = master_sum(system)
-    service = make_service(
-        system,
-        retry_policy=FAST_RETRY,
-        network_delay=0.05,
-        result_ttl=100.0,
+    service = park_ticks(
+        make_service(system, retry_policy=FAST_RETRY, result_ttl=100.0), 0.05
     )
     outage_forever(service, "net")
 

@@ -8,7 +8,7 @@ from repro.service import QueryService
 from repro.service.results import ResultCache
 from repro.telemetry import MetricsRegistry
 
-from tests.service.conftest import CACHE_ID, build_netmon_system
+from tests.service.conftest import CACHE_ID, build_netmon_system, park_ticks
 
 
 def run(coro):
@@ -273,12 +273,11 @@ def test_refresh_of_other_table_leaves_entries_alone():
 # ----------------------------------------------------------------------
 def test_sync_under_suspended_query_replans():
     system = build_netmon_system()
-    service = QueryService(system, network_delay=0.05)
+    service = park_ticks(QueryService(system), 0.05)
 
     async def go():
-        # A refresh-needing query suspends at the scheduler tick for the
-        # network delay, its plan leaving two of the thirty 20-wide bounds
-        # unrefreshed...
+        # A refresh-needing query suspends in the parked scheduler tick,
+        # its plan leaving two of the thirty 20-wide bounds unrefreshed...
         slow = asyncio.create_task(
             service.query(
                 CACHE_ID, "SELECT SUM(traffic) WITHIN 45 FROM links", client_id="slow"

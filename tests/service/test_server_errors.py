@@ -9,7 +9,7 @@ from repro.extensions.batching import BatchedCostModel
 from repro.service import QueryService, serve
 from repro.service.protocol import MAX_LINE_BYTES, decode, encode
 
-from tests.service.conftest import CACHE_ID, build_netmon_system
+from tests.service.conftest import CACHE_ID, build_netmon_system, park_ticks
 
 
 def make_service(**kwargs) -> QueryService:
@@ -104,9 +104,9 @@ def test_malformed_json_and_unknown_op_keep_connection_alive():
 
 def test_midpipeline_disconnect_counts_and_unwinds_session_accounting():
     async def go():
-        # A visible network delay parks the query inside the scheduler
-        # tick long enough for the client to vanish under it.
-        service = make_service(network_delay=0.2)
+        # A parked tick holds the query inside the scheduler long
+        # enough for the client to vanish under it.
+        service = park_ticks(make_service(), 0.2)
         async with await serve(service) as server:
             reader, writer = await asyncio.open_connection(
                 server.host, server.port, limit=MAX_LINE_BYTES + 2

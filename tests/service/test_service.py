@@ -10,7 +10,12 @@ from repro.errors import AdmissionError, ServiceOverloadError
 from repro.extensions.batching import BatchedCostModel
 from repro.service import QueryService
 
-from tests.service.conftest import CACHE_ID, build_netmon_system, scheduler_events
+from tests.service.conftest import (
+    CACHE_ID,
+    build_netmon_system,
+    park_ticks,
+    scheduler_events,
+)
 
 SUM_SQL = "SELECT SUM(traffic) WITHIN 5 FROM links"
 
@@ -91,7 +96,7 @@ def test_precision_floor_rejects_tight_queries():
 
 
 def test_per_client_inflight_limit():
-    service = make_service(max_inflight_per_client=1, network_delay=0.02)
+    service = park_ticks(make_service(max_inflight_per_client=1), 0.02)
 
     async def go():
         # Two *distinct* queries from one client, concurrently: the second
@@ -119,7 +124,7 @@ def test_per_client_inflight_limit():
 
 
 def test_join_queries_served_through_the_service():
-    from repro.workloads.stocks import stock_master_table, volatile_stock_day
+    from examples.section8.stocks import stock_master_table, volatile_stock_day
 
     system = build_netmon_system()
     system.source("net").add_table(stock_master_table(volatile_stock_day(5)))
@@ -140,7 +145,7 @@ def test_latency_and_plan_rounds_observed_once_per_query_by_class():
     ``trapp_plan_rounds`` sees each execution.  The exact-key join plans
     one knapsack over ``nodes`` and the GROUP BY asks for every group in
     one round: one plan each, many tuples."""
-    from repro.workloads.service import mixed_service_system
+    from tests.deployments import mixed_service_system
 
     system, cost_model = mixed_service_system(n_caches=1)
     service = QueryService(system, cost_model=cost_model, precision_floor=1.0)
@@ -184,7 +189,7 @@ def test_latency_and_plan_rounds_observed_once_per_query_by_class():
 
 
 def test_singleflight_shares_one_execution():
-    service = make_service(network_delay=0.005)
+    service = park_ticks(make_service(), 0.005)
 
     async def go():
         results = await asyncio.gather(
@@ -233,7 +238,7 @@ def test_concurrent_distinct_queries_coalesce_refreshes():
 def test_cancelled_waiter_does_not_poison_the_tick():
     """One query's cancellation (connection drop) must not fail the other
     queries coalesced into the same tick."""
-    service = make_service(network_delay=0.02)
+    service = park_ticks(make_service(), 0.02)
 
     async def go():
         doomed = asyncio.create_task(
@@ -257,7 +262,7 @@ def test_cancelled_waiter_does_not_poison_the_tick():
 
 
 def test_cancelled_singleflight_leader_does_not_strand_followers():
-    service = make_service(network_delay=0.02)
+    service = park_ticks(make_service(), 0.02)
 
     async def go():
         leader = asyncio.create_task(
@@ -314,7 +319,7 @@ def test_cells_and_group_keys_read_back_with_absolute_types():
     GROUP BY; a bounded cell reads as ``float`` when exact and ``Bound``
     when wide, on a master and on a cache alike."""
     from repro.core.bound import Bound
-    from repro.workloads.stocks import stock_master_table, volatile_stock_day
+    from examples.section8.stocks import stock_master_table, volatile_stock_day
 
     system = build_netmon_system()
     source, cache = system.source("net"), system.cache(CACHE_ID)

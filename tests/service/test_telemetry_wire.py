@@ -8,7 +8,7 @@ import asyncio
 import pytest
 
 from repro.service import QueryService, TrappClient, serve
-from repro.workloads.service import mixed_service_system
+from tests.deployments import mixed_service_system
 
 
 def run(coro):

@@ -2,9 +2,9 @@
 
 import pytest
 
+from examples.section8.events import EventQueue
 from repro.errors import SimulationError
 from repro.simulation.clock import Clock
-from repro.simulation.events import EventQueue
 
 
 class TestClock:

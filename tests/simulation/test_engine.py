@@ -4,10 +4,10 @@ import random
 
 import pytest
 
+from examples.section8.engine import QueryDriver, SimulationEngine, UpdateDriver
+from examples.section8.walks import GaussianWalk
 from repro.replication.messages import ObjectKey
 from repro.replication.system import TrappSystem
-from repro.simulation.engine import QueryDriver, SimulationEngine, UpdateDriver
-from repro.simulation.random_walk import GaussianWalk
 from repro.workloads.netmon import paper_master_table
 
 

@@ -5,8 +5,8 @@ import statistics
 
 import pytest
 
+from examples.section8.walks import GaussianWalk, GeometricWalk, RandomWalk
 from repro.errors import SimulationError
-from repro.simulation.random_walk import GaussianWalk, GeometricWalk, RandomWalk
 
 
 class TestRandomWalk:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from repro.service import QueryService
 from repro.service.server import serve
-from repro.workloads.service import mixed_service_system
+from tests.deployments import mixed_service_system
 
 CATALOG = Path(__file__).resolve().parents[2] / "docs" / "OBSERVABILITY.md"
 #: A table row naming a family: ``| `trapp_…` | type | labels | meaning |``.

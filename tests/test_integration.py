@@ -5,14 +5,14 @@ import random
 import pytest
 
 from examples.section8.continuous import ContinuousQuery
+from examples.section8.engine import QueryDriver, SimulationEngine, UpdateDriver
+from examples.section8.walks import GaussianWalk
 from repro.core.bound import Bound
 from repro.core.executor import drive_steps
 from repro.extensions.groupby import grouped_query_steps
 from repro.replication import ColumnCostModel
 from repro.replication.messages import ObjectKey
 from repro.replication.system import TrappSystem
-from repro.simulation.engine import QueryDriver, SimulationEngine, UpdateDriver
-from repro.simulation.random_walk import GaussianWalk
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 from repro.workloads.netmon import build_master_table, generate_topology

@@ -4,23 +4,23 @@ import random
 
 import pytest
 
-from repro.core.bound import Bound
-from repro.workloads.netmon import (
-    PAPER_LINKS,
-    build_master_table,
-    generate_topology,
-    link_walks,
-    paper_costs,
-    paper_example_table,
-    paper_master_table,
-)
-from repro.workloads.queries import QueryWorkload
-from repro.workloads.stocks import (
+from examples.section8.stocks import (
     stock_cache_table,
     stock_costs,
     stock_master_table,
     volatile_stock_day,
 )
+from examples.section8.walks import link_walks
+from repro.core.bound import Bound
+from repro.workloads.netmon import (
+    PAPER_LINKS,
+    build_master_table,
+    generate_topology,
+    paper_costs,
+    paper_example_table,
+    paper_master_table,
+)
+from repro.workloads.queries import QueryWorkload
 
 
 class TestPaperData:
