@@ -35,6 +35,8 @@ __all__ = [
     "LinearShape",
     "ConstantShape",
     "BoundFunction",
+    "BoundParameters",
+    "endpoints",
     "SHAPES",
 ]
 
@@ -85,49 +87,46 @@ SHAPES: dict[str, BoundShape] = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class BoundFunction:
-    """One installed bound: value-at-refresh, width parameter, shape, T_r.
+def endpoints(
+    value: float, width: float, refreshed_at: float, shape: BoundShape, now: float
+) -> tuple[float, float]:
+    """``(L(now), H(now))`` of the bound ``(V(T_r), W, T_r, f)`` — the one
+    formula.
 
-    Immutable; a refresh replaces the whole object.  Evaluation at the
-    current time produces the plain :class:`Bound` the rest of the system
-    consumes (the paper's convention of writing ``[L_i, H_i]`` for
-    ``[L_i(T_c), H_i(T_c)]``).
+    Evaluation before the refresh time is a protocol violation; a
+    negative half-width or a NaN endpoint is rejected here, so the write
+    path's trigger check and the cache's per-cell writes need no
+    :class:`Bound`.
     """
+    if now < refreshed_at - 1e-12:
+        raise BoundError(
+            f"bound evaluated at {now} before its refresh time {refreshed_at}"
+        )
+    half_width = width * shape(now - refreshed_at)
+    if half_width < 0:
+        raise BoundError(f"half_width must be non-negative, got {half_width}")
+    lo = float(value - half_width)
+    hi = float(value + half_width)
+    # One comparison covers both endpoints: a NaN makes it false.
+    if not lo <= hi:
+        raise BoundError("bound endpoints must not be NaN")
+    return lo, hi
 
-    value_at_refresh: float
-    width_parameter: float
-    refreshed_at: float
-    shape: BoundShape = SqrtShape()
 
-    def __post_init__(self) -> None:
-        if self.width_parameter < 0:
-            raise BoundError(
-                f"width parameter must be non-negative, got {self.width_parameter}"
-            )
+class BoundParameters:
+    """Evaluation of anything holding ``value_at_refresh``,
+    ``width_parameter``, ``refreshed_at`` and ``shape``: the frozen
+    :class:`BoundFunction` a reader is handed, and the mutable tracker a
+    source renews in place."""
+
+    __slots__ = ()
 
     def endpoints_at(self, now: float) -> tuple[float, float]:
-        """``(L(now), H(now))`` as plain floats — the one formula.
-
-        Evaluation before the refresh time is a protocol violation.
-        What :meth:`at` would reject (a negative half-width, a NaN
-        endpoint) is rejected here, so the write path's trigger check
-        and the cache's custom-shape sweep can skip the :class:`Bound`.
-        """
-        if now < self.refreshed_at - 1e-12:
-            raise BoundError(
-                f"bound evaluated at {now} before its refresh time "
-                f"{self.refreshed_at}"
-            )
-        half_width = self.width_parameter * self.shape(now - self.refreshed_at)
-        if half_width < 0:
-            raise BoundError(f"half_width must be non-negative, got {half_width}")
-        lo = float(self.value_at_refresh - half_width)
-        hi = float(self.value_at_refresh + half_width)
-        # One comparison covers both endpoints: a NaN makes it false.
-        if not lo <= hi:
-            raise BoundError("bound endpoints must not be NaN")
-        return lo, hi
+        """``(L(now), H(now))`` as plain floats (see :func:`endpoints`)."""
+        return endpoints(
+            self.value_at_refresh, self.width_parameter, self.refreshed_at,
+            self.shape, now,
+        )
 
     def at(self, now: float) -> Bound:
         """Evaluate ``[L(now), H(now)]`` as a :class:`Bound`."""
@@ -145,6 +144,29 @@ class BoundFunction:
     def encode(self) -> tuple[float, float, float]:
         """The wire encoding ``(V(T_r), W, T_r)`` (Appendix A)."""
         return (self.value_at_refresh, self.width_parameter, self.refreshed_at)
+
+
+@dataclass(frozen=True, slots=True)
+class BoundFunction(BoundParameters):
+    """One installed bound: value-at-refresh, width parameter, shape, T_r.
+
+    Immutable; built on demand for the readers that want one object (a
+    cache's :meth:`~repro.replication.cache.DataCache.bound_function_of`,
+    snapshot admission, tests).  Evaluation at the current time produces
+    the plain :class:`Bound` the rest of the system consumes (the paper's
+    convention of writing ``[L_i, H_i]`` for ``[L_i(T_c), H_i(T_c)]``).
+    """
+
+    value_at_refresh: float
+    width_parameter: float
+    refreshed_at: float
+    shape: BoundShape = SqrtShape()
+
+    def __post_init__(self) -> None:
+        if self.width_parameter < 0:
+            raise BoundError(
+                f"width parameter must be non-negative, got {self.width_parameter}"
+            )
 
     @staticmethod
     def decode(

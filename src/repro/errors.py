@@ -84,6 +84,11 @@ class SqlSyntaxError(TrappError):
         self.position = position
 
 
+class StatementTooComplexError(SqlSyntaxError):
+    """A statement nests deeper, or compares more often, than the parser
+    accepts: rejected while parsing, before any table is touched."""
+
+
 class OptimizerError(TrappError):
     """A CHOOSE_REFRESH optimizer was invoked with inconsistent inputs."""
 

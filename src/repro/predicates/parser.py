@@ -18,14 +18,21 @@ linear transform) and constants.
 
 The tokenizer is shared with the SQL front-end (:mod:`repro.sql`), which
 layers the ``SELECT … WITHIN …`` statement grammar on top.
+
+A predicate may nest at most :data:`MAX_NESTING` levels of ``NOT`` and
+parentheses and hold at most :data:`MAX_COMPARISONS` comparisons; past
+either the parser raises :class:`~repro.errors.StatementTooComplexError`.
+Tokens are scanned as the parser asks for them, so a hostile statement
+is refused after the few tokens that break a limit — before any table is
+touched, and before any tree deep enough to exhaust the stack exists.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import Iterable, Iterator, NamedTuple
 
-from repro.errors import SqlSyntaxError
+from repro.errors import SqlSyntaxError, StatementTooComplexError
 from repro.predicates.ast import (
     And,
     ColumnRef,
@@ -37,11 +44,23 @@ from repro.predicates.ast import (
     TruePredicate,
 )
 
-__all__ = ["Token", "tokenize", "TokenStream", "parse_predicate", "PredicateParser"]
+__all__ = [
+    "Token",
+    "tokenize",
+    "TokenStream",
+    "parse_predicate",
+    "PredicateParser",
+    "MAX_NESTING",
+    "MAX_COMPARISONS",
+]
+
+#: Deepest nesting of ``NOT`` and parentheses a predicate may use.
+MAX_NESTING = 32
+#: Most comparisons one predicate may hold.
+MAX_COMPARISONS = 32
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     """A lexical token: kind, source text, and offset for error messages."""
 
     kind: str  # 'ident', 'number', 'string', 'op', 'punct', 'eof'
@@ -51,50 +70,53 @@ class Token:
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<number>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?)
+    \s*(?:
+    (?P<number>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?)
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<string>'[^']*')
   | (?P<op><=|>=|!=|<>|<|>|=)
   | (?P<punct>[(),.*+\-/;])
-    """,
+  | (?P<end>\Z)
+    )""",
     re.VERBOSE,
 )
 
 
-def tokenize(text: str) -> list[Token]:
-    """Split ``text`` into tokens, raising on unrecognized characters."""
-    tokens: list[Token] = []
+def tokenize(text: str) -> Iterator[Token]:
+    """Yield ``text``'s tokens, ending with ``eof``; raises on an
+    unrecognized character when the scan reaches it."""
     pos = 0
-    while pos < len(text):
+    while True:
         match = _TOKEN_RE.match(text, pos)
         if match is None:
+            pos = len(text) - len(text[pos:].lstrip())
             raise SqlSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        kind = match.lastgroup or ""
-        value = match.group()
-        if kind != "ws":
-            if kind == "op" and value == "<>":
-                value = "!="
-            tokens.append(Token(kind, value, pos))
+        kind = match.lastgroup
+        if kind == "end":
+            yield Token("eof", "", len(text))
+            return
+        value = match.group(kind)
+        if kind == "op" and value == "<>":
+            value = "!="
+        yield Token(kind, value, match.start(kind))
         pos = match.end()
-    tokens.append(Token("eof", "", len(text)))
-    return tokens
 
 
 class TokenStream:
-    """A cursor over a token list with the usual peek/expect helpers."""
+    """A cursor over tokens with the usual peek/expect helpers; it pulls
+    each token from ``tokens`` (:func:`tokenize`) when first peeked."""
 
-    def __init__(self, tokens: list[Token]) -> None:
-        self._tokens = tokens
-        self._index = 0
+    def __init__(self, tokens: Iterable[Token]) -> None:
+        self._tokens = iter(tokens)
+        self._current = next(self._tokens)
 
     def peek(self) -> Token:
-        return self._tokens[self._index]
+        return self._current
 
     def advance(self) -> Token:
-        token = self._tokens[self._index]
+        token = self._current
         if token.kind != "eof":
-            self._index += 1
+            self._current = next(self._tokens)
         return token
 
     def at_keyword(self, *words: str) -> bool:
@@ -149,6 +171,8 @@ class PredicateParser:
 
     def __init__(self, stream: TokenStream) -> None:
         self.stream = stream
+        self._nesting = 0
+        self._comparisons = 0
 
     # ------------------------------------------------------------------
     def parse(self) -> Predicate:
@@ -168,14 +192,33 @@ class PredicateParser:
 
     def _not_expr(self) -> Predicate:
         if self.stream.accept_keyword("NOT"):
-            return Not(self._not_expr())
+            self._nest()
+            inner = Not(self._not_expr())
+            self._nesting -= 1
+            return inner
         if self.stream.accept_keyword("TRUE"):
             return TruePredicate()
         if self.stream.accept_punct("("):
+            self._nest()
             inner = self._or_expr()
             self.stream.expect_punct(")")
+            self._nesting -= 1
             return inner
+        self._comparisons += 1
+        if self._comparisons > MAX_COMPARISONS:
+            raise StatementTooComplexError(
+                f"predicate holds more than {MAX_COMPARISONS} comparisons",
+                self.stream.peek().pos,
+            )
         return self._comparison()
+
+    def _nest(self) -> None:
+        self._nesting += 1
+        if self._nesting > MAX_NESTING:
+            raise StatementTooComplexError(
+                f"predicate nests deeper than {MAX_NESTING} levels",
+                self.stream.peek().pos,
+            )
 
     def _comparison(self) -> Comparison:
         left = self._term()

@@ -13,10 +13,10 @@ from repro.core.refresh.costs import (
 )
 from repro.replication.messages import (
     CardinalityChange,
+    ColumnRefresh,
     MasterMigration,
     ObjectKey,
     Refresh,
-    RefreshPayload,
     RefreshReason,
     RefreshRequest,
 )
@@ -43,7 +43,7 @@ __all__ = [
     "PerSourceCostModel",
     "ObjectKey",
     "Refresh",
-    "RefreshPayload",
+    "ColumnRefresh",
     "RefreshReason",
     "RefreshRequest",
     "CardinalityChange",

@@ -17,15 +17,20 @@ bulk :meth:`~repro.storage.columnar.ColumnStore.write_bounds` per
 column.  The ``ColumnStore`` is the cached table's only copy of its
 cells.
 
-Refresh delivery writes the same arrays: an arriving bound function is
-installed in its :class:`_BoundColumn` slot and its cell lands in the
-store by position — one :meth:`~repro.storage.columnar.ColumnStore.write_cell`
-per payload for a small message (a value-initiated push), one
-``write_bounds`` per column for a large one (a query-initiated batch or
-its fan-out), see :data:`_COLUMN_ROUTE_PAYLOADS`.  Subscription set-up
-and cardinality changes write their cells the same two ways, so the
-arrays the executor reads and the O(1) exactness counters follow the
-replication protocol without a ``Bound`` or a ``Row`` per cell.
+Refresh delivery writes the same arrays.  A message arrives a column at
+a time — per column the arrays ``(tids, V, W)``, one ``T_r`` and one
+shape for the whole message — and lands by position: one store per
+:class:`_BoundColumn` array and one
+:meth:`~repro.storage.columnar.ColumnStore.write_bounds` per column for
+a large message (a query-initiated batch or its fan-out), one
+:meth:`~repro.storage.columnar.ColumnStore.write_cell` per object for a
+small one (a value-initiated push), see :data:`_COLUMN_ROUTE_PAYLOADS`.
+Subscription set-up and cardinality changes write their cells the same
+two ways, so the arrays the executor reads and the O(1) exactness
+counters follow the replication protocol without a ``Bound``, a
+``BoundFunction`` or a ``Row`` per cell.  The arrays are the cache's only
+copy of its bound functions; :meth:`DataCache.bound_function_of` builds
+one on demand.
 """
 
 from __future__ import annotations
@@ -33,15 +38,18 @@ from __future__ import annotations
 import copy
 import time
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable
+from itertools import repeat
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.bounds.functions import (
     BoundFunction,
+    BoundShape,
     ConstantShape,
     LinearShape,
     SqrtShape,
+    endpoints,
 )
 from repro.errors import (
     BoundError,
@@ -54,13 +62,13 @@ from repro.replication.messages import (
     MasterMigration,
     ObjectKey,
     Refresh,
-    RefreshPayload,
     RefreshReason,
     RefreshRequest,
 )
 from repro.replication.source import DataSource
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
+from repro.telemetry.registry import SHORT_TIME_BUCKETS
 
 __all__ = [
     "DataCache",
@@ -79,34 +87,30 @@ BatchCostFunc = Callable[[str, int], float]
 #: Array-kernel code of each built-in shape, looked up by the shape's
 #: exact type; every other :class:`~repro.bounds.functions.BoundShape`
 #: (subclasses included — they may override ``__call__``) is evaluated
-#: per cell through the bound function itself.
+#: per cell with the shape object :attr:`_BoundColumn.custom` keeps.
 _SHAPE_CODES = {SqrtShape: 0, LinearShape: 1, ConstantShape: 2}
 _CUSTOM_SHAPE = 3
+#: The shape a built-in code stands for, when a bound function is rebuilt.
+_BUILTIN_SHAPES = {0: SqrtShape(), 1: LinearShape(), 2: ConstantShape()}
 
-#: Payloads from which a refresh message is applied a column at a time
-#: (grouped by :class:`_BoundColumn`, one ``write_bounds`` each) rather
-#: than a cell at a time (one ``write_cell`` per payload) — the delivery
-#: path's counterpart of ``storage.columnar._REPAIR_FLOOR``.  The column
-#: route makes a fixed number of NumPy calls per cached column whatever
-#: the message's size (about 30 µs a column), the cell route costs about
-#: 2 µs a payload.  ``DataCache._apply_refresh`` alone, hot, on the
-#: benchmark's ``cold_scan`` deployment (360-row ``links``, 3 bounded
-#: columns, live width/lo/hi orders; p50 of 600 messages, cell loop vs
-#: column route): 4 tuples 36 vs 100 µs, 12 tuples 82 vs 119, 16 tuples
-#: 89 vs 132, 20 tuples 130 vs 154, 24 tuples 153 vs 163, 28 tuples 174
-#: vs 167, 32 tuples 188 vs 171, 36 tuples 227 vs 179, 100 tuples 611 vs
-#: 372, 300 tuples 1 840 vs 785 — they cross at about 27 cells a column.
-#: A message is one table's tuples times its bounded columns, so the
-#: constant counts payloads; narrower tables cross a little earlier and
-#: lose nothing worse than the cell loop they had.
-_COLUMN_ROUTE_PAYLOADS = 80
-
-#: Sync-duration edges (seconds): a column sweep is tens of microseconds,
-#: below the registry's default latency buckets.
-_SYNC_TIME_BUCKETS = (
-    0.00001, 0.000025, 0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025,
-    0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 1.0,
-)
+#: Objects (cells) from which a refresh message is applied a column at a
+#: time (one store per :class:`_BoundColumn` array and one
+#: ``write_bounds`` per column it names) rather than an object at a time
+#: (one ``write_cell`` each) — the delivery path's counterpart of
+#: ``storage.columnar._REPAIR_FLOOR``.  The column route makes a fixed
+#: number of NumPy calls per column whatever the message's size, the cell
+#: route a fixed amount of Python per object, so neither wins at every
+#: size the workloads send: value-initiated pushes are one object, and
+#: ``mixed_classes`` sends one-tuple rounds beside 30-tuple batches.
+#: ``DataCache._apply_refresh`` alone, on columnar messages as a source
+#: answers them (the benchmark's ``cold_scan`` deployment: 360-row
+#: ``links``, 3 bounded columns, live width/lo/hi orders; p50 of 150
+#: first applications, cell vs column route, a slow 2-core host): 1 tuple
+#: 25 vs 107 µs, 4 tuples 58 vs 116, 8 tuples 99 vs 128, 12 tuples 140
+#: vs 120, 24 tuples 266 vs 135, 34 tuples 361 vs 139; ``write_storm``'s
+#: 4-shard deployment crosses at the same size.  They cross at about 10
+#: tuples of 3 columns, so the constant counts objects.
+_COLUMN_ROUTE_PAYLOADS = 30
 
 
 class _BoundColumn:
@@ -115,14 +119,15 @@ class _BoundColumn:
     Slot ``i`` holds one subscription's Appendix-A encoding
     ``(V(T_r), W, T_r)`` and its shape's kernel code, so evaluating the
     whole column at query time is a few array operations.  Slots are
-    dense (swap-remove on drop) and private to the cache; the mapping to
-    the cached table's ``ColumnStore`` slots is memoized until either
-    side's layout moves.
+    dense (swap-remove on drop) and private to the cache; ``slot_of``
+    maps a tuple id to its slot, ``custom`` a tuple id to its shape when
+    the code says custom, and the mapping to the cached table's
+    ``ColumnStore`` slots is memoized until either side's layout moves.
     """
 
     __slots__ = (
         "table", "column", "n", "tids", "value", "width", "refreshed_at",
-        "shape", "layout_version", "_memo",
+        "shape", "slot_of", "custom", "layout_version", "_memo",
     )
 
     def __init__(self, table: str, column: str) -> None:
@@ -135,54 +140,87 @@ class _BoundColumn:
         self.width = np.empty(capacity, dtype=np.float64)
         self.refreshed_at = np.empty(capacity, dtype=np.float64)
         self.shape = np.empty(capacity, dtype=np.int8)
+        self.slot_of: dict[int, int] = {}
+        self.custom: dict[int, BoundShape] = {}
         self.layout_version = 0
         #: ``(key, held, slots)`` of the last :meth:`store_slots` answer.
         self._memo: tuple | None = None
 
-    def add(self, tid: int, function: BoundFunction) -> int:
-        """Append one subscription; returns its slot."""
+    def add(self, tid: int, function: BoundFunction) -> None:
+        """Append one subscription."""
         slot = self.n
         if slot == len(self.tids):
             for name in ("tids", "value", "width", "refreshed_at", "shape"):
                 old = getattr(self, name)
                 setattr(self, name, np.concatenate((old, np.empty_like(old))))
         self.tids[slot] = tid
+        self.slot_of[tid] = slot
         self.n = slot + 1
         self.layout_version += 1
-        self.install(slot, function)
-        return slot
+        self.install(
+            slot, tid, function.value_at_refresh, function.width_parameter,
+            function.refreshed_at, function.shape,
+            _SHAPE_CODES.get(type(function.shape), _CUSTOM_SHAPE),
+        )
 
-    def install(self, slot: int, function: BoundFunction) -> None:
-        """Overwrite one slot's parameters (a refresh arrived)."""
-        self.value[slot] = function.value_at_refresh
-        self.width[slot] = function.width_parameter
-        self.refreshed_at[slot] = function.refreshed_at
-        self.shape[slot] = _SHAPE_CODES.get(type(function.shape), _CUSTOM_SHAPE)
+    def install(
+        self, slot: int, tid: int, value: float, width: float,
+        refreshed_at: float, shape: BoundShape, code: int,
+    ) -> None:
+        """Overwrite one slot's parameters (a refresh arrived); ``code``
+        is ``shape``'s kernel code."""
+        self.value[slot] = value
+        self.width[slot] = width
+        self.refreshed_at[slot] = refreshed_at
+        self.shape[slot] = code
+        if code == _CUSTOM_SHAPE:
+            self.custom[tid] = shape
+        elif self.custom:
+            self.custom.pop(tid, None)
 
     def install_many(
-        self, slots: np.ndarray, functions: Collection[BoundFunction]
+        self, slots: np.ndarray, tids: Sequence[int], values: np.ndarray,
+        widths: np.ndarray, refreshed_at: float, shape: BoundShape,
     ) -> None:
         """Overwrite many distinct slots' parameters, one store per array."""
-        self.value[slots] = [f.value_at_refresh for f in functions]
-        self.width[slots] = [f.width_parameter for f in functions]
-        self.refreshed_at[slots] = [f.refreshed_at for f in functions]
-        self.shape[slots] = [
-            _SHAPE_CODES.get(type(f.shape), _CUSTOM_SHAPE) for f in functions
-        ]
+        self.value[slots] = values
+        self.width[slots] = widths
+        self.refreshed_at[slots] = refreshed_at
+        code = _SHAPE_CODES.get(type(shape), _CUSTOM_SHAPE)
+        self.shape[slots] = code
+        if code == _CUSTOM_SHAPE:
+            self.custom.update(dict.fromkeys(tids, shape))
+        elif self.custom:
+            for tid in tids:
+                self.custom.pop(tid, None)
 
-    def drop(self, slot: int) -> int | None:
-        """Swap-remove one slot; returns the tid moved into it, if any."""
+    def drop(self, tid: int) -> None:
+        """Swap-remove one tuple's slot (nothing when it has none)."""
+        slot = self.slot_of.pop(tid, None)
+        if slot is None:
+            return
+        self.custom.pop(tid, None)
         last = self.n - 1
-        moved = None
         if slot != last:
             for array in (
                 self.tids, self.value, self.width, self.refreshed_at, self.shape
             ):
                 array[slot] = array[last]
-            moved = int(self.tids[slot])
+            self.slot_of[int(self.tids[slot])] = slot
         self.n = last
         self.layout_version += 1
-        return moved
+
+    def function(self, slot: int) -> BoundFunction:
+        """One slot's bound function, built on demand."""
+        code = int(self.shape[slot])
+        return BoundFunction(
+            self.value.item(slot),
+            self.width.item(slot),
+            self.refreshed_at.item(slot),
+            self.custom[self.tids.item(slot)]
+            if code == _CUSTOM_SHAPE
+            else _BUILTIN_SHAPES[code],
+        )
 
     def parameters(self, held: np.ndarray | None = None):
         """``(tids, V, W, T_r, shape codes)`` of all slots, or of ``held``."""
@@ -239,27 +277,12 @@ def _half_widths(
         return width * factors, np.flatnonzero(codes == _CUSTOM_SHAPE).tolist()
 
 
-@dataclass(slots=True)
-class _Subscription:
-    """Where one cached object comes from and its current bound function.
-
-    ``params``/``slot`` locate the write-through copy of the bound
-    function's parameters in the column's :class:`_BoundColumn`.
-    """
-
-    source: DataSource
-    bound_function: BoundFunction
-    params: _BoundColumn | None = None
-    slot: int = -1
-
-
 @dataclass(frozen=True, slots=True)
 class SourceRefreshReceipt:
     """What one source was asked for in a batched refresh, and its price."""
 
     source_id: str
     tids: frozenset[int]
-    keys: tuple[ObjectKey, ...]
     cost: float
 
 
@@ -327,14 +350,12 @@ class DataCache:
         self.cache_id = cache_id
         self.clock = clock
         self.catalog = Catalog()
-        self._subscriptions: dict[ObjectKey, _Subscription] = {}
-        #: Per-table view of the subscription keys, maintained alongside
-        #: ``_subscriptions`` — routers and registries ask per-table
-        #: questions on hot paths and must not scan every table's keys.
-        self._keys_by_table: dict[str, set[ObjectKey]] = {}
-        #: Bound-function parameters per (table, bounded column), written
-        #: through wherever a bound function is installed or dropped.
+        #: Bound-function parameters per (table, bounded column): the
+        #: cache's only copy of its subscriptions' bound functions.
         self._bound_columns: dict[tuple[str, str], _BoundColumn] = {}
+        #: Per table, the source (shard) each subscribed tuple's bounded
+        #: columns come from — what a refresh is grouped by.
+        self._owners: dict[str, dict[int, DataSource]] = {}
         self._sources: dict[str, DataSource] = {}
         #: Cached tables whose tuples are partitioned across shard
         #: sources; cardinality messages for these must keep the shard
@@ -384,13 +405,13 @@ class DataCache:
             "trapp_refresh_apply_seconds",
             "Wall-clock duration of applying one column-route refresh message",
             ("cache",),
-            buckets=_SYNC_TIME_BUCKETS,
+            buckets=SHORT_TIME_BUCKETS,
         ).labels(**child_labels)
         self._t_sync_seconds = registry.histogram(
             "trapp_bound_sync_seconds",
             "Wall-clock duration of each sync_bounds call",
             ("cache",),
-            buckets=_SYNC_TIME_BUCKETS,
+            buckets=SHORT_TIME_BUCKETS,
         ).labels(**child_labels)
         sync_cells = registry.counter(
             "trapp_bound_sync_cells_total",
@@ -492,8 +513,7 @@ class DataCache:
         for source_id in sorted(self._sources):
             self._sources[source_id].disconnect_cache(self.cache_id)
         self._sources.clear()
-        self._subscriptions.clear()
-        self._keys_by_table.clear()
+        self._owners.clear()
         self._bound_columns.clear()
         self._sharded_tables.clear()
         self.catalog = Catalog()
@@ -519,7 +539,7 @@ class DataCache:
         :meth:`refresh_batched` accounting so schedulers can book the
         snapshot like any other bulk movement of bound state.
         """
-        if list(self.catalog.names()) or self._subscriptions:
+        if list(self.catalog.names()) or self._bound_columns:
             raise ReplicationProtocolError(
                 f"cache {self.cache_id!r} already holds state; snapshot "
                 "admission requires a fresh cache"
@@ -534,56 +554,54 @@ class DataCache:
             source = donor._sources[source_id]
             self._sources[source_id] = source
             source.connect_cache(self.cache_id, self._on_message)
-        keys_by_source: dict[str, list[ObjectKey]] = {}
         tids_by_source: dict[str, set[int]] = {}
-        for key in sorted(
-            donor._subscriptions, key=lambda k: (k.table, k.tid, k.column)
-        ):
-            subscription = donor._subscriptions[key]
-            source = subscription.source
+        for key in donor.subscribed_keys():
+            source = donor._owners[key.table][key.tid]
+            function = donor.bound_function_of(key)
             policy = copy.deepcopy(source.monitor.entry(donor.cache_id, key).policy)
-            source.adopt_subscription(
-                self.cache_id, key, subscription.bound_function, policy
-            )
-            self._add_subscription(
-                key, _Subscription(source, subscription.bound_function)
-            )
-            keys_by_source.setdefault(source.source_id, []).append(key)
+            source.adopt_subscription(self.cache_id, key, function, policy)
+            self._add_subscription(key, source, function)
             tids_by_source.setdefault(source.source_id, set()).add(key.tid)
         receipts = tuple(
             SourceRefreshReceipt(
                 source_id=source_id,
-                tids=frozenset(tids_by_source[source_id]),
-                keys=tuple(keys),
+                tids=frozenset(tids),
                 cost=(
-                    batch_cost(source_id, len(tids_by_source[source_id]))
+                    batch_cost(source_id, len(tids))
                     if batch_cost is not None
-                    else float(len(tids_by_source[source_id]))
+                    else float(len(tids))
                 ),
             )
-            for source_id, keys in sorted(keys_by_source.items())
+            for source_id, tids in sorted(tids_by_source.items())
         )
         return BatchedRefreshReceipt(per_source=receipts)
 
-    def _add_subscription(self, key: ObjectKey, subscription: _Subscription) -> None:
+    def _add_subscription(
+        self, key: ObjectKey, source: DataSource, function: BoundFunction
+    ) -> None:
         params = self._bound_columns.get((key.table, key.column))
         if params is None:
             params = _BoundColumn(key.table, key.column)
             self._bound_columns[key.table, key.column] = params
-        subscription.params = params
-        subscription.slot = params.add(key.tid, subscription.bound_function)
-        self._subscriptions[key] = subscription
-        self._keys_by_table.setdefault(key.table, set()).add(key)
+        params.add(key.tid, function)
+        self._owners.setdefault(key.table, {})[key.tid] = source
 
-    def _drop_subscription(self, key: ObjectKey) -> None:
-        subscription = self._subscriptions.pop(key, None)
-        if subscription is None:
-            return
-        self._keys_by_table[key.table].discard(key)
-        moved_tid = subscription.params.drop(subscription.slot)
-        if moved_tid is not None:
-            moved = ObjectKey(key.table, moved_tid, key.column)
-            self._subscriptions[moved].slot = subscription.slot
+    def _drop_tuple(self, table: Table, tid: int) -> None:
+        """Drop every subscription of one tuple (it left the master)."""
+        for column in table.schema.bounded_columns:
+            params = self._bound_columns.get((table.name, column.name))
+            if params is not None:
+                params.drop(tid)
+        self._owners.get(table.name, {}).pop(tid, None)
+
+    def subscribed_keys(self, table_name: str | None = None) -> list[ObjectKey]:
+        """Every subscribed object (of one table), in key order."""
+        return sorted(
+            ObjectKey(params.table, tid, params.column)
+            for params in self._bound_columns.values()
+            if table_name is None or params.table == table_name
+            for tid in params.slot_of
+        )
 
     def subscribed_sources(self) -> "list[DataSource]":
         """Every physical source (shard) this cache subscribes to."""
@@ -598,8 +616,8 @@ class DataCache:
         source sets should compare by subset, not equality).
         """
         ids = {
-            self._subscriptions[key].source.source_id
-            for key in self._keys_by_table.get(table_name, ())
+            source.source_id
+            for source in self._owners.get(table_name, {}).values()
         }
         if table_name in self.catalog:
             ids.update(self.catalog.table(table_name).shard_map.shards())
@@ -623,9 +641,8 @@ class DataCache:
                 cached.shard_map.assign(row.tid, source.source_id)
             for column in bounded:
                 key = ObjectKey(cached.name, row.tid, column.name)
-                payload = source.register(self.cache_id, key)
                 self._add_subscription(
-                    key, _Subscription(source, payload.bound_function)
+                    key, source, source.register(self.cache_id, key)
                 )
         if rows:
             now = self.clock()
@@ -692,8 +709,10 @@ class DataCache:
         with np.errstate(invalid="ignore", over="ignore"):
             lo, hi = value - half, value + half
         for at in custom:
-            key = ObjectKey(params.table, int(tids[at]), params.column)
-            lo[at], hi[at] = self._subscriptions[key].bound_function.endpoints_at(now)
+            lo[at], hi[at] = endpoints(
+                value.item(at), width.item(at), refreshed_at.item(at),
+                params.custom[tids.item(at)], now,
+            )
         if np.isnan(lo).any() or np.isnan(hi).any():
             raise BoundError("bound endpoints must not be NaN")
         return lo, hi
@@ -756,50 +775,48 @@ class DataCache:
         of raising, so one dead shard cannot void the rest of the batch.
         """
         tids = sorted(set(tids))
-        if not tids:
+        bounded = table.schema.bounded_columns
+        if not tids or not bounded:
             return BatchedRefreshReceipt(per_source=())
-        by_source: dict[str, list[ObjectKey]] = {}
-        tids_by_source: dict[str, set[int]] = {}
+        owners = self._owners.get(table.name, {})
+        by_source: dict[DataSource, list[int]] = {}
         for tid in tids:
-            for column in table.schema.bounded_columns:
-                key = ObjectKey(table.name, tid, column.name)
-                subscription = self._subscriptions.get(key)
-                if subscription is None:
-                    raise ReplicationProtocolError(
-                        f"cache {self.cache_id!r} holds no subscription for {key}"
-                    )
-                by_source.setdefault(subscription.source.source_id, []).append(key)
-                tids_by_source.setdefault(subscription.source.source_id, set()).add(tid)
+            source = owners.get(tid)
+            if source is None:
+                raise ReplicationProtocolError(
+                    f"cache {self.cache_id!r} holds no subscription for "
+                    f"{ObjectKey(table.name, tid, bounded[0].name)}"
+                )
+            group = by_source.get(source)
+            if group is None:
+                group = by_source[source] = []
+            group.append(tid)
         receipts: list[SourceRefreshReceipt] = []
         failures: list[RefreshFailure] = []
-        for source_id, keys in by_source.items():
-            source = self._sources[source_id]
-            request = RefreshRequest(cache_id=self.cache_id, keys=tuple(keys))
+        for source, group in by_source.items():
+            request = RefreshRequest(self.cache_id, table.name, tuple(group))
             self.refresh_requests_sent += 1
-            source_tids = frozenset(tids_by_source[source_id])
             try:
                 response = source.handle_refresh_request(request)
             except TrappError as exc:
                 failures.append(
                     RefreshFailure(
-                        source_id=source_id,
-                        tids=source_tids,
+                        source_id=source.source_id,
+                        tids=frozenset(group),
                         error=type(exc).__name__,
                     )
                 )
                 continue
             self._apply_refresh(response)
-            cost = (
-                batch_cost(source_id, len(source_tids))
-                if batch_cost is not None
-                else float(len(source_tids))
-            )
             receipts.append(
                 SourceRefreshReceipt(
-                    source_id=source_id,
-                    tids=source_tids,
-                    keys=tuple(keys),
-                    cost=cost,
+                    source_id=source.source_id,
+                    tids=frozenset(group),
+                    cost=(
+                        batch_cost(source.source_id, len(group))
+                        if batch_cost is not None
+                        else float(len(group))
+                    ),
                 )
             )
         return BatchedRefreshReceipt(
@@ -817,12 +834,9 @@ class DataCache:
         shard_id = table.shard_map.get(tid)
         if shard_id is not None:
             return shard_id
-        for column in table.schema.bounded_columns:
-            subscription = self._subscriptions.get(
-                ObjectKey(table.name, tid, column.name)
-            )
-            if subscription is not None:
-                return subscription.source.source_id
+        source = self._owners.get(table.name, {}).get(tid)
+        if source is not None:
+            return source.source_id
         raise ReplicationProtocolError(
             f"cache {self.cache_id!r} holds no subscription for tuple "
             f"#{tid} of table {table.name!r}"
@@ -857,67 +871,118 @@ class DataCache:
     def _apply_refresh(self, refresh: Refresh) -> None:
         """Install a message's bound functions and collapse its cells.
 
-        A message below :data:`_COLUMN_ROUTE_PAYLOADS` (every
-        value-initiated push) is applied a cell at a time: subscription
-        probe, parameter install, ``endpoints_at``, one ``write_cell``.
-        A larger one goes a column at a time.  Either way a payload for
-        an object no longer subscribed is dropped, a key named twice
-        keeps its last payload, and no ``Bound`` or ``Row`` is touched.
+        A message of fewer than :data:`_COLUMN_ROUTE_PAYLOADS` objects
+        (every value-initiated push) is applied an object at a time:
+        slot lookup, parameter install, :func:`endpoints`, one
+        ``write_cell``.  A larger one goes a column at a time.  Either
+        way an object no longer subscribed is dropped, a tuple named
+        twice in a column keeps its last entry, and no ``Bound``,
+        ``BoundFunction`` or ``Row`` is built.
         """
         now = self.clock()
-        payloads = refresh.payloads
+        columns = refresh.columns
+        n_objects = sum([len(column.tids) for column in columns])
         if refresh.reason is RefreshReason.FANOUT:
-            self.fanout_refreshes_received += len(payloads)
+            self.fanout_refreshes_received += n_objects
             if self._t_fanout_pushes is not None:
-                self._t_fanout_pushes.inc(len(payloads))
-                self._t_fanout_lag.observe(max(0.0, now - refresh.sent_at))
-        if len(payloads) >= _COLUMN_ROUTE_PAYLOADS:
-            self._apply_refresh_columns(payloads, now)
+                self._t_fanout_pushes.inc(n_objects)
+                self._t_fanout_lag.observe(max(0.0, now - refresh.refreshed_at))
+        if n_objects >= _COLUMN_ROUTE_PAYLOADS:
+            self._apply_refresh_columns(refresh, now)
             return
         self.cell_route_messages += 1
-        subscriptions = self._subscriptions
-        for key, _, function in payloads:
-            subscription = subscriptions.get(key)
-            if subscription is None:
-                # Late message for an object deleted meanwhile; drop it.
+        refreshed_at, shape = refresh.refreshed_at, refresh.shape
+        code = _SHAPE_CODES.get(type(shape), _CUSTOM_SHAPE)
+        for table_name, column, tids, values, widths in columns:
+            params = self._bound_columns.get((table_name, column))
+            if params is None:
                 continue
-            subscription.bound_function = function
-            subscription.params.install(subscription.slot, function)
-            # Not a zero-width shortcut: a custom shape need not satisfy
-            # f(0) = 0, and the message may have been sent before ``now``.
-            lo, hi = function.endpoints_at(now)
-            self.catalog.table(key.table).columns.write_cell(
-                key.tid, key.column, lo, hi
-            )
-            self.refreshes_received += 1
+            store = self.catalog.table(table_name).columns
+            slot_of = params.slot_of
+            if isinstance(values, np.ndarray):
+                values, widths = values.tolist(), widths.tolist()
+            for tid, value, width in zip(tids, values, widths):
+                slot = slot_of.get(tid)
+                if slot is None:
+                    # Late message for an object deleted meanwhile; drop it.
+                    continue
+                params.install(slot, tid, value, width, refreshed_at, shape, code)
+                # Not a zero-width shortcut: a custom shape need not satisfy
+                # f(0) = 0, and the message may have been sent before ``now``.
+                lo, hi = endpoints(value, width, refreshed_at, shape, now)
+                store.write_cell(tid, column, lo, hi)
+                self.refreshes_received += 1
 
-    def _apply_refresh_columns(
-        self, payloads: tuple[RefreshPayload, ...], now: float
-    ) -> None:
-        """The column route: one parameter install, one evaluation and one
-        ``write_bounds`` per cached column the message touches."""
+    def _apply_refresh_columns(self, refresh: Refresh, now: float) -> None:
+        """The column route: per column the message names, one evaluation,
+        one store per parameter array and one ``write_bounds``.
+
+        Every object of a message shares ``T_r`` and the shape, so the
+        shape is called once per column and ``W · f`` is one product —
+        bit-identical to :func:`endpoints` cell by cell.  A column is
+        checked whole before anything of it is written; a bad object
+        raises what :func:`endpoints` raises for it.
+        """
         started = time.perf_counter()
-        subscriptions = self._subscriptions
-        # Per column, slot → bound function; a key named twice keeps its
-        # last payload (``write_bounds`` needs distinct slots).
-        groups: dict[_BoundColumn, dict[int, BoundFunction]] = {}
-        for key, _, function in payloads:
-            subscription = subscriptions.get(key)
-            if subscription is None:
+        refreshed_at, shape = refresh.refreshed_at, refresh.shape
+        for table_name, column, tids, values, widths in refresh.columns:
+            params = self._bound_columns.get((table_name, column))
+            if params is None:
                 continue
-            subscription.bound_function = function
-            group = groups.get(subscription.params)
-            if group is None:
-                group = groups[subscription.params] = {}
-            group[subscription.slot] = function
-            self.refreshes_received += 1
-        for params, group in groups.items():
-            slots = np.fromiter(group, dtype=np.int64, count=len(group))
-            params.install_many(slots, group.values())
-            self._write_slots(params, slots, now)
+            values = np.asarray(values, dtype=np.float64)
+            widths = np.asarray(widths, dtype=np.float64)
+            slots = np.fromiter(
+                map(params.slot_of.get, tids, repeat(-1)),
+                dtype=np.int64, count=len(tids),
+            )
+            present = slots >= 0
+            received = int(np.count_nonzero(present))
+            if not received:
+                continue
+            keep = None
+            if len(set(tids)) < len(tids):
+                # A tuple named twice keeps its last entry.
+                keep = sorted({tid: at for at, tid in enumerate(tids)}.values())
+            if received < len(tids):
+                keep = [at for at in (keep or range(len(tids))) if present[at]]
+            if keep is not None:
+                tids = [tids[at] for at in keep]
+                slots, values, widths = slots[keep], values[keep], widths[keep]
+            lo, hi = self._evaluate_message(values, widths, refreshed_at, shape, now)
+            params.install_many(slots, tids, values, widths, refreshed_at, shape)
+            self.refreshes_received += received
+            store = self.catalog.table(table_name).columns
+            held, in_store = params.store_slots(store)
+            if held is None:
+                at = in_store[slots]
+            else:
+                at = store.slots_of(tids)
+                evicted = at < 0
+                if evicted.any():
+                    at, lo, hi = at[~evicted], lo[~evicted], hi[~evicted]
+            store.write_bounds(column, at, lo, hi)
         self.column_route_messages += 1
         if self._t_apply_seconds is not None:
             self._t_apply_seconds.observe(time.perf_counter() - started)
+
+    @staticmethod
+    def _evaluate_message(
+        values: np.ndarray, widths: np.ndarray, refreshed_at: float,
+        shape: BoundShape, now: float,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``[L(now), H(now)]`` of one message column's objects."""
+        if now < refreshed_at - 1e-12:
+            endpoints(values.item(0), widths.item(0), refreshed_at, shape, now)
+        factor = shape(now - refreshed_at)
+        # 0 · ∞ and ∞ − ∞ are NaN, for the check below to reject.
+        with np.errstate(invalid="ignore", over="ignore"):
+            half = widths * factor
+            lo, hi = values - half, values + half
+            good = (half >= 0) & (lo <= hi)
+        if not good.all():
+            at = int(np.flatnonzero(~good)[0])
+            endpoints(values.item(at), widths.item(at), refreshed_at, shape, now)
+        return lo, hi
 
     def _apply_cardinality_change(self, change: CardinalityChange) -> None:
         table = self.catalog.table(change.table)
@@ -930,15 +995,14 @@ class DataCache:
                 table.shard_map.assign(change.tid, change.source_id)
             for column in bounded:
                 key = ObjectKey(change.table, change.tid, column.name)
-                function = source.register(self.cache_id, key).bound_function
-                self._add_subscription(key, _Subscription(source, function))
+                function = source.register(self.cache_id, key)
+                self._add_subscription(key, source, function)
                 lo, hi = function.endpoints_at(self.clock())
                 table.columns.write_cell(change.tid, column.name, lo, hi)
         else:
             if change.tid in table:
                 table.delete(change.tid)
-            for column in table.schema.column_names:
-                self._drop_subscription(ObjectKey(change.table, change.tid, column))
+            self._drop_tuple(table, change.tid)
 
     def _apply_master_migration(self, migration: MasterMigration) -> None:
         """Repoint one tuple's subscriptions at its new master shard.
@@ -956,21 +1020,21 @@ class DataCache:
         table = self.catalog.table(migration.table)
         if migration.table in self._sharded_tables:
             table.shard_map.assign(migration.tid, migration.to_source_id)
-        for column in table.schema.column_names:
-            subscription = self._subscriptions.get(
-                ObjectKey(migration.table, migration.tid, column)
-            )
-            if subscription is not None:
-                subscription.source = new_source
+        owners = self._owners.get(migration.table, {})
+        if migration.tid in owners:
+            owners[migration.tid] = new_source
 
     # ------------------------------------------------------------------
     def table(self, name: str) -> Table:
         return self.catalog.table(name)
 
     def bound_function_of(self, key: ObjectKey) -> BoundFunction:
-        subscription = self._subscriptions.get(key)
-        if subscription is None:
+        """The bound function the cache holds for one object, built from
+        its column's parameter arrays."""
+        params = self._bound_columns.get((key.table, key.column))
+        slot = None if params is None else params.slot_of.get(key.tid)
+        if slot is None:
             raise ReplicationProtocolError(
                 f"cache {self.cache_id!r} holds no subscription for {key}"
             )
-        return subscription.bound_function
+        return params.function(slot)

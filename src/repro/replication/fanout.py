@@ -305,16 +305,17 @@ class CacheGroup:
         for cache_id in sorted(self._caches):
             member = self._caches[cache_id]
             model = self._model_or_default(member, default_model)
-            tuples_by_source: dict[str, set[tuple[str, int]]] = {}
-            for key, subscription in member._subscriptions.items():
-                tuples_by_source.setdefault(
-                    subscription.source.source_id, set()
-                ).add((key.table, key.tid))
+            tuples_by_source: dict[str, int] = {}
+            for owners in member._owners.values():
+                for source in owners.values():
+                    tuples_by_source[source.source_id] = (
+                        tuples_by_source.get(source.source_id, 0) + 1
+                    )
             price = sum(
-                model.batch_cost(source_id, len(tuples))
+                model.batch_cost(source_id, n_tuples)
                 if model is not None
-                else float(len(tuples))
-                for source_id, tuples in tuples_by_source.items()
+                else float(n_tuples)
+                for source_id, n_tuples in tuples_by_source.items()
             )
             rank = (price, cache_id)
             if best is None or rank < best:

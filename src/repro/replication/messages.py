@@ -2,11 +2,14 @@
 
 The TRAPP refresh protocol has three message kinds:
 
-* :class:`RefreshRequest` — cache → source: a *query-initiated* refresh for
-  a set of tuples (the output of CHOOSE_REFRESH);
-* :class:`Refresh` — source → cache: the current precise value of each
-  requested object together with a new bound function, flagged with the
-  reason (value- vs query-initiated);
+* :class:`RefreshRequest` — cache → source: a *query-initiated* refresh of
+  some tuples of one table (the output of CHOOSE_REFRESH);
+* :class:`Refresh` — source → cache: per refreshed column, the tuples'
+  current precise values ``V(T_r)`` and new width parameters ``W`` as
+  parallel arrays (:class:`ColumnRefresh`), plus the one refresh time
+  ``T_r`` and bound shape of the whole message — the Appendix A encoding
+  a column at a time — flagged with the reason (value-, query-initiated
+  or fan-out);
 * :class:`CardinalityChange` — source → cache: an insertion or deletion,
   which the §3 architecture propagates immediately;
 * :class:`MasterMigration` — source → cache: a tuple's master moved to a
@@ -15,24 +18,26 @@ The TRAPP refresh protocol has three message kinds:
 
 Messages are plain frozen dataclasses, except the three every master
 update may build — :class:`ObjectKey` (the dict key of the write path),
-:class:`RefreshPayload` and :class:`Refresh` — which are named tuples, so
+:class:`ColumnRefresh` and :class:`Refresh` — which are named tuples, so
 they are built, hashed and compared in C; the simulation layer handles
-delivery timing.
+delivery timing.  A refresh carries no per-object record: a
+value-initiated push is one column of one tuple, a query-initiated
+answer one array triple per bounded column.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from repro.bounds.functions import BoundFunction
+from repro.bounds.functions import BoundShape
 
 __all__ = [
     "RefreshReason",
     "ObjectKey",
     "RefreshRequest",
-    "RefreshPayload",
+    "ColumnRefresh",
     "Refresh",
     "CardinalityChange",
     "MasterMigration",
@@ -71,27 +76,44 @@ class ObjectKey(NamedTuple):
 
 @dataclass(frozen=True, slots=True)
 class RefreshRequest:
-    """Cache → source: please refresh these objects now."""
+    """Cache → source: please refresh every bounded column of these tuples
+    of one table now."""
 
     cache_id: str
-    keys: tuple[ObjectKey, ...]
+    table: str
+    tids: tuple[int, ...]
 
 
-class RefreshPayload(NamedTuple):
-    """One object's refresh content: exact value plus its new bound function."""
+class ColumnRefresh(NamedTuple):
+    """One column's share of a :class:`Refresh`: slot-aligned tuple ids,
+    values at refresh ``V(T_r)`` and width parameters ``W``.
 
-    key: ObjectKey
-    value: float
-    bound_function: BoundFunction
+    ``values`` and ``widths`` are float64 arrays in a query-initiated
+    answer and one-element tuples in a value-initiated push; a tuple id
+    named twice keeps its last entry.
+    """
+
+    table: str
+    column: str
+    tids: Sequence[int]
+    values: Sequence[float]
+    widths: Sequence[float]
 
 
 class Refresh(NamedTuple):
-    """Source → cache: new exact values and bound functions."""
+    """Source → cache: new exact values and bound functions, a column at
+    a time.
+
+    Every object in the message was refreshed at ``refreshed_at`` (the
+    ``T_r`` of its bound function, also the send time) and widens with
+    ``shape``, the sending source's.
+    """
 
     source_id: str
     reason: RefreshReason
-    payloads: tuple[RefreshPayload, ...]
-    sent_at: float = 0.0
+    columns: tuple[ColumnRefresh, ...]
+    refreshed_at: float
+    shape: BoundShape
 
 
 @dataclass(frozen=True, slots=True)

@@ -7,28 +7,40 @@ every registered cache, the bound function the cache currently holds for
 each object, and enforces the TRAPP contract: the moment an update pushes
 a master value outside any cache's bound, the source emits a
 *value-initiated* refresh to that cache.  *Query-initiated* refreshes are
-answered on demand with the current exact value plus a fresh bound
-function whose width comes from the object's width policy.
+answered on demand, a column at a time: one gather of the master values
+per bounded column, one width-policy step per object, and per column the
+arrays ``(tids, V, W)`` under one refresh time ``T_r`` — which the
+fan-out to sibling replicas reuses.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
-from repro.bounds.functions import BoundFunction, BoundShape, SqrtShape
+import numpy as np
+
+from repro.bounds.functions import (
+    BoundFunction,
+    BoundParameters,
+    BoundShape,
+    SqrtShape,
+    endpoints,
+)
 from repro.bounds.width import AdaptiveWidthController, WidthPolicy
-from repro.errors import ReplicationProtocolError, SchemaError
+from repro.errors import BoundError, ReplicationProtocolError, SchemaError
 from repro.replication.messages import (
     CardinalityChange,
+    ColumnRefresh,
     ObjectKey,
     Refresh,
-    RefreshPayload,
     RefreshReason,
     RefreshRequest,
 )
 from repro.storage.table import Table
+from repro.telemetry.registry import SHORT_TIME_BUCKETS
 
 __all__ = ["RefreshMonitor", "DataSource"]
 
@@ -37,12 +49,37 @@ __all__ = ["RefreshMonitor", "DataSource"]
 DeliverFunc = Callable[[str, object], None]
 
 
-@dataclass(slots=True)
-class _TrackedBound:
-    """One cache's bound function for one object, as the source remembers it."""
+def _width_error(width: float) -> BoundError:
+    """A policy's width rejected as :class:`BoundFunction` rejects it."""
+    return BoundError(f"width parameter must be non-negative, got {width}")
 
-    bound_function: BoundFunction
+
+@dataclass(slots=True)
+class _TrackedBound(BoundParameters):
+    """One cache's bound function for one object, as the source remembers
+    it: the Appendix A encoding ``(V(T_r), W, T_r)`` and the shape,
+    renewed in place by every refresh, beside the object's width policy."""
+
+    value_at_refresh: float
+    width_parameter: float
+    refreshed_at: float
+    shape: BoundShape
     policy: WidthPolicy
+
+    @classmethod
+    def of(cls, function: BoundFunction, policy: WidthPolicy) -> "_TrackedBound":
+        return cls(
+            function.value_at_refresh, function.width_parameter,
+            function.refreshed_at, function.shape, policy,
+        )
+
+    @property
+    def bound_function(self) -> BoundFunction:
+        """The tracked bound as one frozen object, built on each call."""
+        return BoundFunction(
+            self.value_at_refresh, self.width_parameter, self.refreshed_at,
+            self.shape,
+        )
 
 
 class RefreshMonitor:
@@ -94,19 +131,112 @@ class RefreshMonitor:
         self, cache_id: str, key: ObjectKey, bound_function: BoundFunction,
         policy: WidthPolicy,
     ) -> None:
-        self._install(cache_id, key, _TrackedBound(bound_function, policy))
+        self._install(cache_id, key, _TrackedBound.of(bound_function, policy))
 
     def update(
-        self, key: ObjectKey, entry: _TrackedBound, bound_function: BoundFunction
+        self, key: ObjectKey, entry: _TrackedBound, value: float, width: float,
+        refreshed_at: float, shape: BoundShape,
     ) -> None:
-        """Replace the bound function of one of ``key``'s trackers.
+        """Replace the bound of one of ``key``'s trackers by
+        ``(value, width, refreshed_at, shape)``.
 
         ``entry`` is what :meth:`entry`, :meth:`trackers` or
         :meth:`violations` handed out for ``key``: the caller read the
         policy from it already, so it is not looked up again.
         """
-        entry.bound_function = bound_function
+        if width < 0:
+            raise _width_error(width)
+        entry.value_at_refresh = value
+        entry.width_parameter = width
+        entry.refreshed_at = refreshed_at
+        entry.shape = shape
         self._windows.pop(key, None)
+
+    def trackers_of(
+        self, cache_id: str, table: str, column: str, tids: Sequence[int]
+    ) -> list[dict[str, _TrackedBound]]:
+        """Every cache's trackers of ``column`` of each of ``tids``, in
+        order; raises unless ``cache_id`` tracks every one of them."""
+        objects = self._objects
+        held = []
+        for tid in tids:
+            trackers = objects.get((table, tid, column))
+            if trackers is None or cache_id not in trackers:
+                raise ReplicationProtocolError(
+                    f"cache {cache_id!r} is not registered for object "
+                    f"{ObjectKey(table, tid, column)}"
+                )
+            held.append(trackers)
+        return held
+
+    def renew(
+        self,
+        cache_id: str,
+        table: str,
+        column: str,
+        tids: Sequence[int],
+        held: list[dict[str, _TrackedBound]],
+        values: list[float],
+        now: float,
+        shape: BoundShape,
+        query_initiated: bool,
+        fanout: "bool | object",
+    ) -> tuple[list[float], dict[str, tuple[list[int], list[float]]]]:
+        """Refresh one column of many objects: the query-initiated path.
+
+        ``held`` is :meth:`trackers_of` for ``tids``.  Each object's
+        tracker for ``cache_id`` takes ``(values[i], W, now, shape)``,
+        ``W`` from its policy after one ``on_query_initiated`` when
+        ``query_initiated`` (a piggybacked refresh gives no feedback).
+        With ``fanout`` (``True``, or a membership such as a
+        :class:`~repro.replication.fanout.CacheGroup`) every other member
+        cache tracking the object is renewed the same way, through its
+        own policy — the *same* sequence of policy calls as the
+        requester's, so replicas that subscribed in lockstep stay in
+        lockstep, the invariant behind a group's K-cache ≡ 1-cache
+        answer equivalence.  A sibling not tracking the object is left
+        as it is, policy and tracked bound: the monitor keeps tracking
+        the bound the sibling holds, so a later escape still reaches it
+        by a value-initiated refresh, and a lost push costs it one
+        opportunistic tightening, never containment.  Returns the
+        requester's widths and, per sibling, the positions in ``tids``
+        it was renewed at and its widths.
+        """
+        windows = self._windows
+        widths: list[float] = []
+        pushes: dict[str, tuple[list[int], list[float]]] = {}
+        members: dict[str, bool] = {}
+
+        def step(entry: _TrackedBound) -> float:
+            policy = entry.policy
+            if query_initiated:
+                policy.on_query_initiated()
+            width = policy.next_width()
+            if width < 0:
+                raise _width_error(width)
+            entry.value_at_refresh = value
+            entry.width_parameter = width
+            entry.refreshed_at = now
+            entry.shape = shape
+            return width
+
+        for position, (tid, trackers, value) in enumerate(zip(tids, held, values)):
+            widths.append(step(trackers[cache_id]))
+            if fanout and len(trackers) > 1:
+                for member, entry in trackers.items():
+                    if member == cache_id:
+                        continue
+                    wanted = members.get(member)
+                    if wanted is None:
+                        wanted = members[member] = fanout is True or member in fanout
+                    if wanted:
+                        pushed = pushes.get(member)
+                        if pushed is None:
+                            pushed = pushes[member] = ([], [])
+                        pushed[0].append(position)
+                        pushed[1].append(step(entry))
+            windows.pop((table, tid, column), None)
+        return widths, pushes
 
     def forget_cache(self, cache_id: str) -> None:
         held = [key for key, trackers in self._objects.items() if cache_id in trackers]
@@ -190,7 +320,10 @@ class RefreshMonitor:
         out: list[tuple[str, _TrackedBound]] = []
         lo, hi = -math.inf, math.inf
         for cache_id, entry in trackers.items():
-            bound_lo, bound_hi = entry.bound_function.endpoints_at(now)
+            bound_lo, bound_hi = endpoints(
+                entry.value_at_refresh, entry.width_parameter,
+                entry.refreshed_at, entry.shape, now,
+            )
             if not bound_lo <= value <= bound_hi:
                 out.append((cache_id, entry))
             else:
@@ -258,12 +391,25 @@ class DataSource:
         #: to every tracking cache regardless.
         self.refresh_fanout: "bool | object" = False
         self.fanout_refreshes = 0
+        #: Bound by :meth:`attach_telemetry`; ``None`` keeps the refresh
+        #: path untelemetered (the simulation default).
+        self._t_refresh_seconds = None
         self._tables: dict[str, Table] = {}
         self.monitor = RefreshMonitor()
         self._deliver: dict[str, DeliverFunc] = {}
         # Statistics for experiments.
         self.value_initiated_refreshes = 0
         self.query_initiated_refreshes = 0
+
+    def attach_telemetry(self, registry) -> None:
+        """Bind this source's refresh-duration histogram to a registry."""
+        self._t_refresh_seconds = registry.histogram(
+            "trapp_source_refresh_seconds",
+            "Wall-clock duration of answering one query-initiated refresh "
+            "request, fan-out included",
+            ("source",),
+            buckets=SHORT_TIME_BUCKETS,
+        ).labels(source=self.source_id)
 
     # ------------------------------------------------------------------
     # Table and cache management
@@ -329,8 +475,8 @@ class DataSource:
     # ------------------------------------------------------------------
     def register(
         self, cache_id: str, key: ObjectKey, policy: WidthPolicy | None = None
-    ) -> RefreshPayload:
-        """Subscribe a cache to an object; returns the initial payload.
+    ) -> BoundFunction:
+        """Subscribe a cache to an object; returns its initial bound function.
 
         The initial bound function starts at the current exact value with
         the policy's width parameter.
@@ -344,113 +490,142 @@ class DataSource:
             shape=self.shape,
         )
         self.monitor.track(cache_id, key, bound_function, policy)
-        return RefreshPayload(key, value, bound_function)
+        return bound_function
 
     # ------------------------------------------------------------------
     # Query-initiated refresh
     # ------------------------------------------------------------------
     def handle_refresh_request(self, request: RefreshRequest) -> Refresh:
-        """Answer a cache's query-initiated refresh request synchronously."""
-        requested = []
-        now = self.clock()
-        for key in request.keys:
-            value = self._master_value(key)
-            entry = self.monitor.entry(request.cache_id, key)
-            entry.policy.on_query_initiated()
-            bound_function = self._renew(key, entry, value, now)
-            requested.append(RefreshPayload(key, value, bound_function))
-            self.query_initiated_refreshes += 1
-        piggybacked = self._piggyback_payloads(request, now)
-        if self.refresh_fanout:
-            self._fanout_refresh(request.cache_id, requested, piggybacked, now)
-        return Refresh(
-            source_id=self.source_id,
-            reason=RefreshReason.QUERY_INITIATED,
-            payloads=tuple(requested + piggybacked),
-            sent_at=now,
-        )
+        """Answer a cache's query-initiated refresh request synchronously.
 
-    def _fanout_refresh(
-        self,
-        requester: str,
-        requested: list[RefreshPayload],
-        piggybacked: list[RefreshPayload],
-        now: float,
-    ) -> None:
-        """Push the refreshed objects' fresh values to sibling caches.
-
-        ``requested`` and ``piggybacked`` are the payloads just minted
-        for ``requester``; their master values are reused, not re-read.
-        Each sibling's entry advances through the *same* policy sequence
-        as the requester's — ``on_query_initiated`` + ``next_width`` for
-        requested keys, ``next_width`` alone for piggybacked ones — so
-        replicas that subscribed in lockstep stay in lockstep, the
-        invariant behind the group's K-cache ≡ 1-cache answer
-        equivalence.  One :class:`Refresh` message per sibling carries
-        every refreshed object that sibling tracks.  When
-        :attr:`refresh_fanout` is a membership (a
-        :class:`~repro.replication.fanout.CacheGroup`), only its member
-        caches receive pushes.
-
-        A sibling missing from :meth:`RefreshMonitor.trackers` gets no
-        push, and its policy and tracked bound stay as they were: the
-        monitor keeps tracking the bound the sibling actually holds, so a
-        later master-value escape still triggers a value-initiated
-        refresh.  A lost push therefore costs the sibling one
-        opportunistic tightening, never containment.
+        Every bounded column of the requested tuples is read with one
+        gather from the master ``ColumnStore`` and validated (each tuple
+        held, each value exact, each object tracked for the cache) before
+        any tracker moves.  Each object then steps its width policy, and
+        the answer carries per column the arrays ``(tids, V, W)`` under
+        one ``T_r``; with :attr:`refresh_fanout` set, each sibling gets
+        one push reusing them (:meth:`_collect_pushes`).
         """
-        membership = self.refresh_fanout
-        per_cache: dict[str, list[RefreshPayload]] = {}
-        for payloads, query_feedback in ((requested, True), (piggybacked, False)):
-            for key, value, _ in payloads:
-                for cache_id, entry in self.monitor.trackers(key).items():
-                    if cache_id == requester:
-                        continue
-                    if membership is not True and cache_id not in membership:
-                        continue
-                    if query_feedback:
-                        entry.policy.on_query_initiated()
-                    bound_function = self._renew(key, entry, value, now)
-                    per_cache.setdefault(cache_id, []).append(
-                        RefreshPayload(key, value, bound_function)
-                    )
-        for cache_id, payloads in per_cache.items():
-            self.fanout_refreshes += len(payloads)
+        started = time.perf_counter()
+        now = self.clock()
+        cache_id, name, tids = request.cache_id, request.table, request.tids
+        table = self.table(name)
+        store = table.columns
+        slots = store.held_slots(tids)
+        gathered = []
+        for column in table.schema.bounded_columns:
+            lo, hi = store.read_bounds(column.name, slots)
+            values = lo.tolist()
+            if values != hi.tolist():
+                at = int(np.flatnonzero(lo != hi)[0])
+                raise TypeError(
+                    f"master object {ObjectKey(name, tids[at], column.name)} "
+                    f"holds the non-exact bound [{values[at]}, {hi.item(at)}]"
+                )
+            held = self.monitor.trackers_of(cache_id, name, column.name, tids)
+            gathered.append((column.name, lo, values, held))
+        shape, fanout = self.shape, self.refresh_fanout
+        columns: list[ColumnRefresh] = []
+        pushes: dict[str, list[ColumnRefresh]] = {}
+        for column, array, values, held in gathered:
+            widths, pushed = self.monitor.renew(
+                cache_id, name, column, tids, held, values, now, shape, True, fanout
+            )
+            columns.append(
+                ColumnRefresh(name, column, tids, array, np.array(widths))
+            )
+            if pushed:
+                self._collect_pushes(pushes, columns[-1], widths, pushed)
+            self.query_initiated_refreshes += len(tids)
+        if self.piggyback is not None:
+            self._piggyback(request, now, columns, pushes)
+        for sibling, sibling_columns in pushes.items():
+            self.fanout_refreshes += sum(len(c.tids) for c in sibling_columns)
             self._send(
-                cache_id,
+                sibling,
                 Refresh(
-                    source_id=self.source_id,
-                    reason=RefreshReason.FANOUT,
-                    payloads=tuple(payloads),
-                    sent_at=now,
+                    self.source_id, RefreshReason.FANOUT, tuple(sibling_columns),
+                    now, shape,
                 ),
             )
+        response = Refresh(
+            self.source_id, RefreshReason.QUERY_INITIATED, tuple(columns), now, shape
+        )
+        if self._t_refresh_seconds is not None:
+            self._t_refresh_seconds.observe(time.perf_counter() - started)
+        return response
 
-    def _piggyback_payloads(
-        self, request: RefreshRequest, now: float
-    ) -> list[RefreshPayload]:
+    @staticmethod
+    def _collect_pushes(
+        pushes: dict[str, list[ColumnRefresh]],
+        sent: ColumnRefresh,
+        widths: list[float],
+        pushed: dict[str, tuple[list[int], list[float]]],
+    ) -> None:
+        """Add each sibling's share of one answered column to its push.
+
+        A sibling renewed at every object of the column gets the same
+        ``tids`` and ``V`` arrays (and the same ``W`` array when its
+        policies agree, as a lock-step replica's do); one renewed at a
+        subset gets theirs gathered.
+        """
+        for sibling, (positions, sibling_widths) in pushed.items():
+            if len(positions) == len(sent.tids):
+                tids, values = sent.tids, sent.values
+            else:
+                tids = tuple(sent.tids[at] for at in positions)
+                values = sent.values[positions]
+            pushes.setdefault(sibling, []).append(
+                ColumnRefresh(
+                    sent.table, sent.column, tids, values,
+                    sent.widths if sibling_widths == widths
+                    else np.array(sibling_widths),
+                )
+            )
+
+    def _piggyback(
+        self,
+        request: RefreshRequest,
+        now: float,
+        columns: list[ColumnRefresh],
+        pushes: dict[str, list[ColumnRefresh]],
+    ) -> None:
         """§8.3 piggybacking: refresh endangered objects while we're at it.
 
         Piggybacked refreshes reuse the object's current width (they are
         opportunistic, not a precision signal, so the width policy receives
-        no feedback).
+        no feedback).  They join the answer, and the fan-out, as further
+        columns.
         """
-        if self.piggyback is None:
-            return []
-        requested = set(request.keys)
+        cache_id = request.cache_id
+        bounded = self.table(request.table).schema.bounded_columns
+        requested = {
+            ObjectKey(request.table, tid, column.name)
+            for tid in request.tids
+            for column in bounded
+        }
         tracked = [
-            (key, self._master_value(key), entry.bound_function.at(now))
-            for key, entry in self.monitor.entries_for_cache(request.cache_id)
+            (key, self._master_value(key), entry.at(now))
+            for key, entry in self.monitor.entries_for_cache(cache_id)
             if key not in requested
         ]
-        extras = []
+        by_column: dict[tuple[str, str], list[int]] = {}
         for key in self.piggyback.select(requested, tracked):
-            value = self._master_value(key)
-            entry = self.monitor.entry(request.cache_id, key)
-            bound_function = self._renew(key, entry, value, now)
-            extras.append(RefreshPayload(key, value, bound_function))
-            self.piggybacked_refreshes += 1
-        return extras
+            by_column.setdefault((key.table, key.column), []).append(key.tid)
+        for (name, column), tids in by_column.items():
+            tids = tuple(tids)
+            values = [self._master_value(ObjectKey(name, tid, column)) for tid in tids]
+            held = self.monitor.trackers_of(cache_id, name, column, tids)
+            widths, pushed = self.monitor.renew(
+                cache_id, name, column, tids, held, values, now, self.shape,
+                False, self.refresh_fanout,
+            )
+            columns.append(
+                ColumnRefresh(name, column, tids, np.array(values), np.array(widths))
+            )
+            if pushed:
+                self._collect_pushes(pushes, columns[-1], widths, pushed)
+            self.piggybacked_refreshes += len(tids)
 
     # ------------------------------------------------------------------
     # Master updates and value-initiated refresh
@@ -461,7 +636,8 @@ class DataSource:
 
         ``new_value`` is coerced to a float once, up front; a value that
         is not a finite number raises :class:`SchemaError` before the
-        master cell or the monitor is touched.
+        master cell or the monitor is touched.  Each push is one column
+        of one tuple.
         """
         try:
             value = float(new_value)
@@ -476,12 +652,13 @@ class DataSource:
         refreshes: list[Refresh] = []
         for cache_id, entry in self.monitor.violations(key, value, now):
             entry.policy.on_value_initiated()
-            bound_function = self._renew(key, entry, value, now)
+            width = self._renew(key, entry, value, now)
             refresh = Refresh(
-                source_id=self.source_id,
-                reason=RefreshReason.VALUE_INITIATED,
-                payloads=(RefreshPayload(key, value, bound_function),),
-                sent_at=now,
+                self.source_id,
+                RefreshReason.VALUE_INITIATED,
+                (ColumnRefresh(key.table, key.column, (key.tid,), (value,), (width,)),),
+                now,
+                self.shape,
             )
             self.value_initiated_refreshes += 1
             self._send(cache_id, refresh)
@@ -525,17 +702,12 @@ class DataSource:
     # ------------------------------------------------------------------
     def _renew(
         self, key: ObjectKey, entry: _TrackedBound, value: float, now: float
-    ) -> BoundFunction:
-        """Mint the zero-width bound a refresh carries, at the policy's
-        next width, and have the monitor track it for ``entry``'s cache."""
-        bound_function = BoundFunction(
-            value_at_refresh=value,
-            width_parameter=entry.policy.next_width(),
-            refreshed_at=now,
-            shape=self.shape,
-        )
-        self.monitor.update(key, entry, bound_function)
-        return bound_function
+    ) -> float:
+        """Renew ``entry``'s bound at ``value`` and ``now`` with the
+        policy's next width, which is returned."""
+        width = entry.policy.next_width()
+        self.monitor.update(key, entry, value, width, now, self.shape)
+        return width
 
     def _master_value(self, key: ObjectKey) -> float:
         lo, hi = self.table(key.table).columns.cell(key.tid, key.column)

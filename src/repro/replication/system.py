@@ -84,7 +84,18 @@ class TrappSystem:
             for shard in source.shards:
                 self._sources[shard.source_id] = shard
         self._sources[source_id] = source
+        if self.telemetry is not None:
+            for physical in getattr(source, "shards", (source,)):
+                physical.attach_telemetry(self.telemetry.registry)
         return source
+
+    def physical_sources(self) -> list[DataSource]:
+        """Every :class:`DataSource` (each shard, no sharded wrapper), in
+        registration order."""
+        return [
+            source for source in self._sources.values()
+            if isinstance(source, DataSource)
+        ]
 
     def add_cache(
         self,

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -308,6 +308,27 @@ class ColumnStore:
         """
         slot_of = self._slot_of
         return np.fromiter((slot_of.get(tid, -1) for tid in tids), dtype=np.int64)
+
+    def held_slots(self, tids: Sequence[int]) -> np.ndarray:
+        """The array slot of each tuple id, all of which must be held;
+        raises like :meth:`cell` for the first that is not."""
+        try:
+            return np.fromiter(
+                map(self._slot_of.__getitem__, tids), dtype=np.int64, count=len(tids)
+            )
+        except KeyError as missing:
+            raise TrappError(f"column store holds no tuple #{missing.args[0]}") from None
+
+    def read_bounds(
+        self, column: str, slots: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(lo, hi)`` of many cells of one numeric column, gathered by
+        slot (from :meth:`held_slots`): the bulk twin of :meth:`cell`."""
+        try:
+            return self._lo[column][slots], self._hi[column][slots]
+        except KeyError:
+            self.schema[column]  # raise UnknownColumnError on bad names
+            raise TrappError(f"column {column!r} is not numeric") from None
 
     def write_bounds(
         self, column: str, slots: np.ndarray, lo: np.ndarray, hi: np.ndarray

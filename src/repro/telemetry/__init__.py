@@ -63,11 +63,13 @@ class Telemetry:
     def observe_system(self, system) -> None:
         """Register the live-state collectors for one
         :class:`~repro.replication.system.TrappSystem` and hand every
-        cache its event instruments."""
+        cache and source its event instruments."""
         register_system_collectors(self.registry, system)
         system.telemetry = self
         for cache in system._caches.values():
             cache.attach_telemetry(self.registry)
+        for source in system.physical_sources():
+            source.attach_telemetry(self.registry)
 
     def snapshot(self) -> dict:
         """The registry document served by the ``metrics`` wire op."""

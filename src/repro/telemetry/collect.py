@@ -109,12 +109,8 @@ def _collect_source_counters(registry: MetricsRegistry, system) -> None:
         "window answered or the cached bounds were evaluated",
         ("source", "outcome"),
     )
-    seen: set[int] = set()
-    for source in system._sources.values():
-        monitor = getattr(source, "monitor", None)
-        if monitor is None or id(source) in seen:
-            continue  # ShardedSource wrappers re-expose their shards
-        seen.add(id(source))
+    for source in system.physical_sources():
+        monitor = source.monitor
         sid = source.source_id
         refreshes.labels(source=sid, kind="query_initiated").set(
             source.query_initiated_refreshes

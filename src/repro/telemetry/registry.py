@@ -31,12 +31,19 @@ __all__ = [
     "DEFAULT_TIME_BUCKETS",
     "DEFAULT_SIZE_BUCKETS",
     "DEFAULT_WIDTH_BUCKETS",
+    "SHORT_TIME_BUCKETS",
 ]
 
 #: Latency-shaped edges (seconds): microseconds through tens of seconds.
 DEFAULT_TIME_BUCKETS = (
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
     0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
+)
+#: Replication-step edges (seconds): a column sweep or a refresh answer
+#: takes tens of microseconds, below the default latency buckets.
+SHORT_TIME_BUCKETS = (
+    0.00001, 0.000025, 0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025,
+    0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 1.0,
 )
 #: Count-shaped edges (batch sizes, plans per tick).
 DEFAULT_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)

@@ -11,12 +11,12 @@ an injected fault on the path a real one takes.
   ``DataCache.refresh_batched`` calls it inside the ``try`` that turns a
   refused contact into a receipt, and a replica admitted later contacts
   the same source object, so it meets the same outage;
-* the same source's ``monitor.trackers`` hides a cache inside a
-  :class:`FanoutDrop` window.  The fan-out push is its only caller, so
-  the drop happens before the sibling's policy advances and before its
-  tracker is renewed: the source keeps tracking the bound the sibling
-  still holds, and a master value escaping it still reaches the sibling
-  by a value-initiated refresh;
+* the same source's ``monitor.renew`` leaves a cache out of the fan-out
+  membership inside a :class:`FanoutDrop` window.  The membership is
+  read before a sibling's policy advances and before its tracker is
+  renewed, so the drop leaves both as they were: the source keeps
+  tracking the bound the sibling still holds, and a master value
+  escaping it still reaches the sibling by a value-initiated refresh;
 * each cache's ``refresh_batched`` raises :class:`CacheUnavailableError`
   inside a :class:`CacheCrash` window, so the scheduler fails its batch
   over to a sibling replica.
@@ -42,6 +42,18 @@ class OutageWindow(NamedTuple):
     source_id: str
     start: float
     end: float
+
+
+class _Excluding:
+    """A fan-out membership with some caches left out."""
+
+    def __init__(self, membership, left_out: set[str]) -> None:
+        self.membership, self.left_out = membership, left_out
+
+    def __contains__(self, cache_id: str) -> bool:
+        return cache_id not in self.left_out and (
+            self.membership is True or cache_id in self.membership
+        )
 
 
 class FanoutDrop(NamedTuple):
@@ -74,9 +86,6 @@ class FaultInjector:
         #: Windows by (kind, component ids): the fields before the times.
         self._windows: dict[tuple, list] = {}
         self._fail_next: dict[str, int] = {}
-        #: The cache whose request each source is serving: its own
-        #: tracker is never a fan-out target, so hiding it drops nothing.
-        self._requester: dict[str, str] = {}
         self.events = dict.fromkeys(
             ("source_outage", "fanout_drop", "cache_crash", "forced_failure"), 0
         )
@@ -122,7 +131,7 @@ class FaultInjector:
     def _wrap_source(self, source: DataSource) -> None:
         source_id = source.source_id
         handle = source.handle_refresh_request
-        trackers = source.monitor.trackers
+        renew = source.monitor.renew
 
         def handle_refresh_request(request):
             budget = self._fail_next.get(source_id, 0)
@@ -139,25 +148,31 @@ class FaultInjector:
                     f"source {source_id!r} is in an outage window",
                     sources=(source_id,),
                 )
-            self._requester[source_id] = request.cache_id
             return handle(request)
 
-        def trackers_view(key):
-            found = trackers(key)
-            requester = self._requester.get(source_id)
-            dropped = [
-                cache_id
-                for cache_id in found
-                if cache_id != requester
-                and self._active(FanoutDrop, source_id, cache_id)
-            ]
-            if not dropped:
-                return found
-            self.events["fanout_drop"] += len(dropped)
-            return {c: entry for c, entry in found.items() if c not in dropped}
+        def renew_dropping(
+            cache_id, table, column, tids, held, values, now, shape,
+            query_initiated, fanout,
+        ):
+            dropped = {
+                member
+                for trackers in held
+                for member in trackers
+                if member != cache_id and self._active(FanoutDrop, source_id, member)
+            } if fanout else set()
+            if dropped:
+                # One event per (object, dropped sibling) pair.
+                self.events["fanout_drop"] += sum(
+                    member in trackers for trackers in held for member in dropped
+                )
+                fanout = _Excluding(fanout, dropped)
+            return renew(
+                cache_id, table, column, tids, held, values, now, shape,
+                query_initiated, fanout,
+            )
 
         source.handle_refresh_request = handle_refresh_request
-        source.monitor.trackers = trackers_view
+        source.monitor.renew = renew_dropping
 
     def _wrap_cache(self, cache) -> None:
         cache_id = cache.cache_id

@@ -263,7 +263,7 @@ def test_install_wraps_every_contact_source_and_cache():
     source = system.source("net")
     cache = system.cache(CACHE_ID)
     assert "handle_refresh_request" in vars(source)
-    assert "trackers" in vars(source.monitor)
+    assert "renew" in vars(source.monitor)
     assert "refresh_batched" in vars(cache)
     assert "handle_refresh_request" in vars(DataSource)
     assert "refresh_batched" in vars(DataCache)

@@ -52,12 +52,15 @@ class PerCacheMonitor:
         self, cache_id: str, key: ObjectKey, bound_function: BoundFunction,
         policy: WidthPolicy,
     ) -> None:
-        self._tracked[(cache_id, key)] = _TrackedBound(bound_function, policy)
+        self._tracked[(cache_id, key)] = _TrackedBound.of(bound_function, policy)
         self._by_key.setdefault(key, set()).add(cache_id)
 
     def update(self, cache_id: str, key: ObjectKey, bound_function: BoundFunction) -> None:
         entry = self._entry(cache_id, key)
-        entry.bound_function = bound_function
+        (
+            entry.value_at_refresh, entry.width_parameter, entry.refreshed_at
+        ) = bound_function.encode()
+        entry.shape = bound_function.shape
 
     def forget_cache(self, cache_id: str) -> None:
         for tracked_key in [k for k in self._tracked if k[0] == cache_id]:

@@ -1,39 +1,51 @@
 """The per-cell refresh application ``DataCache._apply_refresh`` used to be.
 
-One ``BoundFunction.at`` — a ``Bound`` — and one ``Table.update_value``
-(``Column.validate`` → ``ColumnStore.set``) per payload:
-the reference both delivery routes (a ``write_cell`` per payload, a
-``write_bounds`` per column) must match bit for bit.
+One ``BoundFunction`` per object, one ``BoundFunction.at`` — a ``Bound``
+— and one ``Table.update_value`` (``Column.validate`` →
+``ColumnStore.set``) per cell: the reference both delivery routes (a
+``write_cell`` per object, a ``write_bounds`` per column) must match bit
+for bit.
 """
 
 from __future__ import annotations
 
 import contextlib
 
+import repro.replication.cache as cache_module
+from repro.bounds.functions import BoundFunction
 from repro.replication.cache import DataCache
 from repro.replication.messages import Refresh, RefreshReason
 
 
 def apply_refresh_per_cell(cache: DataCache, refresh: Refresh) -> None:
-    """Install and materialize one message's payloads, cell by cell."""
+    """Install and materialize one message's objects, cell by cell."""
     now = cache.clock()
     if refresh.reason is RefreshReason.FANOUT:
-        cache.fanout_refreshes_received += len(refresh.payloads)
+        n_objects = sum(len(column.tids) for column in refresh.columns)
+        cache.fanout_refreshes_received += n_objects
         if cache._t_fanout_pushes is not None:
-            cache._t_fanout_pushes.inc(len(refresh.payloads))
-            cache._t_fanout_lag.observe(max(0.0, now - refresh.sent_at))
-    for payload in refresh.payloads:
-        key = payload.key
-        subscription = cache._subscriptions.get(key)
-        if subscription is None:
-            # Late message for an object deleted meanwhile; drop it.
-            continue
-        subscription.bound_function = payload.bound_function
-        subscription.params.install(subscription.slot, payload.bound_function)
-        table = cache.catalog.table(key.table)
-        if key.tid in table:
-            table.update_value(key.tid, key.column, payload.bound_function.at(now))
-        cache.refreshes_received += 1
+            cache._t_fanout_pushes.inc(n_objects)
+            cache._t_fanout_lag.observe(max(0.0, now - refresh.refreshed_at))
+    for table_name, column, tids, values, widths in refresh.columns:
+        params = cache._bound_columns.get((table_name, column))
+        for tid, value, width in zip(tids, values, widths):
+            slot = None if params is None else params.slot_of.get(tid)
+            if slot is None:
+                # Late message for an object deleted meanwhile; drop it.
+                continue
+            function = BoundFunction(
+                float(value), float(width), refresh.refreshed_at, refresh.shape
+            )
+            params.install(
+                slot, tid, *function.encode(), function.shape,
+                cache_module._SHAPE_CODES.get(
+                    type(function.shape), cache_module._CUSTOM_SHAPE
+                ),
+            )
+            table = cache.catalog.table(table_name)
+            if tid in table:
+                table.update_value(tid, column, function.at(now))
+            cache.refreshes_received += 1
 
 
 @contextlib.contextmanager

@@ -17,11 +17,11 @@ from repro.replication.cache import DataCache
 def sync_bounds_per_cell(cache: DataCache) -> None:
     """Re-evaluate every cached bound at the current time, cell by cell."""
     now = cache.clock()
-    for key, subscription in cache._subscriptions.items():
+    for key in cache.subscribed_keys():
         table = cache.catalog.table(key.table)
         if key.tid not in table:
             continue
-        evaluated = subscription.bound_function.at(now)
+        evaluated = cache.bound_function_of(key).at(now)
         if table.row(key.tid).bound(key.column) != evaluated:
             table.update_value(key.tid, key.column, evaluated)
 
@@ -29,8 +29,8 @@ def sync_bounds_per_cell(cache: DataCache) -> None:
 def table_width_per_key(cache: DataCache, table_name: str, now: float) -> float:
     """Total bound width of one table's subscriptions, key by key."""
     return math.fsum(
-        2.0 * cache._subscriptions[key].bound_function.half_width_at(now)
-        for key in cache._keys_by_table.get(table_name, ())
+        2.0 * cache.bound_function_of(key).half_width_at(now)
+        for key in cache.subscribed_keys(table_name)
     )
 
 

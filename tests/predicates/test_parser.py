@@ -17,25 +17,25 @@ from repro.predicates.parser import parse_predicate, tokenize
 
 class TestTokenizer:
     def test_basic(self):
-        tokens = tokenize("a >= 1.5 AND b < 2")
+        tokens = list(tokenize("a >= 1.5 AND b < 2"))
         kinds = [t.kind for t in tokens]
         assert kinds == ["ident", "op", "number", "ident", "ident", "op", "number", "eof"]
 
     def test_diamond_operator_normalized(self):
-        tokens = tokenize("a <> b")
+        tokens = list(tokenize("a <> b"))
         assert tokens[1].text == "!="
 
     def test_strings(self):
-        tokens = tokenize("ticker = 'IBM'")
+        tokens = list(tokenize("ticker = 'IBM'"))
         assert tokens[2].kind == "string"
         assert tokens[2].text == "'IBM'"
 
     def test_unknown_character_raises(self):
         with pytest.raises(SqlSyntaxError):
-            tokenize("a @ b")
+            list(tokenize("a @ b"))
 
     def test_positions_recorded(self):
-        tokens = tokenize("ab  <")
+        tokens = list(tokenize("ab  <"))
         assert tokens[0].pos == 0
         assert tokens[1].pos == 4
 

@@ -111,7 +111,9 @@ class MonitorMachine(RuleBasedStateMachine):
 
     def _refresh(self, monitor, oracle, cache_id, key, width):
         function = BoundFunction(self.master[key], width, self.now, self.shape)
-        monitor.update(key, monitor.entry(cache_id, key), function)
+        monitor.update(
+            key, monitor.entry(cache_id, key), *function.encode(), function.shape
+        )
         oracle.update(cache_id, key, function)
 
     @rule(c=cache_index, side=st.integers(0, 1), k=key_index, then=maybe_bursts)

@@ -1,24 +1,26 @@
 """Property: both refresh-delivery routes ≡ the per-cell reference.
 
-``DataCache._apply_refresh`` lands a message in the arrays — one
-``ColumnStore.write_cell`` per payload below the route constant, one
-``write_bounds`` per column from it upward — without a ``Bound``, a
-``Row`` or a schema check.  The loop it replaced lives on in
-``tests/oracle/percell_refresh.py``.  Two twin deployments (K replicas
+``DataCache._apply_refresh`` lands a message — per column the arrays
+``(tids, V, W)``, one ``T_r`` and one shape for the whole message — in
+the arrays: one ``ColumnStore.write_cell`` per object below the route
+constant, one ``write_bounds`` per column from it upward, without a
+``Bound``, a ``BoundFunction``, a ``Row`` or a schema check.  The loop it
+replaced lives on in ``tests/oracle/percell_refresh.py``.  Two twin deployments (K replicas
 in one fan-out group, two shards with different bound shapes) replay the
 same schedule, one delivering through the arrays, the other cell by
 cell, and after **every op** — without a sync in between — the twins
-must agree bit for bit: ``_BoundColumn`` arrays, ``ColumnStore`` arrays,
+must agree bit for bit: ``_BoundColumn`` arrays and slot maps, the bound
+function rebuilt for every subscribed object, ``ColumnStore`` arrays,
 exactness counters, the width and endpoint orderings after repair, every
 ``Row`` read, and the store version must move when a cell did.
 
 The ops deliver every kind of message: value-initiated pushes (master
 writes), query-initiated batches below and above the route constant
 with their fan-out to the K − 1 siblings, and hand-built messages that
-name a key twice, name tuples the master deleted (subscription gone) or
-the cache evicted (subscription live, row gone), mix sqrt / linear /
-constant / custom shapes — one of them with ``f(0) ≠ 0`` — and were sent
-before ``now``.  The route constant is lowered so eight-row tables
+name a tuple twice (in one column array or in two arrays of one column),
+name tuples the master deleted (subscription gone) or the cache evicted
+(subscription live, row gone), carry sqrt / linear / constant / custom
+shapes — one of them with ``f(0) ≠ 0`` — and were sent before ``now``.  The route constant is lowered so eight-row tables
 cross it; ``test_real_route_constant_*`` pins the shipped value.
 """
 
@@ -31,12 +33,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.replication.cache as cache_module
-from repro.bounds.functions import BoundFunction, ConstantShape, LinearShape, SqrtShape
+from repro.bounds.functions import (
+    BoundFunction,
+    ConstantShape,
+    LinearShape,
+    SqrtShape,
+    endpoints,
+)
 from repro.errors import BoundError
 from repro.replication.messages import (
+    ColumnRefresh,
     ObjectKey,
     Refresh,
-    RefreshPayload,
     RefreshReason,
 )
 from repro.replication.system import TrappSystem
@@ -83,10 +91,7 @@ def schedules(draw):
     index = st.integers(min_value=0, max_value=11)
     width = st.sampled_from((0.0, 0.125, 1.0, 3.5))
     age = st.sampled_from((0.0, 0.0, 0.5, 4.0))
-    payload = st.tuples(
-        index, st.sampled_from(BOUNDED), grid, width,
-        st.integers(0, len(MESSAGE_SHAPES) - 1), age,
-    )
+    entry = st.tuples(index, st.sampled_from(BOUNDED), grid, width)
     op = st.one_of(
         st.tuples(st.just("advance"), st.sampled_from((0.0, 0.25, 1.0, 7.0))),
         st.tuples(st.just("write"), index, st.sampled_from(BOUNDED), grid),
@@ -94,7 +99,8 @@ def schedules(draw):
         st.tuples(
             st.just("message"), index,
             st.sampled_from(tuple(RefreshReason)),
-            st.lists(payload, min_size=1, max_size=12), age,
+            st.lists(entry, min_size=1, max_size=12),
+            st.integers(0, len(MESSAGE_SHAPES) - 1), age,
         ),
         st.tuples(st.just("insert"), grid, grid),
         st.tuples(st.just("delete"), index),
@@ -145,15 +151,18 @@ def _assert_twins_agree(ours: TrappSystem, theirs: TrappSystem, context: str):
         assert new.refreshes_received == old.refreshes_received, where
         assert new.fanout_refreshes_received == old.fanout_refreshes_received, where
         # The bound functions: per object and as parallel arrays.
-        assert new._subscriptions.keys() == old._subscriptions.keys(), where
-        for key, subscription in new._subscriptions.items():
-            twin = old._subscriptions[key]
-            assert subscription.bound_function == twin.bound_function, (where, key)
-            assert subscription.slot == twin.slot, (where, key)
+        keys = new.subscribed_keys()
+        assert keys == old.subscribed_keys(), where
+        for key in keys:
+            assert new.bound_function_of(key) == old.bound_function_of(key), (
+                where, key,
+            )
         assert new._bound_columns.keys() == old._bound_columns.keys(), where
         for name, params in new._bound_columns.items():
             twin = old._bound_columns[name]
             assert params.n == twin.n, (where, name)
+            assert params.slot_of == twin.slot_of, (where, name)
+            assert params.custom == twin.custom, (where, name)
             for mine, yours in zip(params.parameters(), twin.parameters()):
                 assert mine.tobytes() == yours.tobytes(), (where, name)
         # The cells: raw arrays, counters, memoized snapshots, orderings.
@@ -193,16 +202,38 @@ def _assert_twins_agree(ours: TrappSystem, theirs: TrappSystem, context: str):
                 assert bound.hi == a.columns._hi[column][slot], where
 
 
+def _columns(entries) -> tuple[ColumnRefresh, ...]:
+    """``(tid, column, V, W)`` entries as one column array per run of
+    entries naming the same column: arrays as a source's answer carries
+    them, one-element tuples as a push does."""
+    runs: list[list] = []
+    for entry in entries:
+        if runs and runs[-1][0][1] == entry[1]:
+            runs[-1].append(entry)
+        else:
+            runs.append([entry])
+    built = []
+    for run in runs:
+        tids = tuple(tid for tid, _, _, _ in run)
+        values = [value for _, _, value, _ in run]
+        widths = [width for _, _, _, width in run]
+        if len(run) == 1:
+            values, widths = tuple(values), tuple(widths)
+        else:
+            values, widths = np.array(values), np.array(widths)
+        built.append(ColumnRefresh("t", run[0][1], tids, values, widths))
+    return tuple(built)
+
+
 def _message(system, op, tids_ever):
     """The hand-built message of a ``message`` op, for one twin."""
-    _, _, reason, payloads, sent_age = op
+    _, _, reason, entries, shape, age = op
     now = system.clock.now()
-    built = []
-    for index, column, value, width, shape, age in payloads:
-        key = ObjectKey("t", tids_ever[index % len(tids_ever)], column)
-        function = BoundFunction(value, width, now - age, MESSAGE_SHAPES[shape])
-        built.append(RefreshPayload(key, value, function))
-    return Refresh("s/0", reason, tuple(built), sent_at=now - sent_age)
+    columns = _columns(
+        (tids_ever[index % len(tids_ever)], column, value, width)
+        for index, column, value, width in entries
+    )
+    return Refresh("s/0", reason, columns, now - age, MESSAGE_SHAPES[shape])
 
 
 @settings(max_examples=150, deadline=None)
@@ -305,32 +336,32 @@ def _flat_master(n: int) -> Table:
 @pytest.mark.parametrize("replicas", [1, 2, 3])
 @pytest.mark.parametrize("n_payloads", [1, LOW_FLOOR - 1, LOW_FLOOR, 16])
 def test_a_key_named_twice_keeps_its_last_payload(replicas, n_payloads):
-    """On either side of the route constant, and against the reference."""
+    """On either side of the route constant, and against the reference:
+    named twice in one column array (up to 8 entries) or in two arrays of
+    the same column (16)."""
     ours = _build(_flat_master(8), SOURCE_SHAPES[:2], replicas, 5.0)
     theirs = _build(_flat_master(8), SOURCE_SHAPES[:2], replicas, 5.0)
     now = ours.clock.now()
-    payloads = []
-    for index in range(n_payloads):
-        key = ObjectKey("t", 1 + index % 8, BOUNDED[(index // 8) % 2])
-        payloads.append(
-            RefreshPayload(key, 10.0 + index, BoundFunction(10.0 + index, 0.5, now - 1.0))
-        )
-    key = payloads[0].key
-    first = RefreshPayload(key, -50.0, BoundFunction(-50.0, 2.0, now - 4.0, LinearShape()))
-    last = RefreshPayload(key, 99.0, BoundFunction(99.0, 0.25, now - 1.0, CubeRootShape()))
+    entries = [
+        (1 + index % 8, BOUNDED[(index // 8) % 2], 10.0 + index, 0.5)
+        for index in range(n_payloads)
+    ]
+    tid, column = entries[0][:2]
+    entries[0] = (tid, column, -50.0, 2.0)
+    entries.append((tid, column, 99.0, 0.25))
     message = Refresh(
-        "s/0", RefreshReason.QUERY_INITIATED, (first, *payloads[1:], last), sent_at=now
+        "s/0", RefreshReason.QUERY_INITIATED, _columns(entries), now - 1.0,
+        CubeRootShape(),
     )
     ours.cache("g/0")._on_message("g/0", message)
     with per_cell_refresh():
         theirs.cache("g/0")._on_message("g/0", message)
     _assert_twins_agree(ours, theirs, f"{n_payloads} payloads")
     cache = ours.cache("g/0")
-    assert cache.bound_function_of(key) is last.bound_function
-    assert cache.table("t").columns.cell(key.tid, key.column) == (
-        last.bound_function.endpoints_at(now)
-    )
-    route = "column" if len(message.payloads) >= LOW_FLOOR else "cell"
+    last = BoundFunction(99.0, 0.25, now - 1.0, CubeRootShape())
+    assert cache.bound_function_of(ObjectKey("t", tid, column)) == last
+    assert cache.table("t").columns.cell(tid, column) == last.endpoints_at(now)
+    route = "column" if len(entries) >= LOW_FLOOR else "cell"
     assert (cache.cell_route_messages, cache.column_route_messages) == (
         (0, 1) if route == "column" else (1, 0)
     )
@@ -338,31 +369,29 @@ def test_a_key_named_twice_keeps_its_last_payload(replicas, n_payloads):
 
 @pytest.mark.parametrize("n_payloads", [2, 16])
 def test_both_routes_raise_what_the_reference_raises(n_payloads):
-    """A payload refreshed after ``now``, and one whose endpoints are NaN."""
-    for bad in (
-        lambda now: BoundFunction(1.0, 1.0, now + 5.0),
-        lambda now: BoundFunction(float("inf"), float("inf"), now - 1.0),
-    ):
+    """A message refreshed after ``now``, and one object whose endpoints
+    are NaN."""
+    for late, bad in ((5.0, (1.0, 1.0)), (-1.0, (float("inf"), float("inf")))):
         ours = _build(_flat_master(8), SOURCE_SHAPES[:2], 1, 5.0)
         theirs = _build(_flat_master(8), SOURCE_SHAPES[:2], 1, 5.0)
         now = ours.clock.now()
-        payloads = [
-            RefreshPayload(
-                ObjectKey("t", 1 + index % 8, BOUNDED[index // 8]),
-                1.0,
-                BoundFunction(1.0, 0.5, now),
-            )
+        entries = [
+            (1 + index % 8, BOUNDED[index // 8], 1.0, 0.5)
             for index in range(n_payloads - 1)
         ]
-        payloads.append(RefreshPayload(ObjectKey("t", 8, "y"), 1.0, bad(now)))
+        entries.append((8, "y", *bad))
         message = Refresh(
-            "s/0", RefreshReason.VALUE_INITIATED, tuple(payloads), sent_at=now
+            "s/0", RefreshReason.VALUE_INITIATED, _columns(entries), now + late,
+            SqrtShape(),
         )
         with pytest.raises(BoundError) as new_error:
             ours.cache("g/0")._on_message("g/0", message)
         with per_cell_refresh(), pytest.raises(BoundError) as old_error:
             theirs.cache("g/0")._on_message("g/0", message)
         assert str(new_error.value) == str(old_error.value)
+        with pytest.raises(BoundError) as formula_error:
+            endpoints(*bad, now + late, SqrtShape(), now)
+        assert str(new_error.value) == str(formula_error.value)
 
 
 def test_real_route_constant_splits_query_initiated_batches(monkeypatch):

@@ -242,12 +242,9 @@ def test_table_width_is_iteration_order_independent():
 
     now = system.clock.now()
     for cache in (system.cache("edge/0"), joiner):
-        keys = sorted(
-            cache._keys_by_table["t"], key=lambda k: (k.tid, k.column)
-        )
+        keys = sorted(cache.subscribed_keys("t"), key=lambda k: (k.column, -k.tid))
         reference = math.fsum(
-            2.0 * cache._subscriptions[key].bound_function.half_width_at(now)
-            for key in keys
+            2.0 * cache.bound_function_of(key).half_width_at(now) for key in keys
         )
         assert table_width_per_key(cache, "t", now) == reference
     assert table_width_per_key(joiner, "t", now) == table_width_per_key(

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.bounds.functions import BoundFunction
+import numpy as np
+
+from repro.bounds.functions import LinearShape, SqrtShape
 from repro.errors import (
     SqlSyntaxError,
     TrappError,
@@ -11,9 +13,9 @@ from repro.errors import (
 )
 from repro.replication.messages import (
     CardinalityChange,
+    ColumnRefresh,
     ObjectKey,
     Refresh,
-    RefreshPayload,
     RefreshReason,
     RefreshRequest,
 )
@@ -49,49 +51,49 @@ class TestObjectKey:
 
 
 class TestMessages:
-    def test_refresh_request_carries_keys(self):
-        request = RefreshRequest(
-            cache_id="c1", keys=(ObjectKey("t", 1, "x"), ObjectKey("t", 2, "x"))
-        )
+    def test_refresh_request_names_a_table_and_tids(self):
+        request = RefreshRequest(cache_id="c1", table="t", tids=(1, 2))
         assert request.cache_id == "c1"
-        assert len(request.keys) == 2
+        assert (request.table, request.tids) == ("t", (1, 2))
 
-    def test_refresh_payload_and_reason(self):
-        bf = BoundFunction(5.0, 1.0, 0.0)
-        payload = RefreshPayload(ObjectKey("t", 1, "x"), 5.0, bf)
+    def test_column_refresh_and_reason(self):
+        column = ColumnRefresh("t", "x", (1, 2), np.array([5.0, 6.0]), np.array([1.0, 0.5]))
         refresh = Refresh(
-            source_id="s", reason=RefreshReason.VALUE_INITIATED,
-            payloads=(payload,), sent_at=3.0,
+            "s", RefreshReason.QUERY_INITIATED, (column,), 3.0, SqrtShape()
         )
-        assert refresh.reason is RefreshReason.VALUE_INITIATED
-        assert refresh.payloads[0].value == 5.0
-        assert refresh.sent_at == 3.0
+        assert refresh.reason is RefreshReason.QUERY_INITIATED
+        assert refresh.columns[0].values.tolist() == [5.0, 6.0]
+        assert refresh.refreshed_at == 3.0
 
-    def test_refresh_and_payload_are_tuples_of_their_fields(self):
+    def test_refresh_and_column_refresh_are_tuples_of_their_fields(self):
         """Built once per push on the write path: constructed in C."""
-        bf = BoundFunction(5.0, 1.0, 0.0)
-        key = ObjectKey("t", 1, "x")
-        payload = RefreshPayload(key=key, value=5.0, bound_function=bf)
-        assert isinstance(payload, tuple)
-        assert RefreshPayload._fields == ("key", "value", "bound_function")
-        assert payload == RefreshPayload(key, 5.0, bf) == (key, 5.0, bf)
-        unpacked_key, value, function = payload
-        assert (unpacked_key, value, function) == (key, 5.0, bf)
+        column = ColumnRefresh(
+            table="t", column="x", tids=(1,), values=(5.0,), widths=(1.0,)
+        )
+        assert isinstance(column, tuple)
+        assert ColumnRefresh._fields == ("table", "column", "tids", "values", "widths")
+        assert column == ColumnRefresh("t", "x", (1,), (5.0,), (1.0,))
+        table, name, tids, values, widths = column
+        assert (table, name, tids, values, widths) == ("t", "x", (1,), (5.0,), (1.0,))
         refresh = Refresh(
-            source_id="s", reason=RefreshReason.QUERY_INITIATED, payloads=(payload,)
+            source_id="s", reason=RefreshReason.VALUE_INITIATED, columns=(column,),
+            refreshed_at=2.0, shape=LinearShape(),
         )
         assert isinstance(refresh, tuple)
-        assert Refresh._fields == ("source_id", "reason", "payloads", "sent_at")
-        assert refresh.sent_at == 0.0  # the default survives
-        assert refresh == Refresh("s", RefreshReason.QUERY_INITIATED, (payload,), 0.0)
-        assert refresh._replace(sent_at=2.0).sent_at == 2.0
-        for message in (payload, refresh):
+        assert Refresh._fields == (
+            "source_id", "reason", "columns", "refreshed_at", "shape"
+        )
+        assert refresh == Refresh(
+            "s", RefreshReason.VALUE_INITIATED, (column,), 2.0, LinearShape()
+        )
+        assert refresh._replace(refreshed_at=4.0).refreshed_at == 4.0
+        for message in (column, refresh):
             with pytest.raises(AttributeError):
-                message.value = 1.0
+                message.table = "u"
         with pytest.raises(TypeError):
-            RefreshPayload(key, 5.0)  # no default but ``sent_at``
+            Refresh("s", RefreshReason.VALUE_INITIATED, (column,), 2.0)  # no defaults
         # The cache dispatches on the class, never on tuple-ness.
-        assert not isinstance(RefreshRequest("c", (key,)), tuple)
+        assert not isinstance(RefreshRequest("c", "t", (1,)), tuple)
         assert not isinstance(CardinalityChange("s", "t", 1), tuple)
 
     def test_cardinality_change_flags(self):

@@ -251,7 +251,7 @@ class TestShardedCache:
         # Nothing leaked: no table, no subscriptions, and a valid
         # sharded source can still claim the name.
         assert "links" not in cache.catalog
-        assert not cache._subscriptions
+        assert not cache.subscribed_keys()
         fixed = ShardedSource.create("net2", 2)
         fixed.add_table(master.copy())
         table = cache.subscribe_table(fixed, "links")

@@ -15,7 +15,7 @@ from repro.errors import (
     TrappError,
     UnknownColumnError,
 )
-from repro.replication.messages import ObjectKey, RefreshReason
+from repro.replication.messages import ObjectKey, RefreshReason, RefreshRequest
 from repro.replication.sharding import ShardedSource
 from repro.replication.source import DataSource
 from repro.replication.cache import DataCache
@@ -128,7 +128,7 @@ class TestValueInitiatedRefresh:
         source.monitor.track(
             "c1",
             key,
-            source.register("c1b", key, policy=FixedWidthPolicy(100.0)).bound_function,
+            source.register("c1b", key, policy=FixedWidthPolicy(100.0)),
             FixedWidthPolicy(100.0),
         )
         clock.advance(1.0)
@@ -344,7 +344,7 @@ class TestRejectedUpdates:
 
         assert shard.table("links").row(1).number("latency") == master
         assert shard.monitor.entry("c1", self.KEY) is entry
-        assert entry.bound_function is function
+        assert entry.bound_function == function
         assert shard.monitor.tracked_count() == tracked
         assert shard.value_initiated_refreshes == 0
         cache.sync_bounds()  # used to raise forever after a NaN update
@@ -354,8 +354,8 @@ class TestRejectedUpdates:
     def test_a_numeric_string_is_coerced_once(self, clock, source, cache):
         clock.advance(9.0)
         [refresh] = source.apply_update(self.KEY, "500")
-        assert refresh.payloads[0].value == 500.0
-        assert refresh.payloads[0].bound_function.value_at_refresh == 500.0
+        assert refresh.columns[0].values == (500.0,)
+        assert refresh.columns[0].tids == (self.KEY.tid,)
         assert source.table("links").row(1)["latency"] == 500.0
 
     @pytest.mark.parametrize("column", ["latency", "cost"])
@@ -369,14 +369,14 @@ class TestRejectedUpdates:
         before = (
             master.tids(), master.columns.version, master.columns.layout_version,
             source.monitor.tracked_count(), cache.table("links").tids(),
-            cache.table("links").columns.version, len(cache._subscriptions),
+            cache.table("links").columns.version, len(cache.subscribed_keys()),
         )
         with pytest.raises(SchemaError, match="NaN"):
             source.insert_row("links", values)
         assert before == (
             master.tids(), master.columns.version, master.columns.layout_version,
             source.monitor.tracked_count(), cache.table("links").tids(),
-            cache.table("links").columns.version, len(cache._subscriptions),
+            cache.table("links").columns.version, len(cache.subscribed_keys()),
         )
         clock.advance(9.0)
         cache.sync_bounds()
@@ -553,22 +553,48 @@ class TestMasterValueReads:
     """A query-initiated refresh reads each master value once, from the
     master's ``ColumnStore``, whatever the fan-out."""
 
-    def test_one_read_per_requested_key(self, clock, source, monkeypatch):
+    def test_one_gather_per_requested_column(self, clock, source, monkeypatch):
         source.refresh_fanout = True
         requester, *_ = _replicas(clock, source, 3)
         clock.advance(9.0)
+        master = source.table("links").columns
         reads = []
-        master_value = DataSource._master_value
+        read_bounds = ColumnStore.read_bounds
 
-        def counting(self, key):
-            reads.append(key)
-            return master_value(self, key)
+        def counting(store, column, slots):
+            reads.append((store is master, column, len(slots)))
+            return read_bounds(store, column, slots)
 
-        monkeypatch.setattr(DataSource, "_master_value", counting)
+        monkeypatch.setattr(ColumnStore, "read_bounds", counting)
+        monkeypatch.setattr(DataSource, "_master_value", _boom)  # not per key
         monkeypatch.setattr(Table, "row", _boom)  # not through the rows
         requester.refresh_batched(requester.table("links"), [1, 2, 3, 4])
-        assert len(reads) == len(set(reads)) == 4 * 3
+        assert reads == [
+            (True, column, 4) for column in ("latency", "bandwidth", "traffic")
+        ]
         assert source.fanout_refreshes == 2 * 12
+
+    def test_a_bad_request_raises_before_any_tracker_moves(self, clock, source):
+        cache = DataCache("c1", clock=clock.now)
+        cache.subscribe_table(source, "links")
+        clock.advance(9.0)
+        trackers = {
+            key: entry.encode() for key, entry in source.monitor.entries_for_cache("c1")
+        }
+        for request, error in (
+            (RefreshRequest("c1", "links", (1, 99)), TrappError),
+            (RefreshRequest("c2", "links", (1, 2)), ReplicationProtocolError),
+            (RefreshRequest("c1", "ghosts", (1,)), ReplicationProtocolError),
+        ):
+            with pytest.raises(error):
+                source.handle_refresh_request(request)
+        source.table("links").update_value(2, "traffic", Bound(1.0, 2.0))
+        with pytest.raises(TypeError, match="non-exact"):
+            source.handle_refresh_request(RefreshRequest("c1", "links", (1, 2)))
+        assert trackers == {
+            key: entry.encode() for key, entry in source.monitor.entries_for_cache("c1")
+        }
+        assert source.query_initiated_refreshes == 0
 
     def test_unserved_and_non_exact_objects_raise_as_before(self, source):
         with pytest.raises(ReplicationProtocolError):

@@ -17,9 +17,9 @@ from repro.core.executor import drive_steps, table_steps
 from repro.errors import BoundError
 from repro.replication.cache import DataCache
 from repro.replication.messages import (
+    ColumnRefresh,
     ObjectKey,
     Refresh,
-    RefreshPayload,
     RefreshReason,
 )
 from repro.replication.source import DataSource
@@ -149,11 +149,14 @@ class TestSyncNoOpSkip:
 
 def _install(cache, key, function):
     """Deliver one crafted bound function as a value-initiated refresh."""
+    value, width, refreshed_at = function.encode()
     cache._apply_refresh(
         Refresh(
             source_id="s1",
             reason=RefreshReason.VALUE_INITIATED,
-            payloads=(RefreshPayload(key, function.value_at_refresh, function),),
+            columns=(ColumnRefresh(key.table, key.column, (key.tid,), (value,), (width,)),),
+            refreshed_at=refreshed_at,
+            shape=function.shape,
         )
     )
 
@@ -177,7 +180,7 @@ class TestBulkSync:
         for step in (0.0, 0.5, 13.0):
             clock.advance(step)
             cache.sync_bounds()
-            for key in cache._subscriptions:
+            for key in cache.subscribed_keys():
                 expected = cache.bound_function_of(key).at(clock.now())
                 assert table.row(key.tid).bound(key.column) == expected
 
@@ -254,12 +257,13 @@ class TestBulkSync:
         for (table, column), params in cache._bound_columns.items():
             tids = params.tids[: params.n].tolist()
             assert 2 not in tids and len(set(tids)) == len(tids)
+            assert sorted(params.slot_of) == sorted(tids)
             for tid in tids:
-                subscription = cache._subscriptions[ObjectKey(table, tid, column)]
-                assert params.tids[subscription.slot] == tid
-                function = subscription.bound_function
-                assert params.value[subscription.slot] == function.value_at_refresh
-                assert params.width[subscription.slot] == function.width_parameter
+                slot = params.slot_of[tid]
+                assert params.tids[slot] == tid
+                function = cache.bound_function_of(ObjectKey(table, tid, column))
+                assert params.value[slot] == function.value_at_refresh
+                assert params.width[slot] == function.width_parameter
 
 
 class TestSyncTelemetry:
@@ -268,7 +272,7 @@ class TestSyncTelemetry:
 
         registry = MetricsRegistry()
         cache.attach_telemetry(registry)
-        cells = len(cache._subscriptions)
+        cells = len(cache.subscribed_keys())
         clock.advance(3.0)
         cache.sync_bounds()
         cache.sync_bounds()  # standing clock: every cell unchanged

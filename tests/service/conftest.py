@@ -86,7 +86,6 @@ class FakeCache:
                 SourceRefreshReceipt(
                     source_id=source_id,
                     tids=frozenset(source_tids),
-                    keys=(),
                     cost=cost,
                 )
             )
