@@ -8,8 +8,8 @@ evaluated from the current bound functions.  It implements the executor's
 cache performs query-initiated refreshes through the replication protocol.
 
 Time handling: bound functions widen continuously, so the cache
-re-evaluates every tracked bound at the current clock reading before a
-query runs (:meth:`DataCache.sync_bounds`).  Bound functions are closed
+re-evaluates the tracked bounds a query reads at the current clock
+reading before it runs (:meth:`DataCache.sync_bounds`).  Bound functions are closed
 form — ``V ± W·f(T_c − T_r)`` (§3.2, Appendix A) — so the cache keeps
 each cached column's ``(V, W, T_r, shape)`` as parallel arrays
 (:class:`_BoundColumn`) and the sync is one array evaluation plus one
@@ -268,7 +268,7 @@ def _half_widths(
         # max(0.0, elapsed) exactly as Python evaluates it (signed zeros, NaN).
         ramp = np.where(elapsed > 0.0, elapsed, 0.0)
         root = np.sqrt(ramp)
-        if not codes.any():
+        if not np.count_nonzero(codes):
             return width * root, []
         step = (elapsed > 0.0).astype(np.float64)
         factors = np.select(
@@ -656,11 +656,20 @@ class DataCache:
     # ------------------------------------------------------------------
     # Clock synchronization
     # ------------------------------------------------------------------
-    def sync_bounds(self) -> None:
-        """Re-evaluate every cached bound at the current time.
+    def sync_bounds(
+        self, columns: Iterable[tuple[str, str]] | None = None
+    ) -> None:
+        """Re-evaluate cached bounds at the current time.
 
         Bound functions widen as time passes; queries must see the bound at
-        query time, not at last-message time.  Each cached column is one
+        query time, not at last-message time.  ``columns`` names the
+        ``(table, column)`` pairs to bring up to the clock — a compiled
+        plan's ``columns_read``, so an execution syncs only what it reads;
+        exact or unknown pairs are skipped.  ``None`` syncs every cached
+        column.  A column is evaluated from its bound functions alone, so
+        a scoped sync writes, bit for bit, what a full sync at the same
+        reading writes to that column; the others keep their endpoints as
+        last written until a sync that names them.  Each column is one
         array evaluation and one bulk ``ColumnStore.write_bounds``.
 
         Unchanged bounds are skipped: rewriting a cell with the value it
@@ -672,7 +681,14 @@ class DataCache:
         now = self.clock()
         started = time.perf_counter()
         cells = rewritten = 0
-        for params in self._bound_columns.values():
+        if columns is None:
+            synced = self._bound_columns.values()
+        else:
+            bound_columns = self._bound_columns
+            synced = [
+                bound_columns[key] for key in columns if key in bound_columns
+            ]
+        for params in synced:
             if not params.n:
                 continue
             table = self.catalog.table(params.table)
@@ -696,9 +712,12 @@ class DataCache:
         Bit-identical to :meth:`BoundFunction.at` cell by cell, and
         raising what it raises.
         """
+        # ``count_nonzero`` rather than ``.any()`` throughout: one C call,
+        # where ``.any()`` dispatches through Python (a column is synced
+        # on every execution that reads it).
         tids, value, width, refreshed_at, codes = params.parameters(held)
         early = now < refreshed_at - 1e-12
-        if early.any():
+        if np.count_nonzero(early):
             at = int(np.flatnonzero(early)[0])
             raise BoundError(
                 f"bound evaluated at {now} before its refresh time "
@@ -713,7 +732,7 @@ class DataCache:
                 value.item(at), width.item(at), refreshed_at.item(at),
                 params.custom[tids.item(at)], now,
             )
-        if np.isnan(lo).any() or np.isnan(hi).any():
+        if np.count_nonzero(np.isnan(lo)) or np.count_nonzero(np.isnan(hi)):
             raise BoundError("bound endpoints must not be NaN")
         return lo, hi
 

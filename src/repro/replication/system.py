@@ -315,7 +315,9 @@ class TrappSystem:
         against the cache; the concurrent
         :class:`~repro.service.QueryService` drives the *same*
         generators through its refresh scheduler, so the two paths
-        return identical answers for identical interleavings.
+        return identical answers for identical interleavings.  Like
+        the service, it first syncs the columns the plan reads
+        (``columns_read``) and no other.
         ``cost`` prices each tuple's refresh (§3).
         GROUP BY statements return a
         :class:`~repro.extensions.groupby.GroupedAnswer` (per-group
@@ -328,7 +330,6 @@ class TrappSystem:
         from repro.sql.steps import plan_steps
 
         cache = self.cache(cache_id)
-        cache.sync_bounds()
-        statement = parse_statement(sql)
-        plan = compile_statement(statement, cache.catalog)
+        plan = compile_statement(parse_statement(sql), cache.catalog)
+        cache.sync_bounds(plan.columns_read)
         return drive_steps(plan_steps(plan, cost), cache)

@@ -696,7 +696,14 @@ class RefreshScheduler:
             return source_id
 
         def sources_of(pending: _Pending, tids) -> set[str]:
+            if not tids:
+                return set()
             table = pending.request.table
+            # A table served by one source routes every tuple there: no
+            # per-tuple probe.
+            sources = pending.cache.sources_of_table(table)
+            if len(sources) == 1:
+                return set(sources)
             return {source_of_tid(pending.cache, table, tid) for tid in tids}
 
         # Sources pinned by plans we cannot rebatch pay setup regardless.

@@ -39,16 +39,25 @@ CHOOSE_REFRESH) runs synchronously between await points, so no other
 query can mutate the cache mid-plan; and coalesced refreshes only ever
 collapse *more* bounds than a query planned for, which never widens its
 answer.  What *can* widen bounds under a suspended query — another
-query's ``sync_bounds`` (every execution syncs its cache first) or a
-value-initiated refresh — is answered by the step generators themselves:
-a recheck that misses its constraint plans again over the current bounds
-(counted as ``trapp_service_events_total{event="replan"}``).
+query's ``sync_bounds`` (every execution first syncs the columns it
+reads) or a value-initiated refresh — is answered by the step generators
+themselves: a recheck that misses its constraint plans again over the
+current bounds (counted as ``trapp_service_events_total{event="replan"}``).
+
+A repeated statement is parsed, compiled and keyed once: the service
+keeps each text's parsed statement, and per ``(text, routed cache)`` the
+compiled plan, the columns it reads and its result-cache key — served
+only while every table the plan names *is* that cache's current catalog
+table, so a replica detached and added again, or a new replica under an
+old id, compiles afresh.  Both maps are least-recently-used, bounded by
+:data:`STATEMENT_CACHE_ENTRIES`; an error is never cached.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.core.answer import BoundedAnswer
@@ -61,12 +70,17 @@ from repro.replication.system import TrappSystem
 from repro.service.results import ResultCache
 from repro.service.routing import StickyRouter
 from repro.service.scheduler import RefreshScheduler
+from repro.sql.ast import SelectStatement
 from repro.sql.compiler import AnyQueryPlan, compile_statement
 from repro.sql.parser import parse_statement
 from repro.sql.steps import plan_steps
 from repro.telemetry import Telemetry
 
-__all__ = ["QueryService", "ServiceResult"]
+__all__ = ["QueryService", "ServiceResult", "STATEMENT_CACHE_ENTRIES"]
+
+#: Parsed statements, and compiled plans per ``(text, routed cache)``,
+#: the service keeps; beyond this many the least recently used is dropped.
+STATEMENT_CACHE_ENTRIES = 1024
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,6 +97,43 @@ class ServiceResult:
     #: The cache that served (or would have served) the query — the pinned
     #: cache, or the replica the router picked for a group query.
     cache_id: str = ""
+
+
+@dataclass(slots=True)
+class _Prepared:
+    """One statement compiled for one cache: its plan, the columns an
+    execution syncs, and its result-cache key."""
+
+    plan: AnyQueryPlan
+    #: What ``sync_bounds`` brings up to the clock (``None``: every column).
+    columns_read: tuple[tuple[str, str], ...] | None
+    #: The scope the key was last rendered for: a statement on one cache
+    #: keeps one scope until the cache joins or leaves a fan-out group.
+    scope: str | None = None
+    scoped_key: tuple | None = None
+
+    def key(self, scope: str) -> tuple:
+        """The result-cache key under ``scope`` (a cache or group id)."""
+        if scope != self.scope:
+            self.scope, self.scoped_key = scope, _result_key(self.plan, scope)
+        return self.scoped_key
+
+
+def _result_key(plan: AnyQueryPlan, scope: str, degraded: bool = False) -> tuple:
+    """A plan's result-cache key under ``scope``.
+
+    The ``"degraded"`` marker in a degraded key's extra keeps those
+    entries disjoint from healthy ones under the same scope.
+    """
+    return ResultCache.make_key(
+        scope,
+        plan.table_names,
+        plan.aggregate,
+        plan.column_key,
+        plan.predicate,
+        plan.constraint.width,
+        extra=(plan.cache_extra, "degraded") if degraded else plan.cache_extra,
+    )
 
 
 class QueryService:
@@ -135,7 +186,23 @@ class QueryService:
         #: Replicas mid-detach: kept out of routing while their in-flight
         #: queries drain, so the ledger count falls monotonically to zero.
         self._draining: set[str] = set()
+        #: The statement cache: text → parsed statement, and
+        #: ``(text, cache id)`` → compiled plan; LRU, both bounded by
+        #: :data:`STATEMENT_CACHE_ENTRIES`.
+        self._statements: OrderedDict[str, SelectStatement] = OrderedDict()
+        self._prepared: OrderedDict[tuple[str, str], _Prepared] = OrderedDict()
+        #: Labeled children of the per-query families, by label values.
+        self._children: dict[tuple, object] = {}
         registry = telemetry.registry
+        statement_events = registry.counter(
+            "trapp_statement_cache_events_total",
+            "Statement-cache behavior: plans served without parse or "
+            "compile, plans compiled, entries dropped past the bound",
+            ("event",),
+        )
+        self._c_statement_hit = statement_events.labels(event="hit")
+        self._c_statement_miss = statement_events.labels(event="miss")
+        self._c_statement_eviction = statement_events.labels(event="eviction")
         queries = registry.counter(
             "trapp_queries_total",
             "Queries by admission outcome",
@@ -267,48 +334,86 @@ class QueryService:
         self, cache_id: str, sql: str, client_id: str, trace
     ) -> ServiceResult:
         started = time.perf_counter()
-        statement = parse_statement(sql)
+        statement = self._parse(sql)
         is_group = self.system.is_group(cache_id)
         cache, group = self._resolve_cache(cache_id, client_id, statement.tables)
-        plan = compile_statement(statement, cache.catalog)
+        prepared = self._prepare(sql, statement, cache)
+        plan = prepared.plan
         self._admit(client_id, plan)
         try:
-            return await self._serve(cache, group, is_group, plan, client_id, trace)
+            return await self._serve(
+                cache, group, is_group, prepared, client_id, trace
+            )
         finally:
-            self._h_query_seconds.labels(
-                **{"class": plan.statement_class}
-            ).observe(time.perf_counter() - started)
+            self._bound(self._h_query_seconds, plan.statement_class).observe(
+                time.perf_counter() - started
+            )
+
+    def _bound(self, family, *values: str):
+        """``family``'s child for the label ``values`` (in the family's
+        label order), bound on first use and kept."""
+        key = (family.name, *values)
+        child = self._children.get(key)
+        if child is None:
+            child = self._children[key] = family.labels(
+                **dict(zip(family.labelnames, values))
+            )
+        return child
+
+    def _parse(self, sql: str) -> SelectStatement:
+        """The statement ``sql`` parses to, parsed once per text."""
+        statement = self._statements.get(sql)
+        if statement is None:
+            statement = parse_statement(sql)
+            self._remember(self._statements, sql, statement)
+        else:
+            self._statements.move_to_end(sql)
+        return statement
+
+    def _prepare(
+        self, sql: str, statement: SelectStatement, cache: DataCache
+    ) -> _Prepared:
+        """The statement compiled for ``cache``: the cached plan while
+        every table it names is still the cache's, else a fresh compile
+        (an error propagates and leaves nothing behind)."""
+        key = (sql, cache.cache_id)
+        prepared = self._prepared.get(key)
+        if prepared is not None and all(
+            cache.catalog.holds(table) for table in prepared.plan.tables
+        ):
+            self._prepared.move_to_end(key)
+            self._c_statement_hit.inc()
+            return prepared
+        self._c_statement_miss.inc()
+        plan = compile_statement(statement, cache.catalog)
+        prepared = _Prepared(plan, plan.columns_read)
+        self._remember(self._prepared, key, prepared)
+        return prepared
+
+    def _remember(self, entries: OrderedDict, key, value) -> None:
+        """Insert (or renew) one statement-cache entry, dropping the
+        least recently used past :data:`STATEMENT_CACHE_ENTRIES`."""
+        entries[key] = value
+        entries.move_to_end(key)
+        if len(entries) > STATEMENT_CACHE_ENTRIES:
+            entries.popitem(last=False)
+            self._c_statement_eviction.inc()
 
     async def _serve(
         self,
         cache: DataCache,
         group,
         is_group: bool,
-        plan: AnyQueryPlan,
+        prepared: _Prepared,
         client_id: str,
         trace,
     ) -> ServiceResult:
         """An admitted query: result tiers, single-flight, then execution."""
+        plan = prepared.plan
         trace.step("admit", width=plan.constraint.width)
-        trace.step(
-            "route",
-            cache=cache.cache_id,
-            mode="routed" if is_group else "pinned",
-        )
-        self._c_routed.labels(
-            cache=cache.cache_id, mode="routed" if is_group else "pinned"
-        ).inc()
-
-        def scoped_key(scope: str):
-            return ResultCache.make_key(
-                scope,
-                plan.table_names,
-                plan.aggregate,
-                plan.column_key,
-                plan.predicate,
-                plan.constraint.width,
-                extra=plan.cache_extra,
-            )
+        mode = "routed" if is_group else "pinned"
+        trace.step("route", cache=cache.cache_id, mode=mode)
+        self._bound(self._c_routed, cache.cache_id, mode).inc()
 
         # Result scope: fan-out keeps a group's replicas interchangeable,
         # so their answers share one group-scoped entry (and one
@@ -318,7 +423,7 @@ class QueryService:
         # scopes its own entries and nothing coalesces across replicas,
         # mirroring the scheduler's gating exactly.
         shared = group is not None and group.fanout
-        primary_key = scoped_key(group.group_id if shared else cache.cache_id)
+        primary_key = prepared.key(group.group_id if shared else cache.cache_id)
         while True:
             hit = self.results.get(primary_key, plan.constraint.width)
             if hit is not None:
@@ -338,7 +443,7 @@ class QueryService:
             # answer exists, so fault-free runs never pay the lookup.
             if self._c_degraded.value:
                 stale = self.results.get(
-                    self._degraded_key(cache, plan),
+                    _result_key(plan, cache.cache_id, degraded=True),
                     plan.constraint.width,
                     allow_degraded=True,
                 )
@@ -392,7 +497,7 @@ class QueryService:
         )
         self._inflight_results[primary_key] = future
         try:
-            answer = await self._execute(cache, plan, client_id, trace)
+            answer = await self._execute(cache, prepared, client_id, trace)
         except BaseException as exc:
             if not future.done():
                 # Our own cancellation must read as "leader gone", not as
@@ -407,7 +512,7 @@ class QueryService:
         if not future.done():
             future.set_result(answer)
         if answer.degraded:
-            self.results.put(self._degraded_key(cache, plan), answer)
+            self.results.put(_result_key(plan, cache.cache_id, degraded=True), answer)
         else:
             self.results.put(primary_key, answer)
         self._c_served.inc()
@@ -417,24 +522,6 @@ class QueryService:
             cached=False,
             client_id=client_id,
             cache_id=cache.cache_id,
-        )
-
-    @staticmethod
-    def _degraded_key(cache: DataCache, plan: AnyQueryPlan):
-        """The cache-scoped result key for a degraded answer.
-
-        The ``"degraded"`` marker in the key extra keeps these entries
-        disjoint from healthy ones even under the same cache scope, and
-        the scope is always the serving *cache*, never the group.
-        """
-        return ResultCache.make_key(
-            cache.cache_id,
-            plan.table_names,
-            plan.aggregate,
-            plan.column_key,
-            plan.predicate,
-            plan.constraint.width,
-            extra=(plan.cache_extra, "degraded"),
         )
 
     # ------------------------------------------------------------------
@@ -453,7 +540,7 @@ class QueryService:
         (:meth:`~repro.replication.fanout.CacheGroup.detach_replica`:
         registry, fan-out, refresh-monitor trackers); (4) the replica's
         cache-scoped result entries are invalidated, so its degraded or
-        private answers cannot outlive it.  Refuses to detach the last
+        private answers cannot outlive it, and its compiled plans dropped.  Refuses to detach the last
         replica serving the group — a tier must not drain itself to
         nothing while clients hold its id.
         """
@@ -476,6 +563,10 @@ class QueryService:
             self.scheduler.readmit_leader(cache_id)
         for table_name in table_names:
             self.results.invalidate_table(table_name, {cache_id})
+        # Its plans name its tables: drop them rather than keep the
+        # detached tables alive until the LRU reaches them.
+        for key in [key for key in self._prepared if key[1] == cache_id]:
+            del self._prepared[key]
         return detached
 
     def admit_replica(
@@ -551,15 +642,17 @@ class QueryService:
     async def _execute(
         self,
         cache: DataCache,
-        plan: AnyQueryPlan,
+        prepared: _Prepared,
         client_id: str,
         trace,
     ) -> BoundedAnswer:
         """Run one statement's step generator through the scheduler.
 
-        Bounds are synced on every execution, whoever is suspended on the
-        cache: a plan they widen under fails its recheck and plans again.
+        The columns the plan reads are synced on every execution, whoever
+        is suspended on the cache: a plan they widen under fails its
+        recheck and plans again.
         """
+        plan = prepared.plan
         cache_id = cache.cache_id
         self._inflight_by_client[client_id] = (
             self._inflight_by_client.get(client_id, 0) + 1
@@ -570,10 +663,10 @@ class QueryService:
         try:
             wait_started = time.perf_counter()
             async with self._semaphore:
-                self._h_admission_wait.observe(
+                self._bound(self._h_admission_wait).observe(
                     time.perf_counter() - wait_started
                 )
-                cache.sync_bounds()
+                cache.sync_bounds(prepared.columns_read)
                 steps = plan_steps(plan)
                 rounds = 0
                 try:
@@ -593,8 +686,8 @@ class QueryService:
                         request = steps.send(effective)
                 except StopIteration as stop:
                     answer = stop.value
-                self._h_plan_rounds.labels(
-                    **{"class": plan.statement_class}
+                self._bound(
+                    self._h_plan_rounds, plan.statement_class
                 ).observe(rounds)
         finally:
             self._inflight_by_client[client_id] -= 1

@@ -10,8 +10,11 @@ needs.  Four plan shapes exist, one per statement class:
 * :class:`TopNQueryPlan` — the ``TOPN(n, column)`` extension (§8.1).
 
 All four share the accessors the service layer keys on
-(``table_names``/``column_key``/``cache_extra``), so admission, routing,
-result caching, and the step protocol treat every statement class alike.
+(``tables``/``table_names``/``column_key``/``cache_extra``), so admission,
+routing, result caching, and the step protocol treat every statement
+class alike, and each names the ``(table, column)`` pairs its execution
+reads (``columns_read``) — what the cache must bring up to the current
+time before the plan runs, and nothing more.
 """
 
 from __future__ import annotations
@@ -36,8 +39,26 @@ __all__ = [
 ]
 
 
+class _SingleTablePlan:
+    """The accessors every single-table plan shares."""
+
+    __slots__ = ()
+
+    @property
+    def tables(self) -> tuple[Table, ...]:
+        return (self.table,)
+
+    @property
+    def table_names(self) -> tuple[str, ...]:
+        return (self.table.name,)
+
+    @property
+    def column_key(self):
+        return self.column
+
+
 @dataclass(frozen=True, slots=True)
-class QueryPlan:
+class QueryPlan(_SingleTablePlan):
     """A resolved single-table aggregation query, ready for the executor."""
 
     #: Label of the serving histograms (``class``).
@@ -50,12 +71,8 @@ class QueryPlan:
     predicate: Predicate
 
     @property
-    def table_names(self) -> tuple[str, ...]:
-        return (self.table.name,)
-
-    @property
-    def column_key(self):
-        return self.column
+    def columns_read(self) -> tuple[tuple[str, str], ...]:
+        return _columns_read(self.table, self.column, self.predicate)
 
     @property
     def cache_extra(self):
@@ -85,12 +102,23 @@ class JoinQueryPlan:
         return self.column
 
     @property
+    def columns_read(self) -> tuple[tuple[str, str], ...]:
+        """Every bounded column of every joined table: a greedy round
+        offers a base tuple only while *some* bounded column of it is
+        wide (:func:`repro.joins.refresh.join_steps`)."""
+        return tuple(
+            (table.name, column.name)
+            for table in self.tables
+            for column in table.schema.bounded_columns
+        )
+
+    @property
     def cache_extra(self):
         return None
 
 
 @dataclass(frozen=True, slots=True)
-class GroupByQueryPlan:
+class GroupByQueryPlan(_SingleTablePlan):
     """A resolved ``GROUP BY`` query over exact grouping columns (§8.1)."""
 
     #: Label of the serving histograms (``class``).
@@ -104,12 +132,10 @@ class GroupByQueryPlan:
     predicate: Predicate
 
     @property
-    def table_names(self) -> tuple[str, ...]:
-        return (self.table.name,)
-
-    @property
-    def column_key(self):
-        return self.column
+    def columns_read(self) -> tuple[tuple[str, str], ...]:
+        return _columns_read(
+            self.table, self.column, self.predicate, self.group_by
+        )
 
     @property
     def cache_extra(self):
@@ -117,7 +143,7 @@ class GroupByQueryPlan:
 
 
 @dataclass(frozen=True, slots=True)
-class TopNQueryPlan:
+class TopNQueryPlan(_SingleTablePlan):
     """A resolved ``TOPN(n, column)`` query (§8.1)."""
 
     #: Label of the serving histograms (``class``).
@@ -131,12 +157,8 @@ class TopNQueryPlan:
     aggregate: str = "TOPN"
 
     @property
-    def table_names(self) -> tuple[str, ...]:
-        return (self.table.name,)
-
-    @property
-    def column_key(self):
-        return self.column
+    def columns_read(self) -> tuple[tuple[str, str], ...]:
+        return _columns_read(self.table, self.column, self.predicate)
 
     @property
     def cache_extra(self):
@@ -144,6 +166,20 @@ class TopNQueryPlan:
 
 
 AnyQueryPlan = QueryPlan | JoinQueryPlan | GroupByQueryPlan | TopNQueryPlan
+
+
+def _columns_read(
+    table: Table,
+    column: str | None,
+    predicate: Predicate,
+    group_by: tuple[str, ...] = (),
+) -> tuple[tuple[str, str], ...]:
+    """A single-table plan's ``(table, column)`` reads: the aggregated
+    column, the predicate's columns and the grouping columns, sorted."""
+    names = columns_of(predicate).union(group_by)
+    if column is not None:
+        names.add(column)
+    return tuple((table.name, name) for name in sorted(names))
 
 
 def compile_statement(

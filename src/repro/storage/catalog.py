@@ -47,6 +47,11 @@ class Catalog:
         except KeyError:
             raise UnknownTableError(name) from None
 
+    def holds(self, table: Table) -> bool:
+        """True when ``table`` *is* the table this catalog lists under
+        its name (identity, not equality)."""
+        return self._tables.get(table.name) is table
+
     def shard_of(self, name: str, tid: int) -> str | None:
         """The shard id owning one tuple of a named table.
 

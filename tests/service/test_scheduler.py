@@ -235,9 +235,9 @@ def test_single_source_table_skips_the_rebatch_routing_sweep():
     scheduler = RefreshScheduler(cost_model=BatchedCostModel(setup=50.0, marginal=1.0))
     plan = run(scheduler.submit(cache, flexible(table, {3}, required_width=10.0)))
     assert set(plan.tids) == {3}
-    # Only the planned tuple is routed (to account its source as
-    # contacted), not every row of the table.
-    assert cache.routed == 1
+    # The table's one source is the contacted source: not even the
+    # planned tuple is routed.
+    assert cache.routed == 0
 
 
 def test_failure_settles_every_waiter():

@@ -157,3 +157,30 @@ class TestExtendedSurface:
         assert join.table_names == ("links", "nodes")
         assert join.column_key == ("nodes", "load")
         assert join.cache_extra is None
+
+    def test_columns_read(self, catalog):
+        def reads(sql):
+            return compile_statement(parse_statement(sql), catalog).columns_read
+
+        links = catalog.table("links")
+        assert reads("SELECT COUNT(*) FROM links") == ()
+        assert reads("SELECT SUM(traffic) FROM links WHERE latency < 5") == (
+            ("links", "latency"), ("links", "traffic"),
+        )
+        assert reads("SELECT SUM(traffic) FROM links GROUP BY from_node") == (
+            ("links", "from_node"), ("links", "traffic"),
+        )
+        assert reads("SELECT TOPN(2, traffic) FROM links WHERE cost > 1") == (
+            ("links", "cost"), ("links", "traffic"),
+        )
+        # A join's greedy pick reads every bounded column of its tables.
+        joined = compile_statement(
+            parse_statement(
+                "SELECT SUM(load) WITHIN 5 FROM links, nodes WHERE to_node = id"
+            ),
+            catalog,
+        )
+        assert joined.columns_read == tuple(
+            ("links", c.name) for c in links.schema.bounded_columns
+        ) + (("nodes", "load"),)
+        assert joined.tables == (links, catalog.table("nodes"))
