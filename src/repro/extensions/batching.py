@@ -11,7 +11,9 @@ Two pieces are provided:
 
 * :class:`BatchedCostModel` — prices a refresh *set*, given as tuples per
   source, under the amortized model (and hands the unmodified optimizers
-  a conservative per-tuple model, :meth:`~BatchedCostModel.upper_bound_model`);
+  a conservative per-tuple model, :meth:`~BatchedCostModel.upper_bound_model`).
+  The paper's uniform model is the price :data:`UNIFORM_PRICE` (no setup,
+  1 per tuple), and :func:`cheapest` is the per-source minimum of several;
 * :func:`rebatch_plan` — a post-pass over any
   :class:`~repro.core.refresh.base.RefreshPlan` that exploits amortization:
   once a source must be contacted anyway (its setup cost is sunk), pulling
@@ -31,8 +33,15 @@ from dataclasses import dataclass
 
 from repro.core.refresh.base import RefreshPlan
 from repro.core.refresh.costs import CostModel, PerSourceCostModel, UniformCostModel
+from repro.errors import TrappError
 
-__all__ = ["BatchedCostModel", "rebatch_plan"]
+__all__ = [
+    "BatchedCostModel",
+    "UNIFORM_PRICE",
+    "cheapest",
+    "checked_price",
+    "rebatch_plan",
+]
 
 #: A removed width or a price difference this close to zero is rounding,
 #: not a margin: prices like 15/7 + 33/7 against 48/7 differ only in the
@@ -47,10 +56,11 @@ class BatchedCostModel:
     ``setup``/``marginal`` are the defaults every source charges;
     ``setup_by_source``/``marginal_by_source`` override them per source
     id, modeling heterogeneous shards (a nearby replica's round trip is
-    cheaper than a cross-region one).  The sharded-sources benchmark
-    leans on exactly this: the planner steers refreshes toward cheap
-    shards, and the scheduler's receipts price each shard's message with
-    that shard's own parameters.
+    cheaper than a cross-region one).  The refresh scheduler prices each
+    dispatched shard message with that shard's own parameters, picks the
+    replica that dispatches it by them, and rebatches plans against them
+    when :attr:`amortizes`; the served planner itself still plans at
+    uniform cost.
     """
 
     setup: float = 5.0
@@ -73,6 +83,15 @@ class BatchedCostModel:
     def batch_cost(self, source_id: str, n_tuples: int) -> float:
         """Price of one batched message: the §8.2 ``setup + marginal·k``."""
         return self.setup_for(source_id) + self.marginal_for(source_id) * n_tuples
+
+    @property
+    def amortizes(self) -> bool:
+        """Whether some source charges a setup, so that batching more
+        tuples into one message can save cost (what §8.2 rebatching
+        exploits)."""
+        return self.setup > 0 or any(
+            setup > 0 for setup in (self.setup_by_source or {}).values()
+        )
 
     def cost_of_counts(
         self, counts: Mapping[str, int], sunk: Set[str] = frozenset()
@@ -107,6 +126,46 @@ class BatchedCostModel:
             self.setup + self.marginal,
             source_column,
         )
+
+
+#: The paper's uniform model as a price: 1 per tuple, no setup.
+UNIFORM_PRICE = BatchedCostModel(setup=0.0, marginal=1.0)
+
+
+def checked_price(price: object, override: bool = False) -> BatchedCostModel:
+    """``price`` itself, or :class:`~repro.errors.TrappError` when it is
+    not a :class:`BatchedCostModel` (a per-tuple cost model cannot price
+    a batched message).  A per-cache ``override`` may also be ``None``."""
+    if not isinstance(price, BatchedCostModel) and not (override and price is None):
+        raise TrappError(
+            f"a refresh price must be a BatchedCostModel, not {type(price).__name__}"
+        )
+    return price
+
+
+def cheapest(models: Sequence[BatchedCostModel]) -> BatchedCostModel:
+    """The per-source minimum of several prices, as one price.
+
+    The defaults are the minimum defaults, and every source some model
+    names gets the minimum of what each model charges it — so for any
+    source id, named or not, ``setup_for`` / ``marginal_for`` equal the
+    ``min`` over ``models``.  One distinct model is returned as is.
+    """
+    models = list({id(model): model for model in models}.values())
+    if len(models) == 1:
+        return models[0]
+    named = {
+        source_id
+        for model in models
+        for by_source in (model.setup_by_source, model.marginal_by_source)
+        for source_id in by_source or ()
+    }
+    return BatchedCostModel(
+        min(model.setup for model in models),
+        min(model.marginal for model in models),
+        {s: min(model.setup_for(s) for model in models) for s in named} or None,
+        {s: min(model.marginal_for(s) for model in models) for s in named} or None,
+    )
 
 
 def rebatch_plan(

@@ -57,6 +57,7 @@ from repro.errors import (
     SourceUnavailableError,
     TrappError,
 )
+from repro.extensions.batching import UNIFORM_PRICE, BatchedCostModel
 from repro.replication.messages import (
     CardinalityChange,
     MasterMigration,
@@ -75,13 +76,7 @@ __all__ = [
     "SourceRefreshReceipt",
     "BatchedRefreshReceipt",
     "RefreshFailure",
-    "BatchCostFunc",
 ]
-
-#: ``(source_id, n_tuples) -> cost`` — how much one batched round trip to a
-#: source costs.  The default charges 1 per tuple (the paper's uniform
-#: model); schedulers plug in §8.2 amortized models (setup + marginal·k).
-BatchCostFunc = Callable[[str, int], float]
 
 
 #: Array-kernel code of each built-in shape, looked up by the shape's
@@ -519,7 +514,7 @@ class DataCache:
         self.catalog = Catalog()
 
     def adopt_snapshot(
-        self, donor: "DataCache", batch_cost: BatchCostFunc | None = None
+        self, donor: "DataCache", price: BatchedCostModel = UNIFORM_PRICE
     ) -> BatchedRefreshReceipt:
         """Clone a sibling's cached state instead of cold-resubscribing.
 
@@ -535,7 +530,7 @@ class DataCache:
         admission.
 
         Returns a :class:`BatchedRefreshReceipt` pricing the transfer
-        per source under ``batch_cost`` (default: 1 per tuple), mirroring
+        per source under ``price`` (default: 1 per tuple), mirroring
         :meth:`refresh_batched` accounting so schedulers can book the
         snapshot like any other bulk movement of bound state.
         """
@@ -566,11 +561,7 @@ class DataCache:
             SourceRefreshReceipt(
                 source_id=source_id,
                 tids=frozenset(tids),
-                cost=(
-                    batch_cost(source_id, len(tids))
-                    if batch_cost is not None
-                    else float(len(tids))
-                ),
+                cost=price.batch_cost(source_id, len(tids)),
             )
             for source_id, tids in sorted(tids_by_source.items())
         )
@@ -773,7 +764,7 @@ class DataCache:
         self,
         table: Table,
         tids: Iterable[int],
-        batch_cost: BatchCostFunc | None = None,
+        price: BatchedCostModel = UNIFORM_PRICE,
     ) -> BatchedRefreshReceipt:
         """Refresh an externally-batched set of tuples, with accounting.
 
@@ -782,8 +773,8 @@ class DataCache:
         source — for a sharded table, per *shard* — each source receives
         exactly one :class:`~repro.replication.messages.RefreshRequest`,
         and the returned receipt reports per source which tuples were
-        refreshed and the cost actually paid under ``batch_cost``
-        (default: 1 per tuple, the uniform model).  Shards none of the
+        refreshed and the cost actually paid under ``price`` (default:
+        1 per tuple, the uniform model).  Shards none of the
         tuples live on are not contacted and get no receipt, so a
         sharded table's receipt is exactly its per-shard §8.2 accounting.
 
@@ -831,11 +822,7 @@ class DataCache:
                 SourceRefreshReceipt(
                     source_id=source.source_id,
                     tids=frozenset(group),
-                    cost=(
-                        batch_cost(source.source_id, len(group))
-                        if batch_cost is not None
-                        else float(len(group))
-                    ),
+                    cost=price.batch_cost(source.source_id, len(group)),
                 )
             )
         return BatchedRefreshReceipt(

@@ -33,47 +33,22 @@ acceptance property in ``tests/property/test_group_equivalence.py``.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.errors import ReplicationProtocolError, TrappError
+from repro.extensions.batching import (
+    UNIFORM_PRICE,
+    BatchedCostModel,
+    cheapest,
+    checked_price,
+)
 from repro.replication.cache import DataCache
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.extensions.batching import BatchedCostModel
     from repro.replication.source import DataSource
 
 __all__ = ["CacheGroup"]
-
-
-_MIN_MODEL_CLS = None
-
-
-def _min_cost_model_class():
-    """Deferred, memoized: fanout must stay importable below extensions."""
-    global _MIN_MODEL_CLS
-    if _MIN_MODEL_CLS is None:
-        from repro.extensions.batching import BatchedCostModel
-
-        class _MinCostModel(BatchedCostModel):
-            """Per-source minimum over several members' cost models."""
-
-            def __init__(self, models) -> None:
-                super().__init__(
-                    setup=min(model.setup for model in models),
-                    marginal=min(model.marginal for model in models),
-                )
-                self._models = tuple(models)
-
-            def setup_for(self, source_id: str) -> float:
-                return min(model.setup_for(source_id) for model in self._models)
-
-            def marginal_for(self, source_id: str) -> float:
-                return min(
-                    model.marginal_for(source_id) for model in self._models
-                )
-
-        _MIN_MODEL_CLS = _MinCostModel
-    return _MIN_MODEL_CLS
 
 
 class CacheGroup:
@@ -81,8 +56,8 @@ class CacheGroup:
 
     ``fanout=True`` (the default) turns on source-side refresh fan-out for
     every source the members subscribe to; ``fanout=False`` keeps replicas
-    independent (each pays its own refreshes), which the cache-hierarchy
-    benchmark uses as the ablation baseline.
+    independent (each pays its own refreshes), the baseline the
+    ``fanout.independent.*`` golden values price fan-out against.
     """
 
     def __init__(self, group_id: str, fanout: bool = True) -> None:
@@ -90,7 +65,7 @@ class CacheGroup:
         self.fanout = fanout
         self._caches: dict[str, DataCache] = {}
         self._regions: dict[str, str | None] = {}
-        self._cost_models: dict[str, "BatchedCostModel"] = {}
+        self._cost_models: dict[str, BatchedCostModel] = {}
         #: Subscription registry: table name → cache ids holding it.
         self._tables: dict[str, set[str]] = {}
         #: Replica-set invariant: table name → the source (shard) ids its
@@ -117,7 +92,7 @@ class CacheGroup:
         self,
         cache: DataCache,
         region: str | None = None,
-        cost_model: "BatchedCostModel | None" = None,
+        cost_model: BatchedCostModel | None = None,
     ) -> DataCache:
         """Enroll one cache: registry, region label, cost model, fan-out.
 
@@ -125,6 +100,7 @@ class CacheGroup:
         registry; later ``subscribe_table`` calls report back through the
         cache's group pointer.
         """
+        checked_price(cost_model, override=True)
         if cache.cache_id in self._caches:
             raise ReplicationProtocolError(
                 f"group {self.group_id!r} already contains cache "
@@ -235,9 +211,9 @@ class CacheGroup:
         self,
         cache: DataCache,
         region: str | None = None,
-        cost_model: "BatchedCostModel | None" = None,
+        cost_model: BatchedCostModel | None = None,
         from_cache: "DataCache | str | None" = None,
-        default_model: "BatchedCostModel | None" = None,
+        default_model: BatchedCostModel = UNIFORM_PRICE,
     ):
         """Bring a late joiner up from a sibling's snapshot, then enroll it.
 
@@ -257,6 +233,8 @@ class CacheGroup:
         so the admission cost is booked like any other bulk movement of
         bound state.
         """
+        checked_price(cost_model, override=True)
+        checked_price(default_model)
         if not self._caches:
             raise ReplicationProtocolError(
                 f"group {self.group_id!r} is empty; admission needs a donor "
@@ -273,12 +251,8 @@ class CacheGroup:
             donor = self.cache(from_cache.cache_id)
         else:
             donor = self.cache(from_cache)
-        donor_model = self._model_or_default(donor, default_model)
         receipt = cache.adopt_snapshot(
-            donor,
-            batch_cost=(
-                donor_model.batch_cost if donor_model is not None else None
-            ),
+            donor, self.cost_model_for(donor.cache_id, default_model)
         )
         try:
             self.add_replica(cache, region=region, cost_model=cost_model)
@@ -289,40 +263,30 @@ class CacheGroup:
         cache.sync_bounds()
         return receipt
 
-    def _select_donor(
-        self, default_model: "BatchedCostModel | None" = None
-    ) -> DataCache:
+    def _select_donor(self, default_model: BatchedCostModel) -> DataCache:
         """The member whose snapshot transfer prices cheapest.
 
         Sums ``batch_cost(source, n_tuples)`` over each member's
-        subscribed sources under that member's own cost model (falling
-        back to ``default_model``, then to 1-per-tuple); deterministic
+        subscribed sources under that member's price
+        (:meth:`cost_model_for`); deterministic
         cache-id tie-break — the same ranking discipline as
         :meth:`leader_for_source`, applied to the whole snapshot.
         """
-        best: tuple[float, str] | None = None
-        donor: DataCache | None = None
-        for cache_id in sorted(self._caches):
-            member = self._caches[cache_id]
-            model = self._model_or_default(member, default_model)
-            tuples_by_source: dict[str, int] = {}
-            for owners in member._owners.values():
-                for source in owners.values():
-                    tuples_by_source[source.source_id] = (
-                        tuples_by_source.get(source.source_id, 0) + 1
-                    )
+
+        def rank(member: DataCache) -> tuple[float, str]:
+            model = self.cost_model_for(member.cache_id, default_model)
+            tuples_by_source = Counter(
+                source.source_id
+                for owners in member._owners.values()
+                for source in owners.values()
+            )
             price = sum(
                 model.batch_cost(source_id, n_tuples)
-                if model is not None
-                else float(n_tuples)
                 for source_id, n_tuples in tuples_by_source.items()
             )
-            rank = (price, cache_id)
-            if best is None or rank < best:
-                best = rank
-                donor = member
-        assert donor is not None  # guarded by admit_replica
-        return donor
+            return price, member.cache_id
+
+        return min(self._caches.values(), key=rank)
 
     def check_subscription(
         self,
@@ -526,9 +490,13 @@ class CacheGroup:
         self.cache(cache_id)  # raise on unknown ids
         return self._regions.get(cache_id)
 
-    def cost_model_for(self, cache_id: str) -> "BatchedCostModel | None":
-        """The per-cache refresh cost model, or ``None`` (caller default)."""
-        return self._cost_models.get(cache_id)
+    def cost_model_for(
+        self, cache_id: str, default_model: BatchedCostModel = UNIFORM_PRICE
+    ) -> BatchedCostModel:
+        """The price of one member's round trips: its own cost model, or
+        else the deployment's ``default_model`` (uniform when the
+        deployment names none)."""
+        return self._cost_models.get(cache_id, default_model)
 
     # ------------------------------------------------------------------
     # Scheduler support: where should a source's batched message go from?
@@ -538,13 +506,13 @@ class CacheGroup:
         table_name: str,
         source_id: str,
         n_tuples: int,
-        default_model: "BatchedCostModel | None" = None,
+        default_model: BatchedCostModel = UNIFORM_PRICE,
         exclude: "frozenset[str] | set[str]" = frozenset(),
     ) -> tuple["DataCache | None", "BatchedCostModel | None"]:
         """The cheapest subscribed replica to dispatch one source's batch.
 
-        Prices ``setup + marginal · n_tuples`` under each candidate's own
-        cost model (falling back to ``default_model``); deterministic
+        Prices ``setup + marginal · n_tuples`` under each candidate's
+        price (:meth:`cost_model_for`); deterministic
         cache-id tie-break.  This is the replication win the §8.2 model
         predicts: with per-region cost heterogeneity, every source's
         message travels its cheapest path, and fan-out hands the refreshed
@@ -568,42 +536,21 @@ class CacheGroup:
             ]
             if not candidates:
                 return None, None
-        # A replica without any cost model would price as a unit-less
-        # uniform cost and systematically "win" against genuinely cheaper
-        # modeled replicas; rank only candidates the deployment actually
-        # prices (all of them, when nothing is priced).
-        modeled = [
-            cache
+        priced = [
+            (cache, self.cost_model_for(cache.cache_id, default_model))
             for cache in candidates
-            if self._model_or_default(cache, default_model) is not None
         ]
-        pool = modeled if modeled else candidates
-        best: tuple[float, str] | None = None
-        leader = pool[0]
-        leader_model = self._model_or_default(leader, default_model)
-        for cache in pool:
-            model = self._model_or_default(cache, default_model)
-            price = (
-                model.batch_cost(source_id, n_tuples)
-                if model is not None
-                else float(n_tuples)
-            )
-            rank = (price, cache.cache_id)
-            if best is None or rank < best:
-                best = rank
-                leader = cache
-                leader_model = model
-        return leader, leader_model
-
-    def _model_or_default(
-        self, cache: DataCache, default_model: "BatchedCostModel | None"
-    ) -> "BatchedCostModel | None":
-        model = self._cost_models.get(cache.cache_id)
-        return model if model is not None else default_model
+        return min(
+            priced,
+            key=lambda pair: (
+                pair[1].batch_cost(source_id, n_tuples),
+                pair[0].cache_id,
+            ),
+        )
 
     def pricing_model(
-        self, default_model: "BatchedCostModel | None" = None
-    ) -> "BatchedCostModel | None":
+        self, default_model: BatchedCostModel = UNIFORM_PRICE
+    ) -> BatchedCostModel:
         """The group's *effective* per-source pricing: the cheapest member.
 
         Leader selection dispatches every source's batch through the
@@ -611,22 +558,11 @@ class CacheGroup:
         actually pays for source S is ``min`` over member models — this
         is the model plan-improvement passes (cross-query rebatching)
         should optimize against, not any single member's own prices.
-        ``None`` when nothing prices refreshes anywhere.
         """
-        models = []
-        seen: set[int] = set()
-        for cache_id in sorted(self._caches):
-            model = self._cost_models.get(cache_id)
-            if model is None:
-                model = default_model
-            if model is not None and id(model) not in seen:
-                seen.add(id(model))
-                models.append(model)
-        if not models:
-            return None
-        if len(models) == 1:
-            return models[0]
-        return _min_cost_model_class()(models)
+        return cheapest(
+            [self.cost_model_for(cache_id, default_model) for cache_id in self._caches]
+            or [default_model]
+        )
 
     def __repr__(self) -> str:
         return (

@@ -22,6 +22,7 @@ from __future__ import annotations
 from repro.core.answer import BoundedAnswer
 from repro.core.refresh.base import CostFunc, uniform_cost
 from repro.errors import TrappError
+from repro.extensions.batching import UNIFORM_PRICE, BatchedCostModel, checked_price
 from repro.replication.cache import DataCache
 from repro.replication.fanout import CacheGroup
 from repro.replication.sharding import ShardedSource
@@ -103,7 +104,7 @@ class TrappSystem:
         shards: "dict[str, DataSource | ShardedSource | str] | None" = None,
         group: "CacheGroup | str | None" = None,
         region: str | None = None,
-        cost_model: "object | None" = None,
+        cost_model: BatchedCostModel | None = None,
     ) -> DataCache:
         """Create a cache, optionally pre-subscribed to (sharded) tables.
 
@@ -129,6 +130,7 @@ class TrappSystem:
                              group="edge", region="eu",
                              cost_model=eu_costs)
         """
+        checked_price(cost_model, override=True)
         if cache_id in self._caches or cache_id in self._groups:
             raise TrappError(f"cache {cache_id!r} already exists")
         if group is None and (region is not None or cost_model is not None):
@@ -230,8 +232,8 @@ class TrappSystem:
         group: "CacheGroup | str",
         from_cache: "str | None" = None,
         region: str | None = None,
-        cost_model: "object | None" = None,
-        default_model: "object | None" = None,
+        cost_model: BatchedCostModel | None = None,
+        default_model: BatchedCostModel = UNIFORM_PRICE,
     ) -> "tuple[DataCache, object]":
         """Add a late-joining replica to a group via snapshot transfer.
 
@@ -243,6 +245,8 @@ class TrappSystem:
         snapshot transfer under the donor's cost model.  The creation is
         undone entirely when admission fails.
         """
+        checked_price(cost_model, override=True)
+        checked_price(default_model)
         group_obj = group if isinstance(group, CacheGroup) else self.group(group)
         if cache_id in self._caches or cache_id in self._groups:
             raise TrappError(f"cache {cache_id!r} already exists")

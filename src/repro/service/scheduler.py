@@ -49,7 +49,12 @@ from typing import Callable
 from repro.core.executor import PlannedRefresh
 from repro.core.refresh.base import RefreshPlan
 from repro.errors import CacheUnavailableError
-from repro.extensions.batching import BatchedCostModel, rebatch_plan
+from repro.extensions.batching import (
+    UNIFORM_PRICE,
+    BatchedCostModel,
+    checked_price,
+    rebatch_plan,
+)
 from repro.faults.breaker import CircuitBreaker
 from repro.faults.retry import RetryPolicy
 from repro.replication.cache import DataCache
@@ -107,10 +112,12 @@ class RefreshScheduler:
     ``tick_interval`` is the coalescing window in seconds; ``0`` flushes
     as soon as every currently-runnable query task has reached its refresh
     point (one trip around the event loop), which keeps simulated-clock
-    tests deterministic.  ``cost_model`` enables §8.2 amortized accounting
-    and cross-query rebatching; without one, costs are uniform (1 per
-    tuple) and plans are only deduplicated.  Plans against the replicas
-    of a :class:`~repro.replication.fanout.CacheGroup` whose fan-out is on
+    tests deterministic.  ``cost_model`` prices every dispatched batch
+    (§8.2 ``setup + marginal · k``; the default is uniform, 1 per tuple
+    and no setup).  A cluster whose price amortizes (some source charges
+    a setup) is rebatched across queries first; otherwise its plans are
+    only deduplicated.  Plans against the replicas of a
+    :class:`~repro.replication.fanout.CacheGroup` whose fan-out is on
     merge across caches — per-cache cost models registered with the group
     override ``cost_model`` when pricing (and choosing) the replica that
     dispatches each source's batch; without fan-out every cache's schedule
@@ -119,7 +126,7 @@ class RefreshScheduler:
 
     def __init__(
         self,
-        cost_model: BatchedCostModel | None = None,
+        cost_model: BatchedCostModel = UNIFORM_PRICE,
         tick_interval: float = 0.0,
         on_refresh: RefreshListener | None = None,
         registry: MetricsRegistry | None = None,
@@ -127,7 +134,7 @@ class RefreshScheduler:
         breaker_threshold: int = 3,
         breaker_cooldown: float = 5.0,
     ) -> None:
-        self.cost_model = cost_model
+        self.cost_model = checked_price(cost_model)
         #: The telemetry registry holding every scheduler counter and the
         #: tick / batch histograms.  A standalone scheduler (tests without
         #: a service) gets a private registry.
@@ -281,7 +288,7 @@ class RefreshScheduler:
         a group whose fan-out is off) clusters alone, preserving the
         classic per-cache behavior.
         """
-        group = getattr(pending.cache, "group", None)
+        group = pending.cache.group
         if group is not None and group.fanout:
             return (group.group_id, pending.request.table.name)
         return (id(pending.cache), pending.request.table.name)
@@ -306,32 +313,29 @@ class RefreshScheduler:
         self._h_tick_seconds.observe(time.perf_counter() - tick_started)
 
     # ------------------------------------------------------------------
-    def _model_for(self, cache: DataCache) -> BatchedCostModel | None:
+    def _model_for(self, cache: DataCache) -> BatchedCostModel:
         """The cost model pricing one cache's round trips."""
-        group = getattr(cache, "group", None)
-        if group is not None:
-            model = group.cost_model_for(cache.cache_id)
-            if model is not None:
-                return model
+        if cache.group is not None:
+            return cache.group.cost_model_for(cache.cache_id, self.cost_model)
         return self.cost_model
 
     async def _dispatch_cluster(self, pendings: list[_Pending]) -> None:
         """Rebatch, merge per source, refresh via leaders, settle a cluster."""
         table_name = pendings[0].request.table.name
         try:
-            group = getattr(pendings[0].cache, "group", None)
+            group = pendings[0].cache.group
             grouped = group is not None and group.fanout
-            # Rebatch against the prices dispatch will actually pay: the
+            # Rebatch against the price dispatch will actually pay: the
             # group-projected per-source minimum under leader selection,
-            # or each cache's own model when scheduling stays per-cache.
-            # The per-tid routing sweep inside _rebatch_cluster is wasted
-            # when no amortized model prices any of these caches.
+            # or the one cache's own model when scheduling stays
+            # per-cache.  Without a setup to share there is nothing to
+            # steer toward, and the per-tid routing sweep is skipped.
             pricing = (
-                group.pricing_model(self.cost_model) if grouped else None
+                group.pricing_model(self.cost_model)
+                if grouped
+                else self._model_for(pendings[0].cache)
             )
-            if pricing is not None or any(
-                self._model_for(pending.cache) is not None for pending in pendings
-            ):
+            if pricing.amortizes:
                 self._rebatch_cluster(pendings, pricing)
 
             requesters: dict[int, int] = {}
@@ -357,7 +361,7 @@ class RefreshScheduler:
             # standalone cluster has exactly one eligible dispatcher, so
             # it skips the per-tid routing pass entirely — refresh_batched
             # re-derives the per-source grouping itself, as it always did.
-            by_leader: dict[int, tuple[DataCache, BatchedCostModel | None, set[int]]] = {}
+            by_leader: dict[int, tuple[DataCache, BatchedCostModel, set[int]]] = {}
             if grouped:
                 demand: dict[str, set[int]] = {}
                 for pending in pendings:
@@ -385,9 +389,9 @@ class RefreshScheduler:
                     entry[2].update(tids)
             else:
                 leader = pendings[0].cache
-                by_leader[id(leader)] = (leader, self._model_for(leader), merged)
+                by_leader[id(leader)] = (leader, pricing, merged)
 
-            receipts: list[tuple[object, BatchedCostModel | None]] = []
+            receipts: list[tuple[object, BatchedCostModel]] = []
             refreshed: set[int] = set()
             #: tid → source id for every planned tuple whose refresh
             #: ultimately failed (after retries, breaker gating, and
@@ -415,9 +419,7 @@ class RefreshScheduler:
                             source=source_receipt.source_id
                         ).inc(source_receipt.cost)
                         self._c_leader_selected.labels(
-                            # Test doubles may not carry an id; label them
-                            # rather than crash the dispatch path.
-                            cache=getattr(dispatcher, "cache_id", "unknown")
+                            cache=dispatcher.cache_id
                         ).inc()
                     receipts.append((receipt, used_model))
                     # One redirect per *source batch* that served some
@@ -512,9 +514,9 @@ class RefreshScheduler:
         table_name: str,
         pendings: list[_Pending],
         leader: DataCache,
-        model: BatchedCostModel | None,
+        model: BatchedCostModel,
         tids: set[int],
-    ) -> "tuple[list[tuple[DataCache, object, BatchedCostModel | None]], dict[int, str]]":
+    ) -> "tuple[list[tuple[DataCache, object, BatchedCostModel]], dict[int, str]]":
         """Dispatch one leader's merged tuples, surviving faults.
 
         The happy path is one ``refresh_batched`` call — bit-identical to
@@ -541,7 +543,7 @@ class RefreshScheduler:
         policy = self.retry_policy
         anchor = pendings[0]
         unreached: dict[int, str] = {}
-        receipts: list[tuple[DataCache, object, BatchedCostModel | None]] = []
+        receipts: list[tuple[DataCache, object, BatchedCostModel]] = []
         excluded: set[str] = set()
         source_memo: dict[int, str] = {}
 
@@ -581,15 +583,11 @@ class RefreshScheduler:
                 else leader.table(table_name)
             )
             try:
-                receipt = leader.refresh_batched(
-                    leader_table,
-                    remaining,
-                    batch_cost=model.batch_cost if model is not None else None,
-                )
+                receipt = leader.refresh_batched(leader_table, remaining, model)
             except CacheUnavailableError:
                 # The dispatching replica itself is down — fail the whole
                 # remaining batch over to the next-cheapest sibling.
-                excluded.add(getattr(leader, "cache_id", "unknown"))
+                excluded.add(leader.cache_id)
                 next_leader, next_model = (None, None)
                 if group is not None:
                     next_leader, next_model = group.leader_for_source(
@@ -671,16 +669,14 @@ class RefreshScheduler:
         }
 
     def _rebatch_cluster(
-        self,
-        pendings: list[_Pending],
-        pricing: BatchedCostModel | None = None,
+        self, pendings: list[_Pending], model: BatchedCostModel
     ) -> None:
         """§8.2 across queries *and* caches: steer plans toward sources the
         cluster already pays setup for this tick.
 
-        ``pricing`` overrides each pending's own model (the
-        group-projected minimum for fan-out clusters, whose batches are
-        dispatched through the cheapest member per source).
+        ``model`` is the cluster's one price: the group-projected minimum
+        for a fan-out cluster (its batches are dispatched through the
+        cheapest member per source), else the one cache's own.
         """
         # Memoize the subscription lookup once per tick: every pass reads
         # each candidate's source.  Tuple→source routing is a property of
@@ -713,10 +709,8 @@ class RefreshScheduler:
                 contacted |= sources_of(pending, pending.tids)
         for pending in pendings:
             request = pending.request
-            model = pricing if pricing is not None else self._model_for(pending.cache)
             if (
                 request.can_rebatch
-                and model is not None
                 and pending.tids
                 # One source leaves nothing to steer toward; only a sharded
                 # table is worth the per-tuple routing sweep.
@@ -744,7 +738,7 @@ class RefreshScheduler:
 
     def _attribute(
         self,
-        receipts: "list[tuple[object, BatchedCostModel | None]]",
+        receipts: "list[tuple[object, BatchedCostModel]]",
         pendings: list[_Pending],
         requesters: dict[int, int],
     ) -> list[float]:
@@ -760,10 +754,8 @@ class RefreshScheduler:
         for receipt, model in receipts:
             for source_receipt in receipt.per_source:
                 source_id = source_receipt.source_id
-                setup = model.setup_for(source_id) if model is not None else 0.0
-                marginal = (
-                    model.marginal_for(source_id) if model is not None else 1.0
-                )
+                setup = model.setup_for(source_id)
+                marginal = model.marginal_for(source_id)
                 users = [
                     index
                     for index, pending in enumerate(pendings)

@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from repro.core.answer import BoundedAnswer
 from repro.core.constraints import AbsolutePrecision
 from repro.errors import AdmissionError, ServiceError, ServiceOverloadError
-from repro.extensions.batching import BatchedCostModel
+from repro.extensions.batching import UNIFORM_PRICE, BatchedCostModel, checked_price
 from repro.faults import RetryPolicy
 from repro.replication.cache import DataCache
 from repro.replication.system import TrappSystem
@@ -146,12 +146,13 @@ class QueryService:
         max_inflight_per_client: int = 8,
         precision_floor: float = 0.0,
         result_ttl: float = 1.0,
-        cost_model: BatchedCostModel | None = None,
+        cost_model: BatchedCostModel = UNIFORM_PRICE,
         tick_interval: float = 0.0,
         retry_policy: "RetryPolicy | None" = None,
         breaker_threshold: int = 3,
         breaker_cooldown: float = 5.0,
     ) -> None:
+        checked_price(cost_model)
         self.system = system
         self.max_inflight_per_client = max_inflight_per_client
         self.precision_floor = precision_floor

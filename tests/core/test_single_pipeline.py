@@ -44,7 +44,13 @@ from repro.extensions.groupby import grouped_query_steps
 from repro.extensions.topn import top_n_steps
 from repro.joins.refresh import join_steps
 from repro.predicates.parser import parse_predicate
-from repro.replication import ColumnCostModel, PerSourceCostModel, TrappSystem
+from repro.replication import (
+    CacheGroup,
+    ColumnCostModel,
+    DataCache,
+    PerSourceCostModel,
+    TrappSystem,
+)
 from repro.replication.local import LocalRefresher
 from repro.replication.sharding import ShardedSource
 from repro.service import QueryService
@@ -458,6 +464,58 @@ def test_executor_probes_nothing_and_src_never_imports_tests():
         r"|regional_cache_system|network_delay"
     )
     assert not [name for name, text in sources.items() if experiments.search(text)]
+
+
+#: Where a refresh batch gets its price.  ``cost_model=None`` on the
+#: membership calls is the per-cache override ("price this replica at the
+#: deployment's"); every other price parameter defaults to a price.
+PRICED_ENTRY_POINTS = [
+    RefreshScheduler.__init__,
+    QueryService.__init__,
+    QueryService.admit_replica,
+    TrappSystem.add_cache,
+    TrappSystem.admit_cache,
+    CacheGroup.add_replica,
+    CacheGroup.admit_replica,
+    CacheGroup.cost_model_for,
+    CacheGroup.leader_for_source,
+    CacheGroup.pricing_model,
+    DataCache.refresh_batched,
+    DataCache.adopt_snapshot,
+]
+PER_CACHE_OVERRIDES = {
+    QueryService.admit_replica,
+    TrappSystem.add_cache,
+    TrappSystem.admit_cache,
+    CacheGroup.add_replica,
+    CacheGroup.admit_replica,
+}
+
+
+def test_uniform_is_a_price_not_none():
+    """One price type prices every refresh batch: the uniform model is
+    ``UNIFORM_PRICE``, not ``None`` threaded through the pricing path,
+    and the by-hand uniform pricing and its lazily built minimum model
+    are gone."""
+    sources = {
+        str(path.relative_to(SRC / "repro")): path.read_text()
+        for path in SRC.rglob("*.py")
+    }
+    gone = re.compile(
+        r"BatchCostFunc|_MIN_MODEL_CLS|_min_cost_model_class|_model_or_default"
+    )
+    assert not [name for name, text in sources.items() if gone.search(text)]
+    for entry_point in PRICED_ENTRY_POINTS:
+        parameters = inspect.signature(entry_point).parameters
+        for name in ("cost_model", "default_model", "price"):
+            if name == "cost_model" and entry_point in PER_CACHE_OVERRIDES:
+                continue
+            if name in parameters:
+                assert parameters[name].default is not None, (
+                    entry_point.__qualname__,
+                    name,
+                )
+    assert "price" in inspect.signature(DataCache.refresh_batched).parameters
 
 
 def test_server_start_loads_no_experiment_driver():

@@ -125,9 +125,7 @@ def _serial_mixed_cost_per_answer() -> float:
                 request = next(steps)
                 while True:
                     receipt = cache.refresh_batched(
-                        request.table,
-                        request.plan.tids,
-                        batch_cost=lambda sid, k: model.setup + model.marginal * k,
+                        request.table, request.plan.tids, model
                     )
                     total_cost += receipt.total_cost
                     request = steps.send(

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.errors import ReplicationProtocolError
+from repro.extensions.batching import BatchedCostModel
 from repro.replication.system import TrappSystem
 from repro.workloads.netmon import build_master_table, generate_topology
 
@@ -28,7 +29,7 @@ def test_receipt_reports_per_source_cost_actually_paid():
     table = cache.table("links")
     tids = [row.tid for row in table.rows()][:4]
     receipt = cache.refresh_batched(
-        table, tids, batch_cost=lambda sid, k: 5.0 + 1.0 * k
+        table, tids, BatchedCostModel(setup=5.0, marginal=1.0)
     )
     assert receipt.requests_sent == 1
     assert receipt.tids == frozenset(tids)

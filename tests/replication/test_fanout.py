@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ReplicationProtocolError, TrappError
-from repro.extensions.batching import BatchedCostModel
+from repro.extensions.batching import UNIFORM_PRICE, BatchedCostModel, cheapest
 from repro.replication.cache import DataCache
 from repro.replication.fanout import CacheGroup
 from repro.replication.source import DataSource
@@ -82,7 +82,12 @@ def test_regions_and_cost_models():
     assert group.region_of("a") == "eu"
     assert group.region_of("b") is None
     assert group.cost_model_for("a") is model
-    assert group.cost_model_for("b") is None
+    # A member without its own model prices at the deployment's, which
+    # is uniform when the deployment names none.
+    assert group.cost_model_for("b") is UNIFORM_PRICE
+    deployment = BatchedCostModel(setup=7.0)
+    assert group.cost_model_for("a", deployment) is model
+    assert group.cost_model_for("b", deployment) is deployment
 
 
 # ----------------------------------------------------------------------
@@ -142,33 +147,28 @@ def test_failed_group_enrollment_releases_cache_id():
     assert system.group("g").cache_ids() == ["c2"]
 
 
-def test_leader_selection_skips_unmodeled_replicas():
-    """A replica without a cost model must not outrank genuinely cheaper
-    modeled replicas by pricing in unit-less uniform costs."""
+def test_leader_selection_prices_unmodeled_replicas_at_the_default():
+    """A replica without its own cost model is ranked at the deployment's
+    price, which is the uniform price when the deployment names none."""
     system = TrappSystem()
     system.add_source("s").add_table(make_master())
     system.add_group("edge")
     system.add_cache("edge/0", shards={"t": "s"}, group="edge")  # no model
-    system.add_cache(
-        "edge/1",
-        shards={"t": "s"},
-        group="edge",
-        cost_model=BatchedCostModel(setup=2.0, marginal=1.5),
-    )
+    own = BatchedCostModel(setup=2.0, marginal=1.5)
+    system.add_cache("edge/1", shards={"t": "s"}, group="edge", cost_model=own)
     group = system.group("edge")
-    # With no default model: only the modeled replica is rankable, even
-    # though the unmodeled one would price 3 tuples as bare 3.0 < 6.5.
+    # No deployment price: edge/0 prices 3 tuples uniformly, 3.0 < 6.5.
     leader, model = group.leader_for_source("t", "s", 3)
+    assert leader.cache_id == "edge/0"
+    assert model is UNIFORM_PRICE
+    # A dearer deployment price hands the batch to the priced replica.
+    deployment = BatchedCostModel(setup=5.0, marginal=1.0)
+    leader, model = group.leader_for_source("t", "s", 3, deployment)
     assert leader.cache_id == "edge/1"
-    assert model is not None
-    # With nothing priced anywhere, uniform ranking over everyone is fine.
-    bare = TrappSystem()
-    bare.add_source("s").add_table(make_master())
-    bare.add_group("g")
-    bare.add_cache("g/0", shards={"t": "s"}, group="g")
-    leader, model = bare.group("g").leader_for_source("t", "s", 3)
-    assert leader.cache_id == "g/0"
-    assert model is None
+    assert model is own
+    # The group's effective price is the per-source minimum of both.
+    assert group.pricing_model() == cheapest([UNIFORM_PRICE, own])
+    assert group.pricing_model(deployment) == cheapest([deployment, own])
 
 
 def test_fanout_scoped_to_group_members():
@@ -417,6 +417,6 @@ def test_leader_for_source_tie_breaks_deterministically():
         group.add_replica(cache)
     leader, model = group.leader_for_source("t", "s", 1)
     assert leader.cache_id == "a"
-    assert model is None
+    assert model is UNIFORM_PRICE
     with pytest.raises(ReplicationProtocolError):
         group.leader_for_source("absent", "s", 1)

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.errors import ReplicationProtocolError, TrappError
+from repro.extensions.batching import BatchedCostModel
 from repro.replication.sharding import ShardedSource, round_robin
 from repro.replication.source import DataSource
 from repro.replication.system import TrappSystem
@@ -199,7 +200,7 @@ class TestShardedCache:
         table = cache.table("links")
         only_shard_zero = sorted(table.shard_map.tids_of("net/0"))
         receipt = cache.refresh_batched(
-            table, only_shard_zero, batch_cost=lambda sid, k: 5.0 + k
+            table, only_shard_zero, BatchedCostModel(setup=5.0, marginal=1.0)
         )
         assert receipt.requests_sent == 1
         (per_source,) = receipt.per_source
@@ -211,7 +212,7 @@ class TestShardedCache:
         system, sharded, cache = build_sharded(n_shards=3, n_links=12)
         table = cache.table("links")
         receipt = cache.refresh_batched(
-            table, table.tids(), batch_cost=lambda sid, k: 5.0 + k
+            table, table.tids(), BatchedCostModel(setup=5.0, marginal=1.0)
         )
         assert receipt.requests_sent == 3
         assert {r.source_id for r in receipt.per_source} == {

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from repro.extensions.batching import UNIFORM_PRICE
 from repro.replication.cache import BatchedRefreshReceipt, SourceRefreshReceipt
 from repro.replication.system import TrappSystem
 from repro.workloads.netmon import build_master_table, generate_topology
@@ -57,10 +58,16 @@ def park_ticks(service, delay: float):
 
 
 class FakeCache:
-    """Records batched refreshes; sources assigned per tid via a mapping."""
+    """Records batched refreshes; sources assigned per tid via a mapping.
 
-    def __init__(self, source_by_tid: dict[int, str]):
+    It stands alone, outside any cache group, under the id ``cache_id``.
+    """
+
+    group = None
+
+    def __init__(self, source_by_tid: dict[int, str], cache_id: str = "fake"):
         self.source_by_tid = source_by_tid
+        self.cache_id = cache_id
         self.calls: list[frozenset[int]] = []
 
     def source_of_tuple(self, table, tid: int) -> str:
@@ -69,26 +76,20 @@ class FakeCache:
     def sources_of_table(self, table) -> list[str]:
         return sorted(set(self.source_by_tid.values()))
 
-    def refresh_batched(self, table, tids, batch_cost=None):
+    def refresh_batched(self, table, tids, price=UNIFORM_PRICE):
         tids = frozenset(tids)
         self.calls.append(tids)
         by_source: dict[str, set[int]] = {}
         for tid in tids:
             by_source.setdefault(self.source_by_tid[tid], set()).add(tid)
-        receipts = []
-        for source_id, source_tids in sorted(by_source.items()):
-            cost = (
-                batch_cost(source_id, len(source_tids))
-                if batch_cost is not None
-                else float(len(source_tids))
+        receipts = [
+            SourceRefreshReceipt(
+                source_id=source_id,
+                tids=frozenset(source_tids),
+                cost=price.batch_cost(source_id, len(source_tids)),
             )
-            receipts.append(
-                SourceRefreshReceipt(
-                    source_id=source_id,
-                    tids=frozenset(source_tids),
-                    cost=cost,
-                )
-            )
+            for source_id, source_tids in sorted(by_source.items())
+        ]
         return BatchedRefreshReceipt(per_source=tuple(receipts))
 
 

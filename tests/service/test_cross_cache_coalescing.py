@@ -6,7 +6,7 @@ import asyncio
 
 import pytest
 
-from repro.extensions.batching import BatchedCostModel
+from repro.extensions.batching import UNIFORM_PRICE, BatchedCostModel
 from repro.replication.system import TrappSystem
 from repro.service import QueryService
 from repro.storage.schema import Schema
@@ -176,7 +176,7 @@ def test_rebatching_runs_on_group_models_alone():
         "edge/1": BatchedCostModel(setup=4.0, marginal=1.0),
     }
     system = build_system(models=models)
-    service = QueryService(system)  # cost_model=None
+    service = QueryService(system)  # the uniform deployment price
     assert service.scheduler._model_for(system.cache("edge/0")) is models["edge/0"]
     run(issue_pair(
         service,
@@ -184,10 +184,13 @@ def test_rebatching_runs_on_group_models_alone():
         "SELECT SUM(x) WITHIN 21 FROM t",
     ))
     assert cost_paid(service.scheduler) > 0
-    # A cache outside any group, with no default model, has none.
+    # A cache without a model of its own, with no default model, prices
+    # uniformly, and a uniform price has no setup to amortize.
     plain = build_system(n_caches=1, fanout=False)
     plain_service = QueryService(plain)
-    assert plain_service.scheduler._model_for(plain.cache("edge/0")) is None
+    price = plain_service.scheduler._model_for(plain.cache("edge/0"))
+    assert price is UNIFORM_PRICE
+    assert not price.amortizes
 
 
 def test_single_cache_group_behaves_classically():

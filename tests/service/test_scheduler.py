@@ -11,7 +11,7 @@ from repro.core.bound import Bound
 from repro.core.executor import PlannedRefresh
 from repro.core.refresh.base import RefreshPlan
 from repro.errors import ReplicationProtocolError
-from repro.extensions.batching import BatchedCostModel
+from repro.extensions.batching import UNIFORM_PRICE, BatchedCostModel
 from repro.service.scheduler import RefreshScheduler
 from repro.storage.columnar import harvest_candidates
 from repro.storage.schema import Column, ColumnKind, Schema
@@ -244,7 +244,7 @@ def test_failure_settles_every_waiter():
     table = make_table(2)
 
     class ExplodingCache(FakeCache):
-        def refresh_batched(self, table, tids, batch_cost=None):
+        def refresh_batched(self, table, tids, price=UNIFORM_PRICE):
             raise ReplicationProtocolError("source is gone")
 
     cache = ExplodingCache({1: "s1", 2: "s1"})
