@@ -107,6 +107,9 @@ _BUILTIN_SHAPES = {0: SqrtShape(), 1: LinearShape(), 2: ConstantShape()}
 #: tuples of 3 columns, so the constant counts objects.
 _COLUMN_ROUTE_PAYLOADS = 30
 
+#: Read once: every message delivered compares its reason with it.
+_FANOUT = RefreshReason.FANOUT
+
 
 class _BoundColumn:
     """One cached column's bound-function parameters as parallel arrays.
@@ -879,16 +882,21 @@ class DataCache:
 
         A message of fewer than :data:`_COLUMN_ROUTE_PAYLOADS` objects
         (every value-initiated push) is applied an object at a time:
-        slot lookup, parameter install, :func:`endpoints`, one
-        ``write_cell``.  A larger one goes a column at a time.  Either
-        way an object no longer subscribed is dropped, a tuple named
-        twice in a column keeps its last entry, and no ``Bound``,
-        ``BoundFunction`` or ``Row`` is built.
+        slot lookup, :func:`endpoints`, parameter install, one
+        ``write_cell``; a one-object message skips the column loop.  A
+        larger one goes a column at a time.  Either way an object no
+        longer subscribed is dropped, a tuple named twice in a column
+        keeps its last entry, an object :func:`endpoints` rejects is
+        installed nowhere, and no ``Bound``, ``BoundFunction`` or ``Row``
+        is built.
         """
         now = self.clock()
         columns = refresh.columns
-        n_objects = sum([len(column.tids) for column in columns])
-        if refresh.reason is RefreshReason.FANOUT:
+        if len(columns) == 1:
+            n_objects = len(columns[0].tids)
+        else:
+            n_objects = sum([len(column.tids) for column in columns])
+        if refresh.reason is _FANOUT:
             self.fanout_refreshes_received += n_objects
             if self._t_fanout_pushes is not None:
                 self._t_fanout_pushes.inc(n_objects)
@@ -899,6 +907,19 @@ class DataCache:
         self.cell_route_messages += 1
         refreshed_at, shape = refresh.refreshed_at, refresh.shape
         code = _SHAPE_CODES.get(type(shape), _CUSTOM_SHAPE)
+        if n_objects == 1 and len(columns) == 1:
+            # One cell (every value-initiated push): no per-column set-up.
+            table_name, column, (tid,), (value,), (width,) = columns[0]
+            params = self._bound_columns.get((table_name, column))
+            slot = None if params is None else params.slot_of.get(tid)
+            if slot is None:
+                return  # not subscribed, or deleted meanwhile: drop it
+            value, width = float(value), float(width)
+            lo, hi = endpoints(value, width, refreshed_at, shape, now)
+            params.install(slot, tid, value, width, refreshed_at, shape, code)
+            self.catalog.table(table_name).columns.write_cell(tid, column, lo, hi)
+            self.refreshes_received += 1
+            return
         for table_name, column, tids, values, widths in columns:
             params = self._bound_columns.get((table_name, column))
             if params is None:
@@ -912,10 +933,11 @@ class DataCache:
                 if slot is None:
                     # Late message for an object deleted meanwhile; drop it.
                     continue
-                params.install(slot, tid, value, width, refreshed_at, shape, code)
                 # Not a zero-width shortcut: a custom shape need not satisfy
                 # f(0) = 0, and the message may have been sent before ``now``.
+                # Evaluated first: an object it rejects installs nothing.
                 lo, hi = endpoints(value, width, refreshed_at, shape, now)
+                params.install(slot, tid, value, width, refreshed_at, shape, code)
                 store.write_cell(tid, column, lo, hi)
                 self.refreshes_received += 1
 

@@ -77,8 +77,8 @@ class ShardedSource:
             seen.add(shard.source_id)
         self.source_id = source_id
         self.shards: tuple[DataSource, ...] = tuple(shards)
-        #: ``(table, tid) -> shard index`` — the master-side routing map.
-        self._shard_of: dict[tuple[str, int], int] = {}
+        #: ``(table, tid) -> owning shard`` — the master-side routing map.
+        self._shard_of: dict[tuple[str, int], DataSource] = {}
         self._tables: set[str] = set()
         #: Per-table global tid allocator (shards allocate independently,
         #: so the wrapper must hand out ids itself).
@@ -120,7 +120,7 @@ class ShardedSource:
     def shard_for(self, table_name: str, tid: int) -> DataSource:
         """The shard owning one tuple's master values."""
         try:
-            return self.shards[self._shard_of[(table_name, tid)]]
+            return self._shard_of[(table_name, tid)]
         except KeyError:
             raise ReplicationProtocolError(
                 f"sharded source {self.source_id!r} does not serve tuple "
@@ -162,7 +162,7 @@ class ShardedSource:
         for row in table.rows():
             index = round_robin(row.tid, len(self.shards))
             partitions[index].insert(row.as_dict(), tid=row.tid)
-            self._shard_of[(table.name, row.tid)] = index
+            self._shard_of[(table.name, row.tid)] = self.shards[index]
             next_tid = max(next_tid, row.tid + 1)
         for shard, partition in zip(self.shards, partitions):
             shard.add_table(partition)
@@ -175,7 +175,10 @@ class ShardedSource:
     # ------------------------------------------------------------------
     def apply_update(self, key: ObjectKey, new_value: float) -> list[Refresh]:
         """Update one master value on whichever shard owns the tuple."""
-        return self.shard_for(key.table, key.tid).apply_update(key, new_value)
+        shard = self._shard_of.get((key.table, key.tid))
+        if shard is None:
+            shard = self.shard_for(key.table, key.tid)  # raises
+        return shard.apply_update(key, new_value)
 
     def insert_row(self, table_name: str, values: dict) -> CardinalityChange:
         """Insert a new tuple, allocating a globally unique tuple id.
@@ -190,9 +193,9 @@ class ShardedSource:
                 f"{table_name!r}"
             )
         tid = self._next_tid[table_name]
-        index = round_robin(tid, len(self.shards))
-        change = self.shards[index].insert_row(table_name, values, tid=tid)
-        self._shard_of[(table_name, tid)] = index
+        shard = self.shards[round_robin(tid, len(self.shards))]
+        change = shard.insert_row(table_name, values, tid=tid)
+        self._shard_of[(table_name, tid)] = shard
         self._next_tid[table_name] = tid + 1
         return change
 
@@ -247,7 +250,7 @@ class ShardedSource:
         target.table(table_name).insert(values, tid=tid)
         for key, entries in moved.items():
             target.monitor.adopt_object(key, entries)
-        self._shard_of[(table_name, tid)] = self.shards.index(target)
+        self._shard_of[(table_name, tid)] = target
         migration = MasterMigration(
             source_id=current.source_id,
             table=table_name,

@@ -49,6 +49,19 @@ __all__ = ["RefreshMonitor", "DataSource"]
 DeliverFunc = Callable[[str, object], None]
 
 
+def _finite_master_value(key: ObjectKey, value: object) -> float:
+    """``value`` as a finite float, or :class:`SchemaError`."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError(
+            f"master value of {key} must be a float64 number, got {value!r}"
+        ) from None
+    if not math.isfinite(number):
+        raise SchemaError(f"master value of {key} must be finite, got {number}")
+    return number
+
+
 def _width_error(width: float) -> BoundError:
     """A policy's width rejected as :class:`BoundFunction` rejects it."""
     return BoundError(f"width parameter must be non-negative, got {width}")
@@ -313,6 +326,15 @@ class RefreshMonitor:
             if checked_at <= now and lo <= value <= hi:
                 self.window_answers += 1
                 return []
+        return self.check_trackers(key, value, now)
+
+    def check_trackers(
+        self, key: ObjectKey, value: float, now: float
+    ) -> list[tuple[str, _TrackedBound]]:
+        """:meth:`violations` past the safe window: every tracker of
+        ``key`` is evaluated at ``now``, and the window is renewed when
+        none is violated.  A caller that probed the window itself (the
+        write path) comes here when the probe did not answer."""
         trackers = self._objects.get(key)
         if trackers is None:
             return []
@@ -634,25 +656,40 @@ class DataSource:
         """Update a master value, emitting value-initiated refreshes as
         required by the TRAPP contract.
 
-        ``new_value`` is coerced to a float once, up front; a value that
-        is not a finite number raises :class:`SchemaError` before the
-        master cell or the monitor is touched.  Each push is one column
-        of one tuple.
+        A value that is not a finite number raises :class:`SchemaError`
+        before the master cell or the monitor is touched; any other is
+        coerced to a float once, up front.  The cell is written through
+        :meth:`Table.update_value`, which checks the rest (column, tuple)
+        before anything moves.  The monitor's safe window is probed here;
+        only a value outside it reads the trackers.  Each violated tracker
+        is renewed through :meth:`RefreshMonitor.update` and its cache
+        sent one one-cell refresh.
         """
-        try:
-            value = float(new_value)
-        except (TypeError, ValueError, OverflowError):
-            raise SchemaError(
-                f"master value of {key} must be a float64 number, got {new_value!r}"
-            ) from None
-        if not math.isfinite(value):
-            raise SchemaError(f"master value of {key} must be finite, got {value}")
-        self.table(key.table).update_value(key.tid, key.column, value)
+        value = new_value
+        # ``x - x`` is 0.0 for a finite float only (NaN and ±inf give NaN).
+        if type(value) is not float or value - value != 0.0:
+            value = _finite_master_value(key, new_value)
+        table = self._tables.get(key.table)
+        if table is None:
+            table = self.table(key.table)  # raises
+        table.update_value(key.tid, key.column, value)
         now = self.clock()
+        monitor = self.monitor
+        # RefreshMonitor.violations' window probe, without the call.
+        window = monitor._windows.get(key)
+        if (
+            window is not None
+            and window[2] <= now
+            and window[0] <= value <= window[1]
+        ):
+            monitor.window_answers += 1
+            return []
         refreshes: list[Refresh] = []
-        for cache_id, entry in self.monitor.violations(key, value, now):
-            entry.policy.on_value_initiated()
-            width = self._renew(key, entry, value, now)
+        for cache_id, entry in monitor.check_trackers(key, value, now):
+            policy = entry.policy
+            policy.on_value_initiated()
+            width = policy.next_width()
+            monitor.update(key, entry, value, width, now, self.shape)
             refresh = Refresh(
                 self.source_id,
                 RefreshReason.VALUE_INITIATED,
@@ -700,15 +737,6 @@ class DataSource:
         return change
 
     # ------------------------------------------------------------------
-    def _renew(
-        self, key: ObjectKey, entry: _TrackedBound, value: float, now: float
-    ) -> float:
-        """Renew ``entry``'s bound at ``value`` and ``now`` with the
-        policy's next width, which is returned."""
-        width = entry.policy.next_width()
-        self.monitor.update(key, entry, value, width, now, self.shape)
-        return width
-
     def _master_value(self, key: ObjectKey) -> float:
         lo, hi = self.table(key.table).columns.cell(key.tid, key.column)
         if lo != hi:

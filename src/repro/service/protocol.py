@@ -40,18 +40,18 @@ __all__ = [
 MAX_LINE_BYTES = 1 << 20
 
 
-def encode(message: dict) -> bytes:
-    """Serialize one protocol message to a terminated wire line.
+#: The one encoder of every reply: ``json.dumps`` with these arguments
+#: would build a new one per call.  ``allow_nan=False`` keeps the output
+#: strict JSON — non-finite floats must be mapped to the string sentinels
+#: first (see :func:`json_number`), or encoding raises instead of emitting
+#: bare ``Infinity`` tokens no standards-compliant peer can parse.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
 
-    ``allow_nan=False`` keeps the output strict JSON — non-finite floats
-    must be mapped to the string sentinels first (see
-    :func:`json_number`), or encoding raises instead of emitting bare
-    ``Infinity`` tokens no standards-compliant peer can parse.
-    """
-    return (
-        json.dumps(message, separators=(",", ":"), allow_nan=False).encode("utf-8")
-        + b"\n"
-    )
+
+def encode(message: dict) -> bytes:
+    """Serialize one protocol message to a terminated wire line (the bytes
+    ``json.dumps(message, separators=(",", ":"), allow_nan=False)`` gives)."""
+    return _ENCODER.encode(message).encode("utf-8") + b"\n"
 
 
 def json_number(value: float) -> "float | str":

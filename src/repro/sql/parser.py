@@ -23,7 +23,10 @@ from repro.predicates.ast import TruePredicate
 from repro.predicates.parser import PredicateParser, TokenStream, tokenize
 from repro.sql.ast import AGGREGATE_NAMES, SelectStatement
 
-__all__ = ["parse_statement"]
+__all__ = ["MAX_RANK", "parse_statement"]
+
+#: The largest ``TOPN`` rank a statement may ask for: an int64.
+MAX_RANK = 2**63 - 1
 
 
 def parse_statement(text: str) -> SelectStatement:
@@ -50,7 +53,13 @@ def parse_statement(text: str) -> SelectStatement:
 
     within = math.inf
     if stream.accept_keyword("WITHIN"):
+        token = stream.peek()
         within = _parse_number(stream)
+        if not math.isfinite(within):
+            # An overflowing literal would silently mean "no constraint".
+            raise SqlSyntaxError(
+                f"WITHIN takes a finite number, got {within}", token.pos
+            )
 
     stream.expect_keyword("FROM")
     tables = [stream.expect_ident("table name").text]
@@ -104,14 +113,18 @@ def _parse_rank(stream: TokenStream) -> int:
             f"TOPN takes a rank first: TOPN(n, column); found {token.text!r}",
             token.pos,
         )
-    value = float(token.text)
-    if value < 1 or value != int(value):
+    try:
+        rank = int(token.text)
+    except ValueError:  # a decimal point, an exponent or too many digits
+        value = float(token.text)
+        rank = int(value) if math.isfinite(value) and value.is_integer() else 0
+    if not 1 <= rank <= MAX_RANK:
         raise SqlSyntaxError(
-            f"TOPN rank must be a positive integer, got {token.text!r}",
+            f"TOPN rank must be an integer in [1, 2**63 - 1], got {token.text!r}",
             token.pos,
         )
     stream.advance()
-    return int(value)
+    return rank
 
 
 def _parse_number(stream: TokenStream) -> float:

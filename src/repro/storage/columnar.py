@@ -207,8 +207,36 @@ class ColumnStore:
             order.stale = True
 
     def set(self, tid: int, column: str, value: Any) -> None:
-        """Overwrite one cell with a value the caller has validated (the
-        ``Table.update_value`` path)."""
+        """Overwrite one cell after validating it against the schema (the
+        ``Table.update_value`` route, the only single-cell write of a value).
+
+        A plain non-NaN ``float`` into a bounded column — every master
+        write — is valid by construction: it costs one slot lookup, two
+        array stores, the column's live-order dirty marks and the
+        ``version`` bump.  Any other value, and any other column, is
+        checked by :meth:`Column.validate` first.  Either way an unknown
+        column, a value the column cannot hold and a missing tuple raise
+        before anything moves.
+        """
+        if type(value) is not float or value != value or column not in self._bounded:
+            self._set_validated(tid, column, value)
+            return
+        slot = self._slot_of.get(tid)
+        if slot is None:
+            raise TrappError(f"column store holds no tuple #{tid}")
+        live_lo, live_hi = self._lo[column], self._hi[column]
+        # An exact cell arriving moves the counter only off a wide one.
+        if self._non_exact[column] and live_lo[slot] < live_hi[slot]:
+            self._non_exact[column] -= 1
+        live_lo[slot] = value
+        live_hi[slot] = value
+        for order in self._column_orders.get(column, ()):
+            order.dirty.add(tid)
+        self.version += 1
+
+    def _set_validated(self, tid: int, column: str, value: Any) -> None:
+        """:meth:`set` for every value but a float into a bounded column."""
+        self.schema[column].validate(value)
         try:
             slot = self._slot_of[tid]
         except KeyError:
@@ -217,10 +245,7 @@ class ColumnStore:
         if objects is not None:
             objects[slot] = value
         if column in self._lo:
-            if type(value) is float:  # a master write: no Bound to unpack
-                lo = hi = value
-            else:
-                lo, hi = _endpoints(value)
+            lo, hi = _endpoints(value)
             wide = lo < hi
             # With every cell exact and an exact one arriving the counter
             # cannot move, so the old cell is not read.
@@ -231,8 +256,6 @@ class ColumnStore:
             self._hi[column][slot] = hi
             for order in self._column_orders.get(column, ()):
                 order.dirty.add(tid)
-        elif objects is None:
-            raise UnknownColumnError(column)
         self.version += 1
 
     def write_cell(self, tid: int, column: str, lo: float, hi: float) -> bool:
@@ -251,10 +274,12 @@ class ColumnStore:
             self.schema[column]  # raise UnknownColumnError on bad names
             raise TrappError(f"column {column!r} is not bounded; no cell write")
         live_lo, live_hi = self._lo[column], self._hi[column]
-        wide = lo < hi
-        if wide or self._non_exact[column]:  # else the counter cannot move
-            was_wide = bool(live_lo[slot] < live_hi[slot])
-            self._non_exact[column] += int(wide) - int(was_wide)
+        if lo < hi:
+            if not live_lo[slot] < live_hi[slot]:
+                self._non_exact[column] += 1
+        # An exact cell arriving moves the counter only off a wide one.
+        elif self._non_exact[column] and live_lo[slot] < live_hi[slot]:
+            self._non_exact[column] -= 1
         live_lo[slot] = lo
         live_hi[slot] = hi
         for order in self._column_orders.get(column, ()):

@@ -164,10 +164,8 @@ class Table:
         self.shard_map.forget(tid)
 
     def update_value(self, tid: int, column: str, value: Any) -> None:
-        """Overwrite one cell after validating it against the schema."""
-        self.schema[column].validate(value)
-        if tid not in self.columns:
-            raise TrappError(f"table {self.name!r} has no tuple #{tid}")
+        """Overwrite one cell after validating it against the schema
+        (:meth:`ColumnStore.set` checks; nothing moves when it raises)."""
         self.columns.set(tid, column, value)
 
     def clear(self) -> None:

@@ -394,6 +394,30 @@ def test_both_routes_raise_what_the_reference_raises(n_payloads):
         assert str(new_error.value) == str(formula_error.value)
 
 
+@pytest.mark.parametrize("n_payloads", [1, 2, 16])
+def test_an_object_the_formula_rejects_is_installed_nowhere(n_payloads):
+    """Its bound function and cell stay as they were, so the next sync
+    does not inherit the bad parameters (the cell route once installed
+    them before evaluating, and every later sync of the column raised)."""
+    system = _build(_flat_master(8), SOURCE_SHAPES[:2], 1, 5.0)
+    cache = system.cache("g/0")
+    now = system.clock.now()
+    key = ObjectKey("t", 8, "y")
+    before = cache.bound_function_of(key), cache.table("t").columns.cell(8, "y")
+    entries = [
+        (1 + index % 7, BOUNDED[index % 2], 1.0, 0.5)
+        for index in range(n_payloads - 1)
+    ]
+    entries.append((8, "y", float("nan"), 1.0))
+    message = Refresh(
+        "s/0", RefreshReason.VALUE_INITIATED, _columns(entries), now, SqrtShape()
+    )
+    with pytest.raises(BoundError, match="NaN"):
+        cache._on_message("g/0", message)
+    assert (cache.bound_function_of(key), cache.table("t").columns.cell(8, "y")) == before
+    cache.sync_bounds()
+
+
 def test_real_route_constant_splits_query_initiated_batches(monkeypatch):
     """At the shipped constant: a batch just below it is a cell loop, one
     at it a column write, both equal to the reference."""

@@ -245,6 +245,22 @@ class TestTriggerCheck:
             replica.sync_bounds()
             assert replica.table("links").row(1).bound("latency").contains(value)
 
+    def test_a_clock_that_steps_back_takes_the_full_check(self, clock, source):
+        """The write path probes the window itself: a window checked
+        later than ``now`` must not answer, whatever the value."""
+        readings = [0.0]
+        source.clock = lambda: readings[0]
+        _replicas(clock, source, 2)
+        readings[0] = 100.0
+        monitor = source.monitor
+        master = source.table("links").row(1).number("latency")
+        source.apply_update(self.KEY, master)
+        source.apply_update(self.KEY, master)
+        assert (monitor.window_answers, monitor.full_checks) == (1, 1)
+        readings[0] = 60.0
+        assert source.apply_update(self.KEY, master) == []
+        assert (monitor.window_answers, monitor.full_checks) == (1, 2)
+
     def test_a_refresh_drops_the_window_and_the_next_check_rebuilds_it(
         self, clock, source
     ):
@@ -403,20 +419,22 @@ class TestDeliveryWritesArrays:
 
     @pytest.fixture
     def guarded(self, monkeypatch, deployment):
-        """Patch the per-cell pipeline out from under the two caches."""
+        """Patch the per-cell pipeline out from under the two caches; what
+        is returned lists the master's cell writes and validations."""
         _, caches = deployment
         cached_stores = {id(replica.table("links").columns) for replica in caches}
         store_set = ColumnStore.set
-        validated = []
+        calls = {"set": [], "validate": []}
 
         def set_master_cells_only(store, tid, column, value):
             assert id(store) not in cached_stores, "ColumnStore.set on a cached store"
+            calls["set"].append(column)
             store_set(store, tid, column, value)
 
         column_validate = Column.validate
 
         def counting_validate(column, value):
-            validated.append(column.name)
+            calls["validate"].append(column.name)
             column_validate(column, value)
 
         monkeypatch.setattr(Bound, "__init__", _boom)
@@ -425,7 +443,7 @@ class TestDeliveryWritesArrays:
         monkeypatch.setattr(Column, "validate", counting_validate)
         for replica in caches:
             monkeypatch.setattr(replica.table("links"), "update_value", _boom)
-        return validated
+        return calls
 
     @staticmethod
     def _assert_cells_equal_master(source, caches, tids, columns):
@@ -448,8 +466,22 @@ class TestDeliveryWritesArrays:
             key = ObjectKey("links", tids[step % 40], "traffic")
             refreshes = source.apply_update(key, 1e4 + step * 0.5)
             assert [r.reason for r in refreshes] == [RefreshReason.VALUE_INITIATED] * 2
-        assert guarded == ["traffic"] * 1000  # the master's validation, only
+        # Each update wrote the master cell through the one route, and a
+        # float into a bounded column needed no schema lookup there.
+        assert guarded == {"set": ["traffic"] * 1000, "validate": []}
         self._assert_cells_equal_master(source, caches, tids[:40], ["traffic"])
+        # The master still validates what is not a plain float: nothing
+        # moves and no refresh is sent.
+        master = source.table("links")
+        version = master.columns.version
+        with pytest.raises(SchemaError):
+            source.apply_update(ObjectKey("links", tids[0], "traffic"), float("nan"))
+        with pytest.raises(SchemaError):
+            master.update_value(tids[0], "traffic", "fast")
+        with pytest.raises(SchemaError):
+            master.update_value(tids[0], "traffic", 10**400)
+        assert guarded["validate"] == ["traffic"] * 2
+        assert master.columns.version == version
         for replica in caches:
             assert replica.refreshes_received == 1000
             assert (replica.cell_route_messages, replica.column_route_messages) == (
@@ -471,7 +503,7 @@ class TestDeliveryWritesArrays:
         tids = source.table("links").tids()[10:310]
         receipt = requester.refresh_batched(requester.table("links"), tids)
         assert receipt.tids == frozenset(tids) and not receipt.failures
-        assert guarded == []
+        assert guarded == {"set": [], "validate": []}
         bounded = ["latency", "bandwidth", "traffic"]
         self._assert_cells_equal_master(source, caches, tids, bounded)
         for replica in caches:

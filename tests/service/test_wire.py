@@ -7,10 +7,18 @@ import json
 
 import pytest
 
-from repro.errors import RemoteQueryError
+from repro.core.answer import BoundedAnswer
+from repro.core.bound import Bound
+from repro.errors import RemoteQueryError, SqlSyntaxError
 from repro.extensions.batching import BatchedCostModel
 from repro.service import QueryService, TrappClient, serve
-from repro.service.protocol import decode, encode
+from repro.service.protocol import (
+    answer_payload,
+    decode,
+    encode,
+    error_payload,
+    json_safe,
+)
 
 from tests.service.conftest import CACHE_ID, build_netmon_system, metric
 
@@ -212,3 +220,38 @@ def test_protocol_payload_shape():
                 await writer.wait_closed()
 
     run(go())
+
+
+# ----------------------------------------------------------------------
+# The one encoder
+# ----------------------------------------------------------------------
+REPLIES = [
+    {"id": 1, "ok": True, "result": answer_payload(
+        BoundedAnswer(Bound(-3.25, 1e300), frozenset({4, 2, 9}), 7.5), cached=False,
+    )},
+    {"id": "q-2", "ok": True, "result": answer_payload(
+        BoundedAnswer(
+            Bound(float("-inf"), float("inf")), degraded=True,
+            unreachable_sources=("net/0", "net/3"),
+        ),
+        cached=True,
+    )},
+    {"id": 3, "ok": False, "error": error_payload(SqlSyntaxError("bad « token »", 4))},
+    {"id": 4, "ok": True, "clock": 0.1 + 0.2, "pong": None},
+    {"id": 5, "ok": True, "metrics": json_safe(
+        {"families": [{"name": "x", "samples": [[{"le": "+Inf"}, float("inf")]]}]}
+    )},
+]
+
+
+@pytest.mark.parametrize("reply", REPLIES, ids=lambda reply: str(reply["id"]))
+def test_encode_is_json_dumps_byte_for_byte(reply):
+    expected = json.dumps(reply, separators=(",", ":"), allow_nan=False)
+    assert encode(reply) == expected.encode("utf-8") + b"\n"
+    assert decode(encode(reply)) == json.loads(expected)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_encode_still_refuses_non_finite_floats(bad):
+    with pytest.raises(ValueError):
+        encode({"id": 1, "ok": True, "result": {"lo": bad}})
