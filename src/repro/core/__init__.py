@@ -1,7 +1,7 @@
 """TRAPP/AG core: bounds, constraints, aggregates, optimizers, executor."""
 
 from repro.core.answer import BoundedAnswer
-from repro.core.bound import Bound, exact, hull, intersect_all
+from repro.core.bound import Bound, exact
 from repro.core.constraints import (
     EXACT,
     UNCONSTRAINED,
@@ -19,8 +19,6 @@ from repro.core.executor import (
 __all__ = [
     "Bound",
     "exact",
-    "hull",
-    "intersect_all",
     "BoundedAnswer",
     "PrecisionConstraint",
     "AbsolutePrecision",

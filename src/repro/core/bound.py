@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterator, Union
 
 from repro.errors import BoundError
 
 Number = Union[int, float]
 
-__all__ = ["Bound", "exact", "hull", "intersect_all"]
+__all__ = ["Bound", "exact"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -179,35 +179,3 @@ def _as_bound(value: "Bound | Number") -> Bound:
 def exact(value: Number) -> Bound:
     """Module-level alias for :meth:`Bound.exact`."""
     return Bound.exact(value)
-
-
-def hull(bounds: Iterable[Bound]) -> Bound:
-    """The smallest interval containing every bound in ``bounds``.
-
-    The hull of an empty collection is defined as the empty-aggregate
-    convention from the paper (min of nothing = +inf, max = -inf), which we
-    surface as a :class:`BoundError` because ``[+inf, -inf]`` is not a valid
-    interval; callers handle empty inputs explicitly.
-    """
-    it = iter(bounds)
-    try:
-        acc = next(it)
-    except StopIteration:
-        raise BoundError("hull of an empty collection is undefined") from None
-    for b in it:
-        acc = acc.hull(b)
-    return acc
-
-
-def intersect_all(bounds: Iterable[Bound]) -> Bound:
-    """The intersection of every bound in ``bounds`` (must be non-empty)."""
-    it = iter(bounds)
-    try:
-        acc = next(it)
-    except StopIteration:
-        raise BoundError("intersection of an empty collection is undefined") from None
-    for b in it:
-        if not acc.overlaps(b):
-            raise BoundError(f"intervals {acc} and {b} are disjoint")
-        acc = Bound(max(acc.lo, b.lo), min(acc.hi, b.hi))
-    return acc

@@ -10,9 +10,10 @@ cost of the refreshed complement.
 Two APIs are provided over one solver core:
 
 * the **object API** (:func:`solve_exact_dp`, :func:`solve_ibarra_kim`,
-  :func:`solve_greedy_uniform`, :func:`solve_greedy_ratio`,
-  :func:`solve_brute_force`) over :class:`KnapsackItem` sequences — the
-  reference interface, kept for row-at-a-time callers and tests;
+  :func:`solve_greedy_uniform`) over :class:`KnapsackItem` sequences —
+  the reference interface Figure 5's golden and the tests call.  The
+  brute-force optimality oracle and the density-greedy ablation baseline
+  are ``tests/oracle/knapsack.py``;
 * the **vector API** (:func:`solve_vector`) over parallel weight/profit
   sequences (stdlib ``array('d')``/``array('q')`` or any indexables) —
   the planner's hot path, consuming candidate vectors harvested straight
@@ -48,7 +49,6 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from repro.errors import OptimizerError
@@ -60,8 +60,6 @@ __all__ = [
     "solve_exact_dp",
     "solve_ibarra_kim",
     "solve_greedy_uniform",
-    "solve_greedy_ratio",
-    "solve_brute_force",
     "solve_vector",
 ]
 
@@ -601,60 +599,3 @@ def solve_greedy_uniform(
             chosen.add(item.item_id)
             remaining -= item.weight
     return KnapsackSolution.of(items, chosen)
-
-
-def solve_greedy_ratio(
-    items: Sequence[KnapsackItem], capacity: float
-) -> KnapsackSolution:
-    """Classic profit/weight-density greedy with the best-single fallback.
-
-    Guarantees at least half the optimal profit; included as an ablation
-    baseline against the Ibarra–Kim scheme (not used by the paper).
-    """
-    _validate(items, capacity)
-    contenders, always_in, _ = _split_free_items(items, capacity)
-    chosen = set(always_in)
-    remaining = capacity
-    greedy_profit = 0.0
-    for item in sorted(
-        contenders, key=lambda i: (-(i.profit / i.weight), i.item_id)
-    ):
-        if item.weight <= remaining:
-            chosen.add(item.item_id)
-            remaining -= item.weight
-            greedy_profit += item.profit
-    # The 2-approximation requires comparing with the single best item.
-    best_single = max(contenders, key=lambda i: i.profit, default=None)
-    if best_single is not None and best_single.profit > greedy_profit:
-        chosen = set(always_in) | {best_single.item_id}
-    return KnapsackSolution.of(items, chosen)
-
-
-# ----------------------------------------------------------------------
-# Brute force (test oracle)
-# ----------------------------------------------------------------------
-def solve_brute_force(
-    items: Sequence[KnapsackItem], capacity: float
-) -> KnapsackSolution:
-    """Exhaustive search over all subsets; the optimality oracle for tests.
-
-    Exponential — callers must keep instances small (≤ ~20 contenders).
-    """
-    _validate(items, capacity)
-    contenders, always_in, _ = _split_free_items(items, capacity)
-    if len(contenders) > 22:
-        raise OptimizerError(
-            f"brute force limited to 22 contenders, got {len(contenders)}"
-        )
-    best_ids: tuple[int, ...] = ()
-    best_profit = -1.0
-    for r in range(len(contenders) + 1):
-        for combo in combinations(contenders, r):
-            weight = sum(i.weight for i in combo)
-            if weight > capacity:
-                continue
-            profit = sum(i.profit for i in combo)
-            if profit > best_profit:
-                best_profit = profit
-                best_ids = tuple(i.item_id for i in combo)
-    return KnapsackSolution.of(items, set(best_ids) | set(always_in))

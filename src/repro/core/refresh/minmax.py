@@ -13,9 +13,10 @@ guaranteed upper bound ``min_{T+}(H_k) - R`` and candidates range over
 ``T+ ∪ T?`` (refreshing a T? tuple that drops into T− never hurts the
 bound).  MAX is the mirror image.
 
-Both run in ``O(n)`` with a plain scan, or sublinear over the column
-store's sorted endpoint orders (``ColumnStore.endpoint_order``, the
-paper's §5.1 endpoint indexes), exposed via ``without_predicate_indexed``.
+Both run in ``O(n)`` as one array sweep.  §5.1's sublinear route, over
+the column store's sorted endpoint orders (``ColumnStore.endpoint_order``),
+returns the same plan; no statement needs it, so it is the reference
+``tests/oracle/indexed_minmax.py``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 
 import numpy as np
 
-from repro.core.refresh.base import CostFunc, RefreshPlan, plan_at, uniform_cost
+from repro.core.refresh.base import CostFunc, plan_at, uniform_cost
 from repro.errors import TrappError
 from repro.predicates.batch import restrict_endpoints
 from repro.storage.table import Table
@@ -91,30 +92,6 @@ class MinChooseRefresh:
             )
         return plan_at(table, cost, chosen), None
 
-    def without_predicate_indexed(
-        self,
-        table: Table,
-        column: str,
-        max_width: float,
-        cost: CostFunc = uniform_cost,
-    ) -> RefreshPlan:
-        """Index-accelerated variant: ``O(log n + |TR|)``.
-
-        ``min_k(H_k)`` is the first key of the column's ascending
-        upper-endpoint order, and the forced set is the run of the
-        lower-endpoint order below the threshold — one ``searchsorted`` —
-        matching the sublinear bound claimed in §5.1.  The plan is the
-        one :meth:`without_predicate` sweeps the column for.
-        """
-        store = table.columns
-        upper = store.endpoint_order(column, "hi").keys
-        threshold = (float(upper[0]) if len(upper) else math.inf) - max_width
-        if math.isnan(threshold):
-            return RefreshPlan.empty()
-        lower = store.endpoint_order(column, "lo")
-        cut = np.searchsorted(lower.keys, threshold, side="left")
-        return plan_at(table, cost, np.sort(lower.positions[:cut]))
-
 
 class MaxChooseRefresh:
     """Optimal refresh selection for bounded MAX queries (Appendix C)."""
@@ -164,23 +141,6 @@ class MaxChooseRefresh:
                 [plus_at[hi[plus_at] > threshold], maybe_at[maybe_hi > threshold]]
             )
         return plan_at(table, cost, chosen), None
-
-    def without_predicate_indexed(
-        self,
-        table: Table,
-        column: str,
-        max_width: float,
-        cost: CostFunc = uniform_cost,
-    ) -> RefreshPlan:
-        """Index-accelerated variant mirroring MIN's."""
-        store = table.columns
-        lower = store.endpoint_order(column, "lo").keys
-        threshold = (float(lower[-1]) if len(lower) else -math.inf) + max_width
-        if math.isnan(threshold):
-            return RefreshPlan.empty()
-        upper = store.endpoint_order(column, "hi")
-        cut = np.searchsorted(upper.keys, threshold, side="right")
-        return plan_at(table, cost, np.sort(upper.positions[cut:]))
 
 
 CHOOSE_MIN = MinChooseRefresh()

@@ -1,4 +1,4 @@
-"""A protocol-free refresher for benchmarks, examples, and tests.
+"""A protocol-free refresher for examples, the golden figures and tests.
 
 :class:`LocalRefresher` implements the executor's ``RefreshProvider``
 interface directly against a *master* table held in the same process: a

@@ -52,8 +52,8 @@ class RefreshReason(enum.Enum):
     #: A query needed the exact value to meet its precision constraint.
     QUERY_INITIATED = "query"
     #: Another replica's query-initiated refresh was fanned out to this
-    #: cache: the source piggybacked the fresh master value onto every
-    #: sibling tracking the object, so one paid refresh tightens bounds
+    #: cache: the source pushed the fresh master value to every sibling
+    #: tracking the object, so one paid refresh tightens bounds
     #: group-wide (the replication fan-out regime of §8.1's multi-cache
     #: architecture).
     FANOUT = "fanout"

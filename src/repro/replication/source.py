@@ -192,16 +192,14 @@ class RefreshMonitor:
         values: list[float],
         now: float,
         shape: BoundShape,
-        query_initiated: bool,
         fanout: "bool | object",
     ) -> tuple[list[float], dict[str, tuple[list[int], list[float]]]]:
         """Refresh one column of many objects: the query-initiated path.
 
         ``held`` is :meth:`trackers_of` for ``tids``.  Each object's
         tracker for ``cache_id`` takes ``(values[i], W, now, shape)``,
-        ``W`` from its policy after one ``on_query_initiated`` when
-        ``query_initiated`` (a piggybacked refresh gives no feedback).
-        With ``fanout`` (``True``, or a membership such as a
+        ``W`` from its policy after one ``on_query_initiated``.  With
+        ``fanout`` (``True``, or a membership such as a
         :class:`~repro.replication.fanout.CacheGroup`) every other member
         cache tracking the object is renewed the same way, through its
         own policy — the *same* sequence of policy calls as the
@@ -222,8 +220,7 @@ class RefreshMonitor:
 
         def step(entry: _TrackedBound) -> float:
             policy = entry.policy
-            if query_initiated:
-                policy.on_query_initiated()
+            policy.on_query_initiated()
             width = policy.next_width()
             if width < 0:
                 raise _width_error(width)
@@ -338,7 +335,6 @@ class RefreshMonitor:
         trackers = self._objects.get(key)
         if trackers is None:
             return []
-        self.full_checks += 1
         out: list[tuple[str, _TrackedBound]] = []
         lo, hi = -math.inf, math.inf
         for cache_id, entry in trackers.items():
@@ -353,6 +349,7 @@ class RefreshMonitor:
                     lo = bound_lo
                 if bound_hi < hi:
                     hi = bound_hi
+        self.full_checks += 1
         if out:
             self._violation_counts[key.table] = (
                 self._violation_counts.get(key.table, 0) + len(out)
@@ -368,14 +365,6 @@ class RefreshMonitor:
     def caches_tracking(self, key: ObjectKey) -> list[str]:
         return list(self._objects.get(key, ()))
 
-    def entries_for_cache(self, cache_id: str) -> list[tuple[ObjectKey, "_TrackedBound"]]:
-        """Every (key, tracked bound) pair held on behalf of one cache."""
-        return [
-            (key, trackers[cache_id])
-            for key, trackers in self._objects.items()
-            if cache_id in trackers
-        ]
-
     def tracked_count(self) -> int:
         return self._tracked_count
 
@@ -389,18 +378,11 @@ class DataSource:
         clock: Callable[[], float] = lambda: 0.0,
         shape: BoundShape | None = None,
         default_policy_factory: Callable[[], WidthPolicy] | None = None,
-        piggyback: "object | None" = None,
     ) -> None:
         self.source_id = source_id
         self.clock = clock
         self.shape = shape if shape is not None else SqrtShape()
         self._policy_factory = default_policy_factory or AdaptiveWidthController
-        #: Optional §8.3 piggyback policy (anything with ``select(requested,
-        #: tracked)``; the paper's edge-risk policy is in
-        #: ``examples/section8/prerefresh.py``); when set, refresh responses
-        #: may carry extra payloads for objects near their bound edges.
-        self.piggyback = piggyback
-        self.piggybacked_refreshes = 0
         #: Replication fan-out (multi-cache groups): when set, answering
         #: one cache's query-initiated refresh also pushes the fresh master
         #: value to sibling caches tracking the object, so a refresh any
@@ -551,7 +533,7 @@ class DataSource:
         pushes: dict[str, list[ColumnRefresh]] = {}
         for column, array, values, held in gathered:
             widths, pushed = self.monitor.renew(
-                cache_id, name, column, tids, held, values, now, shape, True, fanout
+                cache_id, name, column, tids, held, values, now, shape, fanout
             )
             columns.append(
                 ColumnRefresh(name, column, tids, array, np.array(widths))
@@ -559,8 +541,6 @@ class DataSource:
             if pushed:
                 self._collect_pushes(pushes, columns[-1], widths, pushed)
             self.query_initiated_refreshes += len(tids)
-        if self.piggyback is not None:
-            self._piggyback(request, now, columns, pushes)
         for sibling, sibling_columns in pushes.items():
             self.fanout_refreshes += sum(len(c.tids) for c in sibling_columns)
             self._send(
@@ -605,50 +585,6 @@ class DataSource:
                 )
             )
 
-    def _piggyback(
-        self,
-        request: RefreshRequest,
-        now: float,
-        columns: list[ColumnRefresh],
-        pushes: dict[str, list[ColumnRefresh]],
-    ) -> None:
-        """§8.3 piggybacking: refresh endangered objects while we're at it.
-
-        Piggybacked refreshes reuse the object's current width (they are
-        opportunistic, not a precision signal, so the width policy receives
-        no feedback).  They join the answer, and the fan-out, as further
-        columns.
-        """
-        cache_id = request.cache_id
-        bounded = self.table(request.table).schema.bounded_columns
-        requested = {
-            ObjectKey(request.table, tid, column.name)
-            for tid in request.tids
-            for column in bounded
-        }
-        tracked = [
-            (key, self._master_value(key), entry.at(now))
-            for key, entry in self.monitor.entries_for_cache(cache_id)
-            if key not in requested
-        ]
-        by_column: dict[tuple[str, str], list[int]] = {}
-        for key in self.piggyback.select(requested, tracked):
-            by_column.setdefault((key.table, key.column), []).append(key.tid)
-        for (name, column), tids in by_column.items():
-            tids = tuple(tids)
-            values = [self._master_value(ObjectKey(name, tid, column)) for tid in tids]
-            held = self.monitor.trackers_of(cache_id, name, column, tids)
-            widths, pushed = self.monitor.renew(
-                cache_id, name, column, tids, held, values, now, self.shape,
-                False, self.refresh_fanout,
-            )
-            columns.append(
-                ColumnRefresh(name, column, tids, np.array(values), np.array(widths))
-            )
-            if pushed:
-                self._collect_pushes(pushes, columns[-1], widths, pushed)
-            self.piggybacked_refreshes += len(tids)
-
     # ------------------------------------------------------------------
     # Master updates and value-initiated refresh
     # ------------------------------------------------------------------
@@ -658,12 +594,16 @@ class DataSource:
 
         A value that is not a finite number raises :class:`SchemaError`
         before the master cell or the monitor is touched; any other is
-        coerced to a float once, up front.  The cell is written through
-        :meth:`Table.update_value`, which checks the rest (column, tuple)
-        before anything moves.  The monitor's safe window is probed here;
-        only a value outside it reads the trackers.  Each violated tracker
-        is renewed through :meth:`RefreshMonitor.update` and its cache
-        sent one one-cell refresh.
+        coerced to a float once, up front.  The monitor's safe window is
+        probed first; only a value outside it reads the trackers, and a
+        column that is not bounded is refused there with
+        :class:`SchemaError` (an EXACT value changes by delete + insert,
+        which every cache hears of).  Only then is the cell written,
+        through :meth:`Table.update_value`, which checks the rest (column,
+        tuple) before anything moves — so a check that raises leaves the
+        master as it was.  Each violated tracker is renewed through
+        :meth:`RefreshMonitor.update` and its cache sent one one-cell
+        refresh.
         """
         value = new_value
         # ``x - x`` is 0.0 for a finite float only (NaN and ±inf give NaN).
@@ -672,20 +612,28 @@ class DataSource:
         table = self._tables.get(key.table)
         if table is None:
             table = self.table(key.table)  # raises
-        table.update_value(key.tid, key.column, value)
         now = self.clock()
         monitor = self.monitor
-        # RefreshMonitor.violations' window probe, without the call.
+        # RefreshMonitor.violations' window probe, without the call.  A
+        # window exists only for a tracked object: its column is bounded.
         window = monitor._windows.get(key)
         if (
             window is not None
             and window[2] <= now
             and window[0] <= value <= window[1]
         ):
+            table.update_value(key.tid, key.column, value)
             monitor.window_answers += 1
             return []
+        if not table.schema[key.column].is_bounded:
+            raise SchemaError(
+                f"master object {key} is not bounded: no cache tracks it, so "
+                "a change to it is a delete + insert"
+            )
+        violated = monitor.check_trackers(key, value, now)
+        table.update_value(key.tid, key.column, value)
         refreshes: list[Refresh] = []
-        for cache_id, entry in monitor.check_trackers(key, value, now):
+        for cache_id, entry in violated:
             policy = entry.policy
             policy.on_value_initiated()
             width = policy.next_width()

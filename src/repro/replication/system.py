@@ -64,7 +64,7 @@ class TrappSystem:
         cache subscribing to it serves one logical table whose refreshes
         fan out per shard; tuple ids are striped round-robin across the
         shards.  ``shards=None`` keeps the classic single source.
-        ``**kwargs`` (bound shapes, width policies, piggyback) are
+        ``**kwargs`` (the bound shape, the width-policy factory) are
         forwarded to every underlying :class:`DataSource`.
         """
         if source_id in self._sources:

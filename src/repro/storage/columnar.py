@@ -67,6 +67,7 @@ from repro.storage.schema import ColumnKind, Schema
 __all__ = [
     "ColumnStore",
     "CandidateVectors",
+    "bound_widths",
     "candidate_order",
     "harvest_candidates",
 ]
@@ -579,12 +580,12 @@ class ColumnStore:
     def _keys_by_tid(self, column: str, kind: str) -> np.ndarray:
         lo, hi = self.endpoints(column)
         if kind == "width":
-            return hi - lo
+            return bound_widths(lo, hi)
         return lo if kind == "lo" else hi
 
     def _slot_keys(self, column: str, kind: str, slots: np.ndarray) -> np.ndarray:
         if kind == "width":
-            return self._hi[column][slots] - self._lo[column][slots]
+            return bound_widths(self._lo[column][slots], self._hi[column][slots])
         source = self._lo[column] if kind == "lo" else self._hi[column]
         return source[slots]
 
@@ -691,6 +692,16 @@ class CandidateVectors:
         )
 
 
+def bound_widths(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Each cell's width ``hi - lo``, and 0 where ``lo == hi``.
+
+    The rule of :attr:`Bound.width <repro.core.bound.Bound.width>`: an
+    exact cell is 0 wide whatever its value, so an exact ±inf cell gets
+    width 0, not the NaN (and ``RuntimeWarning``) of ``inf - inf``.
+    """
+    return np.subtract(hi, lo, out=np.zeros(len(lo)), where=lo != hi)
+
+
 def candidate_order(widths: np.ndarray, tids: np.ndarray) -> np.ndarray:
     """Positions ascending by ``(width, tid)``.
 
@@ -771,7 +782,7 @@ def harvest_candidates(
                 maybe_lo, maybe_hi, predicate, column
             )
         tids = store.sorted_tids()[at]
-        widths = hi_at - lo_at
+        widths = bound_widths(lo_at, hi_at)
         widths[k_plus:] = np.maximum(maybe_hi, 0.0) - np.minimum(maybe_lo, 0.0)
         order = candidate_order(widths, tids)
     if not len(costs):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.storage.columnar import bound_widths
 from repro.telemetry.registry import DEFAULT_WIDTH_BUCKETS, MetricsRegistry
 
 __all__ = ["register_system_collectors"]
@@ -32,7 +33,8 @@ def register_system_collectors(registry: MetricsRegistry, system) -> None:
 
 # ----------------------------------------------------------------------
 def _collect_bound_widths(registry: MetricsRegistry, system) -> None:
-    """Live (hi − lo) distribution of every cached bounded column."""
+    """Live width distribution of every cached bounded column (an exact
+    cell is 0 wide, as :func:`~repro.storage.columnar.bound_widths` has it)."""
     family = registry.histogram(
         "trapp_bound_width",
         "Live bound widths of cached tuples (current precision)",
@@ -53,8 +55,7 @@ def _collect_bound_widths(registry: MetricsRegistry, system) -> None:
             for column in table.schema:
                 if not column.is_bounded:
                     continue
-                lo, hi = store.endpoints(column.name)
-                widths = hi - lo
+                widths = bound_widths(*store.endpoints(column.name))
                 edges = np.asarray(DEFAULT_WIDTH_BUCKETS, dtype=np.float64)
                 counts = np.bincount(
                     np.searchsorted(edges, widths, side="left"),
@@ -119,9 +120,6 @@ def _collect_source_counters(registry: MetricsRegistry, system) -> None:
             source.value_initiated_refreshes
         )
         refreshes.labels(source=sid, kind="fanout").set(source.fanout_refreshes)
-        refreshes.labels(source=sid, kind="piggybacked").set(
-            source.piggybacked_refreshes
-        )
         for table_name, count in sorted(monitor.violation_counts().items()):
             violations.labels(source=sid, table=table_name).set(count)
         checks.labels(source=sid, outcome="window").set(monitor.window_answers)

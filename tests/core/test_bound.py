@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.core.bound import Bound, exact, hull, intersect_all
+from repro.core.bound import Bound, exact
 from tests.oracle.row_eval import (
     around,
     clamp,
@@ -169,16 +169,6 @@ class TestArithmetic:
 
     def test_hull(self):
         assert Bound(0, 1).hull(Bound(5, 6)) == Bound(0, 6)
-
-    def test_module_hull(self):
-        assert hull([Bound(0, 1), Bound(-3, 0.5), Bound(2, 2)]) == Bound(-3, 2)
-        with pytest.raises(BoundError):
-            hull([])
-
-    def test_module_intersect_all(self):
-        assert intersect_all([Bound(0, 10), Bound(2, 8), Bound(4, 12)]) == Bound(4, 8)
-        with pytest.raises(BoundError):
-            intersect_all([])
 
 
 class TestComparisons:

@@ -8,14 +8,13 @@ import pytest
 from repro.core.knapsack import (
     KnapsackItem,
     KnapsackSolution,
-    solve_brute_force,
     solve_exact_dp,
-    solve_greedy_ratio,
     solve_greedy_uniform,
     solve_ibarra_kim,
     solve_vector,
 )
 from repro.errors import OptimizerError
+from tests.oracle.knapsack import solve_brute_force, solve_greedy_ratio
 
 
 def items_of(*triples):

@@ -464,6 +464,17 @@ def test_executor_probes_nothing_and_src_never_imports_tests():
         r"|regional_cache_system|network_delay"
     )
     assert not [name for name, text in sources.items() if experiments.search(text)]
+    # §8.3's extra refreshes ride on a source through the wrapper in
+    # examples/section8/prerefresh.py, and the routes only tests call —
+    # the brute-force and density-greedy knapsacks, the endpoint-indexed
+    # MIN/MAX plan, the module-level interval folds — are oracles in
+    # tests/oracle/ or gone.
+    test_only = re.compile(
+        r"piggyback|solve_brute_force|solve_greedy_ratio"
+        r"|without_predicate_indexed|intersect_all",
+        re.IGNORECASE,
+    )
+    assert not [name for name, text in sources.items() if test_only.search(text)]
 
 
 #: Where a refresh batch gets its price.  ``cost_model=None`` on the

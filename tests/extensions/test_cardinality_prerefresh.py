@@ -7,6 +7,7 @@ import pytest
 
 from examples.section8.cardinality import ChurnBuffer, PendingChurn, churn_adjusted
 from examples.section8.prerefresh import (
+    Piggyback,
     PiggybackPolicy,
     edge_risk,
     pre_refresh_candidates,
@@ -193,8 +194,10 @@ class TestPiggybackIntegration:
             "s",
             clock=clock.now,
             default_policy_factory=lambda: FixedWidthPolicy(1.0),
-            piggyback=PiggybackPolicy(risk_threshold=0.8, max_extra=5),
         )
+        piggyback = Piggyback(
+            PiggybackPolicy(risk_threshold=0.8, max_extra=5)
+        ).install(source)
         source.add_table(master)
         cache = DataCache("c", clock=clock.now)
         cache.subscribe_table(source, "t")
@@ -209,7 +212,7 @@ class TestPiggybackIntegration:
 
         # A query-initiated refresh of object 1 piggybacks object 2.
         cache.refresh(cache.table("t"), [1])
-        assert source.piggybacked_refreshes >= 1
+        assert piggyback.refreshes >= 1
         cache.sync_bounds()
         bound = cache.table("t").row(2).bound("x")
         assert bound.contains(20.95)

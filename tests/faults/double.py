@@ -151,8 +151,7 @@ class FaultInjector:
             return handle(request)
 
         def renew_dropping(
-            cache_id, table, column, tids, held, values, now, shape,
-            query_initiated, fanout,
+            cache_id, table, column, tids, held, values, now, shape, fanout
         ):
             dropped = {
                 member
@@ -167,8 +166,7 @@ class FaultInjector:
                 )
                 fanout = _Excluding(fanout, dropped)
             return renew(
-                cache_id, table, column, tids, held, values, now, shape,
-                query_initiated, fanout,
+                cache_id, table, column, tids, held, values, now, shape, fanout
             )
 
         source.handle_refresh_request = handle_refresh_request

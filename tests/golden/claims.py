@@ -124,7 +124,8 @@ CLAIMS = [
         "Ibarra–Kim keeps ≥ (1 − ε) of the optimal profit; density "
         "greedy ≥ ½.",
         "Kept profit of exact DP, IK 0.1, IK 0.01, density greedy and "
-        "uniform greedy on the Fig. 5 instance.",
+        "uniform greedy on the Fig. 5 instance.  Density greedy is an "
+        "ablation baseline no query runs: `tests/oracle/knapsack.py`.",
         _PAPER + "test_solver_quality",
     ),
     Claim(
@@ -156,7 +157,9 @@ CLAIMS = [
         "value-initiated refreshes.",
         "Value-initiated, query-initiated and piggybacked refreshes with "
         "the policy off and on (threshold 0.7, ≤ 3 extra), identical "
-        "update streams.",
+        "update streams.  The policy rides on the source through "
+        "`examples/section8/prerefresh.py`'s `Piggyback`, which wraps "
+        "the source instance; `src/` has no hook for it.",
         _PAPER + "test_piggyback_preempts_value_initiated_refreshes",
     ),
     Claim(
@@ -201,7 +204,9 @@ CLAIMS = [
         "§5.1",
         "With endpoint indexes CHOOSE_REFRESH(MIN) need not scan.",
         "The indexed plan equals the scan's plan on 2 000 tuples "
-        "(size and cost pinned).",
+        "(size and cost pinned).  No statement needs the indexed route, "
+        "so it is the reference `tests/oracle/indexed_minmax.py`; the "
+        "served chooser sweeps the column.",
         _PAPER + "test_indexed_min_matches_scan",
         note="CHOOSE_REFRESH time against |T| (MIN / SUM / COUNT) was "
         "wall time in a script, printed and never asserted; dropped "

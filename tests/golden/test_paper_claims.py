@@ -15,7 +15,7 @@ import random
 
 from examples.section8.engine import QueryDriver, SimulationEngine, UpdateDriver
 from examples.section8.hierarchy import build_chain
-from examples.section8.prerefresh import PiggybackPolicy
+from examples.section8.prerefresh import Piggyback, PiggybackPolicy
 from examples.section8.stocks import stock_cache_table, stock_master_table
 from examples.section8.walks import GaussianWalk
 from repro.bounds.functions import SHAPES, BoundFunction
@@ -26,7 +26,6 @@ from repro.core.executor import drive_steps, iterative_steps, table_steps
 from repro.core.knapsack import (
     KnapsackItem,
     solve_exact_dp,
-    solve_greedy_ratio,
     solve_greedy_uniform,
     solve_ibarra_kim,
 )
@@ -44,6 +43,8 @@ from repro.replication.system import TrappSystem
 from repro.simulation.clock import Clock
 from repro.storage.schema import Schema
 from repro.storage.table import Table
+from tests.oracle.indexed_minmax import indexed_min_plan
+from tests.oracle.knapsack import solve_greedy_ratio
 
 FIG5_R = 100.0
 EPSILONS = [0.1, 0.08, 0.06, 0.04, 0.02, 0.01]
@@ -285,7 +286,8 @@ def test_hierarchy_cascade_depth(golden):
     assert source_reads[0] == 0
 
 
-def _piggyback_run(policy) -> DataSource:
+def _piggyback_run(policy) -> tuple[DataSource, int]:
+    """The source's refresh totals and how many refreshes rode along."""
     clock = Clock()
     rng = random.Random(404)
     master = Table("t", Schema.of(x="bounded"))
@@ -300,8 +302,8 @@ def _piggyback_run(policy) -> DataSource:
         "s",
         clock=clock.now,
         default_policy_factory=lambda: FixedWidthPolicy(2.0),
-        piggyback=policy,
     )
+    piggyback = Piggyback(policy).install(source) if policy else None
     source.add_table(master)
     cache = DataCache("c", clock=clock.now)
     cache.subscribe_table(source, "t")
@@ -313,18 +315,18 @@ def _piggyback_run(policy) -> DataSource:
         if step % 10 == 0:
             # A query refreshes one arbitrary tuple exactly.
             cache.refresh(cache.table("t"), [query_rng.randint(1, 20)])
-    return source
+    return source, piggyback.refreshes if piggyback else 0
 
 
 def test_piggyback_preempts_value_initiated_refreshes(golden):
-    plain = _piggyback_run(None)
-    piggy = _piggyback_run(PiggybackPolicy(risk_threshold=0.7, max_extra=3))
-    for label, source in (("off", plain), ("on", piggy)):
+    plain, _ = _piggyback_run(None)
+    piggy, ridden = _piggyback_run(PiggybackPolicy(risk_threshold=0.7, max_extra=3))
+    for label, source, piggybacked in (("off", plain, 0), ("on", piggy, ridden)):
         key = f"ablation.piggyback.{label}"
         golden.check(f"{key}.value_initiated", source.value_initiated_refreshes)
         golden.check(f"{key}.query_initiated", source.query_initiated_refreshes)
-        golden.check(f"{key}.piggybacked", source.piggybacked_refreshes)
-    assert piggy.piggybacked_refreshes > 0
+        golden.check(f"{key}.piggybacked", piggybacked)
+    assert ridden > 0
     assert piggy.value_initiated_refreshes <= plain.value_initiated_refreshes
 
 
@@ -505,7 +507,7 @@ def test_indexed_min_matches_scan(golden):
     cost = ColumnCostModel("cost")
     # R = 1: at the script's R = 10 both plans were empty.
     scan_plan, _ = CHOOSE_MIN.without_predicate(table, "x", 1.0, cost)
-    index_plan = CHOOSE_MIN.without_predicate_indexed(table, "x", 1.0, cost)
+    index_plan = indexed_min_plan(table, "x", 1.0, cost)
     assert scan_plan.tids == index_plan.tids != frozenset()
     assert scan_plan.total_cost == index_plan.total_cost
     golden.check("ablation.indexed_min.tuples", len(index_plan.tids))

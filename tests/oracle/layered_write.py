@@ -11,6 +11,10 @@ cell route that set up its column loop for one object.  Those bodies are
 kept here, verbatim in behaviour, as the reference the one-check route
 must match: the same exception type with nothing moved, or the same
 arrays, counters, orders, monitor tallies, refreshes and cache cells.
+Both routes refuse a write to a column that is not bounded (no cache
+tracks it, so the change would reach none; an EXACT value changes by
+delete + insert), and both check the monitor before the cell moves, so a
+check that raises leaves the master as it was.
 """
 
 from __future__ import annotations
@@ -49,10 +53,14 @@ def apply_update(source: DataSource, key: ObjectKey, new_value) -> list[Refresh]
         ) from None
     if not math.isfinite(value):
         raise SchemaError(f"master value of {key} must be finite, got {value}")
-    source.table(key.table).update_value(key.tid, key.column, value)
+    table = source.table(key.table)
+    if not table.schema[key.column].is_bounded:
+        raise SchemaError(f"master object {key} is not bounded")
     now = source.clock()
+    violated = violations(source.monitor, key, value, now)
+    table.update_value(key.tid, key.column, value)
     refreshes: list[Refresh] = []
-    for cache_id, entry in violations(source.monitor, key, value, now):
+    for cache_id, entry in violated:
         entry.policy.on_value_initiated()
         width = entry.policy.next_width()
         source.monitor.update(key, entry, value, width, now, source.shape)
@@ -79,7 +87,6 @@ def violations(monitor: RefreshMonitor, key: ObjectKey, value: float, now: float
     trackers = monitor._objects.get(key)
     if trackers is None:
         return []
-    monitor.full_checks += 1
     out = []
     lo, hi = -math.inf, math.inf
     for cache_id, entry in trackers.items():
@@ -94,6 +101,7 @@ def violations(monitor: RefreshMonitor, key: ObjectKey, value: float, now: float
                 lo = bound_lo
             if bound_hi < hi:
                 hi = bound_hi
+    monitor.full_checks += 1
     if out:
         monitor._violation_counts[key.table] = (
             monitor._violation_counts.get(key.table, 0) + len(out)

@@ -19,6 +19,18 @@ from repro.replication.source import _TrackedBound
 from tests.oracle.row_eval import around
 
 
+def entries_for_cache(
+    monitor, cache_id: str
+) -> list[tuple[ObjectKey, _TrackedBound]]:
+    """Every (key, tracker) pair a ``RefreshMonitor`` holds on behalf of
+    one cache, read off its per-object dicts (no route needs the list)."""
+    return [
+        (key, trackers[cache_id])
+        for key, trackers in monitor._objects.items()
+        if cache_id in trackers
+    ]
+
+
 def _bound_at(function: BoundFunction, now: float) -> Bound:
     if now < function.refreshed_at - 1e-12:
         raise BoundError(

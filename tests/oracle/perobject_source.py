@@ -2,17 +2,17 @@
 
 Per requested object, in tuple-major order: one master-value read, one
 monitor probe, the policy step, one frozen ``BoundFunction`` and one
-payload; then the §8.3 piggyback, and the fan-out to the siblings as a
-second per-object loop over every refreshed object's trackers.  The
-answer and each push carry one single-object column per payload, so the
-cache applies them as it applies any message.  The columnar
-``DataSource.handle_refresh_request`` must leave trackers, policies,
-windows, counters and the caches' arrays exactly as this does.
+payload; then the fan-out to the siblings as a second per-object loop
+over every refreshed object's trackers.  The answer and each push carry
+one single-object column per payload, so the cache applies them as it
+applies any message.  The columnar ``DataSource.handle_refresh_request``
+must leave trackers, policies, windows, counters and the caches' arrays
+exactly as this does.
 """
 
 from __future__ import annotations
 
-import contextlib
+import functools
 
 from repro.bounds.functions import BoundFunction
 from repro.replication.messages import (
@@ -59,57 +59,34 @@ def handle_refresh_request_per_object(
         entry.policy.on_query_initiated()
         requested.append((key, value, _renew(source, key, entry, value, now)))
         source.query_initiated_refreshes += 1
-    piggybacked = _piggyback(source, request.cache_id, set(keys), now)
     if source.refresh_fanout:
-        _fanout(source, request.cache_id, requested, piggybacked, now)
-    return _message(
-        source, RefreshReason.QUERY_INITIATED, requested + piggybacked, now
-    )
+        _fanout(source, request.cache_id, requested, now)
+    return _message(source, RefreshReason.QUERY_INITIATED, requested, now)
 
 
-def _piggyback(source, cache_id, requested, now):
-    if source.piggyback is None:
-        return []
-    tracked = [
-        (key, source._master_value(key), entry.bound_function.at(now))
-        for key, entry in source.monitor.entries_for_cache(cache_id)
-        if key not in requested
-    ]
-    extras = []
-    for key in source.piggyback.select(requested, tracked):
-        value = source._master_value(key)
-        entry = source.monitor.entry(cache_id, key)
-        extras.append((key, value, _renew(source, key, entry, value, now)))
-        source.piggybacked_refreshes += 1
-    return extras
-
-
-def _fanout(source, requester, requested, piggybacked, now):
+def _fanout(source, requester, requested, now):
     membership = source.refresh_fanout
     per_cache: dict[str, list] = {}
-    for payloads, query_feedback in ((requested, True), (piggybacked, False)):
-        for key, value, _ in payloads:
-            for cache_id, entry in source.monitor.trackers(key).items():
-                if cache_id == requester:
-                    continue
-                if membership is not True and cache_id not in membership:
-                    continue
-                if query_feedback:
-                    entry.policy.on_query_initiated()
-                function = _renew(source, key, entry, value, now)
-                per_cache.setdefault(cache_id, []).append((key, value, function))
+    for key, value, _ in requested:
+        for cache_id, entry in source.monitor.trackers(key).items():
+            if cache_id == requester:
+                continue
+            if membership is not True and cache_id not in membership:
+                continue
+            entry.policy.on_query_initiated()
+            function = _renew(source, key, entry, value, now)
+            per_cache.setdefault(cache_id, []).append((key, value, function))
     for cache_id, payloads in per_cache.items():
         source.fanout_refreshes += len(payloads)
         source._send(cache_id, _message(source, RefreshReason.FANOUT, payloads, now))
 
 
-@contextlib.contextmanager
-def per_object_source():
-    """Every ``DataSource.handle_refresh_request`` inside the block is the
-    reference (class-level, so shards answer through it too)."""
-    original = DataSource.handle_refresh_request
-    DataSource.handle_refresh_request = handle_refresh_request_per_object
-    try:
-        yield
-    finally:
-        DataSource.handle_refresh_request = original
+def per_object_source(source) -> None:
+    """Answer every query-initiated refresh ``source`` (each shard of a
+    sharded one) receives with the reference.  An instance attribute, so
+    a wrapper installed afterwards — the §8.3 ``Piggyback`` of
+    ``examples/section8/prerefresh.py`` — wraps the reference."""
+    for shard in getattr(source, "shards", (source,)):
+        shard.handle_refresh_request = functools.partial(
+            handle_refresh_request_per_object, shard
+        )

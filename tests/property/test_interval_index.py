@@ -10,7 +10,7 @@ bits.  When the index route engages, its sorted candidate positions must
 match the masks, and harvesting from those positions must emit the same
 candidate vectors as harvesting from the masks.  The same sorted orders
 answer §5.1's sublinear MIN/MAX CHOOSE_REFRESH
-(``without_predicate_indexed``), which must pick the plan the dense
+(``tests/oracle/indexed_minmax.py``), which must pick the plan the dense
 column sweep picks.
 
 The mutation interleavings matter: they exercise every branch of the
@@ -32,6 +32,7 @@ from repro.predicates.batch import classify_dense, classify_report
 from repro.storage.columnar import harvest_candidates
 from repro.storage.schema import Schema
 from repro.storage.table import Table
+from tests.oracle.indexed_minmax import indexed_max_plan, indexed_min_plan
 
 SCHEMA = Schema.of(x="bounded", y="bounded")
 
@@ -147,9 +148,11 @@ def assert_routes_identical(table, predicate):
 
 
 def assert_indexed_plans_match_dense(table, budget):
-    for chooser in (CHOOSE_MIN, CHOOSE_MAX):
+    for chooser, indexed in (
+        (CHOOSE_MIN, indexed_min_plan), (CHOOSE_MAX, indexed_max_plan),
+    ):
         dense, _ = chooser.without_predicate(table, "x", budget)
-        assert chooser.without_predicate_indexed(table, "x", budget) == dense
+        assert indexed(table, "x", budget) == dense
 
 
 class TestIndexRouteBitIdentity:

@@ -15,7 +15,8 @@ writes, clock steps, bound syncs and query-initiated refreshes (which
 shrink bounds, so later writes violate and push).  Writes draw floats,
 ints, bools, strings, NaN, ±inf, ints too large for float64 and
 ``Bound`` values into bounded, EXACT and TEXT columns, unknown columns,
-unknown tuples and an unknown table.  After every op the twins must agree
+unknown tuples and an unknown table (a write to an EXACT or TEXT column
+of a source is refused).  After every op the twins must agree
 on the outcome — the same exception type with nothing moved, or the same
 returned refreshes — and on every array, object, exactness counter,
 version, order dirty set, monitor window and tally, tracker, bound-
@@ -214,10 +215,9 @@ def _outcome(world: World, op, reference: bool):
         else:
             result = _run(world, op)
     except Exception as error:
-        # A write raises before anything moves.  A clock step may raise
-        # half-way: rebuilding the width order of a cell written as ±inf
-        # computes inf − inf, a RuntimeWarning the suite turns into an
-        # error; the twins must then agree on it like on anything else.
+        # A write raises before anything moves: the monitor is checked
+        # before the cell is written, and a column that is not bounded
+        # is refused first.
         if op[0] in ("write", "cell"):
             assert _state(world) == before, f"{op} moved state before raising"
         return ("raised", type(error))

@@ -30,7 +30,11 @@ from repro.bounds.functions import SHAPES, BoundFunction
 from repro.errors import BoundError
 from repro.replication.messages import ObjectKey
 from repro.replication.source import RefreshMonitor
-from tests.oracle.percache_monitor import PerCacheMonitor, _bound_at
+from tests.oracle.percache_monitor import (
+    PerCacheMonitor,
+    _bound_at,
+    entries_for_cache,
+)
 
 KEYS = (ObjectKey("t", 1, "x"), ObjectKey("u", 1, "y"))
 #: Five ids whose listed order is not their sorted order.
@@ -223,7 +227,7 @@ class MonitorMachine(RuleBasedStateMachine):
             for key in KEYS:
                 assert monitor.caches_tracking(key) == oracle.caches_tracking(key)
             for cache_id in self.caches:
-                assert _by_key(monitor.entries_for_cache(cache_id)) == _by_key(
+                assert _by_key(entries_for_cache(monitor, cache_id)) == _by_key(
                     oracle.entries_for_cache(cache_id)
                 )
             # A window never outlives the object's trackers.

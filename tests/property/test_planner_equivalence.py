@@ -28,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 import repro.extensions.median_spec  # noqa: F401 - registers MEDIAN
 from repro.core.bound import Bound
 from repro.core.executor import drive_steps, table_steps
-from repro.core.knapsack import KnapsackItem, solve_brute_force
+from repro.core.knapsack import KnapsackItem
 from repro.core.refresh.base import uniform_cost
 from repro.core.refresh.summing import SumChooseRefresh
 from repro.errors import ConstraintUnsatisfiableError
@@ -37,6 +37,7 @@ from repro.replication import ColumnCostModel
 from repro.replication.local import LocalRefresher
 from repro.storage.schema import Schema
 from repro.storage.table import Table
+from tests.oracle.knapsack import solve_brute_force
 from tests.oracle.row_executor import RowQueryExecutor
 from tests.oracle.row_protocol import RowSumChooseRefresh
 from tests.protocol import row_cost

@@ -10,12 +10,14 @@ payload per object, the fan-out a second loop — lives on in
 
 Two twin deployments (K replicas in one fan-out group plus, sometimes, a
 standalone cache outside it; two shards with their own bound shapes; one
-width policy kind; piggybacking on or off) replay one schedule of
-query-initiated refreshes, master writes and clock steps — one answering
-by columns, the other object by object — and after **every op** they
-must agree bit for bit on every tracker's ``(V, W, T_r)``, shape and
-policy state, the safe windows, the monitor and source counters, and
-every cache's ``_BoundColumn`` and ``ColumnStore`` arrays.
+width policy kind; the §8.3 ``Piggyback`` of
+``examples/section8/prerefresh.py`` wrapped round both or neither)
+replay one schedule of query-initiated refreshes, master writes and
+clock steps — one answering by columns, the other object by object —
+and after **every op** they must agree bit for bit on every tracker's
+``(V, W, T_r)``, shape and policy state, the safe windows, the monitor,
+source and piggyback counters, and every cache's ``_BoundColumn`` and
+``ColumnStore`` arrays.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from examples.section8.prerefresh import PiggybackPolicy
+from examples.section8.prerefresh import Piggyback, PiggybackPolicy
 from repro.bounds.width import AdaptiveWidthController, FixedWidthPolicy
 from repro.replication.messages import ObjectKey
 from repro.replication.system import TrappSystem
@@ -78,15 +80,19 @@ def schedules(draw):
     return draw(st.lists(op, min_size=4, max_size=14))
 
 
-def _build(master, shapes, policy, piggyback, replicas, solo, age) -> TrappSystem:
+def _build(
+    master, shapes, policy, piggyback, replicas, solo, age, reference=False
+) -> TrappSystem:
+    """One twin; ``reference`` answers object by object.  With
+    ``piggyback`` its ``Piggyback`` tally is ``system.piggyback``."""
     system = TrappSystem()
-    source = system.add_source(
-        "s",
-        shards=2,
-        default_policy_factory=POLICIES[policy],
-        piggyback=PiggybackPolicy(risk_threshold=0.25, max_extra=3)
+    source = system.add_source("s", shards=2, default_policy_factory=POLICIES[policy])
+    if reference:
+        per_object_source(source)
+    system.piggyback = (
+        Piggyback(PiggybackPolicy(risk_threshold=0.25, max_extra=3)).install(source)
         if piggyback
-        else None,
+        else None
     )
     for shard, shape in zip(source.shards, shapes):
         shard.shape = shape
@@ -111,11 +117,13 @@ def _bits(*values: float) -> bytes:
 
 
 def _assert_twins_agree(ours: TrappSystem, theirs: TrappSystem, where: str) -> None:
+    if ours.piggyback is not None:
+        assert ours.piggyback.refreshes == theirs.piggyback.refreshes, where
     for mine, yours in zip(ours.source("s").shards, theirs.source("s").shards):
         at = f"{mine.source_id} at {where}"
         for counter in (
             "query_initiated_refreshes", "fanout_refreshes",
-            "piggybacked_refreshes", "value_initiated_refreshes",
+            "value_initiated_refreshes",
         ):
             assert getattr(mine, counter) == getattr(yours, counter), (at, counter)
         a, b = mine.monitor, yours.monitor
@@ -187,8 +195,7 @@ def _replay(ours, theirs, schedule):
             ]
         for action in actions:
             action(ours)
-            with per_object_source():
-                action(theirs)
+            action(theirs)
         _assert_twins_agree(ours, theirs, f"step {step} {op} of {schedule}")
 
 
@@ -207,7 +214,7 @@ def test_columnar_source_matches_per_object_reference(
     master, shapes, policy, piggyback, replicas, solo, schedule, age
 ):
     ours = _build(master, shapes, policy, piggyback, replicas, solo, age)
-    theirs = _build(master, shapes, policy, piggyback, replicas, solo, age)
+    theirs = _build(master, shapes, policy, piggyback, replicas, solo, age, True)
     _replay(ours, theirs, schedule)
 
 
@@ -221,7 +228,7 @@ def test_a_large_refresh_and_its_fanout_match_the_reference(policy, piggyback):
         master.insert({"x": index / 8.0, "y": -index / 4.0, "g": 0.0})
     for shapes in (SHAPES[:2], SHAPES[2:]):
         ours = _build(master, shapes, policy, piggyback, 3, True, 9.0)
-        theirs = _build(master, shapes, policy, piggyback, 3, True, 9.0)
+        theirs = _build(master, shapes, policy, piggyback, 3, True, 9.0, True)
         schedule = [
             ("write", 7, "x", 40.0),
             ("refresh", 0, list(range(0, 120, 1))),

@@ -301,13 +301,14 @@ def test_cache_id_may_not_shadow_its_own_group():
 def test_piggybacked_refreshes_fan_out_in_lockstep():
     """§8.3 piggyback payloads reach siblings too — replicas keep
     bit-identical bound state even with piggybacking enabled."""
-    from examples.section8.prerefresh import PiggybackPolicy
+    from examples.section8.prerefresh import Piggyback, PiggybackPolicy
     from repro.replication.messages import ObjectKey
 
     system = TrappSystem()
-    system.add_source(
-        "s", piggyback=PiggybackPolicy(risk_threshold=0.0, max_extra=8)
-    ).add_table(make_master())
+    source = system.add_source("s")
+    source.add_table(make_master())
+    piggyback = Piggyback(PiggybackPolicy(risk_threshold=0.0, max_extra=8))
+    piggyback.install(source)
     system.add_group("edge")
     for index in range(2):
         system.add_cache(f"edge/{index}", shards={"t": "s"}, group="edge")
@@ -316,6 +317,7 @@ def test_piggybacked_refreshes_fan_out_in_lockstep():
     a.sync_bounds()
     b.sync_bounds()
     a.refresh_batched(a.table("t"), [1])
+    assert piggyback.refreshes > 0
     for tid in (1, 2, 3, 4):
         key = ObjectKey("t", tid, "x")
         assert a.bound_function_of(key).encode() == b.bound_function_of(key).encode()

@@ -26,6 +26,7 @@ from repro.service import QueryService
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 from repro.workloads.netmon import paper_master_table
+from tests.oracle.percache_monitor import entries_for_cache
 from tests.oracle.percell_sync import table_width_per_key
 
 
@@ -86,10 +87,10 @@ def test_detach_evicts_monitor_trackers():
     after = sum(m.tracked_count() for m in shard_monitors(system))
     assert after == 2 * 6
     for monitor in shard_monitors(system):
-        assert monitor.entries_for_cache("edge/1") == []
+        assert entries_for_cache(monitor, "edge/1") == []
     # The per-object index must not remember the cache either.
     for shard in system.source("s"):
-        for key, _ in shard.monitor.entries_for_cache("edge/0"):
+        for key, _ in entries_for_cache(shard.monitor, "edge/0"):
             assert "edge/1" not in shard.monitor.caches_tracking(key)
 
 

@@ -10,6 +10,7 @@ from repro.bounds.functions import BoundFunction
 from repro.bounds.width import FixedWidthPolicy
 from repro.core.bound import Bound
 from repro.errors import (
+    BoundError,
     ReplicationProtocolError,
     SchemaError,
     TrappError,
@@ -30,6 +31,7 @@ from repro.workloads.netmon import (
     generate_topology,
     paper_master_table,
 )
+from tests.oracle.percache_monitor import entries_for_cache
 
 
 @pytest.fixture
@@ -367,6 +369,56 @@ class TestRejectedUpdates:
         assert cache.table("links").row(1).bound("latency") == cached
         assert source.apply_update(self.KEY, master + 0.01) == []
 
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_an_exact_column_is_refused(self, clock, sharded):
+        """No cache tracks an EXACT object, so a write to one used to move
+        the master and reach no cache: every replica kept the old value
+        for good.  A change to an exact value is its delete + insert."""
+        if sharded:
+            source = ShardedSource.create("s", 2, clock=clock.now)
+        else:
+            source = DataSource("s", clock=clock.now)
+        source.add_table(paper_master_table())
+        cache = DataCache("c1", clock=clock.now)
+        cache.subscribe_table(source, "links")
+        shard = source.shard_for("links", 1) if sharded else source
+        master = shard.table("links")
+        key = ObjectKey("links", 1, "cost")
+        before = (master.row(1)["cost"], master.columns.version)
+        with pytest.raises(SchemaError, match="not bounded"):
+            source.apply_update(key, 99.0)
+        assert (master.row(1)["cost"], master.columns.version) == before
+        assert type(master.row(1)["cost"]) is type(before[0])
+        assert cache.table("links").row(1)["cost"] == before[0]
+        with pytest.raises(UnknownColumnError):
+            source.apply_update(ObjectKey("links", 1, "nope"), 1.0)
+
+    def test_a_check_that_raises_leaves_the_master_as_it_was(self):
+        """The trackers are checked before the cell is written: a clock
+        stepped back before a tracker's refresh time raises with the
+        master, the monitor and its tallies as they were."""
+        readings = [10.0]
+        source = DataSource("s", clock=lambda: readings[0])
+        source.add_table(paper_master_table())
+        cache = DataCache("c1", clock=lambda: readings[0])
+        cache.subscribe_table(source, "links")
+        master = source.table("links")
+        monitor = source.monitor
+        before = (
+            master.row(1).number("latency"), master.columns.version,
+            monitor.full_checks, monitor.window_answers,
+            monitor.entry("c1", self.KEY).encode(), dict(monitor._windows),
+        )
+        readings[0] = 5.0
+        with pytest.raises(BoundError):
+            source.apply_update(self.KEY, 900.0)
+        assert before == (
+            master.row(1).number("latency"), master.columns.version,
+            monitor.full_checks, monitor.window_answers,
+            monitor.entry("c1", self.KEY).encode(), dict(monitor._windows),
+        )
+        assert source.value_initiated_refreshes == 0
+
     def test_a_numeric_string_is_coerced_once(self, clock, source, cache):
         clock.advance(9.0)
         [refresh] = source.apply_update(self.KEY, "500")
@@ -611,7 +663,8 @@ class TestMasterValueReads:
         cache.subscribe_table(source, "links")
         clock.advance(9.0)
         trackers = {
-            key: entry.encode() for key, entry in source.monitor.entries_for_cache("c1")
+            key: entry.encode()
+            for key, entry in entries_for_cache(source.monitor, "c1")
         }
         for request, error in (
             (RefreshRequest("c1", "links", (1, 99)), TrappError),
@@ -624,7 +677,8 @@ class TestMasterValueReads:
         with pytest.raises(TypeError, match="non-exact"):
             source.handle_refresh_request(RefreshRequest("c1", "links", (1, 2)))
         assert trackers == {
-            key: entry.encode() for key, entry in source.monitor.entries_for_cache("c1")
+            key: entry.encode()
+            for key, entry in entries_for_cache(source.monitor, "c1")
         }
         assert source.query_initiated_refreshes == 0
 

@@ -1,12 +1,18 @@
 """Unit tests for Table and Catalog."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.core.bound import Bound
 from repro.errors import DuplicateKeyError, SchemaError, TrappError, UnknownTableError
+from repro.replication.system import TrappSystem
 from repro.storage.catalog import Catalog
+from repro.storage.columnar import harvest_candidates
 from repro.storage.schema import Schema
 from repro.storage.table import Table
+from repro.telemetry import MetricsRegistry, register_system_collectors
 
 
 @pytest.fixture
@@ -104,6 +110,43 @@ class TestTable:
         table.update_value(1, "x", Bound(100, 200))
         after = table.columns.endpoint_order("x", "hi")
         assert (after.keys[-1], after.tids[-1]) == (200.0, 1)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_an_exact_infinite_cell_is_zero_wide(self, table, value):
+        """Every width the store computes follows ``Bound.width``: an
+        exact cell is 0 wide whatever its value.  ``inf - inf`` used to
+        give an exact ±inf cell width NaN — a ``RuntimeWarning``, and a key
+        sorted after every finite one."""
+        store = table.columns
+        store.width_order("x")
+        table.update_value(2, "x", value)
+        assert table.row(2).bound("x").width == 0.0
+        repaired = store.width_order("x")  # one dirty tuple spliced back
+        rebuilt = table.copy().columns.width_order("x")
+        for order in (repaired, rebuilt):
+            assert order.keys.tolist() == [0.0, 10.0]
+            assert order.tids.tolist() == [2, 1]
+            assert order.keys_by_tid.tolist() == [10.0, 0.0]
+        both = (np.array([0, 1]), np.array([], dtype=np.int64))
+        harvested = harvest_candidates(store, "x", np.ones(2), positions=both)
+        assert harvested.widths.tolist() == [10.0, 0.0]
+
+    def test_the_width_histogram_counts_an_exact_infinite_cell_at_zero(self):
+        system = TrappSystem()
+        source = system.add_source("s")
+        source.add_table(Table("t", Schema.of(x="bounded")))
+        source.insert_row("t", {"x": 1.0})
+        cache = system.add_cache("c")
+        cache.subscribe_table(source, "t")
+        cache.table("t").update_value(1, "x", math.inf)
+        registry = MetricsRegistry()
+        register_system_collectors(registry, system)
+        [family] = [
+            entry for entry in registry.snapshot()["families"]
+            if entry["name"] == "trapp_bound_width"
+        ]
+        [sample] = family["samples"]
+        assert (sample["sum"], sample["count"]) == (0.0, 1)
 
     def test_column_bounds_view(self, table):
         bounds = table.column_bounds("x")
