@@ -16,17 +16,22 @@ Request ops:
 Responses are ``{"id", "ok": true, ...}`` or
 ``{"id", "ok": false, "error": {"kind", "message"}}`` where ``kind`` is
 the server-side exception class name (``AdmissionError``, ...).
+
+Both directions are strict JSON: a non-finite number is neither sent
+(:func:`json_number`) nor accepted (:func:`decode`).
 """
 
 from __future__ import annotations
 
 import json
+from typing import NamedTuple
 
 from repro.core.answer import BoundedAnswer
 from repro.errors import WireProtocolError
 
 __all__ = [
     "MAX_LINE_BYTES",
+    "EncodedAnswer",
     "encode",
     "decode",
     "json_number",
@@ -80,15 +85,39 @@ def json_safe(value):
     return value
 
 
+def _finite(literal: str) -> float:
+    value = float(literal)
+    if value - value != 0.0:
+        raise ValueError(f"number {literal} does not fit a finite float")
+    return value
+
+
+def _no_constant(name: str) -> float:
+    raise ValueError(f"{name} is not a JSON number")
+
+
+#: The one decoder of every line.  ``json.loads`` takes ``NaN``,
+#: ``Infinity`` and an overflowing literal such as ``1e999`` as floats
+#: that the strict encoder could never echo back; this one refuses them.
+_DECODER = json.JSONDecoder(parse_float=_finite, parse_constant=_no_constant)
+
+
 def decode(line: bytes) -> dict:
-    """Parse one wire line; raises :class:`WireProtocolError` if malformed."""
+    """Parse one wire line; raises :class:`WireProtocolError` if malformed.
+
+    Malformed covers what ``json.loads`` refuses, a non-finite number,
+    and nesting deeper than the interpreter's recursion limit lets the
+    parser follow.
+    """
     if len(line) > MAX_LINE_BYTES:
         raise WireProtocolError(
             f"protocol line exceeds {MAX_LINE_BYTES} bytes"
         )
     try:
-        message = json.loads(line)
-    except ValueError as exc:
+        if not isinstance(line, str):
+            line = line.decode(json.detect_encoding(line), "surrogatepass")
+        message = _DECODER.decode(line)
+    except (ValueError, RecursionError) as exc:
         raise WireProtocolError(f"undecodable protocol line: {exc}") from None
     if not isinstance(message, dict):
         raise WireProtocolError(
@@ -116,6 +145,46 @@ def answer_payload(answer: BoundedAnswer, cached: bool) -> dict:
         payload["degraded"] = True
         payload["unreachable_sources"] = list(answer.unreachable_sources)
     return payload
+
+
+#: What precedes an answer payload's ``cached`` flag.  A quote inside a
+#: JSON string is always escaped, so the first bare occurrence in an
+#: encoded payload is the key itself.
+_CACHED_KEY = b'"cached":'
+
+
+class EncodedAnswer(NamedTuple):
+    """One answer's :func:`answer_payload`, encoded once.
+
+    The bytes are kept split around the ``cached`` flag, the one field in
+    which the replies carrying the same answer differ.
+    """
+
+    #: The payload up to and including ``"cached":``.
+    head: bytes
+    #: The payload after the flag.
+    tail: bytes
+
+    @classmethod
+    def of(cls, line: bytes) -> "EncodedAnswer":
+        """Split ``line``, the :func:`encode` of an answer's payload."""
+        split = line.index(_CACHED_KEY) + len(_CACHED_KEY)
+        flag = 4 if line.startswith(b"true", split) else 5
+        return cls(line[:split], line[split + flag : -1])
+
+    def line(self, request_id, cached: bool) -> bytes:
+        """The reply line ``encode({"id": request_id, "ok": True,
+        "result": answer_payload(answer, cached)})`` gives, byte for byte."""
+        if type(request_id) is int:
+            encoded_id = b"%d" % request_id
+        else:
+            encoded_id = _ENCODER.encode(request_id).encode("utf-8")
+        return b'{"id":%b,"ok":true,"result":%b%b%b}\n' % (
+            encoded_id,
+            self.head,
+            b"true" if cached else b"false",
+            self.tail,
+        )
 
 
 def error_payload(exc: BaseException) -> dict:

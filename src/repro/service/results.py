@@ -10,6 +10,10 @@ the system's clock so simulated-time tests stay deterministic) *and*
 still satisfying the requested constraint — a stale or too-wide entry is
 never returned.
 
+Each held answer may carry one *attachment*, a value its user derived
+from it (the server keeps the answer's encoded reply payload there), kept
+while the answer is held and dropped with it.
+
 This is deliberately conservative: a bound that satisfied ``WITHIN R`` at
 time ``t`` is a *correct* answer at ``t + ttl`` only if its objects'
 bound growth over ``ttl`` is tolerated by the deployment.  The TTL
@@ -49,6 +53,9 @@ class ResultCache:
         self._entries: OrderedDict[Hashable, tuple[BoundedAnswer, float]] = (
             OrderedDict()
         )
+        #: ``id(answer)`` → ``[key, attachment]`` for every answer held.
+        #: The answer is alive while held, so its id names it alone.
+        self._held: dict[int, list] = {}
         # Refresh-driven invalidation index: (scope, table) → keys, where
         # scope is the cache or group id the entry was stored under.  A
         # dispatched refresh that updates table T evicts T's entries
@@ -137,16 +144,38 @@ class ResultCache:
         return answer
 
     def put(self, key: Hashable, answer: BoundedAnswer) -> None:
+        replaced = self._entries.get(key)
+        if replaced is not None:
+            self._release(key, replaced[0])
         self._entries[key] = (answer, self.clock())
         self._entries.move_to_end(key)
+        self._held[id(answer)] = [key, None]
         for bucket in self._buckets_of(key):
             bucket.add(key)
         while len(self._entries) > self.max_entries:
-            evicted, _ = self._entries.popitem(last=False)
+            evicted, (evicted_answer, _) = self._entries.popitem(last=False)
+            self._release(evicted, evicted_answer)
             for bucket in self._buckets_of(evicted):
                 bucket.discard(evicted)
             self._events["eviction"].inc()
         self._g_entries.set(len(self._entries))
+
+    def attachment(self, answer: BoundedAnswer):
+        """The value attached to ``answer`` while it is held, or ``None``."""
+        held = self._held.get(id(answer))
+        return None if held is None else held[1]
+
+    def attach(self, answer: BoundedAnswer, value) -> None:
+        """Keep ``value`` beside ``answer`` until the answer is dropped; an
+        answer not held keeps nothing."""
+        held = self._held.get(id(answer))
+        if held is not None:
+            held[1] = value
+
+    def _release(self, key: Hashable, answer: BoundedAnswer) -> None:
+        held = self._held.get(id(answer))
+        if held is not None and held[0] == key:
+            del self._held[id(answer)]
 
     # ------------------------------------------------------------------
     def invalidate_table(
@@ -194,13 +223,15 @@ class ResultCache:
         return [self._by_table.setdefault((scope, name), set()) for name in tables]
 
     def _drop(self, key: Hashable) -> None:
-        del self._entries[key]
+        answer, _ = self._entries.pop(key)
+        self._release(key, answer)
         for bucket in self._buckets_of(key):
             bucket.discard(key)
         self._g_entries.set(len(self._entries))
 
     def clear(self) -> None:
         self._entries.clear()
+        self._held.clear()
         self._by_table.clear()
         self._g_entries.set(0)
 

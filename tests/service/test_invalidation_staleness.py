@@ -51,6 +51,43 @@ def test_invalidate_table_scoped():
     assert result_events(registry, "invalidation") == 1
 
 
+def test_an_attachment_lives_exactly_as_long_as_its_answer_is_held():
+    now = [0.0]
+    cache = ResultCache(ttl=10.0, clock=lambda: now[0], max_entries=2)
+    keys = [ResultCache.make_key("c", "t", "SUM", "x", None, w) for w in (1, 2, 3)]
+    held, stranger = answer(), answer()
+    cache.put(keys[0], held)
+    cache.attach(held, "bytes")
+    cache.attach(stranger, "never kept")
+    assert cache.get(keys[0], 5.0) is held
+    assert cache.attachment(held) == "bytes"
+    assert cache.attachment(stranger) is None
+    # Every way out of the cache takes the attachment with it:
+    # replacement, eviction, invalidation and expiry.
+    cache.put(keys[0], stranger)
+    assert cache.attachment(held) is None
+    for key in keys:
+        cache.put(key, held)
+        cache.attach(held, key)
+    assert cache.attachment(held) == keys[2]
+    later = answer()
+    cache.put(keys[0], later)  # evicts keys[1]; held stays under keys[2]
+    cache.attach(later, "later")
+    assert cache.attachment(held) == keys[2]
+    cache.put(keys[1], answer())  # evicts keys[2]
+    assert cache.attachment(held) is None
+    assert cache.attachment(later) == "later"
+    cache.invalidate_table("t")
+    assert cache.attachment(later) is None
+    expiring = answer()
+    cache.put(keys[0], expiring)
+    cache.attach(expiring, "expiring")
+    now[0] = 11.0
+    assert cache.get(keys[0], 5.0) is None
+    assert cache.attachment(expiring) is None
+    assert cache._held == {}
+
+
 def test_invalidate_table_all_scopes():
     cache = make_cache()
     keys = [

@@ -137,3 +137,89 @@ def test_midpipeline_disconnect_counts_and_unwinds_session_accounting():
             assert service._inflight_by_cache == {}
 
     run(go())
+
+
+def test_deep_nesting_is_undecodable_and_the_connection_stays_usable():
+    async def go():
+        service = make_service()
+        async with await serve(service) as server:
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port, limit=MAX_LINE_BYTES + 2
+            )
+            # 0.2 MB, under the line cap: the parser's recursion limit,
+            # not the cap, is what refuses it.
+            writer.write(b"[" * 200_000 + b"\n")
+            writer.write(encode({"id": 2, "op": "ping"}))
+            await writer.drain()
+            refused = decode(await reader.readline())
+            pong = decode(await reader.readline())
+            assert refused["ok"] is False and refused["id"] is None
+            assert refused["error"]["kind"] == "WireProtocolError"
+            assert pong["ok"] is True and pong["id"] == 2
+            writer.close()
+            await wait_until(lambda: active_connections(service) == 0)
+        assert wire_errors(service, "undecodable") == 1
+
+    run(go())
+
+
+NON_FINITE_LINES = [
+    b'{"id": NaN, "op": "ping"}',
+    b'{"id": 1e999, "op": "nope"}',
+    b'{"id": -Infinity, "op": "ping"}',
+    b'{"id": 4, "op": "trace", "limit": -1e400}',
+    b'{"id": Infinity, "op": "query", "cache": "monitor", '
+    b'"sql": "SELECT SUM(traffic) WITHIN 5 FROM links"}',
+]
+
+
+def test_a_non_finite_number_is_refused_with_a_null_id():
+    async def go():
+        service = make_service()
+        async with await serve(service) as server:
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port, limit=MAX_LINE_BYTES + 2
+            )
+            for line in NON_FINITE_LINES:
+                writer.write(line + b"\n")
+            writer.write(encode({"id": 9, "op": "ping"}))
+            await writer.drain()
+            for _ in NON_FINITE_LINES:
+                refused = decode(await reader.readline())
+                assert refused["ok"] is False and refused["id"] is None
+                assert refused["error"]["kind"] == "WireProtocolError"
+            pong = decode(await reader.readline())
+            assert pong["ok"] is True and pong["id"] == 9
+            writer.close()
+            await wait_until(lambda: active_connections(service) == 0)
+        assert wire_errors(service, "undecodable") == len(NON_FINITE_LINES)
+        assert service._inflight_by_client == {}
+
+    run(go())
+
+
+def test_a_bad_op_argument_is_an_error_reply_not_a_dropped_connection():
+    async def go():
+        service = make_service()
+        async with await serve(service) as server:
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port, limit=MAX_LINE_BYTES + 2
+            )
+            writer.write(encode({"id": 1, "op": "trace", "limit": "many"}))
+            writer.write(encode({"id": 2, "op": "ping"}))
+            await writer.drain()
+            refused = decode(await reader.readline())
+            pong = decode(await reader.readline())
+            assert refused == {
+                "id": 1,
+                "ok": False,
+                "error": {
+                    "kind": "ValueError",
+                    "message": "invalid literal for int() with base 10: 'many'",
+                },
+            }
+            assert pong["ok"] is True and pong["id"] == 2
+            writer.close()
+            await wait_until(lambda: active_connections(service) == 0)
+
+    run(go())

@@ -13,6 +13,7 @@ from repro.errors import RemoteQueryError, SqlSyntaxError
 from repro.extensions.batching import BatchedCostModel
 from repro.service import QueryService, TrappClient, serve
 from repro.service.protocol import (
+    EncodedAnswer,
     answer_payload,
     decode,
     encode,
@@ -99,6 +100,23 @@ def test_ping_and_server_clock():
         async with await serve(service) as server:
             async with await TrappClient.connect(server.host, server.port) as client:
                 assert await client.ping() == pytest.approx(142.0)
+
+    run(go())
+
+
+def test_closing_the_server_closes_its_open_connections():
+    async def go():
+        service = make_service()
+        server = await serve(service)
+        reader, writer = await asyncio.open_connection(server.host, server.port)
+        writer.write(encode({"id": 1, "op": "ping"}))
+        assert decode(await reader.readline())["ok"] is True
+        # A client still connected neither holds the close up nor is left
+        # open by it.
+        await asyncio.wait_for(server.close(), 5.0)
+        assert await asyncio.wait_for(reader.read(), 5.0) == b""
+        writer.close()
+        await writer.wait_closed()
 
     run(go())
 
@@ -244,6 +262,21 @@ REPLIES = [
 ]
 
 
+#: An id of every JSON type, with characters ``ensure_ascii`` escapes.
+REQUEST_IDS = [
+    None, True, False, 0, -7, 2**70, 1.5, -0.0, 1e300, "q-2",
+    'é \u2028 " \\ \ud800', [], [1, "a", None], {}, {"k": [None, {"x": 2.5}]},
+]
+ANSWERS = [
+    BoundedAnswer(Bound(-3.25, 1e300), frozenset({4, 2, 9}), 7.5),
+    BoundedAnswer(Bound(2.0, 2.0)),
+    BoundedAnswer(
+        Bound(float("-inf"), float("inf")), frozenset({1}), degraded=True,
+        unreachable_sources=('net/"cached":true', "net/3"),
+    ),
+]
+
+
 @pytest.mark.parametrize("reply", REPLIES, ids=lambda reply: str(reply["id"]))
 def test_encode_is_json_dumps_byte_for_byte(reply):
     expected = json.dumps(reply, separators=(",", ":"), allow_nan=False)
@@ -251,7 +284,78 @@ def test_encode_is_json_dumps_byte_for_byte(reply):
     assert decode(encode(reply)) == json.loads(expected)
 
 
+@pytest.mark.parametrize("request_id", REQUEST_IDS, ids=repr)
+@pytest.mark.parametrize("answer", ANSWERS, ids=("refreshed", "exact", "degraded"))
+def test_executed_and_hit_replies_are_encode_byte_for_byte(answer, request_id):
+    """A reply framed around an answer's payload, encoded once by the
+    first reply that carried it, is what encoding the whole reply gives."""
+    for first in (False, True):
+        encoded = EncodedAnswer.of(encode(answer_payload(answer, first)))
+        for cached in (False, True):
+            reply = {
+                "id": request_id,
+                "ok": True,
+                "result": answer_payload(answer, cached),
+            }
+            assert encoded.line(request_id, cached) == encode(reply)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_encode_still_refuses_non_finite_floats(bad):
     with pytest.raises(ValueError):
         encode({"id": 1, "ok": True, "result": {"lo": bad}})
+
+
+def test_a_hit_encodes_nothing_after_its_answers_first_reply(monkeypatch):
+    """Over the wire: the executed reply builds and encodes the payload;
+    the hits after it reuse those bytes, framed around their own ids."""
+    from repro.service import server as server_module
+
+    calls = {"encode": 0, "answer_payload": 0}
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(server_module, "encode", counting("encode", encode))
+    monkeypatch.setattr(
+        server_module, "answer_payload", counting("answer_payload", answer_payload)
+    )
+    ids = [1, "two", [3], {"four": None}, None]
+
+    async def go():
+        service = make_service()
+        async with await serve(service) as server:
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            try:
+                lines = []
+                for request_id in ids:
+                    writer.write(
+                        encode(
+                            {
+                                "id": request_id,
+                                "op": "query",
+                                "cache": CACHE_ID,
+                                "sql": SUM_SQL,
+                            }
+                        )
+                    )
+                    await writer.drain()
+                    lines.append(await reader.readline())
+            finally:
+                writer.close()
+                await writer.wait_closed()
+        return lines
+
+    lines = run(go())
+    replies = [json.loads(line) for line in lines]
+    assert [reply["result"]["cached"] for reply in replies] == [
+        False, True, True, True, True
+    ]
+    assert calls == {"encode": 1, "answer_payload": 1}
+    for request_id, reply, line in zip(ids, replies, lines):
+        assert reply["id"] == request_id
+        assert line == encode(reply)
