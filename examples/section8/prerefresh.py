@@ -162,9 +162,7 @@ class Piggyback:
         for key in self.policy.select(requested, tracked):
             value = _master(source, key)
             for member, entry in monitor.trackers(key).items():
-                if member != cache_id and not (
-                    fanout is True or (fanout and member in fanout)
-                ):
+                if member != cache_id and (fanout is None or member not in fanout):
                     continue
                 width = entry.policy.next_width()
                 monitor.update(key, entry, value, width, now, source.shape)

@@ -352,13 +352,14 @@ class DataCache:
         #: cache's only copy of its subscriptions' bound functions.
         self._bound_columns: dict[tuple[str, str], _BoundColumn] = {}
         #: Per table, the source (shard) each subscribed tuple's bounded
-        #: columns come from — what a refresh is grouped by.
+        #: columns come from — what a refresh is grouped by.  The only
+        #: tid → source map.
         self._owners: dict[str, dict[int, DataSource]] = {}
+        #: Per table, the sorted ids of the sources it was subscribed
+        #: from: the one source, or every shard of a sharded source
+        #: (shards owning no tuple included).
+        self._subscribed_from: dict[str, tuple[str, ...]] = {}
         self._sources: dict[str, DataSource] = {}
-        #: Cached tables whose tuples are partitioned across shard
-        #: sources; cardinality messages for these must keep the shard
-        #: map routed.
-        self._sharded_tables: set[str] = set()
         #: The :class:`~repro.replication.fanout.CacheGroup` this cache
         #: replicates within, or ``None`` for a standalone cache.  Set by
         #: :meth:`CacheGroup.add_replica`; the cache reports subsequent
@@ -436,11 +437,13 @@ class DataCache:
         ``source`` is a single :class:`DataSource` (the classic 1:1
         table↔source layout) or a
         :class:`~repro.replication.sharding.ShardedSource`, in which case
-        every shard's partition is merged into one cached table and the
-        tid→shard routing is recorded in the table's
-        :class:`~repro.storage.table.ShardMap` — that map is what makes
-        :meth:`source_of_tuple` O(1) and lets :meth:`refresh_batched`
-        group a merged plan per shard.
+        every shard's partition is merged into one cached table.  Each
+        subscribed tuple's source goes into the cache's owner map
+        (:meth:`source_of_tuple`, what :meth:`refresh_batched` groups a
+        merged plan by), and the ids subscribed from — the one source, or
+        every shard — are recorded as the table's source set
+        (:meth:`source_ids_of_table`), which a group compares across its
+        replicas.
 
         Every bounded column of every row is registered with its owning
         source's refresh monitor; exact/text columns are copied as-is
@@ -452,23 +455,17 @@ class DataCache:
                 f"cache {self.cache_id!r} already caches table {table_name!r}"
             )
         shards = getattr(source, "shards", None)
+        incoming = (source,) if shards is None else tuple(shards)
         if self.group is not None:
             # Vet the subscription against the group's invariants (fan-out
-            # conflicts, replica source-set homogeneity) before touching
+            # conflicts, replica source-set equality) before touching
             # any state — a rejection must not leave a partial
             # subscription or a stale registry entry behind.
-            incoming = (source,) if shards is None else tuple(shards)
-            self.group.check_subscription(
-                self, table_name, incoming, one_to_one=shards is None
-            )
+            self.group.check_subscription(table_name, incoming)
         if shards is None:
             master = source.table(table_name)
             cached = self.catalog.create_table(table_name, master.schema)
             self._subscribe_partition(source, master, cached)
-            if self.group is not None:
-                self.group._on_subscribe(
-                    self, table_name, (source,), one_to_one=True
-                )
         else:
             partitions = source.partitions(table_name)
             # Validate disjointness *before* touching any cache state: a
@@ -489,15 +486,13 @@ class DataCache:
             cached = self.catalog.create_table(
                 table_name, partitions[0][1].schema
             )
-            self._sharded_tables.add(table_name)
             for shard, partition in partitions:
-                self._subscribe_partition(
-                    shard, partition, cached, record_shard=True
-                )
-            if self.group is not None:
-                self.group._on_subscribe(
-                    self, table_name, tuple(shard for shard, _ in partitions)
-                )
+                self._subscribe_partition(shard, partition, cached)
+        self._subscribed_from[table_name] = tuple(
+            sorted(source.source_id for source in incoming)
+        )
+        if self.group is not None:
+            self.group._on_subscribe(self, table_name, incoming)
         return cached
 
     def unsubscribe_all(self) -> None:
@@ -512,8 +507,8 @@ class DataCache:
             self._sources[source_id].disconnect_cache(self.cache_id)
         self._sources.clear()
         self._owners.clear()
+        self._subscribed_from.clear()
         self._bound_columns.clear()
-        self._sharded_tables.clear()
         self.catalog = Catalog()
 
     def adopt_snapshot(
@@ -522,7 +517,7 @@ class DataCache:
         """Clone a sibling's cached state instead of cold-resubscribing.
 
         The late-joiner admission path: every cached table (rows, tids,
-        shard routing) is copied from ``donor``, and for each of the
+        recorded source set) is copied from ``donor``, and for each of the
         donor's subscriptions this cache adopts the donor's *exact*
         bound function plus a deep copy of the donor's live width-policy
         state via :meth:`DataSource.adopt_subscription`.  No
@@ -544,7 +539,7 @@ class DataCache:
             )
         for donor_table in donor.catalog:
             self.catalog.register(donor_table.copy())
-        self._sharded_tables |= donor._sharded_tables
+        self._subscribed_from = dict(donor._subscribed_from)
         # Connect to every donor source before adopting any subscription,
         # so value-initiated refreshes reach this cache from the first
         # tracked object onward.
@@ -602,27 +597,13 @@ class DataCache:
         return [self._sources[source_id] for source_id in sorted(self._sources)]
 
     def source_ids_of_table(self, table_name: str) -> frozenset[str]:
-        """Source (shard) ids serving one cached table's subscriptions.
-
-        Derived from the live subscription map plus the shard routing, so
-        it reflects what the cache can actually refresh; shards that
-        currently own no tuples are invisible here (callers comparing
-        source sets should compare by subset, not equality).
-        """
-        ids = {
-            source.source_id
-            for source in self._owners.get(table_name, {}).values()
-        }
-        if table_name in self.catalog:
-            ids.update(self.catalog.table(table_name).shard_map.shards())
-        return frozenset(ids)
+        """The source (shard) ids one cached table was subscribed from:
+        every shard of a sharded source, owning tuples or not.  Empty for
+        a table this cache does not subscribe."""
+        return frozenset(self._subscribed_from.get(table_name, ()))
 
     def _subscribe_partition(
-        self,
-        source: DataSource,
-        master: Table,
-        cached: Table,
-        record_shard: bool = False,
+        self, source: DataSource, master: Table, cached: Table
     ) -> None:
         """Replicate one source's rows (a whole table, or one shard)."""
         self._sources.setdefault(source.source_id, source)
@@ -631,8 +612,6 @@ class DataCache:
         rows = master.rows()
         for row in rows:
             cached.insert(row.as_dict(), tid=row.tid)  # bounds written below
-            if record_shard:
-                cached.shard_map.assign(row.tid, source.source_id)
             for column in bounded:
                 key = ObjectKey(cached.name, row.tid, column.name)
                 self._add_subscription(
@@ -833,36 +812,23 @@ class DataCache:
         )
 
     def source_of_tuple(self, table: Table, tid: int) -> str:
-        """The source (shard) id serving a tuple's bounded columns.
-
-        Used by cross-query schedulers to group refresh candidates per
-        shard without reaching into the subscription map.  Sharded
-        tables answer from the table's :class:`ShardMap` in O(1); the
-        1:1 layout falls back to probing the subscription map.
-        """
-        shard_id = table.shard_map.get(tid)
-        if shard_id is not None:
-            return shard_id
-        source = self._owners.get(table.name, {}).get(tid)
-        if source is not None:
-            return source.source_id
-        raise ReplicationProtocolError(
-            f"cache {self.cache_id!r} holds no subscription for tuple "
-            f"#{tid} of table {table.name!r}"
-        )
+        """The source (shard) id serving a tuple's bounded columns: one
+        probe of the owner map, which cross-query schedulers group
+        refresh candidates by."""
+        try:
+            return self._owners[table.name][tid].source_id
+        except KeyError:
+            raise ReplicationProtocolError(
+                f"cache {self.cache_id!r} holds no subscription for tuple "
+                f"#{tid} of table {table.name!r}"
+            ) from None
 
     def sources_of_table(self, table: Table) -> list[str]:
-        """Distinct source ids serving a table — its shard fan-in.
-
-        One element for the classic layout, N for a table subscribed
-        from an N-shard :class:`~repro.replication.sharding.ShardedSource`
-        (only shards that currently own tuples are listed).  Empty for
-        an empty unsharded table.
-        """
-        if table.is_sharded:
-            return table.shard_map.shards()
-        tids = table.columns.sorted_tids()
-        return [self.source_of_tuple(table, int(tids[0]))] if len(tids) else []
+        """The sorted source ids a table was subscribed from — its shard
+        fan-in: one for the classic layout, N for a table subscribed
+        from an N-shard :class:`~repro.replication.sharding.ShardedSource`.
+        Empty for a table this cache does not subscribe."""
+        return list(self._subscribed_from.get(table.name, ()))
 
     # ------------------------------------------------------------------
     # Incoming messages (value-initiated refreshes, cardinality changes)
@@ -1019,8 +985,6 @@ class DataCache:
             assert change.values is not None
             bounded = table.schema.bounded_columns
             table.insert(change.values, tid=change.tid)  # bounds written below
-            if change.table in self._sharded_tables:
-                table.shard_map.assign(change.tid, change.source_id)
             for column in bounded:
                 key = ObjectKey(change.table, change.tid, column.name)
                 function = source.register(self.cache_id, key)
@@ -1036,8 +1000,7 @@ class DataCache:
         """Repoint one tuple's subscriptions at its new master shard.
 
         Bound functions and cached cells are untouched — migration moves
-        ownership, not values — so only the shard routing and each
-        subscription's source pointer change.
+        ownership, not values — so only the tuple's owner changes.
         """
         new_source = self._sources.get(migration.to_source_id)
         if new_source is None:
@@ -1045,9 +1008,6 @@ class DataCache:
                 f"cache {self.cache_id!r} is not connected to migration "
                 f"target {migration.to_source_id!r}"
             )
-        table = self.catalog.table(migration.table)
-        if migration.table in self._sharded_tables:
-            table.shard_map.assign(migration.tid, migration.to_source_id)
         owners = self._owners.get(migration.table, {})
         if migration.tid in owners:
             owners[migration.tid] = new_source

@@ -8,9 +8,10 @@ replicas subscribing to overlapping source/shard sets into one logical
 serving tier:
 
 * **subscription registry** — the group tracks which caches hold which
-  table (and, through each cache's tables, which tuples), so routers and
-  schedulers can answer "who can serve this query / absorb this refresh"
-  without probing every cache;
+  table, and from which sources: every replica's recorded source set of
+  a table must equal the others', so routers and schedulers can answer
+  "who can serve this query / absorb this refresh" without probing
+  every cache;
 * **source-side update fan-out** — joining a group flips
   :attr:`~repro.replication.source.DataSource.refresh_fanout` on every
   source its members subscribe to, so one cache's paid query-initiated
@@ -18,7 +19,7 @@ serving tier:
   object (a refresh any cache pays for tightens bounds group-wide), and
   master mutations keep reaching every subscribed cache through the
   ordinary value-initiated/cardinality protocol;
-* **per-cache placement state** — region labels and per-cache
+* **per-cache prices** — per-cache
   :class:`~repro.extensions.batching.BatchedCostModel`\\ s (a replica near
   a shard refreshes it cheaply), which the refresh scheduler uses to
   dispatch each source's batched message from the *cheapest* subscribed
@@ -54,6 +55,13 @@ __all__ = ["CacheGroup"]
 class CacheGroup:
     """N bounded-replica caches serving one logical tier.
 
+    A member's tables must come from the same sources as every other
+    member's: the group compares each cache's recorded source set of a
+    table (what :meth:`DataCache.subscribe_table` subscribed it from,
+    read through :meth:`DataCache.source_ids_of_table`) for equality,
+    on subscription and on :meth:`add_replica`.  Which source owns each
+    tuple stays in each cache's owner map.
+
     ``fanout=True`` (the default) turns on source-side refresh fan-out for
     every source the members subscribe to; ``fanout=False`` keeps replicas
     independent (each pays its own refreshes), the baseline the
@@ -64,40 +72,26 @@ class CacheGroup:
         self.group_id = group_id
         self.fanout = fanout
         self._caches: dict[str, DataCache] = {}
-        self._regions: dict[str, str | None] = {}
         self._cost_models: dict[str, BatchedCostModel] = {}
         #: Subscription registry: table name → cache ids holding it.
         self._tables: dict[str, set[str]] = {}
         #: Replica-set invariant: table name → the source (shard) ids its
         #: replicas subscribe from.  Cross-cache merging and leader
         #: redirects assume any member can refresh the table's tuples, so
-        #: divergent source sets are rejected at subscribe time.
+        #: a replica whose recorded set differs is rejected.
         self._table_sources: dict[str, frozenset[str]] = {}
-        #: The subset of ``_table_sources`` that came from *declared*
-        #: subscriptions (subscribe-time shard lists, which see empty
-        #: shards too) — declared sets must match exactly; only
-        #: subscription-derived sets get subset tolerance.
-        self._declared_sources: dict[str, frozenset[str]] = {}
-        #: Tables some member subscribes 1:1 (classic table↔source, no
-        #: shard map).  A 1:1 member can only replicate a 1:1 table, so
-        #: these admit no subset tolerance at all — the discriminator
-        #: that keeps a single-*shard* subscription of a striped table
-        #: (also unsharded from the cache's view) out of the group.
-        self._one_to_one_tables: set[str] = set()
 
     # ------------------------------------------------------------------
     # Membership
     # ------------------------------------------------------------------
     def add_replica(
-        self,
-        cache: DataCache,
-        region: str | None = None,
-        cost_model: BatchedCostModel | None = None,
+        self, cache: DataCache, cost_model: BatchedCostModel | None = None
     ) -> DataCache:
-        """Enroll one cache: registry, region label, cost model, fan-out.
+        """Enroll one cache: registry, cost model, fan-out.
 
         Subscriptions the cache already holds are absorbed into the
-        registry; later ``subscribe_table`` calls report back through the
+        registry, each table's recorded source set checked against the
+        group's; later ``subscribe_table`` calls report back through the
         cache's group pointer.
         """
         checked_price(cost_model, override=True)
@@ -116,26 +110,18 @@ class CacheGroup:
         # source exactly as they were.
         self._check_fanout_conflict(cache.subscribed_sources())
         absorbed = {
-            table.name: (
-                cache.source_ids_of_table(table.name),
-                not table.is_sharded,
-            )
-            for table in cache.catalog
+            table_name: source_ids
+            for table_name in cache.catalog.names()
+            if (source_ids := cache.source_ids_of_table(table_name))
         }
-        for table_name, (source_ids, one_to_one) in absorbed.items():
-            self._check_table_sources(
-                table_name, source_ids, declared=False, one_to_one=one_to_one
-            )
+        for table_name, source_ids in absorbed.items():
+            self._check_table_sources(table_name, source_ids)
         self._caches[cache.cache_id] = cache
-        self._regions[cache.cache_id] = region
         if cost_model is not None:
             self._cost_models[cache.cache_id] = cost_model
         cache.group = self
-        for table_name, (source_ids, one_to_one) in absorbed.items():
-            self._tables.setdefault(table_name, set()).add(cache.cache_id)
-            self._record_table_sources(
-                table_name, source_ids, declared=False, one_to_one=one_to_one
-            )
+        for table_name, source_ids in absorbed.items():
+            self._register(cache, table_name, source_ids)
         self._enable_fanout(cache.subscribed_sources())
         return cache
 
@@ -147,7 +133,6 @@ class CacheGroup:
         dropping the membership entries restores the group exactly.
         """
         self._caches.pop(cache.cache_id, None)
-        self._regions.pop(cache.cache_id, None)
         self._cost_models.pop(cache.cache_id, None)
         for cache_ids in self._tables.values():
             cache_ids.discard(cache.cache_id)
@@ -178,7 +163,6 @@ class CacheGroup:
             )
         departing_sources = cache.subscribed_sources()
         del self._caches[cache.cache_id]
-        self._regions.pop(cache.cache_id, None)
         self._cost_models.pop(cache.cache_id, None)
         for table_name in list(self._tables):
             cache_ids = self._tables[table_name]
@@ -189,8 +173,6 @@ class CacheGroup:
                 # future (possibly differently sharded) subscription.
                 del self._tables[table_name]
                 self._table_sources.pop(table_name, None)
-                self._declared_sources.pop(table_name, None)
-                self._one_to_one_tables.discard(table_name)
         cache.group = None
         cache.unsubscribe_all()
         if self.fanout:
@@ -204,13 +186,12 @@ class CacheGroup:
                     source.refresh_fanout is self
                     and source.source_id not in remaining
                 ):
-                    source.refresh_fanout = False
+                    source.refresh_fanout = None
         return cache
 
     def admit_replica(
         self,
         cache: DataCache,
-        region: str | None = None,
         cost_model: BatchedCostModel | None = None,
         from_cache: "DataCache | str | None" = None,
         default_model: BatchedCostModel = UNIFORM_PRICE,
@@ -255,7 +236,7 @@ class CacheGroup:
             donor, self.cost_model_for(donor.cache_id, default_model)
         )
         try:
-            self.add_replica(cache, region=region, cost_model=cost_model)
+            self.add_replica(cache, cost_model=cost_model)
         except Exception:
             # Enrollment rejections must not strand adopted trackers.
             cache.unsubscribe_all()
@@ -289,11 +270,7 @@ class CacheGroup:
         return min(self._caches.values(), key=rank)
 
     def check_subscription(
-        self,
-        cache: DataCache,
-        table_name: str,
-        sources: Iterable["DataSource"],
-        one_to_one: bool = False,
+        self, table_name: str, sources: Iterable["DataSource"]
     ) -> None:
         """Raise-only pre-check for a member's upcoming subscription.
 
@@ -301,15 +278,11 @@ class CacheGroup:
         any state, so a rejected subscription (fan-out conflict, or a
         source set diverging from the table's other replicas) leaves the
         cache, the group registry, and the sources untouched.
-        ``one_to_one`` marks the classic unsharded table↔source layout.
         """
         sources = tuple(sources)
         self._check_fanout_conflict(sources)
         self._check_table_sources(
-            table_name,
-            frozenset(source.source_id for source in sources),
-            declared=True,
-            one_to_one=one_to_one,
+            table_name, frozenset(source.source_id for source in sources)
         )
 
     def _on_subscribe(
@@ -317,7 +290,6 @@ class CacheGroup:
         cache: DataCache,
         table_name: str,
         sources: Iterable["DataSource"],
-        one_to_one: bool = False,
     ) -> None:
         """Registry + fan-out upkeep for one (cache, table) subscription.
 
@@ -325,12 +297,8 @@ class CacheGroup:
         same inputs before the subscription was committed.
         """
         sources = tuple(sources)
-        self._tables.setdefault(table_name, set()).add(cache.cache_id)
-        self._record_table_sources(
-            table_name,
-            frozenset(source.source_id for source in sources),
-            declared=True,
-            one_to_one=one_to_one,
+        self._register(
+            cache, table_name, frozenset(source.source_id for source in sources)
         )
         self._enable_fanout(sources)
 
@@ -338,11 +306,7 @@ class CacheGroup:
     # Replica-set invariants
     # ------------------------------------------------------------------
     def _check_table_sources(
-        self,
-        table_name: str,
-        source_ids: frozenset[str],
-        declared: bool,
-        one_to_one: bool = False,
+        self, table_name: str, source_ids: frozenset[str]
     ) -> None:
         """Replicas of one table must share its source (shard) set.
 
@@ -353,61 +317,23 @@ class CacheGroup:
         masters — including a member that subscribed a *single shard* of
         a striped table (each shard's partition carries the table's
         name), which would answer group queries over a fraction of the
-        tuples.  Two ``declared`` (subscribe-time) sets must therefore be
-        *equal*; subset tolerance applies only when a subscription-derived
-        set is involved, because those cannot see shards that currently
-        own no tuples — and never when either side is a ``one_to_one``
-        (unsharded) layout, whose single source IS its full extent.
+        tuples.  Each cache records the sources it subscribed a table
+        from, owning tuples or not, so the sets must be *equal*.
         """
-        if not source_ids:
-            return
-        # 1:1 layouts admit no tolerance in either direction: a member
-        # holding the table unsharded can only be a replica of a table
-        # every other member holds from exactly the same single source.
-        if one_to_one or table_name in self._one_to_one_tables:
-            recorded = self._declared_sources.get(table_name)
-            if recorded is None:
-                recorded = self._table_sources.get(table_name)
-            if recorded is not None and source_ids != recorded:
-                self._raise_divergent(table_name, recorded, source_ids)
-            return
-        declared_recorded = self._declared_sources.get(table_name)
-        if declared and declared_recorded is not None:
-            if source_ids != declared_recorded:
-                self._raise_divergent(table_name, declared_recorded, source_ids)
-            return
-        recorded = declared_recorded
-        if recorded is None:
-            recorded = self._table_sources.get(table_name)
-        if recorded is None:
-            return
-        if not (source_ids <= recorded or recorded <= source_ids):
-            self._raise_divergent(table_name, recorded, source_ids)
+        recorded = self._table_sources.get(table_name)
+        if recorded is not None and source_ids != recorded:
+            raise ReplicationProtocolError(
+                f"group {self.group_id!r} replicates table {table_name!r} "
+                f"from sources {sorted(recorded)}; a replica subscribing "
+                f"it from {sorted(source_ids)} would break cross-cache "
+                "refresh interchangeability"
+            )
 
-    def _raise_divergent(
-        self, table_name: str, recorded: frozenset[str], incoming: frozenset[str]
+    def _register(
+        self, cache: DataCache, table_name: str, source_ids: frozenset[str]
     ) -> None:
-        raise ReplicationProtocolError(
-            f"group {self.group_id!r} replicates table {table_name!r} "
-            f"from sources {sorted(recorded)}; a replica subscribing "
-            f"it from {sorted(incoming)} would break cross-cache "
-            "refresh interchangeability"
-        )
-
-    def _record_table_sources(
-        self,
-        table_name: str,
-        source_ids: frozenset[str],
-        declared: bool,
-        one_to_one: bool = False,
-    ) -> None:
-        self._table_sources[table_name] = (
-            self._table_sources.get(table_name, frozenset()) | source_ids
-        )
-        if declared and table_name not in self._declared_sources:
-            self._declared_sources[table_name] = source_ids
-        if one_to_one and source_ids:
-            self._one_to_one_tables.add(table_name)
+        self._tables.setdefault(table_name, set()).add(cache.cache_id)
+        self._table_sources.setdefault(table_name, source_ids)
 
     def _check_fanout_conflict(self, sources: Iterable["DataSource"]) -> None:
         """Raise if any source already fans out to a *different* group."""
@@ -415,11 +341,10 @@ class CacheGroup:
             return
         for source in sources:
             current = source.refresh_fanout
-            if current and current is not True and current is not self:
+            if current is not None and current is not self:
                 raise ReplicationProtocolError(
                     f"source {source.source_id!r} already fans out to group "
-                    f"{getattr(current, 'group_id', current)!r}; a source "
-                    "feeds one fan-out group"
+                    f"{current.group_id!r}; a source feeds one fan-out group"
                 )
 
     def _enable_fanout(self, sources: Iterable["DataSource"]) -> None:
@@ -428,17 +353,13 @@ class CacheGroup:
         The group object itself is the membership test (``cache_id in
         group``), so pushes reach only member caches — a standalone cache
         sharing the source keeps its own refresh schedule and width
-        policies.  ``refresh_fanout=True`` (set manually) means "push to
-        everyone" and is left alone; a *different* group on the same
-        source was rejected by :meth:`_check_fanout_conflict` before any
-        state changed.
+        policies.  A *different* group on the same source was rejected
+        by :meth:`_check_fanout_conflict` before any state changed.
         """
         if not self.fanout:
             return
         self._check_fanout_conflict(sources)
         for source in sources:
-            if source.refresh_fanout is True:
-                continue
             source.refresh_fanout = self
 
     # ------------------------------------------------------------------
@@ -476,19 +397,6 @@ class CacheGroup:
             self._caches[cache_id]
             for cache_id in sorted(self._tables.get(table_name, ()))
         ]
-
-    def caches_holding(self, table_name: str, tid: int) -> list[str]:
-        """Cache ids currently holding one tuple of a table (tuple-level
-        registry view: subscription minus any straggling deletes)."""
-        return [
-            cache.cache_id
-            for cache in self.caches_of_table(table_name)
-            if tid in cache.table(table_name)
-        ]
-
-    def region_of(self, cache_id: str) -> str | None:
-        self.cache(cache_id)  # raise on unknown ids
-        return self._regions.get(cache_id)
 
     def cost_model_for(
         self, cache_id: str, default_model: BatchedCostModel = UNIFORM_PRICE

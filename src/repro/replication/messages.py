@@ -138,7 +138,7 @@ class MasterMigration:
     """Source → cache: a tuple's master now lives on a different shard.
 
     Sent by the shard that *gave up* the tuple (``source_id``); the
-    receiving cache repoints its subscriptions and shard routing at
+    receiving cache repoints the tuple in its owner map at
     ``to_source_id``.  Bound functions are untouched — migration moves
     ownership, not values, so cached bounds stay valid throughout.
     """

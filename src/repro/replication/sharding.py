@@ -26,9 +26,9 @@ as it would for an unsharded source.  The wrapper only owns the routing:
   allocated globally so partitions never collide.
 
 The cache side lives in :meth:`repro.replication.cache.DataCache.subscribe_table`,
-which accepts a ``ShardedSource`` wherever a ``DataSource`` fits and
-records the tid→shard routing in the cached table's
-:class:`~repro.storage.table.ShardMap`.
+which accepts a ``ShardedSource`` wherever a ``DataSource`` fits,
+records each tuple's shard in the cache's owner map and every shard id
+in the table's recorded source set.
 """
 
 from __future__ import annotations
@@ -220,8 +220,7 @@ class ShardedSource:
         :meth:`~repro.replication.source.RefreshMonitor.adopt_object`),
         and the wrapper's routing entry, then notifies each tracking
         cache with a :class:`~repro.replication.messages.MasterMigration`
-        so its subscription map and cached
-        :class:`~repro.storage.table.ShardMap` repoint at the new owner.
+        so the cache's owner map repoints the tuple at the new owner.
 
         The whole move runs synchronously — no awaits — so it is atomic
         with respect to the refresh scheduler's tick: a tick either sees

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -41,6 +41,9 @@ from repro.replication.messages import (
 )
 from repro.storage.table import Table
 from repro.telemetry.registry import SHORT_TIME_BUCKETS
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.replication.fanout import CacheGroup
 
 __all__ = ["RefreshMonitor", "DataSource"]
 
@@ -192,18 +195,17 @@ class RefreshMonitor:
         values: list[float],
         now: float,
         shape: BoundShape,
-        fanout: "bool | object",
+        fanout: "CacheGroup | None",
     ) -> tuple[list[float], dict[str, tuple[list[int], list[float]]]]:
         """Refresh one column of many objects: the query-initiated path.
 
         ``held`` is :meth:`trackers_of` for ``tids``.  Each object's
         tracker for ``cache_id`` takes ``(values[i], W, now, shape)``,
-        ``W`` from its policy after one ``on_query_initiated``.  With
-        ``fanout`` (``True``, or a membership such as a
-        :class:`~repro.replication.fanout.CacheGroup`) every other member
-        cache tracking the object is renewed the same way, through its
-        own policy — the *same* sequence of policy calls as the
-        requester's, so replicas that subscribed in lockstep stay in
+        ``W`` from its policy after one ``on_query_initiated``.  With a
+        ``fanout`` group (:class:`~repro.replication.fanout.CacheGroup`)
+        every other member cache tracking the object is renewed the same
+        way, through its own policy — the *same* sequence of policy calls
+        as the requester's, so replicas that subscribed in lockstep stay in
         lockstep, the invariant behind a group's K-cache ≡ 1-cache
         answer equivalence.  A sibling not tracking the object is left
         as it is, policy and tracked bound: the monitor keeps tracking
@@ -232,13 +234,13 @@ class RefreshMonitor:
 
         for position, (tid, trackers, value) in enumerate(zip(tids, held, values)):
             widths.append(step(trackers[cache_id]))
-            if fanout and len(trackers) > 1:
+            if fanout is not None and len(trackers) > 1:
                 for member, entry in trackers.items():
                     if member == cache_id:
                         continue
                     wanted = members.get(member)
                     if wanted is None:
-                        wanted = members[member] = fanout is True or member in fanout
+                        wanted = members[member] = member in fanout
                     if wanted:
                         pushed = pushes.get(member)
                         if pushed is None:
@@ -386,14 +388,13 @@ class DataSource:
         #: Replication fan-out (multi-cache groups): when set, answering
         #: one cache's query-initiated refresh also pushes the fresh master
         #: value to sibling caches tracking the object, so a refresh any
-        #: replica pays for tightens bounds group-wide.  ``False`` (the
+        #: replica pays for tightens bounds group-wide.  ``None`` (the
         #: default) keeps the classic per-cache protocol; a
         #: :class:`~repro.replication.fanout.CacheGroup` installs *itself*
         #: here so pushes reach only its members — caches outside the
         #: group (a standalone pinned cache sharing the source) keep their
-        #: own refresh schedules and width-policy state; ``True`` pushes
-        #: to every tracking cache regardless.
-        self.refresh_fanout: "bool | object" = False
+        #: own refresh schedules and width-policy state.
+        self.refresh_fanout: "CacheGroup | None" = None
         self.fanout_refreshes = 0
         #: Bound by :meth:`attach_telemetry`; ``None`` keeps the refresh
         #: path untelemetered (the simulation default).

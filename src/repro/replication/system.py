@@ -103,7 +103,6 @@ class TrappSystem:
         cache_id: str,
         shards: "dict[str, DataSource | ShardedSource | str] | None" = None,
         group: "CacheGroup | str | None" = None,
-        region: str | None = None,
         cost_model: BatchedCostModel | None = None,
     ) -> DataCache:
         """Create a cache, optionally pre-subscribed to (sharded) tables.
@@ -120,23 +119,27 @@ class TrappSystem:
         ``group`` enrolls the cache in a replication fan-out tier (a
         :class:`~repro.replication.fanout.CacheGroup` or its id; naming a
         group that does not exist yet creates it), with an optional
-        ``region`` label and per-cache refresh ``cost_model`` — a
+        per-cache refresh ``cost_model`` — a
         :class:`~repro.extensions.batching.BatchedCostModel` pricing this
         replica's round trips to each source, which the refresh scheduler
         uses to dispatch every source's batch from the cheapest replica.
-        A regional deployment is then one expression per region::
+        A replica placed near some shards is then one expression::
 
             system.add_cache("eu", shards={"links": "feeds"},
-                             group="edge", region="eu",
-                             cost_model=eu_costs)
+                             group="edge", cost_model=eu_costs)
+
+        Each subscription records, in the cache, the source every tuple
+        comes from (its owner map) and the source ids the table was
+        subscribed from (its recorded source set); the group refuses a
+        replica whose recorded set differs from its siblings'.
         """
         checked_price(cost_model, override=True)
         if cache_id in self._caches or cache_id in self._groups:
             raise TrappError(f"cache {cache_id!r} already exists")
-        if group is None and (region is not None or cost_model is not None):
+        if group is None and cost_model is not None:
             raise TrappError(
-                "region=/cost_model= describe a cache's place in a "
-                "replication tier; pass group= as well"
+                "cost_model= prices a cache's place in a replication "
+                "tier; pass group= as well"
             )
         # Resolve and validate the group *before* registering the cache:
         # a failure here must not leave a half-registered cache squatting
@@ -186,7 +189,7 @@ class TrappSystem:
         self._caches[cache_id] = cache
         try:
             if group_obj is not None:
-                group_obj.add_replica(cache, region=region, cost_model=cost_model)
+                group_obj.add_replica(cache, cost_model=cost_model)
             for table_name, source in (shards or {}).items():
                 if isinstance(source, str):
                     source = self.source(source)
@@ -231,7 +234,6 @@ class TrappSystem:
         cache_id: str,
         group: "CacheGroup | str",
         from_cache: "str | None" = None,
-        region: str | None = None,
         cost_model: BatchedCostModel | None = None,
         default_model: BatchedCostModel = UNIFORM_PRICE,
     ) -> "tuple[DataCache, object]":
@@ -257,7 +259,6 @@ class TrappSystem:
         try:
             receipt = group_obj.admit_replica(
                 cache,
-                region=region,
                 cost_model=cost_model,
                 from_cache=from_cache,
                 default_model=default_model,

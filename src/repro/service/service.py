@@ -574,7 +574,6 @@ class QueryService:
         self,
         group_id: str,
         cache_id: str,
-        region: str | None = None,
         cost_model: BatchedCostModel | None = None,
         from_cache: str | None = None,
     ):
@@ -594,7 +593,6 @@ class QueryService:
             cache_id,
             self.system.group(group_id),
             from_cache=from_cache,
-            region=region,
             cost_model=cost_model,
             default_model=self.scheduler.cost_model,
         )

@@ -11,7 +11,7 @@ from repro.storage.catalog import Catalog
 from repro.storage.columnar import ColumnStore
 from repro.storage.row import Row
 from repro.storage.schema import Column, ColumnKind, Schema
-from repro.storage.table import ShardMap, Table
+from repro.storage.table import Table
 
 __all__ = [
     "Catalog",
@@ -20,6 +20,5 @@ __all__ = [
     "ColumnKind",
     "Row",
     "Schema",
-    "ShardMap",
     "Table",
 ]

@@ -52,20 +52,6 @@ class Catalog:
         its name (identity, not equality)."""
         return self._tables.get(table.name) is table
 
-    def shard_of(self, name: str, tid: int) -> str | None:
-        """The shard id owning one tuple of a named table.
-
-        ``None`` for unsharded tables — the caller (typically the
-        replication cache) then falls back to its 1:1 table↔source
-        routing.  Raises :class:`UnknownTableError` on unknown names and
-        :class:`TrappError` when the table is sharded but the tuple has
-        no route (an unknown or deleted tuple).
-        """
-        table = self.table(name)
-        if not table.is_sharded:
-            return None
-        return table.shard_map.shard_of(tid)
-
     def __contains__(self, name: object) -> bool:
         return name in self._tables
 

@@ -27,70 +27,7 @@ from repro.storage.columnar import ColumnStore
 from repro.storage.row import Row
 from repro.storage.schema import Schema
 
-__all__ = ["ShardMap", "Table"]
-
-
-class ShardMap:
-    """tid → shard-id routing for a horizontally partitioned table.
-
-    A logical table whose tuples live on several physical sources keeps
-    one of these alongside its column store: every tuple id maps to the id
-    of the shard (a :class:`~repro.replication.source.DataSource` in the
-    replication layer) that owns its master values.  An empty map means
-    the table is unsharded — the 1:1 table↔source layout every PR before
-    sharding assumed.
-
-    The map is plain routing state, deliberately ignorant of what a
-    shard *is*: storage stays below the replication layer, which is what
-    lets the cache, the refresh scheduler, and the benchmarks all share
-    this one structure.
-    """
-
-    __slots__ = ("_shard_of", "_tids_by_shard")
-
-    def __init__(self) -> None:
-        self._shard_of: dict[int, str] = {}
-        self._tids_by_shard: dict[str, set[int]] = {}
-
-    def __len__(self) -> int:
-        return len(self._shard_of)
-
-    def __bool__(self) -> bool:
-        return bool(self._shard_of)
-
-    def __contains__(self, tid: object) -> bool:
-        return tid in self._shard_of
-
-    def assign(self, tid: int, shard_id: str) -> None:
-        """Route one tuple to a shard (reassignment allowed: rebalancing)."""
-        previous = self._shard_of.get(tid)
-        if previous is not None:
-            self._tids_by_shard[previous].discard(tid)
-        self._shard_of[tid] = shard_id
-        self._tids_by_shard.setdefault(shard_id, set()).add(tid)
-
-    def forget(self, tid: int) -> None:
-        """Drop a tuple's routing entry (no-op when absent)."""
-        shard_id = self._shard_of.pop(tid, None)
-        if shard_id is not None:
-            self._tids_by_shard[shard_id].discard(tid)
-
-    def shard_of(self, tid: int) -> str:
-        try:
-            return self._shard_of[tid]
-        except KeyError:
-            raise TrappError(f"no shard routes tuple #{tid}") from None
-
-    def get(self, tid: int, default: str | None = None) -> str | None:
-        return self._shard_of.get(tid, default)
-
-    def shards(self) -> list[str]:
-        """All shard ids with at least one routed tuple, sorted."""
-        return sorted(s for s, tids in self._tids_by_shard.items() if tids)
-
-    def tids_of(self, shard_id: str) -> frozenset[int]:
-        """Tuples routed to one shard (empty for unknown shards)."""
-        return frozenset(self._tids_by_shard.get(shard_id, ()))
+__all__ = ["Table"]
 
 
 class Table:
@@ -102,9 +39,6 @@ class Table:
         self._next_tid = 1
         #: The only copy of every cell; what the query executor reads.
         self.columns = ColumnStore(schema)
-        #: tid → owning-shard routing for horizontally partitioned tables;
-        #: empty for the classic one-source layout.
-        self.shard_map = ShardMap()
 
     # ------------------------------------------------------------------
     # Row access
@@ -161,7 +95,6 @@ class Table:
         if tid not in self.columns:
             raise TrappError(f"table {self.name!r} has no tuple #{tid}")
         self.columns.remove(tid)
-        self.shard_map.forget(tid)
 
     def update_value(self, tid: int, column: str, value: Any) -> None:
         """Overwrite one cell after validating it against the schema
@@ -175,11 +108,6 @@ class Table:
     # ------------------------------------------------------------------
     # Convenience views
     # ------------------------------------------------------------------
-    @property
-    def is_sharded(self) -> bool:
-        """True when tuples carry shard routing (a partitioned table)."""
-        return bool(self.shard_map)
-
     def column_exact(self, column: str) -> bool:
         """True when every current value of ``column`` is exactly known.
 
@@ -192,13 +120,10 @@ class Table:
         return {row.tid: row.bound(column) for row in self.rows()}
 
     def copy(self, name: str | None = None) -> "Table":
-        """A deep copy (cells and shard routing copied)."""
+        """A deep copy of the table's cells."""
         clone = Table(name or self.name, self.schema)
         for row in self.rows():
             clone.insert(row.as_dict(), tid=row.tid)
-            shard_id = self.shard_map.get(row.tid)
-            if shard_id is not None:
-                clone.shard_map.assign(row.tid, shard_id)
         return clone
 
     def __repr__(self) -> str:

@@ -468,13 +468,29 @@ def test_executor_probes_nothing_and_src_never_imports_tests():
     # examples/section8/prerefresh.py, and the routes only tests call —
     # the brute-force and density-greedy knapsacks, the endpoint-indexed
     # MIN/MAX plan, the module-level interval folds — are oracles in
-    # tests/oracle/ or gone.
+    # tests/oracle/ or gone.  A cached tuple's source is kept once, in
+    # the cache's owner map, and a table's source set once, as the cache
+    # recorded it: no storage-layer shard map, no rebuilt or tolerated
+    # set in the group, no region label and no tuple-level group view.
     test_only = re.compile(
         r"piggyback|solve_brute_force|solve_greedy_ratio"
-        r"|without_predicate_indexed|intersect_all",
+        r"|without_predicate_indexed|intersect_all"
+        r"|ShardMap|shard_map|is_sharded|_sharded_tables|_declared_sources"
+        r"|_one_to_one_tables|region_of|caches_holding",
         re.IGNORECASE,
     )
     assert not [name for name, text in sources.items() if test_only.search(text)]
+    # Fan-out membership is a group or None, in the examples too.
+    placement = re.compile(
+        r"ShardMap|shard_map|is_sharded|_sharded_tables|_declared_sources"
+        r"|_one_to_one_tables|region_of|refresh_fanout = True"
+    )
+    examples = SRC.parent / "examples"
+    assert not [
+        path.name
+        for path in examples.rglob("*.py")
+        if placement.search(path.read_text())
+    ]
 
 
 #: Where a refresh batch gets its price.  ``cost_model=None`` on the

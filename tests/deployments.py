@@ -343,7 +343,6 @@ def regional_cache_system(
             cache_id,
             shards={"links": source_id},
             group=group_id,
-            region=f"region-{c}",
             cost_model=model,
         )
     system.clock.advance(clock_advance)

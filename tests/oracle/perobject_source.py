@@ -59,7 +59,7 @@ def handle_refresh_request_per_object(
         entry.policy.on_query_initiated()
         requested.append((key, value, _renew(source, key, entry, value, now)))
         source.query_initiated_refreshes += 1
-    if source.refresh_fanout:
+    if source.refresh_fanout is not None:
         _fanout(source, request.cache_id, requested, now)
     return _message(source, RefreshReason.QUERY_INITIATED, requested, now)
 
@@ -71,7 +71,7 @@ def _fanout(source, requester, requested, now):
         for cache_id, entry in source.monitor.trackers(key).items():
             if cache_id == requester:
                 continue
-            if membership is not True and cache_id not in membership:
+            if cache_id not in membership:
                 continue
             entry.policy.on_query_initiated()
             function = _renew(source, key, entry, value, now)

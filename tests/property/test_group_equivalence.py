@@ -86,9 +86,7 @@ def _build_group(master: Table, n_caches: int, age: float) -> TrappSystem:
     system.add_source("s").add_table(master.copy())
     system.add_group("g")
     for index in range(n_caches):
-        system.add_cache(
-            f"g/{index}", shards={"t": "s"}, group="g", region=f"r{index}"
-        )
+        system.add_cache(f"g/{index}", shards={"t": "s"}, group="g")
     system.clock.advance(age)
     for cache in system.group("g"):
         cache.sync_bounds()
@@ -130,7 +128,7 @@ def test_group_answers_equal_single_cache(master, n_caches, script, age):
     # The deployments really differed physically: the group wired
     # source-side fan-out, and every replica (not just the queried ones)
     # absorbed a push whenever any step paid for a refresh.
-    assert grouped.source("s").refresh_fanout
+    assert grouped.source("s").refresh_fanout is grouped.group("g")
     refreshes = grouped.source("s").query_initiated_refreshes
     if refreshes:
         pushes = [
@@ -209,9 +207,7 @@ def _build_group_sharded(master: Table, age: float) -> TrappSystem:
     system.add_source("s", shards=N_SHARDS).add_table(master.copy())
     system.add_group("g")
     for index in range(2):
-        system.add_cache(
-            f"g/{index}", shards={"t": "s"}, group="g", region=f"r{index}"
-        )
+        system.add_cache(f"g/{index}", shards={"t": "s"}, group="g")
     system.clock.advance(age)
     for cache in system.group("g"):
         cache.sync_bounds()

@@ -85,6 +85,9 @@ def test_sharded_answers_equal_unsharded(
 
     # The physical routing *did* differ: the sharded cache really fanned
     # its subscriptions out (same logical answer, N-way layout).
-    table = sharded.cache("c").table("t")
+    cache = sharded.cache("c")
+    table = cache.table("t")
     expected_shards = min(n_shards, len(table))
-    assert len(table.shard_map.shards()) == expected_shards
+    owners = {cache.source_of_tuple(table, tid) for tid in table.tids()}
+    assert len(owners) == expected_shards
+    assert len(cache.sources_of_table(table)) == n_shards

@@ -40,8 +40,9 @@ def test_registry_tracks_tables_and_tuples():
     assert group.table_names() == ["t"]
     assert [c.cache_id for c in group.caches_of_table("t")] == group.cache_ids()
     assert group.caches_of_table("absent") == []
-    assert group.caches_holding("t", 1) == group.cache_ids()
-    assert group.caches_holding("t", 99) == []
+    for cache in group:
+        assert cache.source_ids_of_table("t") == frozenset({"s"})
+        assert cache.source_of_tuple(cache.table("t"), 1) == "s"
     assert len(group) == 3
     assert "edge/1" in group
     assert group.cache("edge/1") in group
@@ -56,7 +57,7 @@ def test_registry_absorbs_pre_existing_subscriptions():
     group = CacheGroup("g")
     group.add_replica(cache)
     assert group.table_names() == ["t"]
-    assert source.refresh_fanout
+    assert source.refresh_fanout is group
 
 
 def test_membership_errors():
@@ -70,17 +71,15 @@ def test_membership_errors():
         other.add_replica(cache)  # a cache replicates within one group
     with pytest.raises(TrappError):
         group.cache("nope")
-    with pytest.raises(TrappError):
-        group.region_of("nope")
 
 
 def test_regions_and_cost_models():
+    """A replica's place is priced by its cost model; there is no
+    separate region label."""
     group = CacheGroup("g")
     model = BatchedCostModel(setup=3.0)
-    group.add_replica(DataCache("a"), region="eu", cost_model=model)
+    group.add_replica(DataCache("a"), cost_model=model)
     group.add_replica(DataCache("b"))
-    assert group.region_of("a") == "eu"
-    assert group.region_of("b") is None
     assert group.cost_model_for("a") is model
     # A member without its own model prices at the deployment's, which
     # is uniform when the deployment names none.
@@ -107,7 +106,7 @@ def test_system_add_cache_group_wiring():
     with pytest.raises(TrappError):
         system.add_group("edge/0")  # group id may not shadow a cache id
     with pytest.raises(TrappError):
-        system.add_cache("solo", region="eu")  # region needs a group
+        system.add_cache("solo", cost_model=BatchedCostModel())  # needs a group
 
 
 def test_system_add_cache_auto_creates_group():
@@ -233,6 +232,66 @@ def test_group_rejects_divergent_sources_on_enrollment():
         group.add_replica(late)
     assert late.group is None  # rejected cleanly, cache untouched
     assert "b" not in group
+
+
+def _empty_master(name: str = "t") -> Table:
+    return Table(name, Schema.of(x="bounded"))
+
+
+def test_group_rejects_empty_replica_of_other_source_on_enrollment():
+    """A cache holding an *empty* ``t`` from ``s2`` subscribed from
+    ``s2``: it is not a replica of a group serving ``t`` from ``s1``,
+    however few tuples it holds, and the refusal moves nothing."""
+    source1 = DataSource("s1")
+    source1.add_table(make_master())
+    source2 = DataSource("s2")
+    source2.add_table(_empty_master())
+    group = CacheGroup("g")
+    first = DataCache("a")
+    first.subscribe_table(source1, "t")
+    group.add_replica(first)
+    empty = DataCache("b")
+    empty.subscribe_table(source2, "t")
+    assert len(empty.table("t")) == 0
+    with pytest.raises(ReplicationProtocolError):
+        group.add_replica(empty)
+    assert empty.group is None and "b" not in group
+    assert source2.refresh_fanout is None
+    assert group.caches_of_table("t") == [first]
+    assert empty.source_ids_of_table("t") == frozenset({"s2"})
+    # Tuples arriving at s2 later stay with the standalone cache.
+    for value in (1.0, 2.0, 3.0, 4.0):
+        source2.insert_row("t", {"x": value})
+    assert len(empty.table("t")) == 4
+    assert empty.sources_of_table(empty.table("t")) == ["s2"]
+
+
+def test_group_rejects_empty_shard_set_replica_on_enrollment():
+    """The same for shard sets: a cache whose shards own no tuple is
+    refused by a group replicating ``t`` from a full shard set — whether
+    it subscribed another source's empty shards or the one empty shard
+    of the group's own striped source — and nothing moves."""
+    system = TrappSystem()
+    system.add_source("net", shards=2).add_table(make_master(1))  # tid 1: net/1
+    system.add_source("other", shards=2).add_table(_empty_master())
+    full = system.add_cache("full", shards={"t": "net"}, group="g")
+    group = system.group("g")
+    striped = DataCache("striped")
+    striped.subscribe_table(system.source("other"), "t")
+    lone = DataCache("lone")
+    lone.subscribe_table(system.source("net/0"), "t")
+    for empty in (striped, lone):
+        assert len(empty.table("t")) == 0
+        with pytest.raises(ReplicationProtocolError):
+            group.add_replica(empty)
+        assert empty.group is None
+    assert striped.source_ids_of_table("t") == frozenset({"other/0", "other/1"})
+    assert lone.source_ids_of_table("t") == frozenset({"net/0"})
+    assert group.cache_ids() == ["full"]
+    assert group.caches_of_table("t") == [full]
+    for shard in system.source("other"):
+        assert shard.refresh_fanout is None
+    assert full.sources_of_table(full.table("t")) == ["net/0", "net/1"]
 
 
 def test_group_rejects_single_shard_replica_of_striped_table():
@@ -363,7 +422,7 @@ def test_fanout_off_keeps_replicas_independent():
     requester = system.cache("edge/0")
     sibling = system.cache("edge/1")
     requester.refresh_batched(requester.table("t"), [1])
-    assert not system.source("s").refresh_fanout
+    assert system.source("s").refresh_fanout is None
     assert sibling.fanout_refreshes_received == 0
     assert not sibling.table("t").row(1)["x"].is_exact
 

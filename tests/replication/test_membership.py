@@ -65,7 +65,7 @@ def test_detach_unwinds_registry_and_subscriptions():
     assert departed.subscribed_sources() == []
     # Survivors still serve: fan-out stays on and masters still push.
     for shard in system.source("s"):
-        assert shard.refresh_fanout
+        assert shard.refresh_fanout is group
     system.source("s").apply_update(ObjectKey("t", 1, "x"), 500.0)
     assert group.cache("edge/0").refreshes_received > 0
 
@@ -102,7 +102,7 @@ def test_detach_to_empty_group_resets_fanout():
     assert len(group) == 0
     assert group.table_names() == []
     for shard in system.source("s"):
-        assert shard.refresh_fanout is False
+        assert shard.refresh_fanout is None
     assert sum(m.tracked_count() for m in shard_monitors(system)) == 0
 
 
@@ -298,6 +298,12 @@ def test_migrate_master_moves_row_and_subscriptions():
     # Subscriptions moved with the master: 2 members x 1 column.
     assert origin.monitor.tracked_count() == origin_tracked - 2
     assert target.monitor.tracked_count() == target_tracked + 2
+    # Each cache's owner map repointed the tuple; its recorded source
+    # set, every shard, did not move.
+    for cache in system.group("edge"):
+        table = cache.table("t")
+        assert cache.source_of_tuple(table, 1) == target.source_id
+        assert cache.sources_of_table(table) == [s.source_id for s in sharded]
 
     # Writes route through the new master and still reach every cache.
     received = [c.refreshes_received for c in system.group("edge")]

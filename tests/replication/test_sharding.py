@@ -1,4 +1,5 @@
-"""Horizontal sharding: ShardedSource, shard maps, per-shard receipts."""
+"""Horizontal sharding: ShardedSource, the cache's owner map and recorded
+source set, per-shard receipts."""
 
 from __future__ import annotations
 
@@ -11,7 +12,6 @@ from repro.extensions.batching import BatchedCostModel
 from repro.replication.sharding import ShardedSource, round_robin
 from repro.replication.source import DataSource
 from repro.replication.system import TrappSystem
-from repro.storage.table import ShardMap
 from repro.workloads.netmon import build_master_table, generate_topology
 
 
@@ -28,48 +28,6 @@ def build_sharded(n_shards=3, n_links=12, seed=3, age=50.0):
     system.clock.advance(age)
     cache.sync_bounds()
     return system, sharded, cache
-
-
-# ----------------------------------------------------------------------
-# ShardMap (storage layer)
-# ----------------------------------------------------------------------
-class TestShardMap:
-    def test_assign_route_forget(self):
-        shard_map = ShardMap()
-        assert not shard_map and len(shard_map) == 0
-        shard_map.assign(1, "a")
-        shard_map.assign(2, "b")
-        assert shard_map.shard_of(1) == "a"
-        assert shard_map.get(7) is None
-        assert 1 in shard_map and 7 not in shard_map
-        assert shard_map.shards() == ["a", "b"]
-        assert shard_map.tids_of("a") == frozenset({1})
-        shard_map.forget(1)
-        assert shard_map.get(1) is None
-        assert shard_map.shards() == ["b"]
-        shard_map.forget(1)  # idempotent
-
-    def test_reassignment_moves_the_tuple(self):
-        shard_map = ShardMap()
-        shard_map.assign(1, "a")
-        shard_map.assign(1, "b")
-        assert shard_map.shard_of(1) == "b"
-        assert shard_map.tids_of("a") == frozenset()
-        assert shard_map.shards() == ["b"]
-
-    def test_unknown_tid_raises(self):
-        with pytest.raises(TrappError):
-            ShardMap().shard_of(5)
-
-    def test_table_copy_preserves_shard_routing(self):
-        system, sharded, cache = build_sharded(n_shards=3, n_links=6)
-        clone = cache.table("links").copy()
-        assert clone.is_sharded
-        assert clone.shard_map.shards() == ["net/0", "net/1", "net/2"]
-        for row in clone.rows():
-            assert clone.shard_map.shard_of(row.tid) == (
-                f"net/{round_robin(row.tid, 3)}"
-            )
 
 
 # ----------------------------------------------------------------------
@@ -109,20 +67,21 @@ class TestShardedSource:
         second = sharded.insert_row("links", dict(values))
         assert second.tid == first.tid + 1
         # The new tuples landed on their round-robin shards, and
-        # the cache's merged table (and its shard map) followed suit.
+        # the cache's merged table (and its owner map) followed suit.
         table = cache.table("links")
         for change in (first, second):
             shard_id = f"net/{round_robin(change.tid, 3)}"
             assert sharded.shard_id_of("links", change.tid) == shard_id
             assert change.tid in table
-            assert table.shard_map.shard_of(change.tid) == shard_id
+            assert cache.source_of_tuple(table, change.tid) == shard_id
 
     def test_delete_routes_and_unroutes(self):
         system, sharded, cache = build_sharded(n_shards=3, n_links=6)
         table = cache.table("links")
         sharded.delete_row("links", 4)
         assert 4 not in table
-        assert table.shard_map.get(4) is None
+        with pytest.raises(ReplicationProtocolError):
+            cache.source_of_tuple(table, 4)
         with pytest.raises(ReplicationProtocolError):
             sharded.shard_for("links", 4)
 
@@ -162,9 +121,36 @@ class TestShardedCache:
         system, sharded, cache = build_sharded(n_shards=3, n_links=12)
         table = cache.table("links")
         assert len(table) == 12
-        assert table.is_sharded
-        assert table.shard_map.shards() == ["net/0", "net/1", "net/2"]
+        assert cache.source_ids_of_table("links") == {"net/0", "net/1", "net/2"}
         assert cache.sources_of_table(table) == ["net/0", "net/1", "net/2"]
+
+    def test_recorded_source_set_names_shards_owning_no_tuple(self):
+        """The recorded set is what was subscribed from, not what the
+        tuples happen to cover: a shard owning nothing is still listed,
+        and deleting a shard's last tuple keeps it listed."""
+        system, sharded, cache = build_sharded(n_shards=4, n_links=3)
+        table = cache.table("links")
+        assert {cache.source_of_tuple(table, tid) for tid in table.tids()} == {
+            "net/1", "net/2", "net/3",
+        }
+        every_shard = ["net/0", "net/1", "net/2", "net/3"]
+        assert cache.sources_of_table(table) == every_shard
+        sharded.delete_row("links", 1)
+        assert cache.sources_of_table(table) == every_shard
+
+    def test_adopted_snapshot_keeps_the_owner_map_and_source_set(self):
+        system, sharded, cache = build_sharded(n_shards=3, n_links=6)
+        group = system.add_group("g")
+        group.add_replica(cache)
+        joiner, _ = system.admit_cache("joiner", "g")
+        table = joiner.table("links")
+        assert joiner.sources_of_table(table) == ["net/0", "net/1", "net/2"]
+        for tid in table.tids():
+            assert joiner.source_of_tuple(table, tid) == (
+                f"net/{round_robin(tid, 3)}"
+            )
+        joiner.unsubscribe_all()
+        assert joiner.source_ids_of_table("links") == frozenset()
 
     def test_source_of_tuple_uses_shard_map(self):
         system, sharded, cache = build_sharded(n_shards=3, n_links=12)
@@ -180,25 +166,13 @@ class TestShardedCache:
         with pytest.raises(ReplicationProtocolError):
             cache.source_of_tuple(table, 9999)
 
-    def test_catalog_routing(self):
-        system, sharded, cache = build_sharded(n_shards=2, n_links=6)
-        assert cache.catalog.shard_of("links", 2) == "net/0"
-        with pytest.raises(TrappError):
-            cache.catalog.shard_of("links", 9999)
-
-    def test_catalog_routing_unsharded_is_none(self):
-        system = TrappSystem()
-        source = system.add_source("s1")
-        source.add_table(master_table())
-        cache = system.add_cache("c1")
-        cache.subscribe_table(source, "links")
-        assert cache.catalog.shard_of("links", 1) is None
-
     def test_refresh_batched_contacts_only_owning_shards(self):
         """A shard contributing zero tuples gets no message and no receipt."""
         system, sharded, cache = build_sharded(n_shards=3, n_links=12)
         table = cache.table("links")
-        only_shard_zero = sorted(table.shard_map.tids_of("net/0"))
+        only_shard_zero = [
+            tid for tid in table.tids() if cache.source_of_tuple(table, tid) == "net/0"
+        ]
         receipt = cache.refresh_batched(
             table, only_shard_zero, BatchedCostModel(setup=5.0, marginal=1.0)
         )
@@ -220,9 +194,11 @@ class TestShardedCache:
         }
         # Each shard was asked exactly for its own tuples, priced per shard.
         for per_source in receipt.per_source:
-            assert per_source.tids == table.shard_map.tids_of(
-                per_source.source_id
-            )
+            assert per_source.tids == {
+                tid
+                for tid in table.tids()
+                if cache.source_of_tuple(table, tid) == per_source.source_id
+            }
             assert per_source.cost == pytest.approx(5.0 + len(per_source.tids))
         for row in table.rows():
             assert row.bound("traffic").width == 0.0
@@ -256,7 +232,8 @@ class TestShardedCache:
         fixed = ShardedSource.create("net2", 2)
         fixed.add_table(master.copy())
         table = cache.subscribe_table(fixed, "links")
-        assert len(table) == 4 and table.is_sharded
+        assert len(table) == 4
+        assert cache.sources_of_table(table) == ["net2/0", "net2/1"]
 
     def test_sources_of_table_unsharded_and_empty(self):
         system = TrappSystem()
@@ -302,7 +279,7 @@ class TestSystemShardsApi:
         sharded = system.add_source("net", shards=2)
         sharded.add_table(master_table())
         cache = system.add_cache("monitor", shards={"links": sharded})
-        assert cache.table("links").is_sharded
+        assert cache.source_ids_of_table("links") == {"net/0", "net/1"}
 
     def test_sharded_system_answers_queries(self):
         system, sharded, cache = build_sharded(n_shards=3, n_links=12)
@@ -311,8 +288,6 @@ class TestSystemShardsApi:
         )
         assert answer.width <= 10 + 1e-9
         # Refreshes crossed at least two shards (round-robin striping).
-        shards_hit = {
-            cache.table("links").shard_map.shard_of(tid)
-            for tid in answer.refreshed
-        }
+        table = cache.table("links")
+        shards_hit = {cache.source_of_tuple(table, tid) for tid in answer.refreshed}
         assert len(shards_hit) >= 2

@@ -20,6 +20,7 @@ from repro.replication.messages import ObjectKey, RefreshReason, RefreshRequest
 from repro.replication.sharding import ShardedSource
 from repro.replication.source import DataSource
 from repro.replication.cache import DataCache
+from repro.replication.fanout import CacheGroup
 from repro.replication.system import TrappSystem
 from repro.simulation.clock import Clock
 from repro.storage.columnar import ColumnStore
@@ -199,10 +200,14 @@ class TestMultiCacheFanout:
             assert c.table("links").row(3).bound("bandwidth").contains(500.0)
 
 
-def _replicas(clock, source, count):
+def _replicas(clock, source, count, group=None):
+    """``count`` caches subscribing ``source``'s links, enrolled in
+    ``group`` (so a refresh fans out to their siblings) when one is given."""
     caches = []
     for index in range(count):
         replica = DataCache(f"r{index}", clock=clock.now)
+        if group is not None:
+            group.add_replica(replica)
         replica.subscribe_table(source, "links")
         caches.append(replica)
     return caches
@@ -466,8 +471,7 @@ class TestDeliveryWritesArrays:
         source.add_table(
             build_master_table(generate_topology(100, self.N_LINKS, rng), rng)
         )
-        source.refresh_fanout = True
-        return source, _replicas(clock, source, 2)
+        return source, _replicas(clock, source, 2, CacheGroup("g"))
 
     @pytest.fixture
     def guarded(self, monkeypatch, deployment):
@@ -574,7 +578,7 @@ class TestDeliveryWritesArrays:
         message: counted on the two NumPy entry points the route calls by
         name and on the store's bulk write."""
         source, (requester, _) = deployment
-        source.refresh_fanout = False
+        source.refresh_fanout = None
         table = requester.table("links")
         tids = table.tids()
         calls = []
@@ -638,8 +642,7 @@ class TestMasterValueReads:
     master's ``ColumnStore``, whatever the fan-out."""
 
     def test_one_gather_per_requested_column(self, clock, source, monkeypatch):
-        source.refresh_fanout = True
-        requester, *_ = _replicas(clock, source, 3)
+        requester, *_ = _replicas(clock, source, 3, CacheGroup("g"))
         clock.advance(9.0)
         master = source.table("links").columns
         reads = []

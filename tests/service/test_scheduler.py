@@ -363,10 +363,9 @@ class TestPerShardPricing:
                 setup=5.0, marginal=2.0, marginal_by_source=marginals
             ),
         )
-        by_shard = {
-            shard: sorted(table.shard_map.tids_of(shard))
-            for shard in table.shard_map.shards()
-        }
+        by_shard = {shard: [] for shard in cache.sources_of_table(table)}
+        for tid in table.tids():
+            by_shard[cache.source_of_tuple(table, tid)].append(tid)
 
         async def go():
             return await asyncio.gather(
